@@ -1,7 +1,8 @@
 """Benchmark/experiment harness: one module per reproduced table or figure.
 
-See DESIGN.md section 4 for the experiment index and EXPERIMENTS.md for the
-paper-versus-measured record.  Run with::
+Each module's docstring states what it reproduces and asserts; the repo's
+end-to-end benchmark and its baseline are described in
+``benchmarks/e21/README.md``.  Run with::
 
     pytest benchmarks/ --benchmark-only
 """

@@ -1,7 +1,7 @@
 """A1 (ablation) — design choices inside the Cascade variant.
 
-DESIGN.md calls out two design choices in the error-correction stage that the
-paper motivates but does not quantify:
+There are two design choices in the error-correction stage that the paper
+motivates but does not quantify:
 
 * the adaptive contiguous-block first pass (the "subranges") in front of the
   LFSR-seeded random-subset rounds — without it every error must be located by

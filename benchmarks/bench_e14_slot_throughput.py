@@ -5,22 +5,17 @@ sift/sift-response transaction, Cascade, entropy estimation, privacy
 amplification and Wegman-Carter authentication of the binary transcript.
 PR 4 vectorized the announcement path (numpy run-length encoding, the binary
 wire codec of :mod:`repro.core.wire`, array-native sift internals) and fused
-the optics sampling passes; this benchmark is the regression gate for that
-work: it sweeps batch sizes with and without an eavesdropper attached and
-reports **slots per second** end to end.
+the optics sampling passes; this benchmark sweeps batch sizes with and
+without an eavesdropper attached and reports **slots per second** end to end.
+The regression guard for this path's speed is E21 ``link_single`` against the
+in-tree baseline (``benchmarks/e21/README.md``), not an absolute number here.
 
 Assertions:
 
-* **determinism** (always) — two runs from the same seed produce the same
-  sifted stream and bit-identical distilled pool digests;
-* **throughput** — slots/s on the clean default-link run must be at least
-  ``BENCH_E14_MIN_SPEEDUP`` (default 2.5) times the pre-PR 4 baseline of
-  ~2.85M slots/s recorded on the reference container.  The *measured*
-  speedup there is 3.1-3.3x (printed in the table's last column); the gate
-  default sits below it so scheduler noise on a busy 1-CPU host cannot flake
-  a regression guard.  ``BENCH_E14_BASELINE_SLOTS_PER_SEC`` rebaselines for
-  other hardware; ``BENCH_E14_REQUIRE_SPEEDUP=0`` disables the gate (what
-  the CI smoke job on shared runners does).
+* **determinism** — two runs from the same seed produce the same sifted
+  stream and bit-identical distilled pool digests;
+* **the attack shows** — an intercept-resend eavesdropper raises the QBER
+  without silencing the pipeline.
 
 ``BENCH_E14_SLOTS`` caps the largest batch for smoke runs.  With
 ``BENCH_JSON_DIR`` set the table lands in
@@ -28,22 +23,16 @@ Assertions:
 """
 
 import hashlib
-import os
 import time
 
-from benchmarks.conftest import float_env, int_env, run_once
+from benchmarks.conftest import int_env, run_once
 from repro.eve.intercept_resend import InterceptResendAttack
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.util.rng import DeterministicRNG
 
 MAX_SLOTS = int_env("BENCH_E14_SLOTS", 1_500_000, minimum=1)
 SLOT_SWEEP = tuple(s for s in (500_000, 1_500_000) if s <= MAX_SLOTS) or (MAX_SLOTS,)
-#: Pre-PR 4 end-to-end throughput on the reference container (1.5M slots in
-#: ~0.526 s); the speedup gate is measured against this.
-BASELINE_SLOTS_PER_SEC = float_env("BENCH_E14_BASELINE_SLOTS_PER_SEC", 2.85e6)
-MIN_SPEEDUP = float_env("BENCH_E14_MIN_SPEEDUP", 2.5)
-#: Timed repetitions per configuration; the fastest is reported, which keeps
-#: a single-shot scheduling hiccup on a busy host from tripping the gate.
+#: Timed repetitions per configuration; the fastest is reported.
 REPS = int_env("BENCH_E14_REPS", 3, minimum=1)
 
 
@@ -107,14 +96,12 @@ def test_e14_slot_throughput(benchmark, table):
             run["sifted_bits"],
             run["distilled_bits"],
             f"{run['qber']:.3f}",
-            f"{run['slots_per_sec'] / BASELINE_SLOTS_PER_SEC:.2f}x",
         ]
         for run in sweep
     ]
     table(
-        f"E14: end-to-end slot throughput on the default link "
-        f"(baseline {BASELINE_SLOTS_PER_SEC / 1e6:.2f}M slots/s pre-PR 4)",
-        ["slots", "attack", "seconds", "slots/s", "sifted bits", "distilled bits", "QBER", "vs baseline"],
+        "E14: end-to-end slot throughput on the default link",
+        ["slots", "attack", "seconds", "slots/s", "sifted bits", "distilled bits", "QBER"],
         rows,
     )
 
@@ -136,12 +123,3 @@ def test_e14_slot_throughput(benchmark, table):
     assert repeat["sift_digest"] == clean_big["sift_digest"]
     assert repeat["pool_digest"] == clean_big["pool_digest"]
     assert repeat["sifted_bits"] == clean_big["sifted_bits"]
-
-    # Throughput gate: ≥ MIN_SPEEDUP x the pre-PR 4 baseline ("0" disables).
-    if os.environ.get("BENCH_E14_REQUIRE_SPEEDUP") != "0":
-        floor = MIN_SPEEDUP * BASELINE_SLOTS_PER_SEC
-        assert clean_big["slots_per_sec"] >= floor, (
-            f"end-to-end throughput {clean_big['slots_per_sec']/1e6:.2f}M slots/s "
-            f"is below the gate of {floor/1e6:.2f}M "
-            f"({MIN_SPEEDUP}x the {BASELINE_SLOTS_PER_SEC/1e6:.2f}M baseline)"
-        )

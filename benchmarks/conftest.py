@@ -1,10 +1,11 @@
 """Shared helpers for the benchmark/experiment harness.
 
 Each ``bench_eNN_*.py`` file regenerates one of the paper's quantitative
-results (see DESIGN.md section 4 and EXPERIMENTS.md).  The benchmarks print
-the same rows/series the paper reports and assert the qualitative *shape*
-(who wins, trends, crossovers); absolute values depend on hardware constants
-the paper does not fully specify and are recorded in EXPERIMENTS.md instead.
+results.  The benchmarks print the same rows/series the paper reports and
+assert the qualitative *shape* (who wins, trends, crossovers); absolute values
+depend on hardware constants the paper does not fully specify.  Timed
+end-to-end numbers live in E21 (``benchmarks/e21/README.md``) with its in-tree
+baseline.
 
 Run with:  pytest benchmarks/ --benchmark-only
 

@@ -32,7 +32,6 @@ keys — ``QKDSystem(seed=s).link()`` is bit-for-bit the legacy
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
@@ -280,7 +279,7 @@ class QKDSystem:
         stream (``fork_labeled(f"lane/<name>/<index>")`` of the system seed),
         executed lock-step by the :class:`repro.lanes.LaneEngine` — call
         ``run_slots`` on the result.  Every lane's key material is
-        bit-identical to the equivalent sequential link.
+        bit-identical to the same link run alone.
         """
         config = replace(self.config, **overrides) if overrides else self.config
         return LaneEngine.for_fleet(
@@ -398,12 +397,6 @@ class MeshSystem:
 
     config: SystemConfig
     relays: TrustedRelayNetwork
-    #: Replenishment-config fields applied on top of whatever ``kms()`` is
-    #: handed; populated by the deprecated :meth:`with_lanes`.
-    replenishment_overrides: dict = field(default_factory=dict)
-    #: Custody-config fields applied likewise; populated by the deprecated
-    #: :meth:`with_custody`.
-    custody_overrides: dict = field(default_factory=dict)
     #: The metro zone plan this mesh was built with (``QKDSystem.metro``);
     #: ``kms()`` adopts it whenever the config does not name zones itself.
     zone_plan: Optional["ZonePlan"] = None
@@ -411,60 +404,6 @@ class MeshSystem:
     @property
     def network(self):
         return self.relays.network
-
-    def with_lanes(self, max_links_per_epoch: Optional[int] = None) -> "MeshSystem":
-        """Deprecated: use ``kms(config=KmsConfig().with_lanes(...))``.
-
-        Routes replenishment epochs through the vectorized lane engine —
-        Monte-Carlo mode on the ``"lanes"`` farm backend, bit-identical to
-        per-link dispatch.  The same switch now lives on the config object
-        (:meth:`repro.kms.KmsConfig.with_lanes`), where it composes with the
-        other builders instead of being mesh state.
-        """
-        warnings.warn(
-            "MeshSystem.with_lanes is deprecated; pass "
-            "KmsConfig().with_lanes(...) to kms(config=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        overrides: dict = {"mode": "montecarlo", "backend": "lanes"}
-        if max_links_per_epoch is not None:
-            overrides["max_links_per_epoch"] = max_links_per_epoch
-        return replace(
-            self,
-            replenishment_overrides={**self.replenishment_overrides, **overrides},
-        )
-
-    def with_custody(
-        self,
-        policy: str = "scheduled",
-        ttl_seconds: float = 600.0,
-        capacity_bits: int = 1 << 20,
-        schedule=None,
-    ) -> "MeshSystem":
-        """Deprecated: use ``kms(config=KmsConfig().with_custody(...))``.
-
-        Makes the KMS disruption-tolerant (see :mod:`repro.dtn`): deliveries
-        that find no live path are banked as custody bundles and
-        store-and-forwarded as contact windows open.  The switch now lives
-        on the config object (:meth:`repro.kms.KmsConfig.with_custody`).
-        """
-        warnings.warn(
-            "MeshSystem.with_custody is deprecated; pass "
-            "KmsConfig().with_custody(...) to kms(config=...) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        overrides = {
-            "custody": True,
-            "custody_policy": policy,
-            "custody_ttl_seconds": ttl_seconds,
-            "custody_capacity_bits": capacity_bits,
-            "custody_schedule": schedule,
-        }
-        return replace(
-            self, custody_overrides={**self.custody_overrides, **overrides}
-        )
 
     def run_links_for(self, seconds: float) -> None:
         """Let every link distill pairwise key for ``seconds`` seconds."""
@@ -494,11 +433,7 @@ class MeshSystem:
     # Continuous operation (repro.kms)
     # ------------------------------------------------------------------ #
 
-    def kms(
-        self,
-        config: Optional[KmsConfig] = None,
-        workload: Optional[TrafficWorkload] = None,
-    ) -> KeyManagementService:
+    def kms(self, config: Optional[KmsConfig] = None) -> KeyManagementService:
         """A key-management runtime over this mesh (see :mod:`repro.kms`).
 
         Config-first: every operating decision — zoning, custody, the
@@ -520,19 +455,10 @@ class MeshSystem:
 
         A mesh built by :meth:`QKDSystem.metro` carries its zone plan; the
         config adopts it automatically unless it names zones itself.
-
-        Passing a ``workload`` *instance* is deprecated — put a profile on
-        the config (:meth:`~repro.kms.KmsConfig.with_workload`) instead.
         """
         rng = DeterministicRNG(self.config.seed).fork_labeled("kms")
-        if workload is not None:
-            warnings.warn(
-                "passing a workload instance to kms()/serve() is deprecated; "
-                "use KmsConfig().with_workload(profile) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        elif config is None or config.workload is None:
+        workload = None
+        if config is None or config.workload is None:
             # Historical default stream: the facade's default workload forks
             # the "workload" label (the service's own fallback would fork
             # "workload-root" and yield a different schedule).
@@ -541,25 +467,12 @@ class MeshSystem:
             )
         if self.zone_plan is not None and (config is None or config.zones is None):
             config = (config or KmsConfig()).with_zones(self.zone_plan)
-        if self.replenishment_overrides:
-            config = config or KmsConfig()
-            config = replace(
-                config,
-                replenishment=replace(
-                    config.replenishment, **self.replenishment_overrides
-                ),
-            )
-        if self.custody_overrides:
-            config = replace(config or KmsConfig(), **self.custody_overrides)
         return KeyManagementService(
             self.relays, config=config, workload=workload, rng=rng
         )
 
     def serve(
-        self,
-        workload: Optional[TrafficWorkload] = None,
-        hours: float = 1.0,
-        config: Optional[KmsConfig] = None,
+        self, hours: float = 1.0, config: Optional[KmsConfig] = None
     ) -> SoakReport:
         """Operate the mesh continuously for ``hours`` of simulated time.
 
@@ -569,10 +482,8 @@ class MeshSystem:
         contention, and starvation accounting.  Builds a fresh
         :meth:`kms` service and runs it once; the run continues from the
         mesh's current pad levels (a prefilled mesh starts warm).
-
-        The ``workload`` parameter is deprecated exactly as on :meth:`kms`.
         """
-        return self.kms(config=config, workload=workload).serve(hours=hours)
+        return self.kms(config=config).serve(hours=hours)
 
     def __repr__(self) -> str:
         return (

@@ -45,8 +45,7 @@ from repro.core.keypool import KeyPool
 from repro.core.messages import PublicChannelLog
 from repro.core.privacy import PrivacyAmplification, PrivacyAmplificationResult
 from repro.core.randomness import RandomnessTester
-from repro.core.sifting import SiftingProtocol, SiftResult
-from repro.optics.channel import FrameResult
+from repro.core.sifting import SiftResult
 from repro.pipeline import (
     DEFAULT_STAGE_PLAN,
     DistillationPipeline,
@@ -385,28 +384,9 @@ class QKDProtocolEngine:
     # Frame intake
     # ------------------------------------------------------------------ #
 
-    def process_frame(
-        self,
-        frame: FrameResult,
-        mean_photon_number: float = 0.1,
-        entangled_source: bool = False,
-    ) -> List[DistillationOutcome]:
-        """Sift one batch of channel slots and distill any completed blocks.
-
-        Returns the outcomes of every block completed by this frame (possibly
-        none, if the sifted bits are still accumulating).
-        """
-        sifter = SiftingProtocol(frame_id=self.allocate_frame_id())
-        sift = sifter.sift(frame)
-        return self.process_sifted(
-            sift, frame.n_slots, mean_photon_number, entangled_source
-        )
-
     def allocate_frame_id(self) -> int:
-        """Claim the next sift frame id (one per processed frame).
-
-        Exposed so the lane engine can stamp its batched sift pass with the
-        same ids a sequential :meth:`process_frame` loop would have used.
+        """Claim the next sift frame id (one per processed frame), with which
+        the batch loop stamps each lane's sift before :meth:`process_sifted`.
         """
         frame_id = self._next_frame_id
         self._next_frame_id += 1
@@ -421,11 +401,12 @@ class QKDProtocolEngine:
     ) -> List[DistillationOutcome]:
         """Accumulate an already-sifted frame and distill completed blocks.
 
-        The second half of :meth:`process_frame`: the lane engine sifts many
-        links' frames in one batched pass (:func:`repro.core.sifting.sift_frames`)
-        and feeds each lane's :class:`SiftResult` here — the ragged per-link
-        split point.  ``n_slots`` is the transmitted slot count of the frame
-        the sift came from.
+        The batch loop sifts many links' frames in one batched pass
+        (:func:`repro.core.sifting.sift_frames`) and feeds each lane's
+        :class:`SiftResult` here — the ragged per-link split point.
+        ``n_slots`` is the transmitted slot count of the frame the sift came
+        from.  Returns the outcomes of every block completed by this frame
+        (possibly none, if the sifted bits are still accumulating).
         """
         self.statistics.slots_processed += n_slots
         self.statistics.sifted_bits += sift.n_sifted
@@ -473,7 +454,7 @@ class QKDProtocolEngine:
         entangled_source: bool = False,
     ) -> DistillationOutcome:
         """Run one sifted block through the distillation pipeline (stateless
-        entry point used by benchmarks and by :meth:`process_frame`).
+        entry point used by benchmarks).
 
         In parallel mode this routes through :meth:`distill_blocks` as a
         one-block batch, so single-block and batched submissions of the same

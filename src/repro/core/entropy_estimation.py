@@ -32,8 +32,7 @@ The implementations below reconstruct them from the surviving fragments, the
 cited sources (Bennett et al. 1992; Slutsky et al. 1998), and the constraints
 the paper itself states (both estimates carry a standard-deviation margin;
 Slutsky's is parameterised by an attack-success probability and saturates the
-whole key as the error rate grows).  EXPERIMENTS.md records this as a
-documented deviation.
+whole key as the error rate grows).  This is a documented deviation.
 """
 
 from __future__ import annotations

@@ -118,7 +118,11 @@ def run_length_encode_rows(mask2d: np.ndarray) -> List[np.ndarray]:
     n_rows, n_slots = arr.shape
     if n_slots == 0:
         return [np.array([0], dtype=np.int64) for _ in range(n_rows)]
-    change_rows, change_cols = np.nonzero(arr[:, 1:] != arr[:, :-1])
+    # Row-major flat positions split back into (row, column): same pairs, in
+    # the same order, as a 2-D ``np.nonzero`` at a fraction of its cost.
+    change_rows, change_cols = np.divmod(
+        np.flatnonzero(arr[:, 1:] != arr[:, :-1]), n_slots - 1
+    )
     boundaries = change_cols.astype(np.int64) + 1
     per_row = np.bincount(change_rows, minlength=n_rows)
     row_slices = np.split(boundaries, np.cumsum(per_row)[:-1])

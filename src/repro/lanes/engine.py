@@ -1,44 +1,39 @@
-"""The lane engine: N links' epochs executed lock-step as one numpy program.
+"""The slot→key batch loop: N links' epochs lock-step as one numpy program.
 
-PR 4 vectorized *within* one link; the :class:`~repro.runtime.farm.LinkFarm`
-parallelizes *across* links with worker processes, paying process startup and
-per-epoch pickling on every run.  The lane engine is the third execution
-model: every link of a homogeneous-epoch fleet becomes one **lane** — one row
-of a ``(n_links, n_slots)`` batch — and the whole fleet's physics and
-announcement path run as single whole-batch array operations
-(:func:`repro.optics.channel.transmit_lanes`,
-:func:`repro.core.sifting.sift_frames`).  Per-link physics (distance, loss,
-visibility, dark counts, attack presence) rides along as per-lane parameter
-vectors broadcast down axis 0.
+Every link is a **lane** — one row of a ``(n_links, n_slots)`` batch — and
+:func:`run_lanes` is the one loop that carries lanes from trigger slots to
+pooled key: the whole batch's physics and announcement path run as single
+whole-batch array operations (:func:`repro.optics.channel.transmit_lanes`,
+:func:`repro.core.sifting.sift_frames`), then each lane's own engine distills
+its sifted bits.  Per-link physics (source type, distance, loss, visibility,
+dark counts, attack presence) rides along as per-lane parameters.  A single
+:class:`~repro.link.qkd_link.QKDLink` is the width-1 case
+(``QKDLink.run_slots``), and the :class:`~repro.runtime.farm.LinkFarm`'s
+process/thread workers fan that same width-1 case out across cores.
 
-Bit-identity contract
----------------------
+Lane independence
+-----------------
 
-Each lane holds a real :class:`~repro.link.qkd_link.QKDLink` built exactly as
-the sequential path builds it, so construction-time RNG forks match; during a
-batch, every lane's numpy ``Generator`` receives exactly the draw sequence of
-the sequential path (draws loop over lanes per draw site), while the
-arithmetic between draws — elementwise IEEE operations and broadcasts — runs
-batched.  A lane's sifted stream, distilled key, report and pools are
-therefore **bit-identical** to the same link run through
-``QKDLink.run_slots``, which keeps the pinned key-material digests
-lane-count- and lane-order-invariant.  ``tests/test_lanes.py`` pins this
-differentially across 1/4/64 lanes, heterogeneous distances and an attacked
-lane.
+Each lane holds a real :class:`~repro.link.qkd_link.QKDLink`; during a batch
+every draw comes from that lane's own generators (draws loop over lanes per
+draw site) while the arithmetic between draws — elementwise IEEE operations
+and broadcasts — runs batched.  A lane's sifted stream, distilled key, report
+and pools are therefore a function of its job alone: **bit-identical** for
+any lane count and lane order, which is what the pinned key-material digests
+and ``tests/test_lanes.py`` (N lanes vs N x 1 lane) hold fixed.
 
-When lanes beat process workers
--------------------------------
+Wide batches vs workers
+-----------------------
 
-Lanes amortize fixed per-epoch cost (interpreter dispatch, small-array numpy
-overhead) across the whole fleet and pay no process spawn or pickling at all,
-so they win whenever epochs are homogeneous and per-lane compute is modest —
-the metro-mesh replenishment case.  Process workers still win for few, long,
-heterogeneous or entangled-source jobs, and remain the fallback the
-``LinkFarm``'s ``auto`` backend selects when jobs are not lane-compatible.
-Peak memory scales with ``n_links * slots_per_batch``; shrink
-``slots_per_batch`` as lane counts grow.  (Changing ``slots_per_batch``
-changes the generator call granularity and therefore the bitstream — on both
-paths equally — so compare like with like.)
+A wide batch amortizes fixed per-epoch cost (interpreter dispatch,
+small-array numpy overhead) across the fleet and pays no process spawn or
+pickling, so it wins whenever epochs are homogeneous and per-lane compute is
+modest — the metro-mesh replenishment case.  Workers win for few, long or
+ragged jobs, and are what the ``LinkFarm``'s ``auto`` backend selects when
+jobs cannot share a batch.  Peak memory scales with
+``n_links * slots_per_batch``; shrink ``slots_per_batch`` as lane counts
+grow.  (Changing ``slots_per_batch`` changes the generator call granularity
+and therefore the bitstream, so compare like with like.)
 """
 
 from __future__ import annotations
@@ -48,15 +43,89 @@ from typing import List, Optional, Sequence
 from repro.core.engine import DistillationOutcome
 from repro.core.sifting import sift_frames
 from repro.link.qkd_link import LinkParameters, LinkReport, QKDLink
-from repro.optics.channel import (
-    LaneCompatibilityError,
-    check_lane_channels,
-    transmit_lanes,
-)
+from repro.optics.channel import transmit_lanes
 from repro.runtime.farm import LinkJob, LinkRun
 from repro.util.rng import DeterministicRNG
 
 __all__ = ["LaneCompatibilityError", "LaneEngine"]
+
+
+class LaneCompatibilityError(ValueError):
+    """Raised when a set of jobs cannot share one lane batch."""
+
+
+def lane_mismatch(jobs: Sequence[LinkJob]) -> Optional[str]:
+    """Why ``jobs`` cannot share one lane batch, or ``None`` if they can.
+
+    The one statement of the rule: a batch is rectangular, so its lanes agree
+    on the slot budget, on ``slots_per_batch`` (the batch boundary is part of
+    each link's draw granularity) and on the Qframe size (the slot-to-frame
+    layout is computed once).  Everything else — source type, distance,
+    loss, visibility, dark counts, attack presence — may vary per lane.
+    """
+    if not jobs:
+        return "a lane batch needs at least one job"
+    for name, values in (
+        ("n_slots", {job.n_slots for job in jobs}),
+        ("slots_per_batch", {job.parameters.slots_per_batch for job in jobs}),
+        (
+            "slots_per_frame",
+            {job.parameters.channel.framing.slots_per_frame for job in jobs},
+        ),
+    ):
+        if len(values) > 1:
+            return f"lanes disagree on {name} ({sorted(values)})"
+    return None
+
+
+def run_lanes(
+    links: Sequence[QKDLink], n_slots: int, flush_flags: Sequence[bool]
+) -> List[LinkReport]:
+    """Carry ``n_slots`` trigger slots on every link to pooled key, lock-step.
+
+    The one slot→key loop: per batch, one :func:`transmit_lanes`, one
+    :func:`sift_frames`, then each lane's engine accumulates and distills.
+    ``links`` must share ``slots_per_batch`` and ``slots_per_frame``
+    (:func:`lane_mismatch`; trivially true for one link).  Returns one report
+    per link, in order.
+    """
+    if n_slots < 0:
+        raise ValueError("slot count must be non-negative")
+    outcomes: List[List[DistillationOutcome]] = [[] for _ in links]
+    mus = [link.parameters.channel.effective_mean_photon_number for link in links]
+    entangled = [link.parameters.channel.is_entangled for link in links]
+    channels = [link.channel for link in links]
+    attacks = [link.attack for link in links]
+    batch = links[0].parameters.slots_per_batch
+    remaining = n_slots
+    while remaining > 0:
+        this_batch = min(batch, remaining)
+        frames = transmit_lanes(channels, this_batch, attacks=attacks)
+        frame_ids = [link.engine.allocate_frame_id() for link in links]
+        sifts = sift_frames(frames, frame_ids)
+        for index, link in enumerate(links):
+            outcomes[index].extend(
+                link.engine.process_sifted(
+                    sifts[index],
+                    frames[index].n_slots,
+                    mean_photon_number=mus[index],
+                    entangled_source=entangled[index],
+                )
+            )
+            # Sifting has extracted everything the protocols need; drop each
+            # lane's row views so a long run's memory stays flat — once every
+            # lane releases, the shared batch storage itself frees.
+            frames[index].release_slot_arrays()
+        del frames, sifts
+        remaining -= this_batch
+    for index, link in enumerate(links):
+        if flush_flags[index]:
+            flushed = link.engine.flush()
+            if flushed is not None:
+                outcomes[index].append(flushed)
+    return [
+        link.build_report(n_slots, outcomes[index]) for index, link in enumerate(links)
+    ]
 
 
 class LaneEngine:
@@ -64,15 +133,9 @@ class LaneEngine:
 
     def __init__(self, jobs: Sequence[LinkJob]):
         jobs = list(jobs)
-        if not jobs:
-            raise LaneCompatibilityError("a lane engine needs at least one job")
-        batch_sizes = {job.parameters.slots_per_batch for job in jobs}
-        if len(batch_sizes) > 1:
-            raise LaneCompatibilityError(
-                f"lanes disagree on slots_per_batch ({sorted(batch_sizes)}); "
-                "the batch boundary is part of each link's draw granularity, "
-                "so all lanes must share it"
-            )
+        reason = lane_mismatch(jobs)
+        if reason is not None:
+            raise LaneCompatibilityError(reason)
         self.jobs = jobs
         self.links = [
             QKDLink(job.parameters, DeterministicRNG(job.seed), name=job.name)
@@ -81,7 +144,6 @@ class LaneEngine:
         for link, job in zip(self.links, jobs):
             if job.attack is not None:
                 link.attach_attack(job.attack)
-        check_lane_channels([link.channel for link in self.links])
 
     # ------------------------------------------------------------------ #
     # Fleet construction
@@ -121,27 +183,12 @@ class LaneEngine:
 
     @staticmethod
     def compatible(jobs: Sequence[LinkJob]) -> bool:
-        """Whether ``jobs`` can share one lane batch (parameter check only).
+        """Whether ``jobs`` can share one lane batch (see :func:`lane_mismatch`).
 
-        Lane batches must be rectangular and structurally homogeneous: equal
-        ``n_slots``, equal ``slots_per_batch``, equal Qframe size, and a
-        weak-coherent source on every lane.  Distances, losses, QBER knobs
-        and attacks may differ freely.  The ``LinkFarm``'s ``auto`` backend
-        uses this to decide between lanes and process workers.
+        The ``LinkFarm``'s ``auto`` backend uses this to decide between one
+        wide batch and process workers.
         """
-        jobs = list(jobs)
-        if not jobs:
-            return False
-        if len({job.n_slots for job in jobs}) > 1:
-            return False
-        if len({job.parameters.slots_per_batch for job in jobs}) > 1:
-            return False
-        channels = [job.parameters.channel for job in jobs]
-        if any(channel.is_entangled for channel in channels):
-            return False
-        if len({channel.framing.slots_per_frame for channel in channels}) > 1:
-            return False
-        return True
+        return lane_mismatch(list(jobs)) is None
 
     @property
     def n_lanes(self) -> int:
@@ -154,26 +201,20 @@ class LaneEngine:
     def run_slots(self, n_slots: int, flush: bool = True) -> List[LinkReport]:
         """Transmit ``n_slots`` trigger slots on every lane, lock-step.
 
-        The batched analogue of calling :meth:`QKDLink.run_slots` on each
-        lane's link in turn; returns one report per lane, in lane order,
-        bit-identical to the sequential runs.
+        Returns one report per lane, in lane order — each what
+        :meth:`QKDLink.run_slots` returns for that lane's link run alone.
         """
-        return self._run_batches(n_slots, [flush] * self.n_lanes)
+        return run_lanes(self.links, n_slots, [flush] * self.n_lanes)
 
     def run(self) -> List[LinkRun]:
-        """Run every lane for its job's slot budget; the farm backend entry.
+        """Run every lane for its job's slot budget; the farm's entry.
 
-        Returns :class:`LinkRun` objects exactly like the process backend's
-        workers do, so ``LinkFarm`` results are backend-invariant.
+        One :class:`LinkRun` per job, in job order, whichever ``LinkFarm``
+        backend got it here.
         """
-        slot_counts = {job.n_slots for job in self.jobs}
-        if len(slot_counts) > 1:
-            raise LaneCompatibilityError(
-                f"lanes disagree on n_slots ({sorted(slot_counts)}); lane "
-                "batches are rectangular — use the process or thread backend "
-                "for ragged epochs"
-            )
-        reports = self._run_batches(slot_counts.pop(), [job.flush for job in self.jobs])
+        reports = run_lanes(
+            self.links, self.jobs[0].n_slots, [job.flush for job in self.jobs]
+        )
         return [
             LinkRun(
                 name=job.name,
@@ -182,46 +223,6 @@ class LaneEngine:
                 bob_pool=link.engine.bob_pool,
             )
             for job, link, report in zip(self.jobs, self.links, reports)
-        ]
-
-    def _run_batches(self, n_slots: int, flush_flags: Sequence[bool]) -> List[LinkReport]:
-        if n_slots < 0:
-            raise ValueError("slot count must be non-negative")
-        links = self.links
-        outcomes: List[List[DistillationOutcome]] = [[] for _ in links]
-        mus = [link.parameters.channel.effective_mean_photon_number for link in links]
-        channels = [link.channel for link in links]
-        attacks = [link.attack for link in links]
-        batch = links[0].parameters.slots_per_batch
-        remaining = n_slots
-        while remaining > 0:
-            this_batch = min(batch, remaining)
-            frames = transmit_lanes(channels, this_batch, attacks=attacks)
-            frame_ids = [link.engine.allocate_frame_id() for link in links]
-            sifts = sift_frames(frames, frame_ids)
-            for index, link in enumerate(links):
-                outcomes[index].extend(
-                    link.engine.process_sifted(
-                        sifts[index],
-                        frames[index].n_slots,
-                        mean_photon_number=mus[index],
-                        entangled_source=False,
-                    )
-                )
-                # Same memory discipline as the sequential loop: sifting has
-                # extracted everything, so drop each lane's row views — once
-                # every lane releases, the shared batch storage itself frees.
-                frames[index].release_slot_arrays()
-            del frames, sifts
-            remaining -= this_batch
-        for index, link in enumerate(links):
-            if flush_flags[index]:
-                flushed = link.engine.flush()
-                if flushed is not None:
-                    outcomes[index].append(flushed)
-        return [
-            link.build_report(n_slots, outcomes[index])
-            for index, link in enumerate(links)
         ]
 
     def __repr__(self) -> str:

@@ -119,43 +119,18 @@ class QKDLink:
     # ------------------------------------------------------------------ #
 
     def run_slots(self, n_slots: int, flush: bool = True) -> LinkReport:
-        """Transmit ``n_slots`` trigger slots and run the protocols over them."""
-        if n_slots < 0:
-            raise ValueError("slot count must be non-negative")
-        outcomes: List[DistillationOutcome] = []
-        remaining = n_slots
-        batch = self.parameters.slots_per_batch
-        mu = self.parameters.channel.effective_mean_photon_number
-        entangled = self.parameters.channel.is_entangled
-        while remaining > 0:
-            this_batch = min(batch, remaining)
-            frame = self.channel.transmit(this_batch, attack=self.attack)
-            outcomes.extend(
-                self.engine.process_frame(
-                    frame, mean_photon_number=mu, entangled_source=entangled
-                )
-            )
-            # Sifting has extracted everything the protocols need; drop the
-            # per-slot arrays so a long run's memory stays flat instead of
-            # holding megabytes per batch until garbage collection.
-            frame.release_slot_arrays()
-            remaining -= this_batch
-        if flush:
-            flushed = self.engine.flush()
-            if flushed is not None:
-                outcomes.append(flushed)
-        return self.build_report(n_slots, outcomes)
+        """Transmit ``n_slots`` trigger slots and run the protocols over them.
+
+        One link is the width-1 case of the lane batch loop.
+        """
+        from repro.lanes.engine import run_lanes
+
+        return run_lanes([self], n_slots, [flush])[0]
 
     def build_report(
         self, n_slots: int, outcomes: List[DistillationOutcome]
     ) -> LinkReport:
-        """Assemble the run report from the engine's cumulative statistics.
-
-        Shared by :meth:`run_slots` and the lane engine
-        (:class:`repro.lanes.LaneEngine`), which drives this link's channel
-        and engine through the batched path and must emit the identical
-        report.
-        """
+        """Assemble the run report from the engine's cumulative statistics."""
         stats = self.engine.statistics
         elapsed = n_slots / self.parameters.channel.pulse_rate_hz
         return LinkReport(

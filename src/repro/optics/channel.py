@@ -47,18 +47,6 @@ from repro.optics.timing import BrightPulseFraming, FramingParameters, frame_lay
 from repro.util.rng import DeterministicRNG
 
 
-class LaneCompatibilityError(ValueError):
-    """Raised when a set of links cannot share one lane batch.
-
-    The lane engine runs every link's physics as a single ``(n_links,
-    n_slots)`` array program, which requires the links to agree on the batch
-    *shape*: same slot count per call, same Qframe size, and a weak-coherent
-    source on every lane (the entangled heralding path has a different draw
-    structure).  Everything else — distance, loss, visibility, dark counts,
-    attack presence — may vary per lane.
-    """
-
-
 @dataclass
 class ChannelParameters:
     """Everything needed to describe one weak-coherent QKD link.
@@ -154,17 +142,18 @@ class FrameResult:
     """The outcome of transmitting a batch of trigger slots.
 
     All per-slot data are parallel numpy arrays of length ``n_slots``, held
-    in the narrowest dtype that fits (``uint8`` for bases/values/photon
-    counts, ``bool`` for click flags) — at the paper's 500k-slot batches the
-    eight arrays cost ~4 MB instead of the ~30 MB the default ``int64``
-    dtypes would.  The object also carries the summary statistics the
+    in the narrowest dtype that fits (``uint8`` for bases/values, ``uint16``
+    for photon counts, ``bool`` for click flags) — at the paper's 500k-slot
+    batches the eight arrays cost ~4 MB instead of the ~30 MB the default
+    ``int64`` dtypes would.  The object also carries the summary statistics the
     entropy-estimation stage needs (total transmitted, multi-photon count)
     and, if an attack was active, the attack's own bookkeeping.
 
     Once sifting has extracted the surviving bits the per-slot arrays are
     dead weight; :meth:`release_slot_arrays` caches the summary statistics
-    and drops them, which is what :meth:`repro.link.qkd_link.QKDLink.run_slots`
-    does after each batch so a long run's memory stays flat.
+    and drops them, which is what the batch loop behind
+    :meth:`repro.link.qkd_link.QKDLink.run_slots` does after each batch so a
+    long run's memory stays flat.
     """
 
     def __init__(
@@ -348,60 +337,10 @@ class QuantumChannel:
         is allowed to act on the photons in flight exactly as the paper's Eve
         can (measure them, block them, resend substitutes), and its
         bookkeeping is attached to the result as ``attack_record``.
+
+        A single link is the width-1 case of :func:`transmit_lanes`.
         """
-        if n_slots < 0:
-            raise ValueError("slot count must be non-negative")
-        rng = self._numpy_rng
-        emission = self.source.emit(n_slots)
-        transmittance = self.parameters.path.transmittance
-
-        if self.parameters.is_entangled:
-            # Only heralded slots carry a signal photon Alice has a record of;
-            # unheralded signal photons are discarded at the source (they would
-            # otherwise produce clicks Alice can never reconcile).
-            emission = dict(emission)
-            emission["photons"] = np.where(emission["heralded"], emission["photons"], 0)
-
-        if attack is not None:
-            interception = attack.intercept(emission, transmittance, rng)
-            photons_at_receiver = interception["photons_at_receiver"]
-            phase_at_receiver = interception["phase_at_receiver"]
-            attack_record = interception.get("record", {})
-        else:
-            photons_at_receiver = rng.binomial(emission["photons"], transmittance)
-            phase_at_receiver = emission["phase"]
-            attack_record = {}
-
-        bob_basis = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
-        signal_detector = self.interferometer.sample_detector_hits(
-            phase_at_receiver, bob_basis, rng
-        )
-
-        # Gate misalignment shaves a fraction off the photons that can be seen.
-        efficiency_factor = self.framing.efficiency_factor
-        if efficiency_factor < 1.0:
-            photons_at_receiver = rng.binomial(photons_at_receiver, efficiency_factor)
-
-        clicks = self.detectors.sample_clicks(photons_at_receiver, signal_detector, rng)
-
-        frame_numbers, _slot_in_frame, frame_received = self.framing.allocate_frames(
-            n_slots
-        )
-        click = clicks["click"] & frame_received
-        double = clicks["double"] & frame_received
-
-        self.slots_transmitted += n_slots
-        return FrameResult(
-            alice_basis=emission["basis"],
-            alice_value=emission["value"],
-            alice_photons=emission["photons"],
-            bob_basis=bob_basis,
-            bob_click=click,
-            bob_double=double,
-            bob_value=clicks["value"],
-            frame_numbers=frame_numbers,
-            attack_record=attack_record,
-        )
+        return transmit_lanes([self], n_slots, [attack])[0]
 
     # ------------------------------------------------------------------ #
     # Analytic rate model
@@ -453,11 +392,7 @@ class QuantumChannel:
 
     def sifted_rate_per_second(self) -> float:
         """Expected sifted key rate in bits per second at the source pulse rate."""
-        if self.parameters.is_entangled:
-            pulse_rate = self.parameters.entangled_source.pulse_rate_hz
-        else:
-            pulse_rate = self.parameters.source.pulse_rate_hz
-        return self.sifted_rate_per_slot() * pulse_rate
+        return self.sifted_rate_per_slot() * self.parameters.pulse_rate_hz
 
     def expected_sifted_fraction(self) -> float:
         """Fraction of transmitted slots that become sifted bits (paper's 1-in-200 example)."""
@@ -472,60 +407,42 @@ class QuantumChannel:
 
 
 # ---------------------------------------------------------------------- #
-# Lane-batched transmission (the leading-link-axis path)
+# Monte-Carlo transmission (leading link axis)
 # ---------------------------------------------------------------------- #
-
-
-def check_lane_channels(channels) -> None:
-    """Validate that ``channels`` can share one lane batch, or raise.
-
-    Raises :class:`LaneCompatibilityError` naming the offending lane when a
-    channel uses the entangled source or disagrees on the Qframe size.
-    """
-    if not channels:
-        raise LaneCompatibilityError("a lane batch needs at least one channel")
-    for index, channel in enumerate(channels):
-        if channel.parameters.is_entangled:
-            raise LaneCompatibilityError(
-                f"lane {index} uses the entangled-pair source; the lane engine "
-                "only batches weak-coherent links (run entangled links "
-                "sequentially or on the process backend)"
-            )
-    frame_sizes = {c.parameters.framing.slots_per_frame for c in channels}
-    if len(frame_sizes) > 1:
-        raise LaneCompatibilityError(
-            "lanes disagree on slots_per_frame "
-            f"({sorted(frame_sizes)}); all lanes of a batch must share the "
-            "Qframe size so the slot-to-frame layout can be computed once"
-        )
 
 
 def transmit_lanes(channels, n_slots: int, attacks=None):
     """Transmit ``n_slots`` trigger slots on every channel at once.
 
-    This is :meth:`QuantumChannel.transmit` with a leading **link axis**: the
-    per-slot physics — phase encoding, interference, click probabilities,
-    click/double logic — runs once over ``(n_links, n_slots)`` arrays, with
+    The one place the optics draw order is written down — source, fibre or
+    attack, Bob's basis, phase noise, detector draw, gate thinning,
+    click/dark/afterpulse/coin, frame gates — with a leading **link axis**:
+    the per-slot physics (phase encoding, interference, click probabilities,
+    click/double logic) runs once over ``(n_links, n_slots)`` arrays, with
     per-lane parameters (transmittance, visibility, per-photon detection
     probability, dark probability) broadcast down axis 0 as ``(n_links, 1)``
     columns.  Random draws are the one thing that is *not* batched across
-    lanes: each lane's numpy ``Generator`` receives exactly the call sequence
-    of the sequential path — per draw site, a loop over lanes fills that
-    site's ``(n_links, n_slots)`` array one row at a time — so every lane's
-    bitstream is bit-identical to the same link's ``transmit`` run and the
-    pinned digests are lane-count- and lane-order-invariant.
+    lanes: per draw site, a loop over lanes fills that site's
+    ``(n_links, n_slots)`` array one row at a time from that lane's own numpy
+    ``Generator``, so a lane's bitstream is a function of its channel alone
+    and the pinned digests are lane-count- and lane-order-invariant.  A
+    single link (:meth:`QuantumChannel.transmit`) is the ``(1, n_slots)``
+    case.
+
+    Lanes may differ in everything — source type, distance, loss,
+    visibility, dark counts, attack — except ``slots_per_frame``: the
+    slot-to-frame layout is computed once for the batch, and the caller
+    (:class:`repro.lanes.LaneEngine`) guarantees the lanes share it.
 
     ``attacks`` is an optional per-lane sequence; ``None`` entries leave that
     lane untouched while attack lanes get the usual ``intercept`` call on
     row views of the batch.  Returns one :class:`FrameResult` per lane whose
     arrays are row views into the shared batch — releasing every frame (and
-    dropping the frames) frees the batch storage, so the PR-3 memory
-    discipline carries over (peak memory scales with
-    ``n_links * n_slots``; shrink ``slots_per_batch`` as lane counts grow).
+    dropping the frames) frees the batch storage, so peak memory scales with
+    ``n_links * n_slots``; shrink ``slots_per_batch`` as lane counts grow.
     """
     if n_slots < 0:
         raise ValueError("slot count must be non-negative")
-    check_lane_channels(channels)
     channels = list(channels)
     n_lanes = len(channels)
     if attacks is None:

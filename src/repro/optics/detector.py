@@ -34,11 +34,19 @@ def signal_click_probability(photons_at_receiver: np.ndarray, per_photon) -> np.
     ``per_photon`` is the probability a single arriving photon survives the
     receiver optics and triggers the APD; it may be a scalar (one link) or an
     ``(n_links, 1)`` column broadcasting each lane's value down its own row of
-    a ``(n_links, n_slots)`` photon-count batch.  ``np.power`` is elementwise,
-    so each entry is bit-identical to the per-count table gather used on the
-    sequential fast path.
+    a ``(n_links, n_slots)`` photon-count batch.
+
+    The photon counts are tiny integers (Poisson, mu ~ 0.1), so the power is
+    evaluated once per distinct count (and per lane) and gathered —
+    ``np.power`` is elementwise, so the table entries are the very floats the
+    whole-array call would produce, at a fraction of its cost.
     """
-    return 1.0 - np.power(1.0 - per_photon, photons_at_receiver)
+    counts = np.arange(photons_at_receiver.max(initial=0) + 1)
+    table = 1.0 - np.power(1.0 - per_photon, counts)
+    lanes = photons_at_receiver.shape[:-1]
+    return np.take_along_axis(
+        np.broadcast_to(table, lanes + table.shape[-1:]), photons_at_receiver, axis=-1
+    )
 
 
 def apply_afterpulse(
@@ -55,9 +63,11 @@ def apply_afterpulse(
     1-D gate sequence (afterpulsing is a *temporal* correlation along a single
     detector pair, so the lane engine calls this once per lane on rows of its
     batch); ``dark0``/``dark1`` may be views into a batch and are updated with
-    in-place ``|=``.
+    in-place ``|=``.  An empty gate sequence takes no draws.
     """
     n = signal_click.shape[0]
+    if n == 0:
+        return
     after = np.zeros(n, dtype=bool)
     after[1:] = signal_click[:-1] & (numpy_rng.random(n - 1) < afterpulse_probability)
     after_detector = numpy_rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -74,10 +84,18 @@ def combine_clicks(
 ):
     """Combine per-slot event masks into the detector outcome dict.
 
-    Pure boolean algebra, no draws, elementwise throughout — so it is shared
-    verbatim between the sequential path (1-D arrays) and the lane engine's
-    ``(n_links, n_slots)`` batch.  ``coin`` resolves double clicks so
-    downstream code never reads uninitialised data.
+    Pure boolean algebra, no draws, elementwise throughout — so it works on
+    one link's 1-D arrays and on an ``(n_links, n_slots)`` batch alike.
+    ``coin`` resolves double clicks so downstream code never reads
+    uninitialised data.
+
+    Returns a dict of boolean/uint8 arrays:
+
+    ``click``       — at least one detector fired;
+    ``double``      — both detectors fired (discarded by sifting);
+    ``value``       — the bit value registered (valid where ``click`` and
+                      not ``double``);
+    ``dark_only``   — the click was caused purely by dark counts.
     """
     detector0_fired = (signal_click & (signal_detector == 0)) | dark0
     detector1_fired = (signal_click & (signal_detector == 1)) | dark1
@@ -129,7 +147,7 @@ class DetectorParameters:
 
 
 class GatedAPDPair:
-    """Samples click outcomes for Bob's two gated detectors."""
+    """Analytic click probabilities of Bob's two gated detectors."""
 
     def __init__(self, parameters: Optional[DetectorParameters] = None):
         self.parameters = parameters or DetectorParameters()
@@ -158,66 +176,6 @@ class GatedAPDPair:
         """Probability that at least one of the two detectors fires darkly in a gate."""
         p = self.parameters.dark_count_probability
         return 1.0 - (1.0 - p) ** 2
-
-    # ------------------------------------------------------------------ #
-    # Vectorised sampling
-    # ------------------------------------------------------------------ #
-
-    def sample_clicks(
-        self,
-        photons_at_receiver: np.ndarray,
-        signal_detector: np.ndarray,
-        numpy_rng: np.random.Generator,
-    ):
-        """Sample the detectors' response for each gate.
-
-        ``photons_at_receiver`` is the integer number of photons reaching
-        Bob's receiver in each slot; ``signal_detector`` is the detector (0/1)
-        any detected signal photon would strike (already decided by the
-        interferometer model).
-
-        Returns a dict of boolean/uint8 arrays:
-
-        ``click``       — at least one detector fired;
-        ``double``      — both detectors fired (discarded by sifting);
-        ``value``       — the bit value registered (valid where ``click`` and
-                          not ``double``);
-        ``dark_only``   — the click was caused purely by dark counts.
-        """
-        n = photons_at_receiver.shape[0]
-        p = self.parameters
-
-        # Each arriving photon independently survives the receiver optics and
-        # triggers the APD with the quantum efficiency.  The probability that
-        # at least one of k photons is detected is 1 - (1 - T*eta)^k.  The
-        # photon counts are tiny integers (Poisson, mu ~ 0.1), so the power is
-        # evaluated once per distinct count and gathered — np.power is
-        # elementwise, so the table entries are bit-identical to the
-        # whole-array call this replaces.
-        per_photon = self.per_photon_detection_probability
-        if n and np.issubdtype(photons_at_receiver.dtype, np.integer):
-            counts = np.arange(
-                int(photons_at_receiver.max()) + 1, dtype=photons_at_receiver.dtype
-            )
-            table = 1.0 - np.power(1.0 - per_photon, counts)
-            signal_click_prob = table[photons_at_receiver]
-        else:
-            signal_click_prob = signal_click_probability(photons_at_receiver, per_photon)
-        signal_click = numpy_rng.random(n) < signal_click_prob
-
-        dark0 = numpy_rng.random(n) < p.dark_count_probability
-        dark1 = numpy_rng.random(n) < p.dark_count_probability
-
-        if p.afterpulse_probability > 0:
-            apply_afterpulse(
-                signal_click, p.afterpulse_probability, numpy_rng, dark0, dark1
-            )
-
-        # The double-click coin is drawn here — after the afterpulse draws,
-        # before the (draw-free) boolean combination — preserving the
-        # generator's historical draw order.
-        coin = numpy_rng.integers(0, 2, size=n, dtype=np.uint8)
-        return combine_clicks(signal_click, signal_detector, dark0, dark1, coin)
 
     @property
     def per_photon_detection_probability(self) -> float:

@@ -87,6 +87,10 @@ class EntangledPairSource:
             The measurement outcome encoded on the signal photon once Alice
             measures her half — equivalent, for protocol purposes, to the
             basis/value modulation of the weak-coherent source.
+
+        This is the single implementation of the entangled draws (pairs,
+        herald, basis, value — in that order); :meth:`emit_into` is built on
+        it.
         """
         if n_pulses < 0:
             raise ValueError("number of pulses must be non-negative")
@@ -105,9 +109,23 @@ class EntangledPairSource:
             "heralded": heralded,
             "basis": basis,
             "value": value,
-            "photons": pairs,  # alias so the channel can treat both sources alike
-            "phase": basis * (math.pi / 2.0) + value * math.pi,
         }
+
+    def emit_into(
+        self, basis_out: np.ndarray, value_out: np.ndarray, photons_out: np.ndarray
+    ) -> None:
+        """Draw one batch into caller-provided arrays (the lane contract).
+
+        Same contract as :meth:`WeakCoherentSource.emit_into`.  Only heralded
+        slots carry a signal photon Alice has a record of; unheralded signal
+        photons are discarded at the source (they would otherwise produce
+        clicks Alice can never reconcile), so ``photons_out`` receives the
+        pair count masked by the herald.
+        """
+        emission = self.emit(basis_out.shape[-1])
+        basis_out[...] = emission["basis"]
+        value_out[...] = emission["value"]
+        photons_out[...] = np.where(emission["heralded"], emission["pairs"], 0)
 
     def __repr__(self) -> str:
         return (

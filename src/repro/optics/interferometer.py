@@ -34,7 +34,7 @@ def phase_delta(alice_phase: np.ndarray, bob_basis: np.ndarray) -> np.ndarray:
     Axis-agnostic: ``alice_phase``/``bob_basis`` may be one link's
     ``(n_slots,)`` arrays or the lane engine's ``(n_links, n_slots)`` batch —
     every operation is elementwise, so a batch row is bit-identical to the
-    same link's sequential call.
+    same link's width-1 call.
     """
     scratch = bob_basis.astype(np.float64)
     scratch *= math.pi / 2.0
@@ -111,37 +111,6 @@ class MachZehnderPair:
     def error_probability_compatible(self) -> float:
         """Probability of reading the wrong bit when bases are compatible."""
         return self.parameters.intrinsic_error_rate
-
-    # ------------------------------------------------------------------ #
-    # Vectorised sampling (used by the channel simulation)
-    # ------------------------------------------------------------------ #
-
-    def sample_detector_hits(
-        self,
-        alice_phase: np.ndarray,
-        bob_basis: np.ndarray,
-        numpy_rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Sample which detector each (surviving) photon strikes.
-
-        ``alice_phase`` is the per-slot modulator phase; ``bob_basis`` is
-        Bob's random basis choice (0 -> phase 0, 1 -> phase pi/2).  Returns an
-        array of 0/1 detector indices, which double as Bob's received bit
-        values per the paper ("a click on APD Detector 0 (D0) as a bit value
-        of '0', and on Detector 1 (D1) as '1'").
-        """
-        # One scratch buffer carries bob_phase -> delta -> cos -> p(D1); every
-        # step is the same IEEE operation as the naive expression, just
-        # without five temporaries.  The pipeline is shared with the lane
-        # engine's batch path via phase_delta / detector1_probability_map.
-        scratch = phase_delta(alice_phase, bob_basis)
-        if self.parameters.phase_noise_rad > 0:
-            scratch += numpy_rng.normal(
-                0.0, self.parameters.phase_noise_rad, size=scratch.shape
-            )
-        detector1_probability_map(scratch, self.parameters.visibility)
-        draws = numpy_rng.random(scratch.shape)
-        return (draws < scratch).view(np.uint8)
 
     def __repr__(self) -> str:
         return (

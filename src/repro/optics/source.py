@@ -41,10 +41,8 @@ def modulator_phase(basis: np.ndarray, value: np.ndarray) -> np.ndarray:
 
     Axis-agnostic: works on a single link's ``(n_slots,)`` arrays and on the
     lane engine's ``(n_links, n_slots)`` batches alike (the table gather is
-    elementwise).  This is the one place the phase encoding is computed; both
-    :meth:`WeakCoherentSource.emit` and the batched
-    :func:`repro.optics.channel.transmit_lanes` go through it, so the two
-    paths cannot drift apart.
+    elementwise).  This is the one place the phase encoding is computed, for
+    the weak-coherent and the entangled source alike.
     """
     return _PHASE_TABLE[(basis << 1) | value]
 
@@ -81,7 +79,7 @@ class SourceParameters:
 class WeakCoherentSource:
     """Generates batches of phase-modulated weak-coherent pulses.
 
-    The batch interface returns parallel numpy arrays so that millions of
+    The batch interface fills parallel numpy arrays so that millions of
     1 MHz trigger slots can be simulated quickly; the protocol stack consumes
     these arrays as a raw Qframe.
     """
@@ -94,44 +92,16 @@ class WeakCoherentSource:
 
     # ------------------------------------------------------------------ #
 
-    def emit(self, n_pulses: int):
-        """Emit ``n_pulses`` trigger slots.
-
-        Returns a dict of numpy arrays, one entry per slot:
-
-        ``basis``
-            Alice's random basis choice (0 or 1).
-        ``value``
-            Alice's random key bit (0 or 1).
-        ``phase``
-            The modulator phase in radians, ``basis*pi/2 + value*pi``.
-        ``photons``
-            Poissonian photon number actually present in the slot.
-        """
-        if n_pulses < 0:
-            raise ValueError("number of pulses must be non-negative")
-        basis = np.empty(n_pulses, dtype=np.uint8)
-        value = np.empty(n_pulses, dtype=np.uint8)
-        photons = np.empty(n_pulses, dtype=np.int64)
-        self.emit_into(basis, value, photons)
-        return {
-            "basis": basis,
-            "value": value,
-            "phase": modulator_phase(basis, value),
-            "photons": photons,
-        }
-
     def emit_into(
         self, basis_out: np.ndarray, value_out: np.ndarray, photons_out: np.ndarray
     ) -> None:
         """Draw one batch of modulation choices into caller-provided arrays.
 
-        This is the draw kernel shared by :meth:`emit` and the lane engine's
-        leading-axis batch path (which hands in one *row* of its
-        ``(n_links, n_slots)`` arrays per lane).  The draw order — basis,
-        value, photon number — and the call granularity are exactly those of
-        the historical ``emit`` body, so a lane's bitstream is identical to
-        its sequential run no matter which path produced it.
+        :func:`repro.optics.channel.transmit_lanes` hands in one *row* of its
+        ``(n_links, n_slots)`` arrays per lane.  Per slot: Alice's random
+        basis (0/1), her random key bit (0/1), and the Poissonian photon
+        number actually present — drawn in that order, one call each, which
+        is what the pinned digests fix.
         """
         n_pulses = basis_out.shape[-1]
         basis_out[...] = self._numpy_rng.integers(0, 2, size=n_pulses, dtype=np.uint8)

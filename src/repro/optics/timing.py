@@ -75,36 +75,13 @@ class BrightPulseFraming:
         self._numpy_rng = np.random.default_rng(self.rng.getrandbits(64))
         self._next_frame_number = 0
 
-    def allocate_frames(self, n_slots: int):
-        """Allocate frame numbers for ``n_slots`` upcoming trigger slots.
-
-        Returns ``(frame_numbers, slot_in_frame, frame_received)`` where
-        ``frame_received`` marks slots whose frame's bright pulse was detected.
-        """
-        frame_index, slot_in_frame = frame_layout(self.parameters.slots_per_frame, n_slots)
-        n_frames = -(-n_slots // self.parameters.slots_per_frame)
-        frame_numbers = frame_index + self._next_frame_number
-
-        frame_ok = self.sample_frame_gates(n_frames)
-        if n_slots == 0:
-            frame_received = np.zeros(0, dtype=bool)
-        elif frame_ok.all():
-            # No frame lost (the default link): skip the per-slot gather.
-            frame_received = np.ones(n_slots, dtype=bool)
-        else:
-            frame_received = frame_ok[frame_index]
-
-        self.claim_frame_numbers(n_frames)
-        return frame_numbers, slot_in_frame, frame_received
-
     def sample_frame_gates(self, n_frames: int) -> np.ndarray:
         """Draw the per-frame bright-pulse outcomes (True = frame gated).
 
         One ``random(n_frames)`` draw — always taken, even at zero loss
         probability, so the generator advances identically whether or not any
-        frame can actually be lost.  Split out of :meth:`allocate_frames` so
-        the lane engine can drive each lane's generator with the exact
-        sequential draw while sharing the frame layout across the batch.
+        frame can actually be lost.  Per lane, while :func:`frame_layout` is
+        shared across the batch.
         """
         return self._numpy_rng.random(n_frames) >= self.parameters.frame_loss_probability
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.keypool import KeyPool
-from repro.link.qkd_link import LinkParameters, LinkReport, QKDLink
+from repro.link.qkd_link import LinkParameters, LinkReport
 from repro.runtime.pool import parallel_map
 from repro.util.rng import DeterministicRNG
 
@@ -57,30 +57,26 @@ class LinkRun:
 
 
 def _run_link_job(job: LinkJob) -> LinkRun:
-    link = QKDLink(job.parameters, DeterministicRNG(job.seed), name=job.name)
-    if job.attack is not None:
-        link.attach_attack(job.attack)
-    report = link.run_slots(job.n_slots, flush=job.flush)
-    return LinkRun(
-        name=job.name,
-        report=report,
-        alice_pool=link.engine.alice_pool,
-        bob_pool=link.engine.bob_pool,
-    )
+    """What a process/thread worker runs: the job as a width-1 lane batch."""
+    from repro.lanes import LaneEngine
+
+    return LaneEngine([job]).run()[0]
 
 
 class LinkFarm:
     """Schedules whole-link simulations across a worker pool or lane batch.
 
-    Three execution backends, all digest-invariant (a job's output is a pure
-    function of its parameters and seed):
+    Every backend runs the same slot→key loop (:mod:`repro.lanes.engine`) and
+    is digest-invariant (a job's output is a pure function of its parameters
+    and seed); they differ only in how wide each batch is:
 
     ``"process"`` / ``"thread"``
-        One worker per job via :func:`repro.runtime.pool.parallel_map`.
+        One width-1 batch per job, fanned out across workers via
+        :func:`repro.runtime.pool.parallel_map`.
     ``"lanes"``
-        The vectorized :class:`repro.lanes.LaneEngine` — the whole fleet as
-        one ``(n_links, n_slots)`` batch program.  Requires lane-compatible
-        jobs (homogeneous epochs; see :meth:`LaneEngine.compatible`).
+        The whole fleet as one ``(n_links, n_slots)`` batch in this process.
+        Requires lane-compatible jobs (homogeneous epochs; see
+        :meth:`LaneEngine.compatible`).
     ``"auto"``
         Lanes when the jobs are lane-compatible, otherwise process workers.
     """
@@ -136,8 +132,7 @@ class LinkFarm:
         """Run every job; results come back in submission order.
 
         The backend only changes *how* the jobs execute, never their output:
-        the lane backend consumes each job's seed exactly as a sequential
-        worker would, so switching backends leaves every digest unchanged.
+        switching backends leaves every digest unchanged.
         """
         from repro.lanes import LaneEngine
 

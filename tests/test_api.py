@@ -4,12 +4,7 @@ import pytest
 
 from repro import MeshSystem, QKDSystem, SystemConfig, VPNSystem
 from repro.ipsec.spd import CipherSuite
-from repro.kms import (
-    AggregateProfile,
-    KmsConfig,
-    TrafficWorkload,
-    WorkloadProfile,
-)
+from repro.kms import AggregateProfile, KmsConfig
 from repro.link import LinkParameters, QKDLink
 from repro.util.rng import DeterministicRNG
 
@@ -169,7 +164,7 @@ class TestMeshFacade:
 
 
 class TestConfigFirstKms:
-    """The config-first kms() surface and its deprecated kwarg aliases."""
+    """The config-first kms() surface."""
 
     def make_mesh(self):
         return QKDSystem(seed=7).mesh(n_endpoints=2, n_relays=2)
@@ -189,31 +184,6 @@ class TestConfigFirstKms:
             KmsConfig().with_zones(2).with_custody()
         with pytest.raises(ValueError, match="mutually exclusive"):
             KmsConfig().with_custody().with_zones(2)
-
-    def test_with_lanes_alias_warns_and_still_works(self):
-        mesh = self.make_mesh()
-        with pytest.warns(DeprecationWarning, match=r"with_lanes"):
-            laned = mesh.with_lanes(max_links_per_epoch=2)
-        service = laned.kms()
-        assert service.config.replenishment.backend == "lanes"
-        assert service.config.replenishment.max_links_per_epoch == 2
-
-    def test_with_custody_alias_warns_and_still_works(self):
-        mesh = self.make_mesh()
-        with pytest.warns(DeprecationWarning, match="with_custody"):
-            custodial = mesh.with_custody(ttl_seconds=900.0)
-        service = custodial.kms()
-        assert service.config.custody is True
-        assert service.config.custody_ttl_seconds == 900.0
-
-    def test_kms_workload_kwarg_warns(self):
-        mesh = self.make_mesh()
-        workload = TrafficWorkload(
-            WorkloadProfile.poisson(1_200.0), DeterministicRNG(3)
-        )
-        with pytest.warns(DeprecationWarning, match="with_workload"):
-            service = mesh.kms(workload=workload)
-        assert service.workload is workload
 
     def test_config_first_path_is_warning_free(self):
         import warnings as warnings_module

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.optics.channel import ChannelParameters, QuantumChannel
+from repro.optics.detector import DetectorParameters
 from repro.optics.fiber import OpticalPath
 from repro.util.rng import DeterministicRNG
 
@@ -64,6 +65,12 @@ class TestMonteCarlo:
         assert result.qber == 0.0
         with pytest.raises(ValueError):
             channel.transmit(-1)
+        # Afterpulsing looks one gate back; with no gates it must not draw.
+        afterpulsing = QuantumChannel(
+            ChannelParameters(detectors=DetectorParameters(afterpulse_probability=0.05)),
+            DeterministicRNG(1),
+        )
+        assert afterpulsing.transmit(0).n_slots == 0
 
     def test_frame_result_invariants(self, paper_channel):
         result = paper_channel.transmit(300_000)

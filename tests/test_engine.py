@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import EngineParameters, QKDProtocolEngine
+from repro.core.sifting import SiftingProtocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -15,6 +16,12 @@ def noisy_pair(n: int, error_rate: float, seed: int = 1):
     for index in errors:
         bob[index] ^= 1
     return alice, BitString(bob)
+
+
+def process_frame(engine, frame, **accounting):
+    """Sift one frame and hand it to the engine, as the batch loop does per lane."""
+    sift = SiftingProtocol(frame_id=engine.allocate_frame_id()).sift(frame)
+    return engine.process_sifted(sift, frame.n_slots, **accounting)
 
 
 class TestEngineParameters:
@@ -138,7 +145,7 @@ class TestFrameProcessing:
         # ~1.6 sifted bits per 1000 slots: 400k slots ~ 640 sifted bits per frame.
         for _ in range(3):
             frame = paper_channel.transmit(400_000)
-            outcomes.extend(engine.process_frame(frame, mean_photon_number=0.1))
+            outcomes.extend(process_frame(engine, frame, mean_photon_number=0.1))
         assert engine.statistics.sifted_bits > 1024
         assert len(outcomes) >= 1
         assert all(not o.aborted for o in outcomes)
@@ -148,7 +155,7 @@ class TestFrameProcessing:
             EngineParameters(block_size_bits=100_000), DeterministicRNG(21)
         )
         frame = paper_channel.transmit(300_000)
-        assert engine.process_frame(frame) == []
+        assert process_frame(engine, frame) == []
         outcome = engine.flush()
         assert outcome is not None
         assert outcome.sifted_bits == engine.statistics.sifted_bits
@@ -163,7 +170,7 @@ class TestFrameProcessing:
         )
         # Enough slots that the partial block clears the confidence margin
         # and actually distills bits (~1.6 sifted bits per 1000 slots).
-        engine.process_frame(paper_channel.transmit(1_500_000))
+        process_frame(engine, paper_channel.transmit(1_500_000))
         outcome = engine.flush()
         assert outcome is not None
         assert not outcome.aborted
@@ -179,9 +186,9 @@ class TestFrameProcessing:
         engine = QKDProtocolEngine(
             EngineParameters(block_size_bits=100_000), DeterministicRNG(31)
         )
-        engine.process_frame(paper_channel.transmit(300_000))
+        process_frame(engine, paper_channel.transmit(300_000))
         first = engine.flush()
-        engine.process_frame(paper_channel.transmit(300_000))
+        process_frame(engine, paper_channel.transmit(300_000))
         second = engine.flush()
         assert first is not None and second is not None
         assert second.block_id == first.block_id + 1
@@ -189,6 +196,6 @@ class TestFrameProcessing:
 
     def test_mean_qber_statistic(self, paper_channel):
         engine = QKDProtocolEngine(rng=DeterministicRNG(23))
-        engine.process_frame(paper_channel.transmit(500_000))
+        process_frame(engine, paper_channel.transmit(500_000))
         assert 0.03 < engine.statistics.mean_qber < 0.12
         assert 0 < engine.statistics.sifted_fraction < 0.01

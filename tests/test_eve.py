@@ -14,6 +14,7 @@ from repro.eve import (
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.test_engine import process_frame
 
 
 @pytest.fixture
@@ -69,7 +70,7 @@ class TestInterceptResend:
         attack = InterceptResendAttack(1.0)
         for _ in range(3):
             frame = channel.transmit(400_000, attack=attack)
-            engine.process_frame(frame)
+            process_frame(engine, frame)
         flush = engine.flush()
         aborted = engine.statistics.blocks_aborted
         assert aborted >= 1
@@ -105,7 +106,7 @@ class TestBeamSplitting:
         engine = QKDProtocolEngine(EngineParameters(block_size_bits=1024), DeterministicRNG(34))
         frame = channel.transmit(1_200_000, attack=attack)
         known = BeamSplittingAttack.eve_known_sifted_bits(frame)
-        outcomes = engine.process_frame(frame, mean_photon_number=0.1)
+        outcomes = process_frame(engine, frame, mean_photon_number=0.1)
         charged = sum(o.entropy.transparent.information_bits for o in outcomes if o.entropy)
         sifted_covered = sum(o.sifted_bits for o in outcomes if o.entropy)
         if sifted_covered:

@@ -1,10 +1,11 @@
 """Tests for the vectorized multi-link lane engine (repro.lanes).
 
-The lane engine's contract is bit-identity: a lane's sifted stream, distilled
-key, report and pools are byte-for-byte what the same :class:`QKDLink` would
-produce through the sequential ``run_slots`` loop.  These tests pin that
-differentially — across lane counts, heterogeneous per-lane physics, an
-attacked lane, and lane order — plus the batched announcement path
+The lane engine's contract is lane independence: a lane's sifted stream,
+distilled key, report and pools are byte-for-byte what the same job produces
+as a width-1 batch (``QKDLink.run_slots``, a farm worker).  These tests pin
+that differentially — N lanes vs N x 1 lane, across lane counts,
+heterogeneous per-lane physics, an attacked lane, and lane order, which is
+what catches cross-lane leakage — plus the batched announcement path
 (``run_length_encode_rows`` / ``sift_frames``), the farm's backend selection,
 and the scheduler's lanes-backed Monte-Carlo mode.
 """
@@ -122,7 +123,8 @@ def sequential_digests(jobs):
 
 
 class TestLaneBitIdentity:
-    """The tentpole contract: lanes == sequential, bit for bit."""
+    """The contract: a lane in an N-wide batch == the same job alone, bit for
+    bit (``_run_link_job`` is the width-1 batch a farm worker runs)."""
 
     def test_single_lane_matches_sequential(self):
         job = heterogeneous_jobs()[1]
@@ -188,7 +190,9 @@ class TestLaneBitIdentity:
             seed=DeterministicRNG(5).fork_labeled("lane/near").seed,
             n_slots=1_000_000,
         )
-        lane_run = LaneEngine([job]).run()[0]
+        # Batched beside a second lane, so the two arms are not the same call.
+        neighbour = replace(job, name="neighbour", seed=job.seed + 1)
+        lane_run = LaneEngine([neighbour, job]).run()[1]
         seq_run = _run_link_job(job)
         assert lane_run.report.distilled_bits > 0
         assert _pool_digest(lane_run.alice_pool) == _pool_digest(seq_run.alice_pool)
@@ -280,13 +284,6 @@ class TestFarmBackends:
         ragged = [jobs[0], replace(jobs[1], n_slots=jobs[1].n_slots + 1)]
         assert not LaneEngine.compatible(ragged)
         assert not LaneEngine.compatible([])
-        entangled = LinkJob(
-            name="ent",
-            parameters=LinkParameters(channel=ChannelParameters.entangled_link(10.0)),
-            seed=3,
-            n_slots=1_000,
-        )
-        assert not LaneEngine.compatible([entangled])
         # auto still runs ragged fleets (process path) and returns in order
         runs = LinkFarm(workers=2, backend="auto").run(ragged)
         assert [run.name for run in runs] == [job.name for job in ragged]
@@ -302,16 +299,31 @@ class TestFarmBackends:
             LaneEngine([jobs[0], mixed_batch])
         with pytest.raises(LaneCompatibilityError, match="at least one"):
             LaneEngine([])
-        entangled = LinkJob(
-            name="ent",
-            parameters=LinkParameters(
-                channel=ChannelParameters.entangled_link(10.0), slots_per_batch=BATCH
+        mixed_frame = replace(
+            jobs[1],
+            parameters=_lane_parameters(
+                10.0, framing=FramingParameters(slots_per_frame=1024)
             ),
-            seed=3,
-            n_slots=SLOTS,
         )
-        with pytest.raises(LaneCompatibilityError, match="entangled"):
-            LaneEngine([jobs[0], entangled])
+        with pytest.raises(LaneCompatibilityError, match="slots_per_frame"):
+            LaneEngine([jobs[0], mixed_frame])
+
+    def test_entangled_lane_beside_weak_coherent_lanes_reproduces_its_pin(self):
+        """Any source type is a lane like any other: the entangled job, batched
+        between two weak-coherent ones, yields the digest recorded from the
+        hand-written sequential chain (tests/test_pinned_key_material.py)."""
+        from tests.test_pinned_key_material import (
+            LINK_BRANCHES,
+            branch_job,
+            link_run_digest,
+        )
+
+        names = ["beamsplitter", "entangled", "phase_noise"]
+        jobs = [branch_job(name) for name in names]
+        assert LaneEngine.compatible(jobs)
+        for run in LinkFarm(backend="lanes").run(jobs):
+            pinned_pool_digest = LINK_BRANCHES[run.name][3]
+            assert link_run_digest(run.report, run.alice_pool) == pinned_pool_digest
 
 
 class TestSchedulerLanes:

@@ -10,7 +10,18 @@ it and fail loudly here.
 
 import hashlib
 
+import pytest
+
 from repro.core.engine import EngineParameters, QKDProtocolEngine
+from repro.core.sifting import SiftingProtocol
+from repro.eve import BeamSplittingAttack, InterceptResendAttack
+from repro.link.qkd_link import LinkParameters, QKDLink
+from repro.optics.channel import ChannelParameters, QuantumChannel
+from repro.optics.detector import DetectorParameters
+from repro.optics.entangled import EntangledSourceParameters
+from repro.optics.interferometer import InterferometerParameters
+from repro.optics.timing import FramingParameters
+from repro.runtime.farm import LinkJob
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -47,3 +58,148 @@ def test_distilled_key_material_matches_pre_refactor_digest():
     for block in engine.alice_pool.blocks:
         digest.update(str(block.bits).encode())
     assert digest.hexdigest() == PINNED_POOL_DIGEST
+
+
+# ---------------------------------------------------------------------- #
+# Per-branch link pins
+# ---------------------------------------------------------------------- #
+#
+# Recorded from the hand-written sequential chain (QuantumChannel.transmit ->
+# SiftingProtocol.sift -> process_frame -> QKDLink.run_slots) at the last
+# commit that had one, so each optics branch below keeps an independent
+# reference now that a single link is the width-1 lane.  ``sift`` digests two
+# consecutive transmit calls (every per-slot array, the attack record, both
+# sifted keys); ``pool`` digests a three-batch link run (report statistics,
+# per-block outcomes, every pooled block).
+
+LINK_SEED = 2003
+LINK_SLOTS = 2_000_000
+LINK_BATCH = 800_000  # 800k + 800k + 400k: exercises the remainder batch
+FRAME_SLOTS = 150_000
+
+#: name -> (channel parameters, attack class, sift digest, pool digest)
+LINK_BRANCHES = {
+    "entangled": (
+        lambda: ChannelParameters.entangled_link(
+            2.0,
+            EntangledSourceParameters(mean_pairs_per_pulse=0.1, heralding_efficiency=0.8),
+        ),
+        None,
+        "45348cdca12e795af2f52faadb219123d659e1530341c9398c822ebac8fedf4b",
+        "1c559eb091a7817fb3773526360ab2e2be809d75fc302f64f43bfb7e1ae3bb38",
+    ),
+    "intercept_resend": (
+        lambda: ChannelParameters.for_distance(2.0),
+        InterceptResendAttack,
+        "29bc19cb3176c0c212b723b1ea7a708759c82c0c9f5f26c2c551be9d9a6b8e79",
+        "c7f6a46c1c45e321f126b90912f9e9285cc9d23afdaa4a8cc207715deabe5357",
+    ),
+    "beamsplitter": (
+        lambda: ChannelParameters.for_distance(2.0),
+        BeamSplittingAttack,
+        "50b953f4f5dce739b988477d0f1f746932e574f520c48b97aac5078aa88915ba",
+        "22f1a4fec012177b3bc17f3a89d22d38707663ce5e21f4ca339b1d4a71f2b72d",
+    ),
+    "afterpulse": (
+        lambda: ChannelParameters.for_distance(
+            2.0, detectors=DetectorParameters(afterpulse_probability=0.05)
+        ),
+        None,
+        "6f208ff45df0570b7e1eedaecd28ff62b5dae49fa7a9af619ddc96a60a60286d",
+        "7f59f150f82326e15fbe7978fa1bcfca0108aaacf0480dc3b197145c24f66845",
+    ),
+    "phase_noise": (
+        lambda: ChannelParameters.for_distance(
+            2.0, interferometer=InterferometerParameters(phase_noise_rad=0.1)
+        ),
+        None,
+        "3ad9dc0c5758f9774ec2e76cc1827ddc680bbcb7680a30b30ed26096db30fce1",
+        "e78fcaef50b82bdfcda3a2a44100d44be2967625c15a0174ba6775cd157b9c2c",
+    ),
+    "frame_loss_and_misalignment": (
+        lambda: ChannelParameters.for_distance(
+            2.0,
+            framing=FramingParameters(
+                frame_loss_probability=0.05, gate_misalignment_penalty=0.2
+            ),
+        ),
+        None,
+        "4b1016210b297727e736e7ffd938b813cca731040d5c7f134a791ea1c95bf90f",
+        "e74c1665807b5be11913e56007bd16ccee8cc8f21bfd72cec7e3a062c9b8e4fb",
+    ),
+}
+
+
+def branch_job(name):
+    """The pinned three-batch link run of one branch, as a farm/lane job."""
+    channel_parameters, attack_class, _sift, _pool = LINK_BRANCHES[name]
+    return LinkJob(
+        name=name,
+        parameters=LinkParameters(
+            channel=channel_parameters(), slots_per_batch=LINK_BATCH
+        ),
+        seed=LINK_SEED,
+        n_slots=LINK_SLOTS,
+        attack=attack_class() if attack_class is not None else None,
+    )
+
+
+def link_run_digest(report, alice_pool):
+    digest = hashlib.sha256()
+    digest.update(
+        repr(
+            (
+                report.sifted_bits,
+                report.distilled_bits,
+                report.mean_qber,
+                report.blocks_distilled,
+                report.blocks_aborted,
+            )
+        ).encode()
+    )
+    for outcome in report.outcomes:
+        digest.update(
+            repr(
+                (outcome.block_id, outcome.sifted_bits, outcome.qber, outcome.aborted)
+            ).encode()
+        )
+    for block in alice_pool.blocks:
+        digest.update(str(block.bits).encode())
+    return digest.hexdigest()
+
+
+def _sift_digest(job):
+    channel = QuantumChannel(job.parameters.channel, DeterministicRNG(job.seed))
+    digest = hashlib.sha256()
+    for frame_id in range(2):
+        frame = channel.transmit(FRAME_SLOTS, attack=job.attack)
+        for array in (
+            frame.alice_basis,
+            frame.alice_value,
+            frame.alice_photons,
+            frame.bob_basis,
+            frame.bob_click,
+            frame.bob_double,
+            frame.bob_value,
+            frame.frame_numbers,
+        ):
+            digest.update(array.tobytes())
+        digest.update(repr(sorted(frame.attack_record.items())).encode())
+        sift = SiftingProtocol(frame_id=frame_id).sift(frame)
+        digest.update(str(sift.alice_key).encode())
+        digest.update(str(sift.bob_key).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", LINK_BRANCHES)
+def test_link_branch_matches_sequential_digest(name):
+    _channel, _attack, sift_digest, pool_digest = LINK_BRANCHES[name]
+    assert _sift_digest(branch_job(name)) == sift_digest
+
+    job = branch_job(name)
+    link = QKDLink(job.parameters, DeterministicRNG(job.seed))
+    if job.attack is not None:
+        link.attach_attack(job.attack)
+    report = link.run_slots(job.n_slots)
+    assert report.distilled_bits > 0 or report.blocks_aborted > 0
+    assert link_run_digest(report, link.engine.alice_pool) == pool_digest
