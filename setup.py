@@ -38,7 +38,7 @@ setup(
         "networkx>=2.8",
     ],
     extras_require={
-        "test": ["pytest>=7.0"],
+        "test": ["pytest>=7.0", "hypothesis>=6.0"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -111,6 +111,13 @@ class ChannelParameters:
         return self.source.mean_photon_number
 
 
+def _released_error(name: str) -> RuntimeError:
+    return RuntimeError(
+        f"per-slot arrays were released; {name} is no longer available "
+        "(only summary statistics survive release_slot_arrays())"
+    )
+
+
 def _slot_array_property(name: str) -> property:
     """A per-slot array attribute that fails loudly after release.
 
@@ -124,10 +131,7 @@ def _slot_array_property(name: str) -> property:
     def _get(self):
         value = getattr(self, private)
         if value is None and self._summary is not None:
-            raise RuntimeError(
-                f"per-slot arrays were released; {name} is no longer available "
-                "(only summary statistics survive release_slot_arrays())"
-            )
+            raise _released_error(name)
         return value
 
     def _set(self, value):
@@ -144,10 +148,14 @@ class FrameResult:
     All per-slot data are parallel numpy arrays of length ``n_slots``, held
     in the narrowest dtype that fits (``uint8`` for bases/values, ``uint16``
     for photon counts, ``bool`` for click flags) — at the paper's 500k-slot
-    batches the eight arrays cost ~4 MB instead of the ~30 MB the default
-    ``int64`` dtypes would.  The object also carries the summary statistics the
-    entropy-estimation stage needs (total transmitted, multi-photon count)
-    and, if an attack was active, the attack's own bookkeeping.
+    batches the seven stored arrays cost ~3.5 MB instead of the ~30 MB the
+    default ``int64`` dtypes would.  The eighth, ``frame_numbers`` (the int64
+    Qframe number of every slot), is **lazy**: a frame holds only the first
+    frame number and the Qframe size and builds the array on first access, so
+    the slot→key loop — which never reads it — never pays for it.  The object
+    also carries the summary statistics the entropy-estimation stage needs
+    (total transmitted, multi-photon count) and, if an attack was active, the
+    attack's own bookkeeping.
 
     Once sifting has extracted the surviving bits the per-slot arrays are
     dead weight; :meth:`release_slot_arrays` caches the summary statistics
@@ -165,7 +173,8 @@ class FrameResult:
         bob_click: np.ndarray,
         bob_double: np.ndarray,
         bob_value: np.ndarray,
-        frame_numbers: np.ndarray,
+        first_frame_number: int,
+        slots_per_frame: int,
         attack_record: Optional[dict] = None,
     ):
         # Photon counts are Poisson with mu ~ 0.1; uint16 leaves five orders
@@ -177,11 +186,13 @@ class FrameResult:
         self.bob_click = np.asarray(bob_click).astype(bool, copy=False)
         self.bob_double = np.asarray(bob_double).astype(bool, copy=False)
         self.bob_value = np.asarray(bob_value).astype(np.uint8, copy=False)
-        self.frame_numbers = np.asarray(frame_numbers).astype(np.int64, copy=False)
+        self._first_frame_number = first_frame_number
+        self._slots_per_frame = slots_per_frame
+        self._frame_numbers: Optional[np.ndarray] = None
         self.attack_record = attack_record or {}
         self._summary: Optional[dict] = None
 
-    # The eight arrays live behind guarded properties (see
+    # The seven stored arrays live behind guarded properties (see
     # _slot_array_property); the __init__ assignments above go through the
     # setters.  _summary must therefore be the *last* attribute initialised
     # without a guard — the getters consult it.
@@ -192,7 +203,17 @@ class FrameResult:
     bob_click = _slot_array_property("bob_click")
     bob_double = _slot_array_property("bob_double")
     bob_value = _slot_array_property("bob_value")
-    frame_numbers = _slot_array_property("frame_numbers")
+
+    @property
+    def frame_numbers(self) -> np.ndarray:
+        """Per-slot Qframe numbers, built on first access (gone after release_slot_arrays())."""
+        if self._summary is not None:
+            raise _released_error("frame_numbers")
+        if self._frame_numbers is None:
+            frame_index, _slot_in_frame = frame_layout(self._slots_per_frame, self.n_slots)
+            frame_index += self._first_frame_number
+            self._frame_numbers = frame_index
+        return self._frame_numbers
 
     # ------------------------------------------------------------------ #
     # Summary statistics
@@ -236,7 +257,7 @@ class FrameResult:
         self.bob_click = None
         self.bob_double = None
         self.bob_value = None
-        self.frame_numbers = None
+        self._frame_numbers = None
 
     @property
     def n_slots(self) -> int:
@@ -414,32 +435,47 @@ class QuantumChannel:
 def transmit_lanes(channels, n_slots: int, attacks=None):
     """Transmit ``n_slots`` trigger slots on every channel at once.
 
-    The one place the optics draw order is written down — source, fibre or
-    attack, Bob's basis, phase noise, detector draw, gate thinning,
-    click/dark/afterpulse/coin, frame gates — with a leading **link axis**:
-    the per-slot physics (phase encoding, interference, click probabilities,
-    click/double logic) runs once over ``(n_links, n_slots)`` arrays, with
-    per-lane parameters (transmittance, visibility, per-photon detection
-    probability, dark probability) broadcast down axis 0 as ``(n_links, 1)``
-    columns.  Random draws are the one thing that is *not* batched across
-    lanes: per draw site, a loop over lanes fills that site's
-    ``(n_links, n_slots)`` array one row at a time from that lane's own numpy
-    ``Generator``, so a lane's bitstream is a function of its channel alone
-    and the pinned digests are lane-count- and lane-order-invariant.  A
-    single link (:meth:`QuantumChannel.transmit`) is the ``(1, n_slots)``
-    case.
+    **Dense draws, sparse physics.**  At the paper's operating point one gate
+    in ~300 registers anything, so the two halves of a slot's life are kept
+    apart:
+
+    * The *draws* are dense.  Every lane takes every draw of every slot from
+      its own generators, in the one order written down here — source
+      (basis, value, photon number), fibre loss or the attack's
+      ``intercept``, Bob's basis, phase noise, detector draw, gate thinning,
+      click/dark0/dark1, afterpulse, double-click coin, frame gates — one
+      call each, ``n_slots`` wide, whether or not the slot can click.  A
+      lane's bitstream is therefore a function of its channel alone, and the
+      pinned digests are lane-count- and lane-order-invariant.  (The two
+      photon-count binomials are drawn on the non-zero counts only: numpy's
+      ``binomial(0, p)`` is 0 and consumes nothing, so values and stream
+      position are those of the dense call —
+      ``test_binomial_skips_zero_counts_without_consuming`` pins that.)
+    * The *physics between the draws* runs only where it can matter.  The
+      received photons are carried as a sparse ``(slots, counts)`` pair per
+      lane, the click probability is evaluated only on them (~5 % of slots),
+      and phase encoding, interference, the detector-1 probability and the
+      click/double logic run once per batch on the **fired** slots — those
+      where a signal click or a dark count happened on either detector
+      (~0.3 %) — gathered from every lane as ``(lane, slot)`` coordinates
+      with per-lane parameters indexed by lane, then scattered into
+      zero-initialised ``double``/``value`` rows.  Every operation is
+      elementwise, so the fired slots get the very floats a dense evaluation
+      would give them and the rest get the zeros it would.
 
     Lanes may differ in everything — source type, distance, loss,
-    visibility, dark counts, attack — except ``slots_per_frame``: the
-    slot-to-frame layout is computed once for the batch, and the caller
-    (:class:`repro.lanes.LaneEngine`) guarantees the lanes share it.
+    visibility, dark counts, attack — except ``slots_per_frame``, which the
+    caller (:class:`repro.lanes.LaneEngine`) guarantees they share.  A single
+    link (:meth:`QuantumChannel.transmit`) is the one-lane case; no lanes at
+    all is an empty result.
 
     ``attacks`` is an optional per-lane sequence; ``None`` entries leave that
     lane untouched while attack lanes get the usual ``intercept`` call on
-    row views of the batch.  Returns one :class:`FrameResult` per lane whose
-    arrays are row views into the shared batch — releasing every frame (and
-    dropping the frames) frees the batch storage, so peak memory scales with
-    ``n_links * n_slots``; shrink ``slots_per_batch`` as lane counts grow.
+    dense per-slot arrays (built for those lanes only).  Returns one
+    :class:`FrameResult` per lane whose arrays are row views into the shared
+    batch — releasing every frame (and dropping the frames) frees the batch
+    storage, so peak memory scales with ``n_links * n_slots``; shrink
+    ``slots_per_batch`` as lane counts grow.
     """
     if n_slots < 0:
         raise ValueError("slot count must be non-negative")
@@ -449,112 +485,129 @@ def transmit_lanes(channels, n_slots: int, attacks=None):
         attacks = [None] * n_lanes
     elif len(attacks) != n_lanes:
         raise ValueError("attacks must have one entry (or None) per lane")
+    if not channels:
+        return []
 
-    lane_rngs = [c._numpy_rng for c in channels]
     shape = (n_lanes, n_slots)
-
-    # --- source: per-lane modulation draws, one batched phase encoding --- #
     basis2 = np.empty(shape, dtype=np.uint8)
     value2 = np.empty(shape, dtype=np.uint8)
-    photons2 = np.empty(shape, dtype=np.int64)
-    for i, channel in enumerate(channels):
-        channel.source.emit_into(basis2[i], value2[i], photons2[i])
-    phase2 = modulator_phase(basis2, value2)
-
-    # --- fiber / attack: per-lane transmittance --- #
-    photons_rx2 = np.empty(shape, dtype=np.int64)
+    photons2 = np.empty(shape, dtype=np.uint16)
+    bob_basis2 = np.empty(shape, dtype=np.uint8)
+    click2 = np.empty(shape, dtype=bool)
+    double2 = np.zeros(shape, dtype=bool)
+    bob_value2 = np.zeros(shape, dtype=np.uint8)
     attack_records = [{} for _ in range(n_lanes)]
+
+    per_frame = channels[0].parameters.framing.slots_per_frame
+    n_frames = -(-n_slots // per_frame)
+    frame_starts = []
+
+    # What the batched physics below needs from each lane, at its fired slots
+    # only: (slots, signal, dark0, dark1, coin, detector draw) per lane, plus
+    # the rarer per-lane extras as (span of the lane in the batch, values).
+    fired_lanes = []
+    attack_phases = []
+    phase_noises = []
+    frames_received = []
+    n_fired = 0
+
     for i, channel in enumerate(channels):
-        transmittance = channel.parameters.path.transmittance
-        if attacks[i] is not None:
+        rng = channel._numpy_rng
+        parameters = channel.parameters
+
+        # --- source --- #
+        channel.source.emit_into(basis2[i], value2[i], photons2[i])
+
+        # --- fibre / attack: the slots photons reach Bob on, and how many --- #
+        transmittance = parameters.path.transmittance
+        phase_at_receiver = None
+        if attacks[i] is None:
+            rx_slots = photons2[i].nonzero()[0]
+            rx_counts = rng.binomial(photons2[i][rx_slots], transmittance)
+        else:
             emission = {
                 "basis": basis2[i],
                 "value": value2[i],
-                "phase": phase2[i],
-                "photons": photons2[i],
+                "phase": modulator_phase(basis2[i], value2[i]),
+                "photons": photons2[i].astype(np.int64),
             }
-            interception = attacks[i].intercept(emission, transmittance, lane_rngs[i])
-            photons_rx2[i] = interception["photons_at_receiver"]
-            phase2[i] = interception["phase_at_receiver"]
+            interception = attacks[i].intercept(emission, transmittance, rng)
             attack_records[i] = interception.get("record", {})
-        else:
-            photons_rx2[i] = lane_rngs[i].binomial(photons2[i], transmittance)
+            phase_at_receiver = interception["phase_at_receiver"]
+            rx_slots = np.arange(n_slots)
+            rx_counts = np.asarray(interception["photons_at_receiver"], dtype=np.int64)
+        arrived = rx_counts.nonzero()[0]
+        rx_slots = rx_slots[arrived]
+        rx_counts = rx_counts[arrived]
 
-    # --- Bob's basis choice --- #
-    bob_basis2 = np.empty(shape, dtype=np.uint8)
-    for i in range(n_lanes):
-        bob_basis2[i] = lane_rngs[i].integers(0, 2, size=n_slots, dtype=np.uint8)
+        # --- Bob's basis choice, phase noise, detector draw --- #
+        bob_basis2[i] = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
+        noise_rad = parameters.interferometer.phase_noise_rad
+        noise = rng.normal(0.0, noise_rad, size=n_slots) if noise_rad > 0 else None
+        detector_draws = rng.random(n_slots)
 
-    # --- interferometer: batched probability pipeline, per-lane draws --- #
-    scratch = phase_delta(phase2, bob_basis2)
-    del phase2
-    for i, channel in enumerate(channels):
-        noise = channel.parameters.interferometer.phase_noise_rad
-        if noise > 0:
-            scratch[i] += lane_rngs[i].normal(0.0, noise, size=n_slots)
-    visibility_col = np.array(
-        [c.parameters.interferometer.visibility for c in channels]
-    )[:, None]
-    detector1_probability_map(scratch, visibility_col)
-    draws2 = np.empty(shape, dtype=np.float64)
-    for i in range(n_lanes):
-        draws2[i] = lane_rngs[i].random(n_slots)
-    signal_detector2 = (draws2 < scratch).view(np.uint8)
-    del draws2, scratch
-
-    # --- gate misalignment: per-lane thinning --- #
-    for i, channel in enumerate(channels):
+        # --- gate misalignment: thinning --- #
         efficiency_factor = channel.framing.efficiency_factor
         if efficiency_factor < 1.0:
-            photons_rx2[i] = lane_rngs[i].binomial(photons_rx2[i], efficiency_factor)
+            rx_counts = rng.binomial(rx_counts, efficiency_factor)
 
-    # --- detectors: batched click probability, per-lane draws --- #
-    per_photon_col = np.array(
-        [c.detectors.per_photon_detection_probability for c in channels]
-    )[:, None]
-    click_prob2 = signal_click_probability(photons_rx2, per_photon_col)
-    del photons_rx2
-    signal_click2 = np.empty(shape, dtype=bool)
-    dark0_2 = np.empty(shape, dtype=bool)
-    dark1_2 = np.empty(shape, dtype=bool)
-    coin2 = np.empty(shape, dtype=np.uint8)
-    for i, channel in enumerate(channels):
-        rng = lane_rngs[i]
-        dark_probability = channel.parameters.detectors.dark_count_probability
-        signal_click2[i] = rng.random(n_slots) < click_prob2[i]
-        dark0_2[i] = rng.random(n_slots) < dark_probability
-        dark1_2[i] = rng.random(n_slots) < dark_probability
-        afterpulse = channel.parameters.detectors.afterpulse_probability
+        # --- detectors: dense draws, signal compare where photons arrived --- #
+        signal = np.zeros(n_slots, dtype=bool)
+        signal[rx_slots] = rng.random(n_slots)[rx_slots] < signal_click_probability(
+            rx_counts, channel.detectors.per_photon_detection_probability
+        )
+        dark_probability = parameters.detectors.dark_count_probability
+        dark0 = rng.random(n_slots) < dark_probability
+        dark1 = rng.random(n_slots) < dark_probability
+        afterpulse = parameters.detectors.afterpulse_probability
         if afterpulse > 0:
-            apply_afterpulse(signal_click2[i], afterpulse, rng, dark0_2[i], dark1_2[i])
-        coin2[i] = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
-    del click_prob2
-    clicks = combine_clicks(signal_click2, signal_detector2, dark0_2, dark1_2, coin2)
-    del signal_click2, dark0_2, dark1_2, coin2
+            apply_afterpulse(signal, afterpulse, rng, dark0, dark1)
+        coin = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
 
-    # --- framing: shared layout, per-lane bright-pulse draws --- #
-    per_frame = channels[0].parameters.framing.slots_per_frame
-    frame_index, _slot_in_frame = frame_layout(per_frame, n_slots)
-    n_frames = -(-n_slots // per_frame)
-    click2 = clicks["click"]
-    double2 = clicks["double"]
-    frame_starts = []
-    for i, channel in enumerate(channels):
+        # A detector fires exactly where a signal click or a dark count
+        # happened, so the click row is known before any interference.
+        np.logical_or(dark0, dark1, out=click2[i])
+        click2[i] |= signal
+        fired = click2[i].nonzero()[0]
+        fired_lanes.append(
+            (fired, signal[fired], dark0[fired], dark1[fired], coin[fired], detector_draws[fired])
+        )
+        span = slice(n_fired, n_fired + fired.shape[0])
+        n_fired = span.stop
+        if phase_at_receiver is not None:
+            attack_phases.append((span, phase_at_receiver[fired]))
+        if noise is not None:
+            phase_noises.append((span, noise[fired]))
+
+        # --- framing: per-lane bright-pulse draws --- #
         frame_ok = channel.framing.sample_frame_gates(n_frames)
         frame_starts.append(channel.framing.claim_frame_numbers(n_frames))
-        if n_slots and not frame_ok.all():
-            # Lost frames on this lane only: mask its rows in place.
-            received = frame_ok[frame_index]
-            click2[i] &= received
-            double2[i] &= received
+        if not frame_ok.all():
+            # Lost frames on this lane only: nothing in them was gated.
+            received = frame_ok[fired // per_frame]
+            click2[i][fired[~received]] = False
+            frames_received.append((span, received))
 
-    if len(set(frame_starts)) == 1:
-        # Lanes created and stepped lock-step (the common case): every lane's
-        # frame numbering is identical, so one array serves all results.
-        shared_numbers = frame_index + frame_starts[0]
-        lane_frame_numbers = [shared_numbers] * n_lanes
-    else:
-        lane_frame_numbers = [frame_index + start for start in frame_starts]
+    # --- interference and click logic: once per batch, fired slots only --- #
+    slots, signal, dark0, dark1, coin, detector_draws = (
+        np.concatenate(parts) for parts in zip(*fired_lanes)
+    )
+    lane_of = np.repeat(np.arange(n_lanes), [lane[0].shape[0] for lane in fired_lanes])
+    flat = slots + lane_of * n_slots
+    alice_phase = modulator_phase(basis2.reshape(-1)[flat], value2.reshape(-1)[flat])
+    for span, phase in attack_phases:
+        alice_phase[span] = phase
+    scratch = phase_delta(alice_phase, bob_basis2.reshape(-1)[flat])
+    for span, noise in phase_noises:
+        scratch[span] += noise
+    visibility = np.array([c.parameters.interferometer.visibility for c in channels])
+    detector1_probability_map(scratch, visibility[lane_of])
+    signal_detector = (detector_draws < scratch).view(np.uint8)
+    clicks = combine_clicks(signal, signal_detector, dark0, dark1, coin)
+    for span, received in frames_received:
+        clicks["double"][span] &= received
+    double2.reshape(-1)[flat] = clicks["double"]
+    bob_value2.reshape(-1)[flat] = clicks["value"]
 
     results = []
     for i, channel in enumerate(channels):
@@ -567,8 +620,9 @@ def transmit_lanes(channels, n_slots: int, attacks=None):
                 bob_basis=bob_basis2[i],
                 bob_click=click2[i],
                 bob_double=double2[i],
-                bob_value=clicks["value"][i],
-                frame_numbers=lane_frame_numbers[i],
+                bob_value=bob_value2[i],
+                first_frame_number=frame_starts[i],
+                slots_per_frame=per_frame,
                 attack_record=attack_records[i],
             )
         )

@@ -32,9 +32,11 @@ def signal_click_probability(photons_at_receiver: np.ndarray, per_photon) -> np.
     """Elementwise click probability ``1 - (1 - per_photon) ** k``.
 
     ``per_photon`` is the probability a single arriving photon survives the
-    receiver optics and triggers the APD; it may be a scalar (one link) or an
-    ``(n_links, 1)`` column broadcasting each lane's value down its own row of
-    a ``(n_links, n_slots)`` photon-count batch.
+    receiver optics and triggers the APD; it may be a scalar (one link — what
+    :func:`repro.optics.channel.transmit_lanes` passes, with that lane's
+    non-zero photon counts) or an ``(n_links, 1)`` column broadcasting each
+    lane's value down its own row of a ``(n_links, n_slots)`` photon-count
+    batch.
 
     The photon counts are tiny integers (Poisson, mu ~ 0.1), so the power is
     evaluated once per distinct count (and per lane) and gathered —
@@ -43,6 +45,8 @@ def signal_click_probability(photons_at_receiver: np.ndarray, per_photon) -> np.
     """
     counts = np.arange(photons_at_receiver.max(initial=0) + 1)
     table = 1.0 - np.power(1.0 - per_photon, counts)
+    if table.ndim == 1:
+        return table[photons_at_receiver]
     lanes = photons_at_receiver.shape[:-1]
     return np.take_along_axis(
         np.broadcast_to(table, lanes + table.shape[-1:]), photons_at_receiver, axis=-1

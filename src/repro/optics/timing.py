@@ -33,8 +33,9 @@ def frame_layout(slots_per_frame: int, n_slots: int):
 
     Returns ``(frame_index, slot_in_frame)`` — both int64, built by
     repetition/tiling instead of dividing 1.5M slot numbers.  The layout is a
-    pure function of ``(slots_per_frame, n_slots)``, so the lane engine
-    computes it once and shares it across every lane of a batch.
+    pure function of ``(slots_per_frame, n_slots)`` and off the slot→key hot
+    path: :attr:`repro.optics.channel.FrameResult.frame_numbers` builds it on
+    first access, and nothing between trigger slot and pooled key reads it.
     """
     if n_slots < 0:
         raise ValueError("slot count must be non-negative")
@@ -80,8 +81,7 @@ class BrightPulseFraming:
 
         One ``random(n_frames)`` draw — always taken, even at zero loss
         probability, so the generator advances identically whether or not any
-        frame can actually be lost.  Per lane, while :func:`frame_layout` is
-        shared across the batch.
+        frame can actually be lost.
         """
         return self._numpy_rng.random(n_frames) >= self.parameters.frame_loss_probability
 

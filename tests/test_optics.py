@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.optics.channel import ChannelParameters, QuantumChannel
+from repro.link.qkd_link import LinkParameters, QKDLink
+from repro.optics.channel import ChannelParameters, FrameResult, QuantumChannel, transmit_lanes
 from repro.optics.detector import (
     DetectorParameters,
     GatedAPDPair,
@@ -408,6 +409,33 @@ class TestFraming:
         assert framing.claim_frame_numbers(3) == 0
         assert framing.claim_frame_numbers(3) == 3
 
+    def test_frame_numbers_are_built_on_first_access(self):
+        params = ChannelParameters(framing=FramingParameters(slots_per_frame=10))
+        channel = QuantumChannel(params, DeterministicRNG(2))
+        channel.transmit(25)
+        frame = channel.transmit(25)
+        assert frame._frame_numbers is None
+        numbers = frame.frame_numbers
+        assert np.array_equal(numbers, frame_layout(10, 25)[0] + 3)
+        assert numbers.dtype == np.int64
+        assert frame.frame_numbers is numbers
+        frame.release_slot_arrays()
+        with pytest.raises(RuntimeError, match="frame_numbers is no longer available"):
+            frame.frame_numbers
+
+    def test_slot_to_key_loop_never_builds_frame_numbers(self, monkeypatch):
+        built = []
+        release = FrameResult.release_slot_arrays
+
+        def release_and_record(frame):
+            built.append(frame._frame_numbers is not None)
+            release(frame)
+
+        monkeypatch.setattr(FrameResult, "release_slot_arrays", release_and_record)
+        link = QKDLink(LinkParameters(slots_per_batch=100_000), DeterministicRNG(3))
+        link.run_slots(250_000)
+        assert built == [False, False, False]
+
     def test_no_loss_means_all_received(self):
         framing = BrightPulseFraming(FramingParameters(frame_loss_probability=0.0), DeterministicRNG(3))
         assert framing.sample_frame_gates(100).all()
@@ -433,6 +461,10 @@ class TestFraming:
 
     def test_efficiency_factor(self):
         assert BrightPulseFraming(FramingParameters(gate_misalignment_penalty=0.2)).efficiency_factor == pytest.approx(0.8)
+
+    def test_no_lanes_is_an_empty_result(self):
+        assert transmit_lanes([], 1000) == []
+        assert transmit_lanes([], 0, attacks=[]) == []
 
     def test_zero_slots(self):
         frames, slots = frame_layout(4096, 0)
