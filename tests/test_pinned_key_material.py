@@ -12,6 +12,7 @@ import hashlib
 
 import pytest
 
+from repro import QKDSystem
 from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.core.sifting import SiftingProtocol
 from repro.eve import BeamSplittingAttack, InterceptResendAttack
@@ -203,3 +204,58 @@ def test_link_branch_matches_sequential_digest(name):
     report = link.run_slots(job.n_slots)
     assert report.distilled_bits > 0 or report.blocks_aborted > 0
     assert link_run_digest(report, link.engine.alice_pool) == pool_digest
+
+
+# ---------------------------------------------------------------------- #
+# Transcript and tag pins
+# ---------------------------------------------------------------------- #
+#
+# The pool digests above only see the distilled key.  These pin what crosses
+# the public channel on the way there — every transcript byte, both tags and
+# Cascade's disclosure counts — recorded at the commit before the LFSR,
+# Wegman-Carter and transcript loops became table kernels.
+
+PINNED_TRANSCRIPT_SHA256 = "9eae8def690e32f105252e1f7bf8a862c19b2e036bcc13b32df0defb49b5468c"
+PINNED_TAGS = (
+    "11000001100110111000010101000010",  # Alice -> Bob
+    "01100101110011010001110110111000",  # Bob -> Alice
+)
+PINNED_LINK_TRANSCRIPT_SHA256 = (
+    "3a8472cdd27af4cd57c839798262da5905c8f036aa66779716b96cdab12cb366",
+    "5da4520b0879a8afd2bc41a07b08f7f33ce24b164c1ab566d78ece3ffcab995c",
+    "2dd7cc6875a020ec05859237483b6cf1e00f9e2c8425dc491b550729a347a0bf",
+)
+
+
+def test_block_transcript_tags_and_parity_counts_are_pinned(monkeypatch):
+    engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
+    tags = []
+    for auth in (engine.services.alice_auth, engine.services.bob_auth):
+        original = auth.tag_payload
+
+        def recording(payload, covered_messages, _original=original):
+            message = _original(payload, covered_messages=covered_messages)
+            tags.append(str(message.tag))
+            return message
+
+        monkeypatch.setattr(auth, "tag_payload", recording)
+
+    alice, bob = _noisy_pair(100)
+    outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
+
+    transcript = outcome.transcript.transcript_bytes()
+    assert len(transcript) == 50_020
+    assert hashlib.sha256(transcript).hexdigest() == PINNED_TRANSCRIPT_SHA256
+    assert tuple(tags) == PINNED_TAGS
+    assert outcome.cascade.disclosed_parities == 947
+    assert outcome.cascade.independent_parities == 764
+    assert outcome.cascade.bisection_queries == 666
+    assert outcome.distilled_bits == 371
+
+
+def test_link_block_transcripts_are_pinned():
+    report = QKDSystem(seed=LINK_SEED).link().run_slots(3_000_000)
+    assert tuple(
+        hashlib.sha256(outcome.transcript.transcript_bytes()).hexdigest()
+        for outcome in report.outcomes
+    ) == PINNED_LINK_TRANSCRIPT_SHA256
