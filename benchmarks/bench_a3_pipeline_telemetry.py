@@ -4,9 +4,11 @@ The stage-based engine (repro.pipeline) times every stage execution, so the
 hot-path question the ROADMAP keeps asking — which stage do we optimise
 next? — has a measured answer instead of a guess.  (First answer it gave:
 Wegman-Carter authentication of the full transcript, not Cascade, dominates
-the per-block budget.  The packed-word bit kernel then cut that stage from
-~5700 ms to ~35 ms per 2048-bit block on the reference machine — the
-per-stage history lives in the BENCH_*.json trajectory, see conftest.)
+the per-block budget: ~5700 ms per 2048-bit block.  The packed-word bit
+kernel, the binary wire codec and then the position-table hash chain took
+that stage to ~5 ms per block in this benchmark's own table — 8 blocks at 6 %
+QBER, ``auth.wegman_carter`` ~40 ms total beside ``cascade.bicon`` ~100 ms —
+so Cascade's bisection bookkeeping is now the larger share.)
 This benchmark distills a batch of blocks through the default plan and
 prints the cumulative per-stage wall-clock budget, plus the same batch
 through the Slutsky-defense plan to show that swapping one registry key

@@ -39,15 +39,17 @@ from typing import List, Optional
 
 import numpy as np
 
+from repro.core import wire
 from repro.core.messages import (
     CascadeBisectQuery,
     CascadeBisectReply,
     CascadeParityReply,
     CascadeSubsetAnnouncement,
     PublicChannelLog,
+    SubsetPositions,
 )
 from repro.mathkit.gf2 import IncrementalGF2Rank
-from repro.mathkit.lfsr import lfsr_subset_masks
+from repro.mathkit.lfsr import lfsr_subset_rows
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -131,21 +133,25 @@ class CascadeResult:
 class _SubsetRecord:
     """One announced parity subset, as both sides record it.
 
-    The subset lives in two forms: ``indices`` (ascending positions, the wire
-    representation Cascade bisects over) and ``mask`` (the same positions as
-    an LSB-first bit mask, bit ``i`` = key position ``i``), so parity checks
-    are a word-wide AND-popcount instead of a per-index walk.  ``prefix`` is
-    built lazily on first bisection: ``prefix[j]`` masks ``indices[:j]``, so
-    any contiguous sub-segment's mask is one XOR of two prefixes.
+    The subset lives in two forms: ``positions`` (ascending key positions,
+    the wire representation Cascade bisects over) and ``mask`` (the same
+    positions as an LSB-first bit mask, bit ``i`` = key position ``i``), so
+    parity checks are a word-wide AND-popcount instead of a per-index walk.
     """
 
-    __slots__ = ("seed", "indices", "mask", "prefix", "reference_parity", "working_parity")
+    __slots__ = ("seed", "positions", "mask", "reference_parity", "working_parity")
 
-    def __init__(self, seed: int, indices: List[int], mask: int, reference_parity: int, working_parity: int):
+    def __init__(
+        self,
+        seed: int,
+        positions: SubsetPositions,
+        mask: int,
+        reference_parity: int,
+        working_parity: int,
+    ):
         self.seed = seed
-        self.indices = indices
+        self.positions = positions
         self.mask = mask
-        self.prefix: Optional[List[int]] = None
         self.reference_parity = reference_parity
         self.working_parity = working_parity
 
@@ -154,59 +160,16 @@ class _SubsetRecord:
         return self.reference_parity != self.working_parity
 
     def segment_mask(self, lo: int, hi: int) -> int:
-        """Mask of ``indices[lo:hi]`` via the lazily built prefix masks."""
-        if self.prefix is None:
-            positions = (
-                self.indices.tolist()
-                if isinstance(self.indices, np.ndarray)
-                else self.indices
-            )
-            prefix = [0] * (len(positions) + 1)
-            accumulated = 0
-            for position, index in enumerate(positions):
-                accumulated |= 1 << index
-                prefix[position + 1] = accumulated
-            self.prefix = prefix
-        return self.prefix[hi] ^ self.prefix[lo]
+        """Mask of ``positions[lo:hi]``: the positions are ascending, so they
+        are exactly the subset's members between the first and the last."""
+        first = int(self.positions.array[lo])
+        last = int(self.positions.array[hi - 1])
+        return self.mask & (((2 << (last - first)) - 1) << first)
 
 
-class _PackedParityBatch:
-    """All of one round's subset parities as a single packed-mask operation.
-
-    The key (LSB-first packed, bit ``i`` = position ``i``) is replicated into
-    byte-aligned lanes, one lane per subset; a round's masks are packed into
-    the same lane layout, so every announced parity of the round comes out of
-    **one** big-int AND followed by a per-lane popcount — instead of one
-    independent mask walk per subset.  The replica is built once per key (one
-    ``bytes`` multiply) and cached per lane count, since Cascade asks for the
-    same 64-lane layout every round.
-    """
-
-    __slots__ = ("stride", "_key_bytes", "_replicas")
-
-    def __init__(self, key_lsb: int, n_bits: int):
-        self.stride = (n_bits + 7) // 8
-        self._key_bytes = key_lsb.to_bytes(self.stride, "little")
-        self._replicas: dict = {}
-
-    def parities(self, masks: List[int]) -> List[int]:
-        """``[(key & mask).bit_count() & 1 for mask in masks]``, batched."""
-        lanes = len(masks)
-        if lanes == 0:
-            return []
-        stride = self.stride
-        replica = self._replicas.get(lanes)
-        if replica is None:
-            replica = int.from_bytes(self._key_bytes * lanes, "little")
-            self._replicas[lanes] = replica
-        packed_masks = int.from_bytes(
-            b"".join(mask.to_bytes(stride, "little") for mask in masks), "little"
-        )
-        anded = (packed_masks & replica).to_bytes(lanes * stride, "little")
-        return [
-            int.from_bytes(anded[lane * stride : (lane + 1) * stride], "little").bit_count() & 1
-            for lane in range(lanes)
-        ]
+def _subset_parities(rows: np.ndarray, key_bits: np.ndarray) -> List[int]:
+    """The parity of ``key_bits`` over each row of a bool membership matrix."""
+    return np.bitwise_xor.reduce(rows & key_bits, axis=1).view(np.uint8).tolist()
 
 
 class CascadeProtocol:
@@ -260,11 +223,21 @@ class CascadeProtocol:
         # key position i) so parity checks are AND-plus-popcount.
         working = working_key.to_int_lsb()
         reference = reference_key.to_int_lsb()  # only parities of it are disclosed
-        # Alice's side of each round's announcement: all 64 reference parities
-        # in one packed AND over byte-aligned lanes.  (Bob's replies stay
-        # per-mask: his key keeps changing as errors are fixed, so a replica
-        # would have to be rebuilt every round and win nothing.)
-        reference_batch = _PackedParityBatch(reference, n)
+        # Alice's side of each round's announcement comes from the round's
+        # membership matrix in one pass.  (Bob's replies stay per-mask: his
+        # key keeps changing as errors are fixed.)
+        reference_bits = wire.unpack_bitmap(reference_key.to_bytes(), n).view(bool)
+        stride = (n + 7) // 8
+
+        def expand(seeds: List[int]):
+            """A batch of LFSR subsets as (membership rows, LSB-first masks)."""
+            rows = lfsr_subset_rows(seeds, n, params.subset_density)
+            packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
+            masks = [
+                int.from_bytes(packed[start : start + stride], "little")
+                for start in range(0, len(packed), stride)
+            ]
+            return rows, masks
 
         disclosed = 0
         bisections = 0
@@ -301,20 +274,17 @@ class CascadeProtocol:
         def bisect(record: _SubsetRecord, round_index: int, subset_index: int) -> None:
             """Divide-and-conquer search for one error inside a mismatched subset.
 
-            The live segment is always ``record.indices[lo:hi]``, so its mask
-            comes from the record's prefix masks in one XOR per level.
+            The live segment is always ``record.positions[lo:hi]``; the query
+            names the queried half by its bounds, and the codec serializes it
+            from those when the transcript is tagged.
             """
             nonlocal disclosed, bisections
-            lo, hi = 0, len(record.indices)
+            lo, hi = 0, len(record.positions)
             while hi - lo > 1:
                 mid = lo + (hi - lo) // 2
                 log.record(
-                    CascadeBisectQuery(
-                        round_index=round_index,
-                        subset_index=subset_index,
-                        # An O(1) array view; the binary codec delta-encodes
-                        # it only when the transcript is serialized.
-                        indices=record.indices[lo:mid],
+                    CascadeBisectQuery.slice_of(
+                        round_index, subset_index, record.positions, lo, mid
                     )
                 )
                 half_mask = record.segment_mask(lo, mid)
@@ -331,7 +301,7 @@ class CascadeProtocol:
                     hi = mid
                 else:
                     lo = mid
-            fix_bit(record.indices[lo])
+            fix_bit(record.positions.array[lo])
 
         def work_all_mismatches(round_index: int) -> None:
             """Bisect every mismatched record until all recorded parities agree.
@@ -379,7 +349,7 @@ class CascadeProtocol:
                 records.append(
                     _SubsetRecord(
                         seed=start,
-                        indices=np.arange(start, stop, dtype=np.int64),
+                        positions=SubsetPositions(np.arange(start, stop, dtype=np.int64)),
                         mask=mask,
                         reference_parity=reference_parity,
                         working_parity=working_parity(mask),
@@ -407,12 +377,11 @@ class CascadeProtocol:
             rounds_used += 1
             errors_before_round = errors_corrected
             seeds = [self.rng.getrandbits(32) for _ in range(params.subsets_per_round)]
-            subset_bit_strings = lfsr_subset_masks(seeds, n, params.subset_density)
-            masks = [bits.to_int_lsb() for bits in subset_bit_strings]
-            announcement_parities = reference_batch.parities(masks)
+            rows, masks = expand(seeds)
+            announcement_parities = _subset_parities(rows, reference_bits)
             round_records: List[_SubsetRecord] = []
-            for seed, subset_bits, mask, reference_parity in zip(
-                seeds, subset_bit_strings, masks, announcement_parities
+            for seed, row, mask, reference_parity in zip(
+                seeds, rows, masks, announcement_parities
             ):
                 # Same accounting as disclose_mask_parity, in the same order.
                 disclosed += 1
@@ -420,7 +389,7 @@ class CascadeProtocol:
                 round_records.append(
                     _SubsetRecord(
                         seed=seed,
-                        indices=subset_bits.one_indices_array(),
+                        positions=SubsetPositions(np.flatnonzero(row)),
                         mask=mask,
                         reference_parity=reference_parity,
                         working_parity=working_parity(mask),
@@ -465,12 +434,9 @@ class CascadeProtocol:
         confirmation_seeds = [
             self.rng.getrandbits(32) for _ in range(params.confirmation_parities)
         ]
-        confirmation_masks = [
-            bits.to_int_lsb()
-            for bits in lfsr_subset_masks(confirmation_seeds, n, params.subset_density)
-        ]
+        rows, confirmation_masks = expand(confirmation_seeds)
         for mask, reference_parity in zip(
-            confirmation_masks, reference_batch.parities(confirmation_masks)
+            confirmation_masks, _subset_parities(rows, reference_bits)
         ):
             disclosed += 1
             rank_tracker.add(mask)

@@ -276,7 +276,6 @@ class QKDProtocolEngine:
             "randomness_tester": self.services.randomness_tester,
         }
 
-        self.outcomes: List[DistillationOutcome] = []
         self._next_block_id = 0
         self._next_frame_id = 0
 
@@ -585,7 +584,7 @@ class QKDProtocolEngine:
         return self._outcome_from_context(ctx)
 
     def _outcome_from_context(self, ctx: PipelineContext) -> DistillationOutcome:
-        outcome = DistillationOutcome(
+        return DistillationOutcome(
             block_id=ctx.block_id,
             sifted_bits=ctx.sifted_bits,
             qber=ctx.qber,
@@ -598,8 +597,6 @@ class QKDProtocolEngine:
             abort_reason=ctx.abort_reason,
             transcript=ctx.log,
         )
-        self.outcomes.append(outcome)
-        return outcome
 
     def _pop_pending_block(self, partial: bool = False) -> SiftedBlock:
         size = (

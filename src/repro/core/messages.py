@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -282,6 +282,37 @@ class CascadeParityReply:
         )
 
 
+class SubsetPositions:
+    """The key positions of one announced parity subset, strictly ascending.
+
+    Bisection only ever queries a slice ``array[lo:hi]`` of them, so what
+    :meth:`CascadeBisectQuery.encode` has to rediscover from a bare index
+    list is known up front: a slice is a contiguous range exactly when its
+    span equals its length, and otherwise its delta coding is a slice of the
+    subset's own deltas, computed once.
+    """
+
+    __slots__ = ("array", "_delta_bytes")
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+        self._delta_bytes: Optional[bytes] = None
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    @property
+    def delta_bytes(self) -> bytes:
+        """``array[j + 1] - array[j]`` as byte ``j`` — the varint coding of the
+        deltas while each fits one varint byte; empty when one does not."""
+        deltas = self._delta_bytes
+        if deltas is None:
+            gaps = self.array[1:] - self.array[:-1]
+            narrow = gaps.size and int(gaps.max()) < 0x80
+            deltas = self._delta_bytes = gaps.astype(np.uint8).tobytes() if narrow else b""
+        return deltas
+
+
 @dataclass
 class CascadeBisectQuery:
     """A divide-and-conquer step: ask for the parity of half of a subrange."""
@@ -290,12 +321,26 @@ class CascadeBisectQuery:
     subset_index: int
     indices: Tuple[int, ...]
 
+    #: Set by :meth:`slice_of`: the subset and bounds ``indices`` was cut from.
+    _slice: Optional[Tuple[SubsetPositions, int, int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
     #: Payload modes (one byte after the fixed header).
     _MODE_DELTAS = 0
     _MODE_RANGE = 1
     #: Decode-side cap on range-mode expansion (far above any real key
     #: block, small enough that a hostile header cannot force a big alloc).
     _MAX_DECODED_INDICES = 1 << 20
+
+    @classmethod
+    def slice_of(
+        cls, round_index: int, subset_index: int, subset: SubsetPositions, lo: int, hi: int
+    ) -> "CascadeBisectQuery":
+        """The query over ``subset.array[lo:hi]`` (``lo < hi``), as Cascade issues it."""
+        query = cls(round_index, subset_index, subset.array[lo:hi])
+        query._slice = (subset, lo, hi)
+        return query
 
     def encode(self) -> bytes:
         """Binary wire encoding: header, a mode byte, then the indices.
@@ -307,6 +352,8 @@ class CascadeBisectQuery:
         falls back to the JSON reference encoding (still deterministic,
         still taggable).
         """
+        if self._slice is not None:
+            return self._encode_slice(*self._slice)
         indices = np.asarray(self.indices, dtype=np.int64)
         min_delta = (
             int(np.diff(indices).min()) if indices.size > 1 else 1
@@ -341,6 +388,21 @@ class CascadeBisectQuery:
             + bytes([self._MODE_DELTAS])
             + wire.encode_ascending_indices(indices)
         )
+
+    def _encode_slice(self, subset: SubsetPositions, lo: int, hi: int) -> bytes:
+        """The same bytes for ``subset.array[lo:hi]``, from the bounds alone."""
+        header = wire.pack_header(
+            wire.KIND_CASCADE_BISECT, "iII", self.round_index, self.subset_index, hi - lo
+        )
+        first = int(subset.array[lo])
+        if int(subset.array[hi - 1]) - first == hi - lo - 1:
+            return header + bytes([self._MODE_RANGE]) + wire.encode_varints((first,))
+        deltas = subset.delta_bytes
+        if not deltas:
+            indices = wire.encode_ascending_indices(subset.array[lo:hi])
+        else:
+            indices = wire.encode_varints((first,)) + deltas[lo : hi - 1]
+        return header + bytes([self._MODE_DELTAS]) + indices
 
     def encode_json(self) -> bytes:
         return _encode_json_payload(

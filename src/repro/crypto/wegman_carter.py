@@ -152,9 +152,8 @@ class WegmanCarterAuthenticator:
         packed words: the message plus marker is always a whole number of
         bytes, and when the geometry is byte-aligned (every default
         configuration) the entire chain executes inside
-        :meth:`ToeplitzHash.chained_hash_aligned` — message bytes feed the
-        carry-less-multiply window table directly, with no per-chunk big-int
-        assembly or padding allocations anywhere on the transcript hot path.
+        :meth:`ToeplitzHash.chained_hash_aligned`, which hashes every chunk
+        of the transcript at once from per-byte-position tables.
         """
         payload = self.block_bits - self.tag_bits
         data = message + (len(message) % (1 << 32)).to_bytes(4, "big")

@@ -6,8 +6,18 @@ identifies each subset on the wire "by a 32-bit seed for the LFSR".  Both
 sides expand the same seed to the same subset-selection mask, so only the seed
 (not the subset itself) has to cross the public channel.
 
-This module implements a Galois-configuration LFSR over GF(2) plus the helper
-that expands a 32-bit seed into a subset mask over ``n`` key positions.
+This module implements a Galois-configuration LFSR over GF(2) plus the helpers
+that expand 32-bit seeds into subset masks over ``n`` key positions.
+
+:class:`LFSR` is the scalar definition.  The batch helpers read the same
+streams out of a table instead of stepping registers: the Galois step is
+linear over GF(2), so the output stream of seed ``s`` is the XOR of the
+streams of ``s``'s four bytes.  One process-wide table holds the stream of
+every byte value at every byte position; it grows to the longest key ever
+expanded — 1 KiB per stream byte, i.e. 256 KiB for 2048-bit keys at density
+one half (eight positions per stream byte) and ``n`` KiB for an ``n``-bit key
+at a thresholded density (one stream byte per position) — and a shorter key
+reads a prefix of it.
 """
 
 from __future__ import annotations
@@ -27,8 +37,7 @@ DEFAULT_WIDTH = 32
 # with the same polynomial.  The Galois step is linear over GF(2), so eight
 # steps from state s decompose as the XOR of eight-step images of s's bytes:
 # tables[k][b] = (state after 8 steps, 8 output bits MSB-first) for the state
-# contribution b << 8k.  Cascade expands half a million subset-mask bits per
-# block through these registers, which is why bits() batches by byte.
+# contribution b << 8k.
 _BYTE_TABLES: Dict[Tuple[int, int], List[List[Tuple[int, int]]]] = {}
 
 
@@ -56,67 +65,6 @@ def _byte_tables(taps: int, width: int) -> List[List[Tuple[int, int]]]:
         ]
         _BYTE_TABLES[key] = tables
     return tables
-
-
-# Vectorized (numpy) views of the byte tables, for stepping many registers in
-# lock-step: per byte position, a (256,) uint64 state-image table and a
-# (256,) uint8 output-byte table.  Built lazily from the scalar tables above.
-_VECTOR_TABLES: Dict[Tuple[int, int], Tuple[List[np.ndarray], List[np.ndarray]]] = {}
-
-
-def _vector_tables(taps: int, width: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    key = (taps, width)
-    vector = _VECTOR_TABLES.get(key)
-    if vector is None:
-        if width > 64:
-            raise ValueError("vectorized stepping supports registers up to 64 bits")
-        tables = _byte_tables(taps, width)
-        state_tables = [
-            np.fromiter((state for state, _ in table), dtype=np.uint64, count=256)
-            for table in tables
-        ]
-        out_tables = [
-            np.fromiter((out for _, out in table), dtype=np.uint8, count=256)
-            for table in tables
-        ]
-        vector = (state_tables, out_tables)
-        _VECTOR_TABLES[key] = vector
-    return vector
-
-
-def _expand_bytes_batch(
-    seeds: Sequence[int],
-    n_bytes: int,
-    taps: int = DEFAULT_TAPS_32,
-    width: int = DEFAULT_WIDTH,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Step one register per seed for ``8 * n_bytes`` steps, all in lock-step.
-
-    Returns ``(rows, states)``: ``rows[i]`` is the ``i``-th register's output
-    as ``n_bytes`` stream bytes (each byte MSB-first, exactly the
-    :meth:`LFSR.bits` bit order) and ``states[i]`` its register state after
-    the expansion.  The per-step work is a handful of numpy table lookups
-    over all registers at once instead of a Python loop per register — this
-    is what lets Cascade expand a whole round's 64 subset masks as one batch.
-    """
-    mask = (1 << width) - 1
-    states = np.fromiter(
-        ((seed & mask) or mask for seed in seeds), dtype=np.uint64, count=len(seeds)
-    )
-    rows = np.empty((len(seeds), n_bytes), dtype=np.uint8)
-    state_tables, out_tables = _vector_tables(taps, width)
-    positions = range(len(state_tables))
-    for j in range(n_bytes):
-        new_states = np.zeros_like(states)
-        out = np.zeros(len(states), dtype=np.uint8)
-        for position in positions:
-            chunk = (states >> np.uint64(8 * position)).astype(np.uint64) & np.uint64(0xFF)
-            index = chunk.astype(np.intp)
-            new_states ^= state_tables[position][index]
-            out ^= out_tables[position][index]
-        states = new_states
-        rows[:, j] = out
-    return rows, states
 
 
 class LFSR:
@@ -198,6 +146,62 @@ class LFSR:
         return limit
 
 
+class _StreamTable:
+    """Every seed byte's output stream under the default polynomial.
+
+    ``table[k, b]`` is the stream (eight output bits per byte, MSB first —
+    the :meth:`LFSR.bits` order) of the register state ``b << 8k``; the
+    stream of a seed is the XOR of its bytes' rows.  The table is built from
+    the 32 unit-state streams by XOR doubling and extended on demand:
+    the unit registers' states are kept, so growing continues their streams
+    and never recomputes a prefix.
+    """
+
+    def __init__(self):
+        # Replaced together, never mutated: a reader racing a grow sees a
+        # complete (shorter) table, not a half-extended one.
+        self._grown = (
+            np.zeros((DEFAULT_WIDTH // 8, 256, 0), dtype=np.uint8),
+            [1 << bit for bit in range(DEFAULT_WIDTH)],
+        )
+
+    @property
+    def table(self) -> np.ndarray:
+        return self._grown[0]
+
+    def _grow(self, n_bytes: int) -> np.ndarray:
+        table, states = self._grown
+        extra = n_bytes - table.shape[2]
+        if extra <= 0:
+            return table
+        grown = np.zeros(table.shape[:2] + (extra,), dtype=np.uint8)
+        new_states = []
+        for bit, state in enumerate(states):
+            register = LFSR(state)
+            unit = np.frombuffer(register.bits(8 * extra).to_bytes(), dtype=np.uint8)
+            new_states.append(register.state)
+            rows = grown[bit // 8]
+            low = 1 << (bit % 8)
+            rows[low : 2 * low] = rows[:low] ^ unit
+        table = np.concatenate([table, grown], axis=2)
+        self._grown = (table, new_states)
+        return table
+
+    def streams(self, seeds: Sequence[int], n_bytes: int) -> np.ndarray:
+        """The first ``n_bytes`` stream bytes of each seed, one row per seed."""
+        table = self._grow(n_bytes)
+        # LFSR.__init__ owns the seed -> state rule (all-zero -> all-ones).
+        states = [LFSR(seed).state for seed in seeds]
+        rows = np.zeros((len(states), n_bytes), dtype=np.uint8)
+        for position in range(table.shape[0]):
+            index = [(state >> (8 * position)) & 0xFF for state in states]
+            rows ^= table[position, index, :n_bytes]
+        return rows
+
+
+_SUBSET_STREAMS = _StreamTable()
+
+
 def lfsr_subset_mask(seed: int, length: int, density: float = 0.5) -> BitString:
     """Expand a 32-bit seed into a pseudo-random subset-selection mask.
 
@@ -226,43 +230,37 @@ def lfsr_subset_mask(seed: int, length: int, density: float = 0.5) -> BitString:
     return BitString(bits)
 
 
-def lfsr_subset_masks(
+def lfsr_subset_rows(
     seeds: Sequence[int], length: int, density: float = 0.5
-) -> List[BitString]:
+) -> np.ndarray:
     """Expand many seeds into subset masks at once (Cascade's per-round batch).
 
-    Bit-identical to ``[lfsr_subset_mask(seed, length, density) for seed in
-    seeds]`` — the differential tests pin that equivalence — but all the
-    registers are stepped in lock-step through the vectorized byte tables,
-    so expanding a round's 64 masks costs one batched sweep instead of 64
-    independent mask walks.
+    Returns a ``(len(seeds), length)`` bool matrix: entry ``[i, j]`` is set
+    when key position ``j`` belongs to seed ``i``'s subset — row ``i`` is
+    ``lfsr_subset_mask(seeds[i], length, density)`` bit for bit (the
+    differential tests pin that), read out of the shared stream table.
     """
     if length < 0:
         raise ValueError("length must be non-negative")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must be in (0, 1]")
-    if not seeds:
-        return []
     if density == 0.5:
-        whole_bytes, tail = divmod(length, 8)
-        rows, states = _expand_bytes_batch(seeds, whole_bytes)
-        masks: List[BitString] = []
-        for i, seed in enumerate(seeds):
-            value = int.from_bytes(rows[i].tobytes(), "big")
-            if tail:
-                register = LFSR(seed)
-                register.state = int(states[i])
-                for _ in range(tail):
-                    value = (value << 1) | register.step()
-            masks.append(BitString.from_int(value, length))
-        return masks
+        streams = _SUBSET_STREAMS.streams(seeds, (length + 7) // 8)
+        return np.unpackbits(streams, axis=1, count=length).view(bool)
     # Thresholded densities consume one stream byte per key position.
-    rows, _ = _expand_bytes_batch(seeds, length)
     threshold = int(round(density * 256))
-    below = rows < threshold
+    return _SUBSET_STREAMS.streams(seeds, length) < threshold
+
+
+def lfsr_subset_masks(
+    seeds: Sequence[int], length: int, density: float = 0.5
+) -> List[BitString]:
+    """:func:`lfsr_subset_rows` as one :class:`BitString` per seed."""
+    rows = np.packbits(lfsr_subset_rows(seeds, length, density), axis=1)
+    pad = 8 * rows.shape[1] - length
     return [
-        BitString.from_bytes(np.packbits(row).tobytes())[:length]
-        for row in below
+        BitString.from_int(int.from_bytes(row.tobytes(), "big") >> pad, length)
+        for row in rows
     ]
 
 

@@ -45,6 +45,11 @@ hash instance): the key is consumed a byte at a time, so a call costs
 ``O(n/8)`` big-int operations instead of the ``O(m * n)`` per-bit row masks
 the original implementation walked.
 
+The Wegman-Carter chain (:meth:`ToeplitzHash.chained_hash_aligned`) uses the
+same linearity one level up: a table of the hash of every byte value at every
+byte position turns the hash of a block into one XOR-gather per byte position
+over *all* blocks of a transcript at once.
+
 The DARPA network's own privacy amplification uses the GF(2^n) linear hash of
 :mod:`repro.mathkit.gf2n`; the Toeplitz construction is provided as the second
 member of the family so the benchmark suite can compare the two (and because
@@ -54,6 +59,8 @@ the authentication layer uses it to build short tags).
 from __future__ import annotations
 
 from typing import List
+
+import numpy as np
 
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -76,6 +83,7 @@ class ToeplitzHash:
         self.diagonal_bits = diagonal_bits
         self._out_mask = (1 << output_bits) - 1
         self._window_table = None
+        self._position_table = None
 
     @property
     def _window(self):
@@ -144,6 +152,47 @@ class ToeplitzHash:
             product = (product << 8) ^ table[byte]
         return (product >> (pad + n - 1)) & self._out_mask
 
+    @property
+    def _position(self) -> np.ndarray:
+        """Per-byte-position table: row ``256 * j + b`` is the hash of the
+        input whose ``j``-th byte is ``b`` and whose other bytes are zero, as
+        big-endian bytes right-aligned in whole 64-bit words (one column per
+        word), so XOR runs on words and the bytes stay addressable.
+
+        The hash is linear, so the hash of any input is the XOR of one row
+        per input byte.  Column ``c`` of the matrix is the ``output_bits``
+        window of the diagonal starting at ``input_bits - 1 - c``; a byte's
+        256 rows are the XOR-doubling closure of its eight columns.  Built
+        on first chained hash, like :attr:`_window`.
+        """
+        table = self._position_table
+        if table is None:
+            out_bytes = self.output_bits // 8
+            diagonal = np.unpackbits(
+                np.frombuffer(self.diagonal_bits.to_bytes(), dtype=np.uint8),
+                count=len(self.diagonal_bits),
+            )
+            windows = np.lib.stride_tricks.sliding_window_view(diagonal, self.output_bits)
+            columns = np.packbits(windows[::-1], axis=1).reshape(-1, 8, out_bytes)
+            rows = np.zeros((len(columns), 256, -(-out_bytes // 8) * 8), dtype=np.uint8)
+            digests = rows[:, :, rows.shape[2] - out_bytes :]
+            for bit in range(8):
+                low = 1 << bit
+                # Value bit ``bit`` of a byte is its column 7 - bit (MSB first).
+                digests[:, low : 2 * low] = digests[:, :low] ^ columns[:, None, 7 - bit]
+            table = self._position_table = rows.view(np.uint64).reshape(len(columns) * 256, -1)
+        return table
+
+    @staticmethod
+    def _apply(table: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+        """XOR over ``j`` of table row ``256 * j + vectors[i, j]``, for every ``i``."""
+        # Positions outermost, so the XOR reduction runs along long rows.
+        rows = vectors.T + 256 * np.arange(vectors.shape[1])[:, None]
+        return np.stack(
+            [np.bitwise_xor.reduce(words.take(rows), axis=0) for words in table.T],
+            axis=1,
+        )
+
     def chained_hash_aligned(self, data: bytes, payload_bytes: int, init: int = 0) -> int:
         """Run the whole Wegman-Carter chaining loop over byte-aligned blocks.
 
@@ -151,10 +200,11 @@ class ToeplitzHash:
         ``payload_bytes``-sized chunks of ``data``, starting from ``init``,
         and returns the final packed digest value.  Equivalent to calling
         :meth:`hash_value` on ``(digest << chunk_bits) | chunk`` per chunk,
-        but the key bytes feed the window table directly — no per-chunk
-        big-int assembly, ``to_bytes`` round trip, or padding shifts.  The
-        trailing zero bytes of a short final block contribute one shift
-        (``table[0] == 0``).
+        but evaluated from the position tables: ``T(digest || chunk)`` is
+        ``A·digest ^ C·chunk``, so ``C·chunk`` is gathered for every chunk at
+        once, and the remaining recurrence ``d' = A·d ^ c`` is folded
+        pairwise — ``A^2k·left ^ right`` halves the sequence per level, with
+        the table of ``A^2k`` obtained by applying ``A^k``'s to itself.
 
         Requires ``input_bits``, ``output_bits`` and ``payload_bytes * 8`` to
         tile exactly: ``input_bits == output_bits + 8 * payload_bytes`` with
@@ -168,23 +218,30 @@ class ToeplitzHash:
             raise ValueError(
                 "payload bytes must fill input_bits minus the chained digest"
             )
-        table = self._window
         out_bytes = self.output_bits // 8
-        shift = self.input_bits - 1
-        mask = self._out_mask
-        digest = init
-        for start in range(0, len(data), payload_bytes):
-            chunk = data[start : start + payload_bytes]
-            product = 0
-            for byte in digest.to_bytes(out_bytes, "big"):
-                product = (product << 8) ^ table[byte]
-            for byte in chunk:
-                product = (product << 8) ^ table[byte]
-            pad = payload_bytes - len(chunk)
-            if pad:
-                product <<= 8 * pad
-            digest = (product >> shift) & mask
-        return digest
+        table = self._position
+        words = table.shape[1]
+
+        def digest_bytes(values: np.ndarray) -> np.ndarray:
+            return values.view(np.uint8)[:, 8 * words - out_bytes :]
+
+        chunks = -(-len(data) // payload_bytes)
+        padded = np.zeros(chunks * payload_bytes, dtype=np.uint8)
+        padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
+        # Front-padded with zero digests (which contribute nothing) to a
+        # power-of-two length: the initial digest, then every chunk's C·chunk.
+        values = np.zeros((1 << chunks.bit_length(), words), dtype=np.uint64)
+        digest_bytes(values)[-chunks - 1] = np.frombuffer(
+            init.to_bytes(out_bytes, "big"), dtype=np.uint8
+        )
+        values[len(values) - chunks :] = self._apply(
+            table[256 * out_bytes :], padded.reshape(chunks, payload_bytes)
+        )
+        power = table[: 256 * out_bytes]  # the table of A, then A^2, A^4, ...
+        while len(values) > 1:
+            values = self._apply(power, digest_bytes(values[0::2])) ^ values[1::2]
+            power = self._apply(power, digest_bytes(power))
+        return int.from_bytes(values.tobytes(), "big")
 
     def matrix_rows(self) -> List[BitString]:
         """The rows of the Toeplitz matrix (mainly for tests and inspection).

@@ -189,19 +189,12 @@ class BitString:
         """Indices of the one bits, ascending (e.g. Cascade subset positions).
 
         Runs on packed words: the value is rendered to bytes once and the
-        positions come from one ``np.unpackbits``/``np.flatnonzero`` pass —
-        Cascade expands two subset masks per disclosed parity through here,
-        so the per-bit string scan this replaces was a measurable slice of
-        every reconciliation.
+        positions come from one ``np.unpackbits``/``np.flatnonzero`` pass.
         """
         return self.one_indices_array().tolist()
 
     def one_indices_array(self) -> "_np.ndarray":
-        """The one-bit indices as an ``np.int64`` array (no list round trip).
-
-        Cascade keeps each subset's member indices in this form so bisection
-        can slice O(1) views out of it.
-        """
+        """The one-bit indices as an ``np.int64`` array (no list round trip)."""
         if self._length == 0:
             return _np.zeros(0, dtype=_np.int64)
         n_bytes = (self._length + 7) // 8
