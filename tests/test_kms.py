@@ -6,6 +6,8 @@ behaviour, and the full service soak — including the pinned worker-count
 invariance digest the subsystem's determinism contract promises.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
@@ -502,6 +504,10 @@ class TestKeyManagementService:
         assert report.reroutes > 0
         assert ("relay-2", "relay-3") in report.eavesdropped_links
         assert report.delivered_digest == PINNED_SOAK_DIGEST
+        # What the digest does not cover: failure handling and feedback.
+        assert (report.reroutes, report.transports_failed) == (3, 16)
+        assert report.trunk_keys_delivered == 0
+        assert sum(p["starved_epochs"] for p in report.per_pair.values()) == 5
 
     def test_soak_digest_invariant_to_worker_count(self):
         assert run_soak(workers=4).delivered_digest == PINNED_SOAK_DIGEST
@@ -656,7 +662,52 @@ def custody_soak(
     return service.serve(hours=1.0)
 
 
+#: Literal pins for the custody soaks (recorded from the pre-seam delivery
+#: code): both digests, the parked/failed transport counts and the five
+#: custody counters (submitted, delivered, expired, evicted, live).  A
+#: never-delivering run's custody digest is the sha256 of nothing.
+_HEALED_DIGESTS = (
+    "79d22259163143ed52590a5036052f6145fa8212f7ac392a08d208aa8b008ae3",
+    "69e4564ffa9b38e668fa6a248cf2eeb95a034106e2870bfc0788e92c4f982ffb",
+)
+_PARTITIONED_DIGESTS = (
+    "b3e5d154dccbeb7ba7708ae4e9300f5e0b05d1758aa8359538fea0823eb79a97",
+    hashlib.sha256().hexdigest(),
+)
+PINNED_CUSTODY_SOAKS = {
+    "heal": ({}, _HEALED_DIGESTS, (6, 0), (6, 6, 0, 0, 0)),
+    "never-heals-ttl-300": (
+        dict(restore_at=None, ttl=300.0),
+        _PARTITIONED_DIGESTS,
+        (72, 0),
+        (72, 0, 59, 0, 13),
+    ),
+    "capacity-2048": (
+        dict(restore_at=None, capacity=2048),
+        _PARTITIONED_DIGESTS,
+        (30, 0),
+        (30, 0, 0, 29, 1),
+    ),
+    "epidemic": (dict(policy="epidemic"), _HEALED_DIGESTS, (6, 0), (6, 6, 0, 0, 0)),
+}
+
+
 class TestKmsCustody:
+    @pytest.mark.parametrize("scenario", sorted(PINNED_CUSTODY_SOAKS))
+    def test_custody_soak_pins(self, scenario):
+        kwargs, digests, transports, counters = PINNED_CUSTODY_SOAKS[scenario]
+        report = custody_soak(**kwargs)
+        assert (report.delivered_digest, report.custody_delivered_digest) == digests
+        assert (report.transports_parked, report.transports_failed) == transports
+        assert (
+            report.custody_submitted,
+            report.custody_delivered,
+            report.custody_expired,
+            report.custody_evicted,
+            report.custody_live,
+        ) == counters
+        assert report.custody_accounted and report.completion_accounted
+
     def test_partitioned_deliveries_park_instead_of_starving(self):
         starved = custody_soak(custody=False)
         assert starved.transports_failed > 0  # the baseline really starves

@@ -253,6 +253,11 @@ class TestZonedService:
         assert single.completion_accounted and quad.completion_accounted
         assert single.delivered_keys == quad.delivered_keys
         assert single.trunk_keys_delivered == quad.trunk_keys_delivered
+        # What the digest does not cover: failure handling and trunk refill.
+        for report in (single, quad):
+            assert (report.reroutes, report.transports_failed) == (0, 5)
+            assert report.trunk_keys_delivered == 362
+            assert sum(p["starved_epochs"] for p in report.per_pair.values()) == 0
 
     def test_zoned_report_accounts_trunks(self):
         report = run_metro_soak(workers=1, hours=0.25)
