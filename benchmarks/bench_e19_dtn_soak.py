@@ -32,7 +32,7 @@ limits).  With ``BENCH_JSON_DIR`` set the table lands in
 import time
 
 from benchmarks.conftest import float_env, int_env, run_once
-from repro.kms import KeyManagementService, KmsConfig, ReplenishmentConfig
+from repro.kms import KeyManagementService, KmsConfig, ReplenishmentConfig, percentile
 from repro.network.relay import TrustedRelayNetwork
 from repro.util.rng import DeterministicRNG
 
@@ -45,14 +45,6 @@ FLAP_PERIOD = float_env("BENCH_E19_FLAP_PERIOD_SECONDS", 900.0, minimum=10.0)
 FLAP_OUTAGE = float_env("BENCH_E19_FLAP_OUTAGE_SECONDS", 600.0, minimum=1.0)
 TTL_SECONDS = float_env("BENCH_E19_TTL_SECONDS", 4000.0, minimum=1.0)
 CAPACITY_BITS = int_env("BENCH_E19_CAPACITY_BITS", 1 << 20, minimum=1024)
-
-
-def _percentile(values, q):
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, round(q / 100.0 * (len(ordered) - 1))))
-    return ordered[index]
 
 
 def _soak(custody, policy="scheduled"):
@@ -107,8 +99,8 @@ def test_e19_dtn_soak(benchmark, table):
                 f"{ratio:.2f}",
                 report.custody_expired + report.custody_evicted,
                 report.custody_occupancy_peak_bits,
-                f"{_percentile(latencies, 50):.0f}",
-                f"{_percentile(latencies, 99):.0f}",
+                f"{percentile(latencies, 50):.0f}",
+                f"{percentile(latencies, 99):.0f}",
                 metrics.pad_bits_consumed,
                 metrics.copies_made + metrics.copy_moves,
             ]
@@ -163,7 +155,7 @@ def test_e19_dtn_soak(benchmark, table):
         assert report.custody_accounted, f"{name}: custody bundles unaccounted"
         assert service.custody.reconciled, f"{name}: store/metrics ledgers disagree"
         latencies = service.custody.delivered_latencies
-        assert _percentile(latencies, 50) <= _percentile(latencies, 99)
+        assert percentile(latencies, 50) <= percentile(latencies, 99)
 
     # Flooding can never make fewer copies than single-copy forwarding
     # moved; the table's pad/copies columns quantify the actual overhead.

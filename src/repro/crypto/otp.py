@@ -96,7 +96,8 @@ class OneTimePad:
         return self.encrypt(ciphertext)
 
     def peek(self, count: int) -> bytes:
-        """Return the next ``count`` pad bytes without consuming them (tests only)."""
+        """Return the next ``count`` pad bytes without consuming them (the far
+        end of a relay hop decrypts with them; see ``TrustedRelayNetwork.cross_hop``)."""
         if count > len(self._pool):
             raise PadExhaustedError("not enough pad material to peek")
         return bytes(self._pool[:count])

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -93,6 +93,9 @@ class CustodyTransport:
         self.bundles: Dict[int, CustodyBundle] = {}
         #: End-to-end latency of each delivered bundle, in submission order.
         self.delivered_latencies: List[float] = []
+        #: Live bundle bits per ``(source, destination)``, kept where a bundle's
+        #: state changes: ``bundles`` grows with uptime and must not be scanned.
+        self._live_bits: Dict[Tuple[str, str], int] = {}
         self._seen: Dict[int, Set[str]] = {}
         self._next_bundle_id = 0
         self._next_epidemic = 0
@@ -146,13 +149,7 @@ class CustodyTransport:
         """Bits of live custody material submitted for ``source -> destination``
         (what a caller may count against a replenishment target while the
         bundles are still in flight)."""
-        return sum(
-            bundle.key_bits
-            for bundle in self.bundles.values()
-            if bundle.live
-            and bundle.source == source
-            and bundle.destination == destination
-        )
+        return self._live_bits.get((source, destination), 0)
 
     @property
     def drained(self) -> bool:
@@ -234,6 +231,7 @@ class CustodyTransport:
             expires_at=now + self.ttl_seconds,
         )
         self.bundles[bundle_id] = bundle
+        self._live_bits[source, destination] = self.in_flight_bits(source, destination) + key_bits
         self._seen[bundle_id] = {source}
         self.metrics.bundles_submitted += 1
         if source == destination:
@@ -249,24 +247,16 @@ class CustodyTransport:
     # ------------------------------------------------------------------ #
 
     def _cross_hop(self, bundle: CustodyBundle, node_a: str, node_b: str) -> bool:
-        """Spend pairwise pad carrying the bundle across one link.
-
-        Mirrors live relay transport exactly: the key is OTP-encrypted onto
-        the wire with the hop's pairwise pool and decrypted at the far end
-        with the same pad bytes (one shared pool per link models both
-        ends).  Returns ``False`` — consuming nothing — when the pool
-        cannot cover the bundle.
+        """Carry the bundle across one link — the relay layer's
+        :meth:`~repro.network.relay.TrustedRelayNetwork.cross_hop`, the same
+        primitive live transport spends pad through — and account for it.
+        Returns ``False``, consuming nothing, when the pool cannot cover
+        the bundle.
         """
-        pad = self.relays.pad_for(node_a, node_b)
         key_bytes = bundle.key.to_bytes()
-        if pad.available_bytes < len(key_bytes):
+        if self.relays.cross_hop(node_a, node_b, key_bytes) is None:
             self.metrics.pad_shortages += 1
             return False
-        hop_pad_bytes = pad.peek(len(key_bytes))
-        ciphertext = pad.encrypt(key_bytes)
-        self.relays.notify_pad_change(node_a, node_b)
-        arrived = bytes(c ^ p for c, p in zip(ciphertext, hop_pad_bytes))
-        assert arrived == key_bytes  # the far end recovers the key exactly
         bits = len(key_bytes) * 8
         bundle.hops += 1
         bundle.pad_bits_consumed += bits
@@ -329,14 +319,19 @@ class CustodyTransport:
         if not victim.live or self.locations(victim):
             self.metrics.duplicate_copies_purged += 1
             return
-        victim.state = reason
+        self._retire(victim, reason)
         if reason == EVICTED:
             self.metrics.bundles_evicted += 1
         else:
             self.metrics.bundles_expired += 1
 
+    def _retire(self, bundle: CustodyBundle, state: str) -> None:
+        """Move a live bundle to its terminal ``state``."""
+        bundle.state = state
+        self._live_bits[bundle.source, bundle.destination] -= bundle.key_bits
+
     def _deliver(self, bundle: CustodyBundle, now: float) -> None:
-        bundle.state = DELIVERED
+        self._retire(bundle, DELIVERED)
         bundle.delivered_at = now
         self.metrics.bundles_delivered += 1
         self.delivered_latencies.append(now - bundle.created_at)

@@ -23,6 +23,14 @@ links get cut, eavesdropped and DoS'd mid-run.
 * an :class:`~repro.sim.clock.EventScheduler` sequencing everything in
   simulated time.
 
+Delivery has one seam.  Every store — flat pair, same-zone pair, cross-zone
+pair, trunk — gets a *supply* once, at assembly (``_feed_for``): a routed
+transport between its own ends, or a lock-step draw from a trunk store
+carried over the two in-zone legs.  One loop (``_fill``) asks the supply
+for keys and one step (``_bank``) deposits and accounts each — the step a
+custody bundle also takes when it arrives late, so custody composes with
+zoning: a trunk refill whose gateway is cut off parks like any transport.
+
 Failure handling is the point, not an afterthought: a store that cannot
 cover a rekey queues the demand as a *waiter* with a timeout (the paper's
 Phase-2 "not enough QKD bits before timeout" failure), feeds pressure back
@@ -45,7 +53,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep kms asyncio-free
     from repro.dtn.contact import ContactSchedule
@@ -66,9 +74,10 @@ from repro.kms.workload import (
     WorkloadProfile,
 )
 from repro.kms.zones import ZonePlan, ZonedReplenisher
-from repro.network.relay import TrustedRelayNetwork
+from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
 from repro.network.routing import RoutingError
 from repro.sim.clock import EventScheduler, ScheduledEvent, SimClock
+from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
 Pair = Tuple[str, str]
@@ -105,8 +114,9 @@ class KmsConfig:
     #: Age limit for stored key (None disables expiry).
     max_key_age_seconds: Optional[float] = None
     replenishment: ReplenishmentConfig = field(default_factory=ReplenishmentConfig)
-    #: Disruption tolerance: when on, deliveries that find no live path are
-    #: parked as custody bundles (see :mod:`repro.dtn`) instead of starving.
+    #: Disruption tolerance: when on, transports that find no live path —
+    #: flat, zone-confined or trunk refill alike — are parked as custody
+    #: bundles (see :mod:`repro.dtn`) instead of starving.
     #: Off by default — the pinned always-connected soak digest must not
     #: change.
     custody: bool = False
@@ -120,7 +130,7 @@ class KmsConfig:
     #: Metro-scale sharding: ``None`` runs the flat mesh (the pinned-digest
     #: path), an int partitions the mesh into that many zones
     #: (:meth:`ZonePlan.partition`), an explicit :class:`ZonePlan` is used
-    #: as given.  Mutually exclusive with custody.
+    #: as given.
     zones: Union["ZonePlan", int, None] = None
     #: Sizing of the per-zone-pair trunk stores inter-zone pairs draw from.
     trunk_capacity_bits: int = 1 << 22
@@ -143,12 +153,6 @@ class KmsConfig:
         if self.custody and self.custody_ttl_seconds <= 0:
             raise ValueError("custody TTL must be positive")
         if self.zones is not None:
-            if self.custody:
-                raise ValueError(
-                    "custody and zones are mutually exclusive: custody parks "
-                    "deliveries on the flat mesh, zoned delivery draws "
-                    "inter-zone key through trunk stores"
-                )
             if isinstance(self.zones, int) and self.zones < 1:
                 raise ValueError("zones must name at least one zone")
             if not 0 < self.trunk_low_water_bits <= self.trunk_high_water_bits:
@@ -229,6 +233,20 @@ class RekeyWaiter:
     needed_bits: int
     resolved: bool = False
     timeout_event: Optional[ScheduledEvent] = None
+
+
+@dataclass
+class _Feed:
+    """One store and where its key comes from — decided once, at assembly."""
+
+    store: KeyStore
+    #: ``supply(now)`` makes the next key, as a plain transport result.
+    supply: Callable[[float], KeyTransportResult]
+    #: Trunk key is intermediate (re-drawn per inter-zone delivery): it feeds
+    #: trunk accounting, not the delivered digest, counters or reroutes.
+    trunk: bool = False
+    #: Path of the last key supplied, for reroute detection.
+    last_path: Optional[List[str]] = None
 
 
 @dataclass
@@ -369,8 +387,6 @@ class KeyManagementService:
         self.metrics = KmsMetrics()
         self._digest = hashlib.sha256()
         self._served = False
-        #: Last successful transport path per pair, for reroute detection.
-        self._last_path: Dict[Pair, List[str]] = {}
         self.custody: Optional["CustodyTransport"] = None
         if self.config.custody:
             self.custody = relays.enable_custody(
@@ -400,16 +416,25 @@ class KeyManagementService:
         #: can expire; re-armed after each sweep/deposit.
         self._expiry_heap: List[Tuple[float, Pair]] = []
         self._expiry_armed: Dict[Pair, float] = {}
+        #: One feed per consumer pair, and per trunk in zone-pair order.
+        self._feeds: Dict[Pair, _Feed] = {}
+        self._trunk_feeds: List[_Feed] = []
+        #: The feeds that can park key in custody, by their bundles'
+        #: ``(source, destination)``.  A cross-zone consumer pair never
+        #: transports, so a gateway pair here can only mean the trunk.
+        self._parking: Dict[Pair, _Feed] = {}
         #: One trunk store per unordered zone pair, keyed ``(zone_a, zone_b)``.
         self.trunk_stores: Dict[Tuple[str, str], KeyStore] = {}
         if self.zone_plan is not None:
             for za, zb in self.zone_plan.zone_pairs():
-                self.trunk_stores[(za, zb)] = KeyStore(
+                trunk = KeyStore(
                     (self.zone_plan.gateways[za], self.zone_plan.gateways[zb]),
                     capacity_bits=self.config.trunk_capacity_bits,
                     low_water_bits=self.config.trunk_low_water_bits,
                     high_water_bits=self.config.trunk_high_water_bits,
                 )
+                self.trunk_stores[(za, zb)] = trunk
+                self._trunk_feeds.append(self._transported(trunk, trunk=True))
         for index, pair in enumerate(self.pairs):
             self._build_pair(index, pair)
 
@@ -492,10 +517,39 @@ class KeyManagementService:
         gateways.establish()
         self.stores[pair] = store
         self.gateways[pair] = gateways
+        self._feeds[pair] = self._feed_for(store)
         # Wire the level hook after establish(): every deposit/draw/expiry
         # from here on re-indexes the pair in the needy heap.
         store.on_level_change = self._on_store_level_change
         self._needy.push(pair)
+
+    def _transported(
+        self,
+        store: KeyStore,
+        within: Optional[Tuple[str, ...]] = None,
+        trunk: bool = False,
+    ) -> _Feed:
+        """A feed supplied by routed transport between the store's own ends
+        (optionally confined ``within`` a zone) — the only kind that can
+        park key with the custody layer."""
+        feed = _Feed(store, lambda now: self._transport(store, within, now), trunk)
+        if self.custody is not None:
+            self._parking[store.pair] = feed
+        return feed
+
+    def _feed_for(self, store: KeyStore) -> _Feed:
+        """Where a consumer store's key comes from: transport across the
+        flat mesh, transport confined to the pair's zone, or — for a
+        cross-zone pair — draws from the zone pair's trunk store."""
+        plan = self.zone_plan
+        if plan is None:
+            return self._transported(store)
+        if plan.same_zone(store.pair):
+            return self._transported(
+                store, within=plan.members(plan.zone_of(store.pair[0]))
+            )
+        trunk = self.trunk_stores[tuple(sorted(map(plan.zone_of, store.pair)))]
+        return _Feed(store, lambda now: self._draw_from_trunk(trunk, store.pair, now))
 
     # ---- needy-store indexing ------------------------------------------ #
 
@@ -630,7 +684,7 @@ class KeyManagementService:
         self._waiters[pair].append(waiter)
         # A waiter keeps its pair in the needy set even at high water.
         self._needy.push(pair)
-        self._note_path_pressure(pair)
+        self._pressure(self._preferred_path(pair))
 
     def _on_waiter_timeout(self, waiter: RekeyWaiter) -> None:
         if waiter.resolved:
@@ -698,23 +752,19 @@ class KeyManagementService:
             self._drain_waiters(pair)
 
     def _on_custody_delivered(self, bundle: "CustodyBundle") -> None:
-        """A parked bundle reached its destination: deposit it exactly as a
-        live transport would have been deposited."""
-        pair = (bundle.source, bundle.destination)
-        store = self.stores.get(pair)
-        if store is None:
-            return  # custody traffic outside this service's gateway pairs
-        now = self.clock.now()
-        store.deposit(bundle.key, now=now)
-        self.metrics.delivered_keys += 1
-        self.metrics.delivered_key_bits += len(bundle.key)
-        self._digest.update(f"{pair[0]}--{pair[1]}|{len(bundle.key)}|".encode())
-        self._digest.update(bundle.key.to_bytes())
-        self._drain_waiters(pair)
-        self._arm_expiry(pair)
+        """A parked bundle reached its destination: bank it exactly as the
+        transport that parked it would have been banked."""
+        feed = self._parking.get((bundle.source, bundle.destination))
+        if feed is None:
+            return  # custody traffic outside this service's stores
+        self._bank(feed, bundle.key, self.clock.now())
+        if not feed.trunk:
+            self._drain_waiters(feed.store.pair)
+            self._arm_expiry(feed.store.pair)
 
     def _deliver(self) -> None:
-        """Transport end-to-end keys into every store below its high water.
+        """Fill every trunk store, then every consumer store below its high
+        water, each from its own supply (see :meth:`_feed_for`).
 
         Stores are visited in ``(-priority, pair)`` order, so contention for
         the shared pairwise pads resolves toward the store being drained
@@ -724,26 +774,16 @@ class KeyManagementService:
         The order comes from the needy-store heap rather than a full sort:
         stores parked at high water with no waiters are not members, so an
         epoch's ordering cost follows the stores that actually need work.
-        With zoning on, intra-zone pairs are refilled by zone-confined live
-        transport and inter-zone pairs draw through their trunk store.
         """
         now = self.clock.now()
         started = perf_counter()
         self._sweep_expiry(now)
         ordered = self._needy.drain()
         self.metrics.scheduler_overhead_seconds += perf_counter() - started
-        if self.trunk_stores:
-            self._refill_trunks(now)
+        for feed in self._trunk_feeds:
+            self._fill(feed, now)
         for pair in ordered:
-            if self.zone_plan is not None and not self.zone_plan.same_zone(pair):
-                self._deliver_inter_zone(pair, now)
-            else:
-                within = (
-                    self.zone_plan.members(self.zone_plan.zone_of(pair[0]))
-                    if self.zone_plan is not None
-                    else None
-                )
-                self._deliver_live(pair, now, within)
+            self._fill(self._feeds[pair], now)
             self._drain_waiters(pair)
             self._arm_expiry(pair)
         started = perf_counter()
@@ -753,6 +793,64 @@ class KeyManagementService:
             # members until they truly reach high water.
             self._needy.push(pair)
         self.metrics.scheduler_overhead_seconds += perf_counter() - started
+
+    def _fill(self, feed: _Feed, now: float) -> None:
+        """Top one store up to its high-water mark, one supplied key at a
+        time.  Key already parked with the custody layer for this store
+        counts toward the mark: the delivery callback banks it on arrival.
+        """
+        store = feed.store
+        parked = self._parked_bits(feed)
+        while store.available_bits + parked < store.high_water_bits:
+            result = feed.supply(now)
+            if result.custody_accepted:
+                # The custody layer took the key; the delivery callback
+                # banks it whenever it arrives (possibly already), so the
+                # demand is parked rather than starved.
+                self.metrics.transports_parked += 1
+                before, parked = parked, self._parked_bits(feed)
+                if result.success or parked > before:
+                    continue
+                # Custody is evicting our own bundles as fast as we park
+                # them (bounded store, full); more submissions this epoch
+                # would only churn the store.
+                break
+            if not result.success:
+                self.metrics.transports_failed += 1
+                self._pressure(result.path)
+                if store.below_low_water:
+                    store.statistics.starved_epochs += 1
+                break
+            # A reroute is either an explicit mid-transport fallback or
+            # a silent path change forced by a link the routing layer
+            # now avoids (cut, eavesdropped, exhausted).
+            if not feed.trunk and (
+                result.rerouted or feed.last_path not in (None, result.path)
+            ):
+                self.metrics.reroutes += 1
+            feed.last_path = result.path
+            if self._bank(feed, result.key, now) == 0:
+                break
+
+    def _parked_bits(self, feed: _Feed) -> int:
+        if self._parking.get(feed.store.pair) is not feed:
+            return 0
+        return self.custody.in_flight_bits(*feed.store.pair)
+
+    def _bank(self, feed: _Feed, key: BitString, now: float) -> int:
+        """Deposit one supplied key and account for it; returns the bits
+        the store had room for."""
+        banked = feed.store.deposit(key, now=now)
+        if feed.trunk:
+            self.metrics.trunk_keys_delivered += 1
+            self.metrics.trunk_key_bits += len(key)
+            return banked
+        self.metrics.delivered_keys += 1
+        self.metrics.delivered_key_bits += len(key)
+        source, destination = feed.store.pair
+        self._digest.update(f"{source}--{destination}|{len(key)}|".encode())
+        self._digest.update(key.to_bytes())
+        return banked
 
     # ---- expiry sweeps -------------------------------------------------- #
 
@@ -779,184 +877,82 @@ class KeyManagementService:
             self.stores[pair].expire(now)
             self._arm_expiry(pair)
 
-    # ---- zoned supply --------------------------------------------------- #
+    # ---- the two supplies ------------------------------------------------ #
 
-    def _refill_trunks(self, now: float) -> None:
-        """Top every trunk store up gateway-to-gateway before zone delivery.
+    def _transport(
+        self, store: KeyStore, within: Optional[Tuple[str, ...]], now: float
+    ) -> KeyTransportResult:
+        """The next key for a store fed by transport between its own ends.
+        One that fails outright while the store is low also pressures the
+        path routing prefers now, on top of the failed one."""
+        result = self.relays.transport_with_reroute(
+            *store.pair, self.config.transport_key_bits, now, within
+        )
+        if not (result.success or result.custody_accepted) and store.below_low_water:
+            self._pressure(self._preferred_path(store.pair, within))
+        return result
 
-        Trunk material is intermediate (re-drawn per inter-zone delivery),
-        so it feeds trunk accounting but not the delivered-material digest.
-        """
-        plan = self.zone_plan
-        for zone_pair in sorted(self.trunk_stores):
-            trunk = self.trunk_stores[zone_pair]
-            gw_a = plan.gateways[zone_pair[0]]
-            gw_b = plan.gateways[zone_pair[1]]
-            while trunk.available_bits < trunk.high_water_bits:
-                result = self.relays.transport_with_reroute(
-                    gw_a, gw_b, key_bits=self.config.transport_key_bits, now=now
-                )
-                if not result.success:
-                    self.metrics.transports_failed += 1
-                    for hop_a, hop_b in zip(result.path, result.path[1:]):
-                        self.replenisher.note_pressure(hop_a, hop_b)
-                    break
-                banked = trunk.deposit(result.key, now=now)
-                self.metrics.trunk_keys_delivered += 1
-                self.metrics.trunk_key_bits += len(result.key)
-                if banked == 0:
-                    break
 
     def _zone_legs(self, pair: Pair) -> List[List[str]]:
         """The two last-mile paths an inter-zone delivery must pad-spend:
         source to its zone gateway, destination's gateway to destination —
-        each confined to its own zone.  Raises RoutingError when a leg has
-        no usable in-zone path."""
+        each confined to its own zone (a gateway's own leg is just itself).
+        Raises RoutingError when a leg has no usable in-zone path."""
         plan = self.zone_plan
-        legs: List[List[str]] = []
-        for node, outward in ((pair[0], True), (pair[1], False)):
-            zone = plan.zone_of(node)
-            gateway = plan.gateways[zone]
-            if node == gateway:
-                legs.append([node])
-                continue
-            ends = (node, gateway) if outward else (gateway, node)
-            legs.append(
-                self.relays.selector.find_path(*ends, within=plan.members(zone))
-            )
-        return legs
+        find_path = self.relays.selector.find_path
+        zone_a, zone_b = plan.zone_of(pair[0]), plan.zone_of(pair[1])
+        return [
+            find_path(pair[0], plan.gateways[zone_a], within=plan.members(zone_a)),
+            find_path(plan.gateways[zone_b], pair[1], within=plan.members(zone_b)),
+        ]
 
-    def _deliver_inter_zone(self, pair: Pair, now: float) -> None:
-        """Refill one cross-zone store from its trunk.
+    def _draw_from_trunk(
+        self, trunk: KeyStore, pair: Pair, now: float
+    ) -> KeyTransportResult:
+        """The next key for one cross-zone store, from its zone pair's trunk.
 
-        End-to-end key is drawn (lockstep, both pools) from the zone pair's
-        trunk store, then carried over the two in-zone legs by spending
-        their pairwise pads — the relay RNG is never touched, so intra-zone
-        key material is independent of inter-zone traffic."""
-        store = self.stores[pair]
-        plan = self.zone_plan
-        zone_pair = tuple(
-            sorted((plan.zone_of(pair[0]), plan.zone_of(pair[1])))
-        )
-        trunk = self.trunk_stores[zone_pair]
+        End-to-end key is drawn (lockstep, both pools) from the trunk store,
+        then carried over the two in-zone legs by spending their pairwise
+        pads, all or nothing — the relay RNG is never touched, so intra-zone
+        key material is independent of inter-zone traffic.  A failed draw's
+        ``path`` names the hops whose pad it was short of."""
         bits = self.config.transport_key_bits
-        starved_here = False
-        while store.available_bits < store.high_water_bits:
-            try:
-                legs = self._zone_legs(pair)
-            except RoutingError:
-                starved_here = True
-                self.metrics.transports_failed += 1
-                break
-            try:
-                reservation = trunk.reserve(bits, now=now)
-            except KeyStoreExhaustedError:
-                starved_here = True
-                self.metrics.transports_failed += 1
-                self._note_trunk_pressure(zone_pair)
-                break
-            shortage = self.relays.path_pad_shortage(legs, bits // 8)
-            if shortage is not None:
-                trunk.release(reservation)
-                starved_here = True
-                self.metrics.transports_failed += 1
-                self.replenisher.note_pressure(*shortage)
-                break
-            with trunk.consuming(reservation, now=now):
-                key = trunk.local_pool.draw_bits(bits)
-                trunk.remote_pool.draw_bits(bits)
-            self.relays.spend_path_pad(legs, key.to_bytes())
-            combined = legs[0] + legs[1]
-            if self._last_path.get(pair) not in (None, combined):
-                self.metrics.reroutes += 1
-            self._last_path[pair] = combined
-            banked = store.deposit(key, now=now)
-            self.metrics.delivered_keys += 1
-            self.metrics.delivered_key_bits += len(key)
-            self._digest.update(f"{pair[0]}--{pair[1]}|{len(key)}|".encode())
-            self._digest.update(key.to_bytes())
-            if banked == 0:
-                break
-        if starved_here and store.below_low_water:
-            store.statistics.starved_epochs += 1
-
-    def _note_trunk_pressure(self, zone_pair: Tuple[str, str]) -> None:
-        """An exhausted trunk pressures the gateway-to-gateway path that
-        refills it."""
-        plan = self.zone_plan
-        self._note_path_pressure(
-            (plan.gateways[zone_pair[0]], plan.gateways[zone_pair[1]])
+        try:
+            legs = self._zone_legs(pair)
+        except RoutingError as exc:
+            return KeyTransportResult(success=False, failure_reason=str(exc))
+        try:
+            reservation = trunk.reserve(bits, now=now)
+        except KeyStoreExhaustedError as exc:
+            # The gateway-to-gateway path refills an exhausted trunk.
+            return KeyTransportResult(
+                success=False, path=self._preferred_path(trunk.pair), failure_reason=str(exc)
+            )
+        shortage = self.relays.path_pad_shortage(legs, bits // 8)
+        if shortage is not None:
+            trunk.release(reservation)
+            return KeyTransportResult(success=False, path=list(shortage), failed_hop=shortage)
+        with trunk.consuming(reservation, now=now):
+            key = trunk.local_pool.draw_bits(bits)
+            trunk.remote_pool.draw_bits(bits)
+        consumed = self.relays.spend_path_pad(legs, key.to_bytes())
+        return KeyTransportResult(
+            success=True, path=legs[0] + legs[1], key=key, pad_bits_consumed=consumed
         )
 
-    # ---- live (flat / intra-zone) supply -------------------------------- #
+    # ---- pressure feedback ---------------------------------------------- #
 
-    def _deliver_live(
-        self, pair: Pair, now: float, within: Optional[Tuple[str, ...]] = None
-    ) -> None:
-        store = self.stores[pair]
-        starved_here = False
-        while store.available_bits < store.high_water_bits:
-            if self.custody is not None and (
-                store.available_bits
-                + self.custody.in_flight_bits(pair[0], pair[1])
-                >= store.high_water_bits
-            ):
-                break  # the gap is already covered by parked custody material
-            in_flight_before = (
-                self.custody.in_flight_bits(pair[0], pair[1])
-                if self.custody is not None
-                else 0
-            )
-            result = self.relays.transport_with_reroute(
-                pair[0],
-                pair[1],
-                key_bits=self.config.transport_key_bits,
-                now=now,
-                within=within,
-            )
-            if result.custody_accepted:
-                # Banked (or hop-by-hop forwarded) by the custody layer;
-                # the delivery callback deposits whenever it arrives, so
-                # the demand is parked rather than starved.
-                self.metrics.transports_parked += 1
-                in_flight = self.custody.in_flight_bits(pair[0], pair[1])
-                if result.success or in_flight > in_flight_before:
-                    continue
-                # Custody is evicting our own bundles as fast as we park
-                # them (bounded store, full); more submissions this epoch
-                # would only churn the store.
-                break
-            if not result.success:
-                starved_here = True
-                self.metrics.transports_failed += 1
-                for hop_a, hop_b in zip(result.path, result.path[1:]):
-                    self.replenisher.note_pressure(hop_a, hop_b)
-                break
-            # A reroute is either an explicit mid-transport fallback or
-            # a silent path change forced by a link the routing layer
-            # now avoids (cut, eavesdropped, exhausted).
-            previous_path = self._last_path.get(pair)
-            if result.rerouted or previous_path not in (None, result.path):
-                self.metrics.reroutes += 1
-            self._last_path[pair] = result.path
-            banked = store.deposit(result.key, now=now)
-            self.metrics.delivered_keys += 1
-            self.metrics.delivered_key_bits += len(result.key)
-            self._digest.update(f"{pair[0]}--{pair[1]}|{len(result.key)}|".encode())
-            self._digest.update(result.key.to_bytes())
-            if banked == 0:
-                break
-        if starved_here and store.below_low_water:
-            store.statistics.starved_epochs += 1
-            self._note_path_pressure(pair, within)
-
-    def _note_path_pressure(
+    def _preferred_path(
         self, pair: Pair, within: Optional[Tuple[str, ...]] = None
-    ) -> None:
+    ) -> List[str]:
+        """The path routing would pick for ``pair`` now (empty when none)."""
         try:
-            path = self.relays.selector.find_path(pair[0], pair[1], within=within)
+            return self.relays.selector.find_path(pair[0], pair[1], within=within)
         except RoutingError:
-            return
+            return []
+
+    def _pressure(self, path: List[str]) -> None:
+        """Feed demand for every hop of ``path`` back into replenishment."""
         for hop_a, hop_b in zip(path, path[1:]):
             self.replenisher.note_pressure(hop_a, hop_b)
 
@@ -1032,6 +1028,16 @@ class KeyManagementService:
         scheduler_overhead = (
             metrics.scheduler_overhead_seconds + self.replenisher.selection_seconds
         )
+        custody = self.custody
+        custody_view = {} if custody is None else dict(
+            custody_submitted=custody.metrics.bundles_submitted,
+            custody_delivered=custody.metrics.bundles_delivered,
+            custody_expired=custody.metrics.bundles_expired,
+            custody_evicted=custody.metrics.bundles_evicted,
+            custody_live=len(custody.live_bundle_ids()),
+            custody_occupancy_peak_bits=custody.occupancy_peak_bits,
+            custody_delivered_digest=custody.delivered_digest,
+        )
         return SoakReport(
             simulated_seconds=horizon,
             demands=metrics.demands,
@@ -1055,27 +1061,7 @@ class KeyManagementService:
             delivered_digest=self.delivered_digest(),
             per_pair=per_pair,
             transports_parked=metrics.transports_parked,
-            custody_submitted=(
-                self.custody.metrics.bundles_submitted if self.custody else 0
-            ),
-            custody_delivered=(
-                self.custody.metrics.bundles_delivered if self.custody else 0
-            ),
-            custody_expired=(
-                self.custody.metrics.bundles_expired if self.custody else 0
-            ),
-            custody_evicted=(
-                self.custody.metrics.bundles_evicted if self.custody else 0
-            ),
-            custody_live=(
-                len(self.custody.live_bundle_ids()) if self.custody else 0
-            ),
-            custody_occupancy_peak_bits=(
-                self.custody.occupancy_peak_bits if self.custody else 0
-            ),
-            custody_delivered_digest=(
-                self.custody.delivered_digest if self.custody else ""
-            ),
+            **custody_view,
             zones=len(self.zone_plan.zones) if self.zone_plan else 0,
             trunk_keys_delivered=metrics.trunk_keys_delivered,
             trunk_key_bits=metrics.trunk_key_bits,

@@ -16,7 +16,9 @@ shards the mesh into **zones**:
   zone (``within=`` routing); inter-zone pairs draw end-to-end key from a
   per-zone-pair **trunk store** refilled gateway-to-gateway, then spend
   only their two zones' segment pads carrying it the last miles (see
-  :meth:`~repro.kms.service.KeyManagementService._deliver`).
+  :meth:`~repro.kms.service.KeyManagementService._draw_from_trunk`, the
+  supply :meth:`~repro.kms.service.KeyManagementService._deliver` fills
+  such a store from; trunk refill is an ordinary transport-fed fill).
 
 Determinism contract: zone membership, gateway election and dispatch order
 are pure functions of ``(seed, config)``.  Zones run in sorted zone-id

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.crypto.otp import OneTimePad
+from repro.crypto.otp import OneTimePad, PadExhaustedError
 from repro.network.routing import PathSelector, RoutingError
 from repro.network.topology import NodeKind, QKDNetwork
 from repro.util.bits import BitString
@@ -259,6 +259,22 @@ class TrustedRelayNetwork:
     # End-to-end key transport
     # ------------------------------------------------------------------ #
 
+    def cross_hop(self, node_a: str, node_b: str, payload: bytes) -> Optional[bytes]:
+        """Carry ``payload`` across one link — the only code that spends
+        pairwise pad.  It is OTP-encrypted onto the wire and decrypted at the
+        far end with the same pad bytes (both ends hold identical pools; the
+        model keeps one), and the pad change is announced.  Returns what
+        arrives, or ``None`` — consuming and announcing nothing — when the
+        pool cannot cover the payload.
+        """
+        pad = self.pad_for(node_a, node_b)
+        if pad.available_bytes < len(payload):
+            return None
+        hop_pad_bytes = pad.peek(len(payload))
+        ciphertext = pad.encrypt(payload)
+        self.notify_pad_change(node_a, node_b)
+        return bytes(c ^ p for c, p in zip(ciphertext, hop_pad_bytes))
+
     def transport_key(
         self,
         source: str,
@@ -284,49 +300,25 @@ class TrustedRelayNetwork:
             return result
 
         key = BitString.random(key_bits, self.rng)
-        key_bytes = key.to_bytes()
-        pad_consumed = 0
-        relays_exposed: List[str] = []
-
-        # Walk the path hop by hop: encrypt onto the wire with the hop's
-        # pairwise pad, decrypt at the far end of the hop.
-        in_flight = key_bytes
-        for hop_index, (node_a, node_b) in enumerate(zip(path, path[1:])):
-            pad = self.pad_for(node_a, node_b)
-            if pad.available_bytes < len(in_flight):
-                result = KeyTransportResult(
-                    success=False,
-                    path=path,
-                    failure_reason=(
-                        f"pairwise key exhausted on hop {node_a}--{node_b} "
-                        f"({pad.available_bytes} bytes available)"
-                    ),
-                    pad_bits_consumed=pad_consumed,
-                    relays_exposed=relays_exposed,
-                    failed_hop=(node_a, node_b),
+        result = KeyTransportResult(success=False, path=path)
+        # Walk the path hop by hop; whatever arrives at the far end of one
+        # hop is what crosses the next.
+        in_flight = key.to_bytes()
+        for node_a, node_b in zip(path, path[1:]):
+            arrived = self.cross_hop(node_a, node_b, in_flight)
+            if arrived is None:
+                result.failed_hop = (node_a, node_b)
+                result.failure_reason = (
+                    f"pairwise key exhausted on hop {node_a}--{node_b} "
+                    f"({self.pad_for(node_a, node_b).available_bytes} bytes available)"
                 )
-                self.transports.append(result)
-                return result
-            # Both ends of a link hold identical pairwise pools; the model
-            # keeps a single pool per link, so the receiving node's decryption
-            # uses the same pad bytes the sender consumed.
-            hop_pad_bytes = pad.peek(len(in_flight))
-            ciphertext = pad.encrypt(in_flight)
-            self.notify_pad_change(node_a, node_b)
-            pad_consumed += len(in_flight) * 8
-            arriving_node = node_b
-            in_flight = bytes(c ^ p for c, p in zip(ciphertext, hop_pad_bytes))
-            node = self.network.node(arriving_node)
-            if node.kind is NodeKind.TRUSTED_RELAY:
-                relays_exposed.append(arriving_node)
-
-        result = KeyTransportResult(
-            success=True,
-            path=path,
-            key=key,
-            relays_exposed=relays_exposed,
-            pad_bits_consumed=pad_consumed,
-        )
+                break
+            result.pad_bits_consumed += len(in_flight) * 8
+            in_flight = arrived
+            if self.network.node(node_b).kind is NodeKind.TRUSTED_RELAY:
+                result.relays_exposed.append(node_b)
+        else:
+            result.success, result.key = True, key
         self.transports.append(result)
         return result
 
@@ -395,11 +387,10 @@ class TrustedRelayNetwork:
         """Bank a key the live mesh could not move; ``None`` when even
         custody cannot help (statically disconnected destination)."""
         from repro.dtn.store import DELIVERED
-        from repro.network.routing import RoutingError as _RoutingError
 
         try:
             bundle = self.custody.submit(source, destination, key_bits, now)
-        except _RoutingError:
+        except RoutingError:
             return None
         if bundle.state == DELIVERED:
             # Custody's hop-by-hop forwarding found a way through after all
@@ -451,9 +442,9 @@ class TrustedRelayNetwork:
         return None
 
     def spend_path_pad(self, paths: Sequence[Sequence[str]], payload: bytes) -> int:
-        """Consume pairwise pad carrying ``payload`` across every hop of the
-        given paths, exactly as live transport does (one OTP encryption per
-        hop), returning the total pad bits consumed.
+        """Carry ``payload`` across every hop of the given paths (one
+        :meth:`cross_hop` each, exactly as live transport does), returning
+        the total pad bits consumed.
 
         The caller prechecks with :meth:`path_pad_shortage`; the zoned kms
         uses this for the intra-zone legs of an inter-zone delivery, whose
@@ -462,8 +453,10 @@ class TrustedRelayNetwork:
         consumed = 0
         for path in paths:
             for node_a, node_b in zip(path, path[1:]):
-                self.pad_for(node_a, node_b).encrypt(payload)
-                self.notify_pad_change(node_a, node_b)
+                if self.cross_hop(node_a, node_b, payload) is None:
+                    raise PadExhaustedError(
+                        f"pairwise key exhausted on hop {node_a}--{node_b}"
+                    )
                 consumed += len(payload) * 8
         return consumed
 

@@ -179,11 +179,16 @@ class TestConfigFirstKms:
         assert custodial.custody is True and custodial.custody_ttl_seconds == 600.0
         assert loaded.workload.tunnels == 10
 
-    def test_custody_and_zones_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            KmsConfig().with_zones(2).with_custody()
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            KmsConfig().with_custody().with_zones(2)
+    def test_custody_and_zones_compose_on_the_metro_facade(self):
+        assert KmsConfig().with_zones(2).with_custody() == KmsConfig().with_custody().with_zones(2)
+        metro = QKDSystem(seed=12).metro(
+            n_zones=2, endpoints_per_zone=2, relays_per_zone=2, prefill_seconds=200.0
+        )
+        service = metro.kms(KmsConfig().with_custody())
+        assert service.zone_plan is not None and service.custody is not None
+        report = service.serve(hours=0.05)
+        assert report.zones == 2 and report.delivered_keys > 0
+        assert report.completion_accounted and report.custody_accounted
 
     def test_config_first_path_is_warning_free(self):
         import warnings as warnings_module

@@ -528,6 +528,43 @@ class TestKeyManagementService:
         # Pairs kept being served after the cut.
         assert report.rekeys_completed > report.demands * 0.5
 
+    def test_attack_end_and_restore_bring_a_link_back(self):
+        """Attack -> detection -> attack ends and the link is restored ->
+        the link banks pad again.  A restore alone would not do: the next
+        epoch would re-detect the eavesdropper still on the fiber."""
+        link = ("relay-2", "relay-3")
+
+        def run(end_attack):
+            service = KeyManagementService(
+                make_relays(),
+                KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1)),
+                rng=DeterministicRNG(7),
+            )
+            service.schedule_attack(600.0, *link, InterceptResendAttack(1.0))
+            if end_attack:
+                service.schedule_attack_end(1800.0, *link)
+            service.schedule_link_restore(1800.0, *link)
+            report = service.serve(hours=1.0)
+            epochs = service.replenisher.reports
+            detected = [e.epoch_index for e in epochs if link in e.newly_eavesdropped]
+            banked = [e.epoch_index for e in epochs if e.banked_bits.get(link, 0) > 0]
+            return report, detected, banked
+
+        restored = 15  # the epoch at t=1800 s
+        report, detected, banked = run(end_attack=True)
+        # caught once, by the first epoch after t=600 s that touched the link
+        assert len(detected) == 1 and 5 <= detected[0] < restored
+        assert link not in report.eavesdropped_links
+        # silent while flagged, banking again once the attack is gone
+        assert not [e for e in banked if detected[0] <= e < restored]
+        assert [e for e in banked if e >= restored]
+        assert report.completion_accounted
+
+        report, detected, banked = run(end_attack=False)
+        assert len(detected) == 2 and detected[1] >= restored
+        assert link in report.eavesdropped_links
+        assert not [e for e in banked if e >= detected[0]]
+
     def test_total_starvation_times_out_without_deadlock(self):
         relays = make_relays()
         # An epoch period beyond the horizon: no replenishment ever runs
@@ -635,15 +672,15 @@ class TestKeyManagementService:
 # --------------------------------------------------------------------- #
 
 
-def custody_soak(
+def custody_service(
     custody=True,
     restore_at=1500.0,
     ttl=4000.0,
     capacity=1 << 20,
     policy="scheduled",
 ):
-    """A 1-hour soak on a 2x2 mesh whose single cross-mesh pair loses its
-    only access link mid-run (endpoint-1 hangs off relay-1 alone)."""
+    """A 2x2 mesh whose single cross-mesh pair loses its only access link
+    mid-run (endpoint-1 hangs off relay-1 alone)."""
     relays = TrustedRelayNetwork.for_mesh(
         n_endpoints=2, n_relays=2, rng=DeterministicRNG(11), prefill_seconds=30.0
     )
@@ -659,7 +696,12 @@ def custody_soak(
     service.schedule_link_cut(100.0, "endpoint-1", "relay-1")
     if restore_at is not None:
         service.schedule_link_restore(restore_at, "endpoint-1", "relay-1")
-    return service.serve(hours=1.0)
+    return service
+
+
+def custody_soak(**scenario):
+    """One hour of :func:`custody_service`."""
+    return custody_service(**scenario).serve(hours=1.0)
 
 
 #: Literal pins for the custody soaks (recorded from the pre-seam delivery
@@ -707,6 +749,31 @@ class TestKmsCustody:
             report.custody_live,
         ) == counters
         assert report.custody_accounted and report.completion_accounted
+
+    def test_in_flight_bits_is_a_counter_equal_to_the_scan(self):
+        """``in_flight_bits`` is kept where bundle states change; it must
+        equal a scan of every bundle after every tick, through expiry,
+        eviction (TTL 300 s, room for three bundles) and delivery."""
+        pair = ("endpoint-0", "endpoint-1")
+        for scenario in (dict(restore_at=None, ttl=300.0, capacity=3 * 2048), {}):
+            service = custody_service(**scenario)
+            custody = service.custody
+            tick, ticks = custody.tick, []
+
+            def checked_tick(now):
+                tick(now)
+                live = sum(b.key_bits for b in custody.bundles.values() if b.live)
+                assert custody.in_flight_bits(*pair) == live
+                assert custody.in_flight_bits(*reversed(pair)) == 0
+                ticks.append(live)
+
+            custody.tick = checked_tick
+            report = service.serve(hours=1.0)
+            assert len(ticks) > 20 and max(ticks) > 0
+            if scenario:
+                assert report.custody_expired > 0 and report.custody_evicted > 0
+            else:
+                assert report.custody_delivered > 0 and ticks[-1] == 0
 
     def test_partitioned_deliveries_park_instead_of_starving(self):
         starved = custody_soak(custody=False)

@@ -1,7 +1,9 @@
 """Tests for the QKD network layer: topology, routing, trusted relays, switches."""
 
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.crypto.otp import PadExhaustedError
 from repro.network.relay import TrustedRelayNetwork
 from repro.network.routing import PathSelector, RoutingError
 from repro.network.switches import UntrustedSwitchNetwork
@@ -180,6 +182,31 @@ class TestTrustedRelay:
         relay = TrustedRelayNetwork(mesh, DeterministicRNG(5))
         relay.run_links_for(seconds)
         return relay
+
+    @given(pad=st.binary(max_size=96), payload=st.binary(max_size=64))
+    def test_cross_hop_spends_exactly_the_payload_or_nothing(self, pad, payload):
+        """The one pad-spending primitive: the payload arrives intact, costs
+        exactly its length in pad (the *next* pad bytes) and is announced
+        once; a pool that cannot cover it is left untouched and unannounced."""
+        net = QKDNetwork(DeterministicRNG(1))
+        net.add_endpoint("a")
+        net.add_endpoint("b")
+        net.add_link("a", "b", 5.0)
+        relay = TrustedRelayNetwork(net, DeterministicRNG(2))
+        relay.bank_pad("a", "b", pad)
+        announced = []
+        relay.add_pad_listener(announced.append)
+        arrived = relay.cross_hop("b", "a", payload)
+        remaining = relay.pad_for("a", "b")
+        if len(payload) > len(pad):
+            assert arrived is None and announced == []
+            assert remaining.peek(len(pad)) == pad and remaining.consumed_bytes == 0
+            with pytest.raises(PadExhaustedError):
+                relay.spend_path_pad([["a", "b"]], payload)
+        else:
+            assert arrived == payload and announced == [("a", "b")]
+            assert remaining.consumed_bytes == len(payload)
+            assert remaining.peek(remaining.available_bytes) == pad[len(payload):]
 
     def test_transport_succeeds_with_key(self, mesh):
         relay = self._loaded(mesh)

@@ -11,6 +11,8 @@ other half of the contract: with ``KmsConfig.zones`` left off, nothing in
 this PR may change the PR-5 digest.
 """
 
+import hashlib
+
 import pytest
 
 from repro.api import QKDSystem
@@ -213,7 +215,10 @@ PINNED_METRO_DIGEST = (
 )
 
 
-def run_metro_soak(workers: int, hours: float = 1.0):
+def metro_service(workers: int, gateway_outage: bool = False):
+    """``gateway_outage`` swaps the single trunk cut for the disrupted-trunk
+    case: custody on, and zone 0's gateway cut off from both other zones
+    for the same twenty minutes."""
     relays, plan = build_metro_mesh(
         n_zones=3,
         endpoints_per_zone=2,
@@ -238,10 +243,26 @@ def run_metro_soak(workers: int, hours: float = 1.0):
             AggregateProfile.poisson(tunnels=50, mean_interval_seconds=6_000.0)
         )
     )
+    if gateway_outage:
+        config = config.with_custody(ttl_seconds=3_000.0)
     service = KeyManagementService(relays, config, rng=DeterministicRNG(5))
-    service.schedule_link_cut(1_200.0, "z00-relay-0", "z01-relay-0")
-    service.schedule_link_restore(2_400.0, "z00-relay-0", "z01-relay-0")
-    return service.serve(hours=hours)
+    for other in ("z01-relay-0", "z02-relay-0") if gateway_outage else ("z01-relay-0",):
+        service.schedule_link_cut(1_200.0, "z00-relay-0", other)
+        service.schedule_link_restore(2_400.0, "z00-relay-0", other)
+    return service
+
+
+def run_metro_soak(workers: int, hours: float = 1.0):
+    return metro_service(workers).serve(hours=hours)
+
+
+#: The gateway-outage soak's pins: delivered digest, custody digest, and
+#: (parked, failed, custody submitted/delivered/expired/evicted/live).
+PINNED_GATEWAY_OUTAGE = (
+    "b06ffb7eb0d244639763d141ef7c855a096ec36c5adf057fb793f90520e38a86",
+    "9b0e68e7061881d8c5b595a04bef6bd83dbaf2c4986cc9d1844ae27811c8bc2e",
+    (95, 0, 95, 95, 0, 0, 0),
+)
 
 
 class TestZonedService:
@@ -268,11 +289,79 @@ class TestZonedService:
         for stats in report.per_trunk.values():
             assert stats["bits_deposited"] > 0
 
-    def test_custody_and_zones_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            KmsConfig(custody=True, zones=2)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            KmsConfig().with_custody().with_zones(2)
+    def test_custody_at_the_gateway_parks_trunk_refills(self):
+        """Custody composes with zoning: with a gateway cut off, trunk
+        refills park at the gateway and arrive when it is restored — where
+        the same outage without custody fails transports (25 of them)."""
+        service = metro_service(workers=1, gateway_outage=True)
+        # Log every deposit, consumer and trunk: where each custody bundle
+        # landed, and what exactly the delivered digest covers.
+        deposit_log = []
+        for store in [*service.stores.values(), *service.trunk_stores.values()]:
+            def deposit(key, now=0.0, _store=store, _deposit=store.deposit):
+                deposit_log.append((_store, key.to_bytes()))
+                return _deposit(key, now=now)
+
+            store.deposit = deposit
+        report = service.serve(hours=1.0)
+        assert report.transports_parked > 0
+        assert report.transports_failed == 0
+        assert report.custody_delivered > 0
+        assert report.completion_accounted and report.custody_accounted
+        assert (
+            report.delivered_digest,
+            report.custody_delivered_digest,
+            (
+                report.transports_parked,
+                report.transports_failed,
+                report.custody_submitted,
+                report.custody_delivered,
+                report.custody_expired,
+                report.custody_evicted,
+                report.custody_live,
+            ),
+        ) == PINNED_GATEWAY_OUTAGE
+
+        # Only trunk refills parked, and every bundle was banked in its trunk
+        # store.  Arriving is not a delivery: the delivered digest and count
+        # are exactly the consumer-store deposits, in order (a trunk key gets
+        # there when a cross-zone pair draws it, like any other trunk key).
+        trunk_of = {store.pair: store for store in service.trunk_stores.values()}
+        deposits = set(deposit_log)
+        for bundle in service.custody.bundles.values():
+            trunk = trunk_of[bundle.source, bundle.destination]
+            assert (trunk, bundle.key.to_bytes()) in deposits
+        replay = hashlib.sha256()
+        consumer_deposits = 0
+        for store, key in deposit_log:
+            if store.pair in trunk_of:
+                continue
+            consumer_deposits += 1
+            replay.update(f"{store.pair[0]}--{store.pair[1]}|{8 * len(key)}|".encode())
+            replay.update(key)
+        assert replay.hexdigest() == report.delivered_digest
+        assert report.delivered_keys == consumer_deposits
+        assert report.trunk_keys_delivered == len(deposit_log) - consumer_deposits
+
+        pair_of_workers = metro_service(workers=2, gateway_outage=True).serve(hours=1.0)
+        assert pair_of_workers.delivered_digest == report.delivered_digest
+        assert pair_of_workers.custody_delivered_digest == report.custody_delivered_digest
+
+    @pytest.mark.parametrize("custody_first", [True, False])
+    def test_custody_and_zones_compose_in_either_order(self, custody_first):
+        base = KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=300.0, workers=1))
+        config = (
+            base.with_custody().with_zones(2) if custody_first else base.with_zones(2).with_custody()
+        )
+        relays, _ = build_metro_mesh(
+            n_zones=2, endpoints_per_zone=2, relays_per_zone=2,
+            rng=DeterministicRNG(9), prefill_seconds=200.0,
+        )
+        service = KeyManagementService(relays, config, rng=DeterministicRNG(2))
+        report = service.serve(hours=0.1)
+        assert report.zones == 2 and service.custody is not None
+        assert report.delivered_keys > 0 and report.trunk_keys_delivered > 0
+        assert report.completion_accounted and report.custody_accounted
 
     def test_int_zones_partitions_the_mesh(self):
         relays, _ = build_metro_mesh(
@@ -308,7 +397,7 @@ class TestZonedService:
         )
         service.serve(hours=0.25)
         members = set(plan.members("z00"))
-        path = service._last_path[pair]
+        path = service._feeds[pair].last_path
         assert path, "intra-zone pair was never delivered to"
         assert set(path) <= members
 
