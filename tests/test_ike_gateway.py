@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.keypool import KeyPool
 from repro.crypto.otp import OneTimePad
+from repro.crypto.sha1 import prf_expand
 from repro.ipsec.esp import EspError, EspProcessor
 from repro.ipsec.gateway import GatewayPair
 from repro.ipsec.ike import (
@@ -159,6 +160,86 @@ class TestPhase2Qkd:
         alice.negotiate_phase2(bob, classical)
         assert alice_pool.available_bits == before
         assert alice.qkd_bits_consumed == 0
+
+
+#: Phase-2 output of ``make_daemons()`` negotiating AES_POLICY then OTP_POLICY,
+#: recorded from the from-scratch per-call SHA-1 at commit d191fdd:
+#: ``{pools: {policy: {sa: (encryption_key hex, authentication_key hex)}}}``.
+PINNED_SKEYID = "96524c01728e6d78ad2bca9b1b64eade91b7edcd"
+PINNED_SPIS = {"enclave": (52895214, 248514594), "pad": (52946904, 248531082)}
+PINNED_SA_KEYS = {
+    "synchronised": {
+        "enclave": {
+            "out_local": ("3593b0401f4728b8af105b6ef15c9ffb", "bfb3b9fd05cb75fbf048dc579bccc5d9599fe942"),
+            "in_local": ("b8a03a3492a8444d64396e5429733ed3", "5bc6011ede3da663e221d683359925cb2080e0ba"),
+            "out_peer": ("3593b0401f4728b8af105b6ef15c9ffb", "bfb3b9fd05cb75fbf048dc579bccc5d9599fe942"),
+            "in_peer": ("b8a03a3492a8444d64396e5429733ed3", "5bc6011ede3da663e221d683359925cb2080e0ba"),
+        },
+        "pad": {
+            "out_local": ("492c7e3b207cf49161deea4e94ef9bc9", "492c7e3b207cf49161deea4e94ef9bc942d189ec"),
+            "in_local": ("cbeb8be9ddc6865a2da4c10b296177a6", "cbeb8be9ddc6865a2da4c10b296177a60b380ad7"),
+            "out_peer": ("492c7e3b207cf49161deea4e94ef9bc9", "492c7e3b207cf49161deea4e94ef9bc942d189ec"),
+            "in_peer": ("cbeb8be9ddc6865a2da4c10b296177a6", "cbeb8be9ddc6865a2da4c10b296177a60b380ad7"),
+        },
+    },
+    "diverged": {
+        "enclave": {
+            "out_local": ("066e5e9942f2669d8e7c78343dce0f72", "e9fe062ac3a151c4a0bbd0682eeaea4681ce4157"),
+            "in_local": ("0eb33ddf50276e0f09fbb60ab280aa22", "9850d2d583f7d5fec8233aba89f283c0e7346221"),
+            "out_peer": ("2081d464bdca2b28b6f5c371f267fb86", "cae2d524fb52bc9e600f8b8df39fd9bf7fd87b35"),
+            "in_peer": ("dbcf69da0e9b5fed980bb130d19ff8fa", "5227de94bea575143ab209bb67e546f69d0e13f3"),
+        },
+        "pad": {
+            "out_local": ("2e269c53df1df586b6de9917d0ea88e6", "2e269c53df1df586b6de9917d0ea88e64e872cfa"),
+            "in_local": ("1a0c3146b8450f1b70b3604fb703e501", "1a0c3146b8450f1b70b3604fb703e501419ca4c6"),
+            "out_peer": ("5b33235a622f823d8d1d7edebbf8d63c", "5b33235a622f823d8d1d7edebbf8d63cf9f6c07f"),
+            "in_peer": ("1108585eb9ee3b911d4256be2bc58e76", "1108585eb9ee3b911d4256be2bc58e76dc5acf64"),
+        },
+    },
+}
+#: ``prf_expand(bytes(range(20)), bytes(range(164)), n)`` — the key and seed
+#: sizes of one KEYMAT derivation; every shorter output is a prefix of this.
+PINNED_PRF_52 = (
+    "e5163b1a2f7f5d3539cf35c5c19025e14ea540178481b0f4d1db6fdb5da8990d80ec002c"
+    "00669d7e00bc6caf8098697195c4115f"
+)
+
+
+class TestPinnedKeymat:
+    """Literal key bytes, so a change to SHA-1, HMAC, prf+ or the derivation
+    order inside ``negotiate_phase2`` cannot move an SA key unnoticed."""
+
+    @pytest.mark.parametrize("pools", ["synchronised", "diverged"])
+    def test_phase2_sa_keys(self, pools):
+        if pools == "synchronised":
+            alice_pool, bob_pool = synced_pools()
+        else:
+            alice_pool, _ = synced_pools(seed=60)
+            _, bob_pool = synced_pools(seed=61)
+        alice, bob = make_daemons(alice_pool, bob_pool)
+        assert alice.establish_phase1(bob).skeyid.hex() == PINNED_SKEYID
+        for policy in (AES_POLICY, OTP_POLICY):
+            out_local, in_local = alice.negotiate_phase2(bob, policy)
+            assert (out_local.spi, in_local.spi) == PINNED_SPIS[policy.name]
+            installed = {
+                "out_local": out_local,
+                "in_local": in_local,
+                "out_peer": bob.sad.lookup_spi(out_local.spi),
+                "in_peer": bob.sad.lookup_spi(in_local.spi),
+            }
+            keys = {
+                name: (sa.encryption_key.hex(), sa.authentication_key.hex())
+                for name, sa in installed.items()
+            }
+            assert keys == PINNED_SA_KEYS[pools][policy.name]
+            if pools == "diverged":
+                assert keys["out_local"] != keys["out_peer"]
+                assert keys["in_local"] != keys["in_peer"]
+
+    @pytest.mark.parametrize("length", [0, 1, 20, 21, 36, 52])
+    def test_prf_expand_outputs(self, length):
+        output = prf_expand(bytes(range(20)), bytes(range(164)), length)
+        assert output.hex() == PINNED_PRF_52[: 2 * length]
 
 
 class TestEspProcessor:
