@@ -25,7 +25,7 @@ have diverged).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.keypool import KeyPool
 from repro.crypto.otp import OneTimePad
@@ -286,6 +286,13 @@ class IKEDaemon:
         if policy.cipher_suite is CipherSuite.ONE_TIME_PAD:
             keymat_bytes = 20  # only an integrity key; confidentiality is the pad
 
+        # KEYMAT is a pure function of (SKEYID, seed), and while the two pools
+        # are in step the peer's two derivations have the local two's inputs
+        # byte for byte — so each distinct input is expanded once per
+        # negotiation: twice when synchronised, four times when the pools
+        # have diverged.
+        derived: Dict[Tuple[bytes, bytes], bytes] = {}
+
         def derive(skeyid: bytes, qkd_material, spi: int) -> bytes:
             seed = (
                 (qkd_material.to_bytes() if qkd_material is not None else b"")
@@ -293,7 +300,10 @@ class IKEDaemon:
                 + responder_nonce
                 + spi.to_bytes(4, "big")
             )
-            return prf_expand(skeyid, seed, keymat_bytes)
+            keymat = derived.get((skeyid, seed))
+            if keymat is None:
+                keymat = derived[skeyid, seed] = prf_expand(skeyid, seed, keymat_bytes)
+            return keymat
 
         keymat_out_local = derive(self.phase1.skeyid, qkd_bits, spi_out)
         keymat_out_peer = derive(peer.phase1.skeyid, peer_bits, spi_out)

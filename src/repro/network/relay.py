@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.otp import OneTimePad, PadExhaustedError
-from repro.network.routing import PathSelector, RoutingError
+from repro.network.routing import PathSelector, RoutingError, frozen_within
 from repro.network.topology import NodeKind, QKDNetwork
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -341,6 +341,7 @@ class TrustedRelayNetwork:
         ``now`` timestamps the custody submission.  ``within`` confines
         routing (and every retry) to a node subset.
         """
+        within = frozen_within(within)
         first = self.transport_key(source, destination, key_bits, within=within)
         if first.success:
             return first

@@ -10,13 +10,18 @@ the routing layer can use its path algorithms directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import networkx as nx
 
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.util.rng import DeterministicRNG
+
+
+#: What :meth:`QKDNetwork.route_state` returns: the layout version and the
+#: sorted node pairs of the links currently unusable.
+RouteState = Tuple[int, FrozenSet[Tuple[str, str]]]
 
 
 class NodeKind(enum.Enum):
@@ -39,7 +44,17 @@ class QKDNode:
 
 @dataclass
 class QKDLinkEdge:
-    """One QKD link (or fiber segment) between two adjacent nodes."""
+    """One QKD link (or fiber segment) between two adjacent nodes.
+
+    Once :meth:`QKDNetwork.add_link` has put an edge in a network, every
+    write to it — through the network's ``cut_link``/``restore_link``/...
+    methods or directly, ``edge.operational = False`` — is reported to that
+    network as it happens, which keeps its unusable-link set and its
+    :meth:`~QKDNetwork.route_state` in step.  So there is no way to change
+    what routing reads from an edge (its ``usable`` flag, its length, its
+    rate) without the route table's key changing with it: a direct write is
+    seen, not refused, and can never yield a stale route.
+    """
 
     node_a: str
     node_b: str
@@ -51,6 +66,16 @@ class QKDLinkEdge:
     eavesdropping_detected: bool = False
     #: Cached secret-key rate for the link, bits/second (analytic model).
     secret_key_rate_bps: float = 0.0
+    #: The network this edge belongs to, set by :meth:`QKDNetwork.add_link`.
+    _network: Optional["QKDNetwork"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        network = self.__dict__.get("_network")
+        if network is not None and name != "_network":
+            network._edge_written(self, name)
 
     @property
     def usable(self) -> bool:
@@ -67,9 +92,13 @@ class QKDNetwork:
         self.graph = nx.Graph()
         self.rng = rng or DeterministicRNG(0)
         #: Sorted node pairs of links currently not usable, maintained by
-        #: every state-changing method so per-epoch consumers (the kms
-        #: replenishment scheduler) need not walk all links to find them.
+        #: :meth:`_edge_written` so per-epoch consumers (the kms replenishment
+        #: scheduler) need not walk all links to find them.
         self._unusable: set = set()
+        #: Counts the changes that never revert: a node or link added, a
+        #: link's length or rate rewritten.
+        self._layout_version = 0
+        self._route_state: Optional[RouteState] = None
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -79,6 +108,7 @@ class QKDNetwork:
         if node.name in self.graph:
             raise ValueError(f"node {node.name!r} already exists")
         self.graph.add_node(node.name, node=node)
+        self._layout_changed()
 
     def add_endpoint(self, name: str) -> QKDNode:
         node = QKDNode(name, NodeKind.ENDPOINT)
@@ -101,7 +131,13 @@ class QKDNetwork:
                 raise KeyError(f"unknown node {name!r}")
         edge = QKDLinkEdge(node_a=node_a, node_b=node_b, length_km=length_km)
         edge.secret_key_rate_bps = self.estimate_link_rate(length_km)
+        if self.graph.has_edge(node_a, node_b):
+            # Re-adding a pair replaces its link with a fresh, usable one.
+            self.link(node_a, node_b)._network = None
+            self._unusable.discard(tuple(sorted((node_a, node_b))))
         self.graph.add_edge(node_a, node_b, link=edge)
+        edge._network = self
+        self._layout_changed()
         return edge
 
     # ------------------------------------------------------------------ #
@@ -136,26 +172,50 @@ class QKDNetwork:
         """Sorted node pairs of links currently cut, suspended or flagged."""
         return sorted(self._unusable)
 
+    def route_state(self) -> RouteState:
+        """Everything a route depends on, as one hashable value.
+
+        The second element is the set of unusable links, which a reroute
+        search or a repaired fiber returns to a value it has had before; the
+        first counts the changes that never do (nodes and links are only
+        ever added, and a rewritten length or rate is not expected back).
+        Two moments with equal ``route_state()`` have the same nodes, the
+        same links with the same lengths and rates, and the same usable
+        flags — the whole input of :meth:`PathSelector.find_path`.
+        """
+        if self._route_state is None:
+            self._route_state = (self._layout_version, frozenset(self._unusable))
+        return self._route_state
+
+    def _layout_changed(self) -> None:
+        self._layout_version += 1
+        self._route_state = None
+
+    def _edge_written(self, edge: QKDLinkEdge, name: str) -> None:
+        """One of this network's edges had ``name`` assigned (see
+        :class:`QKDLinkEdge`): bring the unusable set and the route state
+        in step with it."""
+        if name in ("operational", "eavesdropping_detected"):
+            key = tuple(sorted(edge.endpoints()))
+            if edge.usable:
+                self._unusable.discard(key)
+            else:
+                self._unusable.add(key)
+            self._route_state = None
+        else:
+            self._layout_changed()
+
     # ------------------------------------------------------------------ #
     # Failure / attack injection
     # ------------------------------------------------------------------ #
 
-    def _note_state(self, node_a: str, node_b: str) -> None:
-        key = tuple(sorted((node_a, node_b)))
-        if self.link(node_a, node_b).usable:
-            self._unusable.discard(key)
-        else:
-            self._unusable.add(key)
-
     def cut_link(self, node_a: str, node_b: str) -> None:
         """Take a link down (fiber cut or equipment failure)."""
         self.link(node_a, node_b).operational = False
-        self._note_state(node_a, node_b)
 
     def restore_link(self, node_a: str, node_b: str) -> None:
         self.link(node_a, node_b).operational = True
         self.link(node_a, node_b).eavesdropping_detected = False
-        self._note_state(node_a, node_b)
 
     def suspend_link(self, node_a: str, node_b: str) -> None:
         """Temporarily exclude a link from routing without clearing flags.
@@ -166,16 +226,13 @@ class QKDNetwork:
         the eavesdropping flag, so a quarantined link stays quarantined.
         """
         self.link(node_a, node_b).operational = False
-        self._note_state(node_a, node_b)
 
     def resume_link(self, node_a: str, node_b: str) -> None:
         self.link(node_a, node_b).operational = True
-        self._note_state(node_a, node_b)
 
     def mark_eavesdropped(self, node_a: str, node_b: str) -> None:
         """Record that this link's QKD protocols detected eavesdropping."""
         self.link(node_a, node_b).eavesdropping_detected = True
-        self._note_state(node_a, node_b)
 
     def fail_random_links(self, count: int) -> List[QKDLinkEdge]:
         """Cut ``count`` distinct randomly chosen operational links."""
@@ -184,7 +241,6 @@ class QKDNetwork:
         chosen = self.rng.sample(candidates, count)
         for edge in chosen:
             edge.operational = False
-            self._note_state(edge.node_a, edge.node_b)
         return chosen
 
     # ------------------------------------------------------------------ #

@@ -18,7 +18,7 @@ from repro.crypto.modes import (
     pkcs7_unpad,
 )
 from repro.crypto.otp import OneTimePad, PadExhaustedError
-from repro.crypto.sha1 import hmac_sha1, prf_expand, sha1, sha1_hexdigest
+from repro.crypto.sha1 import HmacSha1, hmac_sha1, prf_expand, sha1, sha1_hexdigest
 from repro.crypto.wegman_carter import (
     AuthenticationError,
     KeyPoolExhaustedError,
@@ -27,6 +27,7 @@ from repro.crypto.wegman_carter import (
 )
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.slow_sha1 import prf_plus_oracle, slow_sha1
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 IV = bytes(range(16))
@@ -104,16 +105,36 @@ class TestModes:
         assert cbc_decrypt(cipher, cbc_encrypt(cipher, message, IV), IV) == message
 
 
+#: Message lengths on both sides of every SHA-1 padding decision: empty; the
+#: last length whose padding fits one block (55) and the first that spills
+#: (56); one short of, exactly, and one past a block; and the same three
+#: cases one block later.
+PADDING_BOUNDARIES = (0, 55, 56, 63, 64, 65, 119, 120, 128)
+#: HMAC key lengths: empty, SKEYID-sized, exactly one block, the first that
+#: is hashed down (65), and well past it.
+KEY_LENGTHS = (0, 20, 64, 65, 200)
+
+_lengths = st.one_of(st.sampled_from(PADDING_BOUNDARIES), st.integers(0, 300))
+messages = _lengths.flatmap(lambda n: st.binary(min_size=n, max_size=n))
+keys = st.one_of(st.sampled_from(KEY_LENGTHS), st.integers(0, 100)).flatmap(
+    lambda n: st.binary(min_size=n, max_size=n)
+)
+
+
+def stdlib_hmac_sha1(key: bytes, message: bytes) -> bytes:
+    return stdlib_hmac.new(key, message, hashlib.sha1).digest()
+
+
 class TestSha1:
     def test_empty_and_known_vectors(self):
         assert sha1_hexdigest(b"") == "da39a3ee5e6b4b0d3255bfef95601890afd80709"
         assert sha1_hexdigest(b"abc") == "a9993e364706816aba3e25717850c26c9cd0d89d"
 
     def test_against_hashlib(self):
-        for size in (0, 1, 55, 56, 63, 64, 65, 200, 1000):
+        for size in sorted({1, 200, 1000, *PADDING_BOUNDARIES}):
             message = bytes(range(256)) * 4
             message = message[:size]
-            assert sha1(message) == hashlib.sha1(message).digest()
+            assert sha1(message) == hashlib.sha1(message).digest() == slow_sha1(message)
 
     def test_hmac_rfc2202_vectors(self):
         assert hmac_sha1(b"\x0b" * 20, b"Hi There").hex() == (
@@ -138,10 +159,54 @@ class TestSha1:
         assert prf_expand(b"k", b"a", 32) != prf_expand(b"k", b"b", 32)
         assert prf_expand(b"k1", b"a", 32) != prf_expand(b"k2", b"a", 32)
 
-    @given(st.binary(max_size=300))
-    @settings(max_examples=30, deadline=None)
+    @given(messages)
+    @settings(max_examples=60, deadline=None)
     def test_sha1_matches_hashlib_property(self, message):
-        assert sha1(message) == hashlib.sha1(message).digest()
+        assert sha1(message) == hashlib.sha1(message).digest() == slow_sha1(message)
+
+    def test_prf_expand_stops_at_the_one_octet_counter(self):
+        # 255 blocks of 20 bytes is all prf+ can number; one byte more used
+        # to wrap the counter to 0 and carry on.
+        assert prf_expand(b"k", b"s", 5100) == prf_plus_oracle(b"k", b"s", 5100)
+        with pytest.raises(ValueError, match="5101"):
+            prf_expand(b"k", b"s", 5101)
+        with pytest.raises(ValueError):
+            prf_expand(b"k", b"s", -1)
+
+
+class TestHmacSha1Differential:
+    """The keyed HMAC state and prf+ against the standard library's ``hmac``
+    and the prf+ oracle in ``tests/oracles`` (``sha1`` itself is held to
+    ``hashlib`` and the slow definition in :class:`TestSha1`)."""
+
+    @pytest.mark.parametrize("key_length", KEY_LENGTHS)
+    @pytest.mark.parametrize("length", PADDING_BOUNDARIES)
+    def test_hmac_at_every_key_and_padding_boundary(self, key_length, length):
+        key = bytes((7 * i + 1) % 256 for i in range(key_length))
+        message = bytes((3 * i + length) % 256 for i in range(length))
+        expected = stdlib_hmac_sha1(key, message)
+        assert HmacSha1(key).digest(message) == expected
+        assert hmac_sha1(key, message) == expected
+
+    @given(keys, messages)
+    @settings(max_examples=60, deadline=None)
+    def test_hmac_matches_stdlib(self, key, message):
+        expected = stdlib_hmac_sha1(key, message)
+        assert HmacSha1(key).digest(message) == expected
+        assert hmac_sha1(key, message) == expected
+
+    @given(keys, st.lists(messages, min_size=2, max_size=6))
+    @settings(max_examples=30, deadline=None)
+    def test_one_keyed_object_digests_many_messages(self, key, batch):
+        keyed = HmacSha1(key)
+        for message in batch + batch[::-1]:
+            assert keyed.digest(message) == HmacSha1(key).digest(message)
+            assert keyed.digest(message) == stdlib_hmac_sha1(key, message)
+
+    @given(keys, messages, st.integers(0, 130))
+    @settings(max_examples=40, deadline=None)
+    def test_prf_expand_matches_the_prf_plus_oracle(self, key, seed, length):
+        assert prf_expand(key, seed, length) == prf_plus_oracle(key, seed, length)
 
 
 class TestOneTimePad:

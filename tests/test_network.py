@@ -1,14 +1,16 @@
 """Tests for the QKD network layer: topology, routing, trusted relays, switches."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.crypto.otp import PadExhaustedError
+from repro.kms.zones import build_metro_mesh
 from repro.network.relay import TrustedRelayNetwork
 from repro.network.routing import PathSelector, RoutingError
 from repro.network.switches import UntrustedSwitchNetwork
 from repro.network.topology import NodeKind, QKDNetwork, interconnection_cost
 from repro.util.rng import DeterministicRNG
+from tests.oracles.rebuild_routing import rebuild_find_path
 
 
 @pytest.fixture
@@ -177,6 +179,168 @@ class TestRouting:
         assert by_length == ["a", "c", "b"]
 
 
+def _relay_mesh_case():
+    net = QKDNetwork.relay_mesh(n_endpoints=3, n_relays=4, rng=DeterministicRNG(1))
+    names = [node.name for node in net.nodes()]
+    withins = [None, tuple(names), tuple(n for n in names if n != "relay-2"), ("relay-0",)]
+    return net, withins
+
+
+def _metro_mesh_case():
+    relays, plan = build_metro_mesh(3, 2, 3, rng=DeterministicRNG(1))
+    withins = [None] + [plan.members(zone) for zone in plan.zone_ids]
+    return relays.network, withins
+
+
+def _answer(search):
+    """What a search said: its path, or its RoutingError's text."""
+    try:
+        return search()
+    except RoutingError as exc:
+        return str(exc)
+
+
+#: One state change each: ``(net, i, j)`` picks the link (and, where one is
+#: needed, a second node or a value) by index.
+def _edge(net, i):
+    links = net.links()
+    return links[i % len(links)]
+
+
+def _direct_flag_write(net, i, j):
+    edge = _edge(net, i)
+    if j % 2:
+        edge.operational = not edge.operational
+    else:
+        edge.eavesdropping_detected = not edge.eavesdropping_detected
+
+
+def _direct_weight_write(net, i, j):
+    edge = _edge(net, i)
+    if j % 2:
+        edge.length_km = 1.0 + j % 40
+    else:
+        edge.secret_key_rate_bps = float(j % 5000)
+
+
+def _add_link(net, i, j):
+    names = [node.name for node in net.nodes()]
+    node_a = names[i % len(names)]
+    node_b = names[j % len(names)]
+    if node_a != node_b:
+        net.add_link(node_a, node_b, 2.0 + (i + j) % 30)
+
+
+STATE_CHANGES = {
+    "cut_link": lambda net, i, j: net.cut_link(*_edge(net, i).endpoints()),
+    "restore_link": lambda net, i, j: net.restore_link(*_edge(net, i).endpoints()),
+    "suspend_link": lambda net, i, j: net.suspend_link(*_edge(net, i).endpoints()),
+    "resume_link": lambda net, i, j: net.resume_link(*_edge(net, i).endpoints()),
+    "mark_eavesdropped": lambda net, i, j: net.mark_eavesdropped(*_edge(net, i).endpoints()),
+    "fail_random_links": lambda net, i, j: net.fail_random_links(1 + j % 2),
+    "add_link": _add_link,
+    "direct_flag_write": _direct_flag_write,
+    "direct_weight_write": _direct_weight_write,
+}
+
+state_changes = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(STATE_CHANGES)),
+        st.integers(0, 10_000),
+        st.integers(0, 10_000),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestRouteTableDifferential:
+    """``find_path`` answers from a table keyed by the network's route state;
+    the oracle rebuilds the usable subgraph and searches on every call."""
+
+    @pytest.mark.parametrize("build", [_relay_mesh_case, _metro_mesh_case])
+    @given(changes=state_changes)
+    @settings(max_examples=40, deadline=None)
+    def test_find_path_equals_the_rebuild_oracle_after_every_change(self, build, changes):
+        net, withins = build()
+        selectors = [PathSelector(net, metric) for metric in PathSelector.METRICS]
+        names = [node.name for node in net.nodes()]
+
+        def check(i, j):
+            for k in range(3):
+                source = names[(i + k) % len(names)]
+                destination = names[(j + 5 * k) % len(names)] if k < 2 else "nowhere"
+                within = withins[(i + j + k) % len(withins)]
+                for selector in selectors:
+                    expected = _answer(
+                        lambda: rebuild_find_path(selector, source, destination, within)
+                    )
+                    found = _answer(lambda: selector.find_path(source, destination, within))
+                    assert found == expected
+                    if isinstance(found, list):
+                        # The list is the caller's: wrecking it changes nothing.
+                        found.append("scribble")
+                        found[0] = None
+                    again = _answer(
+                        # A one-shot iterator is as good a ``within`` as a tuple.
+                        lambda: selector.find_path(
+                            source, destination, None if within is None else iter(within)
+                        )
+                    )
+                    assert again == expected
+
+        check(0, 1)
+        for name, i, j in changes:
+            STATE_CHANGES[name](net, i, j)
+            check(i, j)
+            assert net.unusable_link_keys() == sorted(
+                tuple(sorted(edge.endpoints())) for edge in net.links() if not edge.usable
+            )
+
+    def test_direct_edge_write_is_seen_at_once(self, mesh):
+        selector = PathSelector(mesh)
+        before = selector.find_path("endpoint-0", "endpoint-1")
+        edge = mesh.link(before[1], before[2])
+        edge.operational = False  # no cut_link: written straight to the edge
+        detour = selector.find_path("endpoint-0", "endpoint-1")
+        assert detour != before
+        assert detour == rebuild_find_path(selector, "endpoint-0", "endpoint-1")
+        assert tuple(sorted(edge.endpoints())) in mesh.unusable_link_keys()
+        edge.operational = True
+        assert selector.find_path("endpoint-0", "endpoint-1") == before
+        assert mesh.unusable_link_keys() == []
+
+    def test_revisited_state_is_answered_from_its_own_table(self, mesh):
+        selector = PathSelector(mesh)
+        before = selector.find_path("endpoint-0", "endpoint-1")
+        state = mesh.route_state()
+        mesh.suspend_link(before[1], before[2])
+        assert mesh.route_state() != state
+        selector.find_path("endpoint-0", "endpoint-1")
+        mesh.resume_link(before[1], before[2])
+        assert mesh.route_state() == state
+        assert len(selector._routes) == 2
+        assert selector.find_path("endpoint-0", "endpoint-1") == before
+        assert len(selector._routes) == 2
+
+    def test_table_stays_bounded_under_10000_state_changes(self, mesh):
+        selector = PathSelector(mesh)
+        rng = DeterministicRNG(9)
+        names = sorted(STATE_CHANGES)
+        endpoints = mesh.endpoints()
+        largest = 0
+        for _ in range(10_000):
+            change = names[rng.randint(0, len(names) - 1)]
+            STATE_CHANGES[change](mesh, rng.randint(0, 10_000), rng.randint(0, 10_000))
+            for source in endpoints:
+                for destination in endpoints:
+                    selector.path_exists(source, destination)
+            assert len(selector._routes) <= PathSelector.MAX_ROUTE_STATES
+            largest = max(largest, max(len(table) for table in selector._routes.values()))
+        # One entry per distinct query answered, never more.
+        assert largest <= len(endpoints) ** 2
+
+
 class TestTrustedRelay:
     def _loaded(self, mesh, seconds=60.0):
         relay = TrustedRelayNetwork(mesh, DeterministicRNG(5))
@@ -245,6 +409,21 @@ class TestTrustedRelay:
         second = relay.transport_with_reroute("endpoint-0", "endpoint-1", 128)
         assert second.success
         assert second.path != first.path
+
+    @pytest.mark.parametrize("container", [tuple, iter])
+    def test_reroute_accepts_a_one_shot_within(self, container):
+        """``within`` is an ``Iterable``: the reroute retries must see the
+        same node set the first attempt saw, not an exhausted iterator."""
+        net = QKDNetwork.relay_mesh(2, 4, rng=DeterministicRNG(1))
+        relay = TrustedRelayNetwork(net, DeterministicRNG(5))
+        relay.run_links_for(60.0)
+        preferred = relay.selector.find_path("endpoint-0", "endpoint-1")
+        exhausted = relay.pad_for(preferred[1], preferred[2])
+        exhausted.encrypt(bytes(exhausted.available_bytes))
+        everywhere = container(node.name for node in net.nodes())
+        result = relay.transport_with_reroute("endpoint-0", "endpoint-1", 128, within=everywhere)
+        assert result.success and result.rerouted
+        assert (preferred[1], preferred[2]) not in zip(result.path, result.path[1:])
 
     def test_point_to_point_has_no_fallback(self):
         net = QKDNetwork.point_to_point()
