@@ -771,6 +771,81 @@ class TestGracefulDrain:
         assert protocol.ERROR_NAMES[error.code] == "shutting-down"
         assert error.code in protocol.FATAL_ERRORS
 
+    @staticmethod
+    async def _raw_connection(server):
+        """A handshaken plain stream: the frames the server writes are read
+        as they are, with no client reader task between them and the test."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+        writer.write(encode_frame(Hello(), protocol.PROTOCOL_V1))
+        await writer.drain()
+        welcome = decode_body(await protocol.read_frame(reader), expected_version=None)
+        assert isinstance(welcome, Welcome)
+        return reader, writer, welcome.wire_version
+
+    def test_idle_connection_is_told_shutting_down_then_closed(self):
+        async def scenario():
+            server = await started_server()
+            reader, writer, version = await self._raw_connection(server)
+            await server.stop(drain_timeout=2.0)
+            body = await asyncio.wait_for(protocol.read_frame(reader), 2.0)
+            farewell = decode_body(body, expected_version=version)
+            rest = await asyncio.wait_for(reader.read(), 2.0)
+            writer.close()
+            await writer.wait_closed()
+            return farewell, rest, server.metrics
+
+        farewell, rest, metrics = run(scenario())
+        assert isinstance(farewell, Error)
+        assert (farewell.request_id, farewell.code) == (0, protocol.ERR_SHUTTING_DOWN)
+        assert rest == b""  # nothing after the farewell but EOF
+        assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
+        assert metrics.connections_closed == metrics.connections_opened == 1
+
+    def test_request_pipelined_behind_in_flight_one_is_rejected_under_its_own_id(self):
+        entered = asyncio.Event()
+        hold = asyncio.Event()
+
+        async def gate(message):
+            if isinstance(message, Consume):
+                entered.set()
+                await hold.wait()
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store}, request_hook=gate)
+            reader, writer, version = await self._raw_connection(server)
+
+            async def reply():
+                body = await asyncio.wait_for(protocol.read_frame(reader), 2.0)
+                return decode_body(body, expected_version=version)
+
+            writer.write(encode_frame(Reserve(request_id=1, pair=PAIR, bits=1024), version))
+            granted = await reply()
+            held = Consume(request_id=2, pair=PAIR, reservation_id=granted.reservation_id)
+            writer.write(encode_frame(held, version))
+            writer.write(encode_frame(Status(request_id=3, pair=PAIR), version))
+            await writer.drain()
+            await entered.wait()
+            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
+            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
+            hold.set()
+            replies = [await reply(), await reply()]
+            rest = await asyncio.wait_for(reader.read(), 2.0)
+            await stop_task
+            writer.close()
+            await writer.wait_closed()
+            return replies, rest, store, server.metrics
+
+        (served, rejected), rest, store, metrics = run(scenario())
+        assert isinstance(served, ConsumeOk)
+        assert (served.request_id, served.key_bits) == (2, 1024)
+        assert isinstance(rejected, Error)
+        assert (rejected.request_id, rejected.code) == (3, protocol.ERR_SHUTTING_DOWN)
+        assert rest == b""
+        assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
+        assert metrics.requests_by_kind == {"Reserve": 1, "Consume": 1}
+        assert store.reserved_bits == 0 and store.available_bits == 4096 - 1024
+
 
 class TestFailingPeers:
     async def _stub_server(self, behaviour):
