@@ -46,6 +46,11 @@ class KeyPool:
     pools stay bit-for-bit synchronised as long as consumers on both sides
     draw the same amounts in the same order (which the IKE extension
     negotiates explicitly via its Qblock offer/reply).
+
+    ``blocks`` is read-only to callers: the pool keeps its level as a
+    counter moved by :meth:`add_block`, :meth:`draw_bits` and
+    :meth:`drop_head_blocks`, so a block appended to or removed from the
+    list behind its back would not be counted.
     """
 
     name: str = "keypool"
@@ -58,6 +63,11 @@ class KeyPool:
     bits_expired: int = 0
     #: Optional cap on stored bits, modelling a bounded key store.
     capacity_bits: Optional[int] = None
+    #: ``sum(len(block) for block in blocks) - _head_offset``, kept current.
+    _available_bits: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._available_bits = sum(len(block) for block in self.blocks) - self._head_offset
 
     # ------------------------------------------------------------------ #
     # Producer side
@@ -66,10 +76,11 @@ class KeyPool:
     def add_block(self, block: KeyBlock) -> None:
         """Append a freshly distilled block."""
         if self.capacity_bits is not None:
-            if self.available_bits + len(block) > self.capacity_bits:
+            if self._available_bits + len(block) > self.capacity_bits:
                 raise ValueError("key pool capacity exceeded")
         self.blocks.append(block)
         self.bits_added += len(block)
+        self._available_bits += len(block)
 
     def add_bits(self, bits: BitString, block_id: int = -1, qber: float = 0.0) -> None:
         """Convenience producer used by tests and simple examples."""
@@ -82,8 +93,7 @@ class KeyPool:
     @property
     def available_bits(self) -> int:
         """Bits currently available for consumption."""
-        total = sum(len(block) for block in self.blocks)
-        return total - self._head_offset
+        return self._available_bits
 
     @property
     def available_bytes(self) -> int:
@@ -93,9 +103,9 @@ class KeyPool:
         """Consume ``count`` bits in FIFO order."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count > self.available_bits:
+        if count > self._available_bits:
             raise KeyPoolExhaustedError(
-                f"{self.name}: need {count} bits, have {self.available_bits}"
+                f"{self.name}: need {count} bits, have {self._available_bits}"
             )
         collected: List[BitString] = []
         needed = count
@@ -110,6 +120,7 @@ class KeyPool:
                 self.blocks.pop(0)
                 self._head_offset = 0
         self.bits_consumed += count
+        self._available_bits -= count
         return BitString().concat(*collected)
 
     def draw_bytes(self, count: int) -> bytes:
@@ -138,6 +149,7 @@ class KeyPool:
             dropped += len(head) - self._head_offset
             self._head_offset = 0
         self.bits_expired += dropped
+        self._available_bits -= dropped
         return dropped
 
     def expire_older_than(self, cutoff: float) -> int:

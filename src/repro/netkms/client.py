@@ -16,9 +16,8 @@ server answers a connection's frames in arrival order.
 from __future__ import annotations
 
 import asyncio
-import itertools
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.netkms import protocol
 from repro.netkms.protocol import (
@@ -48,6 +47,14 @@ Pair = Tuple[str, str]
 Connector = Callable[
     [str, int], Awaitable[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]
 ]
+
+
+def _request_ids(first: int = 1) -> Iterator[int]:
+    """Request ids without end: up to the largest the header's u32 carries,
+    then round again from 1 (0 is the server's "no request" id)."""
+    while True:
+        yield from range(first, 0xFFFFFFFF + 1)
+        first = 1
 
 
 class RequestTimeoutError(TimeoutError):
@@ -129,7 +136,7 @@ class NetworkKmsClient:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
         self._pending: Dict[int, asyncio.Future] = {}
-        self._ids = itertools.count(1)
+        self._ids = _request_ids()
         self._write_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
@@ -274,6 +281,10 @@ class NetworkKmsClient:
         if self._writer is None or self.version is None:
             raise RuntimeError("client is not connected")
         message.request_id = next(self._ids)
+        while message.request_id in self._pending:
+            # Round the id space once already and this one still awaits its
+            # reply: a second request under it would steal that reply.
+            message.request_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self._pending[message.request_id] = future
         try:

@@ -124,6 +124,8 @@ MAX_FRAME_BYTES = 1 << 16
 _MIN_BODY = 2
 
 _LENGTH_PREFIX = struct.Struct("<I")
+#: kind, version, request id: the fixed head of every frame body.
+_HEADER = struct.Struct("<BBI")
 
 
 class ProtocolError(Exception):
@@ -178,32 +180,37 @@ class _Cursor:
         return len(self.data) - self.offset
 
     def u8(self, what: str) -> int:
-        if self.remaining() < 1:
+        offset = self.offset
+        if offset >= len(self.data):
             raise ProtocolError(ERR_MALFORMED, f"truncated before {what}")
-        value = self.data[self.offset]
-        self.offset += 1
-        return value
+        self.offset = offset + 1
+        return self.data[offset]
 
     def varint(self, what: str) -> int:
+        data, offset = self.data, self.offset
         value = 0
-        for i in range(10):
-            byte = self.u8(what)
-            value |= (byte & 0x7F) << (7 * i)
+        for shift in range(0, 70, 7):
+            if offset >= len(data):
+                raise ProtocolError(ERR_MALFORMED, f"truncated before {what}")
+            byte = data[offset]
+            offset += 1
+            value |= (byte & 0x7F) << shift
             if byte < 0x80:
                 if value >= 1 << 64:
                     raise ProtocolError(ERR_MALFORMED, f"{what} overflows 64 bits")
+                self.offset = offset
                 return value
         raise ProtocolError(ERR_MALFORMED, f"{what} varint longer than 10 bytes")
 
     def raw(self, count: int, what: str) -> bytes:
-        if count > self.remaining():
+        offset = self.offset
+        if count > len(self.data) - offset:
             raise ProtocolError(
                 ERR_MALFORMED,
                 f"{what} claims {count} bytes, {self.remaining()} remain",
             )
-        chunk = self.data[self.offset : self.offset + count]
-        self.offset += count
-        return chunk
+        self.offset = offset + count
+        return self.data[offset : offset + count]
 
     def string(self, what: str, limit: int = 255) -> str:
         length = self.varint(f"{what} length")
@@ -217,14 +224,17 @@ class _Cursor:
     def pair(self) -> Tuple[str, str]:
         return (self.string("pair[0]"), self.string("pair[1]"))
 
-    def expect_end(self, what: str) -> None:
+    def expect_end(self, kind: int) -> None:
         if self.remaining():
+            what = ERROR_NAMES.get(kind, f"kind 0x{kind:02x}")
             raise ProtocolError(ERR_MALFORMED, f"{self.remaining()} trailing bytes after {what}")
 
 
 def _varint(value: int) -> bytes:
     if value < 0 or value >= 1 << 64:
         raise ValueError("varints encode non-negative 64-bit integers only")
+    if value < 0x80:
+        return bytes((value,))
     out = bytearray()
     while value >= 0x80:
         out.append((value & 0x7F) | 0x80)
@@ -247,7 +257,7 @@ def _pair_bytes(pair: Tuple[str, str]) -> bytes:
 def _header(kind: int, version: int, request_id: int) -> bytes:
     if not 0 <= request_id <= 0xFFFFFFFF:
         raise ValueError("request id out of u32 range")
-    return struct.pack("<BBI", kind, version, request_id)
+    return _HEADER.pack(kind, version, request_id)
 
 
 # --------------------------------------------------------------------------- #
@@ -638,9 +648,7 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
     """
     if len(body) < _MIN_BODY:
         raise ProtocolError(ERR_MALFORMED, f"frame body of {len(body)} bytes has no header")
-    cursor = _Cursor(body)
-    kind = cursor.u8("kind")
-    version = cursor.u8("version")
+    kind, version = body[0], body[1]
     decoder = _DECODERS.get(kind)
     if decoder is None:
         raise ProtocolError(ERR_UNKNOWN_KIND, f"unknown message kind 0x{kind:02x}")
@@ -659,12 +667,12 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
             raise ProtocolError(ERR_VERSION, f"pre-negotiation ERROR must be v1, got v{version}")
     else:
         raise ProtocolError(ERR_VERSION, f"0x{kind:02x} before version negotiation completed")
-    if cursor.remaining() < 4:
+    if len(body) < _HEADER.size:
         raise ProtocolError(ERR_MALFORMED, "frame truncated inside request id")
-    (request_id,) = struct.unpack_from("<I", body, cursor.offset)
-    cursor.offset += 4
+    request_id = _HEADER.unpack_from(body)[2]
+    cursor = _Cursor(body, _HEADER.size)
     message = decoder._decode(cursor, request_id, version)
-    cursor.expect_end(ERROR_NAMES.get(kind, f"kind 0x{kind:02x}"))
+    cursor.expect_end(kind)
     # The header version the frame actually carried — how a connecting
     # client learns which version a WELCOME frame announces.
     message.wire_version = version

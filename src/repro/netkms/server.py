@@ -11,12 +11,14 @@ refuse draws that would invade another consumer's reservation.
 Concurrency model
 -----------------
 
-One asyncio task per connection; requests on a connection are answered in
-order (clients may pipeline — responses echo the request id).  All store
-operations are synchronous and are additionally serialized through a
-per-pair :class:`asyncio.Lock` around the reserve-bookkeeping and
-consume-draw sections, so the no-overlap guarantee does not silently depend
-on no ``await`` ever creeping between a lookup and its draw.
+One asyncio task per connection, and no other: the handler reads a frame,
+dispatches it and writes the reply inline, so serving a request creates no
+task.  Requests on a connection are answered in order (clients may pipeline
+— responses echo the request id).  All store operations are synchronous and
+are additionally serialized through a per-pair :class:`asyncio.Lock` around
+the reserve-bookkeeping and consume-draw sections, so the no-overlap
+guarantee does not silently depend on no ``await`` ever creeping between a
+lookup and its draw.
 
 Disruption tolerance
 --------------------
@@ -33,7 +35,10 @@ window a failing peer would otherwise open:
 * **lease reap** — reservations that outlive their lease (a half-open
   connection the TCP stack has not noticed is dead) are released by the
   periodic sweep (and lazily on every reserve/consume/release), so bits
-  can never stay invisible forever.
+  can never stay invisible forever.  The server keeps the earliest
+  outstanding deadline, so a reap with nothing due — nearly every request
+  — costs one comparison; the held reservations and the replay cache are
+  looked through only when the clock has reached that deadline.
 
 Consumed reservations enter a bounded **replay cache** for one lease term:
 a client that lost the CONSUME_OK to a connection drop can reconnect and
@@ -41,10 +46,14 @@ re-issue the same CONSUME, and the server re-delivers the *same* bytes —
 the material is drawn (and counted by the served digest) exactly once.
 This is what makes CONSUME idempotent and the client's retry loop safe.
 
-``stop()`` drains gracefully: the listener closes, the request currently
-being dispatched on each connection finishes and is answered, any further
-request is rejected with a typed ``SHUTTING_DOWN`` error, and every
-still-held reservation is reaped so the stores are left clean.
+``stop()`` drains gracefully, and is itself what signals the drain — a
+connection waiting for its next request watches nothing.  ``stop()`` writes
+a typed ``SHUTTING_DOWN`` error (request id 0) to every connection parked
+between requests and closes it, and closes the listener.  A connection in
+mid-dispatch finishes its request and answers it; a request already
+pipelined behind that one is rejected with ``SHUTTING_DOWN`` under its own
+request id, and the connection closes.  Every still-held reservation is
+then reaped so the stores are left clean.
 
 Hostile input
 -------------
@@ -61,6 +70,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
@@ -121,6 +131,17 @@ class ServedReservation:
     key_bits: int
     key_bytes: bytes
     expires_at: float
+
+
+@dataclass
+class _Connection:
+    """What :meth:`NetworkKmsServer.stop` needs to dismiss a connection."""
+
+    writer: asyncio.StreamWriter
+    version: int
+    #: True while the handler is parked in (or about to enter) its frame
+    #: read, i.e. no request of this connection is being dispatched.
+    idle: bool = True
 
 
 class NetworkKmsServer:
@@ -194,11 +215,17 @@ class NetworkKmsServer:
         self._held: Dict[Tuple[Pair, int], HeldReservation] = {}
         #: Recently consumed reservations, for idempotent CONSUME replay.
         self._served: Dict[Tuple[Pair, int], ServedReservation] = {}
+        #: A lower bound on every ``expires_at`` in ``_held`` and ``_served``:
+        #: lowered when an entry is added, never raised when one leaves, and
+        #: made exact again by each scan.  ``reap_expired`` before it has
+        #: nothing to find.
+        self._earliest_deadline = math.inf
         self._locks: Dict[Pair, asyncio.Lock] = {}
         self._conn_ids = itertools.count(1)
         self._conn_tasks: Set[asyncio.Task] = set()
+        #: Connections past their handshake, by connection id.
+        self._connections: Dict[int, _Connection] = {}
         self._draining = False
-        self._drain_event: Optional[asyncio.Event] = None
         self._reaper_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------ #
@@ -210,7 +237,6 @@ class NetworkKmsServer:
             raise RuntimeError("server already started")
         self._locks = {pair: asyncio.Lock() for pair in self.stores}
         self._draining = False
-        self._drain_event = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, host=self.host, port=self.port
         )
@@ -223,19 +249,21 @@ class NetworkKmsServer:
     async def stop(self, drain_timeout: float = 5.0) -> None:
         """Drain and shut down.
 
-        The listener closes first (no new connections), then every live
-        connection is told to drain: the request currently being dispatched
-        finishes and is answered, any further request gets a typed
-        ``SHUTTING_DOWN`` error, and the connection closes.  Connections
-        that have not finished within ``drain_timeout`` are cancelled.
-        Finally every still-held reservation is reaped back into its store,
-        so a stopped server never leaves bits invisibly reserved.
+        ``stop`` itself dismisses every connection parked between requests
+        (a typed ``SHUTTING_DOWN`` error under request id 0, then close) and
+        closes the listener (no new connections).  A connection in
+        mid-dispatch is left alone: its request finishes and is answered,
+        any further request gets ``SHUTTING_DOWN`` under its own id, and the
+        connection closes.  Connections that have not finished within
+        ``drain_timeout`` are cancelled.  Finally every still-held
+        reservation is reaped back into its store, so a stopped server
+        never leaves bits invisibly reserved.
         """
         if self._server is None:
             return
         self._draining = True
-        if self._drain_event is not None:
-            self._drain_event.set()
+        for conn in list(self._connections.values()):
+            self._dismiss_if_idle(conn)
         self._server.close()
         await self._server.wait_closed()
         self._server = None
@@ -280,14 +308,20 @@ class NetworkKmsServer:
         Runs lazily on every reserve/consume/release and periodically from
         the reaper task; callable directly (e.g. against an injected sim
         clock) for deterministic tests.  Also evicts replay-cache entries
-        past their retention window.
+        past their retention window.  A call before the earliest
+        outstanding deadline is one comparison; only a call at or past it
+        looks at the entries, and leaves the bound exact.
         """
         now = self._now() if now is None else now
+        if now < self._earliest_deadline:
+            return 0
         freed = 0
         for key in [k for k, held in self._held.items() if held.expires_at <= now]:
             freed += self._reap_one(key, "lease-expired")
         for key in [k for k, entry in self._served.items() if entry.expires_at <= now]:
             del self._served[key]
+        outstanding = itertools.chain(self._held.values(), self._served.values())
+        self._earliest_deadline = min((e.expires_at for e in outstanding), default=math.inf)
         return freed
 
     def _reap_connection(self, conn_id: int) -> int:
@@ -302,6 +336,7 @@ class NetworkKmsServer:
         for key in list(self._held):
             freed += self._reap_one(key, reason)
         self._served.clear()
+        self._earliest_deadline = math.inf
         return freed
 
     def _reap_one(self, key: Tuple[Pair, int], reason: str) -> int:
@@ -383,43 +418,49 @@ class NetworkKmsServer:
         return version
 
     async def _serve_requests(self, reader, writer, version: int, conn_id: int) -> None:
-        assert self._drain_event is not None
-        while True:
-            read_task = asyncio.ensure_future(
-                protocol.read_frame(reader, self.max_frame_bytes)
-            )
-            drain_task = asyncio.ensure_future(self._drain_event.wait())
-            try:
-                done, _pending = await asyncio.wait(
-                    {read_task, drain_task}, return_when=asyncio.FIRST_COMPLETED
-                )
-            finally:
-                for waiter in (read_task, drain_task):
-                    if not waiter.done():
-                        waiter.cancel()
-            if drain_task in done and read_task not in done:
-                # Idle connection during drain: tell the peer why and close.
-                await asyncio.gather(read_task, return_exceptions=True)
-                exc = ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
-                await self._send_error(writer, 0, exc, version)
-                return
-            await asyncio.gather(drain_task, return_exceptions=True)
-            try:
-                body = read_task.result()
-            except ProtocolError as exc:
-                # The stream is out of frame sync; report and drop it.
-                await self._send_error(writer, 0, exc, version)
-                return
-            try:
-                message = protocol.decode_body(body, expected_version=version)
-                response = await self._dispatch(message, version, conn_id)
-            except ProtocolError as exc:
-                request_id = _request_id_of(body)
-                await self._send_error(writer, request_id, exc, version)
-                if exc.fatal:
+        conn = _Connection(writer, version)
+        self._connections[conn_id] = conn
+        loop = asyncio.get_running_loop()
+        try:
+            while True:
+                conn.idle = True
+                if self._draining:
+                    # stop() made its pass while this connection was in
+                    # mid-dispatch.  A frame already buffered is read below
+                    # without yielding to the loop and meets the gate in
+                    # _dispatch; otherwise the read parks and the callback
+                    # dismisses this connection as stop() would have.
+                    loop.call_soon(self._dismiss_if_idle, conn)
+                try:
+                    body = await protocol.read_frame(reader, self.max_frame_bytes)
+                except ProtocolError as exc:
+                    # The stream is out of frame sync; report and drop it.
+                    conn.idle = False
+                    await self._send_error(writer, 0, exc, version)
                     return
-                continue
-            await self._send(writer, response, version)
+                conn.idle = False
+                try:
+                    message = protocol.decode_body(body, expected_version=version)
+                    response = await self._dispatch(message, version, conn_id)
+                except ProtocolError as exc:
+                    request_id = _request_id_of(body)
+                    await self._send_error(writer, request_id, exc, version)
+                    if exc.fatal:
+                        return
+                    continue
+                await self._send(writer, response, version)
+        finally:
+            del self._connections[conn_id]
+
+    def _dismiss_if_idle(self, conn: _Connection) -> None:
+        """Tell a connection parked in its frame read that the server is
+        draining, and close it; the handler wakes on the EOF and leaves
+        through its peer-went-away exit."""
+        if not conn.idle or conn.writer.is_closing():
+            return
+        exc = ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
+        self._write_error(conn.writer, 0, exc, conn.version)
+        conn.writer.close()
 
     async def _dispatch(self, message: Message, version: int, conn_id: int) -> Message:
         if self._draining:
@@ -497,11 +538,14 @@ class NetworkKmsServer:
             except KeyStoreExhaustedError as exc:
                 self.metrics.note_reserve(time.perf_counter() - started, granted=False)
                 raise ProtocolError(protocol.ERR_EXHAUSTED, str(exc)) from None
+            expires_at = now + self.lease_seconds
             self._held[(message.pair, reservation.reservation_id)] = HeldReservation(
                 reservation=reservation,
                 owner=conn_id,
-                expires_at=now + self.lease_seconds,
+                expires_at=expires_at,
             )
+            if expires_at < self._earliest_deadline:
+                self._earliest_deadline = expires_at
         self.metrics.note_reserve(time.perf_counter() - started, granted=True)
         return ReserveOk(
             request_id=message.request_id,
@@ -546,11 +590,14 @@ class NetworkKmsServer:
             raise ProtocolError(protocol.ERR_INTERNAL, "store pools desynchronised")
         key_bytes = local.to_bytes()
         self.metrics.note_key_served(key_bytes, len(local))
+        expires_at = self._now() + self.replay_retention_seconds
         self._served[key] = ServedReservation(
             key_bits=len(local),
             key_bytes=key_bytes,
-            expires_at=self._now() + self.replay_retention_seconds,
+            expires_at=expires_at,
         )
+        if expires_at < self._earliest_deadline:
+            self._earliest_deadline = expires_at
         while len(self._served) > REPLAY_CACHE_LIMIT:
             self._served.pop(next(iter(self._served)))
         return ConsumeOk(
@@ -588,12 +635,16 @@ class NetworkKmsServer:
     async def _send_error(
         self, writer, request_id: int, exc: ProtocolError, version: int
     ) -> None:
-        self.metrics.note_error(exc.code)
-        error = Error(request_id=request_id, code=exc.code, detail=exc.detail)
+        self._write_error(writer, request_id, exc, version)
         try:
-            await self._send(writer, error, version)
+            await writer.drain()
         except ConnectionError:
             pass
+
+    def _write_error(self, writer, request_id: int, exc: ProtocolError, version: int) -> None:
+        self.metrics.note_error(exc.code)
+        error = Error(request_id=request_id, code=exc.code, detail=exc.detail)
+        writer.write(protocol.encode_frame(error, version))
 
     def __repr__(self) -> str:
         state = "up" if self._server is not None else "down"

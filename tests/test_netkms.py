@@ -15,13 +15,16 @@ Four layers of contract:
 
 import asyncio
 import struct
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
 from repro.kms.store import KeyStore
 from repro.netkms import protocol
-from repro.netkms.client import NetworkKmsClient
+from repro.netkms import server as server_module
+from repro.netkms.client import NetworkKmsClient, _request_ids
 from repro.netkms.protocol import (
     Capabilities,
     CapabilitiesOk,
@@ -42,8 +45,9 @@ from repro.netkms.protocol import (
     encode_frame,
     negotiate,
 )
-from repro.netkms.server import NetworkKmsServer
+from repro.netkms.server import REPLAY_CACHE_LIMIT, NetworkKmsServer, ServedReservation
 from repro.util.bits import BitString
+from tests.oracles.full_scan_reaper import full_scan_reap_expired
 
 PAIR = ("alice", "bob")
 
@@ -965,3 +969,231 @@ class TestFailingPeers:
             await stub.wait_closed()
 
         run(scenario())
+
+
+class TestRequestIds:
+    def test_ids_wrap_at_the_u32_limit_and_skip_the_ones_still_pending(self):
+        """A connection must outlive 2**32 requests: the header carries the
+        id as a u32, so the client starts over at 1 — and never reuses an id
+        whose reply is still owed, or that reply would go to the wrong caller."""
+        seen = []
+        entered, hold = asyncio.Event(), asyncio.Event()
+
+        async def gate(message):
+            seen.append(message.request_id)
+            if len(seen) == 1:
+                entered.set()
+                await hold.wait()
+
+        async def scenario():
+            server = await started_server(request_hook=gate)
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    client._ids = _request_ids(0xFFFFFFFE)
+                    burst = [asyncio.ensure_future(client.status(PAIR)) for _ in range(5)]
+                    await entered.wait()  # the first is held; four wait behind it
+                    straddling = sorted(client._pending)
+                    client._ids = _request_ids(0xFFFFFFFF)  # once round already
+                    burst.append(asyncio.ensure_future(client.status(PAIR)))
+                    await asyncio.sleep(0)
+                    hold.set()
+                    return straddling, await asyncio.wait_for(asyncio.gather(*burst), 5.0)
+            finally:
+                await server.stop()
+
+        straddling, replies = run(scenario())
+        assert straddling == [1, 2, 3, 0xFFFFFFFE, 0xFFFFFFFF]
+        assert seen == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2, 3, 4]
+        assert [reply.request_id for reply in replies] == seen
+        assert all(isinstance(reply, StatusOk) for reply in replies)
+
+
+# --------------------------------------------------------------------------- #
+# The serving path's bookkeeping: reaping by deadline, no task per request
+# --------------------------------------------------------------------------- #
+
+
+class FullScanServer(NetworkKmsServer):
+    """The same server, reaping by the oracle's scan of every entry."""
+
+    reap_expired = full_scan_reap_expired
+
+
+LEASE_SECONDS = 2.0
+
+reaper_steps = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [
+                "reserve",
+                "consume",
+                "replay",
+                "release",
+                "disconnect",
+                "advance",
+                "step_back",
+                "reap_at",
+            ]
+        ),
+        st.integers(0, 1_000),
+        st.integers(0, 1_000),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestReaperDifferential:
+    """``reap_expired`` looks at its entries only once the clock reaches the
+    earliest outstanding deadline; the oracle compares every deadline on
+    every call.  Both serve the same requests under the same clock."""
+
+    @pytest.mark.parametrize("retention", [None, LEASE_SECONDS / 4])
+    @given(steps=reaper_steps)
+    @settings(max_examples=40, deadline=None)
+    def test_reaping_equals_the_full_scan_oracle_after_every_step(self, retention, steps):
+        clock = {"t": 50.0}
+
+        def build(cls):
+            return cls(
+                {PAIR: make_store(bits=1 << 12)},
+                now=lambda: clock["t"],
+                lease_seconds=LEASE_SECONDS,
+                replay_retention_seconds=retention,
+                reap_interval_seconds=None,
+            )
+
+        async def answer(server, message, conn_id):
+            try:
+                return await server._dispatch(message, protocol.PROTOCOL_V3, conn_id)
+            except ProtocolError as exc:
+                return exc.code
+
+        def state(server):
+            store = server.stores[PAIR]
+            return (
+                store.unreserved_bits,
+                store.available_bits,
+                set(server._held),
+                set(server._served),
+                server.metrics.reaped_by_reason,
+                server.metrics.reaped_bits,
+                server.metrics.consume_replays,
+            )
+
+        async def scenario():
+            servers = [await build(NetworkKmsServer).start(), await build(FullScanServer).start()]
+            granted, consumed = [0], [0]  # reservation ids; 0 is nobody's
+            try:
+                for name, i, j in steps:
+                    conn_id = 1 + i % 3
+                    if name == "reserve":
+                        message = Reserve(pair=PAIR, bits=8 * (1 + j % 8))
+                    elif name == "consume":
+                        message = Consume(pair=PAIR, reservation_id=granted[j % len(granted)])
+                    elif name == "replay":
+                        message = Consume(pair=PAIR, reservation_id=consumed[j % len(consumed)])
+                    elif name == "release":
+                        message = Release(pair=PAIR, reservation_id=granted[j % len(granted)])
+                    else:
+                        message = None
+                    if message is not None:
+                        outcomes = [await answer(server, message, conn_id) for server in servers]
+                        if isinstance(outcomes[0], ReserveOk):
+                            granted.append(outcomes[0].reservation_id)
+                        if isinstance(outcomes[0], ConsumeOk):
+                            consumed.append(outcomes[0].reservation_id)
+                    elif name == "disconnect":
+                        outcomes = [server._reap_connection(conn_id) for server in servers]
+                    elif name == "advance":
+                        clock["t"] += (j % 30) / 10
+                        outcomes = [server.reap_expired() for server in servers]
+                    elif name == "step_back":
+                        clock["t"] -= (j % 30) / 10
+                        outcomes = [server.reap_expired() for server in servers]
+                    else:
+                        at = clock["t"] + (j % 60) / 10 - 1.0
+                        outcomes = [server.reap_expired(now=at) for server in servers]
+                    assert outcomes[0] == outcomes[1], (name, i, j)
+                    assert state(servers[0]) == state(servers[1]), (name, i, j)
+            finally:
+                for server in servers:
+                    await server.stop()
+            assert state(servers[0]) == state(servers[1])
+
+        # A small replay cache, so eviction by count also takes away the
+        # entry whose deadline the server is holding as its earliest.
+        with mock.patch.object(server_module, "REPLAY_CACHE_LIMIT", 3):
+            run(scenario())
+
+    def test_a_get_key_with_nothing_due_reads_no_cache_entry_deadline(self):
+        """A count, not a timing: the replay cache is full, nothing is due,
+        and serving one more key looks at none of its entries' deadlines."""
+        reads = []
+
+        class Watched(ServedReservation):
+            def __getattribute__(self, name):
+                if name == "expires_at":
+                    reads.append(name)
+                return super().__getattribute__(name)
+
+        async def scenario():
+            store = make_store(bits=1 << 15)
+            server = await started_server({PAIR: store}, reap_interval_seconds=None)
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    for _ in range(REPLAY_CACHE_LIMIT + 5):
+                        await client.get_key(PAIR, bits=8)
+                    assert len(server._served) == REPLAY_CACHE_LIMIT
+                    for key, entry in server._served.items():
+                        server._served[key] = Watched(**vars(entry))
+                    held = await client.reserve(PAIR, bits=8)  # one live lease as well
+                    key = await client.get_key(PAIR, bits=8)
+                    await client.release(held)
+                    return key, len(server._served), server.metrics
+            finally:
+                await server.stop()
+
+        key, cached, metrics = run(scenario())
+        assert key.key_bits == 8
+        assert cached == REPLAY_CACHE_LIMIT
+        assert metrics.reservations_reaped == 0
+        assert reads == []
+
+
+class TestNoTaskPerRequest:
+    def test_two_hundred_get_keys_create_no_task(self):
+        """Client and server share the test's loop, so its task factory sees
+        both sides: serving a key on a connected client makes no task."""
+        created = []
+
+        def counting_factory(loop, coro, **kwargs):
+            created.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        async def scenario():
+            asyncio.get_running_loop().set_task_factory(counting_factory)
+            server = await started_server({PAIR: make_store(bits=1 << 15)})
+            clients = [NetworkKmsClient("127.0.0.1", server.port) for _ in range(2)]
+            try:
+                for client in clients:
+                    await client.connect()
+                    await client.get_key(PAIR, bits=8)
+
+                async def drive(client):
+                    return [await client.get_key(PAIR, bits=8) for _ in range(100)]
+
+                drivers = [asyncio.ensure_future(drive(client)) for client in clients]
+                created.clear()  # the connections, handlers and drivers exist
+                served = await asyncio.gather(*drivers)
+                during = list(created)
+            finally:
+                for client in clients:
+                    await client.close()
+                await server.stop()
+            return served, during, server.metrics
+
+        served, during, metrics = run(scenario())
+        assert [len(keys) for keys in served] == [100, 100]
+        assert metrics.keys_served == 202
+        assert during == []

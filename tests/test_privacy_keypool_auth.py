@@ -8,6 +8,7 @@ from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.core.messages import PrivacyAmplificationMessage, PublicChannelLog, SiftMessage
 from repro.core.privacy import PrivacyAmplification
 from repro.crypto.wegman_carter import AuthenticationError
+from repro.kms.store import KeyStore
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -155,6 +156,54 @@ class TestKeyPool:
     def test_negative_draw_rejected(self):
         with pytest.raises(ValueError):
             KeyPool().draw_bits(-1)
+
+    POOLS = {
+        "empty": lambda: KeyPool(),
+        "built_with_blocks": lambda: KeyPool(
+            blocks=[
+                KeyBlock(BitString.ones(24), 0),
+                KeyBlock(BitString.zeros(40), 1, created_at=1.0),
+            ],
+            _head_offset=5,
+        ),
+        "capped": lambda: KeyPool(capacity_bits=128),
+        "store_pool": lambda: KeyStore(("a", "b")).local_pool,
+    }
+    OPERATIONS = {
+        "add_block": lambda pool, n, step: pool.add_block(
+            KeyBlock(BitString.ones(n % 70), step, created_at=float(step))
+        ),
+        "draw_bits": lambda pool, n, step: pool.draw_bits(n),
+        "draw_bytes": lambda pool, n, step: pool.draw_bytes(n % 9),
+        "drop_head_blocks": lambda pool, n, step: pool.drop_head_blocks(n % 4),
+        "expire_older_than": lambda pool, n, step: pool.expire_older_than(float(n % (step + 2))),
+    }
+
+    @pytest.mark.parametrize("build", sorted(POOLS))
+    @given(
+        operations=st.lists(
+            st.tuples(st.sampled_from(sorted(OPERATIONS)), st.integers(0, 150)), max_size=40
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_level_counter_equals_the_block_sum_after_every_operation(self, build, operations):
+        pool = self.POOLS[build]()
+
+        def ledger():
+            return pool.bits_added - pool.bits_consumed - pool.bits_expired
+
+        def block_sum():
+            return sum(len(block) for block in pool.blocks) - pool._head_offset
+
+        assert pool.available_bits == block_sum()
+        for step, (name, n) in enumerate(operations):
+            level, booked = pool.available_bits, ledger()
+            try:
+                self.OPERATIONS[name](pool, n, step)
+            except (KeyPoolExhaustedError, ValueError):
+                assert pool.available_bits == level  # a refusal moves nothing
+            assert pool.available_bits == block_sum()
+            assert pool.available_bits - level == ledger() - booked
 
 
 class TestAuthenticatedChannel:
