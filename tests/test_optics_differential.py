@@ -8,6 +8,8 @@ attack bookkeeping, and — because a later batch continues the same streams —
 the same state left behind in every generator it touched.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -161,3 +163,94 @@ def test_binomial_skips_zero_counts_without_consuming():
         "and relies on that being the dense draw, values and stream position alike; "
         "every pinned key-material digest will move with it."
     )
+
+
+def _holding_buffered_uint32(seed, uint8_draws):
+    """A generator that has (1-3 ``uint8`` draws) or has not (0) left half a
+    64-bit word buffered — the state every 32-bit draw must carry through."""
+    rng = np.random.default_rng(seed)
+    if uint8_draws:
+        rng.integers(0, 256, size=uint8_draws, dtype=np.uint8)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def test_canary_coin_flips_are_the_top_bit_of_the_byte_stream():
+    """numpy canary for ``repro.optics.draws.coin_flips``."""
+    failure = (
+        "Generator.integers(0, 2, n, dtype=uint8) is no longer the top bit of the "
+        "bytes Generator.bytes(n) returns, stream position included, on this numpy. "
+        "repro.optics.draws.coin_flips draws Alice's basis and value, Bob's basis, "
+        "the double-click coin, the afterpulse detector and Eve's basis and guesses "
+        "that way; every pinned key-material digest will move with it."
+    )
+    for n in (1, 2, 3, 4, 5, 7, 8, 4095, 4096, 4097, 500_000):
+        for uint8_draws in range(4):
+            reference_rng = _holding_buffered_uint32(2003 + n, uint8_draws)
+            bytes_rng = _holding_buffered_uint32(2003 + n, uint8_draws)
+            reference = reference_rng.integers(0, 2, size=n, dtype=np.uint8)
+            from_bytes = np.frombuffer(bytes_rng.bytes(n), dtype=np.uint8) >> 7
+            assert np.array_equal(reference, from_bytes), failure
+            assert reference_rng.bit_generator.state == bytes_rng.bit_generator.state, failure
+
+    # n = 0 is the one length where the two calls part: integers() takes
+    # nothing, bytes(0) takes a 32-bit word.  coin_flips special-cases it;
+    # this records why the special case cannot be simplified away.
+    for uint8_draws in range(4):
+        rng = _holding_buffered_uint32(2003, uint8_draws)
+        before = rng.bit_generator.state
+        assert rng.integers(0, 2, size=0, dtype=np.uint8).shape == (0,)
+        assert rng.bit_generator.state == before, failure
+        assert rng.bytes(0) == b""
+        assert rng.bit_generator.state != before, (
+            "Generator.bytes(0) no longer consumes a 32-bit word on this numpy: the "
+            "n == 0 branch of repro.optics.draws.coin_flips may now be unnecessary, "
+            "but check the identity above before removing it."
+        )
+
+
+def _poisson_mult_transcription(rng, lam, n):
+    """numpy's ``random_poisson_mult`` (legacy-distributions.c), line for line,
+    over ``Generator.random`` doubles."""
+    enlam = math.exp(-lam)
+    counts = []
+    for _ in range(n):
+        x = 0
+        prod = 1.0
+        while True:
+            prod *= rng.random()
+            if prod > enlam:
+                x += 1
+            else:
+                break
+        counts.append(x)
+    return np.array(counts, dtype=np.int64)
+
+
+def test_canary_poisson_is_the_multiplication_method_on_the_double_stream():
+    """numpy canary for ``repro.optics.draws.poisson_counts``."""
+    failure = (
+        "Generator.poisson(lam, n) for 0 < lam < 10 is no longer the multiplication "
+        "method (multiply uniform doubles until the product falls to exp(-lam)) over "
+        "the doubles Generator.random returns, with exp(-lam) == math.exp(-lam), on "
+        "this numpy. repro.optics.draws.poisson_counts replays the photon number of "
+        "every pulse (both sources, Eve's resent pulses) from that stream; every "
+        "pinned key-material digest will move with it."
+    )
+    for lam in (0.01, 0.1, 1.0, 9.9):
+        for n in (0, 1, 7, 2000):
+            for uint8_draws in (0, 3):
+                reference_rng = _holding_buffered_uint32(2003, uint8_draws)
+                replay_rng = _holding_buffered_uint32(2003, uint8_draws)
+                reference = reference_rng.poisson(lam, size=n)
+                replayed = _poisson_mult_transcription(replay_rng, lam, n)
+                assert np.array_equal(reference, replayed), failure
+                assert (
+                    reference_rng.bit_generator.state == replay_rng.bit_generator.state
+                ), failure
+
+    # lam == 0 is numpy's own early return: zeros, nothing consumed.
+    rng = _holding_buffered_uint32(2003, 3)
+    before = rng.bit_generator.state
+    assert not rng.poisson(0.0, size=1000).any(), failure
+    assert rng.bit_generator.state == before, failure
