@@ -30,6 +30,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.eve.base import QuantumChannelAttack
+from repro.optics.draws import MAX_MEAN_COUNT, coin_flips, poisson_counts
 
 
 class InterceptResendAttack(QuantumChannelAttack):
@@ -40,6 +41,10 @@ class InterceptResendAttack(QuantumChannelAttack):
     def __init__(self, intercept_fraction: float = 1.0, resend_mean_photons: Optional[float] = None):
         if not 0.0 <= intercept_fraction <= 1.0:
             raise ValueError("intercept fraction must be in [0, 1]")
+        if resend_mean_photons is not None and not 0 <= resend_mean_photons <= MAX_MEAN_COUNT:
+            raise ValueError(
+                "resend mean photon number must be non-negative and fit uint16 photon counts"
+            )
         self.intercept_fraction = intercept_fraction
         #: Eve may resend brighter pulses to make sure Bob sees them; None
         #: means "resend exactly one photon per intercepted non-empty pulse",
@@ -55,11 +60,11 @@ class InterceptResendAttack(QuantumChannelAttack):
         # fiber loss (her equipment is lossless per the threat model).
         intercepted = (rng.random(n) < self.intercept_fraction) & (photons > 0)
 
-        eve_basis = rng.integers(0, 2, size=n, dtype=np.uint8)
+        eve_basis = coin_flips(rng, n)
         # Measurement outcome: if Eve's basis matches Alice's she reads the
         # true value; otherwise her detector clicks at random.
         basis_match = eve_basis == emission["basis"]
-        random_bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+        random_bits = coin_flips(rng, n)
         eve_value = np.where(basis_match, emission["value"], random_bits).astype(np.uint8)
 
         # Pulses Eve did not touch propagate normally through the fiber.
@@ -70,7 +75,9 @@ class InterceptResendAttack(QuantumChannelAttack):
         if self.resend_mean_photons is None:
             resent_photons = np.ones(n, dtype=np.int64)
         else:
-            resent_photons = rng.poisson(self.resend_mean_photons, size=n).astype(np.int64)
+            resent_photons, _ = poisson_counts(
+                rng, self.resend_mean_photons, n, out=np.empty(n, dtype=np.int64)
+            )
 
         photons_at_receiver = np.where(intercepted, resent_photons, untouched_photons)
         eve_phase = eve_basis * (math.pi / 2.0) + eve_value * math.pi

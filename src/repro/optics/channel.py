@@ -34,6 +34,7 @@ from repro.optics.detector import (
     combine_clicks,
     signal_click_probability,
 )
+from repro.optics.draws import coin_flips
 from repro.optics.entangled import EntangledPairSource, EntangledSourceParameters
 from repro.optics.fiber import OpticalPath
 from repro.optics.interferometer import (
@@ -210,7 +211,7 @@ class FrameResult:
         if self._summary is not None:
             raise _released_error("frame_numbers")
         if self._frame_numbers is None:
-            frame_index, _slot_in_frame = frame_layout(self._slots_per_frame, self.n_slots)
+            frame_index = frame_layout(self._slots_per_frame, self.n_slots)
             frame_index += self._first_frame_number
             self._frame_numbers = frame_index
         return self._frame_numbers
@@ -235,17 +236,17 @@ class FrameResult:
         """
         if self._summary is not None:
             return
-        # One pass over the masks: the usable/sifted masks feed three of the
-        # five summaries, so computing each summary through its property
-        # would rebuild them repeatedly — measurable at lane-engine frame
-        # rates (hundreds of small frames per epoch).
-        usable = self.bob_click & ~self.bob_double
-        sifted = usable & (self.alice_basis == self.bob_basis)
+        # Everything but the multi-photon count is a statement about the
+        # slots that clicked (one gate in ~300), so gather those once instead
+        # of building whole-batch masks.
+        clicked = self.bob_click.nonzero()[0]
+        usable = clicked[~self.bob_double[clicked]]
+        sifted = usable[self.alice_basis[usable] == self.bob_basis[usable]]
         self._summary = {
             "n_slots": int(self.alice_basis.shape[0]),
             "n_multi_photon": int(np.count_nonzero(self.alice_photons >= 2)),
-            "n_detected": int(np.count_nonzero(usable)),
-            "n_sifted": int(np.count_nonzero(sifted)),
+            "n_detected": int(usable.shape[0]),
+            "n_sifted": int(sifted.shape[0]),
             "n_sifted_errors": int(
                 np.count_nonzero(self.alice_value[sifted] != self.bob_value[sifted])
             ),
@@ -446,11 +447,18 @@ def transmit_lanes(channels, n_slots: int, attacks=None):
       click/dark0/dark1, afterpulse, double-click coin, frame gates — one
       call each, ``n_slots`` wide, whether or not the slot can click.  A
       lane's bitstream is therefore a function of its channel alone, and the
-      pinned digests are lane-count- and lane-order-invariant.  (The two
-      photon-count binomials are drawn on the non-zero counts only: numpy's
-      ``binomial(0, p)`` is 0 and consumes nothing, so values and stream
-      position are those of the dense call —
-      ``test_binomial_skips_zero_counts_without_consuming`` pins that.)
+      pinned digests are lane-count- and lane-order-invariant.  Three kinds
+      of draw are taken more cheaply than by the ``Generator`` method that
+      defines them, each with the same values from the same stream
+      positions and each behind a numpy canary in
+      ``tests/test_optics_differential.py``: the 0/1 draws (both bases,
+      Alice's value, the coin, the afterpulse detector) are the top bit of
+      ``Generator.bytes`` and the photon number is replayed from the
+      ``Generator.random`` doubles numpy's Poisson multiplies together
+      (:mod:`repro.optics.draws` — the source hands on the non-empty slots
+      it learns that way, so nothing scans a photon row for them); and the
+      two photon-count binomials are drawn on the non-zero counts only
+      (numpy's ``binomial(0, p)`` is 0 and consumes nothing).
     * The *physics between the draws* runs only where it can matter.  The
       received photons are carried as a sparse ``(slots, counts)`` pair per
       lane, the click probability is evaluated only on them (~5 % of slots),
@@ -515,14 +523,13 @@ def transmit_lanes(channels, n_slots: int, attacks=None):
         rng = channel._numpy_rng
         parameters = channel.parameters
 
-        # --- source --- #
-        channel.source.emit_into(basis2[i], value2[i], photons2[i])
+        # --- source: fills the three rows, returns the non-empty slots --- #
+        rx_slots = channel.source.emit_into(basis2[i], value2[i], photons2[i])
 
         # --- fibre / attack: the slots photons reach Bob on, and how many --- #
         transmittance = parameters.path.transmittance
         phase_at_receiver = None
         if attacks[i] is None:
-            rx_slots = photons2[i].nonzero()[0]
             rx_counts = rng.binomial(photons2[i][rx_slots], transmittance)
         else:
             emission = {
@@ -541,7 +548,7 @@ def transmit_lanes(channels, n_slots: int, attacks=None):
         rx_counts = rx_counts[arrived]
 
         # --- Bob's basis choice, phase noise, detector draw --- #
-        bob_basis2[i] = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
+        coin_flips(rng, n_slots, out=bob_basis2[i])
         noise_rad = parameters.interferometer.phase_noise_rad
         noise = rng.normal(0.0, noise_rad, size=n_slots) if noise_rad > 0 else None
         detector_draws = rng.random(n_slots)
@@ -562,7 +569,7 @@ def transmit_lanes(channels, n_slots: int, attacks=None):
         afterpulse = parameters.detectors.afterpulse_probability
         if afterpulse > 0:
             apply_afterpulse(signal, afterpulse, rng, dark0, dark1)
-        coin = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
+        coin = coin_flips(rng, n_slots)
 
         # A detector fires exactly where a signal click or a dark count
         # happened, so the click row is known before any interference.

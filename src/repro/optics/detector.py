@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.optics.draws import coin_flips
+
 
 def signal_click_probability(photons_at_receiver: np.ndarray, per_photon) -> np.ndarray:
     """Elementwise click probability ``1 - (1 - per_photon) ** k``.
@@ -74,7 +76,7 @@ def apply_afterpulse(
         return
     after = np.zeros(n, dtype=bool)
     after[1:] = signal_click[:-1] & (numpy_rng.random(n - 1) < afterpulse_probability)
-    after_detector = numpy_rng.integers(0, 2, size=n, dtype=np.uint8)
+    after_detector = coin_flips(numpy_rng, n)
     dark0 |= after & (after_detector == 0)
     dark1 |= after & (after_detector == 1)
 

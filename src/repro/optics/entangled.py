@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.optics.draws import MAX_MEAN_COUNT, coin_flips, poisson_counts
 from repro.util.rng import DeterministicRNG
 
 
@@ -42,6 +43,8 @@ class EntangledSourceParameters:
     def __post_init__(self) -> None:
         if self.mean_pairs_per_pulse < 0:
             raise ValueError("mean pairs per pulse must be non-negative")
+        if self.mean_pairs_per_pulse > MAX_MEAN_COUNT:
+            raise ValueError("mean pairs per pulse too large for uint16 photon counts")
         if not 0.0 <= self.heralding_efficiency <= 1.0:
             raise ValueError("heralding efficiency must be in [0, 1]")
         if self.pulse_rate_hz <= 0:
@@ -73,6 +76,28 @@ class EntangledPairSource:
         self._numpy_rng = np.random.default_rng(self.rng.getrandbits(64))
         self.pulses_emitted = 0
 
+    def _draw(
+        self, pairs_out: np.ndarray, basis_out: np.ndarray, value_out: np.ndarray
+    ):
+        """The entangled draws — pairs, herald, basis, value, in that order, one
+        call each over the whole batch — into three caller-provided arrays.
+
+        Returns ``(occupied, heralded)``: the ascending slots that hold at
+        least one pair, and for each of them whether its idler was detected.
+        The herald draw is taken for every slot and read only there.
+        """
+        n_pulses = pairs_out.shape[-1]
+        _, occupied = poisson_counts(
+            self._numpy_rng, self.parameters.mean_pairs_per_pulse, n_pulses, out=pairs_out
+        )
+        heralded = (
+            self._numpy_rng.random(n_pulses)[occupied] < self.parameters.heralding_efficiency
+        )
+        coin_flips(self._numpy_rng, n_pulses, out=basis_out)
+        coin_flips(self._numpy_rng, n_pulses, out=value_out)
+        self.pulses_emitted += int(n_pulses)
+        return occupied, heralded
+
     def emit(self, n_pulses: int):
         """Emit ``n_pulses`` pump slots.
 
@@ -87,23 +112,15 @@ class EntangledPairSource:
             The measurement outcome encoded on the signal photon once Alice
             measures her half — equivalent, for protocol purposes, to the
             basis/value modulation of the weak-coherent source.
-
-        This is the single implementation of the entangled draws (pairs,
-        herald, basis, value — in that order); :meth:`emit_into` is built on
-        it.
         """
         if n_pulses < 0:
             raise ValueError("number of pulses must be non-negative")
-        pairs = self._numpy_rng.poisson(
-            self.parameters.mean_pairs_per_pulse, size=n_pulses
-        ).astype(np.int64)
-        herald_draws = self._numpy_rng.random(n_pulses)
-        heralded = (pairs > 0) & (
-            herald_draws < self.parameters.heralding_efficiency
-        )
-        basis = self._numpy_rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
-        value = self._numpy_rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
-        self.pulses_emitted += int(n_pulses)
+        pairs = np.empty(n_pulses, dtype=np.int64)
+        basis = np.empty(n_pulses, dtype=np.uint8)
+        value = np.empty(n_pulses, dtype=np.uint8)
+        occupied, heralded_pair = self._draw(pairs, basis, value)
+        heralded = np.zeros(n_pulses, dtype=bool)
+        heralded[occupied] = heralded_pair
         return {
             "pairs": pairs,
             "heralded": heralded,
@@ -113,19 +130,19 @@ class EntangledPairSource:
 
     def emit_into(
         self, basis_out: np.ndarray, value_out: np.ndarray, photons_out: np.ndarray
-    ) -> None:
+    ) -> np.ndarray:
         """Draw one batch into caller-provided arrays (the lane contract).
 
-        Same contract as :meth:`WeakCoherentSource.emit_into`.  Only heralded
-        slots carry a signal photon Alice has a record of; unheralded signal
-        photons are discarded at the source (they would otherwise produce
-        clicks Alice can never reconcile), so ``photons_out`` receives the
-        pair count masked by the herald.
+        Same contract as :meth:`WeakCoherentSource.emit_into`, return value
+        included.  Only heralded slots carry a signal photon Alice has a
+        record of; unheralded signal photons are discarded at the source
+        (they would otherwise produce clicks Alice can never reconcile), so
+        ``photons_out`` receives the pair count masked by the herald and the
+        slots returned are the heralded ones.
         """
-        emission = self.emit(basis_out.shape[-1])
-        basis_out[...] = emission["basis"]
-        value_out[...] = emission["value"]
-        photons_out[...] = np.where(emission["heralded"], emission["pairs"], 0)
+        occupied, heralded = self._draw(photons_out, basis_out, value_out)
+        photons_out[occupied[~heralded]] = 0
+        return occupied[heralded]
 
     def __repr__(self) -> str:
         return (

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.optics.draws import MAX_MEAN_COUNT, coin_flips, poisson_counts
 from repro.util.rng import DeterministicRNG
 from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 
@@ -62,6 +63,8 @@ class SourceParameters:
     def __post_init__(self) -> None:
         if self.mean_photon_number < 0:
             raise ValueError("mean photon number must be non-negative")
+        if self.mean_photon_number > MAX_MEAN_COUNT:
+            raise ValueError("mean photon number too large for uint16 photon counts")
         if self.pulse_rate_hz <= 0:
             raise ValueError("pulse rate must be positive")
 
@@ -94,22 +97,28 @@ class WeakCoherentSource:
 
     def emit_into(
         self, basis_out: np.ndarray, value_out: np.ndarray, photons_out: np.ndarray
-    ) -> None:
+    ) -> np.ndarray:
         """Draw one batch of modulation choices into caller-provided arrays.
 
         :func:`repro.optics.channel.transmit_lanes` hands in one *row* of its
         ``(n_links, n_slots)`` arrays per lane.  Per slot: Alice's random
         basis (0/1), her random key bit (0/1), and the Poissonian photon
         number actually present — drawn in that order, one call each, which
-        is what the pinned digests fix.
+        is what the pinned digests fix (:mod:`repro.optics.draws` takes the
+        same values from the same stream positions).
+
+        Returns the ascending indices of the non-empty pulses
+        (``photons_out.nonzero()[0]``), which the photon-number draw knows
+        without another pass over a row that is mostly zeros.
         """
         n_pulses = basis_out.shape[-1]
-        basis_out[...] = self._numpy_rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
-        value_out[...] = self._numpy_rng.integers(0, 2, size=n_pulses, dtype=np.uint8)
-        photons_out[...] = self._numpy_rng.poisson(
-            self.parameters.mean_photon_number, size=n_pulses
+        coin_flips(self._numpy_rng, n_pulses, out=basis_out)
+        coin_flips(self._numpy_rng, n_pulses, out=value_out)
+        _, occupied = poisson_counts(
+            self._numpy_rng, self.parameters.mean_photon_number, n_pulses, out=photons_out
         )
         self.pulses_emitted += int(n_pulses)
+        return occupied
 
     def emission_duration_seconds(self, n_pulses: int) -> float:
         """Wall-clock time the transmitter needs to emit ``n_pulses`` slots."""

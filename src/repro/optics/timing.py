@@ -31,18 +31,16 @@ from repro.util.rng import DeterministicRNG
 def frame_layout(slots_per_frame: int, n_slots: int):
     """Static slot-to-frame layout for ``n_slots`` upcoming trigger slots.
 
-    Returns ``(frame_index, slot_in_frame)`` — both int64, built by
-    repetition/tiling instead of dividing 1.5M slot numbers.  The layout is a
-    pure function of ``(slots_per_frame, n_slots)`` and off the slot→key hot
-    path: :attr:`repro.optics.channel.FrameResult.frame_numbers` builds it on
-    first access, and nothing between trigger slot and pooled key reads it.
+    Returns the int64 frame index of every slot, built by repetition instead
+    of dividing 1.5M slot numbers.  The layout is a pure function of
+    ``(slots_per_frame, n_slots)`` and off the slot→key hot path:
+    :attr:`repro.optics.channel.FrameResult.frame_numbers` builds it on first
+    access, and nothing between trigger slot and pooled key reads it.
     """
     if n_slots < 0:
         raise ValueError("slot count must be non-negative")
     n_frames = -(-n_slots // slots_per_frame)
-    frame_index = np.repeat(np.arange(n_frames, dtype=np.int64), slots_per_frame)[:n_slots]
-    slot_in_frame = np.tile(np.arange(slots_per_frame, dtype=np.int64), n_frames)[:n_slots]
-    return frame_index, slot_in_frame
+    return np.repeat(np.arange(n_frames, dtype=np.int64), slots_per_frame)[:n_slots]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,16 @@ Obvious and slow, imported by no production code;
 ``tests/test_optics_differential.py`` holds the shipped implementation to it
 array for array and generator state for generator state.
 
-The one edit: it returns plain dicts of the eight per-slot arrays plus
+Two edits.  It returns plain dicts of the eight per-slot arrays plus
 ``attack_record`` (with ``frame_numbers`` materialised) instead of
 :class:`~repro.optics.channel.FrameResult` objects, so it does not depend on
-that class's constructor.
+that class's constructor.  And it draws the source rows itself
+(:func:`dense_emit`) with the plain ``Generator.integers`` /
+``Generator.poisson`` calls on the source's own generator, so a bug in
+``emit_into`` or in the draw kernels of :mod:`repro.optics.draws` shows as a
+difference instead of cancelling out.  (The attacks and ``apply_afterpulse``
+are still production code on both sides; ``tests/test_optics_differential.py``
+holds the kernels they use to numpy directly.)
 """
 
 import numpy as np
@@ -19,6 +25,27 @@ from repro.optics.detector import apply_afterpulse, combine_clicks, signal_click
 from repro.optics.interferometer import detector1_probability_map, phase_delta
 from repro.optics.source import modulator_phase
 from repro.optics.timing import frame_layout
+
+
+def dense_emit(source, n_slots: int):
+    """One source's ``(basis, value, photons)`` rows, every draw a plain numpy call.
+
+    Weak-coherent: basis, value, photon number.  Entangled: pairs, herald,
+    basis, value; a slot carries its pairs only if it was heralded.
+    """
+    rng = source._numpy_rng
+    if hasattr(source.parameters, "mean_pairs_per_pulse"):
+        pairs = rng.poisson(source.parameters.mean_pairs_per_pulse, size=n_slots)
+        heralded = (pairs > 0) & (rng.random(n_slots) < source.parameters.heralding_efficiency)
+        basis = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
+        value = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
+        photons = np.where(heralded, pairs, 0)
+    else:
+        basis = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
+        value = rng.integers(0, 2, size=n_slots, dtype=np.uint8)
+        photons = rng.poisson(source.parameters.mean_photon_number, size=n_slots)
+    source.pulses_emitted += n_slots
+    return basis, value, photons
 
 
 def dense_transmit_lanes(channels, n_slots: int, attacks=None):
@@ -40,7 +67,7 @@ def dense_transmit_lanes(channels, n_slots: int, attacks=None):
     value2 = np.empty(shape, dtype=np.uint8)
     photons2 = np.empty(shape, dtype=np.int64)
     for i, channel in enumerate(channels):
-        channel.source.emit_into(basis2[i], value2[i], photons2[i])
+        basis2[i], value2[i], photons2[i] = dense_emit(channel.source, n_slots)
     phase2 = modulator_phase(basis2, value2)
 
     # --- fiber / attack: per-lane transmittance --- #
@@ -116,7 +143,7 @@ def dense_transmit_lanes(channels, n_slots: int, attacks=None):
 
     # --- framing: shared layout, per-lane bright-pulse draws --- #
     per_frame = channels[0].parameters.framing.slots_per_frame
-    frame_index, _slot_in_frame = frame_layout(per_frame, n_slots)
+    frame_index = frame_layout(per_frame, n_slots)
     n_frames = -(-n_slots // per_frame)
     click2 = clicks["click"]
     double2 = clicks["double"]

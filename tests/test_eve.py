@@ -65,6 +65,16 @@ class TestInterceptResend:
         with pytest.raises(ValueError):
             InterceptResendAttack(1.5)
 
+    def test_invalid_resend_mean_fails_at_construction(self):
+        # Used to surface as a numpy ValueError inside the first intercept()
+        # (negative) or not at all (too large for the uint16 photon rows).
+        with pytest.raises(ValueError, match="resend mean"):
+            InterceptResendAttack(resend_mean_photons=-0.5)
+        with pytest.raises(ValueError, match="resend mean"):
+            InterceptResendAttack(resend_mean_photons=1e6)
+        assert InterceptResendAttack(resend_mean_photons=0.0).resend_mean_photons == 0.0
+        assert InterceptResendAttack(resend_mean_photons=2.0).resend_mean_photons == 2.0
+
     def test_engine_aborts_under_full_attack(self, channel):
         engine = QKDProtocolEngine(EngineParameters(block_size_bits=1024), DeterministicRNG(32))
         attack = InterceptResendAttack(1.0)

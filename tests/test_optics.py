@@ -51,6 +51,15 @@ class TestSourceParameters:
         with pytest.raises(ValueError):
             SourceParameters(pulse_rate_hz=0)
 
+    def test_a_mean_that_would_wrap_the_uint16_photon_rows_is_refused(self):
+        # Counts travel as uint16; assignment wraps silently, so the mean is
+        # bounded where it is set.
+        assert SourceParameters(mean_photon_number=60_000).mean_photon_number == 60_000
+        with pytest.raises(ValueError, match="uint16"):
+            SourceParameters(mean_photon_number=60_001)
+        with pytest.raises(ValueError, match="uint16"):
+            EntangledSourceParameters(mean_pairs_per_pulse=1e6)
+
     def test_multi_photon_probability(self):
         params = SourceParameters(mean_photon_number=0.1)
         assert params.multi_photon_probability == pytest.approx(
@@ -391,10 +400,9 @@ class TestFraming:
             FramingParameters(frame_loss_probability=1.5)
 
     def test_frame_allocation(self):
-        frames, slots = frame_layout(100, 250)
-        assert frames[0] == 0 and frames[249] == 2
-        assert slots[0] == 0 and slots[105] == 5
-        assert frames.shape == slots.shape == (250,)
+        frames = frame_layout(100, 250)
+        assert frames[0] == 0 and frames[99] == 0 and frames[100] == 1 and frames[249] == 2
+        assert frames.shape == (250,)
         params = ChannelParameters(framing=FramingParameters(slots_per_frame=100))
         frame = QuantumChannel(params, DeterministicRNG(1)).transmit(250)
         assert np.array_equal(frame.frame_numbers, frames)
@@ -416,7 +424,7 @@ class TestFraming:
         frame = channel.transmit(25)
         assert frame._frame_numbers is None
         numbers = frame.frame_numbers
-        assert np.array_equal(numbers, frame_layout(10, 25)[0] + 3)
+        assert np.array_equal(numbers, frame_layout(10, 25) + 3)
         assert numbers.dtype == np.int64
         assert frame.frame_numbers is numbers
         frame.release_slot_arrays()
@@ -467,7 +475,6 @@ class TestFraming:
         assert transmit_lanes([], 0, attacks=[]) == []
 
     def test_zero_slots(self):
-        frames, slots = frame_layout(4096, 0)
-        assert frames.shape == (0,) and slots.shape == (0,)
+        assert frame_layout(4096, 0).shape == (0,)
         framing = BrightPulseFraming(rng=DeterministicRNG(5))
         assert framing.sample_frame_gates(0).shape == (0,)

@@ -6,16 +6,28 @@ identical to ``tests/oracles/dense_optics.py`` (the body it replaced, which
 evaluates everything everywhere): the same eight per-slot arrays, the same
 attack bookkeeping, and — because a later batch continues the same streams —
 the same state left behind in every generator it touched.
+
+Below that: the numpy canaries (what the sparse photon lists and the two draw
+kernels of ``repro.optics.draws`` rely on numpy doing, each failing by name
+with what depends on it) and the kernels themselves against the ``Generator``
+methods they stand in for — values, non-empty slots, full state dict, and the
+next draw of each kind.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.eve import BeamSplittingAttack, InterceptResendAttack, PassiveChannel
 from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lanes
 from repro.optics.detector import DetectorParameters
+from repro.optics.draws import (
+    REPLAY_BELOW,
+    _replay_multiplication_method,
+    coin_flips,
+    poisson_counts,
+)
 from repro.optics.entangled import EntangledSourceParameters
 from repro.optics.fiber import OpticalPath
 from repro.optics.interferometer import InterferometerParameters
@@ -120,8 +132,33 @@ def assert_same_record(record, expected):
             assert record[key] == value, key
 
 
+#: One lane per source type with every optional draw switched on, for the
+#: explicit batch shapes below.
+EXAMPLE_LANES = [
+    {
+        "seed": 2003 + entangled,
+        "mu": 0.7,
+        "distance_km": 5.0,
+        "visibility": 0.9,
+        "phase_noise_rad": 0.1,
+        "dark_count_probability": 0.05,
+        "afterpulse_probability": 0.3,
+        "gate_misalignment_penalty": 0.2,
+        "frame_loss_probability": 0.3,
+        "entangled": bool(entangled),
+        "attack": attack,
+    }
+    for entangled, attack in ((0, "none"), (1, "none"), (0, "intercept-resend-bright"))
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(lane_specs, min_size=1, max_size=4), st.lists(slot_counts, min_size=1, max_size=2))
+# Empty and one-slot batches, alone and between others: the lengths at which a
+# replayed draw and the numpy call it stands for can part (``bytes(0)``).
+@example(EXAMPLE_LANES, [0])
+@example(EXAMPLE_LANES, [1])
+@example(EXAMPLE_LANES, [0, 1, 0])
 def test_sparse_transmit_matches_the_dense_oracle(specs, batches):
     channels = [build_channel(spec) for spec in specs]
     oracle_channels = [build_channel(spec) for spec in specs]
@@ -139,6 +176,7 @@ def test_sparse_transmit_matches_the_dense_oracle(specs, batches):
         for channel, oracle_channel in zip(channels, oracle_channels):
             assert generator_states(channel) == generator_states(oracle_channel)
             assert channel.slots_transmitted == oracle_channel.slots_transmitted
+            assert channel.source.pulses_emitted == oracle_channel.source.pulses_emitted
 
 
 def test_binomial_skips_zero_counts_without_consuming():
@@ -254,3 +292,113 @@ def test_canary_poisson_is_the_multiplication_method_on_the_double_stream():
     before = rng.bit_generator.state
     assert not rng.poisson(0.0, size=1000).any(), failure
     assert rng.bit_generator.state == before, failure
+
+
+# ---------------------------------------------------------------------- #
+# The draw kernels against the Generator methods they replace
+# ---------------------------------------------------------------------- #
+
+#: Earlier draws of every kind, so a kernel starts from a generator that may
+#: hold a buffered half-word (odd-length uint8) and sits anywhere in its stream.
+draw_prefixes = st.lists(
+    st.tuples(st.sampled_from(["uint8", "random", "binomial"]), st.integers(0, 6)),
+    max_size=4,
+)
+
+
+def generator_pair(seed, prefix):
+    """Two generators in the same state, reached through ``prefix``."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        for kind, k in prefix:
+            if kind == "uint8":
+                rng.integers(0, 256, size=2 * k + 1, dtype=np.uint8)
+            elif kind == "random":
+                rng.random(k)
+            else:
+                rng.binomial(5, 0.3, size=k)
+    return pair
+
+
+def assert_same_stream(rng, reference_rng):
+    """Full state dict, and the next call of each kind agrees too."""
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    for later_draw in (
+        lambda g: g.integers(0, 2, size=5, dtype=np.uint8),
+        lambda g: g.random(3),
+        lambda g: g.poisson(0.1, size=7),
+    ):
+        assert np.array_equal(later_draw(rng), later_draw(reference_rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    draw_prefixes,
+    st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 4097, 2**16 + 1]),
+    st.booleans(),
+)
+def test_coin_flips_is_generator_integers(seed, prefix, n, into_row):
+    rng, reference_rng = generator_pair(seed, prefix)
+    reference = reference_rng.integers(0, 2, size=n, dtype=np.uint8)
+    row = np.full(n, 7, dtype=np.uint8) if into_row else None
+    flips = coin_flips(rng, n, out=row)
+    assert flips.dtype == np.uint8 and flips.flags.writeable
+    assert row is None or flips is row
+    assert np.array_equal(flips, reference)
+    assert_same_stream(rng, reference_rng)
+
+
+poisson_means = st.one_of(
+    st.just(0.0),
+    st.floats(1e-4, 10.0, exclude_max=True),
+    st.floats(10.0, 100.0),
+    # Either side of the line where the kernel hands the draw back to numpy.
+    st.sampled_from([0.05, 0.1, np.nextafter(REPLAY_BELOW, 0), REPLAY_BELOW]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    poisson_means,
+    st.sampled_from([0, 1, 2, 3, 17, 1000, 2**16 + 1]),
+    st.integers(0, 2**32),
+    draw_prefixes,
+    st.booleans(),
+)
+# 64 doubles that end on three above exp(-0.45) whose product is still above
+# it: the first round leaves a pulse unfinished, which must be neither counted
+# nor lost, and the shortfall is drawn in further rounds.
+@example(0.45, 64, 139, [], False)
+# The same with a buffered half-word to carry through the rounds.
+@example(0.45, 64, 139, [("uint8", 1)], True)
+# Five rounds (65537 -> ~6200 -> ~590 -> ...), the production shape in small.
+@example(0.1, 2**16 + 1, 2003, [("uint8", 0), ("binomial", 3)], True)
+def test_poisson_counts_is_generator_poisson(lam, n, seed, prefix, into_row):
+    rng, reference_rng = generator_pair(seed, prefix)
+    reference = reference_rng.poisson(lam, size=n)
+    row = np.full(n, 7, dtype=np.int64) if into_row else None
+    counts, slots = poisson_counts(rng, lam, n, out=row)
+    assert counts.dtype == (np.int64 if into_row else np.uint16)
+    assert row is None or counts is row
+    assert np.array_equal(counts, reference)
+    assert np.array_equal(slots, reference.nonzero()[0])
+    assert_same_stream(rng, reference_rng)
+
+    # The replay is the multiplication method for every mean numpy uses it
+    # at, not only below REPLAY_BELOW: that line is about cost alone.
+    if 0 < lam < 10 and n <= 1000:
+        rng, reference_rng = generator_pair(seed, prefix)
+        reference = reference_rng.poisson(lam, size=n)
+        slots, occupancy = _replay_multiplication_method(rng, math.exp(-lam), n)
+        assert np.array_equal(slots, reference.nonzero()[0])
+        assert np.array_equal(occupancy, reference[slots])
+        assert_same_stream(rng, reference_rng)
+
+
+def test_the_unfinished_pulse_example_is_what_it_says():
+    """Guards the first two ``@example`` rows above against a silent change of meaning."""
+    doubles = np.random.default_rng(139).random(64)
+    line = math.exp(-0.45)
+    assert doubles[-4] <= line
+    assert (doubles[-3:] > line).all() and doubles[-3] * doubles[-2] * doubles[-1] > line
