@@ -14,11 +14,10 @@ Two workload profiles are compared — steady Poisson demand and bursty
 rekey storms — because the storms are what make reservation semantics and
 depletion-aware replenishment visible in the latency tail.
 
-Always asserted: the delivered-key digest is bit-identical when the
-replenishment fan-out runs on 1 vs 2 workers (the subsystem's determinism
-contract), every run completes with zero starvation deadlocks (every demand
-reaches a terminal state), and the network keeps serving through both
-injected failures.
+Always asserted: every run completes with zero starvation deadlocks (every
+demand reaches a terminal state), and the network keeps serving through both
+injected failures.  (Analytic epochs run no pool, so there is no worker count
+to replay against; the soak digest itself is pinned in ``tests/test_kms.py``.)
 
 Knobs for CI smoke runs: ``BENCH_E15_HOURS`` (simulated hours, default 4),
 ``BENCH_E15_PAIR_MEAN_SECONDS`` (mean rekey interval), ``BENCH_E15_EPOCH_SECONDS``,
@@ -59,15 +58,11 @@ PROFILES = (
 )
 
 
-def _soak(profile, workers):
+def _soak(profile):
     relays = TrustedRelayNetwork.for_mesh(
         n_endpoints=N_ENDPOINTS, n_relays=N_RELAYS, rng=DeterministicRNG(7)
     )
-    config = KmsConfig(
-        replenishment=ReplenishmentConfig(
-            epoch_seconds=EPOCH_SECONDS, workers=workers, backend="thread"
-        )
-    )
+    config = KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=EPOCH_SECONDS))
     rng = DeterministicRNG(7)
     service = KeyManagementService(
         relays,
@@ -89,12 +84,7 @@ def _soak(profile, workers):
 
 def test_e15_kms_soak(benchmark, table):
     def experiment():
-        results = {}
-        for name, profile in PROFILES:
-            results[name] = _soak(profile, workers=1)
-        # Determinism probe: the poisson scenario again on 2 workers.
-        results["poisson@2w"] = _soak(PROFILES[0][1], workers=2)
-        return results
+        return {name: _soak(profile) for name, profile in PROFILES}
 
     results = run_once(benchmark, experiment)
 
@@ -136,13 +126,6 @@ def test_e15_kms_soak(benchmark, table):
         rows,
     )
 
-    poisson, _ = results["poisson"]
-    replay, _ = results["poisson@2w"]
-    # Determinism contract: the delivered key material cannot depend on the
-    # replenishment fan-out's worker count.
-    assert poisson.delivered_digest == replay.delivered_digest, (
-        "worker count changed the delivered key material"
-    )
     for name, (report, _wall) in results.items():
         # Zero starvation deadlocks: every demand reached a terminal (or
         # still-waiting-at-horizon) state.

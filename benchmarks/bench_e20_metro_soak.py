@@ -12,10 +12,10 @@ the point of the sweep — scheduler overhead per epoch: the wall-clock cost
 of ordering work (needy-store heap, expiry sweeps, per-zone link
 selection), as accounted by ``SoakReport.scheduler_overhead_per_epoch_seconds``.
 
-Always asserted: demand accounting closes at every level, and the
-delivered-key digest at the smallest level is bit-identical for 1 vs 2
-replenishment workers (the zoned determinism contract).  With the
-sub-linearity gate on (default), scheduler overhead/epoch must grow
+Always asserted: demand accounting closes at every level.  (Analytic epochs
+and the labeled prefill run no pool, so there is no worker count to replay
+against; the metro digest itself is pinned in ``tests/test_zones.py``.)  With
+the sub-linearity gate on (default), scheduler overhead/epoch must grow
 markedly slower than the pair count — the flat implementation's full
 sort-everything-per-epoch behavior would fail this.
 
@@ -54,22 +54,21 @@ LEVELS = tuple(
 TOTAL_TUNNELS = int_env("BENCH_E20_TUNNELS", 20_000, minimum=1)
 
 
-def _soak(endpoints_per_zone, workers):
+def _soak(endpoints_per_zone):
     relays, plan = build_metro_mesh(
         n_zones=N_ZONES,
         endpoints_per_zone=endpoints_per_zone,
         relays_per_zone=3,
         rng=DeterministicRNG(20),
         prefill_seconds=240.0,
-        workers=workers,
+        # Stream selector: the per-link labeled prefill the metro pins use.
+        workers=1,
     )
     n_endpoints = N_ZONES * endpoints_per_zone
     n_pairs = n_endpoints * (n_endpoints - 1) // 2
     config = (
         KmsConfig(
-            replenishment=ReplenishmentConfig(
-                epoch_seconds=EPOCH_SECONDS, workers=workers, backend="thread"
-            ),
+            replenishment=ReplenishmentConfig(epoch_seconds=EPOCH_SECONDS),
             store_high_water_bits=4_096,
             store_low_water_bits=2_048,
             transport_key_bits=2_048,
@@ -91,12 +90,7 @@ def _soak(endpoints_per_zone, workers):
 
 def test_e20_metro_soak(benchmark, table):
     def experiment():
-        results = {}
-        for endpoints_per_zone in LEVELS:
-            results[endpoints_per_zone] = _soak(endpoints_per_zone, workers=1)
-        # Determinism probe: the smallest level again on 2 workers.
-        results["replay@2w"] = _soak(LEVELS[0], workers=2)
-        return results
+        return {level: _soak(level) for level in LEVELS}
 
     results = run_once(benchmark, experiment)
 
@@ -139,13 +133,8 @@ def test_e20_metro_soak(benchmark, table):
         assert report.delivered_keys > 0, f"{name}: nothing delivered"
         assert report.zones == N_ZONES
 
-    small_pairs, small, _ = results[LEVELS[0]]
-    _, replay, _ = results["replay@2w"]
-    assert small.delivered_digest == replay.delivered_digest, (
-        "worker count changed the zoned delivered key material"
-    )
-
     if REQUIRE_SUBLINEAR and len(LEVELS) > 1:
+        small_pairs, small, _ = results[LEVELS[0]]
         big_pairs, big, _ = results[LEVELS[-1]]
         pair_growth = big_pairs / small_pairs
         overhead_growth = big.scheduler_overhead_per_epoch_seconds / max(

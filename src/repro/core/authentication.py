@@ -40,11 +40,6 @@ class AuthenticationStatistics:
     secret_bits_consumed: int = 0
     secret_bits_replenished: int = 0
 
-    @property
-    def net_secret_bits(self) -> int:
-        """Replenished minus consumed; negative means the pool is draining."""
-        return self.secret_bits_replenished - self.secret_bits_consumed
-
 
 class AuthenticatedChannel:
     """Tags and verifies batches of protocol messages at one endpoint."""

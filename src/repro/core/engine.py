@@ -205,12 +205,6 @@ class EngineStatistics:
             return 0.0
         return self.sifted_bits / self.slots_processed
 
-    @property
-    def distilled_fraction_of_sifted(self) -> float:
-        if self.sifted_bits == 0:
-            return 0.0
-        return self.distilled_bits / self.sifted_bits
-
 
 class QKDProtocolEngine:
     """Drives the stage pipeline and feeds both endpoints' key pools."""

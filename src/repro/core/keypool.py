@@ -127,10 +127,6 @@ class KeyPool:
         """Consume ``count`` whole bytes of key material."""
         return self.draw_bits(count * 8).to_bytes()
 
-    def peek_available(self) -> int:
-        """Alias kept for symmetry with the IKE extension's Qblock accounting."""
-        return self.available_bits
-
     # ------------------------------------------------------------------ #
     # Ageing
     # ------------------------------------------------------------------ #

@@ -19,11 +19,12 @@ Two encodings exist side by side:
   run lengths and index deltas, and ``np.packbits`` bitmaps for bases /
   accept masks / parities.  ``encode()`` on those messages produces it and
   :func:`decode_message` round-trips it.
-* **JSON** (:meth:`encode_json`, available on every message) — the reference
-  encoding, kept for the E12 size comparison and as the readable oracle the
-  binary round-trip tests compare against.  The infrequent messages
-  (privacy amplification, authentication tags, the benchmark-only naive sift
-  listing) use it as their ``encode()`` directly.
+* **JSON** (:meth:`encode_json`, available on every message) — a production
+  encoding, not a test oracle: the infrequent messages (privacy
+  amplification, authentication tags, the benchmark-only naive sift listing)
+  use it as their ``encode()`` directly, :meth:`CascadeBisectQuery.encode`
+  falls back to it for a hand-built query whose indices are not ascending,
+  and E12 reports the JSON run-length size as one of its paper-claim columns.
 """
 
 from __future__ import annotations
@@ -55,10 +56,6 @@ def _encode_json_payload(kind: str, payload: Dict) -> bytes:
     """Stable JSON encoding used as the reference wire format."""
     payload = {key: _json_ready(value) for key, value in payload.items()}
     return json.dumps({"kind": kind, **payload}, sort_keys=True, separators=(",", ":")).encode()
-
-
-# Backwards-compatible alias (PR 1-3 call sites and docs name this helper).
-_encode_payload = _encode_json_payload
 
 
 @dataclass

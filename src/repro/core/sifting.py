@@ -26,9 +26,9 @@ The announcement path stays in packed numpy arrays end to end:
 :func:`run_length_encode` is a few whole-array passes
 (``np.flatnonzero``/``np.diff`` over the click mask), decoding detections is
 O(detections) rather than O(slots), and ``SiftResult``/message internals carry
-uint8/intp arrays instead of per-slot Python lists.  The original scalar loop
-is retained as :func:`run_length_encode_scalar` — it is the behavioural
-oracle; ``tests/test_sifting.py`` pins the vectorized encoder against it on
+uint8/intp arrays instead of per-slot Python lists.  The per-flag scalar loop
+is the behavioural oracle and lives in ``tests/oracles/scalar_rle.py``;
+``tests/test_sifting.py`` pins the vectorized encoder against it on
 randomized inputs and real frames.  Both produce the *identical* runs list:
 alternating (zeros-run, ones-run, ...) lengths starting with a zeros-run that
 may be empty, with ``sum(runs) == len(flags)`` always.
@@ -50,32 +50,11 @@ from repro.util.bits import BitString
 # Run-length encoding of the detection indication
 # --------------------------------------------------------------------------- #
 
-def run_length_encode_scalar(flags: Sequence[int]) -> List[int]:
-    """Reference scalar run-length encoder (the differential-test oracle).
-
-    This is the original per-flag loop; :func:`run_length_encode` must produce
-    the identical runs list for every input.  Kept unoptimized on purpose.
-    """
-    runs: List[int] = []
-    current_value = 0
-    current_length = 0
-    for flag in flags:
-        flag = 1 if flag else 0
-        if flag == current_value:
-            current_length += 1
-        else:
-            runs.append(current_length)
-            current_value = flag
-            current_length = 1
-    runs.append(current_length)
-    return runs
-
-
 def run_length_encode_mask(mask: np.ndarray) -> np.ndarray:
     """Vectorized run-length encode of a boolean/0-1 array.
 
     Returns the alternating run lengths as an ``int64`` array — the same list
-    :func:`run_length_encode_scalar` produces, computed in a handful of
+    a per-flag scalar loop produces, computed in a handful of
     whole-array passes: run boundaries are the indices where adjacent flags
     differ (``np.flatnonzero`` over a shifted comparison), run lengths their
     ``np.diff``, plus a leading empty zeros-run when the first slot was a
@@ -149,8 +128,8 @@ def run_length_encode(flags: Union[Sequence[int], np.ndarray]) -> List[int]:
     (which may be zero if the first slot was a detection) and then alternates
     (ones-run, zeros-run, ...).  ``sum(runs) == len(flags)`` always holds.
 
-    Vectorized; produces exactly the runs list of
-    :func:`run_length_encode_scalar` (the retained oracle).
+    Vectorized; produces exactly the runs list of the scalar oracle in
+    ``tests/oracles/scalar_rle.py``.
     """
     return run_length_encode_mask(np.asarray(flags)).tolist()
 

@@ -8,8 +8,6 @@ key budget precisely.  PKCS#7 padding is implemented for CBC/ECB.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.crypto.aes import AES, BLOCK_SIZE
 
 
@@ -120,13 +118,3 @@ def ctr_transform(cipher: AES, data: bytes, nonce: bytes) -> bytes:
     """Encrypt or decrypt (the operation is its own inverse) in CTR mode."""
     keystream = ctr_keystream(cipher, nonce, len(data))
     return _xor_bytes(data, keystream)
-
-
-def keystream_blocks(cipher: AES, nonce: bytes) -> Iterator[bytes]:
-    """An endless iterator of CTR keystream blocks (for streaming users)."""
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes")
-    counter = 0
-    while True:
-        yield cipher.encrypt_block(nonce + counter.to_bytes(8, "big"))
-        counter += 1

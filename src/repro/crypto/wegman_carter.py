@@ -199,13 +199,6 @@ class WegmanCarterAuthenticator:
             self.failures += 1
             raise AuthenticationError("authentication tag mismatch (possible man-in-the-middle)")
 
-    # ------------------------------------------------------------------ #
-
-    @property
-    def key_bits_consumed(self) -> int:
-        """Total secret bits this authenticator has drawn from the pool."""
-        return self.pool.consumed_bits
-
     def __repr__(self) -> str:
         return (
             f"WegmanCarterAuthenticator(tag_bits={self.tag_bits}, "

@@ -12,12 +12,12 @@ by how fast their customers are draining them.
 
 Determinism contract (the property the soak test pins): one epoch's output
 is **bit-identical for any worker count**.  Every link's epoch is seeded by
-a labeled fork — ``kms/epoch/<epoch-index>/<node-a>--<node-b>`` — so a
-worker computes a pure function of ``(link parameters, label, budget)``;
-jobs are built in sorted-link order and results are committed in that same
-order, so neither the pool's scheduling nor the worker count can reorder or
-perturb anything.  (This is the same contract the PR-3 parallel runtime
-established; the scheduler simply rides it.)
+a labeled fork — ``kms/epoch/<epoch-index>/<node-a>--<node-b>`` — so its
+output is a pure function of ``(link parameters, label, budget)``, and links
+are committed in sorted-link order.  Only Monte-Carlo epochs fan out (across
+the :class:`~repro.runtime.farm.LinkFarm`, which returns runs in submission
+order); analytic epochs generate each link's pad material inline, because a
+pool loses to a plain loop at every fleet size measured (CHANGES.md, PR 20).
 
 Two fidelity modes:
 
@@ -51,7 +51,7 @@ from repro.mathkit.entropy import binary_entropy
 from repro.network.relay import TrustedRelayNetwork, pad_material_from_seed
 from repro.network.topology import QKDLinkEdge
 from repro.runtime.farm import LinkFarm, LinkJob
-from repro.runtime.pool import parallel_map
+from repro.runtime.pool import resolve_workers
 from repro.util.rng import DeterministicRNG
 from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 
@@ -69,15 +69,16 @@ class ReplenishmentConfig:
     mode: str = "analytic"
     #: Monte-Carlo budget per dispatched link per epoch.
     slots_per_epoch: int = 250_000
-    #: Worker pool for the dispatch fan-out (None = one per CPU).
+    #: Monte-Carlo dispatch only: workers of the :class:`LinkFarm` the
+    #: epoch's links run on (None = one per CPU).  Analytic epochs generate
+    #: their pad material inline whatever this says.
     workers: Optional[int] = None
-    #: Dispatch backend, one of :data:`repro.runtime.farm.LinkFarm.BACKENDS`.
-    #: Analytic material is cheap enough for threads; real Monte-Carlo epochs
-    #: want ``"process"``, or ``"lanes"``/``"auto"`` to run the whole epoch's
-    #: links as one vectorized lane batch (epochs are homogeneous —
-    #: ``slots_per_epoch`` slots on every dispatched link — so they are
-    #: always lane-compatible).  The analytic pad fan-out is not a link
-    #: simulation, so lane-oriented backends fall back to threads there.
+    #: Monte-Carlo dispatch only: the farm's backend, one of
+    #: :data:`repro.runtime.farm.LinkFarm.BACKENDS`.  ``"process"`` or
+    #: ``"thread"`` run one link per worker; ``"lanes"``/``"auto"`` run the
+    #: whole epoch's links as one vectorized lane batch (epochs are
+    #: homogeneous — ``slots_per_epoch`` slots on every dispatched link — so
+    #: they are always lane-compatible).
     backend: str = "thread"
     #: Pairwise pads below this are always dispatched this epoch.
     pad_low_water_bits: int = 4_096
@@ -110,15 +111,7 @@ class ReplenishmentConfig:
             raise ValueError("epoch duration must be positive")
         if self.slots_per_epoch <= 0:
             raise ValueError("slot budget must be positive")
-
-    @property
-    def pool_backend(self) -> str:
-        """The backend for plain ``parallel_map`` fan-outs (analytic mode).
-
-        The lane engine only runs link simulations; byte-generation jobs fall
-        back to the thread pool when a lane-oriented backend is configured.
-        """
-        return self.backend if self.backend in ("process", "thread") else "thread"
+        resolve_workers(self.workers)
 
 
 @dataclass
@@ -283,9 +276,9 @@ class ReplenishmentScheduler:
     def run_epoch(self) -> EpochReport:
         """Dispatch one distillation epoch and bank its output.
 
-        Jobs are built and committed in the sorted-link order produced by
-        :meth:`select_links`; the fan-out in between is the only parallel
-        part and is scheduling-invariant by construction.
+        Links are dispatched and committed in the sorted-link order
+        produced by :meth:`select_links`; the Monte-Carlo farm in between is
+        the only parallel part and is scheduling-invariant by construction.
         """
         report = EpochReport(epoch_index=self.epoch_index)
         for key in self.relays.network.unusable_link_keys():
@@ -373,26 +366,17 @@ class ReplenishmentScheduler:
         return min(int(rate * self.config.epoch_seconds), room), False
 
     def _run_analytic(self, selected: List[QKDLinkEdge], report: EpochReport) -> None:
-        jobs: List[Tuple[int, int]] = []
-        yields: List[Tuple[Tuple[str, str], int, bool]] = []
         for edge in selected:
             key = self._key(edge.node_a, edge.node_b)
             bits, detected = self._analytic_yield_bits(edge, self.attacks.get(key))
-            label = f"kms/epoch/{self.epoch_index}/{key[0]}--{key[1]}"
-            yields.append((key, bits, detected))
-            jobs.append((self._seed_rng.fork_labeled(label).seed, bits // 8))
-        materials = parallel_map(
-            pad_material_from_seed,
-            jobs,
-            workers=self.config.workers,
-            backend=self.config.pool_backend,
-        )
-        for (key, _bits, detected), material in zip(yields, materials):
             report.dispatched.append(key)
             if detected:
                 self.relays.network.mark_eavesdropped(*key)
                 report.newly_eavesdropped.append(key)
                 report.banked_bits[key] = 0
                 continue
+            label = f"kms/epoch/{self.epoch_index}/{key[0]}--{key[1]}"
+            seed = self._seed_rng.fork_labeled(label).seed
+            material = pad_material_from_seed((seed, bits // 8))
             self.relays.bank_pad(key[0], key[1], material)
             report.banked_bits[key] = len(material) * 8

@@ -318,31 +318,6 @@ class GF2nField:
         hashed = self.linear_hash(element, multiplier, addend, output_bits)
         return BitString.from_int(hashed, output_bits)
 
-    def element_from_bits(self, bits: BitString) -> int:
-        """Interpret a bit string as a field element."""
-        if len(bits) > self.degree:
-            raise ValueError("bit string longer than the field degree")
-        return bits.to_int()
-
-    # ------------------------------------------------------------------ #
-
-    def is_primitive_element(self, a: int, max_checks: int = 64) -> bool:
-        """Cheap sanity check that ``a`` generates a large multiplicative subgroup.
-
-        A full primitivity test requires factoring 2^n - 1; for test purposes
-        we verify that no small power of ``a`` cycles back to 1, which catches
-        degenerate choices without the cost of factoring.
-        """
-        a = self._check(a)
-        if a in (0, 1):
-            return False
-        value = a
-        for _ in range(min(max_checks, self.order - 1)):
-            value = self.multiply(value, a)
-            if value == 1:
-                return False
-        return True
-
     def __repr__(self) -> str:
         terms = " + ".join(
             [f"x^{self.degree}"] + [f"x^{e}" for e in self.exponents] + ["1"]

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 from repro.crypto.otp import OneTimePad, PadExhaustedError
 from repro.network.routing import PathSelector, RoutingError, frozen_within
 from repro.network.topology import NodeKind, QKDNetwork
+from repro.runtime.pool import resolve_workers
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -56,11 +57,10 @@ class KeyTransportResult:
 def pad_material_from_seed(job: Tuple[int, int]) -> bytes:
     """Pairwise pad material for one link, from its own labeled stream.
 
-    ``job`` is ``(seed, n_bytes)``.  Module-level (and therefore picklable)
-    because both this module's parallel refill and the kms replenishment
-    scheduler fan it out across worker pools; the two callers must bank
-    byte-identical material for a given labeled seed, so there is exactly
-    one implementation.
+    ``job`` is ``(seed, n_bytes)``.  Both this module's labeled refill and
+    the kms replenishment scheduler's analytic epochs call it; the two must
+    bank byte-identical material for a given labeled seed, so there is
+    exactly one implementation.
     """
     seed, n_bytes = job
     if n_bytes <= 0:
@@ -111,8 +111,8 @@ class TrustedRelayNetwork:
 
         ``prefill_seconds`` optionally lets every link distill pairwise key
         before the network is handed back, so it is immediately usable;
-        ``workers`` runs that prefill across the parallel runtime's pool
-        (see :meth:`run_links_for`).
+        ``workers`` is passed to that prefill as its stream selector (see
+        :meth:`run_links_for`).
         """
         rng = rng or DeterministicRNG(0)
         network = QKDNetwork.relay_mesh(
@@ -159,12 +159,7 @@ class TrustedRelayNetwork:
         self.pad_for(node_a, node_b).add_key_material(material)
         self.notify_pad_change(node_a, node_b)
 
-    def run_links_for(
-        self,
-        seconds: float,
-        workers: Optional[int] = None,
-        backend: str = "process",
-    ) -> None:
+    def run_links_for(self, seconds: float, workers: Optional[int] = None) -> None:
         """Let every usable link distill pairwise key for ``seconds`` seconds.
 
         The amount added per link is its analytic secret-key rate times the
@@ -172,13 +167,13 @@ class TrustedRelayNetwork:
         without Monte-Carlo cost, which is what the network-scale experiments
         need.
 
-        With ``workers`` unset the material comes from the network's single
-        sequential stream, exactly as it always has.  Passing a worker count
-        switches to the parallel refill: every link's material is drawn from
-        its own labeled fork (``pad/<epoch>/<node-a>--<node-b>``), generated
-        concurrently across the runtime's pool and applied in link order —
-        the result depends only on the network seed, the refill epoch and
-        the link names, never on the worker count.
+        ``workers`` selects the stream the material is drawn from, nothing
+        else (no pool runs either way).  ``None``: the network's single
+        sequential stream.  Any worker count: every link's material comes
+        from its own labeled fork (``pad/<epoch>/<node-a>--<node-b>``),
+        applied in link order — the result depends only on the network seed,
+        the refill epoch and the link names, never on the count.  Both
+        streams are pinned by soak digests, so both stay.
         """
         if seconds < 0:
             raise ValueError("duration must be non-negative")
@@ -196,12 +191,9 @@ class TrustedRelayNetwork:
                 self.bank_pad(edge.node_a, edge.node_b, material)
             return
 
-        from repro.runtime.pool import parallel_map
-
+        resolve_workers(workers)
         epoch = self._refill_epoch
         self._refill_epoch += 1
-        pairs: List[Tuple[str, str]] = []
-        jobs: List[Tuple[int, int]] = []
         for edge in self.network.links():
             if not edge.usable:
                 continue
@@ -209,14 +201,8 @@ class TrustedRelayNetwork:
             if new_bytes <= 0:
                 continue
             node_a, node_b = self._pad_key(edge.node_a, edge.node_b)
-            label = f"pad/{epoch}/{node_a}--{node_b}"
-            pairs.append((node_a, node_b))
-            jobs.append((self.rng.fork_labeled(label).seed, new_bytes))
-        materials = parallel_map(
-            pad_material_from_seed, jobs, workers=workers, backend=backend
-        )
-        for (node_a, node_b), material in zip(pairs, materials):
-            self.bank_pad(node_a, node_b, material)
+            seed = self.rng.fork_labeled(f"pad/{epoch}/{node_a}--{node_b}").seed
+            self.bank_pad(node_a, node_b, pad_material_from_seed((seed, new_bytes)))
 
     def pairwise_key_available_bits(self, node_a: str, node_b: str) -> int:
         return self.pad_for(node_a, node_b).available_bytes * 8

@@ -416,10 +416,6 @@ class QuantumChannel:
         """Expected sifted key rate in bits per second at the source pulse rate."""
         return self.sifted_rate_per_slot() * self.parameters.pulse_rate_hz
 
-    def expected_sifted_fraction(self) -> float:
-        """Fraction of transmitted slots that become sifted bits (paper's 1-in-200 example)."""
-        return self.sifted_rate_per_slot()
-
     def __repr__(self) -> str:
         return (
             f"QuantumChannel(mu={self.parameters.source.mean_photon_number}, "

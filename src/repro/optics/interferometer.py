@@ -108,10 +108,6 @@ class MachZehnderPair:
         """Probability that the photon strikes detector D0."""
         return 1.0 - self.detector1_probability(alice_phase, bob_phase)
 
-    def error_probability_compatible(self) -> float:
-        """Probability of reading the wrong bit when bases are compatible."""
-        return self.parameters.intrinsic_error_rate
-
     def __repr__(self) -> str:
         return (
             f"MachZehnderPair(visibility={self.parameters.visibility}, "

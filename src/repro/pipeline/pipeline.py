@@ -32,12 +32,6 @@ class StageTiming:
     calls: int = 0
     seconds: float = 0.0
 
-    @property
-    def mean_seconds(self) -> float:
-        if self.calls == 0:
-            return 0.0
-        return self.seconds / self.calls
-
 
 @dataclass
 class PipelineTelemetry:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.keypool import KeyPool
 from repro.link.qkd_link import LinkParameters, LinkReport
-from repro.runtime.pool import parallel_map
+from repro.runtime.pool import parallel_map, resolve_workers
 from repro.util.rng import DeterministicRNG
 
 
@@ -85,6 +85,7 @@ class LinkFarm:
     BACKENDS = ("process", "thread", "lanes", "auto")
 
     def __init__(self, workers: Optional[int] = None, backend: str = "process"):
+        resolve_workers(workers)
         self.workers = workers
         self.backend = self._validated_backend(backend)
 

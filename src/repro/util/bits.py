@@ -34,9 +34,10 @@ slicing (step 1), ``+``          O(n / 64) shift-and-mask
 iteration, ``to_list``           O(n) through a C-level binary string
 ===============================  ============================================
 
-A pure-tuple reference implementation with the same public API is retained in
-:mod:`repro.util.bits_reference`; the differential test suite pins the two
-implementations against each other on randomized inputs.
+A pure-tuple reference implementation with the same public API
+(``ReferenceBitString``) lives in ``tests/oracles/``, outside the package;
+``tests/test_bits_differential.py`` pins the two implementations against each
+other on randomized inputs.
 """
 
 from __future__ import annotations
@@ -77,16 +78,6 @@ class BitString:
         self._value = value
         self._length = length
         return self
-
-    @classmethod
-    def from_packed(cls, value: int, length: int) -> "BitString":
-        """Build a bit string directly from its packed integer value.
-
-        Equivalent to :meth:`from_int` (most-significant bit first); exposed
-        under this name so call sites that already hold packed words can say
-        what they mean.
-        """
-        return cls.from_int(value, length)
 
     @classmethod
     def zeros(cls, n: int) -> "BitString":

@@ -1,5 +1,8 @@
 """Tests for the top-level repro.api facade (QKDSystem and friends)."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro import MeshSystem, QKDSystem, SystemConfig, VPNSystem
@@ -210,6 +213,46 @@ class TestPackageExports:
         assert repro.QKDSystem is QKDSystem
         for name in ("QKDSystem", "SystemConfig", "VPNSystem", "MeshSystem"):
             assert name in repro.__all__
+
+    def test_every_shipped_module_is_imported_outside_the_tests(self):
+        """A module only ``tests/`` imports is an oracle parked in the package:
+        it belongs in ``tests/oracles/``."""
+        root = Path(__file__).resolve().parent.parent
+        package = root / "src" / "repro"
+
+        def module_name(path):
+            parts = path.relative_to(package.parent).with_suffix("").parts
+            return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+        shipped = {module_name(path): path for path in package.rglob("*.py")}
+        importers = [(path, name) for name, path in shipped.items()]
+        for folder in ("benchmarks", "examples"):
+            importers += [(path, None) for path in (root / folder).rglob("*.py")]
+
+        def imported_names(path, own_name):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    yield from (alias.name for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    if node.level:  # relative: resolve against the importer
+                        anchor = own_name.split(".")
+                        if path.name != "__init__.py":
+                            anchor = anchor[:-1]
+                        anchor = anchor[: len(anchor) - (node.level - 1)]
+                        base = ".".join(anchor + ([base] if base else []))
+                    yield base
+                    # ``from pkg import name`` may name a submodule
+                    yield from (f"{base}.{alias.name}" for alias in node.names)
+
+        reached = set()
+        for path, own_name in importers:
+            for target in imported_names(path, own_name):
+                # importing a.b.c imports a and a.b on the way
+                pieces = target.split(".")
+                prefixes = {".".join(pieces[:depth]) for depth in range(1, len(pieces) + 1)}
+                reached |= (prefixes & shipped.keys()) - {own_name}
+        assert sorted(set(shipped) - reached) == []
 
 
 class TestParallelismKnob:

@@ -1,7 +1,7 @@
 """Differential tests: packed BitString vs. the retained tuple reference.
 
 The packed machine-word ``BitString`` must be observationally identical to
-:class:`repro.util.bits_reference.ReferenceBitString` (the original per-bit
+:class:`tests.oracles.bits_reference.ReferenceBitString` (the original per-bit
 implementation, kept as an oracle).  These tests drive both through every
 public operation on randomized inputs, and additionally pin the packed
 Toeplitz hash against the original row-mask algorithm and the byte-stepped
@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.mathkit.lfsr import LFSR
 from repro.mathkit.toeplitz import ToeplitzHash
 from repro.util.bits import BitString
-from repro.util.bits_reference import ReferenceBitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.bits_reference import ReferenceBitString
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=192)
 

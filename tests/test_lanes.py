@@ -330,8 +330,35 @@ class TestSchedulerLanes:
     def test_replenishment_config_validates_backend(self):
         with pytest.raises(ValueError, match="backend"):
             ReplenishmentConfig(backend="bogus")
-        assert ReplenishmentConfig(backend="lanes").pool_backend == "thread"
-        assert ReplenishmentConfig(backend="process").pool_backend == "process"
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5])
+    def test_replenishment_config_refuses_bad_worker_counts(self, workers):
+        """At construction, not from inside the first epoch."""
+        with pytest.raises(ValueError, match="worker count"):
+            ReplenishmentConfig(workers=workers)
+
+    def test_pad_material_is_generated_without_a_pool(self, monkeypatch):
+        """An analytic epoch and a labeled prefill at ``workers=4`` construct
+        no executor: a pool loses to the plain loop at every fleet size."""
+        import repro.runtime.pool as pool
+        from repro.kms.scheduler import ReplenishmentScheduler
+        from tests.test_kms import make_relays
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pad material went through a worker pool")
+
+        monkeypatch.setattr(pool, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", refuse)
+        relays = make_relays(seed=3)
+        relays.run_links_for(0.5, workers=4)
+        prefilled = sum(pad.available_bytes for pad in relays.pairwise_pads.values())
+        assert prefilled > 0
+        for backend in ("process", "lanes"):
+            scheduler = ReplenishmentScheduler(
+                relays, DeterministicRNG(1), ReplenishmentConfig(workers=4, backend=backend)
+            )
+            report = scheduler.run_epoch()
+            assert len(report.dispatched) > 1 and report.total_banked_bits > 0
 
     def test_montecarlo_lanes_backend_matches_thread(self):
         """The scheduler's Monte-Carlo epochs deliver identical key material

@@ -148,3 +148,30 @@ class TestAttackedLink:
         assert report.mean_qber > 0.2
         assert report.distilled_bits == 0
         assert report.blocks_aborted >= 1
+
+    def test_partial_intercept_shows_without_silencing_the_pipeline(self):
+        """A 25 % intercept-resend raises the QBER but stays under the alarm:
+        no block aborts, every block goes through the whole pipeline, and the
+        eavesdropper costs key rather than stopping the link.  Same seed twice
+        gives the same per-block stream and the same pool bits."""
+
+        def run(attacked):
+            link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(7))
+            if attacked:
+                link.attach_attack(InterceptResendAttack(intercept_fraction=0.25))
+            report = link.run_slots(1_500_000)
+            blocks = [(outcome.sifted_bits, outcome.qber) for outcome in report.outcomes]
+            pool = [str(block.bits) for block in link.engine.alice_pool.blocks]
+            return report, blocks, pool
+
+        clean, clean_blocks, clean_pool = run(attacked=False)
+        attacked, attacked_blocks, attacked_pool = run(attacked=True)
+        assert clean.distilled_bits > 0
+        assert attacked.mean_qber > clean.mean_qber
+        assert attacked.blocks_aborted == 0 and attacked.outcomes
+        for outcome in attacked.outcomes:
+            assert not outcome.aborted
+            assert outcome.cascade is not None and outcome.entropy is not None
+        assert attacked.distilled_bits < clean.distilled_bits
+        assert run(attacked=False)[1:] == (clean_blocks, clean_pool)
+        assert run(attacked=True)[1:] == (attacked_blocks, attacked_pool)

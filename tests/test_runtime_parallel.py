@@ -14,7 +14,7 @@ import pytest
 from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
 from repro.ipsec.gateway import GatewayPair
 from repro.network.relay import TrustedRelayNetwork
-from repro.runtime import LinkFarm, parallel_map, split_stage_plan
+from repro.runtime import LinkFarm, parallel_map, resolve_workers, split_stage_plan
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -323,6 +323,13 @@ class TestPoolHelpers:
         with pytest.raises(ValueError, match="backend"):
             parallel_map(_square, [1], workers=2, backend="fiber")
 
+    def test_resolve_workers_refuses_what_is_not_a_positive_integer(self):
+        for workers in (0, -3, 1.5, "2", True):
+            with pytest.raises(ValueError, match="worker count"):
+                resolve_workers(workers)
+        assert resolve_workers(3) == 3
+        assert resolve_workers(None) >= 1
+
 
 def _square(x):
     return x * x
@@ -340,6 +347,12 @@ class TestLinkFarm:
             assert [str(b.bits) for b in one.alice_pool.blocks] == [
                 str(b.bits) for b in two.alice_pool.blocks
             ]
+
+    @pytest.mark.parametrize("backend", ["process", "lanes"])
+    def test_bad_worker_count_is_refused_at_construction(self, backend):
+        """``lanes`` never reads the count, so ``run`` would never have raised."""
+        with pytest.raises(ValueError, match="worker count"):
+            LinkFarm(workers=0, backend=backend)
 
     def test_links_have_independent_streams(self):
         jobs = LinkFarm.jobs(2, 100_000, rng=DeterministicRNG(11))
@@ -361,13 +374,19 @@ class TestRelayParallelRefill:
         one = TrustedRelayNetwork.for_mesh(rng=DeterministicRNG(5))
         two = TrustedRelayNetwork.for_mesh(rng=DeterministicRNG(5))
         one.run_links_for(2.0, workers=1)
-        two.run_links_for(2.0, workers=3, backend="thread")
+        two.run_links_for(2.0, workers=3)
         for pair in one.pairwise_pads:
             pad_one, pad_two = one.pairwise_pads[pair], two.pairwise_pads[pair]
             assert pad_one.available_bytes == pad_two.available_bytes
             sample = min(pad_one.available_bytes, 32)
             if sample:
                 assert pad_one.peek(sample) == pad_two.peek(sample)
+
+    def test_refill_refuses_a_bad_worker_count(self):
+        mesh = TrustedRelayNetwork.for_mesh(rng=DeterministicRNG(5))
+        with pytest.raises(ValueError, match="worker count must be at least 1"):
+            mesh.run_links_for(1.0, workers=0)
+        assert not any(pad.available_bytes for pad in mesh.pairwise_pads.values())
 
     def test_successive_refills_add_fresh_material(self):
         mesh = TrustedRelayNetwork.for_mesh(rng=DeterministicRNG(5))

@@ -10,9 +10,9 @@ from repro.core.sifting import (
     run_length_decode,
     run_length_encode,
     run_length_encode_mask,
-    run_length_encode_scalar,
 )
 from repro.core.messages import SiftMessage
+from tests.oracles.scalar_rle import run_length_encode_scalar
 
 
 class TestRunLengthEncoding:
