@@ -13,6 +13,7 @@ import hashlib
 import pytest
 
 from repro import QKDSystem
+from repro.core.cascade import CascadeParameters, CascadeProtocol
 from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.core.sifting import SiftingProtocol
 from repro.eve import BeamSplittingAttack, InterceptResendAttack
@@ -259,3 +260,82 @@ def test_link_block_transcripts_are_pinned():
         hashlib.sha256(outcome.transcript.transcript_bytes()).hexdigest()
         for outcome in report.outcomes
     ) == PINNED_LINK_TRANSCRIPT_SHA256
+
+
+# ---------------------------------------------------------------------- #
+# Cascade transcript pins off the default path
+# ---------------------------------------------------------------------- #
+#
+# The block above reconciles one 2 048-bit key at 6 % with the default
+# parameters.  These reach what it does not: no first pass (every bisection
+# over a ~n/2 random subset), sparse subsets (gaps >= 128, the general index
+# coder), a high error rate (4-bit first-pass blocks, long cascades) and keys
+# so short that subsets hold one position and a bisection asks nothing.
+# Recorded at a014021, before Cascade's bookkeeping moved into arrays.
+
+#: name -> (key bits, error rate, parameter overrides, error-rate hint,
+#:          transcript sha256, len(log), total_bytes,
+#:          (errors corrected, disclosed, independent, rounds used, bisection queries))
+CASCADE_TRANSCRIPT_PINS = {
+    "no_first_pass": (
+        2048, 0.06, {"block_first_pass": False}, 0.06,
+        "4f15b5abe33905f06e7754dd8f7c9528b106c649483375412fcf6ce925efaa4e",
+        2458, 154_974, (123, 1371, 806, 2, 1227),
+    ),
+    "sparse_subsets": (
+        2048, 0.06, {"subset_density": 0.05}, 0.06,
+        "2e18a43bd317e1dbfca2cd00b06a868edcab46d4ca72b926efae1e4b6ccfc821",
+        1038, 17_040, (123, 831, 809, 2, 516),
+    ),
+    "qber_11": (
+        2048, 0.11, {}, 0.11,
+        "ebbc76d8bdeab9f297163938d8533887805e7915d532680e063f3cfcbfa72278",
+        2020, 78_836, (225, 1444, 1158, 2, 1007),
+    ),
+    "bits_1": (
+        1, 1.0, {}, None,
+        "b5b8b9eb81b4768e23975832ebaa8ee4c21d2a6a2049775d6552f5f603ec4997",
+        4, 322, (1, 81, 1, 1, 0),
+    ),
+    "bits_2": (
+        2, 0.5, {}, None,
+        "4b4c3bf6937bb1c66f8585f1de61ea14fcd35321e13a09b770654e9193b87c7d",
+        6, 347, (1, 82, 2, 1, 1),
+    ),
+    "bits_3": (
+        3, 0.34, {}, None,
+        "823b358a9ffd5347f00ff61c26b1818310dc61750b48650378b751af3b4bbbd2",
+        8, 372, (1, 83, 3, 1, 2),
+    ),
+    "bits_65": (
+        65, 0.06, {}, None,
+        "00e66d5a24cfab4325bc90821a61e6496ba58c732cff73db695998f637ee2045",
+        40, 1082, (4, 166, 54, 2, 17),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASCADE_TRANSCRIPT_PINS))
+def test_cascade_transcript_and_counts_are_pinned(name):
+    n, rate, overrides, hint, sha256, messages, total_bytes, counts = (
+        CASCADE_TRANSCRIPT_PINS[name]
+    )
+    rng = DeterministicRNG(220 + n)
+    reference = BitString.random(n, rng)
+    noisy = reference.to_list()
+    for index in rng.sample(range(n), int(round(rate * n))):
+        noisy[index] ^= 1
+    result = CascadeProtocol(CascadeParameters(**overrides), DeterministicRNG(22)).reconcile(
+        reference, BitString(noisy), error_rate_hint=hint
+    )
+    log = result.message_log
+    assert hashlib.sha256(log.transcript_bytes()).hexdigest() == sha256
+    assert (len(log), log.total_bytes) == (messages, total_bytes)
+    assert (
+        result.errors_corrected,
+        result.disclosed_parities,
+        result.independent_parities,
+        result.rounds_used,
+        result.bisection_queries,
+    ) == counts
+    assert result.confirmed and result.matches_reference
