@@ -29,20 +29,39 @@ The result object reports both the raw number of disclosed parities ``d`` —
 the quantity the paper's entropy formula subtracts — and the number of
 *linearly independent* parities, which is the information-theoretically tight
 figure and is useful for analysing the protocol's efficiency against the
-Shannon limit ``n·h(e)``.
+Shannon limit ``n·h(e)``; nothing between slot and key reads the latter, so
+it is computed from a compact ledger the first time it is asked for.
+
+**One process plays both parties, and the bookkeeping uses that.**  "Their
+records of subsets" are arrays: one membership matrix whose row ``r`` is
+subset ``r`` and whose column ``i`` is "the records that contain bit ``i``"
+(a located error is one column XOR into the ``mismatch`` vector), both keys
+as bit arrays, and ``diff = working ^ reference``.  A bisection takes one
+prefix-parity scan of the reference bits and one of ``diff`` over the
+record's ascending positions, and every step is then two lookups: the parity
+of ``positions[lo:mid]`` is ``prefix[mid] ^ prefix[lo]``.  Two separated
+parties could not form ``diff``; what makes the shortcut legal is that it
+only decides *which branch Bob takes*, and Bob's comparison of his own
+half-parity with Alice's reply is, bit for bit, the parity of ``diff`` over
+that half.  What must stay exactly two-party is everything that crosses the
+channel: each disclosed parity is a parity of Alice's key alone, over the
+subset slice a real Bob would have named, in the order the step-by-step
+exchange would have produced it — the pinned transcript digests in
+``tests/test_pinned_key_material.py`` and the record-per-subset reference in
+``tests/oracles/scalar_cascade.py`` hold the code to that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.core import wire
 from repro.core.messages import (
-    CascadeBisectQuery,
-    CascadeBisectReply,
+    CascadeBisection,
     CascadeParityReply,
     CascadeSubsetAnnouncement,
     PublicChannelLog,
@@ -112,7 +131,6 @@ class CascadeResult:
     corrected_key: BitString
     errors_corrected: int
     disclosed_parities: int
-    independent_parities: int
     rounds_used: int
     bisection_queries: int
     confirmed: bool
@@ -121,6 +139,17 @@ class CascadeResult:
     #: relies on ``confirmed``).
     matches_reference: Optional[bool] = None
     message_log: PublicChannelLog = field(default_factory=PublicChannelLog)
+    #: Set by ``reconcile``; what :attr:`independent_parities` is computed from.
+    _ledger: Optional["_DisclosureLedger"] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def independent_parities(self) -> int:
+        """Rank over GF(2) of every disclosed parity's subset — the tight
+        leakage figure.  Nothing on the slot-to-key path reads it, so it is
+        computed from the ledger on first read rather than per disclosure."""
+        return self._ledger.rank() if self._ledger is not None else 0
 
     @property
     def leakage_fraction(self) -> float:
@@ -130,46 +159,63 @@ class CascadeResult:
         return self.disclosed_parities / len(self.corrected_key)
 
 
-class _SubsetRecord:
-    """One announced parity subset, as both sides record it.
+#: Parity of every byte value: folds a packed AND down to one bit per row.
+_BYTE_PARITY = np.array([bin(byte).count("1") & 1 for byte in range(256)], dtype=np.uint8)
 
-    The subset lives in two forms: ``positions`` (ascending key positions,
-    the wire representation Cascade bisects over) and ``mask`` (the same
-    positions as an LSB-first bit mask, bit ``i`` = key position ``i``), so
-    parity checks are a word-wide AND-popcount instead of a per-index walk.
+
+def _subset_parities(packed_rows: np.ndarray, key_bits: np.ndarray) -> np.ndarray:
+    """The parity of ``key_bits`` over each row of a ``np.packbits``-ed membership matrix."""
+    return _BYTE_PARITY[np.bitwise_xor.reduce(packed_rows & np.packbits(key_bits), axis=1)]
+
+
+def _block_rows(n: int, block_size: int) -> np.ndarray:
+    """Membership rows of the first pass: row ``j`` is block ``j`` of ``block_size`` positions."""
+    positions = np.arange(n)
+    rows = np.zeros((-(-n // block_size), n), dtype=bool)
+    rows[positions // block_size, positions] = True
+    return rows
+
+
+class _DisclosureLedger(NamedTuple):
+    """What one reconciliation disclosed, in the fewest values that name it again.
+
+    Every announced subset is regenerated from the first-pass block size and
+    the LFSR seeds; every bisection query from where its search ended — a
+    binary search's path is fixed by its end point.  :meth:`rank` replays
+    them through :class:`IncrementalGF2Rank`; rank does not depend on order.
     """
 
-    __slots__ = ("seed", "positions", "mask", "reference_parity", "working_parity")
+    key_length: int
+    density: float
+    #: 0 when there was no first pass.
+    block_size: int
+    #: Each round's seeds in record order, then the confirmation's.
+    seeds: List[int]
+    #: ``record << 32 | offset`` per search: the error was ``positions[offset]``.
+    searches: np.ndarray
 
-    def __init__(
-        self,
-        seed: int,
-        positions: SubsetPositions,
-        mask: int,
-        reference_parity: int,
-        working_parity: int,
-    ):
-        self.seed = seed
-        self.positions = positions
-        self.mask = mask
-        self.reference_parity = reference_parity
-        self.working_parity = working_parity
-
-    @property
-    def mismatched(self) -> bool:
-        return self.reference_parity != self.working_parity
-
-    def segment_mask(self, lo: int, hi: int) -> int:
-        """Mask of ``positions[lo:hi]``: the positions are ascending, so they
-        are exactly the subset's members between the first and the last."""
-        first = int(self.positions.array[lo])
-        last = int(self.positions.array[hi - 1])
-        return self.mask & (((2 << (last - first)) - 1) << first)
-
-
-def _subset_parities(rows: np.ndarray, key_bits: np.ndarray) -> List[int]:
-    """The parity of ``key_bits`` over each row of a bool membership matrix."""
-    return np.bitwise_xor.reduce(rows & key_bits, axis=1).view(np.uint8).tolist()
+    def rank(self) -> int:
+        n = self.key_length
+        rows = lfsr_subset_rows(self.seeds, n, self.density)
+        if self.block_size:
+            rows = np.concatenate([_block_rows(n, self.block_size), rows])
+        masks = [
+            int.from_bytes(packed.tobytes(), "little")
+            for packed in np.packbits(rows, axis=1, bitorder="little")
+        ]
+        tracker = IncrementalGF2Rank(columns=n)
+        for mask in masks:
+            tracker.add(mask)
+        for search in self.searches.tolist():
+            record, found = search >> 32, search & 0xFFFFFFFF
+            positions = np.flatnonzero(rows[record]).tolist()
+            lo, hi = 0, len(positions)
+            while hi - lo > 1:
+                mid = lo + (hi - lo) // 2
+                first, last = positions[lo], positions[mid - 1]
+                tracker.add(masks[record] & (((2 << (last - first)) - 1) << first))
+                lo, hi = (lo, mid) if found < mid else (mid, hi)
+        return tracker.rank
 
 
 class CascadeProtocol:
@@ -211,7 +257,6 @@ class CascadeProtocol:
                 corrected_key=BitString(),
                 errors_corrected=0,
                 disclosed_parities=0,
-                independent_parities=0,
                 rounds_used=0,
                 bisection_queries=0,
                 confirmed=True,
@@ -219,118 +264,13 @@ class CascadeProtocol:
                 message_log=log,
             )
 
-        # Both keys and every subset live as LSB-first packed words (bit i =
-        # key position i) so parity checks are AND-plus-popcount.
-        working = working_key.to_int_lsb()
-        reference = reference_key.to_int_lsb()  # only parities of it are disclosed
-        # Alice's side of each round's announcement comes from the round's
-        # membership matrix in one pass.  (Bob's replies stay per-mask: his
-        # key keeps changing as errors are fixed.)
-        reference_bits = wire.unpack_bitmap(reference_key.to_bytes(), n).view(bool)
-        stride = (n + 7) // 8
+        # Only parities of the reference key are ever disclosed; ``diff`` is
+        # the simulation's own knowledge of where the two keys still differ.
+        reference_bits = wire.unpack_bitmap(reference_key.to_bytes(), n)
+        working_bits = wire.unpack_bitmap(working_key.to_bytes(), n)
+        diff = reference_bits ^ working_bits
 
-        def expand(seeds: List[int]):
-            """A batch of LFSR subsets as (membership rows, LSB-first masks)."""
-            rows = lfsr_subset_rows(seeds, n, params.subset_density)
-            packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
-            masks = [
-                int.from_bytes(packed[start : start + stride], "little")
-                for start in range(0, len(packed), stride)
-            ]
-            return rows, masks
-
-        disclosed = 0
-        bisections = 0
-        errors_corrected = 0
-        rank_tracker = IncrementalGF2Rank(columns=n)
-        records: List[_SubsetRecord] = []
-        # Numpy mirror of the records' parities, active while a round's
-        # mismatches are being worked: the "find the first mismatched subset"
-        # scan is one vectorized compare instead of a Python walk per fix.
-        parity_mirror: Optional[np.ndarray] = None
-
-        def disclose_mask_parity(mask: int) -> int:
-            """Alice discloses the reference parity of a subset mask."""
-            nonlocal disclosed
-            disclosed += 1
-            rank_tracker.add(mask)
-            return (reference & mask).bit_count() & 1
-
-        def working_parity(mask: int) -> int:
-            return (working & mask).bit_count() & 1
-
-        def fix_bit(index: int) -> None:
-            """Flip the located error bit and update every recorded parity."""
-            nonlocal working, errors_corrected
-            index = int(index)
-            working ^= 1 << index
-            errors_corrected += 1
-            for position, record in enumerate(records):
-                if (record.mask >> index) & 1:
-                    record.working_parity ^= 1
-                    if parity_mirror is not None:
-                        parity_mirror[position] ^= 1
-
-        def bisect(record: _SubsetRecord, round_index: int, subset_index: int) -> None:
-            """Divide-and-conquer search for one error inside a mismatched subset.
-
-            The live segment is always ``record.positions[lo:hi]``; the query
-            names the queried half by its bounds, and the codec serializes it
-            from those when the transcript is tagged.
-            """
-            nonlocal disclosed, bisections
-            lo, hi = 0, len(record.positions)
-            while hi - lo > 1:
-                mid = lo + (hi - lo) // 2
-                log.record(
-                    CascadeBisectQuery.slice_of(
-                        round_index, subset_index, record.positions, lo, mid
-                    )
-                )
-                half_mask = record.segment_mask(lo, mid)
-                reference_parity = disclose_mask_parity(half_mask)
-                bisections += 1
-                log.record(
-                    CascadeBisectReply(
-                        round_index=round_index,
-                        subset_index=subset_index,
-                        parity=reference_parity,
-                    )
-                )
-                if working_parity(half_mask) != reference_parity:
-                    hi = mid
-                else:
-                    lo = mid
-            fix_bit(record.positions.array[lo])
-
-        def work_all_mismatches(round_index: int) -> None:
-            """Bisect every mismatched record until all recorded parities agree.
-
-            Always works the lowest-index mismatched record first (the same
-            order the per-record scan used), but finds it with one vectorized
-            compare over the parity mirror, which ``fix_bit`` keeps current.
-            """
-            nonlocal parity_mirror
-            if not records:
-                return
-            count = len(records)
-            reference_parities = np.fromiter(
-                (record.reference_parity for record in records), np.uint8, count
-            )
-            parity_mirror = np.fromiter(
-                (record.working_parity for record in records), np.uint8, count
-            )
-            try:
-                while True:
-                    mismatched = np.flatnonzero(parity_mirror != reference_parities)
-                    if mismatched.size == 0:
-                        break
-                    subset_index = int(mismatched[0])
-                    bisect(records[subset_index], round_index, subset_index)
-            finally:
-                parity_mirror = None
-
-        # ---------------- First pass: contiguous blocks ("subranges") -------- #
+        block_size = 0
         if params.block_first_pass:
             hint = (
                 error_rate_hint
@@ -338,83 +278,89 @@ class CascadeProtocol:
                 else params.default_error_rate_hint
             )
             block_size = params.first_pass_block_size(hint)
-            block_parities: List[int] = []
-            block_seeds: List[int] = []
-            for start in range(0, n, block_size):
-                stop = min(start + block_size, n)
-                mask = ((1 << (stop - start)) - 1) << start
-                reference_parity = disclose_mask_parity(mask)
-                block_parities.append(reference_parity)
-                block_seeds.append(start)  # blocks are identified by offset, not seed
-                records.append(
-                    _SubsetRecord(
-                        seed=start,
-                        positions=SubsetPositions(np.arange(start, stop, dtype=np.int64)),
-                        mask=mask,
-                        reference_parity=reference_parity,
-                        working_parity=working_parity(mask),
-                    )
-                )
-            log.record(
-                CascadeSubsetAnnouncement(
-                    round_index=-1,
-                    key_length=n,
-                    seeds=block_seeds,
-                    parities=block_parities,
-                )
-            )
-            log.record(
-                CascadeParityReply(
-                    round_index=-1,
-                    parities=[record.working_parity for record in records],
-                )
-            )
-            work_all_mismatches(round_index=-1)
+        capacity = params.rounds * params.subsets_per_round
+        capacity += -(-n // block_size) if block_size else 0
+        # Both sides' records: ``member[r]`` is record r's subset, column i
+        # "the records that contain bit i", ``mismatch[r]`` whether the two
+        # recorded parities of r currently disagree.
+        member = np.zeros((capacity, n), dtype=np.uint8)
+        mismatch = np.zeros(capacity, dtype=np.uint8)
+        count = 0
+        #: record -> (positions, prefix parities of the reference key over them)
+        bisected: Dict[int, Tuple[SubsetPositions, bytes]] = {}
+        seeds_used: List[int] = []
+        searches: List[int] = []
+        bisections = 0
+
+        def bisect(round_index: int, record: int) -> None:
+            """Divide-and-conquer search for one error inside a mismatched record.
+
+            The live segment is always ``positions[lo:hi]``.  Alice's reply
+            about ``positions[lo:mid]`` is a difference of two prefix
+            parities of *her* key, and whether Bob's half disagrees with it is
+            the same difference over ``diff`` — the replies and their order
+            are those of the step-by-step exchange.
+            """
+            nonlocal bisections
+            if record not in bisected:
+                # (bool view of the 0/1 row: numpy's fast nonzero path)
+                positions = np.flatnonzero(member[record].view(bool))
+                prefix = np.bitwise_xor.accumulate(reference_bits[positions])
+                bisected[record] = SubsetPositions(positions), prefix.tobytes()
+            subset, reference_prefix = bisected[record]
+            diff_prefix = np.bitwise_xor.accumulate(diff[subset.array]).tobytes()
+            lo, hi, reference_lo, diff_lo = 0, len(subset), 0, 0
+            steps = []
+            while hi - lo > 1:
+                mid = lo + (hi - lo) // 2
+                reference_mid, diff_mid = reference_prefix[mid - 1], diff_prefix[mid - 1]
+                steps.append((lo, mid, reference_mid ^ reference_lo))
+                if diff_mid ^ diff_lo:
+                    hi = mid
+                else:
+                    lo, reference_lo, diff_lo = mid, reference_mid, diff_mid
+            log.record(CascadeBisection.over(round_index, record, subset, steps))
+            bisections += len(steps)
+            searches.append(record << 32 | lo)
+            # "Both sides inspect their records of subsets and subranges, and
+            # flip the recorded parity of those that contained that bit."
+            index = subset.array[lo]
+            working_bits[index] ^= 1
+            diff[index] ^= 1
+            mismatch[:count] ^= member[:count, index]
+
+        def announce(round_index: int, seeds: List[int], rows: np.ndarray) -> None:
+            """One stage: Alice's parities over ``rows``, Bob's replies, then
+            every mismatched record — of this stage or, as fixes flip them
+            back, of earlier ones (the "cascade") — bisected lowest first."""
+            nonlocal count
+            packed = np.packbits(rows, axis=1)
+            announced = _subset_parities(packed, reference_bits)
+            replies = _subset_parities(packed, working_bits)
+            log.record(CascadeSubsetAnnouncement(round_index, n, seeds, announced.tolist()))
+            log.record(CascadeParityReply(round_index, replies.tolist()))
+            member[count : count + len(seeds)] = rows
+            mismatch[count : count + len(seeds)] = announced ^ replies
+            count += len(seeds)
+            while True:
+                record = int(mismatch[:count].argmax())
+                if not mismatch[record]:
+                    return
+                bisect(round_index, record)
+
+        # ---------------- First pass: contiguous blocks ("subranges") -------- #
+        if block_size:
+            # Blocks are identified by offset, not seed.
+            announce(-1, list(range(0, n, block_size)), _block_rows(n, block_size))
 
         # ---------------- Pseudo-random LFSR subset rounds ------------------- #
         rounds_used = 0
         for round_index in range(params.rounds):
             rounds_used += 1
-            errors_before_round = errors_corrected
+            errors_before_round = len(searches)
             seeds = [self.rng.getrandbits(32) for _ in range(params.subsets_per_round)]
-            rows, masks = expand(seeds)
-            announcement_parities = _subset_parities(rows, reference_bits)
-            round_records: List[_SubsetRecord] = []
-            for seed, row, mask, reference_parity in zip(
-                seeds, rows, masks, announcement_parities
-            ):
-                # Same accounting as disclose_mask_parity, in the same order.
-                disclosed += 1
-                rank_tracker.add(mask)
-                round_records.append(
-                    _SubsetRecord(
-                        seed=seed,
-                        positions=SubsetPositions(np.flatnonzero(row)),
-                        mask=mask,
-                        reference_parity=reference_parity,
-                        working_parity=working_parity(mask),
-                    )
-                )
-            log.record(
-                CascadeSubsetAnnouncement(
-                    round_index=round_index,
-                    key_length=n,
-                    seeds=seeds,
-                    parities=announcement_parities,
-                )
-            )
-            log.record(
-                CascadeParityReply(
-                    round_index=round_index,
-                    parities=[record.working_parity for record in round_records],
-                )
-            )
-            records.extend(round_records)
-
-            # Work every mismatch to exhaustion; fixing a bit may flip earlier
-            # rounds' recorded parities back into mismatch, which is the
-            # "cascade" the protocol is named for.
-            work_all_mismatches(round_index)
+            seeds_used += seeds
+            announce(round_index, seeds, lfsr_subset_rows(seeds, n, params.subset_density))
 
             # Adaptive early exit ("will not disclose too many bits if the
             # number of errors is low"): once a round of fresh subsets finds
@@ -423,38 +369,33 @@ class CascadeProtocol:
             # (block pass + one subset round, or two subset rounds) must have
             # run before the protocol may stop.
             had_earlier_stage = params.block_first_pass or round_index >= 1
-            if had_earlier_stage and errors_corrected == errors_before_round:
+            if had_earlier_stage and len(searches) == errors_before_round:
                 break
 
         # Confirmation parities: fresh random subsets whose parities must all
-        # agree for the block to be accepted.  Drawing the seeds up front
-        # consumes the RNG identically (mask expansion draws nothing), so the
-        # whole confirmation stage is one more batched parity check.
-        confirmed = True
-        confirmation_seeds = [
-            self.rng.getrandbits(32) for _ in range(params.confirmation_parities)
-        ]
-        rows, confirmation_masks = expand(confirmation_seeds)
-        for mask, reference_parity in zip(
-            confirmation_masks, _subset_parities(rows, reference_bits)
-        ):
-            disclosed += 1
-            rank_tracker.add(mask)
-            if reference_parity != working_parity(mask):
-                confirmed = False
+        # agree for the block to be accepted — i.e. ``diff`` has even weight
+        # over every one of them.
+        seeds = [self.rng.getrandbits(32) for _ in range(params.confirmation_parities)]
+        seeds_used += seeds
+        rows = lfsr_subset_rows(seeds, n, params.subset_density)
+        confirmed = not _subset_parities(np.packbits(rows, axis=1), diff).any()
 
-        corrected = BitString.from_int_lsb(working, n)
-        return CascadeResult(
+        corrected = BitString.from_bytes(np.packbits(working_bits).tobytes())[:n]
+        result = CascadeResult(
             corrected_key=corrected,
-            errors_corrected=errors_corrected,
-            disclosed_parities=disclosed,
-            independent_parities=rank_tracker.rank,
+            errors_corrected=len(searches),
+            # Every announced, bisected and confirmation parity is Eve's.
+            disclosed_parities=count + bisections + len(seeds),
             rounds_used=rounds_used,
             bisection_queries=bisections,
             confirmed=confirmed,
             matches_reference=(corrected == reference_key),
             message_log=log,
         )
+        result._ledger = _DisclosureLedger(
+            n, params.subset_density, block_size, seeds_used, np.array(searches, dtype=np.uint64)
+        )
+        return result
 
     # ------------------------------------------------------------------ #
 

@@ -25,11 +25,21 @@ Two encodings exist side by side:
   use it as their ``encode()`` directly, :meth:`CascadeBisectQuery.encode`
   falls back to it for a hand-built query whose indices are not ascending,
   and E12 reports the JSON run-length size as one of its paper-claim columns.
+
+A :class:`PublicChannelLog` holds one object per message with one exception:
+Cascade records a whole bisection — up to ``2·⌈log₂ n⌉`` query/reply messages
+over one subset — as a single :class:`CascadeBisection` entry that keeps the
+messages' wire bytes and their count and nothing else.  ``len(log)``,
+``total_bytes`` and ``transcript_bytes()`` read those directly;
+:meth:`PublicChannelLog.expanded` and ``messages_of_type`` decode an entry
+back into the :class:`CascadeBisectQuery` / :class:`CascadeBisectReply`
+objects, which remain the definition of each message's bytes.
 """
 
 from __future__ import annotations
 
 import json
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -350,7 +360,7 @@ class CascadeBisectQuery:
         still taggable).
         """
         if self._slice is not None:
-            return self._encode_slice(*self._slice)
+            return _slice_query_bytes(self.round_index, self.subset_index, *self._slice)
         indices = np.asarray(self.indices, dtype=np.int64)
         min_delta = (
             int(np.diff(indices).min()) if indices.size > 1 else 1
@@ -385,21 +395,6 @@ class CascadeBisectQuery:
             + bytes([self._MODE_DELTAS])
             + wire.encode_ascending_indices(indices)
         )
-
-    def _encode_slice(self, subset: SubsetPositions, lo: int, hi: int) -> bytes:
-        """The same bytes for ``subset.array[lo:hi]``, from the bounds alone."""
-        header = wire.pack_header(
-            wire.KIND_CASCADE_BISECT, "iII", self.round_index, self.subset_index, hi - lo
-        )
-        first = int(subset.array[lo])
-        if int(subset.array[hi - 1]) - first == hi - lo - 1:
-            return header + bytes([self._MODE_RANGE]) + wire.encode_varints((first,))
-        deltas = subset.delta_bytes
-        if not deltas:
-            indices = wire.encode_ascending_indices(subset.array[lo:hi])
-        else:
-            indices = wire.encode_varints((first,)) + deltas[lo : hi - 1]
-        return header + bytes([self._MODE_DELTAS]) + indices
 
     def encode_json(self) -> bytes:
         return _encode_json_payload(
@@ -445,6 +440,33 @@ class CascadeBisectQuery:
         )
 
 
+#: The fixed part of a bisect query (kind, round, subset, index count, mode)
+#: and the whole of a reply (kind, round, subset, parity).
+_BISECT_QUERY_HEADER = struct.Struct("<BiIIB")
+_BISECT_REPLY = struct.Struct("<BiIB")
+
+
+def _slice_query_bytes(
+    round_index: int, subset_index: int, subset: SubsetPositions, lo: int, hi: int
+) -> bytes:
+    """:meth:`CascadeBisectQuery.encode` of ``subset.array[lo:hi]``, from the bounds alone."""
+    first = int(subset.array[lo])
+    mode = CascadeBisectQuery._MODE_DELTAS
+    if int(subset.array[hi - 1]) - first == hi - lo - 1:
+        mode, indices = CascadeBisectQuery._MODE_RANGE, wire.encode_varints((first,))
+    elif subset.delta_bytes:
+        indices = wire.encode_varints((first,)) + subset.delta_bytes[lo : hi - 1]
+    else:
+        indices = wire.encode_ascending_indices(subset.array[lo:hi])
+    try:
+        header = _BISECT_QUERY_HEADER.pack(
+            wire.KIND_CASCADE_BISECT, round_index, subset_index, hi - lo, mode
+        )
+    except struct.error as exc:
+        raise ValueError(f"header field out of range: {exc}") from None
+    return header + indices
+
+
 @dataclass
 class CascadeBisectReply:
     """The parity of the queried subrange."""
@@ -474,10 +496,65 @@ class CascadeBisectReply:
 
     @classmethod
     def decode(cls, data: bytes) -> "CascadeBisectReply":
-        (round_index, subset_index, parity), _ = wire.unpack_header(
+        (round_index, subset_index, parity), rest = wire.unpack_header(
             data, wire.KIND_CASCADE_BISECT_REPLY, "iIB"
         )
+        if rest or parity > 1:
+            raise wire.WireDecodeError("bisect reply is a header and one parity bit")
         return cls(round_index=round_index, subset_index=subset_index, parity=parity)
+
+
+class CascadeBisection:
+    """One whole divide-and-conquer search, recorded as a single log entry.
+
+    The entry holds the wire bytes of its query/reply pairs in the order
+    they crossed the channel and how many messages that is — not the
+    subset's position arrays, so a finished block retains its transcript
+    and little else.  :class:`CascadeBisectQuery` and
+    :class:`CascadeBisectReply` remain the definition of each message;
+    :meth:`messages` decodes the bytes back into them.
+    """
+
+    __slots__ = ("wire_bytes", "message_count")
+
+    def __init__(self, wire_bytes: bytes, message_count: int):
+        self.wire_bytes = wire_bytes
+        self.message_count = message_count
+
+    @classmethod
+    def over(
+        cls, round_index: int, subset_index: int, subset: SubsetPositions, steps
+    ) -> "CascadeBisection":
+        """The search whose every ``(lo, mid, parity)`` step asked for the
+        parity of ``subset.array[lo:mid]`` and was told ``parity``."""
+        parts = []
+        for lo, mid, parity in steps:
+            parts.append(_slice_query_bytes(round_index, subset_index, subset, lo, mid))
+            parts.append(
+                _BISECT_REPLY.pack(
+                    wire.KIND_CASCADE_BISECT_REPLY, round_index, subset_index, parity
+                )
+            )
+        return cls(b"".join(parts), len(parts))
+
+    def encode(self) -> bytes:
+        return self.wire_bytes
+
+    def messages(self) -> List[object]:
+        """The queries and replies as message objects, decoded from the bytes."""
+        out: List[object] = []
+        data, offset = self.wire_bytes, 0
+        while offset < len(data):
+            n_indices, mode = _BISECT_QUERY_HEADER.unpack_from(data, offset)[3:]
+            end = offset + _BISECT_QUERY_HEADER.size
+            for _ in range(1 if mode == CascadeBisectQuery._MODE_RANGE else n_indices):
+                while data[end] >= 0x80:  # a varint ends at its first byte below 0x80
+                    end += 1
+                end += 1
+            out.append(CascadeBisectQuery.decode(data[offset:end]))
+            offset = end + _BISECT_REPLY.size
+            out.append(CascadeBisectReply.decode(data[end:offset]))
+        return out
 
 
 @dataclass
@@ -573,12 +650,22 @@ class PublicChannelLog:
     def total_bytes(self) -> int:
         return sum(len(m.encode()) for m in self.messages)
 
+    def expanded(self) -> List[object]:
+        """One object per message: each bisection entry as its queries and replies."""
+        out: List[object] = []
+        for m in self.messages:
+            out.extend(m.messages() if isinstance(m, CascadeBisection) else (m,))
+        return out
+
     def messages_of_type(self, message_type) -> List[object]:
-        return [m for m in self.messages if isinstance(m, message_type)]
+        return [m for m in self.expanded() if isinstance(m, message_type)]
 
     def transcript_bytes(self) -> bytes:
         """The concatenated byte encoding of every message, in order."""
         return b"".join(m.encode() for m in self.messages)
 
     def __len__(self) -> int:
-        return len(self.messages)
+        """Messages that crossed the channel (a bisection entry counts all of its own)."""
+        return sum(
+            m.message_count if isinstance(m, CascadeBisection) else 1 for m in self.messages
+        )

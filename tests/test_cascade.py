@@ -123,6 +123,28 @@ class TestLeakageAccounting:
         assert result.independent_parities <= result.disclosed_parities
         assert result.independent_parities <= len(reference)
 
+    def test_rank_is_computed_on_first_read_not_while_reconciling(self, monkeypatch):
+        # Nothing between slot and key reads the independent-parity count, so
+        # reconcile must not pay for it: the rank tracker runs when the value
+        # is first asked for, once, and the value travels with a pickled result.
+        import pickle
+
+        from repro.mathkit.gf2 import IncrementalGF2Rank
+
+        calls = []
+        original = IncrementalGF2Rank.add
+        monkeypatch.setattr(
+            IncrementalGF2Rank, "add", lambda self, mask: calls.append(1) or original(self, mask)
+        )
+        reference, noisy, _ = make_keys(900, 0.06, seed=12)
+        result = CascadeProtocol(rng=DeterministicRNG(9)).reconcile(reference, noisy)
+        assert calls == []
+        shipped = pickle.loads(pickle.dumps(result))
+        rank = result.independent_parities
+        assert len(calls) == result.disclosed_parities
+        assert result.independent_parities == rank == shipped.independent_parities
+        assert len(calls) == 2 * result.disclosed_parities  # the copy computed its own, once
+
     def test_adaptive_disclosure(self):
         """Low error rates must disclose fewer parities than high error rates."""
         protocol_low = CascadeProtocol(rng=DeterministicRNG(10))

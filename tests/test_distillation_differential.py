@@ -5,19 +5,30 @@ behind them are linear over GF(2): the LFSR subset expansion, the
 Wegman-Carter chain and the bisect-query serialisation.  Each must be
 observationally identical to the definition it replaced — ``LFSR.step()``,
 one ``hash_value`` per chunk, ``CascadeBisectQuery(indices=...).encode()`` —
-which are the oracles here.
+which are the oracles here.  Section (d) holds Cascade's array bookkeeping
+as a whole to the record-per-subset ``reconcile`` it replaced
+(``tests/oracles/scalar_cascade.py``).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.cascade import CascadeProtocol
-from repro.core.messages import CascadeBisectQuery, SubsetPositions, decode_message
+from repro.core.cascade import CascadeParameters, CascadeProtocol
+from repro.core.messages import (
+    CascadeBisection,
+    CascadeBisectQuery,
+    CascadeBisectReply,
+    PublicChannelLog,
+    SiftResponseMessage,
+    SubsetPositions,
+    decode_message,
+)
 from repro.mathkit import lfsr
 from repro.mathkit.toeplitz import ToeplitzHash
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.scalar_cascade import scalar_reconcile
 
 # --------------------------------------------------------------------------- #
 # (a) LFSR subset expansion
@@ -169,6 +180,13 @@ def assert_slice_query_matches(positions, lo, hi):
     assert encoded == reference.encode()
     assert decode_message(encoded) == reference
     assert query.encode_json() == reference.encode_json()
+    # The same step inside a whole-search entry, twice over so the entry has
+    # to find where one message ends and the next begins.
+    reply = CascadeBisectReply(round_index=3, subset_index=17, parity=1)
+    entry = CascadeBisection.over(3, 17, subset, [(lo, hi, 1), (lo, hi, 1)])
+    assert entry.wire_bytes == 2 * (encoded + reply.encode())
+    assert entry.messages() == [reference, reply, reference, reply]
+    assert entry.message_count == 4
 
 
 def test_slice_queries_cover_every_coding_case():
@@ -193,3 +211,74 @@ def test_slice_query_matches_index_query(positions, data):
     lo = data.draw(st.integers(0, len(positions) - 1))
     hi = data.draw(st.integers(lo + 1, len(positions)))
     assert_slice_query_matches(positions, lo, hi)
+
+
+# --------------------------------------------------------------------------- #
+# (d) Cascade's array bookkeeping vs. one record object per subset
+# --------------------------------------------------------------------------- #
+
+
+def assert_reconcile_matches_scalar(n, error_rate, block_first_pass, density, with_hint, seed):
+    rng = DeterministicRNG(seed)
+    reference = BitString.random(n, rng)
+    noisy = reference.to_list()
+    for index in rng.sample(range(n), int(round(error_rate * n))):
+        noisy[index] ^= 1
+    noisy = BitString(noisy)
+    parameters = CascadeParameters(block_first_pass=block_first_pass, subset_density=density)
+    hint = max(error_rate, 0.001) if with_hint else None
+
+    def run(reconcile):
+        protocol = CascadeProtocol(parameters, DeterministicRNG(seed + 1))
+        # A message ahead of Cascade's, as the pipeline's shared log has.
+        log = PublicChannelLog([SiftResponseMessage(frame_id=1, accept_mask=[1, 0])])
+        result = reconcile(protocol, reference, noisy, log=log, error_rate_hint=hint)
+        assert result.message_log is log
+        return result, protocol.rng.getrandbits(32)
+
+    expected, expected_draw = run(scalar_reconcile)
+    result, draw = run(CascadeProtocol.reconcile)
+    log, expected_log = result.message_log, expected.message_log
+    assert log.transcript_bytes() == expected_log.transcript_bytes()
+    assert log.total_bytes == expected_log.total_bytes
+    # The scalar log holds one object per message; JSON is the semantic
+    # fingerprint that does not care whether a field is a list or an array.
+    assert len(log) == len(expected_log) == len(expected_log.messages)
+    assert [(type(m), m.encode_json()) for m in log.expanded()] == [
+        (type(m), m.encode_json()) for m in expected_log.messages
+    ]
+    for message_type in (CascadeBisectQuery, CascadeBisectReply):
+        assert len(log.messages_of_type(message_type)) == result.bisection_queries
+    for name in (
+        "corrected_key",
+        "errors_corrected",
+        "disclosed_parities",
+        "independent_parities",
+        "rounds_used",
+        "bisection_queries",
+        "confirmed",
+        "matches_reference",
+    ):
+        assert getattr(result, name) == getattr(expected, name), name
+    assert draw == expected_draw
+
+
+@pytest.mark.parametrize("block_first_pass", [True, False])
+@pytest.mark.parametrize("density", [0.05, 0.5, 1.0])
+def test_reconcile_matches_scalar_records_on_a_noisy_block(block_first_pass, density):
+    assert_reconcile_matches_scalar(1500, 0.08, block_first_pass, density, True, seed=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 70), st.integers(1, 3000)),
+    error_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.25)),
+    block_first_pass=st.booleans(),
+    density=st.sampled_from([0.05, 0.5, 1.0]),
+    with_hint=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_reconcile_matches_scalar_records(
+    n, error_rate, block_first_pass, density, with_hint, seed
+):
+    assert_reconcile_matches_scalar(n, error_rate, block_first_pass, density, with_hint, seed)

@@ -223,3 +223,73 @@ class TestEngineMemory:
         finally:
             tracemalloc.stop()
         assert (grown - warm) / 36 < 50_000
+
+    def test_a_block_outcome_retains_little_beyond_its_transcript(self):
+        # Whoever keeps a link report keeps every block's outcome, and an
+        # outcome keeps its ~50 KB public transcript.  It must not also keep
+        # what Cascade worked with to produce it: an object and an index view
+        # per bisection step and each bisected subset's position array were
+        # ~390 KB a block before a whole search became one entry of bytes.
+        import gc
+        import tracemalloc
+
+        from repro import QKDSystem
+        from repro.core.messages import CascadeBisection
+
+        tracemalloc.start()
+        try:
+            report = QKDSystem(seed=2003).link().run_slots(10_000_000)
+            outcomes = report.outcomes
+            blocks = len(outcomes)
+            searches = sum(
+                isinstance(entry, CascadeBisection)
+                for outcome in outcomes
+                for entry in outcome.transcript.messages
+            )
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            outcomes.clear()
+            gc.collect()
+            released = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert blocks == 8 and searches > 50 * blocks
+        assert released / blocks <= 128 * 1024
+
+
+class TestTranscriptEntries:
+    def test_a_transcript_of_bisection_entries_survives_pickle_and_the_attack_copies(self):
+        # The process backend of ParallelDistiller ships outcomes by pickle,
+        # and the man-in-the-middle model deep-copies a transcript entry by
+        # entry: bytes and message count must come through both.
+        import pickle
+
+        from repro.core.messages import CascadeBisection, CascadeBisectQuery
+        from repro.eve import ManInTheMiddleAttack
+
+        engine = QKDProtocolEngine(rng=DeterministicRNG(41))
+        log = engine.distill_block(
+            *noisy_pair(2048, 0.05, seed=42), transmitted_pulses=500_000
+        ).transcript
+        entries = [m for m in log.messages if isinstance(m, CascadeBisection)]
+        assert entries and len(log) > len(log.messages)
+        transcript, count = log.transcript_bytes(), len(log)
+
+        shipped = pickle.loads(pickle.dumps(log))
+        assert (shipped.transcript_bytes(), len(shipped)) == (transcript, count)
+        assert len(shipped.messages_of_type(CascadeBisectQuery)) == sum(
+            entry.message_count for entry in entries
+        ) // 2
+
+        attack = ManInTheMiddleAttack(DeterministicRNG(43))
+        forged = attack.impersonation_transcript(log)
+        assert (forged.transcript_bytes(), len(forged)) == (transcript, count)
+        assert all(a is not b for a, b in zip(forged.messages, log.messages))
+        tampered = attack.tamper_with_transcript(log)
+        assert len(tampered) == count
+        assert tampered.transcript_bytes() != transcript
+        assert len(tampered.transcript_bytes()) == len(transcript)
+        assert [m.wire_bytes for m in tampered.messages if isinstance(m, CascadeBisection)] == [
+            entry.wire_bytes for entry in entries
+        ]
+        assert (log.transcript_bytes(), len(log)) == (transcript, count)

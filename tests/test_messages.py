@@ -182,6 +182,24 @@ class TestBinaryWireCodec:
         with pytest.raises(wire.WireDecodeError):
             decode_message(hostile)
 
+    def test_bisect_reply_decode_refuses_trailing_bytes(self):
+        # Every other binary kind accounts for its whole payload; a reply is
+        # a fixed header and nothing more.
+        encoded = CascadeBisectReply(round_index=2, subset_index=9, parity=1).encode()
+        assert decode_message(encoded).parity == 1
+        with pytest.raises(wire.WireDecodeError):
+            CascadeBisectReply.decode(encoded + b"\x00")
+        with pytest.raises(wire.WireDecodeError):
+            decode_message(encoded + encoded)
+
+    def test_bisect_reply_decode_refuses_a_parity_that_is_not_a_bit(self):
+        # encode() masks the parity to one bit, so no honest sender produces
+        # a final byte above 1; it must not decode to ``parity=7``.
+        encoded = CascadeBisectReply(round_index=0, subset_index=3, parity=1).encode()
+        for final in (0x02, 0x07, 0xFF):
+            with pytest.raises(wire.WireDecodeError):
+                CascadeBisectReply.decode(encoded[:-1] + bytes([final]))
+
     def test_huge_bisect_indices_fall_back_to_json(self):
         # Values past the decoder's 32-bit delta cap must not produce a
         # binary message that decode_message then rejects.
