@@ -14,6 +14,7 @@ Four layers of contract:
 """
 
 import asyncio
+import hashlib
 import struct
 from unittest import mock
 
@@ -67,6 +68,10 @@ def counter_material(bits, first=0):
     return BitString.from_bytes(
         b"".join(struct.pack(">Q", i) for i in range(first, first + bits // 64))
     )
+
+
+def sha256_hex(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def make_store(bits=1 << 15, **kwargs):
@@ -643,7 +648,8 @@ class TestFacadeAndMetrics:
 
     def test_metrics_report_shape(self):
         async def scenario():
-            server = await started_server()
+            # Up to v3 a get_key is two requests, and the counts below say so.
+            server = await started_server(versions=(1, 2, 3))
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     await client.capabilities()
@@ -1238,3 +1244,184 @@ class TestNoTaskPerRequest:
         assert [len(keys) for keys in served] == [100, 100]
         assert metrics.keys_served == 202
         assert during == []
+
+
+# --------------------------------------------------------------------------- #
+# get_key leaves the server in one state, however many frames carried it
+# --------------------------------------------------------------------------- #
+
+SCRIPT_PAIRS = (("alice", "bob"), ("carol", "dave"), ("nobody", "here"))  # [2] has no store
+SCRIPT_MAX_RESERVE_BITS = 2048
+
+
+def pinned_script():
+    """40 served ``get_key``s of 8..1024 bits alternating over two connections
+    and two pairs, three refused ones (unknown pair, over the reserve limit, an
+    exhausted store) and a deposit that refills the store that ran dry."""
+    script = []
+    for i in range(40):
+        script.append(("get", i % 2, (i // 3) % 2, 8 + (37 * i * i + 101 * i) % 1017))
+        if i == 9:
+            script.append(("get", 0, 2, 256))
+        if i == 19:
+            script.append(("get", 1, 0, SCRIPT_MAX_RESERVE_BITS + 1))
+        if i == 22:
+            script.append(("get", 0, 1, SCRIPT_MAX_RESERVE_BITS))
+            script.append(("deposit", 1, 4096))
+    return script
+
+
+def run_script(script, versions):
+    """Play ``script`` against a fresh server, both sides offering ``versions``;
+    returns everything the script leaves behind (read before ``stop()``, which
+    clears the replay cache) and the request counts, which alone may depend on
+    how many frames a ``get_key`` is."""
+    clock = {"t": 10.0}
+
+    async def scenario():
+        stores = {pair: KeyStore(pair) for pair in SCRIPT_PAIRS[:2]}
+        stores[SCRIPT_PAIRS[0]].deposit(counter_material(1 << 15))
+        stores[SCRIPT_PAIRS[1]].deposit(counter_material(8192, first=1 << 48))
+        server = await started_server(
+            stores,
+            versions=versions,
+            max_reserve_bits=SCRIPT_MAX_RESERVE_BITS,
+            now=lambda: clock["t"],
+            reap_interval_seconds=None,
+        )
+        clients = [NetworkKmsClient("127.0.0.1", server.port, versions=versions) for _ in range(2)]
+        outcomes = []
+        deposited = 2 << 48
+        try:
+            for client in clients:
+                assert await client.connect() == versions[-1]
+            for step in script:
+                if step[0] == "get":
+                    _, connection, pair, bits = step
+                    try:
+                        key = await clients[connection].get_key(SCRIPT_PAIRS[pair], bits)
+                    except ServerError as exc:
+                        outcomes.append(exc.code)
+                    else:
+                        outcomes.append((key.reservation_id, key.key_bits, key.key_bytes))
+                elif step[0] == "deposit":
+                    _, pair, bits = step
+                    stores[SCRIPT_PAIRS[pair]].deposit(
+                        counter_material(bits, first=deposited), now=clock["t"]
+                    )
+                    deposited += bits // 64
+                clock["t"] += 0.25
+            metrics = server.metrics
+            state = {
+                "stores": [
+                    {
+                        **vars(store.statistics),
+                        "available_bits": store.available_bits,
+                        "reserved_bits": store.reserved_bits,
+                        "unreserved_bits": store.unreserved_bits,
+                        "remote_available_bits": store.remote_pool.available_bits,
+                        "depletion_rate_millibps": int(store.depletion_rate_bps * 1000),
+                    }
+                    for store in stores.values()
+                ],
+                "keys_served": metrics.keys_served,
+                "key_bits_served": metrics.key_bits_served,
+                "reservations_granted": metrics.reservations_granted,
+                "reservations_denied": metrics.reservations_denied,
+                "reserve_latencies": len(metrics.reserve_latencies),
+                "error_counts": dict(metrics.error_counts),
+                "fatal_errors": metrics.fatal_errors,
+                "reservations_reaped": metrics.reservations_reaped,
+                "consume_replays": metrics.consume_replays,
+                "served_digest": metrics.served_digest(),
+                "replay_keys": [
+                    (SCRIPT_PAIRS.index(pair), reservation_id)
+                    for pair, reservation_id in server._served
+                ],
+                "replay_bytes": sha256_hex(
+                    b"".join(entry.key_bytes for entry in server._served.values())
+                ),
+                "held": dict(server._held),
+                "outcomes": sha256_hex(repr(outcomes).encode()),
+                # Read last: taking an id moves the sequence.
+                "next_reservation_ids": [next(store._ids) for store in stores.values()],
+            }
+            return state, dict(metrics.requests_by_kind)
+        finally:
+            for client in clients:
+                await client.close()
+            await server.stop()
+
+    return run(scenario())
+
+
+#: What ``pinned_script()`` leaves behind, recorded at 617f960 over v3 (a
+#: RESERVE and a CONSUME per key).
+PINNED_SCRIPT_STATE = {
+    "stores": [
+        {
+            "bits_deposited": 32768,
+            "bits_consumed": 8264,
+            "bits_expired": 0,
+            "deposits": 1,
+            "reservations_granted": 21,
+            "reservations_denied": 0,
+            "reservations_released": 0,
+            "bits_released": 0,
+            "starved_epochs": 0,
+            "available_bits": 24504,
+            "reserved_bits": 0,
+            "unreserved_bits": 24504,
+            "remote_available_bits": 24504,
+            "depletion_rate_millibps": 13647,
+        },
+        {
+            "bits_deposited": 12288,
+            "bits_consumed": 10097,
+            "bits_expired": 0,
+            "deposits": 2,
+            "reservations_granted": 19,
+            "reservations_denied": 1,
+            "reservations_released": 0,
+            "bits_released": 0,
+            "starved_epochs": 0,
+            "available_bits": 2191,
+            "reserved_bits": 0,
+            "unreserved_bits": 2191,
+            "remote_available_bits": 2191,
+            "depletion_rate_millibps": 15606,
+        },
+    ],
+    "keys_served": 40,
+    "key_bits_served": 18361,
+    "reservations_granted": 40,
+    "reservations_denied": 1,
+    "reserve_latencies": 41,
+    "error_counts": {
+        protocol.ERR_UNKNOWN_PAIR: 1,
+        protocol.ERR_LIMIT: 1,
+        protocol.ERR_EXHAUSTED: 1,
+    },
+    "fatal_errors": 0,
+    "reservations_reaped": 0,
+    "consume_replays": 0,
+    "served_digest": "5a65c92adfb689ecc886fc628675e9c86aed3743e2c6c38d2328cef0ebb8dae2",
+    # Three keys from one pair, three from the other: ids run 1.. per store.
+    "replay_keys": [
+        (pair, 3 * block + offset) for block in range(7) for pair in (0, 1) for offset in (1, 2, 3)
+    ][:40],
+    "replay_bytes": "12b1f1c3b3f1c6bbf02849fe9e5bf6c6bc0a3066e7f623b39a81ead1cf3d66ce",
+    "held": {},
+    "outcomes": "30885c811f47a4f7bf3f5712f02d4007bb6f948bfeb77a9d59c35bc0f0ca23d3",
+    "next_reservation_ids": [22, 20],
+}
+
+
+class TestGetKeyStateEquivalence:
+    """A ``get_key`` is a grant and a serve; the server ends in the same state
+    whether they arrived as two frames or as one."""
+
+    def test_pinned_script_over_reserve_and_consume(self):
+        state, requests = run_script(pinned_script(), versions=(1, 2, 3))
+        assert state == PINNED_SCRIPT_STATE
+        assert requests == {"Reserve": 43, "Consume": 40}
