@@ -132,6 +132,9 @@ class KeyStore:
         self.remote_pool = StorePool(f"kms/{label}/remote", self)
         self.statistics = StoreStatistics()
         self._reservations: Dict[int, KeyReservation] = {}
+        #: Sum of the live reservations' bits, kept current where one enters
+        #: or leaves ``_reservations``; every draw reads it several times.
+        self._reserved_bits = 0
         self._ids = itertools.count(1)
         self._next_block_id = itertools.count(0)
         #: Per-pool remaining grant while inside :meth:`consuming`.
@@ -161,7 +164,7 @@ class KeyStore:
 
     @property
     def reserved_bits(self) -> int:
-        return sum(r.bits for r in self._reservations.values())
+        return self._reserved_bits
 
     @property
     def unreserved_bits(self) -> int:
@@ -282,6 +285,7 @@ class KeyStore:
             created_at=now,
         )
         self._reservations[reservation.reservation_id] = reservation
+        self._reserved_bits += bits
         self.statistics.reservations_granted += 1
         return reservation
 
@@ -292,7 +296,7 @@ class KeyStore:
                 f"reservation {reservation.reservation_id} is {reservation.state}"
             )
         reservation.state = "released"
-        self._reservations.pop(reservation.reservation_id, None)
+        self._retire(reservation)
         self.statistics.reservations_released += 1
         self.statistics.bits_released += reservation.bits
 
@@ -319,8 +323,13 @@ class KeyStore:
         finally:
             self._grants = {}
             reservation.state = "consumed"
-            self._reservations.pop(reservation.reservation_id, None)
+            self._retire(reservation)
             self._note_consumption(now)
+
+    def _retire(self, reservation: KeyReservation) -> None:
+        retired = self._reservations.pop(reservation.reservation_id, None)
+        if retired is not None:
+            self._reserved_bits -= retired.bits
 
     # ------------------------------------------------------------------ #
     # StorePool integration
@@ -328,7 +337,7 @@ class KeyStore:
 
     def _authorise_draw(self, pool: StorePool, count: int) -> None:
         grant = self._grants.get(id(pool), 0)
-        others_reserved = self.reserved_bits - min(grant, self.reserved_bits)
+        others_reserved = self._reserved_bits - min(grant, self._reserved_bits)
         drawable = pool.available_bits - others_reserved
         if count > drawable:
             raise KeyPoolExhaustedError(

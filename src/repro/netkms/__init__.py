@@ -45,6 +45,7 @@ from repro.netkms.protocol import (
     PROTOCOL_V1,
     PROTOCOL_V2,
     PROTOCOL_V3,
+    PROTOCOL_V4,
     SUPPORTED_VERSIONS,
     ProtocolError,
     ServerError,
@@ -66,6 +67,7 @@ __all__ = [
     "PROTOCOL_V1",
     "PROTOCOL_V2",
     "PROTOCOL_V3",
+    "PROTOCOL_V4",
     "ProtocolError",
     "RecoveryStats",
     "RequestTimeoutError",

@@ -4,8 +4,12 @@
 encryptor, a benchmark worker) uses to draw key from a
 :class:`~repro.netkms.server.NetworkKmsServer`: connect (which runs the
 HELLO/WELCOME version negotiation), then ``reserve`` / ``consume`` /
-``release`` / ``status`` / ``capabilities``, or the ``get_key`` convenience
-that chains reserve and consume — the ETSI GS QKD 014 ``get_key`` shape.
+``release`` / ``status`` / ``capabilities``, or ``get_key`` — the ETSI GS
+QKD 014 shape: one GET_KEY round trip on a connection that negotiated v4,
+reserve then consume (two) below that.  Either way the reservation never
+leaves ``get_key``, so a lost reply costs the key: it was served and
+digested and cannot be fetched again.  Callers that cannot afford that use
+:class:`~repro.netkms.resilient.ResilientKmsClient`.
 
 Requests may be issued concurrently from many tasks over one connection:
 each carries a fresh request id, a background reader task routes responses
@@ -26,6 +30,7 @@ from repro.netkms.protocol import (
     Consume,
     ConsumeOk,
     Error,
+    GetKey,
     Hello,
     Message,
     ProtocolError,
@@ -238,12 +243,14 @@ class NetworkKmsClient:
         )
 
     async def consume(self, reservation: ReservationHandle) -> ServedKey:
-        reply = await self._request(
+        return await self._key_request(
             Consume(pair=reservation.pair, reservation_id=reservation.reservation_id)
         )
-        ok = self._expect(reply, ConsumeOk)
+
+    async def _key_request(self, message: Consume | GetKey) -> ServedKey:
+        ok = self._expect(await self._request(message), ConsumeOk)
         return ServedKey(
-            pair=reservation.pair,
+            pair=message.pair,
             reservation_id=ok.reservation_id,
             key_bits=ok.key_bits,
             key_bytes=ok.key_bytes,
@@ -256,7 +263,10 @@ class NetworkKmsClient:
         return self._expect(reply, ReleaseOk).reservation_id
 
     async def get_key(self, pair: Pair, bits: int) -> ServedKey:
-        """Reserve then consume in one call (the ETSI ``get_key`` shape)."""
+        """One key (the ETSI ``get_key`` shape): a single GET_KEY at v4, a
+        reserve then a consume on a connection that negotiated less."""
+        if (self.version or 0) >= protocol.PROTOCOL_V4:
+            return await self._key_request(GetKey(pair=pair, bits=bits))
         reservation = await self.reserve(pair, bits)
         try:
             return await self.consume(reservation)

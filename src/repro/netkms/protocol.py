@@ -41,6 +41,10 @@ implemented one, selects the encoding.  v3 repeats the template on the
 reservation path: RESERVE_OK grows a trailing ``lease_ms`` varint — the
 server's lease TTL on the granted reservation (0 = no lease), after which
 an unconsumed reservation is reaped and its bits returned to the store.
+v4 adds exactly one request kind, where v2 and v3 each added one trailing
+field: GET_KEY ``{pair, bits}`` (RESERVE's payload) is answered by CONSUME_OK,
+a key in one round trip whose reservation is never held.  A server refuses
+the kind on a connection that negotiated less, so an older peer never sees it.
 
 Error handling
 --------------
@@ -61,11 +65,13 @@ from typing import Dict, Optional, Tuple, Type
 
 #: Protocol versions this implementation speaks.  v2 is v1 plus a trailing
 #: ``depletion_rate_millibps`` varint on STATUS_OK; v3 is v2 plus a trailing
-#: ``lease_ms`` varint on RESERVE_OK (the reservation's lease TTL).
+#: ``lease_ms`` varint on RESERVE_OK (the reservation's lease TTL); v4 is v3
+#: plus the GET_KEY request.
 PROTOCOL_V1 = 1
 PROTOCOL_V2 = 2
 PROTOCOL_V3 = 3
-SUPPORTED_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3)
+PROTOCOL_V4 = 4
+SUPPORTED_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V4)
 
 #: Message kinds, allocated inside the ``0x20..0x3F`` range that
 #: :mod:`repro.core.wire` reserves for netkms.
@@ -82,6 +88,7 @@ KIND_CONSUME = 0x29
 KIND_CONSUME_OK = 0x2A
 KIND_RELEASE = 0x2B
 KIND_RELEASE_OK = 0x2C
+KIND_GET_KEY = 0x2D
 
 #: Error codes carried by ERROR frames.
 ERR_VERSION = 1
@@ -272,6 +279,8 @@ class Message:
     request_id: int = 0
 
     KIND = 0  # overridden per subclass
+    #: The version that introduced the kind; below it the kind does not exist.
+    SINCE = PROTOCOL_V1
     # Not a dataclass field (no annotation): set per-instance by
     # decode_body to the header version the frame actually carried.
     wire_version = None
@@ -287,8 +296,8 @@ class Message:
 class Hello(Message):
     """Client opener: the inclusive version range it speaks, and its name."""
 
-    min_version: int = PROTOCOL_V1
-    max_version: int = PROTOCOL_V3
+    min_version: int = SUPPORTED_VERSIONS[0]
+    max_version: int = SUPPORTED_VERSIONS[-1]
     client_id: str = "sae"
 
     KIND = KIND_HELLO
@@ -489,6 +498,16 @@ class Reserve(Message):
 
 
 @dataclass
+class GetKey(Reserve):
+    """v4: reserve and consume ``bits`` bits in one request, answered by
+    CONSUME_OK.  A lost reply cannot be fetched again — the reservation id
+    travels only in it."""
+
+    KIND = KIND_GET_KEY
+    SINCE = PROTOCOL_V4
+
+
+@dataclass
 class ReserveOk(Message):
     """A granted reservation, to be consumed or released by id.
 
@@ -623,6 +642,7 @@ _DECODERS: Dict[int, Type[Message]] = {
         ConsumeOk,
         Release,
         ReleaseOk,
+        GetKey,
     )
 }
 

@@ -27,6 +27,10 @@ servers stall (the Elastic-TCP-style adaptive backoff from PAPERS.md):
                 consume happened — the reservation is abandoned and a
                 fresh reserve+consume runs instead.  Either way no key is
                 double-served.
+  GET_KEY       Never retried; not used here.  Its reply is the only frame
+                that names the reservation, so a lost one leaves nothing
+                to re-fetch by — exactly-once needs the id to reach the
+                client before any bit moves, hence two phases.
   ============  ==========================================================
 
 * **recovery accounting** — every disruption that the loop survives
@@ -233,7 +237,8 @@ class ResilientKmsClient:
         return await self._with_retries(lambda c: c.consume(reservation))
 
     async def get_key(self, pair: Pair, bits: int) -> ServedKey:
-        """Reserve-then-consume that is exactly-once under faults.
+        """Reserve-then-consume that is exactly-once under faults, at every
+        negotiated version (v4's one-frame GET_KEY cannot be: see the table).
 
         A consume retry that answers ``unknown-reservation`` means the
         lease expired and the reaper returned the bits *before the first

@@ -5,8 +5,15 @@
 over the :mod:`repro.netkms.protocol` framing.  The contract it inherits
 from the in-process store layer is the one that matters under concurrency:
 **no two clients ever receive overlapping key material**, because every
-CONSUME draws inside ``store.consuming(reservation)`` and the store's pools
+key is drawn inside ``store.consuming(reservation)`` and the store's pools
 refuse draws that would invade another consumer's reservation.
+
+A key leaves a store in two steps, each with one body: the *grant* claims
+the bits, the *serve* draws them, counts them once and keeps the reply
+replayable.  RESERVE is the grant and a hold under a lease; CONSUME takes
+the held reservation (or answers from the replay cache) and serves; v4's
+GET_KEY is the grant and the serve inside one acquisition of the pair's
+lock, so its reservation is never held and no lease can lapse in between.
 
 Concurrency model
 -----------------
@@ -84,6 +91,7 @@ from repro.netkms.protocol import (
     Consume,
     ConsumeOk,
     Error,
+    GetKey,
     Hello,
     Message,
     ProtocolError,
@@ -155,7 +163,7 @@ class NetworkKmsServer:
         await server.stop()           # graceful drain (see ``stop``)
 
     or as an async context manager.  ``versions`` narrows the protocol
-    versions offered (the interop tests run v1-only through v3-capable
+    versions offered (the interop tests run v1-only through v4-capable
     servers against every client generation in both directions).
     ``lease_seconds`` is the reservation lease TTL; ``request_hook`` is an
     awaited seam before every dispatch — the fault plane's stall injector
@@ -467,23 +475,21 @@ class NetworkKmsServer:
             # A request that arrives once draining has begun is "new" by
             # definition — in-flight requests are already past this gate.
             raise ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
+        handler = _HANDLERS[version].get(message.KIND)
+        if handler is None:
+            if message.SINCE > version:
+                raise ProtocolError(
+                    protocol.ERR_UNKNOWN_KIND,
+                    f"kind 0x{message.KIND:02x} does not exist at v{version}",
+                )
+            raise ProtocolError(
+                protocol.ERR_MALFORMED,
+                f"{type(message).__name__} is not a client request",
+            )
         self.metrics.note_request(type(message).__name__)
         if self.request_hook is not None:
             await self.request_hook(message)
-        if isinstance(message, Status):
-            return self._on_status(message)
-        if isinstance(message, Capabilities):
-            return self._on_capabilities(message)
-        if isinstance(message, Reserve):
-            return await self._on_reserve(message, version, conn_id)
-        if isinstance(message, Consume):
-            return await self._on_consume(message)
-        if isinstance(message, Release):
-            return await self._on_release(message)
-        raise ProtocolError(
-            protocol.ERR_MALFORMED,
-            f"{type(message).__name__} is not a client request",
-        )
+        return await handler(self, message, conn_id)
 
     # ------------------------------------------------------------------ #
     # Request handlers
@@ -498,7 +504,7 @@ class NetworkKmsServer:
             )
         return store
 
-    def _on_status(self, message: Status) -> StatusOk:
+    async def _on_status(self, message: Status, conn_id: int) -> StatusOk:
         store = self._store_for(message.pair)
         return StatusOk(
             request_id=message.request_id,
@@ -512,7 +518,7 @@ class NetworkKmsServer:
             depletion_rate_millibps=int(store.depletion_rate_bps * 1000),
         )
 
-    def _on_capabilities(self, message: Capabilities) -> CapabilitiesOk:
+    async def _on_capabilities(self, message: Capabilities, conn_id: int) -> CapabilitiesOk:
         return CapabilitiesOk(
             request_id=message.request_id,
             min_version=self.versions[0],
@@ -522,22 +528,60 @@ class NetworkKmsServer:
             pairs=tuple(sorted(self.stores)),
         )
 
-    async def _on_reserve(self, message: Reserve, version: int, conn_id: int) -> ReserveOk:
+    def _grant(self, store: KeyStore, bits: int, now: float) -> KeyReservation:
+        """Step one, under the pair's lock: claim ``bits`` bits of ``store``."""
         started = time.perf_counter()
-        store = self._store_for(message.pair)
-        if not 0 < message.bits <= self.max_reserve_bits:
+        if not 0 < bits <= self.max_reserve_bits:
             raise ProtocolError(
                 protocol.ERR_LIMIT,
-                f"reserve of {message.bits} bits outside (0, {self.max_reserve_bits}]",
+                f"reserve of {bits} bits outside (0, {self.max_reserve_bits}]",
             )
-        self.reap_expired()
+        self.reap_expired(now)
+        try:
+            reservation = store.reserve(bits, now=now)
+        except KeyStoreExhaustedError as exc:
+            self.metrics.note_reserve(time.perf_counter() - started, granted=False)
+            raise ProtocolError(protocol.ERR_EXHAUSTED, str(exc)) from None
+        self.metrics.note_reserve(time.perf_counter() - started, granted=True)
+        return reservation
+
+    def _serve(
+        self, store: KeyStore, reservation: KeyReservation, message: Consume | GetKey, now: float
+    ) -> ConsumeOk:
+        """Step two, under the pair's lock: draw the reserved bits, count
+        them once, and keep the reply replayable for the retention window."""
+        # Both endpoints' pools advance in lock-step, exactly as the
+        # in-process gateways do, so the store stays synchronised for
+        # every later consumer; the (identical) material is served once.
+        with store.consuming(reservation, now=now):
+            local = store.local_pool.draw_bits(reservation.bits)
+            remote = store.remote_pool.draw_bits(reservation.bits)
+        if local != remote:
+            raise ProtocolError(protocol.ERR_INTERNAL, "store pools desynchronised")
+        key_bytes = local.to_bytes()
+        self.metrics.note_key_served(key_bytes, len(local))
+        expires_at = now + self.replay_retention_seconds
+        self._served[(message.pair, reservation.reservation_id)] = ServedReservation(
+            key_bits=len(local),
+            key_bytes=key_bytes,
+            expires_at=expires_at,
+        )
+        if expires_at < self._earliest_deadline:
+            self._earliest_deadline = expires_at
+        while len(self._served) > REPLAY_CACHE_LIMIT:
+            self._served.pop(next(iter(self._served)))
+        return ConsumeOk(
+            request_id=message.request_id,
+            reservation_id=reservation.reservation_id,
+            key_bits=len(local),
+            key_bytes=key_bytes,
+        )
+
+    async def _on_reserve(self, message: Reserve, conn_id: int) -> ReserveOk:
+        store = self._store_for(message.pair)
         async with self._locks[message.pair]:
             now = self._now()
-            try:
-                reservation = store.reserve(message.bits, now=now)
-            except KeyStoreExhaustedError as exc:
-                self.metrics.note_reserve(time.perf_counter() - started, granted=False)
-                raise ProtocolError(protocol.ERR_EXHAUSTED, str(exc)) from None
+            reservation = self._grant(store, message.bits, now)
             expires_at = now + self.lease_seconds
             self._held[(message.pair, reservation.reservation_id)] = HeldReservation(
                 reservation=reservation,
@@ -546,7 +590,6 @@ class NetworkKmsServer:
             )
             if expires_at < self._earliest_deadline:
                 self._earliest_deadline = expires_at
-        self.metrics.note_reserve(time.perf_counter() - started, granted=True)
         return ReserveOk(
             request_id=message.request_id,
             reservation_id=reservation.reservation_id,
@@ -554,11 +597,18 @@ class NetworkKmsServer:
             lease_ms=int(self.lease_seconds * 1000),
         )
 
-    async def _on_consume(self, message: Consume) -> ConsumeOk:
+    async def _on_get_key(self, message: GetKey, conn_id: int) -> ConsumeOk:
         store = self._store_for(message.pair)
-        self.reap_expired()
+        async with self._locks[message.pair]:
+            now = self._now()
+            return self._serve(store, self._grant(store, message.bits, now), message, now)
+
+    async def _on_consume(self, message: Consume, conn_id: int) -> ConsumeOk:
+        store = self._store_for(message.pair)
         key = (message.pair, message.reservation_id)
         async with self._locks[message.pair]:
+            now = self._now()
+            self.reap_expired(now)
             replay = self._served.get(key)
             if replay is not None:
                 # Idempotent retry: the reservation was already consumed but
@@ -579,35 +629,9 @@ class NetworkKmsServer:
                     f"no held reservation {message.reservation_id} "
                     f"for {message.pair[0]}--{message.pair[1]}",
                 )
-            reservation = held.reservation
-            # Both endpoints' pools advance in lock-step, exactly as the
-            # in-process gateways do, so the store stays synchronised for
-            # every later consumer; the (identical) material is served once.
-            with store.consuming(reservation, now=self._now()):
-                local = store.local_pool.draw_bits(reservation.bits)
-                remote = store.remote_pool.draw_bits(reservation.bits)
-        if local != remote:
-            raise ProtocolError(protocol.ERR_INTERNAL, "store pools desynchronised")
-        key_bytes = local.to_bytes()
-        self.metrics.note_key_served(key_bytes, len(local))
-        expires_at = self._now() + self.replay_retention_seconds
-        self._served[key] = ServedReservation(
-            key_bits=len(local),
-            key_bytes=key_bytes,
-            expires_at=expires_at,
-        )
-        if expires_at < self._earliest_deadline:
-            self._earliest_deadline = expires_at
-        while len(self._served) > REPLAY_CACHE_LIMIT:
-            self._served.pop(next(iter(self._served)))
-        return ConsumeOk(
-            request_id=message.request_id,
-            reservation_id=message.reservation_id,
-            key_bits=len(local),
-            key_bytes=key_bytes,
-        )
+            return self._serve(store, held.reservation, message, now)
 
-    async def _on_release(self, message: Release) -> ReleaseOk:
+    async def _on_release(self, message: Release, conn_id: int) -> ReleaseOk:
         store = self._store_for(message.pair)
         self.reap_expired()
         async with self._locks[message.pair]:
@@ -652,6 +676,26 @@ class NetworkKmsServer:
             f"NetworkKmsServer({len(self.stores)} pairs on "
             f"{self.host}:{self.port}, {state})"
         )
+
+
+#: Request kind -> handler, one table per protocol version: a kind is in the
+#: tables of the versions that have it and in no other.  (Plain functions, so
+#: a server holds no reference to itself.)
+_HANDLERS = {
+    version: {
+        cls.KIND: handler
+        for cls, handler in (
+            (Status, NetworkKmsServer._on_status),
+            (Capabilities, NetworkKmsServer._on_capabilities),
+            (Reserve, NetworkKmsServer._on_reserve),
+            (Consume, NetworkKmsServer._on_consume),
+            (Release, NetworkKmsServer._on_release),
+            (GetKey, NetworkKmsServer._on_get_key),
+        )
+        if cls.SINCE <= version
+    }
+    for version in protocol.SUPPORTED_VERSIONS
+}
 
 
 def _request_id_of(body: bytes) -> int:

@@ -9,6 +9,7 @@ invariance digest the subsystem's determinism contract promises.
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.eve.intercept_resend import InterceptResendAttack
@@ -164,6 +165,54 @@ class TestKeyStore:
             KeyStore(("a", "b"), capacity_bits=100, low_water_bits=80, high_water_bits=60)
         with pytest.raises(ValueError):
             filled_store().reserve(0)
+
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["reserve", "release", "consume", "consume_raising", "foreign", "deposit", "expire"]
+                ),
+                st.integers(0, 400),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reserved_bits_counter_equals_the_sum_over_live_reservations(self, operations):
+        """``reserved_bits`` is a counter; what it counts is the bits of the
+        reservations still in ``_reservations``, after every operation —
+        refused ones, a consuming body that raises, and a reservation that
+        belongs to another store included."""
+        store = make_store(max_key_age_seconds=50.0)
+        other = filled_store()
+        issued = []
+        for step, (name, n) in enumerate(operations):
+            now = float(step)
+            try:
+                if name == "reserve":
+                    issued.append(store.reserve(n, now=now))
+                elif name == "release" and issued:
+                    store.release(issued[n % len(issued)])
+                elif name in ("consume", "consume_raising") and issued:
+                    reservation = issued[n % len(issued)]
+                    with store.consuming(reservation, now=now):
+                        store.local_pool.draw_bits(reservation.bits)
+                        if name == "consume_raising":
+                            raise RuntimeError("negotiation failed")
+                        store.remote_pool.draw_bits(reservation.bits)
+                elif name == "foreign":
+                    # Same id space, another store's reservation.
+                    issued.append(other.reserve(1 + n % 8))
+                elif name == "deposit":
+                    store.deposit(BitString.random(n, DeterministicRNG(step)), now=now)
+                elif name == "expire":
+                    store.expire(now=now + n)
+            except (ReservationError, KeyPoolExhaustedError, ValueError, RuntimeError):
+                pass
+            live = sum(r.bits for r in store._reservations.values())
+            assert store.reserved_bits == live
+            assert store.unreserved_bits == store.available_bits - live
+            assert f"{live} reserved" in repr(store)
 
 
 # --------------------------------------------------------------------- #

@@ -14,8 +14,10 @@ Four layers of contract:
 """
 
 import asyncio
+import gc
 import hashlib
 import struct
+import weakref
 from unittest import mock
 
 import pytest
@@ -25,13 +27,14 @@ from repro.core import wire
 from repro.kms.store import KeyStore
 from repro.netkms import protocol
 from repro.netkms import server as server_module
-from repro.netkms.client import NetworkKmsClient, _request_ids
+from repro.netkms.client import NetworkKmsClient, ReservationHandle, _request_ids
 from repro.netkms.protocol import (
     Capabilities,
     CapabilitiesOk,
     Consume,
     ConsumeOk,
     Error,
+    GetKey,
     Hello,
     ProtocolError,
     Release,
@@ -87,6 +90,17 @@ async def started_server(stores=None, **kwargs):
     return server
 
 
+async def raw_connection(server, hello=None):
+    """A handshaken plain stream: the frames the server writes are read
+    as they are, with no client reader task between them and the test."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    writer.write(encode_frame(hello or Hello(), protocol.PROTOCOL_V1))
+    await writer.drain()
+    welcome = decode_body(await protocol.read_frame(reader), expected_version=None)
+    assert isinstance(welcome, Welcome)
+    return reader, writer, welcome.wire_version
+
+
 # --------------------------------------------------------------------------- #
 # Codec round-trips
 # --------------------------------------------------------------------------- #
@@ -124,6 +138,7 @@ class TestCodecRoundTrips:
         ConsumeOk(request_id=6, reservation_id=17, key_bits=24, key_bytes=b"abc"),
         Release(request_id=7, pair=PAIR, reservation_id=18),
         ReleaseOk(request_id=7, reservation_id=18),
+        GetKey(request_id=8, pair=PAIR, bits=256),
     ]
 
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
@@ -221,6 +236,21 @@ class TestMalformedBodies:
         with pytest.raises(ValueError):
             ConsumeOk(key_bits=16, key_bytes=b"abc").encode(1)
 
+    def test_get_key_truncated_anywhere_or_one_byte_long_is_malformed(self):
+        body = GetKey(request_id=5, pair=PAIR, bits=1 << 14).encode(protocol.PROTOCOL_V4)
+        assert decode_body(body, expected_version=4) == GetKey(request_id=5, pair=PAIR, bits=1 << 14)
+        for cut in range(len(body)):
+            assert self.decode_error(body[:cut], 4).code == protocol.ERR_MALFORMED, cut
+        assert self.decode_error(body + b"\x00", 4).code == protocol.ERR_MALFORMED
+
+    def test_hello_offers_every_supported_version_unless_told_otherwise(self):
+        hello = Hello()
+        assert (hello.min_version, hello.max_version) == (
+            protocol.SUPPORTED_VERSIONS[0],
+            protocol.SUPPORTED_VERSIONS[-1],
+        )
+        assert protocol.SUPPORTED_VERSIONS[-1] == protocol.PROTOCOL_V4
+
 
 class TestNegotiation:
     def test_picks_highest_common(self):
@@ -304,6 +334,104 @@ class TestVersionInterop:
         version, handle = self.reserve_interop((1, 2, 3), (1, 2, 3))
         assert version == 3
         assert handle.lease_ms is not None and handle.lease_ms > 0
+
+    @pytest.mark.parametrize("server_max", protocol.SUPPORTED_VERSIONS)
+    @pytest.mark.parametrize("client_max", protocol.SUPPORTED_VERSIONS)
+    def test_every_pair_of_generations(self, client_max, server_max):
+        """Both directions of every pairing: the lower side's version is
+        spoken, each version's fields appear exactly where it says, and the
+        key is the same 256 bits however many frames fetched it."""
+        seen = []
+
+        async def hook(message):
+            seen.append(type(message).__name__)
+
+        async def scenario():
+            server = await started_server(
+                versions=tuple(range(1, server_max + 1)), request_hook=hook
+            )
+            try:
+                client = NetworkKmsClient(
+                    "127.0.0.1", server.port, versions=tuple(range(1, client_max + 1))
+                )
+                async with client:
+                    status = await client.status(PAIR)
+                    handle = await client.reserve(PAIR, bits=64)
+                    await client.release(handle)
+                    key = await client.get_key(PAIR, bits=256)
+                    return client.version, status, handle, key, server.metrics.report()
+            finally:
+                await server.stop()
+
+        version, status, handle, key, report = run(scenario())
+        assert version == min(client_max, server_max)
+        assert (status.depletion_rate_millibps is not None) == (version >= 2)
+        assert (handle.lease_ms is not None) == (version >= 3)
+        assert (key.key_bits, key.key_bytes) == (256, counter_material(256).to_bytes())
+        fetch = {"GetKey": 1} if version >= 4 else {"Reserve": 2, "Consume": 1}
+        assert report.requests_by_kind == {"Status": 1, "Reserve": 1, "Release": 1, **fetch}
+        assert sorted(seen) == sorted(
+            kind for kind, count in report.requests_by_kind.items() for _ in range(count)
+        )
+        assert report.keys_served == 1 and not report.protocol_errors
+
+    @pytest.mark.parametrize("server_versions", [(1, 2, 3), (1, 2, 3, 4)])
+    def test_v4_kind_on_a_v3_connection_is_an_unknown_kind(self, server_versions):
+        """The other direction of "an older peer never sees the new kind": a
+        GET_KEY frame on a connection that negotiated 3 does not exist there,
+        whether or not the server speaks 4 to somebody else."""
+        seen = []
+
+        async def hook(message):
+            seen.append(message)
+
+        async def scenario():
+            store = make_store()
+            server = await started_server(
+                {PAIR: store}, versions=server_versions, request_hook=hook
+            )
+            try:
+                reader, writer, version = await raw_connection(server, Hello(max_version=3))
+                assert version == 3
+                writer.write(encode_frame(GetKey(request_id=77, pair=PAIR, bits=256), 3))
+                await writer.drain()
+                reply = decode_body(await protocol.read_frame(reader), expected_version=3)
+                rest = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                await writer.wait_closed()
+                return reply, rest, store, server.metrics
+            finally:
+                await server.stop()
+
+        reply, rest, store, metrics = run(scenario())
+        assert isinstance(reply, Error)
+        assert (reply.request_id, reply.code) == (77, protocol.ERR_UNKNOWN_KIND)
+        assert rest == b""  # fatal: the connection is closed
+        assert metrics.error_counts == {protocol.ERR_UNKNOWN_KIND: 1}
+        assert metrics.requests_by_kind == {} and seen == []
+        assert store.unreserved_bits == store.available_bits == 1 << 15
+
+    def test_v3_server_negotiates_a_default_client_down_and_serves_two_phase(self):
+        """Pinning an older wire needs no knob beyond ``versions``: a default
+        client (and a hand-built default HELLO) offers the newest version,
+        and gets 3 from a server that stops there."""
+
+        async def scenario():
+            server = await started_server(versions=(1, 2, 3))
+            try:
+                _reader, writer, raw_version = await raw_connection(server)
+                writer.close()
+                await writer.wait_closed()
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    key = await client.get_key(PAIR, bits=256)
+                    return raw_version, client.version, key, server.metrics
+            finally:
+                await server.stop()
+
+        raw_version, version, key, metrics = run(scenario())
+        assert raw_version == version == 3
+        assert key.key_bytes == counter_material(256).to_bytes()
+        assert metrics.requests_by_kind == {"Reserve": 1, "Consume": 1}
 
     def test_disjoint_ranges_rejected_with_typed_error(self):
         async def scenario():
@@ -400,6 +528,61 @@ class TestHostileFrames:
         error, eof, server_ok = self.raw_exchange(frame)
         assert error is not None and error.code == protocol.ERR_VERSION
         assert eof and server_ok
+
+    def test_get_key_with_a_missing_tail_a_trailing_byte_or_a_lying_length_is_fatal(self):
+        body = GetKey(request_id=9, pair=PAIR, bits=256).encode(protocol.PROTOCOL_V4)
+        lying = body[:6] + bytes([250]) + b"ab"  # pair[0] claims 250 bytes
+        for hostile in (body[:-1], body + b"\x00", lying):
+            frame = struct.pack("<I", len(hostile)) + hostile
+            error, eof, server_ok = self.raw_exchange(frame, handshake_first=True)
+            assert error is not None
+            assert (error.request_id, error.code) == (9, protocol.ERR_MALFORMED)
+            assert eof and server_ok
+
+    def test_get_key_refusals_are_typed_move_nothing_and_keep_the_connection(self):
+        seen = []
+
+        async def hook(message):
+            seen.append(message)
+
+        async def scenario():
+            store = make_store(bits=1024)
+            server = await started_server({PAIR: store}, request_hook=hook)
+            refused = [
+                (PAIR, 0),
+                (PAIR, server.max_reserve_bits + 1),
+                (("nobody", "here"), 256),
+                (PAIR, 1025),
+            ]
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    assert client.version == protocol.PROTOCOL_V4
+                    codes = []
+                    for pair, bits in refused:
+                        with pytest.raises(ServerError) as excinfo:
+                            await client.get_key(pair, bits)
+                        codes.append(excinfo.value.code)
+                        assert store.unreserved_bits == store.available_bits == 1024
+                    key = await client.get_key(PAIR, 1024)
+                    errors = dict(server.metrics.error_counts)
+                    return codes, key, store, server.metrics, errors, dict(server._held)
+            finally:
+                await server.stop()
+
+        codes, key, store, metrics, errors, held = run(scenario())
+        assert codes == [
+            protocol.ERR_LIMIT,
+            protocol.ERR_LIMIT,
+            protocol.ERR_UNKNOWN_PAIR,
+            protocol.ERR_EXHAUSTED,
+        ]
+        assert key.key_bits == 1024 and store.available_bits == 0
+        assert metrics.reservations_denied == store.statistics.reservations_denied == 1
+        assert metrics.reservations_granted == metrics.keys_served == 1
+        assert metrics.requests_by_kind == {"GetKey": 5}
+        assert [type(message) for message in seen] == [GetKey] * 5  # the hook sees each once
+        assert errors == {protocol.ERR_LIMIT: 2, protocol.ERR_UNKNOWN_PAIR: 1, protocol.ERR_EXHAUSTED: 1}
+        assert held == {}
 
     def test_request_level_errors_keep_the_connection(self):
         async def scenario():
@@ -822,16 +1005,7 @@ class TestGracefulDrain:
         assert protocol.ERROR_NAMES[error.code] == "shutting-down"
         assert error.code in protocol.FATAL_ERRORS
 
-    @staticmethod
-    async def _raw_connection(server):
-        """A handshaken plain stream: the frames the server writes are read
-        as they are, with no client reader task between them and the test."""
-        reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-        writer.write(encode_frame(Hello(), protocol.PROTOCOL_V1))
-        await writer.drain()
-        welcome = decode_body(await protocol.read_frame(reader), expected_version=None)
-        assert isinstance(welcome, Welcome)
-        return reader, writer, welcome.wire_version
+    _raw_connection = staticmethod(raw_connection)
 
     def test_idle_connection_is_told_shutting_down_then_closed(self):
         async def scenario():
@@ -895,6 +1069,49 @@ class TestGracefulDrain:
         assert rest == b""
         assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
         assert metrics.requests_by_kind == {"Reserve": 1, "Consume": 1}
+        assert store.reserved_bits == 0 and store.available_bits == 4096 - 1024
+
+
+    def test_get_key_pipelined_behind_an_in_flight_get_key_is_rejected_under_its_own_id(self):
+        entered = asyncio.Event()
+        hold = asyncio.Event()
+
+        async def gate(message):
+            entered.set()
+            await hold.wait()
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store}, request_hook=gate)
+            reader, writer, version = await self._raw_connection(server)
+            assert version == protocol.PROTOCOL_V4
+
+            async def reply():
+                body = await asyncio.wait_for(protocol.read_frame(reader), 2.0)
+                return decode_body(body, expected_version=version)
+
+            writer.write(encode_frame(GetKey(request_id=2, pair=PAIR, bits=1024), version))
+            writer.write(encode_frame(GetKey(request_id=3, pair=PAIR, bits=1024), version))
+            await writer.drain()
+            await entered.wait()
+            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
+            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
+            hold.set()
+            replies = [await reply(), await reply()]
+            rest = await asyncio.wait_for(reader.read(), 2.0)
+            await stop_task
+            writer.close()
+            await writer.wait_closed()
+            return replies, rest, store, server.metrics
+
+        (served, rejected), rest, store, metrics = run(scenario())
+        assert isinstance(served, ConsumeOk)
+        assert (served.request_id, served.key_bits) == (2, 1024)
+        assert isinstance(rejected, Error)
+        assert (rejected.request_id, rejected.code) == (3, protocol.ERR_SHUTTING_DOWN)
+        assert rest == b""
+        assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
+        assert metrics.requests_by_kind == {"GetKey": 1}
         assert store.reserved_bits == 0 and store.available_bits == 4096 - 1024
 
 
@@ -1246,6 +1463,27 @@ class TestNoTaskPerRequest:
         assert during == []
 
 
+class TestServerHoldsNoReferenceToItself:
+    def test_a_stopped_server_is_freed_without_the_cycle_collector(self):
+        """A server that is its own garbage cycle (a table of bound handlers
+        would make it one) keeps its stores, replay cache and per-key metrics
+        alive until a full collection: memory that grows with restarts."""
+
+        async def scenario():
+            server = await started_server()
+            async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                await client.get_key(PAIR, bits=256)
+            await server.stop()
+            return weakref.ref(server)
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(scenario())() is None
+        finally:
+            gc.enable()
+
+
 # --------------------------------------------------------------------------- #
 # get_key leaves the server in one state, however many frames carried it
 # --------------------------------------------------------------------------- #
@@ -1425,3 +1663,58 @@ class TestGetKeyStateEquivalence:
         state, requests = run_script(pinned_script(), versions=(1, 2, 3))
         assert state == PINNED_SCRIPT_STATE
         assert requests == {"Reserve": 43, "Consume": 40}
+
+    def test_pinned_script_over_get_key(self):
+        state, requests = run_script(pinned_script(), versions=(1, 2, 3, 4))
+        assert state == PINNED_SCRIPT_STATE
+        assert requests == {"GetKey": 43}
+
+    @given(
+        script=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("get"),
+                    st.integers(0, 1),
+                    st.integers(0, 2),
+                    st.integers(0, SCRIPT_MAX_RESERVE_BITS + 8),
+                ),
+                st.tuples(st.just("deposit"), st.integers(0, 1), st.integers(1, 32).map(lambda n: 64 * n)),
+                st.tuples(st.just("tick")),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_script_leaves_the_same_state_at_v3_and_v4(self, script):
+        two_frames, requests_v3 = run_script(script, versions=(1, 2, 3))
+        one_frame, requests_v4 = run_script(script, versions=(1, 2, 3, 4))
+        assert one_frame == two_frames
+        assert one_frame["held"] == {}
+        assert requests_v4.get("GetKey", 0) == requests_v3.get("Reserve", 0)
+        assert requests_v3.get("Consume", 0) == one_frame["keys_served"]
+
+    def test_consume_by_the_id_a_get_key_reply_carried_is_a_replay(self):
+        """The reservation a GET_KEY grants is never held, but its reply is
+        replayable like any served key: CONSUME by that id re-delivers the
+        same bytes and draws nothing."""
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    key = await client.get_key(PAIR, bits=1000)
+                    handle = ReservationHandle(PAIR, key.reservation_id, key.key_bits)
+                    replayed = await client.consume(handle)
+                    with pytest.raises(ServerError) as released:
+                        await client.release(handle)
+                    return key, replayed, released.value, store, server.metrics
+            finally:
+                await server.stop()
+
+        key, replayed, released, store, metrics = run(scenario())
+        assert replayed == key and key.key_bits == 1000
+        assert released.code == protocol.ERR_UNKNOWN_RESERVATION  # it was never held
+        assert (metrics.keys_served, metrics.consume_replays) == (1, 1)
+        assert metrics.requests_by_kind == {"GetKey": 1, "Consume": 1, "Release": 1}
+        assert store.available_bits == 4096 - 1000 and store.reserved_bits == 0
