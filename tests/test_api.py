@@ -1,6 +1,9 @@
 """Tests for the top-level repro.api facade (QKDSystem and friends)."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -213,6 +216,27 @@ class TestPackageExports:
         assert repro.QKDSystem is QKDSystem
         for name in ("QKDSystem", "SystemConfig", "VPNSystem", "MeshSystem"):
             assert name in repro.__all__
+
+    def test_a_mesh_builds_and_routes_in_a_process_that_started_with_a_link(self):
+        """Graph code must find ``networkx`` whichever facade ran first."""
+        script = (
+            "from repro import QKDSystem\n"
+            "QKDSystem(seed=1).link()\n"
+            "mesh = QKDSystem(seed=7).mesh(n_endpoints=3, n_relays=4)\n"
+            "result = mesh.transport_key('endpoint-0', 'endpoint-1')\n"
+            "assert result.success and len(result.key) == 256\n"
+            "print(len(result.path))\n"
+        )
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        finished = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": source},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert finished.returncode == 0, finished.stderr
+        assert int(finished.stdout) >= 3
 
     def test_every_shipped_module_is_imported_outside_the_tests(self):
         """A module only ``tests/`` imports is an oracle parked in the package:

@@ -1,5 +1,7 @@
 """Tests for the IKE daemon with QKD extensions, ESP processing and the VPN gateways."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.keypool import KeyPool
@@ -203,6 +205,13 @@ PINNED_PRF_52 = (
     "e5163b1a2f7f5d3539cf35c5c19025e14ea540178481b0f4d1db6fdb5da8990d80ec002c"
     "00669d7e00bc6caf8098697195c4115f"
 )
+#: ICVs of a 0-, 5- and 1500-byte payload, in that order under one SA of
+#: ``TestEspProcessor._sa_pair``, recorded at commit 6cf2222 where every
+#: packet keyed its own ``hmac_sha1``.
+PINNED_ESP_TAGS = {
+    "aes-qkd-reseed": ["6a065212873453866d802a45", "da3828a6295c050b71de2a66", "8f7190ed0ba2fb69fc14fb9d"],
+    "one-time-pad": ["1285653d9ee339096cf66b2b", "34ff6e5935a5bbfe0060563c", "d6aa4a72a5aa71b02f5a4227"],
+}
 
 
 class TestPinnedKeymat:
@@ -235,6 +244,30 @@ class TestPinnedKeymat:
             if pools == "diverged":
                 assert keys["out_local"] != keys["out_peer"]
                 assert keys["in_local"] != keys["in_peer"]
+
+    def test_phase2_sa_keys_when_the_two_skeyids_differ(self):
+        """Synchronised pools, but the peer's phase 1 state holds another
+        SKEYID: the local pair is the synchronised one, the peer's is its own."""
+        alice, bob = make_daemons()
+        state = alice.establish_phase1(bob)
+        bob.phase1 = dataclasses.replace(state, skeyid=bytes(range(20)))
+        out_local, in_local = alice.negotiate_phase2(bob, AES_POLICY)
+        keys = {
+            name: (sa.encryption_key.hex(), sa.authentication_key.hex())
+            for name, sa in (
+                ("out_local", out_local),
+                ("in_local", in_local),
+                ("out_peer", bob.sad.lookup_spi(out_local.spi)),
+                ("in_peer", bob.sad.lookup_spi(in_local.spi)),
+            )
+        }
+        synchronised = PINNED_SA_KEYS["synchronised"]["enclave"]
+        assert keys == {
+            "out_local": synchronised["out_local"],
+            "in_local": synchronised["in_local"],
+            "out_peer": ("36f083c48a8567d1732559bfeb5be9dd", "53980a9e849967bf71d740b6c9b72fee3209b218"),
+            "in_peer": ("47a070f96c946c67ea4c7cea649626ff", "703a60252b31ebdf2e5a8525519f54f8a40c4a44"),
+        }
 
     @pytest.mark.parametrize("length", [0, 1, 20, 21, 36, 52])
     def test_prf_expand_outputs(self, length):
@@ -317,6 +350,47 @@ class TestEspProcessor:
         sender_sa.pad = OneTimePad(bytes(4))
         with pytest.raises(EspError):
             esp.encapsulate(IPPacket("10.3.0.1", "10.4.0.1", b"much too long"), sender_sa, "1.1.1.1", "2.2.2.2")
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda tag: bytes([tag[0] ^ 1]) + tag[1:],
+            lambda tag: tag[:-1] + bytes([tag[-1] ^ 0x80]),
+            lambda tag: tag[:-1],
+            lambda tag: b"",
+            lambda tag: tag + b"\x00",
+        ],
+        ids=["first-byte", "last-bit", "truncated", "empty", "extended"],
+    )
+    def test_forged_tag_rejected_and_counted(self, forge):
+        esp = EspProcessor(DeterministicRNG(10))
+        sender_sa, receiver_sa = self._sa_pair()
+        wire = esp.encapsulate(IPPacket("10.1.0.1", "10.2.0.1", b"data"), sender_sa, "1.1.1.1", "2.2.2.2")
+        genuine = wire.auth_tag
+        wire.auth_tag = forge(genuine)
+        with pytest.raises(EspError, match="integrity check failed"):
+            esp.decapsulate(wire, receiver_sa)
+        assert esp.authentication_failures == 1
+        assert esp.packets_decapsulated == 0
+        # The failed check consumed nothing: the genuine tag still verifies.
+        wire.auth_tag = genuine
+        assert esp.decapsulate(wire, receiver_sa).payload == b"data"
+        assert esp.authentication_failures == 1
+
+    def test_tags_are_pinned_packet_after_packet(self):
+        """The ICV bytes of three packets per suite under one SA, as literals:
+        how the SA holds its HMAC key must not show on the wire."""
+        tags = {}
+        for suite in (CipherSuite.AES_QKD_RESEED, CipherSuite.ONE_TIME_PAD):
+            esp = EspProcessor(DeterministicRNG(11))
+            sender_sa, receiver_sa = self._sa_pair(suite)
+            tags[suite.value] = []
+            for size in (0, 5, 1500):
+                packet = IPPacket("10.1.0.1", "10.2.0.1", (bytes(range(256)) * 6)[:size])
+                wire = esp.encapsulate(packet, sender_sa, "1.1.1.1", "2.2.2.2")
+                assert esp.decapsulate(wire, receiver_sa).payload == packet.payload
+                tags[suite.value].append(wire.auth_tag.hex())
+        assert tags == PINNED_ESP_TAGS
 
 
 class TestGatewayPair:
