@@ -28,13 +28,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults.flaps import FlapWindow, invert_windows
 from repro.network.routing import PathSelector, RoutingError, _describe_reachable
 from repro.network.topology import QKDNetwork
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = Tuple[str, str]
 
@@ -194,6 +195,8 @@ class ContactGraphSelector(PathSelector):
 
     def open_subgraph(self, time: float) -> nx.Graph:
         """The subgraph of edges open at ``time`` (all nodes retained)."""
+        import networkx as nx
+
         graph = self.network.graph
         open_graph = nx.Graph()
         open_graph.add_nodes_from(graph.nodes(data=True))
@@ -204,6 +207,8 @@ class ContactGraphSelector(PathSelector):
 
     def find_path_at(self, source: str, destination: str, time: float) -> List[str]:
         """The best path over edges open at ``time`` (ends inclusive)."""
+        import networkx as nx
+
         open_graph = self.open_subgraph(time)
         for name in (source, destination):
             if name not in open_graph:
@@ -223,6 +228,8 @@ class ContactGraphSelector(PathSelector):
     def reachable_at(self, source: str, time: float) -> List[str]:
         """All nodes reachable from ``source`` over edges open at ``time``
         (sorted; always contains ``source``)."""
+        import networkx as nx
+
         open_graph = self.open_subgraph(time)
         if source not in open_graph:
             raise RoutingError(f"unknown node {source!r}")

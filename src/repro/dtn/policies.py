@@ -33,8 +33,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Type
 
-import networkx as nx
-
 from repro.network.routing import RoutingError
 
 if TYPE_CHECKING:  # circular at runtime: transport builds the policy
@@ -75,6 +73,8 @@ class ScheduledPolicy(ForwardingPolicy):
         )
         if best == custodian:
             return [custodian]
+        import networkx as nx
+
         return nx.shortest_path(selector.open_subgraph(now), custodian, best)
 
     def forward(

@@ -28,8 +28,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.dtn.contact import ContactGraphSelector, ContactSchedule
 from repro.dtn.policies import ForwardingPolicy, build_policy
 from repro.dtn.store import DELIVERED, EVICTED, EXPIRED, CustodyBundle, CustodyStore
@@ -121,6 +119,8 @@ class CustodyTransport:
         """Hop distance over the full (fault-free) topology, ``inf`` when the
         two nodes are statically disconnected."""
         if destination not in self._distances:
+            import networkx as nx
+
             self._distances[destination] = nx.single_source_shortest_path_length(
                 self.network.graph, destination
             )
@@ -211,6 +211,8 @@ class CustodyTransport:
                     f"unknown node {name!r} in route {source!r} -> {destination!r}"
                 )
         if math.isinf(self.static_distance(source, destination)):
+            import networkx as nx
+
             component = sorted(nx.node_connected_component(graph, source))
             raise RoutingError(
                 f"no possible QKD path from {source!r} to {destination!r} even "

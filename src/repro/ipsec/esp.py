@@ -16,13 +16,13 @@ supported, matching the SPD's :class:`CipherSuite`:
 
 from __future__ import annotations
 
+import hmac
 import json
 from typing import Optional
 
 from repro.crypto.aes import AES
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt
 from repro.crypto.otp import PadExhaustedError
-from repro.crypto.sha1 import hmac_sha1
 from repro.ipsec.packets import ESPPacket, IPPacket
 from repro.ipsec.sad import SecurityAssociation
 from repro.ipsec.spd import CipherSuite
@@ -103,7 +103,7 @@ class EspProcessor:
             ciphertext = cbc_encrypt(cipher, inner, iv)
 
         header = sa.spi.to_bytes(4, "big") + sequence.to_bytes(4, "big")
-        tag = hmac_sha1(sa.authentication_key, header + iv + ciphertext)[:ICV_BYTES]
+        tag = sa.authenticate(header + iv + ciphertext)[:ICV_BYTES]
 
         sa.record_traffic(len(packet.payload))
         self.packets_encapsulated += 1
@@ -124,10 +124,8 @@ class EspProcessor:
 
     def decapsulate(self, esp: ESPPacket, sa: SecurityAssociation) -> IPPacket:
         """Verify and decrypt an inbound ESP packet under the given SA."""
-        expected = hmac_sha1(
-            sa.authentication_key, esp.header_bytes() + esp.iv + esp.ciphertext
-        )[:ICV_BYTES]
-        if expected != esp.auth_tag:
+        expected = sa.authenticate(esp.header_bytes() + esp.iv + esp.ciphertext)[:ICV_BYTES]
+        if not hmac.compare_digest(expected, esp.auth_tag):
             self.authentication_failures += 1
             raise EspError(
                 f"integrity check failed for SPI 0x{esp.spi:08x} "

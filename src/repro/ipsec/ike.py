@@ -289,26 +289,34 @@ class IKEDaemon:
         # KEYMAT is a pure function of (SKEYID, seed), and while the two pools
         # are in step the peer's two derivations have the local two's inputs
         # byte for byte — so each distinct input is expanded once per
-        # negotiation: twice when synchronised, four times when the pools
-        # have diverged.
-        derived: Dict[Tuple[bytes, bytes], bytes] = {}
-
-        def derive(skeyid: bytes, qkd_material, spi: int) -> bytes:
+        # negotiation: two seeds when synchronised, four when the pools have
+        # diverged.  The seeds are equally long and differ only in QBITS and
+        # SPI, so one ``prf_expand`` per SKEYID expands them in lock-step.
+        def keymat_input(skeyid: bytes, qkd_material, spi: int) -> Tuple[bytes, bytes]:
             seed = (
                 (qkd_material.to_bytes() if qkd_material is not None else b"")
                 + initiator_nonce
                 + responder_nonce
                 + spi.to_bytes(4, "big")
             )
-            keymat = derived.get((skeyid, seed))
-            if keymat is None:
-                keymat = derived[skeyid, seed] = prf_expand(skeyid, seed, keymat_bytes)
-            return keymat
+            return skeyid, seed
 
-        keymat_out_local = derive(self.phase1.skeyid, qkd_bits, spi_out)
-        keymat_out_peer = derive(peer.phase1.skeyid, peer_bits, spi_out)
-        keymat_in_local = derive(self.phase1.skeyid, qkd_bits, spi_in)
-        keymat_in_peer = derive(peer.phase1.skeyid, peer_bits, spi_in)
+        inputs = [
+            keymat_input(self.phase1.skeyid, qkd_bits, spi_out),
+            keymat_input(peer.phase1.skeyid, peer_bits, spi_out),
+            keymat_input(self.phase1.skeyid, qkd_bits, spi_in),
+            keymat_input(peer.phase1.skeyid, peer_bits, spi_in),
+        ]
+        seeds_by_skeyid: Dict[bytes, List[bytes]] = {}
+        for skeyid, seed in dict.fromkeys(inputs):
+            seeds_by_skeyid.setdefault(skeyid, []).append(seed)
+        derived: Dict[Tuple[bytes, bytes], bytes] = {}
+        for skeyid, seeds in seeds_by_skeyid.items():
+            for seed, keymat in zip(seeds, prf_expand(skeyid, tuple(seeds), keymat_bytes)):
+                derived[skeyid, seed] = keymat
+        keymat_out_local, keymat_out_peer, keymat_in_local, keymat_in_peer = (
+            derived[each] for each in inputs
+        )
 
         if use_qkd:
             for daemon in (self, peer):

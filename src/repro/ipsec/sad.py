@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.crypto.otp import OneTimePad
+from repro.crypto.sha1 import HmacSha1
 from repro.ipsec.spd import CipherSuite
 
 
@@ -49,8 +50,23 @@ class SecurityAssociation:
     packets_protected: int = 0
     #: Highest sequence number accepted by the receiver (simple anti-replay).
     highest_received_sequence: int = 0
+    #: ``authentication_key``'s keyed HMAC state, absorbed when the first
+    #: packet needs it and gone with the SA.
+    _hmac: Optional[HmacSha1] = field(default=None, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------ #
+
+    def authenticate(self, data: bytes) -> bytes:
+        """HMAC-SHA1 of ``data`` under this SA's authentication key.
+
+        The key's two pad blocks are hashed for the first packet only, so
+        the key must not change once traffic has flowed — fresh key material
+        arrives as a new SA.
+        """
+        if self._hmac is None:
+            self._hmac = HmacSha1(self.authentication_key)
+        return self._hmac.digest(data)
+
 
     def next_sequence(self) -> int:
         self.sequence_number += 1

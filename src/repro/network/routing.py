@@ -26,11 +26,12 @@ they re-run and re-raise with the same text every time.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.network.topology import QKDNetwork, RouteState
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class RoutingError(Exception):
@@ -57,6 +58,8 @@ def frozen_within(within: Optional[Iterable[str]]) -> Optional[FrozenSet[str]]:
 
 def _describe_reachable(usable: "nx.Graph", source: str) -> str:
     """``"N node(s) reachable from 'src': a, b, c"`` for error messages."""
+    import networkx as nx
+
     reachable = sorted(nx.node_connected_component(usable, source))
     return (
         f"{len(reachable)} node(s) reachable from {source!r}: "
@@ -95,6 +98,8 @@ class PathSelector:
         self, source: str, destination: str, within: Optional[FrozenSet[str]]
     ) -> List[str]:
         """Dijkstra over the usable subgraph (restricted to ``within``)."""
+        import networkx as nx
+
         usable = self.network.usable_subgraph()
         if within is not None:
             usable = usable.subgraph(n for n in usable.nodes if n in within)
@@ -168,6 +173,8 @@ class PathSelector:
         disconnected pair is an error the caller must see, not an empty
         list that reads like "no spare paths".
         """
+        import networkx as nx
+
         usable = self.network.usable_subgraph()
         for name in (source, destination):
             if name not in usable:

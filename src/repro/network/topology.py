@@ -4,19 +4,23 @@ Nodes are QKD endpoints, trusted relays or untrusted optical switches; edges
 are QKD links (or dark-fiber segments, for the optical-switch case)
 characterised by their length and by the secret-key rate the analytic link
 model predicts for them.  The graph is a thin wrapper around ``networkx`` so
-the routing layer can use its path algorithms directly.
+the routing layer can use its path algorithms directly.  ``networkx`` is
+imported where a graph is built or searched, here and in the routing and dtn
+modules, never at module import: a process that only runs a link (every
+``import repro`` reaches this module) does not load it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.util.rng import DeterministicRNG
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 #: What :meth:`QKDNetwork.route_state` returns: the layout version and the
@@ -89,6 +93,8 @@ class QKDNetwork:
     """A mesh of QKD nodes and links."""
 
     def __init__(self, rng: Optional[DeterministicRNG] = None):
+        import networkx as nx
+
         self.graph = nx.Graph()
         self.rng = rng or DeterministicRNG(0)
         #: Sorted node pairs of links currently not usable, maintained by
@@ -161,6 +167,8 @@ class QKDNetwork:
 
     def usable_subgraph(self) -> nx.Graph:
         """A copy of the graph containing only usable (up, clean) links."""
+        import networkx as nx
+
         usable = nx.Graph()
         usable.add_nodes_from(self.graph.nodes(data=True))
         for a, b, data in self.graph.edges(data=True):
