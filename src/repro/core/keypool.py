@@ -7,6 +7,11 @@ pad encryptor, the authentication stage replenishing its own secret pool —
 draw blocks of key.  The reservoir is where the paper's "race between the
 rate at which keying material is put into place and the rate at which it is
 consumed" becomes concrete, so the pool tracks both sides of that race.
+
+The consuming side is on every served key's path, so it does as little as
+the FIFO allows: the level is a counter, not a sum over blocks, and a draw
+that ends inside (or exactly at the end of) the head block is one slice of
+it.  Only a draw across a block boundary gathers pieces and joins them.
 """
 
 from __future__ import annotations
@@ -107,20 +112,30 @@ class KeyPool:
             raise KeyPoolExhaustedError(
                 f"{self.name}: need {count} bits, have {self._available_bits}"
             )
+        self.bits_consumed += count
+        self._available_bits -= count
+        if count:
+            head = self.blocks[0].bits
+            start = self._head_offset
+            end = start + count
+            if end <= len(head):
+                if end == len(head):
+                    self.blocks.pop(0)
+                    self._head_offset = 0
+                else:
+                    self._head_offset = end
+                return head[start:end]
         collected: List[BitString] = []
         needed = count
         while needed > 0:
-            head = self.blocks[0]
-            available_in_head = len(head) - self._head_offset
-            take = min(needed, available_in_head)
-            collected.append(head.bits[self._head_offset : self._head_offset + take])
+            head = self.blocks[0].bits
+            take = min(needed, len(head) - self._head_offset)
+            collected.append(head[self._head_offset : self._head_offset + take])
             self._head_offset += take
             needed -= take
             if self._head_offset == len(head):
                 self.blocks.pop(0)
                 self._head_offset = 0
-        self.bits_consumed += count
-        self._available_bits -= count
         return BitString().concat(*collected)
 
     def draw_bytes(self, count: int) -> bytes:

@@ -932,9 +932,7 @@ class KeyManagementService:
         if shortage is not None:
             trunk.release(reservation)
             return KeyTransportResult(success=False, path=list(shortage), failed_hop=shortage)
-        with trunk.consuming(reservation, now=now):
-            key = trunk.local_pool.draw_bits(bits)
-            trunk.remote_pool.draw_bits(bits)
+        key = trunk.draw(reservation, now)
         consumed = self.relays.spend_path_pad(legs, key.to_bytes())
         return KeyTransportResult(
             success=True, path=legs[0] + legs[1], key=key, pad_bits_consumed=consumed

@@ -16,7 +16,12 @@ it to both ends):
   active reservation are invisible to other consumers, and the store's
   pools refuse any draw that would invade someone else's reservation, so a
   negotiation that has been promised key can never lose it to a concurrent
-  consumer between reserve and consume.
+  consumer between reserve and consume.  The grant ``consuming`` opens is
+  an integer on each :class:`StorePool`, spent by that pool's own draws; a
+  consumer that wants the reserved bits and nothing else (a served key, a
+  trunk draw) calls :meth:`KeyStore.draw`, which is ``consuming`` plus the
+  two lock-step draws.  A store only spends or releases reservations it
+  granted and still holds — another store's is refused, whatever its id.
 * **Expiry** — key older than ``max_key_age_seconds`` is dropped from both
   pools in lock-step (block-granular, head-first), modelling a bounded
   compromise window for material sitting in relay-adjacent storage.
@@ -29,9 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple
-
-from contextlib import contextmanager
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.util.bits import BitString
@@ -67,18 +70,58 @@ class StorePool(KeyPool):
     Draws are refused (with :class:`KeyPoolExhaustedError`, the error every
     existing consumer already handles) whenever they would dip into bits
     reserved by a consumer other than the one currently inside
-    :meth:`KeyStore.consuming`.
+    :meth:`KeyStore.consuming`.  Draws from the store's local pool are the
+    ones its statistics and depletion rate count.
     """
 
     def __init__(self, name: str, store: "KeyStore"):
         super().__init__(name=name)
         self._store = store
+        #: Bits the reservation being consumed may still take from this
+        #: pool; set and cleared by :meth:`KeyStore.consuming`, 0 outside it.
+        self.grant = 0
 
     def draw_bits(self, count: int) -> BitString:
-        self._store._authorise_draw(self, count)
+        store = self._store
+        grant = self.grant
+        others_reserved = store._reserved_bits - min(grant, store._reserved_bits)
+        if count > self._available_bits - others_reserved:
+            raise KeyPoolExhaustedError(
+                f"{self.name}: draw of {count} bits would invade reserved key "
+                f"({self._available_bits} available, {others_reserved} reserved "
+                f"by other consumers, grant {grant})"
+            )
         drawn = super().draw_bits(count)
-        self._store._record_draw(self, count)
+        self.grant = max(grant - count, 0)
+        if self is store.local_pool:
+            store.statistics.bits_consumed += count
+            store._bits_since_last += count
+            store._notify_level_change()
         return drawn
+
+
+class _Consuming:
+    """The context :meth:`KeyStore.consuming` returns: grants on entry, and
+    on exit clears them and retires the reservation."""
+
+    __slots__ = ("store", "reservation", "now")
+
+    def __init__(self, store: "KeyStore", reservation: "KeyReservation", now: float):
+        self.store = store
+        self.reservation = reservation
+        self.now = now
+
+    def __enter__(self) -> None:
+        store, reservation = self.store, self.reservation
+        store._check_held(reservation)
+        store.local_pool.grant = store.remote_pool.grant = reservation.bits
+
+    def __exit__(self, *exc_info) -> None:
+        store, reservation = self.store, self.reservation
+        store.local_pool.grant = store.remote_pool.grant = 0
+        reservation.state = "consumed"
+        store._retire(reservation)
+        store._note_consumption(self.now)
 
 
 @dataclass
@@ -137,8 +180,6 @@ class KeyStore:
         self._reserved_bits = 0
         self._ids = itertools.count(1)
         self._next_block_id = itertools.count(0)
-        #: Per-pool remaining grant while inside :meth:`consuming`.
-        self._grants: Dict[int, int] = {}
         #: EWMA of the consumption rate, bits/second.
         self._depletion_rate_bps = 0.0
         self._last_consume_time: Optional[float] = None
@@ -291,69 +332,45 @@ class KeyStore:
 
     def release(self, reservation: KeyReservation) -> None:
         """Give up a held reservation without consuming it."""
-        if not reservation.active:
-            raise ReservationError(
-                f"reservation {reservation.reservation_id} is {reservation.state}"
-            )
+        self._check_held(reservation)
         reservation.state = "released"
         self._retire(reservation)
         self.statistics.reservations_released += 1
         self.statistics.bits_released += reservation.bits
 
-    @contextmanager
-    def consuming(self, reservation: KeyReservation, now: float = 0.0) -> Iterator[None]:
+    def consuming(self, reservation: KeyReservation, now: float = 0.0) -> _Consuming:
         """Context in which the reserved bits may be drawn from both pools.
 
         Inside the block each pool will honour draws up to the reservation's
         size (on top of whatever unreserved key exists); the usual pattern is
         to run the IKE Phase-2 negotiation here, which draws the same amount
         from both pools.  On exit the reservation is retired whether or not
-        the draw happened (a failed negotiation must re-reserve).
+        the draw happened (a failed negotiation must re-reserve).  Entering
+        raises :class:`ReservationError` for a reservation this store does
+        not hold: one already consumed or released, or another store's.
         """
-        if not reservation.active:
-            raise ReservationError(
-                f"reservation {reservation.reservation_id} is {reservation.state}"
-            )
-        self._grants = {
-            id(self.local_pool): reservation.bits,
-            id(self.remote_pool): reservation.bits,
-        }
-        try:
-            yield
-        finally:
-            self._grants = {}
-            reservation.state = "consumed"
-            self._retire(reservation)
-            self._note_consumption(now)
+        return _Consuming(self, reservation, now)
+
+    def draw(self, reservation: KeyReservation, now: float = 0.0) -> BitString:
+        """Consume ``reservation`` whole: draw its bits from both pools in
+        lock-step inside :meth:`consuming`, and return the (identical)
+        material once."""
+        with self.consuming(reservation, now):
+            local = self.local_pool.draw_bits(reservation.bits)
+            remote = self.remote_pool.draw_bits(reservation.bits)
+        if local != remote:
+            raise ReservationError(f"store {self.pair[0]}--{self.pair[1]}: pools desynchronised")
+        return local
+
+    def _check_held(self, reservation: KeyReservation) -> None:
+        if self._reservations.get(reservation.reservation_id) is not reservation:
+            held = "not held by this store" if reservation.active else reservation.state
+            raise ReservationError(f"reservation {reservation.reservation_id} is {held}")
 
     def _retire(self, reservation: KeyReservation) -> None:
         retired = self._reservations.pop(reservation.reservation_id, None)
         if retired is not None:
             self._reserved_bits -= retired.bits
-
-    # ------------------------------------------------------------------ #
-    # StorePool integration
-    # ------------------------------------------------------------------ #
-
-    def _authorise_draw(self, pool: StorePool, count: int) -> None:
-        grant = self._grants.get(id(pool), 0)
-        others_reserved = self._reserved_bits - min(grant, self._reserved_bits)
-        drawable = pool.available_bits - others_reserved
-        if count > drawable:
-            raise KeyPoolExhaustedError(
-                f"{pool.name}: draw of {count} bits would invade reserved key "
-                f"({pool.available_bits} available, {others_reserved} reserved "
-                f"by other consumers, grant {grant})"
-            )
-
-    def _record_draw(self, pool: StorePool, count: int) -> None:
-        grant = self._grants.get(id(pool))
-        if grant is not None:
-            self._grants[id(pool)] = max(grant - count, 0)
-        if pool is self.local_pool:
-            self.statistics.bits_consumed += count
-            self._bits_since_last += count
-            self._notify_level_change()
 
     def _note_consumption(self, now: float) -> None:
         """Fold the draws since the previous event into the rate EWMA."""

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Tuple, Type
 
 #: Protocol versions this implementation speaks.  v2 is v1 plus a trailing
@@ -195,6 +196,10 @@ class _Cursor:
 
     def varint(self, what: str) -> int:
         data, offset = self.data, self.offset
+        if offset < len(data) and data[offset] < 0x80:
+            # One byte: every string length and most counts.
+            self.offset = offset + 1
+            return data[offset]
         value = 0
         for shift in range(0, 70, 7):
             if offset >= len(data):
@@ -257,7 +262,10 @@ def _string(text: str) -> bytes:
     return _varint(len(data)) + data
 
 
+@lru_cache(maxsize=1024)
 def _pair_bytes(pair: Tuple[str, str]) -> bytes:
+    # Pair names are public identifiers, never key material, so caching
+    # their encoding keeps nothing secret alive.
     return _string(pair[0]) + _string(pair[1])
 
 
@@ -438,8 +446,8 @@ class Capabilities(Message):
 class CapabilitiesOk(Message):
     """Server limits plus the sorted list of pairs it serves."""
 
-    min_version: int = PROTOCOL_V1
-    max_version: int = PROTOCOL_V2
+    min_version: int = SUPPORTED_VERSIONS[0]
+    max_version: int = SUPPORTED_VERSIONS[-1]
     max_frame_bytes: int = MAX_FRAME_BYTES
     max_reserve_bits: int = 0
     pairs: Tuple[Tuple[str, str], ...] = ()

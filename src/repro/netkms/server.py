@@ -5,8 +5,8 @@
 over the :mod:`repro.netkms.protocol` framing.  The contract it inherits
 from the in-process store layer is the one that matters under concurrency:
 **no two clients ever receive overlapping key material**, because every
-key is drawn inside ``store.consuming(reservation)`` and the store's pools
-refuse draws that would invade another consumer's reservation.
+key is drawn by ``store.draw(reservation)`` and the store's pools refuse
+draws that would invade another consumer's reservation.
 
 A key leaves a store in two steps, each with one body: the *grant* claims
 the bits, the *serve* draws them, counts them once and keeps the reply
@@ -82,7 +82,7 @@ import time
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
 
-from repro.kms.store import KeyReservation, KeyStore, KeyStoreExhaustedError
+from repro.kms.store import KeyReservation, KeyStore, KeyStoreExhaustedError, ReservationError
 from repro.netkms import protocol
 from repro.netkms.metrics import NetKmsMetrics
 from repro.netkms.protocol import (
@@ -553,27 +553,27 @@ class NetworkKmsServer:
         # Both endpoints' pools advance in lock-step, exactly as the
         # in-process gateways do, so the store stays synchronised for
         # every later consumer; the (identical) material is served once.
-        with store.consuming(reservation, now=now):
-            local = store.local_pool.draw_bits(reservation.bits)
-            remote = store.remote_pool.draw_bits(reservation.bits)
-        if local != remote:
-            raise ProtocolError(protocol.ERR_INTERNAL, "store pools desynchronised")
-        key_bytes = local.to_bytes()
-        self.metrics.note_key_served(key_bytes, len(local))
+        try:
+            key = store.draw(reservation, now)
+        except ReservationError as exc:
+            raise ProtocolError(protocol.ERR_INTERNAL, str(exc)) from None
+        key_bytes = key.to_bytes()
+        self.metrics.note_key_served(key_bytes, len(key))
         expires_at = now + self.replay_retention_seconds
         self._served[(message.pair, reservation.reservation_id)] = ServedReservation(
-            key_bits=len(local),
+            key_bits=len(key),
             key_bytes=key_bytes,
             expires_at=expires_at,
         )
         if expires_at < self._earliest_deadline:
             self._earliest_deadline = expires_at
-        while len(self._served) > REPLAY_CACHE_LIMIT:
-            self._served.pop(next(iter(self._served)))
+        if len(self._served) > REPLAY_CACHE_LIMIT:
+            # One entry in, so at most one out: the oldest.
+            del self._served[next(iter(self._served))]
         return ConsumeOk(
             request_id=message.request_id,
             reservation_id=reservation.reservation_id,
-            key_bits=len(local),
+            key_bits=len(key),
             key_bytes=key_bytes,
         )
 

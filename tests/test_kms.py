@@ -122,6 +122,34 @@ class TestKeyStore:
             assert len(store.local_pool.draw_bits(900)) == 900
             assert len(store.remote_pool.draw_bits(900)) == 900
 
+    def test_another_stores_reservation_is_refused(self):
+        """Two stores number their reservations alike.  Neither may spend or
+        release the other's: the bits reserved in each stay with the
+        holder, and each holder's own draw still goes through."""
+        store, other = filled_store(bits=1024), filled_store(bits=1024)
+        held = store.reserve(900, now=0.0)
+        foreign = other.reserve(900, now=0.0)
+        assert held.reservation_id == foreign.reservation_id == 1
+        with pytest.raises(ReservationError):
+            with store.consuming(foreign, now=1.0):
+                store.local_pool.draw_bits(900)
+        with pytest.raises(ReservationError):
+            store.draw(foreign, now=1.0)
+        with pytest.raises(ReservationError):
+            store.release(foreign)
+        for s, reservation in ((store, held), (other, foreign)):
+            assert reservation.active
+            assert s.reserved_bits == 900 and s.available_bits == 1024
+        assert store.statistics.bits_consumed == 0
+        assert len(store.draw(held, now=2.0)) == 900
+        assert len(other.draw(foreign, now=2.0)) == 900
+
+    def test_draw_refuses_desynchronised_pools(self):
+        store = filled_store(bits=512)
+        store.remote_pool.blocks[0] = KeyBlock(BitString.zeros(512), 0)
+        with pytest.raises(ReservationError, match="desynchronised"):
+            store.draw(store.reserve(256, now=0.0), now=1.0)
+
     def test_release_returns_bits_to_unreserved(self):
         store = filled_store(bits=1024)
         reservation = store.reserve(1000)
@@ -182,33 +210,42 @@ class TestKeyStore:
         """``reserved_bits`` is a counter; what it counts is the bits of the
         reservations still in ``_reservations``, after every operation —
         refused ones, a consuming body that raises, and a reservation that
-        belongs to another store included."""
+        belongs to another store included.  Spending or releasing the other
+        store's reservation is refused and moves neither store's level."""
         store = make_store(max_key_age_seconds=50.0)
         other = filled_store()
-        issued = []
+        issued, foreign = [], []
         for step, (name, n) in enumerate(operations):
             now = float(step)
+            target = issued[n % len(issued)] if issued else None
+            before, refused = store.reserved_bits, None
             try:
                 if name == "reserve":
                     issued.append(store.reserve(n, now=now))
-                elif name == "release" and issued:
-                    store.release(issued[n % len(issued)])
-                elif name in ("consume", "consume_raising") and issued:
-                    reservation = issued[n % len(issued)]
-                    with store.consuming(reservation, now=now):
-                        store.local_pool.draw_bits(reservation.bits)
+                elif name == "release" and target is not None:
+                    store.release(target)
+                elif name in ("consume", "consume_raising") and target is not None:
+                    with store.consuming(target, now=now):
+                        store.local_pool.draw_bits(target.bits)
                         if name == "consume_raising":
                             raise RuntimeError("negotiation failed")
-                        store.remote_pool.draw_bits(reservation.bits)
+                        store.remote_pool.draw_bits(target.bits)
                 elif name == "foreign":
                     # Same id space, another store's reservation.
-                    issued.append(other.reserve(1 + n % 8))
+                    foreign.append(other.reserve(1 + n % 8))
+                    issued.append(foreign[-1])
                 elif name == "deposit":
                     store.deposit(BitString.random(n, DeterministicRNG(step)), now=now)
                 elif name == "expire":
                     store.expire(now=now + n)
-            except (ReservationError, KeyPoolExhaustedError, ValueError, RuntimeError):
-                pass
+            except (ReservationError, KeyPoolExhaustedError, ValueError, RuntimeError) as exc:
+                refused = exc
+            if name in ("release", "consume", "consume_raising") and any(
+                target is r for r in foreign
+            ):
+                assert isinstance(refused, ReservationError)
+                assert store.reserved_bits == before
+            assert other.reserved_bits == sum(r.bits for r in foreign)
             live = sum(r.bits for r in store._reservations.values())
             assert store.reserved_bits == live
             assert store.unreserved_bits == store.available_bits - live

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
+from repro.core.keypool import KeyBlock
 from repro.kms.store import KeyStore
 from repro.netkms import protocol
 from repro.netkms import server as server_module
@@ -250,6 +251,13 @@ class TestMalformedBodies:
             protocol.SUPPORTED_VERSIONS[-1],
         )
         assert protocol.SUPPORTED_VERSIONS[-1] == protocol.PROTOCOL_V4
+
+    def test_capabilities_ok_advertises_every_supported_version_unless_told_otherwise(self):
+        capabilities = CapabilitiesOk()
+        assert (capabilities.min_version, capabilities.max_version) == (
+            protocol.SUPPORTED_VERSIONS[0],
+            protocol.SUPPORTED_VERSIONS[-1],
+        )
 
 
 class TestNegotiation:
@@ -668,6 +676,28 @@ class TestStoreSemantics:
         served = run(scenario())
         expected = counter_material(4096).to_bytes()
         assert b"".join(key.key_bytes for key in served) == expected[: 3 * 64]
+
+    def test_desynchronised_pools_are_an_internal_error(self):
+        """The serve step checks that both pools gave the same bits; a store
+        whose remote pool holds other material answers ``internal`` and
+        serves nothing."""
+
+        async def scenario():
+            store = make_store(bits=4096)
+            store.remote_pool.blocks[0] = KeyBlock(BitString.zeros(4096), 0)
+            server = await started_server({PAIR: store})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.get_key(PAIR, bits=256)
+                    return excinfo.value, server.metrics
+            finally:
+                await server.stop()
+
+        error, metrics = run(scenario())
+        assert error.code == protocol.ERR_INTERNAL
+        assert "desynchronised" in error.detail
+        assert metrics.keys_served == 0
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,8 @@
 (the block-gathering body it replaced): over random block layouts — 1-bit
 and non-byte-aligned blocks, empty ones — random head offsets, and draws of
 nothing, inside the head block, exactly to its end, across blocks and past
-the level, both leave the same bits, blocks, head offset and counters.
+the level, both leave the same bits, blocks, head offset and counters.  A
+256-bit key from a 2 048-bit block never reaches the gathering code.
 
 (b) One :class:`~repro.kms.store.KeyStore` driven through a fixed script —
 deposits, reservations, consumption with its pool draws, whole-reservation
@@ -93,6 +94,26 @@ def test_draw_bits_is_the_gathering_oracle(lengths, offset_fraction, draws, seed
         assert pool_state(shipped) == pool_state(oracle)
 
 
+def test_a_key_inside_the_head_block_is_one_slice(monkeypatch):
+    """256-bit keys from a 2 048-bit block, through a store: no piece is
+    gathered, concatenated or measured with ``len(block)`` — down to the
+    draw that empties the block."""
+    store = KeyStore(("alice", "bob"))
+    store.deposit(BitString.random(2048, DeterministicRNG(3)))
+    deposited = store.local_pool.blocks[0].bits
+
+    def gathering(*args):
+        raise AssertionError("a head-block draw took the gathering path")
+
+    monkeypatch.setattr(BitString, "concat", gathering)
+    monkeypatch.setattr(KeyBlock, "__len__", gathering)
+    for i in range(8):
+        key = store.draw(store.reserve(256), now=float(i))
+        assert key == deposited[256 * i : 256 * (i + 1)]
+    assert store.local_pool.blocks == store.remote_pool.blocks == []
+    assert store.available_bits == 0
+
+
 # --------------------------------------------------------------------- #
 # (b) A pinned store script
 # --------------------------------------------------------------------- #
@@ -154,12 +175,7 @@ class Script:
 
     def draw(self, reservation, now):
         """The whole reservation from both pools, checked equal."""
-        store = self.store
-        with store.consuming(reservation, now=now):
-            local = store.local_pool.draw_bits(reservation.bits)
-            remote = store.remote_pool.draw_bits(reservation.bits)
-        assert local == remote
-        return self.take(local)
+        return self.take(self.store.draw(reservation, now))
 
     def fail_negotiation(self, reservation, now):
         with self.store.consuming(reservation, now=now):
