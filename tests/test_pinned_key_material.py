@@ -339,3 +339,83 @@ def test_cascade_transcript_and_counts_are_pinned(name):
         result.bisection_queries,
     ) == counts
     assert result.confirmed and result.matches_reference
+
+
+# ---------------------------------------------------------------------- #
+# Slutsky defense and the fixed stage sequence
+# ---------------------------------------------------------------------- #
+#
+# Bench A3's Slutsky run (six 2 048-bit blocks at 6 % QBER, seed 7), once
+# sequentially through ``distill_block`` and once as one ``distill_blocks``
+# batch on the parallel runtime's thread backend.  Recorded where the
+# Slutsky defense could still be selected either as a stage plan with
+# ``entropy.slutsky`` or as ``defense="slutsky"``; both gave these values.
+
+#: workers -> (sha256 over Alice's pooled blocks, EngineStatistics fields)
+SLUTSKY_PINS = {
+    None: (
+        "be36171e68de3666751e1ef3461ee7c6245bf06c9a34142ec70de2d4fb731e40",
+        {"slots_processed": 0, "sifted_bits": 0, "sifted_errors": 0, "distilled_bits": 10,
+         "blocks_distilled": 6, "blocks_aborted": 0, "disclosed_parities": 5687},
+    ),
+    1: (
+        "fdc0679dbc2e36dde95f28052ea52b7c5277cc18d36d62e79b4d1482c9a76fdd",
+        {"slots_processed": 0, "sifted_bits": 0, "sifted_errors": 0, "distilled_bits": 19,
+         "blocks_distilled": 6, "blocks_aborted": 0, "disclosed_parities": 5678},
+    ),
+}
+SLUTSKY_PINS[2] = SLUTSKY_PINS[1]
+
+SLUTSKY_PLAN = (
+    "alarm.qber",
+    "cascade.bicon",
+    "entropy.slutsky",
+    "privacy.gf2n",
+    "auth.wegman_carter",
+    "deliver.pools",
+)
+
+
+@pytest.mark.parametrize("selector", [{"defense": "slutsky"}, {"stages": SLUTSKY_PLAN}])
+@pytest.mark.parametrize("workers", [None, 1, 2])
+def test_slutsky_pool_and_statistics_are_pinned(workers, selector):
+    from dataclasses import asdict
+
+    from repro.core.engine import SiftedBlock
+
+    engine = QKDProtocolEngine(
+        EngineParameters(parallel_workers=workers, parallel_backend="thread", **selector),
+        DeterministicRNG(7),
+    )
+    blocks = [_noisy_pair(100 + seed) for seed in range(6)]
+    if workers is None:
+        for alice, bob in blocks:
+            engine.distill_block(alice, bob, transmitted_pulses=500_000)
+    else:
+        engine.distill_blocks([SiftedBlock(a, b, 500_000) for a, b in blocks])
+    digest = hashlib.sha256()
+    for block in engine.alice_pool.blocks:
+        digest.update(str(block.bits).encode())
+    assert engine.keys_match
+    assert (digest.hexdigest(), asdict(engine.statistics)) == SLUTSKY_PINS[workers]
+
+
+ENGINE_STAGE_NAMES = (
+    "alarm.qber",
+    "cascade.bicon",
+    "entropy.estimate",
+    "privacy.gf2n",
+    "auth.wegman_carter",
+    "deliver.pools",
+)
+COMPUTE_STAGE_NAMES = ("cascade.compute", "entropy.estimate", "privacy.gf2n")
+COMMIT_STAGE_NAMES = ("alarm.qber", "cascade.account", "auth.wegman_carter", "deliver.pools")
+
+
+def test_stage_sequences_are_pinned():
+    from repro.pipeline import DEFAULT_STAGE_PLAN
+    from repro.runtime.parallel import split_stage_plan
+
+    engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
+    assert tuple(engine.pipeline.stage_names) == ENGINE_STAGE_NAMES
+    assert split_stage_plan(DEFAULT_STAGE_PLAN) == (COMPUTE_STAGE_NAMES, COMMIT_STAGE_NAMES)
