@@ -9,9 +9,9 @@ kernel, the binary wire codec and then the position-table hash chain took
 that stage to ~5 ms per block in this benchmark's own table — 8 blocks at 6 %
 QBER, ``auth.wegman_carter`` ~40 ms total beside ``cascade.bicon`` ~100 ms —
 so Cascade's bisection bookkeeping is now the larger share.)
-This benchmark distills a batch of blocks through the default plan and
-prints the cumulative per-stage wall-clock budget, plus the same batch
-through the Slutsky-defense plan to show that swapping one registry key
+This benchmark distills a batch of blocks with the default (Bennett)
+defense and prints the cumulative per-stage wall-clock budget, plus the same
+batch with ``defense="slutsky"`` to show that the other defense function
 leaves the cost profile comparable.
 
 ``BENCH_A3_BLOCKS`` / ``BENCH_A3_BLOCK_BITS`` shrink the run for the CI
@@ -27,16 +27,6 @@ from repro.util.rng import DeterministicRNG
 BLOCK_BITS = int_env("BENCH_A3_BLOCK_BITS", 2048, minimum=1)
 ERROR_RATE = 0.06
 N_BLOCKS = int_env("BENCH_A3_BLOCKS", 8, minimum=1)
-
-SLUTSKY_PLAN = (
-    "alarm.qber",
-    "cascade.bicon",
-    "entropy.slutsky",
-    "privacy.gf2n",
-    "auth.wegman_carter",
-    "deliver.pools",
-)
-
 
 def _noisy_pair(seed):
     rng = DeterministicRNG(seed)
@@ -59,7 +49,7 @@ def _distill_batch(parameters):
 def test_a3_per_stage_time_budget(benchmark, table):
     def experiment():
         default = _distill_batch(EngineParameters())
-        slutsky = _distill_batch(EngineParameters(stages=SLUTSKY_PLAN))
+        slutsky = _distill_batch(EngineParameters(defense="slutsky"))
         return default, slutsky
 
     default, slutsky = run_once(benchmark, experiment)
@@ -85,7 +75,7 @@ def test_a3_per_stage_time_budget(benchmark, table):
     )
 
     # The shape the refactor promises: telemetry covers every stage, both
-    # plans distill key, and the measured hot path is one of the two
+    # defenses distill key, and the measured hot path is one of the two
     # transcript-heavy stages.  (Before the packed bit kernel, Wegman-Carter
     # transcript authentication dwarfed even Cascade at ~95% of block time;
     # after it, the two are within a small factor of each other — exactly

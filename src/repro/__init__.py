@@ -8,8 +8,8 @@ Pearson and Troxel as a pure-Python simulation and protocol library:
 * :mod:`repro.core` — the QKD protocol engine: sifting, Cascade error
   correction, entropy estimation (Bennett / Slutsky defense functions),
   privacy amplification and Wegman-Carter authentication.
-* :mod:`repro.pipeline` — the composable distillation pipeline: the paper's
-  Fig 9 stages as pluggable, registry-keyed components with telemetry.
+* :mod:`repro.pipeline` — the distillation pipeline: the paper's Fig 9
+  stages, run in a fixed order, with per-stage telemetry.
 * :mod:`repro.eve` — eavesdropping attack models (intercept-resend,
   photon-number splitting, man-in-the-middle, denial of service).
 * :mod:`repro.link` — a full Alice/Bob QKD link producing distilled key.
@@ -37,8 +37,7 @@ The quickest way in is the facade::
     from repro import QKDSystem
     report = QKDSystem(seed=2003).link().run_seconds(2.0)
 
-See ``docs/API.md`` for the stage protocol, the registry keys and the facade
-entry points, and ``ROADMAP.md`` for where the system is headed.
+See ``docs/API.md`` for the pipeline stages and the facade entry points, and ``ROADMAP.md`` for where the system is headed.
 """
 
 from repro.api import MeshSystem, QKDSystem, SystemConfig, VPNSystem

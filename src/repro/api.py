@@ -74,9 +74,6 @@ class SystemConfig:
     block_size_bits: int = 2048
     abort_qber: float = 0.15
     randomness_testing: bool = False
-    #: Stage-registry keys overriding the paper's default pipeline plan
-    #: (see :mod:`repro.pipeline`); ``None`` keeps the default.
-    stages: Optional[Tuple[str, ...]] = None
     #: Parallel distillation runtime (:mod:`repro.runtime`): ``None`` keeps
     #: the sequential engine; an integer enables the parallel mode with that
     #: many workers (output invariant across worker counts).
@@ -114,7 +111,6 @@ class SystemConfig:
             block_size_bits=self.block_size_bits,
             abort_qber=self.abort_qber,
             randomness_testing=self.randomness_testing,
-            stages=self.stages,
             parallel_workers=self.parallel_workers,
             parallel_backend=self.parallel_backend,
         )
@@ -155,10 +151,6 @@ class QKDSystem:
 
     def with_defense(self, defense: str) -> "QKDSystem":
         return self.configured(defense=defense)
-
-    def with_stages(self, *stage_keys: str) -> "QKDSystem":
-        """Override the distillation pipeline with registry keys, in order."""
-        return self.configured(stages=tuple(stage_keys))
 
     def with_parallelism(
         self, workers: Optional[int], backend: str = "process"

@@ -23,8 +23,8 @@ frame of channel detections all the way to authenticated, distilled key:
   protocol transcript with a replenished shared-secret pool.
 * :mod:`repro.core.keypool` — the distilled-key reservoir consumed by the
   VPN/OPC interface.
-* :mod:`repro.core.engine` — the engine binding it all together, assembled
-  from the pluggable stages of :mod:`repro.pipeline`.
+* :mod:`repro.core.engine` — the engine binding it all together: the
+  stages of :mod:`repro.pipeline`, run in the paper's fixed order.
 """
 
 from repro.core.sifting import SiftingProtocol, SiftResult, run_length_encode, run_length_decode

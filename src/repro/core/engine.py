@@ -7,16 +7,15 @@ batch of channel slots it:
 2. accumulates sifted bits until a block is large enough to be worth
    correcting,
 3. hands each completed block to a :class:`repro.pipeline.DistillationPipeline`
-   assembled from the stage registry — by default the paper's plan of QBER
-   alarm, **Cascade** error correction, **entropy estimation** with the
-   configured defense function, **privacy amplification** over GF(2^n),
-   **Wegman-Carter authentication** of the public transcript, and delivery to
-   both endpoints' key pools (the "VPN / OPC interface").
+   of the paper's six stages, always in this order: QBER alarm, **Cascade**
+   error correction, **entropy estimation** with the configured defense
+   function, **privacy amplification** over GF(2^n), **Wegman-Carter
+   authentication** of the public transcript, and delivery to both
+   endpoints' key pools (the "VPN / OPC interface").
 
-The engine itself is now a thin assembly: every protocol step lives in a
-registered stage (:mod:`repro.pipeline.stages`), so alternative
-error-correction codes, defense functions and privacy-amplification backends
-plug in through :class:`EngineParameters.stages` without editing this module.
+Every protocol step lives in a stage (:mod:`repro.pipeline.stages`); what
+varies between engines is configuration (:class:`EngineParameters`: the
+defense function, the confidence, the thresholds), never the sequence.
 
 Because this is a simulation, one engine object drives both protocol
 endpoints; the two ends' states (keys, pools) are nonetheless kept strictly
@@ -46,11 +45,14 @@ from repro.core.messages import PublicChannelLog
 from repro.core.privacy import PrivacyAmplification, PrivacyAmplificationResult
 from repro.core.randomness import RandomnessTester
 from repro.core.sifting import SiftResult
-from repro.pipeline import (
-    DEFAULT_STAGE_PLAN,
-    DistillationPipeline,
-    PipelineContext,
-    PipelineServices,
+from repro.pipeline import DistillationPipeline, PipelineContext, PipelineServices
+from repro.pipeline.stages import (
+    AuthenticationStage,
+    CascadeStage,
+    DeliveryStage,
+    EntropyEstimationStage,
+    PrivacyAmplificationStage,
+    QberAlarmStage,
 )
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -91,10 +93,6 @@ class EngineParameters:
     #: system" extension the paper anticipates.
     randomness_testing: bool = False
     cascade: CascadeParameters = field(default_factory=CascadeParameters)
-    #: The distillation pipeline as an ordered tuple of stage-registry keys
-    #: (see :mod:`repro.pipeline`).  ``None`` selects the paper's default plan;
-    #: supplying a plan swaps stages without touching engine code.
-    stages: Optional[Tuple[str, ...]] = None
     #: Parallel distillation runtime (:mod:`repro.runtime`).  ``None`` (the
     #: default) keeps the historical strictly-sequential path and its pinned
     #: key-material digests bit-for-bit.  An integer ``N >= 1`` switches the
@@ -117,12 +115,12 @@ class EngineParameters:
             raise ValueError("abort QBER must be in (0, 0.5]")
         if self.auth_replenish_bits < 0:
             raise ValueError("auth replenish bits must be non-negative")
-        if self.stages is not None:
-            if not self.stages:
-                raise ValueError("stage plan must name at least one stage")
-            self.stages = tuple(self.stages)
-        if self.parallel_workers is not None and self.parallel_workers < 1:
-            raise ValueError("parallel worker count must be at least 1 (or None)")
+        if self.parallel_workers is not None:
+            # Imported here: repro.runtime imports the link layer, which
+            # imports this module.
+            from repro.runtime.pool import resolve_workers
+
+            resolve_workers(self.parallel_workers)
         if self.parallel_backend not in ("process", "thread"):
             raise ValueError("parallel backend must be 'process' or 'thread'")
 
@@ -130,11 +128,6 @@ class EngineParameters:
     def parallel_enabled(self) -> bool:
         """Whether the parallel distillation runtime is active."""
         return self.parallel_workers is not None
-
-    @property
-    def stage_plan(self) -> Tuple[str, ...]:
-        """The effective stage plan (the paper's default when unset)."""
-        return self.stages if self.stages is not None else DEFAULT_STAGE_PLAN
 
     def make_defense(self):
         if self.defense == "bennett":
@@ -226,8 +219,7 @@ class QKDProtocolEngine:
 
         # Every protocol component lives in the services bundle the pipeline
         # stages read; the engine attributes below (``engine.cascade`` etc.)
-        # are live views onto it, so reassigning one swaps what the stages
-        # use — exactly as it did when the engine was a monolith.
+        # are read-only views onto it.
         self.services = PipelineServices(
             parameters=params,
             statistics=EngineStatistics(),
@@ -245,8 +237,15 @@ class QKDProtocolEngine:
             randomness_tester=RandomnessTester() if params.randomness_testing else None,
             running_qber=params.cascade.default_error_rate_hint,
         )
-        self.pipeline = DistillationPipeline.from_plan(
-            params.stage_plan, self.services
+        self.pipeline = DistillationPipeline(
+            (
+                QberAlarmStage(),
+                CascadeStage(),
+                EntropyEstimationStage(),
+                PrivacyAmplificationStage(),
+                AuthenticationStage(),
+                DeliveryStage(),
+            )
         )
 
         # Root of the parallel runtime's per-block streams.  Forked
@@ -254,21 +253,7 @@ class QKDProtocolEngine:
         # sequential path's streams are untouched) so that enabling parallel
         # mode later cannot shift any other stream.
         self._runtime_rng = self.rng.fork("runtime")
-        self._commit_pipeline: Optional[DistillationPipeline] = None
         self._distiller = None  # lazily built, pool reused across batches
-        # Parallel mode rebuilds its phases from the registry plan and from
-        # EngineParameters, so it can only honor the engine exactly as
-        # assembled here: remember which pipeline object and which service
-        # components are "stock" to detect (and refuse) swapped-in
-        # replacements that the workers would silently bypass.
-        self._registry_pipeline = self.pipeline
-        self._registry_stages = tuple(self.pipeline.stages)
-        self._stock_components = {
-            "cascade": self.services.cascade,
-            "privacy": self.services.privacy,
-            "estimator": self.services.estimator,
-            "randomness_tester": self.services.randomness_tester,
-        }
 
         self._next_block_id = 0
         self._next_frame_id = 0
@@ -282,18 +267,13 @@ class QKDProtocolEngine:
         self._pending_entangled = False
 
     # ------------------------------------------------------------------ #
-    # Live views onto the shared services bundle
+    # Read-only views onto the shared services bundle
     # ------------------------------------------------------------------ #
 
     def _services_view(name, doc):  # noqa: N805 — descriptor factory
-        def _get(self):
-            return getattr(self.services, name)
+        return property(lambda self: getattr(self.services, name), doc=doc)
 
-        def _set(self, value):
-            setattr(self.services, name, value)
-
-        return property(_get, _set, doc=doc)
-
+    parameters = _services_view("parameters", "The engine's configuration.")
     statistics = _services_view("statistics", "Cumulative engine statistics.")
     cascade = _services_view("cascade", "The error-correction protocol stage driver.")
     privacy = _services_view("privacy", "The privacy-amplification backend.")
@@ -305,73 +285,8 @@ class QKDProtocolEngine:
     bob_auth = _services_view("bob_auth", "Bob's authenticated channel endpoint.")
     alice_pool = _services_view("alice_pool", "Alice's distilled-key pool.")
     bob_pool = _services_view("bob_pool", "Bob's distilled-key pool.")
-    _running_qber = _services_view(
-        "running_qber", "The running QBER estimate used to size Cascade blocks."
-    )
 
     del _services_view
-
-    @property
-    def parameters(self) -> EngineParameters:
-        """The engine's configuration."""
-        return self.services.parameters
-
-    @parameters.setter
-    def parameters(self, value: EngineParameters) -> None:
-        # Reassigning the configuration reassembles the pipeline (the new
-        # parameters may carry a different stage plan; hooks and telemetry
-        # carry over) and refreshes the stateless parameter-derived
-        # components (estimator, randomness tester).  RNG-bearing components
-        # (cascade, privacy, authentication) keep their streams — rebuilding
-        # those would silently reset key-material determinism.
-        self.services.parameters = value
-        self.services.estimator = EntropyEstimator(
-            defense=value.make_defense(),
-            confidence_sigmas=value.confidence_sigmas,
-            worst_case_multiphoton=value.worst_case_multiphoton,
-        )
-        self.services.randomness_tester = (
-            RandomnessTester() if value.randomness_testing else None
-        )
-        # Honor the new cascade configuration without resetting the protocol's
-        # RNG stream.
-        self.services.cascade.parameters = value.cascade
-        # The setter legitimately rebuilt these two; re-bless them as stock
-        # (cascade/privacy keep their original objects and entries).
-        self._stock_components["estimator"] = self.services.estimator
-        self._stock_components["randomness_tester"] = self.services.randomness_tester
-        self.rebuild_pipeline()
-
-    # ------------------------------------------------------------------ #
-    # Pipeline assembly
-    # ------------------------------------------------------------------ #
-
-    def use_pipeline(self, pipeline: DistillationPipeline) -> None:
-        """Swap in an externally assembled pipeline (experiments, tests)."""
-        self.pipeline = pipeline
-
-    def rebuild_pipeline(self, plan: Optional[Sequence[str]] = None) -> None:
-        """Reassemble the pipeline from registry keys against this engine's
-        services — used after registering replacement stages.  Attached hooks
-        and accumulated telemetry carry over to the rebuilt pipeline.
-
-        An explicit ``plan`` is persisted into ``parameters.stages``, so a
-        later argless rebuild (or configuration tweak) keeps it instead of
-        silently reverting to the previous plan.
-        """
-        if plan is not None:
-            self.services.parameters.stages = tuple(plan)
-        keys = self.parameters.stage_plan
-        rebuilt = DistillationPipeline.from_plan(keys, self.services)
-        rebuilt.hooks = list(self.pipeline.hooks)
-        rebuilt.telemetry = self.pipeline.telemetry
-        self.pipeline = rebuilt
-        self._registry_pipeline = rebuilt
-        self._registry_stages = tuple(rebuilt.stages)
-        self._commit_pipeline = None
-        if self._distiller is not None:
-            self._distiller.close()
-            self._distiller = None
 
     # ------------------------------------------------------------------ #
     # Frame intake
@@ -446,12 +361,14 @@ class QKDProtocolEngine:
         mean_photon_number: float = 0.1,
         entangled_source: bool = False,
     ) -> DistillationOutcome:
-        """Run one sifted block through the distillation pipeline (stateless
-        entry point used by benchmarks).
+        """Run one sifted block through the distillation pipeline.
 
-        In parallel mode this routes through :meth:`distill_blocks` as a
-        one-block batch, so single-block and batched submissions of the same
-        blocks produce identical key material.
+        The block takes the next block id, and its run advances the engine's
+        state: the running QBER estimate, the authentication pads, the key
+        pools and the statistics.  In parallel mode this routes through
+        :meth:`distill_blocks` as a one-block batch, so single-block and
+        batched submissions of the same blocks produce identical key
+        material.
         """
         block = SiftedBlock(
             alice_key=alice_key,
@@ -484,37 +401,6 @@ class QKDProtocolEngine:
 
         from repro.runtime.parallel import BlockWorkItem, ParallelDistiller
 
-        # Parallel batches are distilled through pipelines rebuilt from the
-        # registry plan and worker services rebuilt from EngineParameters;
-        # a pipeline swapped in via use_pipeline() — even one whose stages
-        # reuse the built-in names — or a component swapped through the live
-        # views (engine.privacy = ..., engine.cascade = ...) would be
-        # silently bypassed, so refuse rather than mislead.
-        if (
-            self.pipeline is not self._registry_pipeline
-            or tuple(self.pipeline.stages) != self._registry_stages
-        ):
-            raise ValueError(
-                "parallel mode distills through the registry-built pipeline "
-                f"for the stage plan {self.parameters.stage_plan}, but the "
-                "engine's pipeline was replaced (use_pipeline()) or its "
-                "stages mutated in place; use the sequential path "
-                "(parallel_workers=None) with custom pipelines"
-            )
-        swapped = [
-            name
-            for name, stock in self._stock_components.items()
-            if getattr(self.services, name) is not stock
-        ]
-        if swapped:
-            raise ValueError(
-                "parallel mode rebuilds the distillation components from "
-                f"EngineParameters on its workers, but {swapped} were "
-                "swapped through the engine's live views and would be "
-                "silently ignored; use the sequential path "
-                "(parallel_workers=None) with custom components"
-            )
-
         if self._distiller is None:
             self._distiller = ParallelDistiller(
                 self.parameters,
@@ -541,25 +427,12 @@ class QKDProtocolEngine:
             )
         outcomes = []
         for ctx in self._distiller.compute(items):
+            # The commit phase applies each block to the shared state, in
+            # block-id order, on this side.
             ctx.services = self.services
-            ctx = self._commit(ctx)
+            ctx = self._distiller.commit.run(ctx)
             outcomes.append(self._outcome_from_context(ctx))
         return outcomes
-
-    def _commit(self, ctx: PipelineContext) -> PipelineContext:
-        """Apply one computed block to the shared state (coordinator side)."""
-        if self._commit_pipeline is None:
-            from repro.runtime.parallel import split_stage_plan
-
-            _, commit_plan = split_stage_plan(self.parameters.stage_plan)
-            self._commit_pipeline = DistillationPipeline.from_plan(
-                commit_plan, self.services, name="parallel-commit"
-            )
-            # Observers attached to the engine pipeline see the commit-phase
-            # stages too (the worker phase runs out of their reach; the
-            # shared list keeps later add_hook() calls visible here).
-            self._commit_pipeline.hooks = self.pipeline.hooks
-        return self._commit_pipeline.run(ctx)
 
     def _distill_block_sequential(self, block: SiftedBlock) -> DistillationOutcome:
         block_id = self._next_block_id

@@ -1,49 +1,26 @@
-"""The composable key-distillation pipeline (paper Fig 9 as pluggable stages).
+"""The key-distillation pipeline (paper Fig 9 as a fixed sequence of stages).
 
 The paper describes its protocols as "sub-layers within the QKD protocol
 suite ... closer to being pipeline stages".  This package makes that literal:
-each protocol step is a :class:`~repro.pipeline.stage.Stage` transforming a
-:class:`~repro.pipeline.context.PipelineContext`, stages are published in a
-string-keyed :mod:`registry <repro.pipeline.registry>`, and a
-:class:`~repro.pipeline.pipeline.DistillationPipeline` composes them with
-per-stage timing telemetry.  The protocol engine
-(:class:`repro.core.engine.QKDProtocolEngine`) is a thin assembly of
-registered stages, so alternative error-correction codes, defense functions
-and privacy-amplification backends plug in without editing the engine:
+each protocol step is a :class:`~repro.pipeline.stage.PipelineStage`
+transforming a :class:`~repro.pipeline.context.PipelineContext`, and a
+:class:`~repro.pipeline.pipeline.DistillationPipeline` runs them in order
+with per-stage timing telemetry.  The protocol engine
+(:class:`repro.core.engine.QKDProtocolEngine`) always runs the paper's six
+stages — QBER alarm, Cascade, entropy estimation, privacy amplification,
+Wegman-Carter authentication, delivery — in that order; what varies between
+runs is configuration (``EngineParameters``: the defense function, the
+confidence, the thresholds), never the sequence.
 
-    >>> from repro.pipeline import register_stage
-    >>> register_stage("cascade.mycode", lambda services: MyCodeStage(services))
-    >>> params = EngineParameters(stages=(
-    ...     "alarm.qber", "cascade.mycode", "entropy.estimate",
-    ...     "privacy.gf2n", "auth.wegman_carter", "deliver.pools",
-    ... ))
-
-* :mod:`repro.pipeline.stage` — the ``Stage`` protocol and helpers.
+* :mod:`repro.pipeline.stage` — the stage base class.
 * :mod:`repro.pipeline.context` — per-block state and shared services.
-* :mod:`repro.pipeline.registry` — the string-keyed stage registry.
-* :mod:`repro.pipeline.stages` — the built-in stages of the paper's pipeline.
-* :mod:`repro.pipeline.pipeline` — the composer with telemetry hooks.
+* :mod:`repro.pipeline.stages` — the stages of the paper's pipeline.
+* :mod:`repro.pipeline.pipeline` — the driver and its telemetry.
 """
 
 from repro.pipeline.context import PipelineContext, PipelineServices
 from repro.pipeline.pipeline import DistillationPipeline, PipelineTelemetry, StageTiming
-from repro.pipeline.registry import (
-    DEFAULT_STAGE_PLAN,
-    UnknownStageError,
-    create_stage,
-    register_stage,
-    registered_stages,
-    unregister_stage,
-)
-from repro.pipeline.stage import (
-    FunctionStage,
-    PipelineStage,
-    Stage,
-    StageDependencyError,
-)
-
-# Importing the built-in stages registers them.
-from repro.pipeline import stages as _builtin_stages  # noqa: F401
+from repro.pipeline.stage import PipelineStage
 
 __all__ = [
     "PipelineContext",
@@ -51,14 +28,5 @@ __all__ = [
     "DistillationPipeline",
     "PipelineTelemetry",
     "StageTiming",
-    "DEFAULT_STAGE_PLAN",
-    "UnknownStageError",
-    "create_stage",
-    "register_stage",
-    "registered_stages",
-    "unregister_stage",
-    "FunctionStage",
     "PipelineStage",
-    "Stage",
-    "StageDependencyError",
 ]

@@ -6,10 +6,10 @@ transcript, the per-stage results (Cascade, entropy estimate, privacy
 amplification), and the abort/authentication flags.  Stages receive a context,
 mutate it, and hand it to the next stage.
 
-A :class:`PipelineServices` bundle holds the long-lived two-party machinery a
-stage needs but does not own: the Cascade protocol instance, the privacy
-amplifier, the entropy estimator, both endpoints' authenticated channels and
-key pools, and the engine's cumulative statistics.  One services bundle is
+A :class:`PipelineServices` bundle holds the long-lived two-party machinery
+the stages read through ``ctx.services``: the Cascade protocol instance, the
+privacy amplifier, the entropy estimator, both endpoints' authenticated
+channels and key pools, and the engine's cumulative statistics.  One services bundle is
 shared by every block the engine distills, which is how stages carry state
 (running QBER estimate, authentication pools) across blocks.
 """
@@ -17,7 +17,7 @@ shared by every block the engine distills, which is how stages carry state
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.core.cascade import CascadeProtocol, CascadeResult
 from repro.core.entropy_estimation import EntropyEstimate, EntropyEstimator
@@ -67,11 +67,9 @@ class PipelineContext:
     transmitted_pulses: int
     mean_photon_number: float = 0.1
     entangled_source: bool = False
-    #: The services bundle this block runs against.  When set, it takes
-    #: precedence over the bundle a stage was constructed with (see
-    #: :meth:`repro.pipeline.stage.PipelineStage.services_for`), so a
-    #: context can be routed through any pipeline and still deliver into
-    #: its own pools/statistics.
+    #: The services bundle this block runs against: every stage reads its
+    #: protocols, pools and statistics from here.  ``None`` only while a
+    #: parallel worker's result travels back to the coordinator.
     services: Optional[PipelineServices] = None
 
     #: Public transcript of the block; authenticated at the end.
@@ -79,8 +77,7 @@ class PipelineContext:
 
     #: Measured error rate between the two keys.  This is ground truth the
     #: simulation knows up front (not a stage product), so it is computed at
-    #: construction — every pipeline plan sees the real QBER, whether or not
-    #: it includes the alarm stage.  Pass a value explicitly to override.
+    #: construction.  Pass a value explicitly to override.
     qber: Optional[float] = None
 
     # ---- filled in by stages ---------------------------------------- #
@@ -93,8 +90,6 @@ class PipelineContext:
     authenticated: bool = False
     aborted: bool = False
     abort_reason: str = ""
-    #: Names of the stages that actually ran, in order (telemetry).
-    stages_run: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.alice_key) != len(self.bob_key):

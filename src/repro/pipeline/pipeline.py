@@ -1,27 +1,20 @@
-"""The pipeline composer: ordered stages plus timing/telemetry hooks.
+"""The pipeline driver: a fixed sequence of stages plus per-stage timing.
 
 A :class:`DistillationPipeline` runs a block's
-:class:`~repro.pipeline.context.PipelineContext` through its stages in order,
-skipping the remainder once a stage aborts the block (stages that opt in via
-``runs_on_abort`` still run).  Every stage execution is timed; cumulative
-per-stage wall-clock totals live in :class:`PipelineTelemetry`, and arbitrary
-observer hooks can be attached for live instrumentation::
-
-    pipeline.add_hook(lambda stage, ctx, dt: print(stage.name, dt))
+:class:`~repro.pipeline.context.PipelineContext` through its stages in
+order and stops once a stage aborts the block.  Every stage execution is
+timed; cumulative per-stage wall-clock totals live in
+:class:`PipelineTelemetry`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from repro.pipeline.context import PipelineContext, PipelineServices
-from repro.pipeline.registry import DEFAULT_STAGE_PLAN, create_stage
-from repro.pipeline.stage import Stage
-
-#: Observer signature: (stage, context, elapsed_seconds) after each stage run.
-PipelineHook = Callable[[Stage, PipelineContext, float], None]
+from repro.pipeline.context import PipelineContext
+from repro.pipeline.stage import PipelineStage
 
 
 @dataclass
@@ -55,62 +48,25 @@ class PipelineTelemetry:
 
 
 class DistillationPipeline:
-    """An ordered composition of stages with per-stage telemetry."""
+    """A fixed sequence of stages with per-stage telemetry."""
 
-    def __init__(
-        self,
-        stages: Sequence[Stage],
-        name: str = "distillation",
-        hooks: Optional[Sequence[PipelineHook]] = None,
-    ):
-        if not stages:
-            raise ValueError("a pipeline needs at least one stage")
-        self.stages: List[Stage] = list(stages)
+    def __init__(self, stages: Sequence[PipelineStage], name: str = "distillation"):
+        self.stages: Tuple[PipelineStage, ...] = tuple(stages)
         self.name = name
-        self.hooks: List[PipelineHook] = list(hooks or [])
         self.telemetry = PipelineTelemetry()
 
-    @classmethod
-    def from_plan(
-        cls,
-        plan: Sequence[str],
-        services: PipelineServices,
-        name: str = "distillation",
-    ) -> "DistillationPipeline":
-        """Assemble a pipeline from registry keys (the engine's entry point)."""
-        return cls([create_stage(key, services) for key in plan], name=name)
-
-    @classmethod
-    def default(
-        cls, services: PipelineServices, name: str = "distillation"
-    ) -> "DistillationPipeline":
-        """The paper's Fig 9 pipeline."""
-        return cls.from_plan(DEFAULT_STAGE_PLAN, services, name=name)
-
-    # ------------------------------------------------------------------ #
-
-    def add_hook(self, hook: PipelineHook) -> None:
-        """Attach an observer called after every stage execution."""
-        self.hooks.append(hook)
-
     @property
-    def stage_names(self) -> List[str]:
-        return [stage.name for stage in self.stages]
+    def stage_names(self) -> Tuple[str, ...]:
+        return tuple(stage.name for stage in self.stages)
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        """Drive one block's context through every applicable stage."""
+        """Drive one block's context through the stages until one aborts it."""
         for stage in self.stages:
-            if ctx.aborted and not getattr(stage, "runs_on_abort", False):
-                continue
+            if ctx.aborted:
+                break
             started = time.perf_counter()
-            result = stage.run(ctx)
-            elapsed = time.perf_counter() - started
-            if result is not None:
-                ctx = result
-            ctx.stages_run.append(stage.name)
-            self.telemetry.record(stage.name, elapsed)
-            for hook in self.hooks:
-                hook(stage, ctx, elapsed)
+            ctx = stage.run(ctx)
+            self.telemetry.record(stage.name, time.perf_counter() - started)
         self.telemetry.blocks_processed += 1
         return ctx
 

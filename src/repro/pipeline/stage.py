@@ -1,94 +1,26 @@
-"""The ``Stage`` protocol: one step of the distillation pipeline.
+"""The base class of the distillation stages.
 
-A stage is anything with a ``name`` and a ``run(ctx)`` method that takes a
-:class:`~repro.pipeline.context.PipelineContext` and returns it (mutated).
-Stages that must still run after an earlier stage aborted the block (for
-example a telemetry drain) set ``runs_on_abort = True``; everything else is
-skipped once ``ctx.aborted`` is set.
+A stage has a ``name`` and a ``run(ctx)`` method that takes a
+:class:`~repro.pipeline.context.PipelineContext`, mutates it and returns it.
+Stages hold no state of their own: everything a stage reads or charges —
+the Cascade protocol, the estimator, the authenticated channels, the key
+pools, the statistics — comes from the context's
+:class:`~repro.pipeline.context.PipelineServices` bundle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, runtime_checkable
-
 from repro.pipeline.context import PipelineContext
 
 
-class StageDependencyError(RuntimeError):
-    """A stage ran without the upstream output it needs.
-
-    Raised with a message naming the missing dependency, so a stage plan
-    that omits a prerequisite (e.g. entropy estimation without an
-    error-correction stage) fails with a configuration-level explanation
-    instead of an opaque ``AttributeError`` deep inside the stage.
-    """
-
-
-@runtime_checkable
-class Stage(Protocol):
-    """Structural type for pipeline stages."""
-
-    name: str
-
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        """Transform the context in place and return it."""
-        ...
-
-
 class PipelineStage:
-    """Convenience base class for stages.
-
-    Subclasses set :attr:`name` and override :meth:`run`.  The base class
-    stores the shared services bundle, which is how the built-in stages reach
-    the Cascade protocol, the estimator, the authenticated channels and the
-    key pools.
-    """
+    """One step of the paper's Fig 9 pipeline; subclasses set :attr:`name`
+    and override :meth:`run`."""
 
     name: str = "stage"
-    #: Whether this stage still runs after an earlier stage aborted the block.
-    runs_on_abort: bool = False
-
-    def __init__(self, services=None):
-        self.services = services
-
-    def services_for(self, ctx: PipelineContext):
-        """The services bundle this run should use.
-
-        A context carrying its own bundle wins over the construction-time
-        one, so a block routed through a foreign pipeline still reads and
-        delivers into its own machinery (single source of truth per run).
-        """
-        return ctx.services if ctx.services is not None else self.services
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class FunctionStage(PipelineStage):
-    """Adapt a plain function ``fn(ctx) -> ctx`` into a stage.
-
-    Handy for tests and one-off experiment hooks:
-
-        pipeline = DistillationPipeline([
-            FunctionStage("drop-every-other-bit", lambda ctx: thin(ctx)),
-            ...,
-        ])
-    """
-
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[PipelineContext], PipelineContext],
-        runs_on_abort: bool = False,
-    ):
-        super().__init__(services=None)
-        self.name = name
-        self._fn = fn
-        self.runs_on_abort = runs_on_abort
-
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        result = self._fn(ctx)
-        return ctx if result is None else result

@@ -1,19 +1,18 @@
 """The built-in stages of the paper's Fig 9 distillation pipeline.
 
 Each class wraps one of the two-party protocols of :mod:`repro.core` as a
-pluggable :class:`~repro.pipeline.stage.PipelineStage` and registers itself
-in the stage registry:
+:class:`~repro.pipeline.stage.PipelineStage`.  The engine runs six of them
+in a fixed order; the parallel runtime splits Cascade in two and runs the
+rest as a worker phase and a commit phase:
 
 ========================  ====================================================
-key                       stage
+name                      stage
 ========================  ====================================================
 ``alarm.qber``            eavesdropping alarm (abort above the QBER threshold)
 ``cascade.bicon``         BBN Cascade error correction with leakage accounting
 ``cascade.compute``       Cascade reconciliation only (parallel-runtime workers)
 ``cascade.account``       leakage/abort accounting for a precomputed result
 ``entropy.estimate``      entropy estimation with the configured defense
-``entropy.bennett``       entropy estimation forcing the Bennett defense
-``entropy.slutsky``       entropy estimation forcing the Slutsky defense
 ``privacy.gf2n``          privacy amplification over GF(2^n)
 ``auth.wegman_carter``    Wegman-Carter authentication of the transcript
 ``deliver.pools``         auth-pool replenishment and key-pool delivery
@@ -26,20 +25,13 @@ authentication-pool arithmetic.  The engine's tests pin that equivalence.
 
 from __future__ import annotations
 
-from repro.core.entropy_estimation import (
-    BennettDefense,
-    EntropyEstimator,
-    EntropyInputs,
-    SlutskyDefense,
-)
+from repro.core.entropy_estimation import EntropyInputs
 from repro.core.keypool import KeyBlock
 from repro.crypto.wegman_carter import AuthenticationError
 from repro.pipeline.context import PipelineContext
-from repro.pipeline.registry import register_stage
-from repro.pipeline.stage import PipelineStage, StageDependencyError
+from repro.pipeline.stage import PipelineStage
 
 
-@register_stage("alarm.qber")
 class QberAlarmStage(PipelineStage):
     """Abort blocks whose error rate signals eavesdropping.
 
@@ -53,7 +45,7 @@ class QberAlarmStage(PipelineStage):
     name = "alarm.qber"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        services = self.services_for(ctx)
+        services = ctx.services
         threshold = services.parameters.abort_qber
         if ctx.qber > threshold:
             services.statistics.blocks_aborted += 1
@@ -67,8 +59,9 @@ class QberAlarmStage(PipelineStage):
         return ctx
 
 
-def _reconcile_block(services, ctx: PipelineContext) -> PipelineContext:
+def _reconcile_block(ctx: PipelineContext) -> PipelineContext:
     """Run Cascade over the block's keys (the compute half of the stage)."""
+    services = ctx.services
     ctx.cascade = services.cascade.reconcile(
         ctx.alice_key,
         ctx.bob_key,
@@ -78,7 +71,7 @@ def _reconcile_block(services, ctx: PipelineContext) -> PipelineContext:
     return ctx
 
 
-def _account_cascade(services, ctx: PipelineContext) -> PipelineContext:
+def _account_cascade(ctx: PipelineContext) -> PipelineContext:
     """Charge a completed Cascade result to the shared engine state.
 
     This is the half of the stage that touches cross-block state (cumulative
@@ -86,6 +79,7 @@ def _account_cascade(services, ctx: PipelineContext) -> PipelineContext:
     the parallel runtime applies it in block-id order on the coordinator
     while the reconciliation itself runs on the workers.
     """
+    services = ctx.services
     result = ctx.cascade
     services.statistics.disclosed_parities += result.disclosed_parities
     services.running_qber = 0.5 * services.running_qber + 0.5 * max(
@@ -97,19 +91,15 @@ def _account_cascade(services, ctx: PipelineContext) -> PipelineContext:
     return ctx
 
 
-@register_stage("cascade.bicon")
 class CascadeStage(PipelineStage):
     """BBN Cascade error correction, charging every disclosed parity bit."""
 
     name = "cascade.bicon"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        services = self.services_for(ctx)
-        ctx = _reconcile_block(services, ctx)
-        return _account_cascade(services, ctx)
+        return _account_cascade(_reconcile_block(ctx))
 
 
-@register_stage("cascade.compute")
 class CascadeComputeStage(PipelineStage):
     """Cascade reconciliation *without* the shared-state accounting.
 
@@ -123,37 +113,25 @@ class CascadeComputeStage(PipelineStage):
     name = "cascade.compute"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        return _reconcile_block(self.services_for(ctx), ctx)
+        return _reconcile_block(ctx)
 
 
-@register_stage("cascade.account")
 class CascadeAccountStage(PipelineStage):
     """Accounting for a precomputed ``ctx.cascade`` (parallel commit phase)."""
 
     name = "cascade.account"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        if ctx.cascade is None:
-            raise StageDependencyError(
-                f"{self.name} requires a precomputed Cascade result "
-                "(ctx.cascade is unset)"
-            )
-        return _account_cascade(self.services_for(ctx), ctx)
+        return _account_cascade(ctx)
 
 
-class _EntropyStageBase(PipelineStage):
-    """Shared machinery of the entropy-estimation stage variants."""
+class EntropyEstimationStage(PipelineStage):
+    """Entropy estimation with the engine's configured defense function."""
 
-    def _estimator(self, services) -> EntropyEstimator:
-        return services.estimator
+    name = "entropy.estimate"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        if ctx.cascade is None:
-            raise StageDependencyError(
-                f"{self.name} requires an error-correction stage earlier in "
-                "the plan (ctx.cascade is unset)"
-            )
-        services = self.services_for(ctx)
+        services = ctx.services
         non_randomness = services.parameters.non_randomness_bits
         if services.randomness_tester is not None:
             # Replace the placeholder r with a measured value: the battery is
@@ -170,48 +148,10 @@ class _EntropyStageBase(PipelineStage):
             mean_photon_number=ctx.mean_photon_number,
             entangled_source=ctx.entangled_source,
         )
-        ctx.entropy = self._estimator(services).estimate(inputs)
+        ctx.entropy = services.estimator.estimate(inputs)
         return ctx
 
 
-@register_stage("entropy.estimate")
-class EntropyEstimationStage(_EntropyStageBase):
-    """Entropy estimation with the engine's configured defense function."""
-
-    name = "entropy.estimate"
-
-
-class _ForcedDefenseStage(_EntropyStageBase):
-    """Entropy estimation that overrides the configured defense function.
-
-    The estimator is built per run from the resolved services bundle, so the
-    stage needs no services at construction and honours a context's own
-    bundle (confidence parameters included).
-    """
-
-    defense_cls = BennettDefense
-
-    def _estimator(self, services) -> EntropyEstimator:
-        return EntropyEstimator(
-            defense=self.defense_cls(),
-            confidence_sigmas=services.parameters.confidence_sigmas,
-            worst_case_multiphoton=services.parameters.worst_case_multiphoton,
-        )
-
-
-@register_stage("entropy.bennett")
-class BennettEntropyStage(_ForcedDefenseStage):
-    name = "entropy.bennett"
-    defense_cls = BennettDefense
-
-
-@register_stage("entropy.slutsky")
-class SlutskyEntropyStage(_ForcedDefenseStage):
-    name = "entropy.slutsky"
-    defense_cls = SlutskyDefense
-
-
-@register_stage("privacy.gf2n")
 class PrivacyAmplificationStage(PipelineStage):
     """Distill the corrected block down to the entropy estimate's bound.
 
@@ -223,13 +163,7 @@ class PrivacyAmplificationStage(PipelineStage):
     name = "privacy.gf2n"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        if ctx.cascade is None or ctx.entropy is None:
-            missing = "ctx.cascade" if ctx.cascade is None else "ctx.entropy"
-            raise StageDependencyError(
-                f"{self.name} requires error-correction and entropy-estimation "
-                f"stages earlier in the plan ({missing} is unset)"
-            )
-        result = self.services_for(ctx).privacy.amplify(
+        result = ctx.services.privacy.amplify(
             ctx.cascade.corrected_key, ctx.entropy.distillable_bits, log=ctx.log
         )
         ctx.privacy = result
@@ -237,14 +171,13 @@ class PrivacyAmplificationStage(PipelineStage):
         return ctx
 
 
-@register_stage("auth.wegman_carter")
 class AuthenticationStage(PipelineStage):
     """Authenticate the block's public transcript in both directions."""
 
     name = "auth.wegman_carter"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        services = self.services_for(ctx)
+        services = ctx.services
         ctx.authenticated = True
         try:
             # Nothing is recorded to the log between the four operations, so
@@ -261,7 +194,6 @@ class AuthenticationStage(PipelineStage):
         return ctx
 
 
-@register_stage("deliver.pools")
 class DeliveryStage(PipelineStage):
     """Replenish the authentication pools and feed both endpoints' key pools.
 
@@ -273,16 +205,11 @@ class DeliveryStage(PipelineStage):
     name = "deliver.pools"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        services = self.services_for(ctx)
+        services = ctx.services
         if not ctx.authenticated:
-            # Policy, not misconfiguration: key is only ever delivered from
-            # an authenticated transcript.
+            # Policy: key is only ever delivered from an authenticated
+            # transcript.
             return ctx
-        if ctx.distilled is None:
-            raise StageDependencyError(
-                f"{self.name} requires a privacy-amplification stage earlier "
-                "in the plan (ctx.distilled is unset)"
-            )
         distilled = ctx.distilled
         if len(distilled) == 0:
             return ctx
@@ -308,9 +235,3 @@ class DeliveryStage(PipelineStage):
         services.statistics.blocks_distilled += 1
         return ctx
 
-
-# The registrations above are the library's built-ins: their base entries are
-# permanent, so no amount of shadowing/unregistering can break DEFAULT_STAGE_PLAN.
-from repro.pipeline.registry import protect_registered_stages as _protect
-
-_protect()

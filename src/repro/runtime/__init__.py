@@ -28,11 +28,7 @@ determinism contract and the catalogue of named RNG streams.
 """
 
 from repro.runtime.farm import LinkFarm, LinkJob, LinkRun
-from repro.runtime.parallel import (
-    BlockWorkItem,
-    ParallelDistiller,
-    split_stage_plan,
-)
+from repro.runtime.parallel import BlockWorkItem, ParallelDistiller
 from repro.runtime.pool import BACKENDS, parallel_map, resolve_workers
 
 __all__ = [
@@ -44,5 +40,4 @@ __all__ = [
     "ParallelDistiller",
     "parallel_map",
     "resolve_workers",
-    "split_stage_plan",
 ]

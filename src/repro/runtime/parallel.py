@@ -38,63 +38,19 @@ from repro.core.keypool import KeyPool
 from repro.core.privacy import PrivacyAmplification
 from repro.core.randomness import RandomnessTester
 from repro.pipeline import DistillationPipeline, PipelineContext, PipelineServices
+from repro.pipeline.stage import PipelineStage
+from repro.pipeline.stages import (
+    AuthenticationStage,
+    CascadeAccountStage,
+    CascadeComputeStage,
+    DeliveryStage,
+    EntropyEstimationStage,
+    PrivacyAmplificationStage,
+    QberAlarmStage,
+)
 from repro.runtime.pool import resolve_workers
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
-
-#: How each built-in stage key splits across the two phases.  ``None`` means
-#: the stage does not run in that phase.  Stage keys outside this table have
-#: unknown side effects, so the runtime refuses plans that contain them.
-_PHASE_MAP = {
-    "alarm.qber": (None, "alarm.qber"),
-    "cascade.bicon": ("cascade.compute", "cascade.account"),
-    "entropy.estimate": ("entropy.estimate", None),
-    "entropy.bennett": ("entropy.bennett", None),
-    "entropy.slutsky": ("entropy.slutsky", None),
-    "privacy.gf2n": ("privacy.gf2n", None),
-    "auth.wegman_carter": (None, "auth.wegman_carter"),
-    "deliver.pools": (None, "deliver.pools"),
-}
-
-
-def split_stage_plan(plan: Sequence[str]) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-    """Split a stage plan into its (worker, commit) phase plans.
-
-    Raises ``ValueError`` for plans the runtime cannot honor: stage keys
-    with unknown side effects, or an alarm stage that is not first (the
-    worker prechecks the QBER threshold before spending compute, which is
-    only equivalent to the sequential pipeline when the alarm leads).
-    """
-    unknown = [key for key in plan if key not in _PHASE_MAP]
-    if unknown:
-        raise ValueError(
-            "parallel mode supports only the built-in stage keys "
-            f"{tuple(_PHASE_MAP)}; the plan contains {tuple(unknown)}.  Run "
-            "custom stages on the sequential path (parallel_workers=None)."
-        )
-    from repro.pipeline.registry import stage_is_shadowed
-
-    shadowed = [key for key in plan if stage_is_shadowed(key)]
-    if shadowed:
-        raise ValueError(
-            f"stage keys {tuple(shadowed)} are shadowed by custom "
-            "registrations; the parallel phase split runs the *built-in* "
-            "implementations and would silently bypass the replacements.  "
-            "Unregister the shadows or run sequentially "
-            "(parallel_workers=None)."
-        )
-    if "alarm.qber" in plan and plan[0] != "alarm.qber":
-        raise ValueError(
-            "parallel mode requires 'alarm.qber', when present, to be the "
-            "first stage of the plan"
-        )
-    worker_plan = tuple(
-        _PHASE_MAP[key][0] for key in plan if _PHASE_MAP[key][0] is not None
-    )
-    commit_plan = tuple(
-        _PHASE_MAP[key][1] for key in plan if _PHASE_MAP[key][1] is not None
-    )
-    return worker_plan, commit_plan
 
 
 @dataclass(frozen=True)
@@ -145,7 +101,9 @@ def _worker_services(
     )
 
 
-def _distill_block_work(task: Tuple[BlockWorkItem, Any]) -> PipelineContext:
+def _distill_block_work(
+    task: Tuple[BlockWorkItem, Any, Tuple[PipelineStage, ...]]
+) -> PipelineContext:
     """Worker entry point: run one block's compute phase.
 
     Returns the block's :class:`PipelineContext` with the Cascade, entropy
@@ -153,7 +111,7 @@ def _distill_block_work(task: Tuple[BlockWorkItem, Any]) -> PipelineContext:
     and ``services`` stripped so only results travel back to the
     coordinator.
     """
-    item, parameters = task
+    item, parameters, stages = task
     ctx = PipelineContext(
         block_id=item.block_id,
         alice_key=item.alice_key,
@@ -162,24 +120,17 @@ def _distill_block_work(task: Tuple[BlockWorkItem, Any]) -> PipelineContext:
         mean_photon_number=item.mean_photon_number,
         entangled_source=item.entangled_source,
     )
-    plan = parameters.stage_plan
-    worker_plan, _ = split_stage_plan(plan)
     # Mirror of the alarm stage's threshold check: a block the commit-phase
     # alarm will abort gets no compute spent on it, and — exactly like the
     # sequential pipeline, where the alarm runs first — its transcript stays
     # empty for the abort authentication.
-    if "alarm.qber" in plan and ctx.qber > parameters.abort_qber:
+    if ctx.qber > parameters.abort_qber:
         return ctx
-    if worker_plan:
-        hint = (
-            item.error_rate_hint if item.error_rate_hint is not None else ctx.qber
-        )
-        services = _worker_services(parameters, item, hint)
-        ctx.services = services
-        ctx = DistillationPipeline.from_plan(
-            worker_plan, services, name="parallel-compute"
-        ).run(ctx)
-        ctx.services = None
+    hint = item.error_rate_hint if item.error_rate_hint is not None else ctx.qber
+    ctx.services = _worker_services(parameters, item, hint)
+    for stage in stages:  # no compute stage aborts a block
+        ctx = stage.run(ctx)
+    ctx.services = None
     return ctx
 
 
@@ -192,11 +143,16 @@ class ParallelDistiller:
     engine's in-order commit phase.  Worker count and backend change wall
     time only, never bits.
 
+    The two phases are fixed: :attr:`compute_stages` run on the workers and
+    :attr:`commit` runs on the coordinator.  Together they are the engine's
+    pipeline with ``cascade.bicon`` split into ``cascade.compute`` and
+    ``cascade.account``.
+
     The pool is created lazily on the first multi-block batch and **reused
     across batches** — an engine feeding frame after frame through
     ``distill_blocks`` pays worker start-up once, not once per batch.  Call
     :meth:`close` (or use the distiller as a context manager) to release
-    the workers; the engine does this when its configuration changes.
+    the workers.
     """
 
     def __init__(
@@ -207,9 +163,15 @@ class ParallelDistiller:
     ):
         if backend not in ("process", "thread"):
             raise ValueError(f"backend must be 'process' or 'thread', got {backend!r}")
-        # Validate the plan once up front so a misconfigured engine fails at
-        # construction, not mid-batch on a worker.
-        split_stage_plan(parameters.stage_plan)
+        self.compute_stages = (
+            CascadeComputeStage(),
+            EntropyEstimationStage(),
+            PrivacyAmplificationStage(),
+        )
+        self.commit = DistillationPipeline(
+            (QberAlarmStage(), CascadeAccountStage(), AuthenticationStage(), DeliveryStage()),
+            name="parallel-commit",
+        )
         self.parameters = parameters
         self.workers = resolve_workers(workers)
         self.backend = backend
@@ -227,7 +189,7 @@ class ParallelDistiller:
 
     def compute(self, items: Sequence[BlockWorkItem]) -> List[PipelineContext]:
         """Run every item's compute phase; results come back in block-id order."""
-        tasks = [(item, self.parameters) for item in items]
+        tasks = [(item, self.parameters, self.compute_stages) for item in items]
         if self.workers <= 1 or len(tasks) <= 1:
             contexts = [_distill_block_work(task) for task in tasks]
         else:

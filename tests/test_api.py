@@ -17,11 +17,10 @@ from repro.util.rng import DeterministicRNG
 
 class TestSystemConfig:
     def test_engine_parameters_mapping(self):
-        config = SystemConfig(defense="slutsky", block_size_bits=1024, stages=None)
+        config = SystemConfig(defense="slutsky", block_size_bits=1024)
         params = config.engine_parameters()
         assert params.defense == "slutsky"
         assert params.block_size_bits == 1024
-        assert params.stages is None
 
     def test_link_parameters_mapping(self):
         config = SystemConfig(distance_km=20.0, slots_per_batch=250_000)
@@ -44,10 +43,6 @@ class TestFluentBuilders:
         assert derived.config.defense == "slutsky"
         assert derived.config.distance_km == 20.0
         assert derived.config.seed == 9
-
-    def test_with_stages(self):
-        system = QKDSystem().with_stages("alarm.qber", "cascade.bicon")
-        assert system.config.stages == ("alarm.qber", "cascade.bicon")
 
     def test_kwargs_constructor(self):
         system = QKDSystem(seed=5, defense="slutsky")
@@ -73,17 +68,9 @@ class TestLinkFacade:
         assert link.name == "far-link"
         assert link.parameters.channel.path.length_km == 25.0
 
-    def test_stage_plan_reaches_engine(self):
-        plan = (
-            "alarm.qber",
-            "cascade.bicon",
-            "entropy.slutsky",
-            "privacy.gf2n",
-            "auth.wegman_carter",
-            "deliver.pools",
-        )
-        link = QKDSystem(seed=4, stages=plan).link()
-        assert link.engine.pipeline.stage_names == list(plan)
+    def test_defense_reaches_engine(self):
+        link = QKDSystem(seed=4).with_defense("slutsky").link()
+        assert link.engine.estimator.defense.name == "slutsky"
 
 
 class TestVpnFacade:

@@ -8,13 +8,14 @@ disclosure order, privacy-amplification parameters or key delivery will move
 it and fail loudly here.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro import QKDSystem
 from repro.core.cascade import CascadeParameters, CascadeProtocol
-from repro.core.engine import EngineParameters, QKDProtocolEngine
+from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
 from repro.core.sifting import SiftingProtocol
 from repro.eve import BeamSplittingAttack, InterceptResendAttack
 from repro.link.qkd_link import LinkParameters, QKDLink
@@ -24,6 +25,7 @@ from repro.optics.entangled import EntangledSourceParameters
 from repro.optics.interferometer import InterferometerParameters
 from repro.optics.timing import FramingParameters
 from repro.runtime.farm import LinkJob
+from repro.runtime.parallel import ParallelDistiller
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -347,9 +349,9 @@ def test_cascade_transcript_and_counts_are_pinned(name):
 #
 # Bench A3's Slutsky run (six 2 048-bit blocks at 6 % QBER, seed 7), once
 # sequentially through ``distill_block`` and once as one ``distill_blocks``
-# batch on the parallel runtime's thread backend.  Recorded where the
-# Slutsky defense could still be selected either as a stage plan with
-# ``entropy.slutsky`` or as ``defense="slutsky"``; both gave these values.
+# batch on the parallel runtime's thread backend.  Recorded while the Slutsky
+# defense could also be selected as a stage plan naming ``entropy.slutsky``;
+# that plan and ``defense="slutsky"`` gave these values.
 
 #: workers -> (sha256 over Alice's pooled blocks, EngineStatistics fields)
 SLUTSKY_PINS = {
@@ -366,25 +368,11 @@ SLUTSKY_PINS = {
 }
 SLUTSKY_PINS[2] = SLUTSKY_PINS[1]
 
-SLUTSKY_PLAN = (
-    "alarm.qber",
-    "cascade.bicon",
-    "entropy.slutsky",
-    "privacy.gf2n",
-    "auth.wegman_carter",
-    "deliver.pools",
-)
 
-
-@pytest.mark.parametrize("selector", [{"defense": "slutsky"}, {"stages": SLUTSKY_PLAN}])
 @pytest.mark.parametrize("workers", [None, 1, 2])
-def test_slutsky_pool_and_statistics_are_pinned(workers, selector):
-    from dataclasses import asdict
-
-    from repro.core.engine import SiftedBlock
-
+def test_slutsky_pool_and_statistics_are_pinned(workers):
     engine = QKDProtocolEngine(
-        EngineParameters(parallel_workers=workers, parallel_backend="thread", **selector),
+        EngineParameters(defense="slutsky", parallel_workers=workers, parallel_backend="thread"),
         DeterministicRNG(7),
     )
     blocks = [_noisy_pair(100 + seed) for seed in range(6)]
@@ -397,7 +385,7 @@ def test_slutsky_pool_and_statistics_are_pinned(workers, selector):
     for block in engine.alice_pool.blocks:
         digest.update(str(block.bits).encode())
     assert engine.keys_match
-    assert (digest.hexdigest(), asdict(engine.statistics)) == SLUTSKY_PINS[workers]
+    assert (digest.hexdigest(), dataclasses.asdict(engine.statistics)) == SLUTSKY_PINS[workers]
 
 
 ENGINE_STAGE_NAMES = (
@@ -413,9 +401,8 @@ COMMIT_STAGE_NAMES = ("alarm.qber", "cascade.account", "auth.wegman_carter", "de
 
 
 def test_stage_sequences_are_pinned():
-    from repro.pipeline import DEFAULT_STAGE_PLAN
-    from repro.runtime.parallel import split_stage_plan
-
     engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
-    assert tuple(engine.pipeline.stage_names) == ENGINE_STAGE_NAMES
-    assert split_stage_plan(DEFAULT_STAGE_PLAN) == (COMPUTE_STAGE_NAMES, COMMIT_STAGE_NAMES)
+    assert engine.pipeline.stage_names == ENGINE_STAGE_NAMES
+    distiller = ParallelDistiller(EngineParameters(), workers=1, backend="thread")
+    assert tuple(stage.name for stage in distiller.compute_stages) == COMPUTE_STAGE_NAMES
+    assert distiller.commit.stage_names == COMMIT_STAGE_NAMES

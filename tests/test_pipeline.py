@@ -3,21 +3,19 @@
 import pytest
 
 from repro.core.engine import EngineParameters, QKDProtocolEngine
-from repro.pipeline import (
-    DEFAULT_STAGE_PLAN,
-    DistillationPipeline,
-    FunctionStage,
-    PipelineContext,
-    PipelineStage,
-    StageDependencyError,
-    UnknownStageError,
-    create_stage,
-    register_stage,
-    registered_stages,
-    unregister_stage,
-)
+from repro.pipeline import PipelineContext
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+
+#: The paper's Fig 9 stages, in the order the engine runs them.
+ENGINE_STAGES = (
+    "alarm.qber",
+    "cascade.bicon",
+    "entropy.estimate",
+    "privacy.gf2n",
+    "auth.wegman_carter",
+    "deliver.pools",
+)
 
 
 def noisy_pair(n: int, error_rate: float, seed: int = 1):
@@ -30,87 +28,12 @@ def noisy_pair(n: int, error_rate: float, seed: int = 1):
     return alice, BitString(bob)
 
 
-@pytest.fixture
-def scratch_registry():
-    """Track keys registered during a test and remove them afterwards."""
-    added = []
-
-    def _register(key, factory):
-        register_stage(key, factory)
-        added.append(key)
-
-    yield _register
-    for key in added:
-        unregister_stage(key)
-
-
-class TestRegistry:
-    def test_default_plan_fully_registered(self):
-        known = registered_stages()
-        for key in DEFAULT_STAGE_PLAN:
-            assert key in known
-
-    def test_register_and_create(self, scratch_registry):
-        scratch_registry("test.noop", lambda services: FunctionStage("test.noop", lambda ctx: ctx))
-        stage = create_stage("test.noop", services=None)
-        assert stage.name == "test.noop"
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(UnknownStageError) as excinfo:
-            create_stage("no.such.stage", services=None)
-        assert "no.such.stage" in str(excinfo.value)
-
-    def test_reregistering_shadows(self, scratch_registry):
-        scratch_registry("test.shadow", lambda services: FunctionStage("first", lambda ctx: ctx))
-        scratch_registry("test.shadow", lambda services: FunctionStage("second", lambda ctx: ctx))
-        assert create_stage("test.shadow", services=None).name == "second"
-
-    def test_unregister_builtin_base_is_refused(self):
-        """The built-ins' base registrations are permanent; an over-eager
-        teardown cannot break the default plan."""
-        with pytest.raises(ValueError):
-            unregister_stage("cascade.bicon")
-        engine = QKDProtocolEngine(rng=DeterministicRNG(46))
-        assert engine.pipeline.stage_names == list(DEFAULT_STAGE_PLAN)
-
-    def test_unregister_restores_shadowed_builtin(self):
-        register_stage(
-            "cascade.bicon", lambda services: FunctionStage("shadow", lambda ctx: ctx)
-        )
-        try:
-            assert create_stage("cascade.bicon", services=None).name == "shadow"
-        finally:
-            unregister_stage("cascade.bicon")
-        # The built-in registration survives un-shadowing.
-        engine = QKDProtocolEngine(rng=DeterministicRNG(40))
-        assert engine.pipeline.stage_names == list(DEFAULT_STAGE_PLAN)
-
-    def test_invalid_key_rejected(self):
-        with pytest.raises(ValueError):
-            register_stage("", lambda services: None)
-
-    def test_decorator_form(self, scratch_registry):
-        # register_stage with no factory returns a decorator.
-        decorator = register_stage("test.decorated")
-
-        @decorator
-        def make(services):
-            return FunctionStage("test.decorated", lambda ctx: ctx)
-
-        try:
-            assert create_stage("test.decorated", services=None).name == "test.decorated"
-        finally:
-            unregister_stage("test.decorated")
-
-
 class TestPipelineComposer:
-    def test_empty_pipeline_rejected(self):
-        with pytest.raises(ValueError):
-            DistillationPipeline([])
-
-    def test_engine_pipeline_matches_plan(self):
+    def test_engine_pipeline_is_the_fixed_sequence(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(1))
-        assert engine.pipeline.stage_names == list(DEFAULT_STAGE_PLAN)
+        assert engine.pipeline.stage_names == ENGINE_STAGES
+        with pytest.raises(TypeError):
+            engine.pipeline.stages[1] = engine.pipeline.stages[2]
 
     def test_telemetry_accumulates(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(2))
@@ -118,7 +41,9 @@ class TestPipelineComposer:
         engine.distill_block(alice, bob, transmitted_pulses=200_000)
         telemetry = engine.pipeline.telemetry
         assert telemetry.blocks_processed == 1
-        for key in DEFAULT_STAGE_PLAN:
+        # Every stage ran, once each, in order.
+        assert tuple(telemetry.timings) == ENGINE_STAGES
+        for key in ENGINE_STAGES:
             assert telemetry.timings[key].calls == 1
             assert telemetry.timings[key].seconds >= 0.0
         assert telemetry.total_seconds > 0.0
@@ -135,58 +60,8 @@ class TestPipelineComposer:
         assert "cascade.bicon" not in telemetry.timings
         assert "deliver.pools" not in telemetry.timings
 
-    def test_runs_on_abort_stage_still_runs(self):
-        seen = []
-
-        class DrainStage(PipelineStage):
-            name = "test.drain"
-            runs_on_abort = True
-
-            def run(self, ctx):
-                seen.append(ctx.aborted)
-                return ctx
-
-        engine = QKDProtocolEngine(rng=DeterministicRNG(6))
-        engine.use_pipeline(
-            DistillationPipeline(
-                [*engine.pipeline.stages, DrainStage(engine.services)]
-            )
-        )
-        alice, bob = noisy_pair(1024, 0.30, seed=7)
-        engine.distill_block(alice, bob, transmitted_pulses=100_000)
-        assert seen == [True]
-
-    def test_hooks_observe_every_stage(self):
-        engine = QKDProtocolEngine(rng=DeterministicRNG(8))
-        observed = []
-        engine.pipeline.add_hook(lambda stage, ctx, dt: observed.append(stage.name))
-        alice, bob = noisy_pair(1024, 0.05, seed=9)
-        engine.distill_block(alice, bob, transmitted_pulses=200_000)
-        assert observed == list(DEFAULT_STAGE_PLAN)
-
-    def test_context_records_stages_run(self):
-        engine = QKDProtocolEngine(rng=DeterministicRNG(10))
-        captured = {}
-        engine.pipeline.add_hook(lambda stage, ctx, dt: captured.setdefault("ctx", ctx))
-        alice, bob = noisy_pair(1024, 0.05, seed=11)
-        engine.distill_block(alice, bob, transmitted_pulses=200_000)
-        assert captured["ctx"].stages_run == list(DEFAULT_STAGE_PLAN)
-
 
 class TestEnginePipelineEquivalence:
-    def test_explicit_default_plan_is_bit_identical(self):
-        alice, bob = noisy_pair(2048, 0.05, seed=12)
-        implicit = QKDProtocolEngine(rng=DeterministicRNG(13))
-        explicit = QKDProtocolEngine(
-            EngineParameters(stages=DEFAULT_STAGE_PLAN), DeterministicRNG(13)
-        )
-        o1 = implicit.distill_block(alice, bob, transmitted_pulses=500_000)
-        o2 = explicit.distill_block(alice, bob, transmitted_pulses=500_000)
-        assert o1.distilled_bits == o2.distilled_bits
-        n = implicit.alice_pool.available_bits
-        assert n == explicit.alice_pool.available_bits
-        assert implicit.alice_pool.draw_bits(n) == explicit.alice_pool.draw_bits(n)
-
     def test_same_seed_same_key(self):
         alice, bob = noisy_pair(2048, 0.05, seed=14)
         keys = []
@@ -196,155 +71,50 @@ class TestEnginePipelineEquivalence:
             keys.append(engine.alice_pool.draw_bits(engine.alice_pool.available_bits))
         assert keys[0] == keys[1]
 
-    def test_unknown_stage_in_plan_fails_at_construction(self):
-        params = EngineParameters(stages=("alarm.qber", "no.such.stage"))
-        with pytest.raises(UnknownStageError):
-            QKDProtocolEngine(params, DeterministicRNG(16))
 
-    def test_empty_stage_plan_rejected(self):
-        with pytest.raises(ValueError):
-            EngineParameters(stages=())
-
-
-class TestStageSwap:
-    def test_swapping_defense_stage_changes_behavior(self):
-        """The acceptance check: swap one registered stage purely via config."""
+class TestDefenseSelection:
+    def test_slutsky_defense_is_more_conservative(self):
         alice, bob = noisy_pair(3072, 0.05, seed=17)
-        default_plan = QKDProtocolEngine(rng=DeterministicRNG(18))
-        slutsky_plan = QKDProtocolEngine(
-            EngineParameters(
-                stages=(
-                    "alarm.qber",
-                    "cascade.bicon",
-                    "entropy.slutsky",  # <- the only difference
-                    "privacy.gf2n",
-                    "auth.wegman_carter",
-                    "deliver.pools",
-                )
-            ),
-            DeterministicRNG(18),
-        )
-        o_bennett = default_plan.distill_block(alice, bob, transmitted_pulses=800_000)
-        o_slutsky = slutsky_plan.distill_block(alice, bob, transmitted_pulses=800_000)
+        bennett = QKDProtocolEngine(rng=DeterministicRNG(18))
+        slutsky = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(18))
+        o_bennett = bennett.distill_block(alice, bob, transmitted_pulses=800_000)
+        o_slutsky = slutsky.distill_block(alice, bob, transmitted_pulses=800_000)
+        assert o_slutsky.entropy.defense.name == "slutsky"
+        assert slutsky.pipeline.stage_names == ENGINE_STAGES
         # Slutsky's defense is strictly more conservative at this QBER.
         assert o_slutsky.distilled_bits < o_bennett.distilled_bits
 
-    def test_user_registered_stage_plugs_in(self, scratch_registry):
-        """A stage registered by user code slots into the engine untouched."""
-
-        class HalvingStage(PipelineStage):
-            name = "test.entropy.half"
-
-            def __init__(self, services):
-                super().__init__(services)
-                self._inner = create_stage("entropy.estimate", services)
-
-            def run(self, ctx):
-                ctx = self._inner.run(ctx)
-                ctx.entropy.distillable_bits //= 2
-                return ctx
-
-        scratch_registry("test.entropy.half", HalvingStage)
-        alice, bob = noisy_pair(2048, 0.05, seed=19)
-        stock = QKDProtocolEngine(rng=DeterministicRNG(20))
-        halved = QKDProtocolEngine(
-            EngineParameters(
-                stages=(
-                    "alarm.qber",
-                    "cascade.bicon",
-                    "test.entropy.half",
-                    "privacy.gf2n",
-                    "auth.wegman_carter",
-                    "deliver.pools",
-                )
-            ),
-            DeterministicRNG(20),
-        )
-        o_stock = stock.distill_block(alice, bob, transmitted_pulses=500_000)
-        o_halved = halved.distill_block(alice, bob, transmitted_pulses=500_000)
-        assert 0 < o_halved.distilled_bits < o_stock.distilled_bits
-
-    def test_rebuild_pipeline_after_registration(self, scratch_registry):
-        engine = QKDProtocolEngine(rng=DeterministicRNG(21))
-        scratch_registry(
-            "test.noop", lambda services: FunctionStage("test.noop", lambda ctx: ctx)
-        )
-        engine.rebuild_pipeline([*DEFAULT_STAGE_PLAN, "test.noop"])
-        assert engine.pipeline.stage_names[-1] == "test.noop"
-        alice, bob = noisy_pair(1024, 0.05, seed=22)
-        outcome = engine.distill_block(alice, bob, transmitted_pulses=200_000)
-        assert not outcome.aborted
-
-    def test_rebuild_pipeline_preserves_hooks_and_telemetry(self):
-        engine = QKDProtocolEngine(rng=DeterministicRNG(25))
-        observed = []
-        engine.pipeline.add_hook(lambda stage, ctx, dt: observed.append(stage.name))
-        alice, bob = noisy_pair(1024, 0.05, seed=26)
-        engine.distill_block(alice, bob, transmitted_pulses=200_000)
-        blocks_before = engine.pipeline.telemetry.blocks_processed
-        engine.rebuild_pipeline()
-        engine.distill_block(*noisy_pair(1024, 0.05, seed=27), transmitted_pulses=200_000)
-        # The hook kept firing and the telemetry kept accumulating.
-        assert len(observed) == 2 * len(DEFAULT_STAGE_PLAN)
-        assert engine.pipeline.telemetry.blocks_processed == blocks_before + 1
-
-    def test_plan_missing_dependency_raises_clear_error(self):
-        """A plan omitting error correction fails with a configuration-level
-        message, not an opaque AttributeError."""
-        engine = QKDProtocolEngine(
-            EngineParameters(
-                stages=("entropy.estimate", "privacy.gf2n", "auth.wegman_carter", "deliver.pools")
-            ),
-            DeterministicRNG(28),
-        )
-        alice, bob = noisy_pair(1024, 0.05, seed=29)
-        with pytest.raises(StageDependencyError, match="error-correction"):
-            engine.distill_block(alice, bob, transmitted_pulses=200_000)
-
-    def test_forced_defense_stage_constructs_without_services(self):
-        """Hand-assembled pipelines can build forced-defense stages with no
-        services; they resolve everything from the context at run time."""
-        from repro.pipeline.stages import SlutskyEntropyStage
-
-        engine = QKDProtocolEngine(rng=DeterministicRNG(33))
-        stage = SlutskyEntropyStage()  # no services at construction
-        plan = list(engine.pipeline.stages)
-        plan[2] = stage
-        engine.use_pipeline(DistillationPipeline(plan))
-        alice, bob = noisy_pair(2048, 0.05, seed=34)
-        outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
-        assert not outcome.aborted
-        assert outcome.entropy.defense.name == "slutsky"
-
 
 class TestServicesViews:
-    def test_qber_recorded_even_without_alarm_stage(self):
-        """QBER is a measurement, not alarm policy: plans omitting the alarm
-        stage must still record the real error rate on outcomes and blocks."""
-        engine = QKDProtocolEngine(
-            EngineParameters(stages=tuple(k for k in DEFAULT_STAGE_PLAN if k != "alarm.qber")),
-            DeterministicRNG(41),
-        )
+    def test_qber_recorded_on_outcomes_and_blocks(self):
+        """QBER is a measurement, not a stage product: outcomes and pooled
+        blocks carry the real error rate."""
+        engine = QKDProtocolEngine(rng=DeterministicRNG(41))
         alice, bob = noisy_pair(2048, 0.05, seed=42)
         outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
         assert outcome.qber == pytest.approx(0.05, abs=0.001)
         assert engine.alice_pool.blocks[-1].qber == outcome.qber
 
-    def test_reassigning_engine_components_reaches_stages(self):
-        """engine.cascade etc. are live views onto the services bundle, so
-        swapping one post-construction changes pipeline behavior (as it did
-        when the engine was a monolith)."""
-        from repro.core.cascade import CascadeParameters, CascadeProtocol
-
+    @pytest.mark.parametrize(
+        "view",
+        [
+            "parameters",
+            "statistics",
+            "cascade",
+            "privacy",
+            "estimator",
+            "randomness_tester",
+            "alice_auth",
+            "bob_auth",
+            "alice_pool",
+            "bob_pool",
+        ],
+    )
+    def test_engine_views_are_read_only(self, view):
         engine = QKDProtocolEngine(rng=DeterministicRNG(43))
-        replacement = CascadeProtocol(
-            CascadeParameters(rounds=2, subsets_per_round=16), DeterministicRNG(44)
-        )
-        engine.cascade = replacement
-        assert engine.services.cascade is replacement
-        alice, bob = noisy_pair(2048, 0.05, seed=45)
-        outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
-        assert outcome.cascade.rounds_used <= 2
+        assert getattr(engine, view) is getattr(engine.services, view)
+        with pytest.raises(AttributeError):
+            setattr(engine, view, None)
 
 
 class TestPoolIndependence:
@@ -386,9 +156,10 @@ class TestContext:
                 transmitted_pulses=100,
             )
 
-    def test_context_services_override_construction_services(self):
-        """A context carrying its own bundle delivers into its own pools,
-        even when routed through another engine's pipeline."""
+    def test_stages_deliver_into_the_contexts_own_services(self):
+        """Stages read everything from ``ctx.services``: a context delivers
+        into its own pools, even when routed through another engine's
+        pipeline."""
         owner = QKDProtocolEngine(rng=DeterministicRNG(47))
         foreign = QKDProtocolEngine(rng=DeterministicRNG(48))
         alice, bob = noisy_pair(2048, 0.05, seed=49)

@@ -14,7 +14,8 @@ import pytest
 from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
 from repro.ipsec.gateway import GatewayPair
 from repro.network.relay import TrustedRelayNetwork
-from repro.runtime import LinkFarm, parallel_map, resolve_workers, split_stage_plan
+from repro import QKDSystem
+from repro.runtime import LinkFarm, parallel_map, resolve_workers
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -139,119 +140,6 @@ class TestParallelSemantics:
             assert not outcomes[0].aborted and not outcomes[2].aborted
             assert engine.statistics.blocks_distilled == 2
 
-    def test_custom_stage_plan_is_rejected(self):
-        from repro.pipeline.registry import register_stage, unregister_stage
-        from repro.pipeline.stage import FunctionStage
-
-        register_stage("test.noop", lambda services: FunctionStage("test.noop", lambda ctx: ctx))
-        try:
-            params = EngineParameters(
-                stages=("alarm.qber", "cascade.bicon", "test.noop"),
-                parallel_workers=2,
-                parallel_backend="thread",
-            )
-            engine = QKDProtocolEngine(params, DeterministicRNG(1))
-            with pytest.raises(ValueError, match="built-in stage keys"):
-                engine.distill_blocks(_workload(1))
-        finally:
-            unregister_stage("test.noop")
-
-    def test_alarm_must_lead_the_plan(self):
-        with pytest.raises(ValueError, match="first stage"):
-            split_stage_plan(("cascade.bicon", "alarm.qber"))
-
-    def test_shadowed_builtin_stage_is_rejected(self):
-        # Shadowing a built-in key is a documented registry feature, but the
-        # parallel phase split would silently run the built-in instead —
-        # refuse rather than mislead.
-        from repro.pipeline.registry import register_stage, unregister_stage
-        from repro.pipeline.stage import FunctionStage
-
-        register_stage(
-            "cascade.bicon",
-            lambda services: FunctionStage("cascade.bicon", lambda ctx: ctx),
-        )
-        try:
-            engine = QKDProtocolEngine(
-                EngineParameters(parallel_workers=2, parallel_backend="thread"),
-                DeterministicRNG(1),
-            )
-            with pytest.raises(ValueError, match="shadowed"):
-                engine.distill_blocks(_workload(1))
-        finally:
-            unregister_stage("cascade.bicon")
-
-    def test_swapped_in_pipeline_is_rejected(self):
-        from repro.pipeline import DistillationPipeline
-        from repro.pipeline.stage import FunctionStage
-
-        engine = QKDProtocolEngine(
-            EngineParameters(parallel_workers=2, parallel_backend="thread"),
-            DeterministicRNG(1),
-        )
-        engine.use_pipeline(
-            DistillationPipeline([FunctionStage("noop", lambda ctx: ctx)])
-        )
-        with pytest.raises(ValueError, match="use_pipeline|replaced"):
-            engine.distill_blocks(_workload(1))
-
-    def test_swapped_in_pipeline_with_builtin_names_is_rejected(self):
-        # Matching the registry plan's *names* must not fool the guard: the
-        # workers would still run the built-ins, not these stages.
-        from repro.pipeline import DistillationPipeline
-        from repro.pipeline.stage import FunctionStage
-
-        engine = QKDProtocolEngine(
-            EngineParameters(parallel_workers=2, parallel_backend="thread"),
-            DeterministicRNG(1),
-        )
-        impostor = DistillationPipeline(
-            [
-                FunctionStage(name, lambda ctx: ctx)
-                for name in engine.parameters.stage_plan
-            ]
-        )
-        engine.use_pipeline(impostor)
-        with pytest.raises(ValueError, match="use_pipeline"):
-            engine.distill_blocks(_workload(1))
-
-    def test_in_place_stage_mutation_is_rejected(self):
-        from repro.pipeline.stage import FunctionStage
-
-        engine = QKDProtocolEngine(
-            EngineParameters(parallel_workers=2, parallel_backend="thread"),
-            DeterministicRNG(1),
-        )
-        engine.pipeline.stages[1] = FunctionStage(
-            "cascade.bicon", lambda ctx: ctx
-        )
-        with pytest.raises(ValueError, match="mutated in place"):
-            engine.distill_blocks(_workload(1))
-
-    def test_live_view_component_swap_is_rejected(self):
-        from repro.core.privacy import PrivacyAmplification
-
-        engine = QKDProtocolEngine(
-            EngineParameters(parallel_workers=2, parallel_backend="thread"),
-            DeterministicRNG(1),
-        )
-        engine.privacy = PrivacyAmplification(DeterministicRNG(99))
-        with pytest.raises(ValueError, match="live views"):
-            engine.distill_blocks(_workload(1))
-
-    def test_parameters_update_keeps_parallel_mode_usable(self):
-        # The parameters setter legitimately rebuilds estimator/tester; that
-        # must not trip the swapped-component guard.
-        engine = QKDProtocolEngine(
-            EngineParameters(parallel_workers=2, parallel_backend="thread"),
-            DeterministicRNG(1),
-        )
-        engine.parameters = EngineParameters(
-            parallel_workers=2, parallel_backend="thread", confidence_sigmas=4.0
-        )
-        outcomes = engine.distill_blocks(_workload(1))
-        assert len(outcomes) == 1 and not outcomes[0].aborted
-
     def test_worker_pool_is_reused_across_batches(self):
         engine, _ = _run_parallel(_workload(2), 2)
         distiller = engine._distiller
@@ -270,18 +158,19 @@ class TestParallelSemantics:
         with pytest.raises(ValueError, match="backend"):
             EngineParameters(parallel_backend="gpu")
 
-    def test_slutsky_plan_supported(self):
-        plan = (
-            "alarm.qber",
-            "cascade.bicon",
-            "entropy.slutsky",
-            "privacy.gf2n",
-            "auth.wegman_carter",
-            "deliver.pools",
-        )
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, True, 2.0])
+    def test_bad_worker_count_is_refused_before_an_engine_exists(self, workers):
+        """Once accepted, a non-integer count built an engine whose first
+        ``distill_block`` raised."""
+        with pytest.raises(ValueError, match="worker count"):
+            EngineParameters(parallel_workers=workers)
+        with pytest.raises(ValueError, match="worker count"):
+            QKDSystem(parallel_workers=workers).link()
+
+    def test_slutsky_defense_supported(self):
         blocks = _workload(2)
-        one, _ = _run_parallel(blocks, 1, stages=plan, defense="slutsky")
-        two, _ = _run_parallel(blocks, 2, stages=plan, defense="slutsky")
+        one, _ = _run_parallel(blocks, 1, defense="slutsky")
+        two, _ = _run_parallel(blocks, 2, defense="slutsky")
         assert _pool_digest(one) == _pool_digest(two)
 
 
