@@ -51,6 +51,8 @@ class DistillationPipeline:
     """A fixed sequence of stages with per-stage telemetry."""
 
     def __init__(self, stages: Sequence[PipelineStage], name: str = "distillation"):
+        if not stages:
+            raise ValueError("a pipeline needs at least one stage")
         self.stages: Tuple[PipelineStage, ...] = tuple(stages)
         self.name = name
         self.telemetry = PipelineTelemetry()

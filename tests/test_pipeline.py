@@ -2,8 +2,19 @@
 
 import pytest
 
+from repro.core.cascade import CascadeParameters, CascadeProtocol
 from repro.core.engine import EngineParameters, QKDProtocolEngine
-from repro.pipeline import PipelineContext
+from repro.pipeline import DistillationPipeline, PipelineContext
+from repro.pipeline.stages import (
+    AuthenticationStage,
+    CascadeAccountStage,
+    CascadeComputeStage,
+    CascadeStage,
+    DeliveryStage,
+    EntropyEstimationStage,
+    PrivacyAmplificationStage,
+    QberAlarmStage,
+)
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -28,7 +39,25 @@ def noisy_pair(n: int, error_rate: float, seed: int = 1):
     return alice, BitString(bob)
 
 
+def run_hand_built(stages, seed, alice, bob, transmitted_pulses):
+    """Run one block through ``stages`` against a fresh engine's services."""
+    engine = QKDProtocolEngine(rng=DeterministicRNG(seed))
+    ctx = PipelineContext(
+        block_id=0,
+        alice_key=alice,
+        bob_key=bob,
+        transmitted_pulses=transmitted_pulses,
+        services=engine.services,
+    )
+    DistillationPipeline(stages).run(ctx)
+    return engine
+
+
 class TestPipelineComposer:
+    def test_empty_pipeline_rejected(self):
+        with pytest.raises(ValueError):
+            DistillationPipeline([])
+
     def test_engine_pipeline_is_the_fixed_sequence(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(1))
         assert engine.pipeline.stage_names == ENGINE_STAGES
@@ -71,6 +100,93 @@ class TestEnginePipelineEquivalence:
             keys.append(engine.alice_pool.draw_bits(engine.alice_pool.available_bits))
         assert keys[0] == keys[1]
 
+    def test_hand_built_fixed_sequence_is_bit_identical(self):
+        """The six stage classes, assembled by hand, distil what the engine
+        does: the engine adds nothing between its stages."""
+        alice, bob = noisy_pair(2048, 0.05, seed=12)
+        engine = QKDProtocolEngine(rng=DeterministicRNG(13))
+        engine.distill_block(alice, bob, transmitted_pulses=500_000)
+        stages = (
+            QberAlarmStage(),
+            CascadeStage(),
+            EntropyEstimationStage(),
+            PrivacyAmplificationStage(),
+            AuthenticationStage(),
+            DeliveryStage(),
+        )
+        hand = run_hand_built(stages, 13, alice, bob, 500_000)
+        assert hand.statistics == engine.statistics
+        n = engine.alice_pool.available_bits
+        assert n > 0 and hand.alice_pool.available_bits == n
+        assert hand.alice_pool.draw_bits(n) == engine.alice_pool.draw_bits(n)
+
+    def test_compute_then_account_composes_to_cascade_bicon(self):
+        """The parallel runtime's Cascade halves, run back to back, are the
+        sequential ``cascade.bicon`` stage."""
+        alice, bob = noisy_pair(2048, 0.06, seed=30)
+        engine = QKDProtocolEngine(rng=DeterministicRNG(31))
+        engine.distill_block(alice, bob, transmitted_pulses=500_000)
+        stages = (
+            QberAlarmStage(),
+            CascadeComputeStage(),
+            CascadeAccountStage(),
+            EntropyEstimationStage(),
+            PrivacyAmplificationStage(),
+            AuthenticationStage(),
+            DeliveryStage(),
+        )
+        split = run_hand_built(stages, 31, alice, bob, 500_000)
+        assert split.statistics == engine.statistics
+        assert split.services.running_qber == engine.services.running_qber
+        n = engine.alice_pool.available_bits
+        assert n > 0 and split.alice_pool.draw_bits(n) == engine.alice_pool.draw_bits(n)
+
+
+class TestStagePolicies:
+    def test_aborted_block_still_spends_authentication(self):
+        """The abort decision is itself authenticated: an alarmed block costs
+        each endpoint one tag's worth of pad (the key-exhaustion attack)."""
+        engine = QKDProtocolEngine(rng=DeterministicRNG(35))
+        start = engine.alice_auth.available_secret_bits
+        alice, bob = noisy_pair(1024, 0.30, seed=36)
+        outcome = engine.distill_block(alice, bob, transmitted_pulses=100_000)
+        assert outcome.aborted and not outcome.authenticated
+        tag_bits = engine.parameters.auth_tag_bits
+        assert engine.alice_auth.available_secret_bits == start - tag_bits
+        assert engine.bob_auth.available_secret_bits == start - tag_bits
+
+    def test_authentication_failure_aborts_without_delivery(self):
+        engine = QKDProtocolEngine(rng=DeterministicRNG(37))
+        # An extra tag moves Alice's pad out of step with Bob's.
+        engine.alice_auth.tag_payload(b"desync", covered_messages=0)
+        alice, bob = noisy_pair(2048, 0.05, seed=38)
+        outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
+        assert outcome.aborted and outcome.abort_reason == "authentication failure"
+        assert not outcome.authenticated and outcome.distilled_bits == 0
+        assert engine.alice_pool.available_bits == 0
+        assert engine.statistics.blocks_distilled == 0
+        assert "deliver.pools" not in engine.pipeline.telemetry.timings
+
+    def test_delivery_requires_authentication(self):
+        engine = QKDProtocolEngine(rng=DeterministicRNG(39))
+        ctx = PipelineContext(
+            block_id=0,
+            alice_key=BitString([1, 0, 1]),
+            bob_key=BitString([1, 0, 1]),
+            transmitted_pulses=100,
+            services=engine.services,
+        )
+        ctx.distilled = BitString([1, 1, 0, 1] * 64)
+        DeliveryStage().run(ctx)
+        assert engine.alice_pool.available_bits == 0
+        assert engine.statistics.blocks_distilled == 0
+        ctx.authenticated = True
+        DeliveryStage().run(ctx)
+        delivered = 256 - engine.parameters.auth_replenish_bits
+        assert engine.alice_pool.available_bits == delivered
+        assert engine.bob_pool.available_bits == delivered
+        assert engine.statistics.blocks_distilled == 1
+
 
 class TestDefenseSelection:
     def test_slutsky_defense_is_more_conservative(self):
@@ -94,6 +210,19 @@ class TestServicesViews:
         outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
         assert outcome.qber == pytest.approx(0.05, abs=0.001)
         assert engine.alice_pool.blocks[-1].qber == outcome.qber
+
+    def test_reassigning_services_components_reaches_stages(self):
+        """Stages read their protocols from the services bundle at run time,
+        so a component replaced there is the one the next block uses."""
+        engine = QKDProtocolEngine(rng=DeterministicRNG(43))
+        replacement = CascadeProtocol(
+            CascadeParameters(rounds=2, subsets_per_round=16), DeterministicRNG(44)
+        )
+        engine.services.cascade = replacement
+        assert engine.cascade is replacement
+        alice, bob = noisy_pair(2048, 0.05, seed=45)
+        outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
+        assert outcome.cascade.rounds_used <= 2
 
     @pytest.mark.parametrize(
         "view",

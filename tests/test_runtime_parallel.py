@@ -16,6 +16,7 @@ from repro.ipsec.gateway import GatewayPair
 from repro.network.relay import TrustedRelayNetwork
 from repro import QKDSystem
 from repro.runtime import LinkFarm, parallel_map, resolve_workers
+from repro.runtime.parallel import ParallelDistiller
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -139,6 +140,59 @@ class TestParallelSemantics:
             assert "exceeds abort threshold" in outcomes[1].abort_reason
             assert not outcomes[0].aborted and not outcomes[2].aborted
             assert engine.statistics.blocks_distilled == 2
+
+    def test_aborted_block_spends_no_compute_but_the_same_authentication(self):
+        hot_a, hot_b = _noisy_pair(556, error_rate=0.30)
+        sequential = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
+        seq = sequential.distill_block(hot_a, hot_b, transmitted_pulses=500_000)
+        engine, outcomes = _run_parallel([SiftedBlock(hot_a, hot_b, 500_000)], 2)
+        par = outcomes[0]
+        assert par.aborted and par.abort_reason == seq.abort_reason
+        assert par.cascade is None and par.entropy is None and par.privacy is None
+        assert len(par.transcript) == len(seq.transcript) == 0
+        assert (
+            engine.alice_auth.available_secret_bits
+            == sequential.alice_auth.available_secret_bits
+        )
+        assert (
+            engine.bob_auth.available_secret_bits
+            == sequential.bob_auth.available_secret_bits
+        )
+
+    def test_commit_telemetry_counts_every_block(self):
+        blocks = _workload(3)
+        hot_a, hot_b = _noisy_pair(557, error_rate=0.30)
+        blocks[0] = SiftedBlock(hot_a, hot_b, transmitted_pulses=500_000)
+        engine, _ = _run_parallel(blocks, 2)
+        telemetry = engine._distiller.commit.telemetry
+        assert telemetry.blocks_processed == 3
+        assert telemetry.timings["alarm.qber"].calls == 3
+        assert telemetry.timings["cascade.account"].calls == 2
+        assert telemetry.timings["deliver.pools"].calls == 2
+
+    def test_phases_cannot_be_mutated_in_place(self):
+        distiller = ParallelDistiller(EngineParameters(), workers=1, backend="thread")
+        with pytest.raises(TypeError):
+            distiller.compute_stages[0] = distiller.compute_stages[1]
+        with pytest.raises(TypeError):
+            distiller.commit.stages[0] = distiller.commit.stages[1]
+
+    def test_parameters_reach_the_worker_phase(self):
+        blocks = _workload(2)
+        strict, _ = _run_parallel(blocks, 2)
+        relaxed_one, _ = _run_parallel(blocks, 1, confidence_sigmas=4.0)
+        relaxed_two, _ = _run_parallel(blocks, 2, confidence_sigmas=4.0)
+        assert _pool_digest(relaxed_one) == _pool_digest(relaxed_two)
+        assert (
+            relaxed_two.statistics.distilled_bits > strict.statistics.distilled_bits
+        )
+
+    def test_randomness_testing_supported(self):
+        blocks = _workload(2)
+        one, _ = _run_parallel(blocks, 1, randomness_testing=True)
+        two, _ = _run_parallel(blocks, 2, randomness_testing=True)
+        assert _pool_digest(one) == _pool_digest(two)
+        assert two.statistics.blocks_distilled == 2
 
     def test_worker_pool_is_reused_across_batches(self):
         engine, _ = _run_parallel(_workload(2), 2)
