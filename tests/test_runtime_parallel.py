@@ -7,10 +7,12 @@ contract — including a digest of the parallel RNG stream itself, the
 parallel-mode sibling of ``tests/test_pinned_key_material.py``.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro.core.cascade import CascadeParameters
 from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
 from repro.ipsec.gateway import GatewayPair
 from repro.network.relay import TrustedRelayNetwork
@@ -32,6 +34,19 @@ ERROR_RATE = 0.06
 PINNED_PARALLEL_POOL_DIGEST = (
     "42c27d9c93e7c0e1f64e52907c089f9645755294fb30c1457571cbdded14f189"
 )
+
+
+def _statistics(distilled, blocks_distilled, blocks_aborted, disclosed, slots=0, sifted=0, errors=0):
+    return {"slots_processed": slots, "sifted_bits": sifted, "sifted_errors": errors,
+            "distilled_bits": distilled, "blocks_distilled": blocks_distilled,
+            "blocks_aborted": blocks_aborted, "disclosed_parities": disclosed}
+
+
+#: Every EngineStatistics field of the PINNED_PARALLEL_POOL_DIGEST run.
+PINNED_PARALLEL_STATISTICS = _statistics(1484, 4, 0, 3788)
+
+ALARM_REASON = "QBER 30.0% exceeds abort threshold 15.0% (possible eavesdropping)"
+CONFIRMATION_REASON = "error correction failed confirmation"
 
 
 def _noisy_pair(seed, n_bits=BLOCK_BITS, error_rate=ERROR_RATE):
@@ -115,6 +130,78 @@ class TestPinnedParallelStream:
         assert engine.statistics.blocks_distilled == 4
         assert engine.keys_match
         assert _pool_digest(engine) == PINNED_PARALLEL_POOL_DIGEST
+        assert dataclasses.asdict(engine.statistics) == PINNED_PARALLEL_STATISTICS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_alarmed_mix_is_pinned(self, workers):
+        blocks = _workload(3)
+        blocks[1] = SiftedBlock(*_noisy_pair(555, error_rate=0.30), transmitted_pulses=500_000)
+        engine, outcomes = _run_parallel(blocks, workers)
+        assert _pool_digest(engine) == (
+            "b241e388884ac736d6d3f4e4016a81f460ee357f7b5bf8546943030f6e567ece"
+        )
+        assert dataclasses.asdict(engine.statistics) == _statistics(735, 2, 1, 1901)
+        assert [o.abort_reason for o in outcomes] == ["", ALARM_REASON, ""]
+        assert engine.alice_auth.available_secret_bits == 3905
+        assert engine.bob_auth.available_secret_bits == 3905
+
+    @pytest.mark.parametrize(
+        "params, digest, distilled",
+        [
+            ({"confidence_sigmas": 4.0},
+             "f9f8c17d06ee4436ecc5bdcb070c6dff8b2a1bde3be7f1757413130142a719b1", 823),
+            ({"randomness_testing": True},
+             "6bf9ab440d6a6fa8f281f8dc26e906ce43c4376fcb72ab2e5e7a77b505b6ba2a", 761),
+        ],
+    )
+    def test_parameter_variants_are_pinned(self, params, digest, distilled):
+        engine, _ = _run_parallel(_workload(2), 2, **params)
+        assert _pool_digest(engine) == digest
+        assert dataclasses.asdict(engine.statistics) == _statistics(distilled, 2, 0, 1875)
+
+    def test_one_at_a_time_and_batched_submission_are_pinned(self):
+        singles = QKDProtocolEngine(EngineParameters(parallel_workers=1), DeterministicRNG(7))
+        for block in _workload(4):
+            singles.distill_block(block.alice_key, block.bob_key, block.transmitted_pulses)
+        batched, _ = _run_parallel(_workload(4), 2)
+        for engine in (singles, batched):
+            assert _pool_digest(engine) == PINNED_PARALLEL_POOL_DIGEST
+            assert dataclasses.asdict(engine.statistics) == PINNED_PARALLEL_STATISTICS
+
+    def test_partial_block_flush_is_pinned(self):
+        # 2 M slots sift 3 134 bits: one full block, then a 1 086-bit flush.
+        link = QKDSystem(seed=2003, parallel_workers=1).link()
+        report = link.run_slots(2_000_000)
+        assert [(o.sifted_bits, o.distilled_bits) for o in report.outcomes] == [
+            (2048, 283),
+            (1086, 31),
+        ]
+        assert _pool_digest(link.engine) == (
+            "15837032da222e57cdd5cd4b0c6cf854c9292c4a7e02283c32cf72977fbd7517"
+        )
+        assert dataclasses.asdict(link.engine.statistics) == _statistics(
+            314, 2, 0, 1576, slots=2_000_000, sifted=3134, errors=199
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unconfirmed_block_is_pinned(self, workers):
+        # One round of eight subsets and no first pass leaves the 6 % block
+        # with residual errors, which the confirmation parities catch; the
+        # two 0.2 % blocks are fully corrected.
+        blocks = [
+            SiftedBlock(*_noisy_pair(100 + seed, error_rate=rate), transmitted_pulses=500_000)
+            for seed, rate in ((0, 0.002), (1, 0.06), (2, 0.002))
+        ]
+        cascade = CascadeParameters(block_first_pass=False, rounds=1, subsets_per_round=8)
+        engine, outcomes = _run_parallel(blocks, workers, cascade=cascade)
+        assert [o.abort_reason for o in outcomes] == ["", CONFIRMATION_REASON, ""]
+        assert not outcomes[1].cascade.confirmed and not outcomes[1].authenticated
+        assert _pool_digest(engine) == (
+            "bf722563b94c3e8cb11284e9df47c5c732ccff6aa3a395bb8607636b9be3a987"
+        )
+        assert dataclasses.asdict(engine.statistics) == _statistics(3376, 2, 1, 222)
+        assert engine.alice_auth.available_secret_bits == 3937
+        assert engine.bob_auth.available_secret_bits == 3937
 
     def test_parallel_stream_differs_from_sequential_stream(self):
         # The parallel mode is a documented, separately pinned stream — it
