@@ -68,16 +68,6 @@ def float_env(name, default, minimum=None):
     return value
 
 
-def choice_env(name, default, choices):
-    """Read an enumerated BENCH_* knob with a clear error on bad values."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    if raw not in choices:
-        raise _knob_error(name, raw, f"one of {tuple(choices)}")
-    return raw
-
-
 def emit(title, headers, rows):
     """Print a small aligned table so the benchmark output reads like the paper."""
     print(f"\n=== {title} ===", file=sys.stderr)

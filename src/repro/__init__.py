@@ -16,9 +16,9 @@ Pearson and Troxel as a pure-Python simulation and protocol library:
 * :mod:`repro.ipsec` — IPsec/IKE with the paper's QKD extensions (continually
   reseeded AES keys and one-time-pad security associations).
 * :mod:`repro.network` — trusted-relay and untrusted-switch QKD networks.
-* :mod:`repro.runtime` — the deterministic parallel distillation runtime:
-  block- and link-level scheduling across worker pools with output invariant
-  under worker count.
+* :mod:`repro.runtime` — link-level scheduling across worker pools
+  (:class:`~repro.runtime.LinkFarm`) with output invariant under worker
+  count.
 * :mod:`repro.lanes` — the vectorized multi-link lane engine: a fleet of
   homogeneous-epoch links executed lock-step as one ``(n_links, n_slots)``
   numpy batch program, bit-identical to the sequential runs.

@@ -74,12 +74,10 @@ class SystemConfig:
     block_size_bits: int = 2048
     abort_qber: float = 0.15
     randomness_testing: bool = False
-    #: Parallel distillation runtime (:mod:`repro.runtime`): ``None`` keeps
-    #: the sequential engine; an integer enables the parallel mode with that
-    #: many workers (output invariant across worker counts).
+    #: Key stream selector (``EngineParameters.parallel_workers``): ``None``
+    #: keeps the sequential stream; an integer selects the per-block stream,
+    #: whose output is the same for every count.
     parallel_workers: Optional[int] = None
-    #: Pool backend for the parallel runtime ("process" or "thread").
-    parallel_backend: str = "process"
 
     # ---- VPN assembly -------------------------------------------------- #
     #: Channel-seconds of key distilled before the gateways come up.
@@ -112,7 +110,6 @@ class SystemConfig:
             abort_qber=self.abort_qber,
             randomness_testing=self.randomness_testing,
             parallel_workers=self.parallel_workers,
-            parallel_backend=self.parallel_backend,
         )
 
     def channel_parameters(self) -> ChannelParameters:
@@ -152,12 +149,10 @@ class QKDSystem:
     def with_defense(self, defense: str) -> "QKDSystem":
         return self.configured(defense=defense)
 
-    def with_parallelism(
-        self, workers: Optional[int], backend: str = "process"
-    ) -> "QKDSystem":
-        """Enable (or, with ``None``, disable) the parallel distillation
-        runtime — see :mod:`repro.runtime` for the determinism contract."""
-        return self.configured(parallel_workers=workers, parallel_backend=backend)
+    def with_parallelism(self, workers: Optional[int]) -> "QKDSystem":
+        """Select the per-block key stream (or, with ``None``, the sequential
+        one) — see ``EngineParameters.parallel_workers``."""
+        return self.configured(parallel_workers=workers)
 
     def entangled(self, flag: bool = True) -> "QKDSystem":
         return self.configured(entangled=flag)

@@ -17,6 +17,12 @@ Every protocol step lives in a stage (:mod:`repro.pipeline.stages`); what
 varies between engines is configuration (:class:`EngineParameters`: the
 defense function, the confidence, the thresholds), never the sequence.
 
+``EngineParameters.parallel_workers`` selects one of two key streams.  On the
+sequential stream (``None``) blocks share the engine's Cascade and privacy
+RNG streams and its running QBER estimate.  On the per-block stream (any
+count) each block draws from its own ``block/<id>`` labeled fork.  Both run
+every block in-line through the same pipeline; no worker pool is involved.
+
 Because this is a simulation, one engine object drives both protocol
 endpoints; the two ends' states (keys, pools) are nonetheless kept strictly
 separate so that tests can verify they only ever agree through protocol
@@ -29,7 +35,7 @@ exactly the detect-and-respond behaviour the paper ascribes to Alice and Bob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.authentication import AuthenticatedChannel
@@ -93,18 +99,16 @@ class EngineParameters:
     #: system" extension the paper anticipates.
     randomness_testing: bool = False
     cascade: CascadeParameters = field(default_factory=CascadeParameters)
-    #: Parallel distillation runtime (:mod:`repro.runtime`).  ``None`` (the
-    #: default) keeps the historical strictly-sequential path and its pinned
-    #: key-material digests bit-for-bit.  An integer ``N >= 1`` switches the
-    #: engine to the parallel runtime with ``N`` workers: blocks draw from
-    #: per-block labeled RNG forks and are committed in block-id order, so
-    #: the output is identical for every ``N`` (``N = 1`` included) but is a
-    #: *different, separately pinned stream* than the sequential path.
+    #: Which key stream the engine distils.  ``None`` (the default) is the
+    #: historical sequential stream, pinned by its key-material digests: every
+    #: block draws from the engine's shared Cascade and privacy streams and
+    #: sizes Cascade from the running QBER estimate.  An integer ``N >= 1``
+    #: selects the per-block stream: block ``id`` draws from its own
+    #: ``block/<id>`` labeled fork and sizes Cascade from its own QBER, so the
+    #: output is the same for every ``N`` and every batching of the blocks,
+    #: and is a *different, separately pinned stream*.  No worker pool runs
+    #: either stream; ``N`` selects, it does not fan out.
     parallel_workers: Optional[int] = None
-    #: Pool backend for the parallel runtime: "process" (default; real
-    #: multi-core) or "thread" (no pickling/startup cost; useful for small
-    #: batches and tests).
-    parallel_backend: str = "process"
 
     def __post_init__(self) -> None:
         if self.defense not in ("bennett", "slutsky"):
@@ -121,13 +125,6 @@ class EngineParameters:
             from repro.runtime.pool import resolve_workers
 
             resolve_workers(self.parallel_workers)
-        if self.parallel_backend not in ("process", "thread"):
-            raise ValueError("parallel backend must be 'process' or 'thread'")
-
-    @property
-    def parallel_enabled(self) -> bool:
-        """Whether the parallel distillation runtime is active."""
-        return self.parallel_workers is not None
 
     def make_defense(self):
         if self.defense == "bennett":
@@ -139,9 +136,8 @@ class EngineParameters:
 class SiftedBlock:
     """One block-sized chunk of sifted key, ready for distillation.
 
-    The unit of scheduling for :meth:`QKDProtocolEngine.distill_blocks`:
-    everything a block needs is carried with it, so batches can be
-    dispatched to the parallel runtime without reading engine state.
+    The unit of :meth:`QKDProtocolEngine.distill_blocks`: everything the
+    pipeline needs from the sifted stream is carried with the block.
     """
 
     alice_key: BitString
@@ -199,6 +195,22 @@ class EngineStatistics:
         return self.sifted_bits / self.slots_processed
 
 
+def _stream_protocols(params: EngineParameters, rng: DeterministicRNG) -> dict:
+    """The protocol instances one key stream owns: Cascade and privacy
+    amplification on forks of ``rng`` (in that order), the entropy estimator
+    and the optional randomness tester."""
+    return dict(
+        cascade=CascadeProtocol(params.cascade, rng.fork("cascade")),
+        privacy=PrivacyAmplification(rng.fork("privacy")),
+        estimator=EntropyEstimator(
+            defense=params.make_defense(),
+            confidence_sigmas=params.confidence_sigmas,
+            worst_case_multiphoton=params.worst_case_multiphoton,
+        ),
+        randomness_tester=RandomnessTester() if params.randomness_testing else None,
+    )
+
+
 class QKDProtocolEngine:
     """Drives the stage pipeline and feeds both endpoints' key pools."""
 
@@ -223,18 +235,11 @@ class QKDProtocolEngine:
         self.services = PipelineServices(
             parameters=params,
             statistics=EngineStatistics(),
-            cascade=CascadeProtocol(params.cascade, self.rng.fork("cascade")),
-            privacy=PrivacyAmplification(self.rng.fork("privacy")),
-            estimator=EntropyEstimator(
-                defense=params.make_defense(),
-                confidence_sigmas=params.confidence_sigmas,
-                worst_case_multiphoton=params.worst_case_multiphoton,
-            ),
+            **_stream_protocols(params, self.rng),
             alice_auth=alice_auth,
             bob_auth=bob_auth,
             alice_pool=KeyPool(name="alice"),
             bob_pool=KeyPool(name="bob"),
-            randomness_tester=RandomnessTester() if params.randomness_testing else None,
             running_qber=params.cascade.default_error_rate_hint,
         )
         self.pipeline = DistillationPipeline(
@@ -248,12 +253,11 @@ class QKDProtocolEngine:
             )
         )
 
-        # Root of the parallel runtime's per-block streams.  Forked
+        # Root of the per-block stream's ``block/<id>`` forks.  Forked
         # unconditionally (fork() consumes no draws from the parent, so the
-        # sequential path's streams are untouched) so that enabling parallel
-        # mode later cannot shift any other stream.
+        # sequential stream is untouched) so that selecting the per-block
+        # stream cannot shift any other stream.
         self._runtime_rng = self.rng.fork("runtime")
-        self._distiller = None  # lazily built, pool reused across batches
 
         self._next_block_id = 0
         self._next_frame_id = 0
@@ -364,11 +368,10 @@ class QKDProtocolEngine:
         """Run one sifted block through the distillation pipeline.
 
         The block takes the next block id, and its run advances the engine's
-        state: the running QBER estimate, the authentication pads, the key
-        pools and the statistics.  In parallel mode this routes through
-        :meth:`distill_blocks` as a one-block batch, so single-block and
-        batched submissions of the same blocks produce identical key
-        material.
+        state: the authentication pads, the key pools, the statistics and,
+        on the sequential stream, the running QBER estimate.  It is a
+        one-block :meth:`distill_blocks`, so single-block and batched
+        submissions of the same blocks produce identical key material.
         """
         block = SiftedBlock(
             alice_key=alice_key,
@@ -377,92 +380,65 @@ class QKDProtocolEngine:
             mean_photon_number=mean_photon_number,
             entangled_source=entangled_source,
         )
-        if self.parameters.parallel_enabled:
-            return self.distill_blocks([block])[0]
-        return self._distill_block_sequential(block)
+        return self.distill_blocks([block])[0]
 
     def distill_blocks(self, blocks: Sequence[SiftedBlock]) -> List[DistillationOutcome]:
         """Distill a batch of sifted blocks, in order.
 
-        On the sequential path (``parallel_workers=None``) this is exactly a
-        loop over :meth:`distill_block` — same streams, same bits as the
-        historical engine.  In parallel mode the batch's compute phases run
-        across the runtime's worker pool — each block on its own
-        ``block/<id>`` labeled RNG fork, sizing its Cascade first pass from
-        its own measured QBER — and the results are committed in block-id
-        order, so the outcome is invariant under worker count *and* under
-        how the blocks are partitioned into batches.
+        Every block runs the engine's six-stage :attr:`pipeline`; the
+        sequential and the per-block stream differ only in the services
+        bundle a block runs against (:meth:`_block_services`).
         """
-        blocks = list(blocks)
-        if not self.parameters.parallel_enabled:
-            return [self._distill_block_sequential(block) for block in blocks]
-        if not blocks:
-            return []
-
-        from repro.runtime.parallel import BlockWorkItem, ParallelDistiller
-
-        if self._distiller is None:
-            self._distiller = ParallelDistiller(
-                self.parameters,
-                workers=self.parameters.parallel_workers,
-                backend=self.parameters.parallel_backend,
-            )
-
-        items = []
+        outcomes = []
         for block in blocks:
             block_id = self._next_block_id
             self._next_block_id += 1
-            items.append(
-                BlockWorkItem(
-                    block_id=block_id,
-                    alice_key=block.alice_key,
-                    bob_key=block.bob_key,
-                    transmitted_pulses=block.transmitted_pulses,
-                    mean_photon_number=block.mean_photon_number,
-                    entangled_source=block.entangled_source,
-                    stream_seed=self._runtime_rng.fork_labeled(
-                        f"block/{block_id}"
-                    ).seed,
+            ctx = PipelineContext(
+                block_id=block_id,
+                alice_key=block.alice_key,
+                bob_key=block.bob_key,
+                transmitted_pulses=block.transmitted_pulses,
+                mean_photon_number=block.mean_photon_number,
+                entangled_source=block.entangled_source,
+            )
+            ctx.services = self._block_services(ctx)
+            ctx = self.pipeline.run(ctx)
+            outcomes.append(
+                DistillationOutcome(
+                    block_id=ctx.block_id,
+                    sifted_bits=ctx.sifted_bits,
+                    qber=ctx.qber,
+                    cascade=ctx.cascade,
+                    entropy=ctx.entropy,
+                    privacy=ctx.privacy,
+                    distilled_bits=ctx.distilled_bits,
+                    authenticated=ctx.authenticated,
+                    aborted=ctx.aborted,
+                    abort_reason=ctx.abort_reason,
+                    transcript=ctx.log,
                 )
             )
-        outcomes = []
-        for ctx in self._distiller.compute(items):
-            # The commit phase applies each block to the shared state, in
-            # block-id order, on this side.
-            ctx.services = self.services
-            ctx = self._distiller.commit.run(ctx)
-            outcomes.append(self._outcome_from_context(ctx))
         return outcomes
 
-    def _distill_block_sequential(self, block: SiftedBlock) -> DistillationOutcome:
-        block_id = self._next_block_id
-        self._next_block_id += 1
+    def _block_services(self, ctx: PipelineContext) -> PipelineServices:
+        """The services bundle block ``ctx`` runs against.
 
-        ctx = PipelineContext(
-            block_id=block_id,
-            alice_key=block.alice_key,
-            bob_key=block.bob_key,
-            transmitted_pulses=block.transmitted_pulses,
-            mean_photon_number=block.mean_photon_number,
-            entangled_source=block.entangled_source,
-            services=self.services,
-        )
-        ctx = self.pipeline.run(ctx)
-        return self._outcome_from_context(ctx)
-
-    def _outcome_from_context(self, ctx: PipelineContext) -> DistillationOutcome:
-        return DistillationOutcome(
-            block_id=ctx.block_id,
-            sifted_bits=ctx.sifted_bits,
-            qber=ctx.qber,
-            cascade=ctx.cascade,
-            entropy=ctx.entropy,
-            privacy=ctx.privacy,
-            distilled_bits=ctx.distilled_bits,
-            authenticated=ctx.authenticated,
-            aborted=ctx.aborted,
-            abort_reason=ctx.abort_reason,
-            transcript=ctx.log,
+        The sequential stream shares :attr:`services` across blocks.  The
+        per-block stream gives each block a copy that shares the engine's
+        statistics, authenticated channels and key pools, but draws Cascade
+        and privacy amplification from the block's own ``block/<id>`` fork,
+        has a fresh estimator and randomness tester, and sizes Cascade from
+        the block's own QBER.  A block's key is then a function of the
+        runtime seed, its id, its keys and the shared state it is charged
+        to — not of which blocks came before it.
+        """
+        if self.parameters.parallel_workers is None:
+            return self.services
+        block_rng = self._runtime_rng.fork_labeled(f"block/{ctx.block_id}")
+        return replace(
+            self.services,
+            **_stream_protocols(self.parameters, block_rng),
+            running_qber=ctx.qber,
         )
 
     def _pop_pending_block(self, partial: bool = False) -> SiftedBlock:

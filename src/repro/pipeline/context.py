@@ -9,9 +9,12 @@ mutate it, and hand it to the next stage.
 A :class:`PipelineServices` bundle holds the long-lived two-party machinery
 the stages read through ``ctx.services``: the Cascade protocol instance, the
 privacy amplifier, the entropy estimator, both endpoints' authenticated
-channels and key pools, and the engine's cumulative statistics.  One services bundle is
-shared by every block the engine distills, which is how stages carry state
-(running QBER estimate, authentication pools) across blocks.
+channels and key pools, and the engine's cumulative statistics.  On the
+engine's sequential key stream one bundle is shared by every block, which is
+how stages carry state (running QBER estimate, authentication pools) across
+blocks.  On the per-block stream each block runs against a copy that shares
+the statistics, authenticated channels and key pools but has its own
+Cascade, privacy amplifier, estimator, randomness tester and running QBER.
 """
 
 from __future__ import annotations
@@ -68,8 +71,8 @@ class PipelineContext:
     mean_photon_number: float = 0.1
     entangled_source: bool = False
     #: The services bundle this block runs against: every stage reads its
-    #: protocols, pools and statistics from here.  ``None`` only while a
-    #: parallel worker's result travels back to the coordinator.
+    #: protocols, pools and statistics from here.  The engine sets it before
+    #: the block's first stage runs.
     services: Optional[PipelineServices] = None
 
     #: Public transcript of the block; authenticated at the end.

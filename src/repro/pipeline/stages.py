@@ -1,17 +1,14 @@
 """The built-in stages of the paper's Fig 9 distillation pipeline.
 
 Each class wraps one of the two-party protocols of :mod:`repro.core` as a
-:class:`~repro.pipeline.stage.PipelineStage`.  The engine runs six of them
-in a fixed order; the parallel runtime splits Cascade in two and runs the
-rest as a worker phase and a commit phase:
+:class:`~repro.pipeline.stage.PipelineStage`.  The engine runs all six, in
+this order, on both of its key streams:
 
 ========================  ====================================================
 name                      stage
 ========================  ====================================================
 ``alarm.qber``            eavesdropping alarm (abort above the QBER threshold)
 ``cascade.bicon``         BBN Cascade error correction with leakage accounting
-``cascade.compute``       Cascade reconciliation only (parallel-runtime workers)
-``cascade.account``       leakage/abort accounting for a precomputed result
 ``entropy.estimate``      entropy estimation with the configured defense
 ``privacy.gf2n``          privacy amplification over GF(2^n)
 ``auth.wegman_carter``    Wegman-Carter authentication of the transcript
@@ -59,70 +56,33 @@ class QberAlarmStage(PipelineStage):
         return ctx
 
 
-def _reconcile_block(ctx: PipelineContext) -> PipelineContext:
-    """Run Cascade over the block's keys (the compute half of the stage)."""
-    services = ctx.services
-    ctx.cascade = services.cascade.reconcile(
-        ctx.alice_key,
-        ctx.bob_key,
-        log=ctx.log,
-        error_rate_hint=services.running_qber,
-    )
-    return ctx
-
-
-def _account_cascade(ctx: PipelineContext) -> PipelineContext:
-    """Charge a completed Cascade result to the shared engine state.
-
-    This is the half of the stage that touches cross-block state (cumulative
-    statistics, the running QBER estimate, the abort decision), which is why
-    the parallel runtime applies it in block-id order on the coordinator
-    while the reconciliation itself runs on the workers.
-    """
-    services = ctx.services
-    result = ctx.cascade
-    services.statistics.disclosed_parities += result.disclosed_parities
-    services.running_qber = 0.5 * services.running_qber + 0.5 * max(
-        result.errors_corrected / max(ctx.sifted_bits, 1), 1e-4
-    )
-    if not result.confirmed:
-        services.statistics.blocks_aborted += 1
-        ctx.abort("error correction failed confirmation")
-    return ctx
-
-
 class CascadeStage(PipelineStage):
-    """BBN Cascade error correction, charging every disclosed parity bit."""
+    """BBN Cascade error correction, charging every disclosed parity bit.
+
+    The block's first-pass size comes from ``services.running_qber``, which
+    the stage then moves toward the error rate Cascade found.  A block whose
+    corrected key fails the confirmation parities is aborted here.
+    """
 
     name = "cascade.bicon"
 
     def run(self, ctx: PipelineContext) -> PipelineContext:
-        return _account_cascade(_reconcile_block(ctx))
-
-
-class CascadeComputeStage(PipelineStage):
-    """Cascade reconciliation *without* the shared-state accounting.
-
-    The parallel runtime (:mod:`repro.runtime`) runs this stage on worker
-    processes against a per-block services bundle; the matching
-    ``cascade.account`` stage later charges the result to the engine's real
-    statistics in block-id order.  The pair composes to exactly
-    ``cascade.bicon``.
-    """
-
-    name = "cascade.compute"
-
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        return _reconcile_block(ctx)
-
-
-class CascadeAccountStage(PipelineStage):
-    """Accounting for a precomputed ``ctx.cascade`` (parallel commit phase)."""
-
-    name = "cascade.account"
-
-    def run(self, ctx: PipelineContext) -> PipelineContext:
-        return _account_cascade(ctx)
+        services = ctx.services
+        result = services.cascade.reconcile(
+            ctx.alice_key,
+            ctx.bob_key,
+            log=ctx.log,
+            error_rate_hint=services.running_qber,
+        )
+        ctx.cascade = result
+        services.statistics.disclosed_parities += result.disclosed_parities
+        services.running_qber = 0.5 * services.running_qber + 0.5 * max(
+            result.errors_corrected / max(ctx.sifted_bits, 1), 1e-4
+        )
+        if not result.confirmed:
+            services.statistics.blocks_aborted += 1
+            ctx.abort("error correction failed confirmation")
+        return ctx
 
 
 class EntropyEstimationStage(PipelineStage):

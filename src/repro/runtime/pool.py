@@ -1,16 +1,16 @@
-"""Worker-pool plumbing shared by the runtime's schedulers.
+"""Worker-pool plumbing for the link farm.
 
 One helper, :func:`parallel_map`, is the one-shot fan-out, and it has one
 caller: :meth:`repro.runtime.farm.LinkFarm.run` on its process and thread
-backends (:class:`~repro.runtime.parallel.ParallelDistiller` keeps its own
-executor alive across batches and shares only :func:`resolve_workers`).  It
-applies a picklable function to a list of picklable work items across a
-process or thread pool, **preserving input order** in the results.  Order
-preservation is what turns a pool into a deterministic scheduler — callers
-put independence into the work items (forked RNG streams, no shared state)
-and get scheduling-invariant output back by construction.  Pad-material
-generation is deliberately not a caller: a pool loses to a plain loop there
-at every fleet size measured (12-400 links), so those call sites loop inline.
+backends.  It applies a picklable function to a list of picklable work items
+across a process or thread pool, **preserving input order** in the results.
+Order preservation is what turns a pool into a deterministic scheduler —
+callers put independence into the work items (forked RNG streams, no shared
+state) and get scheduling-invariant output back by construction.  Two
+would-be callers loop inline instead, because a pool lost to the plain loop
+there: pad-material generation (at every fleet size measured, 12-400 links)
+and the blocks of one engine (``EngineParameters.parallel_workers`` selects a
+key stream and starts no pool; :func:`resolve_workers` validates it).
 
 ``workers=1`` (or a single item) runs inline with no pool at all, so the
 same call sites serve both the parallel and the degenerate case, and a
@@ -28,8 +28,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 #: Supported pool backends.  ``"process"`` sidesteps the GIL and is the
-#: default for CPU-bound distillation work; ``"thread"`` avoids pickling and
-#: process start-up and is useful for small batches and tests.
+#: default for CPU-bound link runs; ``"thread"`` avoids pickling and process
+#: start-up and is useful for small batches and tests.
 BACKENDS = ("process", "thread")
 
 

@@ -77,11 +77,10 @@ class DeterministicRNG:
         the child stream depends solely on ``(seed, label)`` — forking the
         same label twice yields the same stream, and the order in which
         different labels are forked does not matter.  This is the derivation
-        the parallel runtime uses for its per-block streams
+        the engine's per-block key stream uses
         (``fork_labeled(f"block/{block_id}")``): a block's randomness is a
         pure function of the runtime seed and the block id, which is what
-        makes parallel distillation output independent of worker count and
-        scheduling order.
+        makes that stream's output independent of how blocks are batched.
 
         The key material is framed as ``"<seed>|L|<label>"``; the counter
         variant uses a decimal counter in that position, so the two

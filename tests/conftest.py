@@ -18,7 +18,7 @@ import pytest
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.util.rng import DeterministicRNG
 
-#: Generous default — the slowest legitimate tests (parallel runtime,
+#: Generous default — the slowest legitimate tests (link farms,
 #: Monte-Carlo frames) finish well inside it on a loaded CI worker.
 DEFAULT_TEST_TIMEOUT_SECONDS = 120.0
 

@@ -273,9 +273,8 @@ class TestPackageExports:
 
 class TestParallelismKnob:
     def test_with_parallelism_propagates_to_engine(self):
-        link = QKDSystem(seed=3).with_parallelism(2, backend="thread").link()
+        link = QKDSystem(seed=3).with_parallelism(2).link()
         assert link.engine.parameters.parallel_workers == 2
-        assert link.engine.parameters.parallel_backend == "thread"
 
     def test_default_stays_sequential(self):
         assert QKDSystem(seed=3).link().engine.parameters.parallel_workers is None

@@ -259,9 +259,9 @@ class TestEngineMemory:
 
 class TestTranscriptEntries:
     def test_a_transcript_of_bisection_entries_survives_pickle_and_the_attack_copies(self):
-        # The process backend of ParallelDistiller ships outcomes by pickle,
-        # and the man-in-the-middle model deep-copies a transcript entry by
-        # entry: bytes and message count must come through both.
+        # The LinkFarm's process backend ships outcomes by pickle, and the
+        # man-in-the-middle model deep-copies a transcript entry by entry:
+        # bytes and message count must come through both.
         import pickle
 
         from repro.core.messages import CascadeBisection, CascadeBisectQuery

@@ -7,8 +7,6 @@ from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.pipeline import DistillationPipeline, PipelineContext
 from repro.pipeline.stages import (
     AuthenticationStage,
-    CascadeAccountStage,
-    CascadeComputeStage,
     CascadeStage,
     DeliveryStage,
     EntropyEstimationStage,
@@ -116,30 +114,11 @@ class TestEnginePipelineEquivalence:
         )
         hand = run_hand_built(stages, 13, alice, bob, 500_000)
         assert hand.statistics == engine.statistics
+        assert hand.services.running_qber == engine.services.running_qber
+        assert hand.services.running_qber != engine.parameters.cascade.default_error_rate_hint
         n = engine.alice_pool.available_bits
         assert n > 0 and hand.alice_pool.available_bits == n
         assert hand.alice_pool.draw_bits(n) == engine.alice_pool.draw_bits(n)
-
-    def test_compute_then_account_composes_to_cascade_bicon(self):
-        """The parallel runtime's Cascade halves, run back to back, are the
-        sequential ``cascade.bicon`` stage."""
-        alice, bob = noisy_pair(2048, 0.06, seed=30)
-        engine = QKDProtocolEngine(rng=DeterministicRNG(31))
-        engine.distill_block(alice, bob, transmitted_pulses=500_000)
-        stages = (
-            QberAlarmStage(),
-            CascadeComputeStage(),
-            CascadeAccountStage(),
-            EntropyEstimationStage(),
-            PrivacyAmplificationStage(),
-            AuthenticationStage(),
-            DeliveryStage(),
-        )
-        split = run_hand_built(stages, 31, alice, bob, 500_000)
-        assert split.statistics == engine.statistics
-        assert split.services.running_qber == engine.services.running_qber
-        n = engine.alice_pool.available_bits
-        assert n > 0 and split.alice_pool.draw_bits(n) == engine.alice_pool.draw_bits(n)
 
 
 class TestStagePolicies:

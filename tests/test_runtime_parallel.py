@@ -1,24 +1,27 @@
-"""Tests for the deterministic parallel distillation runtime (repro.runtime).
+"""Tests for the per-block key stream and the runtime (repro.runtime).
 
-The runtime's contract is scheduling invariance: the distilled key material
-is a pure function of the seeds, never of the worker count, the pool
-backend, or how blocks are partitioned into batches.  These tests pin that
-contract — including a digest of the parallel RNG stream itself, the
-parallel-mode sibling of ``tests/test_pinned_key_material.py``.
+``EngineParameters(parallel_workers=N)`` selects the per-block stream: each
+block draws from its own ``block/<id>`` labeled fork, so the distilled key
+material is a pure function of the seeds, never of ``N`` or of how blocks
+are partitioned into batches.  These tests pin that stream by literals — the
+per-block sibling of ``tests/test_pinned_key_material.py`` — and hold the
+``LinkFarm``'s worker-count invariance.
 """
 
 import dataclasses
 import hashlib
+import multiprocessing
+import threading
 
 import pytest
 
 from repro.core.cascade import CascadeParameters
 from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
+from repro.core.messages import PrivacyAmplificationMessage
 from repro.ipsec.gateway import GatewayPair
 from repro.network.relay import TrustedRelayNetwork
 from repro import QKDSystem
 from repro.runtime import LinkFarm, parallel_map, resolve_workers
-from repro.runtime.parallel import ParallelDistiller
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -26,11 +29,10 @@ BLOCK_BITS = 2048
 ERROR_RATE = 0.06
 
 #: sha256 over the '0'/'1' rendering of every KeyBlock in Alice's pool after
-#: distilling the four standard noisy blocks (seed 7) through the parallel
-#: runtime.  This is the parallel stream's pinned digest — deliberately
-#: different from the sequential path's PINNED_POOL_DIGEST, because parallel
-#: blocks draw from ``block/<id>`` labeled forks instead of the engine's
-#: shared sequential streams.
+#: distilling the four standard noisy blocks (seed 7) on the per-block
+#: stream.  Deliberately different from the sequential stream's
+#: PINNED_POOL_DIGEST, because each block draws from its own ``block/<id>``
+#: labeled fork instead of the engine's shared sequential streams.
 PINNED_PARALLEL_POOL_DIGEST = (
     "42c27d9c93e7c0e1f64e52907c089f9645755294fb30c1457571cbdded14f189"
 )
@@ -72,10 +74,9 @@ def _pool_digest(engine):
     return digest.hexdigest()
 
 
-def _run_parallel(blocks, workers, backend="thread", **params):
+def _run_parallel(blocks, workers, **params):
     engine = QKDProtocolEngine(
-        EngineParameters(parallel_workers=workers, parallel_backend=backend, **params),
-        DeterministicRNG(7),
+        EngineParameters(parallel_workers=workers, **params), DeterministicRNG(7)
     )
     outcomes = engine.distill_blocks(blocks)
     return engine, outcomes
@@ -104,18 +105,9 @@ class TestWorkerCountInvariance:
             )
         assert reference.distilled_bits > 0
 
-    def test_process_backend_matches_thread_backend(self):
-        blocks = _workload(3)
-        thread_engine, _ = _run_parallel(blocks, 2, backend="thread")
-        process_engine, _ = _run_parallel(blocks, 2, backend="process")
-        assert _pool_digest(process_engine) == _pool_digest(thread_engine)
-
     def test_batch_partitioning_does_not_change_output(self):
         # Same four blocks, submitted one at a time vs as one batch.
-        singles = QKDProtocolEngine(
-            EngineParameters(parallel_workers=1, parallel_backend="thread"),
-            DeterministicRNG(7),
-        )
+        singles = QKDProtocolEngine(EngineParameters(parallel_workers=1), DeterministicRNG(7))
         for block in _workload(4):
             singles.distill_block(
                 block.alice_key, block.bob_key, block.transmitted_pulses
@@ -187,7 +179,9 @@ class TestPinnedParallelStream:
     def test_unconfirmed_block_is_pinned(self, workers):
         # One round of eight subsets and no first pass leaves the 6 % block
         # with residual errors, which the confirmation parities catch; the
-        # two 0.2 % blocks are fully corrected.
+        # two 0.2 % blocks are fully corrected.  The unconfirmed block stops
+        # at cascade.bicon, as on the sequential stream: no entropy estimate,
+        # no privacy amplification, no privacy messages in its transcript.
         blocks = [
             SiftedBlock(*_noisy_pair(100 + seed, error_rate=rate), transmitted_pulses=500_000)
             for seed, rate in ((0, 0.002), (1, 0.06), (2, 0.002))
@@ -196,6 +190,9 @@ class TestPinnedParallelStream:
         engine, outcomes = _run_parallel(blocks, workers, cascade=cascade)
         assert [o.abort_reason for o in outcomes] == ["", CONFIRMATION_REASON, ""]
         assert not outcomes[1].cascade.confirmed and not outcomes[1].authenticated
+        assert outcomes[1].entropy is None and outcomes[1].privacy is None
+        assert not outcomes[1].transcript.messages_of_type(PrivacyAmplificationMessage)
+        assert all(o.transcript.messages_of_type(PrivacyAmplificationMessage) for o in outcomes[::2])
         assert _pool_digest(engine) == (
             "bf722563b94c3e8cb11284e9df47c5c732ccff6aa3a395bb8607636b9be3a987"
         )
@@ -204,8 +201,8 @@ class TestPinnedParallelStream:
         assert engine.bob_auth.available_secret_bits == 3937
 
     def test_parallel_stream_differs_from_sequential_stream(self):
-        # The parallel mode is a documented, separately pinned stream — it
-        # must not silently impersonate the sequential one.
+        # The per-block stream is a documented, separately pinned stream —
+        # it must not silently impersonate the sequential one.
         sequential = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
         for block in _workload(4):
             sequential.distill_block(
@@ -247,22 +244,32 @@ class TestParallelSemantics:
         )
 
     def test_commit_telemetry_counts_every_block(self):
+        # Per-block blocks run the engine's own pipeline, so all six stages
+        # are timed on engine.pipeline.telemetry.
         blocks = _workload(3)
         hot_a, hot_b = _noisy_pair(557, error_rate=0.30)
         blocks[0] = SiftedBlock(hot_a, hot_b, transmitted_pulses=500_000)
         engine, _ = _run_parallel(blocks, 2)
-        telemetry = engine._distiller.commit.telemetry
+        telemetry = engine.pipeline.telemetry
         assert telemetry.blocks_processed == 3
         assert telemetry.timings["alarm.qber"].calls == 3
-        assert telemetry.timings["cascade.account"].calls == 2
+        assert telemetry.timings["cascade.bicon"].calls == 2
         assert telemetry.timings["deliver.pools"].calls == 2
 
-    def test_phases_cannot_be_mutated_in_place(self):
-        distiller = ParallelDistiller(EngineParameters(), workers=1, backend="thread")
-        with pytest.raises(TypeError):
-            distiller.compute_stages[0] = distiller.compute_stages[1]
-        with pytest.raises(TypeError):
-            distiller.commit.stages[0] = distiller.commit.stages[1]
+    def test_running_qber_stays_on_each_blocks_bundle(self):
+        # Each block sizes Cascade from its own QBER on its own services
+        # bundle, so the engine's running estimate never moves.
+        engine, _ = _run_parallel(_workload(3), 2)
+        hint = EngineParameters().cascade.default_error_rate_hint
+        assert engine.services.running_qber == hint
+
+    def test_per_block_stream_starts_no_thread_or_process(self):
+        threads = threading.active_count()
+        children = multiprocessing.active_children()
+        engine, _ = _run_parallel(_workload(2), 4)
+        engine.distill_blocks(_workload(2))
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == children
 
     def test_parameters_reach_the_worker_phase(self):
         blocks = _workload(2)
@@ -281,23 +288,9 @@ class TestParallelSemantics:
         assert _pool_digest(one) == _pool_digest(two)
         assert two.statistics.blocks_distilled == 2
 
-    def test_worker_pool_is_reused_across_batches(self):
-        engine, _ = _run_parallel(_workload(2), 2)
-        distiller = engine._distiller
-        assert distiller is not None
-        executor = distiller._executor
-        assert executor is not None
-        engine.distill_blocks(_workload(2))
-        assert engine._distiller is distiller
-        assert distiller._executor is executor
-        distiller.close()
-        assert distiller._executor is None
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="worker count"):
             EngineParameters(parallel_workers=0)
-        with pytest.raises(ValueError, match="backend"):
-            EngineParameters(parallel_backend="gpu")
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, True, 2.0])
     def test_bad_worker_count_is_refused_before_an_engine_exists(self, workers):
