@@ -43,6 +43,10 @@ from repro.util.rng import DeterministicRNG
 #: they were stacked.
 PINNED_FLEET_DIGEST = "28776355f9edf0e2c9edd0c4c8850977fceb1a255c65cd9dbb632a1ddd8d48ba"
 
+#: sha256 over ``repr`` of every lane's :func:`_sifted_state` after four
+#: 4 096-slot ``flush=False`` epochs of the eight-lane 10 km fleet (seed 17).
+PINNED_EPOCHS_DIGEST = "33ea8b524a6e77bc80a533eb5c162323d3daf7b30ffa00bd6c6a8858c5e8b233"
+
 SLOTS = 70_000
 BATCH = 30_000  # 3 batches: 30k + 30k + 10k, exercising the remainder batch
 
@@ -197,6 +201,45 @@ class TestLaneBitIdentity:
         assert lane_run.report.distilled_bits > 0
         assert _pool_digest(lane_run.alice_pool) == _pool_digest(seq_run.alice_pool)
         assert _report_digest(lane_run.report) == _report_digest(seq_run.report)
+
+    def test_persistent_fleet_matches_inline_over_epochs(self):
+        """A fleet that stays alive across ``run_slots(flush=False)`` epochs
+        — the Monte-Carlo replenishment cadence — carries each lane's sifted
+        stream and counters exactly as the same links run one at a time."""
+        parameters = LinkParameters(
+            channel=ChannelParameters.for_distance(10.0), slots_per_batch=4096
+        )
+        jobs = LinkFarm.jobs(8, 4096, parameters=parameters, rng=DeterministicRNG(17))
+        fleet = LaneEngine(jobs)
+        inline = [
+            QKDLink(job.parameters, DeterministicRNG(job.seed), name=job.name)
+            for job in jobs
+        ]
+        for _ in range(4):
+            fleet.run_slots(4096, flush=False)
+            for link in inline:
+                link.run_slots(4096, flush=False)
+            states = [_sifted_state(link) for link in fleet.links]
+            assert states == [_sifted_state(link) for link in inline]
+        assert [state[2:] for state in states] == [
+            (21, 2, 16384, 0), (24, 3, 16384, 0), (31, 1, 16384, 0), (23, 1, 16384, 0),
+            (31, 2, 16384, 0), (22, 3, 16384, 0), (25, 2, 16384, 0), (35, 2, 16384, 0),
+        ]
+        assert hashlib.sha256(repr(states).encode()).hexdigest() == PINNED_EPOCHS_DIGEST
+
+
+def _sifted_state(link):
+    """A link's pending sifted key on both sides plus its running counters."""
+    alice, bob = link.engine.pending_sifted_key
+    stats = link.engine.statistics
+    return (
+        str(alice),
+        str(bob),
+        stats.sifted_bits,
+        stats.sifted_errors,
+        stats.slots_processed,
+        stats.blocks_distilled,
+    )
 
 
 class TestBatchedAnnouncement:

@@ -1,9 +1,12 @@
 """Tests for the composable distillation pipeline (repro.pipeline)."""
 
+import hashlib
+
 import pytest
 
 from repro.core.cascade import CascadeParameters, CascadeProtocol
-from repro.core.engine import EngineParameters, QKDProtocolEngine
+from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
+from repro.core.messages import PrivacyAmplificationMessage
 from repro.pipeline import DistillationPipeline, PipelineContext
 from repro.pipeline.stages import (
     AuthenticationStage,
@@ -133,6 +136,41 @@ class TestStagePolicies:
         tag_bits = engine.parameters.auth_tag_bits
         assert engine.alice_auth.available_secret_bits == start - tag_bits
         assert engine.bob_auth.available_secret_bits == start - tag_bits
+
+    def test_unconfirmed_block_stops_at_cascade(self):
+        """One round of eight subsets and no first pass leaves the 6 % block
+        with residual errors, which the confirmation parities catch; the two
+        0.2 % blocks are fully corrected.  The unconfirmed block gets no
+        entropy estimate, no privacy amplification and no privacy messages,
+        and its neighbours' key is pinned."""
+        blocks = [
+            SiftedBlock(*noisy_pair(2048, rate, seed=100 + index), transmitted_pulses=500_000)
+            for index, rate in enumerate((0.002, 0.06, 0.002))
+        ]
+        cascade = CascadeParameters(block_first_pass=False, rounds=1, subsets_per_round=8)
+        engine = QKDProtocolEngine(EngineParameters(cascade=cascade), DeterministicRNG(7))
+        outcomes = engine.distill_blocks(blocks)
+        assert [o.abort_reason for o in outcomes] == [
+            "", "error correction failed confirmation", ""
+        ]
+        assert not outcomes[1].cascade.confirmed and not outcomes[1].authenticated
+        assert outcomes[1].entropy is None and outcomes[1].privacy is None
+        assert [
+            bool(o.transcript.messages_of_type(PrivacyAmplificationMessage)) for o in outcomes
+        ] == [True, False, True]
+        digest = hashlib.sha256()
+        for block in engine.alice_pool.blocks:
+            digest.update(str(block.bits).encode())
+        assert digest.hexdigest() == (
+            "1a996fa9cd8d5c5ad12e408d9358649915edf271d4e809d2c927b1aef8fbcfcc"
+        )
+        stats = engine.statistics
+        assert (
+            stats.distilled_bits, stats.blocks_distilled, stats.blocks_aborted,
+            stats.disclosed_parities,
+        ) == (3376, 2, 1, 272)
+        assert engine.alice_auth.available_secret_bits == 3937
+        assert engine.bob_auth.available_secret_bits == 3937
 
     def test_authentication_failure_aborts_without_delivery(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(37))
