@@ -74,10 +74,6 @@ class SystemConfig:
     block_size_bits: int = 2048
     abort_qber: float = 0.15
     randomness_testing: bool = False
-    #: Key stream selector (``EngineParameters.parallel_workers``): ``None``
-    #: keeps the sequential stream; an integer selects the per-block stream,
-    #: whose output is the same for every count.
-    parallel_workers: Optional[int] = None
 
     # ---- VPN assembly -------------------------------------------------- #
     #: Channel-seconds of key distilled before the gateways come up.
@@ -109,7 +105,6 @@ class SystemConfig:
             block_size_bits=self.block_size_bits,
             abort_qber=self.abort_qber,
             randomness_testing=self.randomness_testing,
-            parallel_workers=self.parallel_workers,
         )
 
     def channel_parameters(self) -> ChannelParameters:
@@ -148,11 +143,6 @@ class QKDSystem:
 
     def with_defense(self, defense: str) -> "QKDSystem":
         return self.configured(defense=defense)
-
-    def with_parallelism(self, workers: Optional[int]) -> "QKDSystem":
-        """Select the per-block key stream (or, with ``None``, the sequential
-        one) — see ``EngineParameters.parallel_workers``."""
-        return self.configured(parallel_workers=workers)
 
     def entangled(self, flag: bool = True) -> "QKDSystem":
         return self.configured(entangled=flag)

@@ -17,11 +17,11 @@ Every protocol step lives in a stage (:mod:`repro.pipeline.stages`); what
 varies between engines is configuration (:class:`EngineParameters`: the
 defense function, the confidence, the thresholds), never the sequence.
 
-``EngineParameters.parallel_workers`` selects one of two key streams.  On the
-sequential stream (``None``) blocks share the engine's Cascade and privacy
-RNG streams and its running QBER estimate.  On the per-block stream (any
-count) each block draws from its own ``block/<id>`` labeled fork.  Both run
-every block in-line through the same pipeline; no worker pool is involved.
+An engine distils one key stream: its blocks run in-line, one after another,
+through the one pipeline, sharing the engine's Cascade and privacy RNG
+streams and its running QBER estimate.  Blocks are never fanned out to
+workers; parallelism lives one level up, across links
+(:class:`repro.runtime.LinkFarm`).
 
 Because this is a simulation, one engine object drives both protocol
 endpoints; the two ends' states (keys, pools) are nonetheless kept strictly
@@ -35,7 +35,7 @@ exactly the detect-and-respond behaviour the paper ascribes to Alice and Bob.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.authentication import AuthenticatedChannel
@@ -99,16 +99,6 @@ class EngineParameters:
     #: system" extension the paper anticipates.
     randomness_testing: bool = False
     cascade: CascadeParameters = field(default_factory=CascadeParameters)
-    #: Which key stream the engine distils.  ``None`` (the default) is the
-    #: historical sequential stream, pinned by its key-material digests: every
-    #: block draws from the engine's shared Cascade and privacy streams and
-    #: sizes Cascade from the running QBER estimate.  An integer ``N >= 1``
-    #: selects the per-block stream: block ``id`` draws from its own
-    #: ``block/<id>`` labeled fork and sizes Cascade from its own QBER, so the
-    #: output is the same for every ``N`` and every batching of the blocks,
-    #: and is a *different, separately pinned stream*.  No worker pool runs
-    #: either stream; ``N`` selects, it does not fan out.
-    parallel_workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.defense not in ("bennett", "slutsky"):
@@ -119,12 +109,6 @@ class EngineParameters:
             raise ValueError("abort QBER must be in (0, 0.5]")
         if self.auth_replenish_bits < 0:
             raise ValueError("auth replenish bits must be non-negative")
-        if self.parallel_workers is not None:
-            # Imported here: repro.runtime imports the link layer, which
-            # imports this module.
-            from repro.runtime.pool import resolve_workers
-
-            resolve_workers(self.parallel_workers)
 
     def make_defense(self):
         if self.defense == "bennett":
@@ -195,22 +179,6 @@ class EngineStatistics:
         return self.sifted_bits / self.slots_processed
 
 
-def _stream_protocols(params: EngineParameters, rng: DeterministicRNG) -> dict:
-    """The protocol instances one key stream owns: Cascade and privacy
-    amplification on forks of ``rng`` (in that order), the entropy estimator
-    and the optional randomness tester."""
-    return dict(
-        cascade=CascadeProtocol(params.cascade, rng.fork("cascade")),
-        privacy=PrivacyAmplification(rng.fork("privacy")),
-        estimator=EntropyEstimator(
-            defense=params.make_defense(),
-            confidence_sigmas=params.confidence_sigmas,
-            worst_case_multiphoton=params.worst_case_multiphoton,
-        ),
-        randomness_tester=RandomnessTester() if params.randomness_testing else None,
-    )
-
-
 class QKDProtocolEngine:
     """Drives the stage pipeline and feeds both endpoints' key pools."""
 
@@ -235,7 +203,14 @@ class QKDProtocolEngine:
         self.services = PipelineServices(
             parameters=params,
             statistics=EngineStatistics(),
-            **_stream_protocols(params, self.rng),
+            cascade=CascadeProtocol(params.cascade, self.rng.fork("cascade")),
+            privacy=PrivacyAmplification(self.rng.fork("privacy")),
+            estimator=EntropyEstimator(
+                defense=params.make_defense(),
+                confidence_sigmas=params.confidence_sigmas,
+                worst_case_multiphoton=params.worst_case_multiphoton,
+            ),
+            randomness_tester=RandomnessTester() if params.randomness_testing else None,
             alice_auth=alice_auth,
             bob_auth=bob_auth,
             alice_pool=KeyPool(name="alice"),
@@ -252,12 +227,6 @@ class QKDProtocolEngine:
                 DeliveryStage(),
             )
         )
-
-        # Root of the per-block stream's ``block/<id>`` forks.  Forked
-        # unconditionally (fork() consumes no draws from the parent, so the
-        # sequential stream is untouched) so that selecting the per-block
-        # stream cannot shift any other stream.
-        self._runtime_rng = self.rng.fork("runtime")
 
         self._next_block_id = 0
         self._next_frame_id = 0
@@ -368,10 +337,10 @@ class QKDProtocolEngine:
         """Run one sifted block through the distillation pipeline.
 
         The block takes the next block id, and its run advances the engine's
-        state: the authentication pads, the key pools, the statistics and,
-        on the sequential stream, the running QBER estimate.  It is a
-        one-block :meth:`distill_blocks`, so single-block and batched
-        submissions of the same blocks produce identical key material.
+        state: the authentication pads, the key pools, the statistics and
+        the running QBER estimate.  It is a one-block :meth:`distill_blocks`,
+        so single-block and batched submissions of the same blocks produce
+        identical key material.
         """
         block = SiftedBlock(
             alice_key=alice_key,
@@ -385,9 +354,8 @@ class QKDProtocolEngine:
     def distill_blocks(self, blocks: Sequence[SiftedBlock]) -> List[DistillationOutcome]:
         """Distill a batch of sifted blocks, in order.
 
-        Every block runs the engine's six-stage :attr:`pipeline`; the
-        sequential and the per-block stream differ only in the services
-        bundle a block runs against (:meth:`_block_services`).
+        Every block runs the engine's six-stage :attr:`pipeline` against
+        the engine's one :attr:`services` bundle.
         """
         outcomes = []
         for block in blocks:
@@ -400,8 +368,8 @@ class QKDProtocolEngine:
                 transmitted_pulses=block.transmitted_pulses,
                 mean_photon_number=block.mean_photon_number,
                 entangled_source=block.entangled_source,
+                services=self.services,
             )
-            ctx.services = self._block_services(ctx)
             ctx = self.pipeline.run(ctx)
             outcomes.append(
                 DistillationOutcome(
@@ -419,27 +387,6 @@ class QKDProtocolEngine:
                 )
             )
         return outcomes
-
-    def _block_services(self, ctx: PipelineContext) -> PipelineServices:
-        """The services bundle block ``ctx`` runs against.
-
-        The sequential stream shares :attr:`services` across blocks.  The
-        per-block stream gives each block a copy that shares the engine's
-        statistics, authenticated channels and key pools, but draws Cascade
-        and privacy amplification from the block's own ``block/<id>`` fork,
-        has a fresh estimator and randomness tester, and sizes Cascade from
-        the block's own QBER.  A block's key is then a function of the
-        runtime seed, its id, its keys and the shared state it is charged
-        to — not of which blocks came before it.
-        """
-        if self.parameters.parallel_workers is None:
-            return self.services
-        block_rng = self._runtime_rng.fork_labeled(f"block/{ctx.block_id}")
-        return replace(
-            self.services,
-            **_stream_protocols(self.parameters, block_rng),
-            running_qber=ctx.qber,
-        )
 
     def _pop_pending_block(self, partial: bool = False) -> SiftedBlock:
         size = (

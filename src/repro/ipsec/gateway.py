@@ -224,59 +224,6 @@ class GatewayPair:
         """
         return cls(engine.alice_pool, engine.bob_pool, clock=clock, rng=rng, **kwargs)
 
-    @classmethod
-    def provision_many(
-        cls,
-        n_pairs: int,
-        slots_per_link: int = 250_000,
-        link_parameters=None,
-        rng: Optional[DeterministicRNG] = None,
-        workers: Optional[int] = None,
-        backend: str = "process",
-    ) -> List["GatewayPair"]:
-        """Bring up a fleet of enclave pairs, distilling every link in parallel.
-
-        The scenario behind the paper's Fig 2 picture at scale: ``n_pairs``
-        private-enclave pairs, each keyed by its own QKD link.  The links
-        are simulated concurrently through :class:`repro.runtime.LinkFarm`
-        (each link rebuilt in a worker from a labeled-fork seed), then each
-        pair of freshly filled pools is wired into a :class:`GatewayPair`.
-        The fleet's key material depends only on the root ``rng`` seed and
-        the pair index — never on ``workers`` — so scenarios scale across
-        cores without losing reproducibility.
-
-        Each pair gets distinct gateway names/addresses (``gw-<i>-a/b``,
-        ``10.<i>.0.1/2``) and its own clock; policies and IKE bring-up are
-        left to the caller.
-        """
-        from repro.runtime.farm import LinkFarm
-
-        if n_pairs < 0:
-            raise ValueError("pair count must be non-negative")
-        rng = rng or DeterministicRNG(0)
-        farm = LinkFarm(workers=workers, backend=backend)
-        jobs = LinkFarm.jobs(
-            n_pairs,
-            slots_per_link,
-            parameters=link_parameters,
-            rng=rng,
-            name_prefix="gateway-link",
-        )
-        pairs: List["GatewayPair"] = []
-        for index, run in enumerate(farm.run(jobs)):
-            pairs.append(
-                cls(
-                    run.alice_pool,
-                    run.bob_pool,
-                    rng=rng.fork_labeled(f"gateway-pair/{index}"),
-                    alice_name=f"gw-{index}-a",
-                    bob_name=f"gw-{index}-b",
-                    alice_address=f"10.{index}.0.1",
-                    bob_address=f"10.{index}.0.2",
-                )
-            )
-        return pairs
-
     # ------------------------------------------------------------------ #
 
     def add_symmetric_policy(self, policy: SecurityPolicy, reverse_name: Optional[str] = None) -> None:

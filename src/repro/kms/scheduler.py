@@ -75,19 +75,19 @@ class ReplenishmentConfig:
     workers: Optional[int] = None
     #: Monte-Carlo dispatch only: the farm's backend, one of
     #: :data:`repro.runtime.farm.LinkFarm.BACKENDS`.  ``"process"`` or
-    #: ``"thread"`` run one link per worker; ``"lanes"``/``"auto"`` run the
-    #: whole epoch's links as one vectorized lane batch (epochs are
-    #: homogeneous — ``slots_per_epoch`` slots on every dispatched link — so
-    #: they are always lane-compatible).
+    #: ``"thread"`` run one link per worker; ``"lanes"`` runs the whole
+    #: epoch's links as one vectorized lane batch (epochs are homogeneous —
+    #: ``slots_per_epoch`` slots on every dispatched link — so they are
+    #: always lane-compatible).
     backend: str = "thread"
     #: Pairwise pads below this are always dispatched this epoch.
     pad_low_water_bits: int = 4_096
     #: Dispatch tops pads up toward this level (analytic mode caps the
     #: banked material so pads do not grow without bound).
     pad_target_bits: int = 65_536
-    #: Cap on links dispatched per epoch (None = every needy link); the
-    #: neediest links win, so a tight cap models a shared distillation
-    #: budget under contention.
+    #: Cap on links dispatched per epoch (None = every needy link, else a
+    #: positive count); the neediest links win, so a tight cap models a
+    #: shared distillation budget under contention.
     max_links_per_epoch: Optional[int] = None
     #: Mean measured/expected QBER above which a link is declared
     #: eavesdropped and handed to the routing layer to avoid.
@@ -111,6 +111,9 @@ class ReplenishmentConfig:
             raise ValueError("epoch duration must be positive")
         if self.slots_per_epoch <= 0:
             raise ValueError("slot budget must be positive")
+        cap = self.max_links_per_epoch
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
+            raise ValueError(f"max_links_per_epoch must be None or a positive integer, got {cap!r}")
         resolve_workers(self.workers)
 
 

@@ -29,11 +29,10 @@ A wide batch amortizes fixed per-epoch cost (interpreter dispatch,
 small-array numpy overhead) across the fleet and pays no process spawn or
 pickling, so it wins whenever epochs are homogeneous and per-lane compute is
 modest — the metro-mesh replenishment case.  Workers win for few, long or
-ragged jobs, and are what the ``LinkFarm``'s ``auto`` backend selects when
-jobs cannot share a batch.  Peak memory scales with
-``n_links * slots_per_batch``; shrink ``slots_per_batch`` as lane counts
-grow.  (Changing ``slots_per_batch`` changes the generator call granularity
-and therefore the bitstream, so compare like with like.)
+ragged jobs, which a batch refuses (:func:`lane_mismatch`).  Peak memory
+scales with ``n_links * slots_per_batch``; shrink ``slots_per_batch`` as lane
+counts grow.  (Changing ``slots_per_batch`` changes the generator call
+granularity and therefore the bitstream, so compare like with like.)
 """
 
 from __future__ import annotations
@@ -180,15 +179,6 @@ class LaneEngine:
             for index in range(n_lanes)
         ]
         return cls(jobs)
-
-    @staticmethod
-    def compatible(jobs: Sequence[LinkJob]) -> bool:
-        """Whether ``jobs`` can share one lane batch (see :func:`lane_mismatch`).
-
-        The ``LinkFarm``'s ``auto`` backend uses this to decide between one
-        wide batch and process workers.
-        """
-        return lane_mismatch(list(jobs)) is None
 
     @property
     def n_lanes(self) -> int:

@@ -9,12 +9,9 @@ mutate it, and hand it to the next stage.
 A :class:`PipelineServices` bundle holds the long-lived two-party machinery
 the stages read through ``ctx.services``: the Cascade protocol instance, the
 privacy amplifier, the entropy estimator, both endpoints' authenticated
-channels and key pools, and the engine's cumulative statistics.  On the
-engine's sequential key stream one bundle is shared by every block, which is
-how stages carry state (running QBER estimate, authentication pools) across
-blocks.  On the per-block stream each block runs against a copy that shares
-the statistics, authenticated channels and key pools but has its own
-Cascade, privacy amplifier, estimator, randomness tester and running QBER.
+channels and key pools, and the engine's cumulative statistics.  An engine
+has one bundle and every block runs against it, which is how stages carry
+state (running QBER estimate, authentication pools) across blocks.
 """
 
 from __future__ import annotations
@@ -71,8 +68,7 @@ class PipelineContext:
     mean_photon_number: float = 0.1
     entangled_source: bool = False
     #: The services bundle this block runs against: every stage reads its
-    #: protocols, pools and statistics from here.  The engine sets it before
-    #: the block's first stage runs.
+    #: protocols, pools and statistics from here.  The engine passes its own.
     services: Optional[PipelineServices] = None
 
     #: Public transcript of the block; authenticated at the end.

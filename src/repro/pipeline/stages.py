@@ -2,7 +2,7 @@
 
 Each class wraps one of the two-party protocols of :mod:`repro.core` as a
 :class:`~repro.pipeline.stage.PipelineStage`.  The engine runs all six, in
-this order, on both of its key streams:
+this order, on every block:
 
 ========================  ====================================================
 name                      stage

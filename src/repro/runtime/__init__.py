@@ -9,13 +9,12 @@ on: **identical seeds give identical keys, for any worker count**.
   process or thread pool, and :func:`resolve_workers`;
 * :mod:`repro.runtime.farm` — :class:`LinkFarm`, link-level parallelism
   across a fleet: each link is rebuilt in a worker from ``(parameters,
-  seed, slots)``, so relay-mesh and VPN scenarios run every link
-  concurrently.
+  seed, slots)``, so the replenishment scheduler's Monte-Carlo epochs run
+  every link concurrently.
 
-Blocks inside one engine are not fanned out.  A worker pool lost to the
+Blocks inside one engine are not fanned out: a worker pool lost to the
 plain loop there (``n_x_1`` about 1.0 with processes and 0.75 with threads
-at 2 workers on a 2-vCPU host), so ``EngineParameters(parallel_workers=N)``
-only selects the engine's per-block key stream, which the engine distils
+at 2 workers on a 2-vCPU host), so an engine distils its one key stream
 in-line.  See ``docs/API.md`` for the determinism contract and the catalogue
 of named RNG streams.
 """

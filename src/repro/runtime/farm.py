@@ -76,27 +76,21 @@ class LinkFarm:
     ``"lanes"``
         The whole fleet as one ``(n_links, n_slots)`` batch in this process.
         Requires lane-compatible jobs (homogeneous epochs; see
-        :meth:`LaneEngine.compatible`).
-    ``"auto"``
-        Lanes when the jobs are lane-compatible, otherwise process workers.
+        :func:`repro.lanes.engine.lane_mismatch`).
     """
 
     #: Valid ``backend`` names, in documentation order.
-    BACKENDS = ("process", "thread", "lanes", "auto")
+    BACKENDS = ("process", "thread", "lanes")
 
     def __init__(self, workers: Optional[int] = None, backend: str = "process"):
         resolve_workers(workers)
-        self.workers = workers
-        self.backend = self._validated_backend(backend)
-
-    @classmethod
-    def _validated_backend(cls, backend: str) -> str:
-        if backend not in cls.BACKENDS:
+        if backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown LinkFarm backend {backend!r}; valid backends are "
-                f"{', '.join(cls.BACKENDS)}"
+                f"{', '.join(self.BACKENDS)}"
             )
-        return backend
+        self.workers = workers
+        self.backend = backend
 
     @staticmethod
     def jobs(
@@ -140,9 +134,6 @@ class LinkFarm:
         jobs = list(jobs)
         if not jobs:
             return []
-        backend = self._validated_backend(self.backend)
-        if backend == "auto":
-            backend = "lanes" if LaneEngine.compatible(jobs) else "process"
-        if backend == "lanes":
+        if self.backend == "lanes":
             return LaneEngine(jobs).run()
-        return parallel_map(_run_link_job, jobs, workers=self.workers, backend=backend)
+        return parallel_map(_run_link_job, jobs, workers=self.workers, backend=self.backend)

@@ -9,8 +9,7 @@ callers put independence into the work items (forked RNG streams, no shared
 state) and get scheduling-invariant output back by construction.  Two
 would-be callers loop inline instead, because a pool lost to the plain loop
 there: pad-material generation (at every fleet size measured, 12-400 links)
-and the blocks of one engine (``EngineParameters.parallel_workers`` selects a
-key stream and starts no pool; :func:`resolve_workers` validates it).
+and the blocks of one engine.
 
 ``workers=1`` (or a single item) runs inline with no pool at all, so the
 same call sites serve both the parallel and the degenerate case, and a

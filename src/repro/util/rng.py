@@ -76,11 +76,10 @@ class DeterministicRNG:
         Unlike :meth:`fork`, no per-parent counter enters the derivation, so
         the child stream depends solely on ``(seed, label)`` — forking the
         same label twice yields the same stream, and the order in which
-        different labels are forked does not matter.  This is the derivation
-        the engine's per-block key stream uses
-        (``fork_labeled(f"block/{block_id}")``): a block's randomness is a
-        pure function of the runtime seed and the block id, which is what
-        makes that stream's output independent of how blocks are batched.
+        different labels are forked does not matter.  Fleets use it
+        (``fork_labeled(f"link/{prefix}/{i}")``): a link's randomness is a
+        pure function of the root seed and its index, so adding, removing
+        or reordering links leaves every other link's stream unchanged.
 
         The key material is framed as ``"<seed>|L|<label>"``; the counter
         variant uses a decimal counter in that position, so the two

@@ -269,16 +269,3 @@ class TestPackageExports:
                 prefixes = {".".join(pieces[:depth]) for depth in range(1, len(pieces) + 1)}
                 reached |= (prefixes & shipped.keys()) - {own_name}
         assert sorted(set(shipped) - reached) == []
-
-
-class TestParallelismKnob:
-    def test_with_parallelism_propagates_to_engine(self):
-        link = QKDSystem(seed=3).with_parallelism(2).link()
-        assert link.engine.parameters.parallel_workers == 2
-
-    def test_default_stays_sequential(self):
-        assert QKDSystem(seed=3).link().engine.parameters.parallel_workers is None
-
-    def test_parallelism_can_be_disabled_again(self):
-        system = QKDSystem(seed=3).with_parallelism(4).with_parallelism(None)
-        assert system.config.parallel_workers is None

@@ -456,6 +456,15 @@ class TestReplenishmentScheduler:
         with pytest.raises(ValueError):
             ReplenishmentConfig(epoch_seconds=0)
 
+    def test_link_cap_must_be_none_or_positive(self):
+        """A cap of 0 (or below) was accepted, and every epoch then
+        dispatched no link: each store starved without an error."""
+        for cap in (0, -1, 1.5, True, "2"):
+            with pytest.raises(ValueError, match="max_links_per_epoch"):
+                ReplenishmentConfig(max_links_per_epoch=cap)
+        assert ReplenishmentConfig(max_links_per_epoch=1).max_links_per_epoch == 1
+        assert ReplenishmentConfig().max_links_per_epoch is None
+
     def test_unknown_link_raises_keyerror_naming_known_set(self):
         relays = make_relays()
         scheduler = ReplenishmentScheduler(

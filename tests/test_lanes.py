@@ -5,9 +5,10 @@ distilled key, report and pools are byte-for-byte what the same job produces
 as a width-1 batch (``QKDLink.run_slots``, a farm worker).  These tests pin
 that differentially — N lanes vs N x 1 lane, across lane counts,
 heterogeneous per-lane physics, an attacked lane, and lane order, which is
-what catches cross-lane leakage — plus the batched announcement path
-(``run_length_encode_rows`` / ``sift_frames``), the farm's backend selection,
-and the scheduler's lanes-backed Monte-Carlo mode.
+what catches cross-lane leakage — and a persistent fleet over repeated
+epochs, plus the batched announcement path (``run_length_encode_rows`` /
+``sift_frames``), the farm's lanes backend, and the scheduler's lanes-backed
+Monte-Carlo mode.
 """
 
 import hashlib
@@ -26,6 +27,7 @@ from repro.core.sifting import (
 from repro.eve import InterceptResendAttack
 from repro.kms import KeyManagementService, KmsConfig
 from repro.kms.scheduler import ReplenishmentConfig
+from repro.lanes.engine import lane_mismatch
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.optics.channel import ChannelParameters, FrameResult, QuantumChannel
 from repro.optics.detector import DetectorParameters
@@ -321,16 +323,6 @@ class TestFarmBackends:
                 thread_run.alice_pool
             )
 
-    def test_auto_selects_lanes_for_homogeneous_jobs(self):
-        jobs = heterogeneous_jobs()
-        assert LaneEngine.compatible(jobs)
-        ragged = [jobs[0], replace(jobs[1], n_slots=jobs[1].n_slots + 1)]
-        assert not LaneEngine.compatible(ragged)
-        assert not LaneEngine.compatible([])
-        # auto still runs ragged fleets (process path) and returns in order
-        runs = LinkFarm(workers=2, backend="auto").run(ragged)
-        assert [run.name for run in runs] == [job.name for job in ragged]
-
     def test_lane_engine_rejects_incompatible_fleets(self):
         jobs = heterogeneous_jobs()
         with pytest.raises(LaneCompatibilityError, match="n_slots"):
@@ -363,7 +355,7 @@ class TestFarmBackends:
 
         names = ["beamsplitter", "entangled", "phase_noise"]
         jobs = [branch_job(name) for name in names]
-        assert LaneEngine.compatible(jobs)
+        assert lane_mismatch(jobs) is None
         for run in LinkFarm(backend="lanes").run(jobs):
             pinned_pool_digest = LINK_BRANCHES[run.name][3]
             assert link_run_digest(run.report, run.alice_pool) == pinned_pool_digest

@@ -347,45 +347,30 @@ def test_cascade_transcript_and_counts_are_pinned(name):
 # ---------------------------------------------------------------------- #
 #
 # Bench A3's Slutsky run (six 2 048-bit blocks at 6 % QBER, seed 7), once
-# sequentially through ``distill_block`` and once as one ``distill_blocks``
-# batch on the per-block stream.  Recorded while the Slutsky defense could
-# also be selected as a stage plan naming ``entropy.slutsky``, and while a
-# thread pool ran the per-block stream; that plan, ``defense="slutsky"`` and
-# the in-line per-block stream all give these values.
+# one block per ``distill_block`` call and once as one ``distill_blocks``
+# batch: the two submissions are the same key stream.
 
-#: workers -> (sha256 over Alice's pooled blocks, EngineStatistics fields)
-SLUTSKY_PINS = {
-    None: (
-        "be36171e68de3666751e1ef3461ee7c6245bf06c9a34142ec70de2d4fb731e40",
-        {"slots_processed": 0, "sifted_bits": 0, "sifted_errors": 0, "distilled_bits": 10,
-         "blocks_distilled": 6, "blocks_aborted": 0, "disclosed_parities": 5687},
-    ),
-    1: (
-        "fdc0679dbc2e36dde95f28052ea52b7c5277cc18d36d62e79b4d1482c9a76fdd",
-        {"slots_processed": 0, "sifted_bits": 0, "sifted_errors": 0, "distilled_bits": 19,
-         "blocks_distilled": 6, "blocks_aborted": 0, "disclosed_parities": 5678},
-    ),
-}
-SLUTSKY_PINS[2] = SLUTSKY_PINS[1]
+#: sha256 over Alice's pooled blocks, and the EngineStatistics fields
+SLUTSKY_PIN = (
+    "be36171e68de3666751e1ef3461ee7c6245bf06c9a34142ec70de2d4fb731e40",
+    {"slots_processed": 0, "sifted_bits": 0, "sifted_errors": 0, "distilled_bits": 10,
+     "blocks_distilled": 6, "blocks_aborted": 0, "disclosed_parities": 5687},
+)
 
 
-@pytest.mark.parametrize("workers", [None, 1, 2])
-def test_slutsky_pool_and_statistics_are_pinned(workers):
-    engine = QKDProtocolEngine(
-        EngineParameters(defense="slutsky", parallel_workers=workers),
-        DeterministicRNG(7),
-    )
+def test_slutsky_pool_and_statistics_are_pinned():
     blocks = [_noisy_pair(100 + seed) for seed in range(6)]
-    if workers is None:
-        for alice, bob in blocks:
-            engine.distill_block(alice, bob, transmitted_pulses=500_000)
-    else:
-        engine.distill_blocks([SiftedBlock(a, b, 500_000) for a, b in blocks])
-    digest = hashlib.sha256()
-    for block in engine.alice_pool.blocks:
-        digest.update(str(block.bits).encode())
-    assert engine.keys_match
-    assert (digest.hexdigest(), dataclasses.asdict(engine.statistics)) == SLUTSKY_PINS[workers]
+    one_at_a_time = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(7))
+    for alice, bob in blocks:
+        one_at_a_time.distill_block(alice, bob, transmitted_pulses=500_000)
+    batched = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(7))
+    batched.distill_blocks([SiftedBlock(a, b, 500_000) for a, b in blocks])
+    for engine in (one_at_a_time, batched):
+        digest = hashlib.sha256()
+        for block in engine.alice_pool.blocks:
+            digest.update(str(block.bits).encode())
+        assert engine.keys_match
+        assert (digest.hexdigest(), dataclasses.asdict(engine.statistics)) == SLUTSKY_PIN
 
 
 ENGINE_STAGE_NAMES = (
@@ -399,6 +384,5 @@ ENGINE_STAGE_NAMES = (
 
 
 def test_stage_sequences_are_pinned():
-    for workers in (None, 2):
-        engine = QKDProtocolEngine(EngineParameters(parallel_workers=workers), DeterministicRNG(7))
-        assert engine.pipeline.stage_names == ENGINE_STAGE_NAMES
+    engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
+    assert engine.pipeline.stage_names == ENGINE_STAGE_NAMES
