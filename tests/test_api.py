@@ -72,6 +72,21 @@ class TestLinkFacade:
         link = QKDSystem(seed=4).with_defense("slutsky").link()
         assert link.engine.estimator.defense.name == "slutsky"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("confidence_sigmas", 4.0),
+            ("worst_case_multiphoton", True),
+            ("block_size_bits", 1024),
+            ("abort_qber", 0.2),
+            ("randomness_testing", True),
+        ],
+    )
+    def test_distillation_field_reaches_engine(self, field, value):
+        link = QKDSystem(seed=4).configured(**{field: value}).link()
+        assert getattr(link.engine.parameters, field) == value
+        assert getattr(QKDSystem(seed=4).link().engine.parameters, field) != value
+
 
 class TestVpnFacade:
     @pytest.fixture(scope="class")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.engine import EngineParameters, QKDProtocolEngine
+from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
 from repro.core.sifting import SiftingProtocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -133,6 +133,120 @@ class TestDistillBlock:
         outcome = engine.distill_block(alice, bob, transmitted_pulses=200_000)
         assert outcome.transcript is not None
         assert len(outcome.transcript) > 0
+
+
+def sifted_blocks(rates, seed=100):
+    """One 2 048-bit SiftedBlock per error rate, 500 000 pulses each."""
+    return [
+        SiftedBlock(*noisy_pair(2048, rate, seed=seed + index), transmitted_pulses=500_000)
+        for index, rate in enumerate(rates)
+    ]
+
+
+class TestDistillBlocks:
+    """A batch runs in-line, block after block, on the engine's one stream."""
+
+    def test_alarmed_block_inside_a_batch_aborts_alone(self):
+        engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        outcomes = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.06)))
+        assert [o.aborted for o in outcomes] == [False, True, False]
+        assert "exceeds abort threshold" in outcomes[1].abort_reason
+        assert (engine.statistics.blocks_distilled, engine.statistics.blocks_aborted) == (2, 1)
+        assert engine.keys_match
+
+    def test_alarmed_block_spends_no_compute_but_the_same_authentication(self):
+        hot = sifted_blocks((0.30,), seed=556)
+        single = QKDProtocolEngine(rng=DeterministicRNG(7))
+        alone = single.distill_block(hot[0].alice_key, hot[0].bob_key, 500_000)
+        batched = QKDProtocolEngine(rng=DeterministicRNG(7))
+        outcome = batched.distill_blocks(hot)[0]
+        assert outcome.aborted and outcome.abort_reason == alone.abort_reason
+        assert outcome.cascade is None and outcome.entropy is None and outcome.privacy is None
+        assert len(outcome.transcript) == len(alone.transcript) == 0
+        assert batched.alice_auth.available_secret_bits == single.alice_auth.available_secret_bits
+        assert batched.bob_auth.available_secret_bits == single.bob_auth.available_secret_bits
+
+    def test_telemetry_counts_every_block(self):
+        engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        engine.distill_blocks(sifted_blocks((0.30, 0.06, 0.06), seed=557))
+        telemetry = engine.pipeline.telemetry
+        assert telemetry.blocks_processed == 3
+        assert telemetry.timings["alarm.qber"].calls == 3
+        assert telemetry.timings["cascade.bicon"].calls == 2
+        assert telemetry.timings["deliver.pools"].calls == 2
+
+    def test_running_qber_follows_each_reconciled_block(self):
+        # Cascade sizes each block from the estimate the block before it
+        # left behind; an alarmed block never reaches Cascade and leaves it.
+        engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        outcomes = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.03, 0.09)))
+        expected = EngineParameters().cascade.default_error_rate_hint
+        for outcome in outcomes:
+            if outcome.cascade is not None:
+                expected = 0.5 * expected + 0.5 * max(
+                    outcome.cascade.errors_corrected / outcome.sifted_bits, 1e-4
+                )
+        assert [o.cascade is None for o in outcomes] == [False, True, False, False]
+        assert engine.services.running_qber == expected
+
+    def test_distillation_starts_no_thread_or_process(self):
+        import multiprocessing
+        import threading
+
+        threads = threading.active_count()
+        children = multiprocessing.active_children()
+        engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        engine.distill_blocks(sifted_blocks((0.06, 0.06)))
+        engine.distill_blocks(sifted_blocks((0.06, 0.06), seed=102))
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == children
+
+    def test_confidence_reaches_every_block_of_a_batch(self):
+        blocks = sifted_blocks((0.06, 0.06))
+        strict = QKDProtocolEngine(rng=DeterministicRNG(7))
+        relaxed = QKDProtocolEngine(EngineParameters(confidence_sigmas=4.0), DeterministicRNG(7))
+        strict_outcomes = strict.distill_blocks(blocks)
+        relaxed_outcomes = relaxed.distill_blocks(blocks)
+        for tight, loose in zip(strict_outcomes, relaxed_outcomes):
+            assert loose.distilled_bits > tight.distilled_bits
+
+    def test_randomness_battery_runs_on_each_reconciled_block(self, monkeypatch):
+        engine = QKDProtocolEngine(EngineParameters(randomness_testing=True), DeterministicRNG(7))
+        assessed = []
+        original = engine.randomness_tester.assess
+
+        def recording(bits):
+            assessed.append(bits)
+            return original(bits)
+
+        monkeypatch.setattr(engine.randomness_tester, "assess", recording)
+        outcomes = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.06)))
+        assert assessed == [outcomes[0].cascade.corrected_key, outcomes[2].cascade.corrected_key]
+        assert engine.statistics.blocks_distilled == 2 and engine.keys_match
+
+    def test_slutsky_batch_distils_no_more_than_bennett(self):
+        blocks = sifted_blocks((0.05, 0.06, 0.07))
+        bennett = QKDProtocolEngine(EngineParameters(defense="bennett"), DeterministicRNG(9))
+        slutsky = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(9))
+        bennett.distill_blocks(blocks)
+        slutsky.distill_blocks(blocks)
+        assert 0 < slutsky.statistics.distilled_bits <= bennett.statistics.distilled_bits
+
+    def test_empty_batch_changes_nothing(self):
+        engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        auth_bits = engine.alice_auth.available_secret_bits
+        assert engine.distill_blocks([]) == []
+        assert engine.statistics == type(engine.statistics)()
+        assert engine.pipeline.telemetry.blocks_processed == 0
+        assert engine.alice_auth.available_secret_bits == auth_bits
+        assert engine.distill_blocks(sifted_blocks((0.06,)))[0].block_id == 0
+
+    def test_block_ids_follow_submission_order_across_calls(self):
+        engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        first = engine.distill_block(*noisy_pair(2048, 0.06, seed=100), transmitted_pulses=500_000)
+        batch = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.06), seed=101))
+        last = engine.distill_block(*noisy_pair(2048, 0.06, seed=104), transmitted_pulses=500_000)
+        assert [o.block_id for o in [first, *batch, last]] == [0, 1, 2, 3, 4]
 
 
 class TestFrameProcessing:

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.engine import QKDProtocolEngine
 from repro.core.keypool import KeyPool
 from repro.crypto.otp import OneTimePad
 from repro.crypto.sha1 import prf_expand
@@ -459,3 +460,48 @@ class TestGatewayPair:
         log = "\n".join(pair.combined_log)
         assert "alice-gw racoon" in log
         assert "bob-gw racoon" in log
+
+
+def _distilling_engine(n_blocks=4):
+    """An engine that has distilled ``n_blocks`` 6 % blocks into its pools."""
+    engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+    for seed in range(n_blocks):
+        rng = DeterministicRNG(100 + seed)
+        alice = BitString.random(2048, rng)
+        bob = alice.to_list()
+        for index in rng.sample(range(2048), 123):
+            bob[index] ^= 1
+        engine.distill_block(alice, BitString(bob), transmitted_pulses=500_000)
+    return engine
+
+
+class TestGatewayFromEngine:
+    def test_gateways_key_their_tunnel_from_the_engines_pools(self):
+        engine = _distilling_engine()
+        pair = GatewayPair.from_engine(engine, SimClock(), DeterministicRNG(81))
+        assert pair.alice.key_pool is engine.alice_pool
+        assert pair.bob.key_pool is engine.bob_pool
+        distilled = engine.alice_pool.available_bits
+        pair.add_symmetric_policy(AES_POLICY)
+        pair.establish()
+        delivered = pair.transmit(IPPacket("10.1.0.1", "10.2.0.1", b"over distilled key"))
+        assert delivered.payload == b"over distilled key"
+        consumed = pair.alice.ike.qkd_bits_consumed
+        assert consumed > 0
+        assert engine.alice_pool.available_bits == distilled - consumed
+        assert engine.bob_pool.available_bits == engine.alice_pool.available_bits
+
+    def test_names_and_addresses_reach_the_gateways(self):
+        pair = GatewayPair.from_engine(
+            _distilling_engine(n_blocks=0),
+            alice_name="west-gw",
+            bob_name="east-gw",
+            alice_address="192.1.98.34",
+            bob_address="192.1.98.35",
+        )
+        assert (pair.alice.name, pair.alice.address, pair.alice.peer_address) == (
+            "west-gw", "192.1.98.34", "192.1.98.35"
+        )
+        assert (pair.bob.name, pair.bob.address, pair.bob.peer_address) == (
+            "east-gw", "192.1.98.35", "192.1.98.34"
+        )

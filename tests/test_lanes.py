@@ -312,6 +312,24 @@ class TestFarmBackends:
         with pytest.raises(ValueError, match="unknown LinkFarm backend 'bogus'"):
             LinkFarm(backend="bogus")
 
+    def test_auto_is_not_a_backend(self):
+        """The farm never picks a backend for its caller: one is named."""
+        with pytest.raises(ValueError, match="unknown LinkFarm backend 'auto'"):
+            LinkFarm(backend="auto")
+
+    def test_lane_mismatch_allows_per_lane_physics(self):
+        assert lane_mismatch(heterogeneous_jobs()) is None
+
+    def test_ragged_fleet_runs_on_a_pool_backend_in_order(self):
+        """A fleet no lane batch can hold still runs, one link per worker,
+        each bit for bit its width-1 run."""
+        jobs = heterogeneous_jobs()
+        ragged = [jobs[0], replace(jobs[1], n_slots=jobs[1].n_slots + 1)]
+        assert "n_slots" in lane_mismatch(ragged)
+        runs = LinkFarm(workers=2, backend="thread").run(ragged)
+        assert [run.name for run in runs] == [job.name for job in ragged]
+        assert {run.name: _report_digest(run.report) for run in runs} == sequential_digests(ragged)
+
     def test_lanes_backend_matches_thread_backend(self):
         jobs = heterogeneous_jobs()
         lane_runs = LinkFarm(backend="lanes").run(jobs)
@@ -365,6 +383,10 @@ class TestSchedulerLanes:
     def test_replenishment_config_validates_backend(self):
         with pytest.raises(ValueError, match="backend"):
             ReplenishmentConfig(backend="bogus")
+
+    def test_replenishment_config_refuses_auto(self):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            ReplenishmentConfig(backend="auto")
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5])
     def test_replenishment_config_refuses_bad_worker_counts(self, workers):

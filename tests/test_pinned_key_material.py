@@ -38,10 +38,10 @@ N_BLOCKS = 4
 PINNED_POOL_DIGEST = "f17c5484dda40648337e659ae98b53674f574eb2784e8172e381f37d51e771fd"
 
 
-def _noisy_pair(seed):
+def _noisy_pair(seed, error_rate=ERROR_RATE):
     rng = DeterministicRNG(seed)
     reference = BitString.random(BLOCK_BITS, rng)
-    errors = rng.sample(range(BLOCK_BITS), int(round(ERROR_RATE * BLOCK_BITS)))
+    errors = rng.sample(range(BLOCK_BITS), int(round(error_rate * BLOCK_BITS)))
     noisy = reference.to_list()
     for index in errors:
         noisy[index] ^= 1
@@ -386,3 +386,143 @@ ENGINE_STAGE_NAMES = (
 def test_stage_sequences_are_pinned():
     engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
     assert engine.pipeline.stage_names == ENGINE_STAGE_NAMES
+
+
+# ---------------------------------------------------------------------- #
+# The engine's one key stream: submission, mixes and parameter variants
+# ---------------------------------------------------------------------- #
+#
+# An engine distils its blocks in-line on one stream, so how blocks are
+# submitted — one ``distill_block`` call each, one ``distill_blocks`` batch,
+# or any split in between — cannot move a bit.  These pin that stream beyond
+# the four standard blocks: sixteen of them, an alarmed block inside a run,
+# an unconfirmed one, two parameter variants and a link's partial-block
+# flush.  Recorded at the commit where the stream became the only one.
+
+#: sha256 over Alice's pool after the sixteen standard noisy blocks (seed 7);
+#: its first four blocks are PINNED_POOL_DIGEST's.
+PINNED_SIXTEEN_BLOCK_DIGEST = "f180d358c7d651b8a243449bd028c78abf2854ff75f827fddc0ea1260ad14821"
+
+
+def _statistics(distilled, blocks_distilled, blocks_aborted, disclosed, slots=0, sifted=0, errors=0):
+    return {"slots_processed": slots, "sifted_bits": sifted, "sifted_errors": errors,
+            "distilled_bits": distilled, "blocks_distilled": blocks_distilled,
+            "blocks_aborted": blocks_aborted, "disclosed_parities": disclosed}
+
+
+def _pool_digest(blocks):
+    digest = hashlib.sha256()
+    for block in blocks:
+        digest.update(str(block.bits).encode())
+    return digest.hexdigest()
+
+
+def _workload(n_blocks):
+    return [SiftedBlock(*_noisy_pair(100 + seed), 500_000) for seed in range(n_blocks)]
+
+
+def _submit(engine, blocks, submission):
+    """Run ``blocks`` through ``engine`` one call each, or as one batch."""
+    if submission == "one_at_a_time":
+        return [
+            engine.distill_block(b.alice_key, b.bob_key, b.transmitted_pulses) for b in blocks
+        ]
+    return engine.distill_blocks(blocks)
+
+
+SUBMISSIONS = ("one_at_a_time", "batched")
+
+
+@pytest.mark.parametrize(
+    "split",
+    [(1,) * 16, (4, 4, 4, 4), (16,), (3, 5, 8), (1, 15)],
+    ids=["singles", "fours", "one_batch", "ragged", "one_then_fifteen"],
+)
+def test_sixteen_blocks_are_pinned_for_any_batch_split(split):
+    blocks = _workload(16)
+    engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
+    start = 0
+    for size in split:
+        engine.distill_blocks(blocks[start : start + size])
+        start += size
+    pooled = list(engine.alice_pool.blocks)
+    assert engine.keys_match
+    assert _pool_digest(pooled) == PINNED_SIXTEEN_BLOCK_DIGEST
+    assert _pool_digest(pooled[:N_BLOCKS]) == PINNED_POOL_DIGEST
+    assert dataclasses.asdict(engine.statistics) == _statistics(5925, 16, 0, 15163)
+    assert engine.alice_auth.available_secret_bits == 4833
+
+
+@pytest.mark.parametrize("submission", SUBMISSIONS)
+def test_alarmed_block_inside_a_run_is_pinned(submission):
+    blocks = _workload(3)
+    blocks[1] = SiftedBlock(*_noisy_pair(555, error_rate=0.30), 500_000)
+    engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
+    outcomes = _submit(engine, blocks, submission)
+    assert [o.abort_reason for o in outcomes] == [
+        "", "QBER 30.0% exceeds abort threshold 15.0% (possible eavesdropping)", ""
+    ]
+    assert _pool_digest(engine.alice_pool.blocks) == (
+        "e9142ec16b073e8837934cef7a11c3fb89a54453efd0b76c2add7db0e3bededf"
+    )
+    assert dataclasses.asdict(engine.statistics) == _statistics(749, 2, 1, 1887)
+    assert engine.alice_auth.available_secret_bits == 3905
+    assert engine.bob_auth.available_secret_bits == 3905
+
+
+#: name -> (EngineParameters overrides, pool sha256, distilled bits)
+PARAMETER_VARIANT_PINS = {
+    "confidence_4_sigmas": (
+        {"confidence_sigmas": 4.0},
+        "fd165953b05fc89ed00cf16a5620762ad0de1bb12edef97f818720c9e4098c6d", 792,
+    ),
+    "randomness_testing": (
+        {"randomness_testing": True},
+        "c80a45964451846129c79e11ed77030f10cac80c334405f9f684fe615e5f018e", 730,
+    ),
+}
+
+
+@pytest.mark.parametrize("submission", SUBMISSIONS)
+@pytest.mark.parametrize("variant", sorted(PARAMETER_VARIANT_PINS))
+def test_parameter_variants_are_pinned(variant, submission):
+    overrides, digest, distilled = PARAMETER_VARIANT_PINS[variant]
+    engine = QKDProtocolEngine(EngineParameters(**overrides), DeterministicRNG(7))
+    _submit(engine, _workload(2), submission)
+    assert _pool_digest(engine.alice_pool.blocks) == digest
+    assert dataclasses.asdict(engine.statistics) == _statistics(distilled, 2, 0, 1906)
+
+
+def test_unconfirmed_block_one_at_a_time_is_pinned():
+    """The batched run of this mix is pinned in tests/test_pipeline.py; one
+    ``distill_block`` call per block must give the same key and counts."""
+    blocks = [
+        SiftedBlock(*_noisy_pair(100 + index, error_rate=rate), 500_000)
+        for index, rate in enumerate((0.002, 0.06, 0.002))
+    ]
+    cascade = CascadeParameters(block_first_pass=False, rounds=1, subsets_per_round=8)
+    engine = QKDProtocolEngine(EngineParameters(cascade=cascade), DeterministicRNG(7))
+    outcomes = _submit(engine, blocks, "one_at_a_time")
+    assert [o.abort_reason for o in outcomes] == ["", "error correction failed confirmation", ""]
+    assert outcomes[1].entropy is None and outcomes[1].privacy is None
+    assert _pool_digest(engine.alice_pool.blocks) == (
+        "1a996fa9cd8d5c5ad12e408d9358649915edf271d4e809d2c927b1aef8fbcfcc"
+    )
+    assert dataclasses.asdict(engine.statistics) == _statistics(3376, 2, 1, 272)
+    assert engine.alice_auth.available_secret_bits == 3937
+
+
+def test_link_partial_block_flush_is_pinned():
+    # 2 M slots sift 3 134 bits: one full block, then a 1 086-bit flush.
+    link = QKDSystem(seed=LINK_SEED).link()
+    report = link.run_slots(2_000_000)
+    assert [(o.sifted_bits, o.distilled_bits) for o in report.outcomes] == [
+        (2048, 266),
+        (1086, 50),
+    ]
+    assert _pool_digest(link.engine.alice_pool.blocks) == (
+        "82f2d03ecaaeeed624ba97ed87fdaf2e2270f4cfec742664b46016e78f3a98ef"
+    )
+    assert dataclasses.asdict(link.engine.statistics) == _statistics(
+        316, 2, 0, 1574, slots=2_000_000, sifted=3134, errors=199
+    )
