@@ -59,7 +59,7 @@ from repro.kms import (
     ZonePlan,
     build_metro_mesh,
 )
-from repro.lanes import LaneCompatibilityError, LaneEngine
+from repro.lanes import LaneEngine
 
 __version__ = "1.0.0"
 
@@ -79,7 +79,6 @@ __all__ = [
     "ZonePlan",
     "build_metro_mesh",
     "LaneEngine",
-    "LaneCompatibilityError",
     "ContactGraphSelector",
     "ContactSchedule",
     "ContactWindow",

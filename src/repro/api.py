@@ -250,11 +250,11 @@ class QKDSystem:
         return MeshSystem(config=config, relays=relays, zone_plan=plan)
 
     def lanes(self, n_lanes: int, name: Optional[str] = None, **overrides) -> LaneEngine:
-        """A fleet of ``n_lanes`` identical links run as one vectorized batch.
+        """A fleet of ``n_lanes`` identical links run in one process.
 
         Each lane is a full :meth:`link` with its own independent labeled
         stream (``fork_labeled(f"lane/<name>/<index>")`` of the system seed),
-        executed lock-step by the :class:`repro.lanes.LaneEngine` — call
+        carried one lane at a time by the :class:`repro.lanes.LaneEngine` — call
         ``run_slots`` on the result.  Every lane's key material is
         bit-identical to the same link run alone.
         """

@@ -282,9 +282,8 @@ class QKDProtocolEngine:
     ) -> List[DistillationOutcome]:
         """Accumulate an already-sifted frame and distill completed blocks.
 
-        The batch loop sifts many links' frames in one batched pass
-        (:func:`repro.core.sifting.sift_frames`) and feeds each lane's
-        :class:`SiftResult` here — the ragged per-link split point.
+        The slot→key loop (:func:`repro.lanes.engine.run_lane`) sifts each
+        batch of its link's frames and feeds the :class:`SiftResult` here.
         ``n_slots`` is the transmitted slot count of the frame the sift came
         from.  Returns the outcomes of every block completed by this frame
         (possibly none, if the sifted bits are still accumulating).

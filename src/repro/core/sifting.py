@@ -80,47 +80,6 @@ def run_length_encode_mask(mask: np.ndarray) -> np.ndarray:
     return runs
 
 
-def run_length_encode_rows(mask2d: np.ndarray) -> List[np.ndarray]:
-    """Run-length encode every row of a ``(n_links, n_slots)`` boolean batch.
-
-    One boundary-detection pass over the whole batch (``np.nonzero`` on the
-    shifted comparison, results arriving row-major) replaces ``n_links``
-    separate :func:`run_length_encode_mask` calls; the per-row runs arrays it
-    returns are element-for-element identical to the per-row calls — the lane
-    engine's differential tests pin this.
-    """
-    arr = np.asarray(mask2d)
-    if arr.ndim != 2:
-        raise ValueError("run_length_encode_rows expects a 2-D mask batch")
-    if arr.dtype != bool:
-        arr = arr != 0
-    n_rows, n_slots = arr.shape
-    if n_slots == 0:
-        return [np.array([0], dtype=np.int64) for _ in range(n_rows)]
-    # Row-major flat positions split back into (row, column): same pairs, in
-    # the same order, as a 2-D ``np.nonzero`` at a fraction of its cost.
-    change_rows, change_cols = np.divmod(
-        np.flatnonzero(arr[:, 1:] != arr[:, :-1]), n_slots - 1
-    )
-    boundaries = change_cols.astype(np.int64) + 1
-    per_row = np.bincount(change_rows, minlength=n_rows)
-    row_slices = np.split(boundaries, np.cumsum(per_row)[:-1])
-    first_col = arr[:, 0]
-    encoded: List[np.ndarray] = []
-    for row in range(n_rows):
-        changes = row_slices[row]
-        bounds = np.empty(changes.size + 2, dtype=np.int64)
-        bounds[0] = 0
-        bounds[1:-1] = changes
-        bounds[-1] = n_slots
-        runs = np.diff(bounds)
-        if first_col[row]:
-            # The encoding always starts with a zeros-run; emit it empty.
-            runs = np.concatenate((np.zeros(1, dtype=np.int64), runs))
-        encoded.append(runs)
-    return encoded
-
-
 def run_length_encode(flags: Union[Sequence[int], np.ndarray]) -> List[int]:
     """Encode a 0/1 detection sequence as alternating run lengths.
 
@@ -232,27 +191,14 @@ class SiftingProtocol:
 
     # -- Bob's side ------------------------------------------------------ #
 
-    def build_sift_message(
-        self, frame: FrameResult, precomputed_runs: Optional[np.ndarray] = None
-    ) -> SiftMessage:
-        """Bob reports which slots produced a usable click, and his bases.
-
-        ``precomputed_runs`` lets the lane engine's batched announcement pass
-        (:func:`sift_frames`) hand in this frame's row of the batch RLE
-        instead of re-encoding; the runs are identical either way.
-        """
+    def build_sift_message(self, frame: FrameResult) -> SiftMessage:
+        """Bob reports which slots produced a usable click, and his bases."""
         usable = frame.usable_clicks
-        runs = (
-            run_length_encode_mask(usable)
-            if precomputed_runs is None
-            else precomputed_runs
-        )
-        detected_bases = frame.bob_basis[usable]
         return SiftMessage(
             frame_id=self.frame_id,
             n_slots=frame.n_slots,
-            detection_runs=runs,
-            detected_bases=detected_bases,
+            detection_runs=run_length_encode_mask(usable),
+            detected_bases=frame.bob_basis[usable],
         )
 
     def build_naive_sift_message(self, frame: FrameResult) -> NaiveSiftMessage:
@@ -296,11 +242,9 @@ class SiftingProtocol:
 
     # -- Both sides ------------------------------------------------------ #
 
-    def sift(
-        self, frame: FrameResult, precomputed_runs: Optional[np.ndarray] = None
-    ) -> SiftResult:
+    def sift(self, frame: FrameResult) -> SiftResult:
         """Run the full transaction and return both sides' sifted keys."""
-        sift_message = self.build_sift_message(frame, precomputed_runs)
+        sift_message = self.build_sift_message(frame)
         detected_slots = _decode_detected_slots(sift_message, frame.n_slots)
         sift_response = self.build_sift_response(
             frame, sift_message, precomputed_slots=detected_slots
@@ -319,34 +263,18 @@ class SiftingProtocol:
 
 
 def sift_frames(frames: Sequence[FrameResult], frame_ids: Sequence[int]) -> List[SiftResult]:
-    """Sift many equal-length frames with one batched announcement pass.
+    """Sift each frame under its own frame id: one :meth:`SiftingProtocol.sift`
+    per frame, in order.  The frames need not share a length.
 
-    This is the lane engine's sifting entry: the usable-click masks of all
-    lanes are stacked into one ``(n_links, n_slots)`` batch and run-length
-    encoded in a single boundary pass (:func:`run_length_encode_rows`); the
-    per-lane transaction then proceeds on the precomputed runs.  Everything
-    downstream of the RLE is O(detections), which is where the batch goes
-    ragged — each lane keeps its own detection count — so the split happens
-    exactly at that boundary.  Results are identical to ``n_links`` separate
-    :meth:`SiftingProtocol.sift` calls.
+    This is the slot→key loop's sifting entry (:mod:`repro.lanes.engine`).
     """
     frames = list(frames)
     frame_ids = list(frame_ids)
     if len(frames) != len(frame_ids):
         raise ValueError("need exactly one frame id per frame")
-    if not frames:
-        return []
-    slot_counts = {frame.n_slots for frame in frames}
-    if len(slot_counts) > 1:
-        raise ValueError(
-            f"frames disagree on n_slots ({sorted(slot_counts)}); a sift batch "
-            "must be rectangular"
-        )
-    usable2 = np.stack([np.asarray(frame.usable_clicks) for frame in frames])
-    runs_rows = run_length_encode_rows(usable2)
     return [
-        SiftingProtocol(frame_id=frame_id).sift(frame, precomputed_runs=runs)
-        for frame, frame_id, runs in zip(frames, frame_ids, runs_rows)
+        SiftingProtocol(frame_id=frame_id).sift(frame)
+        for frame, frame_id in zip(frames, frame_ids)
     ]
 
 

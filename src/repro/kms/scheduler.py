@@ -75,10 +75,8 @@ class ReplenishmentConfig:
     workers: Optional[int] = None
     #: Monte-Carlo dispatch only: the farm's backend, one of
     #: :data:`repro.runtime.farm.LinkFarm.BACKENDS`.  ``"process"`` or
-    #: ``"thread"`` run one link per worker; ``"lanes"`` runs the whole
-    #: epoch's links as one vectorized lane batch (epochs are homogeneous —
-    #: ``slots_per_epoch`` slots on every dispatched link — so they are
-    #: always lane-compatible).
+    #: ``"thread"`` run one link per worker; ``"lanes"`` runs the epoch's
+    #: links in this process, one lane at a time (:class:`repro.lanes.LaneEngine`).
     backend: str = "thread"
     #: Pairwise pads below this are always dispatched this epoch.
     pad_low_water_bits: int = 4_096

@@ -1,9 +1,9 @@
-"""Vectorized multi-link lane engine: a mesh's epochs as one batch program.
+"""The lane engine: a fleet of links carried to pooled key one lane at a time.
 
 See :mod:`repro.lanes.engine` for the execution model; a single
-:meth:`repro.link.qkd_link.QKDLink.run_slots` is its width-1 case.
+:meth:`repro.link.qkd_link.QKDLink.run_slots` is one lane of it.
 """
 
-from repro.lanes.engine import LaneCompatibilityError, LaneEngine
+from repro.lanes.engine import LaneEngine
 
-__all__ = ["LaneCompatibilityError", "LaneEngine"]
+__all__ = ["LaneEngine"]

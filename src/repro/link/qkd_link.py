@@ -40,6 +40,11 @@ class LinkParameters:
     #: at a time, mirroring the real system's frame-by-frame operation.
     slots_per_batch: int = 500_000
 
+    def __post_init__(self) -> None:
+        batch = self.slots_per_batch
+        if isinstance(batch, bool) or not isinstance(batch, int) or batch < 1:
+            raise ValueError(f"slots_per_batch must be a positive integer, got {batch!r}")
+
     @classmethod
     def paper_link(cls) -> "LinkParameters":
         """The paper's first link at its published operating point."""
@@ -121,11 +126,11 @@ class QKDLink:
     def run_slots(self, n_slots: int, flush: bool = True) -> LinkReport:
         """Transmit ``n_slots`` trigger slots and run the protocols over them.
 
-        One link is the width-1 case of the lane batch loop.
+        One lane of the slot→key loop, :func:`repro.lanes.engine.run_lane`.
         """
-        from repro.lanes.engine import run_lanes
+        from repro.lanes.engine import run_lane
 
-        return run_lanes([self], n_slots, [flush])[0]
+        return run_lane(self, n_slots, flush)
 
     def build_report(
         self, n_slots: int, outcomes: List[DistillationOutcome]

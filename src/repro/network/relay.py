@@ -259,7 +259,9 @@ class TrustedRelayNetwork:
         hop_pad_bytes = pad.peek(len(payload))
         ciphertext = pad.encrypt(payload)
         self.notify_pad_change(node_a, node_b)
-        return bytes(c ^ p for c, p in zip(ciphertext, hop_pad_bytes))
+        return (
+            int.from_bytes(ciphertext, "big") ^ int.from_bytes(hop_pad_bytes, "big")
+        ).to_bytes(len(payload), "big")
 
     def transport_key(
         self,

@@ -158,11 +158,13 @@ class FrameResult:
     (total transmitted, multi-photon count) and, if an attack was active, the
     attack's own bookkeeping.
 
-    Once sifting has extracted the surviving bits the per-slot arrays are
-    dead weight; :meth:`release_slot_arrays` caches the summary statistics
-    and drops them, which is what the batch loop behind
-    :meth:`repro.link.qkd_link.QKDLink.run_slots` does after each batch so a
-    long run's memory stays flat.
+    A frame owns its arrays (one link's batch, never a view into a wider
+    one).  Once sifting has extracted the surviving bits they are dead
+    weight; :meth:`release_slot_arrays` caches the summary statistics and
+    drops them, which is what the slot→key loop
+    (:func:`repro.lanes.engine.run_lane`) does after each batch — so a run
+    holds one batch of one link's per-slot arrays at a time, however many
+    links it carries.
     """
 
     def __init__(
@@ -358,11 +360,148 @@ class QuantumChannel:
         :class:`repro.eve.base.QuantumChannelAttack` interface; when given, it
         is allowed to act on the photons in flight exactly as the paper's Eve
         can (measure them, block them, resend substitutes), and its
-        bookkeeping is attached to the result as ``attack_record``.
+        bookkeeping is attached to the result as ``attack_record`` — the
+        attack gets dense per-slot arrays.
 
-        A single link is the width-1 case of :func:`transmit_lanes`.
+        **Dense draws, sparse physics.**  At the paper's operating point one
+        gate in ~300 registers anything, so the two halves of a slot's life
+        are kept apart:
+
+        * The *draws* are dense.  Every draw of every slot comes from this
+          channel's own generators, in the one order written down here —
+          source (basis, value, photon number), fibre loss or the attack's
+          ``intercept``, Bob's basis, phase noise, detector draw, gate
+          thinning, click/dark0/dark1, afterpulse, double-click coin, frame
+          gates — one call each, ``n_slots`` wide, whether or not the slot
+          can click.  A link's bitstream is therefore a function of its
+          channel alone.  Three kinds of draw are taken more cheaply than by
+          the ``Generator`` method that defines them, each with the same
+          values from the same stream positions and each behind a numpy
+          canary in ``tests/test_optics_differential.py``: the 0/1 draws
+          (both bases, Alice's value, the coin, the afterpulse detector) are
+          the top bit of ``Generator.bytes`` and the photon number is
+          replayed from the ``Generator.random`` doubles numpy's Poisson
+          multiplies together (:mod:`repro.optics.draws` — the source hands
+          on the non-empty slots it learns that way, so nothing scans the
+          photon array for them); and the two photon-count binomials are
+          drawn on the non-zero counts only (numpy's ``binomial(0, p)`` is 0
+          and consumes nothing).
+        * The *physics between the draws* runs only where it can matter.  The
+          received photons are carried as a sparse ``(slots, counts)`` pair,
+          the click probability is evaluated only on them (~5 % of slots),
+          and phase encoding, interference, the detector-1 probability and
+          the click/double logic run on the **fired** slots — those where a
+          signal click or a dark count happened on either detector (~0.3 %)
+          — then scatter into zero-initialised ``double``/``value`` arrays.
+          Every operation is elementwise, so the fired slots get the very
+          floats a dense evaluation would give them and the rest get the
+          zeros it would.
         """
-        return transmit_lanes([self], n_slots, [attack])[0]
+        if n_slots < 0:
+            raise ValueError("slot count must be non-negative")
+        rng = self._numpy_rng
+        parameters = self.parameters
+        basis = np.empty(n_slots, dtype=np.uint8)
+        value = np.empty(n_slots, dtype=np.uint8)
+        photons = np.empty(n_slots, dtype=np.uint16)
+
+        # --- source: fills the three arrays, returns the non-empty slots --- #
+        rx_slots = self.source.emit_into(basis, value, photons)
+
+        # --- fibre / attack: the slots photons reach Bob on, and how many --- #
+        transmittance = parameters.path.transmittance
+        phase_at_receiver = None
+        attack_record = {}
+        if attack is None:
+            rx_counts = rng.binomial(photons[rx_slots], transmittance)
+        else:
+            emission = {
+                "basis": basis,
+                "value": value,
+                "phase": modulator_phase(basis, value),
+                "photons": photons.astype(np.int64),
+            }
+            interception = attack.intercept(emission, transmittance, rng)
+            attack_record = interception.get("record", {})
+            phase_at_receiver = interception["phase_at_receiver"]
+            rx_slots = np.arange(n_slots)
+            rx_counts = np.asarray(interception["photons_at_receiver"], dtype=np.int64)
+        arrived = rx_counts.nonzero()[0]
+        rx_slots = rx_slots[arrived]
+        rx_counts = rx_counts[arrived]
+
+        # --- Bob's basis choice, phase noise, detector draw --- #
+        bob_basis = coin_flips(rng, n_slots)
+        noise_rad = parameters.interferometer.phase_noise_rad
+        noise = rng.normal(0.0, noise_rad, size=n_slots) if noise_rad > 0 else None
+        detector_draws = rng.random(n_slots)
+
+        # --- gate misalignment: thinning --- #
+        efficiency_factor = self.framing.efficiency_factor
+        if efficiency_factor < 1.0:
+            rx_counts = rng.binomial(rx_counts, efficiency_factor)
+
+        # --- detectors: dense draws, signal compare where photons arrived --- #
+        signal = np.zeros(n_slots, dtype=bool)
+        signal[rx_slots] = rng.random(n_slots)[rx_slots] < signal_click_probability(
+            rx_counts, self.detectors.per_photon_detection_probability
+        )
+        dark_probability = parameters.detectors.dark_count_probability
+        dark0 = rng.random(n_slots) < dark_probability
+        dark1 = rng.random(n_slots) < dark_probability
+        afterpulse = parameters.detectors.afterpulse_probability
+        if afterpulse > 0:
+            apply_afterpulse(signal, afterpulse, rng, dark0, dark1)
+        coin = coin_flips(rng, n_slots)
+
+        # A detector fires exactly where a signal click or a dark count
+        # happened, so the click array is known before any interference.
+        click = np.logical_or(dark0, dark1)
+        click |= signal
+        fired = click.nonzero()[0]
+
+        # --- framing: bright-pulse draws --- #
+        per_frame = parameters.framing.slots_per_frame
+        n_frames = -(-n_slots // per_frame)
+        frame_ok = self.framing.sample_frame_gates(n_frames)
+        first_frame_number = self.framing.claim_frame_numbers(n_frames)
+
+        # --- interference and click logic: fired slots only --- #
+        if phase_at_receiver is None:
+            alice_phase = modulator_phase(basis[fired], value[fired])
+        else:
+            alice_phase = np.asarray(phase_at_receiver, dtype=np.float64)[fired]
+        scratch = phase_delta(alice_phase, bob_basis[fired])
+        if noise is not None:
+            scratch += noise[fired]
+        detector1_probability_map(scratch, parameters.interferometer.visibility)
+        signal_detector = (detector_draws[fired] < scratch).view(np.uint8)
+        clicks = combine_clicks(
+            signal[fired], signal_detector, dark0[fired], dark1[fired], coin[fired]
+        )
+        if not frame_ok.all():
+            # Lost frames: nothing in them was gated.
+            received = frame_ok[fired // per_frame]
+            click[fired[~received]] = False
+            clicks["double"] &= received
+        double = np.zeros(n_slots, dtype=bool)
+        double[fired] = clicks["double"]
+        bob_value = np.zeros(n_slots, dtype=np.uint8)
+        bob_value[fired] = clicks["value"]
+
+        self.slots_transmitted += n_slots
+        return FrameResult(
+            alice_basis=basis,
+            alice_value=value,
+            alice_photons=photons,
+            bob_basis=bob_basis,
+            bob_click=click,
+            bob_double=double,
+            bob_value=bob_value,
+            first_frame_number=first_frame_number,
+            slots_per_frame=per_frame,
+            attack_record=attack_record,
+        )
 
     # ------------------------------------------------------------------ #
     # Analytic rate model
@@ -424,209 +563,19 @@ class QuantumChannel:
         )
 
 
-# ---------------------------------------------------------------------- #
-# Monte-Carlo transmission (leading link axis)
-# ---------------------------------------------------------------------- #
-
-
 def transmit_lanes(channels, n_slots: int, attacks=None):
-    """Transmit ``n_slots`` trigger slots on every channel at once.
+    """Transmit ``n_slots`` trigger slots on each channel in turn.
 
-    **Dense draws, sparse physics.**  At the paper's operating point one gate
-    in ~300 registers anything, so the two halves of a slot's life are kept
-    apart:
-
-    * The *draws* are dense.  Every lane takes every draw of every slot from
-      its own generators, in the one order written down here — source
-      (basis, value, photon number), fibre loss or the attack's
-      ``intercept``, Bob's basis, phase noise, detector draw, gate thinning,
-      click/dark0/dark1, afterpulse, double-click coin, frame gates — one
-      call each, ``n_slots`` wide, whether or not the slot can click.  A
-      lane's bitstream is therefore a function of its channel alone, and the
-      pinned digests are lane-count- and lane-order-invariant.  Three kinds
-      of draw are taken more cheaply than by the ``Generator`` method that
-      defines them, each with the same values from the same stream
-      positions and each behind a numpy canary in
-      ``tests/test_optics_differential.py``: the 0/1 draws (both bases,
-      Alice's value, the coin, the afterpulse detector) are the top bit of
-      ``Generator.bytes`` and the photon number is replayed from the
-      ``Generator.random`` doubles numpy's Poisson multiplies together
-      (:mod:`repro.optics.draws` — the source hands on the non-empty slots
-      it learns that way, so nothing scans a photon row for them); and the
-      two photon-count binomials are drawn on the non-zero counts only
-      (numpy's ``binomial(0, p)`` is 0 and consumes nothing).
-    * The *physics between the draws* runs only where it can matter.  The
-      received photons are carried as a sparse ``(slots, counts)`` pair per
-      lane, the click probability is evaluated only on them (~5 % of slots),
-      and phase encoding, interference, the detector-1 probability and the
-      click/double logic run once per batch on the **fired** slots — those
-      where a signal click or a dark count happened on either detector
-      (~0.3 %) — gathered from every lane as ``(lane, slot)`` coordinates
-      with per-lane parameters indexed by lane, then scattered into
-      zero-initialised ``double``/``value`` rows.  Every operation is
-      elementwise, so the fired slots get the very floats a dense evaluation
-      would give them and the rest get the zeros it would.
-
-    Lanes may differ in everything — source type, distance, loss,
-    visibility, dark counts, attack — except ``slots_per_frame``, which the
-    caller (:class:`repro.lanes.LaneEngine`) guarantees they share.  A single
-    link (:meth:`QuantumChannel.transmit`) is the one-lane case; no lanes at
-    all is an empty result.
-
-    ``attacks`` is an optional per-lane sequence; ``None`` entries leave that
-    lane untouched while attack lanes get the usual ``intercept`` call on
-    dense per-slot arrays (built for those lanes only).  Returns one
-    :class:`FrameResult` per lane whose arrays are row views into the shared
-    batch — releasing every frame (and dropping the frames) frees the batch
-    storage, so peak memory scales with ``n_links * n_slots``; shrink
-    ``slots_per_batch`` as lane counts grow.
+    One :meth:`QuantumChannel.transmit` per channel, in order; ``attacks`` is
+    an optional per-channel sequence whose ``None`` entries leave that
+    channel untouched.  Every channel draws from its own generators, so a
+    channel's frame is the same whichever channels stand beside it.  Returns
+    one :class:`FrameResult` per channel, each owning its arrays; no
+    channels at all is an empty result.
     """
-    if n_slots < 0:
-        raise ValueError("slot count must be non-negative")
     channels = list(channels)
-    n_lanes = len(channels)
     if attacks is None:
-        attacks = [None] * n_lanes
-    elif len(attacks) != n_lanes:
-        raise ValueError("attacks must have one entry (or None) per lane")
-    if not channels:
-        return []
-
-    shape = (n_lanes, n_slots)
-    basis2 = np.empty(shape, dtype=np.uint8)
-    value2 = np.empty(shape, dtype=np.uint8)
-    photons2 = np.empty(shape, dtype=np.uint16)
-    bob_basis2 = np.empty(shape, dtype=np.uint8)
-    click2 = np.empty(shape, dtype=bool)
-    double2 = np.zeros(shape, dtype=bool)
-    bob_value2 = np.zeros(shape, dtype=np.uint8)
-    attack_records = [{} for _ in range(n_lanes)]
-
-    per_frame = channels[0].parameters.framing.slots_per_frame
-    n_frames = -(-n_slots // per_frame)
-    frame_starts = []
-
-    # What the batched physics below needs from each lane, at its fired slots
-    # only: (slots, signal, dark0, dark1, coin, detector draw) per lane, plus
-    # the rarer per-lane extras as (span of the lane in the batch, values).
-    fired_lanes = []
-    attack_phases = []
-    phase_noises = []
-    frames_received = []
-    n_fired = 0
-
-    for i, channel in enumerate(channels):
-        rng = channel._numpy_rng
-        parameters = channel.parameters
-
-        # --- source: fills the three rows, returns the non-empty slots --- #
-        rx_slots = channel.source.emit_into(basis2[i], value2[i], photons2[i])
-
-        # --- fibre / attack: the slots photons reach Bob on, and how many --- #
-        transmittance = parameters.path.transmittance
-        phase_at_receiver = None
-        if attacks[i] is None:
-            rx_counts = rng.binomial(photons2[i][rx_slots], transmittance)
-        else:
-            emission = {
-                "basis": basis2[i],
-                "value": value2[i],
-                "phase": modulator_phase(basis2[i], value2[i]),
-                "photons": photons2[i].astype(np.int64),
-            }
-            interception = attacks[i].intercept(emission, transmittance, rng)
-            attack_records[i] = interception.get("record", {})
-            phase_at_receiver = interception["phase_at_receiver"]
-            rx_slots = np.arange(n_slots)
-            rx_counts = np.asarray(interception["photons_at_receiver"], dtype=np.int64)
-        arrived = rx_counts.nonzero()[0]
-        rx_slots = rx_slots[arrived]
-        rx_counts = rx_counts[arrived]
-
-        # --- Bob's basis choice, phase noise, detector draw --- #
-        coin_flips(rng, n_slots, out=bob_basis2[i])
-        noise_rad = parameters.interferometer.phase_noise_rad
-        noise = rng.normal(0.0, noise_rad, size=n_slots) if noise_rad > 0 else None
-        detector_draws = rng.random(n_slots)
-
-        # --- gate misalignment: thinning --- #
-        efficiency_factor = channel.framing.efficiency_factor
-        if efficiency_factor < 1.0:
-            rx_counts = rng.binomial(rx_counts, efficiency_factor)
-
-        # --- detectors: dense draws, signal compare where photons arrived --- #
-        signal = np.zeros(n_slots, dtype=bool)
-        signal[rx_slots] = rng.random(n_slots)[rx_slots] < signal_click_probability(
-            rx_counts, channel.detectors.per_photon_detection_probability
-        )
-        dark_probability = parameters.detectors.dark_count_probability
-        dark0 = rng.random(n_slots) < dark_probability
-        dark1 = rng.random(n_slots) < dark_probability
-        afterpulse = parameters.detectors.afterpulse_probability
-        if afterpulse > 0:
-            apply_afterpulse(signal, afterpulse, rng, dark0, dark1)
-        coin = coin_flips(rng, n_slots)
-
-        # A detector fires exactly where a signal click or a dark count
-        # happened, so the click row is known before any interference.
-        np.logical_or(dark0, dark1, out=click2[i])
-        click2[i] |= signal
-        fired = click2[i].nonzero()[0]
-        fired_lanes.append(
-            (fired, signal[fired], dark0[fired], dark1[fired], coin[fired], detector_draws[fired])
-        )
-        span = slice(n_fired, n_fired + fired.shape[0])
-        n_fired = span.stop
-        if phase_at_receiver is not None:
-            attack_phases.append((span, phase_at_receiver[fired]))
-        if noise is not None:
-            phase_noises.append((span, noise[fired]))
-
-        # --- framing: per-lane bright-pulse draws --- #
-        frame_ok = channel.framing.sample_frame_gates(n_frames)
-        frame_starts.append(channel.framing.claim_frame_numbers(n_frames))
-        if not frame_ok.all():
-            # Lost frames on this lane only: nothing in them was gated.
-            received = frame_ok[fired // per_frame]
-            click2[i][fired[~received]] = False
-            frames_received.append((span, received))
-
-    # --- interference and click logic: once per batch, fired slots only --- #
-    slots, signal, dark0, dark1, coin, detector_draws = (
-        np.concatenate(parts) for parts in zip(*fired_lanes)
-    )
-    lane_of = np.repeat(np.arange(n_lanes), [lane[0].shape[0] for lane in fired_lanes])
-    flat = slots + lane_of * n_slots
-    alice_phase = modulator_phase(basis2.reshape(-1)[flat], value2.reshape(-1)[flat])
-    for span, phase in attack_phases:
-        alice_phase[span] = phase
-    scratch = phase_delta(alice_phase, bob_basis2.reshape(-1)[flat])
-    for span, noise in phase_noises:
-        scratch[span] += noise
-    visibility = np.array([c.parameters.interferometer.visibility for c in channels])
-    detector1_probability_map(scratch, visibility[lane_of])
-    signal_detector = (detector_draws < scratch).view(np.uint8)
-    clicks = combine_clicks(signal, signal_detector, dark0, dark1, coin)
-    for span, received in frames_received:
-        clicks["double"][span] &= received
-    double2.reshape(-1)[flat] = clicks["double"]
-    bob_value2.reshape(-1)[flat] = clicks["value"]
-
-    results = []
-    for i, channel in enumerate(channels):
-        channel.slots_transmitted += n_slots
-        results.append(
-            FrameResult(
-                alice_basis=basis2[i],
-                alice_value=value2[i],
-                alice_photons=photons2[i],
-                bob_basis=bob_basis2[i],
-                bob_click=click2[i],
-                bob_double=double2[i],
-                bob_value=bob_value2[i],
-                first_frame_number=frame_starts[i],
-                slots_per_frame=per_frame,
-                attack_record=attack_records[i],
-            )
-        )
-    return results
+        attacks = [None] * len(channels)
+    elif len(attacks) != len(channels):
+        raise ValueError("attacks must have one entry (or None) per channel")
+    return [channel.transmit(n_slots, attack) for channel, attack in zip(channels, attacks)]

@@ -30,29 +30,21 @@ import numpy as np
 from repro.optics.draws import coin_flips
 
 
-def signal_click_probability(photons_at_receiver: np.ndarray, per_photon) -> np.ndarray:
+def signal_click_probability(photons_at_receiver: np.ndarray, per_photon: float) -> np.ndarray:
     """Elementwise click probability ``1 - (1 - per_photon) ** k``.
 
     ``per_photon`` is the probability a single arriving photon survives the
-    receiver optics and triggers the APD; it may be a scalar (one link — what
-    :func:`repro.optics.channel.transmit_lanes` passes, with that lane's
-    non-zero photon counts) or an ``(n_links, 1)`` column broadcasting each
-    lane's value down its own row of a ``(n_links, n_slots)`` photon-count
-    batch.
+    receiver optics and triggers the APD; :meth:`QuantumChannel.transmit
+    <repro.optics.channel.QuantumChannel.transmit>` passes the link's value
+    with its non-zero photon counts.
 
     The photon counts are tiny integers (Poisson, mu ~ 0.1), so the power is
-    evaluated once per distinct count (and per lane) and gathered —
-    ``np.power`` is elementwise, so the table entries are the very floats the
-    whole-array call would produce, at a fraction of its cost.
+    evaluated once per distinct count and gathered — ``np.power`` is
+    elementwise, so the table entries are the very floats the whole-array
+    call would produce, at a fraction of its cost.
     """
     counts = np.arange(photons_at_receiver.max(initial=0) + 1)
-    table = 1.0 - np.power(1.0 - per_photon, counts)
-    if table.ndim == 1:
-        return table[photons_at_receiver]
-    lanes = photons_at_receiver.shape[:-1]
-    return np.take_along_axis(
-        np.broadcast_to(table, lanes + table.shape[-1:]), photons_at_receiver, axis=-1
-    )
+    return (1.0 - np.power(1.0 - per_photon, counts))[photons_at_receiver]
 
 
 def apply_afterpulse(
@@ -67,9 +59,8 @@ def apply_afterpulse(
     A crude afterpulse model: a gate following a signal click has an extra
     chance of a spurious click in a random detector.  Operates on one link's
     1-D gate sequence (afterpulsing is a *temporal* correlation along a single
-    detector pair, so the lane engine calls this once per lane on rows of its
-    batch); ``dark0``/``dark1`` may be views into a batch and are updated with
-    in-place ``|=``.  An empty gate sequence takes no draws.
+    detector pair); ``dark0``/``dark1`` are updated with in-place ``|=``, so
+    they may be views.  An empty gate sequence takes no draws.
     """
     n = signal_click.shape[0]
     if n == 0:
@@ -91,9 +82,8 @@ def combine_clicks(
     """Combine per-slot event masks into the detector outcome dict.
 
     Pure boolean algebra, no draws, elementwise throughout — so it works on
-    one link's 1-D arrays and on an ``(n_links, n_slots)`` batch alike.
-    ``coin`` resolves double clicks so downstream code never reads
-    uninitialised data.
+    arrays of any shape.  ``coin`` resolves double clicks so downstream code
+    never reads uninitialised data.
 
     Returns a dict of boolean/uint8 arrays:
 

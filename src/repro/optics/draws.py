@@ -73,8 +73,8 @@ def coin_flips(
 ) -> np.ndarray:
     """``rng.integers(low=0, high=2, size=n, dtype=np.uint8)``, values and stream alike.
 
-    Written into ``out`` (a ``uint8`` array of length ``n``, e.g. a row of a
-    lane batch) when given.
+    Written into ``out`` (a ``uint8`` array of length ``n``, e.g. a frame's
+    basis array) when given.
     """
     if n == 0:
         return np.empty(0, dtype=np.uint8) if out is None else out

@@ -131,7 +131,7 @@ class EntangledPairSource:
     def emit_into(
         self, basis_out: np.ndarray, value_out: np.ndarray, photons_out: np.ndarray
     ) -> np.ndarray:
-        """Draw one batch into caller-provided arrays (the lane contract).
+        """Draw one batch into caller-provided arrays.
 
         Same contract as :meth:`WeakCoherentSource.emit_into`, return value
         included.  Only heralded slots carry a signal photon Alice has a

@@ -31,10 +31,9 @@ def phase_delta(alice_phase: np.ndarray, bob_basis: np.ndarray) -> np.ndarray:
     """The interference phase difference ``phi_A - basis * pi/2`` per slot.
 
     Returns a fresh float64 scratch array the caller may keep mutating.
-    Axis-agnostic: ``alice_phase``/``bob_basis`` may be one link's
-    ``(n_slots,)`` arrays or the lane engine's ``(n_links, n_slots)`` batch —
-    every operation is elementwise, so a batch row is bit-identical to the
-    same link's width-1 call.
+    Shape-agnostic: every operation is elementwise, so any subset of slots
+    (the channel passes its fired ones) gets the very floats the whole-array
+    call would give it.
     """
     scratch = bob_basis.astype(np.float64)
     scratch *= math.pi / 2.0
@@ -47,9 +46,8 @@ def detector1_probability_map(scratch: np.ndarray, visibility) -> np.ndarray:
 
     Applies ``(1 - V cos(delta)) / 2`` step by step with the exact IEEE
     operation sequence of the historical inline pipeline (multiplying by 0.5
-    is dividing by two exactly).  ``visibility`` may be a scalar (one link) or
-    an ``(n_links, 1)`` column that broadcasts each lane's visibility down its
-    own row of a batch.
+    is dividing by two exactly).  ``visibility`` is the link's scalar, or any
+    array that broadcasts against ``scratch``.
     """
     np.cos(scratch, out=scratch)
     scratch *= visibility

@@ -40,9 +40,8 @@ _PHASE_TABLE = np.array(
 def modulator_phase(basis: np.ndarray, value: np.ndarray) -> np.ndarray:
     """The modulator phase ``basis*pi/2 + value*pi`` for basis/value arrays.
 
-    Axis-agnostic: works on a single link's ``(n_slots,)`` arrays and on the
-    lane engine's ``(n_links, n_slots)`` batches alike (the table gather is
-    elementwise).  This is the one place the phase encoding is computed, for
+    Shape-agnostic (the table gather is elementwise), so the channel can
+    encode just its fired slots.  This is the one place the phase encoding is computed, for
     the weak-coherent and the entangled source alike.
     """
     return _PHASE_TABLE[(basis << 1) | value]
@@ -100,8 +99,8 @@ class WeakCoherentSource:
     ) -> np.ndarray:
         """Draw one batch of modulation choices into caller-provided arrays.
 
-        :func:`repro.optics.channel.transmit_lanes` hands in one *row* of its
-        ``(n_links, n_slots)`` arrays per lane.  Per slot: Alice's random
+        :meth:`repro.optics.channel.QuantumChannel.transmit` hands in its
+        frame's three per-slot arrays.  Per slot: Alice's random
         basis (0/1), her random key bit (0/1), and the Poissonian photon
         number actually present — drawn in that order, one call each, which
         is what the pinned digests fix (:mod:`repro.optics.draws` takes the
@@ -109,7 +108,7 @@ class WeakCoherentSource:
 
         Returns the ascending indices of the non-empty pulses
         (``photons_out.nonzero()[0]``), which the photon-number draw knows
-        without another pass over a row that is mostly zeros.
+        without another pass over an array that is mostly zeros.
         """
         n_pulses = basis_out.shape[-1]
         coin_flips(self._numpy_rng, n_pulses, out=basis_out)

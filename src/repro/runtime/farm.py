@@ -57,26 +57,29 @@ class LinkRun:
 
 
 def _run_link_job(job: LinkJob) -> LinkRun:
-    """What a process/thread worker runs: the job as a width-1 lane batch."""
+    """What a process/thread worker runs: the job as a one-lane fleet."""
     from repro.lanes import LaneEngine
 
     return LaneEngine([job]).run()[0]
 
 
 class LinkFarm:
-    """Schedules whole-link simulations across a worker pool or lane batch.
+    """Schedules whole-link simulations across a worker pool or in-process.
 
-    Every backend runs the same slot→key loop (:mod:`repro.lanes.engine`) and
-    is digest-invariant (a job's output is a pure function of its parameters
-    and seed); they differ only in how wide each batch is:
+    Every backend runs the same slot→key loop
+    (:func:`repro.lanes.engine.run_lane`) once per job and is
+    digest-invariant (a job's output is a pure function of its parameters
+    and seed); they differ only in where each job runs:
 
     ``"process"`` / ``"thread"``
-        One width-1 batch per job, fanned out across workers via
+        One job per worker task, fanned out via
         :func:`repro.runtime.pool.parallel_map`.
     ``"lanes"``
-        The whole fleet as one ``(n_links, n_slots)`` batch in this process.
-        Requires lane-compatible jobs (homogeneous epochs; see
-        :func:`repro.lanes.engine.lane_mismatch`).
+        Every job in this process, one after another
+        (:class:`~repro.lanes.LaneEngine`).
+
+    Any fleet runs on any backend: jobs may differ in slot budget,
+    ``slots_per_batch`` and everything else.
     """
 
     #: Valid ``backend`` names, in documentation order.

@@ -1,7 +1,7 @@
 """Dense reference for :func:`repro.optics.channel.transmit_lanes`.
 
-The body ``transmit_lanes`` had before it went sparse, kept verbatim: every
-draw *and* every piece of per-slot physics evaluated on all
+The body ``transmit_lanes`` had before it went sparse, kept nearly verbatim:
+every draw *and* every piece of per-slot physics evaluated on all
 ``(n_links, n_slots)`` slots, whether or not anything can click there.
 Obvious and slow, imported by no production code;
 ``tests/test_optics_differential.py`` holds the shipped implementation to it
@@ -16,7 +16,9 @@ that class's constructor.  And it draws the source rows itself
 ``emit_into`` or in the draw kernels of :mod:`repro.optics.draws` shows as a
 difference instead of cancelling out.  (The attacks and ``apply_afterpulse``
 are still production code on both sides; ``tests/test_optics_differential.py``
-holds the kernels they use to numpy directly.)
+holds the kernels they use to numpy directly.)  The click probability is
+taken row by row, since the shipped ``signal_click_probability`` is 1-D
+only; each row's table is the same ``np.power`` floats either way.
 """
 
 import numpy as np
@@ -117,11 +119,12 @@ def dense_transmit_lanes(channels, n_slots: int, attacks=None):
         if efficiency_factor < 1.0:
             photons_rx2[i] = lane_rngs[i].binomial(photons_rx2[i], efficiency_factor)
 
-    # --- detectors: batched click probability, per-lane draws --- #
-    per_photon_col = np.array(
-        [c.detectors.per_photon_detection_probability for c in channels]
-    )[:, None]
-    click_prob2 = signal_click_probability(photons_rx2, per_photon_col)
+    # --- detectors: per-lane click probability, per-lane draws --- #
+    click_prob2 = np.empty(shape, dtype=np.float64)
+    for i, channel in enumerate(channels):
+        click_prob2[i] = signal_click_probability(
+            photons_rx2[i], channel.detectors.per_photon_detection_probability
+        )
     del photons_rx2
     signal_click2 = np.empty(shape, dtype=bool)
     dark0_2 = np.empty(shape, dtype=bool)

@@ -25,6 +25,13 @@ class TestLinkParameters:
     def test_for_distance(self):
         assert LinkParameters.for_distance(42.0).channel.path.length_km == 42.0
 
+    @pytest.mark.parametrize("batch", [0, -5, 2.5, True])
+    def test_slots_per_batch_must_be_a_positive_int(self, batch):
+        """Refused at construction: a zero batch never shrinks the slots left
+        to run, and a negative or fractional one fails only deep in the optics."""
+        with pytest.raises(ValueError, match="slots_per_batch must be a positive integer"):
+            LinkParameters(slots_per_batch=batch)
+
 
 class TestAnalyticModel:
     def test_expected_qber_in_paper_band(self):

@@ -301,11 +301,6 @@ class TestDetectors:
         assert np.allclose(
             signal_click_probability(counts, per_photon), 1 - (1 - expected) ** counts
         )
-        # An (n_links, 1) column gives each lane's row its own probability.
-        column = np.array([[per_photon], [0.5]])
-        batch = signal_click_probability(np.tile(counts, (2, 1)), column)
-        assert np.array_equal(batch[0], signal_click_probability(counts, per_photon))
-        assert np.array_equal(batch[1], signal_click_probability(counts, 0.5))
         # Through the channel: no fiber loss, a bright source (every pulse
         # occupied), so the click rate is 1 - exp(-mu * T_rx * eta).
         bright = ChannelParameters(
