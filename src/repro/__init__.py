@@ -19,9 +19,9 @@ Pearson and Troxel as a pure-Python simulation and protocol library:
 * :mod:`repro.runtime` — link-level scheduling across worker pools
   (:class:`~repro.runtime.LinkFarm`) with output invariant under worker
   count.
-* :mod:`repro.lanes` — the vectorized multi-link lane engine: a fleet of
-  homogeneous-epoch links executed lock-step as one ``(n_links, n_slots)``
-  numpy batch program, bit-identical to the sequential runs.
+* :mod:`repro.lanes` — the slot→key loop and the lane engine: a fleet of
+  links carried to pooled key one lane at a time in one process, each lane
+  bit-identical to the same link run alone.
 * :mod:`repro.kms` — continuous-operation key management: per-peer-pair key
   stores with reservation semantics, depletion-driven replenishment across
   the mesh, traffic-driven IKE rekey workloads, and failure/attack handling

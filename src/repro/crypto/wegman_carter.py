@@ -111,6 +111,11 @@ class WegmanCarterAuthenticator:
             raise ValueError("tag length must be positive")
         if block_bits <= tag_bits:
             raise ValueError("block size must exceed the tag length")
+        if tag_bits % 8 or block_bits % 8:
+            raise ValueError(
+                "tag and block sizes must be whole bytes, got "
+                f"tag_bits={tag_bits!r}, block_bits={block_bits!r}"
+            )
         self.pool = pool
         self.tag_bits = tag_bits
         self.block_bits = block_bits
@@ -148,38 +153,15 @@ class WegmanCarterAuthenticator:
         Each block hashed is ``digest || chunk`` zero-padded to ``block_bits``;
         the message bits are consumed ``block_bits - tag_bits`` at a time with
         a 32-bit length marker appended (so messages that differ only by
-        trailing zero-padding hash differently).  The whole chain runs on
-        packed words: the message plus marker is always a whole number of
-        bytes, and when the geometry is byte-aligned (every default
-        configuration) the entire chain executes inside
-        :meth:`ToeplitzHash.chained_hash_aligned`, which hashes every chunk
-        of the transcript at once from per-byte-position tables.
+        trailing zero-padding hash differently).  Tag and block are whole
+        bytes, so the entire chain runs on packed words inside
+        :meth:`ToeplitzHash.chained_hash_aligned`, which hashes every chunk of
+        the transcript at once from per-byte-position tables.
         """
-        payload = self.block_bits - self.tag_bits
+        payload_bytes = (self.block_bits - self.tag_bits) // 8
         data = message + (len(message) % (1 << 32)).to_bytes(4, "big")
-        if payload % 8 == 0 and self.tag_bits % 8 == 0:
-            digest = self._hash.chained_hash_aligned(data, payload // 8)
-            return BitString.from_int(digest, self.tag_bits)
-        if payload % 8 == 0:
-            payload_bytes = payload // 8
-            digest = 0
-            for start in range(0, len(data), payload_bytes):
-                chunk = data[start : start + payload_bytes]
-                chunk_bits = 8 * len(chunk)
-                padded = (digest << chunk_bits) | int.from_bytes(chunk, "big")
-                padded <<= self.block_bits - self.tag_bits - chunk_bits
-                digest = self._hash.hash_value(padded)
-            return BitString.from_int(digest, self.tag_bits)
-        # Non-byte-aligned payloads (exotic tag/block configurations) take the
-        # equivalent BitString path.
-        bits = BitString.from_bytes(data)
-        digest = BitString.zeros(self.tag_bits)
-        for chunk in bits.chunks(payload) or [BitString()]:
-            padded = digest + chunk
-            if len(padded) < self.block_bits:
-                padded = padded + BitString.zeros(self.block_bits - len(padded))
-            digest = self._hash.hash(padded)
-        return digest
+        digest = self._hash.chained_hash_aligned(data, payload_bytes)
+        return BitString.from_int(digest, self.tag_bits)
 
     def tag(self, message: bytes) -> BitString:
         """Produce an authentication tag, consuming ``tag_bits`` of fresh pad."""

@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
@@ -73,10 +74,10 @@ class ReplenishmentConfig:
     #: epoch's links run on (None = one per CPU).  Analytic epochs generate
     #: their pad material inline whatever this says.
     workers: Optional[int] = None
-    #: Monte-Carlo dispatch only: the farm's backend, one of
-    #: :data:`repro.runtime.farm.LinkFarm.BACKENDS`.  ``"process"`` or
-    #: ``"thread"`` run one link per worker; ``"lanes"`` runs the epoch's
-    #: links in this process, one lane at a time (:class:`repro.lanes.LaneEngine`).
+    #: Monte-Carlo dispatch only: the farm's pool backend, ``"process"`` or
+    #: ``"thread"`` (:data:`repro.runtime.farm.LinkFarm.BACKENDS`), one link
+    #: per worker.  At ``workers=1`` the epoch's links run in this process,
+    #: one lane at a time, whichever backend is named.
     backend: str = "thread"
     #: Pairwise pads below this are always dispatched this epoch.
     pad_low_water_bits: int = 4_096
@@ -107,8 +108,9 @@ class ReplenishmentConfig:
             )
         if self.epoch_seconds <= 0:
             raise ValueError("epoch duration must be positive")
-        if self.slots_per_epoch <= 0:
-            raise ValueError("slot budget must be positive")
+        slots = self.slots_per_epoch
+        if isinstance(slots, bool) or not isinstance(slots, Integral) or slots < 1:
+            raise ValueError(f"slots_per_epoch must be a positive integer, got {slots!r}")
         cap = self.max_links_per_epoch
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise ValueError(f"max_links_per_epoch must be None or a positive integer, got {cap!r}")

@@ -211,8 +211,14 @@ class KmsConfig:
         return replace(self, replenishment=replace(self.replenishment, **overrides))
 
     def with_lanes(self, **overrides) -> "KmsConfig":
-        """This config distilling real Monte-Carlo epochs on the lane engine."""
-        return self.with_replenishment(mode="montecarlo", backend="lanes", **overrides)
+        """This config distilling real Monte-Carlo epochs in this process.
+
+        ``mode="montecarlo"`` and ``workers=1``: the epoch's links run one
+        lane at a time through the slot→key loop, no pool.  Any
+        :class:`ReplenishmentConfig` field may be overridden, those two
+        included.
+        """
+        return self.with_replenishment(**{"mode": "montecarlo", "workers": 1, **overrides})
 
     @property
     def rekey_draw_bits(self) -> int:

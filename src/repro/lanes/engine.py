@@ -3,12 +3,11 @@
 Every link is a **lane**, and :func:`run_lane` is the one loop that carries a
 lane from trigger slots to pooled key, one ``slots_per_batch`` batch at a
 time: transmit (:func:`repro.optics.channel.transmit_lanes`), sift
-(:func:`repro.core.sifting.sift_frames`), distil (the link's own engine),
-then release the batch's per-slot arrays.  A single
-:class:`~repro.link.qkd_link.QKDLink` runs it directly
+(:func:`repro.core.sifting.sift_frames`), then distil (the link's own
+engine).  A single :class:`~repro.link.qkd_link.QKDLink` runs it directly
 (``QKDLink.run_slots``), :class:`LaneEngine` runs a fleet through it lane
-after lane in one process, and the :class:`~repro.runtime.farm.LinkFarm`'s
-process/thread workers run it one job per worker.
+after lane in one process, and the :class:`~repro.runtime.farm.LinkFarm`
+runs it once per job — inline at one worker, else one job per pool task.
 
 Lane independence
 -----------------
@@ -27,8 +26,9 @@ Every draw, compare and ``nonzero`` of the optics is per link, and only the
 ~0.3 % of slots that fire are worth computing on, so holding lanes side by
 side as an ``(n_links, n_slots)`` batch saves no time — it only keeps every
 lane's eight per-slot arrays alive at once (~8 bytes a slot: 32 MiB for
-sixteen 250 k-slot lanes).  Carried one at a time, only one lane's batch is
-alive at any moment, and lanes may differ in everything: slot budget,
+sixteen 250 k-slot lanes).  Carried one at a time, and with each frame
+dropped as soon as it is sifted, only one lane's batch is alive at any
+moment, and lanes may differ in everything: slot budget,
 ``slots_per_batch`` and Qframe size included.  (``slots_per_batch`` is part
 of each link's draw granularity, so changing it changes that link's
 bitstream; compare like with like.)
@@ -36,6 +36,7 @@ bitstream; compare like with like.)
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import List, Optional, Sequence
 
 from repro.core.sifting import sift_frames
@@ -52,10 +53,12 @@ def run_lane(link: QKDLink, n_slots: int, flush: bool = True) -> LinkReport:
 
     Per batch: one :func:`transmit_lanes`, one :func:`sift_frames`, then the
     link's engine accumulates and distils; ``flush`` distils a final partial
-    block.  Returns the link's report.
+    block.  Returns the link's report.  ``n_slots`` must be a non-negative
+    integer (numpy integers included).
     """
-    if n_slots < 0:
-        raise ValueError("slot count must be non-negative")
+    if isinstance(n_slots, bool) or not isinstance(n_slots, Integral) or n_slots < 0:
+        raise ValueError(f"slot count must be a non-negative integer, got {n_slots!r}")
+    n_slots = int(n_slots)
     channel = link.parameters.channel
     outcomes = []
     remaining = n_slots
@@ -63,6 +66,9 @@ def run_lane(link: QKDLink, n_slots: int, flush: bool = True) -> LinkReport:
         this_batch = min(link.parameters.slots_per_batch, remaining)
         [frame] = transmit_lanes([link.channel], this_batch, [link.attack])
         [sift] = sift_frames([frame], [link.engine.allocate_frame_id()])
+        # Sifting was the frame's one reader: with this reference gone its
+        # per-slot arrays are freed before the next batch draws its own.
+        del frame
         outcomes.extend(
             link.engine.process_sifted(
                 sift,
@@ -71,9 +77,6 @@ def run_lane(link: QKDLink, n_slots: int, flush: bool = True) -> LinkReport:
                 entangled_source=channel.is_entangled,
             )
         )
-        # Sifting has extracted everything the protocols need; free the
-        # per-slot arrays before the next batch draws its own.
-        frame.release_slot_arrays()
         remaining -= this_batch
     if flush:
         flushed = link.engine.flush()

@@ -137,8 +137,8 @@ class ToeplitzHash:
     def hash_value(self, key_value: int) -> int:
         """Hash a key given as its packed integer (``BitString.to_int`` order).
 
-        Fast path for callers that already hold packed words (the Wegman-Carter
-        chaining loop); returns the packed ``output_bits``-bit tag value.
+        Fast path for callers that already hold packed words (:meth:`hash`
+        runs on it); returns the packed ``output_bits``-bit tag value.
         """
         n = self.input_bits
         # Left-align the key to a byte boundary; clmul(D, K << p) = P << p,
@@ -208,9 +208,8 @@ class ToeplitzHash:
 
         Requires ``input_bits``, ``output_bits`` and ``payload_bytes * 8`` to
         tile exactly: ``input_bits == output_bits + 8 * payload_bytes`` with
-        both bit counts byte-aligned (the authentication layer's default
-        256/32 geometry).  Callers with exotic geometries use the generic
-        :meth:`hash_value` path instead.
+        both bit counts byte-aligned, which the Wegman-Carter authenticator
+        requires of every tag and block size.
         """
         if self.input_bits % 8 or self.output_bits % 8:
             raise ValueError("chained_hash_aligned requires byte-aligned geometry")

@@ -112,37 +112,6 @@ class ChannelParameters:
         return self.source.mean_photon_number
 
 
-def _released_error(name: str) -> RuntimeError:
-    return RuntimeError(
-        f"per-slot arrays were released; {name} is no longer available "
-        "(only summary statistics survive release_slot_arrays())"
-    )
-
-
-def _slot_array_property(name: str) -> property:
-    """A per-slot array attribute that fails loudly after release.
-
-    Reading any of the eight arrays once :meth:`FrameResult.release_slot_arrays`
-    has run raises ``RuntimeError`` naming the release — instead of handing
-    the caller ``None`` and letting it explode later as an opaque
-    ``'NoneType' object is not subscriptable``.
-    """
-    private = "_" + name
-
-    def _get(self):
-        value = getattr(self, private)
-        if value is None and self._summary is not None:
-            raise _released_error(name)
-        return value
-
-    def _set(self, value):
-        setattr(self, private, value)
-
-    return property(
-        _get, _set, doc=f"Per-slot array ``{name}`` (gone after release_slot_arrays())."
-    )
-
-
 class FrameResult:
     """The outcome of transmitting a batch of trigger slots.
 
@@ -153,18 +122,14 @@ class FrameResult:
     default ``int64`` dtypes would.  The eighth, ``frame_numbers`` (the int64
     Qframe number of every slot), is **lazy**: a frame holds only the first
     frame number and the Qframe size and builds the array on first access, so
-    the slot→key loop — which never reads it — never pays for it.  The object
-    also carries the summary statistics the entropy-estimation stage needs
-    (total transmitted, multi-photon count) and, if an attack was active, the
-    attack's own bookkeeping.
+    the slot→key loop — which never reads it — never pays for it.  If an
+    attack was active the frame also carries the attack's own bookkeeping.
 
-    A frame owns its arrays (one link's batch, never a view into a wider
-    one).  Once sifting has extracted the surviving bits they are dead
-    weight; :meth:`release_slot_arrays` caches the summary statistics and
-    drops them, which is what the slot→key loop
-    (:func:`repro.lanes.engine.run_lane`) does after each batch — so a run
-    holds one batch of one link's per-slot arrays at a time, however many
-    links it carries.
+    A frame is a plain value that owns its arrays (one link's batch, never a
+    view into a wider one).  It is read once, by sifting; the slot→key loop
+    (:func:`repro.lanes.engine.run_lane`) drops its reference as soon as
+    sifting returns, so a run holds one batch of one link's per-slot arrays
+    at a time, however many links it carries.
     """
 
     def __init__(
@@ -193,25 +158,10 @@ class FrameResult:
         self._slots_per_frame = slots_per_frame
         self._frame_numbers: Optional[np.ndarray] = None
         self.attack_record = attack_record or {}
-        self._summary: Optional[dict] = None
-
-    # The seven stored arrays live behind guarded properties (see
-    # _slot_array_property); the __init__ assignments above go through the
-    # setters.  _summary must therefore be the *last* attribute initialised
-    # without a guard — the getters consult it.
-    alice_basis = _slot_array_property("alice_basis")
-    alice_value = _slot_array_property("alice_value")
-    alice_photons = _slot_array_property("alice_photons")
-    bob_basis = _slot_array_property("bob_basis")
-    bob_click = _slot_array_property("bob_click")
-    bob_double = _slot_array_property("bob_double")
-    bob_value = _slot_array_property("bob_value")
 
     @property
     def frame_numbers(self) -> np.ndarray:
-        """Per-slot Qframe numbers, built on first access (gone after release_slot_arrays())."""
-        if self._summary is not None:
-            raise _released_error("frame_numbers")
+        """Per-slot Qframe numbers, built on first access."""
         if self._frame_numbers is None:
             frame_index = frame_layout(self._slots_per_frame, self.n_slots)
             frame_index += self._first_frame_number
@@ -223,57 +173,13 @@ class FrameResult:
     # ------------------------------------------------------------------ #
 
     @property
-    def released(self) -> bool:
-        """Whether the per-slot arrays have been dropped (summaries remain)."""
-        return self._summary is not None
-
-    def release_slot_arrays(self) -> None:
-        """Drop the eight per-slot arrays, keeping the summary statistics.
-
-        Call after sifting has extracted the surviving bits: ``n_slots``,
-        ``n_multi_photon``, ``n_detected``, ``n_sifted``, ``n_sifted_errors``
-        and ``qber`` keep answering from a cache, while per-slot access
-        (``sifted_indices`` and the array attributes) becomes unavailable.
-        Idempotent.
-        """
-        if self._summary is not None:
-            return
-        # Everything but the multi-photon count is a statement about the
-        # slots that clicked (one gate in ~300), so gather those once instead
-        # of building whole-batch masks.
-        clicked = self.bob_click.nonzero()[0]
-        usable = clicked[~self.bob_double[clicked]]
-        sifted = usable[self.alice_basis[usable] == self.bob_basis[usable]]
-        self._summary = {
-            "n_slots": int(self.alice_basis.shape[0]),
-            "n_multi_photon": int(np.count_nonzero(self.alice_photons >= 2)),
-            "n_detected": int(usable.shape[0]),
-            "n_sifted": int(sifted.shape[0]),
-            "n_sifted_errors": int(
-                np.count_nonzero(self.alice_value[sifted] != self.bob_value[sifted])
-            ),
-        }
-        self.alice_basis = None
-        self.alice_value = None
-        self.alice_photons = None
-        self.bob_basis = None
-        self.bob_click = None
-        self.bob_double = None
-        self.bob_value = None
-        self._frame_numbers = None
-
-    @property
     def n_slots(self) -> int:
         """Number of trigger slots transmitted (the paper's ``n``)."""
-        if self._summary is not None:
-            return self._summary["n_slots"]
         return int(self.alice_basis.shape[0])
 
     @property
     def n_multi_photon(self) -> int:
         """Slots in which Alice's source emitted two or more photons."""
-        if self._summary is not None:
-            return self._summary["n_multi_photon"]
         return int(np.count_nonzero(self.alice_photons >= 2))
 
     @property
@@ -289,22 +195,16 @@ class FrameResult:
     @property
     def n_detected(self) -> int:
         """Number of usable clicks at Bob."""
-        if self._summary is not None:
-            return self._summary["n_detected"]
         return int(np.count_nonzero(self.usable_clicks))
 
     @property
     def n_sifted(self) -> int:
         """Number of sifted bits (the paper's ``b``)."""
-        if self._summary is not None:
-            return self._summary["n_sifted"]
         return int(np.count_nonzero(self.sifted_mask))
 
     @property
     def n_sifted_errors(self) -> int:
         """Number of error bits among the sifted bits (the paper's ``e``)."""
-        if self._summary is not None:
-            return self._summary["n_sifted_errors"]
         mask = self.sifted_mask
         return int(np.count_nonzero(self.alice_value[mask] != self.bob_value[mask]))
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.keypool import KeyPool
 from repro.link.qkd_link import LinkParameters, LinkReport
-from repro.runtime.pool import parallel_map, resolve_workers
+from repro.runtime.pool import BACKENDS, parallel_map, resolve_workers
 from repro.util.rng import DeterministicRNG
 
 
@@ -57,33 +57,31 @@ class LinkRun:
 
 
 def _run_link_job(job: LinkJob) -> LinkRun:
-    """What a process/thread worker runs: the job as a one-lane fleet."""
+    """What the farm runs per job: the job as a one-lane fleet."""
     from repro.lanes import LaneEngine
 
     return LaneEngine([job]).run()[0]
 
 
 class LinkFarm:
-    """Schedules whole-link simulations across a worker pool or in-process.
+    """Schedules whole-link simulations across a worker pool.
 
-    Every backend runs the same slot→key loop
-    (:func:`repro.lanes.engine.run_lane`) once per job and is
-    digest-invariant (a job's output is a pure function of its parameters
-    and seed); they differ only in where each job runs:
-
-    ``"process"`` / ``"thread"``
-        One job per worker task, fanned out via
-        :func:`repro.runtime.pool.parallel_map`.
-    ``"lanes"``
-        Every job in this process, one after another
-        (:class:`~repro.lanes.LaneEngine`).
+    Every job runs the same slot→key loop
+    (:func:`repro.lanes.engine.run_lane`) and the farm is digest-invariant
+    (a job's output is a pure function of its parameters and seed); the
+    worker count and backend change only where each job runs.  One worker
+    (or one job) is the in-process lane loop, with no pool; otherwise jobs
+    fan out one per task via :func:`repro.runtime.pool.parallel_map` on
+    ``"process"`` or ``"thread"`` workers.  Each :meth:`run` builds its
+    links afresh: protocol state carried between epochs needs a
+    :class:`~repro.lanes.LaneEngine` the caller holds.
 
     Any fleet runs on any backend: jobs may differ in slot budget,
     ``slots_per_batch`` and everything else.
     """
 
-    #: Valid ``backend`` names, in documentation order.
-    BACKENDS = ("process", "thread", "lanes")
+    #: Valid ``backend`` names: the pool's.
+    BACKENDS = BACKENDS
 
     def __init__(self, workers: Optional[int] = None, backend: str = "process"):
         resolve_workers(workers)
@@ -129,14 +127,7 @@ class LinkFarm:
     def run(self, jobs: Sequence[LinkJob]) -> List[LinkRun]:
         """Run every job; results come back in submission order.
 
-        The backend only changes *how* the jobs execute, never their output:
-        switching backends leaves every digest unchanged.
+        The worker count and backend only change *how* the jobs execute,
+        never their output: every digest is the same for all of them.
         """
-        from repro.lanes import LaneEngine
-
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        if self.backend == "lanes":
-            return LaneEngine(jobs).run()
         return parallel_map(_run_link_job, jobs, workers=self.workers, backend=self.backend)

@@ -1,8 +1,7 @@
 """Worker-pool plumbing for the link farm.
 
 One helper, :func:`parallel_map`, is the one-shot fan-out, and it has one
-caller: :meth:`repro.runtime.farm.LinkFarm.run` on its process and thread
-backends.  It applies a picklable function to a list of picklable work items
+caller: :meth:`repro.runtime.farm.LinkFarm.run`.  It applies a picklable function to a list of picklable work items
 across a process or thread pool, **preserving input order** in the results.
 Order preservation is what turns a pool into a deterministic scheduler —
 callers put independence into the work items (forked RNG streams, no shared

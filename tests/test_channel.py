@@ -143,8 +143,7 @@ class TestMonteCarlo:
 
 
 class TestFrameResultMemory:
-    """The per-slot arrays hold the narrow dtypes and can be released once
-    sifting has extracted the surviving bits (PR 3 memory satellite)."""
+    """The per-slot arrays hold the narrow dtypes."""
 
     def test_narrow_dtypes(self):
         channel = QuantumChannel(rng=DeterministicRNG(9))
@@ -156,37 +155,3 @@ class TestFrameResultMemory:
         assert frame.bob_click.dtype == bool
         assert frame.bob_double.dtype == bool
         assert frame.bob_value.dtype == np.uint8
-
-    def test_release_keeps_summaries_and_drops_arrays(self):
-        channel = QuantumChannel(rng=DeterministicRNG(10))
-        frame = channel.transmit(50_000)
-        summary = (
-            frame.n_slots,
-            frame.n_multi_photon,
-            frame.n_detected,
-            frame.n_sifted,
-            frame.n_sifted_errors,
-            frame.qber,
-        )
-        assert not frame.released
-        frame.release_slot_arrays()
-        assert frame.released
-        # Direct attribute reads fail loudly, not with a NoneType error.
-        with pytest.raises(RuntimeError, match="released"):
-            frame.alice_basis
-        with pytest.raises(RuntimeError, match="released"):
-            frame.bob_value
-        assert (
-            frame.n_slots,
-            frame.n_multi_photon,
-            frame.n_detected,
-            frame.n_sifted,
-            frame.n_sifted_errors,
-            frame.qber,
-        ) == summary
-        # Per-slot access is gone, loudly.
-        with pytest.raises(RuntimeError, match="released"):
-            frame.sifted_indices()
-        # Idempotent.
-        frame.release_slot_arrays()
-        assert frame.n_slots == 50_000

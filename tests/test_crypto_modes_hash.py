@@ -339,3 +339,11 @@ class TestWegmanCarter:
             WegmanCarterAuthenticator(pool, tag_bits=0)
         with pytest.raises(ValueError):
             WegmanCarterAuthenticator(pool, tag_bits=64, block_bits=64)
+
+    @pytest.mark.parametrize("tag_bits, block_bits", [(12, 260), (32, 252)])
+    def test_sizes_that_are_not_whole_bytes_are_refused(self, tag_bits, block_bits):
+        """The hash chain runs on whole bytes; nothing else is accepted."""
+        pool = SharedSecretPool(BitString.random(4096, DeterministicRNG(1)))
+        with pytest.raises(ValueError, match="whole bytes"):
+            WegmanCarterAuthenticator(pool, tag_bits=tag_bits, block_bits=block_bits)
+        assert pool.consumed_bits == 0

@@ -7,7 +7,9 @@ invariance digest the subsystem's determinism contract promises.
 """
 
 import hashlib
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -464,6 +466,17 @@ class TestReplenishmentScheduler:
                 ReplenishmentConfig(max_links_per_epoch=cap)
         assert ReplenishmentConfig(max_links_per_epoch=1).max_links_per_epoch == 1
         assert ReplenishmentConfig().max_links_per_epoch is None
+
+    @pytest.mark.parametrize("slots", [2.5, 100_000.0, True, 0, -1])
+    def test_slots_per_epoch_must_be_a_positive_int(self, slots):
+        """Refused at construction, naming the value, not at the first
+        Monte-Carlo epoch deep in the optics."""
+        message = f"slots_per_epoch must be a positive integer, got {slots!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ReplenishmentConfig(slots_per_epoch=slots)
+
+    def test_slots_per_epoch_takes_a_numpy_integer(self):
+        assert ReplenishmentConfig(slots_per_epoch=np.int64(4096)).slots_per_epoch == 4096
 
     def test_unknown_link_raises_keyerror_naming_known_set(self):
         relays = make_relays()

@@ -7,12 +7,13 @@ that differentially — N lanes vs N x 1 lane, across lane counts,
 heterogeneous per-lane physics, an attacked lane, and lane order, which is
 what catches cross-lane leakage — and a persistent fleet over repeated
 epochs, plus ``sift_frames``, the memory bound that carrying one lane at a
-time buys, ragged fleets on every farm backend, and the scheduler's
-lanes-backed Monte-Carlo mode.
+time buys, ragged fleets at any worker count on either farm backend, and the
+scheduler's in-process Monte-Carlo mode.
 """
 
 import hashlib
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -24,11 +25,11 @@ from repro.eve import InterceptResendAttack
 from repro.kms import KeyManagementService, KmsConfig
 from repro.kms.scheduler import ReplenishmentConfig
 from repro.link.qkd_link import LinkParameters, QKDLink
-from repro.optics.channel import ChannelParameters, FrameResult, QuantumChannel
+from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.optics.detector import DetectorParameters
 from repro.optics.interferometer import InterferometerParameters
 from repro.optics.timing import FramingParameters
-from repro.runtime import LinkFarm
+from repro.runtime import LinkFarm, pool
 from repro.runtime.farm import LinkJob, _run_link_job
 from repro.util.rng import DeterministicRNG
 
@@ -276,20 +277,26 @@ class TestLaneMemoryDiscipline:
     """Per-slot arrays are freed batch by batch, and only one lane's are
     alive at any moment."""
 
-    def test_every_lane_frame_is_released(self, monkeypatch):
-        released = []
-        original = FrameResult.release_slot_arrays
+    def test_no_frame_outlives_its_batch(self, monkeypatch):
+        """Each batch's frame is dead — not merely emptied — before the next
+        batch transmits, on every lane, the attacked one included."""
+        import repro.lanes.engine as lanes_engine
 
-        def counting_release(self):
-            released.append(self)
-            return original(self)
+        frames = []
+        transmit_lanes = lanes_engine.transmit_lanes
 
-        monkeypatch.setattr(FrameResult, "release_slot_arrays", counting_release)
-        jobs = heterogeneous_jobs(n_slots=SLOTS)[:2]
+        def transmit_after_the_last_frame_died(channels, n_slots, attacks=None):
+            assert all(frame() is None for frame in frames), "an earlier frame is alive"
+            batch = transmit_lanes(channels, n_slots, attacks)
+            frames.extend(weakref.ref(frame) for frame in batch)
+            return batch
+
+        monkeypatch.setattr(lanes_engine, "transmit_lanes", transmit_after_the_last_frame_died)
+        jobs = heterogeneous_jobs(n_slots=SLOTS)
         LaneEngine(jobs).run()
         n_batches = 3  # 70k slots in 30k batches
-        assert len(released) == len(jobs) * n_batches
-        assert len({id(frame) for frame in released}) == len(released)
+        assert len(frames) == len(jobs) * n_batches
+        assert all(frame() is None for frame in frames)
 
     def test_sixteen_lanes_peak_like_one(self):
         """After a warm-up epoch, the traced peak of a 16-lane 250 k-slot
@@ -320,11 +327,18 @@ class TestFarmBackends:
         with pytest.raises(ValueError, match="unknown LinkFarm backend 'auto'"):
             LinkFarm(backend="auto")
 
-    @pytest.mark.parametrize("backend", ["thread", "lanes"])
-    def test_ragged_fleet_runs_on_a_pool_backend_in_order(self, backend):
+    def test_lanes_is_not_a_backend(self):
+        """The in-process lane loop is ``workers=1``, not a backend: the
+        farm's backends are the pool's."""
+        with pytest.raises(ValueError, match="unknown LinkFarm backend 'lanes'"):
+            LinkFarm(backend="lanes")
+        assert LinkFarm.BACKENDS == pool.BACKENDS == ("process", "thread")
+
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_ragged_fleet_runs_at_any_worker_count_in_order(self, workers):
         """Links that differ in slot budget, ``slots_per_batch`` and Qframe
-        size run together on either backend, in order, each bit for bit its
-        width-1 run."""
+        size run together on thread workers or inline, in order, each bit for
+        bit its width-1 run."""
         jobs = heterogeneous_jobs()
         ragged = [
             jobs[0],
@@ -339,19 +353,19 @@ class TestFarmBackends:
                 ),
             ),
         ]
-        runs = LinkFarm(workers=2, backend=backend).run(ragged)
+        runs = LinkFarm(workers=workers, backend="thread").run(ragged)
         assert [run.name for run in runs] == [job.name for job in ragged]
         assert [run.report.slots_transmitted for run in runs] == [job.n_slots for job in ragged]
         assert {run.name: _report_digest(run.report) for run in runs} == sequential_digests(ragged)
 
-    def test_lanes_backend_matches_thread_backend(self):
+    def test_one_worker_matches_thread_workers(self):
         jobs = heterogeneous_jobs()
-        lane_runs = LinkFarm(backend="lanes").run(jobs)
+        inline_runs = LinkFarm(workers=1).run(jobs)
         thread_runs = LinkFarm(workers=2, backend="thread").run(jobs)
-        for lane_run, thread_run in zip(lane_runs, thread_runs):
-            assert lane_run.name == thread_run.name
-            assert _report_digest(lane_run.report) == _report_digest(thread_run.report)
-            assert _pool_digest(lane_run.alice_pool) == _pool_digest(
+        for inline_run, thread_run in zip(inline_runs, thread_runs):
+            assert inline_run.name == thread_run.name
+            assert _report_digest(inline_run.report) == _report_digest(thread_run.report)
+            assert _pool_digest(inline_run.alice_pool) == _pool_digest(
                 thread_run.alice_pool
             )
 
@@ -372,15 +386,18 @@ class TestFarmBackends:
 
         names = ["beamsplitter", "entangled", "phase_noise"]
         jobs = [branch_job(name) for name in names]
-        for run in LinkFarm(backend="lanes").run(jobs):
+        for run in LinkFarm(workers=1).run(jobs):
             pinned_pool_digest = LINK_BRANCHES[run.name][3]
             assert link_run_digest(run.report, run.alice_pool) == pinned_pool_digest
 
 
 class TestSchedulerLanes:
     def test_replenishment_config_validates_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            ReplenishmentConfig(backend="bogus")
+        """In-process epochs are ``workers=1`` (``KmsConfig.with_lanes``), not
+        a ``"lanes"`` backend."""
+        for backend in ("bogus", "lanes"):
+            with pytest.raises(ValueError, match="backend must be one of"):
+                ReplenishmentConfig(backend=backend)
 
     def test_replenishment_config_refuses_auto(self):
         with pytest.raises(ValueError, match="backend must be one of"):
@@ -395,7 +412,6 @@ class TestSchedulerLanes:
     def test_pad_material_is_generated_without_a_pool(self, monkeypatch):
         """An analytic epoch and a labeled prefill at ``workers=4`` construct
         no executor: a pool loses to the plain loop at every fleet size."""
-        import repro.runtime.pool as pool
         from repro.kms.scheduler import ReplenishmentScheduler
         from tests.test_kms import make_relays
 
@@ -408,19 +424,20 @@ class TestSchedulerLanes:
         relays.run_links_for(0.5, workers=4)
         prefilled = sum(pad.available_bytes for pad in relays.pairwise_pads.values())
         assert prefilled > 0
-        for backend in ("process", "lanes"):
+        for backend in pool.BACKENDS:
             scheduler = ReplenishmentScheduler(
                 relays, DeterministicRNG(1), ReplenishmentConfig(workers=4, backend=backend)
             )
             report = scheduler.run_epoch()
             assert len(report.dispatched) > 1 and report.total_banked_bits > 0
 
-    def test_montecarlo_lanes_backend_matches_thread(self):
+    def test_montecarlo_one_worker_matches_thread_workers(self):
         """The scheduler's Monte-Carlo epochs deliver identical key material
-        whether the fleet runs on thread workers or the lane engine."""
+        whether the fleet runs inline, one lane at a time, or on thread
+        workers."""
         from tests.test_kms import make_relays
 
-        def serve(backend):
+        def serve(workers):
             relays = make_relays(seed=3, n_endpoints=2, n_relays=1, link_length_km=1.0)
             config = KmsConfig(
                 transport_key_bits=64,
@@ -431,15 +448,15 @@ class TestSchedulerLanes:
                     mode="montecarlo",
                     slots_per_epoch=800_000,
                     epoch_seconds=3600.0,
-                    workers=1,
-                    backend=backend,
+                    workers=workers,
+                    backend="thread",
                 ),
             )
             service = KeyManagementService(relays, config, rng=DeterministicRNG(3))
             return service.serve(hours=0.5)
 
-        lanes = serve("lanes")
-        threads = serve("thread")
+        lanes = serve(1)
+        threads = serve(2)
         assert lanes.pad_bits_banked > 0
         assert lanes.delivered_digest == threads.delivered_digest
         assert lanes.pad_bits_banked == threads.pad_bits_banked
@@ -459,8 +476,15 @@ class TestFacade:
         kms = mesh.kms(config)
         replenishment = kms.config.replenishment
         assert replenishment.mode == "montecarlo"
-        assert replenishment.backend == "lanes"
+        assert replenishment.workers == 1
         assert replenishment.max_links_per_epoch == 8
         # the builder is non-destructive: the base config is untouched
-        assert KmsConfig().replenishment.backend != "lanes"
-        assert mesh.kms().config.replenishment.backend != "lanes"
+        assert KmsConfig().replenishment.mode == "analytic"
+        assert mesh.kms().config.replenishment.workers is None
+
+    def test_with_lanes_overrides_win(self):
+        """``mode`` and ``workers`` are defaults, not fixed: an override of
+        either used to raise a duplicate-keyword ``TypeError``."""
+        replenishment = KmsConfig().with_lanes(mode="analytic", workers=2).replenishment
+        assert (replenishment.mode, replenishment.workers) == ("analytic", 2)
+        assert KmsConfig().with_lanes().replenishment.workers == 1

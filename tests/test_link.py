@@ -1,5 +1,8 @@
 """Integration tests for the assembled QKD link."""
 
+import re
+
+import numpy as np
 import pytest
 
 from repro.core.entropy_estimation import SlutskyDefense
@@ -31,6 +34,25 @@ class TestLinkParameters:
         to run, and a negative or fractional one fails only deep in the optics."""
         with pytest.raises(ValueError, match="slots_per_batch must be a positive integer"):
             LinkParameters(slots_per_batch=batch)
+
+
+class TestSlotCounts:
+    @pytest.mark.parametrize("n_slots", [True, 2.5, 100_000.0, -1, "10"])
+    def test_run_slots_refuses_what_is_not_a_non_negative_int(self, n_slots):
+        """Refused up front, naming the value: ``True`` and ``2.5`` used to
+        fail deep in numpy, and ``100000.0`` ran and reported a float count."""
+        link = QKDLink(LinkParameters(slots_per_batch=1_000), DeterministicRNG(7))
+        message = f"slot count must be a non-negative integer, got {n_slots!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            link.run_slots(n_slots)
+        assert link.channel.slots_transmitted == 0
+
+    def test_run_slots_takes_a_numpy_integer_and_reports_an_int(self):
+        report = QKDLink(LinkParameters(slots_per_batch=1_000), DeterministicRNG(7)).run_slots(
+            np.int64(2_500)
+        )
+        assert report.slots_transmitted == 2_500
+        assert type(report.slots_transmitted) is int
 
 
 class TestAnalyticModel:

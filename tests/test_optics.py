@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.link.qkd_link import LinkParameters, QKDLink
-from repro.optics.channel import ChannelParameters, FrameResult, QuantumChannel, transmit_lanes
+from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lanes
 from repro.optics.detector import (
     DetectorParameters,
     GatedAPDPair,
@@ -422,19 +422,19 @@ class TestFraming:
         assert np.array_equal(numbers, frame_layout(10, 25) + 3)
         assert numbers.dtype == np.int64
         assert frame.frame_numbers is numbers
-        frame.release_slot_arrays()
-        with pytest.raises(RuntimeError, match="frame_numbers is no longer available"):
-            frame.frame_numbers
 
     def test_slot_to_key_loop_never_builds_frame_numbers(self, monkeypatch):
+        import repro.lanes.engine as lanes_engine
+
         built = []
-        release = FrameResult.release_slot_arrays
+        sift_frames = lanes_engine.sift_frames
 
-        def release_and_record(frame):
-            built.append(frame._frame_numbers is not None)
-            release(frame)
+        def sift_and_record(frames, frame_ids):
+            sifts = sift_frames(frames, frame_ids)
+            built.extend(frame._frame_numbers is not None for frame in frames)
+            return sifts
 
-        monkeypatch.setattr(FrameResult, "release_slot_arrays", release_and_record)
+        monkeypatch.setattr(lanes_engine, "sift_frames", sift_and_record)
         link = QKDLink(LinkParameters(slots_per_batch=100_000), DeterministicRNG(3))
         link.run_slots(250_000)
         assert built == [False, False, False]

@@ -77,9 +77,9 @@ class TestLinkFarm:
                 str(b.bits) for b in two.alice_pool.blocks
             ]
 
-    @pytest.mark.parametrize("backend", ["process", "lanes"])
+    @pytest.mark.parametrize("backend", ["process", "thread"])
     def test_bad_worker_count_is_refused_at_construction(self, backend):
-        """``lanes`` never reads the count, so ``run`` would never have raised."""
+        """At construction, not from inside the first ``run``."""
         with pytest.raises(ValueError, match="worker count"):
             LinkFarm(workers=0, backend=backend)
 
