@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.dtn.contact import ContactGraphSelector, ContactSchedule
 from repro.dtn.policies import ForwardingPolicy, build_policy
 from repro.dtn.store import DELIVERED, EVICTED, EXPIRED, CustodyBundle, CustodyStore
-from repro.network.relay import TrustedRelayNetwork
+from repro.network.relay import TrustedRelayNetwork, weak_callback
 from repro.network.routing import RoutingError
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -74,7 +74,10 @@ class CustodyTransport:
     ):
         if ttl_seconds <= 0:
             raise ValueError("custody TTL must be positive")
-        self.relays = relays
+        #: The mesh's pads, not the relay network itself: a network that
+        #: enables custody holds this transport, so a back-reference would
+        #: make the two a reference cycle.
+        self.pads = relays.pairwise_pads
         self.network = relays.network
         self.selector = ContactGraphSelector(
             relays.network, schedule=schedule, metric=relays.selector.metric
@@ -98,7 +101,7 @@ class CustodyTransport:
         self._next_bundle_id = 0
         self._next_epidemic = 0
         self._bundle_digests: List[str] = []
-        self._on_delivered: Optional[Callable[[CustodyBundle], None]] = None
+        self._on_delivered: Callable[[], Optional[Callable[[CustodyBundle], None]]] = lambda: None
         self._distances: Dict[str, Dict[str, int]] = {}
 
     # ------------------------------------------------------------------ #
@@ -106,8 +109,13 @@ class CustodyTransport:
     # ------------------------------------------------------------------ #
 
     def bind(self, on_delivered: Callable[[CustodyBundle], None]) -> None:
-        """Register the delivery callback (the KMS deposits keys here)."""
-        self._on_delivered = on_delivered
+        """Register the delivery callback (the KMS deposits keys here).
+
+        A bound method is held weakly, as the relay network's pad listeners
+        are: a service binding its own method must stay free to be dropped.
+        Any other callable is held strongly.
+        """
+        self._on_delivered = weak_callback(on_delivered)
 
     def next_epidemic_stream(self) -> DeterministicRNG:
         """The labeled stream for the next epidemic replication decision."""
@@ -249,14 +257,14 @@ class CustodyTransport:
     # ------------------------------------------------------------------ #
 
     def _cross_hop(self, bundle: CustodyBundle, node_a: str, node_b: str) -> bool:
-        """Carry the bundle across one link — the relay layer's
-        :meth:`~repro.network.relay.TrustedRelayNetwork.cross_hop`, the same
+        """Carry the bundle across one link — the mesh pads'
+        :meth:`~repro.network.relay.PairwisePads.cross_hop`, the same
         primitive live transport spends pad through — and account for it.
         Returns ``False``, consuming nothing, when the pool cannot cover
         the bundle.
         """
         key_bytes = bundle.key.to_bytes()
-        if self.relays.cross_hop(node_a, node_b, key_bytes) is None:
+        if self.pads.cross_hop(node_a, node_b, key_bytes) is None:
             self.metrics.pad_shortages += 1
             return False
         bits = len(key_bytes) * 8
@@ -349,8 +357,9 @@ class CustodyTransport:
         for node in self.locations(bundle):
             self.stores[node].remove(bundle.bundle_id)
             self.metrics.duplicate_copies_purged += 1
-        if self._on_delivered is not None:
-            self._on_delivered(bundle)
+        on_delivered = self._on_delivered()
+        if on_delivered is not None:
+            on_delivered(bundle)
 
     # ------------------------------------------------------------------ #
     # The clock face

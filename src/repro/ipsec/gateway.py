@@ -17,6 +17,7 @@ cryptography" of the paper's abstract.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -74,15 +75,26 @@ class VPNGateway:
         )
         self.esp = EspProcessor(self.rng.fork("esp"))
         self.statistics = GatewayStatistics()
-        self.peer: Optional["VPNGateway"] = None
+        self._peer: Optional["weakref.ref[VPNGateway]"] = None
 
     # ------------------------------------------------------------------ #
     # Wiring and policy
     # ------------------------------------------------------------------ #
 
+    @property
+    def peer(self) -> Optional["VPNGateway"]:
+        """The gateway at the far end of the tunnel (``None`` until
+        :meth:`connect_peer`, or once it is gone).
+
+        Each side holds the other weakly — whoever wires the two (a
+        :class:`GatewayPair`) owns both — so a connected pair is no
+        reference cycle and is freed as soon as its owner drops it.
+        """
+        return None if self._peer is None else self._peer()
+
     def connect_peer(self, peer: "VPNGateway") -> None:
-        self.peer = peer
-        peer.peer = self
+        self._peer = weakref.ref(peer)
+        peer._peer = weakref.ref(self)
 
     def add_policy(self, policy: SecurityPolicy) -> None:
         self.spd.add(policy)
@@ -93,27 +105,27 @@ class VPNGateway:
 
     def establish_control_channel(self) -> None:
         """Run IKE Phase 1 with the peer gateway."""
-        if self.peer is None:
+        peer = self.peer
+        if peer is None:
             raise RuntimeError("gateway has no peer connected")
-        self.ike.establish_phase1(self.peer.ike, now=self.clock.now())
+        self.ike.establish_phase1(peer.ike, now=self.clock.now())
 
     def _ensure_outbound_sa(self, policy: SecurityPolicy) -> SecurityAssociation:
         """Find a live outbound SA for the policy, negotiating one if needed."""
-        if self.peer is None:
+        peer = self.peer
+        if peer is None:
             raise RuntimeError("gateway has no peer connected")
         now = self.clock.now()
-        sa = self.sad.outbound_sa(self.name, self.peer.name, now, policy_name=policy.name)
+        sa = self.sad.outbound_sa(self.name, peer.name, now, policy_name=policy.name)
         if sa is not None and not sa.expired(now):
             return sa
         # Retire anything stale on both ends, then negotiate afresh.
         retired_here = self.sad.retire_expired(now)
-        self.peer.sad.retire_expired(now)
+        peer.sad.retire_expired(now)
         if retired_here:
             self.statistics.rollovers += 1
         try:
-            outbound, _inbound = self.ike.negotiate_phase2(
-                self.peer.ike, policy, now=now
-            )
+            outbound, _inbound = self.ike.negotiate_phase2(peer.ike, policy, now=now)
         except NegotiationError:
             self.statistics.negotiation_failures += 1
             raise
@@ -122,17 +134,19 @@ class VPNGateway:
 
     def rekey_now(self, policy_name: str) -> SecurityAssociation:
         """Force an immediate rollover for a policy (used by the rekey timer)."""
+        peer = self.peer
+        if peer is None:
+            raise RuntimeError("gateway has no peer connected")
         policy = self.spd.policy_by_name(policy_name)
         now = self.clock.now()
         for sa in list(self.sad.by_spi.values()):
             if sa.policy_name == policy.name:
                 self.sad.retire(sa.spi)
-        if self.peer is not None:
-            for sa in list(self.peer.sad.by_spi.values()):
-                if sa.policy_name == policy.name:
-                    self.peer.sad.retire(sa.spi)
+        for sa in list(peer.sad.by_spi.values()):
+            if sa.policy_name == policy.name:
+                peer.sad.retire(sa.spi)
         self.statistics.rollovers += 1
-        outbound, _ = self.ike.negotiate_phase2(self.peer.ike, policy, now=now)
+        outbound, _ = self.ike.negotiate_phase2(peer.ike, policy, now=now)
         self.statistics.negotiations += 1
         return outbound
 

@@ -33,6 +33,11 @@ enough to spell out:
   ``EMIT`` (ready, emit in order), ``DEFER`` (a member that must stay
   indexed but cannot be emitted right now — an unusable link), or ``DROP``
   (no longer a member at all — a pad at target, a store at high water).
+
+* **The classifier is an argument, not an attribute.**  :meth:`push` and
+  :meth:`drain` take it per call, so the heap holds keys and sort keys
+  only: an owner that indexes itself with its own bound method (the
+  scheduler, the service) forms no reference cycle through its heap.
 """
 
 from __future__ import annotations
@@ -54,8 +59,7 @@ Classifier = Callable[[Hashable], Tuple[str, Optional[tuple]]]
 class LazyPriorityHeap:
     """A lazy-deletion heap that drains members in exact priority order."""
 
-    def __init__(self, classify: Classifier):
-        self._classify = classify
+    def __init__(self) -> None:
         self._heap: List[Tuple[tuple, int, Hashable]] = []
         #: Member -> current version token; presence *is* membership.
         self._version: Dict[Hashable, int] = {}
@@ -70,15 +74,15 @@ class LazyPriorityHeap:
     def members(self) -> List[Hashable]:
         return list(self._version)
 
-    def push(self, key: Hashable) -> None:
+    def push(self, key: Hashable, classify: Classifier) -> None:
         """(Re)index ``key`` at its current priority.
 
-        Classifies the key right now: a ``DROP`` removes it from
-        membership, anything else supersedes every earlier entry for the
-        key.  Call this on *every* event that makes a member more urgent —
-        that is the contract exact drain order rests on.
+        Classifies the key right now with ``classify``: a ``DROP`` removes
+        it from membership, anything else supersedes every earlier entry for
+        the key.  Call this on *every* event that makes a member more
+        urgent — that is the contract exact drain order rests on.
         """
-        verdict, sort_key = self._classify(key)
+        verdict, sort_key = classify(key)
         if verdict == DROP:
             self._version.pop(key, None)
             return
@@ -90,7 +94,7 @@ class LazyPriorityHeap:
         """Forget a member without touching the heap (lazy deletion)."""
         self._version.pop(key, None)
 
-    def drain(self, limit: Optional[int] = None) -> List[Hashable]:
+    def drain(self, classify: Classifier, limit: Optional[int] = None) -> List[Hashable]:
         """Emit up to ``limit`` members, most urgent first, removing them.
 
         Emitted members leave the structure (the caller re-pushes the ones
@@ -105,7 +109,7 @@ class LazyPriorityHeap:
             sort_key, token, key = heapq.heappop(self._heap)
             if self._version.get(key) != token:
                 continue  # superseded or discarded — lazy deletion
-            verdict, current = self._classify(key)
+            verdict, current = classify(key)
             if verdict == DROP:
                 del self._version[key]
                 continue

@@ -175,9 +175,10 @@ class ReplenishmentScheduler:
         #: Lazy-deletion priority index over the managed links that still
         #: want pad (see :mod:`repro.kms.indexing`); kept exact by the
         #: relay layer's pad-change notifications and the pressure hooks.
-        self._heap = LazyPriorityHeap(self._classify_link)
+        self._heap = LazyPriorityHeap()
         for key in sorted(self._edges):
-            self._heap.push(key)
+            self._heap.push(key, self._classify_link)
+        # A weak subscription: the relay network outlives its schedulers.
         relays.add_pad_listener(self._on_pad_change)
 
     # ------------------------------------------------------------------ #
@@ -216,7 +217,7 @@ class ReplenishmentScheduler:
         key = self._require_managed(node_a, node_b)
         self.pressure[key] = self.pressure.get(key, 0.0) + amount
         # Pressure raises urgency, so the index must learn of it eagerly.
-        self._heap.push(key)
+        self._heap.push(key, self._classify_link)
 
     # ------------------------------------------------------------------ #
     # Epoch dispatch
@@ -259,7 +260,7 @@ class ReplenishmentScheduler:
     def _on_pad_change(self, key: Tuple[str, str]) -> None:
         """Relay-layer hook: one link's pad level changed; re-index it."""
         if key in self._edges:
-            self._heap.push(key)
+            self._heap.push(key, self._classify_link)
 
     def select_links(self) -> List[QKDLinkEdge]:
         """The links to dispatch this epoch, neediest first.
@@ -272,7 +273,7 @@ class ReplenishmentScheduler:
         quirks.
         """
         started = time.perf_counter()
-        keys = self._heap.drain(limit=self.config.max_links_per_epoch)
+        keys = self._heap.drain(self._classify_link, self.config.max_links_per_epoch)
         self.selection_seconds += time.perf_counter() - started
         return [self._edges[key] for key in keys]
 
@@ -299,10 +300,10 @@ class ReplenishmentScheduler:
         # boost just expired, both need re-indexing at their new priorities.
         dispatched = set(report.dispatched)
         for key in report.dispatched:
-            self._heap.push(key)
+            self._heap.push(key, self._classify_link)
         for key in pressured:
             if key not in dispatched:
-                self._heap.push(key)
+                self._heap.push(key, self._classify_link)
         self.selection_seconds += time.perf_counter() - started
         self.epoch_index += 1
         self.reports.append(report)

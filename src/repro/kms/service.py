@@ -53,7 +53,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep kms asyncio-free
     from repro.dtn.contact import ContactSchedule
@@ -243,14 +243,18 @@ class RekeyWaiter:
 
 @dataclass
 class _Feed:
-    """One store and where its key comes from — decided once, at assembly."""
+    """One store and where its key comes from — decided once, at assembly,
+    and read by :meth:`KeyManagementService._supply`."""
 
     store: KeyStore
-    #: ``supply(now)`` makes the next key, as a plain transport result.
-    supply: Callable[[float], KeyTransportResult]
+    #: Transport between the store's own ends is confined to these nodes
+    #: (its zone); ``None`` routes across the whole mesh.
+    within: Optional[Tuple[str, ...]] = None
     #: Trunk key is intermediate (re-drawn per inter-zone delivery): it feeds
     #: trunk accounting, not the delivered digest, counters or reroutes.
     trunk: bool = False
+    #: The trunk store a cross-zone store draws from instead of transport.
+    source: Optional[KeyStore] = None
     #: Path of the last key supplied, for reroute detection.
     last_path: Optional[List[str]] = None
 
@@ -417,7 +421,11 @@ class KeyManagementService:
         #: Indexed replacement for the per-epoch full-store scan: a store is
         #: a member while it is below high water or has unresolved waiters,
         #: and the drain order equals the old ``(-priority, pair)`` sort.
-        self._needy: LazyPriorityHeap = LazyPriorityHeap(self._classify_pair)
+        self._needy = LazyPriorityHeap()
+        #: Pairs the heap must reclassify before its next drain: their store
+        #: changed level (every store's level hook is this set's ``add``, so
+        #: no store refers back to the service) or they queued a waiter.
+        self._changed: Set[Pair] = set()
         #: One armed ``(deadline, pair)`` entry per pair whose oldest block
         #: can expire; re-armed after each sweep/deposit.
         self._expiry_heap: List[Tuple[float, Pair]] = []
@@ -440,7 +448,7 @@ class KeyManagementService:
                     high_water_bits=self.config.trunk_high_water_bits,
                 )
                 self.trunk_stores[(za, zb)] = trunk
-                self._trunk_feeds.append(self._transported(trunk, trunk=True))
+                self._trunk_feeds.append(self._transported(_Feed(trunk, trunk=True)))
         for index, pair in enumerate(self.pairs):
             self._build_pair(index, pair)
 
@@ -526,21 +534,14 @@ class KeyManagementService:
         self._feeds[pair] = self._feed_for(store)
         # Wire the level hook after establish(): every deposit/draw/expiry
         # from here on re-indexes the pair in the needy heap.
-        store.on_level_change = self._on_store_level_change
-        self._needy.push(pair)
+        store.on_level_change = self._changed.add
+        self._changed.add(pair)
 
-    def _transported(
-        self,
-        store: KeyStore,
-        within: Optional[Tuple[str, ...]] = None,
-        trunk: bool = False,
-    ) -> _Feed:
-        """A feed supplied by routed transport between the store's own ends
-        (optionally confined ``within`` a zone) — the only kind that can
-        park key with the custody layer."""
-        feed = _Feed(store, lambda now: self._transport(store, within, now), trunk)
+    def _transported(self, feed: _Feed) -> _Feed:
+        """Register a feed supplied by routed transport between its store's
+        own ends — the only kind that can park key with the custody layer."""
         if self.custody is not None:
-            self._parking[store.pair] = feed
+            self._parking[feed.store.pair] = feed
         return feed
 
     def _feed_for(self, store: KeyStore) -> _Feed:
@@ -549,13 +550,12 @@ class KeyManagementService:
         cross-zone pair — draws from the zone pair's trunk store."""
         plan = self.zone_plan
         if plan is None:
-            return self._transported(store)
+            return self._transported(_Feed(store))
         if plan.same_zone(store.pair):
-            return self._transported(
-                store, within=plan.members(plan.zone_of(store.pair[0]))
-            )
+            zone = plan.members(plan.zone_of(store.pair[0]))
+            return self._transported(_Feed(store, within=zone))
         trunk = self.trunk_stores[tuple(sorted(map(plan.zone_of, store.pair)))]
-        return _Feed(store, lambda now: self._draw_from_trunk(trunk, store.pair, now))
+        return _Feed(store, source=trunk)
 
     # ---- needy-store indexing ------------------------------------------ #
 
@@ -567,8 +567,21 @@ class KeyManagementService:
             return (DROP, None)
         return (EMIT, (-store.refill_priority(), pair))
 
-    def _on_store_level_change(self, store: KeyStore) -> None:
-        self._needy.push(store.pair)
+    def _drain_needy(self) -> List[Pair]:
+        """Reclassify the changed pairs, then drain the needy heap.
+
+        Deferring the pushes to here emits exactly what pushing on every
+        change would: a pair's sort key and membership only move when it
+        changes (it lands in ``_changed``) or when a waiter resolves, which
+        only makes it less needy, and the drain self-heals those.  Sort keys
+        end in the pair, so the order the changed pairs are pushed in never
+        matters.
+        """
+        classify = self._classify_pair
+        for pair in self._changed:
+            self._needy.push(pair, classify)
+        self._changed.clear()
+        return self._needy.drain(classify)
 
     # ------------------------------------------------------------------ #
     # Failure / attack injection (arm before serve())
@@ -629,7 +642,10 @@ class KeyManagementService:
         """Operate the network for ``hours`` of simulated time.
 
         Single-shot: the report (and its pinned digest) describes one
-        complete run from a freshly built service.
+        complete run from a freshly built service.  On return the events
+        that never ran (the next epoch, later demands, waiter timeouts) are
+        discarded: they close over this service, and a finished service
+        must be freed as soon as its last reference goes.
         """
         if self._served:
             raise RuntimeError("serve() may run once; build a fresh service")
@@ -659,11 +675,14 @@ class KeyManagementService:
             for time in self.custody.tick_times(horizon):
                 self.events.try_schedule_at(
                     time,
-                    lambda: self._custody_tick(),
+                    self._custody_tick,
                     label="custody-tick",
                 )
-        self.events.run_until(horizon)
-        return self._build_report(horizon)
+        try:
+            self.events.run_until(horizon)
+            return self._build_report(horizon)
+        finally:
+            self.events.clear()
 
     # ---- demand side --------------------------------------------------- #
 
@@ -689,7 +708,7 @@ class KeyManagementService:
         )
         self._waiters[pair].append(waiter)
         # A waiter keeps its pair in the needy set even at high water.
-        self._needy.push(pair)
+        self._changed.add(pair)
         self._pressure(self._preferred_path(pair))
 
     def _on_waiter_timeout(self, waiter: RekeyWaiter) -> None:
@@ -698,6 +717,7 @@ class KeyManagementService:
         # Lazy deletion: the deque entry stays until a drain reaches it —
         # no O(n) remove on the timeout hot path.
         waiter.resolved = True
+        waiter.timeout_event = None  # it ran; its callback closes over waiter
         self.metrics.rekeys_timed_out += 1
         self.gateways[waiter.pair].alice.statistics.negotiation_failures += 1
 
@@ -718,6 +738,7 @@ class KeyManagementService:
             waiter.resolved = True
             if waiter.timeout_event is not None:
                 waiter.timeout_event.cancel()
+                waiter.timeout_event = None
             self._complete_rekey(pair, reservation, waiter.demanded_at)
 
     def _complete_rekey(self, pair: Pair, reservation, demanded_at: float) -> None:
@@ -784,7 +805,7 @@ class KeyManagementService:
         now = self.clock.now()
         started = perf_counter()
         self._sweep_expiry(now)
-        ordered = self._needy.drain()
+        ordered = self._drain_needy()
         self.metrics.scheduler_overhead_seconds += perf_counter() - started
         for feed in self._trunk_feeds:
             self._fill(feed, now)
@@ -792,13 +813,9 @@ class KeyManagementService:
             self._fill(self._feeds[pair], now)
             self._drain_waiters(pair)
             self._arm_expiry(pair)
-        started = perf_counter()
-        for pair in ordered:
-            # Deposits re-indexed pairs already; this covers visits that
-            # changed nothing (e.g. starved with no deposit) so they stay
-            # members until they truly reach high water.
-            self._needy.push(pair)
-        self.metrics.scheduler_overhead_seconds += perf_counter() - started
+        # Visits that changed nothing (e.g. starved with no deposit) stay
+        # members until they truly reach high water.
+        self._changed.update(ordered)
 
     def _fill(self, feed: _Feed, now: float) -> None:
         """Top one store up to its high-water mark, one supplied key at a
@@ -808,7 +825,7 @@ class KeyManagementService:
         store = feed.store
         parked = self._parked_bits(feed)
         while store.available_bits + parked < store.high_water_bits:
-            result = feed.supply(now)
+            result = self._supply(feed, now)
             if result.custody_accepted:
                 # The custody layer took the key; the delivery callback
                 # banks it whenever it arrives (possibly already), so the
@@ -884,6 +901,12 @@ class KeyManagementService:
             self._arm_expiry(pair)
 
     # ---- the two supplies ------------------------------------------------ #
+
+    def _supply(self, feed: _Feed, now: float) -> KeyTransportResult:
+        """The next key for ``feed``'s store, as a plain transport result."""
+        if feed.source is not None:
+            return self._draw_from_trunk(feed.source, feed.store.pair, now)
+        return self._transport(feed.store, feed.within, now)
 
     def _transport(
         self, store: KeyStore, within: Optional[Tuple[str, ...]], now: float

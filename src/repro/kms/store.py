@@ -64,6 +64,31 @@ class KeyReservation:
         return self.state == "held"
 
 
+class _Ledger:
+    """What a store and its two pools share: the reserved-bits counter, the
+    draw accounting and the level hook.
+
+    The pools hold this rather than their store, so a store and its pools
+    form no reference cycle, and a pool that outlives its store keeps
+    working.
+    """
+
+    __slots__ = ("pair", "statistics", "reserved_bits", "bits_since_last", "on_level_change")
+
+    def __init__(self, pair: Tuple[str, str], statistics: "StoreStatistics"):
+        self.pair = pair
+        self.statistics = statistics
+        #: Sum of the live reservations' bits, kept current where one enters
+        #: or leaves the store's reservations; every draw reads it.
+        self.reserved_bits = 0
+        self.bits_since_last = 0
+        self.on_level_change: Optional[Callable[[Tuple[str, str]], None]] = None
+
+    def notify(self) -> None:
+        if self.on_level_change is not None:
+            self.on_level_change(self.pair)
+
+
 class StorePool(KeyPool):
     """A :class:`KeyPool` that honours its owning store's reservations.
 
@@ -74,17 +99,19 @@ class StorePool(KeyPool):
     ones its statistics and depletion rate count.
     """
 
-    def __init__(self, name: str, store: "KeyStore"):
+    def __init__(self, name: str, ledger: _Ledger, counts_draws: bool):
         super().__init__(name=name)
-        self._store = store
+        self._ledger = ledger
+        self._counts_draws = counts_draws
         #: Bits the reservation being consumed may still take from this
         #: pool; set and cleared by :meth:`KeyStore.consuming`, 0 outside it.
         self.grant = 0
 
     def draw_bits(self, count: int) -> BitString:
-        store = self._store
+        ledger = self._ledger
         grant = self.grant
-        others_reserved = store._reserved_bits - min(grant, store._reserved_bits)
+        reserved = ledger.reserved_bits
+        others_reserved = reserved - min(grant, reserved)
         if count > self._available_bits - others_reserved:
             raise KeyPoolExhaustedError(
                 f"{self.name}: draw of {count} bits would invade reserved key "
@@ -93,10 +120,10 @@ class StorePool(KeyPool):
             )
         drawn = super().draw_bits(count)
         self.grant = max(grant - count, 0)
-        if self is store.local_pool:
-            store.statistics.bits_consumed += count
-            store._bits_since_last += count
-            store._notify_level_change()
+        if self._counts_draws:
+            ledger.statistics.bits_consumed += count
+            ledger.bits_since_last += count
+            ledger.notify()
         return drawn
 
 
@@ -169,30 +196,37 @@ class KeyStore:
         self.max_key_age_seconds = max_key_age_seconds
         self.depletion_halflife_seconds = depletion_halflife_seconds
         label = f"{self.pair[0]}--{self.pair[1]}"
+        self.statistics = StoreStatistics()
+        self._ledger = _Ledger(self.pair, self.statistics)
         #: The two endpoints' synchronised reservoirs; hand these to the two
         #: gateways' IKE daemons and their paired draws stay in lock-step.
-        self.local_pool = StorePool(f"kms/{label}/local", self)
-        self.remote_pool = StorePool(f"kms/{label}/remote", self)
-        self.statistics = StoreStatistics()
+        self.local_pool = StorePool(f"kms/{label}/local", self._ledger, counts_draws=True)
+        self.remote_pool = StorePool(f"kms/{label}/remote", self._ledger, counts_draws=False)
         self._reservations: Dict[int, KeyReservation] = {}
-        #: Sum of the live reservations' bits, kept current where one enters
-        #: or leaves ``_reservations``; every draw reads it several times.
-        self._reserved_bits = 0
         self._ids = itertools.count(1)
         self._next_block_id = itertools.count(0)
         #: EWMA of the consumption rate, bits/second.
         self._depletion_rate_bps = 0.0
         self._last_consume_time: Optional[float] = None
-        self._bits_since_last = 0
-        #: Called with this store after any event that can change its
-        #: :meth:`refill_priority` (deposit, draw, expiry, rate update) —
-        #: the hook the service's indexed needy-set rides so it never has
-        #: to rescan every store per epoch.
-        self.on_level_change: Optional[Callable[["KeyStore"], None]] = None
 
-    def _notify_level_change(self) -> None:
-        if self.on_level_change is not None:
-            self.on_level_change(self)
+    @property
+    def on_level_change(self) -> Optional[Callable[[Tuple[str, str]], None]]:
+        """Called with this store's pair after any event that can change its
+        :meth:`refill_priority` (deposit, draw, expiry, rate update) — the
+        hook the service's indexed needy-set rides so it never has to
+        rescan every store per epoch.
+
+        The store and its pools hold the hook strongly, and it is called
+        with the pair, not the store: a hook that only records the pair
+        (the service passes a set's ``add``) leaves the store free of any
+        reference back to its owner.  A bound method of the owner would
+        make the two a reference cycle.
+        """
+        return self._ledger.on_level_change
+
+    @on_level_change.setter
+    def on_level_change(self, hook: Optional[Callable[[Tuple[str, str]], None]]) -> None:
+        self._ledger.on_level_change = hook
 
     # ------------------------------------------------------------------ #
     # Levels
@@ -205,7 +239,7 @@ class KeyStore:
 
     @property
     def reserved_bits(self) -> int:
-        return self._reserved_bits
+        return self._ledger.reserved_bits
 
     @property
     def unreserved_bits(self) -> int:
@@ -256,7 +290,7 @@ class KeyStore:
         self.remote_pool.add_block(KeyBlock(banked.copy(), block_id, created_at=now))
         self.statistics.bits_deposited += len(banked)
         self.statistics.deposits += 1
-        self._notify_level_change()
+        self._ledger.notify()
         return len(banked)
 
     def next_expiry_deadline(self) -> Optional[float]:
@@ -297,7 +331,7 @@ class KeyStore:
         self.local_pool.drop_head_blocks(to_drop_blocks)
         self.remote_pool.drop_head_blocks(to_drop_blocks)
         self.statistics.bits_expired += to_drop_bits
-        self._notify_level_change()
+        self._ledger.notify()
         return to_drop_bits
 
     # ------------------------------------------------------------------ #
@@ -326,7 +360,7 @@ class KeyStore:
             created_at=now,
         )
         self._reservations[reservation.reservation_id] = reservation
-        self._reserved_bits += bits
+        self._ledger.reserved_bits += bits
         self.statistics.reservations_granted += 1
         return reservation
 
@@ -370,13 +404,14 @@ class KeyStore:
     def _retire(self, reservation: KeyReservation) -> None:
         retired = self._reservations.pop(reservation.reservation_id, None)
         if retired is not None:
-            self._reserved_bits -= retired.bits
+            self._ledger.reserved_bits -= retired.bits
 
     def _note_consumption(self, now: float) -> None:
         """Fold the draws since the previous event into the rate EWMA."""
+        ledger = self._ledger
         if self._last_consume_time is None:
             self._last_consume_time = now
-            self._bits_since_last = 0
+            ledger.bits_since_last = 0
             return
         dt = now - self._last_consume_time
         if dt <= 0:
@@ -385,12 +420,12 @@ class KeyStore:
         # One observation: the bits drawn since the last event, spread over
         # the gap; the half-life becomes a per-gap smoothing factor.
         alpha = min(dt / max(self.depletion_halflife_seconds, 1e-9), 1.0)
-        instantaneous = self._bits_since_last / dt
+        instantaneous = ledger.bits_since_last / dt
         self._depletion_rate_bps += alpha * (instantaneous - self._depletion_rate_bps)
-        self._bits_since_last = 0
+        ledger.bits_since_last = 0
         # The EWMA feeds refill_priority, so a rate change is a level change
         # as far as the scheduler's indexed ordering is concerned.
-        self._notify_level_change()
+        ledger.notify()
 
     def __repr__(self) -> str:
         return (

@@ -15,8 +15,10 @@ trust exposure the paper identifies as the architecture's prime weakness.
 
 from __future__ import annotations
 
+import inspect
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.crypto.otp import OneTimePad, PadExhaustedError
 from repro.network.routing import PathSelector, RoutingError, frozen_within
@@ -54,6 +56,67 @@ class KeyTransportResult:
     bundle_id: Optional[int] = None
 
 
+def weak_callback(callback: Callable) -> Callable[[], Optional[Callable]]:
+    """A reference to ``callback`` that does not keep a bound method's
+    object alive: calling it returns ``callback``, or ``None`` once that
+    object is gone.  Any other callable (a function, a builtin method such
+    as ``list.append``) is held strongly."""
+    if inspect.ismethod(callback):
+        return weakref.WeakMethod(callback)
+    return lambda: callback
+
+
+def _pad_key(node_a: str, node_b: str) -> Tuple[str, str]:
+    return tuple(sorted((node_a, node_b)))
+
+
+class PairwisePads(dict):
+    """A mesh's pairwise one-time pads, keyed by sorted node pair, and the
+    subscribers told whenever one's level changes.
+
+    The relay network and its custody layer both spend pad through
+    :meth:`cross_hop`, so both hold this rather than each other: the relay
+    network owns its custody layer, and a back-reference would make the
+    two a reference cycle.
+    """
+
+    def __init__(self, keys: Iterable[Tuple[str, str]]):
+        super().__init__((key, OneTimePad()) for key in keys)
+        self._listeners: List[Callable[[], Optional[Callable[[Tuple[str, str]], None]]]] = []
+
+    def pad_for(self, node_a: str, node_b: str) -> OneTimePad:
+        return self[_pad_key(node_a, node_b)]
+
+    def add_listener(self, listener: Callable[[Tuple[str, str]], None]) -> None:
+        """See :meth:`TrustedRelayNetwork.add_pad_listener`."""
+        self._listeners.append(weak_callback(listener))
+
+    def notify(self, node_a: str, node_b: str) -> None:
+        """Call every live listener with the sorted pair; forget dead ones."""
+        key = _pad_key(node_a, node_b)
+        pruned = False
+        for ref in self._listeners:
+            listener = ref()
+            if listener is None:
+                pruned = True
+            else:
+                listener(key)
+        if pruned:
+            self._listeners = [ref for ref in self._listeners if ref() is not None]
+
+    def cross_hop(self, node_a: str, node_b: str, payload: bytes) -> Optional[bytes]:
+        """See :meth:`TrustedRelayNetwork.cross_hop`."""
+        pad = self.pad_for(node_a, node_b)
+        if pad.available_bytes < len(payload):
+            return None
+        hop_pad_bytes = pad.peek(len(payload))
+        ciphertext = pad.encrypt(payload)
+        self.notify(node_a, node_b)
+        return (
+            int.from_bytes(ciphertext, "big") ^ int.from_bytes(hop_pad_bytes, "big")
+        ).to_bytes(len(payload), "big")
+
+
 def pad_material_from_seed(job: Tuple[int, int]) -> bytes:
     """Pairwise pad material for one link, from its own labeled stream.
 
@@ -81,19 +144,16 @@ class TrustedRelayNetwork:
         self.network = network
         self.rng = rng or DeterministicRNG(0)
         self.selector = PathSelector(network, metric=metric)
-        #: Pairwise one-time-pad pools per link, keyed by a sorted node pair.
-        self.pairwise_pads: Dict[Tuple[str, str], OneTimePad] = {}
+        #: Pairwise one-time-pad pools per link, keyed by a sorted node pair,
+        #: and the pad-level listeners (see :meth:`add_pad_listener`).
+        self.pairwise_pads = PairwisePads(
+            _pad_key(edge.node_a, edge.node_b) for edge in network.links()
+        )
         self.transports: List[KeyTransportResult] = []
         #: Opt-in disruption tolerance (see :meth:`enable_custody`).
         self.custody: Optional["CustodyTransport"] = None
         #: Counts parallel refills so each one derives fresh per-link streams.
         self._refill_epoch = 0
-        #: Called with a sorted node pair whenever that link's pad level
-        #: changes (consumption or banking) — the hook the kms scheduler's
-        #: lazy-deletion heap rides so it never has to rescan all links.
-        self._pad_listeners: List[Callable[[Tuple[str, str]], None]] = []
-        for edge in network.links():
-            self.pairwise_pads[self._pad_key(edge.node_a, edge.node_b)] = OneTimePad()
 
     @classmethod
     def for_mesh(
@@ -130,16 +190,21 @@ class TrustedRelayNetwork:
     # Pairwise key replenishment
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _pad_key(node_a: str, node_b: str) -> Tuple[str, str]:
-        return tuple(sorted((node_a, node_b)))
-
     def pad_for(self, node_a: str, node_b: str) -> OneTimePad:
-        return self.pairwise_pads[self._pad_key(node_a, node_b)]
+        return self.pairwise_pads.pad_for(node_a, node_b)
 
     def add_pad_listener(self, listener: Callable[[Tuple[str, str]], None]) -> None:
-        """Subscribe to pad-level changes (called with the sorted pair)."""
-        self._pad_listeners.append(listener)
+        """Subscribe to pad-level changes: ``listener`` is called with a
+        sorted node pair whenever that link's pad is consumed or banked —
+        the hook the kms scheduler's lazy-deletion heap rides so it never
+        has to rescan all links.
+
+        A bound method is held weakly: the network outlives the schedulers
+        that subscribe to it, and a subscription must not keep one alive.
+        Once its object is freed the listener is skipped and forgotten.
+        Any other callable (a function, ``list.append``) is held strongly.
+        """
+        self.pairwise_pads.add_listener(listener)
 
     def notify_pad_change(self, node_a: str, node_b: str) -> None:
         """Tell subscribers one link's pad level just changed.
@@ -148,9 +213,7 @@ class TrustedRelayNetwork:
         (or go through :meth:`bank_pad`); the kms scheduler's indexed
         dispatch order is only exact if no pad change goes unannounced.
         """
-        key = self._pad_key(node_a, node_b)
-        for listener in self._pad_listeners:
-            listener(key)
+        self.pairwise_pads.notify(node_a, node_b)
 
     def bank_pad(self, node_a: str, node_b: str, material: bytes) -> None:
         """Add pairwise pad material to one link and announce the change."""
@@ -200,7 +263,7 @@ class TrustedRelayNetwork:
             new_bytes = int(edge.secret_key_rate_bps * seconds) // 8
             if new_bytes <= 0:
                 continue
-            node_a, node_b = self._pad_key(edge.node_a, edge.node_b)
+            node_a, node_b = _pad_key(edge.node_a, edge.node_b)
             seed = self.rng.fork_labeled(f"pad/{epoch}/{node_a}--{node_b}").seed
             self.bank_pad(node_a, node_b, pad_material_from_seed((seed, new_bytes)))
 
@@ -253,15 +316,7 @@ class TrustedRelayNetwork:
         arrives, or ``None`` — consuming and announcing nothing — when the
         pool cannot cover the payload.
         """
-        pad = self.pad_for(node_a, node_b)
-        if pad.available_bytes < len(payload):
-            return None
-        hop_pad_bytes = pad.peek(len(payload))
-        ciphertext = pad.encrypt(payload)
-        self.notify_pad_change(node_a, node_b)
-        return (
-            int.from_bytes(ciphertext, "big") ^ int.from_bytes(hop_pad_bytes, "big")
-        ).to_bytes(len(payload), "big")
+        return self.pairwise_pads.cross_hop(node_a, node_b, payload)
 
     def transport_key(
         self,
@@ -427,7 +482,7 @@ class TrustedRelayNetwork:
         for path in paths:
             for node_a, node_b in zip(path, path[1:]):
                 if self.pad_for(node_a, node_b).available_bytes < n_bytes:
-                    return self._pad_key(node_a, node_b)
+                    return _pad_key(node_a, node_b)
         return None
 
     def spend_path_pad(self, paths: Sequence[Sequence[str]], payload: bytes) -> int:

@@ -13,6 +13,7 @@ modules, never at module import: a process that only runs a link (every
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
 
@@ -57,7 +58,9 @@ class QKDLinkEdge:
     :meth:`~QKDNetwork.route_state` in step.  So there is no way to change
     what routing reads from an edge (its ``usable`` flag, its length, its
     rate) without the route table's key changing with it: a direct write is
-    seen, not refused, and can never yield a stale route.
+    seen, not refused, and can never yield a stale route.  The edge holds its
+    network weakly (the network holds the edge), so a dropped network is
+    freed at once and its edges stop reporting.
     """
 
     node_a: str
@@ -70,16 +73,19 @@ class QKDLinkEdge:
     eavesdropping_detected: bool = False
     #: Cached secret-key rate for the link, bits/second (analytic model).
     secret_key_rate_bps: float = 0.0
-    #: The network this edge belongs to, set by :meth:`QKDNetwork.add_link`.
-    _network: Optional["QKDNetwork"] = field(
+    #: A weak reference to the network this edge belongs to, set by
+    #: :meth:`QKDNetwork.add_link`.
+    _network: Optional["weakref.ref[QKDNetwork]"] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __setattr__(self, name: str, value) -> None:
         object.__setattr__(self, name, value)
-        network = self.__dict__.get("_network")
-        if network is not None and name != "_network":
-            network._edge_written(self, name)
+        ref = self.__dict__.get("_network")
+        if ref is not None and name != "_network":
+            network = ref()
+            if network is not None:
+                network._edge_written(self, name)
 
     @property
     def usable(self) -> bool:
@@ -142,7 +148,7 @@ class QKDNetwork:
             self.link(node_a, node_b)._network = None
             self._unusable.discard(tuple(sorted((node_a, node_b))))
         self.graph.add_edge(node_a, node_b, link=edge)
-        edge._network = self
+        edge._network = weakref.ref(self)
         self._layout_changed()
         return edge
 

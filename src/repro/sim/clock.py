@@ -42,12 +42,16 @@ class ScheduledEvent:
 
     time: float
     sequence: int
-    callback: Callable[[], None] = field(compare=False)
+    callback: Optional[Callable[[], None]] = field(compare=False)
     label: str = field(default="", compare=False)
     cancelled: bool = field(default=False, compare=False)
 
     def cancel(self) -> None:
+        """Never run this event.  The callback is dropped with it: whatever
+        it closes over (often the event's owner) need not outlive the queue
+        entry."""
         self.cancelled = True
+        self.callback = None
 
 
 class EventScheduler:
@@ -103,6 +107,12 @@ class EventScheduler:
         opening = self.schedule_at(start, on_start, label=f"{label}/start" if label else "")
         closing = self.schedule_at(end, on_end, label=f"{label}/end" if label else "")
         return (opening, closing)
+
+    def clear(self) -> None:
+        """Cancel every queued event and empty the queue."""
+        for event in self._queue:
+            event.cancel()
+        self._queue.clear()
 
     @property
     def pending(self) -> int:

@@ -9,7 +9,7 @@ from repro.core.keypool import KeyPool
 from repro.crypto.otp import OneTimePad
 from repro.crypto.sha1 import prf_expand
 from repro.ipsec.esp import EspError, EspProcessor
-from repro.ipsec.gateway import GatewayPair
+from repro.ipsec.gateway import GatewayPair, VPNGateway
 from repro.ipsec.ike import (
     QBLOCK_BITS,
     IKEConfig,
@@ -460,6 +460,26 @@ class TestGatewayPair:
         log = "\n".join(pair.combined_log)
         assert "alice-gw racoon" in log
         assert "bob-gw racoon" in log
+
+    def test_rekey_now_without_a_peer_refuses_before_touching_state(self):
+        alice_pool, _ = synced_pools(4096, seed=82)
+        gateway = VPNGateway("solo-gw", "192.1.99.40", "192.1.99.41", alice_pool)
+        gateway.add_policy(AES_POLICY)
+        sa = SecurityAssociation(
+            spi=0x500,
+            source_gateway="solo-gw",
+            destination_gateway="far-gw",
+            cipher_suite=CipherSuite.AES_QKD_RESEED,
+            policy_name=AES_POLICY.name,
+        )
+        gateway.sad.install(sa)
+        before = dataclasses.asdict(gateway.statistics)
+        with pytest.raises(RuntimeError, match="no peer connected"):
+            gateway.rekey_now(AES_POLICY.name)
+        assert gateway.sad.lookup_spi(0x500) is sa
+        assert dataclasses.asdict(gateway.statistics) == before
+        assert gateway.ike.qkd_bits_consumed == 0
+        assert alice_pool.available_bits == 4096
 
 
 def _distilling_engine(n_blocks=4):

@@ -314,54 +314,54 @@ class TestLazyPriorityHeap:
             verdict = DEFER if key in unusable else EMIT
             return (verdict, (priorities[key], key))
 
-        heap = LazyPriorityHeap(classify)
+        heap = LazyPriorityHeap()
         for key in priorities:
-            heap.push(key)
-        return heap
+            heap.push(key, classify)
+        return heap, classify
 
     def test_drains_in_exact_sorted_order(self):
         priorities = {"e": 3, "a": 1, "c": 0, "b": 1, "d": 7}
-        heap = self.build(priorities)
-        assert heap.drain() == sorted(priorities, key=lambda k: (priorities[k], k))
+        heap, classify = self.build(priorities)
+        assert heap.drain(classify) == sorted(priorities, key=lambda k: (priorities[k], k))
         assert len(heap) == 0
 
     def test_limit_caps_emission_and_keeps_the_rest(self):
-        heap = self.build({"a": 1, "b": 2, "c": 3})
-        assert heap.drain(limit=2) == ["a", "b"]
+        heap, classify = self.build({"a": 1, "b": 2, "c": 3})
+        assert heap.drain(classify, limit=2) == ["a", "b"]
         assert "c" in heap and len(heap) == 1
-        assert heap.drain() == ["c"]
+        assert heap.drain(classify) == ["c"]
 
     def test_deferred_members_stay_indexed_and_do_not_count(self):
         unusable = {"a"}
-        heap = self.build({"a": 1, "b": 2, "c": 3}, unusable=unusable)
+        heap, classify = self.build({"a": 1, "b": 2, "c": 3}, unusable=unusable)
         # 'a' outranks both but is deferred: kept, uncounted, unemitted.
-        assert heap.drain(limit=2) == ["b", "c"]
+        assert heap.drain(classify, limit=2) == ["b", "c"]
         assert "a" in heap
         unusable.clear()  # usability flips need no push — DEFER kept it indexed
-        assert heap.drain() == ["a"]
+        assert heap.drain(classify) == ["a"]
 
     def test_drop_removes_membership(self):
         dropped = set()
-        heap = self.build({"a": 1, "b": 2}, dropped=dropped)
+        heap, classify = self.build({"a": 1, "b": 2}, dropped=dropped)
         dropped.add("a")  # reached its target after being indexed
-        assert heap.drain() == ["b"]
+        assert heap.drain(classify) == ["b"]
         assert "a" not in heap and len(heap) == 0
-        heap.push("a")  # push classifies immediately: still at target
+        heap.push("a", classify)  # push classifies immediately: still at target
         assert len(heap) == 0
 
     def test_push_supersedes_and_less_urgent_drift_self_heals(self):
         priorities = {"a": 5, "b": 3}
-        heap = self.build(priorities)
+        heap, classify = self.build(priorities)
         priorities["a"] = 1
-        heap.push("a")  # more-urgent changes must be pushed (the contract)
+        heap.push("a", classify)  # more-urgent changes must be pushed (the contract)
         priorities["b"] = 9  # less-urgent drift self-heals at pop time
-        assert heap.drain() == ["a", "b"]
+        assert heap.drain(classify) == ["a", "b"]
 
     def test_discard_is_lazy(self):
-        heap = self.build({"a": 1, "b": 2})
+        heap, classify = self.build({"a": 1, "b": 2})
         heap.discard("a")
         assert "a" not in heap
-        assert heap.drain() == ["b"]
+        assert heap.drain(classify) == ["b"]
 
 
 # --------------------------------------------------------------------- #
@@ -562,7 +562,7 @@ class TestReplenishmentScheduler:
             ]
             assert got == expected, f"round {round_index}, limit {limit}"
             for key in got:  # drained members return for the next round
-                scheduler._heap.push(key)
+                scheduler._heap.push(key, scheduler._classify_link)
         assert scheduler.selection_seconds > 0.0
 
 
@@ -691,6 +691,27 @@ class TestKeyManagementService:
         assert report.rekeys_timed_out + report.pending_waiters == report.demands
         assert report.completion_accounted
         assert report.delivered_keys == 0
+
+    def test_serve_discards_its_unrun_events(self):
+        """The total-starvation run ends with two waiters parked and their
+        timeouts (and the next epoch) still queued.  serve() drops those
+        events on return — they close over the service — while the waiters
+        stay counted exactly as before."""
+        config = KmsConfig(
+            rekey_timeout_seconds=20.0,
+            replenishment=ReplenishmentConfig(
+                epoch_seconds=50_000.0, workers=1, pad_target_bits=0
+            ),
+        )
+        service = KeyManagementService(make_relays(), config, rng=DeterministicRNG(5))
+        report = service.serve(hours=1.0)
+        assert service.events.pending == 0
+        assert (report.demands, report.rekeys_timed_out, report.pending_waiters) == (295, 293, 2)
+        assert report.completion_accounted
+        assert service.pending_waiters == 2
+        parked = [w for queue in service._waiters.values() for w in queue if not w.resolved]
+        assert len(parked) == 2
+        assert all(w.timeout_event is None or w.timeout_event.callback is None for w in parked)
 
     def test_failure_injection_validates_links_at_arm_time(self):
         service = KeyManagementService(

@@ -71,8 +71,22 @@ class TestEventScheduler:
         fired = []
         event = scheduler.schedule_at(1.0, lambda: fired.append(1))
         event.cancel()
+        # A cancelled event never runs, so it keeps nothing its callback
+        # closed over alive.
+        assert event.callback is None
         scheduler.run_until(10.0)
         assert fired == []
+
+    def test_clear_cancels_every_queued_event(self):
+        scheduler = EventScheduler()
+        fired = []
+        events = [scheduler.schedule_at(t, lambda t=t: fired.append(t)) for t in (1.0, 2.0)]
+        scheduler.clear()
+        assert scheduler.pending == 0
+        assert all(event.cancelled and event.callback is None for event in events)
+        assert scheduler.run_until(10.0) == 0 and fired == []
+        scheduler.schedule_at(11.0, lambda: fired.append(11.0))
+        assert scheduler.run_until(20.0) == 1 and fired == [11.0]
 
     def test_cannot_schedule_in_the_past(self):
         scheduler = EventScheduler()

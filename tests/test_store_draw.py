@@ -136,7 +136,7 @@ class Script:
         self.drawn = hashlib.sha256()
         self.rows = []
 
-    def _notified(self, store):
+    def _notified(self, pair):
         self.notifications += 1
 
     def take(self, bits):
