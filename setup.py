@@ -35,10 +35,10 @@ setup(
     python_requires=">=3.10",
     install_requires=[
         "numpy>=1.22",
-        "networkx>=2.8",
     ],
     extras_require={
-        "test": ["pytest>=7.0", "hypothesis>=6.0"],
+        # networkx is the reference the graph searches are tested against.
+        "test": ["pytest>=7.0", "hypothesis>=6.0", "networkx>=2.8"],
     },
     classifiers=[
         "Development Status :: 4 - Beta",

@@ -28,14 +28,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.faults.flaps import FlapWindow, invert_windows
+from repro.network.graph import Graph, NoPath, component, shortest_path
 from repro.network.routing import PathSelector, RoutingError, _describe_reachable
 from repro.network.topology import QKDNetwork
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 Edge = Tuple[str, str]
 
@@ -193,22 +191,14 @@ class ContactGraphSelector(PathSelector):
             return True
         return self.schedule.is_open(node_a, node_b, time)
 
-    def open_subgraph(self, time: float) -> nx.Graph:
+    def open_subgraph(self, time: float) -> Graph:
         """The subgraph of edges open at ``time`` (all nodes retained)."""
-        import networkx as nx
-
-        graph = self.network.graph
-        open_graph = nx.Graph()
-        open_graph.add_nodes_from(graph.nodes(data=True))
-        for node_a, node_b, data in graph.edges(data=True):
-            if self.edge_open(node_a, node_b, time):
-                open_graph.add_edge(node_a, node_b, **data)
-        return open_graph
+        return self.network.graph.filter_edges(
+            lambda node_a, node_b, _data: self.edge_open(node_a, node_b, time)
+        )
 
     def find_path_at(self, source: str, destination: str, time: float) -> List[str]:
         """The best path over edges open at ``time`` (ends inclusive)."""
-        import networkx as nx
-
         open_graph = self.open_subgraph(time)
         for name in (source, destination):
             if name not in open_graph:
@@ -216,10 +206,8 @@ class ContactGraphSelector(PathSelector):
                     f"unknown node {name!r} in route {source!r} -> {destination!r}"
                 )
         try:
-            return nx.shortest_path(
-                open_graph, source, destination, weight=self._edge_weight
-            )
-        except nx.NetworkXNoPath as exc:
+            return shortest_path(open_graph, source, destination, weight=self._edge_weight)
+        except NoPath as exc:
             raise RoutingError(
                 f"no open contact path from {source!r} to {destination!r} "
                 f"at t={time:g}s; " + _describe_reachable(open_graph, source)
@@ -228,12 +216,10 @@ class ContactGraphSelector(PathSelector):
     def reachable_at(self, source: str, time: float) -> List[str]:
         """All nodes reachable from ``source`` over edges open at ``time``
         (sorted; always contains ``source``)."""
-        import networkx as nx
-
         open_graph = self.open_subgraph(time)
         if source not in open_graph:
             raise RoutingError(f"unknown node {source!r}")
-        return sorted(nx.node_connected_component(open_graph, source))
+        return sorted(component(open_graph, source))
 
     # ------------------------------------------------------------------ #
     # Contact-graph routing (earliest arrival)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Type
 
+from repro.network.graph import shortest_path
 from repro.network.routing import RoutingError
 
 if TYPE_CHECKING:  # circular at runtime: transport builds the policy
@@ -73,9 +74,7 @@ class ScheduledPolicy(ForwardingPolicy):
         )
         if best == custodian:
             return [custodian]
-        import networkx as nx
-
-        return nx.shortest_path(selector.open_subgraph(now), custodian, best)
+        return shortest_path(selector.open_subgraph(now), custodian, best)
 
     def forward(
         self, transport: "CustodyTransport", bundle: "CustodyBundle", now: float

@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.dtn.contact import ContactGraphSelector, ContactSchedule
 from repro.dtn.policies import ForwardingPolicy, build_policy
 from repro.dtn.store import DELIVERED, EVICTED, EXPIRED, CustodyBundle, CustodyStore
+from repro.network.graph import component, hop_distances
 from repro.network.relay import TrustedRelayNetwork, weak_callback
 from repro.network.routing import RoutingError
 from repro.util.bits import BitString
@@ -102,7 +103,9 @@ class CustodyTransport:
         self._next_epidemic = 0
         self._bundle_digests: List[str] = []
         self._on_delivered: Callable[[], Optional[Callable[[CustodyBundle], None]]] = lambda: None
-        self._distances: Dict[str, Dict[str, int]] = {}
+        #: Per destination, the layout version its hop distances were taken
+        #: at and the distances themselves.
+        self._distances: Dict[str, Tuple[int, Dict[str, int]]] = {}
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -125,14 +128,14 @@ class CustodyTransport:
 
     def static_distance(self, node: str, destination: str) -> float:
         """Hop distance over the full (fault-free) topology, ``inf`` when the
-        two nodes are statically disconnected."""
-        if destination not in self._distances:
-            import networkx as nx
-
-            self._distances[destination] = nx.single_source_shortest_path_length(
-                self.network.graph, destination
-            )
-        return self._distances[destination].get(node, math.inf)
+        two nodes are statically disconnected.  A destination's distances
+        are taken once per layout version, so an added link or node is seen."""
+        version = self.network.route_state()[0]
+        cached = self._distances.get(destination)
+        if cached is None or cached[0] != version:
+            cached = (version, hop_distances(self.network.graph, destination))
+            self._distances[destination] = cached
+        return cached[1].get(node, math.inf)
 
     # ------------------------------------------------------------------ #
     # Views
@@ -219,13 +222,11 @@ class CustodyTransport:
                     f"unknown node {name!r} in route {source!r} -> {destination!r}"
                 )
         if math.isinf(self.static_distance(source, destination)):
-            import networkx as nx
-
-            component = sorted(nx.node_connected_component(graph, source))
+            reachable = sorted(component(graph, source))
             raise RoutingError(
                 f"no possible QKD path from {source!r} to {destination!r} even "
-                f"with every link up; {len(component)} node(s) reachable from "
-                f"{source!r}: {', '.join(component)}"
+                f"with every link up; {len(reachable)} node(s) reachable from "
+                f"{source!r}: {', '.join(reachable)}"
             )
         bundle_id = self._next_bundle_id
         self._next_bundle_id += 1

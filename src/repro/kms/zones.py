@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.kms.scheduler import EpochReport, ReplenishmentConfig, ReplenishmentScheduler
+from repro.network.graph import connected_components
 from repro.network.relay import TrustedRelayNetwork
 from repro.network.topology import NodeKind, QKDNetwork
 from repro.util.rng import DeterministicRNG
@@ -129,13 +130,11 @@ class ZonePlan:
             raise ValueError(f"zoned nodes not in the mesh: {sorted(phantom)}")
         for zid in self.zone_ids:
             members = set(self.zones[zid])
-            induced = network.graph.subgraph(members)
-            import networkx as nx
-
-            if members and not nx.is_connected(induced):
+            components = connected_components(network.graph.subgraph(members))
+            if len(components) > 1:
                 raise ValueError(
                     f"zone {zid!r} is disconnected within itself: "
-                    f"components {sorted(map(sorted, nx.connected_components(induced)))}"
+                    f"components {sorted(map(sorted, components))}"
                 )
 
     @classmethod

@@ -26,12 +26,10 @@ they re-run and re-raise with the same text every time.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.network.graph import Graph, NoPath, component, shortest_path
 from repro.network.topology import QKDNetwork, RouteState
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class RoutingError(Exception):
@@ -56,11 +54,9 @@ def frozen_within(within: Optional[Iterable[str]]) -> Optional[FrozenSet[str]]:
     return frozenset(within)
 
 
-def _describe_reachable(usable: "nx.Graph", source: str) -> str:
+def _describe_reachable(usable: Graph, source: str) -> str:
     """``"N node(s) reachable from 'src': a, b, c"`` for error messages."""
-    import networkx as nx
-
-    reachable = sorted(nx.node_connected_component(usable, source))
+    reachable = sorted(component(usable, source))
     return (
         f"{len(reachable)} node(s) reachable from {source!r}: "
         f"{', '.join(reachable)}"
@@ -98,11 +94,9 @@ class PathSelector:
         self, source: str, destination: str, within: Optional[FrozenSet[str]]
     ) -> List[str]:
         """Dijkstra over the usable subgraph (restricted to ``within``)."""
-        import networkx as nx
-
         usable = self.network.usable_subgraph()
         if within is not None:
-            usable = usable.subgraph(n for n in usable.nodes if n in within)
+            usable = usable.subgraph(within)
         for name in (source, destination):
             if name not in usable:
                 raise RoutingError(
@@ -110,10 +104,8 @@ class PathSelector:
                     + (" (restricted to within-set)" if within is not None else "")
                 )
         try:
-            return nx.shortest_path(
-                usable, source, destination, weight=self._edge_weight
-            )
-        except nx.NetworkXNoPath as exc:
+            return shortest_path(usable, source, destination, weight=self._edge_weight)
+        except NoPath as exc:
             raise RoutingError(
                 f"no usable QKD path from {source!r} to {destination!r}; "
                 + _describe_reachable(usable, source)
@@ -163,31 +155,6 @@ class PathSelector:
             return True
         except RoutingError:
             return False
-
-    def disjoint_paths(self, source: str, destination: str) -> List[List[str]]:
-        """Edge-disjoint usable paths (a measure of the mesh's redundancy).
-
-        Raises :class:`RoutingError` (naming the reachable node set) when
-        the usable subgraph provides *no* path at all — zero redundancy on
-        a connected pair returns ``[[...single path...]]``, but a
-        disconnected pair is an error the caller must see, not an empty
-        list that reads like "no spare paths".
-        """
-        import networkx as nx
-
-        usable = self.network.usable_subgraph()
-        for name in (source, destination):
-            if name not in usable:
-                raise RoutingError(
-                    f"unknown node {name!r} in route {source!r} -> {destination!r}"
-                )
-        try:
-            return [list(p) for p in nx.edge_disjoint_paths(usable, source, destination)]
-        except nx.NetworkXNoPath as exc:
-            raise RoutingError(
-                f"no edge-disjoint usable QKD paths from {source!r} to "
-                f"{destination!r}; " + _describe_reachable(usable, source)
-            ) from exc
 
     def path_length_km(self, path: List[str]) -> float:
         """Total fiber length along a path."""

@@ -3,11 +3,9 @@
 Nodes are QKD endpoints, trusted relays or untrusted optical switches; edges
 are QKD links (or dark-fiber segments, for the optical-switch case)
 characterised by their length and by the secret-key rate the analytic link
-model predicts for them.  The graph is a thin wrapper around ``networkx`` so
-the routing layer can use its path algorithms directly.  ``networkx`` is
-imported where a graph is built or searched, here and in the routing and dtn
-modules, never at module import: a process that only runs a link (every
-``import repro`` reaches this module) does not load it.
+model predicts for them.  The graph is a
+:class:`~repro.network.graph.Graph`, plain insertion-ordered dicts that the
+routing, dtn and kms layers search with the functions beside it.
 """
 
 from __future__ import annotations
@@ -15,13 +13,11 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.link.qkd_link import LinkParameters, QKDLink
+from repro.network.graph import Graph
 from repro.util.rng import DeterministicRNG
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 #: What :meth:`QKDNetwork.route_state` returns: the layout version and the
@@ -99,9 +95,7 @@ class QKDNetwork:
     """A mesh of QKD nodes and links."""
 
     def __init__(self, rng: Optional[DeterministicRNG] = None):
-        import networkx as nx
-
-        self.graph = nx.Graph()
+        self.graph = Graph()
         self.rng = rng or DeterministicRNG(0)
         #: Sorted node pairs of links currently not usable, maintained by
         #: :meth:`_edge_written` so per-epoch consumers (the kms replenishment
@@ -160,7 +154,7 @@ class QKDNetwork:
         return self.graph.nodes[name]["node"]
 
     def link(self, node_a: str, node_b: str) -> QKDLinkEdge:
-        return self.graph.edges[node_a, node_b]["link"]
+        return self.graph.adj[node_a][node_b]["link"]
 
     def nodes(self) -> List[QKDNode]:
         return [self.graph.nodes[name]["node"] for name in self.graph.nodes]
@@ -171,16 +165,9 @@ class QKDNetwork:
     def endpoints(self) -> List[str]:
         return [n.name for n in self.nodes() if n.kind is NodeKind.ENDPOINT]
 
-    def usable_subgraph(self) -> nx.Graph:
+    def usable_subgraph(self) -> Graph:
         """A copy of the graph containing only usable (up, clean) links."""
-        import networkx as nx
-
-        usable = nx.Graph()
-        usable.add_nodes_from(self.graph.nodes(data=True))
-        for a, b, data in self.graph.edges(data=True):
-            if data["link"].usable:
-                usable.add_edge(a, b, **data)
-        return usable
+        return self.graph.filter_edges(lambda _a, _b, data: data["link"].usable)
 
     def unusable_link_keys(self) -> List[Tuple[str, str]]:
         """Sorted node pairs of links currently cut, suspended or flagged."""

@@ -220,18 +220,22 @@ class TestPackageExports:
             assert name in repro.__all__
 
     def test_a_mesh_builds_and_routes_in_a_process_that_started_with_a_link(self):
-        """A link needs no graph library, so it does not pay for importing
-        one (~15 MiB); graph code finds ``networkx`` when it builds a graph."""
+        """The mesh is routed on plain dicts: no graph library is imported
+        to build a mesh, a zoned service or a custody layer, or to route."""
         script = (
             "import sys\n"
             "from repro import QKDSystem\n"
             "QKDSystem(seed=1).link()\n"
             "import repro.dtn, repro.kms, repro.netkms, repro.network\n"
-            "assert 'networkx' not in sys.modules\n"
             "mesh = QKDSystem(seed=7).mesh(n_endpoints=3, n_relays=4)\n"
             "result = mesh.transport_key('endpoint-0', 'endpoint-1')\n"
             "assert result.success and len(result.key) == 256\n"
-            "assert 'networkx' in sys.modules\n"
+            "metro = QKDSystem(seed=12).metro(\n"
+            "    n_zones=2, endpoints_per_zone=2, relays_per_zone=2, prefill_seconds=0.0\n"
+            ")\n"
+            "assert metro.kms().zone_plan is not None\n"
+            "assert mesh.relays.enable_custody().static_distance('endpoint-0', 'endpoint-1') > 1\n"
+            "assert 'networkx' not in sys.modules\n"
             "print(len(result.path))\n"
         )
         source = str(Path(__file__).resolve().parent.parent / "src")

@@ -378,6 +378,27 @@ class TestCustodyTransport:
             transport.submit("a", "nowhere", 256, now=0.0)
         assert transport.metrics.bundles_submitted == 0
 
+    def test_static_distance_follows_a_link_added_after_it_was_read(self):
+        transport = CustodyTransport(line_relays(), rng=DeterministicRNG(3))
+        assert transport.static_distance("a", "b") == 2
+        transport.network.add_link("a", "b", 5.0)
+        assert transport.static_distance("a", "b") == 1
+
+    def test_submit_accepts_a_destination_linked_after_a_rejection(self):
+        net = line_network()
+        net.add_endpoint("island")
+        relays = TrustedRelayNetwork(net, rng=DeterministicRNG(7))
+        relays.run_links_for(120.0)
+        transport = CustodyTransport(relays, rng=DeterministicRNG(3))
+        with pytest.raises(RoutingError, match="even with every link up"):
+            transport.submit("a", "island", 256, now=0.0)
+        net.add_link("b", "island", 5.0)
+        net.cut_link("b", "island")
+        bundle = transport.submit("a", "island", 256, now=0.0)
+        # Forwarded as far as the live links go: b, one hop short.
+        assert transport.locations(bundle) == ["b"]
+        assert transport.metrics.bundles_submitted == 1
+
     def test_bundle_keys_come_from_labeled_streams(self):
         transport = CustodyTransport(line_relays(), rng=DeterministicRNG(3))
         bundle = transport.submit("a", "b", 256, now=0.0)

