@@ -25,9 +25,12 @@ def main() -> None:
     )
     print(f"  {len(service.pairs)} gateway pairs over {service.relays.network!r}")
 
-    print("\narming failures: DoS cut at t=30min, eavesdropper at t=60min ...")
+    print("\narming failures: DoS cut at t=30min, eavesdropper at t=60min,")
+    print("gone at t=100min, when the link she sat on is restored ...")
     service.schedule_link_cut(1800.0, "relay-0", "relay-1")
     service.schedule_attack(3600.0, "relay-2", "relay-3", InterceptResendAttack(1.0))
+    service.schedule_attack_end(6000.0, "relay-2", "relay-3")
+    service.schedule_link_restore(6000.0, "relay-2", "relay-3")
 
     print("serving 2 simulated hours of rekey demand ...\n")
     report = service.serve(hours=2.0)
@@ -42,7 +45,10 @@ def main() -> None:
     print(f"  rekey latency        p50 {report.rekey_latency_p50_seconds:.2f} s, "
           f"p99 {report.rekey_latency_p99_seconds:.2f} s")
     print(f"  reroutes             {report.reroutes}")
-    print(f"  eavesdropped links   {report.eavesdropped_links}")
+    caught = [f"{a}--{b} in epoch {epoch.epoch_index}"
+              for epoch in service.replenisher.reports for a, b in epoch.newly_eavesdropped]
+    print(f"  eavesdropper caught  {', '.join(caught) or 'never'}")
+    print(f"  still quarantined    {report.eavesdropped_links}")
     print(f"  delivered digest     {report.delivered_digest[:16]}... "
           f"(bit-identical for any worker count)")
 

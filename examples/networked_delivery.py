@@ -32,12 +32,14 @@ async def sae_fleet(port: int) -> None:
     async def one_sae(name: str, pair: tuple, versions: tuple) -> None:
         client = NetworkKmsClient("127.0.0.1", port, versions=versions, client_id=name)
         version = await client.connect()
+        offered = await client.capabilities()
+        assert pair in offered.pairs
         status = await client.status(pair)
         rate = (
             f", depleting {status.depletion_rate_millibps} millibits/s"
             if version >= 2 else ""  # the v2-only trailing field
         )
-        print(f"  {name}: negotiated v{version}; "
+        print(f"  {name}: negotiated v{version}, {len(offered.pairs)} pairs offered; "
               f"{status.available_bits} bits banked for {pair[0]}--{pair[1]}{rate}")
         for _ in range(REQUESTS_PER_CLIENT):
             key = await client.get_key(pair, bits=KEY_BITS)

@@ -14,62 +14,41 @@ This example reproduces the paper's headline scenario end to end:
 Run:  python examples/qkd_vpn_tunnel.py
 """
 
-from repro.ipsec import CipherSuite, GatewayPair, IPPacket, SecurityPolicy
-from repro.link import LinkParameters, QKDLink
-from repro.sim import SimClock
-from repro.util import DeterministicRNG
+from repro import QKDSystem
+from repro.ipsec import CipherSuite
 
 
-def distill_key(seconds: float = 3.0):
-    """Run the QKD link long enough to fill both key pools."""
-    link = QKDLink(LinkParameters.paper_link(), rng=DeterministicRNG(42), name="vpn-link")
-    print(f"distilling QKD key for {seconds:.0f} channel-seconds ...")
-    report = link.run_seconds(seconds)
+def main() -> None:
+    print("distilling QKD key for 3 channel-seconds ...")
+    vpn = QKDSystem(seed=42, distill_seconds=3.0).vpn()
+    report = vpn.initial_report
     print(
         f"  QBER {report.mean_qber:.1%}, {report.distilled_bits} bits distilled "
         f"({report.distilled_rate_bps:.0f} bits/s)"
     )
-    return link
-
-
-def main() -> None:
-    link = distill_key()
-    engine = link.engine
+    engine = vpn.link.engine
+    pair = vpn.gateways
 
     # Top the pools up so the example can run several rekeys without waiting
     # for minutes of simulated channel time (a long-running deployment would
     # simply keep the link running).
-    from repro.util.bits import BitString
+    vpn.top_up(40_000)
 
-    extra = BitString.random(40_000, DeterministicRNG(7))
-    engine.alice_pool.add_bits(extra)
-    engine.bob_pool.add_bits(extra)
-
-    clock = SimClock()
-    pair = GatewayPair(
-        engine.alice_pool, engine.bob_pool, clock=clock, rng=DeterministicRNG(9)
+    vpn.secure_tunnel(
+        "enclave-traffic",
+        "10.1.0.0/16",
+        "10.2.0.0/16",
+        cipher_suite=CipherSuite.AES_QKD_RESEED,
+        lifetime_seconds=60.0,          # rekey about once a minute
+        qkd_bits_per_rekey=1024,        # one Qblock per rekey
     )
-
-    pair.add_symmetric_policy(
-        SecurityPolicy(
-            name="enclave-traffic",
-            source_network="10.1.0.0/16",
-            destination_network="10.2.0.0/16",
-            cipher_suite=CipherSuite.AES_QKD_RESEED,
-            lifetime_seconds=60.0,          # rekey about once a minute
-            qkd_bits_per_rekey=1024,        # one Qblock per rekey
-        )
+    vpn.secure_tunnel(
+        "sensitive-traffic",
+        "10.1.50.0/24",
+        "10.2.50.0/24",
+        cipher_suite=CipherSuite.ONE_TIME_PAD,
+        qkd_bits_per_rekey=16_384,      # pad material for the next interval
     )
-    pair.add_symmetric_policy(
-        SecurityPolicy(
-            name="sensitive-traffic",
-            source_network="10.1.50.0/24",
-            destination_network="10.2.50.0/24",
-            cipher_suite=CipherSuite.ONE_TIME_PAD,
-            qkd_bits_per_rekey=16_384,      # pad material for the next interval
-        )
-    )
-    pair.establish()
     print("\nIKE Phase 1 established between gateways "
           f"{pair.alice.name} and {pair.bob.name}")
 
@@ -77,14 +56,10 @@ def main() -> None:
     print("\nsending enclave traffic across three key rollovers ...")
     for minute in range(3):
         for packet_index in range(5):
-            packet = IPPacket(
-                source="10.1.0.10",
-                destination="10.2.0.20",
-                payload=f"minute {minute} packet {packet_index}: business as usual".encode(),
-            )
-            delivered = pair.transmit(packet)
-            assert delivered is not None and delivered.payload == packet.payload
-        clock.advance(61.0)  # expire the SA so the next packet triggers rollover
+            payload = f"minute {minute} packet {packet_index}: business as usual".encode()
+            delivered = vpn.send("10.1.0.10", "10.2.0.20", payload)
+            assert delivered is not None and delivered.payload == payload
+        vpn.advance_time(61.0)  # expire the SA so the next packet triggers rollover
     alice_stats = pair.alice.statistics
     print(
         f"  {alice_stats.packets_sent} packets protected, "
@@ -94,15 +69,11 @@ def main() -> None:
 
     # --- one-time-pad traffic --------------------------------------------- #
     print("\nsending sensitive traffic over the one-time-pad tunnel ...")
-    secret = IPPacket(
-        source="10.1.50.1",
-        destination="10.2.50.1",
-        payload=b"launch codes are stored in the usual filing cabinet",
-    )
-    delivered = pair.transmit(secret)
-    assert delivered is not None and delivered.payload == secret.payload
+    secret = b"launch codes are stored in the usual filing cabinet"
+    delivered = vpn.send("10.1.50.1", "10.2.50.1", secret)
+    assert delivered is not None and delivered.payload == secret
     print("  delivered intact; pad bytes consumed: "
-          f"{len(secret.payload) + 64} (payload plus encapsulation overhead)")
+          f"{len(secret) + 64} (payload plus encapsulation overhead)")
 
     # --- Fig 12: the negotiation log --------------------------------------- #
     print("\n=== racoon log (compare with Fig 12 of the paper) ===")

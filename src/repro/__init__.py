@@ -16,7 +16,7 @@ Pearson and Troxel as a pure-Python simulation and protocol library:
 * :mod:`repro.ipsec` — IPsec/IKE with the paper's QKD extensions (continually
   reseeded AES keys and one-time-pad security associations).
 * :mod:`repro.network` — trusted-relay and untrusted-switch QKD networks.
-* :mod:`repro.runtime` — link-level scheduling across worker pools
+* :mod:`repro.runtime` — link-level scheduling across a thread pool
   (:class:`~repro.runtime.LinkFarm`) with output invariant under worker
   count.
 * :mod:`repro.lanes` — the slot→key loop and the lane engine: a fleet of

@@ -19,11 +19,10 @@ fluent entry points:
     >>> result = mesh.transport_key("endpoint-0", "endpoint-1")
 
 Every knob lives in one :class:`SystemConfig`; builders accept keyword
-overrides, and ``with_*`` methods return derived systems so configurations
-chain fluently:
+overrides, and :meth:`QKDSystem.configured` returns a derived system:
 
     >>> base = QKDSystem(seed=1)
-    >>> slutsky = base.with_defense("slutsky").with_distance(20.0)
+    >>> slutsky = base.configured(defense="slutsky", distance_km=20.0)
 
 Determinism: a system built from the same config always produces the same
 keys — ``QKDSystem(seed=s).link()`` is bit-for-bit the legacy
@@ -36,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the facade light
-    from repro.faults import FaultPlane
     from repro.kms.zones import ZonePlan
 
 from repro.core.engine import EngineParameters
@@ -135,15 +133,6 @@ class QKDSystem:
         """A derived system with the given config fields replaced."""
         return QKDSystem(replace(self.config, **overrides))
 
-    def with_seed(self, seed: int) -> "QKDSystem":
-        return self.configured(seed=seed)
-
-    def with_distance(self, distance_km: float) -> "QKDSystem":
-        return self.configured(distance_km=distance_km)
-
-    def with_defense(self, defense: str) -> "QKDSystem":
-        return self.configured(defense=defense)
-
     def entangled(self, flag: bool = True) -> "QKDSystem":
         return self.configured(entangled=flag)
 
@@ -164,8 +153,8 @@ class QKDSystem:
         """A complete QKD-keyed VPN: link distilling into two gateways.
 
         The link runs for ``distill_seconds`` of channel time so the gateways
-        have key from the moment they come up; keep calling
-        :meth:`VPNSystem.distill` to model a continuously running link.
+        have key from the moment they come up; ``link.run_seconds`` on the
+        result models a continuously running link.
         """
         config = replace(self.config, **overrides) if overrides else self.config
         link = QKDSystem(config).link(name=f"{config.name}-vpn-link")
@@ -266,20 +255,6 @@ class QKDSystem:
             name_prefix=name or f"{config.name}-lane",
         )
 
-    def fault_plane(self, **kwargs) -> "FaultPlane":
-        """A :class:`repro.faults.FaultPlane` derived from the system seed.
-
-        Every injection decision draws from the labeled streams
-        ``faults/<site>/<n>`` of this system's seed, so the disruption
-        schedule a netkms stack is subjected to is as reproducible as the
-        key material it serves.  Keyword arguments (``rates``,
-        ``delay_range``, ``stall_range``) pass through to
-        :class:`~repro.faults.plane.FaultPlane`.
-        """
-        from repro.faults import FaultPlane
-
-        return FaultPlane(rng=DeterministicRNG(self.config.seed), **kwargs)
-
     def __repr__(self) -> str:
         return f"QKDSystem(seed={self.config.seed}, name={self.config.name!r})"
 
@@ -299,10 +274,6 @@ class VPNSystem:
     _established: bool = field(default=False, repr=False)
 
     # ------------------------------------------------------------------ #
-
-    def distill(self, seconds: float) -> LinkReport:
-        """Run the QKD link for more channel time, topping up both pools."""
-        return self.link.run_seconds(seconds)
 
     def top_up(self, key_bits: int) -> None:
         """Credit both pools with reservoir key (see ``prefill_key_bits``).

@@ -27,7 +27,7 @@ frame of channel detections all the way to authenticated, distilled key:
   stages of :mod:`repro.pipeline`, run in the paper's fixed order.
 """
 
-from repro.core.sifting import SiftingProtocol, SiftResult, run_length_encode, run_length_decode
+from repro.core.sifting import SiftingProtocol, SiftResult, run_length_encode_mask
 from repro.core.cascade import CascadeProtocol, CascadeResult, CascadeParameters
 from repro.core.entropy_estimation import (
     BennettDefense,
@@ -45,8 +45,7 @@ from repro.core.engine import QKDProtocolEngine, DistillationOutcome, EnginePara
 __all__ = [
     "SiftingProtocol",
     "SiftResult",
-    "run_length_encode",
-    "run_length_decode",
+    "run_length_encode_mask",
     "CascadeProtocol",
     "CascadeResult",
     "CascadeParameters",

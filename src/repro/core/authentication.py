@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.messages import AuthenticationTagMessage, PublicChannelLog
+from repro.core.messages import AuthenticationTagMessage
 from repro.crypto.wegman_carter import (
     AuthenticationError,
     SharedSecretPool,
@@ -74,10 +74,6 @@ class AuthenticatedChannel:
     # Tagging and verification
     # ------------------------------------------------------------------ #
 
-    def tag_transcript(self, log: PublicChannelLog) -> AuthenticationTagMessage:
-        """Produce a tag covering every message currently in the transcript."""
-        return self.tag_payload(log.transcript_bytes(), covered_messages=len(log))
-
     def tag_payload(
         self, payload: bytes, covered_messages: int
     ) -> AuthenticationTagMessage:
@@ -90,16 +86,6 @@ class AuthenticatedChannel:
         return AuthenticationTagMessage(
             covered_messages=covered_messages, tag_bits=tag.to_list()
         )
-
-    def verify_transcript(
-        self, log: PublicChannelLog, tag_message: AuthenticationTagMessage
-    ) -> None:
-        """Verify a peer's tag over the same transcript.
-
-        Raises :class:`AuthenticationError` if the transcript was tampered
-        with (or the peer does not hold the same secret pool — i.e. is Eve).
-        """
-        self.verify_payload(log.transcript_bytes(), tag_message)
 
     def verify_payload(
         self, payload: bytes, tag_message: AuthenticationTagMessage
@@ -127,17 +113,6 @@ class AuthenticatedChannel:
     @property
     def available_secret_bits(self) -> int:
         return self.pool.available_bits
-
-    def bits_needed_per_batch(self) -> int:
-        """Secret bits a tag/verify round trip consumes at each endpoint.
-
-        One tag and one verification each consume ``tag_bits`` of pad, so a
-        symmetric exchange (both parties authenticate their own traffic)
-        costs ``2 * tag_bits`` per endpoint per batch.  The engine replenishes
-        at least this much from every distilled block, keeping the pool from
-        draining in steady state.
-        """
-        return 2 * self.tag_bits
 
     def __repr__(self) -> str:
         return (

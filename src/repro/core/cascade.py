@@ -151,14 +151,6 @@ class CascadeResult:
         computed from the ledger on first read rather than per disclosure."""
         return self._ledger.rank() if self._ledger is not None else 0
 
-    @property
-    def leakage_fraction(self) -> float:
-        """Disclosed parity bits per key bit."""
-        if len(self.corrected_key) == 0:
-            return 0.0
-        return self.disclosed_parities / len(self.corrected_key)
-
-
 #: Parity of every byte value: folds a packed AND down to one bit per row.
 _BYTE_PARITY = np.array([bin(byte).count("1") & 1 for byte in range(256)], dtype=np.uint8)
 
@@ -396,22 +388,3 @@ class CascadeProtocol:
             n, params.subset_density, block_size, seeds_used, np.array(searches, dtype=np.uint64)
         )
         return result
-
-    # ------------------------------------------------------------------ #
-
-    def expected_disclosure(self, key_length: int, error_rate: float) -> float:
-        """Rough analytic estimate of parity bits disclosed for planning purposes.
-
-        Each error costs about ``log2(n)`` bisection parities; each round
-        additionally announces its fixed complement of subset parities.  The
-        engine uses this to decide how many sifted bits to accumulate before a
-        block is worth correcting.
-        """
-        import math
-
-        if key_length <= 0:
-            return 0.0
-        expected_errors = error_rate * key_length
-        per_error = max(math.log2(max(key_length, 2)), 1.0)
-        announcements = self.parameters.subsets_per_round * self.parameters.rounds
-        return announcements + self.parameters.confirmation_parities + expected_errors * per_error

@@ -36,7 +36,7 @@ exactly the detect-and-respond behaviour the paper ascribes to Alice and Bob.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.authentication import AuthenticatedChannel
 from repro.core.cascade import CascadeParameters, CascadeProtocol, CascadeResult
@@ -309,17 +309,6 @@ class QKDProtocolEngine:
         if not self._pending_alice:
             return None
         return self.distill_blocks([self._pop_pending_block(partial=True)])[0]
-
-    @property
-    def pending_sifted_key(self) -> Tuple[BitString, BitString]:
-        """Both sides' sifted bits accumulated toward the next block.
-
-        The raw sifted stream as it stands between block completions —
-        what a flush would distill.  Differential tests and benchmarks use
-        it to compare execution backends byte-for-byte without paying for
-        a distillation pass.
-        """
-        return BitString(self._pending_alice), BitString(self._pending_bob)
 
     # ------------------------------------------------------------------ #
     # Distillation of one block

@@ -64,7 +64,7 @@ class KeyPool:
     _head_offset: int = 0
     bits_added: int = 0
     bits_consumed: int = 0
-    #: Bits dropped by age-based expiry (see :meth:`expire_older_than`).
+    #: Bits dropped by age-based expiry (see :meth:`drop_head_blocks`).
     bits_expired: int = 0
     #: Optional cap on stored bits, modelling a bounded key store.
     capacity_bits: Optional[int] = None
@@ -138,10 +138,6 @@ class KeyPool:
                 self._head_offset = 0
         return BitString().concat(*collected)
 
-    def draw_bytes(self, count: int) -> bytes:
-        """Consume ``count`` whole bytes of key material."""
-        return self.draw_bits(count * 8).to_bytes()
-
     # ------------------------------------------------------------------ #
     # Ageing
     # ------------------------------------------------------------------ #
@@ -162,20 +158,6 @@ class KeyPool:
         self.bits_expired += dropped
         self._available_bits -= dropped
         return dropped
-
-    def expire_older_than(self, cutoff: float) -> int:
-        """Drop whole blocks created before ``cutoff``; returns bits dropped.
-
-        Key-management policy may bound how long distilled key sits in a
-        reservoir before it is considered stale (a compromise-window limit);
-        expiry is block-granular and only ever drops from the FIFO head.
-        """
-        count = 0
-        for block in self.blocks:
-            if block.created_at >= cutoff:
-                break
-            count += 1
-        return self.drop_head_blocks(count)
 
     def __repr__(self) -> str:
         return (

@@ -18,7 +18,7 @@ Two encodings exist side by side:
   a 1-byte kind tag, fixed little-endian header fields, LEB128 varints for
   run lengths and index deltas, and ``np.packbits`` bitmaps for bases /
   accept masks / parities.  ``encode()`` on those messages produces it and
-  :func:`decode_message` round-trips it.
+  each class's ``decode()`` round-trips it.
 * **JSON** (:meth:`encode_json`, available on every message) — a production
   encoding, not a test oracle: the infrequent messages (privacy
   amplification, authentication tags, the benchmark-only naive sift listing)
@@ -31,7 +31,7 @@ Cascade records a whole bisection — up to ``2·⌈log₂ n⌉`` query/reply me
 over one subset — as a single :class:`CascadeBisection` entry that keeps the
 messages' wire bytes and their count and nothing else.  ``len(log)``,
 ``total_bytes`` and ``transcript_bytes()`` read those directly;
-:meth:`PublicChannelLog.expanded` and ``messages_of_type`` decode an entry
+:meth:`CascadeBisection.messages` decodes an entry
 back into the :class:`CascadeBisectQuery` / :class:`CascadeBisectReply`
 objects, which remain the definition of each message's bytes.
 """
@@ -328,26 +328,12 @@ class CascadeBisectQuery:
     subset_index: int
     indices: Tuple[int, ...]
 
-    #: Set by :meth:`slice_of`: the subset and bounds ``indices`` was cut from.
-    _slice: Optional[Tuple[SubsetPositions, int, int]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
     #: Payload modes (one byte after the fixed header).
     _MODE_DELTAS = 0
     _MODE_RANGE = 1
     #: Decode-side cap on range-mode expansion (far above any real key
     #: block, small enough that a hostile header cannot force a big alloc).
     _MAX_DECODED_INDICES = 1 << 20
-
-    @classmethod
-    def slice_of(
-        cls, round_index: int, subset_index: int, subset: SubsetPositions, lo: int, hi: int
-    ) -> "CascadeBisectQuery":
-        """The query over ``subset.array[lo:hi]`` (``lo < hi``), as Cascade issues it."""
-        query = cls(round_index, subset_index, subset.array[lo:hi])
-        query._slice = (subset, lo, hi)
-        return query
 
     def encode(self) -> bytes:
         """Binary wire encoding: header, a mode byte, then the indices.
@@ -359,8 +345,6 @@ class CascadeBisectQuery:
         falls back to the JSON reference encoding (still deterministic,
         still taggable).
         """
-        if self._slice is not None:
-            return _slice_query_bytes(self.round_index, self.subset_index, *self._slice)
         indices = np.asarray(self.indices, dtype=np.int64)
         min_delta = (
             int(np.diff(indices).min()) if indices.size > 1 else 1
@@ -607,31 +591,6 @@ class AuthenticationTagMessage:
         return BitString(self.tag_bits)
 
 
-#: Binary message kinds, keyed by their wire tag (see :func:`decode_message`).
-_BINARY_KINDS = {
-    wire.KIND_SIFT: SiftMessage,
-    wire.KIND_SIFT_RESPONSE: SiftResponseMessage,
-    wire.KIND_CASCADE_SUBSETS: CascadeSubsetAnnouncement,
-    wire.KIND_CASCADE_PARITIES: CascadeParityReply,
-    wire.KIND_CASCADE_BISECT: CascadeBisectQuery,
-    wire.KIND_CASCADE_BISECT_REPLY: CascadeBisectReply,
-}
-
-
-def decode_message(data: bytes):
-    """Decode one binary wire message back into its message object.
-
-    Only the binary-coded (hot) kinds are decodable; JSON reference
-    encodings are not meant to round-trip through this function.
-    """
-    if not data:
-        raise wire.WireDecodeError("empty message")
-    cls = _BINARY_KINDS.get(data[0])
-    if cls is None:
-        raise wire.WireDecodeError(f"unknown binary message kind 0x{data[0]:02x}")
-    return cls.decode(data)
-
-
 @dataclass
 class PublicChannelLog:
     """A transcript of everything that crossed the public channel.
@@ -649,16 +608,6 @@ class PublicChannelLog:
     @property
     def total_bytes(self) -> int:
         return sum(len(m.encode()) for m in self.messages)
-
-    def expanded(self) -> List[object]:
-        """One object per message: each bisection entry as its queries and replies."""
-        out: List[object] = []
-        for m in self.messages:
-            out.extend(m.messages() if isinstance(m, CascadeBisection) else (m,))
-        return out
-
-    def messages_of_type(self, message_type) -> List[object]:
-        return [m for m in self.expanded() if isinstance(m, message_type)]
 
     def transcript_bytes(self) -> bytes:
         """The concatenated byte encoding of every message, in order."""

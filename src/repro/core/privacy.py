@@ -47,14 +47,6 @@ class PrivacyAmplificationResult:
     input_bits: int
     output_bits: int
 
-    @property
-    def compression_ratio(self) -> float:
-        """Output bits per input bit."""
-        if self.input_bits == 0:
-            return 0.0
-        return self.output_bits / self.input_bits
-
-
 class PrivacyAmplification:
     """Runs the privacy-amplification transaction for one corrected block."""
 

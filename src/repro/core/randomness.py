@@ -59,11 +59,6 @@ class RandomnessReport:
         """The ``r`` of the entropy estimate: bits to shorten the block by."""
         return int(math.ceil(self.worst_defect_per_bit * self.block_bits))
 
-    @property
-    def all_passed(self) -> bool:
-        return all(result.passed for result in self.results)
-
-
 class RandomnessTester:
     """A small battery of bias/correlation tests over a bit block."""
 

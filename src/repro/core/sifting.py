@@ -23,7 +23,7 @@ Vectorization contract
 ----------------------
 
 The announcement path stays in packed numpy arrays end to end:
-:func:`run_length_encode` is a few whole-array passes
+:func:`run_length_encode_mask` is a few whole-array passes
 (``np.flatnonzero``/``np.diff`` over the click mask), decoding detections is
 O(detections) rather than O(slots), and ``SiftResult``/message internals carry
 uint8/intp arrays instead of per-slot Python lists.  The per-flag scalar loop
@@ -37,7 +37,7 @@ may be empty, with ``sum(runs) == len(flags)`` always.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -80,19 +80,6 @@ def run_length_encode_mask(mask: np.ndarray) -> np.ndarray:
     return runs
 
 
-def run_length_encode(flags: Union[Sequence[int], np.ndarray]) -> List[int]:
-    """Encode a 0/1 detection sequence as alternating run lengths.
-
-    The encoding always starts with the length of an initial run of zeros
-    (which may be zero if the first slot was a detection) and then alternates
-    (ones-run, zeros-run, ...).  ``sum(runs) == len(flags)`` always holds.
-
-    Vectorized; produces exactly the runs list of the scalar oracle in
-    ``tests/oracles/scalar_rle.py``.
-    """
-    return run_length_encode_mask(np.asarray(flags)).tolist()
-
-
 def _validated_runs(runs: Sequence[int], expected_length: Optional[int]) -> np.ndarray:
     """Convert run lengths to an int64 array, rejecting bad input *cheaply*.
 
@@ -123,17 +110,6 @@ def _validated_runs(runs: Sequence[int], expected_length: Optional[int]) -> np.n
                 f"decoded length {total} does not match expected {expected_length}"
             )
     return arr
-
-
-def run_length_decode(runs: Sequence[int], expected_length: Optional[int] = None) -> List[int]:
-    """Decode alternating run lengths back into the 0/1 detection sequence.
-
-    Validates ``sum(runs) == expected_length`` (when given) *before*
-    materializing the output, so hostile run lists fail fast and cheap.
-    """
-    arr = _validated_runs(runs, expected_length)
-    values = np.arange(arr.size, dtype=np.int64) & 1
-    return np.repeat(values, arr).tolist()
 
 
 # --------------------------------------------------------------------------- #

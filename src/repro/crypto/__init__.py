@@ -9,7 +9,7 @@ traffic uses Wegman-Carter universal hashing keyed from a shared secret pool.
 Everything here is implemented from scratch (no external crypto libraries):
 
 * :mod:`repro.crypto.aes` — AES-128/192/256 block cipher.
-* :mod:`repro.crypto.modes` — ECB, CBC and CTR modes of operation.
+* :mod:`repro.crypto.modes` — CBC mode with PKCS#7 padding.
 * :mod:`repro.crypto.sha1` — SHA-1 and HMAC-SHA1 (the paper's "SHA1" integrity
   primitive for conventional IPsec SAs).
 * :mod:`repro.crypto.otp` — the one-time pad with an explicit pad pool.
@@ -18,14 +18,7 @@ Everything here is implemented from scratch (no external crypto libraries):
 """
 
 from repro.crypto.aes import AES
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_keystream,
-    ctr_transform,
-    ecb_decrypt,
-    ecb_encrypt,
-)
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt
 from repro.crypto.otp import OneTimePad, PadExhaustedError
 from repro.crypto.sha1 import hmac_sha1, sha1
 from repro.crypto.wegman_carter import WegmanCarterAuthenticator, AuthenticationError
@@ -34,10 +27,6 @@ __all__ = [
     "AES",
     "cbc_decrypt",
     "cbc_encrypt",
-    "ctr_keystream",
-    "ctr_transform",
-    "ecb_decrypt",
-    "ecb_encrypt",
     "OneTimePad",
     "PadExhaustedError",
     "hmac_sha1",

@@ -1,9 +1,6 @@
 """Block-cipher modes of operation used by the simulated IPsec stack.
 
-IPsec ESP traditionally runs its ciphers in CBC mode; CTR mode is provided as
-well because the VPN gateway's rapid-reseed extension prefers a mode that
-needs no padding and whose keystream length can be accounted against the QKD
-key budget precisely.  PKCS#7 padding is implemented for CBC/ECB.
+IPsec ESP runs its ciphers in CBC mode with PKCS#7 padding.
 """
 
 from __future__ import annotations
@@ -33,31 +30,6 @@ def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
 
 def _xor_bytes(a: bytes, b: bytes) -> bytes:
     return bytes(x ^ y for x, y in zip(a, b))
-
-
-# --------------------------------------------------------------------------- #
-# ECB (used only for tests and key-schedule validation — never for traffic)
-# --------------------------------------------------------------------------- #
-
-def ecb_encrypt(cipher: AES, plaintext: bytes) -> bytes:
-    """Encrypt with ECB + PKCS#7 padding.  For test vectors only."""
-    padded = pkcs7_pad(plaintext)
-    blocks = [
-        cipher.encrypt_block(padded[i : i + BLOCK_SIZE])
-        for i in range(0, len(padded), BLOCK_SIZE)
-    ]
-    return b"".join(blocks)
-
-
-def ecb_decrypt(cipher: AES, ciphertext: bytes) -> bytes:
-    """Decrypt ECB + PKCS#7."""
-    if len(ciphertext) % BLOCK_SIZE:
-        raise ValueError("ciphertext must be a multiple of the block size")
-    blocks = [
-        cipher.decrypt_block(ciphertext[i : i + BLOCK_SIZE])
-        for i in range(0, len(ciphertext), BLOCK_SIZE)
-    ]
-    return pkcs7_unpad(b"".join(blocks))
 
 
 # --------------------------------------------------------------------------- #
@@ -93,28 +65,3 @@ def cbc_decrypt(cipher: AES, ciphertext: bytes, iv: bytes) -> bytes:
         out.extend(_xor_bytes(decrypted, previous))
         previous = block
     return pkcs7_unpad(bytes(out))
-
-
-# --------------------------------------------------------------------------- #
-# CTR (rapid-reseed mode; no padding, symmetric transform)
-# --------------------------------------------------------------------------- #
-
-def ctr_keystream(cipher: AES, nonce: bytes, length: int) -> bytes:
-    """Generate ``length`` keystream bytes for an 8-byte nonce."""
-    if len(nonce) != 8:
-        raise ValueError("CTR nonce must be 8 bytes (the counter fills the rest)")
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        block = nonce + counter.to_bytes(8, "big")
-        out.extend(cipher.encrypt_block(block))
-        counter += 1
-    return bytes(out[:length])
-
-
-def ctr_transform(cipher: AES, data: bytes, nonce: bytes) -> bytes:
-    """Encrypt or decrypt (the operation is its own inverse) in CTR mode."""
-    keystream = ctr_keystream(cipher, nonce, len(data))
-    return _xor_bytes(data, keystream)

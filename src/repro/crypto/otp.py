@@ -13,8 +13,6 @@ rate at which it is consumed" the paper describes in section 2.
 
 from __future__ import annotations
 
-from repro.util.bits import BitString
-
 
 class PadExhaustedError(Exception):
     """Raised when more pad material is requested than the pool contains."""
@@ -26,7 +24,6 @@ class OneTimePad:
     def __init__(self, initial_pad: bytes = b""):
         self._pool = bytearray(initial_pad)
         self._consumed = 0
-        self._added = len(initial_pad)
 
     # ------------------------------------------------------------------ #
     # Pool management
@@ -42,21 +39,9 @@ class OneTimePad:
         """Total bytes consumed since the pad was created."""
         return self._consumed
 
-    @property
-    def added_bytes(self) -> int:
-        """Total bytes ever added to the pool."""
-        return self._added
-
     def add_key_material(self, material: bytes) -> None:
         """Append freshly distilled QKD bytes to the pool."""
         self._pool.extend(material)
-        self._added += len(material)
-
-    def add_key_bits(self, bits: BitString) -> None:
-        """Append key material given as a bit string (whole bytes only are used)."""
-        usable = (len(bits) // 8) * 8
-        if usable:
-            self.add_key_material(bits[:usable].to_bytes())
 
     def _take(self, count: int) -> bytes:
         if count < 0:

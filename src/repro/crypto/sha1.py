@@ -201,11 +201,6 @@ def sha1(message: bytes) -> bytes:
     return _finish(_INITIAL_STATE, (message,), len(message))[0]
 
 
-def sha1_hexdigest(message: bytes) -> str:
-    """SHA-1 digest as a lowercase hex string."""
-    return sha1(message).hex()
-
-
 class HmacSha1:
     """HMAC-SHA1 (RFC 2104) under one key, for any number of messages.
 

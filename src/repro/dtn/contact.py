@@ -6,13 +6,10 @@ passes, mobile relays, scheduled fiber maintenance — replaces that
 assumption with a *contact plan*: per-link windows during which the link
 can actually carry material.  This module provides
 
-* :class:`ContactWindow` / :class:`ContactSchedule` — the plan itself,
-  buildable directly or from the fault plane's
-  :class:`~repro.faults.flaps.FlapWindow` outage schedules (a contact is
-  exactly the complement of an outage);
+* :class:`ContactWindow` / :class:`ContactSchedule` — the plan itself;
 * :class:`ContactGraphSelector` — a :class:`~repro.network.routing
-  .PathSelector` that knows the plan: instantaneous routing over the edges
-  open *now* (:meth:`ContactGraphSelector.find_path_at`) and
+  .PathSelector` that knows the plan: which nodes are reachable over the
+  edges open *now* (:meth:`ContactGraphSelector.reachable_at`) and
   earliest-arrival routing over the time-varying contact graph
   (:meth:`ContactGraphSelector.earliest_arrival`, the contact-graph-routing
   primitive the scheduled forwarding policy plans with).
@@ -30,9 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.faults.flaps import FlapWindow, invert_windows
-from repro.network.graph import Graph, NoPath, component, shortest_path
-from repro.network.routing import PathSelector, RoutingError, _describe_reachable
+from repro.network.graph import Graph, component
+from repro.network.routing import PathSelector, RoutingError
 from repro.network.topology import QKDNetwork
 
 Edge = Tuple[str, str]
@@ -43,7 +39,7 @@ class ContactWindow:
     """One contact: the edge can carry material on ``[start, end)``.
 
     ``end`` may be ``math.inf`` (the link stays up once its last known
-    outage heals — the shape :meth:`ContactSchedule.from_flaps` produces).
+    outage heals).
     """
 
     start: float
@@ -136,23 +132,6 @@ class ContactSchedule:
                         times.add(t)
         return sorted(times)
 
-    @classmethod
-    def from_flaps(
-        cls, edge_flaps: Mapping[Edge, Sequence[FlapWindow]]
-    ) -> "ContactSchedule":
-        """A contact plan from the fault plane's outage schedules.
-
-        Each edge's contacts are the complement of its flap windows over
-        ``[0, inf)`` (via :func:`repro.faults.flaps.invert_windows`): the
-        link carries material exactly when it is not down, and stays open
-        after its last known outage heals.
-        """
-        schedule = cls()
-        for (node_a, node_b), flaps in edge_flaps.items():
-            windows = [ContactWindow(start, end) for start, end in invert_windows(list(flaps))]
-            schedule.set_windows(node_a, node_b, windows)
-        return schedule
-
     def __repr__(self) -> str:
         scheduled = len(self._windows)
         windows = sum(len(w) for w in self._windows.values())
@@ -196,22 +175,6 @@ class ContactGraphSelector(PathSelector):
         return self.network.graph.filter_edges(
             lambda node_a, node_b, _data: self.edge_open(node_a, node_b, time)
         )
-
-    def find_path_at(self, source: str, destination: str, time: float) -> List[str]:
-        """The best path over edges open at ``time`` (ends inclusive)."""
-        open_graph = self.open_subgraph(time)
-        for name in (source, destination):
-            if name not in open_graph:
-                raise RoutingError(
-                    f"unknown node {name!r} in route {source!r} -> {destination!r}"
-                )
-        try:
-            return shortest_path(open_graph, source, destination, weight=self._edge_weight)
-        except NoPath as exc:
-            raise RoutingError(
-                f"no open contact path from {source!r} to {destination!r} "
-                f"at t={time:g}s; " + _describe_reachable(open_graph, source)
-            ) from exc
 
     def reachable_at(self, source: str, time: float) -> List[str]:
         """All nodes reachable from ``source`` over edges open at ``time``

@@ -115,9 +115,6 @@ class CustodyStore:
         """Held bundle ids in ascending order (the deterministic scan order)."""
         return sorted(self._bundles)
 
-    def bundle(self, bundle_id: int) -> CustodyBundle:
-        return self._bundles[bundle_id]
-
     # ------------------------------------------------------------------ #
     # Banking / removal
     # ------------------------------------------------------------------ #

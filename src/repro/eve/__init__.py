@@ -13,23 +13,18 @@ here are the ones whose observable consequences the paper discusses:
   attack: Eve stores one photon from every multi-photon pulse and measures it
   after basis announcement.  No errors are induced; the leakage is what the
   multi-photon terms of entropy estimation charge for.
-* :class:`ManInTheMiddleAttack` — Eve forges public-channel messages; Wegman-
-  Carter authentication is what defeats her.
 * :class:`KeyExhaustionDoS` — Eve forces authentication-pool consumption
   without letting new key form (the denial-of-service concern of section 2).
 """
 
-from repro.eve.base import QuantumChannelAttack, PassiveChannel
+from repro.eve.base import QuantumChannelAttack
 from repro.eve.intercept_resend import InterceptResendAttack
 from repro.eve.beamsplitter import BeamSplittingAttack
-from repro.eve.mitm import ManInTheMiddleAttack
 from repro.eve.dos import KeyExhaustionDoS
 
 __all__ = [
     "QuantumChannelAttack",
-    "PassiveChannel",
     "InterceptResendAttack",
     "BeamSplittingAttack",
-    "ManInTheMiddleAttack",
     "KeyExhaustionDoS",
 ]

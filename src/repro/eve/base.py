@@ -39,21 +39,3 @@ class QuantumChannelAttack:
             a dict of attack bookkeeping attached to the frame result.
         """
         raise NotImplementedError
-
-
-class PassiveChannel(QuantumChannelAttack):
-    """The no-attack baseline: photons simply suffer the path loss.
-
-    Provided so benchmarks can run "with attack X" and "without attack" code
-    paths that are literally identical apart from the attack object.
-    """
-
-    name = "passive"
-
-    def intercept(self, emission, transmittance, rng):
-        photons_at_receiver = rng.binomial(emission["photons"], transmittance)
-        return {
-            "photons_at_receiver": photons_at_receiver,
-            "phase_at_receiver": emission["phase"],
-            "record": {"attack": self.name},
-        }

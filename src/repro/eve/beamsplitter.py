@@ -83,16 +83,3 @@ class BeamSplittingAttack(QuantumChannelAttack):
             return 0
         tapped = record["multi_photon_mask"]
         return int(np.count_nonzero(frame_result.sifted_mask & tapped))
-
-    @staticmethod
-    def eve_known_transmitted_bits(frame_result) -> int:
-        """Multi-photon pulses Eve tapped regardless of whether Bob saw them.
-
-        This is the quantity behind the paper's worst-case ("proportional to
-        the number of transmitted bits times the multi-photon probability")
-        accounting for weak-coherent sources.
-        """
-        record = frame_result.attack_record
-        if not record or "multi_photon_mask" not in record:
-            return 0
-        return int(record["slots_tapped"])

@@ -101,11 +101,6 @@ class InterceptResendAttack(QuantumChannelAttack):
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def expected_induced_error_rate(intercept_fraction: float) -> float:
-        """The textbook 25 % error rate scaled by the intercepted fraction."""
-        return 0.25 * intercept_fraction
-
-    @staticmethod
     def eve_known_sifted_bits(frame_result) -> int:
         """Count sifted bits whose value Eve knows with certainty.
 

@@ -10,33 +10,20 @@ service's ``kms/epoch/<n>`` streams — so any chaos run replays
 byte-for-byte from its seed.
 
 * :mod:`repro.faults.plane` — :class:`~repro.faults.plane.FaultPlane`:
-  the decision engine (scripted rules pin exact faults to exact operation
-  indices; stochastic rates drive sweeps), plus the site/kind catalogue
-  and injection statistics;
+  the decision engine (stochastic rates per site and kind drive sweeps),
+  plus the site/kind catalogue and injection statistics;
 * :mod:`repro.faults.net` — application to asyncio transports:
   :class:`~repro.faults.net.FaultyConnector` plugs into the netkms
   client's ``connector`` seam (connect refusals/delays, per-frame drops,
   truncation, reply delay), :func:`~repro.faults.net.stall_hook` into the
-  server's ``request_hook`` (in-server stalls);
-* :mod:`repro.faults.flaps` — bounded link outages
-  (:func:`~repro.faults.flaps.draw_flap_windows`), bindable to simulated
-  time (:class:`~repro.faults.flaps.LinkFlapper` over ``sim/clock``) or
-  replayed on wall-clock asyncio (:func:`~repro.faults.flaps.drive_flaps`).
+  server's ``request_hook`` (in-server stalls).
 
-Entry point from the facade: ``QKDSystem(seed).fault_plane(rates=...)``
-derives the plane from the system seed, so one integer still determines
-the entire experiment — physics, key material, *and* the disruption
-schedule it survives.
+Build the plane from the experiment's root seed
+(``FaultPlane(DeterministicRNG(seed), rates=...)``) and one integer still
+determines the entire experiment — physics, key material, *and* the
+disruption it survives.
 """
 
-from repro.faults.flaps import (
-    FlapWindow,
-    LinkFlapper,
-    draw_flap_windows,
-    drive_flaps,
-    invert_windows,
-    merge_windows,
-)
 from repro.faults.net import FaultyConnector, FaultyReader, FaultyWriter, stall_hook
 from repro.faults.plane import (
     DELAY,
@@ -68,8 +55,6 @@ __all__ = [
     "FaultyConnector",
     "FaultyReader",
     "FaultyWriter",
-    "FlapWindow",
-    "LinkFlapper",
     "REFUSE",
     "SITE_CLIENT_RX",
     "SITE_CLIENT_TX",
@@ -79,9 +64,5 @@ __all__ = [
     "SITES",
     "STALL",
     "TRUNCATE",
-    "draw_flap_windows",
-    "drive_flaps",
-    "invert_windows",
-    "merge_windows",
     "stall_hook",
 ]

@@ -8,24 +8,15 @@ the lane runtime's ``lane/<i>`` and the KMS service's ``kms/epoch/<n>``
 streams — so a failing chaos run re-runs identically from its seed alone,
 independent of asyncio scheduling order between sites.
 
-Two ways to make faults happen:
-
-* **scripted rules** pin an exact action to one ``(site, op_index)`` —
-  "the 3rd CONSUME's reply is dropped" — which is how the pinned soak in
-  the test suite guarantees its required scenarios occur;
-* **stochastic rates** give each action kind a per-operation probability
-  at a site, evaluated against that operation's own labeled stream — how
-  the chaos sweep scales aggression up and down without losing replay.
-
-A scripted rule always wins over the stochastic draw at its index, and the
-stream for the index is drawn either way so scripting *earlier* operations
-never shifts the randomness of later ones.
+Faults happen at **stochastic rates**: each action kind has a
+per-operation probability at a site, evaluated against that operation's own
+labeled stream — how the chaos sweep scales aggression up and down without
+losing replay.  The stream for an index is drawn whatever fires, so a test
+that overrides :meth:`FaultPlane._draw` to pin "the 3rd CONSUME's reply is
+dropped" never shifts the randomness of later operations.
 
 The plane itself never touches a socket; :mod:`repro.faults.net` applies
-its decisions to asyncio transports and :mod:`repro.faults.flaps` binds
-them to :mod:`repro.sim.clock` link-outage windows (while the link is
-down, connects refuse and live connections drop — whatever the schedule
-says).
+its decisions to asyncio transports.
 """
 
 from __future__ import annotations
@@ -116,7 +107,7 @@ class FaultPlane:
     ``rng`` anchors the ``faults/<site>/<n>`` stream family (pass the
     system root so the whole experiment remains a function of one seed).
     ``rates`` maps ``site -> {kind: probability}`` for the stochastic
-    sweep; :meth:`script` pins exact actions to exact operation indices.
+    sweep.
     ``delay_range``/``stall_range`` bound the drawn hold times.
     """
 
@@ -139,34 +130,7 @@ class FaultPlane:
         self.delay_range = delay_range
         self.stall_range = stall_range
         self.stats = FaultPlaneStats()
-        #: Link state; while False, every connect refuses and every tx/rx
-        #: frame drops (flap schedules toggle this).
-        self.link_up = True
-        self._scripted: Dict[Tuple[str, int], FaultAction] = {}
         self._op_counters: Dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Configuration
-    # ------------------------------------------------------------------ #
-
-    def script(self, site: str, op_index: int, action: FaultAction) -> "FaultPlane":
-        """Pin ``action`` to the ``op_index``-th operation at ``site``.
-
-        Indices count from 0 in operation order at that site.  Returns the
-        plane for chaining.
-        """
-        if site not in SITE_KINDS:
-            raise ValueError(f"unknown fault site {site!r} (sites: {SITES})")
-        if action.kind not in SITE_KINDS[site]:
-            raise ValueError(f"kind {action.kind!r} cannot fire at site {site!r}")
-        self._scripted[(site, op_index)] = action
-        return self
-
-    def take_down(self) -> None:
-        self.link_up = False
-
-    def bring_up(self) -> None:
-        self.link_up = True
 
     # ------------------------------------------------------------------ #
     # The decision
@@ -185,13 +149,7 @@ class FaultPlane:
         self._op_counters[site] = index + 1
         self.stats.ops_by_site[site] = self.stats.ops_by_site.get(site, 0) + 1
 
-        stream = self.rng.fork_labeled(f"faults/{site}/{index}")
-        stochastic = self._draw(site, stream)
-        action = self._scripted.get((site, index), stochastic)
-        if action is None and not self.link_up:
-            # A downed link overrides a clean draw: refuse new connections,
-            # cut frames in flight.
-            action = FaultAction(REFUSE if site == SITE_CONNECT else DROP_BEFORE)
+        action = self._draw(site, self.rng.fork_labeled(f"faults/{site}/{index}"))
         if action is not None:
             self.stats.records.append(FaultRecord(site, index, action))
             self.stats.injected_by_site[site] = (
@@ -223,10 +181,7 @@ class FaultPlane:
 
     def __repr__(self) -> str:
         ops = sum(self.stats.ops_by_site.values())
-        return (
-            f"FaultPlane({ops} ops, {self.stats.injections} injected, "
-            f"link {'up' if self.link_up else 'DOWN'})"
-        )
+        return f"FaultPlane({ops} ops, {self.stats.injections} injected)"
 
 
 __all__ = [

@@ -274,11 +274,3 @@ class GatewayPair:
             return None
         self.delivered.append(delivered)
         return delivered
-
-    def advance_time(self, seconds: float) -> None:
-        self.clock.advance(seconds)
-
-    @property
-    def combined_log(self) -> List[str]:
-        """Both IKE daemons' racoon-style logs, interleaved in emission order."""
-        return self.alice.ike.log_lines + self.bob.ike.log_lines

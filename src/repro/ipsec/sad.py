@@ -163,10 +163,5 @@ class SecurityAssociationDatabase:
     def active_count(self) -> int:
         return len(self.by_spi)
 
-    @property
-    def rollover_count(self) -> int:
-        """How many SAs have been retired over the gateway's lifetime."""
-        return len(self.retired)
-
     def __len__(self) -> int:
         return len(self.by_spi)

@@ -15,9 +15,10 @@ is **bit-identical for any worker count**.  Every link's epoch is seeded by
 a labeled fork — ``kms/epoch/<epoch-index>/<node-a>--<node-b>`` — so its
 output is a pure function of ``(link parameters, label, budget)``, and links
 are committed in sorted-link order.  Only Monte-Carlo epochs fan out (across
-the :class:`~repro.runtime.farm.LinkFarm`, which returns runs in submission
-order); analytic epochs generate each link's pad material inline, because a
-pool loses to a plain loop at every fleet size measured (CHANGES.md, PR 20).
+the :class:`~repro.runtime.farm.LinkFarm`'s threads, which return runs in
+submission order); analytic epochs generate each link's pad material inline,
+because a pool loses to a plain loop at every fleet size measured (12–400
+links; see CHANGES.md).
 
 Two fidelity modes:
 
@@ -28,33 +29,32 @@ Two fidelity modes:
     :meth:`repro.network.relay.TrustedRelayNetwork.run_links_for`.  Attacks
     are applied through the analytic QBER model: an attack pushing the
     expected QBER over the detection threshold yields nothing and flags the
-    link as eavesdropped; a quieter attack degrades the secret fraction.
+    link as eavesdropped; a quieter attack degrades the secret fraction,
+    computed by the link's own analytic model
+    (:func:`repro.link.qkd_link.secret_fraction`) at the elevated QBER.
 
 ``"montecarlo"``
     Each dispatched link runs a real :class:`~repro.link.qkd_link.QKDLink`
-    epoch (``slots_per_epoch`` trigger slots) through the PR-3
-    :class:`~repro.runtime.farm.LinkFarm`, attacks interposed on the
+    epoch (``slots_per_epoch`` trigger slots) through the
+    :class:`~repro.runtime.farm.LinkFarm`, one link per thread task (inline
+    at ``workers=1``), attacks interposed on the
     photonic path, and banks whatever the protocol stack actually distills.
     Detection comes from the engine's own measured QBER / aborted blocks.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
-from repro.link.qkd_link import LinkParameters, QKDLink
-from repro.mathkit.entropy import binary_entropy
+from repro.link.qkd_link import LinkParameters, QKDLink, secret_fraction
 from repro.network.relay import TrustedRelayNetwork, pad_material_from_seed
 from repro.network.topology import QKDLinkEdge
-from repro.runtime.farm import LinkFarm, LinkJob
-from repro.runtime.pool import resolve_workers
+from repro.runtime.farm import LinkFarm, LinkJob, resolve_workers
 from repro.util.rng import DeterministicRNG
-from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 
 #: Fidelity modes the scheduler can dispatch epochs in.
 MODES = ("analytic", "montecarlo")
@@ -70,15 +70,12 @@ class ReplenishmentConfig:
     mode: str = "analytic"
     #: Monte-Carlo budget per dispatched link per epoch.
     slots_per_epoch: int = 250_000
-    #: Monte-Carlo dispatch only: workers of the :class:`LinkFarm` the
-    #: epoch's links run on (None = one per CPU).  Analytic epochs generate
-    #: their pad material inline whatever this says.
+    #: Monte-Carlo dispatch only: threads of the :class:`LinkFarm` the
+    #: epoch's links run on, one link per task (None = one per CPU).  At
+    #: ``workers=1`` the epoch's links run in this thread, one lane at a
+    #: time.  Analytic epochs generate their pad material inline whatever
+    #: this says.
     workers: Optional[int] = None
-    #: Monte-Carlo dispatch only: the farm's pool backend, ``"process"`` or
-    #: ``"thread"`` (:data:`repro.runtime.farm.LinkFarm.BACKENDS`), one link
-    #: per worker.  At ``workers=1`` the epoch's links run in this process,
-    #: one lane at a time, whichever backend is named.
-    backend: str = "thread"
     #: Pairwise pads below this are always dispatched this epoch.
     pad_low_water_bits: int = 4_096
     #: Dispatch tops pads up toward this level (analytic mode caps the
@@ -102,10 +99,6 @@ class ReplenishmentConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.backend not in LinkFarm.BACKENDS:
-            raise ValueError(
-                f"backend must be one of {LinkFarm.BACKENDS}, got {self.backend!r}"
-            )
         if self.epoch_seconds <= 0:
             raise ValueError("epoch duration must be positive")
         slots = self.slots_per_epoch
@@ -155,7 +148,7 @@ class ReplenishmentScheduler:
         #: Per-link demand pressure hints fed back by the service: links on
         #: the path of a starving store get their priority boosted.
         self.pressure: Dict[Tuple[str, str], float] = {}
-        self._farm = LinkFarm(workers=self.config.workers, backend=self.config.backend)
+        self._farm = LinkFarm(workers=self.config.workers)
         self._link_cache: Dict[float, QKDLink] = {}
         #: Wall-clock seconds spent ordering/selecting links (the scheduler
         #: overhead the metro bench tracks; excludes the dispatch fan-out).
@@ -358,14 +351,11 @@ class ReplenishmentScheduler:
         if attack is None:
             rate = edge.secret_key_rate_bps
         else:
-            # Same formula as the link's analytic model, evaluated at the
-            # attack-elevated QBER: the engine still distills, but Cascade
-            # and the defense function eat more of every sifted bit.
+            # The link's analytic model at the attack-elevated QBER: the
+            # engine still distills, but Cascade and the defense function
+            # eat more of every sifted bit.
             mu = link.parameters.channel.effective_mean_photon_number
-            multi = multi_photon_probability(mu) / max(non_empty_pulse_probability(mu), 1e-12)
-            bennett = min(2.0 * math.sqrt(2.0) * induced, 1.0)
-            fraction = max(1.0 - 1.35 * binary_entropy(induced) - bennett - multi, 0.0)
-            rate = link.sifted_rate_bps() * fraction
+            rate = link.sifted_rate_bps() * secret_fraction(induced, mu)
         room = max(self.config.pad_target_bits - self._pad_bits(edge), 0)
         return min(int(rate * self.config.epoch_seconds), room), False
 

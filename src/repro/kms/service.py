@@ -180,26 +180,6 @@ class KmsConfig:
             updates["trunk_high_water_bits"] = trunk_high_water_bits
         return replace(self, **updates)
 
-    def with_custody(
-        self,
-        *,
-        ttl_seconds: Optional[float] = None,
-        capacity_bits: Optional[int] = None,
-        policy: Optional[str] = None,
-        schedule: Optional["ContactSchedule"] = None,
-    ) -> "KmsConfig":
-        """This config with the disruption-tolerant custody layer on."""
-        updates: Dict[str, object] = {"custody": True}
-        if ttl_seconds is not None:
-            updates["custody_ttl_seconds"] = ttl_seconds
-        if capacity_bits is not None:
-            updates["custody_capacity_bits"] = capacity_bits
-        if policy is not None:
-            updates["custody_policy"] = policy
-        if schedule is not None:
-            updates["custody_schedule"] = schedule
-        return replace(self, **updates)
-
     def with_workload(
         self, profile: Union["WorkloadProfile", "AggregateProfile"]
     ) -> "KmsConfig":
@@ -649,8 +629,8 @@ class KeyManagementService:
         """
         if self._served:
             raise RuntimeError("serve() may run once; build a fresh service")
-        if hours <= 0:
-            raise ValueError("serve duration must be positive")
+        if not (math.isfinite(hours) and hours > 0):
+            raise ValueError(f"serve duration must be positive and finite, got {hours!r}")
         self._served = True
         horizon = hours * 3600.0
 

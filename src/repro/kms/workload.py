@@ -26,10 +26,18 @@ Two arrival profiles:
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.util.rng import DeterministicRNG
+
+
+def _check_horizon(horizon_seconds: float) -> None:
+    """Refuse a horizon the arrival loop could never pass: with ``nan`` or
+    ``inf`` the loop's ``now >= horizon`` test never holds."""
+    if not (math.isfinite(horizon_seconds) and horizon_seconds >= 0):
+        raise ValueError(f"horizon must be non-negative and finite, got {horizon_seconds!r}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,7 @@ class TrafficWorkload:
         the root seed, the profile parameters consumed in a fixed order, and
         the pair name only.
         """
-        if horizon_seconds < 0:
-            raise ValueError("horizon must be non-negative")
+        _check_horizon(horizon_seconds)
         stream = self._rng.fork_labeled(f"workload/{self.pair_label(pair)}")
         times: List[float] = []
         now = 0.0
@@ -246,8 +253,7 @@ class AggregateWorkload:
         self, pair: Tuple[str, str], horizon_seconds: float
     ) -> List[Tuple[float, int]]:
         """Every ``(time, count)`` demand burst for one pair in ``[0, horizon)``."""
-        if horizon_seconds < 0:
-            raise ValueError("horizon must be non-negative")
+        _check_horizon(horizon_seconds)
         profile = self.profile
         stream = self._rng.fork_labeled(f"workload/agg/{self.pair_label(pair)}")
         mean = (

@@ -7,7 +7,7 @@ time: transmit (:func:`repro.optics.channel.transmit_lanes`), sift
 engine).  A single :class:`~repro.link.qkd_link.QKDLink` runs it directly
 (``QKDLink.run_slots``), :class:`LaneEngine` runs a fleet through it lane
 after lane in one process, and the :class:`~repro.runtime.farm.LinkFarm`
-runs it once per job — inline at one worker, else one job per pool task.
+runs it once per job — inline at one worker, else one job per thread task.
 
 Lane independence
 -----------------
@@ -153,8 +153,8 @@ class LaneEngine:
     def run(self) -> List[LinkRun]:
         """Run every lane for its own job's slot budget; the farm's entry.
 
-        One :class:`LinkRun` per job, in job order, whichever ``LinkFarm``
-        backend got it here.
+        One :class:`LinkRun` per job, in job order, whether the ``LinkFarm``
+        called it inline or on a worker thread.
         """
         return [
             LinkRun(

@@ -189,11 +189,8 @@ class QKDLink:
         benchmark sweeps invisible.
         """
         e = self.expected_qber()
-        if e >= 0.5:
-            return 0.0
         if defense is None:
-            # Match the engine's default defense function (Bennett).
-            defense_per_bit = BennettPerBit(e)
+            defense_per_bit = None  # secret_fraction's default: Bennett, as the engine
         elif hasattr(defense, "per_bit_defense"):
             defense_per_bit = float(defense.per_bit_defense(e))
         elif isinstance(defense, (int, float)) and not isinstance(defense, bool):
@@ -207,11 +204,7 @@ class QKDLink:
                 f"{type(defense).__name__}"
             )
         mu = self.parameters.channel.effective_mean_photon_number
-        multi_fraction = multi_photon_probability(mu) / max(
-            non_empty_pulse_probability(mu), 1e-12
-        )
-        fraction = 1.0 - cascade_efficiency * binary_entropy(e) - defense_per_bit - multi_fraction
-        return max(fraction, 0.0)
+        return secret_fraction(e, mu, cascade_efficiency, defense_per_bit)
 
     def estimated_secret_key_rate(self, **kwargs) -> float:
         """Analytic distilled key rate in bits per second."""
@@ -224,6 +217,27 @@ class QKDLink:
         )
 
 
-def BennettPerBit(error_rate: float) -> float:
-    """Per-bit Bennett defense (the linear 2*sqrt(2)*e bound), for the analytic model."""
-    return min(2.0 * math.sqrt(2.0) * error_rate, 1.0)
+def secret_fraction(
+    error_rate: float,
+    mean_photon_number: float,
+    cascade_efficiency: float = 1.35,
+    defense_per_bit: Optional[float] = None,
+) -> float:
+    """``1 - f_EC * h(e) - t(e) - multi-photon fraction``, clamped at zero.
+
+    The analytic model behind :meth:`QKDLink.estimated_secret_fraction`
+    and the replenishment scheduler's attacked-link yield.  ``t(e)``
+    defaults to the engine's Bennett defense, the linear
+    ``2 * sqrt(2) * e`` bound.
+    """
+    if error_rate >= 0.5:
+        return 0.0
+    if defense_per_bit is None:
+        defense_per_bit = min(2.0 * math.sqrt(2.0) * error_rate, 1.0)
+    multi_fraction = multi_photon_probability(mean_photon_number) / max(
+        non_empty_pulse_probability(mean_photon_number), 1e-12
+    )
+    fraction = (
+        1.0 - cascade_efficiency * binary_entropy(error_rate) - defense_per_bit - multi_fraction
+    )
+    return max(fraction, 0.0)

@@ -17,25 +17,18 @@ combinatorial machinery:
   and Slutsky defense functions.
 """
 
-from repro.mathkit.gf2 import GF2Matrix, gf2_rank
+from repro.mathkit.gf2 import IncrementalGF2Rank
 from repro.mathkit.gf2n import GF2nField, PRIMITIVE_POLYNOMIALS
-from repro.mathkit.lfsr import LFSR, lfsr_subset_mask
+from repro.mathkit.lfsr import LFSR, lfsr_subset_rows
 from repro.mathkit.toeplitz import ToeplitzHash
-from repro.mathkit.entropy import (
-    binary_entropy,
-    binary_entropy_inverse,
-    renyi_collision_entropy_rate,
-)
+from repro.mathkit.entropy import binary_entropy
 
 __all__ = [
-    "GF2Matrix",
-    "gf2_rank",
+    "IncrementalGF2Rank",
     "GF2nField",
     "PRIMITIVE_POLYNOMIALS",
     "LFSR",
-    "lfsr_subset_mask",
+    "lfsr_subset_rows",
     "ToeplitzHash",
     "binary_entropy",
-    "binary_entropy_inverse",
-    "renyi_collision_entropy_rate",
 ]

@@ -1,11 +1,9 @@
 """Entropy and statistics helpers used by the QKD entropy-estimation stage.
 
 The defense functions of the paper (section 6 and the Appendix) are built out
-of a handful of information-theoretic quantities: the binary entropy function,
-its inverse (used when converting an error rate into a key-fraction bound),
-Rényi collision entropy (the quantity privacy amplification actually
-distills), and standard deviations of binomially distributed counts (the
-paper's "margin for certainty based on the standard deviation").
+of the binary entropy function and standard deviations combined in
+quadrature (the paper's "margin for certainty based on the standard
+deviation").
 """
 
 from __future__ import annotations
@@ -21,54 +19,6 @@ def binary_entropy(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def binary_entropy_inverse(h: float, tolerance: float = 1e-12) -> float:
-    """Inverse of :func:`binary_entropy` restricted to p in [0, 1/2] (bisection)."""
-    if h < 0.0 or h > 1.0:
-        raise ValueError("entropy must lie in [0, 1]")
-    low, high = 0.0, 0.5
-    while high - low > tolerance:
-        mid = (low + high) / 2.0
-        if binary_entropy(mid) < h:
-            low = mid
-        else:
-            high = mid
-    return (low + high) / 2.0
-
-
-def renyi_collision_entropy_rate(error_rate: float) -> float:
-    """Per-bit Rényi (order-2) entropy of a bit subjected to the given error rate.
-
-    For the BB84 intercept/resend family of attacks the collision entropy per
-    sifted bit seen by Eve is ``-log2(1/2 + 2e - 2e^2)`` smaller than one; the
-    full expression used by Slutsky-style defense frontiers is built on this
-    quantity.  The helper returns the *remaining* collision entropy per bit.
-    """
-    if error_rate < 0.0 or error_rate > 1.0:
-        raise ValueError("error rate must lie in [0, 1]")
-    collision_probability = 0.5 + 2.0 * error_rate - 2.0 * error_rate * error_rate
-    # Clamp for numerical safety; probabilities marginally above 1 can appear
-    # from floating point error at e = 0.5.
-    collision_probability = min(max(collision_probability, 0.5), 1.0)
-    return -math.log2(collision_probability)
-
-
-def binomial_stddev(n: int, p: float) -> float:
-    """Standard deviation of a Binomial(n, p) count."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if p < 0.0 or p > 1.0:
-        raise ValueError("probability must lie in [0, 1]")
-    return math.sqrt(n * p * (1.0 - p))
-
-
-def observed_rate_stddev(successes: int, trials: int) -> float:
-    """Standard deviation of an observed rate ``successes / trials``."""
-    if trials <= 0:
-        return 0.0
-    rate = successes / trials
-    return math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
 
 
 def combine_stddevs(stddevs: Sequence[float]) -> float:

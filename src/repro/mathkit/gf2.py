@@ -4,137 +4,13 @@ Cascade error correction discloses the parities of pseudo-random subsets of
 the sifted key.  Each disclosed parity is a linear functional over GF(2); the
 information actually leaked to an eavesdropper is bounded by the *rank* of the
 set of disclosed functionals, not by their raw count (two identical subsets
-leak one bit, not two).  The QKD engine uses :func:`gf2_rank` to account for
-leakage precisely, and :class:`GF2Matrix` provides the small amount of matrix
-machinery needed for that and for the Toeplitz-hash construction.
+leak one bit, not two).  Cascade counts that rank with
+:class:`IncrementalGF2Rank` as it discloses each parity.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
-
-from repro.util.bits import BitString
-
-
-class GF2Matrix:
-    """A dense matrix over GF(2), stored as a list of row bit-masks (ints).
-
-    Row ``i`` is an integer whose bit ``j`` (counting from the least
-    significant bit) is the matrix entry ``M[i][j]``.  This representation
-    makes row reduction a sequence of integer XORs, which is fast in pure
-    Python even for a few thousand columns.
-    """
-
-    def __init__(self, rows: Iterable[int], columns: int):
-        self.rows: List[int] = [int(r) for r in rows]
-        self.columns = int(columns)
-        if self.columns < 0:
-            raise ValueError("column count must be non-negative")
-        mask = (1 << self.columns) - 1
-        for row in self.rows:
-            if row < 0 or row & ~mask:
-                raise ValueError("row value does not fit in the declared column count")
-
-    # ------------------------------------------------------------------ #
-    # Constructors
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def from_bitstrings(cls, rows: Sequence[BitString]) -> "GF2Matrix":
-        """Build a matrix whose rows are the given bit strings."""
-        if not rows:
-            return cls([], 0)
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("all rows must have the same length")
-        # Bit j of the integer corresponds to column j, i.e. row[j] — the
-        # LSB-first packing BitString exposes directly.
-        return cls([row.to_int_lsb() for row in rows], width)
-
-    @classmethod
-    def from_index_sets(cls, subsets: Sequence[Iterable[int]], columns: int) -> "GF2Matrix":
-        """Build a matrix whose rows are indicator vectors of index subsets."""
-        values = []
-        for subset in subsets:
-            value = 0
-            for index in subset:
-                if index < 0 or index >= columns:
-                    raise ValueError(f"index {index} out of range for {columns} columns")
-                value |= 1 << index
-            values.append(value)
-        return cls(values, columns)
-
-    @classmethod
-    def identity(cls, n: int) -> "GF2Matrix":
-        """The n-by-n identity matrix."""
-        return cls([1 << i for i in range(n)], n)
-
-    # ------------------------------------------------------------------ #
-    # Basic properties
-    # ------------------------------------------------------------------ #
-
-    @property
-    def shape(self):
-        return (len(self.rows), self.columns)
-
-    def row_bits(self, i: int) -> BitString:
-        """Row ``i`` as a :class:`BitString` (column order)."""
-        # The row mask is LSB-first (bit j = column j).
-        return BitString.from_int_lsb(self.rows[i], self.columns)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, GF2Matrix):
-            return self.rows == other.rows and self.columns == other.columns
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"GF2Matrix(shape={self.shape})"
-
-    # ------------------------------------------------------------------ #
-    # Linear algebra
-    # ------------------------------------------------------------------ #
-
-    def rank(self) -> int:
-        """Rank over GF(2), via Gaussian elimination on integer rows."""
-        return gf2_rank(self.rows)
-
-    def multiply_vector(self, vector: BitString) -> BitString:
-        """Matrix-vector product over GF(2); vector index j multiplies column j."""
-        if len(vector) != self.columns:
-            raise ValueError(
-                f"vector length {len(vector)} does not match column count {self.columns}"
-            )
-        packed = vector.to_int_lsb()
-        value = 0
-        for row in self.rows:
-            value = (value << 1) | ((row & packed).bit_count() & 1)
-        return BitString.from_int(value, len(self.rows))
-
-    def append_row(self, row: BitString) -> "GF2Matrix":
-        """Return a new matrix with the given row appended."""
-        if len(row) != self.columns:
-            raise ValueError("row length must match column count")
-        return GF2Matrix(self.rows + [row.to_int_lsb()], self.columns)
-
-
-def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of a collection of rows given as integer bit-masks.
-
-    This is the workhorse used by the leakage accounting: disclosed Cascade
-    parities are accumulated as masks and their rank is the number of
-    *independent* parity bits revealed to Eve.
-    """
-    basis: List[int] = []
-    for row in rows:
-        value = int(row)
-        for pivot in basis:
-            pivot_bit = pivot & -pivot
-            if value & pivot_bit:
-                value ^= pivot
-        if value:
-            basis.append(value)
-    return len(basis)
+from typing import Optional
 
 
 class IncrementalGF2Rank:
@@ -173,55 +49,3 @@ class IncrementalGF2Rank:
                 return True
             value ^= pivot
         return False
-
-    def add_indices(self, indices: Iterable[int]) -> bool:
-        """Add a row given as a set of column indices."""
-        mask = 0
-        for index in indices:
-            mask |= 1 << index
-        return self.add(mask)
-
-
-def solve_gf2(matrix: GF2Matrix, rhs: BitString) -> Optional[BitString]:
-    """Solve ``M x = rhs`` over GF(2); return one solution or None if inconsistent.
-
-    Used in tests to verify that privacy-amplification hashes are genuinely
-    linear maps, and available to downstream users experimenting with
-    syndrome-based reconciliation codes.
-    """
-    if len(rhs) != len(matrix.rows):
-        raise ValueError("right-hand side length must equal the number of rows")
-    # Build augmented rows: columns bits [0, columns) plus the rhs bit at position `columns`.
-    augmented = []
-    for row, b in zip(matrix.rows, rhs):
-        augmented.append(row | (int(b) << matrix.columns))
-    n_cols = matrix.columns
-
-    pivot_rows: List[int] = []
-    pivot_cols: List[int] = []
-    rows = list(augmented)
-    for col in range(n_cols):
-        pivot_index = None
-        for i, row in enumerate(rows):
-            if i in pivot_rows:
-                continue
-            if (row >> col) & 1:
-                pivot_index = i
-                break
-        if pivot_index is None:
-            continue
-        pivot_rows.append(pivot_index)
-        pivot_cols.append(col)
-        for i, row in enumerate(rows):
-            if i != pivot_index and (row >> col) & 1:
-                rows[i] ^= rows[pivot_index]
-
-    # Check consistency: any all-zero row with a non-zero rhs bit means no solution.
-    for i, row in enumerate(rows):
-        if row >> n_cols and (row & ((1 << n_cols) - 1)) == 0:
-            return None
-
-    solution = [0] * n_cols
-    for row_index, col in zip(pivot_rows, pivot_cols):
-        solution[col] = (rows[row_index] >> n_cols) & 1
-    return BitString(solution)

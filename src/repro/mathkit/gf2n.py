@@ -37,9 +37,9 @@ from repro.util.bits import BitString
 # in the block-size range the protocol uses.
 # --------------------------------------------------------------------------- #
 #
-# Every entry below has been verified irreducible with :func:`is_irreducible`
-# (Rabin's exact test); the table-building script lives in
-# ``benchmarks/`` history and the test suite re-verifies the small degrees.
+# Every entry below has been verified irreducible with Rabin's exact test;
+# ``tests/oracles/mathkit.py`` carries the test and the suite re-verifies the
+# small degrees.
 # The name follows the paper's wording ("the (sparse) primitive polynomial of
 # the Galois field"); irreducibility is the property the hash construction
 # needs.  Degrees are multiples of 32 because the engine rounds key lengths up
@@ -122,74 +122,6 @@ def carryless_multiply(a: int, b: int) -> int:
     return result
 
 
-def polynomial_mod(value: int, modulus: int) -> int:
-    """Reduce a GF(2) polynomial modulo another."""
-    if modulus <= 0:
-        raise ValueError("modulus must be a non-zero polynomial")
-    mod_degree = modulus.bit_length() - 1
-    while value.bit_length() - 1 >= mod_degree and value:
-        shift = (value.bit_length() - 1) - mod_degree
-        value ^= modulus << shift
-    return value
-
-
-def polynomial_degree(value: int) -> int:
-    """Degree of a GF(2) polynomial (degree of the zero polynomial is -1)."""
-    return value.bit_length() - 1
-
-
-def polynomial_gcd(a: int, b: int) -> int:
-    """GCD of two GF(2) polynomials (Euclid's algorithm with polynomial mod)."""
-    while b:
-        a, b = b, polynomial_mod(a, b)
-    return a
-
-
-def is_irreducible(poly: int) -> bool:
-    """Rabin irreducibility test for a GF(2) polynomial given as an integer.
-
-    A degree-n polynomial f is irreducible over GF(2) iff x^(2^n) = x (mod f)
-    and gcd(x^(2^(n/q)) - x, f) = 1 for every prime divisor q of n.  This is
-    exact (not probabilistic) and is what the table-building script and the
-    test suite use to validate the primitive-polynomial table.
-    """
-    degree = polynomial_degree(poly)
-    if degree <= 0:
-        return False
-
-    def square_mod(value: int) -> int:
-        return polynomial_mod(carryless_multiply(value, value), poly)
-
-    def x_pow_2k_mod(k: int) -> int:
-        value = 2  # the polynomial "x"
-        for _ in range(k):
-            value = square_mod(value)
-        return value
-
-    # Condition 1: x^(2^n) == x (mod f)
-    if x_pow_2k_mod(degree) != polynomial_mod(2, poly):
-        return False
-
-    # Condition 2: gcd(x^(2^(n/q)) + x, f) == 1 for each prime q | n
-    def prime_factors(n: int):
-        factors = set()
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                factors.add(d)
-                n //= d
-            d += 1
-        if n > 1:
-            factors.add(n)
-        return factors
-
-    for q in prime_factors(degree):
-        h = x_pow_2k_mod(degree // q) ^ 2
-        if polynomial_gcd(poly, h) != 1:
-            return False
-    return True
-
-
 class GF2nField:
     """The finite field GF(2^n) defined by a sparse primitive polynomial.
 
@@ -210,24 +142,7 @@ class GF2nField:
         self.degree = degree
         self.exponents = tuple(sorted(exponents, reverse=True))
         self.modulus = polynomial_from_exponents(degree, exponents)
-        self.order = (1 << degree) - 1
         self._element_mask = (1 << degree) - 1
-
-    # ------------------------------------------------------------------ #
-
-    @classmethod
-    def for_key_length(cls, n_bits: int) -> "GF2nField":
-        """The field the QKD engine uses for a key of ``n_bits`` bits.
-
-        Per the paper, the input length is rounded up to a multiple of 32 and
-        the field of that degree is used.  Lengths beyond the table are capped
-        at the largest tabulated degree (the engine splits longer keys into
-        blocks before hashing).
-        """
-        degree = round_up_to_field_degree(n_bits)
-        if degree not in PRIMITIVE_POLYNOMIALS:
-            degree = MAX_FIELD_DEGREE
-        return cls(degree)
 
     # ------------------------------------------------------------------ #
     # Field operations
@@ -266,26 +181,6 @@ class GF2nField:
             for e in exponents:
                 value ^= high << e
         return value
-
-    def power(self, base: int, exponent: int) -> int:
-        """Field exponentiation by square-and-multiply."""
-        if exponent < 0:
-            raise ValueError("exponent must be non-negative")
-        result = 1
-        factor = self._check(base)
-        while exponent:
-            if exponent & 1:
-                result = self.multiply(result, factor)
-            factor = self.multiply(factor, factor)
-            exponent >>= 1
-        return result
-
-    def inverse(self, a: int) -> int:
-        """Multiplicative inverse via Fermat's little theorem (a^(2^n - 2))."""
-        a = self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.power(a, self.order - 1)
 
     # ------------------------------------------------------------------ #
     # Linear hashing (privacy amplification primitive)

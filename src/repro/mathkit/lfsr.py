@@ -22,7 +22,7 @@ reads a prefix of it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class LFSR:
         # An all-zero state would be a fixed point; map it to the all-ones
         # state the way hardware implementations commonly do.
         self.state = (seed & mask) or mask
-        self.initial_state = self.state
 
     def step(self) -> int:
         """Advance one step and return the output bit."""
@@ -127,25 +126,6 @@ class LFSR:
             value = (value << 1) | self.step()
         return BitString.from_int(value, count)
 
-    def stream(self) -> Iterator[int]:
-        """An endless iterator of output bits."""
-        while True:
-            yield self.step()
-
-    def reset(self) -> None:
-        """Rewind to the state the register was seeded with."""
-        self.state = self.initial_state
-
-    def period_lower_bound(self, limit: int = 1 << 20) -> int:
-        """Steps until the state first repeats, up to ``limit`` (for tests)."""
-        seen_state = self.state
-        for count in range(1, limit + 1):
-            self.step()
-            if self.state == seen_state:
-                return count
-        return limit
-
-
 class _StreamTable:
     """Every seed byte's output stream under the default polynomial.
 
@@ -164,10 +144,6 @@ class _StreamTable:
             np.zeros((DEFAULT_WIDTH // 8, 256, 0), dtype=np.uint8),
             [1 << bit for bit in range(DEFAULT_WIDTH)],
         )
-
-    @property
-    def table(self) -> np.ndarray:
-        return self._grown[0]
 
     def _grow(self, n_bytes: int) -> np.ndarray:
         table, states = self._grown
@@ -202,34 +178,6 @@ class _StreamTable:
 _SUBSET_STREAMS = _StreamTable()
 
 
-def lfsr_subset_mask(seed: int, length: int, density: float = 0.5) -> BitString:
-    """Expand a 32-bit seed into a pseudo-random subset-selection mask.
-
-    ``density`` is the approximate fraction of key positions included in the
-    subset.  The default of one half matches the classic random-subset parity
-    check: each position is included independently with probability 1/2, so a
-    single parity reveals exactly one bit of information about the key.
-
-    Both Alice and Bob call this with the same seed and length, and therefore
-    agree on the subset without ever transmitting it.
-    """
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if not 0.0 < density <= 1.0:
-        raise ValueError("density must be in (0, 1]")
-    register = LFSR(seed)
-    if density == 0.5:
-        return register.bits(length)
-    # For other densities, use blocks of 8 LFSR bits as a uniform byte and
-    # threshold it; this keeps the expansion deterministic and portable.
-    threshold = int(round(density * 256))
-    bits: List[int] = []
-    for _ in range(length):
-        byte = register.bits(8).to_int()
-        bits.append(1 if byte < threshold else 0)
-    return BitString(bits)
-
-
 def lfsr_subset_rows(
     seeds: Sequence[int], length: int, density: float = 0.5
 ) -> np.ndarray:
@@ -237,7 +185,7 @@ def lfsr_subset_rows(
 
     Returns a ``(len(seeds), length)`` bool matrix: entry ``[i, j]`` is set
     when key position ``j`` belongs to seed ``i``'s subset — row ``i`` is
-    ``lfsr_subset_mask(seeds[i], length, density)`` bit for bit (the
+    the seed's own :meth:`LFSR.bits` expansion bit for bit (the
     differential tests pin that), read out of the shared stream table.
     """
     if length < 0:
@@ -250,20 +198,3 @@ def lfsr_subset_rows(
     # Thresholded densities consume one stream byte per key position.
     threshold = int(round(density * 256))
     return _SUBSET_STREAMS.streams(seeds, length) < threshold
-
-
-def lfsr_subset_masks(
-    seeds: Sequence[int], length: int, density: float = 0.5
-) -> List[BitString]:
-    """:func:`lfsr_subset_rows` as one :class:`BitString` per seed."""
-    rows = np.packbits(lfsr_subset_rows(seeds, length, density), axis=1)
-    pad = 8 * rows.shape[1] - length
-    return [
-        BitString.from_int(int.from_bytes(row.tobytes(), "big") >> pad, length)
-        for row in rows
-    ]
-
-
-def subset_indices_from_seed(seed: int, length: int, density: float = 0.5) -> List[int]:
-    """The indices selected by :func:`lfsr_subset_mask` (convenience for Cascade)."""
-    return lfsr_subset_mask(seed, length, density).one_indices()

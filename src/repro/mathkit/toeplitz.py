@@ -58,8 +58,6 @@ the authentication layer uses it to build short tags).
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.util.bits import BitString
@@ -241,22 +239,6 @@ class ToeplitzHash:
             values = self._apply(power, digest_bytes(values[0::2])) ^ values[1::2]
             power = self._apply(power, digest_bytes(power))
         return int.from_bytes(values.tobytes(), "big")
-
-    def matrix_rows(self) -> List[BitString]:
-        """The rows of the Toeplitz matrix (mainly for tests and inspection).
-
-        Row ``r`` is ``diagonal_bits[r : r + input_bits]`` reversed — see the
-        module docstring for the full entry-(r, c) convention.
-        """
-        n = self.input_bits
-        diagonal = self.diagonal_bits.to_list()
-        return [
-            BitString(reversed(diagonal[r : r + n])) for r in range(self.output_bits)
-        ]
-
-    def seed_length(self) -> int:
-        """Number of random bits that define this hash."""
-        return self.input_bits + self.output_bits - 1
 
     def __repr__(self) -> str:
         return f"ToeplitzHash({self.input_bits} -> {self.output_bits} bits)"

@@ -301,11 +301,6 @@ class NetworkKmsServer:
     def endpoint(self) -> Tuple[str, int]:
         return (self.host, self.port)
 
-    @property
-    def held_reservations(self) -> int:
-        """Reservations currently granted but neither consumed nor reaped."""
-        return len(self._held)
-
     # ------------------------------------------------------------------ #
     # Reaping
     # ------------------------------------------------------------------ #

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, 
 from repro.crypto.otp import OneTimePad, PadExhaustedError
 from repro.network.routing import PathSelector, RoutingError, frozen_within
 from repro.network.topology import NodeKind, QKDNetwork
-from repro.runtime.pool import resolve_workers
+from repro.runtime.farm import resolve_workers
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -503,17 +503,3 @@ class TrustedRelayNetwork:
                     )
                 consumed += len(payload) * 8
         return consumed
-
-    # ------------------------------------------------------------------ #
-
-    def delivery_availability(
-        self, source: str, destination: str, trials: int, key_bits: int = 256
-    ) -> float:
-        """Fraction of ``trials`` transports that succeed (used by E8)."""
-        if trials <= 0:
-            raise ValueError("trials must be positive")
-        successes = 0
-        for _ in range(trials):
-            if self.transport_key(source, destination, key_bits).success:
-                successes += 1
-        return successes / trials

@@ -143,34 +143,3 @@ class PathSelector:
         if path is None:
             path = table[query] = tuple(self._search(source, destination, within))
         return list(path)
-
-    def path_exists(
-        self,
-        source: str,
-        destination: str,
-        within: Optional[Iterable[str]] = None,
-    ) -> bool:
-        try:
-            self.find_path(source, destination, within=within)
-            return True
-        except RoutingError:
-            return False
-
-    def path_length_km(self, path: List[str]) -> float:
-        """Total fiber length along a path."""
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.network.link(a, b).length_km
-        return total
-
-    def bottleneck_rate_bps(self, path: List[str]) -> float:
-        """The lowest per-link key rate along the path (the transport bottleneck)."""
-        if len(path) < 2:
-            return 0.0
-        return min(
-            self.network.link(a, b).secret_key_rate_bps for a, b in zip(path, path[1:])
-        )
-
-    def relays_on_path(self, path: List[str]) -> List[str]:
-        """The intermediate nodes that must be trusted with the key."""
-        return [name for name in path[1:-1]]

@@ -109,11 +109,6 @@ class UntrustedSwitchNetwork:
             secret_key_rate_bps=link.estimated_secret_key_rate(),
         )
 
-    def evaluate_route(self, source: str, destination: str) -> SwitchedPathReport:
-        """Route across the usable topology and evaluate the resulting path."""
-        node_path = self.selector.find_path(source, destination)
-        return self.evaluate_path(node_path)
-
     # ------------------------------------------------------------------ #
 
     @staticmethod

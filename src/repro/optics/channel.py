@@ -178,11 +178,6 @@ class FrameResult:
         return int(self.alice_basis.shape[0])
 
     @property
-    def n_multi_photon(self) -> int:
-        """Slots in which Alice's source emitted two or more photons."""
-        return int(np.count_nonzero(self.alice_photons >= 2))
-
-    @property
     def usable_clicks(self) -> np.ndarray:
         """Boolean mask of slots with exactly one detector firing."""
         return self.bob_click & ~self.bob_double
@@ -215,10 +210,6 @@ class FrameResult:
         if sifted == 0:
             return 0.0
         return self.n_sifted_errors / sifted
-
-    def sifted_indices(self) -> np.ndarray:
-        """Slot indices (into this batch) of the sifted positions."""
-        return np.nonzero(self.sifted_mask)[0]
 
     def __repr__(self) -> str:
         return (

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +48,6 @@ class EntangledSourceParameters:
             raise ValueError("heralding efficiency must be in [0, 1]")
         if self.pulse_rate_hz <= 0:
             raise ValueError("pulse rate must be positive")
-
-    @property
-    def multi_pair_probability(self) -> float:
-        """Probability of two or more pairs in one pulse (Poisson model)."""
-        mu = self.mean_pairs_per_pulse
-        return 1.0 - math.exp(-mu) - mu * math.exp(-mu)
-
-    @property
-    def single_pair_probability(self) -> float:
-        """Probability of exactly one pair in a pulse."""
-        mu = self.mean_pairs_per_pulse
-        return mu * math.exp(-mu)
-
 
 class EntangledPairSource:
     """Generates heralded entangled-pair emission records per trigger slot."""

@@ -12,7 +12,7 @@ composes spans, connectors and switches into an end-to-end budget.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 from repro.util.units import (
     DEFAULT_FIBER_ATTENUATION_DB_PER_KM,
@@ -113,30 +113,3 @@ class OpticalPath:
     def transmittance(self) -> float:
         """End-to-end photon survival probability."""
         return db_to_fraction(self.loss_db)
-
-    def describe(self) -> str:
-        """A one-line human-readable loss budget."""
-        parts = [f"{span.length_km:g} km fiber ({span.loss_db:.2f} dB)" for span in self.spans]
-        parts += [f"{element.name} ({element.loss_db:.2f} dB)" for element in self.elements]
-        total = f"total {self.loss_db:.2f} dB, T={self.transmittance:.3g}"
-        return " + ".join(parts) + f" => {total}" if parts else total
-
-
-def path_through_switches(
-    span_lengths_km: Sequence[float],
-    switch_insertion_loss_db: float,
-) -> OpticalPath:
-    """Build a path of fiber spans joined by optical switches.
-
-    ``len(span_lengths_km) - 1`` switches are inserted between consecutive
-    spans, each contributing the given insertion loss — the composition used
-    by the untrusted-network experiments.
-    """
-    path = OpticalPath()
-    for index, length in enumerate(span_lengths_km):
-        path.add_span(FiberSpan(length))
-        if index < len(span_lengths_km) - 1:
-            path.add_element(
-                LossElement(name=f"switch-{index + 1}", loss_db=switch_insertion_loss_db)
-            )
-    return path

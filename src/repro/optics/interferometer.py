@@ -85,27 +85,6 @@ class MachZehnderPair:
     def __init__(self, parameters: Optional[InterferometerParameters] = None):
         self.parameters = parameters or InterferometerParameters()
 
-    # ------------------------------------------------------------------ #
-    # Scalar physics (used by the analytic rate model and by tests)
-    # ------------------------------------------------------------------ #
-
-    def detector1_probability(self, alice_phase: float, bob_phase: float) -> float:
-        """Probability that the photon strikes detector D1.
-
-        For an interferometer with visibility V the single-photon interference
-        law is ``P(D1) = (1 - V cos(delta)) / 2`` where ``delta`` is the phase
-        difference; D0 gets the complement.  delta = 0 gives D0 (a "0"),
-        delta = pi gives D1 (a "1"), and incompatible bases (delta = ±pi/2)
-        give a 50/50 split.
-        """
-        delta = alice_phase - bob_phase
-        visibility = self.parameters.visibility
-        return (1.0 - visibility * math.cos(delta)) / 2.0
-
-    def detector0_probability(self, alice_phase: float, bob_phase: float) -> float:
-        """Probability that the photon strikes detector D0."""
-        return 1.0 - self.detector1_probability(alice_phase, bob_phase)
-
     def __repr__(self) -> str:
         return (
             f"MachZehnderPair(visibility={self.parameters.visibility}, "

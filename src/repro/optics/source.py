@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.optics.draws import MAX_MEAN_COUNT, coin_flips, poisson_counts
 from repro.util.rng import DeterministicRNG
-from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 
 #: The four modulator phases ``basis * pi/2 + value * pi`` indexed by
 #: ``basis << 1 | value``.  Each entry is the same IEEE float64 the per-slot
@@ -67,17 +66,6 @@ class SourceParameters:
         if self.pulse_rate_hz <= 0:
             raise ValueError("pulse rate must be positive")
 
-    @property
-    def multi_photon_probability(self) -> float:
-        """Probability a pulse carries two or more photons (PNS exposure)."""
-        return multi_photon_probability(self.mean_photon_number)
-
-    @property
-    def non_empty_probability(self) -> float:
-        """Probability a pulse carries at least one photon."""
-        return non_empty_pulse_probability(self.mean_photon_number)
-
-
 class WeakCoherentSource:
     """Generates batches of phase-modulated weak-coherent pulses.
 
@@ -118,10 +106,6 @@ class WeakCoherentSource:
         )
         self.pulses_emitted += int(n_pulses)
         return occupied
-
-    def emission_duration_seconds(self, n_pulses: int) -> float:
-        """Wall-clock time the transmitter needs to emit ``n_pulses`` slots."""
-        return n_pulses / self.parameters.pulse_rate_hz
 
     def __repr__(self) -> str:
         return (

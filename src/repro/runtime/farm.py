@@ -6,8 +6,8 @@ shared between two links, only between the two ends of one link.  That
 makes whole-link Monte-Carlo embarrassingly parallel: each
 :class:`LinkJob` carries everything a worker needs to build and run a
 :class:`~repro.link.qkd_link.QKDLink` from scratch (parameters, a seed, a
-slot budget), and the farm maps jobs across a pool, returning results in
-submission order.
+slot budget), and the farm maps jobs across a thread pool, returning
+results in submission order.
 
 Determinism contract: a job's output is a pure function of its
 ``(parameters, seed, n_slots)``, so the farm's results are identical for
@@ -18,13 +18,25 @@ stream, so adding or reordering links does not disturb the others.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.keypool import KeyPool
 from repro.link.qkd_link import LinkParameters, LinkReport
-from repro.runtime.pool import BACKENDS, parallel_map, resolve_workers
 from repro.util.rng import DeterministicRNG
+
+
+def resolve_workers(workers: Optional[int]) -> int:
+    """Normalize a worker-count request (``None`` means one per CPU)."""
+    if workers is None:
+        return max(os.cpu_count() or 1, 1)
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise ValueError(f"worker count must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError("worker count must be at least 1")
+    return workers
 
 
 @dataclass(frozen=True)
@@ -37,8 +49,7 @@ class LinkJob:
     n_slots: int
     flush: bool = True
     #: Optional :class:`repro.eve.base.QuantumChannelAttack` interposed on
-    #: the photonic path for this run (must be picklable for the process
-    #: backend); ``None`` runs the clean channel.
+    #: the photonic path for this run; ``None`` runs the clean channel.
     attack: object = None
 
 
@@ -64,34 +75,24 @@ def _run_link_job(job: LinkJob) -> LinkRun:
 
 
 class LinkFarm:
-    """Schedules whole-link simulations across a worker pool.
+    """Schedules whole-link simulations across a thread pool.
 
     Every job runs the same slot→key loop
     (:func:`repro.lanes.engine.run_lane`) and the farm is digest-invariant
     (a job's output is a pure function of its parameters and seed); the
-    worker count and backend change only where each job runs.  One worker
-    (or one job) is the in-process lane loop, with no pool; otherwise jobs
-    fan out one per task via :func:`repro.runtime.pool.parallel_map` on
-    ``"process"`` or ``"thread"`` workers.  Each :meth:`run` builds its
-    links afresh: protocol state carried between epochs needs a
-    :class:`~repro.lanes.LaneEngine` the caller holds.
-
-    Any fleet runs on any backend: jobs may differ in slot budget,
-    ``slots_per_batch`` and everything else.
+    worker count changes only where each job runs.  One worker (or one job)
+    is the in-process lane loop, with no pool; otherwise jobs fan out one
+    per task over a :class:`~concurrent.futures.ThreadPoolExecutor` (numpy
+    releases the GIL in the optics draws; a process pool measured no better,
+    see CHANGES.md).  Each :meth:`run` builds its links afresh: protocol
+    state carried between epochs needs a :class:`~repro.lanes.LaneEngine`
+    the caller holds.  Jobs may differ in slot budget, ``slots_per_batch``
+    and everything else.
     """
 
-    #: Valid ``backend`` names: the pool's.
-    BACKENDS = BACKENDS
-
-    def __init__(self, workers: Optional[int] = None, backend: str = "process"):
+    def __init__(self, workers: Optional[int] = None):
         resolve_workers(workers)
-        if backend not in self.BACKENDS:
-            raise ValueError(
-                f"unknown LinkFarm backend {backend!r}; valid backends are "
-                f"{', '.join(self.BACKENDS)}"
-            )
         self.workers = workers
-        self.backend = backend
 
     @staticmethod
     def jobs(
@@ -127,7 +128,12 @@ class LinkFarm:
     def run(self, jobs: Sequence[LinkJob]) -> List[LinkRun]:
         """Run every job; results come back in submission order.
 
-        The worker count and backend only change *how* the jobs execute,
-        never their output: every digest is the same for all of them.
+        The worker count only changes *how* the jobs execute, never their
+        output: every digest is the same for all of them.
         """
-        return parallel_map(_run_link_job, jobs, workers=self.workers, backend=self.backend)
+        jobs = list(jobs)
+        count = min(resolve_workers(self.workers), len(jobs))
+        if count <= 1:
+            return [_run_link_job(job) for job in jobs]
+        with ThreadPoolExecutor(max_workers=count) as pool:
+            return list(pool.map(_run_link_job, jobs))

@@ -4,8 +4,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
+
+
+def _finite(value: float, what: str) -> float:
+    """``value`` itself, or a ``ValueError`` naming it when NaN or infinite:
+    ``now >= nan`` is never true, so a non-finite time would never be
+    reached and would poison every comparison after it."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 class SimClock:
@@ -20,14 +30,14 @@ class SimClock:
 
     def advance(self, seconds: float) -> float:
         """Move time forward; rewinding is an error."""
-        if seconds < 0:
+        if _finite(seconds, "a time step") < 0:
             raise ValueError("time cannot move backwards")
         self._now += seconds
         return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Jump forward to an absolute time (never backwards)."""
-        if timestamp < self._now:
+        if _finite(timestamp, "simulated time") < self._now:
             raise ValueError("time cannot move backwards")
         self._now = timestamp
         return self._now
@@ -65,7 +75,7 @@ class EventScheduler:
 
     def schedule_at(self, time: float, callback: Callable[[], None], label: str = "") -> ScheduledEvent:
         """Schedule a callback at an absolute simulated time."""
-        if time < self.clock.now():
+        if _finite(time, "an event time") < self.clock.now():
             raise ValueError("cannot schedule an event in the past")
         event = ScheduledEvent(time=time, sequence=next(self._counter), callback=callback, label=label)
         heapq.heappush(self._queue, event)
@@ -91,33 +101,11 @@ class EventScheduler:
             raise ValueError("delay must be non-negative")
         return self.schedule_at(self.clock.now() + delay, callback, label)
 
-    def schedule_window(
-        self,
-        start: float,
-        end: float,
-        on_start: Callable[[], None],
-        on_end: Callable[[], None],
-        label: str = "",
-    ) -> tuple:
-        """Schedule a bounded condition: ``on_start`` at ``start``, ``on_end``
-        at ``end`` (a link outage, a maintenance window).  Returns both
-        events so either edge can still be cancelled."""
-        if end < start:
-            raise ValueError("window must end at or after it starts")
-        opening = self.schedule_at(start, on_start, label=f"{label}/start" if label else "")
-        closing = self.schedule_at(end, on_end, label=f"{label}/end" if label else "")
-        return (opening, closing)
-
     def clear(self) -> None:
         """Cancel every queued event and empty the queue."""
         for event in self._queue:
             event.cancel()
         self._queue.clear()
-
-    @property
-    def pending(self) -> int:
-        """Number of not-yet-run, not-cancelled events."""
-        return sum(1 for event in self._queue if not event.cancelled)
 
     def run_until(self, end_time: float) -> int:
         """Run every event scheduled up to and including ``end_time``.
@@ -125,6 +113,7 @@ class EventScheduler:
         The clock is advanced to each event's timestamp as it runs, and to
         ``end_time`` at the end.  Returns the number of callbacks executed.
         """
+        _finite(end_time, "the end time")
         executed = 0
         while self._queue and self._queue[0].time <= end_time:
             event = heapq.heappop(self._queue)
@@ -135,17 +124,4 @@ class EventScheduler:
             executed += 1
             self.events_run += 1
         self.clock.advance_to(max(end_time, self.clock.now()))
-        return executed
-
-    def run_all(self, max_events: int = 100_000) -> int:
-        """Run until the queue is empty (bounded by ``max_events``)."""
-        executed = 0
-        while self._queue and executed < max_events:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            self.clock.advance_to(event.time)
-            event.callback()
-            executed += 1
-            self.events_run += 1
         return executed

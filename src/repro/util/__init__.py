@@ -7,18 +7,11 @@ pure data plumbing, kept deliberately small and well tested.
 
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
-from repro.util.units import (
-    db_to_fraction,
-    fraction_to_db,
-    fiber_loss_db,
-    fiber_transmittance,
-)
+from repro.util.units import db_to_fraction, fiber_loss_db
 
 __all__ = [
     "BitString",
     "DeterministicRNG",
     "db_to_fraction",
-    "fraction_to_db",
     "fiber_loss_db",
-    "fiber_transmittance",
 ]

@@ -6,8 +6,7 @@ symbols, sifted keys, parity subsets, hash outputs.  ``BitString`` gives those
 stages a single well-tested representation with the operations they need:
 
 * bitwise XOR (used for parity computation and one-time-pad encryption),
-* parity of arbitrary subsets,
-* slicing and concatenation,
+* parity, subsets, slicing and concatenation,
 * conversion to and from ``bytes`` and ``int``,
 * Hamming distance and error counting between Alice's and Bob's keys.
 
@@ -25,9 +24,8 @@ operations machine-word arithmetic on CPython's int limbs:
 operation                        cost
 ===============================  ============================================
 ``^``, ``&``, ``~``, equality    O(n / 64) word ops
-``popcount`` / ``parity``        O(n / 64) via ``int.bit_count()``
-``masked_parity``                O(n / 64) (AND then popcount)
-``hamming_distance``             O(n / 64) (XOR then popcount)
+``parity``                       O(n / 64) via ``int.bit_count()``
+``hamming_distance``             O(n / 64) (XOR then ``int.bit_count()``)
 ``to_int`` / ``from_int``        O(1) / O(1) (value is stored packed)
 ``to_bytes`` / ``from_bytes``    O(n / 64) via ``int.to_bytes``
 slicing (step 1), ``+``          O(n / 64) shift-and-mask
@@ -44,8 +42,6 @@ from __future__ import annotations
 
 from itertools import groupby
 from typing import Iterable, Iterator, List, Sequence, Union
-
-import numpy as _np
 
 
 class BitString:
@@ -107,35 +103,9 @@ class BitString:
         return cls._from_packed(value, length)
 
     @classmethod
-    def from_int_lsb(cls, value: int, length: int) -> "BitString":
-        """Build a bit string from an integer packed least-significant-bit first.
-
-        Bit ``i`` of ``value`` becomes bit ``i`` of the string — the inverse
-        of :meth:`to_int_lsb`, and the orientation Cascade's subset masks and
-        :class:`repro.mathkit.gf2.GF2Matrix` rows use.
-        """
-        if value < 0:
-            raise ValueError("value must be non-negative")
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if value >> length:
-            raise ValueError(f"value {value} does not fit in {length} bits")
-        if length == 0:
-            return cls()
-        return cls._from_packed(int(format(value, f"0{length}b")[::-1], 2), length)
-
-    @classmethod
     def from_bytes(cls, data: bytes) -> "BitString":
         """Build a bit string from bytes, most-significant bit of each byte first."""
         return cls._from_packed(int.from_bytes(data, "big"), 8 * len(data))
-
-    @classmethod
-    def from_str(cls, text: str) -> "BitString":
-        """Build a bit string from a string of ``'0'``/``'1'`` characters."""
-        cleaned = text.replace(" ", "").replace("_", "")
-        if any(ch not in "01" for ch in cleaned):
-            raise ValueError(f"not a binary string: {text!r}")
-        return cls._from_packed(int(cleaned, 2) if cleaned else 0, len(cleaned))
 
     @classmethod
     def random(cls, n: int, rng) -> "BitString":
@@ -155,16 +125,6 @@ class BitString:
         """Interpret the bit string as an integer, most-significant bit first."""
         return self._value
 
-    def to_int_lsb(self) -> int:
-        """The bits packed least-significant-bit first (bit ``i`` at position ``i``).
-
-        This is the orientation :class:`repro.mathkit.gf2.GF2Matrix` and the
-        Cascade mask arithmetic use, where "column j" is bit ``j`` of a word.
-        """
-        if self._length == 0:
-            return 0
-        return int(format(self._value, f"0{self._length}b")[::-1], 2)
-
     def to_bytes(self) -> bytes:
         """Pack into bytes (zero-padded on the right to a byte boundary)."""
         if not self._length:
@@ -175,23 +135,6 @@ class BitString:
     def to_list(self) -> List[int]:
         """Return the bits as a plain mutable list."""
         return [1 if ch == "1" else 0 for ch in self._bin()]
-
-    def one_indices(self) -> List[int]:
-        """Indices of the one bits, ascending (e.g. Cascade subset positions).
-
-        Runs on packed words: the value is rendered to bytes once and the
-        positions come from one ``np.unpackbits``/``np.flatnonzero`` pass.
-        """
-        return self.one_indices_array().tolist()
-
-    def one_indices_array(self) -> "_np.ndarray":
-        """The one-bit indices as an ``np.int64`` array (no list round trip)."""
-        if self._length == 0:
-            return _np.zeros(0, dtype=_np.int64)
-        n_bytes = (self._length + 7) // 8
-        data = (self._value << (n_bytes * 8 - self._length)).to_bytes(n_bytes, "big")
-        bits = _np.unpackbits(_np.frombuffer(data, dtype=_np.uint8), count=self._length)
-        return _np.flatnonzero(bits)
 
     def copy(self) -> "BitString":
         """Return an independent ``BitString`` instance with the same bits.
@@ -294,37 +237,9 @@ class BitString:
         mask = (1 << self._length) - 1
         return BitString._from_packed(self._value ^ mask, self._length)
 
-    def flip(self, index: int) -> "BitString":
-        """Return a copy with the bit at ``index`` flipped."""
-        pos = index
-        if pos < 0:
-            pos += self._length
-        if not 0 <= pos < self._length:
-            raise IndexError("BitString index out of range")
-        return BitString._from_packed(
-            self._value ^ (1 << (self._length - 1 - pos)), self._length
-        )
-
-    def set(self, index: int, value: int) -> "BitString":
-        """Return a copy with the bit at ``index`` set to ``value``."""
-        if value not in (0, 1):
-            raise ValueError("bit values must be 0 or 1")
-        pos = index
-        if pos < 0:
-            pos += self._length
-        if not 0 <= pos < self._length:
-            raise IndexError("BitString index out of range")
-        bit = 1 << (self._length - 1 - pos)
-        packed = (self._value | bit) if value else (self._value & ~bit)
-        return BitString._from_packed(packed, self._length)
-
     # ------------------------------------------------------------------ #
     # Cryptographic / statistical helpers
     # ------------------------------------------------------------------ #
-
-    def popcount(self) -> int:
-        """Number of one bits (a single ``int.bit_count`` over the packed words)."""
-        return self._value.bit_count()
 
     def parity(self) -> int:
         """Parity (XOR) of all bits."""
@@ -334,21 +249,6 @@ class BitString:
         """Return the bits at the given indices, in order."""
         s = self._bin()
         return BitString(1 if s[i] == "1" else 0 for i in indices)
-
-    def subset_parity(self, indices: Iterable[int]) -> int:
-        """Parity of the bits at the given indices."""
-        s = self._bin()
-        parity = 0
-        for i in indices:
-            if s[i] == "1":
-                parity ^= 1
-        return parity
-
-    def masked_parity(self, mask: "BitString") -> int:
-        """Parity of ``self AND mask`` — parity over the positions selected by a mask."""
-        if mask._length != self._length:
-            raise ValueError("mask length must match")
-        return (self._value & mask._value).bit_count() & 1
 
     def hamming_distance(self, other: "BitString") -> int:
         """Number of differing positions between two equal-length bit strings."""

@@ -110,46 +110,9 @@ class DeterministicRNG:
             return 0
         return self._random.getrandbits(n)
 
-    #: Word width used by :meth:`random_bits`.
-    WORD_BITS = 64
-
-    def random_bits(self, n: int):
-        """``n`` random bits as a packed :class:`~repro.util.bits.BitString`,
-        drawn one 64-bit word at a time.
-
-        .. warning::
-           This produces a **different stream** than the per-bit or
-           single-call draws (``bit()`` loops, ``getrandbits(n)``,
-           ``BitString.random``) for the same underlying generator state:
-           the Mersenne Twister consumes its output in 32-bit granules, so
-           drawing ``ceil(n / 64)`` words advances the state differently
-           than one ``n``-bit draw.  It exists for *new* word-oriented code
-           paths; existing seeded streams (and the pinned key-material
-           digests that depend on them) must keep using the draw pattern
-           they were recorded with.
-
-        The word decomposition is fixed (full 64-bit words first, one final
-        ``n % 64``-bit draw), so a given seed always yields the same bits.
-        """
-        from repro.util.bits import BitString
-
-        if n < 0:
-            raise ValueError("length must be non-negative")
-        value = 0
-        whole_words, tail = divmod(n, self.WORD_BITS)
-        for _ in range(whole_words):
-            value = (value << self.WORD_BITS) | self._random.getrandbits(self.WORD_BITS)
-        if tail:
-            value = (value << tail) | self._random.getrandbits(tail)
-        return BitString.from_int(value, n)
-
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high], inclusive."""
         return self._random.randint(low, high)
-
-    def bit(self) -> int:
-        """A single uniformly random bit."""
-        return self._random.getrandbits(1)
 
     def bernoulli(self, probability: float) -> bool:
         """True with the given probability."""

@@ -29,13 +29,6 @@ def db_to_fraction(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def fraction_to_db(fraction: float) -> float:
-    """Convert a transmitted power fraction to a loss in dB."""
-    if fraction <= 0:
-        raise ValueError("transmitted fraction must be positive")
-    return -10.0 * math.log10(fraction)
-
-
 def fiber_loss_db(
     length_km: float,
     attenuation_db_per_km: float = DEFAULT_FIBER_ATTENUATION_DB_PER_KM,
@@ -46,20 +39,6 @@ def fiber_loss_db(
     if attenuation_db_per_km < 0:
         raise ValueError("attenuation must be non-negative")
     return length_km * attenuation_db_per_km
-
-def fiber_transmittance(
-    length_km: float,
-    attenuation_db_per_km: float = DEFAULT_FIBER_ATTENUATION_DB_PER_KM,
-) -> float:
-    """Probability that a photon survives a fiber span of the given length."""
-    return db_to_fraction(fiber_loss_db(length_km, attenuation_db_per_km))
-
-
-def pulses_per_second(repetition_rate_mhz: float) -> float:
-    """Convert a pulse repetition rate in MHz to pulses per second."""
-    if repetition_rate_mhz < 0:
-        raise ValueError("repetition rate must be non-negative")
-    return repetition_rate_mhz * 1.0e6
 
 
 def multi_photon_probability(mean_photon_number: float) -> float:

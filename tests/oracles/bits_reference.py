@@ -66,29 +66,12 @@ class ReferenceBitString:
         return cls(bits[:length])
 
     @classmethod
-    def from_int_lsb(cls, value: int, length: int) -> "ReferenceBitString":
-        if value < 0:
-            raise ValueError("value must be non-negative")
-        if length < 0:
-            raise ValueError("length must be non-negative")
-        if value >> length:
-            raise ValueError(f"value {value} does not fit in {length} bits")
-        return cls((value >> i) & 1 for i in range(length))
-
-    @classmethod
     def from_bytes(cls, data: bytes) -> "ReferenceBitString":
         bits: List[int] = []
         for byte in data:
             for shift in range(7, -1, -1):
                 bits.append((byte >> shift) & 1)
         return cls(bits)
-
-    @classmethod
-    def from_str(cls, text: str) -> "ReferenceBitString":
-        cleaned = text.replace(" ", "").replace("_", "")
-        if any(ch not in "01" for ch in cleaned):
-            raise ValueError(f"not a binary string: {text!r}")
-        return cls(int(ch) for ch in cleaned)
 
     @classmethod
     def random(cls, n: int, rng) -> "ReferenceBitString":
@@ -109,13 +92,6 @@ class ReferenceBitString:
             value = (value << 1) | bit
         return value
 
-    def to_int_lsb(self) -> int:
-        value = 0
-        for i, bit in enumerate(self._bits):
-            if bit:
-                value |= 1 << i
-        return value
-
     def to_bytes(self) -> bytes:
         if not self._bits:
             return b""
@@ -132,9 +108,6 @@ class ReferenceBitString:
 
     def to_list(self) -> List[int]:
         return list(self._bits)
-
-    def one_indices(self) -> List[int]:
-        return [i for i, bit in enumerate(self._bits) if bit]
 
     def copy(self) -> "ReferenceBitString":
         dup = object.__new__(ReferenceBitString)
@@ -208,44 +181,15 @@ class ReferenceBitString:
     def __invert__(self) -> "ReferenceBitString":
         return ReferenceBitString(1 - b for b in self._bits)
 
-    def flip(self, index: int) -> "ReferenceBitString":
-        bits = list(self._bits)
-        bits[index] ^= 1
-        return ReferenceBitString(bits)
-
-    def set(self, index: int, value: int) -> "ReferenceBitString":
-        if value not in (0, 1):
-            raise ValueError("bit values must be 0 or 1")
-        bits = list(self._bits)
-        bits[index] = value
-        return ReferenceBitString(bits)
-
     # ------------------------------------------------------------------ #
     # Cryptographic / statistical helpers
     # ------------------------------------------------------------------ #
 
-    def popcount(self) -> int:
-        return sum(self._bits)
-
     def parity(self) -> int:
-        return self.popcount() & 1
+        return sum(self._bits) & 1
 
     def subset(self, indices: Sequence[int]) -> "ReferenceBitString":
         return ReferenceBitString(self._bits[i] for i in indices)
-
-    def subset_parity(self, indices: Iterable[int]) -> int:
-        parity = 0
-        for i in indices:
-            parity ^= self._bits[i]
-        return parity
-
-    def masked_parity(self, mask: "ReferenceBitString") -> int:
-        if len(mask) != len(self):
-            raise ValueError("mask length must match")
-        parity = 0
-        for a, b in zip(self._bits, mask._bits):
-            parity ^= a & b
-        return parity
 
     def hamming_distance(self, other: "ReferenceBitString") -> int:
         if len(other) != len(self):
@@ -271,7 +215,7 @@ class ReferenceBitString:
     def balance(self) -> float:
         if not self._bits:
             return 0.0
-        return self.popcount() / len(self._bits)
+        return sum(self._bits) / len(self._bits)
 
     def runs(self) -> List[int]:
         if not self._bits:

@@ -19,10 +19,15 @@ are still production code on both sides; ``tests/test_optics_differential.py``
 holds the kernels they use to numpy directly.)  The click probability is
 taken row by row, since the shipped ``signal_click_probability`` is 1-D
 only; each row's table is the same ``np.power`` floats either way.
+
+:class:`PassiveChannel` is the attack interface's identity: photons suffer
+the path loss and nothing else, so a run with it takes the attacked branch
+of ``transmit`` while matching an unattacked run's statistics.
 """
 
 import numpy as np
 
+from repro.eve.base import QuantumChannelAttack
 from repro.optics.detector import apply_afterpulse, combine_clicks, signal_click_probability
 from repro.optics.interferometer import detector1_probability_map, phase_delta
 from repro.optics.source import modulator_phase
@@ -185,3 +190,16 @@ def dense_transmit_lanes(channels, n_slots: int, attacks=None):
             }
         )
     return results
+
+
+class PassiveChannel(QuantumChannelAttack):
+    """The no-attack baseline: photons simply suffer the path loss."""
+
+    name = "passive"
+
+    def intercept(self, emission, transmittance, rng):
+        return {
+            "photons_at_receiver": rng.binomial(emission["photons"], transmittance),
+            "phase_at_receiver": emission["phase"],
+            "record": {"attack": self.name},
+        }

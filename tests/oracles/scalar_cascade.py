@@ -3,7 +3,7 @@
 The body ``reconcile`` had before Cascade's bookkeeping moved into arrays,
 kept verbatim as a function of the protocol object: one ``_SubsetRecord``
 per announced subset, a big-int ``segment_mask`` and two AND-popcounts per
-bisection step, one ``CascadeBisectQuery.slice_of`` and one
+bisection step, one ``CascadeBisectQuery`` and one
 ``CascadeBisectReply`` object logged per step, ``fix_bit`` walking every
 record, and every disclosed mask fed to ``IncrementalGF2Rank`` as it is
 disclosed.  Obvious and slow, imported by no production code;
@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.core import wire
 from repro.core.messages import (
+    CascadeBisection,
     CascadeBisectQuery,
     CascadeBisectReply,
     CascadeParityReply,
@@ -29,6 +30,19 @@ from repro.core.messages import (
 from repro.mathkit.gf2 import IncrementalGF2Rank
 from repro.mathkit.lfsr import lfsr_subset_rows
 from repro.util.bits import BitString
+
+
+def expanded(log: PublicChannelLog) -> List[object]:
+    """One object per message, as this oracle logs them: each bisection
+    entry of a shipped log becomes its queries and replies."""
+    out: List[object] = []
+    for m in log.messages:
+        out.extend(m.messages() if isinstance(m, CascadeBisection) else (m,))
+    return out
+
+
+def messages_of_type(log: PublicChannelLog, message_type) -> List[object]:
+    return [m for m in expanded(log) if isinstance(m, message_type)]
 
 
 @dataclass
@@ -83,6 +97,11 @@ class _SubsetRecord:
         return self.mask & (((2 << (last - first)) - 1) << first)
 
 
+def _lsb_first(bits: BitString) -> int:
+    """The bits packed least-significant-bit first: key position i is bit i."""
+    return int(str(bits)[::-1], 2) if len(bits) else 0
+
+
 def _subset_parities(rows: np.ndarray, key_bits: np.ndarray) -> List[int]:
     """The parity of ``key_bits`` over each row of a bool membership matrix."""
     return np.bitwise_xor.reduce(rows & key_bits, axis=1).view(np.uint8).tolist()
@@ -117,8 +136,8 @@ def scalar_reconcile(
 
     # Both keys and every subset live as LSB-first packed words (bit i =
     # key position i) so parity checks are AND-plus-popcount.
-    working = working_key.to_int_lsb()
-    reference = reference_key.to_int_lsb()  # only parities of it are disclosed
+    working = _lsb_first(working_key)
+    reference = _lsb_first(reference_key)  # only parities of it are disclosed
     # Alice's side of each round's announcement comes from the round's
     # membership matrix in one pass.  (Bob's replies stay per-mask: his
     # key keeps changing as errors are fixed.)
@@ -179,8 +198,8 @@ def scalar_reconcile(
         while hi - lo > 1:
             mid = lo + (hi - lo) // 2
             log.record(
-                CascadeBisectQuery.slice_of(
-                    round_index, subset_index, record.positions, lo, mid
+                CascadeBisectQuery(
+                    round_index, subset_index, tuple(record.positions.array[lo:mid].tolist())
                 )
             )
             half_mask = record.segment_mask(lo, mid)
@@ -339,7 +358,7 @@ def scalar_reconcile(
         if reference_parity != working_parity(mask):
             confirmed = False
 
-    corrected = BitString.from_int_lsb(working, n)
+    corrected = BitString.from_int(int(format(working, f"0{n}b")[::-1], 2), n)
     return CascadeResult(
         corrected_key=corrected,
         errors_corrected=errors_corrected,

@@ -1,4 +1,4 @@
-"""Scalar definition of :func:`repro.core.sifting.run_length_encode`.
+"""Scalar definition of :func:`repro.core.sifting.run_length_encode_mask`.
 
 The per-flag loop the vectorized encoder replaced, kept verbatim: alternating
 (zeros-run, ones-run, ...) lengths starting with a zeros-run that may be
@@ -13,7 +13,7 @@ from typing import List, Sequence
 def run_length_encode_scalar(flags: Sequence[int]) -> List[int]:
     """Reference scalar run-length encoder (the differential-test oracle).
 
-    This is the original per-flag loop; :func:`run_length_encode` must produce
+    This is the original per-flag loop; :func:`run_length_encode_mask` must produce
     the identical runs list for every input.  Kept unoptimized on purpose.
     """
     runs: List[int] = []

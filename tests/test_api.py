@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,9 +36,9 @@ class TestSystemConfig:
 
 
 class TestFluentBuilders:
-    def test_with_methods_derive_new_systems(self):
+    def test_configured_derives_new_systems(self):
         base = QKDSystem(seed=1)
-        derived = base.with_defense("slutsky").with_distance(20.0).with_seed(9)
+        derived = base.configured(defense="slutsky", distance_km=20.0, seed=9)
         assert base.config.defense == "bennett"
         assert base.config.seed == 1
         assert derived.config.defense == "slutsky"
@@ -69,7 +70,7 @@ class TestLinkFacade:
         assert link.parameters.channel.path.length_km == 25.0
 
     def test_defense_reaches_engine(self):
-        link = QKDSystem(seed=4).with_defense("slutsky").link()
+        link = QKDSystem(seed=4).configured(defense="slutsky").link()
         assert link.engine.estimator.defense.name == "slutsky"
 
     @pytest.mark.parametrize(
@@ -180,19 +181,18 @@ class TestConfigFirstKms:
     def test_builders_return_new_configs(self):
         base = KmsConfig()
         zoned = base.with_zones(2)
-        custodial = base.with_custody(ttl_seconds=600.0)
         loaded = base.with_workload(AggregateProfile.poisson(tunnels=10))
         assert base.zones is None and base.custody is False and base.workload is None
         assert zoned.zones == 2 and zoned is not base
-        assert custodial.custody is True and custodial.custody_ttl_seconds == 600.0
         assert loaded.workload.tunnels == 10
 
     def test_custody_and_zones_compose_on_the_metro_facade(self):
-        assert KmsConfig().with_zones(2).with_custody() == KmsConfig().with_custody().with_zones(2)
+        custodial = replace(KmsConfig(), custody=True)
+        assert replace(KmsConfig().with_zones(2), custody=True) == custodial.with_zones(2)
         metro = QKDSystem(seed=12).metro(
             n_zones=2, endpoints_per_zone=2, relays_per_zone=2, prefill_seconds=200.0
         )
-        service = metro.kms(KmsConfig().with_custody())
+        service = metro.kms(custodial)
         assert service.zone_plan is not None and service.custody is not None
         report = service.serve(hours=0.05)
         assert report.zones == 2 and report.delivered_keys > 0

@@ -18,6 +18,7 @@ from repro.mathkit.toeplitz import ToeplitzHash
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 from tests.oracles.bits_reference import ReferenceBitString
+from tests.oracles.mathkit import gf2_dot, toeplitz_matrix_rows
 
 bit_lists = st.lists(st.integers(min_value=0, max_value=1), max_size=192)
 
@@ -44,7 +45,6 @@ class TestConstructorEquivalence:
         assert str(p) == str(r)
         assert repr(p) == repr(r)
         assert p.to_int() == r.to_int()
-        assert p.to_int_lsb() == r.to_int_lsb()
         assert p.to_bytes() == r.to_bytes()
         assert list(p) == list(r)
         assert len(p) == len(r)
@@ -55,22 +55,9 @@ class TestConstructorEquivalence:
         length = max(value.bit_length(), 1) + 3
         agree(BitString.from_int(value, length), ReferenceBitString.from_int(value, length))
 
-    @given(st.integers(min_value=0, max_value=2**130 - 1))
-    def test_from_int_lsb(self, value):
-        length = max(value.bit_length(), 1) + 3
-        agree(
-            BitString.from_int_lsb(value, length),
-            ReferenceBitString.from_int_lsb(value, length),
-        )
-
     @given(st.binary(max_size=48))
     def test_from_bytes(self, data):
         agree(BitString.from_bytes(data), ReferenceBitString.from_bytes(data))
-
-    @given(bit_lists)
-    def test_from_str(self, bits):
-        text = "".join(str(b) for b in bits)
-        agree(BitString.from_str(text), ReferenceBitString.from_str(text))
 
     @given(st.integers(min_value=0, max_value=160), st.integers())
     def test_random_same_draw(self, n, seed):
@@ -87,9 +74,8 @@ class TestConstructorEquivalence:
     def test_invalid_inputs_raise_identically(self):
         for build in (lambda cls: cls([0, 2]), lambda cls: cls.from_int(-1, 4),
                       lambda cls: cls.from_int(16, 4), lambda cls: cls.from_int(1, 0),
-                      lambda cls: cls.from_int(5, -1), lambda cls: cls.from_str("10x"),
-                      lambda cls: cls.zeros(-1), lambda cls: cls.ones(-2),
-                      lambda cls: cls.from_int_lsb(9, 3)):
+                      lambda cls: cls.from_int(5, -1),
+                      lambda cls: cls.zeros(-1), lambda cls: cls.ones(-2)):
             with pytest.raises(ValueError):
                 build(BitString)
             with pytest.raises(ValueError):
@@ -109,17 +95,14 @@ class TestOperationEquivalence:
         agree(pa.concat(pb, pa), ra.concat(rb, ra))
         assert pa.hamming_distance(pb) == ra.hamming_distance(rb)
         assert pa.error_rate(pb) == ra.error_rate(rb)
-        assert pa.masked_parity(pb) == ra.masked_parity(rb)
         assert (pa == pb) == (ra == rb)
 
     @given(bit_lists)
     def test_unary_statistics(self, bits):
         p, r = pair(bits)
-        assert p.popcount() == r.popcount()
         assert p.parity() == r.parity()
         assert p.balance() == r.balance()
         assert p.runs() == r.runs()
-        assert p.one_indices() == r.one_indices()
 
     @given(bit_lists, st.integers(min_value=-200, max_value=200))
     def test_indexing(self, bits, index):
@@ -143,18 +126,13 @@ class TestOperationEquivalence:
         agree(p[start:stop:step], r[start:stop:step])
 
     @given(bit_lists, st.data())
-    def test_flip_set_subset(self, bits, data):
+    def test_subset(self, bits, data):
         p, r = pair(bits)
         if bits:
-            index = data.draw(st.integers(min_value=0, max_value=len(bits) - 1))
-            agree(p.flip(index), r.flip(index))
-            agree(p.set(index, 1), r.set(index, 1))
-            agree(p.set(index, 0), r.set(index, 0))
             indices = data.draw(
                 st.lists(st.integers(min_value=0, max_value=len(bits) - 1), max_size=32)
             )
             agree(p.subset(indices), r.subset(indices))
-            assert p.subset_parity(indices) == r.subset_parity(indices)
 
     @given(bit_lists, st.integers(min_value=1, max_value=48))
     def test_chunks(self, bits, size):
@@ -211,7 +189,7 @@ class TestToeplitzDifferential:
         rng = DeterministicRNG(99)
         hasher = ToeplitzHash.random(48, 16, rng)
         key = BitString.random(48, rng)
-        expected = BitString(row.masked_parity(key) for row in hasher.matrix_rows())
+        expected = BitString(gf2_dot(row, key) for row in toeplitz_matrix_rows(hasher))
         assert hasher.hash(key) == expected
 
 

@@ -10,15 +10,11 @@ from repro.crypto.aes import AES
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
-    ctr_keystream,
-    ctr_transform,
-    ecb_decrypt,
-    ecb_encrypt,
     pkcs7_pad,
     pkcs7_unpad,
 )
 from repro.crypto.otp import OneTimePad, PadExhaustedError
-from repro.crypto.sha1 import HmacSha1, hmac_sha1, prf_expand, sha1, sha1_hexdigest
+from repro.crypto.sha1 import HmacSha1, hmac_sha1, prf_expand, sha1
 from repro.crypto.wegman_carter import (
     AuthenticationError,
     KeyPoolExhaustedError,
@@ -53,11 +49,6 @@ class TestPadding:
 
 
 class TestModes:
-    def test_ecb_roundtrip(self):
-        cipher = AES(KEY)
-        message = b"quantum keys roll over once a minute"
-        assert ecb_decrypt(cipher, ecb_encrypt(cipher, message)) == message
-
     def test_cbc_roundtrip(self):
         cipher = AES(KEY)
         message = b"x" * 100
@@ -81,22 +72,6 @@ class TestModes:
             cbc_encrypt(cipher, b"data", b"short-iv")
         with pytest.raises(ValueError):
             cbc_decrypt(cipher, b"not-a-block", IV)
-
-    def test_ctr_roundtrip(self):
-        cipher = AES(KEY)
-        message = b"one-time pads consume key fast" * 3
-        nonce = b"12345678"
-        assert ctr_transform(cipher, ctr_transform(cipher, message, nonce), nonce) == message
-
-    def test_ctr_keystream_length_and_determinism(self):
-        cipher = AES(KEY)
-        ks = ctr_keystream(cipher, b"abcdefgh", 100)
-        assert len(ks) == 100
-        assert ks == ctr_keystream(cipher, b"abcdefgh", 100)
-
-    def test_ctr_nonce_length_enforced(self):
-        with pytest.raises(ValueError):
-            ctr_keystream(AES(KEY), b"short", 10)
 
     @given(st.binary(max_size=200))
     @settings(max_examples=20, deadline=None)
@@ -127,8 +102,8 @@ def stdlib_hmac_sha1(key: bytes, message: bytes) -> bytes:
 
 class TestSha1:
     def test_empty_and_known_vectors(self):
-        assert sha1_hexdigest(b"") == "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-        assert sha1_hexdigest(b"abc") == "a9993e364706816aba3e25717850c26c9cd0d89d"
+        assert sha1(b"").hex() == "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+        assert sha1(b"abc").hex() == "a9993e364706816aba3e25717850c26c9cd0d89d"
 
     def test_against_hashlib(self):
         for size in sorted({1, 200, 1000, *PADDING_BOUNDARIES}):
@@ -228,7 +203,6 @@ class TestOneTimePad:
         pad.encrypt(b"12345")
         assert pad.consumed_bytes == 5
         assert pad.available_bytes == 95
-        assert pad.added_bytes == 100
 
     def test_exhaustion(self):
         pad = OneTimePad(bytes(4))
@@ -241,13 +215,8 @@ class TestOneTimePad:
         pad = OneTimePad()
         pad.add_key_material(b"\xaa" * 10)
         assert pad.available_bytes == 10
-        pad.add_key_bits(BitString.ones(16))
+        pad.add_key_material(b"\xff" * 2)
         assert pad.available_bytes == 12
-
-    def test_add_key_bits_ignores_partial_byte(self):
-        pad = OneTimePad()
-        pad.add_key_bits(BitString.ones(7))
-        assert pad.available_bytes == 0
 
     def test_peek_does_not_consume(self):
         pad = OneTimePad(bytes(range(10)))
@@ -286,7 +255,7 @@ class TestWegmanCarter:
     def test_forged_tag_rejected(self):
         alice, bob = self._paired()
         tag = alice.tag(b"legitimate")
-        forged = tag.flip(0)
+        forged = tag ^ BitString.from_int(1 << (len(tag) - 1), len(tag))
         with pytest.raises(AuthenticationError):
             bob.verify(b"legitimate", forged)
 

@@ -22,13 +22,14 @@ from repro.core.messages import (
     PublicChannelLog,
     SiftResponseMessage,
     SubsetPositions,
-    decode_message,
+    _slice_query_bytes,
 )
 from repro.mathkit import lfsr
 from repro.mathkit.toeplitz import ToeplitzHash
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
-from tests.oracles.scalar_cascade import scalar_reconcile
+from tests.oracles.mathkit import lfsr_subset_masks
+from tests.oracles.scalar_cascade import expanded, messages_of_type, scalar_reconcile
 
 # --------------------------------------------------------------------------- #
 # (a) LFSR subset expansion
@@ -38,7 +39,7 @@ EDGE_SEEDS = [0, 1, 2**32, 2**32 - 1, 0x80000000, 0xDEADBEEF]
 
 
 def stepped_mask(seed, length, density):
-    """``lfsr_subset_mask`` one ``LFSR.step()`` at a time."""
+    """A seed's subset mask, one ``LFSR.step()`` at a time."""
     register = lfsr.LFSR(seed)
     if density == 0.5:
         return [register.step() for _ in range(length)]
@@ -65,7 +66,7 @@ def assert_masks_match(seeds, length, density):
     assert rows.shape == (len(seeds), length)
     expected = [stepped_mask(seed, length, density) for seed in seeds]
     assert rows.astype(int).tolist() == expected
-    assert lfsr.lfsr_subset_masks(seeds, length, density) == [
+    assert lfsr_subset_masks(seeds, length, density) == [
         BitString(bits) for bits in expected
     ]
 
@@ -76,7 +77,7 @@ def test_lfsr_rows_match_stepped_stream_across_table_growth(empty_stream_table, 
     for length in (0, 1, 7, 8, 9, 61, 1000, 3, 2500, 8, 1001, 0):
         assert_masks_match(EDGE_SEEDS, length, density)
     per_position = 8 if density == 0.5 else 1
-    assert empty_stream_table.table.shape == (4, 256, -(-2500 // per_position))
+    assert empty_stream_table._grown[0].shape == (4, 256, -(-2500 // per_position))
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,10 +109,10 @@ def test_one_stream_table_serves_a_long_then_a_short_key(empty_stream_table):
         assert result.matches_reference
 
     reconcile(10_000, seed=1)
-    table = empty_stream_table.table
+    table = empty_stream_table._grown[0]
     assert table.shape == (4, 256, 1250)  # 1 KiB per stream byte
     reconcile(2048, seed=2)
-    assert empty_stream_table.table is table
+    assert empty_stream_table._grown[0] is table
 
 
 # --------------------------------------------------------------------------- #
@@ -171,15 +172,12 @@ def test_chained_hash_matches_per_chunk_chain(geometry, diagonal_seed, data, ini
 
 def assert_slice_query_matches(positions, lo, hi):
     subset = SubsetPositions(np.array(positions, dtype=np.int64))
-    query = CascadeBisectQuery.slice_of(3, 17, subset, lo, hi)
     reference = CascadeBisectQuery(
         round_index=3, subset_index=17, indices=tuple(positions[lo:hi])
     )
-    assert tuple(query.indices.tolist()) == reference.indices
-    encoded = query.encode()
+    encoded = _slice_query_bytes(3, 17, subset, lo, hi)
     assert encoded == reference.encode()
-    assert decode_message(encoded) == reference
-    assert query.encode_json() == reference.encode_json()
+    assert CascadeBisectQuery.decode(encoded) == reference
     # The same step inside a whole-search entry, twice over so the entry has
     # to find where one message ends and the next begins.
     reply = CascadeBisectReply(round_index=3, subset_index=17, parity=1)
@@ -244,11 +242,11 @@ def assert_reconcile_matches_scalar(n, error_rate, block_first_pass, density, wi
     # The scalar log holds one object per message; JSON is the semantic
     # fingerprint that does not care whether a field is a list or an array.
     assert len(log) == len(expected_log) == len(expected_log.messages)
-    assert [(type(m), m.encode_json()) for m in log.expanded()] == [
+    assert [(type(m), m.encode_json()) for m in expanded(log)] == [
         (type(m), m.encode_json()) for m in expected_log.messages
     ]
     for message_type in (CascadeBisectQuery, CascadeBisectReply):
-        assert len(log.messages_of_type(message_type)) == result.bisection_queries
+        assert len(messages_of_type(log, message_type)) == result.bisection_queries
     for name in (
         "corrected_key",
         "errors_corrected",

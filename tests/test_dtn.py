@@ -26,7 +26,6 @@ from repro.dtn import (
     EXPIRED,
     build_policy,
 )
-from repro.faults.flaps import FlapWindow
 from repro.network.relay import TrustedRelayNetwork
 from repro.network.routing import RoutingError
 from repro.network.topology import QKDNetwork
@@ -119,18 +118,6 @@ class TestContactSchedule:
         assert schedule.boundary_times() == [0.0, 10.0, 20.0, 30.0, 40.0]
         assert schedule.boundary_times(horizon=15.0) == [0.0, 10.0]
 
-    def test_from_flaps_is_the_outage_complement(self):
-        schedule = ContactSchedule.from_flaps(
-            {("a", "r1"): [FlapWindow(10.0, 20.0), FlapWindow(30.0, 35.0)]}
-        )
-        windows = schedule.windows_for("a", "r1")
-        assert windows == (
-            ContactWindow(0.0, 10.0),
-            ContactWindow(20.0, 30.0),
-            ContactWindow(35.0, math.inf),
-        )
-        assert schedule.is_open("a", "r1", 1e6)  # open after the last outage
-
 
 # --------------------------------------------------------------------- #
 # Contact-graph routing
@@ -138,16 +125,6 @@ class TestContactSchedule:
 
 
 class TestContactGraphSelector:
-    def test_find_path_at_honours_the_plan(self):
-        selector = ContactGraphSelector(line_network(), schedule=staggered_schedule())
-        with pytest.raises(RoutingError) as excinfo:
-            selector.find_path_at("a", "b", 5.0)  # r1--b closed at t=5
-        message = str(excinfo.value)
-        assert "'a'" in message and "'b'" in message and "r1" in message
-        # ... but a contact-free moment in live mode routes normally.
-        live = ContactGraphSelector(line_network())
-        assert live.find_path_at("a", "b", 5.0) == ["a", "r1", "b"]
-
     def test_live_usable_flag_gates_even_scheduled_contacts(self):
         network = line_network()
         selector = ContactGraphSelector(network, schedule=staggered_schedule())

@@ -6,6 +6,7 @@ from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
 from repro.core.sifting import SiftingProtocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.scalar_cascade import messages_of_type
 
 
 def noisy_pair(n: int, error_rate: float, seed: int = 1):
@@ -373,13 +374,19 @@ class TestEngineMemory:
 
 class TestTranscriptEntries:
     def test_a_transcript_of_bisection_entries_survives_pickle_and_the_attack_copies(self):
-        # The LinkFarm's process backend ships outcomes by pickle, and the
-        # man-in-the-middle model deep-copies a transcript entry by entry:
-        # bytes and message count must come through both.
+        # An outcome is a plain value a caller may store or ship, so its
+        # transcript must survive pickle; a forged transcript is built by
+        # deep-copying it entry by entry.  Bytes and message count must come
+        # through both.
+        import copy
         import pickle
 
-        from repro.core.messages import CascadeBisection, CascadeBisectQuery
-        from repro.eve import ManInTheMiddleAttack
+        from repro.core.messages import (
+            CascadeBisection,
+            CascadeBisectQuery,
+            CascadeParityReply,
+            PublicChannelLog,
+        )
 
         engine = QKDProtocolEngine(rng=DeterministicRNG(41))
         log = engine.distill_block(
@@ -391,15 +398,16 @@ class TestTranscriptEntries:
 
         shipped = pickle.loads(pickle.dumps(log))
         assert (shipped.transcript_bytes(), len(shipped)) == (transcript, count)
-        assert len(shipped.messages_of_type(CascadeBisectQuery)) == sum(
+        assert len(messages_of_type(shipped, CascadeBisectQuery)) == sum(
             entry.message_count for entry in entries
         ) // 2
 
-        attack = ManInTheMiddleAttack(DeterministicRNG(43))
-        forged = attack.impersonation_transcript(log)
+        forged = PublicChannelLog(messages=[copy.deepcopy(m) for m in log.messages])
         assert (forged.transcript_bytes(), len(forged)) == (transcript, count)
         assert all(a is not b for a, b in zip(forged.messages, log.messages))
-        tampered = attack.tamper_with_transcript(log)
+        tampered = PublicChannelLog(messages=[copy.deepcopy(m) for m in log.messages])
+        reply = next(m for m in tampered.messages if isinstance(m, CascadeParityReply))
+        reply.parities[0] ^= 1
         assert len(tampered) == count
         assert tampered.transcript_bytes() != transcript
         assert len(tampered.transcript_bytes()) == len(transcript)

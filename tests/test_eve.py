@@ -1,19 +1,17 @@
 """Tests for the eavesdropping attack models and the system's response to them."""
 
+import copy
+
 import pytest
 
 from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.crypto.wegman_carter import AuthenticationError
-from repro.eve import (
-    BeamSplittingAttack,
-    InterceptResendAttack,
-    KeyExhaustionDoS,
-    ManInTheMiddleAttack,
-    PassiveChannel,
-)
+from repro.core.messages import CascadeParityReply, PublicChannelLog
+from repro.eve import BeamSplittingAttack, InterceptResendAttack, KeyExhaustionDoS
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.dense_optics import PassiveChannel
 from tests.test_engine import process_frame
 
 
@@ -44,10 +42,6 @@ class TestInterceptResend:
         quarter = channel.transmit(800_000, attack=InterceptResendAttack(0.25))
         # Expected extra error: ~0.25 * 0.25 = 6.25 percentage points over the intrinsic rate.
         assert 0.09 <= quarter.qber <= 0.20
-
-    def test_expected_induced_error_rate_helper(self):
-        assert InterceptResendAttack.expected_induced_error_rate(1.0) == 0.25
-        assert InterceptResendAttack.expected_induced_error_rate(0.5) == 0.125
 
     def test_eve_learns_intercepted_bits(self, channel):
         attack = InterceptResendAttack(1.0)
@@ -103,13 +97,6 @@ class TestBeamSplitting:
         # Multi-photon fraction of detected pulses is ~ p_multi / p_nonempty ~ 4.9% at mu=0.1.
         assert 0.01 <= fraction <= 0.12
 
-    def test_transmitted_accounting_larger_than_received(self, channel):
-        attack = BeamSplittingAttack()
-        result = channel.transmit(1_000_000, attack=attack)
-        transmitted_based = BeamSplittingAttack.eve_known_transmitted_bits(result)
-        received_based = BeamSplittingAttack.eve_known_sifted_bits(result)
-        assert transmitted_based > received_based
-
     def test_entropy_charge_covers_eves_knowledge(self, channel):
         """The multi-photon charge must be at least what the PNS attack really learned."""
         attack = BeamSplittingAttack()
@@ -137,37 +124,30 @@ class TestManInTheMiddle:
         engine = QKDProtocolEngine(rng=DeterministicRNG(35))
         rng = DeterministicRNG(36)
         alice = BitString.random(1024, rng)
-        bob = alice.flip(3).flip(500)
+        bob = alice ^ BitString(int(i in (3, 500)) for i in range(len(alice)))
         outcome = engine.distill_block(alice, bob, transmitted_pulses=100_000)
         return engine, outcome.transcript
 
     def test_tampering_detected_by_authentication(self):
+        """Eve flips one Cascade parity in transit: Bob's check fails."""
         engine, log = self._transcript()
-        attack = ManInTheMiddleAttack(DeterministicRNG(37))
-        tampered = attack.tamper_with_transcript(log)
-        assert attack.last_report.messages_modified >= 1
-        tag = engine.alice_auth.tag_transcript(log)
+        tampered = PublicChannelLog(messages=[copy.deepcopy(m) for m in log.messages])
+        reply = next(m for m in tampered.messages if isinstance(m, CascadeParityReply))
+        reply.parities[0] ^= 1
+        tag = engine.alice_auth.tag_payload(log.transcript_bytes(), len(log))
         with pytest.raises(AuthenticationError):
-            engine.bob_auth.verify_transcript(tampered, tag)
-
-    def test_original_transcript_untouched(self):
-        engine, log = self._transcript()
-        before = log.transcript_bytes()
-        ManInTheMiddleAttack(DeterministicRNG(38)).tamper_with_transcript(log)
-        assert log.transcript_bytes() == before
+            engine.bob_auth.verify_payload(tampered.transcript_bytes(), tag)
 
     def test_impersonation_without_secret_fails(self):
+        """Eve replays the transcript under her own identity: without the
+        shared pool her tag is one Bob rejects."""
         engine, log = self._transcript()
-        attack = ManInTheMiddleAttack(DeterministicRNG(39))
-        forged = attack.impersonation_transcript(log)
-        # Eve has no shared pool, so she cannot even produce a tag Bob accepts;
-        # model her by tagging with a fresh (wrong) authenticator.
         from repro.core.authentication import AuthenticatedChannel
 
         eve_auth = AuthenticatedChannel(BitString.random(4096, DeterministicRNG(40)))
-        eve_tag = eve_auth.tag_transcript(forged)
+        eve_tag = eve_auth.tag_payload(log.transcript_bytes(), len(log))
         with pytest.raises(AuthenticationError):
-            engine.bob_auth.verify_transcript(forged, eve_tag)
+            engine.bob_auth.verify_payload(log.transcript_bytes(), eve_tag)
 
 
 class TestDoS:

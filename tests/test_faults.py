@@ -12,7 +12,6 @@ released-bits ledger (no reservation leak).
 
 import asyncio
 import hashlib
-import math
 import struct
 
 import pytest
@@ -31,20 +30,13 @@ from repro.faults import (
     FaultAction,
     FaultPlane,
     FaultyConnector,
-    LinkFlapper,
-    draw_flap_windows,
-    drive_flaps,
-    invert_windows,
-    merge_windows,
     stall_hook,
 )
-from repro.faults.flaps import FlapWindow
 from repro.kms.store import KeyStore
 from repro.netkms import protocol
 from repro.netkms.client import NetworkKmsClient
 from repro.netkms.resilient import ResilientKmsClient, RetryPolicy
 from repro.netkms.server import NetworkKmsServer
-from repro.sim.clock import EventScheduler
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -65,6 +57,23 @@ def make_store(bits=1 << 15):
     store = KeyStore(PAIR, capacity_bits=max(bits, 1 << 20))
     store.deposit(counter_material(bits))
     return store
+
+
+class ScriptedPlane(FaultPlane):
+    """A fault plane with exact actions pinned to exact operation indices.
+
+    ``script`` maps ``(site, op_index)`` to the action that operation gets,
+    whatever the stochastic draw said; the draw still consumes that index's
+    stream, so pinning an earlier operation never shifts later ones.
+    """
+
+    def __init__(self, rng, script, **kwargs):
+        super().__init__(rng, **kwargs)
+        self.script = dict(script)
+
+    def _draw(self, site, stream):
+        drawn = super()._draw(site, stream)
+        return self.script.get((site, self._op_counters[site] - 1), drawn)
 
 
 def chunk_digest(chunks):
@@ -116,8 +125,7 @@ class TestFaultPlane:
         assert a == b
 
     def test_scripted_rule_beats_the_stochastic_draw(self):
-        plane = FaultPlane(DeterministicRNG(0))
-        plane.script(SITE_CLIENT_TX, 2, FaultAction(DROP_AFTER))
+        plane = ScriptedPlane(DeterministicRNG(0), {(SITE_CLIENT_TX, 2): FaultAction(DROP_AFTER)})
         decisions = [plane.decide(SITE_CLIENT_TX) for _ in range(4)]
         assert [d.kind if d else None for d in decisions] == [
             None,
@@ -133,137 +141,7 @@ class TestFaultPlane:
         with pytest.raises(ValueError):
             plane.decide("not-a-site")
         with pytest.raises(ValueError):
-            plane.script(SITE_CONNECT, 0, FaultAction(DROP_AFTER))
-        with pytest.raises(ValueError):
             FaultPlane(rates={SITE_SERVER_REQUEST: {REFUSE: 0.5}})
-
-    def test_downed_link_refuses_connects_and_drops_frames(self):
-        plane = FaultPlane(DeterministicRNG(0))
-        plane.take_down()
-        assert plane.decide(SITE_CONNECT).kind == REFUSE
-        assert plane.decide(SITE_CLIENT_TX).kind == DROP_BEFORE
-        plane.bring_up()
-        assert plane.decide(SITE_CONNECT) is None
-
-    def test_facade_derives_the_plane_from_the_system_seed(self):
-        from repro import QKDSystem
-
-        a = QKDSystem(seed=9).fault_plane(rates={SITE_CONNECT: {REFUSE: 0.5}})
-        b = QKDSystem(seed=9).fault_plane(rates={SITE_CONNECT: {REFUSE: 0.5}})
-        assert [a.decide(SITE_CONNECT) for _ in range(30)] == [
-            b.decide(SITE_CONNECT) for _ in range(30)
-        ]
-
-
-# --------------------------------------------------------------------------- #
-# Link flaps
-# --------------------------------------------------------------------------- #
-
-
-class TestLinkFlaps:
-    def test_windows_are_deterministic_and_ordered(self):
-        rng = DeterministicRNG(3)
-        first = draw_flap_windows(rng, 100.0, mean_up_seconds=10.0, mean_down_seconds=2.0)
-        second = draw_flap_windows(
-            DeterministicRNG(3), 100.0, mean_up_seconds=10.0, mean_down_seconds=2.0
-        )
-        assert first == second and first
-        for window in first:
-            assert 0.0 <= window.down_at < window.up_at <= 100.0
-        for earlier, later in zip(first, first[1:]):
-            assert earlier.up_at <= later.down_at
-
-    def test_flapper_toggles_the_plane_on_sim_time(self):
-        plane = FaultPlane(DeterministicRNG(0))
-        scheduler = EventScheduler()
-        windows = draw_flap_windows(
-            DeterministicRNG(3), 50.0, mean_up_seconds=10.0, mean_down_seconds=2.0
-        )
-        LinkFlapper(plane, scheduler).apply(windows)
-        mid_outage = windows[0].down_at + windows[0].duration / 2
-        scheduler.run_until(mid_outage)
-        assert not plane.link_up
-        scheduler.run_until(windows[-1].up_at)
-        assert plane.link_up
-
-    def test_drive_flaps_restores_the_link_even_when_cancelled(self):
-        async def scenario():
-            plane = FaultPlane(DeterministicRNG(0))
-            windows = draw_flap_windows(
-                DeterministicRNG(3), 10.0, mean_up_seconds=1.0, mean_down_seconds=5.0
-            )
-
-            async def instant(_delay):
-                await asyncio.sleep(0)
-
-            task = asyncio.ensure_future(
-                drive_flaps(plane, windows * 100, time_scale=1.0, sleep=instant)
-            )
-            await asyncio.sleep(0.01)
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            return plane.link_up
-
-        assert run(scenario()) is True
-
-
-# --------------------------------------------------------------------------- #
-# Flap-window boundary behaviour
-# --------------------------------------------------------------------------- #
-
-
-class TestFlapWindowBoundaries:
-    def test_zero_duration_windows_are_no_outage_at_all(self):
-        windows = [FlapWindow(5.0, 5.0), FlapWindow(10.0, 12.0), FlapWindow(20.0, 20.0)]
-        assert merge_windows(windows) == [FlapWindow(10.0, 12.0)]
-        # inversion sees only the real outage
-        assert invert_windows(windows) == [(0.0, 10.0), (12.0, math.inf)]
-        # an all-zero schedule inverts to "always up"
-        assert invert_windows([FlapWindow(3.0, 3.0)]) == [(0.0, math.inf)]
-
-    def test_overlapping_and_adjacent_windows_merge_into_one_outage(self):
-        windows = [
-            FlapWindow(10.0, 20.0),
-            FlapWindow(15.0, 25.0),  # overlaps
-            FlapWindow(25.0, 30.0),  # adjacent
-            FlapWindow(12.0, 18.0),  # contained
-        ]
-        assert merge_windows(windows) == [FlapWindow(10.0, 30.0)]
-        assert invert_windows(windows) == [(0.0, 10.0), (30.0, math.inf)]
-
-    def test_window_truncated_exactly_at_the_horizon(self):
-        # a mean down-time far beyond the horizon guarantees the first
-        # outage would overrun it; the drawn window must clamp to the
-        # horizon exactly, not spill past it
-        windows = draw_flap_windows(
-            DeterministicRNG(3), 50.0, mean_up_seconds=5.0, mean_down_seconds=1e9
-        )
-        assert len(windows) == 1
-        assert windows[0].up_at == 50.0
-        assert 0.0 <= windows[0].down_at < 50.0
-
-    def test_same_seed_drives_two_planes_identically(self):
-        windows = draw_flap_windows(
-            DeterministicRNG(11), 80.0, mean_up_seconds=8.0, mean_down_seconds=3.0
-        )
-        assert windows == draw_flap_windows(
-            DeterministicRNG(11), 80.0, mean_up_seconds=8.0, mean_down_seconds=3.0
-        )
-        traces = []
-        for _ in range(2):
-            plane = FaultPlane(DeterministicRNG(0))
-            scheduler = EventScheduler()
-            LinkFlapper(plane, scheduler).apply(windows)
-            trace = []
-            for t in [x / 2 for x in range(161)]:
-                scheduler.run_until(t)
-                trace.append(plane.link_up)
-            traces.append(trace)
-        assert traces[0] == traces[1]
-        assert False in traces[0]  # the schedule actually took the link down
 
 
 # --------------------------------------------------------------------------- #
@@ -299,12 +177,13 @@ def chaos_soak(faulted):
 
     async def scenario():
         store = make_store(1 << 15)
-        plane = FaultPlane(DeterministicRNG(2026))
-        if faulted:
-            plane.script(SITE_CLIENT_TX, 4, FaultAction(DROP_AFTER))
-            plane.script(
-                SITE_SERVER_REQUEST, 8, FaultAction(STALL, delay_seconds=0.4)
-            )
+        plane = ScriptedPlane(
+            DeterministicRNG(2026),
+            {
+                (SITE_CLIENT_TX, 4): FaultAction(DROP_AFTER),
+                (SITE_SERVER_REQUEST, 8): FaultAction(STALL, delay_seconds=0.4),
+            },
+        )
         server = NetworkKmsServer(
             {PAIR: store},
             port=0,

@@ -1,11 +1,14 @@
-"""Tests for GF(2) linear algebra (rank tracking underpins leakage accounting)."""
+"""Tests for GF(2) rank tracking (it underpins leakage accounting).
 
-import pytest
+:class:`IncrementalGF2Rank` is held to the batch elimination in
+``tests/oracles/mathkit.py``; the properties check that oracle itself.
+"""
+
 from hypothesis import given, strategies as st
 
-from repro.mathkit.gf2 import GF2Matrix, IncrementalGF2Rank, gf2_rank, solve_gf2
-from repro.util.bits import BitString
+from repro.mathkit.gf2 import IncrementalGF2Rank
 from repro.util.rng import DeterministicRNG
+from tests.oracles.mathkit import gf2_rank
 
 
 class TestGf2Rank:
@@ -48,85 +51,6 @@ class TestIncrementalRank:
         assert tracker.add(0b10) is True
         assert tracker.add(0b11) is False  # dependent
         assert tracker.rank == 2
-
-    def test_add_indices(self):
-        tracker = IncrementalGF2Rank()
-        assert tracker.add_indices([0, 2]) is True
-        assert tracker.add_indices([0, 2]) is False
-        assert tracker.rank == 1
-
-
-class TestGF2Matrix:
-    def test_from_bitstrings_and_row_access(self):
-        rows = [BitString([1, 0, 1]), BitString([0, 1, 1])]
-        matrix = GF2Matrix.from_bitstrings(rows)
-        assert matrix.shape == (2, 3)
-        assert matrix.row_bits(0) == rows[0]
-        assert matrix.row_bits(1) == rows[1]
-
-    def test_from_bitstrings_requires_equal_lengths(self):
-        with pytest.raises(ValueError):
-            GF2Matrix.from_bitstrings([BitString([1]), BitString([1, 0])])
-
-    def test_from_index_sets(self):
-        matrix = GF2Matrix.from_index_sets([[0, 2], [1]], columns=3)
-        assert matrix.row_bits(0) == BitString([1, 0, 1])
-        assert matrix.row_bits(1) == BitString([0, 1, 0])
-
-    def test_from_index_sets_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            GF2Matrix.from_index_sets([[5]], columns=3)
-
-    def test_identity(self):
-        identity = GF2Matrix.identity(4)
-        assert identity.rank() == 4
-        vector = BitString([1, 0, 1, 1])
-        assert identity.multiply_vector(vector) == vector
-
-    def test_multiply_vector_parities(self):
-        matrix = GF2Matrix.from_index_sets([[0, 1], [1, 2], [0, 2]], columns=3)
-        vector = BitString([1, 1, 0])
-        assert matrix.multiply_vector(vector) == BitString([0, 1, 1])
-
-    def test_multiply_vector_length_check(self):
-        matrix = GF2Matrix.identity(3)
-        with pytest.raises(ValueError):
-            matrix.multiply_vector(BitString([1, 0]))
-
-    def test_append_row(self):
-        matrix = GF2Matrix.identity(2)
-        bigger = matrix.append_row(BitString([1, 1]))
-        assert bigger.shape == (3, 2)
-        assert bigger.rank() == 2
-
-    def test_invalid_row_width(self):
-        with pytest.raises(ValueError):
-            GF2Matrix([0b111], columns=2)
-
-
-class TestSolve:
-    def test_solves_identity_system(self):
-        matrix = GF2Matrix.identity(4)
-        rhs = BitString([1, 0, 1, 1])
-        assert solve_gf2(matrix, rhs) == rhs
-
-    def test_solution_satisfies_system(self):
-        rng = DeterministicRNG(5)
-        matrix = GF2Matrix([rng.getrandbits(8) for _ in range(6)], columns=8)
-        true_x = BitString.random(8, rng)
-        rhs = matrix.multiply_vector(true_x)
-        solution = solve_gf2(matrix, rhs)
-        assert solution is not None
-        assert matrix.multiply_vector(solution) == rhs
-
-    def test_detects_inconsistency(self):
-        matrix = GF2Matrix([0b01, 0b01], columns=2)
-        rhs = BitString([0, 1])  # same row, different parities: impossible
-        assert solve_gf2(matrix, rhs) is None
-
-    def test_rhs_length_check(self):
-        with pytest.raises(ValueError):
-            solve_gf2(GF2Matrix.identity(2), BitString([1]))
 
 
 class TestProperties:

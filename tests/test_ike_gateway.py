@@ -457,7 +457,7 @@ class TestGatewayPair:
     def test_combined_log_contains_both_gateways(self):
         pair, _ = self._pair()
         pair.transmit(IPPacket("10.1.0.1", "10.2.0.1", b"x"))
-        log = "\n".join(pair.combined_log)
+        log = "\n".join(pair.alice.ike.log_lines + pair.bob.ike.log_lines)
         assert "alice-gw racoon" in log
         assert "bob-gw racoon" in log
 

@@ -199,7 +199,7 @@ class TestSAD:
         sad = self._sad_with_sas()
         sad.retire(0x200)
         assert sad.active_count == 1
-        assert sad.rollover_count == 1
+        assert len(sad.retired) == 1
         expired = sad.retire_expired(now=500.0)
         assert len(expired) == 1
         assert sad.active_count == 0

@@ -53,11 +53,11 @@ def filled_store(bits=2048, **kwargs):
 
 
 class TestKeyPoolExpiry:
-    def test_expire_older_than_drops_head_blocks(self):
+    def test_drop_head_blocks_drops_the_oldest_block(self):
         pool = KeyPool(name="aged")
         pool.add_block(KeyBlock(BitString.random(64, DeterministicRNG(1)), 0, created_at=0.0))
         pool.add_block(KeyBlock(BitString.random(64, DeterministicRNG(2)), 1, created_at=10.0))
-        dropped = pool.expire_older_than(5.0)
+        dropped = pool.drop_head_blocks(1)
         assert dropped == 64
         assert pool.bits_expired == 64
         assert pool.available_bits == 64
@@ -66,7 +66,7 @@ class TestKeyPoolExpiry:
         pool = KeyPool(name="aged")
         pool.add_block(KeyBlock(BitString.random(64, DeterministicRNG(1)), 0, created_at=0.0))
         pool.draw_bits(24)
-        assert pool.expire_older_than(5.0) == 40
+        assert pool.drop_head_blocks(1) == 40
         assert pool.available_bits == 0
 
 
@@ -289,6 +289,16 @@ class TestTrafficWorkload:
         merged = workload.schedule([("c", "d"), ("a", "b")], 1800.0)
         assert merged == sorted(merged, key=lambda item: (item[0], item[1]))
 
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_a_non_finite_horizon_is_refused(self, horizon):
+        """``now >= nan`` is never true: the arrival loop used to append
+        demand times forever."""
+        for profile in (WorkloadProfile.poisson(60.0), WorkloadProfile.bursty(600.0)):
+            workload = TrafficWorkload(profile, DeterministicRNG(9))
+            with pytest.raises(ValueError, match=f"finite, got {horizon}"):
+                workload.demand_times(("a", "b"), horizon)
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             WorkloadProfile(kind="steady")
@@ -393,7 +403,7 @@ class TestReplenishmentScheduler:
             scheduler = ReplenishmentScheduler(
                 relays,
                 DeterministicRNG(1),
-                ReplenishmentConfig(workers=workers, backend="thread"),
+                ReplenishmentConfig(workers=workers),
             )
             scheduler.run_epoch()
             scheduler.run_epoch()
@@ -585,7 +595,7 @@ def run_soak(workers, hours=2.0):
     relays = make_relays()  # 5 endpoints + 4 relays = 9 nodes
     config = KmsConfig(
         replenishment=ReplenishmentConfig(
-            epoch_seconds=120.0, workers=workers, backend="thread"
+            epoch_seconds=120.0, workers=workers
         )
     )
     service = KeyManagementService(relays, config, rng=DeterministicRNG(7))
@@ -692,6 +702,16 @@ class TestKeyManagementService:
         assert report.completion_accounted
         assert report.delivered_keys == 0
 
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf")])
+    def test_a_non_finite_serve_duration_is_refused(self, hours):
+        """A NaN or infinite duration used to pass the ``hours <= 0`` check
+        and hang building the demand schedule."""
+        relays = make_relays(n_endpoints=2, n_relays=1)
+        service = KeyManagementService(relays, KmsConfig(), rng=DeterministicRNG(3))
+        with pytest.raises(ValueError, match=f"finite, got {hours}"):
+            service.serve(hours=hours)
+
     def test_serve_discards_its_unrun_events(self):
         """The total-starvation run ends with two waiters parked and their
         timeouts (and the next epoch) still queued.  serve() drops those
@@ -705,7 +725,7 @@ class TestKeyManagementService:
         )
         service = KeyManagementService(make_relays(), config, rng=DeterministicRNG(5))
         report = service.serve(hours=1.0)
-        assert service.events.pending == 0
+        assert service.events._queue == []
         assert (report.demands, report.rekeys_timed_out, report.pending_waiters) == (295, 293, 2)
         assert report.completion_accounted
         assert service.pending_waiters == 2
@@ -755,7 +775,6 @@ class TestKeyManagementService:
                     slots_per_epoch=800_000,
                     epoch_seconds=3600.0,
                     workers=workers,
-                    backend="thread",
                 ),
             )
             service = KeyManagementService(relays, config, rng=DeterministicRNG(3))

@@ -7,8 +7,8 @@ that differentially — N lanes vs N x 1 lane, across lane counts,
 heterogeneous per-lane physics, an attacked lane, and lane order, which is
 what catches cross-lane leakage — and a persistent fleet over repeated
 epochs, plus ``sift_frames``, the memory bound that carrying one lane at a
-time buys, ragged fleets at any worker count on either farm backend, and the
-scheduler's in-process Monte-Carlo mode.
+time buys, ragged fleets at any farm worker count, and the scheduler's
+in-process Monte-Carlo mode.
 """
 
 import hashlib
@@ -29,8 +29,9 @@ from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.optics.detector import DetectorParameters
 from repro.optics.interferometer import InterferometerParameters
 from repro.optics.timing import FramingParameters
-from repro.runtime import LinkFarm, pool
+from repro.runtime import LinkFarm, farm
 from repro.runtime.farm import LinkJob, _run_link_job
+from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
 #: sha256 over the per-lane report digests (in lane-name order) of the
@@ -228,11 +229,11 @@ class TestLaneBitIdentity:
 
 def _sifted_state(link):
     """A link's pending sifted key on both sides plus its running counters."""
-    alice, bob = link.engine.pending_sifted_key
-    stats = link.engine.statistics
+    engine = link.engine
+    stats = engine.statistics
     return (
-        str(alice),
-        str(bob),
+        str(BitString(engine._pending_alice)),
+        str(BitString(engine._pending_bob)),
         stats.sifted_bits,
         stats.sifted_errors,
         stats.slots_processed,
@@ -317,23 +318,7 @@ class TestLaneMemoryDiscipline:
         assert epoch_peak(16) <= 1.5 * epoch_peak(1)
 
 
-class TestFarmBackends:
-    def test_unknown_backend_is_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown LinkFarm backend 'bogus'"):
-            LinkFarm(backend="bogus")
-
-    def test_auto_is_not_a_backend(self):
-        """The farm never picks a backend for its caller: one is named."""
-        with pytest.raises(ValueError, match="unknown LinkFarm backend 'auto'"):
-            LinkFarm(backend="auto")
-
-    def test_lanes_is_not_a_backend(self):
-        """The in-process lane loop is ``workers=1``, not a backend: the
-        farm's backends are the pool's."""
-        with pytest.raises(ValueError, match="unknown LinkFarm backend 'lanes'"):
-            LinkFarm(backend="lanes")
-        assert LinkFarm.BACKENDS == pool.BACKENDS == ("process", "thread")
-
+class TestFarmWorkers:
     @pytest.mark.parametrize("workers", [2, 1])
     def test_ragged_fleet_runs_at_any_worker_count_in_order(self, workers):
         """Links that differ in slot budget, ``slots_per_batch`` and Qframe
@@ -353,7 +338,7 @@ class TestFarmBackends:
                 ),
             ),
         ]
-        runs = LinkFarm(workers=workers, backend="thread").run(ragged)
+        runs = LinkFarm(workers=workers).run(ragged)
         assert [run.name for run in runs] == [job.name for job in ragged]
         assert [run.report.slots_transmitted for run in runs] == [job.n_slots for job in ragged]
         assert {run.name: _report_digest(run.report) for run in runs} == sequential_digests(ragged)
@@ -361,7 +346,7 @@ class TestFarmBackends:
     def test_one_worker_matches_thread_workers(self):
         jobs = heterogeneous_jobs()
         inline_runs = LinkFarm(workers=1).run(jobs)
-        thread_runs = LinkFarm(workers=2, backend="thread").run(jobs)
+        thread_runs = LinkFarm(workers=2).run(jobs)
         for inline_run, thread_run in zip(inline_runs, thread_runs):
             assert inline_run.name == thread_run.name
             assert _report_digest(inline_run.report) == _report_digest(thread_run.report)
@@ -392,17 +377,6 @@ class TestFarmBackends:
 
 
 class TestSchedulerLanes:
-    def test_replenishment_config_validates_backend(self):
-        """In-process epochs are ``workers=1`` (``KmsConfig.with_lanes``), not
-        a ``"lanes"`` backend."""
-        for backend in ("bogus", "lanes"):
-            with pytest.raises(ValueError, match="backend must be one of"):
-                ReplenishmentConfig(backend=backend)
-
-    def test_replenishment_config_refuses_auto(self):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            ReplenishmentConfig(backend="auto")
-
     @pytest.mark.parametrize("workers", [0, -3, 1.5])
     def test_replenishment_config_refuses_bad_worker_counts(self, workers):
         """At construction, not from inside the first epoch."""
@@ -412,24 +386,26 @@ class TestSchedulerLanes:
     def test_pad_material_is_generated_without_a_pool(self, monkeypatch):
         """An analytic epoch and a labeled prefill at ``workers=4`` construct
         no executor: a pool loses to the plain loop at every fleet size."""
+        import concurrent.futures
+
         from repro.kms.scheduler import ReplenishmentScheduler
         from tests.test_kms import make_relays
 
         def refuse(*args, **kwargs):
             raise AssertionError("pad material went through a worker pool")
 
-        monkeypatch.setattr(pool, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(pool, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(farm, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         relays = make_relays(seed=3)
         relays.run_links_for(0.5, workers=4)
         prefilled = sum(pad.available_bytes for pad in relays.pairwise_pads.values())
         assert prefilled > 0
-        for backend in pool.BACKENDS:
-            scheduler = ReplenishmentScheduler(
-                relays, DeterministicRNG(1), ReplenishmentConfig(workers=4, backend=backend)
-            )
-            report = scheduler.run_epoch()
-            assert len(report.dispatched) > 1 and report.total_banked_bits > 0
+        scheduler = ReplenishmentScheduler(
+            relays, DeterministicRNG(1), ReplenishmentConfig(workers=4)
+        )
+        report = scheduler.run_epoch()
+        assert len(report.dispatched) > 1 and report.total_banked_bits > 0
 
     def test_montecarlo_one_worker_matches_thread_workers(self):
         """The scheduler's Monte-Carlo epochs deliver identical key material
@@ -449,7 +425,6 @@ class TestSchedulerLanes:
                     slots_per_epoch=800_000,
                     epoch_seconds=3600.0,
                     workers=workers,
-                    backend="thread",
                 ),
             )
             service = KeyManagementService(relays, config, rng=DeterministicRNG(3))

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import wire
 from repro.core.messages import (
-    decode_message,
     AuthenticationTagMessage,
     CascadeBisectQuery,
     CascadeBisectReply,
@@ -118,14 +117,14 @@ class TestBinaryWireCodec:
         # decode(encode(m)) must describe the same protocol content as m:
         # the JSON reference encoding is the semantic fingerprint.
         for message in binary_messages():
-            decoded = decode_message(message.encode())
+            decoded = type(message).decode(message.encode())
             assert type(decoded) is type(message)
             assert decoded.encode_json() == message.encode_json(), message
 
     def test_round_trip_is_stable(self):
         for message in binary_messages():
             encoded = message.encode()
-            assert decode_message(encoded).encode() == encoded
+            assert type(message).decode(encoded).encode() == encoded
 
     def test_binary_kinds_have_distinct_tags(self):
         tags = {m.encode()[0] for m in binary_messages()}
@@ -142,21 +141,13 @@ class TestBinaryWireCodec:
         )
         assert len(message.encode()) < len(message.encode_json()) / 2.5
 
-    def test_decode_message_rejects_garbage(self):
-        with pytest.raises(wire.WireDecodeError):
-            decode_message(b"")
-        with pytest.raises(wire.WireDecodeError):
-            decode_message(b"\xff\x00\x00")
-        with pytest.raises(wire.WireDecodeError):
-            decode_message(b'{"kind":"sift"}')
-
-    def test_decode_message_rejects_truncation(self):
+    def test_decode_rejects_truncation(self):
         for message in binary_messages():
             encoded = message.encode()
             if len(encoded) <= 1:
                 continue
             with pytest.raises(wire.WireDecodeError):
-                decode_message(encoded[: len(encoded) // 2])
+                type(message).decode(encoded[: len(encoded) // 2])
 
     def test_unordered_bisect_indices_fall_back_to_json(self):
         query = CascadeBisectQuery(round_index=0, subset_index=0, indices=(5, 3, 9))
@@ -166,7 +157,7 @@ class TestBinaryWireCodec:
         # (1, 1, 3) spans size-1 positions but is NOT a contiguous range; it
         # must not be range-coded into (1, 2, 3).
         query = CascadeBisectQuery(round_index=0, subset_index=0, indices=(1, 1, 3))
-        assert decode_message(query.encode()).indices == (1, 1, 3)
+        assert CascadeBisectQuery.decode(query.encode()).indices == (1, 1, 3)
 
     def test_range_coded_bisect_decode_bounds_expansion(self):
         # A hostile header claiming 2^32-1 indices in range mode must be
@@ -180,17 +171,17 @@ class TestBinaryWireCodec:
             + b"\x00"  # first index 0
         )
         with pytest.raises(wire.WireDecodeError):
-            decode_message(hostile)
+            CascadeBisectQuery.decode(hostile)
 
     def test_bisect_reply_decode_refuses_trailing_bytes(self):
         # Every other binary kind accounts for its whole payload; a reply is
         # a fixed header and nothing more.
         encoded = CascadeBisectReply(round_index=2, subset_index=9, parity=1).encode()
-        assert decode_message(encoded).parity == 1
+        assert CascadeBisectReply.decode(encoded).parity == 1
         with pytest.raises(wire.WireDecodeError):
             CascadeBisectReply.decode(encoded + b"\x00")
         with pytest.raises(wire.WireDecodeError):
-            decode_message(encoded + encoded)
+            CascadeBisectReply.decode(encoded + encoded)
 
     def test_bisect_reply_decode_refuses_a_parity_that_is_not_a_bit(self):
         # encode() masks the parity to one bit, so no honest sender produces
@@ -202,7 +193,7 @@ class TestBinaryWireCodec:
 
     def test_huge_bisect_indices_fall_back_to_json(self):
         # Values past the decoder's 32-bit delta cap must not produce a
-        # binary message that decode_message then rejects.
+        # binary message that decode() then rejects.
         query = CascadeBisectQuery(
             round_index=0, subset_index=0, indices=(2**33, 2**33 + 2)
         )
@@ -289,14 +280,6 @@ class TestPublicChannelLog:
         for message in messages:
             log.record(message)
         assert log.total_bytes == sum(len(m.encode()) for m in messages)
-
-    def test_messages_of_type(self):
-        log = PublicChannelLog()
-        for message in sample_messages():
-            log.record(message)
-        assert len(log.messages_of_type(SiftMessage)) == 1
-        assert len(log.messages_of_type(CascadeSubsetAnnouncement)) == 1
-        assert log.messages_of_type(dict) == []
 
     def test_transcript_bytes_preserves_order(self):
         log = PublicChannelLog()

@@ -918,7 +918,7 @@ class TestReservationReaping:
                 await client.close()  # dies between RESERVE and CONSUME
                 # Wait until the server notices the disconnect and reaps.
                 for _ in range(200):
-                    if server.held_reservations == 0:
+                    if not server._held:
                         break
                     await asyncio.sleep(0.01)
                 return store, server.metrics

@@ -19,7 +19,7 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.eve import BeamSplittingAttack, InterceptResendAttack, PassiveChannel
+from repro.eve import BeamSplittingAttack, InterceptResendAttack
 from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lanes
 from repro.optics.detector import DetectorParameters
 from repro.optics.draws import (
@@ -34,7 +34,7 @@ from repro.optics.interferometer import InterferometerParameters
 from repro.optics.source import SourceParameters
 from repro.optics.timing import FramingParameters
 from repro.util.rng import DeterministicRNG
-from tests.oracles.dense_optics import dense_transmit_lanes
+from tests.oracles.dense_optics import PassiveChannel, dense_transmit_lanes
 
 SLOT_ARRAYS = (
     "alice_basis",

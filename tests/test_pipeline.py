@@ -18,6 +18,7 @@ from repro.pipeline.stages import (
 )
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.scalar_cascade import messages_of_type
 
 #: The paper's Fig 9 stages, in the order the engine runs them.
 ENGINE_STAGES = (
@@ -156,7 +157,7 @@ class TestStagePolicies:
         assert not outcomes[1].cascade.confirmed and not outcomes[1].authenticated
         assert outcomes[1].entropy is None and outcomes[1].privacy is None
         assert [
-            bool(o.transcript.messages_of_type(PrivacyAmplificationMessage)) for o in outcomes
+            bool(messages_of_type(o.transcript, PrivacyAmplificationMessage)) for o in outcomes
         ] == [True, False, True]
         digest = hashlib.sha256()
         for block in engine.alice_pool.blocks:

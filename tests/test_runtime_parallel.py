@@ -1,16 +1,18 @@
 """Tests for the runtime (repro.runtime) and the labeled RNG forks it uses.
 
 An engine distils its blocks in-line, so what runs across workers is whole
-links: the ``LinkFarm`` over ``parallel_map``, whose output must not depend
+links: the ``LinkFarm`` over a thread pool, whose output must not depend
 on the worker count, and the relay network's labeled pad refill.  These
-tests hold ``fork_labeled``'s order independence, the pool helpers, the
-farm's worker-count invariance and the refill's.
+tests hold ``fork_labeled``'s order independence, the farm's job order,
+worker-count rule and worker-count invariance, and the refill's.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.network.relay import TrustedRelayNetwork
-from repro.runtime import LinkFarm, parallel_map, resolve_workers
+from repro.runtime import LinkFarm, resolve_workers
 from repro.util.rng import DeterministicRNG
 
 
@@ -41,16 +43,15 @@ class TestForkLabeled:
         assert labeled != counter
 
 
-class TestPoolHelpers:
-    def test_parallel_map_preserves_order(self):
-        items = list(range(20))
-        assert parallel_map(_square, items, workers=4, backend="thread") == [
-            i * i for i in items
-        ]
-
-    def test_parallel_map_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            parallel_map(_square, [1], workers=2, backend="fiber")
+class TestLinkFarm:
+    def test_runs_come_back_in_submission_order(self):
+        """Eight jobs on four threads, finishing out of order (the budgets
+        fall), come back in the order they went in."""
+        jobs = LinkFarm.jobs(8, 1_000, rng=DeterministicRNG(12))
+        jobs = [replace(job, n_slots=40_000 - 5_000 * index) for index, job in enumerate(jobs)]
+        runs = LinkFarm(workers=4).run(jobs)
+        assert [run.name for run in runs] == [job.name for job in jobs]
+        assert [run.report.slots_transmitted for run in runs] == [job.n_slots for job in jobs]
 
     def test_resolve_workers_refuses_what_is_not_a_positive_integer(self):
         for workers in (0, -3, 1.5, "2", True):
@@ -59,16 +60,10 @@ class TestPoolHelpers:
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
 
-
-def _square(x):
-    return x * x
-
-
-class TestLinkFarm:
     def test_fleet_invariant_under_worker_count(self):
         jobs = LinkFarm.jobs(2, 450_000, rng=DeterministicRNG(11))
         runs_one = LinkFarm(workers=1).run(jobs)
-        runs_two = LinkFarm(workers=2, backend="thread").run(jobs)
+        runs_two = LinkFarm(workers=2).run(jobs)
         for one, two in zip(runs_one, runs_two):
             assert one.name == two.name
             assert one.report.sifted_bits == two.report.sifted_bits
@@ -77,11 +72,10 @@ class TestLinkFarm:
                 str(b.bits) for b in two.alice_pool.blocks
             ]
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_bad_worker_count_is_refused_at_construction(self, backend):
+    def test_bad_worker_count_is_refused_at_construction(self):
         """At construction, not from inside the first ``run``."""
         with pytest.raises(ValueError, match="worker count"):
-            LinkFarm(workers=0, backend=backend)
+            LinkFarm(workers=0)
 
     def test_links_have_independent_streams(self):
         jobs = LinkFarm.jobs(2, 100_000, rng=DeterministicRNG(11))

@@ -55,7 +55,7 @@ class TestEventScheduler:
         scheduler.schedule_at(10.0, lambda: fired.append(10))
         scheduler.run_until(5.0)
         assert fired == [1]
-        assert scheduler.pending == 1
+        assert [event.time for event in scheduler._queue] == [10.0]
         assert scheduler.clock.now() == 5.0
 
     def test_schedule_after(self):
@@ -82,7 +82,7 @@ class TestEventScheduler:
         fired = []
         events = [scheduler.schedule_at(t, lambda t=t: fired.append(t)) for t in (1.0, 2.0)]
         scheduler.clear()
-        assert scheduler.pending == 0
+        assert scheduler._queue == []
         assert all(event.cancelled and event.callback is None for event in events)
         assert scheduler.run_until(10.0) == 0 and fired == []
         scheduler.schedule_at(11.0, lambda: fired.append(11.0))
@@ -109,11 +109,21 @@ class TestEventScheduler:
         scheduler.run_until(100.0)
         assert fired == [0.0, 10.0, 20.0]
 
-    def test_run_all(self):
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_time_is_refused(self, bad):
+        """NaN compares false with everything, so it used to pass every
+        "not in the past" check and then sit in the clock or the queue."""
         scheduler = EventScheduler()
         fired = []
-        for t in (3.0, 1.0, 2.0):
-            scheduler.schedule_at(t, lambda t=t: fired.append(t))
-        assert scheduler.run_all() == 3
-        assert fired == [1.0, 2.0, 3.0]
-        assert scheduler.events_run == 3
+        scheduler.schedule_at(1.0, lambda: fired.append(1.0))
+        for call in (
+            lambda: scheduler.clock.advance_to(bad),
+            lambda: scheduler.clock.advance(bad),
+            lambda: scheduler.schedule_at(bad, lambda: fired.append(bad)),
+            lambda: scheduler.run_until(bad),
+        ):
+            with pytest.raises(ValueError, match=f"finite, got {bad}"):
+                call()
+        assert scheduler.clock.now() == 0.0 and fired == []
+        assert [event.time for event in scheduler._queue] == [1.0]

@@ -106,6 +106,21 @@ class TestAggregateProfile:
         assert 0.5 < singletons < 0.7
         assert max(sizes) > 20
 
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
+    def test_a_non_finite_horizon_is_refused(self, horizon):
+        """``now >= nan`` is never true: the arrival loop used to append
+        bursts forever."""
+        for profile in (
+            AggregateProfile.poisson(tunnels=10, mean_interval_seconds=60.0),
+            AggregateProfile.storm(tunnels=100, mean_interval_seconds=60.0),
+        ):
+            workload = AggregateWorkload(profile, DeterministicRNG(5))
+            with pytest.raises(ValueError, match=f"finite, got {horizon}"):
+                workload.demand_events(PAIR, horizon)
+            with pytest.raises(ValueError, match=f"finite, got {horizon}"):
+                workload.schedule([PAIR], horizon)
+
     def test_schedule_is_ordered_and_pair_independent(self):
         profile = AggregateProfile.storm(tunnels=100, mean_interval_seconds=60.0)
         workload = AggregateWorkload(profile, DeterministicRNG(5))

@@ -12,6 +12,7 @@ this PR may change the PR-5 digest.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -230,7 +231,7 @@ def metro_service(workers: int, gateway_outage: bool = False):
     config = (
         KmsConfig(
             replenishment=ReplenishmentConfig(
-                epoch_seconds=120.0, workers=workers, backend="thread"
+                epoch_seconds=120.0, workers=workers
             ),
             store_high_water_bits=16_384,
             store_low_water_bits=4_096,
@@ -244,7 +245,7 @@ def metro_service(workers: int, gateway_outage: bool = False):
         )
     )
     if gateway_outage:
-        config = config.with_custody(ttl_seconds=3_000.0)
+        config = replace(config, custody=True, custody_ttl_seconds=3_000.0)
     service = KeyManagementService(relays, config, rng=DeterministicRNG(5))
     for other in ("z01-relay-0", "z02-relay-0") if gateway_outage else ("z01-relay-0",):
         service.schedule_link_cut(1_200.0, "z00-relay-0", other)
@@ -351,7 +352,9 @@ class TestZonedService:
     def test_custody_and_zones_compose_in_either_order(self, custody_first):
         base = KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=300.0, workers=1))
         config = (
-            base.with_custody().with_zones(2) if custody_first else base.with_zones(2).with_custody()
+            replace(base, custody=True).with_zones(2)
+            if custody_first
+            else replace(base.with_zones(2), custody=True)
         )
         relays, _ = build_metro_mesh(
             n_zones=2, endpoints_per_zone=2, relays_per_zone=2,
