@@ -28,6 +28,8 @@ from repro.kms import (
     percentile,
 )
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
+from repro.link import LinkParameters, QKDLink
+from repro.link.qkd_link import secret_fraction
 from repro.network.relay import TrustedRelayNetwork
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -195,6 +197,42 @@ class TestKeyStore:
             KeyStore(("a", "b"), capacity_bits=100, low_water_bits=80, high_water_bits=60)
         with pytest.raises(ValueError):
             filled_store().reserve(0)
+
+    @pytest.mark.parametrize(
+        "capacity, low, high",
+        [(0, 0, 0), (100, 80, 60), (100, 10, 101), (100, -1, 50)],
+    )
+    def test_water_marks_must_nest_inside_the_capacity(self, capacity, low, high):
+        with pytest.raises(ValueError):
+            KeyStore(("a", "b"), capacity_bits=capacity, low_water_bits=low, high_water_bits=high)
+
+    def test_water_levels_follow_deposits(self):
+        store = make_store()
+        assert store.below_low_water and store.refill_deficit_bits == 1024
+        store.deposit(BitString.zeros(300))
+        assert not store.below_low_water and store.refill_deficit_bits == 724
+        store.deposit(BitString.zeros(2000))
+        assert store.refill_deficit_bits == 0
+
+    def test_an_idle_stores_priority_is_its_deficit_fraction(self):
+        store = make_store()
+        assert store.refill_priority() == 1.0
+        store.deposit(BitString.zeros(512))
+        assert store.refill_priority() == 0.5
+        store.deposit(BitString.zeros(1024))
+        assert store.refill_priority() == 0.0
+
+    def test_next_expiry_deadline_is_the_oldest_block_plus_the_age_limit(self):
+        assert filled_store().next_expiry_deadline() is None  # no age limit
+        store = make_store(max_key_age_seconds=60.0)
+        assert store.next_expiry_deadline() is None  # nothing stored
+        store.deposit(BitString.zeros(128), now=5.0)
+        store.deposit(BitString.zeros(128), now=30.0)
+        assert store.next_expiry_deadline() == 65.0
+        assert store.expire(now=70.0) == 128
+        assert store.next_expiry_deadline() == 90.0
+        assert store.expire(now=95.0) == 128
+        assert store.next_expiry_deadline() is None
 
     @given(
         operations=st.lists(
@@ -461,6 +499,23 @@ class TestReplenishmentScheduler:
             if pair != ("relay-0", "relay-1")
         )
         assert report2.banked_bits[("relay-0", "relay-1")] < clean
+
+    def test_quiet_interception_banks_the_link_model_at_the_raised_qber(self):
+        """An attacked link below the detection threshold yields the shared
+        analytic secret fraction at ``intrinsic + 0.25 * fraction``."""
+        relays = make_relays()
+        config = ReplenishmentConfig(workers=1, pad_target_bits=1 << 30)
+        scheduler = ReplenishmentScheduler(relays, DeterministicRNG(1), config)
+        scheduler.attach_attack("relay-0", "relay-1", InterceptResendAttack(0.1))
+        report = scheduler.run_epoch()
+        edge = relays.network.link("relay-0", "relay-1")
+        link = QKDLink(LinkParameters.for_distance(edge.length_km), DeterministicRNG(0))
+        mu = link.parameters.channel.effective_mean_photon_number
+        induced = link.expected_qber() + 0.25 * 0.1
+        rate = link.sifted_rate_bps() * secret_fraction(induced, mu)
+        expected_bits = int(rate * config.epoch_seconds) // 8 * 8
+        assert expected_bits > 0
+        assert report.banked_bits[("relay-0", "relay-1")] == expected_bits
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):

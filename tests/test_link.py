@@ -1,5 +1,6 @@
 """Integration tests for the assembled QKD link."""
 
+import math
 import re
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from repro.core.entropy_estimation import SlutskyDefense
 from repro.eve import InterceptResendAttack
 from repro.link import LinkParameters, QKDLink
+from repro.link.qkd_link import secret_fraction
+from repro.mathkit.entropy import binary_entropy
 from repro.util.rng import DeterministicRNG
+from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +89,53 @@ class TestAnalyticModel:
     def test_slutsky_analytic_more_conservative(self):
         link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(6))
         assert link.estimated_secret_fraction(defense=SlutskyDefense()) <= link.estimated_secret_fraction()
+
+
+class TestSecretFraction:
+    """The one analytic secret fraction, ``1 - f_EC h(e) - t(e) - multi``,
+    shared by the link model and the scheduler's attacked-link yield."""
+
+    @pytest.mark.parametrize("error_rate", [0.0, 0.01, 0.03, 0.065, 0.08])
+    def test_is_the_term_by_term_formula(self, error_rate):
+        mu = 0.1
+        multi = multi_photon_probability(mu) / non_empty_pulse_probability(mu)
+        expected = (
+            1.0
+            - 1.35 * binary_entropy(error_rate)
+            - min(2.0 * math.sqrt(2.0) * error_rate, 1.0)
+            - multi
+        )
+        assert secret_fraction(error_rate, mu) == max(expected, 0.0)
+
+    @pytest.mark.parametrize("error_rate", [0.2, 0.5, 0.75])
+    def test_is_zero_once_the_costs_exceed_the_key(self, error_rate):
+        assert secret_fraction(error_rate, 0.1) == 0.0
+
+    def test_never_grows_with_the_error_rate(self):
+        fractions = [secret_fraction(e / 1000.0, 0.1) for e in range(0, 200)]
+        assert all(a >= b for a, b in zip(fractions, fractions[1:]))
+        assert fractions[0] > 0.9 > fractions[-1]
+
+    def test_brighter_pulses_leak_more_multi_photon_key(self):
+        fractions = [secret_fraction(0.03, mu) for mu in (0.05, 0.1, 0.2, 0.4)]
+        assert fractions == sorted(fractions, reverse=True)
+
+    def test_an_explicit_defense_replaces_the_bennett_term(self):
+        bennett = secret_fraction(0.05, 0.1)
+        assert secret_fraction(0.05, 0.1, defense_per_bit=0.0) == pytest.approx(
+            bennett + 2.0 * math.sqrt(2.0) * 0.05
+        )
+        assert secret_fraction(0.05, 0.1, defense_per_bit=1.0) == 0.0
+
+    def test_a_better_cascade_keeps_more_key(self):
+        assert secret_fraction(0.05, 0.1, cascade_efficiency=1.0) > secret_fraction(
+            0.05, 0.1, cascade_efficiency=1.35
+        )
+
+    def test_the_link_estimate_is_the_shared_function(self):
+        link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(3))
+        mu = link.parameters.channel.effective_mean_photon_number
+        assert link.estimated_secret_fraction() == secret_fraction(link.expected_qber(), mu)
 
 
 class TestDefenseArgument:

@@ -266,6 +266,113 @@ class TestVarints:
         with pytest.raises(wire.WireDecodeError):
             wire.unpack_bitmap(b"\x00", 9)
 
+    def test_short_and_long_sequences_encode_identically(self):
+        """Below 256 values a plain loop encodes, above it numpy does; the
+        two must write the same bytes for the same values."""
+        rng = np.random.default_rng(17)
+        values = rng.integers(0, 2**40, size=300)
+        values[::7] = rng.integers(0, 0x80, size=values[::7].size)
+        vectorized = wire.encode_varints(values)
+        looped = b"".join(wire.encode_varints([int(v)]) for v in values)
+        assert vectorized == looped
+
+    @pytest.mark.parametrize("size", [1, 300])
+    def test_rejects_values_past_64_bits(self, size):
+        with pytest.raises(ValueError, match="64-bit"):
+            wire.encode_varints([2**64] * size)
+
+    def test_decode_rejects_a_ten_byte_varint_overflowing_64_bits(self):
+        # Ten bytes hold 70 value bits; the tenth may only carry bit 63.
+        assert wire.decode_varints(b"\xff" * 9 + b"\x01", 1).tolist() == [2**64 - 1]
+        with pytest.raises(wire.WireDecodeError, match="overflows"):
+            wire.decode_varints(b"\xff" * 9 + b"\x02", 1)
+
+    def test_decode_of_an_empty_payload(self):
+        assert wire.decode_varints(b"", 0).tolist() == []
+        with pytest.raises(wire.WireDecodeError, match="empty payload"):
+            wire.decode_varints(b"", 2)
+
+    def test_bitmap_is_most_significant_bit_first_and_zero_padded(self):
+        assert wire.pack_bitmap([1, 0, 0, 0, 0, 0, 0, 0, 1]) == b"\x80\x80"
+        assert wire.pack_bitmap([0, 0, 0, 0, 0, 0, 0, 1]) == b"\x01"
+        assert wire.pack_bitmap([]) == b""
+
+    @pytest.mark.parametrize("count, size", [(0, 0), (1, 1), (8, 1), (9, 2), (64, 8), (65, 9)])
+    def test_bitmap_size_matches_the_packed_length(self, count, size):
+        assert wire.bitmap_size(count) == size
+        assert len(wire.pack_bitmap(np.ones(count, dtype=np.uint8))) == size
+
+
+class TestAscendingIndices:
+    @pytest.mark.parametrize("container", [list, np.array])
+    def test_round_trip(self, container):
+        rng = np.random.default_rng(19)
+        for size in (0, 1, 5, 255, 256, 1_000):
+            indices = np.sort(rng.integers(0, 50_000, size=size))
+            data = wire.encode_ascending_indices(container(indices.tolist()))
+            assert wire.decode_ascending_indices(data, size).tolist() == indices.tolist()
+
+    def test_each_small_gap_costs_one_byte(self):
+        indices = list(range(10, 400, 3))
+        assert len(wire.encode_ascending_indices(indices)) == len(indices)
+        assert wire.encode_ascending_indices(indices) == wire.encode_varints(
+            [10] + [3] * (len(indices) - 1)
+        )
+
+    def test_repeated_indices_are_a_zero_gap(self):
+        data = wire.encode_ascending_indices([4, 4, 9])
+        assert data == b"\x04\x00\x05"
+        assert wire.decode_ascending_indices(data, 3).tolist() == [4, 4, 9]
+
+    @pytest.mark.parametrize(
+        "indices", [[3, 2], [-1, 4], np.array([5, 9, 8]), np.arange(-1, 300)]
+    )
+    def test_refuses_a_descending_or_negative_sequence(self, indices):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            wire.encode_ascending_indices(indices)
+
+    def test_decode_refuses_a_gap_past_32_bits(self):
+        data = wire.encode_varints([1, 2**32])
+        with pytest.raises(wire.WireDecodeError, match="delta out of range"):
+            wire.decode_ascending_indices(data, 2)
+
+
+class TestHeaders:
+    def test_round_trip_keeps_the_payload(self):
+        data = wire.pack_header(0x05, "iII", -4, 7, 2**32 - 1) + b"tail"
+        fields, payload = wire.unpack_header(data, 0x05, "iII")
+        assert fields == (-4, 7, 2**32 - 1)
+        assert payload == b"tail"
+
+    def test_fields_are_little_endian_after_the_kind_byte(self):
+        assert wire.pack_header(0x03, "I", 1) == b"\x03\x01\x00\x00\x00"
+
+    def test_a_field_out_of_range_is_a_value_error(self):
+        with pytest.raises(ValueError, match="out of range"):
+            wire.pack_header(0x01, "I", -1)
+
+    def test_unpack_refuses_the_wrong_kind(self):
+        data = wire.pack_header(0x01, "I", 9)
+        with pytest.raises(wire.WireDecodeError, match="expected kind 0x02"):
+            wire.unpack_header(data, 0x02, "I")
+
+    def test_unpack_refuses_a_short_header(self):
+        data = wire.pack_header(0x01, "II", 1, 2)
+        with pytest.raises(wire.WireDecodeError, match="shorter"):
+            wire.unpack_header(data[:-1], 0x01, "II")
+
+    def test_transcript_kinds_stay_below_the_netkms_range(self):
+        kinds = [
+            wire.KIND_SIFT,
+            wire.KIND_SIFT_RESPONSE,
+            wire.KIND_CASCADE_SUBSETS,
+            wire.KIND_CASCADE_PARITIES,
+            wire.KIND_CASCADE_BISECT,
+            wire.KIND_CASCADE_BISECT_REPLY,
+        ]
+        assert len(set(kinds)) == len(kinds)
+        assert max(kinds) < wire.KIND_NETKMS_FIRST <= wire.KIND_NETKMS_LAST < ord("{")
+
 
 class TestPublicChannelLog:
     def test_record_and_count(self):

@@ -7,10 +7,12 @@ tests hold ``fork_labeled``'s order independence, the farm's job order,
 worker-count rule and worker-count invariance, and the refill's.
 """
 
+import os
 from dataclasses import replace
 
 import pytest
 
+from repro.link import LinkParameters
 from repro.network.relay import TrustedRelayNetwork
 from repro.runtime import LinkFarm, resolve_workers
 from repro.util.rng import DeterministicRNG
@@ -76,6 +78,41 @@ class TestLinkFarm:
         """At construction, not from inside the first ``run``."""
         with pytest.raises(ValueError, match="worker count"):
             LinkFarm(workers=0)
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
+    def test_every_bad_worker_count_is_refused_at_construction(self, workers):
+        with pytest.raises(ValueError, match="worker count"):
+            LinkFarm(workers=workers)
+
+    def test_none_means_one_worker_per_cpu(self):
+        assert resolve_workers(None) == max(os.cpu_count() or 1, 1)
+        assert LinkFarm().workers is None
+
+    def test_more_workers_than_jobs_runs_each_job_once(self):
+        jobs = LinkFarm.jobs(2, 20_000, rng=DeterministicRNG(13))
+        wide = LinkFarm(workers=8).run(jobs)
+        inline = LinkFarm(workers=1).run(jobs)
+        assert [run.name for run in wide] == ["link-0", "link-1"]
+        assert [run.report.distilled_bits for run in wide] == [
+            run.report.distilled_bits for run in inline
+        ]
+        assert [run.distilled_bits for run in wide] == [
+            run.report.distilled_bits for run in wide
+        ]
+
+    def test_jobs_refuses_a_negative_link_count(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            LinkFarm.jobs(-1, 1_000)
+        assert LinkFarm.jobs(0, 1_000) == []
+
+    def test_jobs_share_the_parameters_and_the_budget(self):
+        parameters = LinkParameters.for_distance(25.0)
+        jobs = LinkFarm.jobs(3, 7_000, parameters=parameters, rng=DeterministicRNG(2))
+        assert [job.name for job in jobs] == ["link-0", "link-1", "link-2"]
+        assert all(job.parameters is parameters for job in jobs)
+        assert {job.n_slots for job in jobs} == {7_000}
+        assert all(job.flush and job.attack is None for job in jobs)
+        assert len({job.seed for job in jobs}) == 3
 
     def test_links_have_independent_streams(self):
         jobs = LinkFarm.jobs(2, 100_000, rng=DeterministicRNG(11))

@@ -28,6 +28,15 @@ class TestSimClock:
         with pytest.raises(ValueError):
             clock.advance_to(5.0)
 
+    def test_advances_return_the_new_time(self):
+        clock = SimClock(1.0)
+        assert clock.advance(2.0) == 3.0
+        assert clock.advance_to(3.0) == 3.0
+        assert clock.advance_to(4.5) == 4.5
+
+    def test_repr_shows_the_time(self):
+        assert repr(SimClock(1.5)) == "SimClock(t=1.500s)"
+
 
 class TestEventScheduler:
     def test_events_run_in_time_order(self):
@@ -127,3 +136,56 @@ class TestEventScheduler:
                 call()
         assert scheduler.clock.now() == 0.0 and fired == []
         assert [event.time for event in scheduler._queue] == [1.0]
+
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_a_non_finite_delay_or_replayed_time_is_refused(self, bad):
+        """``schedule_after`` and ``try_schedule_at`` reach the queue through
+        ``schedule_at``, so they refuse what it refuses."""
+        scheduler = EventScheduler()
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            scheduler.schedule_after(bad, lambda: None)
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            scheduler.try_schedule_at(bad, lambda: None)
+        assert scheduler._queue == []
+
+    def test_try_schedule_at_skips_a_time_already_past(self):
+        scheduler = EventScheduler()
+        scheduler.run_until(10.0)
+        assert scheduler.try_schedule_at(5.0, lambda: None) is None
+        assert scheduler.try_schedule_at(float("-inf"), lambda: None) is None
+        assert scheduler._queue == []
+
+    def test_try_schedule_at_schedules_from_now_on(self):
+        scheduler = EventScheduler()
+        scheduler.run_until(10.0)
+        fired = []
+        now = scheduler.try_schedule_at(10.0, lambda: fired.append("now"), label="now")
+        later = scheduler.try_schedule_at(12.0, lambda: fired.append("later"))
+        assert now.label == "now" and later.time == 12.0
+        assert scheduler.run_until(20.0) == 2
+        assert fired == ["now", "later"]
+
+    def test_events_run_counts_across_calls(self):
+        scheduler = EventScheduler()
+        for t in (1.0, 2.0, 3.0):
+            scheduler.schedule_at(t, lambda: None)
+        assert scheduler.run_until(1.5) == 1
+        assert scheduler.run_until(5.0) == 2
+        assert scheduler.events_run == 3
+
+    def test_cancelled_events_do_not_count_as_run(self):
+        scheduler = EventScheduler()
+        scheduler.schedule_at(1.0, lambda: None)
+        scheduler.schedule_at(2.0, lambda: None).cancel()
+        assert scheduler.run_until(5.0) == 1
+        assert scheduler.events_run == 1
+        assert scheduler._queue == []
+
+    def test_an_event_may_cancel_a_later_one(self):
+        scheduler = EventScheduler()
+        fired = []
+        later = scheduler.schedule_at(5.0, lambda: fired.append("later"))
+        scheduler.schedule_at(1.0, later.cancel)
+        assert scheduler.run_until(10.0) == 1
+        assert fired == []
