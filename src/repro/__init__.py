@@ -9,7 +9,8 @@ Pearson and Troxel as a pure-Python simulation and protocol library:
   correction, entropy estimation (Bennett / Slutsky defense functions),
   privacy amplification and Wegman-Carter authentication.
 * :mod:`repro.pipeline` — the distillation pipeline: the paper's Fig 9
-  stages, run in a fixed order, with per-stage telemetry.
+  stages, run in a fixed order over the engine's own components, one block
+  per ``QKDProtocolEngine.distill_block`` call.
 * :mod:`repro.eve` — eavesdropping attack models (intercept-resend,
   photon-number splitting, man-in-the-middle, denial of service).
 * :mod:`repro.link` — a full Alice/Bob QKD link producing distilled key.

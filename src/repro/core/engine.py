@@ -16,6 +16,8 @@ batch of channel slots it:
 Every protocol step lives in a stage (:mod:`repro.pipeline.stages`); what
 varies between engines is configuration (:class:`EngineParameters`: the
 defense function, the confidence, the thresholds), never the sequence.
+Every block enters through :meth:`QKDProtocolEngine.distill_block`, and the
+stages read the engine's components from it as ``ctx.services``.
 
 An engine distils one key stream: its blocks run in-line, one after another,
 through the one pipeline, sharing the engine's Cascade and privacy RNG
@@ -35,8 +37,10 @@ exactly the detect-and-respond behaviour the paper ascribes to Alice and Bob.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from numbers import Integral
+from typing import List, Optional
 
 from repro.core.authentication import AuthenticatedChannel
 from repro.core.cascade import CascadeParameters, CascadeProtocol, CascadeResult
@@ -51,7 +55,7 @@ from repro.core.messages import PublicChannelLog
 from repro.core.privacy import PrivacyAmplification, PrivacyAmplificationResult
 from repro.core.randomness import RandomnessTester
 from repro.core.sifting import SiftResult
-from repro.pipeline import DistillationPipeline, PipelineContext, PipelineServices
+from repro.pipeline import DistillationPipeline, PipelineContext
 from repro.pipeline.stages import (
     AuthenticationStage,
     CascadeStage,
@@ -103,8 +107,17 @@ class EngineParameters:
     def __post_init__(self) -> None:
         if self.defense not in ("bennett", "slutsky"):
             raise ValueError("defense must be 'bennett' or 'slutsky'")
-        if self.block_size_bits <= 0:
-            raise ValueError("block size must be positive")
+        size = self.block_size_bits
+        if isinstance(size, bool) or not isinstance(size, Integral) or size < 1:
+            raise ValueError(f"block_size_bits must be a positive integer, got {size!r}")
+        self.block_size_bits = int(size)
+        sigmas = self.confidence_sigmas
+        if not (math.isfinite(sigmas) and sigmas >= 0):
+            raise ValueError(f"confidence_sigmas must be finite and non-negative, got {sigmas!r}")
+        r = self.non_randomness_bits
+        if isinstance(r, bool) or not isinstance(r, Integral) or r < 0:
+            # A negative r would add key beyond the entropy bound.
+            raise ValueError(f"non_randomness_bits must be a non-negative integer, got {r!r}")
         if not 0.0 < self.abort_qber <= 0.5:
             raise ValueError("abort QBER must be in (0, 0.5]")
         if self.auth_replenish_bits < 0:
@@ -114,21 +127,6 @@ class EngineParameters:
         if self.defense == "bennett":
             return BennettDefense()
         return SlutskyDefense()
-
-
-@dataclass(frozen=True)
-class SiftedBlock:
-    """One block-sized chunk of sifted key, ready for distillation.
-
-    The unit of :meth:`QKDProtocolEngine.distill_blocks`: everything the
-    pipeline needs from the sifted stream is carried with the block.
-    """
-
-    alice_key: BitString
-    bob_key: BitString
-    transmitted_pulses: int
-    mean_photon_number: float = 0.1
-    entangled_source: bool = False
 
 
 @dataclass
@@ -180,43 +178,45 @@ class EngineStatistics:
 
 
 class QKDProtocolEngine:
-    """Drives the stage pipeline and feeds both endpoints' key pools."""
+    """Drives the stage pipeline and feeds both endpoints' key pools.
+
+    The engine is also what every stage reads through ``ctx.services``: its
+    parameters, statistics, protocol components, authenticated channels, key
+    pools and running QBER estimate are plain attributes, and each block's
+    context carries the engine itself.
+    """
 
     def __init__(
         self,
         parameters: Optional[EngineParameters] = None,
         rng: Optional[DeterministicRNG] = None,
     ):
-        params = parameters or EngineParameters()
+        self.parameters = params = parameters or EngineParameters()
         self.rng = rng or DeterministicRNG(0)
+        self.statistics = EngineStatistics()
 
+        # Fork order (preshared, cascade, privacy) fixes every stream's draws.
         preshared = BitString.random(
             params.preshared_secret_bits, self.rng.fork("preshared")
         )
-        alice_auth, bob_auth = AuthenticatedChannel.paired(
+        self.alice_auth, self.bob_auth = AuthenticatedChannel.paired(
             preshared, params.auth_tag_bits
         )
-
-        # Every protocol component lives in the services bundle the pipeline
-        # stages read; the engine attributes below (``engine.cascade`` etc.)
-        # are read-only views onto it.
-        self.services = PipelineServices(
-            parameters=params,
-            statistics=EngineStatistics(),
-            cascade=CascadeProtocol(params.cascade, self.rng.fork("cascade")),
-            privacy=PrivacyAmplification(self.rng.fork("privacy")),
-            estimator=EntropyEstimator(
-                defense=params.make_defense(),
-                confidence_sigmas=params.confidence_sigmas,
-                worst_case_multiphoton=params.worst_case_multiphoton,
-            ),
-            randomness_tester=RandomnessTester() if params.randomness_testing else None,
-            alice_auth=alice_auth,
-            bob_auth=bob_auth,
-            alice_pool=KeyPool(name="alice"),
-            bob_pool=KeyPool(name="bob"),
-            running_qber=params.cascade.default_error_rate_hint,
+        self.cascade = CascadeProtocol(params.cascade, self.rng.fork("cascade"))
+        self.privacy = PrivacyAmplification(self.rng.fork("privacy"))
+        self.estimator = EntropyEstimator(
+            defense=params.make_defense(),
+            confidence_sigmas=params.confidence_sigmas,
+            worst_case_multiphoton=params.worst_case_multiphoton,
         )
+        #: Optional randomness-test battery (None if disabled).
+        self.randomness_tester = RandomnessTester() if params.randomness_testing else None
+        self.alice_pool = KeyPool(name="alice")
+        self.bob_pool = KeyPool(name="bob")
+        #: Exponentially-weighted running QBER estimate used to size
+        #: Cascade's first-pass blocks; updated by the error-correction stage.
+        self.running_qber = params.cascade.default_error_rate_hint
+
         self.pipeline = DistillationPipeline(
             (
                 QberAlarmStage(),
@@ -234,32 +234,9 @@ class QKDProtocolEngine:
         # Accumulators for sifted bits awaiting a full block.
         self._pending_alice: List[int] = []
         self._pending_bob: List[int] = []
-        self._pending_slots = 0
         self._pending_pulses_transmitted = 0
         self._pending_mu = 0.1
         self._pending_entangled = False
-
-    # ------------------------------------------------------------------ #
-    # Read-only views onto the shared services bundle
-    # ------------------------------------------------------------------ #
-
-    def _services_view(name, doc):  # noqa: N805 — descriptor factory
-        return property(lambda self: getattr(self.services, name), doc=doc)
-
-    parameters = _services_view("parameters", "The engine's configuration.")
-    statistics = _services_view("statistics", "Cumulative engine statistics.")
-    cascade = _services_view("cascade", "The error-correction protocol stage driver.")
-    privacy = _services_view("privacy", "The privacy-amplification backend.")
-    estimator = _services_view("estimator", "The entropy estimator.")
-    randomness_tester = _services_view(
-        "randomness_tester", "Optional randomness-test battery (None if disabled)."
-    )
-    alice_auth = _services_view("alice_auth", "Alice's authenticated channel endpoint.")
-    bob_auth = _services_view("bob_auth", "Bob's authenticated channel endpoint.")
-    alice_pool = _services_view("alice_pool", "Alice's distilled-key pool.")
-    bob_pool = _services_view("bob_pool", "Bob's distilled-key pool.")
-
-    del _services_view
 
     # ------------------------------------------------------------------ #
     # Frame intake
@@ -294,21 +271,37 @@ class QKDProtocolEngine:
 
         self._pending_alice.extend(sift.alice_key)
         self._pending_bob.extend(sift.bob_key)
-        self._pending_slots += sift.n_sifted
         self._pending_pulses_transmitted += n_slots
         self._pending_mu = mean_photon_number
         self._pending_entangled = entangled_source
 
-        blocks = []
-        while len(self._pending_alice) >= self.parameters.block_size_bits:
-            blocks.append(self._pop_pending_block())
-        return self.distill_blocks(blocks)
+        size = self.parameters.block_size_bits
+        outcomes = []
+        while len(self._pending_alice) >= size:
+            outcomes.append(self._distill_pending(size))
+        return outcomes
 
     def flush(self) -> Optional[DistillationOutcome]:
         """Distill whatever sifted bits are pending, even if below block size."""
         if not self._pending_alice:
             return None
-        return self.distill_blocks([self._pop_pending_block(partial=True)])[0]
+        return self._distill_pending(len(self._pending_alice))
+
+    def _distill_pending(self, size: int) -> DistillationOutcome:
+        """Distill the first ``size`` pending sifted bits as one block."""
+        pending = len(self._pending_alice)
+        alice_key = BitString(self._pending_alice[:size])
+        bob_key = BitString(self._pending_bob[:size])
+        del self._pending_alice[:size]
+        del self._pending_bob[:size]
+
+        # Apportion the transmitted-pulse count to this block in proportion to
+        # its share of the pending sifted bits.
+        pulses = int(self._pending_pulses_transmitted * size / pending)
+        self._pending_pulses_transmitted -= pulses
+        return self.distill_block(
+            alice_key, bob_key, pulses, self._pending_mu, self._pending_entangled
+        )
 
     # ------------------------------------------------------------------ #
     # Distillation of one block
@@ -324,86 +317,36 @@ class QKDProtocolEngine:
     ) -> DistillationOutcome:
         """Run one sifted block through the distillation pipeline.
 
-        The block takes the next block id, and its run advances the engine's
-        state: the authentication pads, the key pools, the statistics and
-        the running QBER estimate.  It is a one-block :meth:`distill_blocks`,
-        so single-block and batched submissions of the same blocks produce
-        identical key material.
+        The one entry point: :meth:`process_sifted` and :meth:`flush` call it
+        for every block they pop.  The block takes the next block id, and its
+        run advances the engine's state: the authentication pads, the key
+        pools, the statistics and the running QBER estimate.
         """
-        block = SiftedBlock(
-            alice_key=alice_key,
-            bob_key=bob_key,
-            transmitted_pulses=transmitted_pulses,
-            mean_photon_number=mean_photon_number,
-            entangled_source=entangled_source,
-        )
-        return self.distill_blocks([block])[0]
-
-    def distill_blocks(self, blocks: Sequence[SiftedBlock]) -> List[DistillationOutcome]:
-        """Distill a batch of sifted blocks, in order.
-
-        Every block runs the engine's six-stage :attr:`pipeline` against
-        the engine's one :attr:`services` bundle.
-        """
-        outcomes = []
-        for block in blocks:
-            block_id = self._next_block_id
-            self._next_block_id += 1
-            ctx = PipelineContext(
+        block_id = self._next_block_id
+        self._next_block_id += 1
+        ctx = self.pipeline.run(
+            PipelineContext(
                 block_id=block_id,
-                alice_key=block.alice_key,
-                bob_key=block.bob_key,
-                transmitted_pulses=block.transmitted_pulses,
-                mean_photon_number=block.mean_photon_number,
-                entangled_source=block.entangled_source,
-                services=self.services,
+                alice_key=alice_key,
+                bob_key=bob_key,
+                transmitted_pulses=transmitted_pulses,
+                mean_photon_number=mean_photon_number,
+                entangled_source=entangled_source,
+                services=self,
             )
-            ctx = self.pipeline.run(ctx)
-            outcomes.append(
-                DistillationOutcome(
-                    block_id=ctx.block_id,
-                    sifted_bits=ctx.sifted_bits,
-                    qber=ctx.qber,
-                    cascade=ctx.cascade,
-                    entropy=ctx.entropy,
-                    privacy=ctx.privacy,
-                    distilled_bits=ctx.distilled_bits,
-                    authenticated=ctx.authenticated,
-                    aborted=ctx.aborted,
-                    abort_reason=ctx.abort_reason,
-                    transcript=ctx.log,
-                )
-            )
-        return outcomes
-
-    def _pop_pending_block(self, partial: bool = False) -> SiftedBlock:
-        size = (
-            len(self._pending_alice)
-            if partial
-            else self.parameters.block_size_bits
         )
-        alice_key = BitString(self._pending_alice[:size])
-        bob_key = BitString(self._pending_bob[:size])
-        del self._pending_alice[:size]
-        del self._pending_bob[:size]
-
-        # Apportion the transmitted-pulse count to this block in proportion to
-        # its share of the pending sifted bits.
-        if self._pending_slots > 0:
-            pulses = int(
-                self._pending_pulses_transmitted * size / max(self._pending_slots, 1)
-            )
-        else:
-            pulses = self._pending_pulses_transmitted
-        self._pending_pulses_transmitted = max(self._pending_pulses_transmitted - pulses, 0)
-        self._pending_slots = max(self._pending_slots - size, 0)
-
-        return SiftedBlock(
-            alice_key=alice_key,
-            bob_key=bob_key,
-            transmitted_pulses=pulses,
-            mean_photon_number=self._pending_mu,
-            entangled_source=self._pending_entangled,
+        return DistillationOutcome(
+            block_id=ctx.block_id,
+            sifted_bits=ctx.sifted_bits,
+            qber=ctx.qber,
+            cascade=ctx.cascade,
+            entropy=ctx.entropy,
+            privacy=ctx.privacy,
+            distilled_bits=ctx.distilled_bits,
+            authenticated=ctx.authenticated,
+            aborted=ctx.aborted,
+            abort_reason=ctx.abort_reason,
+            transcript=ctx.log,
         )
 
     # ------------------------------------------------------------------ #

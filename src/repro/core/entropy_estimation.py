@@ -243,8 +243,8 @@ class EntropyEstimator:
         self.defense = defense or SlutskyDefense()
         self.confidence_sigmas = confidence_sigmas
         self.transparent_estimator = TransparentLeakEstimator(worst_case_multiphoton)
-        if confidence_sigmas < 0:
-            raise ValueError("confidence parameter must be non-negative")
+        if not (math.isfinite(confidence_sigmas) and confidence_sigmas >= 0):
+            raise ValueError("confidence parameter must be finite and non-negative")
 
     def estimate(self, inputs: EntropyInputs) -> EntropyEstimate:
         defense = self.defense.estimate(inputs)

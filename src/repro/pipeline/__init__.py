@@ -4,29 +4,30 @@ The paper describes its protocols as "sub-layers within the QKD protocol
 suite ... closer to being pipeline stages".  This package makes that literal:
 each protocol step is a :class:`~repro.pipeline.stage.PipelineStage`
 transforming a :class:`~repro.pipeline.context.PipelineContext`, and a
-:class:`~repro.pipeline.pipeline.DistillationPipeline` runs them in order
-with per-stage timing telemetry.  The protocol engine
-(:class:`repro.core.engine.QKDProtocolEngine`) always runs the paper's six
-stages — QBER alarm, Cascade, entropy estimation, privacy amplification,
-Wegman-Carter authentication, delivery — in that order; what varies between
-runs is configuration (``EngineParameters``: the defense function, the
-confidence, the thresholds), never the sequence.
+:class:`~repro.pipeline.pipeline.DistillationPipeline` runs them in order.
+The protocol engine (:class:`repro.core.engine.QKDProtocolEngine`) always
+runs the paper's six stages — QBER alarm, Cascade, entropy estimation,
+privacy amplification, Wegman-Carter authentication, delivery — in that
+order; what varies between runs is configuration (``EngineParameters``: the
+defense function, the confidence, the thresholds), never the sequence.
+
+Every block enters through ``QKDProtocolEngine.distill_block``, and the
+services the stages read as ``ctx.services`` are that engine's attributes.
+The pipeline keeps no clock: stage time is the E21 trace's
+``core.stage.*`` spans.
 
 * :mod:`repro.pipeline.stage` — the stage base class.
-* :mod:`repro.pipeline.context` — per-block state and shared services.
+* :mod:`repro.pipeline.context` — per-block state.
 * :mod:`repro.pipeline.stages` — the stages of the paper's pipeline.
-* :mod:`repro.pipeline.pipeline` — the driver and its telemetry.
+* :mod:`repro.pipeline.pipeline` — the driver.
 """
 
-from repro.pipeline.context import PipelineContext, PipelineServices
-from repro.pipeline.pipeline import DistillationPipeline, PipelineTelemetry, StageTiming
+from repro.pipeline.context import PipelineContext
+from repro.pipeline.pipeline import DistillationPipeline
 from repro.pipeline.stage import PipelineStage
 
 __all__ = [
     "PipelineContext",
-    "PipelineServices",
     "DistillationPipeline",
-    "PipelineTelemetry",
-    "StageTiming",
     "PipelineStage",
 ]

@@ -1,4 +1,4 @@
-"""Per-block pipeline state and the shared services stages draw on.
+"""Per-block pipeline state.
 
 A :class:`PipelineContext` is everything one sifted block accumulates on its
 way through the distillation pipeline: the two endpoints' keys, the public
@@ -6,55 +6,27 @@ transcript, the per-stage results (Cascade, entropy estimate, privacy
 amplification), and the abort/authentication flags.  Stages receive a context,
 mutate it, and hand it to the next stage.
 
-A :class:`PipelineServices` bundle holds the long-lived two-party machinery
-the stages read through ``ctx.services``: the Cascade protocol instance, the
-privacy amplifier, the entropy estimator, both endpoints' authenticated
-channels and key pools, and the engine's cumulative statistics.  An engine
-has one bundle and every block runs against it, which is how stages carry
-state (running QBER estimate, authentication pools) across blocks.
+The long-lived two-party machinery the stages read through ``ctx.services``
+is the :class:`~repro.core.engine.QKDProtocolEngine` itself: its Cascade
+protocol, privacy amplifier, entropy estimator, both endpoints'
+authenticated channels and key pools, its statistics and its running QBER
+estimate are plain engine attributes.  Every block of an engine runs against
+that one engine, which is how stages carry state across blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.core.cascade import CascadeProtocol, CascadeResult
-from repro.core.entropy_estimation import EntropyEstimate, EntropyEstimator
-from repro.core.keypool import KeyPool
+from repro.core.cascade import CascadeResult
+from repro.core.entropy_estimation import EntropyEstimate
 from repro.core.messages import PublicChannelLog
-from repro.core.privacy import PrivacyAmplification, PrivacyAmplificationResult
-from repro.core.randomness import RandomnessTester
+from repro.core.privacy import PrivacyAmplificationResult
 from repro.util.bits import BitString
 
-
-@dataclass
-class PipelineServices:
-    """Long-lived two-party machinery shared by every block's pipeline run.
-
-    ``parameters`` and ``statistics`` are the engine's
-    :class:`~repro.core.engine.EngineParameters` and
-    :class:`~repro.core.engine.EngineStatistics`; they are typed loosely here
-    so the pipeline package never has to import the engine module (the engine
-    imports the pipeline, not the other way round).
-    """
-
-    #: The engine's EngineParameters (defense choice, thresholds, replenish).
-    parameters: Any
-    #: The engine's cumulative EngineStatistics, mutated by stages.
-    statistics: Any
-    cascade: CascadeProtocol
-    privacy: PrivacyAmplification
-    estimator: EntropyEstimator
-    #: Alice's and Bob's AuthenticatedChannel endpoints.
-    alice_auth: Any
-    bob_auth: Any
-    alice_pool: KeyPool
-    bob_pool: KeyPool
-    randomness_tester: Optional[RandomnessTester] = None
-    #: Exponentially-weighted running QBER estimate used to size Cascade's
-    #: first-pass blocks; updated by the error-correction stage.
-    running_qber: float = 0.01
+if TYPE_CHECKING:
+    from repro.core.engine import QKDProtocolEngine
 
 
 @dataclass
@@ -67,9 +39,9 @@ class PipelineContext:
     transmitted_pulses: int
     mean_photon_number: float = 0.1
     entangled_source: bool = False
-    #: The services bundle this block runs against: every stage reads its
-    #: protocols, pools and statistics from here.  The engine passes its own.
-    services: Optional[PipelineServices] = None
+    #: The engine this block runs against: every stage reads its protocols,
+    #: pools and statistics from here.  The engine passes itself.
+    services: Optional["QKDProtocolEngine"] = None
 
     #: Public transcript of the block; authenticated at the end.
     log: PublicChannelLog = field(default_factory=PublicChannelLog)

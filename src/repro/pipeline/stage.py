@@ -4,8 +4,9 @@ A stage has a ``name`` and a ``run(ctx)`` method that takes a
 :class:`~repro.pipeline.context.PipelineContext`, mutates it and returns it.
 Stages hold no state of their own: everything a stage reads or charges —
 the Cascade protocol, the estimator, the authenticated channels, the key
-pools, the statistics — comes from the context's
-:class:`~repro.pipeline.context.PipelineServices` bundle.
+pools, the statistics — is an attribute of the engine the context carries
+as ``ctx.services``.  Stage time is measured only by the E21 trace, which
+wraps every stage's ``run`` in a ``core.stage.<name>`` span.
 """
 
 from __future__ import annotations

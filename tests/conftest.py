@@ -16,6 +16,7 @@ import signal
 import pytest
 
 from repro.optics.channel import ChannelParameters, QuantumChannel
+from repro.pipeline import DistillationPipeline, PipelineStage
 from repro.util.rng import DeterministicRNG
 
 #: Generous default — the slowest legitimate tests (link farms,
@@ -78,3 +79,30 @@ def paper_channel():
 def small_frame(paper_channel):
     """A modest Monte-Carlo frame used by protocol-level tests."""
     return paper_channel.transmit(400_000)
+
+
+class _RecordingStage(PipelineStage):
+    """Runs ``stage`` and appends its name to ``ran`` first."""
+
+    def __init__(self, stage, ran):
+        self.stage, self.ran, self.name = stage, ran, stage.name
+
+    def run(self, ctx):
+        self.ran.append(self.name)
+        return self.stage.run(ctx)
+
+
+@pytest.fixture
+def record_stages():
+    """``record_stages(engine)`` rebuilds the engine's pipeline from recording
+    copies of its stages and returns the list of stage names they append to,
+    in run order, for every block the engine distils from then on."""
+
+    def wrap(engine):
+        ran = []
+        engine.pipeline = DistillationPipeline(
+            [_RecordingStage(stage, ran) for stage in engine.pipeline.stages]
+        )
+        return ran
+
+    return wrap

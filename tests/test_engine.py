@@ -1,8 +1,11 @@
 """Tests for the full QKD protocol engine (the pipeline of Fig 9)."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
+from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.core.sifting import SiftingProtocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -39,6 +42,39 @@ class TestEngineParameters:
             EngineParameters(block_size_bits=0)
         with pytest.raises(ValueError):
             EngineParameters(abort_qber=0.0)
+
+    @pytest.mark.parametrize("size", [0, -1, True, 2048.0, 2.5, "2048", None])
+    def test_block_size_must_be_a_positive_integer(self, size):
+        # A float or a bool used to build, then fail mid-run: 2048.0 and 2.5
+        # as slice indices, True as 1-bit blocks that exhaust the auth pool.
+        with pytest.raises(ValueError, match="block_size_bits"):
+            EngineParameters(block_size_bits=size)
+
+    def test_numpy_integer_block_size_is_accepted(self):
+        params = EngineParameters(block_size_bits=np.int64(1024))
+        assert params.block_size_bits == 1024 and type(params.block_size_bits) is int
+
+    @pytest.mark.parametrize("r", [-1, -200, 0.5, True, math.nan])
+    def test_non_randomness_must_be_a_non_negative_integer(self, r):
+        # A negative r added key past the entropy bound (805 bits instead
+        # of 371 on a paper link over 3 M slots at r = -200).
+        with pytest.raises(ValueError, match="non_randomness_bits"):
+            EngineParameters(non_randomness_bits=r)
+
+    def test_non_randomness_shortens_the_key(self):
+        alice, bob = noisy_pair(2048, 0.05, seed=3)
+        distillable = []
+        for r in (0, np.int64(100)):
+            engine = QKDProtocolEngine(EngineParameters(non_randomness_bits=r), DeterministicRNG(2))
+            outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
+            distillable.append(outcome.entropy.distillable_bits)
+        assert distillable[1] == distillable[0] - 100
+
+    @pytest.mark.parametrize("sigmas", [-1.0, math.nan, math.inf])
+    def test_confidence_must_be_finite_and_non_negative(self, sigmas):
+        # NaN used to build, then crash mid-block converting NaN to an int.
+        with pytest.raises(ValueError, match="confidence_sigmas"):
+            EngineParameters(confidence_sigmas=sigmas)
 
     def test_make_defense(self):
         assert EngineParameters(defense="bennett").make_defense().name == "bennett"
@@ -137,50 +173,50 @@ class TestDistillBlock:
 
 
 def sifted_blocks(rates, seed=100):
-    """One 2 048-bit SiftedBlock per error rate, 500 000 pulses each."""
-    return [
-        SiftedBlock(*noisy_pair(2048, rate, seed=seed + index), transmitted_pulses=500_000)
-        for index, rate in enumerate(rates)
-    ]
+    """One 2 048-bit (alice, bob) pair per error rate."""
+    return [noisy_pair(2048, rate, seed=seed + index) for index, rate in enumerate(rates)]
 
 
-class TestDistillBlocks:
-    """A batch runs in-line, block after block, on the engine's one stream."""
+def distill_all(engine, blocks):
+    """Distil ``blocks`` in order, 500 000 pulses each, one call per block."""
+    return [engine.distill_block(alice, bob, 500_000) for alice, bob in blocks]
 
-    def test_alarmed_block_inside_a_batch_aborts_alone(self):
+
+class TestBlockStream:
+    """Blocks run in-line, one after another, on the engine's one stream."""
+
+    def test_alarmed_block_inside_a_run_aborts_alone(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
-        outcomes = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.06)))
+        outcomes = distill_all(engine, sifted_blocks((0.06, 0.30, 0.06)))
         assert [o.aborted for o in outcomes] == [False, True, False]
         assert "exceeds abort threshold" in outcomes[1].abort_reason
         assert (engine.statistics.blocks_distilled, engine.statistics.blocks_aborted) == (2, 1)
         assert engine.keys_match
 
-    def test_alarmed_block_spends_no_compute_but_the_same_authentication(self):
-        hot = sifted_blocks((0.30,), seed=556)
-        single = QKDProtocolEngine(rng=DeterministicRNG(7))
-        alone = single.distill_block(hot[0].alice_key, hot[0].bob_key, 500_000)
-        batched = QKDProtocolEngine(rng=DeterministicRNG(7))
-        outcome = batched.distill_blocks(hot)[0]
-        assert outcome.aborted and outcome.abort_reason == alone.abort_reason
-        assert outcome.cascade is None and outcome.entropy is None and outcome.privacy is None
-        assert len(outcome.transcript) == len(alone.transcript) == 0
-        assert batched.alice_auth.available_secret_bits == single.alice_auth.available_secret_bits
-        assert batched.bob_auth.available_secret_bits == single.bob_auth.available_secret_bits
-
-    def test_telemetry_counts_every_block(self):
+    def test_alarmed_block_spends_no_compute_but_one_tag(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
-        engine.distill_blocks(sifted_blocks((0.30, 0.06, 0.06), seed=557))
-        telemetry = engine.pipeline.telemetry
-        assert telemetry.blocks_processed == 3
-        assert telemetry.timings["alarm.qber"].calls == 3
-        assert telemetry.timings["cascade.bicon"].calls == 2
-        assert telemetry.timings["deliver.pools"].calls == 2
+        start = engine.alice_auth.available_secret_bits
+        [outcome] = distill_all(engine, sifted_blocks((0.30,), seed=556))
+        assert outcome.aborted and "exceeds abort threshold" in outcome.abort_reason
+        assert outcome.cascade is None and outcome.entropy is None and outcome.privacy is None
+        assert len(outcome.transcript) == 0
+        tag_bits = engine.parameters.auth_tag_bits
+        assert engine.alice_auth.available_secret_bits == start - tag_bits
+        assert engine.bob_auth.available_secret_bits == start - tag_bits
+
+    def test_stages_run_for_every_block(self, record_stages):
+        engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        ran = record_stages(engine)
+        distill_all(engine, sifted_blocks((0.30, 0.06, 0.06), seed=557))
+        assert ran.count("alarm.qber") == 3
+        assert ran.count("cascade.bicon") == 2
+        assert ran.count("deliver.pools") == 2
 
     def test_running_qber_follows_each_reconciled_block(self):
         # Cascade sizes each block from the estimate the block before it
         # left behind; an alarmed block never reaches Cascade and leaves it.
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
-        outcomes = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.03, 0.09)))
+        outcomes = distill_all(engine, sifted_blocks((0.06, 0.30, 0.03, 0.09)))
         expected = EngineParameters().cascade.default_error_rate_hint
         for outcome in outcomes:
             if outcome.cascade is not None:
@@ -188,7 +224,7 @@ class TestDistillBlocks:
                     outcome.cascade.errors_corrected / outcome.sifted_bits, 1e-4
                 )
         assert [o.cascade is None for o in outcomes] == [False, True, False, False]
-        assert engine.services.running_qber == expected
+        assert engine.running_qber == expected
 
     def test_distillation_starts_no_thread_or_process(self):
         import multiprocessing
@@ -197,18 +233,16 @@ class TestDistillBlocks:
         threads = threading.active_count()
         children = multiprocessing.active_children()
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
-        engine.distill_blocks(sifted_blocks((0.06, 0.06)))
-        engine.distill_blocks(sifted_blocks((0.06, 0.06), seed=102))
+        distill_all(engine, sifted_blocks((0.06, 0.06)))
+        distill_all(engine, sifted_blocks((0.06, 0.06), seed=102))
         assert threading.active_count() == threads
         assert multiprocessing.active_children() == children
 
-    def test_confidence_reaches_every_block_of_a_batch(self):
+    def test_confidence_reaches_every_block(self):
         blocks = sifted_blocks((0.06, 0.06))
         strict = QKDProtocolEngine(rng=DeterministicRNG(7))
         relaxed = QKDProtocolEngine(EngineParameters(confidence_sigmas=4.0), DeterministicRNG(7))
-        strict_outcomes = strict.distill_blocks(blocks)
-        relaxed_outcomes = relaxed.distill_blocks(blocks)
-        for tight, loose in zip(strict_outcomes, relaxed_outcomes):
+        for tight, loose in zip(distill_all(strict, blocks), distill_all(relaxed, blocks)):
             assert loose.distilled_bits > tight.distilled_bits
 
     def test_randomness_battery_runs_on_each_reconciled_block(self, monkeypatch):
@@ -221,33 +255,32 @@ class TestDistillBlocks:
             return original(bits)
 
         monkeypatch.setattr(engine.randomness_tester, "assess", recording)
-        outcomes = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.06)))
+        outcomes = distill_all(engine, sifted_blocks((0.06, 0.30, 0.06)))
         assert assessed == [outcomes[0].cascade.corrected_key, outcomes[2].cascade.corrected_key]
         assert engine.statistics.blocks_distilled == 2 and engine.keys_match
 
-    def test_slutsky_batch_distils_no_more_than_bennett(self):
+    def test_slutsky_distils_no_more_than_bennett(self):
         blocks = sifted_blocks((0.05, 0.06, 0.07))
         bennett = QKDProtocolEngine(EngineParameters(defense="bennett"), DeterministicRNG(9))
         slutsky = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(9))
-        bennett.distill_blocks(blocks)
-        slutsky.distill_blocks(blocks)
+        distill_all(bennett, blocks)
+        distill_all(slutsky, blocks)
         assert 0 < slutsky.statistics.distilled_bits <= bennett.statistics.distilled_bits
 
-    def test_empty_batch_changes_nothing(self):
+    def test_empty_flush_runs_nothing(self, record_stages):
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
+        ran = record_stages(engine)
         auth_bits = engine.alice_auth.available_secret_bits
-        assert engine.distill_blocks([]) == []
+        assert engine.flush() is None
+        assert ran == []
         assert engine.statistics == type(engine.statistics)()
-        assert engine.pipeline.telemetry.blocks_processed == 0
         assert engine.alice_auth.available_secret_bits == auth_bits
-        assert engine.distill_blocks(sifted_blocks((0.06,)))[0].block_id == 0
+        assert distill_all(engine, sifted_blocks((0.06,)))[0].block_id == 0
 
-    def test_block_ids_follow_submission_order_across_calls(self):
+    def test_block_ids_follow_submission_order(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
-        first = engine.distill_block(*noisy_pair(2048, 0.06, seed=100), transmitted_pulses=500_000)
-        batch = engine.distill_blocks(sifted_blocks((0.06, 0.30, 0.06), seed=101))
-        last = engine.distill_block(*noisy_pair(2048, 0.06, seed=104), transmitted_pulses=500_000)
-        assert [o.block_id for o in [first, *batch, last]] == [0, 1, 2, 3, 4]
+        outcomes = distill_all(engine, sifted_blocks((0.06, 0.30, 0.06, 0.06), seed=101))
+        assert [o.block_id for o in outcomes] == [0, 1, 2, 3]
 
 
 class TestFrameProcessing:

@@ -170,9 +170,11 @@ class TestResultantEntropy:
         estimate = EntropyEstimator(confidence_sigmas=5.0).estimate(inputs_for(0.05))
         assert estimate.eavesdropping_success_probability < 1e-5
 
-    def test_invalid_configuration(self):
+    @pytest.mark.parametrize("sigmas", [-1.0, math.nan, math.inf])
+    def test_invalid_configuration(self, sigmas):
+        # NaN or infinity would build, then fail inside math.floor mid-block.
         with pytest.raises(ValueError):
-            EntropyEstimator(confidence_sigmas=-1.0)
+            EntropyEstimator(confidence_sigmas=sigmas)
 
     def test_operating_point_yields_positive_key_with_bennett(self):
         """The paper's own link (6-8% QBER) must distill key under the default defense."""

@@ -15,7 +15,7 @@ import pytest
 
 from repro import QKDSystem
 from repro.core.cascade import CascadeParameters, CascadeProtocol
-from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
+from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.core.sifting import SiftingProtocol
 from repro.eve import BeamSplittingAttack, InterceptResendAttack
 from repro.link.qkd_link import LinkParameters, QKDLink
@@ -232,7 +232,7 @@ PINNED_LINK_TRANSCRIPT_SHA256 = (
 def test_block_transcript_tags_and_parity_counts_are_pinned(monkeypatch):
     engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
     tags = []
-    for auth in (engine.services.alice_auth, engine.services.bob_auth):
+    for auth in (engine.alice_auth, engine.bob_auth):
         original = auth.tag_payload
 
         def recording(payload, covered_messages, _original=original):
@@ -346,9 +346,9 @@ def test_cascade_transcript_and_counts_are_pinned(name):
 # Slutsky defense and the fixed stage sequence
 # ---------------------------------------------------------------------- #
 #
-# Bench A3's Slutsky run (six 2 048-bit blocks at 6 % QBER, seed 7), once
-# one block per ``distill_block`` call and once as one ``distill_blocks``
-# batch: the two submissions are the same key stream.
+# The retired bench A3's Slutsky run (six 2 048-bit blocks at 6 % QBER,
+# seed 7), one block per ``distill_block`` call: the Slutsky defense distils
+# key from every block over the same six stages as Bennett.
 
 #: sha256 over Alice's pooled blocks, and the EngineStatistics fields
 SLUTSKY_PIN = (
@@ -359,18 +359,16 @@ SLUTSKY_PIN = (
 
 
 def test_slutsky_pool_and_statistics_are_pinned():
-    blocks = [_noisy_pair(100 + seed) for seed in range(6)]
-    one_at_a_time = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(7))
-    for alice, bob in blocks:
-        one_at_a_time.distill_block(alice, bob, transmitted_pulses=500_000)
-    batched = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(7))
-    batched.distill_blocks([SiftedBlock(a, b, 500_000) for a, b in blocks])
-    for engine in (one_at_a_time, batched):
-        digest = hashlib.sha256()
-        for block in engine.alice_pool.blocks:
-            digest.update(str(block.bits).encode())
-        assert engine.keys_match
-        assert (digest.hexdigest(), dataclasses.asdict(engine.statistics)) == SLUTSKY_PIN
+    engine = QKDProtocolEngine(EngineParameters(defense="slutsky"), DeterministicRNG(7))
+    for seed in range(6):
+        alice, bob = _noisy_pair(100 + seed)
+        engine.distill_block(alice, bob, transmitted_pulses=500_000)
+    assert engine.pipeline.stage_names == ENGINE_STAGE_NAMES
+    digest = hashlib.sha256()
+    for block in engine.alice_pool.blocks:
+        digest.update(str(block.bits).encode())
+    assert engine.keys_match
+    assert (digest.hexdigest(), dataclasses.asdict(engine.statistics)) == SLUTSKY_PIN
 
 
 ENGINE_STAGE_NAMES = (
@@ -392,12 +390,11 @@ def test_stage_sequences_are_pinned():
 # The engine's one key stream: submission, mixes and parameter variants
 # ---------------------------------------------------------------------- #
 #
-# An engine distils its blocks in-line on one stream, so how blocks are
-# submitted — one ``distill_block`` call each, one ``distill_blocks`` batch,
-# or any split in between — cannot move a bit.  These pin that stream beyond
-# the four standard blocks: sixteen of them, an alarmed block inside a run,
-# an unconfirmed one, two parameter variants and a link's partial-block
-# flush.  Recorded at the commit where the stream became the only one.
+# An engine distils its blocks in-line on one stream, one ``distill_block``
+# call each.  These pin that stream beyond the four standard blocks: sixteen
+# of them, an alarmed block inside a run, an unconfirmed one, two parameter
+# variants and a link's partial-block flush.  Recorded at the commit where
+# the stream became the only one.
 
 #: sha256 over Alice's pool after the sixteen standard noisy blocks (seed 7);
 #: its first four blocks are PINNED_POOL_DIGEST's.
@@ -418,33 +415,17 @@ def _pool_digest(blocks):
 
 
 def _workload(n_blocks):
-    return [SiftedBlock(*_noisy_pair(100 + seed), 500_000) for seed in range(n_blocks)]
+    return [_noisy_pair(100 + seed) for seed in range(n_blocks)]
 
 
-def _submit(engine, blocks, submission):
-    """Run ``blocks`` through ``engine`` one call each, or as one batch."""
-    if submission == "one_at_a_time":
-        return [
-            engine.distill_block(b.alice_key, b.bob_key, b.transmitted_pulses) for b in blocks
-        ]
-    return engine.distill_blocks(blocks)
+def _distill(engine, blocks):
+    """Run ``blocks`` through ``engine``, 500 000 pulses each, one call per block."""
+    return [engine.distill_block(alice, bob, 500_000) for alice, bob in blocks]
 
 
-SUBMISSIONS = ("one_at_a_time", "batched")
-
-
-@pytest.mark.parametrize(
-    "split",
-    [(1,) * 16, (4, 4, 4, 4), (16,), (3, 5, 8), (1, 15)],
-    ids=["singles", "fours", "one_batch", "ragged", "one_then_fifteen"],
-)
-def test_sixteen_blocks_are_pinned_for_any_batch_split(split):
-    blocks = _workload(16)
+def test_sixteen_blocks_are_pinned():
     engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
-    start = 0
-    for size in split:
-        engine.distill_blocks(blocks[start : start + size])
-        start += size
+    _distill(engine, _workload(16))
     pooled = list(engine.alice_pool.blocks)
     assert engine.keys_match
     assert _pool_digest(pooled) == PINNED_SIXTEEN_BLOCK_DIGEST
@@ -453,12 +434,11 @@ def test_sixteen_blocks_are_pinned_for_any_batch_split(split):
     assert engine.alice_auth.available_secret_bits == 4833
 
 
-@pytest.mark.parametrize("submission", SUBMISSIONS)
-def test_alarmed_block_inside_a_run_is_pinned(submission):
+def test_alarmed_block_inside_a_run_is_pinned():
     blocks = _workload(3)
-    blocks[1] = SiftedBlock(*_noisy_pair(555, error_rate=0.30), 500_000)
+    blocks[1] = _noisy_pair(555, error_rate=0.30)
     engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
-    outcomes = _submit(engine, blocks, submission)
+    outcomes = _distill(engine, blocks)
     assert [o.abort_reason for o in outcomes] == [
         "", "QBER 30.0% exceeds abort threshold 15.0% (possible eavesdropping)", ""
     ]
@@ -483,26 +463,25 @@ PARAMETER_VARIANT_PINS = {
 }
 
 
-@pytest.mark.parametrize("submission", SUBMISSIONS)
 @pytest.mark.parametrize("variant", sorted(PARAMETER_VARIANT_PINS))
-def test_parameter_variants_are_pinned(variant, submission):
+def test_parameter_variants_are_pinned(variant):
     overrides, digest, distilled = PARAMETER_VARIANT_PINS[variant]
     engine = QKDProtocolEngine(EngineParameters(**overrides), DeterministicRNG(7))
-    _submit(engine, _workload(2), submission)
+    _distill(engine, _workload(2))
     assert _pool_digest(engine.alice_pool.blocks) == digest
     assert dataclasses.asdict(engine.statistics) == _statistics(distilled, 2, 0, 1906)
 
 
-def test_unconfirmed_block_one_at_a_time_is_pinned():
-    """The batched run of this mix is pinned in tests/test_pipeline.py; one
-    ``distill_block`` call per block must give the same key and counts."""
+def test_unconfirmed_block_is_pinned():
+    """The same mix as tests/test_pipeline.py's unconfirmed-block test, which
+    pins the same key and counts."""
     blocks = [
-        SiftedBlock(*_noisy_pair(100 + index, error_rate=rate), 500_000)
+        _noisy_pair(100 + index, error_rate=rate)
         for index, rate in enumerate((0.002, 0.06, 0.002))
     ]
     cascade = CascadeParameters(block_first_pass=False, rounds=1, subsets_per_round=8)
     engine = QKDProtocolEngine(EngineParameters(cascade=cascade), DeterministicRNG(7))
-    outcomes = _submit(engine, blocks, "one_at_a_time")
+    outcomes = _distill(engine, blocks)
     assert [o.abort_reason for o in outcomes] == ["", "error correction failed confirmation", ""]
     assert outcomes[1].entropy is None and outcomes[1].privacy is None
     assert _pool_digest(engine.alice_pool.blocks) == (

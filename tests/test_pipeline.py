@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from repro.core.cascade import CascadeParameters, CascadeProtocol
-from repro.core.engine import EngineParameters, QKDProtocolEngine, SiftedBlock
+from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.core.messages import PrivacyAmplificationMessage
 from repro.pipeline import DistillationPipeline, PipelineContext
 from repro.pipeline.stages import (
@@ -42,14 +42,14 @@ def noisy_pair(n: int, error_rate: float, seed: int = 1):
 
 
 def run_hand_built(stages, seed, alice, bob, transmitted_pulses):
-    """Run one block through ``stages`` against a fresh engine's services."""
+    """Run one block through ``stages`` against a fresh engine."""
     engine = QKDProtocolEngine(rng=DeterministicRNG(seed))
     ctx = PipelineContext(
         block_id=0,
         alice_key=alice,
         bob_key=bob,
         transmitted_pulses=transmitted_pulses,
-        services=engine.services,
+        services=engine,
     )
     DistillationPipeline(stages).run(ctx)
     return engine
@@ -66,30 +66,20 @@ class TestPipelineComposer:
         with pytest.raises(TypeError):
             engine.pipeline.stages[1] = engine.pipeline.stages[2]
 
-    def test_telemetry_accumulates(self):
+    def test_every_stage_runs_once_in_order(self, record_stages):
         engine = QKDProtocolEngine(rng=DeterministicRNG(2))
+        ran = record_stages(engine)
         alice, bob = noisy_pair(1024, 0.05, seed=3)
-        engine.distill_block(alice, bob, transmitted_pulses=200_000)
-        telemetry = engine.pipeline.telemetry
-        assert telemetry.blocks_processed == 1
-        # Every stage ran, once each, in order.
-        assert tuple(telemetry.timings) == ENGINE_STAGES
-        for key in ENGINE_STAGES:
-            assert telemetry.timings[key].calls == 1
-            assert telemetry.timings[key].seconds >= 0.0
-        assert telemetry.total_seconds > 0.0
-        assert telemetry.summary()[0].seconds == max(
-            t.seconds for t in telemetry.timings.values()
-        )
+        outcome = engine.distill_block(alice, bob, transmitted_pulses=200_000)
+        assert not outcome.aborted
+        assert tuple(ran) == ENGINE_STAGES
 
-    def test_abort_skips_downstream_stages(self):
+    def test_abort_skips_downstream_stages(self, record_stages):
         engine = QKDProtocolEngine(rng=DeterministicRNG(4))
+        ran = record_stages(engine)
         alice, bob = noisy_pair(1024, 0.30, seed=5)  # above the QBER alarm
         engine.distill_block(alice, bob, transmitted_pulses=100_000)
-        telemetry = engine.pipeline.telemetry
-        assert telemetry.timings["alarm.qber"].calls == 1
-        assert "cascade.bicon" not in telemetry.timings
-        assert "deliver.pools" not in telemetry.timings
+        assert ran == ["alarm.qber"]
 
 
 class TestEnginePipelineEquivalence:
@@ -118,8 +108,8 @@ class TestEnginePipelineEquivalence:
         )
         hand = run_hand_built(stages, 13, alice, bob, 500_000)
         assert hand.statistics == engine.statistics
-        assert hand.services.running_qber == engine.services.running_qber
-        assert hand.services.running_qber != engine.parameters.cascade.default_error_rate_hint
+        assert hand.running_qber == engine.running_qber
+        assert hand.running_qber != engine.parameters.cascade.default_error_rate_hint
         n = engine.alice_pool.available_bits
         assert n > 0 and hand.alice_pool.available_bits == n
         assert hand.alice_pool.draw_bits(n) == engine.alice_pool.draw_bits(n)
@@ -138,19 +128,20 @@ class TestStagePolicies:
         assert engine.alice_auth.available_secret_bits == start - tag_bits
         assert engine.bob_auth.available_secret_bits == start - tag_bits
 
-    def test_unconfirmed_block_stops_at_cascade(self):
+    def test_unconfirmed_block_stops_at_cascade(self, record_stages):
         """One round of eight subsets and no first pass leaves the 6 % block
         with residual errors, which the confirmation parities catch; the two
         0.2 % blocks are fully corrected.  The unconfirmed block gets no
         entropy estimate, no privacy amplification and no privacy messages,
         and its neighbours' key is pinned."""
-        blocks = [
-            SiftedBlock(*noisy_pair(2048, rate, seed=100 + index), transmitted_pulses=500_000)
-            for index, rate in enumerate((0.002, 0.06, 0.002))
-        ]
         cascade = CascadeParameters(block_first_pass=False, rounds=1, subsets_per_round=8)
         engine = QKDProtocolEngine(EngineParameters(cascade=cascade), DeterministicRNG(7))
-        outcomes = engine.distill_blocks(blocks)
+        ran = record_stages(engine)
+        outcomes = [
+            engine.distill_block(*noisy_pair(2048, rate, seed=100 + index), 500_000)
+            for index, rate in enumerate((0.002, 0.06, 0.002))
+        ]
+        assert ran == [*ENGINE_STAGES, "alarm.qber", "cascade.bicon", *ENGINE_STAGES]
         assert [o.abort_reason for o in outcomes] == [
             "", "error correction failed confirmation", ""
         ]
@@ -173,8 +164,9 @@ class TestStagePolicies:
         assert engine.alice_auth.available_secret_bits == 3937
         assert engine.bob_auth.available_secret_bits == 3937
 
-    def test_authentication_failure_aborts_without_delivery(self):
+    def test_authentication_failure_aborts_without_delivery(self, record_stages):
         engine = QKDProtocolEngine(rng=DeterministicRNG(37))
+        ran = record_stages(engine)
         # An extra tag moves Alice's pad out of step with Bob's.
         engine.alice_auth.tag_payload(b"desync", covered_messages=0)
         alice, bob = noisy_pair(2048, 0.05, seed=38)
@@ -183,7 +175,7 @@ class TestStagePolicies:
         assert not outcome.authenticated and outcome.distilled_bits == 0
         assert engine.alice_pool.available_bits == 0
         assert engine.statistics.blocks_distilled == 0
-        assert "deliver.pools" not in engine.pipeline.telemetry.timings
+        assert tuple(ran) == ENGINE_STAGES[:-1]
 
     def test_delivery_requires_authentication(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(39))
@@ -192,7 +184,7 @@ class TestStagePolicies:
             alice_key=BitString([1, 0, 1]),
             bob_key=BitString([1, 0, 1]),
             transmitted_pulses=100,
-            services=engine.services,
+            services=engine,
         )
         ctx.distilled = BitString([1, 1, 0, 1] * 64)
         DeliveryStage().run(ctx)
@@ -219,7 +211,7 @@ class TestDefenseSelection:
         assert o_slutsky.distilled_bits < o_bennett.distilled_bits
 
 
-class TestServicesViews:
+class TestEngineServices:
     def test_qber_recorded_on_outcomes_and_blocks(self):
         """QBER is a measurement, not a stage product: outcomes and pooled
         blocks carry the real error rate."""
@@ -229,39 +221,17 @@ class TestServicesViews:
         assert outcome.qber == pytest.approx(0.05, abs=0.001)
         assert engine.alice_pool.blocks[-1].qber == outcome.qber
 
-    def test_reassigning_services_components_reaches_stages(self):
-        """Stages read their protocols from the services bundle at run time,
-        so a component replaced there is the one the next block uses."""
+    def test_reassigning_engine_components_reaches_stages(self):
+        """Stages read their protocols from the engine at run time, so a
+        component replaced there is the one the next block uses."""
         engine = QKDProtocolEngine(rng=DeterministicRNG(43))
         replacement = CascadeProtocol(
             CascadeParameters(rounds=2, subsets_per_round=16), DeterministicRNG(44)
         )
-        engine.services.cascade = replacement
-        assert engine.cascade is replacement
+        engine.cascade = replacement
         alice, bob = noisy_pair(2048, 0.05, seed=45)
         outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
         assert outcome.cascade.rounds_used <= 2
-
-    @pytest.mark.parametrize(
-        "view",
-        [
-            "parameters",
-            "statistics",
-            "cascade",
-            "privacy",
-            "estimator",
-            "randomness_tester",
-            "alice_auth",
-            "bob_auth",
-            "alice_pool",
-            "bob_pool",
-        ],
-    )
-    def test_engine_views_are_read_only(self, view):
-        engine = QKDProtocolEngine(rng=DeterministicRNG(43))
-        assert getattr(engine, view) is getattr(engine.services, view)
-        with pytest.raises(AttributeError):
-            setattr(engine, view, None)
 
 
 class TestPoolIndependence:
@@ -305,8 +275,8 @@ class TestContext:
 
     def test_stages_deliver_into_the_contexts_own_services(self):
         """Stages read everything from ``ctx.services``: a context delivers
-        into its own pools, even when routed through another engine's
-        pipeline."""
+        into its own engine's pools, even when routed through another
+        engine's pipeline."""
         owner = QKDProtocolEngine(rng=DeterministicRNG(47))
         foreign = QKDProtocolEngine(rng=DeterministicRNG(48))
         alice, bob = noisy_pair(2048, 0.05, seed=49)
@@ -315,7 +285,7 @@ class TestContext:
             alice_key=alice,
             bob_key=bob,
             transmitted_pulses=500_000,
-            services=owner.services,
+            services=owner,
         )
         foreign.pipeline.run(ctx)
         assert owner.alice_pool.available_bits > 0
