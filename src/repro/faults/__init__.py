@@ -14,7 +14,8 @@ byte-for-byte from its seed.
   plus the site/kind catalogue and injection statistics;
 * :mod:`repro.faults.net` — application to asyncio transports:
   :class:`~repro.faults.net.FaultyConnector` plugs into the netkms
-  client's ``connector`` seam (connect refusals/delays, per-frame drops,
+  client's ``connector`` seam, ``(host, port, protocol_factory) ->
+  (transport, protocol)`` (connect refusals/delays, per-frame drops,
   truncation, reply delay), :func:`~repro.faults.net.stall_hook` into the
   server's ``request_hook`` (in-server stalls).
 
@@ -24,7 +25,7 @@ determines the entire experiment — physics, key material, *and* the
 disruption it survives.
 """
 
-from repro.faults.net import FaultyConnector, FaultyReader, FaultyWriter, stall_hook
+from repro.faults.net import FaultyConnector, FaultyProtocol, FaultyTransport, stall_hook
 from repro.faults.plane import (
     DELAY,
     DROP_AFTER,
@@ -53,8 +54,8 @@ __all__ = [
     "FaultPlaneStats",
     "FaultRecord",
     "FaultyConnector",
-    "FaultyReader",
-    "FaultyWriter",
+    "FaultyProtocol",
+    "FaultyTransport",
     "REFUSE",
     "SITE_CLIENT_RX",
     "SITE_CLIENT_TX",

@@ -1,18 +1,15 @@
 """Applying fault-plane decisions to asyncio transports.
 
 :class:`FaultyConnector` is a drop-in for the netkms client's ``connector``
-seam: it consults the plane at the ``connect`` site (refusals, SYN
-delays), then wraps the opened streams so every *frame* the client sends
-(``client/tx``) or receives (``client/rx``) passes through a fault
-decision.  The wrappers understand the netkms framing — each
-``write()`` is one whole frame, and reads alternate a 4-byte length
-prefix with the frame body — so a decision applies to a frame, not to an
-arbitrary byte boundary.
-
-Injected failures surface as the *same* exception types real infrastructure
-produces (:class:`ConnectionResetError`, :class:`ConnectionRefusedError`,
-:class:`asyncio.IncompleteReadError`): the client under test cannot tell
-chaos from a genuine outage, which is the point.
+seam, ``(host, port, protocol_factory) -> (transport, protocol)``.  It
+decides the ``connect`` site (refusals, SYN delays), then wraps the client's
+protocol in a :class:`FaultyProtocol` and hands the client a
+:class:`FaultyTransport`, so every frame the client sends (``client/tx``,
+one per ``write``) or receives (``client/rx``, cut out of the received
+bytes) takes one decision: frame ``k`` of a connection takes index ``k`` at
+its site.  Injected failures look like real ones — a refused connect, a
+write raising :class:`ConnectionResetError`, a connection lost mid-reply —
+so the client under test cannot tell chaos from an outage.
 
 :func:`stall_hook` covers the server side: it plugs into
 ``NetworkKmsServer(request_hook=...)`` and holds requests at the
@@ -23,6 +20,7 @@ and the retry loop must recover.
 from __future__ import annotations
 
 import asyncio
+import struct
 from typing import Awaitable, Callable, Optional, Tuple
 
 from repro.faults.plane import (
@@ -36,17 +34,21 @@ from repro.faults.plane import (
     SITE_SERVER_REQUEST,
     STALL,
     TRUNCATE,
-    FaultAction,
     FaultPlane,
 )
+from repro.netkms import protocol
+from repro.netkms.client import open_connection
 
-_PREFIX_BYTES = 4
+_PREFIX = struct.Struct("<I")
+
+#: The client's own splitter applies the real frame cap to what it is handed.
+_NO_CAP = 0xFFFFFFFF
 
 
-class FaultyWriter:
-    """Wraps a :class:`asyncio.StreamWriter`; each ``write()`` is one frame."""
+class FaultyTransport:
+    """Wraps the client's transport; each ``write()`` is one frame."""
 
-    def __init__(self, inner: asyncio.StreamWriter, plane: FaultPlane):
+    def __init__(self, inner: asyncio.Transport, plane: FaultPlane):
         self._inner = inner
         self._plane = plane
 
@@ -56,127 +58,146 @@ class FaultyWriter:
             self._inner.write(data)
             return
         if action.kind == DROP_BEFORE:
-            self._abort()
+            self._inner.abort()
             raise ConnectionResetError("injected: connection cut before send")
         if action.kind == TRUNCATE:
             keep = max(1, min(len(data) - 1, int(len(data) * action.keep_fraction)))
             self._inner.write(data[:keep])
-            self._abort()
+            self._inner.abort()
             raise ConnectionResetError(
                 f"injected: frame truncated to {keep}/{len(data)} bytes"
             )
         if action.kind == DROP_AFTER:
-            # The frame gets out (graceful close flushes it); the connection
-            # dies before any reply can come back.  The *write* succeeds —
-            # the caller discovers the cut when its await on the reply
-            # fails.  The server may or may not have processed the request:
-            # exactly the ambiguity the client's idempotent retry must
-            # absorb.
+            # The frame gets out (graceful close flushes it) and the write
+            # succeeds; the connection dies before any reply.  Whether the
+            # server processed the request is exactly the ambiguity the
+            # client's idempotent retry must absorb.
             self._inner.write(data)
             self._inner.close()
             return
         raise AssertionError(f"unhandled tx action {action.kind!r}")
 
-    def _abort(self) -> None:
-        transport = self._inner.transport
-        if transport is not None:
-            transport.abort()
-
-    async def drain(self) -> None:
-        try:
-            await self._inner.drain()
-        except ConnectionError:
-            raise
-        except Exception:
-            # An aborted transport can fail drain with transport-specific
-            # errors; normalise to what a real cut produces.
-            raise ConnectionResetError("injected: connection aborted") from None
-
     def close(self) -> None:
         self._inner.close()
 
-    async def wait_closed(self) -> None:
-        await self._inner.wait_closed()
 
-    @property
-    def transport(self):
-        return self._inner.transport
-
-
-class FaultyReader:
-    """Wraps a :class:`asyncio.StreamReader` on the reply path.
-
-    The netkms protocol reads ``readexactly(4)`` (length prefix) then
-    ``readexactly(length)`` (body); the decision for a frame is taken at
-    its prefix read and, for truncation, applied at the body read.
+class FaultyProtocol(asyncio.Protocol):
+    """Wraps the client's protocol on the reply path: a cut aborts the
+    connection before the frame reaches the client, a truncation hands on
+    part of the frame and then aborts, and a delay holds that frame and
+    every later one, in order.  A connection lost during a delay is reported
+    once the held frames are through, as a stream reader would have seen it.
     """
 
-    def __init__(self, inner: asyncio.StreamReader, plane: FaultPlane, sleep=None):
+    def __init__(self, inner: asyncio.Protocol, plane: FaultPlane, sleep):
         self._inner = inner
         self._plane = plane
-        self._sleep = sleep or asyncio.sleep
-        self._at_prefix = True
-        self._pending_truncate: Optional[FaultAction] = None
+        self._sleep = sleep
+        self._frames = protocol.FrameSplitter(_NO_CAP)
+        self._transport = None
+        self.client_transport: Optional[FaultyTransport] = None
+        self._delay: Optional[asyncio.Task] = None
+        self._lost = None  # (exc,) once the transport went during a delay
+        self._reported = False
 
-    async def readexactly(self, n: int) -> bytes:
-        if self._at_prefix and n == _PREFIX_BYTES:
-            return await self._read_prefix(n)
-        return await self._read_body(n)
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self.client_transport = FaultyTransport(transport, self._plane)
+        self._inner.connection_made(self.client_transport)
 
-    async def _read_prefix(self, n: int) -> bytes:
-        action = self._plane.decide(SITE_CLIENT_RX)
-        if action is not None:
-            if action.kind == DROP_BEFORE:
-                raise ConnectionResetError("injected: connection cut before reply")
-            if action.kind == DELAY:
-                await self._sleep(action.delay_seconds)
+    def data_received(self, data: bytes) -> None:
+        self._frames.feed(data)
+        if self._delay is None:
+            self._hand_on()
+
+    def _hand_on(self) -> None:
+        while self._delay is None:
+            try:
+                body = self._frames.next_frame()
+            except protocol.ProtocolError:
+                # Not a frame: the client's own splitter refuses it.
+                self._inner.data_received(bytes(self._frames.buffer))
+                self._frames.buffer.clear()
+                return
+            if body is None:
+                if self._lost is not None:
+                    self._report(*self._lost)
+                return
+            frame = _PREFIX.pack(len(body)) + body
+            action = self._plane.decide(SITE_CLIENT_RX)
+            if action is None:
+                self._inner.data_received(frame)
+            elif action.kind == DROP_BEFORE:
+                self._cut(ConnectionResetError("injected: connection cut before reply"))
+                return
             elif action.kind == TRUNCATE:
-                self._pending_truncate = action
-        data = await self._inner.readexactly(n)
-        self._at_prefix = False
-        return data
+                keep = max(0, min(len(body) - 1, int(len(body) * action.keep_fraction)))
+                self._inner.data_received(frame[: _PREFIX.size + keep])
+                self._cut(None)
+                return
+            elif action.kind == DELAY:
+                self._delay = asyncio.ensure_future(self._after(action.delay_seconds, frame))
+            else:
+                raise AssertionError(f"unhandled rx action {action.kind!r}")
 
-    async def _read_body(self, n: int) -> bytes:
-        self._at_prefix = True
-        truncate = self._pending_truncate
-        self._pending_truncate = None
-        if truncate is not None:
-            keep = max(0, min(n - 1, int(n * truncate.keep_fraction)))
-            partial = await self._inner.readexactly(keep) if keep else b""
-            raise asyncio.IncompleteReadError(partial, n)
-        return await self._inner.readexactly(n)
+    async def _after(self, seconds: float, frame: bytes) -> None:
+        await self._sleep(seconds)
+        self._delay = None
+        if not self._reported:
+            self._inner.data_received(frame)
+            self._hand_on()
 
-    def at_eof(self) -> bool:
-        return self._inner.at_eof()
+    def _cut(self, exc) -> None:
+        self._frames.buffer.clear()
+        self._transport.abort()
+        self._report(exc)
+
+    def eof_received(self):
+        return self._inner.eof_received()
+
+    def pause_writing(self) -> None:
+        self._inner.pause_writing()
+
+    def resume_writing(self) -> None:
+        self._inner.resume_writing()
+
+    def connection_lost(self, exc) -> None:
+        if self._delay is None:
+            self._report(exc)
+        else:
+            self._lost = (exc,)
+
+    def _report(self, exc) -> None:
+        if not self._reported:
+            self._reported = True
+            self._inner.connection_lost(exc)
 
 
 class FaultyConnector:
-    """A ``connector(host, port)`` that routes everything through a plane.
-
-    Pass as ``NetworkKmsClient(connector=FaultyConnector(plane))`` (or via
-    :class:`~repro.netkms.resilient.ResilientKmsClient`); ``base`` defaults
-    to :func:`asyncio.open_connection`.
-    """
+    """A ``connector`` routing everything through a plane: pass it as
+    ``NetworkKmsClient(connector=FaultyConnector(plane))`` (or to
+    :class:`~repro.netkms.resilient.ResilientKmsClient`); ``base`` is the
+    connector it wraps, the client's plain TCP one by default."""
 
     def __init__(self, plane: FaultPlane, base=None, sleep=None):
         self._plane = plane
-        self._base = base or asyncio.open_connection
+        self._base = base or open_connection
         self._sleep = sleep or asyncio.sleep
 
     async def __call__(
-        self, host: str, port: int
-    ) -> Tuple[FaultyReader, FaultyWriter]:
+        self, host: str, port: int, protocol_factory
+    ) -> Tuple[FaultyTransport, asyncio.Protocol]:
         action = self._plane.decide(SITE_CONNECT)
         if action is not None:
             if action.kind == REFUSE:
                 raise ConnectionRefusedError("injected: connection refused")
             if action.kind == DELAY:
                 await self._sleep(action.delay_seconds)
-        reader, writer = await self._base(host, port)
-        return (
-            FaultyReader(reader, self._plane, sleep=self._sleep),
-            FaultyWriter(writer, self._plane),
+        inner = protocol_factory()
+        _transport, faulty = await self._base(
+            host, port, lambda: FaultyProtocol(inner, self._plane, self._sleep)
         )
+        return faulty.client_transport, inner
 
 
 def stall_hook(
@@ -193,4 +214,4 @@ def stall_hook(
     return hook
 
 
-__all__ = ["FaultyConnector", "FaultyReader", "FaultyWriter", "stall_hook"]
+__all__ = ["FaultyConnector", "FaultyProtocol", "FaultyTransport", "stall_hook"]

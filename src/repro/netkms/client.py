@@ -2,19 +2,21 @@
 
 :class:`NetworkKmsClient` is what an SAE (an IKE daemon, a one-time-pad
 encryptor, a benchmark worker) uses to draw key from a
-:class:`~repro.netkms.server.NetworkKmsServer`: connect (which runs the
-HELLO/WELCOME version negotiation), then ``reserve`` / ``consume`` /
-``release`` / ``status`` / ``capabilities``, or ``get_key`` — the ETSI GS
-QKD 014 shape: one GET_KEY round trip on a connection that negotiated v4,
-reserve then consume (two) below that.  Either way the reservation never
-leaves ``get_key``, so a lost reply costs the key: it was served and
-digested and cannot be fetched again.  Callers that cannot afford that use
+:class:`~repro.netkms.server.NetworkKmsServer`: connect (the HELLO/WELCOME
+negotiation), then ``reserve`` / ``consume`` / ``release`` / ``status`` /
+``capabilities``, or ``get_key`` — one GET_KEY round trip at v4, reserve
+then consume below.  The reservation never leaves ``get_key``, so a lost
+reply costs the key; callers that cannot afford that use
 :class:`~repro.netkms.resilient.ResilientKmsClient`.
 
-Requests may be issued concurrently from many tasks over one connection:
-each carries a fresh request id, a background reader task routes responses
-(and typed server errors) back to the issuing task by that id, and the
-server answers a connection's frames in arrival order.
+Many tasks may issue requests over one connection: each request carries a
+fresh id and is written straight to the transport, and the connection's
+:class:`asyncio.Protocol` resolves the issuing task's future inside the
+callback that received the reply — no reader task, no write lock.  A reply
+stream that fails (closed, reset, out of frame sync, a fatal ERROR) closes
+the connection on the spot: every pending request fails with that error,
+``connected`` turns ``False``, and a later request raises
+:class:`ConnectionError` without writing anything.
 """
 
 from __future__ import annotations
@@ -46,12 +48,19 @@ from repro.netkms.protocol import (
 
 Pair = Tuple[str, str]
 
-#: ``connector(host, port)`` opening the transport; the default is plain
-#: :func:`asyncio.open_connection`.  The fault plane substitutes a wrapper
+#: ``connector(host, port, protocol_factory)`` opens the connection and
+#: returns ``(transport, protocol)``, as :meth:`asyncio.loop.create_connection`
+#: does; the default is exactly that.  The fault plane substitutes a wrapper
 #: that injects connection refusals, delays, and frame corruption.
 Connector = Callable[
-    [str, int], Awaitable[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]
+    [str, int, Callable[[], asyncio.Protocol]],
+    Awaitable[Tuple[asyncio.BaseTransport, asyncio.Protocol]],
 ]
+
+
+async def open_connection(host: str, port: int, protocol_factory):
+    """The default connector: a plain TCP connection."""
+    return await asyncio.get_running_loop().create_connection(protocol_factory, host, port)
 
 
 def _request_ids(first: int = 1) -> Iterator[int]:
@@ -63,15 +72,10 @@ def _request_ids(first: int = 1) -> Iterator[int]:
 
 
 class RequestTimeoutError(TimeoutError):
-    """A request outlived its per-request timeout.
-
-    After a timeout the connection's state is indeterminate — the reply may
-    still arrive (and will be dropped as stale) or the request may never
-    have been processed.  Callers that need certainty must reconnect and
-    re-issue under the idempotency rules (see docs/API.md "Failure
-    semantics"); :class:`~repro.netkms.resilient.ResilientKmsClient` does
-    exactly that.
-    """
+    """A request outlived its per-request timeout.  The reply may still
+    arrive (and is dropped) or the request may never have been processed;
+    :class:`~repro.netkms.resilient.ResilientKmsClient` reconnects and
+    re-issues under the idempotency rules of docs/API.md."""
 
 
 @dataclass
@@ -94,6 +98,72 @@ class ServedKey:
     reservation_id: int
     key_bits: int
     key_bytes: bytes
+
+
+class _Connection(asyncio.Protocol):
+    """One connection's reply side: frames in, futures resolved."""
+
+    def __init__(self, pending: Dict[int, asyncio.Future], max_frame_bytes: int):
+        self.pending = pending  # the client's, by request id
+        self.frames = protocol.FrameSplitter(max_frame_bytes)
+        self.transport = None
+        self.version: Optional[int] = None  # as WELCOME announced it
+        loop = asyncio.get_running_loop()
+        self.welcome = loop.create_future()  # the server's answer to HELLO
+        self.closed = loop.create_future()  # resolved once the transport is gone
+        #: Why the connection stopped serving; ``None`` while it serves.
+        self.failure: Optional[Exception] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        frames = self.frames
+        frames.feed(data)
+        pending = self.pending
+        try:
+            while self.failure is None:
+                body = frames.next_frame()
+                if body is None:
+                    return
+                reply = protocol.decode_body(body, expected_version=self.version)
+                if self.version is None:  # the answer to HELLO; connect() judges it
+                    if not self.welcome.done():
+                        self.welcome.set_result(reply)
+                        if isinstance(reply, Welcome):
+                            self.version = reply.wire_version
+                    continue
+                future = pending.get(reply.request_id)
+                if isinstance(reply, Error):
+                    error = ServerError(reply.code, reply.detail)
+                    if future is not None and not future.done():
+                        future.set_exception(error)
+                    if reply.code in protocol.FATAL_ERRORS:
+                        self.fail(error)
+                elif future is not None and not future.done():
+                    future.set_result(reply)
+        except ProtocolError as exc:
+            self.fail(exc)
+
+    def connection_lost(self, exc) -> None:
+        if self.version is None:
+            # Mid-handshake: the open failed the way a stream read would.
+            self.fail(exc or asyncio.IncompleteReadError(bytes(self.frames.buffer), None))
+        else:
+            self.fail(ConnectionError("server closed the connection"))
+        self.closed.set_result(None)
+
+    def fail(self, error: Exception) -> None:
+        """Stop serving: close the transport and fail every pending request."""
+        if self.failure is None:
+            self.failure = error
+            self.transport.close()
+            if not self.welcome.done():
+                self.welcome.set_exception(error)
+        for future in self.pending.values():
+            if not future.done():
+                future.set_exception(error)
+        self.pending.clear()
 
 
 class NetworkKmsClient:
@@ -133,16 +203,13 @@ class NetworkKmsClient:
         self.client_id = client_id
         self.max_frame_bytes = max_frame_bytes
         self.request_timeout = request_timeout
-        self._connector: Connector = connector or asyncio.open_connection
+        self._connector: Connector = connector or open_connection
         #: The negotiated protocol version (None until connected).
         self.version: Optional[int] = None
         self.server_id: Optional[str] = None
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional[asyncio.Task] = None
+        self._connection: Optional[_Connection] = None
         self._pending: Dict[int, asyncio.Future] = {}
         self._ids = _request_ids()
-        self._write_lock = asyncio.Lock()
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -150,23 +217,22 @@ class NetworkKmsClient:
 
     async def connect(self) -> int:
         """Open the connection and negotiate; returns the agreed version."""
-        if self._writer is not None:
+        if self._connection is not None:
             raise RuntimeError("client already connected")
-        self._reader, self._writer = await self._connector(self.host, self.port)
-        # Until the read loop takes ownership of the socket, *any* exit from
-        # the handshake — typed rejection, malformed reply, a frame error or
-        # connection cut mid-read — must close what we just opened, or every
-        # failed connect leaks a socket.
+        _transport, self._connection = await self._connector(
+            self.host, self.port, lambda: _Connection(self._pending, self.max_frame_bytes)
+        )
+        # *Any* exit from the handshake — typed rejection, malformed reply,
+        # a frame error or a connection cut mid-read — must close what we
+        # just opened, or every failed connect leaks a socket.
         try:
             hello = Hello(
                 min_version=self.versions[0],
                 max_version=self.versions[-1],
                 client_id=self.client_id,
             )
-            self._writer.write(protocol.encode_frame(hello, protocol.PROTOCOL_V1))
-            await self._writer.drain()
-            body = await protocol.read_frame(self._reader, self.max_frame_bytes)
-            reply = protocol.decode_body(body, expected_version=None)
+            self._connection.transport.write(protocol.encode_frame(hello, protocol.PROTOCOL_V1))
+            reply = await self._connection.welcome
             if isinstance(reply, Error):
                 raise ServerError(reply.code, reply.detail)
             if not isinstance(reply, Welcome):
@@ -181,36 +247,18 @@ class NetworkKmsClient:
                     f"server chose v{version}, offered {self.versions}",
                 )
         except BaseException:
-            await self._teardown()
+            await self.close()
             raise
         self.version = version
         self.server_id = reply.server_id
-        self._reader_task = asyncio.ensure_future(self._read_loop())
         return version
 
     async def close(self) -> None:
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except asyncio.CancelledError:
-                # The expected outcome of cancelling the read loop; any
-                # other exception is a real bug and must surface.
-                pass
-            self._reader_task = None
-        await self._teardown()
-
-    async def _teardown(self) -> None:
-        self._fail_pending(ConnectionError("connection closed"))
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except ConnectionError:
-                pass
-        self._reader = None
-        self._writer = None
+        connection, self._connection = self._connection, None
         self.version = None
+        if connection is not None:
+            connection.fail(ConnectionError("connection closed"))
+            await connection.closed
 
     async def __aenter__(self) -> "NetworkKmsClient":
         await self.connect()
@@ -285,11 +333,15 @@ class NetworkKmsClient:
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None and self.version is not None
+        connection = self._connection
+        return connection is not None and connection.failure is None and self.version is not None
 
     async def _request(self, message: Message) -> Message:
-        if self._writer is None or self.version is None:
+        connection = self._connection
+        if connection is None or self.version is None:
             raise RuntimeError("client is not connected")
+        if connection.failure is not None:
+            raise ConnectionError(f"connection is down: {connection.failure}")
         message.request_id = next(self._ids)
         while message.request_id in self._pending:
             # Round the id space once already and this one still awaits its
@@ -298,15 +350,14 @@ class NetworkKmsClient:
         future = asyncio.get_running_loop().create_future()
         self._pending[message.request_id] = future
         try:
-            async with self._write_lock:
-                self._writer.write(protocol.encode_frame(message, self.version))
-                await self._writer.drain()
+            connection.transport.write(protocol.encode_frame(message, self.version))
             if self.request_timeout is None:
                 return await future
             try:
                 # ``wait_for`` cancels the future on timeout, so a reply
-                # that arrives late is dropped by the read loop's ``done()``
-                # guard rather than resolving a request nobody awaits.
+                # that arrives late is dropped by the ``done()`` guard in
+                # ``data_received`` rather than resolving a request nobody
+                # awaits.
                 return await asyncio.wait_for(future, self.request_timeout)
             except asyncio.TimeoutError:
                 raise RequestTimeoutError(
@@ -315,34 +366,6 @@ class NetworkKmsClient:
                 ) from None
         finally:
             self._pending.pop(message.request_id, None)
-
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                body = await protocol.read_frame(self._reader, self.max_frame_bytes)
-                reply = protocol.decode_body(body, expected_version=self.version)
-                future = self._pending.get(reply.request_id)
-                if isinstance(reply, Error):
-                    error = ServerError(reply.code, reply.detail)
-                    if future is not None and not future.done():
-                        future.set_exception(error)
-                    if reply.code in protocol.FATAL_ERRORS:
-                        self._fail_pending(error)
-                        return
-                elif future is not None and not future.done():
-                    future.set_result(reply)
-        except asyncio.CancelledError:
-            raise
-        except (asyncio.IncompleteReadError, ConnectionError):
-            self._fail_pending(ConnectionError("server closed the connection"))
-        except ProtocolError as exc:
-            self._fail_pending(exc)
-
-    def _fail_pending(self, error: Exception) -> None:
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(error)
-        self._pending.clear()
 
     @staticmethod
     def _expect(reply: Message, expected: type) -> Message:

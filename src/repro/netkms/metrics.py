@@ -1,29 +1,78 @@
 """Per-request accounting for the networked key-delivery front end.
 
 The in-process soak (:mod:`repro.kms.service`) measures *simulated* time;
-the network server measures *wall* time — how fast the asyncio front end
-actually answers concurrent SAE clients.  One :class:`NetKmsMetrics` lives
-on each :class:`~repro.netkms.server.NetworkKmsServer` and accumulates:
-
-* request counts per message kind and a requests/s rate over the serving
-  window;
-* reserve-request handling latency (wall seconds, p50/p99/mean — reserve is
-  the contended operation, so its tail is the one worth watching);
-* protocol-error counts per error code, split fatal/request-level;
-* served-key accounting plus an order-independent digest of the served
-  material (sorted-chunk sha256), the bench invariant that must not move
-  with client concurrency.
+the network server measures *wall* time.  One :class:`NetKmsMetrics` lives
+on each :class:`~repro.netkms.server.NetworkKmsServer` and accumulates
+request counts per kind, reserve latency (p50/p99/mean, in a fixed-size
+:class:`LatencyHistogram` so memory does not grow with uptime), protocol
+errors per code, reap and replay counters, and an order-independent digest
+of the served material (sorted-chunk sha256) — the bench invariant that
+must not move with client concurrency.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.kms.service import percentile
 from repro.netkms.protocol import ERROR_NAMES, FATAL_ERRORS
+
+
+class LatencyHistogram:
+    """Durations in log-spaced buckets, in constant memory: the count, sum,
+    min and max are exact, and ``percentile(q)`` is the geometric middle of
+    the bucket holding the nearest-rank order statistic (exactly the min or
+    the max at the first or last rank).  Bucket ``i`` spans
+    ``FLOOR * 2**(i/8)`` up to ``FLOOR * 2**((i+1)/8)``, so between ``FLOOR``
+    (1 ns) and the last bucket's top (~18 min) a percentile is within
+    ``RELATIVE_ERROR`` = 2**(1/16) - 1 (~4.4 %) of the exact one.
+    """
+
+    FLOOR = 1e-9
+    BUCKETS_PER_DOUBLING = 8
+    BUCKETS = 320
+    RELATIVE_ERROR = 2 ** (1 / (2 * BUCKETS_PER_DOUBLING)) - 1
+
+    def __init__(self) -> None:
+        self.counts = array("Q", bytes(8 * self.BUCKETS))
+        self.count = 0
+        self.total = 0.0
+        self.low = math.inf
+        self.high = -math.inf
+
+    def add(self, seconds: float) -> None:
+        self.count += 1
+        self.total += seconds
+        self.low = min(self.low, seconds)
+        self.high = max(self.high, seconds)
+        index = 0
+        if seconds > self.FLOOR:
+            index = int(math.log2(seconds / self.FLOOR) * self.BUCKETS_PER_DOUBLING)
+        self.counts[min(index, self.BUCKETS - 1)] += 1
+
+    def __len__(self) -> int:
+        return self.count
+
+    def percentile(self, q: float) -> float:
+        """The nearest-rank ``q``-th percentile (0 when empty)."""
+        if not 0 <= q <= 100:
+            raise ValueError("percentile must be in [0, 100]")
+        rank = max(math.ceil(q / 100.0 * self.count), 1)
+        if rank >= self.count:
+            return self.high if self.count else 0.0
+        if rank == 1:
+            return self.low
+        seen = 0
+        for index, count in enumerate(self.counts):
+            seen += count
+            if seen >= rank:
+                break
+        middle = self.FLOOR * 2 ** ((index + 0.5) / self.BUCKETS_PER_DOUBLING)
+        return min(max(middle, self.low), self.high)
 
 
 @dataclass
@@ -65,7 +114,7 @@ class NetKmsMetrics:
         self.connections_opened = 0
         self.connections_closed = 0
         self.requests_by_kind: Dict[str, int] = {}
-        self.reserve_latencies: List[float] = []
+        self.reserve_latencies = LatencyHistogram()
         self.reservations_granted = 0
         self.reservations_denied = 0
         self.keys_served = 0
@@ -89,7 +138,7 @@ class NetKmsMetrics:
         self.requests_by_kind[kind_name] = self.requests_by_kind.get(kind_name, 0) + 1
 
     def note_reserve(self, latency_seconds: float, granted: bool) -> None:
-        self.reserve_latencies.append(latency_seconds)
+        self.reserve_latencies.add(latency_seconds)
         if granted:
             self.reservations_granted += 1
         else:
@@ -136,9 +185,9 @@ class NetKmsMetrics:
             requests=total,
             requests_per_second=total / elapsed,
             requests_by_kind=dict(self.requests_by_kind),
-            reserve_latency_p50_seconds=percentile(latencies, 50),
-            reserve_latency_p99_seconds=percentile(latencies, 99),
-            reserve_latency_mean_seconds=sum(latencies) / max(len(latencies), 1),
+            reserve_latency_p50_seconds=latencies.percentile(50),
+            reserve_latency_p99_seconds=latencies.percentile(99),
+            reserve_latency_mean_seconds=latencies.total / max(len(latencies), 1),
             reservations_granted=self.reservations_granted,
             reservations_denied=self.reservations_denied,
             keys_served=self.keys_served,
@@ -156,4 +205,4 @@ class NetKmsMetrics:
         )
 
 
-__all__ = ["MetricsReport", "NetKmsMetrics"]
+__all__ = ["LatencyHistogram", "MetricsReport", "NetKmsMetrics"]

@@ -3,8 +3,8 @@
 Key delivery only becomes a *service* when the :class:`~repro.kms.store.KeyStore`
 reserve/consume contract is reachable over a network API (the ETSI GS QKD 014
 shape: a secure application entity asks its local KME for key against one peer
-pair).  This module defines the byte-level protocol both sides of
-:mod:`repro.netkms` speak; the asyncio server and client are in
+pair).  This module is the byte-level protocol both ends of
+:mod:`repro.netkms` speak; the server and the client are in
 :mod:`repro.netkms.server` and :mod:`repro.netkms.client`.
 
 Framing
@@ -18,43 +18,30 @@ Every message travels as one length-prefixed frame::
     body[1] = version   (the protocol version the body is encoded at)
     body[2:] = fixed little-endian header fields, then variable payload
 
-The length prefix is validated against ``max_frame_bytes`` *before* the body
-is read, and every count inside a body is validated against the bytes that
-actually arrived before anything output-sized is allocated — the same
-hostile-input contract as the PR 4 transcript codec
-(:func:`repro.core.wire.decode_varints`).
+Both ends cut frames out of the received bytes with :class:`FrameSplitter`,
+which judges a length prefix against ``max_frame_bytes`` before any body
+byte is waited for; every count inside a body is then validated against the
+bytes that arrived before anything output-sized is allocated — the
+hostile-input contract of :func:`repro.core.wire.decode_varints`.
 
 Version negotiation
 -------------------
 
-Connections open with a HELLO exchange: the client offers an inclusive
-``[min_version, max_version]`` range, the server picks the highest version
-both sides speak and answers WELCOME (or a fatal ``ERR_VERSION`` error when
-the ranges are disjoint).  Every subsequent frame carries the negotiated
-version in its header byte and is rejected otherwise.  The HELLO frame
-itself is always encoded at :data:`PROTOCOL_V1` — the floor encoding any
-implementation can parse — so a v1 server can read a v9 client's offer and
-still negotiate down.  This is the backward-compatible-upgrade discipline:
-v2 adds a trailing ``depletion_rate_millibps`` field to STATUS_OK, and a
-v1 peer never sees it because the *negotiated* version, not the newest
-implemented one, selects the encoding.  v3 repeats the template on the
-reservation path: RESERVE_OK grows a trailing ``lease_ms`` varint — the
-server's lease TTL on the granted reservation (0 = no lease), after which
-an unconsumed reservation is reaped and its bits returned to the store.
-v4 adds exactly one request kind, where v2 and v3 each added one trailing
-field: GET_KEY ``{pair, bits}`` (RESERVE's payload) is answered by CONSUME_OK,
-a key in one round trip whose reservation is never held.  A server refuses
-the kind on a connection that negotiated less, so an older peer never sees it.
+HELLO offers an inclusive ``[min_version, max_version]`` range, always
+encoded at :data:`PROTOCOL_V1` so any server can read any offer; the server
+answers WELCOME at the highest version both speak (or a fatal
+``ERR_VERSION``), and every later frame carries that version in its header
+byte and is rejected otherwise.  The *negotiated* version, not the newest
+implemented one, selects every encoding: v2 adds a trailing
+``depletion_rate_millibps`` to STATUS_OK, v3 a trailing ``lease_ms`` to
+RESERVE_OK (the lease after which an unconsumed reservation is reaped), and
+v4 one request kind, GET_KEY ``{pair, bits}``, answered by CONSUME_OK — a
+key in one round trip whose reservation is never held.  A server refuses
+the kind on a connection that negotiated less.
 
-Error handling
---------------
-
-Every malformed input maps to a typed :class:`ProtocolError` with a stable
-error code; servers answer with an ERROR frame and, for connection-level
-codes (:data:`FATAL_ERRORS` — malformed bytes, version mismatch, unknown
-kind, oversized frame), close the connection.  Request-level failures
-(unknown pair, exhausted store, unknown reservation) leave the connection
-usable.
+Every malformed input maps to a typed :class:`ProtocolError`; the codes in
+:data:`FATAL_ERRORS` close the connection, request-level ones (unknown
+pair, exhausted store, unknown reservation) leave it usable.
 """
 
 from __future__ import annotations
@@ -707,19 +694,37 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
     return message
 
 
-async def read_frame(reader, max_frame_bytes: int = MAX_FRAME_BYTES) -> bytes:
-    """Read one frame body from an asyncio stream, or raise.
+class FrameSplitter:
+    """Cuts frame bodies out of a byte stream, however it was segmented.
 
-    The length prefix is checked against ``max_frame_bytes`` *before* the
-    body read, so an absurd prefix is rejected without any body-sized
-    allocation.  Raises :class:`asyncio.IncompleteReadError` when the peer
-    closes mid-frame (or cleanly between frames) and :class:`ProtocolError`
-    on an invalid length.
+    ``feed`` appends what the transport delivered; ``next_frame`` returns
+    the next whole body, or ``None`` until one is buffered.  A length prefix
+    is judged against ``_MIN_BODY`` and ``max_frame_bytes`` as soon as its
+    four bytes are in, so an absurd one is refused without waiting for (or
+    allocating) its body; the stream is then out of frame sync.
     """
-    prefix = await reader.readexactly(4)
-    (length,) = _LENGTH_PREFIX.unpack(prefix)
-    if length < _MIN_BODY:
-        raise ProtocolError(ERR_MALFORMED, f"frame length {length} below header size")
-    if length > max_frame_bytes:
-        raise ProtocolError(ERR_OVERSIZED, f"frame length {length} exceeds cap {max_frame_bytes}")
-    return await reader.readexactly(length)
+
+    def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
+        self.max_frame_bytes = max_frame_bytes
+        self.buffer = bytearray()
+
+    def feed(self, data: bytes) -> None:
+        self.buffer += data
+
+    def next_frame(self) -> Optional[bytes]:
+        buffer = self.buffer
+        if len(buffer) < _LENGTH_PREFIX.size:
+            return None
+        (length,) = _LENGTH_PREFIX.unpack_from(buffer)
+        if length < _MIN_BODY:
+            raise ProtocolError(ERR_MALFORMED, f"frame length {length} below header size")
+        if length > self.max_frame_bytes:
+            raise ProtocolError(
+                ERR_OVERSIZED, f"frame length {length} exceeds cap {self.max_frame_bytes}"
+            )
+        end = _LENGTH_PREFIX.size + length
+        if len(buffer) < end:
+            return None
+        body = bytes(buffer[_LENGTH_PREFIX.size : end])
+        del buffer[:end]
+        return body

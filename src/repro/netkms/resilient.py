@@ -8,38 +8,18 @@ servers stall (the Elastic-TCP-style adaptive backoff from PAPERS.md):
 * **reconnect** with capped exponential backoff and *deterministic* jitter
   (drawn from a labeled :class:`~repro.util.rng.DeterministicRNG` stream,
   so a seeded chaos run replays byte-for-byte);
-* **per-kind retry policy** that never violates the one-time-pad
-  contract.  The safety rules, per message kind:
-
-  ============  ==========================================================
-  STATUS        Pure read — always retry-safe.
-  CAPABILITIES  Pure read — always retry-safe.
-  RESERVE       Retry-safe: a duplicate grant whose RESERVE_OK was lost is
-                an orphan the server's lease reaper returns to the store.
-  RELEASE       Retry-safe: a duplicate release answers
-                ``unknown-reservation``, which the retry treats as success
-                (the first release already returned the bits).
-  CONSUME       Retried only because the server keeps consumed
-                reservations in an idempotent replay cache for one lease
-                term: a retried CONSUME re-delivers the *same* bytes, so
-                material is never drawn twice.  If the retry answers
-                ``unknown-reservation`` the lease was reaped before any
-                consume happened — the reservation is abandoned and a
-                fresh reserve+consume runs instead.  Either way no key is
-                double-served.
-  GET_KEY       Never retried; not used here.  Its reply is the only frame
-                that names the reservation, so a lost one leaves nothing
-                to re-fetch by — exactly-once needs the id to reach the
-                client before any bit moves, hence two phases.
-  ============  ==========================================================
-
+* **a per-kind retry policy** that never violates the one-time-pad
+  contract (the table in docs/API.md "Failure semantics"): STATUS,
+  CAPABILITIES and RESERVE are retried freely (a lost grant is an orphan
+  the lease reaper returns); RELEASE treats ``unknown-reservation`` on a
+  retry as done; CONSUME is retried because the server's replay cache
+  re-delivers the same bytes, and an ``unknown-reservation`` answer means
+  the lease was reaped before any consume, so a fresh reserve is safe.
+  GET_KEY is never used: its reply is the only frame naming the
+  reservation, so exactly-once needs the two phases;
 * **recovery accounting** — every disruption that the loop survives
   records how long service took to resume, feeding the recovery-time
   p50/p99 that bench E18 reports.
-
-``get_key`` is the workhorse: it survives connection drops mid-consume,
-server stalls past the request timeout, lease-expiry reaps, and graceful
-server drains, and still returns every requested key exactly once.
 """
 
 from __future__ import annotations
@@ -184,9 +164,7 @@ class ResilientKmsClient:
     async def _ensure_connected(self) -> NetworkKmsClient:
         if self._client is not None and self._client.connected:
             return self._client
-        if self._client is not None:
-            await self._client.close()
-            self._client = None
+        await self.close()
         client = NetworkKmsClient(
             self.host,
             self.port,
@@ -201,12 +179,6 @@ class ResilientKmsClient:
         self._ever_connected = True
         self._client = client
         return client
-
-    async def _drop_connection(self) -> None:
-        """Abandon a connection whose state is indeterminate (timeout/cut)."""
-        if self._client is not None:
-            await self._client.close()
-            self._client = None
 
     # ------------------------------------------------------------------ #
     # Retry-safe operations
@@ -284,7 +256,7 @@ class ResilientKmsClient:
                     self.stats.timeouts += 1
                 # The connection's state is unknown after any retryable
                 # failure; reconnect rather than reuse a wedged stream.
-                await self._drop_connection()
+                await self.close()
                 if attempt == self.policy.max_attempts:
                     break
                 self.stats.retries += 1

@@ -1,76 +1,52 @@
 """The asyncio key-delivery server: KeyStores behind a TCP front end.
 
-:class:`NetworkKmsServer` exposes a set of per-pair
-:class:`~repro.kms.store.KeyStore` reservoirs to many concurrent SAE clients
-over the :mod:`repro.netkms.protocol` framing.  The contract it inherits
-from the in-process store layer is the one that matters under concurrency:
-**no two clients ever receive overlapping key material**, because every
-key is drawn by ``store.draw(reservation)`` and the store's pools refuse
-draws that would invade another consumer's reservation.
+:class:`NetworkKmsServer` exposes per-pair :class:`~repro.kms.store.KeyStore`
+reservoirs to many concurrent SAE clients over the
+:mod:`repro.netkms.protocol` framing.  **No two clients ever receive
+overlapping key material**: every key is drawn by ``store.draw(reservation)``,
+and the store's pools refuse draws that would invade another reservation.
 
 A key leaves a store in two steps, each with one body: the *grant* claims
 the bits, the *serve* draws them, counts them once and keeps the reply
 replayable.  RESERVE is the grant and a hold under a lease; CONSUME takes
 the held reservation (or answers from the replay cache) and serves; v4's
-GET_KEY is the grant and the serve inside one acquisition of the pair's
-lock, so its reservation is never held and no lease can lapse in between.
+GET_KEY is the grant and the serve inside one handler call, so its
+reservation is never held and no lease can lapse in between.
 
 Concurrency model
 -----------------
 
-One asyncio task per connection, and no other: the handler reads a frame,
-dispatches it and writes the reply inline, so serving a request creates no
-task.  Requests on a connection are answered in order (clients may pipeline
-— responses echo the request id).  All store operations are synchronous and
-are additionally serialized through a per-pair :class:`asyncio.Lock` around
-the reserve-bookkeeping and consume-draw sections, so the no-overlap
-guarantee does not silently depend on no ``await`` ever creeping between a
-lookup and its draw.
+One :class:`asyncio.Protocol` object per connection, and no task per
+connection or per request: ``data_received`` splits whole frames out of the
+connection's buffer and, for each, decodes it, runs its handler and writes
+the reply before it returns, so a connection's requests are answered in
+arrival order (clients may pipeline — replies echo the request id).  The
+handlers are plain functions over synchronous store operations, so nothing
+can run between a request's lookup and its draw: the atomicity that the
+no-overlap guarantee needs is structural, not a lock.  A connection stops
+reading while its transport's write buffer is past the high-water mark
+(``pause_writing`` / ``resume_writing``) and while a request awaits
+``request_hook``, which runs in one task for that request; the frames
+buffered behind it are answered afterwards, in order.
 
-Disruption tolerance
---------------------
+Leases, reaping and the drain
+-----------------------------
 
-A reservation is a *lease*, not a grant in perpetuity.  Every held
-reservation records the connection that created it and an expiry deadline
-(``lease_seconds`` past the grant, advertised to v3 clients as
-``lease_ms`` on RESERVE_OK).  Two reapers close the reservation-leak
-window a failing peer would otherwise open:
+A held reservation is a *lease*: it names the connection that made it and
+expires ``lease_seconds`` after the grant.  A closing connection's
+reservations are reaped at once; an expired lease is reaped lazily on every
+reserve/consume/release and by the periodic sweep, which is one comparison
+until the clock reaches the earliest outstanding deadline.  Consumed
+reservations stay in a bounded **replay cache**, so a CONSUME retried after
+a lost reply re-delivers the same bytes and draws nothing.
 
-* **disconnect reap** — when a connection closes (peer death, link cut,
-  fault injection), every reservation it still holds is released back to
-  its store immediately;
-* **lease reap** — reservations that outlive their lease (a half-open
-  connection the TCP stack has not noticed is dead) are released by the
-  periodic sweep (and lazily on every reserve/consume/release), so bits
-  can never stay invisible forever.  The server keeps the earliest
-  outstanding deadline, so a reap with nothing due — nearly every request
-  — costs one comparison; the held reservations and the replay cache are
-  looked through only when the clock has reached that deadline.
-
-Consumed reservations enter a bounded **replay cache** for one lease term:
-a client that lost the CONSUME_OK to a connection drop can reconnect and
-re-issue the same CONSUME, and the server re-delivers the *same* bytes —
-the material is drawn (and counted by the served digest) exactly once.
-This is what makes CONSUME idempotent and the client's retry loop safe.
-
-``stop()`` drains gracefully, and is itself what signals the drain — a
-connection waiting for its next request watches nothing.  ``stop()`` writes
-a typed ``SHUTTING_DOWN`` error (request id 0) to every connection parked
-between requests and closes it, and closes the listener.  A connection in
-mid-dispatch finishes its request and answers it; a request already
-pipelined behind that one is rejected with ``SHUTTING_DOWN`` under its own
-request id, and the connection closes.  Every still-held reservation is
-then reaped so the stores are left clean.
-
-Hostile input
--------------
-
-Frames are validated before anything input-sized is allocated (length
-prefix against ``max_frame_bytes``, every interior count against the bytes
-present), mirroring the transcript codec's decode-validation contract.
-Violations are answered with a typed ERROR frame; fatal codes
-(:data:`repro.netkms.protocol.FATAL_ERRORS`) also close the connection,
-because an out-of-sync or version-less stream cannot be reframed.
+``stop()`` is itself what signals the drain: it answers every connection
+parked between requests with ``SHUTTING_DOWN`` (request id 0) and closes
+it.  A request in its hook finishes and is answered, one pipelined behind
+it is refused under its own id, and every reservation still held at the
+end is reaped.  Malformed frames are answered with a typed ERROR; the
+fatal codes (:data:`~repro.netkms.protocol.FATAL_ERRORS`) also close the
+connection.  docs/API.md "Failure semantics" has the full contract.
 """
 
 from __future__ import annotations
@@ -80,7 +56,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, Iterable, Mapping, Optional, Set, Tuple
+from typing import Awaitable, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.kms.store import KeyReservation, KeyStore, KeyStoreExhaustedError, ReservationError
 from repro.netkms import protocol
@@ -139,17 +115,6 @@ class ServedReservation:
     key_bits: int
     key_bytes: bytes
     expires_at: float
-
-
-@dataclass
-class _Connection:
-    """What :meth:`NetworkKmsServer.stop` needs to dismiss a connection."""
-
-    writer: asyncio.StreamWriter
-    version: int
-    #: True while the handler is parked in (or about to enter) its frame
-    #: read, i.e. no request of this connection is being dispatched.
-    idle: bool = True
 
 
 class NetworkKmsServer:
@@ -228,11 +193,11 @@ class NetworkKmsServer:
         #: made exact again by each scan.  ``reap_expired`` before it has
         #: nothing to find.
         self._earliest_deadline = math.inf
-        self._locks: Dict[Pair, asyncio.Lock] = {}
         self._conn_ids = itertools.count(1)
-        self._conn_tasks: Set[asyncio.Task] = set()
-        #: Connections past their handshake, by connection id.
+        #: Open connections, by connection id.
         self._connections: Dict[int, _Connection] = {}
+        #: Set by the last connection to close once ``stop()`` waits for it.
+        self._all_closed: Optional[asyncio.Future] = None
         self._draining = False
         self._reaper_task: Optional[asyncio.Task] = None
 
@@ -243,10 +208,9 @@ class NetworkKmsServer:
     async def start(self) -> "NetworkKmsServer":
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._locks = {pair: asyncio.Lock() for pair in self.stores}
         self._draining = False
-        self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.metrics = NetKmsMetrics()
@@ -255,23 +219,14 @@ class NetworkKmsServer:
         return self
 
     async def stop(self, drain_timeout: float = 5.0) -> None:
-        """Drain and shut down.
-
-        ``stop`` itself dismisses every connection parked between requests
-        (a typed ``SHUTTING_DOWN`` error under request id 0, then close) and
-        closes the listener (no new connections).  A connection in
-        mid-dispatch is left alone: its request finishes and is answered,
-        any further request gets ``SHUTTING_DOWN`` under its own id, and the
-        connection closes.  Connections that have not finished within
-        ``drain_timeout`` are cancelled.  Finally every still-held
-        reservation is reaped back into its store, so a stopped server
-        never leaves bits invisibly reserved.
-        """
+        """Drain and shut down (see "Leases, reaping and the drain" above);
+        connections still open after ``drain_timeout`` are aborted, and no
+        reservation is left held."""
         if self._server is None:
             return
         self._draining = True
         for conn in list(self._connections.values()):
-            self._dismiss_if_idle(conn)
+            conn.dismiss_if_idle()
         self._server.close()
         await self._server.wait_closed()
         self._server = None
@@ -282,13 +237,14 @@ class NetworkKmsServer:
             except asyncio.CancelledError:
                 pass
             self._reaper_task = None
-        pending = set(self._conn_tasks)
-        if pending:
-            _done, still_running = await asyncio.wait(pending, timeout=drain_timeout)
-            for task in still_running:
-                task.cancel()
-            if still_running:
-                await asyncio.gather(*still_running, return_exceptions=True)
+        if self._connections:
+            self._all_closed = asyncio.get_running_loop().create_future()
+            _done, late = await asyncio.wait({self._all_closed}, timeout=drain_timeout)
+            if late:
+                for conn in list(self._connections.values()):
+                    conn.abort()
+                await self._all_closed
+            self._all_closed = None
         self._reap_all("shutdown")
 
     async def __aenter__(self) -> "NetworkKmsServer":
@@ -361,114 +317,15 @@ class NetworkKmsServer:
             self.reap_expired()
 
     # ------------------------------------------------------------------ #
-    # Connection handling
+    # Dispatch
     # ------------------------------------------------------------------ #
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.metrics.connections_opened += 1
-        conn_id = next(self._conn_ids)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            version = await self._handshake(reader, writer)
-            if version is not None:
-                await self._serve_requests(reader, writer, version, conn_id)
-        except (asyncio.IncompleteReadError, ConnectionError):
-            pass  # peer went away; nothing to answer
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            self._reap_connection(conn_id)
-            self.metrics.connections_closed += 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                # The handler is ending either way; a cancellation racing
-                # the close (event-loop teardown) must not log as a leak.
-                pass
-
-    async def _handshake(self, reader, writer) -> Optional[int]:
-        """Run the HELLO/WELCOME exchange; None means rejected (and closed)."""
-        try:
-            body = await protocol.read_frame(reader, self.max_frame_bytes)
-            hello = protocol.decode_body(body, expected_version=None)
-            if not isinstance(hello, Hello):
-                raise ProtocolError(
-                    protocol.ERR_MALFORMED,
-                    f"expected HELLO, got kind 0x{hello.KIND:02x}",
-                )
-        except ProtocolError as exc:
-            await self._send_error(writer, 0, exc, version=protocol.PROTOCOL_V1)
-            return None
-        if self._draining:
-            exc = ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
-            await self._send_error(writer, 0, exc, version=protocol.PROTOCOL_V1)
-            return None
-        version = protocol.negotiate(hello.min_version, hello.max_version, self.versions)
-        if version is None:
-            exc = ProtocolError(
-                protocol.ERR_VERSION,
-                f"client speaks v{hello.min_version}..v{hello.max_version}, "
-                f"server speaks {list(self.versions)}",
-            )
-            await self._send_error(writer, 0, exc, version=protocol.PROTOCOL_V1)
-            return None
-        await self._send(writer, Welcome(server_id=self.server_id), version)
-        return version
-
-    async def _serve_requests(self, reader, writer, version: int, conn_id: int) -> None:
-        conn = _Connection(writer, version)
-        self._connections[conn_id] = conn
-        loop = asyncio.get_running_loop()
-        try:
-            while True:
-                conn.idle = True
-                if self._draining:
-                    # stop() made its pass while this connection was in
-                    # mid-dispatch.  A frame already buffered is read below
-                    # without yielding to the loop and meets the gate in
-                    # _dispatch; otherwise the read parks and the callback
-                    # dismisses this connection as stop() would have.
-                    loop.call_soon(self._dismiss_if_idle, conn)
-                try:
-                    body = await protocol.read_frame(reader, self.max_frame_bytes)
-                except ProtocolError as exc:
-                    # The stream is out of frame sync; report and drop it.
-                    conn.idle = False
-                    await self._send_error(writer, 0, exc, version)
-                    return
-                conn.idle = False
-                try:
-                    message = protocol.decode_body(body, expected_version=version)
-                    response = await self._dispatch(message, version, conn_id)
-                except ProtocolError as exc:
-                    request_id = _request_id_of(body)
-                    await self._send_error(writer, request_id, exc, version)
-                    if exc.fatal:
-                        return
-                    continue
-                await self._send(writer, response, version)
-        finally:
-            del self._connections[conn_id]
-
-    def _dismiss_if_idle(self, conn: _Connection) -> None:
-        """Tell a connection parked in its frame read that the server is
-        draining, and close it; the handler wakes on the EOF and leaves
-        through its peer-went-away exit."""
-        if not conn.idle or conn.writer.is_closing():
-            return
-        exc = ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
-        self._write_error(conn.writer, 0, exc, conn.version)
-        conn.writer.close()
-
-    async def _dispatch(self, message: Message, version: int, conn_id: int) -> Message:
+    def _route(self, message: Message, version: int):
+        """The handler for ``message`` on a ``version`` connection, or the
+        typed refusal; a routed request is counted."""
         if self._draining:
             # A request that arrives once draining has begun is "new" by
-            # definition — in-flight requests are already past this gate.
+            # definition — one in its hook is already past this gate.
             raise ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
         handler = _HANDLERS[version].get(message.KIND)
         if handler is None:
@@ -482,9 +339,10 @@ class NetworkKmsServer:
                 f"{type(message).__name__} is not a client request",
             )
         self.metrics.note_request(type(message).__name__)
-        if self.request_hook is not None:
-            await self.request_hook(message)
-        return await handler(self, message, conn_id)
+        return handler
+
+    def _dispatch(self, message: Message, version: int, conn_id: int) -> Message:
+        return self._route(message, version)(self, message, conn_id)
 
     # ------------------------------------------------------------------ #
     # Request handlers
@@ -499,7 +357,7 @@ class NetworkKmsServer:
             )
         return store
 
-    async def _on_status(self, message: Status, conn_id: int) -> StatusOk:
+    def _on_status(self, message: Status, conn_id: int) -> StatusOk:
         store = self._store_for(message.pair)
         return StatusOk(
             request_id=message.request_id,
@@ -513,7 +371,7 @@ class NetworkKmsServer:
             depletion_rate_millibps=int(store.depletion_rate_bps * 1000),
         )
 
-    async def _on_capabilities(self, message: Capabilities, conn_id: int) -> CapabilitiesOk:
+    def _on_capabilities(self, message: Capabilities, conn_id: int) -> CapabilitiesOk:
         return CapabilitiesOk(
             request_id=message.request_id,
             min_version=self.versions[0],
@@ -524,7 +382,7 @@ class NetworkKmsServer:
         )
 
     def _grant(self, store: KeyStore, bits: int, now: float) -> KeyReservation:
-        """Step one, under the pair's lock: claim ``bits`` bits of ``store``."""
+        """Step one: claim ``bits`` bits of ``store``."""
         started = time.perf_counter()
         if not 0 < bits <= self.max_reserve_bits:
             raise ProtocolError(
@@ -543,8 +401,8 @@ class NetworkKmsServer:
     def _serve(
         self, store: KeyStore, reservation: KeyReservation, message: Consume | GetKey, now: float
     ) -> ConsumeOk:
-        """Step two, under the pair's lock: draw the reserved bits, count
-        them once, and keep the reply replayable for the retention window."""
+        """Step two: draw the reserved bits, count them once, and keep the
+        reply replayable for the retention window."""
         # Both endpoints' pools advance in lock-step, exactly as the
         # in-process gateways do, so the store stays synchronised for
         # every later consumer; the (identical) material is served once.
@@ -572,19 +430,28 @@ class NetworkKmsServer:
             key_bytes=key_bytes,
         )
 
-    async def _on_reserve(self, message: Reserve, conn_id: int) -> ReserveOk:
-        store = self._store_for(message.pair)
-        async with self._locks[message.pair]:
-            now = self._now()
-            reservation = self._grant(store, message.bits, now)
-            expires_at = now + self.lease_seconds
-            self._held[(message.pair, reservation.reservation_id)] = HeldReservation(
-                reservation=reservation,
-                owner=conn_id,
-                expires_at=expires_at,
+    def _take_held(self, message: Consume | Release) -> KeyReservation:
+        held = self._held.pop((message.pair, message.reservation_id), None)
+        if held is None:
+            raise ProtocolError(
+                protocol.ERR_UNKNOWN_RESERVATION,
+                f"no held reservation {message.reservation_id} "
+                f"for {message.pair[0]}--{message.pair[1]}",
             )
-            if expires_at < self._earliest_deadline:
-                self._earliest_deadline = expires_at
+        return held.reservation
+
+    def _on_reserve(self, message: Reserve, conn_id: int) -> ReserveOk:
+        store = self._store_for(message.pair)
+        now = self._now()
+        reservation = self._grant(store, message.bits, now)
+        expires_at = now + self.lease_seconds
+        self._held[(message.pair, reservation.reservation_id)] = HeldReservation(
+            reservation=reservation,
+            owner=conn_id,
+            expires_at=expires_at,
+        )
+        if expires_at < self._earliest_deadline:
+            self._earliest_deadline = expires_at
         return ReserveOk(
             request_id=message.request_id,
             reservation_id=reservation.reservation_id,
@@ -592,78 +459,43 @@ class NetworkKmsServer:
             lease_ms=int(self.lease_seconds * 1000),
         )
 
-    async def _on_get_key(self, message: GetKey, conn_id: int) -> ConsumeOk:
+    def _on_get_key(self, message: GetKey, conn_id: int) -> ConsumeOk:
         store = self._store_for(message.pair)
-        async with self._locks[message.pair]:
-            now = self._now()
-            return self._serve(store, self._grant(store, message.bits, now), message, now)
+        now = self._now()
+        return self._serve(store, self._grant(store, message.bits, now), message, now)
 
-    async def _on_consume(self, message: Consume, conn_id: int) -> ConsumeOk:
+    def _on_consume(self, message: Consume, conn_id: int) -> ConsumeOk:
         store = self._store_for(message.pair)
-        key = (message.pair, message.reservation_id)
-        async with self._locks[message.pair]:
-            now = self._now()
-            self.reap_expired(now)
-            replay = self._served.get(key)
-            if replay is not None:
-                # Idempotent retry: the reservation was already consumed but
-                # the reply may never have reached the client.  Re-deliver
-                # the identical bytes; the material was served (and entered
-                # the digest) exactly once.
-                self.metrics.note_replay()
-                return ConsumeOk(
-                    request_id=message.request_id,
-                    reservation_id=message.reservation_id,
-                    key_bits=replay.key_bits,
-                    key_bytes=replay.key_bytes,
-                )
-            held = self._held.pop(key, None)
-            if held is None:
-                raise ProtocolError(
-                    protocol.ERR_UNKNOWN_RESERVATION,
-                    f"no held reservation {message.reservation_id} "
-                    f"for {message.pair[0]}--{message.pair[1]}",
-                )
-            return self._serve(store, held.reservation, message, now)
+        now = self._now()
+        self.reap_expired(now)
+        replay = self._served.get((message.pair, message.reservation_id))
+        if replay is not None:
+            # Idempotent retry: the reservation was already consumed but
+            # the reply may never have reached the client.  Re-deliver the
+            # identical bytes; the material was served (and entered the
+            # digest) exactly once.
+            self.metrics.note_replay()
+            return ConsumeOk(
+                request_id=message.request_id,
+                reservation_id=message.reservation_id,
+                key_bits=replay.key_bits,
+                key_bytes=replay.key_bytes,
+            )
+        return self._serve(store, self._take_held(message), message, now)
 
-    async def _on_release(self, message: Release, conn_id: int) -> ReleaseOk:
+    def _on_release(self, message: Release, conn_id: int) -> ReleaseOk:
         store = self._store_for(message.pair)
         self.reap_expired()
-        async with self._locks[message.pair]:
-            held = self._held.pop((message.pair, message.reservation_id), None)
-            if held is None:
-                raise ProtocolError(
-                    protocol.ERR_UNKNOWN_RESERVATION,
-                    f"no held reservation {message.reservation_id} "
-                    f"for {message.pair[0]}--{message.pair[1]}",
-                )
-            store.release(held.reservation)
+        store.release(self._take_held(message))
         return ReleaseOk(
             request_id=message.request_id,
             reservation_id=message.reservation_id,
         )
 
-    # ------------------------------------------------------------------ #
-    # Plumbing
-    # ------------------------------------------------------------------ #
-
-    async def _send(self, writer, message: Message, version: int) -> None:
-        writer.write(protocol.encode_frame(message, version))
-        await writer.drain()
-
-    async def _send_error(
-        self, writer, request_id: int, exc: ProtocolError, version: int
-    ) -> None:
-        self._write_error(writer, request_id, exc, version)
-        try:
-            await writer.drain()
-        except ConnectionError:
-            pass
-
-    def _write_error(self, writer, request_id: int, exc: ProtocolError, version: int) -> None:
+    def _write_error(self, transport, request_id: int, exc: ProtocolError, version: int) -> None:
         self.metrics.note_error(exc.code)
         error = Error(request_id=request_id, code=exc.code, detail=exc.detail)
-        writer.write(protocol.encode_frame(error, version))
+        transport.write(protocol.encode_frame(error, version))
 
     def __repr__(self) -> str:
         state = "up" if self._server is not None else "down"
@@ -671,6 +503,178 @@ class NetworkKmsServer:
             f"NetworkKmsServer({len(self.stores)} pairs on "
             f"{self.host}:{self.port}, {state})"
         )
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: frames in, each answered before the callback
+    that completed it returns (see "Concurrency model" above)."""
+
+    def __init__(self, server: NetworkKmsServer):
+        self.server = server
+        self.conn_id = next(server._conn_ids)
+        self.frames = protocol.FrameSplitter(server.max_frame_bytes)
+        self.transport: Optional[asyncio.Transport] = None
+        self.version: Optional[int] = None  # until HELLO is answered
+        #: ``busy``: a request awaits ``request_hook`` (in ``hook_task``);
+        #: ``write_paused``: the write buffer is past its high-water mark.
+        #: Either holds the frames buffered behind.
+        self.busy = self.write_paused = False
+        self.hook_task: Optional[asyncio.Task] = None
+        #: The peer half-closed; this end asked to close; the transport is
+        #: gone (torn down once ``busy`` clears, so a request in its hook is
+        #: answered before the disconnect reap).
+        self.eof = self.closing = self.lost = False
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.server._connections[self.conn_id] = self
+        self.server.metrics.connections_opened += 1
+
+    def data_received(self, data: bytes) -> None:
+        self.frames.feed(data)
+        self._answer_buffered()
+
+    def eof_received(self) -> bool:
+        self.eof = True
+        # Keep the socket half-open while a request still owes its reply.
+        return self.busy or self.write_paused
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if not self.busy:
+            self.transport.resume_reading()
+            self._answer_buffered()
+
+    def connection_lost(self, exc) -> None:
+        self.lost = self.closing = True
+        if not self.busy:
+            self._finish()
+
+    def _answer_buffered(self) -> None:
+        """Answer every whole frame buffered, in order, until one must wait."""
+        server = self.server
+        while not (self.busy or self.write_paused or self.closing):
+            try:
+                body = self.frames.next_frame()
+            except ProtocolError as exc:
+                # The stream is out of frame sync; report and drop it.
+                self._refuse(0, exc)
+                return
+            if body is None:
+                if server._draining and self.version is not None:
+                    self.dismiss_if_idle()
+                elif self.eof:
+                    self._close()
+                return
+            version = self.version
+            if version is None:
+                self._handshake(body)
+                continue
+            try:
+                message = protocol.decode_body(body, expected_version=version)
+                if server.request_hook is None:
+                    reply = server._dispatch(message, version, self.conn_id)
+                else:
+                    self._hold(server._route(message, version), message)
+                    return
+            except ProtocolError as exc:
+                self._refuse(_request_id_of(body), exc)
+                continue
+            self.transport.write(protocol.encode_frame(reply, version))
+
+    def _handshake(self, body: bytes) -> None:
+        """Answer HELLO with WELCOME, or refuse (at the v1 floor) and close."""
+        server = self.server
+        try:
+            hello = protocol.decode_body(body, expected_version=None)
+            if not isinstance(hello, Hello):
+                raise ProtocolError(
+                    protocol.ERR_MALFORMED,
+                    f"expected HELLO, got kind 0x{hello.KIND:02x}",
+                )
+            if server._draining:
+                raise ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
+            version = protocol.negotiate(hello.min_version, hello.max_version, server.versions)
+            if version is None:
+                raise ProtocolError(
+                    protocol.ERR_VERSION,
+                    f"client speaks v{hello.min_version}..v{hello.max_version}, "
+                    f"server speaks {list(server.versions)}",
+                )
+        except ProtocolError as exc:
+            self._refuse(0, exc)  # every refusal here is fatal
+            return
+        self.version = version
+        welcome = Welcome(server_id=server.server_id)
+        self.transport.write(protocol.encode_frame(welcome, version))
+
+    def _hold(self, handler, message: Message) -> None:
+        """Stop reading and await the hook for this one request."""
+        self.busy = True
+        self.transport.pause_reading()
+        self.hook_task = asyncio.ensure_future(self._answer_after_hook(handler, message))
+
+    async def _answer_after_hook(self, handler, message: Message) -> None:
+        server = self.server
+        try:
+            await server.request_hook(message)
+            reply = handler(server, message, self.conn_id)
+        except ProtocolError as exc:
+            self._refuse(message.request_id, exc)
+        except BaseException:
+            # A hook that failed or was cancelled leaves the request
+            # unanswered: the stream can no longer answer in order.
+            self.closing = True
+            self.transport.abort()
+            raise
+        else:
+            self.transport.write(protocol.encode_frame(reply, self.version))
+        finally:
+            self.busy = False
+            self.hook_task = None
+            if self.lost:
+                self._finish()
+            elif not self.write_paused:
+                self.transport.resume_reading()
+                self._answer_buffered()
+
+    def _refuse(self, request_id: int, exc: ProtocolError) -> None:
+        """Answer a typed error; a fatal one also closes the connection."""
+        self.server._write_error(
+            self.transport, request_id, exc, self.version or protocol.PROTOCOL_V1
+        )
+        if exc.fatal:
+            self._close()
+
+    def dismiss_if_idle(self) -> None:
+        """Tell a connection parked between requests that the server is
+        draining, and close it."""
+        if self.version is None or self.busy or self.write_paused or self.closing:
+            return
+        self._refuse(0, ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining"))
+
+    def _close(self) -> None:
+        self.closing = True
+        self.transport.close()
+
+    def abort(self) -> None:
+        self.closing = True
+        if self.hook_task is not None:
+            self.hook_task.cancel()
+        self.transport.abort()
+
+    def _finish(self) -> None:
+        server = self.server
+        del server._connections[self.conn_id]
+        server._reap_connection(self.conn_id)
+        server.metrics.connections_closed += 1
+        closed = server._all_closed
+        if not server._connections and closed is not None and not closed.done():
+            closed.set_result(None)
 
 
 #: Request kind -> handler, one table per protocol version: a kind is in the

@@ -9,8 +9,12 @@ environment has no ``pytest-timeout``): an asyncio test that deadlocks —
 a pending future nobody fails, a drain that never completes — raises a
 ``Failed`` with a traceback of where it hung instead of stalling CI
 forever.  Override per test with ``@pytest.mark.timeout(seconds)``.
+
+Once collection is done, everything it built is frozen out of the cyclic
+garbage collector (see ``pytest_collection_finish``).
 """
 
+import gc
 import signal
 
 import pytest
@@ -29,6 +33,18 @@ def pytest_configure(config):
         "markers",
         "timeout(seconds): override the per-test watchdog timeout",
     )
+
+
+def pytest_collection_finish(session):
+    """Freeze what collection built: every imported test module, collected
+    item and ``hypothesis`` strategy lives for the whole session.  Left in
+    the collector's oldest generation, each full collection walks all of it
+    — 25–55 ms with the whole suite collected — and one that fires inside a
+    timed smoke repetition (``benchmarks/e21/test_e21_harness.py`` compares
+    E21 layer times of a few tens of milliseconds) lands in whichever layer
+    was running.  Frozen, a full collection walks only what the tests
+    themselves allocate."""
+    gc.freeze()
 
 
 @pytest.hookimpl(wrapper=True)

@@ -145,6 +145,51 @@ class TestFaultPlane:
 
 
 # --------------------------------------------------------------------------- #
+# The connector seam: a cut reply stream
+# --------------------------------------------------------------------------- #
+
+
+class TestFaultyConnector:
+    def test_a_reply_cut_fails_the_request_and_leaves_the_client_disconnected(self):
+        """Reply frame 1 (the first after WELCOME) is cut: the request it
+        answered fails with ConnectionError at once — not after its timeout —
+        ``connected`` turns False, and the next request writes nothing."""
+        plane = ScriptedPlane(DeterministicRNG(0), {(SITE_CLIENT_RX, 1): FaultAction(DROP_BEFORE)})
+
+        async def scenario():
+            store = make_store(2048)
+            server = NetworkKmsServer({PAIR: store}, port=0, reap_interval_seconds=None)
+            await server.start()
+            try:
+                client = NetworkKmsClient(
+                    "127.0.0.1", server.port, request_timeout=2.0, connector=FaultyConnector(plane)
+                )
+                await client.connect()
+                connected_before = client.connected
+                started = asyncio.get_running_loop().time()
+                with pytest.raises(ConnectionError):
+                    await client.get_key(PAIR, bits=64)
+                took = asyncio.get_running_loop().time() - started
+                connected_after = client.connected
+                writes = plane.stats.ops_by_site[SITE_CLIENT_TX]
+                with pytest.raises(ConnectionError):
+                    await client.get_key(PAIR, bits=64)
+                rewrites = plane.stats.ops_by_site[SITE_CLIENT_TX] - writes
+                await client.close()
+                return connected_before, took, connected_after, rewrites, store, server.metrics
+            finally:
+                await server.stop()
+
+        before, took, after, rewrites, store, metrics = run(scenario())
+        assert before and not after
+        assert took < 1.0
+        assert rewrites == 0
+        # The key was served before its reply was cut: lost, as documented.
+        assert store.available_bits == 2048 - 64
+        assert metrics.requests_by_kind == {"GetKey": 1}
+
+
+# --------------------------------------------------------------------------- #
 # Retry backoff
 # --------------------------------------------------------------------------- #
 

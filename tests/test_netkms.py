@@ -16,19 +16,28 @@ Four layers of contract:
 import asyncio
 import gc
 import hashlib
+import socket
 import struct
+import tracemalloc
 import weakref
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
 from repro.core.keypool import KeyBlock
+from repro.kms.service import percentile
 from repro.kms.store import KeyStore
 from repro.netkms import protocol
 from repro.netkms import server as server_module
-from repro.netkms.client import NetworkKmsClient, ReservationHandle, _request_ids
+from repro.netkms.client import (
+    NetworkKmsClient,
+    ReservationHandle,
+    _request_ids,
+    open_connection,
+)
 from repro.netkms.protocol import (
     Capabilities,
     CapabilitiesOk,
@@ -50,6 +59,7 @@ from repro.netkms.protocol import (
     encode_frame,
     negotiate,
 )
+from repro.netkms.metrics import LatencyHistogram, NetKmsMetrics
 from repro.netkms.server import REPLAY_CACHE_LIMIT, NetworkKmsServer, ServedReservation
 from repro.util.bits import BitString
 from tests.oracles.full_scan_reaper import full_scan_reap_expired
@@ -91,13 +101,25 @@ async def started_server(stores=None, **kwargs):
     return server
 
 
+async def read_frame(reader, max_frame_bytes=protocol.MAX_FRAME_BYTES):
+    """One frame body off a plain stream, with the splitter's prefix checks:
+    the raw-socket side of these tests, which reads what the server wrote
+    one frame at a time."""
+    prefix = await reader.readexactly(4)
+    frames = protocol.FrameSplitter(max_frame_bytes)
+    frames.feed(prefix)
+    frames.next_frame()  # refuses a bad prefix before the body is read
+    frames.feed(await reader.readexactly(struct.unpack("<I", prefix)[0]))
+    return frames.next_frame()
+
+
 async def raw_connection(server, hello=None):
     """A handshaken plain stream: the frames the server writes are read
     as they are, with no client reader task between them and the test."""
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
     writer.write(encode_frame(hello or Hello(), protocol.PROTOCOL_V1))
     await writer.drain()
-    welcome = decode_body(await protocol.read_frame(reader), expected_version=None)
+    welcome = decode_body(await read_frame(reader), expected_version=None)
     assert isinstance(welcome, Welcome)
     return reader, writer, welcome.wire_version
 
@@ -403,7 +425,7 @@ class TestVersionInterop:
                 assert version == 3
                 writer.write(encode_frame(GetKey(request_id=77, pair=PAIR, bits=256), 3))
                 await writer.drain()
-                reply = decode_body(await protocol.read_frame(reader), expected_version=3)
+                reply = decode_body(await read_frame(reader), expected_version=3)
                 rest = await asyncio.wait_for(reader.read(), 2.0)
                 writer.close()
                 await writer.wait_closed()
@@ -480,7 +502,7 @@ class TestHostileFrames:
                 if handshake_first:
                     writer.write(encode_frame(Hello(), protocol.PROTOCOL_V1))
                     await writer.drain()
-                    await protocol.read_frame(reader)  # WELCOME
+                    await read_frame(reader)  # WELCOME
                 writer.write(payload)
                 await writer.drain()
                 writer.write_eof()
@@ -489,7 +511,7 @@ class TestHostileFrames:
                 # handshake the server answers at the negotiated version.
                 error_version = server.versions[-1] if handshake_first else None
                 try:
-                    body = await asyncio.wait_for(protocol.read_frame(reader), 2.0)
+                    body = await asyncio.wait_for(read_frame(reader), 2.0)
                     decoded = decode_body(body, expected_version=error_version)
                     error = decoded if isinstance(decoded, Error) else None
                 except (asyncio.IncompleteReadError, ProtocolError):
@@ -1042,7 +1064,7 @@ class TestGracefulDrain:
             server = await started_server()
             reader, writer, version = await self._raw_connection(server)
             await server.stop(drain_timeout=2.0)
-            body = await asyncio.wait_for(protocol.read_frame(reader), 2.0)
+            body = await asyncio.wait_for(read_frame(reader), 2.0)
             farewell = decode_body(body, expected_version=version)
             rest = await asyncio.wait_for(reader.read(), 2.0)
             writer.close()
@@ -1071,7 +1093,7 @@ class TestGracefulDrain:
             reader, writer, version = await self._raw_connection(server)
 
             async def reply():
-                body = await asyncio.wait_for(protocol.read_frame(reader), 2.0)
+                body = await asyncio.wait_for(read_frame(reader), 2.0)
                 return decode_body(body, expected_version=version)
 
             writer.write(encode_frame(Reserve(request_id=1, pair=PAIR, bits=1024), version))
@@ -1117,7 +1139,7 @@ class TestGracefulDrain:
             assert version == protocol.PROTOCOL_V4
 
             async def reply():
-                body = await asyncio.wait_for(protocol.read_frame(reader), 2.0)
+                body = await asyncio.wait_for(read_frame(reader), 2.0)
                 return decode_body(body, expected_version=version)
 
             writer.write(encode_frame(GetKey(request_id=2, pair=PAIR, bits=1024), version))
@@ -1154,7 +1176,7 @@ class TestFailingPeers:
 
         async def handler(reader, writer):
             try:
-                await protocol.read_frame(reader)  # HELLO
+                await read_frame(reader)  # HELLO
                 welcome = protocol.Welcome(server_id="stub")
                 writer.write(encode_frame(welcome, protocol.SUPPORTED_VERSIONS[-1]))
                 await writer.drain()
@@ -1171,8 +1193,8 @@ class TestFailingPeers:
         must be reusable after a reconnect."""
 
         async def die_after_two_frames(reader, writer):
-            await protocol.read_frame(reader)
-            await protocol.read_frame(reader)
+            await read_frame(reader)
+            await read_frame(reader)
             writer.transport.abort()
 
         async def scenario():
@@ -1212,11 +1234,11 @@ class TestFailingPeers:
         async def scenario():
             # Case 1: server closes without a WELCOME (IncompleteReadError).
             async def slam(reader, writer):
-                await protocol.read_frame(reader)
+                await read_frame(reader)
                 writer.close()
 
             async def garbage(reader, writer):
-                await protocol.read_frame(reader)
+                await read_frame(reader)
                 writer.write(struct.pack("<I", 0xFFFFFFF0))
                 await writer.drain()
 
@@ -1229,15 +1251,22 @@ class TestFailingPeers:
                     behaviour, host="127.0.0.1", port=0
                 )
                 port = server.sockets[0].getsockname()[1]
-                client = NetworkKmsClient("127.0.0.1", port)
+                opened = []
+
+                async def recording(host, port, protocol_factory):
+                    transport, connection = await open_connection(host, port, protocol_factory)
+                    opened.append(transport)
+                    return transport, connection
+
+                client = NetworkKmsClient("127.0.0.1", port, connector=recording)
                 with pytest.raises(expected):
                     await client.connect()
                 # Teardown ran: no dangling stream, and the client can try
-                # again (connect() refuses only while a writer is live).
+                # again (connect() refuses only while a connection is live).
                 outcomes.append(
-                    client._writer is None
-                    and client._reader is None
-                    and client._reader_task is None
+                    client._connection is None
+                    and not client.connected
+                    and opened[0].is_closing()
                 )
                 server.close()
                 await server.wait_closed()
@@ -1249,7 +1278,7 @@ class TestFailingPeers:
         from repro.netkms.client import RequestTimeoutError
 
         async def stall_forever(reader, writer):
-            await protocol.read_frame(reader)
+            await read_frame(reader)
             await asyncio.sleep(30)
 
         async def scenario():
@@ -1263,6 +1292,39 @@ class TestFailingPeers:
             await stub.wait_closed()
 
         run(scenario())
+
+    def test_a_bad_prefix_after_welcome_closes_the_connection_and_fails_fast(self):
+        """A reply stream that lost frame sync is dead: the pending request
+        fails with the typed error, the transport is closed, ``connected``
+        turns False, and the next request fails without being written."""
+        received = []
+
+        async def bad_prefix(reader, writer):
+            received.append(await read_frame(reader))
+            writer.write(struct.pack("<I", 0xFFFFFFF0))
+            await writer.drain()
+            received.append(await reader.read())  # b"" once the client hangs up
+
+        async def scenario():
+            stub, port = await self._stub_server(bad_prefix)
+            client = NetworkKmsClient("127.0.0.1", port, request_timeout=2.0)
+            await client.connect()
+            with pytest.raises(ProtocolError) as first:
+                await client.status(PAIR)
+            connected = client.connected
+            transport_closed = client._connection.transport.is_closing()
+            with pytest.raises(ConnectionError):
+                await client.status(PAIR)
+            await asyncio.wait_for(client.close(), 2.0)
+            await asyncio.sleep(0.05)
+            stub.close()
+            await stub.wait_closed()
+            return first.value, connected, transport_closed
+
+        error, connected, transport_closed = run(scenario())
+        assert error.code == protocol.ERR_OVERSIZED
+        assert not connected and transport_closed
+        assert len(received) == 2 and received[1] == b""  # one request was written, not two
 
 
 class TestRequestIds:
@@ -1359,7 +1421,7 @@ class TestReaperDifferential:
 
         async def answer(server, message, conn_id):
             try:
-                return await server._dispatch(message, protocol.PROTOCOL_V3, conn_id)
+                return server._dispatch(message, protocol.PROTOCOL_V3, conn_id)
             except ProtocolError as exc:
                 return exc.code
 
@@ -1491,6 +1553,257 @@ class TestNoTaskPerRequest:
         assert [len(keys) for keys in served] == [100, 100]
         assert metrics.keys_served == 202
         assert during == []
+
+
+class TestFraming:
+    """Both ends cut frames out of whatever segments the transport delivers:
+    a frame split over many segments, many frames in one, and a length
+    prefix judged the moment its four bytes are in."""
+
+    FRAMES = [
+        encode_frame(Status(request_id=i, pair=PAIR), protocol.PROTOCOL_V4) for i in range(1, 6)
+    ] + [encode_frame(GetKey(request_id=6, pair=PAIR, bits=256), protocol.PROTOCOL_V4)]
+
+    def test_the_splitter_returns_the_same_bodies_however_the_bytes_arrive(self):
+        stream = b"".join(self.FRAMES)
+        bodies = [frame[4:] for frame in self.FRAMES]
+        for segment in (1, 3, 7, len(stream)):
+            frames = protocol.FrameSplitter()
+            out = []
+            for start in range(0, len(stream), segment):
+                frames.feed(stream[start : start + segment])
+                while (body := frames.next_frame()) is not None:
+                    out.append(body)
+            assert out == bodies, segment
+            assert frames.buffer == b""
+
+    @pytest.mark.parametrize(
+        "length, code",
+        [(0, protocol.ERR_MALFORMED), (1, protocol.ERR_MALFORMED), (1025, protocol.ERR_OVERSIZED)],
+    )
+    def test_the_splitter_refuses_a_bad_prefix_before_any_body_byte(self, length, code):
+        frames = protocol.FrameSplitter(max_frame_bytes=1024)
+        frames.feed(struct.pack("<I", length)[:3])
+        assert frames.next_frame() is None  # three bytes are not a prefix yet
+        frames.feed(struct.pack("<I", length)[3:])
+        with pytest.raises(ProtocolError) as excinfo:
+            frames.next_frame()
+        assert excinfo.value.code == code
+
+    def test_a_server_answers_frames_sent_one_byte_per_segment_and_many_per_segment(self):
+        async def scenario():
+            server = await started_server()
+            try:
+                reader, writer, version = await raw_connection(server)
+                for byte in self.FRAMES[0]:
+                    writer.write(bytes([byte]))
+                    await writer.drain()
+                    await asyncio.sleep(0.001)
+                replies = [decode_body(await read_frame(reader), version)]
+                writer.write(b"".join(self.FRAMES[1:]))
+                await writer.drain()
+                for _ in self.FRAMES[1:]:
+                    body = await asyncio.wait_for(read_frame(reader), 2.0)
+                    replies.append(decode_body(body, version))
+                writer.close()
+                await writer.wait_closed()
+                return replies, server.metrics
+            finally:
+                await server.stop()
+
+        replies, metrics = run(scenario())
+        assert [reply.request_id for reply in replies] == [1, 2, 3, 4, 5, 6]
+        assert [type(reply) for reply in replies] == [StatusOk] * 5 + [ConsumeOk]
+        assert metrics.requests_by_kind == {"Status": 5, "GetKey": 1}
+
+    @pytest.mark.parametrize(
+        "length, code",
+        [(protocol.MAX_FRAME_BYTES + 1, protocol.ERR_OVERSIZED), (1, protocol.ERR_MALFORMED)],
+    )
+    def test_a_bad_prefix_alone_is_answered_and_the_connection_closed(self, length, code):
+        """Only the four prefix bytes are sent — no body byte, no EOF — so a
+        server that waits for the body before judging the prefix never
+        answers."""
+
+        async def scenario():
+            server = await started_server()
+            try:
+                reader, writer, version = await raw_connection(server)
+                writer.write(struct.pack("<I", length))
+                await writer.drain()
+                body = await asyncio.wait_for(read_frame(reader), 2.0)
+                rest = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                await writer.wait_closed()
+                return decode_body(body, version), rest
+            finally:
+                await server.stop()
+
+        error, rest = run(scenario())
+        assert isinstance(error, Error)
+        assert (error.request_id, error.code) == (0, code)
+        assert rest == b""
+
+    def test_eof_mid_frame_reaps_the_connections_held_reservations(self):
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store})
+            try:
+                reader, writer, version = await raw_connection(server)
+                writer.write(encode_frame(Reserve(request_id=1, pair=PAIR, bits=1024), version))
+                granted = decode_body(await read_frame(reader), version)
+                held = store.reserved_bits
+                frame = encode_frame(Status(request_id=2, pair=PAIR), version)
+                writer.write(frame[: len(frame) // 2])
+                await writer.drain()
+                writer.write_eof()
+                rest = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                await writer.wait_closed()
+                await asyncio.sleep(0.01)
+                return granted, held, rest, store, dict(server.metrics.reaped_by_reason)
+            finally:
+                await server.stop()
+
+        granted, held, rest, store, reaped = run(scenario())
+        assert isinstance(granted, ReserveOk) and held == 1024
+        assert rest == b""  # closed without an answer to the half frame
+        assert reaped == {"disconnect": 1}
+        assert store.reserved_bits == 0 and store.available_bits == 4096
+
+    def test_requests_pipelined_behind_a_stalled_hook_are_answered_in_order(self):
+        seen = []
+        entered, hold = asyncio.Event(), asyncio.Event()
+
+        async def stall_first(message):
+            seen.append(message.request_id)
+            if len(seen) == 1:
+                entered.set()
+                await hold.wait()
+
+        async def scenario():
+            server = await started_server(request_hook=stall_first)
+            try:
+                reader, writer, version = await raw_connection(server)
+                writer.write(
+                    b"".join(
+                        encode_frame(Status(request_id=i, pair=PAIR), version) for i in (1, 2, 3)
+                    )
+                )
+                await writer.drain()
+                await entered.wait()
+                await asyncio.sleep(0.05)
+                (connection,) = server._connections.values()
+                stalled = (list(seen), connection.transport.is_reading())
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(reader.readexactly(1), 0.05)
+                hold.set()
+                replies = [decode_body(await read_frame(reader), version) for _ in range(3)]
+                writer.close()
+                await writer.wait_closed()
+                return stalled, replies
+            finally:
+                await server.stop()
+
+        (seen_while_stalled, reading), replies = run(scenario())
+        assert seen_while_stalled == [1] and not reading
+        assert seen == [1, 2, 3]
+        assert [reply.request_id for reply in replies] == [1, 2, 3]
+        assert all(isinstance(reply, StatusOk) for reply in replies)
+
+
+class TestBackpressure:
+    def test_a_client_that_reads_nothing_stops_the_server_reading(self):
+        """2 000 pipelined GET_KEYs and not one reply read: past the write
+        buffer's high-water mark the server stops answering and stops
+        reading, so what it buffers stays bounded; reading the replies lets
+        it finish, in order."""
+        requests, key_bits = 2_000, 4_096
+
+        async def scenario():
+            store = make_store(bits=requests * key_bits)
+            server = await started_server({PAIR: store})
+            try:
+                sock = socket.socket()
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", server.port))
+                reader, writer = await asyncio.open_connection(sock=sock)
+                writer.write(encode_frame(Hello(), protocol.PROTOCOL_V1))
+                version = decode_body(await read_frame(reader), None).wire_version
+                (connection,) = server._connections.values()
+                connection.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                )
+                writer.write(
+                    b"".join(
+                        encode_frame(GetKey(request_id=i, pair=PAIR, bits=key_bits), version)
+                        for i in range(1, requests + 1)
+                    )
+                )
+                await asyncio.sleep(0.3)
+                stalled = (
+                    server.metrics.keys_served,
+                    connection.transport.is_reading(),
+                    connection.transport.get_write_buffer_size(),
+                    connection.transport.get_write_buffer_limits()[1],
+                )
+                ids = []
+                for _ in range(requests):
+                    body = await asyncio.wait_for(read_frame(reader), 5.0)
+                    ids.append(decode_body(body, version).request_id)
+                writer.close()
+                await writer.wait_closed()
+                return stalled, ids, server.metrics.keys_served
+            finally:
+                await server.stop()
+
+        (served, reading, buffered, high_water), ids, total = run(scenario())
+        reply_bytes = len(
+            encode_frame(ConsumeOk(key_bits=key_bits, key_bytes=bytes(key_bits // 8)), 4)
+        )
+        assert served < requests // 2
+        assert not reading
+        assert buffered <= high_water + reply_bytes
+        assert ids == list(range(1, requests + 1))
+        assert total == requests
+
+
+class TestLatencyHistogram:
+    def test_percentiles_are_within_the_stated_error_and_count_and_mean_exact(self):
+        rng = np.random.default_rng(5)
+        samples = list(np.exp(rng.normal(np.log(30e-6), 1.2, 5_000)))
+        samples[:3] = [0.0, 2e-10, 5e3]  # below the floor, and past the last bucket
+        histogram = LatencyHistogram()
+        for value in samples:
+            histogram.add(value)
+        assert len(histogram) == len(samples)
+        assert histogram.total == pytest.approx(sum(samples), rel=1e-12)
+        for q in (1, 25, 50, 90, 99, 99.9):
+            exact = percentile(samples, q)
+            assert abs(histogram.percentile(q) / exact - 1) <= histogram.RELATIVE_ERROR, q
+        assert histogram.percentile(0) == 0.0 and histogram.percentile(100) == 5e3
+        assert LatencyHistogram().percentile(50) == 0.0
+
+    def test_fifty_thousand_reserves_take_no_more_memory_than_a_thousand(self):
+        def grown(calls):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                metrics = NetKmsMetrics()
+                for i in range(calls):
+                    metrics.note_reserve(1e-6 * (1 + i % 97), granted=True)
+                return tracemalloc.get_traced_memory()[0] - before, metrics
+            finally:
+                tracemalloc.stop()
+
+        grown(1_000)  # first-call allocations (caches, interned objects)
+        small, few = grown(1_000)
+        large, many = grown(50_000)
+        assert len(few.reserve_latencies) == 1_000 and len(many.reserve_latencies) == 50_000
+        # Up to ~100 B of float and int free-list noise either way; one
+        # float kept per call would be 49 000 x 32 B more.
+        assert large <= small + 1024
 
 
 class TestServerHoldsNoReferenceToItself:
