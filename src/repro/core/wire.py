@@ -74,6 +74,57 @@ class WireDecodeError(ValueError):
 #: (bisect queries encode a few hundred tiny deltas at a time).
 _SCALAR_VARINT_CUTOFF = 256
 
+#: Every one-byte varint, so the commonest encoding allocates nothing; a
+#: two-byte one is one ``<u16`` pack.
+_ONE_BYTE = [bytes((value,)) for value in range(0x80)]
+_U16 = struct.Struct("<H")
+
+
+def encode_varint(value: int) -> bytes:
+    """One varint: the scalar form of :func:`encode_varints`, which (like
+    :func:`read_varint`) answers a one- or two-byte value without a loop."""
+    if value < 0x80:
+        if value >= 0:
+            return _ONE_BYTE[value]
+    elif value < 0x4000:
+        return _U16.pack((value & 0x7F) | 0x80 | (value & 0x3F80) << 1)
+    if value < 0 or value >= (1 << 64):
+        raise ValueError("varints encode non-negative 64-bit integers only")
+    out = bytearray()
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def read_varint(data: bytes, offset: int) -> Tuple[int, int]:
+    """The varint starting at ``data[offset]``: ``(value, offset after it)``.
+
+    Raises :class:`WireDecodeError` on the same inputs as
+    :func:`decode_varints`: a truncated varint, one longer than 10 bytes, or
+    one overflowing 64 bits.
+    """
+    end = len(data)
+    if offset < end:
+        low = data[offset]
+        if low < 0x80:
+            return low, offset + 1
+        if offset + 1 < end and data[offset + 1] < 0x80:
+            return (low & 0x7F) | (data[offset + 1] << 7), offset + 2
+    value = 0
+    for shift in range(0, 70, 7):
+        if offset >= end:
+            raise WireDecodeError("truncated varint")
+        byte = data[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if value >= 1 << 64:
+                raise WireDecodeError("varint overflows 64 bits")
+            return value, offset
+    raise WireDecodeError("varint longer than 10 bytes (value > 64 bits)")
+
 
 def _encode_varints_scalar(values) -> bytes:
     """Plain-loop varint encoder for short sequences."""
@@ -82,13 +133,7 @@ def _encode_varints_scalar(values) -> bytes:
         as_int = int(value)
         if as_int != value:
             raise ValueError("varints encode integers, not fractional values")
-        value = as_int
-        if value < 0 or value >= (1 << 64):
-            raise ValueError("varints encode non-negative 64-bit integers only")
-        while value >= 0x80:
-            out.append((value & 0x7F) | 0x80)
-            value >>= 7
-        out.append(value)
+        out += encode_varint(as_int)
     return bytes(out)
 
 

@@ -148,7 +148,7 @@ class FaultyProtocol(asyncio.Protocol):
             self._hand_on()
 
     def _cut(self, exc) -> None:
-        self._frames.buffer.clear()
+        self._frames = protocol.FrameSplitter(_NO_CAP)  # nothing unread survives a cut
         self._transport.abort()
         self._report(exc)
 

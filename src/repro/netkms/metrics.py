@@ -47,12 +47,16 @@ class LatencyHistogram:
     def add(self, seconds: float) -> None:
         self.count += 1
         self.total += seconds
-        self.low = min(self.low, seconds)
-        self.high = max(self.high, seconds)
+        if seconds < self.low:
+            self.low = seconds
+        if seconds > self.high:
+            self.high = seconds
         index = 0
         if seconds > self.FLOOR:
             index = int(math.log2(seconds / self.FLOOR) * self.BUCKETS_PER_DOUBLING)
-        self.counts[min(index, self.BUCKETS - 1)] += 1
+            if index >= self.BUCKETS:
+                index = self.BUCKETS - 1
+        self.counts[index] += 1
 
     def __len__(self) -> int:
         return self.count

@@ -41,7 +41,14 @@ the kind on a connection that negotiated less.
 
 Every malformed input maps to a typed :class:`ProtocolError`; the codes in
 :data:`FATAL_ERRORS` close the connection, request-level ones (unknown
-pair, exhausted store, unknown reservation) leave it usable.
+pair, exhausted store, unknown reservation) leave it usable.  An ERROR
+detail longer than a wire string's 255 bytes is cut on a character
+boundary.
+
+The codec is byte-for-byte the v1–v4 layout above: each kind has its own
+payload writer and offset reader, and ``tests/test_netkms_codec.py`` holds
+it to the previous codec (``tests/oracles/netkms_codec.py``) bytes, errors
+and frames alike.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple, Type
+
+from repro.core.wire import WireDecodeError, encode_varint, read_varint
 
 #: Protocol versions this implementation speaks.  v2 is v1 plus a trailing
 #: ``depletion_rate_millibps`` varint on STATUS_OK; v3 is v2 plus a trailing
@@ -121,6 +130,8 @@ _MIN_BODY = 2
 _LENGTH_PREFIX = struct.Struct("<I")
 #: kind, version, request id: the fixed head of every frame body.
 _HEADER = struct.Struct("<BBI")
+#: The length prefix and the header, packed in one call.
+_FRAME_HEAD = struct.Struct("<IBBI")
 
 
 class ProtocolError(Exception):
@@ -156,115 +167,73 @@ def negotiate(client_min: int, client_max: int, server_versions: Tuple[int, ...]
 # --------------------------------------------------------------------------- #
 # Body primitives
 # --------------------------------------------------------------------------- #
+#
+# A reader takes ``(body, offset)`` and returns the value and the offset
+# after it.  A read past the end raises ``IndexError`` or ``WireDecodeError``,
+# which ``decode_body`` answers with ``ERR_MALFORMED``.
 
 
-class _Cursor:
-    """A validating reader over one frame body.
-
-    Every read checks the remaining length first, so a hostile count can
-    never index past the bytes that actually arrived, and
-    :meth:`expect_end` rejects trailing garbage (which is how a v2-only
-    trailing field is *detected* as malformed at v1).
-    """
-
-    def __init__(self, data: bytes, offset: int = 0):
-        self.data = data
-        self.offset = offset
-
-    def remaining(self) -> int:
-        return len(self.data) - self.offset
-
-    def u8(self, what: str) -> int:
-        offset = self.offset
-        if offset >= len(self.data):
-            raise ProtocolError(ERR_MALFORMED, f"truncated before {what}")
-        self.offset = offset + 1
-        return self.data[offset]
-
-    def varint(self, what: str) -> int:
-        data, offset = self.data, self.offset
-        if offset < len(data) and data[offset] < 0x80:
-            # One byte: every string length and most counts.
-            self.offset = offset + 1
-            return data[offset]
-        value = 0
-        for shift in range(0, 70, 7):
-            if offset >= len(data):
-                raise ProtocolError(ERR_MALFORMED, f"truncated before {what}")
-            byte = data[offset]
-            offset += 1
-            value |= (byte & 0x7F) << shift
-            if byte < 0x80:
-                if value >= 1 << 64:
-                    raise ProtocolError(ERR_MALFORMED, f"{what} overflows 64 bits")
-                self.offset = offset
-                return value
-        raise ProtocolError(ERR_MALFORMED, f"{what} varint longer than 10 bytes")
-
-    def raw(self, count: int, what: str) -> bytes:
-        offset = self.offset
-        if count > len(self.data) - offset:
-            raise ProtocolError(
-                ERR_MALFORMED,
-                f"{what} claims {count} bytes, {self.remaining()} remain",
-            )
-        self.offset = offset + count
-        return self.data[offset : offset + count]
-
-    def string(self, what: str, limit: int = 255) -> str:
-        length = self.varint(f"{what} length")
-        if length > limit:
-            raise ProtocolError(ERR_MALFORMED, f"{what} longer than {limit} bytes")
-        try:
-            return self.raw(length, what).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ProtocolError(ERR_MALFORMED, f"{what} is not valid UTF-8") from None
-
-    def pair(self) -> Tuple[str, str]:
-        return (self.string("pair[0]"), self.string("pair[1]"))
-
-    def expect_end(self, kind: int) -> None:
-        if self.remaining():
-            what = ERROR_NAMES.get(kind, f"kind 0x{kind:02x}")
-            raise ProtocolError(ERR_MALFORMED, f"{self.remaining()} trailing bytes after {what}")
-
-
-def _varint(value: int) -> bytes:
-    if value < 0 or value >= 1 << 64:
-        raise ValueError("varints encode non-negative 64-bit integers only")
-    if value < 0x80:
-        return bytes((value,))
-    out = bytearray()
-    while value >= 0x80:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    out.append(value)
-    return bytes(out)
-
-
-def _string(text: str) -> bytes:
+def _text(text: str) -> bytes:
     data = text.encode("utf-8")
     if len(data) > 255:
         raise ValueError("protocol strings are limited to 255 bytes")
-    return _varint(len(data)) + data
+    return encode_varint(len(data)) + data
+
+
+def _read_text(body: bytes, offset: int, what: str) -> Tuple[str, int]:
+    length, offset = read_varint(body, offset)
+    if length > 255:
+        raise ProtocolError(ERR_MALFORMED, f"{what} longer than 255 bytes")
+    end = offset + length
+    if end > len(body):
+        raise ProtocolError(
+            ERR_MALFORMED, f"{what} claims {length} bytes, {len(body) - offset} remain"
+        )
+    try:
+        return body[offset:end].decode("utf-8"), end
+    except UnicodeDecodeError:
+        raise ProtocolError(ERR_MALFORMED, f"{what} is not valid UTF-8") from None
 
 
 @lru_cache(maxsize=1024)
 def _pair_bytes(pair: Tuple[str, str]) -> bytes:
     # Pair names are public identifiers, never key material, so caching
     # their encoding keeps nothing secret alive.
-    return _string(pair[0]) + _string(pair[1])
+    return _text(pair[0]) + _text(pair[1])
 
 
-def _header(kind: int, version: int, request_id: int) -> bytes:
-    if not 0 <= request_id <= 0xFFFFFFFF:
-        raise ValueError("request id out of u32 range")
-    return _HEADER.pack(kind, version, request_id)
+#: A pair's bytes as they travel -> the pair: ``_pair_bytes`` read backwards,
+#: on the same argument.  The oldest entry goes once ``_PAIR_CACHE_LIMIT``
+#: are held, so a peer naming ever new pairs cannot grow it.
+_PAIRS: Dict[bytes, Tuple[str, str]] = {}
+_PAIR_CACHE_LIMIT = 1024
+
+
+def _read_pair(body: bytes, offset: int) -> Tuple[Tuple[str, str], int]:
+    second = offset + 1 + body[offset]
+    if second < len(body):
+        end = second + 1 + body[second]
+        # Only whole, decoded pair encodings are cached, and an encoding
+        # ends itself: a hit on an untruncated slice is that pair, whether
+        # or not the length bytes were one-byte varints.
+        if end <= len(body):
+            pair = _PAIRS.get(body[offset:end])
+            if pair is not None:
+                return pair, end
+    first, second = _read_text(body, offset, "pair[0]")
+    last, end = _read_text(body, second, "pair[1]")
+    if len(_PAIRS) >= _PAIR_CACHE_LIMIT:
+        del _PAIRS[next(iter(_PAIRS))]
+    pair = _PAIRS[body[offset:end]] = (first, last)
+    return pair, end
 
 
 # --------------------------------------------------------------------------- #
 # Messages
 # --------------------------------------------------------------------------- #
+#
+# ``_decode(body, offset, request_id, version)`` returns the message, built
+# positionally in field order, and the offset where its payload ended.
 
 
 @dataclass
@@ -281,10 +250,21 @@ class Message:
     wire_version = None
 
     def encode(self, version: int) -> bytes:
-        return _header(self.KIND, version, self.request_id) + self._payload(version)
+        return encode_frame(self, version)[_LENGTH_PREFIX.size :]
 
     def _payload(self, version: int) -> bytes:
         return b""
+
+    @classmethod
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        return cls(request_id), offset
+
+
+def _decode_pair_and_varint(cls, body: bytes, offset: int, request_id: int, version: int):
+    """RESERVE's layout, shared by GET_KEY, CONSUME and RELEASE."""
+    pair, offset = _read_pair(body, offset)
+    value, offset = read_varint(body, offset)
+    return cls(request_id, pair, value), offset
 
 
 @dataclass
@@ -298,23 +278,20 @@ class Hello(Message):
     KIND = KIND_HELLO
 
     def encode(self, version: int = PROTOCOL_V1) -> bytes:
-        # Always the floor encoding: any server can parse any client's offer.
+        # Always the floor encoding (encode_frame pins it): any server can
+        # parse any client's offer.
         return super().encode(PROTOCOL_V1)
 
     def _payload(self, version: int) -> bytes:
-        return bytes([self.min_version, self.max_version]) + _string(self.client_id)
+        return bytes([self.min_version, self.max_version]) + _text(self.client_id)
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Hello":
-        msg = cls(
-            request_id=request_id,
-            min_version=cursor.u8("min version"),
-            max_version=cursor.u8("max version"),
-            client_id=cursor.string("client id"),
-        )
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        client_id, end = _read_text(body, offset + 2, "client id")
+        msg = cls(request_id, body[offset], body[offset + 1], client_id)
         if msg.min_version > msg.max_version:
             raise ProtocolError(ERR_MALFORMED, "HELLO offers an empty version range")
-        return msg
+        return msg, end
 
 
 @dataclass
@@ -326,16 +303,21 @@ class Welcome(Message):
     KIND = KIND_WELCOME
 
     def _payload(self, version: int) -> bytes:
-        return _string(self.server_id)
+        return _text(self.server_id)
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Welcome":
-        return cls(request_id=request_id, server_id=cursor.string("server id"))
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        server_id, end = _read_text(body, offset, "server id")
+        return cls(request_id, server_id), end
 
 
 @dataclass
 class Error(Message):
-    """A typed failure; ``request_id`` echoes the request (0 pre-negotiation)."""
+    """A typed failure; ``request_id`` echoes the request (0 pre-negotiation).
+
+    A detail longer than the wire's 255-byte strings (one quoting a long
+    pair name, say) travels cut to 255 bytes on a character boundary.
+    """
 
     code: int = ERR_INTERNAL
     detail: str = ""
@@ -343,15 +325,13 @@ class Error(Message):
     KIND = KIND_ERROR
 
     def _payload(self, version: int) -> bytes:
-        return bytes([self.code]) + _string(self.detail)
+        detail = self.detail.encode("utf-8")[:255].decode("utf-8", "ignore")
+        return bytes([self.code]) + _text(detail)
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Error":
-        return cls(
-            request_id=request_id,
-            code=cursor.u8("error code"),
-            detail=cursor.string("error detail"),
-        )
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        detail, end = _read_text(body, offset + 1, "error detail")
+        return cls(request_id, body[offset], detail), end
 
 
 @dataclass
@@ -366,8 +346,9 @@ class Status(Message):
         return _pair_bytes(self.pair)
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Status":
-        return cls(request_id=request_id, pair=cursor.pair())
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        pair, end = _read_pair(body, offset)
+        return cls(request_id, pair), end
 
 
 @dataclass
@@ -396,26 +377,19 @@ class StatusOk(Message):
             self.high_water_bits,
             self.capacity_bits,
         ):
-            out += _varint(value)
+            out += encode_varint(value)
         if version >= PROTOCOL_V2:
-            out += _varint(self.depletion_rate_millibps or 0)
+            out += encode_varint(self.depletion_rate_millibps or 0)
         return out
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "StatusOk":
-        msg = cls(
-            request_id=request_id,
-            pair=cursor.pair(),
-            available_bits=cursor.varint("available bits"),
-            reserved_bits=cursor.varint("reserved bits"),
-            unreserved_bits=cursor.varint("unreserved bits"),
-            low_water_bits=cursor.varint("low water"),
-            high_water_bits=cursor.varint("high water"),
-            capacity_bits=cursor.varint("capacity"),
-        )
-        if version >= PROTOCOL_V2:
-            msg.depletion_rate_millibps = cursor.varint("depletion rate")
-        return msg
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        pair, offset = _read_pair(body, offset)
+        levels = []
+        for _ in range(7 if version >= PROTOCOL_V2 else 6):
+            level, offset = read_varint(body, offset)
+            levels.append(level)
+        return cls(request_id, pair, *levels), offset
 
 
 @dataclass
@@ -423,10 +397,6 @@ class Capabilities(Message):
     """Ask what the server speaks and serves."""
 
     KIND = KIND_CAPABILITIES
-
-    @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Capabilities":
-        return cls(request_id=request_id)
 
 
 @dataclass
@@ -443,36 +413,31 @@ class CapabilitiesOk(Message):
 
     def _payload(self, version: int) -> bytes:
         out = bytes([self.min_version, self.max_version])
-        out += _varint(self.max_frame_bytes)
-        out += _varint(self.max_reserve_bits)
-        out += _varint(len(self.pairs))
+        out += encode_varint(self.max_frame_bytes)
+        out += encode_varint(self.max_reserve_bits)
+        out += encode_varint(len(self.pairs))
         for pair in self.pairs:
             out += _pair_bytes(pair)
         return out
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "CapabilitiesOk":
-        min_version = cursor.u8("min version")
-        max_version = cursor.u8("max version")
-        max_frame = cursor.varint("max frame bytes")
-        max_reserve = cursor.varint("max reserve bits")
-        n_pairs = cursor.varint("pair count")
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        min_version, max_version = body[offset], body[offset + 1]
+        max_frame, offset = read_varint(body, offset + 2)
+        max_reserve, offset = read_varint(body, offset)
+        n_pairs, offset = read_varint(body, offset)
         # Each pair needs at least two length bytes; reject the count from
         # the bytes present before building anything pair-count sized.
-        if n_pairs > cursor.remaining() // 2:
+        if n_pairs > (len(body) - offset) // 2:
             raise ProtocolError(
                 ERR_MALFORMED,
-                f"pair count {n_pairs} exceeds what {cursor.remaining()} bytes can hold",
+                f"pair count {n_pairs} exceeds what {len(body) - offset} bytes can hold",
             )
-        pairs = tuple(cursor.pair() for _ in range(n_pairs))
-        return cls(
-            request_id=request_id,
-            min_version=min_version,
-            max_version=max_version,
-            max_frame_bytes=max_frame,
-            max_reserve_bits=max_reserve,
-            pairs=pairs,
-        )
+        pairs = []
+        for _ in range(n_pairs):
+            pair, offset = _read_pair(body, offset)
+            pairs.append(pair)
+        return cls(request_id, min_version, max_version, max_frame, max_reserve, tuple(pairs)), offset
 
 
 @dataclass
@@ -485,11 +450,9 @@ class Reserve(Message):
     KIND = KIND_RESERVE
 
     def _payload(self, version: int) -> bytes:
-        return _pair_bytes(self.pair) + _varint(self.bits)
+        return _pair_bytes(self.pair) + encode_varint(self.bits)
 
-    @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Reserve":
-        return cls(request_id=request_id, pair=cursor.pair(), bits=cursor.varint("bits"))
+    _decode = classmethod(_decode_pair_and_varint)
 
 
 @dataclass
@@ -520,21 +483,19 @@ class ReserveOk(Message):
     KIND = KIND_RESERVE_OK
 
     def _payload(self, version: int) -> bytes:
-        out = _varint(self.reservation_id) + _varint(self.bits)
+        out = encode_varint(self.reservation_id) + encode_varint(self.bits)
         if version >= PROTOCOL_V3:
-            out += _varint(self.lease_ms or 0)
+            out += encode_varint(self.lease_ms or 0)
         return out
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "ReserveOk":
-        msg = cls(
-            request_id=request_id,
-            reservation_id=cursor.varint("reservation id"),
-            bits=cursor.varint("bits"),
-        )
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        reservation_id, offset = read_varint(body, offset)
+        bits, offset = read_varint(body, offset)
+        lease_ms = None
         if version >= PROTOCOL_V3:
-            msg.lease_ms = cursor.varint("lease ms")
-        return msg
+            lease_ms, offset = read_varint(body, offset)
+        return cls(request_id, reservation_id, bits, lease_ms), offset
 
 
 @dataclass
@@ -547,15 +508,9 @@ class Consume(Message):
     KIND = KIND_CONSUME
 
     def _payload(self, version: int) -> bytes:
-        return _pair_bytes(self.pair) + _varint(self.reservation_id)
+        return _pair_bytes(self.pair) + encode_varint(self.reservation_id)
 
-    @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Consume":
-        return cls(
-            request_id=request_id,
-            pair=cursor.pair(),
-            reservation_id=cursor.varint("reservation id"),
-        )
+    _decode = classmethod(_decode_pair_and_varint)
 
 
 @dataclass
@@ -571,19 +526,14 @@ class ConsumeOk(Message):
     def _payload(self, version: int) -> bytes:
         if len(self.key_bytes) != (self.key_bits + 7) // 8:
             raise ValueError("key byte length does not match key_bits")
-        return _varint(self.reservation_id) + _varint(self.key_bits) + self.key_bytes
+        return encode_varint(self.reservation_id) + encode_varint(self.key_bits) + self.key_bytes
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "ConsumeOk":
-        reservation_id = cursor.varint("reservation id")
-        key_bits = cursor.varint("key bits")
-        key_bytes = cursor.raw((key_bits + 7) // 8, "key material")
-        return cls(
-            request_id=request_id,
-            reservation_id=reservation_id,
-            key_bits=key_bits,
-            key_bytes=key_bytes,
-        )
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        reservation_id, offset = read_varint(body, offset)
+        key_bits, offset = read_varint(body, offset)
+        end = offset + (key_bits + 7) // 8  # past the body: decode_body refuses it
+        return cls(request_id, reservation_id, key_bits, body[offset:end]), end
 
 
 @dataclass
@@ -596,15 +546,9 @@ class Release(Message):
     KIND = KIND_RELEASE
 
     def _payload(self, version: int) -> bytes:
-        return _pair_bytes(self.pair) + _varint(self.reservation_id)
+        return _pair_bytes(self.pair) + encode_varint(self.reservation_id)
 
-    @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "Release":
-        return cls(
-            request_id=request_id,
-            pair=cursor.pair(),
-            reservation_id=cursor.varint("reservation id"),
-        )
+    _decode = classmethod(_decode_pair_and_varint)
 
 
 @dataclass
@@ -614,11 +558,12 @@ class ReleaseOk(Message):
     KIND = KIND_RELEASE_OK
 
     def _payload(self, version: int) -> bytes:
-        return _varint(self.reservation_id)
+        return encode_varint(self.reservation_id)
 
     @classmethod
-    def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "ReleaseOk":
-        return cls(request_id=request_id, reservation_id=cursor.varint("reservation id"))
+    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+        reservation_id, offset = read_varint(body, offset)
+        return cls(request_id, reservation_id), offset
 
 
 _DECODERS: Dict[int, Type[Message]] = {
@@ -641,6 +586,10 @@ _DECODERS: Dict[int, Type[Message]] = {
     )
 }
 
+#: The kinds whose header byte must carry the negotiated version: all but
+#: the two handshake kinds.
+_NEGOTIATED = {kind: cls for kind, cls in _DECODERS.items() if cls not in (Hello, Welcome)}
+
 
 # --------------------------------------------------------------------------- #
 # Frame codec
@@ -648,9 +597,20 @@ _DECODERS: Dict[int, Type[Message]] = {
 
 
 def encode_frame(message: Message, version: int) -> bytes:
-    """One length-prefixed frame carrying ``message`` at ``version``."""
-    body = message.encode(version)
-    return _LENGTH_PREFIX.pack(len(body)) + body
+    """One length-prefixed frame carrying ``message`` at ``version``
+    (HELLO always at the floor encoding)."""
+    payload = message._payload(version)
+    if message.KIND == KIND_HELLO:
+        version = PROTOCOL_V1
+    try:
+        head = _FRAME_HEAD.pack(
+            _HEADER.size + len(payload), message.KIND, version, message.request_id
+        )
+    except struct.error:
+        raise ValueError(
+            f"request id {message.request_id} or v{version} outside its header field"
+        ) from None
+    return head + payload
 
 
 def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
@@ -661,6 +621,35 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
     header byte *announces* the negotiated version.  Raises
     :class:`ProtocolError` on any violation.
     """
+    decoder = None
+    if len(body) >= _HEADER.size:
+        # The common case: a whole header at the negotiated version, of a
+        # kind that is not a handshake kind.
+        kind, version, request_id = _HEADER.unpack_from(body)
+        if version == expected_version:
+            decoder = _NEGOTIATED.get(kind)
+    if decoder is None:
+        decoder = _checked_decoder(body, expected_version)
+        kind, version, request_id = _HEADER.unpack_from(body)
+    try:
+        message, end = decoder._decode(body, _HEADER.size, request_id, version)
+    except IndexError:
+        raise ProtocolError(ERR_MALFORMED, f"{decoder.__name__} truncated") from None
+    except WireDecodeError as exc:
+        raise ProtocolError(ERR_MALFORMED, f"{decoder.__name__}: {exc}") from None
+    if end != len(body):
+        raise ProtocolError(
+            ERR_MALFORMED, f"{decoder.__name__} ends at byte {end} of a {len(body)}-byte body"
+        )
+    # The header version the frame actually carried — how a connecting
+    # client learns which version a WELCOME frame announces.
+    message.wire_version = version
+    return message
+
+
+def _checked_decoder(body: bytes, expected_version: Optional[int]) -> Type[Message]:
+    """The decoder for a frame off the common path, once its header passed
+    every check, in this order; the first that fails is raised."""
     if len(body) < _MIN_BODY:
         raise ProtocolError(ERR_MALFORMED, f"frame body of {len(body)} bytes has no header")
     kind, version = body[0], body[1]
@@ -684,14 +673,7 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
         raise ProtocolError(ERR_VERSION, f"0x{kind:02x} before version negotiation completed")
     if len(body) < _HEADER.size:
         raise ProtocolError(ERR_MALFORMED, "frame truncated inside request id")
-    request_id = _HEADER.unpack_from(body)[2]
-    cursor = _Cursor(body, _HEADER.size)
-    message = decoder._decode(cursor, request_id, version)
-    cursor.expect_end(kind)
-    # The header version the frame actually carried — how a connecting
-    # client learns which version a WELCOME frame announces.
-    message.wire_version = version
-    return message
+    return decoder
 
 
 class FrameSplitter:
@@ -702,16 +684,45 @@ class FrameSplitter:
     is judged against ``_MIN_BODY`` and ``max_frame_bytes`` as soon as its
     four bytes are in, so an absurd one is refused without waiting for (or
     allocating) its body; the stream is then out of frame sync.
+
+    A segment fed while nothing is buffered is cut in place; only what is
+    left of it once no whole frame remains is copied into ``buffer``, which
+    therefore holds every unread byte whenever ``next_frame`` has returned
+    ``None`` or raised.
     """
 
     def __init__(self, max_frame_bytes: int = MAX_FRAME_BYTES):
         self.max_frame_bytes = max_frame_bytes
         self.buffer = bytearray()
+        #: The segment being cut in place, and where its unread bytes start.
+        self._segment = b""
+        self._offset = 0
 
     def feed(self, data: bytes) -> None:
-        self.buffer += data
+        if self._segment:
+            self._spill()
+        if self.buffer or type(data) is not bytes:
+            self.buffer += data
+        else:
+            self._segment, self._offset = data, 0
+
+    def _spill(self) -> None:
+        self.buffer += memoryview(self._segment)[self._offset :]
+        self._segment = b""
 
     def next_frame(self) -> Optional[bytes]:
+        segment = self._segment
+        if segment:
+            start = self._offset + _LENGTH_PREFIX.size
+            if start <= len(segment):
+                (length,) = _LENGTH_PREFIX.unpack_from(segment, self._offset)
+                end = start + length
+                if _MIN_BODY <= length <= self.max_frame_bytes and end <= len(segment):
+                    self._offset = end
+                    if end == len(segment):
+                        self._segment = b""
+                    return segment[start:end]
+            self._spill()
         buffer = self.buffer
         if len(buffer) < _LENGTH_PREFIX.size:
             return None

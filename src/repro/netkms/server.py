@@ -33,12 +33,18 @@ Leases, reaping and the drain
 -----------------------------
 
 A held reservation is a *lease*: it names the connection that made it and
-expires ``lease_seconds`` after the grant.  A closing connection's
-reservations are reaped at once; an expired lease is reaped lazily on every
-reserve/consume/release and by the periodic sweep, which is one comparison
-until the clock reaches the earliest outstanding deadline.  Consumed
-reservations stay in a bounded **replay cache**, so a CONSUME retried after
-a lost reply re-delivers the same bytes and draws nothing.
+expires ``lease_seconds`` after the grant.  Only a connection under that
+connection's HELLO ``client_id`` may consume or release it.  A closing
+connection's reservations are reaped at once; an expired lease is reaped
+lazily on every reserve/consume/release and by the periodic sweep, which is
+one comparison until the clock reaches the earliest outstanding deadline.
+Consumed reservations stay in a bounded **replay cache**, so a CONSUME
+retried after a lost reply — on a new connection too, under the
+``client_id`` the key was served to — re-delivers the same bytes and draws
+nothing.  Another client's held or served reservation reads as an unknown
+id.  ``client_id`` is unauthenticated: the rule stops a client reading
+another's key by mistake or by counting ids, not one that forges another's
+``client_id``.
 
 ``stop()`` is itself what signals the drain: it answers every connection
 parked between requests with ``SHUTTING_DOWN`` (request id 0) and closes
@@ -55,6 +61,7 @@ import asyncio
 import itertools
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
@@ -98,11 +105,10 @@ class HeldReservation:
     """One granted-but-unconsumed reservation and its lease terms."""
 
     reservation: KeyReservation
-    #: Connection that created it; its close reaps the reservation.  The
-    #: owner is a *reaping* responsibility, not an access restriction — a
-    #: client that reconnects may legitimately consume by id from a new
-    #: connection (racing the old connection's disconnect reap; whichever
-    #: side wins, the bits are served or returned exactly once).
+    #: Connection that created it; its close reaps the reservation, and only
+    #: a connection under its HELLO ``client_id`` may consume or release it
+    #: (a client that reconnects retries on a new connection, possibly
+    #: while the old one is still open or stalled in its hook).
     owner: int
     #: Server-clock deadline after which the lease reaper returns the bits.
     expires_at: float
@@ -115,6 +121,9 @@ class ServedReservation:
     key_bits: int
     key_bytes: bytes
     expires_at: float
+    #: The HELLO ``client_id`` it was served to: only a connection under
+    #: that id is answered from the entry.
+    client_id: Optional[str]
 
 
 class NetworkKmsServer:
@@ -186,8 +195,9 @@ class NetworkKmsServer:
         #: Held reservations by (pair, reservation id); the id space is the
         #: store's own, so release/consume validate against live state.
         self._held: Dict[Tuple[Pair, int], HeldReservation] = {}
-        #: Recently consumed reservations, for idempotent CONSUME replay.
-        self._served: Dict[Tuple[Pair, int], ServedReservation] = {}
+        #: Recently consumed reservations, for idempotent CONSUME replay,
+        #: oldest first.
+        self._served: OrderedDict[Tuple[Pair, int], ServedReservation] = OrderedDict()
         #: A lower bound on every ``expires_at`` in ``_held`` and ``_served``:
         #: lowered when an entry is added, never raised when one leaves, and
         #: made exact again by each scan.  ``reap_expired`` before it has
@@ -399,10 +409,15 @@ class NetworkKmsServer:
         return reservation
 
     def _serve(
-        self, store: KeyStore, reservation: KeyReservation, message: Consume | GetKey, now: float
+        self,
+        store: KeyStore,
+        reservation: KeyReservation,
+        message: Consume | GetKey,
+        now: float,
+        conn_id: int,
     ) -> ConsumeOk:
         """Step two: draw the reserved bits, count them once, and keep the
-        reply replayable for the retention window."""
+        reply replayable, for this client only, for the retention window."""
         # Both endpoints' pools advance in lock-step, exactly as the
         # in-process gateways do, so the store stays synchronised for
         # every later consumer; the (identical) material is served once.
@@ -410,34 +425,37 @@ class NetworkKmsServer:
             key = store.draw(reservation, now)
         except ReservationError as exc:
             raise ProtocolError(protocol.ERR_INTERNAL, str(exc)) from None
-        key_bytes = key.to_bytes()
-        self.metrics.note_key_served(key_bytes, len(key))
+        key_bits, key_bytes = len(key), key.to_bytes()
+        self.metrics.note_key_served(key_bytes, key_bits)
         expires_at = now + self.replay_retention_seconds
         self._served[(message.pair, reservation.reservation_id)] = ServedReservation(
-            key_bits=len(key),
-            key_bytes=key_bytes,
-            expires_at=expires_at,
+            key_bits, key_bytes, expires_at, self._client_id(conn_id)
         )
         if expires_at < self._earliest_deadline:
             self._earliest_deadline = expires_at
         if len(self._served) > REPLAY_CACHE_LIMIT:
             # One entry in, so at most one out: the oldest.
-            del self._served[next(iter(self._served))]
-        return ConsumeOk(
-            request_id=message.request_id,
-            reservation_id=reservation.reservation_id,
-            key_bits=len(key),
-            key_bytes=key_bytes,
-        )
+            self._served.popitem(last=False)
+        return ConsumeOk(message.request_id, reservation.reservation_id, key_bits, key_bytes)
 
-    def _take_held(self, message: Consume | Release) -> KeyReservation:
-        held = self._held.pop((message.pair, message.reservation_id), None)
-        if held is None:
+    def _client_id(self, conn_id: int) -> Optional[str]:
+        """The ``client_id`` connection ``conn_id`` said HELLO with."""
+        connection = self._connections.get(conn_id)
+        return connection.client_id if connection is not None else None
+
+    def _take_held(self, message: Consume | Release, conn_id: int) -> KeyReservation:
+        """The held reservation ``message`` names, if the connection that
+        holds it said HELLO under ``conn_id``'s ``client_id``; another
+        client's reservation reads as no reservation at all."""
+        key = (message.pair, message.reservation_id)
+        held = self._held.get(key)
+        if held is None or self._client_id(held.owner) != self._client_id(conn_id):
             raise ProtocolError(
                 protocol.ERR_UNKNOWN_RESERVATION,
                 f"no held reservation {message.reservation_id} "
                 f"for {message.pair[0]}--{message.pair[1]}",
             )
+        del self._held[key]
         return held.reservation
 
     def _on_reserve(self, message: Reserve, conn_id: int) -> ReserveOk:
@@ -462,18 +480,18 @@ class NetworkKmsServer:
     def _on_get_key(self, message: GetKey, conn_id: int) -> ConsumeOk:
         store = self._store_for(message.pair)
         now = self._now()
-        return self._serve(store, self._grant(store, message.bits, now), message, now)
+        return self._serve(store, self._grant(store, message.bits, now), message, now, conn_id)
 
     def _on_consume(self, message: Consume, conn_id: int) -> ConsumeOk:
         store = self._store_for(message.pair)
         now = self._now()
         self.reap_expired(now)
         replay = self._served.get((message.pair, message.reservation_id))
-        if replay is not None:
+        if replay is not None and replay.client_id == self._client_id(conn_id):
             # Idempotent retry: the reservation was already consumed but
-            # the reply may never have reached the client.  Re-deliver the
-            # identical bytes; the material was served (and entered the
-            # digest) exactly once.
+            # the reply may never have reached the client, which may have
+            # reconnected since.  Re-deliver the identical bytes; the
+            # material was served (and entered the digest) exactly once.
             self.metrics.note_replay()
             return ConsumeOk(
                 request_id=message.request_id,
@@ -481,12 +499,12 @@ class NetworkKmsServer:
                 key_bits=replay.key_bits,
                 key_bytes=replay.key_bytes,
             )
-        return self._serve(store, self._take_held(message), message, now)
+        return self._serve(store, self._take_held(message, conn_id), message, now, conn_id)
 
     def _on_release(self, message: Release, conn_id: int) -> ReleaseOk:
         store = self._store_for(message.pair)
         self.reap_expired()
-        store.release(self._take_held(message))
+        store.release(self._take_held(message, conn_id))
         return ReleaseOk(
             request_id=message.request_id,
             reservation_id=message.reservation_id,
@@ -515,6 +533,7 @@ class _Connection(asyncio.Protocol):
         self.frames = protocol.FrameSplitter(server.max_frame_bytes)
         self.transport: Optional[asyncio.Transport] = None
         self.version: Optional[int] = None  # until HELLO is answered
+        self.client_id: Optional[str] = None  # as HELLO named the client
         #: ``busy``: a request awaits ``request_hook`` (in ``hook_task``);
         #: ``write_paused``: the write buffer is past its high-water mark.
         #: Either holds the frames buffered behind.
@@ -608,7 +627,7 @@ class _Connection(asyncio.Protocol):
         except ProtocolError as exc:
             self._refuse(0, exc)  # every refusal here is fatal
             return
-        self.version = version
+        self.version, self.client_id = version, hello.client_id
         welcome = Welcome(server_id=server.server_id)
         self.transport.write(protocol.encode_frame(welcome, version))
 

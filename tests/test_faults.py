@@ -188,6 +188,41 @@ class TestFaultyConnector:
         assert store.available_bits == 2048 - 64
         assert metrics.requests_by_kind == {"GetKey": 1}
 
+    def test_a_resilient_client_is_replayed_its_key_on_a_new_connection(self):
+        """Client tx op 2 is the first CONSUME: it reaches the server, which
+        serves it, and the connection closes before the reply.  The retry
+        arrives on a new connection under the same ``client_id`` and is
+        answered from the replay cache."""
+        plane = ScriptedPlane(DeterministicRNG(0), {(SITE_CLIENT_TX, 2): FaultAction(DROP_AFTER)})
+
+        async def no_wait(delay):
+            await asyncio.sleep(0)
+
+        async def scenario():
+            store = make_store(2048)
+            server = NetworkKmsServer({PAIR: store}, port=0, reap_interval_seconds=None)
+            await server.start()
+            try:
+                client = ResilientKmsClient(
+                    "127.0.0.1",
+                    server.port,
+                    client_id="sae-r",
+                    connector=FaultyConnector(plane),
+                    sleep=no_wait,
+                    policy=RetryPolicy(request_timeout_seconds=5.0),
+                )
+                key = await client.get_key(PAIR, 256)
+                await client.close()
+                return key, client.stats, store, server.metrics
+            finally:
+                await server.stop()
+
+        key, stats, store, metrics = run(scenario())
+        assert key.key_bytes == counter_material(2048).to_bytes()[:32]
+        assert (stats.reconnects, stats.reservations_abandoned) == (1, 0)
+        assert (metrics.keys_served, metrics.consume_replays) == (1, 1)
+        assert store.available_bits == 2048 - 256 and store.reserved_bits == 0
+
 
 # --------------------------------------------------------------------------- #
 # Retry backoff

@@ -634,6 +634,37 @@ class TestHostileFrames:
         assert over_limit.code == protocol.ERR_LIMIT
         assert key.key_bits == 128
 
+    def test_an_error_detail_past_the_wire_limit_is_cut_and_keeps_the_connection(self):
+        """The detail of an unknown pair quotes both 200-byte names: it
+        travels cut to 255 bytes, as a typed request error, on a connection
+        that goes on serving."""
+        long_pair = ("x" * 200, "y" * 200)
+
+        async def scenario():
+            store = KeyStore(long_pair, capacity_bits=1 << 20)
+            store.deposit(counter_material(1024))
+            server = await started_server({PAIR: make_store(), long_pair: store})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    with pytest.raises(ServerError) as unknown_pair:
+                        await client.status(("x" * 200, "z" * 200))
+                    with pytest.raises(ServerError) as exhausted:
+                        await client.get_key(long_pair, bits=2048)
+                    connected = client.connected
+                    key = await client.get_key(PAIR, bits=128)
+                    fatal = server.metrics.fatal_errors
+                    return unknown_pair.value, exhausted.value, connected, key, fatal
+            finally:
+                await server.stop()
+
+        unknown_pair, exhausted, connected, key, fatal = run(scenario())
+        assert unknown_pair.code == protocol.ERR_UNKNOWN_PAIR
+        assert len(unknown_pair.detail.encode()) == 255
+        assert unknown_pair.detail.startswith("no store for pair xxx")
+        assert exhausted.code == protocol.ERR_EXHAUSTED
+        assert connected and key.key_bits == 128
+        assert fatal == 0
+
 
 # --------------------------------------------------------------------------- #
 # Store semantics over the wire
@@ -1004,6 +1035,97 @@ class TestReservationReaping:
         assert store.reserved_bits == 0
         assert metrics.reservations_reaped == 2
         assert metrics.reaped_bits == store.statistics.bits_released == 1024
+
+
+class TestReservationOwnership:
+    """A reservation, held or served, answers only connections under the
+    HELLO ``client_id`` it was granted to: anyone else naming its id gets the
+    unknown-id reply."""
+
+    @staticmethod
+    async def two_clients(server):
+        a = NetworkKmsClient("127.0.0.1", server.port, client_id="sae-a")
+        b = NetworkKmsClient("127.0.0.1", server.port, client_id="sae-b")
+        await a.connect()
+        await b.connect()
+        return a, b
+
+    def test_a_served_key_is_not_replayed_to_another_client(self):
+        async def scenario():
+            server = await started_server({PAIR: make_store(bits=4096)})
+            try:
+                a, b = await self.two_clients(server)
+                key = await a.get_key(PAIR, 256)
+                handle = ReservationHandle(PAIR, key.reservation_id, key.key_bits)
+                with pytest.raises(ServerError) as foreign:
+                    await b.consume(handle)
+                replays_after_b = server.metrics.consume_replays
+                replayed = await a.consume(handle)
+                await a.close()
+                await b.close()
+                return key, foreign.value, replays_after_b, replayed, server.metrics
+            finally:
+                await server.stop()
+
+        key, foreign, replays_after_b, replayed, metrics = run(scenario())
+        assert foreign.code == protocol.ERR_UNKNOWN_RESERVATION
+        assert replays_after_b == 0
+        assert replayed == key and metrics.consume_replays == 1
+        assert metrics.keys_served == 1
+
+    def test_a_held_reservation_is_not_served_or_released_to_another_client(self):
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store})
+            try:
+                a, b = await self.two_clients(server)
+                handle = await a.reserve(PAIR, 128)
+                codes = []
+                for attempt in (b.consume, b.release):
+                    with pytest.raises(ServerError) as foreign:
+                        await attempt(handle)
+                    codes.append(foreign.value.code)
+                still_reserved = store.reserved_bits
+                key = await a.consume(handle)
+                await a.close()
+                await b.close()
+                return codes, still_reserved, key, store, server.metrics
+            finally:
+                await server.stop()
+
+        codes, still_reserved, key, store, metrics = run(scenario())
+        assert codes == [protocol.ERR_UNKNOWN_RESERVATION] * 2
+        assert still_reserved == 128
+        assert key.key_bytes == counter_material(4096).to_bytes()[:16]
+        assert (metrics.keys_served, metrics.consume_replays) == (1, 0)
+        assert store.reserved_bits == 0 and store.available_bits == 4096 - 128
+
+    def test_a_client_that_reconnects_under_its_id_keeps_its_keys_and_reservations(self):
+        """The retry path of a client whose connection failed: a new
+        connection under the same ``client_id`` is replayed the key it was
+        served, and consumes the reservation its old connection — still
+        open here, as a stalled one would be — holds."""
+
+        async def scenario():
+            server = await started_server({PAIR: make_store(bits=4096)})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port, client_id="sae-a") as a:
+                    handle = await a.reserve(PAIR, 256)
+                    key = await a.consume(handle)
+                    held = await a.reserve(PAIR, 128)
+                    async with NetworkKmsClient(
+                        "127.0.0.1", server.port, client_id="sae-a"
+                    ) as again:
+                        replayed = await again.consume(handle)
+                        taken = await again.consume(held)
+                return key, replayed, taken, server.metrics
+            finally:
+                await server.stop()
+
+        key, replayed, taken, metrics = run(scenario())
+        assert replayed == key
+        assert taken.key_bits == 128
+        assert (metrics.keys_served, metrics.consume_replays) == (2, 1)
 
 
 class TestGracefulDrain:
