@@ -31,9 +31,7 @@ def _noisy_pair(n, rate, seed):
 
 def test_e11_steady_state_pool_balance(benchmark, table):
     def experiment():
-        engine = QKDProtocolEngine(
-            EngineParameters(auth_replenish_bits=128), DeterministicRNG(51)
-        )
+        engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(51))
         start = engine.alice_auth.available_secret_bits
         history = [start]
         for block_index in range(8):
@@ -66,7 +64,7 @@ def test_e11_dos_exhaustion_vs_pool_size(benchmark, table):
             engine = QKDProtocolEngine(
                 EngineParameters(preshared_secret_bits=preshared_bits), DeterministicRNG(52)
             )
-            attack = KeyExhaustionDoS(induced_qber=0.30, block_bits=256)
+            attack = KeyExhaustionDoS(block_bits=256)
             outcome = attack.run(engine, max_rounds=400, rng=DeterministicRNG(53))
             rows.append((preshared_bits, outcome))
         return rows

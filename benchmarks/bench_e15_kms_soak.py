@@ -49,12 +49,7 @@ PAIR_MEAN_SECONDS = float_env("BENCH_E15_PAIR_MEAN_SECONDS", 120.0, minimum=1.0)
 
 PROFILES = (
     ("poisson", WorkloadProfile.poisson(PAIR_MEAN_SECONDS)),
-    (
-        "bursty",
-        WorkloadProfile.bursty(
-            2.5 * PAIR_MEAN_SECONDS, burst_size=4, burst_spread_seconds=5.0
-        ),
-    ),
+    ("bursty", WorkloadProfile.bursty(2.5 * PAIR_MEAN_SECONDS)),
 )
 
 

@@ -51,6 +51,16 @@ from repro.sim.clock import SimClock
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
+#: Extra key bits credited to both VPN pools at build time, modelling the
+#: reservoir a long-running link has already accumulated (the paper's link
+#: distills ~100 bits/s, so waiting for real Monte-Carlo key at every VPN
+#: bring-up would dominate run time).
+PREFILL_KEY_BITS = 8192
+#: Default SA lifetime of a tunnel installed by ``VPNSystem.secure_tunnel``.
+REKEY_SECONDS = 60.0
+#: Fiber length of every link in a ``QKDSystem.mesh``.
+MESH_LINK_KM = 10.0
+
 
 @dataclass
 class SystemConfig:
@@ -76,20 +86,11 @@ class SystemConfig:
     # ---- VPN assembly -------------------------------------------------- #
     #: Channel-seconds of key distilled before the gateways come up.
     distill_seconds: float = 3.0
-    #: Extra key bits credited to both pools at build time, modelling the
-    #: reservoir a long-running link has already accumulated (the paper's
-    #: link distills ~100 bits/s, so waiting for real Monte-Carlo key at
-    #: every VPN bring-up would dominate run time).  Set to 0 to run purely
-    #: on distilled key.
-    prefill_key_bits: int = 8192
-    rekey_seconds: float = 60.0
     qkd_bits_per_rekey: int = 1024
 
     # ---- mesh assembly ------------------------------------------------- #
     n_endpoints: int = 3
     n_relays: int = 4
-    mesh_link_km: float = 10.0
-    routing_metric: str = "hops"
     #: Seconds of pairwise-key prefill every mesh link gets at build time.
     prefill_seconds: float = 60.0
 
@@ -133,8 +134,8 @@ class QKDSystem:
         """A derived system with the given config fields replaced."""
         return QKDSystem(replace(self.config, **overrides))
 
-    def entangled(self, flag: bool = True) -> "QKDSystem":
-        return self.configured(entangled=flag)
+    def entangled(self) -> "QKDSystem":
+        return self.configured(entangled=True)
 
     # ------------------------------------------------------------------ #
     # Terminal builders
@@ -167,12 +168,11 @@ class QKDSystem:
         # One persistent RNG feeds every reservoir credit (prefill and later
         # top_up calls), so repeated draws never repeat key material.
         reservoir_rng = assembly_rng.fork("reservoir")
-        if config.prefill_key_bits > 0:
-            # Both ends of a real link hold identical reservoirs; credit the
-            # same (independently copied) bits to each pool.
-            prefill = BitString.random(config.prefill_key_bits, reservoir_rng)
-            link.engine.alice_pool.add_bits(prefill)
-            link.engine.bob_pool.add_bits(prefill.copy())
+        # Both ends of a real link hold identical reservoirs; credit the
+        # same (independently copied) bits to each pool.
+        prefill = BitString.random(PREFILL_KEY_BITS, reservoir_rng)
+        link.engine.alice_pool.add_bits(prefill)
+        link.engine.bob_pool.add_bits(prefill.copy())
         clock = SimClock()
         gateways = GatewayPair.from_engine(
             link.engine,
@@ -194,9 +194,8 @@ class QKDSystem:
         relays = TrustedRelayNetwork.for_mesh(
             n_endpoints=config.n_endpoints,
             n_relays=config.n_relays,
-            link_length_km=config.mesh_link_km,
+            link_length_km=MESH_LINK_KM,
             rng=DeterministicRNG(config.seed),
-            metric=config.routing_metric,
             prefill_seconds=config.prefill_seconds,
         )
         return MeshSystem(config=config, relays=relays)
@@ -206,8 +205,6 @@ class QKDSystem:
         n_zones: int = 4,
         endpoints_per_zone: int = 4,
         relays_per_zone: int = 3,
-        zone_link_km: float = 5.0,
-        trunk_km: float = 25.0,
         **overrides,
     ) -> "MeshSystem":
         """A metro-area mesh of zones, pre-wired for zoned key management.
@@ -230,10 +227,7 @@ class QKDSystem:
             n_zones=n_zones,
             endpoints_per_zone=endpoints_per_zone,
             relays_per_zone=relays_per_zone,
-            zone_link_km=zone_link_km,
-            trunk_km=trunk_km,
             rng=DeterministicRNG(config.seed),
-            metric=config.routing_metric,
             prefill_seconds=config.prefill_seconds,
         )
         return MeshSystem(config=config, relays=relays, zone_plan=plan)
@@ -276,7 +270,7 @@ class VPNSystem:
     # ------------------------------------------------------------------ #
 
     def top_up(self, key_bits: int) -> None:
-        """Credit both pools with reservoir key (see ``prefill_key_bits``).
+        """Credit both pools with reservoir key (see ``PREFILL_KEY_BITS``).
 
         Draws from the system's persistent reservoir stream, so repeated
         calls always add fresh, non-repeating key material.
@@ -300,7 +294,7 @@ class VPNSystem:
             destination_network=destination_network,
             cipher_suite=cipher_suite,
             lifetime_seconds=policy_kwargs.pop(
-                "lifetime_seconds", self.config.rekey_seconds
+                "lifetime_seconds", REKEY_SECONDS
             ),
             qkd_bits_per_rekey=policy_kwargs.pop(
                 "qkd_bits_per_rekey", self.config.qkd_bits_per_rekey

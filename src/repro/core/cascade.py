@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -84,7 +84,7 @@ class CascadeParameters:
     rounds: int = 4
     #: Extra random-subset parities exchanged at the end purely to confirm the
     #: keys now agree; they are also charged as disclosed bits.
-    confirmation_parities: int = 16
+    confirmation_parities: ClassVar[int] = 16
     #: Fraction of key positions each pseudo-random subset includes.
     subset_density: float = 0.5
     #: Whether to run an initial pass over contiguous blocks ("subranges")
@@ -94,28 +94,20 @@ class CascadeParameters:
     block_first_pass: bool = True
     #: First-pass block size is ``block_factor / error_rate`` (Brassard-Salvail
     #: tuning), clamped to ``[min_block_size, max_block_size]``.
-    block_factor: float = 0.73
-    min_block_size: int = 4
-    max_block_size: int = 64
+    block_factor: ClassVar[float] = 0.73
+    min_block_size: ClassVar[int] = 4
+    max_block_size: ClassVar[int] = 64
     #: Prior estimate of the error rate used to size the first-pass blocks
     #: when the caller does not pass a better hint.
-    default_error_rate_hint: float = 0.05
+    default_error_rate_hint: ClassVar[float] = 0.05
 
     def __post_init__(self) -> None:
         if self.subsets_per_round <= 0:
             raise ValueError("subsets per round must be positive")
         if self.rounds <= 0:
             raise ValueError("round count must be positive")
-        if self.confirmation_parities < 0:
-            raise ValueError("confirmation parity count must be non-negative")
         if not 0.0 < self.subset_density <= 1.0:
             raise ValueError("subset density must be in (0, 1]")
-        if self.block_factor <= 0:
-            raise ValueError("block factor must be positive")
-        if not 0 < self.min_block_size <= self.max_block_size:
-            raise ValueError("block size bounds must satisfy 0 < min <= max")
-        if not 0.0 < self.default_error_rate_hint < 0.5:
-            raise ValueError("default error rate hint must be in (0, 0.5)")
 
     def first_pass_block_size(self, error_rate_hint: float) -> int:
         """The contiguous block size used by the first pass."""

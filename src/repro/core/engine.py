@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 from repro.core.authentication import AuthenticatedChannel
 from repro.core.cascade import CascadeParameters, CascadeProtocol, CascadeResult
@@ -90,11 +90,11 @@ class EngineParameters:
     #: Distilled bits fed back to the authentication pool per block.  A full
     #: tag/verify round trip costs each endpoint 2 x tag_bits of pad, so this
     #: default replenishes twice what a block consumes.
-    auth_replenish_bits: int = 128
+    auth_replenish_bits: ClassVar[int] = 128
     #: Pre-shared secret used to bootstrap authentication.
     preshared_secret_bits: int = AuthenticatedChannel.DEFAULT_PRESHARED_BITS
     #: Tag length for Wegman-Carter authentication.
-    auth_tag_bits: int = 32
+    auth_tag_bits: ClassVar[int] = 32
     #: Non-randomness measure r (a fixed placeholder, exactly as in the paper).
     non_randomness_bits: int = 0
     #: When enabled, the engine replaces the placeholder with a measured value
@@ -120,8 +120,6 @@ class EngineParameters:
             raise ValueError(f"non_randomness_bits must be a non-negative integer, got {r!r}")
         if not 0.0 < self.abort_qber <= 0.5:
             raise ValueError("abort QBER must be in (0, 0.5]")
-        if self.auth_replenish_bits < 0:
-            raise ValueError("auth replenish bits must be non-negative")
 
     def make_defense(self):
         if self.defense == "bennett":

@@ -50,11 +50,11 @@ class PrivacyAmplificationResult:
 class PrivacyAmplification:
     """Runs the privacy-amplification transaction for one corrected block."""
 
-    def __init__(self, rng: Optional[DeterministicRNG] = None, max_block_bits: int = MAX_FIELD_DEGREE):
-        if max_block_bits <= 0:
-            raise ValueError("block size must be positive")
+    #: Longest block hashed in one field; longer keys are split first.
+    max_block_bits = MAX_FIELD_DEGREE
+
+    def __init__(self, rng: Optional[DeterministicRNG] = None):
         self.rng = rng or DeterministicRNG(0)
-        self.max_block_bits = min(max_block_bits, MAX_FIELD_DEGREE)
 
     # ------------------------------------------------------------------ #
     # Initiator side: choose the hash parameters

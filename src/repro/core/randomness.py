@@ -62,13 +62,10 @@ class RandomnessReport:
 class RandomnessTester:
     """A small battery of bias/correlation tests over a bit block."""
 
-    def __init__(self, significance_sigmas: float = 3.0, block_size: int = 128):
-        if significance_sigmas <= 0:
-            raise ValueError("significance threshold must be positive")
-        if block_size <= 1:
-            raise ValueError("block size must exceed one bit")
-        self.significance_sigmas = significance_sigmas
-        self.block_size = block_size
+    #: Deviation, in standard deviations, beyond which a test fails.
+    significance_sigmas = 3.0
+    #: Bits per block of the block-frequency test.
+    block_size = 128
 
     # ------------------------------------------------------------------ #
     # Individual tests

@@ -8,20 +8,18 @@ from __future__ import annotations
 from repro.crypto.aes import AES, BLOCK_SIZE
 
 
-def pkcs7_pad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
-    """Pad to a whole number of blocks (always adds at least one byte)."""
-    if block_size <= 0 or block_size > 255:
-        raise ValueError("block size must be in [1, 255]")
-    pad_len = block_size - (len(data) % block_size)
+def pkcs7_pad(data: bytes) -> bytes:
+    """Pad to a whole number of AES blocks (always adds at least one byte)."""
+    pad_len = BLOCK_SIZE - (len(data) % BLOCK_SIZE)
     return data + bytes([pad_len]) * pad_len
 
 
-def pkcs7_unpad(data: bytes, block_size: int = BLOCK_SIZE) -> bytes:
+def pkcs7_unpad(data: bytes) -> bytes:
     """Remove PKCS#7 padding, validating it."""
-    if not data or len(data) % block_size:
+    if not data or len(data) % BLOCK_SIZE:
         raise ValueError("padded data must be a non-empty multiple of the block size")
     pad_len = data[-1]
-    if pad_len < 1 or pad_len > block_size:
+    if pad_len < 1 or pad_len > BLOCK_SIZE:
         raise ValueError("invalid padding length")
     if data[-pad_len:] != bytes([pad_len]) * pad_len:
         raise ValueError("invalid padding bytes")

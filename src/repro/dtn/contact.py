@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.network.graph import Graph, component
 from repro.network.routing import PathSelector, RoutingError
@@ -80,13 +80,8 @@ class ContactSchedule:
     during its windows — an empty plan means the edge never opens.
     """
 
-    def __init__(
-        self,
-        edge_windows: Optional[Mapping[Edge, Sequence[ContactWindow]]] = None,
-    ):
+    def __init__(self):
         self._windows: Dict[Edge, Tuple[ContactWindow, ...]] = {}
-        for (node_a, node_b), windows in (edge_windows or {}).items():
-            self.set_windows(node_a, node_b, windows)
 
     @staticmethod
     def _key(node_a: str, node_b: str) -> Edge:

@@ -18,11 +18,9 @@ two ends of the DTN trade-off space:
 ``epidemic``
     Multi-copy flooding with duplicate suppression: every open contact
     from a node holding a copy infects the neighbour, unless that
-    neighbour has already held one.  Per-contact infection is gated by a
-    Bernoulli draw from the labeled stream ``dtn/epidemic/<n>`` (the
-    ``n``-th replication decision ever; probability 1.0 by default, so the
-    flood is deterministic unless deliberately thinned).  Most robust to
-    plan error and most expensive in pad — the overhead bench E19 measures.
+    neighbour has already held one; the flood draws no randomness.  Most
+    robust to plan error and most expensive in pad — the overhead bench E19
+    measures.
 
 Determinism contract: policies make no unlabeled draws, and iterate
 bundles, copies and neighbours in sorted order, so a run's forwarding
@@ -94,7 +92,7 @@ class ScheduledPolicy(ForwardingPolicy):
 
 
 class EpidemicPolicy(ForwardingPolicy):
-    """Flooding with duplicate suppression (and optional thinning).
+    """Flooding with duplicate suppression.
 
     One generation of infection per tick: the copy set is snapshotted
     before spreading, so a neighbour infected this tick forwards no earlier
@@ -103,11 +101,6 @@ class EpidemicPolicy(ForwardingPolicy):
     """
 
     name = "epidemic"
-
-    def __init__(self, infect_probability: float = 1.0):
-        if not 0.0 <= infect_probability <= 1.0:
-            raise ValueError("infection probability must be in [0, 1]")
-        self.infect_probability = infect_probability
 
     def forward(
         self, transport: "CustodyTransport", bundle: "CustodyBundle", now: float
@@ -120,9 +113,6 @@ class EpidemicPolicy(ForwardingPolicy):
                 if neighbor in transport.seen(bundle):
                     continue  # duplicate suppression: it has held a copy before
                 if not transport.selector.edge_open(holder, neighbor, now):
-                    continue
-                stream = transport.next_epidemic_stream()
-                if not stream.bernoulli(self.infect_probability):
                     continue
                 transport.replicate_copy(bundle, holder, neighbor, now)
 

@@ -14,8 +14,6 @@ Determinism contract
 * Bundle ``n``'s key material comes from the labeled stream
   ``dtn/bundle/<n>`` — a pure function of the custody seed and the bundle
   index, independent of topology, timing or route.
-* The ``k``-th epidemic replication decision ever draws from
-  ``dtn/epidemic/<k>``.
 * The delivered digest is *order-independent* (a hash over the sorted
   per-bundle digests), so a run that delivers the same bundles later — or
   by flooding instead of by plan — produces the identical digest.
@@ -100,7 +98,6 @@ class CustodyTransport:
         self._live_bits: Dict[Tuple[str, str], int] = {}
         self._seen: Dict[int, Set[str]] = {}
         self._next_bundle_id = 0
-        self._next_epidemic = 0
         self._bundle_digests: List[str] = []
         self._on_delivered: Callable[[], Optional[Callable[[CustodyBundle], None]]] = lambda: None
         #: Per destination, the layout version its hop distances were taken
@@ -119,12 +116,6 @@ class CustodyTransport:
         Any other callable is held strongly.
         """
         self._on_delivered = weak_callback(on_delivered)
-
-    def next_epidemic_stream(self) -> DeterministicRNG:
-        """The labeled stream for the next epidemic replication decision."""
-        stream = self.rng.fork_labeled(f"dtn/epidemic/{self._next_epidemic}")
-        self._next_epidemic += 1
-        return stream
 
     def static_distance(self, node: str, destination: str) -> float:
         """Hop distance over the full (fault-free) topology, ``inf`` when the

@@ -42,13 +42,13 @@ class KeyExhaustionDoS:
     """Forces protocol rounds that consume authentication key without producing any."""
 
     name = "key-exhaustion-dos"
+    #: Error rate forced onto every block: below the engine's abort
+    #: threshold, above what entropy estimation can distill from.
+    induced_qber = 0.30
 
-    def __init__(self, induced_qber: float = 0.30, block_bits: int = 512):
-        if not 0.0 <= induced_qber <= 0.5:
-            raise ValueError("induced QBER must be in [0, 0.5]")
+    def __init__(self, block_bits: int = 512):
         if block_bits <= 0:
             raise ValueError("block size must be positive")
-        self.induced_qber = induced_qber
         self.block_bits = block_bits
 
     def run(

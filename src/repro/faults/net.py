@@ -176,12 +176,11 @@ class FaultyProtocol(asyncio.Protocol):
 class FaultyConnector:
     """A ``connector`` routing everything through a plane: pass it as
     ``NetworkKmsClient(connector=FaultyConnector(plane))`` (or to
-    :class:`~repro.netkms.resilient.ResilientKmsClient`); ``base`` is the
-    connector it wraps, the client's plain TCP one by default."""
+    :class:`~repro.netkms.resilient.ResilientKmsClient`); it wraps the
+    client's plain TCP connector."""
 
-    def __init__(self, plane: FaultPlane, base=None, sleep=None):
+    def __init__(self, plane: FaultPlane, sleep=None):
         self._plane = plane
-        self._base = base or open_connection
         self._sleep = sleep or asyncio.sleep
 
     async def __call__(
@@ -194,7 +193,7 @@ class FaultyConnector:
             if action.kind == DELAY:
                 await self._sleep(action.delay_seconds)
         inner = protocol_factory()
-        _transport, faulty = await self._base(
+        _transport, faulty = await open_connection(
             host, port, lambda: FaultyProtocol(inner, self._plane, self._sleep)
         )
         return faulty.client_transport, inner

@@ -240,11 +240,11 @@ class GatewayPair:
 
     # ------------------------------------------------------------------ #
 
-    def add_symmetric_policy(self, policy: SecurityPolicy, reverse_name: Optional[str] = None) -> None:
+    def add_symmetric_policy(self, policy: SecurityPolicy) -> None:
         """Install the policy at Alice and its mirror image at Bob."""
         self.alice.add_policy(policy)
         mirrored = SecurityPolicy(
-            name=reverse_name or f"{policy.name}-reverse",
+            name=f"{policy.name}-reverse",
             source_network=policy.destination_network,
             destination_network=policy.source_network,
             action=policy.action,

@@ -37,6 +37,8 @@ from repro.util.rng import DeterministicRNG
 #: Size of one negotiated Qblock in bits, matching the paper's Fig 12
 #: ("reply 1 Qblocks 1024 bits").
 QBLOCK_BITS = 1024
+#: Lifetime of the Phase-1 (ISAKMP) SA.
+PHASE1_LIFETIME_SECONDS = 3600.0
 
 
 class NegotiationError(Exception):
@@ -60,11 +62,6 @@ class IKEConfig:
     address: str
     peer_address: str
     preshared_key: bytes = b"darpa-quantum-network"
-    phase1_lifetime_seconds: float = 3600.0
-    #: How long a Phase-2 negotiation may wait for QKD bits to accumulate.
-    phase2_timeout_seconds: float = 10.0
-    #: Whether the QKD ("QPFS") extension is enabled at all.
-    qkd_enabled: bool = True
 
 
 @dataclass
@@ -142,7 +139,7 @@ class IKEDaemon:
         state = Phase1State(
             established_at=now,
             skeyid=skeyid,
-            lifetime_seconds=self.config.phase1_lifetime_seconds,
+            lifetime_seconds=PHASE1_LIFETIME_SECONDS,
             initiator=self.config.gateway_name,
             responder=peer.config.gateway_name,
         )
@@ -178,7 +175,6 @@ class IKEDaemon:
         peer: "IKEDaemon",
         policy: SecurityPolicy,
         now: float = 0.0,
-        qkd_wait_rate_bps: float = 0.0,
     ) -> Tuple[SecurityAssociation, SecurityAssociation]:
         """Run quick mode and install a fresh SA pair (one per direction).
 
@@ -186,10 +182,9 @@ class IKEDaemon:
         key pools, which is how the real extension keeps the two ends keyed
         identically without ever sending key bits over the wire.
 
-        ``qkd_wait_rate_bps`` models waiting for key to accumulate: if the
-        pools currently hold fewer bits than the negotiation needs, the
-        shortfall divided by this rate is the wait time, and exceeding the
-        Phase-2 timeout raises :class:`NegotiationTimeout`.
+        If the pools hold fewer bits than the negotiation needs, it times out
+        and raises :class:`NegotiationTimeout`: the caller waits for key and
+        retries (the KMS bounds that wait with its rekey timeout).
         """
         if self.phase1 is None or peer.phase1 is None:
             raise NegotiationError("phase 2 attempted before phase 1 is established")
@@ -208,11 +203,7 @@ class IKEDaemon:
             f"respond new phase 2 negotiation: {peer.config.address}[0]<=>{peer.config.peer_address}[0]",
         )
 
-        use_qkd = (
-            self.config.qkd_enabled
-            and peer.config.qkd_enabled
-            and policy.cipher_suite is not CipherSuite.AES_CLASSICAL
-        )
+        use_qkd = policy.cipher_suite is not CipherSuite.AES_CLASSICAL
         if use_qkd:
             peer._log(
                 "proposal.c:1023:set_proposal_from_policy()",
@@ -228,20 +219,12 @@ class IKEDaemon:
             # Qblock request already sizes that.
             needed_bits = max(needed_bits, policy.qkd_bits_per_rekey)
 
-        timed_out = False
         if use_qkd:
             shortfall = max(
                 needed_bits - min(self.key_pool.available_bits, peer.key_pool.available_bits),
                 0,
             )
             if shortfall > 0:
-                if qkd_wait_rate_bps <= 0:
-                    timed_out = True
-                else:
-                    wait_seconds = shortfall / qkd_wait_rate_bps
-                    if wait_seconds > self.config.phase2_timeout_seconds:
-                        timed_out = True
-            if timed_out:
                 negotiation = QkdKeyNegotiation(
                     negotiation_id=negotiation_id,
                     offered_qblocks=offered_qblocks,
@@ -259,8 +242,7 @@ class IKEDaemon:
                     "phase 2 negotiation failed: not enough QKD key material before timeout",
                 )
                 raise NegotiationTimeout(
-                    f"needed {needed_bits} QKD bits, short by {shortfall}, "
-                    f"timeout {self.config.phase2_timeout_seconds}s"
+                    f"needed {needed_bits} QKD bits, short by {shortfall}"
                 )
 
             granted_qblocks = offered_qblocks

@@ -44,6 +44,7 @@ Two fidelity modes:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -58,6 +59,15 @@ from repro.util.rng import DeterministicRNG
 
 #: Fidelity modes the scheduler can dispatch epochs in.
 MODES = ("analytic", "montecarlo")
+#: Mean measured/expected QBER above which a link is declared eavesdropped
+#: and handed to the routing layer to avoid.
+DETECTION_QBER = 0.12
+#: Minimum sifted-bit sample a Monte-Carlo epoch must carry before its
+#: measured QBER may trigger detection.  Tiny epochs (tens of sifted bits)
+#: have enough sampling noise that a clean link would eventually cross the
+#: threshold by chance and be quarantined forever; an attack strong enough
+#: to matter pushes the QBER far above threshold on any reasonable sample.
+DETECTION_MIN_SIFTED_BITS = 256
 
 
 @dataclass
@@ -85,22 +95,13 @@ class ReplenishmentConfig:
     #: positive count); the neediest links win, so a tight cap models a
     #: shared distillation budget under contention.
     max_links_per_epoch: Optional[int] = None
-    #: Mean measured/expected QBER above which a link is declared
-    #: eavesdropped and handed to the routing layer to avoid.
-    detection_qber: float = 0.12
-    #: Minimum sifted-bit sample a Monte-Carlo epoch must carry before its
-    #: measured QBER may trigger detection.  Tiny epochs (tens of sifted
-    #: bits) have enough sampling noise that a clean link would eventually
-    #: cross the threshold by chance and be quarantined forever; an attack
-    #: strong enough to matter pushes the QBER far above threshold on any
-    #: reasonable sample.
-    detection_min_sifted_bits: int = 256
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.epoch_seconds <= 0:
-            raise ValueError("epoch duration must be positive")
+        epoch = self.epoch_seconds
+        if not (math.isfinite(epoch) and epoch > 0):
+            raise ValueError(f"epoch_seconds must be finite and positive, got {epoch!r}")
         slots = self.slots_per_epoch
         if isinstance(slots, bool) or not isinstance(slots, Integral) or slots < 1:
             raise ValueError(f"slots_per_epoch must be a positive integer, got {slots!r}")
@@ -322,8 +323,8 @@ class ReplenishmentScheduler:
         for edge, run in zip(selected, runs):
             key = self._key(edge.node_a, edge.node_b)
             report.dispatched.append(key)
-            detected = run.report.sifted_bits >= self.config.detection_min_sifted_bits and (
-                run.report.mean_qber > self.config.detection_qber
+            detected = run.report.sifted_bits >= DETECTION_MIN_SIFTED_BITS and (
+                run.report.mean_qber > DETECTION_QBER
                 or (run.report.blocks_aborted > 0 and run.report.blocks_distilled == 0)
             )
             if detected:
@@ -346,7 +347,7 @@ class ReplenishmentScheduler:
         if attack is not None:
             fraction = float(getattr(attack, "intercept_fraction", 1.0))
             induced = min(intrinsic + 0.25 * fraction, 0.5)
-        if induced > self.config.detection_qber:
+        if induced > DETECTION_QBER:
             return 0, attack is not None
         if attack is None:
             rate = edge.secret_key_rate_bps

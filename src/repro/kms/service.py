@@ -56,7 +56,6 @@ from time import perf_counter
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep kms asyncio-free
-    from repro.dtn.contact import ContactSchedule
     from repro.dtn.store import CustodyBundle
     from repro.dtn.transport import CustodyTransport
     from repro.netkms.server import NetworkKmsServer
@@ -78,6 +77,7 @@ from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
 from repro.network.routing import RoutingError
 from repro.sim.clock import EventScheduler, ScheduledEvent, SimClock
 from repro.util.bits import BitString
+from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
 
 Pair = Tuple[str, str]
@@ -124,9 +124,6 @@ class KmsConfig:
     custody_capacity_bits: int = 1 << 20
     #: ``"scheduled"`` (contact-graph routing) or ``"epidemic"`` (flooding).
     custody_policy: str = "scheduled"
-    #: Optional contact plan; ``None`` leaves custody in live mode (it only
-    #: sees which links are usable right now).
-    custody_schedule: Optional["ContactSchedule"] = None
     #: Metro-scale sharding: ``None`` runs the flat mesh (the pinned-digest
     #: path), an int partitions the mesh into that many zones
     #: (:meth:`ZonePlan.partition`), an explicit :class:`ZonePlan` is used
@@ -148,8 +145,12 @@ class KmsConfig:
             raise ValueError("rekey bits must be positive")
         if self.transport_key_bits <= 0 or self.transport_key_bits % 8:
             raise ValueError("transport key bits must be a positive multiple of 8")
-        if self.rekey_timeout_seconds <= 0:
-            raise ValueError("rekey timeout must be positive")
+        timeout = self.rekey_timeout_seconds
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"rekey_timeout_seconds must be finite and positive, got {timeout!r}")
+        age = self.max_key_age_seconds
+        if age is not None and not (math.isfinite(age) and age > 0):
+            raise ValueError(f"max_key_age_seconds must be None or finite and positive, got {age!r}")
         if self.custody and self.custody_ttl_seconds <= 0:
             raise ValueError("custody TTL must be positive")
         if self.zones is not None:
@@ -162,23 +163,9 @@ class KmsConfig:
 
     # ---- fluent builders (the config-first facade composes these) ------- #
 
-    def with_zones(
-        self,
-        zones: Union["ZonePlan", int],
-        *,
-        trunk_capacity_bits: Optional[int] = None,
-        trunk_low_water_bits: Optional[int] = None,
-        trunk_high_water_bits: Optional[int] = None,
-    ) -> "KmsConfig":
-        """This config, zoned (see :attr:`zones`); trunk sizing optional."""
-        updates: Dict[str, object] = {"zones": zones}
-        if trunk_capacity_bits is not None:
-            updates["trunk_capacity_bits"] = trunk_capacity_bits
-        if trunk_low_water_bits is not None:
-            updates["trunk_low_water_bits"] = trunk_low_water_bits
-        if trunk_high_water_bits is not None:
-            updates["trunk_high_water_bits"] = trunk_high_water_bits
-        return replace(self, **updates)
+    def with_zones(self, zones: Union["ZonePlan", int]) -> "KmsConfig":
+        """This config, zoned (see :attr:`zones`)."""
+        return replace(self, zones=zones)
 
     def with_workload(
         self, profile: Union["WorkloadProfile", "AggregateProfile"]
@@ -264,7 +251,9 @@ class KmsMetrics:
     #: needy-store heap maintenance) — link selection inside the
     #: replenisher is timed separately by the scheduler itself.
     scheduler_overhead_seconds: float = 0.0
-    latencies_seconds: List[float] = field(default_factory=list)
+    #: Demand-to-completion wait of every completed rekey, in constant
+    #: memory; its running ``total`` keeps the mean exact.
+    rekey_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
 
 
 @dataclass
@@ -380,7 +369,6 @@ class KeyManagementService:
         self.custody: Optional["CustodyTransport"] = None
         if self.config.custody:
             self.custody = relays.enable_custody(
-                schedule=self.config.custody_schedule,
                 rng=self.rng.fork_labeled("custody"),
                 policy=self.config.custody_policy,
                 ttl_seconds=self.config.custody_ttl_seconds,
@@ -736,7 +724,7 @@ class KeyManagementService:
             self.metrics.rekeys_failed += 1
             return
         self.metrics.rekeys_completed += 1
-        self.metrics.latencies_seconds.append(now - demanded_at)
+        self.metrics.rekey_latency.add(now - demanded_at)
 
     # ---- supply side --------------------------------------------------- #
 
@@ -870,13 +858,23 @@ class KeyManagementService:
         heapq.heappush(self._expiry_heap, (deadline, pair))
 
     def _sweep_expiry(self, now: float) -> None:
-        """Expire aged key in deadline order — only pairs actually due."""
+        """Expire aged key in deadline order — only pairs actually due.
+
+        Due pairs are re-armed only once the heap holds no due entry: a store
+        whose oldest block stays (a held reservation covers it, or it is due
+        exactly at ``now``, which :meth:`KeyStore.expire` keeps) still has a
+        deadline at or before ``now``, and re-arming it inside the loop would
+        pop it again forever.  It is retried at the next sweep.
+        """
         heap = self._expiry_heap
+        due: List[Pair] = []
         while heap and heap[0][0] <= now:
             deadline, pair = heapq.heappop(heap)
             if self._expiry_armed.get(pair) != deadline:
                 continue  # superseded by a later re-arm
             del self._expiry_armed[pair]
+            due.append(pair)
+        for pair in due:
             self.stores[pair].expire(now)
             self._arm_expiry(pair)
 
@@ -1004,7 +1002,7 @@ class KeyManagementService:
 
     def _build_report(self, horizon: float) -> SoakReport:
         metrics = self.metrics
-        latencies = metrics.latencies_seconds
+        latency = metrics.rekey_latency
         eavesdropped = tuple(
             sorted(
                 (edge.node_a, edge.node_b)
@@ -1057,9 +1055,9 @@ class KeyManagementService:
             delivered_key_bits=metrics.delivered_key_bits,
             keys_per_second=metrics.delivered_keys / horizon,
             key_bits_per_second=metrics.delivered_key_bits / horizon,
-            rekey_latency_p50_seconds=percentile(latencies, 50),
-            rekey_latency_p99_seconds=percentile(latencies, 99),
-            rekey_latency_mean_seconds=sum(latencies) / max(len(latencies), 1),
+            rekey_latency_p50_seconds=latency.percentile(50),
+            rekey_latency_p99_seconds=latency.percentile(99),
+            rekey_latency_mean_seconds=latency.total / max(latency.count, 1),
             reroutes=metrics.reroutes,
             transports_failed=metrics.transports_failed,
             epochs_run=metrics.epochs_run,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import ClassVar, List, Tuple
 
 from repro.util.rng import DeterministicRNG
 
@@ -48,9 +48,9 @@ class WorkloadProfile:
     #: Mean seconds between rekeys (poisson) or between bursts (bursty).
     mean_interval_seconds: float = 120.0
     #: Rekeys per burst (bursty only).
-    burst_size: int = 4
+    burst_size: ClassVar[int] = 4
     #: Window over which a burst's rekeys are spread (bursty only).
-    burst_spread_seconds: float = 5.0
+    burst_spread_seconds: ClassVar[float] = 5.0
 
     KINDS = ("poisson", "bursty")
 
@@ -59,28 +59,14 @@ class WorkloadProfile:
             raise ValueError(f"profile kind must be one of {self.KINDS}")
         if self.mean_interval_seconds <= 0:
             raise ValueError("mean interval must be positive")
-        if self.burst_size < 1:
-            raise ValueError("burst size must be at least 1")
-        if self.burst_spread_seconds < 0:
-            raise ValueError("burst spread must be non-negative")
 
     @classmethod
     def poisson(cls, mean_interval_seconds: float = 120.0) -> "WorkloadProfile":
         return cls(kind="poisson", mean_interval_seconds=mean_interval_seconds)
 
     @classmethod
-    def bursty(
-        cls,
-        mean_interval_seconds: float = 300.0,
-        burst_size: int = 4,
-        burst_spread_seconds: float = 5.0,
-    ) -> "WorkloadProfile":
-        return cls(
-            kind="bursty",
-            mean_interval_seconds=mean_interval_seconds,
-            burst_size=burst_size,
-            burst_spread_seconds=burst_spread_seconds,
-        )
+    def bursty(cls, mean_interval_seconds: float = 300.0) -> "WorkloadProfile":
+        return cls(kind="bursty", mean_interval_seconds=mean_interval_seconds)
 
 
 class TrafficWorkload:

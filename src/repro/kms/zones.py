@@ -43,6 +43,11 @@ from repro.util.rng import DeterministicRNG
 ZoneId = str
 Pair = Tuple[str, str]
 
+#: Fiber length of every link inside a metro zone.
+ZONE_LINK_KM = 5.0
+#: Fiber length of every gateway-to-gateway trunk link.
+TRUNK_KM = 25.0
+
 
 @dataclass
 class ZonePlan:
@@ -201,10 +206,7 @@ def build_metro_mesh(
     n_zones: int = 4,
     endpoints_per_zone: int = 4,
     relays_per_zone: int = 3,
-    zone_link_km: float = 5.0,
-    trunk_km: float = 25.0,
     rng: Optional[DeterministicRNG] = None,
-    metric: str = "hops",
     prefill_seconds: float = 0.0,
     workers: Optional[int] = None,
 ) -> Tuple[TrustedRelayNetwork, ZonePlan]:
@@ -228,29 +230,29 @@ def build_metro_mesh(
         for name in relays:
             net.add_relay(name)
         if relays_per_zone == 2:
-            net.add_link(relays[0], relays[1], zone_link_km)
+            net.add_link(relays[0], relays[1], ZONE_LINK_KM)
         elif relays_per_zone > 2:
             for i, name in enumerate(relays):
-                net.add_link(name, relays[(i + 1) % relays_per_zone], zone_link_km)
+                net.add_link(name, relays[(i + 1) % relays_per_zone], ZONE_LINK_KM)
         endpoints = [f"{zid}-endpoint-{j}" for j in range(endpoints_per_zone)]
         for j, name in enumerate(endpoints):
             net.add_endpoint(name)
-            net.add_link(name, relays[j % relays_per_zone], zone_link_km)
+            net.add_link(name, relays[j % relays_per_zone], ZONE_LINK_KM)
         zones[zid] = tuple(sorted(relays + endpoints))
         gateways[zid] = relays[0]
     if n_zones == 2:
-        net.add_link(gateways[zone_ids[0]], gateways[zone_ids[1]], trunk_km)
+        net.add_link(gateways[zone_ids[0]], gateways[zone_ids[1]], TRUNK_KM)
     elif n_zones > 2:
         for z in range(n_zones):
             net.add_link(
-                gateways[zone_ids[z]], gateways[zone_ids[(z + 1) % n_zones]], trunk_km
+                gateways[zone_ids[z]], gateways[zone_ids[(z + 1) % n_zones]], TRUNK_KM
             )
         if n_zones >= 4:
             a, b = gateways[zone_ids[0]], gateways[zone_ids[n_zones // 2]]
             if not net.graph.has_edge(a, b):
-                net.add_link(a, b, trunk_km)
+                net.add_link(a, b, TRUNK_KM)
     plan = ZonePlan(zones=zones, gateways=gateways)
-    relays_net = TrustedRelayNetwork(net, rng=rng.fork("transport"), metric=metric)
+    relays_net = TrustedRelayNetwork(net, rng=rng.fork("transport"))
     if prefill_seconds > 0:
         relays_net.run_links_for(prefill_seconds, workers=workers)
     return relays_net, plan
@@ -272,14 +274,12 @@ class ZonedReplenisher:
         self,
         relays: TrustedRelayNetwork,
         rng: DeterministicRNG,
-        config: Optional[ReplenishmentConfig] = None,
-        plan: Optional[ZonePlan] = None,
+        config: ReplenishmentConfig,
+        plan: ZonePlan,
     ):
-        if plan is None:
-            raise ValueError("a ZonedReplenisher needs a ZonePlan")
         self.relays = relays
         self.plan = plan
-        self.config = config or ReplenishmentConfig()
+        self.config = config
         self.epoch_index = 0
         self.reports: List[EpochReport] = []
         zone_links: Dict[ZoneId, List[Pair]] = {zid: [] for zid in plan.zone_ids}

@@ -79,14 +79,14 @@ PRIMITIVE_POLYNOMIALS: Dict[int, Tuple[int, ...]] = {
 MAX_FIELD_DEGREE = max(PRIMITIVE_POLYNOMIALS)
 
 
-def round_up_to_field_degree(n_bits: int, multiple: int = 32) -> int:
-    """Round a key length up to the next multiple of ``multiple`` (at least one)."""
+def round_up_to_field_degree(n_bits: int) -> int:
+    """Round a key length up to the next multiple of 32 (at least one)."""
     if n_bits <= 0:
-        return multiple
-    remainder = n_bits % multiple
+        return 32
+    remainder = n_bits % 32
     if remainder == 0:
         return n_bits
-    return n_bits + (multiple - remainder)
+    return n_bits + (32 - remainder)
 
 
 def polynomial_from_exponents(degree: int, exponents: Iterable[int]) -> int:

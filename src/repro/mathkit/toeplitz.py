@@ -191,12 +191,12 @@ class ToeplitzHash:
             axis=1,
         )
 
-    def chained_hash_aligned(self, data: bytes, payload_bytes: int, init: int = 0) -> int:
+    def chained_hash_aligned(self, data: bytes, payload_bytes: int) -> int:
         """Run the whole Wegman-Carter chaining loop over byte-aligned blocks.
 
         Computes ``digest = T(digest || chunk || zero-pad)`` for consecutive
-        ``payload_bytes``-sized chunks of ``data``, starting from ``init``,
-        and returns the final packed digest value.  Equivalent to calling
+        ``payload_bytes``-sized chunks of ``data``, starting from a zero
+        digest, and returns the final packed digest value.  Equivalent to calling
         :meth:`hash_value` on ``(digest << chunk_bits) | chunk`` per chunk,
         but evaluated from the position tables: ``T(digest || chunk)`` is
         ``A·digest ^ C·chunk``, so ``C·chunk`` is gathered for every chunk at
@@ -225,12 +225,10 @@ class ToeplitzHash:
         chunks = -(-len(data) // payload_bytes)
         padded = np.zeros(chunks * payload_bytes, dtype=np.uint8)
         padded[: len(data)] = np.frombuffer(data, dtype=np.uint8)
-        # Front-padded with zero digests (which contribute nothing) to a
-        # power-of-two length: the initial digest, then every chunk's C·chunk.
+        # Front-padded with zero digests (which contribute nothing, the
+        # initial digest among them) to a power-of-two length, then every
+        # chunk's C·chunk.
         values = np.zeros((1 << chunks.bit_length(), words), dtype=np.uint64)
-        digest_bytes(values)[-chunks - 1] = np.frombuffer(
-            init.to_bytes(out_bytes, "big"), dtype=np.uint8
-        )
         values[len(values) - chunks :] = self._apply(
             table[256 * out_bytes :], padded.reshape(chunks, payload_bytes)
         )

@@ -4,7 +4,8 @@ The in-process soak (:mod:`repro.kms.service`) measures *simulated* time;
 the network server measures *wall* time.  One :class:`NetKmsMetrics` lives
 on each :class:`~repro.netkms.server.NetworkKmsServer` and accumulates
 request counts per kind, reserve latency (p50/p99/mean, in a fixed-size
-:class:`LatencyHistogram` so memory does not grow with uptime), protocol
+:class:`~repro.util.latency.LatencyHistogram` so memory does not grow with
+uptime), protocol
 errors per code, reap and replay counters, and an order-independent digest
 of the served material (sorted-chunk sha256) — the bench invariant that
 must not move with client concurrency.
@@ -13,70 +14,12 @@ must not move with client concurrency.
 from __future__ import annotations
 
 import hashlib
-import math
 import time
-from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.netkms.protocol import ERROR_NAMES, FATAL_ERRORS
-
-
-class LatencyHistogram:
-    """Durations in log-spaced buckets, in constant memory: the count, sum,
-    min and max are exact, and ``percentile(q)`` is the geometric middle of
-    the bucket holding the nearest-rank order statistic (exactly the min or
-    the max at the first or last rank).  Bucket ``i`` spans
-    ``FLOOR * 2**(i/8)`` up to ``FLOOR * 2**((i+1)/8)``, so between ``FLOOR``
-    (1 ns) and the last bucket's top (~18 min) a percentile is within
-    ``RELATIVE_ERROR`` = 2**(1/16) - 1 (~4.4 %) of the exact one.
-    """
-
-    FLOOR = 1e-9
-    BUCKETS_PER_DOUBLING = 8
-    BUCKETS = 320
-    RELATIVE_ERROR = 2 ** (1 / (2 * BUCKETS_PER_DOUBLING)) - 1
-
-    def __init__(self) -> None:
-        self.counts = array("Q", bytes(8 * self.BUCKETS))
-        self.count = 0
-        self.total = 0.0
-        self.low = math.inf
-        self.high = -math.inf
-
-    def add(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds < self.low:
-            self.low = seconds
-        if seconds > self.high:
-            self.high = seconds
-        index = 0
-        if seconds > self.FLOOR:
-            index = int(math.log2(seconds / self.FLOOR) * self.BUCKETS_PER_DOUBLING)
-            if index >= self.BUCKETS:
-                index = self.BUCKETS - 1
-        self.counts[index] += 1
-
-    def __len__(self) -> int:
-        return self.count
-
-    def percentile(self, q: float) -> float:
-        """The nearest-rank ``q``-th percentile (0 when empty)."""
-        if not 0 <= q <= 100:
-            raise ValueError("percentile must be in [0, 100]")
-        rank = max(math.ceil(q / 100.0 * self.count), 1)
-        if rank >= self.count:
-            return self.high if self.count else 0.0
-        if rank == 1:
-            return self.low
-        seen = 0
-        for index, count in enumerate(self.counts):
-            seen += count
-            if seen >= rank:
-                break
-        middle = self.FLOOR * 2 ** ((index + 0.5) / self.BUCKETS_PER_DOUBLING)
-        return min(max(middle, self.low), self.high)
+from repro.util.latency import LatencyHistogram
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, List, Optional, Tuple
+from typing import Awaitable, Callable, ClassVar, List, Optional, Tuple
 
 from repro.netkms import protocol
 from repro.netkms.client import (
@@ -59,14 +59,12 @@ class RetryPolicy:
     max_attempts: int = 8
     base_backoff_seconds: float = 0.05
     max_backoff_seconds: float = 2.0
-    jitter_fraction: float = 0.5
+    jitter_fraction: ClassVar[float] = 0.5
     request_timeout_seconds: Optional[float] = 1.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if not 0 <= self.jitter_fraction <= 1:
-            raise ValueError("jitter_fraction must be within [0, 1]")
         if self.base_backoff_seconds < 0 or self.max_backoff_seconds < 0:
             raise ValueError("backoff bounds must be non-negative")
 

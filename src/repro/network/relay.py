@@ -28,7 +28,6 @@ from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
 if TYPE_CHECKING:  # imported lazily at runtime; custody is opt-in
-    from repro.dtn.contact import ContactSchedule
     from repro.dtn.transport import CustodyTransport
 
 
@@ -139,11 +138,10 @@ class TrustedRelayNetwork:
         self,
         network: QKDNetwork,
         rng: Optional[DeterministicRNG] = None,
-        metric: str = "hops",
     ):
         self.network = network
         self.rng = rng or DeterministicRNG(0)
-        self.selector = PathSelector(network, metric=metric)
+        self.selector = PathSelector(network)
         #: Pairwise one-time-pad pools per link, keyed by a sorted node pair,
         #: and the pad-level listeners (see :meth:`add_pad_listener`).
         self.pairwise_pads = PairwisePads(
@@ -162,7 +160,6 @@ class TrustedRelayNetwork:
         n_relays: int = 4,
         link_length_km: float = 10.0,
         rng: Optional[DeterministicRNG] = None,
-        metric: str = "hops",
         prefill_seconds: float = 0.0,
         workers: Optional[int] = None,
     ) -> "TrustedRelayNetwork":
@@ -181,7 +178,7 @@ class TrustedRelayNetwork:
             link_length_km=link_length_km,
             rng=rng.fork("topology"),
         )
-        relays = cls(network, rng=rng.fork("transport"), metric=metric)
+        relays = cls(network, rng=rng.fork("transport"))
         if prefill_seconds > 0:
             relays.run_links_for(prefill_seconds, workers=workers)
         return relays
@@ -276,7 +273,6 @@ class TrustedRelayNetwork:
 
     def enable_custody(
         self,
-        schedule: Optional["ContactSchedule"] = None,
         rng: Optional[DeterministicRNG] = None,
         policy: str = "scheduled",
         ttl_seconds: float = 3600.0,
@@ -286,17 +282,16 @@ class TrustedRelayNetwork:
 
         Once enabled, :meth:`transport_with_reroute` no longer fails a key
         outright when the mesh offers no live path: the key is banked at
-        the furthest reachable custodian and forwarded as contact windows
-        open (see :mod:`repro.dtn`).  Custody randomness comes from
-        ``rng``'s labeled streams (``dtn/bundle/<n>``,
-        ``dtn/epidemic/<n>``), never from this network's own stream, so
-        enabling custody does not perturb live-transport key material.
+        the furthest reachable custodian and forwarded as links come back
+        (live mode, see :mod:`repro.dtn`).  Custody randomness comes from
+        ``rng``'s labeled streams (``dtn/bundle/<n>``), never from this
+        network's own stream, so enabling custody does not perturb
+        live-transport key material.
         """
         from repro.dtn.transport import CustodyTransport
 
         self.custody = CustodyTransport(
             self,
-            schedule=schedule,
             rng=rng or DeterministicRNG(0),
             policy=policy,
             ttl_seconds=ttl_seconds,

@@ -39,8 +39,6 @@ class QKDNode:
 
     name: str
     kind: NodeKind = NodeKind.ENDPOINT
-    #: Whether the node is physically secured (relevant to trusted relays).
-    physically_secured: bool = True
 
 
 @dataclass
@@ -121,8 +119,8 @@ class QKDNetwork:
         self.add_node(node)
         return node
 
-    def add_relay(self, name: str, physically_secured: bool = True) -> QKDNode:
-        node = QKDNode(name, NodeKind.TRUSTED_RELAY, physically_secured)
+    def add_relay(self, name: str) -> QKDNode:
+        node = QKDNode(name, NodeKind.TRUSTED_RELAY)
         self.add_node(node)
         return node
 

@@ -123,8 +123,6 @@ class DetectorParameters:
     #: Receiver insertion loss (couplers, Bob's interferometer) in dB applied
     #: before the detectors.
     receiver_loss_db: float = 3.0
-    #: Operating temperature, recorded for documentation/reporting only.
-    temperature_celsius: float = -30.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.quantum_efficiency <= 1.0:
@@ -182,5 +180,5 @@ class GatedAPDPair:
         p = self.parameters
         return (
             f"GatedAPDPair(eta={p.quantum_efficiency}, dark={p.dark_count_probability}, "
-            f"rx_loss={p.receiver_loss_db} dB, T={p.temperature_celsius} C)"
+            f"rx_loss={p.receiver_loss_db} dB)"
         )

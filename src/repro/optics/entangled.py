@@ -17,7 +17,7 @@ both source types under like assumptions.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import ClassVar, Optional
 
 from dataclasses import dataclass
 
@@ -34,7 +34,8 @@ class EntangledSourceParameters:
     #: Mean number of photon pairs generated per pump pulse.  SPDC pair
     #: statistics are thermal/Poisson-like; small values keep double pairs rare.
     mean_pairs_per_pulse: float = 0.05
-    pulse_rate_hz: float = 1.0e6
+    #: Pump pulse rate: the paper's 1 MHz trigger.
+    pulse_rate_hz: ClassVar[float] = 1.0e6
     #: Heralding efficiency: probability that the idler photon of a generated
     #: pair is detected at the source so the signal photon can be announced.
     heralding_efficiency: float = 0.6
@@ -46,8 +47,6 @@ class EntangledSourceParameters:
             raise ValueError("mean pairs per pulse too large for uint16 photon counts")
         if not 0.0 <= self.heralding_efficiency <= 1.0:
             raise ValueError("heralding efficiency must be in [0, 1]")
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse rate must be positive")
 
 class EntangledPairSource:
     """Generates heralded entangled-pair emission records per trigger slot."""

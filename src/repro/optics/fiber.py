@@ -14,27 +14,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.util.units import (
-    DEFAULT_FIBER_ATTENUATION_DB_PER_KM,
-    db_to_fraction,
-    fiber_loss_db,
-)
+from repro.util.units import db_to_fraction, fiber_loss_db
 
 
 @dataclass(frozen=True)
 class FiberSpan:
-    """A span of telecom fiber characterised by length and attenuation."""
+    """A span of standard telecom fiber characterised by its length."""
 
     length_km: float
-    attenuation_db_per_km: float = DEFAULT_FIBER_ATTENUATION_DB_PER_KM
     #: Extra fixed loss for splices/connectors at the ends of the span.
     connector_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
         if self.length_km < 0:
             raise ValueError("fiber length must be non-negative")
-        if self.attenuation_db_per_km < 0:
-            raise ValueError("attenuation must be non-negative")
         if self.connector_loss_db < 0:
             raise ValueError("connector loss must be non-negative")
 
@@ -42,8 +35,7 @@ class FiberSpan:
     def loss_db(self) -> float:
         """Total loss of the span in dB."""
         return (
-            fiber_loss_db(self.length_km, self.attenuation_db_per_km)
-            + self.connector_loss_db
+            fiber_loss_db(self.length_km) + self.connector_loss_db
         )
 
     @property
@@ -85,9 +77,9 @@ class OpticalPath:
     elements: List[LossElement] = field(default_factory=list)
 
     @classmethod
-    def single_span(cls, length_km: float, **kwargs) -> "OpticalPath":
+    def single_span(cls, length_km: float) -> "OpticalPath":
         """Convenience constructor for a simple point-to-point fiber path."""
-        return cls(spans=[FiberSpan(length_km, **kwargs)])
+        return cls(spans=[FiberSpan(length_km)])
 
     def add_span(self, span: FiberSpan) -> "OpticalPath":
         self.spans.append(span)

@@ -15,7 +15,7 @@ matches the summing-amplifier construction in Fig 3 of the paper.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import ClassVar, Optional
 
 import math
 from dataclasses import dataclass
@@ -55,16 +55,13 @@ class SourceParameters:
     """
 
     mean_photon_number: float = 0.1
-    pulse_rate_hz: float = 1.0e6
-    wavelength_nm: float = 1550.0
+    pulse_rate_hz: ClassVar[float] = 1.0e6
 
     def __post_init__(self) -> None:
         if self.mean_photon_number < 0:
             raise ValueError("mean photon number must be non-negative")
         if self.mean_photon_number > MAX_MEAN_COUNT:
             raise ValueError("mean photon number too large for uint16 photon counts")
-        if self.pulse_rate_hz <= 0:
-            raise ValueError("pulse rate must be positive")
 
 class WeakCoherentSource:
     """Generates batches of phase-modulated weak-coherent pulses.

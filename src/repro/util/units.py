@@ -29,16 +29,11 @@ def db_to_fraction(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def fiber_loss_db(
-    length_km: float,
-    attenuation_db_per_km: float = DEFAULT_FIBER_ATTENUATION_DB_PER_KM,
-) -> float:
-    """Total attenuation of a fiber span of the given length."""
+def fiber_loss_db(length_km: float) -> float:
+    """Total attenuation of a standard telecom fiber span of the given length."""
     if length_km < 0:
         raise ValueError("fiber length must be non-negative")
-    if attenuation_db_per_km < 0:
-        raise ValueError("attenuation must be non-negative")
-    return length_km * attenuation_db_per_km
+    return length_km * DEFAULT_FIBER_ATTENUATION_DB_PER_KM
 
 
 def multi_photon_probability(mean_photon_number: float) -> float:

@@ -1,4 +1,5 @@
-"""Every definition in ``src/`` has a caller outside the tests.
+"""Every definition in ``src/`` has a caller, and every option a setter,
+outside the tests.
 
 A function, class or method that only the test suite reaches is API the
 running system does not use: it costs reading, keeps documentation alive
@@ -17,6 +18,22 @@ called by the interpreter and are skipped.
 
 The check is by name, so two definitions sharing a name keep each other
 alive; it errs towards passing, never towards a false failure.
+
+The second scan applies the same rule to options.  An option is a
+defaulted field of a ``*Parameters``/``*Config``/``*Policy``/``*Profile``
+dataclass (a ``ClassVar`` is a constant, not an option), or a defaulted
+parameter of a public function, method or class constructor in ``src/``.
+It stays only if a call in ``src/``, ``benchmarks/`` or ``examples/`` sets
+it to something other than its default: by keyword anywhere (a string key
+of a ``**{...}`` literal counts), or positionally, or through ``*``/``**``,
+in a call whose callee has the option's function or class name.  A keyword
+that only forwards another option does not set it: the value is the same
+name read from a defaulted parameter of the enclosing function, or an
+attribute of that name that is itself an options-dataclass field
+(``KeyStore(max_key_age_seconds=config.max_key_age_seconds)``).  Every
+other option is a constant, or is listed in :data:`ALLOWED_OPTIONS` with
+the reason a caller may still want it: a deployment setting, a test seam
+that substitutes a fake, or a paper-model parameter a test sweeps.
 """
 
 import ast
@@ -126,3 +143,233 @@ def test_every_allowed_name_is_still_defined_and_uncalled():
     finally:
         ALLOWED.update(saved)
     assert uncalled == set(saved)
+
+
+# --------------------------------------------------------------------------- #
+# Options
+# --------------------------------------------------------------------------- #
+
+OPTION_CLASS_SUFFIXES = ("Parameters", "Config", "Policy", "Profile")
+
+_DEPLOYMENT = "deployment setting: "
+_SEAM = "test seam: "
+_MODEL = "paper-model parameter: "
+_PINNED = "pinned: "
+
+#: Options no production call sets, each with the reason it stays settable.
+ALLOWED_OPTIONS = {
+    "SystemConfig.distance_km": _DEPLOYMENT + "the fiber length of the modelled link",
+    "SystemConfig.slots_per_batch": _DEPLOYMENT + "slots held in memory per batch "
+    "(mirrors LinkParameters.slots_per_batch)",
+    "SystemConfig.block_size_bits": _DEPLOYMENT + "sifted bits per distilled block "
+    "(mirrors EngineParameters.block_size_bits)",
+    "SystemConfig.abort_qber": _DEPLOYMENT + "the eavesdropping alarm threshold "
+    "(mirrors EngineParameters.abort_qber)",
+    "SystemConfig.randomness_testing": _PINNED + "mirrors EngineParameters.randomness_testing",
+    "SystemConfig.distill_seconds": _DEPLOYMENT + "channel time distilled before the VPN "
+    "comes up",
+    "QKDSystem.metro(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
+    "build_metro_mesh(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
+    "VPNSystem.send(from_alice=)": _DEPLOYMENT + "the gateway a packet enters the tunnel at",
+    "CascadeParameters.subset_density": _PINNED + "the sparse-subset Cascade transcript in "
+    "tests/test_pinned_key_material.py",
+    "EngineParameters.block_size_bits": _DEPLOYMENT + "sifted bits per distilled block",
+    "EngineParameters.abort_qber": _DEPLOYMENT + "the eavesdropping alarm threshold",
+    "EngineParameters.non_randomness_bits": _MODEL + "the entropy estimate's r; a test "
+    "checks a larger r shortens the key",
+    "EngineParameters.randomness_testing": _PINNED + "the randomness-testing variant in "
+    "tests/test_pinned_key_material.py",
+    "EngineParameters.cascade": _PINNED + "the unconfirmed-block Cascade variant in "
+    "tests/test_pinned_key_material.py",
+    "BeamSplittingAttack(lossless_forwarding=)": _MODEL + "Eve's lossless forwarding of "
+    "the split beam, checked against the dense optics oracle",
+    "InterceptResendAttack(resend_mean_photons=)": _MODEL + "Eve's resend brightness, "
+    "checked against the dense optics oracle",
+    "FaultyConnector(sleep=)": _SEAM + "a fake sleep for injected delays",
+    "stall_hook(sleep=)": _SEAM + "a fake sleep for injected stalls",
+    "ResilientKmsClient(sleep=)": _SEAM + "a fake sleep for retry backoff",
+    "IKEConfig.preshared_key": _DEPLOYMENT + "the Phase-1 credential",
+    "ReplenishmentConfig.pad_low_water_bits": _DEPLOYMENT + "pad level always dispatched",
+    "ReplenishmentConfig.pad_target_bits": _DEPLOYMENT + "pad level dispatch tops up to",
+    "ReplenishmentConfig.max_links_per_epoch": _DEPLOYMENT + "the shared distillation "
+    "budget per epoch",
+    "KmsConfig.rekey_timeout_seconds": _DEPLOYMENT + "how long a starving rekey waits",
+    "KmsConfig.store_capacity_bits": _DEPLOYMENT + "key store capacity",
+    "KmsConfig.max_key_age_seconds": _DEPLOYMENT + "the age limit of stored key",
+    "KmsConfig.trunk_capacity_bits": _DEPLOYMENT + "trunk store capacity",
+    "KmsConfig.trunk_low_water_bits": _DEPLOYMENT + "trunk store refill level",
+    "KmsConfig.trunk_high_water_bits": _DEPLOYMENT + "trunk store fill target",
+    "KeyStore(max_key_age_seconds=)": _DEPLOYMENT + "the age limit of stored key "
+    "(KmsConfig.max_key_age_seconds)",
+    "KeyStore(depletion_halflife_seconds=)": _PINNED + "the store script in "
+    "tests/test_store_draw.py",
+    "AggregateProfile.max_batch": _DEPLOYMENT + "the largest rekey batch one aggregate "
+    "arrival carries",
+    "AggregateProfile.storm(max_batch=)": _DEPLOYMENT + "the largest rekey batch one "
+    "aggregate arrival carries",
+    "LinkParameters.slots_per_batch": _DEPLOYMENT + "slots held in memory per batch",
+    "LFSR(taps=)": _MODEL + "the subset generator's feedback polynomial; the table "
+    "kernel is checked against stepping over random taps",
+    "LFSR(width=)": _MODEL + "the subset generator's register width; the table kernel "
+    "is checked against stepping over random widths",
+    "NetworkKmsServer.stop(drain_timeout=)": _DEPLOYMENT + "how long a stop waits for "
+    "requests in flight",
+    "ChannelParameters.interferometer": _MODEL + "carries visibility and phase noise",
+    "ChannelParameters.framing": _MODEL + "carries frame loss and gate misalignment",
+    "DetectorParameters.afterpulse_probability": _MODEL + "afterpulsing",
+    "EntangledSourceParameters.mean_pairs_per_pulse": _MODEL + "the entangled source's "
+    "pair number",
+    "EntangledSourceParameters.heralding_efficiency": _MODEL + "the entangled source's "
+    "heralding",
+    "InterferometerParameters.visibility": _MODEL + "interferometer visibility",
+    "InterferometerParameters.phase_noise_rad": _MODEL + "interferometer phase noise",
+    "FramingParameters.frame_loss_probability": _MODEL + "Qframe loss",
+    "FramingParameters.gate_misalignment_penalty": _MODEL + "bright-pulse gate misalignment",
+}
+
+
+def _is_dataclass(cls):
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaults(args):
+    """(parameter, default) for each defaulted parameter, positional ones first."""
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(arg, default) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+              if default is not None]
+    return pairs
+
+
+def _options(tree):
+    """(label, keyword, callee, position, default) for each option in a module."""
+    found = []
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                if _is_dataclass(node) and node.name.endswith(OPTION_CLASS_SUFFIXES):
+                    fields = [
+                        statement
+                        for statement in node.body
+                        if isinstance(statement, ast.AnnAssign)
+                        and "ClassVar" not in ast.unparse(statement.annotation)
+                    ]
+                    for position, statement in enumerate(fields):
+                        if statement.value is not None:
+                            name = statement.target.id
+                            found.append((f"{node.name}.{name}", name, node.name, position,
+                                          statement.value))
+                visit(node.body, node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                constructor = node.name == "__init__" and owner is not None
+                if node.name.startswith("_") and not constructor:
+                    continue
+                callee = owner.name if constructor else node.name
+                label = callee if constructor or owner is None else f"{owner.name}.{node.name}"
+                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                bound = owner is not None and not static
+                positional = node.args.posonlyargs + node.args.args
+                for arg, default in _defaults(node.args):
+                    position = positional.index(arg) - bound if arg in positional else None
+                    found.append((f"{label}({arg.arg}=)", arg.arg, callee, position, default))
+
+    visit(tree.body, None)
+    return found
+
+
+def _literal(node):
+    try:
+        return ("literal", ast.literal_eval(node))
+    except (ValueError, TypeError):
+        return None
+
+
+class _Setters(ast.NodeVisitor):
+    """What the calls in production code set: keyword values by name, the most
+    positional arguments any call of a callee passes, and callees splatted."""
+
+    def __init__(self, option_fields):
+        self.option_fields = option_fields
+        self.keywords = {}
+        self.positional = Counter()
+        self.splatted = set()
+        self._defaulted = [set()]
+
+    def visit_FunctionDef(self, node):
+        self._defaulted.append({arg.arg for arg, _default in _defaults(node.args)})
+        self.generic_visit(node)
+        self._defaulted.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _forwards(self, keyword, value):
+        if isinstance(value, ast.Name):
+            return value.id == keyword and keyword in self._defaulted[-1]
+        if isinstance(value, ast.Attribute):
+            return value.attr == keyword and keyword in self.option_fields
+        return False
+
+    def visit_Call(self, node):
+        func = node.func
+        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            self.splatted.add(callee)
+        self.positional[callee] = max(self.positional[callee], len(node.args))
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                if not self._forwards(keyword.arg, keyword.value):
+                    self.keywords.setdefault(keyword.arg, []).append(keyword.value)
+                continue
+            self.splatted.add(callee)
+            if isinstance(keyword.value, ast.Dict):
+                for key, value in zip(keyword.value.keys, keyword.value.values):
+                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                        self.keywords.setdefault(key.value, []).append(value)
+        self.generic_visit(node)
+
+
+def unset_options():
+    options = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        options.extend(_options(ast.parse(path.read_text(), filename=str(path))))
+    setters = _Setters({keyword for label, keyword, *_ in options if "(" not in label})
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            setters.visit(ast.parse(path.read_text(), filename=str(path)))
+    unset = []
+    for label, keyword, callee, position, default in options:
+        if callee in setters.splatted:
+            continue
+        if position is not None and setters.positional[callee] > position:
+            continue
+        unchanged = _literal(default)
+        values = setters.keywords.get(keyword, [])
+        if any(unchanged is None or _literal(value) != unchanged for value in values):
+            continue
+        if label not in ALLOWED_OPTIONS:
+            unset.append(label)
+    return unset
+
+
+def test_every_option_in_src_is_set_by_a_production_call():
+    unset = unset_options()
+    assert not unset, (
+        "options no call in src/, benchmarks/ or examples/ sets (make each a module "
+        "constant or a ClassVar, or give it a caller):\n  " + "\n  ".join(unset)
+    )
+
+
+def test_every_allowed_option_is_still_an_option_nothing_sets():
+    """An allowlist entry whose option went, or gained a production setter, is stale."""
+    saved = dict(ALLOWED_OPTIONS)
+    try:
+        ALLOWED_OPTIONS.clear()
+        unset = set(unset_options())
+    finally:
+        ALLOWED_OPTIONS.update(saved)
+    assert unset == set(saved)

@@ -41,10 +41,6 @@ class TestParameters:
             CascadeParameters(rounds=0)
         with pytest.raises(ValueError):
             CascadeParameters(subset_density=0.0)
-        with pytest.raises(ValueError):
-            CascadeParameters(block_factor=-1)
-        with pytest.raises(ValueError):
-            CascadeParameters(min_block_size=10, max_block_size=5)
 
     def test_block_size_adapts_to_error_rate(self):
         params = CascadeParameters()

@@ -15,7 +15,6 @@ class TestChannelParameters:
         assert params.source.mean_photon_number == pytest.approx(0.1)
         assert params.source.pulse_rate_hz == pytest.approx(1e6)
         assert params.path.length_km == pytest.approx(10.0)
-        assert params.detectors.temperature_celsius == pytest.approx(-30.0)
 
     def test_for_distance(self):
         params = ChannelParameters.for_distance(25.0)

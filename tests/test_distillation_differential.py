@@ -124,9 +124,9 @@ def test_one_stream_table_serves_a_long_then_a_short_key(empty_stream_table):
 GEOMETRIES = [(256, 32), (512, 128), (256, 24), (16, 8), (1024, 72)]
 
 
-def chunked_chain(hasher, data, payload_bytes, init):
+def chunked_chain(hasher, data, payload_bytes):
     """The chain as one ``hash_value`` per ``digest || chunk || zero-pad`` block."""
-    digest = init
+    digest = 0
     for start in range(0, len(data), payload_bytes):
         chunk = data[start : start + payload_bytes]
         block = (digest << (8 * len(chunk))) | int.from_bytes(chunk, "big")
@@ -142,10 +142,9 @@ def test_chained_hash_matches_per_chunk_chain_at_boundary_lengths(geometry):
     hasher = ToeplitzHash.random(input_bits, output_bits, rng)
     for length in (0, 1, payload - 1, payload, payload + 1, 60_000):
         data = rng.getrandbits(8 * length).to_bytes(length, "big") if length else b""
-        for init in (0, rng.getrandbits(output_bits) | 1):
-            assert hasher.chained_hash_aligned(data, payload, init) == chunked_chain(
-                hasher, data, payload, init
-            )
+        assert hasher.chained_hash_aligned(data, payload) == chunked_chain(
+            hasher, data, payload
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,16 +152,12 @@ def test_chained_hash_matches_per_chunk_chain_at_boundary_lengths(geometry):
     geometry=st.sampled_from(GEOMETRIES),
     diagonal_seed=st.integers(0, 2**32),
     data=st.binary(max_size=400),
-    init_seed=st.integers(0, 2**32),
 )
-def test_chained_hash_matches_per_chunk_chain(geometry, diagonal_seed, data, init_seed):
+def test_chained_hash_matches_per_chunk_chain(geometry, diagonal_seed, data):
     input_bits, output_bits = geometry
     hasher = ToeplitzHash.random(input_bits, output_bits, DeterministicRNG(diagonal_seed))
-    init = DeterministicRNG(init_seed).getrandbits(output_bits)
     payload = (input_bits - output_bits) // 8
-    assert hasher.chained_hash_aligned(data, payload, init) == chunked_chain(
-        hasher, data, payload, init
-    )
+    assert hasher.chained_hash_aligned(data, payload) == chunked_chain(hasher, data, payload)
 
 
 # --------------------------------------------------------------------------- #

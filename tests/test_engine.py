@@ -147,8 +147,7 @@ class TestDistillBlock:
         assert noisy.distilled_bits < quiet.distilled_bits
 
     def test_auth_pool_replenished(self):
-        params = EngineParameters(auth_replenish_bits=128)
-        engine = QKDProtocolEngine(params, DeterministicRNG(15))
+        engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(15))
         start = engine.alice_auth.available_secret_bits
         alice, bob = noisy_pair(2048, 0.05, seed=16)
         engine.distill_block(alice, bob, transmitted_pulses=400_000)

@@ -154,7 +154,7 @@ class TestDoS:
     def test_exhaustion_with_small_preshared_pool(self):
         params = EngineParameters(preshared_secret_bits=512, block_size_bits=512)
         engine = QKDProtocolEngine(params, DeterministicRNG(41))
-        attack = KeyExhaustionDoS(induced_qber=0.30, block_bits=256)
+        attack = KeyExhaustionDoS(block_bits=256)
         outcome = attack.run(engine, max_rounds=200, rng=DeterministicRNG(42))
         assert outcome.pool_exhausted
         assert outcome.distilled_bits_during_attack == 0
@@ -167,13 +167,11 @@ class TestDoS:
         large = QKDProtocolEngine(
             EngineParameters(preshared_secret_bits=2048), DeterministicRNG(43)
         )
-        attack = KeyExhaustionDoS(induced_qber=0.30, block_bits=256)
+        attack = KeyExhaustionDoS(block_bits=256)
         small_outcome = attack.run(small, max_rounds=300, rng=DeterministicRNG(44))
         large_outcome = attack.run(large, max_rounds=300, rng=DeterministicRNG(44))
         assert large_outcome.rounds_survived > small_outcome.rounds_survived
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            KeyExhaustionDoS(induced_qber=0.9)
         with pytest.raises(ValueError):
             KeyExhaustionDoS(block_bits=0)

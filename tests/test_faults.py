@@ -230,14 +230,8 @@ class TestFaultyConnector:
 
 
 class TestRetryPolicy:
-    def test_unjittered_backoff_doubles_up_to_the_cap(self):
-        policy = RetryPolicy(base_backoff_seconds=0.1, max_backoff_seconds=0.5, jitter_fraction=0.0)
-        rng = DeterministicRNG(1)
-        delays = [policy.backoff(attempt, rng) for attempt in range(1, 6)]
-        assert delays == pytest.approx([0.1, 0.2, 0.4, 0.5, 0.5])
-
     def test_jitter_only_ever_shortens_the_delay(self):
-        policy = RetryPolicy(base_backoff_seconds=0.1, max_backoff_seconds=0.5, jitter_fraction=0.5)
+        policy = RetryPolicy(base_backoff_seconds=0.1, max_backoff_seconds=0.5)
         rng = DeterministicRNG(2)
         for attempt in range(1, 8):
             raw = min(0.1 * 2 ** (attempt - 1), 0.5)
@@ -254,8 +248,6 @@ class TestRetryPolicy:
         "field, value",
         [
             ("max_attempts", 0),
-            ("jitter_fraction", -0.1),
-            ("jitter_fraction", 1.5),
             ("base_backoff_seconds", -1.0),
             ("max_backoff_seconds", -1.0),
         ],

@@ -132,13 +132,13 @@ class TestPhase2Qkd:
         assert outbound.pad.peek(8) != inbound.pad.peek(8)
         assert alice_pool.available_bits == bob_pool.available_bits
 
-    def test_timeout_when_key_accumulates_too_slowly(self):
+    def test_timeout_when_the_pools_are_short(self):
         alice_pool = KeyPool(name="alice")
         bob_pool = KeyPool(name="bob")
-        alice, bob = make_daemons(alice_pool, bob_pool, phase2_timeout_seconds=5.0)
+        alice, bob = make_daemons(alice_pool, bob_pool)
         alice.establish_phase1(bob)
         with pytest.raises(NegotiationTimeout):
-            alice.negotiate_phase2(bob, AES_POLICY, qkd_wait_rate_bps=10.0)
+            alice.negotiate_phase2(bob, AES_POLICY)
         assert alice.negotiations[-1].timed_out
 
     def test_fast_key_supply_avoids_timeout(self):
@@ -150,7 +150,7 @@ class TestPhase2Qkd:
         alice, bob = make_daemons(alice_pool, bob_pool)
         alice.establish_phase1(bob)
         # Enough key is already on hand: no waiting needed.
-        alice.negotiate_phase2(bob, AES_POLICY, qkd_wait_rate_bps=0.0)
+        alice.negotiate_phase2(bob, AES_POLICY)
 
     def test_classical_suite_uses_no_qkd(self):
         alice_pool, bob_pool = synced_pools()

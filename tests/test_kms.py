@@ -8,11 +8,13 @@ invariance digest the subsystem's determinism contract promises.
 
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import QKDSystem
 from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.eve.intercept_resend import InterceptResendAttack
 from repro.kms import (
@@ -28,10 +30,12 @@ from repro.kms import (
     percentile,
 )
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
+from repro.kms.service import KmsMetrics
 from repro.link import LinkParameters, QKDLink
 from repro.link.qkd_link import secret_fraction
 from repro.network.relay import TrustedRelayNetwork
 from repro.util.bits import BitString
+from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
 
 
@@ -312,13 +316,13 @@ class TestTrafficWorkload:
         assert 20 <= len(alone) <= 140
 
     def test_bursty_schedule_clusters(self):
-        profile = WorkloadProfile.bursty(600.0, burst_size=5, burst_spread_seconds=4.0)
+        profile = WorkloadProfile.bursty(600.0)
         workload = TrafficWorkload(profile, DeterministicRNG(4))
         times = workload.demand_times(("a", "b"), 4 * 3600.0)
         assert times == sorted(times)
         # Bursts pack several arrivals into the spread window.
         close_gaps = sum(
-            1 for t0, t1 in zip(times, times[1:]) if t1 - t0 <= 4.0
+            1 for t0, t1 in zip(times, times[1:]) if t1 - t0 <= profile.burst_spread_seconds
         )
         assert close_gaps >= len(times) // 2
 
@@ -342,8 +346,6 @@ class TestTrafficWorkload:
             WorkloadProfile(kind="steady")
         with pytest.raises(ValueError):
             WorkloadProfile.poisson(0.0)
-        with pytest.raises(ValueError):
-            WorkloadProfile.bursty(burst_size=0)
 
 
 # --------------------------------------------------------------------- #
@@ -766,6 +768,90 @@ class TestKeyManagementService:
         service = KeyManagementService(relays, KmsConfig(), rng=DeterministicRNG(3))
         with pytest.raises(ValueError, match=f"finite, got {hours}"):
             service.serve(hours=hours)
+
+    @pytest.mark.timeout(20)
+    def test_expiry_due_exactly_at_a_sweep_does_not_hang(self):
+        """A block banked at an epoch and aged out on a later epoch is due
+        exactly at that sweep, which keeps it (``created_at >= now - age``);
+        re-arming its unchanged deadline inside the sweep popped it forever."""
+        report = (
+            QKDSystem(seed=3)
+            .mesh(n_endpoints=2, n_relays=2)
+            .kms(KmsConfig(max_key_age_seconds=60.0))
+            .serve(hours=0.02)
+        )
+        assert report.completion_accounted
+        assert report.rekeys_completed > 0
+
+    @pytest.mark.timeout(20)
+    def test_a_due_block_held_by_a_reservation_does_not_stall_the_sweep(self):
+        relays = make_relays(n_endpoints=2, n_relays=1)
+        config = KmsConfig(max_key_age_seconds=10.0)
+        service = KeyManagementService(relays, config, rng=DeterministicRNG(3))
+        pair = service.pairs[0]
+        store = service.stores[pair]
+        store.deposit(BitString.random(256, DeterministicRNG(4)), now=0.0)
+        held = store.reserve(store.available_bits, now=0.0)
+        service._arm_expiry(pair)
+        service._sweep_expiry(50.0)  # due, but every bit is reserved
+        assert store.reserved_bits == held.bits
+        store.release(held)
+        service._sweep_expiry(51.0)  # retried, and now it goes
+        assert store.available_bits == 0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rekey_timeout_seconds", float("nan")),
+            ("rekey_timeout_seconds", float("inf")),
+            ("max_key_age_seconds", float("nan")),
+            ("max_key_age_seconds", -60.0),
+            ("max_key_age_seconds", 0.0),
+        ],
+    )
+    def test_bad_timing_is_refused_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            KmsConfig(**{field: value})
+
+    @pytest.mark.parametrize("epoch", [float("nan"), float("inf"), 0.0])
+    def test_a_bad_epoch_is_refused_at_construction(self, epoch):
+        with pytest.raises(ValueError, match="epoch_seconds"):
+            ReplenishmentConfig(epoch_seconds=epoch)
+
+    def test_fifty_thousand_completions_take_no_more_memory_than_a_thousand(self):
+        def grown(completions):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                metrics = KmsMetrics()
+                for i in range(completions):
+                    metrics.rekey_latency.add(0.5 * (i % 97))
+                return tracemalloc.get_traced_memory()[0] - before, metrics
+            finally:
+                tracemalloc.stop()
+
+        grown(1_000)  # first-call allocations (caches, interned objects)
+        small, few = grown(1_000)
+        large, many = grown(50_000)
+        assert len(few.rekey_latency) == 1_000 and len(many.rekey_latency) == 50_000
+        # One float kept per completion would be 49 000 x 32 B more.
+        assert large <= small + 1024
+
+    def test_the_wait_summary_matches_the_waits_it_recorded(self):
+        """The mean is the exact running sum over completions; p50 and p99
+        are the histogram's, within its relative error of the exact ones."""
+        config = KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1))
+        service = KeyManagementService(make_relays(), config, rng=DeterministicRNG(7))
+        waits = []
+        histogram = service.metrics.rekey_latency
+        record = histogram.add
+        histogram.add = lambda wait: (waits.append(wait), record(wait))
+        report = service.serve(hours=0.5)
+        assert len(waits) == report.rekeys_completed > 0
+        assert report.rekey_latency_mean_seconds == sum(waits) / len(waits)
+        for q, summary in ((50, report.rekey_latency_p50_seconds), (99, report.rekey_latency_p99_seconds)):
+            exact = percentile(waits, q)
+            assert abs(summary - exact) <= LatencyHistogram.RELATIVE_ERROR * exact
 
     def test_serve_discards_its_unrun_events(self):
         """The total-starvation run ends with two waiters parked and their

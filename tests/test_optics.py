@@ -43,13 +43,10 @@ class TestSourceParameters:
         params = SourceParameters()
         assert params.mean_photon_number == pytest.approx(0.1)
         assert params.pulse_rate_hz == pytest.approx(1.0e6)
-        assert params.wavelength_nm == pytest.approx(1550.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SourceParameters(mean_photon_number=-0.1)
-        with pytest.raises(ValueError):
-            SourceParameters(pulse_rate_hz=0)
 
     def test_a_mean_that_would_wrap_the_uint16_photon_rows_is_refused(self):
         # Counts travel as uint16; assignment wraps silently, so the mean is

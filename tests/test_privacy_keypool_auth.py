@@ -74,8 +74,8 @@ class TestPrivacyAmplification:
         assert pa.build_message(64, 10).field_degree == 64
 
     def test_long_keys_split_into_blocks(self):
-        pa = PrivacyAmplification(DeterministicRNG(11), max_block_bits=256)
-        key = BitString.random(1000, DeterministicRNG(12))
+        pa = PrivacyAmplification(DeterministicRNG(11))
+        key = BitString.random(3 * pa.max_block_bits + 10, DeterministicRNG(12))
         result = pa.amplify(key, 400)
         assert len(result.messages) == 4
         assert len(result.distilled_key) == 400

@@ -63,12 +63,6 @@ class TestIndividualTests:
         assert tester.runs(BitString([1])).passed
         assert tester.autocorrelation(BitString([1]), lag=1).passed
 
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            RandomnessTester(significance_sigmas=0)
-        with pytest.raises(ValueError):
-            RandomnessTester(block_size=1)
-
 
 class TestBattery:
     def test_random_data_yields_zero_r(self):

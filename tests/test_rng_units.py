@@ -98,7 +98,6 @@ class TestUnits:
 
     def test_fiber_loss(self):
         assert fiber_loss_db(10.0) == pytest.approx(10.0 * DEFAULT_FIBER_ATTENUATION_DB_PER_KM)
-        assert fiber_loss_db(10.0, 0.25) == pytest.approx(2.5)
         with pytest.raises(ValueError):
             fiber_loss_db(-1.0)
 

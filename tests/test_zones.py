@@ -150,15 +150,10 @@ class TestZonedReplenisher:
             n_zones=2, endpoints_per_zone=2, relays_per_zone=2
         )
         return (
-            ZonedReplenisher(relays, DeterministicRNG(3), plan=plan),
+            ZonedReplenisher(relays, DeterministicRNG(3), ReplenishmentConfig(), plan),
             relays,
             plan,
         )
-
-    def test_requires_a_plan(self):
-        relays, _ = build_metro_mesh(n_zones=2)
-        with pytest.raises(ValueError, match="needs a ZonePlan"):
-            ZonedReplenisher(relays, DeterministicRNG(3))
 
     def test_every_link_has_exactly_one_owner(self):
         replenisher, relays, plan = self.build()
