@@ -19,26 +19,38 @@ overwhelming probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.core.keypool import KeyBlock, KeyPool
 from repro.core.messages import AuthenticationTagMessage
-from repro.crypto.wegman_carter import (
-    AuthenticationError,
-    SharedSecretPool,
-    WegmanCarterAuthenticator,
-)
+from repro.crypto.wegman_carter import AuthenticationError, WegmanCarterAuthenticator
 from repro.util.bits import BitString
 
 
 @dataclass
 class AuthenticationStatistics:
-    """Bookkeeping used by the key-consumption benchmarks."""
+    """Bookkeeping used by the key-consumption benchmarks.
 
+    The batch counts are kept here; the secret-bit counts are the channel
+    pool's own counters, read through.  ``secret_bits_replenished`` is every
+    bit fed back after the pre-shared secret, and ``secret_bits_consumed``
+    every pad a tag or a verification drew: the pool's ``bits_consumed``
+    less the Toeplitz seed the authenticator drew once, when it was built.
+    """
+
+    pool: KeyPool = field(repr=False)
+    seed_bits: int = field(repr=False)
     batches_tagged: int = 0
     batches_verified: int = 0
     verification_failures: int = 0
-    secret_bits_consumed: int = 0
-    secret_bits_replenished: int = 0
+
+    @property
+    def secret_bits_consumed(self) -> int:
+        return self.pool.bits_consumed - self.seed_bits
+
+    @property
+    def secret_bits_replenished(self) -> int:
+        return self.pool.bits_added
 
 
 class AuthenticatedChannel:
@@ -54,9 +66,12 @@ class AuthenticatedChannel:
         preshared_secret: BitString,
         tag_bits: int = WegmanCarterAuthenticator.DEFAULT_TAG_BITS,
     ):
-        self.pool = SharedSecretPool(preshared_secret)
+        # The pre-shared secret is the pool's starting content, not an
+        # addition: ``bits_added`` counts replenishment only.
+        self.pool = KeyPool("authentication", [KeyBlock(preshared_secret, block_id=0)])
         self.authenticator = WegmanCarterAuthenticator(self.pool, tag_bits=tag_bits)
-        self.statistics = AuthenticationStatistics()
+        # All the pool has paid so far is the authenticator's seed.
+        self.statistics = AuthenticationStatistics(self.pool, seed_bits=self.pool.bits_consumed)
         self.tag_bits = tag_bits
 
     # ------------------------------------------------------------------ #
@@ -79,10 +94,8 @@ class AuthenticatedChannel:
     ) -> AuthenticationTagMessage:
         """Tag an already-serialized transcript (callers that tag and verify
         the same log can serialize it once and reuse the bytes)."""
-        before = self.pool.consumed_bits
         tag = self.authenticator.tag(payload)
         self.statistics.batches_tagged += 1
-        self.statistics.secret_bits_consumed += self.pool.consumed_bits - before
         return AuthenticationTagMessage(
             covered_messages=covered_messages, tag_bits=tag.to_list()
         )
@@ -91,15 +104,12 @@ class AuthenticatedChannel:
         self, payload: bytes, tag_message: AuthenticationTagMessage
     ) -> None:
         """Verify a peer's tag over an already-serialized transcript."""
-        before = self.pool.consumed_bits
         self.statistics.batches_verified += 1
         try:
             self.authenticator.verify(payload, tag_message.tag)
         except AuthenticationError:
             self.statistics.verification_failures += 1
             raise
-        finally:
-            self.statistics.secret_bits_consumed += self.pool.consumed_bits - before
 
     # ------------------------------------------------------------------ #
     # Pool replenishment
@@ -107,8 +117,7 @@ class AuthenticatedChannel:
 
     def replenish(self, fresh_bits: BitString) -> None:
         """Feed a slice of freshly distilled key back into the secret pool."""
-        self.pool.add(fresh_bits)
-        self.statistics.secret_bits_replenished += len(fresh_bits)
+        self.pool.add_bits(fresh_bits)
 
     @property
     def available_secret_bits(self) -> int:

@@ -38,7 +38,7 @@ exactly the detect-and-respond behaviour the paper ascribes to Alice and Bob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from numbers import Integral
 from typing import ClassVar, List, Optional
 
@@ -173,6 +173,10 @@ class EngineStatistics:
         if self.slots_processed == 0:
             return 0.0
         return self.sifted_bits / self.slots_processed
+
+    def since(self, earlier: "EngineStatistics") -> "EngineStatistics":
+        """What was counted after ``earlier``, a copy of these statistics, was taken."""
+        return EngineStatistics(*(now - then for now, then in zip(astuple(self), astuple(earlier))))
 
 
 class QKDProtocolEngine:

@@ -23,7 +23,12 @@ from repro.util.bits import BitString
 
 
 class KeyPoolExhaustedError(Exception):
-    """Raised when a consumer requests more key than the pool holds."""
+    """Raised when a consumer requests more key than the pool holds.
+
+    For the authentication pool this is the paper's denial-of-service
+    concern: "an adversary forces a QKD system to exhaust its stockpile of
+    key material, at which point it can no longer perform authentication."
+    """
 
 
 @dataclass

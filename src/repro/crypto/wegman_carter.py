@@ -23,10 +23,13 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.mathkit.toeplitz import ToeplitzHash
 from repro.util.bits import BitString
+
+if TYPE_CHECKING:
+    from repro.core.keypool import KeyPool
 
 # Memo of transcript digests keyed by (hash seed, geometry, payload sha256).
 # The universal-hash digest is a pure function of those inputs, and the
@@ -42,46 +45,6 @@ _DIGEST_MEMO_SIZE = 64
 
 class AuthenticationError(Exception):
     """Raised when a message fails tag verification (possible Eve tampering)."""
-
-
-class KeyPoolExhaustedError(Exception):
-    """Raised when the shared authentication key pool runs dry.
-
-    The paper flags exactly this as a denial-of-service concern: "an adversary
-    forces a QKD system to exhaust its stockpile of key material, at which
-    point it can no longer perform authentication."
-    """
-
-
-@dataclass
-class SharedSecretPool:
-    """A pool of pre-shared / replenished secret bits used to key authentication."""
-
-    bits: BitString = field(default_factory=BitString)
-    consumed_bits: int = 0
-    replenished_bits: int = 0
-
-    def add(self, new_bits: BitString) -> None:
-        """Replenish the pool (e.g. with a slice of freshly distilled QKD key)."""
-        self.bits = self.bits + new_bits
-        self.replenished_bits += len(new_bits)
-
-    def draw(self, count: int) -> BitString:
-        """Consume ``count`` bits from the pool."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        if count > len(self.bits):
-            raise KeyPoolExhaustedError(
-                f"authentication pool exhausted: need {count} bits, have {len(self.bits)}"
-            )
-        drawn = self.bits[:count]
-        self.bits = self.bits[count:]
-        self.consumed_bits += count
-        return drawn
-
-    @property
-    def available_bits(self) -> int:
-        return len(self.bits)
 
 
 class WegmanCarterAuthenticator:
@@ -103,7 +66,7 @@ class WegmanCarterAuthenticator:
 
     def __init__(
         self,
-        pool: SharedSecretPool,
+        pool: "KeyPool",
         tag_bits: int = DEFAULT_TAG_BITS,
         block_bits: int = BLOCK_BITS,
     ):
@@ -121,11 +84,8 @@ class WegmanCarterAuthenticator:
         self.block_bits = block_bits
         # The hash seed is drawn once from the shared pool; per-message pads
         # are drawn for every tag.
-        seed = pool.draw(block_bits + tag_bits - 1)
+        seed = pool.draw_bits(block_bits + tag_bits - 1)
         self._hash = ToeplitzHash.from_seed_bits(seed, block_bits, tag_bits)
-        self.messages_tagged = 0
-        self.messages_verified = 0
-        self.failures = 0
 
     # ------------------------------------------------------------------ #
 
@@ -165,8 +125,7 @@ class WegmanCarterAuthenticator:
 
     def tag(self, message: bytes) -> BitString:
         """Produce an authentication tag, consuming ``tag_bits`` of fresh pad."""
-        pad = self.pool.draw(self.tag_bits)
-        self.messages_tagged += 1
+        pad = self.pool.draw_bits(self.tag_bits)
         return self._hash_message(message) ^ pad
 
     def verify(self, message: bytes, tag: BitString) -> None:
@@ -174,11 +133,9 @@ class WegmanCarterAuthenticator:
 
         Raises :class:`AuthenticationError` on mismatch.
         """
-        pad = self.pool.draw(self.tag_bits)
+        pad = self.pool.draw_bits(self.tag_bits)
         expected = self._hash_message(message) ^ pad
-        self.messages_verified += 1
         if expected != tag:
-            self.failures += 1
             raise AuthenticationError("authentication tag mismatch (possible man-in-the-middle)")
 
     def __repr__(self) -> str:

@@ -23,7 +23,7 @@ from typing import Optional
 from dataclasses import dataclass
 
 from repro.core.engine import QKDProtocolEngine
-from repro.crypto.wegman_carter import KeyPoolExhaustedError
+from repro.core.keypool import KeyPoolExhaustedError
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 

@@ -42,7 +42,6 @@ from repro.faults.plane import (
     FaultAction,
     FaultPlane,
     FaultPlaneStats,
-    FaultRecord,
 )
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "FaultAction",
     "FaultPlane",
     "FaultPlaneStats",
-    "FaultRecord",
     "FaultyConnector",
     "FaultyProtocol",
     "FaultyTransport",

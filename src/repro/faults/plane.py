@@ -22,7 +22,7 @@ its decisions to asyncio transports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.util.rng import DeterministicRNG
 
@@ -79,26 +79,19 @@ class FaultAction:
 
 
 @dataclass
-class FaultRecord:
-    """One injection that actually happened (the plane's flight recorder)."""
-
-    site: str
-    op_index: int
-    action: FaultAction
-
-
-@dataclass
 class FaultPlaneStats:
-    """What the plane did, for assertions and the E18 bench table."""
+    """What the plane did, for assertions and the E18 bench table.
+
+    ``ops_by_site`` is also each site's operation counter: the next
+    operation at a site draws from stream ``faults/<site>/<count>``.
+    """
 
     ops_by_site: Dict[str, int] = field(default_factory=dict)
-    injected_by_site: Dict[str, int] = field(default_factory=dict)
     injected_by_kind: Dict[str, int] = field(default_factory=dict)
-    records: List[FaultRecord] = field(default_factory=list)
 
     @property
     def injections(self) -> int:
-        return len(self.records)
+        return sum(self.injected_by_kind.values())
 
 
 class FaultPlane:
@@ -130,7 +123,6 @@ class FaultPlane:
         self.delay_range = delay_range
         self.stall_range = stall_range
         self.stats = FaultPlaneStats()
-        self._op_counters: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     # The decision
@@ -145,16 +137,11 @@ class FaultPlane:
         """
         if site not in SITE_KINDS:
             raise ValueError(f"unknown fault site {site!r} (sites: {SITES})")
-        index = self._op_counters.get(site, 0)
-        self._op_counters[site] = index + 1
-        self.stats.ops_by_site[site] = self.stats.ops_by_site.get(site, 0) + 1
+        index = self.stats.ops_by_site.get(site, 0)
+        self.stats.ops_by_site[site] = index + 1
 
         action = self._draw(site, self.rng.fork_labeled(f"faults/{site}/{index}"))
         if action is not None:
-            self.stats.records.append(FaultRecord(site, index, action))
-            self.stats.injected_by_site[site] = (
-                self.stats.injected_by_site.get(site, 0) + 1
-            )
             self.stats.injected_by_kind[action.kind] = (
                 self.stats.injected_by_kind.get(action.kind, 0) + 1
             )
@@ -191,7 +178,6 @@ __all__ = [
     "FaultAction",
     "FaultPlane",
     "FaultPlaneStats",
-    "FaultRecord",
     "REFUSE",
     "SITE_CLIENT_RX",
     "SITE_CLIENT_TX",

@@ -67,8 +67,6 @@ class EspProcessor:
 
     def __init__(self, rng: Optional[DeterministicRNG] = None):
         self.rng = rng or DeterministicRNG(0)
-        self.packets_encapsulated = 0
-        self.packets_decapsulated = 0
         self.authentication_failures = 0
         self.replay_rejections = 0
         self.pad_failures = 0
@@ -106,7 +104,6 @@ class EspProcessor:
         tag = sa.authenticate(header + iv + ciphertext)[:ICV_BYTES]
 
         sa.record_traffic(len(packet.payload))
-        self.packets_encapsulated += 1
         return ESPPacket(
             spi=sa.spi,
             sequence=sequence,
@@ -151,7 +148,6 @@ class EspProcessor:
                 self.authentication_failures += 1
                 raise EspError(f"decryption failed: {exc}") from exc
 
-        self.packets_decapsulated += 1
         try:
             return _deserialise_inner(inner)
         except (ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.keypool import KeyPool
 from repro.ipsec.esp import EspError, EspProcessor
@@ -218,8 +218,6 @@ class GatewayPair:
             bob_name, bob_address, alice_address, bob_pool, self.clock, rng.fork("bob")
         )
         self.alice.connect_peer(self.bob)
-        self.delivered: List[IPPacket] = []
-        self.transport_failures = 0
 
     @classmethod
     def from_engine(
@@ -268,9 +266,6 @@ class GatewayPair:
         if esp is None:
             return None
         try:
-            delivered = receiver.receive(esp)
+            return receiver.receive(esp)
         except EspError:
-            self.transport_failures += 1
             return None
-        self.delivered.append(delivered)
-        return delivered

@@ -24,8 +24,9 @@ have diverged).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.core.keypool import KeyPool
 from repro.crypto.otp import OneTimePad
@@ -39,6 +40,10 @@ from repro.util.rng import DeterministicRNG
 QBLOCK_BITS = 1024
 #: Lifetime of the Phase-1 (ISAKMP) SA.
 PHASE1_LIFETIME_SECONDS = 3600.0
+
+#: The racoon log keeps its latest lines only, as a rotated syslog does: a
+#: daemon that rekeys every minute for as long as it runs must not grow.
+LOG_LINES_KEPT = 256
 
 
 class NegotiationError(Exception):
@@ -107,8 +112,11 @@ class IKEDaemon:
         self.sad = sad
         self.rng = rng or DeterministicRNG(0)
         self.phase1: Optional[Phase1State] = None
-        self.negotiations: List[QkdKeyNegotiation] = []
-        self.log_lines: List[str] = []
+        #: The latest Phase-2 negotiation this daemon took part in (either
+        #: side), and the QKD bits all of them drew from its pool.
+        self.last_negotiation: Optional[QkdKeyNegotiation] = None
+        self.qkd_bits_consumed = 0
+        self.log_lines: Deque[str] = deque(maxlen=LOG_LINES_KEPT)
         self._next_negotiation_id = 1
         self._next_spi = self.rng.randint(0x0100_0000, 0x0FFF_FFFF)
 
@@ -235,8 +243,7 @@ class IKEDaemon:
                     cipher_suite=policy.cipher_suite,
                     timed_out=True,
                 )
-                self.negotiations.append(negotiation)
-                peer.negotiations.append(negotiation)
+                self._record(peer, negotiation)
                 self._log(
                     "isakmp.c:1766:isakmp_ph2expire()",
                     "phase 2 negotiation failed: not enough QKD key material before timeout",
@@ -390,19 +397,16 @@ class IKEDaemon:
             keymat_bytes=keymat_bytes,
             cipher_suite=policy.cipher_suite,
         )
-        self.negotiations.append(negotiation)
-        peer.negotiations.append(negotiation)
+        self._record(peer, negotiation)
         return sa_outbound_local, sa_inbound_local
+
+    def _record(self, peer: "IKEDaemon", negotiation: QkdKeyNegotiation) -> None:
+        """Account one negotiation on both daemons (a timed-out one drew nothing)."""
+        for daemon in (self, peer):
+            daemon.last_negotiation = negotiation
+            daemon.qkd_bits_consumed += negotiation.qkd_bits_used
 
     # ------------------------------------------------------------------ #
 
-    @property
-    def qkd_bits_consumed(self) -> int:
-        """Total QKD bits this daemon has drawn for Phase-2 negotiations."""
-        return sum(n.qkd_bits_used for n in self.negotiations if not n.timed_out)
-
     def __repr__(self) -> str:
-        return (
-            f"IKEDaemon({self.config.gateway_name}, negotiations={len(self.negotiations)}, "
-            f"qkd_bits={self.qkd_bits_consumed})"
-        )
+        return f"IKEDaemon({self.config.gateway_name}, qkd_bits={self.qkd_bits_consumed})"

@@ -116,8 +116,6 @@ class SecurityAssociationDatabase:
     """The SAD: SAs indexed by SPI plus lookup by traffic direction."""
 
     by_spi: Dict[int, SecurityAssociation] = field(default_factory=dict)
-    #: History of expired/replaced SAs, kept for the rollover statistics.
-    retired: List[SecurityAssociation] = field(default_factory=list)
 
     def install(self, sa: SecurityAssociation) -> None:
         if sa.spi in self.by_spi:
@@ -148,9 +146,7 @@ class SecurityAssociationDatabase:
         return max(candidates, key=lambda sa: sa.created_at)
 
     def retire(self, spi: int) -> None:
-        sa = self.by_spi.pop(spi, None)
-        if sa is not None:
-            self.retired.append(sa)
+        self.by_spi.pop(spi, None)
 
     def retire_expired(self, now: float) -> List[SecurityAssociation]:
         """Remove every expired SA; returns the ones retired."""
@@ -161,7 +157,4 @@ class SecurityAssociationDatabase:
 
     @property
     def active_count(self) -> int:
-        return len(self.by_spi)
-
-    def __len__(self) -> int:
         return len(self.by_spi)

@@ -47,6 +47,7 @@ order.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import heapq
 import math
@@ -57,9 +58,9 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep kms asyncio-free
     from repro.dtn.store import CustodyBundle
-    from repro.dtn.transport import CustodyTransport
     from repro.netkms.server import NetworkKmsServer
 
+from repro.dtn.transport import CustodyMetrics, CustodyTransport
 from repro.ipsec.gateway import GatewayPair
 from repro.ipsec.ike import QBLOCK_BITS, NegotiationError
 from repro.ipsec.spd import CipherSuite, SecurityPolicy
@@ -249,8 +250,9 @@ class KmsMetrics:
     trunk_key_bits: int = 0
     #: Wall-clock seconds the service spent ordering work (expiry sweeps,
     #: needy-store heap maintenance) — link selection inside the
-    #: replenisher is timed separately by the scheduler itself.
-    scheduler_overhead_seconds: float = 0.0
+    #: replenisher is timed by the scheduler itself, and the report's
+    #: ``scheduler_overhead_seconds`` is the two together.
+    ordering_seconds: float = 0.0
     #: Demand-to-completion wait of every completed rekey, in constant
     #: memory; its running ``total`` keeps the mean exact.
     rekey_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
@@ -258,51 +260,51 @@ class KmsMetrics:
 
 @dataclass
 class SoakReport:
-    """What a :meth:`KeyManagementService.serve` run sustained."""
+    """What a :meth:`KeyManagementService.serve` run sustained.
+
+    The counters are not declared here.  ``metrics`` and ``custody`` are
+    copies of the service's and the custody layer's accumulators, taken at
+    the horizon, and the report reads through to them: ``report.demands``
+    is ``report.metrics.demands``, and ``report.custody_expired`` is
+    ``report.custody.bundles_expired`` (all zero with ``KmsConfig.custody``
+    off).  Declared below is what no accumulator counts: the service's
+    state at the horizon, and the figures derived from the counters.
+    """
 
     simulated_seconds: float
-    demands: int
-    rekeys_completed: int
-    rekeys_timed_out: int
-    rekeys_failed: int
+    metrics: KmsMetrics
+    custody: CustodyMetrics
     pending_waiters: int
-    starvation_events: int
-    delivered_keys: int
-    delivered_key_bits: int
+    eavesdropped_links: Tuple[Pair, ...]
+    #: sha256 over all delivered end-to-end key material, in delivery order
+    #: — the soak determinism pin.
+    delivered_digest: str
     keys_per_second: float
     key_bits_per_second: float
     rekey_latency_p50_seconds: float
     rekey_latency_p99_seconds: float
     rekey_latency_mean_seconds: float
-    reroutes: int
-    transports_failed: int
-    epochs_run: int
-    pad_bits_banked: int
-    eavesdropped_links: Tuple[Pair, ...]
-    #: sha256 over all delivered end-to-end key material, in delivery order
-    #: — the soak determinism pin.
-    delivered_digest: str
+    #: Wall-clock scheduling cost: the service's ordering
+    #: (``metrics.ordering_seconds``) plus the replenisher's link selection.
+    #: The metro bench's sub-linearity gate reads the per-epoch figure.
+    scheduler_overhead_seconds: float
+    scheduler_overhead_per_epoch_seconds: float
     per_pair: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Custody-layer accounting (all zero with ``KmsConfig.custody`` off).
-    transports_parked: int = 0
-    custody_submitted: int = 0
-    custody_delivered: int = 0
-    custody_expired: int = 0
-    custody_evicted: int = 0
     custody_live: int = 0
     custody_occupancy_peak_bits: int = 0
     #: Order-independent sha256 over custody-delivered key material.
     custody_delivered_digest: str = ""
     #: Metro accounting (all zero/empty with ``KmsConfig.zones`` off).
     zones: int = 0
-    trunk_keys_delivered: int = 0
-    trunk_key_bits: int = 0
     per_trunk: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Wall-clock scheduling cost: service-side ordering plus the
-    #: replenisher's link selection.  The metro bench's sub-linearity gate
-    #: reads the per-epoch figure.
-    scheduler_overhead_seconds: float = 0.0
-    scheduler_overhead_per_epoch_seconds: float = 0.0
+
+    def __getattr__(self, name: str):
+        # Only reached for a name the report does not hold itself.
+        if name.startswith("__"):
+            raise AttributeError(name)
+        if name.startswith("custody_"):
+            return getattr(self.custody, "bundles_" + name[len("custody_") :])
+        return getattr(self.metrics, name)
 
     @property
     def completion_accounted(self) -> bool:
@@ -774,7 +776,7 @@ class KeyManagementService:
         started = perf_counter()
         self._sweep_expiry(now)
         ordered = self._drain_needy()
-        self.metrics.scheduler_overhead_seconds += perf_counter() - started
+        self.metrics.ordering_seconds += perf_counter() - started
         for feed in self._trunk_feeds:
             self._fill(feed, now)
         for pair in ordered:
@@ -1001,8 +1003,6 @@ class KeyManagementService:
         return self._digest.hexdigest()
 
     def _build_report(self, horizon: float) -> SoakReport:
-        metrics = self.metrics
-        latency = metrics.rekey_latency
         eavesdropped = tuple(
             sorted(
                 (edge.node_a, edge.node_b)
@@ -1030,51 +1030,32 @@ class KeyManagementService:
                 "bits_consumed": float(trunk.statistics.bits_consumed),
                 "reservations_denied": float(trunk.statistics.reservations_denied),
             }
-        scheduler_overhead = (
-            metrics.scheduler_overhead_seconds + self.replenisher.selection_seconds
-        )
-        custody = self.custody
-        custody_view = {} if custody is None else dict(
-            custody_submitted=custody.metrics.bundles_submitted,
-            custody_delivered=custody.metrics.bundles_delivered,
-            custody_expired=custody.metrics.bundles_expired,
-            custody_evicted=custody.metrics.bundles_evicted,
+        metrics, custody = self.metrics, self.custody
+        custody_state = {} if custody is None else dict(
             custody_live=len(custody.live_bundle_ids()),
             custody_occupancy_peak_bits=custody.occupancy_peak_bits,
             custody_delivered_digest=custody.delivered_digest,
         )
+        latency = metrics.rekey_latency
+        scheduler_overhead = metrics.ordering_seconds + self.replenisher.selection_seconds
         return SoakReport(
             simulated_seconds=horizon,
-            demands=metrics.demands,
-            rekeys_completed=metrics.rekeys_completed,
-            rekeys_timed_out=metrics.rekeys_timed_out,
-            rekeys_failed=metrics.rekeys_failed,
+            metrics=copy.deepcopy(metrics),
+            custody=CustodyMetrics() if custody is None else copy.copy(custody.metrics),
             pending_waiters=self.pending_waiters,
-            starvation_events=metrics.starvation_events,
-            delivered_keys=metrics.delivered_keys,
-            delivered_key_bits=metrics.delivered_key_bits,
+            eavesdropped_links=eavesdropped,
+            delivered_digest=self.delivered_digest(),
             keys_per_second=metrics.delivered_keys / horizon,
             key_bits_per_second=metrics.delivered_key_bits / horizon,
             rekey_latency_p50_seconds=latency.percentile(50),
             rekey_latency_p99_seconds=latency.percentile(99),
             rekey_latency_mean_seconds=latency.total / max(latency.count, 1),
-            reroutes=metrics.reroutes,
-            transports_failed=metrics.transports_failed,
-            epochs_run=metrics.epochs_run,
-            pad_bits_banked=metrics.pad_bits_banked,
-            eavesdropped_links=eavesdropped,
-            delivered_digest=self.delivered_digest(),
-            per_pair=per_pair,
-            transports_parked=metrics.transports_parked,
-            **custody_view,
-            zones=len(self.zone_plan.zones) if self.zone_plan else 0,
-            trunk_keys_delivered=metrics.trunk_keys_delivered,
-            trunk_key_bits=metrics.trunk_key_bits,
-            per_trunk=per_trunk,
             scheduler_overhead_seconds=scheduler_overhead,
-            scheduler_overhead_per_epoch_seconds=(
-                scheduler_overhead / max(metrics.epochs_run, 1)
-            ),
+            scheduler_overhead_per_epoch_seconds=scheduler_overhead / max(metrics.epochs_run, 1),
+            per_pair=per_pair,
+            **custody_state,
+            zones=len(self.zone_plan.zones) if self.zone_plan else 0,
+            per_trunk=per_trunk,
         )
 
     def __repr__(self) -> str:

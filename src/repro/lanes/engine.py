@@ -36,6 +36,7 @@ bitstream; compare like with like.)
 
 from __future__ import annotations
 
+from dataclasses import replace
 from numbers import Integral
 from typing import List, Optional, Sequence
 
@@ -53,12 +54,13 @@ def run_lane(link: QKDLink, n_slots: int, flush: bool = True) -> LinkReport:
 
     Per batch: one :func:`transmit_lanes`, one :func:`sift_frames`, then the
     link's engine accumulates and distils; ``flush`` distils a final partial
-    block.  Returns the link's report.  ``n_slots`` must be a non-negative
+    block.  Returns this run's report.  ``n_slots`` must be a non-negative
     integer (numpy integers included).
     """
     if isinstance(n_slots, bool) or not isinstance(n_slots, Integral) or n_slots < 0:
         raise ValueError(f"slot count must be a non-negative integer, got {n_slots!r}")
     n_slots = int(n_slots)
+    started = replace(link.engine.statistics)
     channel = link.parameters.channel
     outcomes = []
     remaining = n_slots
@@ -82,7 +84,7 @@ def run_lane(link: QKDLink, n_slots: int, flush: bool = True) -> LinkReport:
         flushed = link.engine.flush()
         if flushed is not None:
             outcomes.append(flushed)
-    return link.build_report(n_slots, outcomes)
+    return link.build_report(n_slots, outcomes, started)
 
 
 class LaneEngine:

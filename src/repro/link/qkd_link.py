@@ -23,7 +23,12 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.engine import DistillationOutcome, EngineParameters, QKDProtocolEngine
+from repro.core.engine import (
+    DistillationOutcome,
+    EngineParameters,
+    EngineStatistics,
+    QKDProtocolEngine,
+)
 from repro.mathkit.entropy import binary_entropy
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.util.rng import DeterministicRNG
@@ -62,16 +67,25 @@ class LinkParameters:
 
 @dataclass
 class LinkReport:
-    """Summary of a link run."""
+    """Summary of one link run.
+
+    ``statistics`` is what the engine counted during this run alone (the
+    engine's own statistics are cumulative over every run of the link), and
+    the report reads through to it: ``report.sifted_bits`` is
+    ``report.statistics.sifted_bits``, and ``report.mean_qber`` the QBER of
+    this run's sifted bits.
+    """
 
     slots_transmitted: int
     elapsed_channel_seconds: float
-    sifted_bits: int
-    distilled_bits: int
-    mean_qber: float
-    blocks_distilled: int
-    blocks_aborted: int
+    statistics: EngineStatistics
     outcomes: List[DistillationOutcome] = field(default_factory=list)
+
+    def __getattr__(self, name: str):
+        # Only reached for a name the report does not hold itself.
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.statistics, name)
 
     @property
     def sifted_rate_bps(self) -> float:
@@ -133,19 +147,14 @@ class QKDLink:
         return run_lane(self, n_slots, flush)
 
     def build_report(
-        self, n_slots: int, outcomes: List[DistillationOutcome]
+        self, n_slots: int, outcomes: List[DistillationOutcome], started: EngineStatistics
     ) -> LinkReport:
-        """Assemble the run report from the engine's cumulative statistics."""
-        stats = self.engine.statistics
-        elapsed = n_slots / self.parameters.channel.pulse_rate_hz
+        """Assemble the report of one run: what the engine counted since
+        ``started``, a copy of its statistics taken when the run began."""
         return LinkReport(
             slots_transmitted=n_slots,
-            elapsed_channel_seconds=elapsed,
-            sifted_bits=stats.sifted_bits,
-            distilled_bits=stats.distilled_bits,
-            mean_qber=stats.mean_qber,
-            blocks_distilled=stats.blocks_distilled,
-            blocks_aborted=stats.blocks_aborted,
+            elapsed_channel_seconds=n_slots / self.parameters.channel.pulse_rate_hz,
+            statistics=self.engine.statistics.since(started),
             outcomes=outcomes,
         )
 

@@ -13,9 +13,10 @@ must not move with client concurrency.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.netkms.protocol import ERROR_NAMES, FATAL_ERRORS
@@ -24,33 +25,31 @@ from repro.util.latency import LatencyHistogram
 
 @dataclass
 class MetricsReport:
-    """A snapshot of one server's serving window."""
+    """A snapshot of one server's serving window.
 
+    The counters are not declared here: ``metrics`` is a copy of the
+    server's :class:`NetKmsMetrics` taken with the report, and the report
+    reads through to it (``report.keys_served`` is
+    ``report.metrics.keys_served``).  Declared below is what is derived
+    from them when the report is taken.
+    """
+
+    metrics: "NetKmsMetrics"
     elapsed_seconds: float
-    connections_opened: int
-    connections_closed: int
     requests: int
     requests_per_second: float
-    requests_by_kind: Dict[str, int]
     reserve_latency_p50_seconds: float
     reserve_latency_p99_seconds: float
     reserve_latency_mean_seconds: float
-    reservations_granted: int
-    reservations_denied: int
-    keys_served: int
-    key_bits_served: int
+    #: ``metrics.error_counts`` by error name.
     protocol_errors: Dict[str, int]
-    fatal_errors: int
     served_digest: str
-    #: Orphaned/expired reservations reaped back into the store, and the
-    #: bits that reaping returned (must reconcile with the stores' own
-    #: ``bits_released`` ledger — the no-reservation-leak invariant).
-    reservations_reaped: int = 0
-    reaped_bits: int = 0
-    reaped_by_reason: Dict[str, int] = field(default_factory=dict)
-    #: CONSUME retries served from the idempotent replay cache (the same
-    #: bytes re-delivered; the served digest counts the material once).
-    consume_replays: int = 0
+
+    def __getattr__(self, name: str):
+        # Only reached for a name the report does not hold itself.
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.metrics, name)
 
 
 class NetKmsMetrics:
@@ -68,14 +67,24 @@ class NetKmsMetrics:
         self.key_bits_served = 0
         self.error_counts: Dict[int, int] = {}
         self.fatal_errors = 0
+        #: Orphaned/expired reservations reaped back into their store, and
+        #: the bits reaping returned (must reconcile with the stores' own
+        #: ``bits_released`` ledger — the no-reservation-leak invariant).
         self.reservations_reaped = 0
         self.reaped_bits = 0
         self.reaped_by_reason: Dict[str, int] = {}
+        #: CONSUME retries served from the idempotent replay cache (the same
+        #: bytes re-delivered; the served digest counts the material once).
         self.consume_replays = 0
         #: sha256 of each served chunk; the report digest hashes these
         #: *sorted*, so it is independent of service order (and therefore of
         #: client concurrency) as long as the same material is served.
         self._chunk_digests: List[bytes] = []
+
+    def __getstate__(self) -> dict:
+        # A copy (a report's snapshot) takes the counters; the chunk digests
+        # are rolled up into the report's ``served_digest`` instead.
+        return {name: value for name, value in vars(self).items() if name != "_chunk_digests"}
 
     # ------------------------------------------------------------------ #
     # Recording (called by the server's connection handlers)
@@ -126,29 +135,18 @@ class NetKmsMetrics:
         total = sum(self.requests_by_kind.values())
         latencies = self.reserve_latencies
         return MetricsReport(
+            metrics=copy.deepcopy(self),
             elapsed_seconds=elapsed,
-            connections_opened=self.connections_opened,
-            connections_closed=self.connections_closed,
             requests=total,
             requests_per_second=total / elapsed,
-            requests_by_kind=dict(self.requests_by_kind),
             reserve_latency_p50_seconds=latencies.percentile(50),
             reserve_latency_p99_seconds=latencies.percentile(99),
             reserve_latency_mean_seconds=latencies.total / max(len(latencies), 1),
-            reservations_granted=self.reservations_granted,
-            reservations_denied=self.reservations_denied,
-            keys_served=self.keys_served,
-            key_bits_served=self.key_bits_served,
             protocol_errors={
                 ERROR_NAMES.get(code, str(code)): count
                 for code, count in sorted(self.error_counts.items())
             },
-            fatal_errors=self.fatal_errors,
             served_digest=self.served_digest(),
-            reservations_reaped=self.reservations_reaped,
-            reaped_bits=self.reaped_bits,
-            reaped_by_reason=dict(self.reaped_by_reason),
-            consume_replays=self.consume_replays,
         )
 
 

@@ -15,12 +15,8 @@ from repro.crypto.modes import (
 )
 from repro.crypto.otp import OneTimePad, PadExhaustedError
 from repro.crypto.sha1 import HmacSha1, hmac_sha1, prf_expand, sha1
-from repro.crypto.wegman_carter import (
-    AuthenticationError,
-    KeyPoolExhaustedError,
-    SharedSecretPool,
-    WegmanCarterAuthenticator,
-)
+from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
+from repro.crypto.wegman_carter import AuthenticationError, WegmanCarterAuthenticator
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 from tests.oracles.slow_sha1 import prf_plus_oracle, slow_sha1
@@ -226,13 +222,18 @@ class TestOneTimePad:
             pad.peek(11)
 
 
+def shared_pool(bits):
+    """An authentication pool holding ``bits`` pre-shared, as a channel builds it."""
+    return KeyPool("authentication", [KeyBlock(bits, block_id=0)])
+
+
 class TestWegmanCarter:
     def _paired(self, bits=4096, tag_bits=32):
         rng = DeterministicRNG(77)
         shared = BitString.random(bits, rng)
         return (
-            WegmanCarterAuthenticator(SharedSecretPool(shared), tag_bits=tag_bits),
-            WegmanCarterAuthenticator(SharedSecretPool(shared), tag_bits=tag_bits),
+            WegmanCarterAuthenticator(shared_pool(shared), tag_bits=tag_bits),
+            WegmanCarterAuthenticator(shared_pool(shared), tag_bits=tag_bits),
         )
 
     def test_tag_verify_roundtrip(self):
@@ -262,7 +263,7 @@ class TestWegmanCarter:
     def test_eve_without_pool_cannot_forge(self):
         alice, bob = self._paired()
         rng = DeterministicRNG(999)
-        eve = WegmanCarterAuthenticator(SharedSecretPool(BitString.random(4096, rng)))
+        eve = WegmanCarterAuthenticator(shared_pool(BitString.random(4096, rng)))
         message = b"impersonation attempt"
         eve_tag = eve.tag(message)
         with pytest.raises(AuthenticationError):
@@ -277,7 +278,7 @@ class TestWegmanCarter:
     def test_pool_exhaustion_raises(self):
         rng = DeterministicRNG(5)
         shared = BitString.random(400, rng)
-        alice = WegmanCarterAuthenticator(SharedSecretPool(shared), tag_bits=32)
+        alice = WegmanCarterAuthenticator(shared_pool(shared), tag_bits=32)
         with pytest.raises(KeyPoolExhaustedError):
             for _ in range(100):
                 alice.tag(b"spam until the pool dies")
@@ -285,14 +286,14 @@ class TestWegmanCarter:
     def test_replenishment_extends_life(self):
         rng = DeterministicRNG(6)
         shared = BitString.random(512, rng)
-        pool = SharedSecretPool(shared)
+        pool = shared_pool(shared)
         alice = WegmanCarterAuthenticator(pool, tag_bits=32)
         for _ in range(4):
             alice.tag(b"message")
-        pool.add(BitString.random(256, rng))
+        pool.add_bits(BitString.random(256, rng))
         for _ in range(4):
             alice.tag(b"message")
-        assert pool.replenished_bits == 256
+        assert pool.bits_added == 256
 
     def test_length_extension_matters(self):
         """Messages that differ only by trailing zero bytes must tag differently."""
@@ -303,7 +304,7 @@ class TestWegmanCarter:
 
     def test_constructor_validation(self):
         rng = DeterministicRNG(1)
-        pool = SharedSecretPool(BitString.random(4096, rng))
+        pool = shared_pool(BitString.random(4096, rng))
         with pytest.raises(ValueError):
             WegmanCarterAuthenticator(pool, tag_bits=0)
         with pytest.raises(ValueError):
@@ -312,7 +313,7 @@ class TestWegmanCarter:
     @pytest.mark.parametrize("tag_bits, block_bits", [(12, 260), (32, 252)])
     def test_sizes_that_are_not_whole_bytes_are_refused(self, tag_bits, block_bits):
         """The hash chain runs on whole bytes; nothing else is accepted."""
-        pool = SharedSecretPool(BitString.random(4096, DeterministicRNG(1)))
+        pool = shared_pool(BitString.random(4096, DeterministicRNG(1)))
         with pytest.raises(ValueError, match="whole bytes"):
             WegmanCarterAuthenticator(pool, tag_bits=tag_bits, block_bits=block_bits)
-        assert pool.consumed_bits == 0
+        assert pool.bits_consumed == 0

@@ -73,7 +73,7 @@ class ScriptedPlane(FaultPlane):
 
     def _draw(self, site, stream):
         drawn = super()._draw(site, stream)
-        return self.script.get((site, self._op_counters[site] - 1), drawn)
+        return self.script.get((site, self.stats.ops_by_site[site] - 1), drawn)
 
 
 def chunk_digest(chunks):

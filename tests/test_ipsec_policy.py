@@ -199,7 +199,7 @@ class TestSAD:
         sad = self._sad_with_sas()
         sad.retire(0x200)
         assert sad.active_count == 1
-        assert len(sad.retired) == 1
+        assert sad.lookup_spi(0x200) is None
         expired = sad.retire_expired(now=500.0)
         assert len(expired) == 1
         assert sad.active_count == 0

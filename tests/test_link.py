@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from repro import QKDSystem
 from repro.core.entropy_estimation import SlutskyDefense
 from repro.eve import InterceptResendAttack
 from repro.link import LinkParameters, QKDLink
@@ -210,6 +211,23 @@ class TestMonteCarloRun:
         report = link.run_slots(0)
         assert report.sifted_bits == 0
         assert report.distilled_bits == 0
+
+    def test_a_second_run_reports_its_own_counts(self):
+        """Each report covers its own call: the second 200 000-slot run sifts
+        312 bits (1 560 b/s), not the link's cumulative 646 (3 230 b/s)."""
+        link = QKDSystem(seed=2003).link()
+        first = link.run_slots(200_000)
+        second = link.run_slots(200_000)
+        assert (first.sifted_bits, second.sifted_bits) == (334, 312)
+        assert second.sifted_rate_bps == pytest.approx(1_560.0)
+        assert link.engine.statistics.sifted_bits == 646
+        for name in ("distilled_bits", "blocks_distilled", "blocks_aborted"):
+            total = getattr(link.engine.statistics, name)
+            assert getattr(first, name) + getattr(second, name) == total, name
+        errors = link.engine.statistics.sifted_errors
+        assert first.mean_qber * 334 + second.mean_qber * 312 == pytest.approx(errors)
+        # The first report is a snapshot: the second run left it alone.
+        assert first.sifted_bits == 334 and first.slots_transmitted == 200_000
 
 
 class TestAttackedLink:
