@@ -253,7 +253,9 @@ def build_metro_mesh(
                 net.add_link(a, b, TRUNK_KM)
     plan = ZonePlan(zones=zones, gateways=gateways)
     relays_net = TrustedRelayNetwork(net, rng=rng.fork("transport"))
-    if prefill_seconds > 0:
+    # Zero means no prefill and takes no refill epoch; any other value,
+    # NaN and negatives included, goes to run_links_for, which checks it.
+    if prefill_seconds != 0:
         relays_net.run_links_for(prefill_seconds, workers=workers)
     return relays_net, plan
 

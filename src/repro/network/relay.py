@@ -16,6 +16,7 @@ trust exposure the paper identifies as the architecture's prime weakness.
 from __future__ import annotations
 
 import inspect
+import math
 import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Tuple
@@ -116,6 +117,18 @@ class PairwisePads(dict):
         ).to_bytes(len(payload), "big")
 
 
+def sequential_pad_material(rng: DeterministicRNG, n_bytes: int) -> bytes:
+    """``n_bytes`` of pad from ``rng``'s own stream in one draw.
+
+    Byte ``i`` is the top byte of the ``i``-th 32-bit Mersenne Twister
+    word, and exactly ``n_bytes`` words are consumed: the same bytes, and
+    the same generator state after, as one ``getrandbits(8)`` per byte
+    (CPython fills ``getrandbits(32 n)`` with n words, least significant
+    first, and ``getrandbits(8)`` is one word's top byte).
+    """
+    return rng.getrandbits(32 * n_bytes).to_bytes(4 * n_bytes, "little")[3::4]
+
+
 def pad_material_from_seed(job: Tuple[int, int]) -> bytes:
     """Pairwise pad material for one link, from its own labeled stream.
 
@@ -169,7 +182,8 @@ class TrustedRelayNetwork:
         ``prefill_seconds`` optionally lets every link distill pairwise key
         before the network is handed back, so it is immediately usable;
         ``workers`` is passed to that prefill as its stream selector (see
-        :meth:`run_links_for`).
+        :meth:`run_links_for`, which refuses a NaN, infinite or negative
+        duration).  Zero means no prefill.
         """
         rng = rng or DeterministicRNG(0)
         network = QKDNetwork.relay_mesh(
@@ -179,7 +193,9 @@ class TrustedRelayNetwork:
             rng=rng.fork("topology"),
         )
         relays = cls(network, rng=rng.fork("transport"))
-        if prefill_seconds > 0:
+        # Zero means no prefill and takes no refill epoch; any other value,
+        # NaN and negatives included, goes to run_links_for, which checks it.
+        if prefill_seconds != 0:
             relays.run_links_for(prefill_seconds, workers=workers)
         return relays
 
@@ -229,25 +245,30 @@ class TrustedRelayNetwork:
 
         ``workers`` selects the stream the material is drawn from, nothing
         else (no pool runs either way).  ``None``: the network's single
-        sequential stream.  Any worker count: every link's material comes
-        from its own labeled fork (``pad/<epoch>/<node-a>--<node-b>``),
-        applied in link order — the result depends only on the network seed,
-        the refill epoch and the link names, never on the count.  Both
-        streams are pinned by soak digests, so both stay.
+        sequential stream — links in ``network.links()`` order, one draw per
+        link that gets material, each pad byte the top byte of one 32-bit
+        Mersenne Twister word (:func:`sequential_pad_material`; byte for byte
+        what one ``getrandbits(8)`` per byte drew).  Any worker count: every
+        link's material comes from its own labeled fork
+        (``pad/<epoch>/<node-a>--<node-b>``), applied in link order — the
+        result depends only on the network seed, the refill epoch and the
+        link names, never on the count.  Both streams are pinned, so both
+        stay.
+
+        ``seconds`` must be finite and non-negative on either stream; NaN,
+        an infinity or a negative duration raises :class:`ValueError`
+        before any link is touched.
         """
-        if seconds < 0:
-            raise ValueError("duration must be non-negative")
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ValueError(f"duration must be finite and non-negative, got {seconds}")
         if workers is None:
             for edge in self.network.links():
                 if not edge.usable:
                     continue
-                new_bits = int(edge.secret_key_rate_bps * seconds)
-                new_bytes = new_bits // 8
+                new_bytes = int(edge.secret_key_rate_bps * seconds) // 8
                 if new_bytes <= 0:
                     continue
-                material = bytes(
-                    self.rng.getrandbits(8) for _ in range(new_bytes)
-                )
+                material = sequential_pad_material(self.rng, new_bytes)
                 self.bank_pad(edge.node_a, edge.node_b, material)
             return
 
