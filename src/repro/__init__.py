@@ -38,51 +38,34 @@ The quickest way in is the facade::
     from repro import QKDSystem
     report = QKDSystem(seed=2003).link().run_seconds(2.0)
 
+Every package, this one included, resolves its exports on first use
+(:mod:`repro.util.exports`): ``import repro`` loads no subsystem, and each
+facade builder loads its layer when first called (``docs/API.md``, "What an
+import loads").
+
 See ``docs/API.md`` for the pipeline stages and the facade entry points, and ``ROADMAP.md`` for where the system is headed.
 """
 
-from repro.api import MeshSystem, QKDSystem, SystemConfig, VPNSystem
-from repro.dtn import (
-    ContactGraphSelector,
-    ContactSchedule,
-    ContactWindow,
-    CustodyStore,
-    CustodyTransport,
-)
-from repro.kms import (
-    AggregateProfile,
-    AggregateWorkload,
-    KeyManagementService,
-    KmsConfig,
-    SoakReport,
-    TrafficWorkload,
-    WorkloadProfile,
-    ZonePlan,
-    build_metro_mesh,
-)
-from repro.lanes import LaneEngine
+from repro.util.exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "QKDSystem",
-    "SystemConfig",
-    "VPNSystem",
-    "MeshSystem",
-    "KeyManagementService",
-    "KmsConfig",
-    "SoakReport",
-    "TrafficWorkload",
-    "WorkloadProfile",
-    "AggregateProfile",
-    "AggregateWorkload",
-    "ZonePlan",
-    "build_metro_mesh",
-    "LaneEngine",
-    "ContactGraphSelector",
-    "ContactSchedule",
-    "ContactWindow",
-    "CustodyStore",
-    "CustodyTransport",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api": ("MeshSystem", "QKDSystem", "SystemConfig", "VPNSystem"),
+        "repro.dtn.contact": ("ContactGraphSelector", "ContactSchedule", "ContactWindow"),
+        "repro.dtn.store": ("CustodyStore",),
+        "repro.dtn.transport": ("CustodyTransport",),
+        "repro.kms.workload": (
+            "AggregateProfile",
+            "AggregateWorkload",
+            "TrafficWorkload",
+            "WorkloadProfile",
+        ),
+        "repro.kms.service": ("KeyManagementService", "KmsConfig", "SoakReport"),
+        "repro.kms.zones": ("ZonePlan", "build_metro_mesh"),
+        "repro.lanes.engine": ("LaneEngine",),
+    },
+)
+__all__.insert(0, "__version__")

@@ -31,23 +31,24 @@ keys — ``QKDSystem(seed=s).link()`` is bit-for-bit the legacy
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the facade light
+    from repro.core.engine import EngineParameters
+    from repro.ipsec.gateway import GatewayPair
     from repro.kms.zones import ZonePlan
+    from repro.lanes import LaneEngine
+    from repro.link.qkd_link import LinkParameters, LinkReport, QKDLink
+    from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
+    from repro.optics.channel import ChannelParameters
+    from repro.sim.clock import SimClock
 
-from repro.core.engine import EngineParameters
-from repro.ipsec.gateway import GatewayPair
 from repro.kms.service import KeyManagementService, KmsConfig, SoakReport
 from repro.kms.workload import TrafficWorkload, WorkloadProfile
-from repro.lanes import LaneEngine
 from repro.ipsec.packets import IPPacket
 from repro.ipsec.spd import CipherSuite, SecurityPolicy
-from repro.link.qkd_link import LinkParameters, LinkReport, QKDLink
-from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
-from repro.optics.channel import ChannelParameters
-from repro.sim.clock import SimClock
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -97,6 +98,8 @@ class SystemConfig:
     # ------------------------------------------------------------------ #
 
     def engine_parameters(self) -> EngineParameters:
+        from repro.core.engine import EngineParameters
+
         return EngineParameters(
             defense=self.defense,
             confidence_sigmas=self.confidence_sigmas,
@@ -107,11 +110,15 @@ class SystemConfig:
         )
 
     def channel_parameters(self) -> ChannelParameters:
+        from repro.optics.channel import ChannelParameters
+
         if self.entangled:
             return ChannelParameters.entangled_link(self.distance_km)
         return ChannelParameters.for_distance(self.distance_km)
 
     def link_parameters(self) -> LinkParameters:
+        from repro.link.qkd_link import LinkParameters
+
         return LinkParameters(
             channel=self.channel_parameters(),
             engine=self.engine_parameters(),
@@ -143,6 +150,8 @@ class QKDSystem:
 
     def link(self, name: Optional[str] = None, **overrides) -> QKDLink:
         """A point-to-point QKD link: channel + engine + both key pools."""
+        from repro.link.qkd_link import QKDLink
+
         config = replace(self.config, **overrides) if overrides else self.config
         return QKDLink(
             config.link_parameters(),
@@ -157,13 +166,15 @@ class QKDSystem:
         have key from the moment they come up; ``link.run_seconds`` on the
         result models a continuously running link.
         """
+        from repro.ipsec.gateway import GatewayPair
+        from repro.sim.clock import SimClock
+
         config = replace(self.config, **overrides) if overrides else self.config
+        seconds = config.distill_seconds
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ValueError(f"distill_seconds must be finite and non-negative, got {seconds!r}")
         link = QKDSystem(config).link(name=f"{config.name}-vpn-link")
-        initial_report = (
-            link.run_seconds(config.distill_seconds)
-            if config.distill_seconds > 0
-            else None
-        )
+        initial_report = link.run_seconds(seconds) if seconds > 0 else None
         assembly_rng = DeterministicRNG(config.seed).fork("vpn-assembly")
         # One persistent RNG feeds every reservoir credit (prefill and later
         # top_up calls), so repeated draws never repeat key material.
@@ -190,6 +201,8 @@ class QKDSystem:
 
     def mesh(self, **overrides) -> "MeshSystem":
         """A trusted-relay key-transport mesh with prefilled pairwise pools."""
+        from repro.network.relay import TrustedRelayNetwork
+
         config = replace(self.config, **overrides) if overrides else self.config
         relays = TrustedRelayNetwork.for_mesh(
             n_endpoints=config.n_endpoints,
@@ -241,6 +254,8 @@ class QKDSystem:
         ``run_slots`` on the result.  Every lane's key material is
         bit-identical to the same link run alone.
         """
+        from repro.lanes import LaneEngine
+
         config = replace(self.config, **overrides) if overrides else self.config
         return LaneEngine.for_fleet(
             n_lanes,

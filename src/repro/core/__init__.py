@@ -27,41 +27,24 @@ frame of channel detections all the way to authenticated, distilled key:
   stages of :mod:`repro.pipeline`, run in the paper's fixed order.
 """
 
-from repro.core.sifting import SiftingProtocol, SiftResult, run_length_encode_mask
-from repro.core.cascade import CascadeProtocol, CascadeResult, CascadeParameters
-from repro.core.entropy_estimation import (
-    BennettDefense,
-    SlutskyDefense,
-    EntropyEstimate,
-    EntropyEstimator,
-    EntropyInputs,
-)
-from repro.core.privacy import PrivacyAmplification, PrivacyAmplificationResult
-from repro.core.randomness import RandomnessReport, RandomnessTester
-from repro.core.authentication import AuthenticatedChannel
-from repro.core.keypool import KeyPool, KeyBlock
-from repro.core.engine import QKDProtocolEngine, DistillationOutcome, EngineParameters
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "SiftingProtocol",
-    "SiftResult",
-    "run_length_encode_mask",
-    "CascadeProtocol",
-    "CascadeResult",
-    "CascadeParameters",
-    "BennettDefense",
-    "SlutskyDefense",
-    "EntropyEstimate",
-    "EntropyEstimator",
-    "EntropyInputs",
-    "PrivacyAmplification",
-    "PrivacyAmplificationResult",
-    "RandomnessTester",
-    "RandomnessReport",
-    "AuthenticatedChannel",
-    "KeyPool",
-    "KeyBlock",
-    "QKDProtocolEngine",
-    "DistillationOutcome",
-    "EngineParameters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.sifting": ("SiftingProtocol", "SiftResult", "run_length_encode_mask"),
+        "repro.core.cascade": ("CascadeProtocol", "CascadeResult", "CascadeParameters"),
+        "repro.core.entropy_estimation": (
+            "BennettDefense",
+            "SlutskyDefense",
+            "EntropyEstimate",
+            "EntropyEstimator",
+            "EntropyInputs",
+        ),
+        "repro.core.privacy": ("PrivacyAmplification", "PrivacyAmplificationResult"),
+        "repro.core.randomness": ("RandomnessReport", "RandomnessTester"),
+        "repro.core.authentication": ("AuthenticatedChannel",),
+        "repro.core.keypool": ("KeyPool", "KeyBlock"),
+        "repro.core.engine": ("QKDProtocolEngine", "DistillationOutcome", "EngineParameters"),
+    },
+)

@@ -59,7 +59,7 @@ from typing import ClassVar, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.core import wire
+from repro.core import wire_arrays
 from repro.core.messages import (
     CascadeBisection,
     CascadeParityReply,
@@ -250,8 +250,8 @@ class CascadeProtocol:
 
         # Only parities of the reference key are ever disclosed; ``diff`` is
         # the simulation's own knowledge of where the two keys still differ.
-        reference_bits = wire.unpack_bitmap(reference_key.to_bytes(), n)
-        working_bits = wire.unpack_bitmap(working_key.to_bytes(), n)
+        reference_bits = wire_arrays.unpack_bitmap(reference_key.to_bytes(), n)
+        working_bits = wire_arrays.unpack_bitmap(working_key.to_bytes(), n)
         diff = reference_bits ^ working_bits
 
         block_size = 0

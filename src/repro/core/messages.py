@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core import wire
+from repro.core import wire, wire_arrays
 from repro.util.bits import BitString
 
 IntArray = Union[List[int], np.ndarray]
@@ -96,7 +96,8 @@ class SiftMessage:
             runs.size,
             len(self.detected_bases),
         )
-        return header + wire.pack_bitmap(self.detected_bases) + wire.encode_varints(runs)
+        bases = wire_arrays.pack_bitmap(self.detected_bases)
+        return header + bases + wire_arrays.encode_varints(runs)
 
     def encode_json(self) -> bytes:
         return _encode_json_payload(
@@ -115,8 +116,8 @@ class SiftMessage:
             data, wire.KIND_SIFT, "IIII"
         )
         split = wire.bitmap_size(n_bases)
-        bases = wire.unpack_bitmap(payload[:split], n_bases)
-        runs = wire.decode_varints(payload[split:], n_runs)
+        bases = wire_arrays.unpack_bitmap(payload[:split], n_bases)
+        runs = wire_arrays.decode_varints(payload[split:], n_runs)
         return cls(
             frame_id=frame_id,
             n_slots=n_slots,
@@ -152,7 +153,7 @@ class SiftResponseMessage:
         header = wire.pack_header(
             wire.KIND_SIFT_RESPONSE, "II", self.frame_id, len(self.accept_mask)
         )
-        return header + wire.pack_bitmap(self.accept_mask)
+        return header + wire_arrays.pack_bitmap(self.accept_mask)
 
     def encode_json(self) -> bytes:
         return _encode_json_payload(
@@ -164,7 +165,7 @@ class SiftResponseMessage:
         (frame_id, n_accept), payload = wire.unpack_header(
             data, wire.KIND_SIFT_RESPONSE, "II"
         )
-        return cls(frame_id=frame_id, accept_mask=wire.unpack_bitmap(payload, n_accept))
+        return cls(frame_id=frame_id, accept_mask=wire_arrays.unpack_bitmap(payload, n_accept))
 
     @property
     def size_bytes(self) -> int:
@@ -230,7 +231,7 @@ class CascadeSubsetAnnouncement:
                 raise ValueError("announcement seeds must be integers")
         if len(self.parities) != len(self.seeds):
             raise ValueError("announcement needs one parity per seed")
-        return header + seeds.astype("<u4").tobytes() + wire.pack_bitmap(self.parities)
+        return header + seeds.astype("<u4").tobytes() + wire_arrays.pack_bitmap(self.parities)
 
     def encode_json(self) -> bytes:
         return _encode_json_payload(
@@ -252,7 +253,7 @@ class CascadeSubsetAnnouncement:
         if len(payload) < seed_bytes:
             raise wire.WireDecodeError("announcement truncated inside seed table")
         seeds = np.frombuffer(payload[:seed_bytes], dtype="<u4").astype(np.int64)
-        parities = wire.unpack_bitmap(payload[seed_bytes:], n_seeds)
+        parities = wire_arrays.unpack_bitmap(payload[seed_bytes:], n_seeds)
         return cls(
             round_index=round_index,
             key_length=key_length,
@@ -272,7 +273,7 @@ class CascadeParityReply:
         header = wire.pack_header(
             wire.KIND_CASCADE_PARITIES, "iI", self.round_index, len(self.parities)
         )
-        return header + wire.pack_bitmap(self.parities)
+        return header + wire_arrays.pack_bitmap(self.parities)
 
     def encode_json(self) -> bytes:
         return _encode_json_payload(
@@ -285,7 +286,7 @@ class CascadeParityReply:
             data, wire.KIND_CASCADE_PARITIES, "iI"
         )
         return cls(
-            round_index=round_index, parities=wire.unpack_bitmap(payload, n_parities)
+            round_index=round_index, parities=wire_arrays.unpack_bitmap(payload, n_parities)
         )
 
 
@@ -372,12 +373,12 @@ class CascadeBisectQuery:
             return (
                 header
                 + bytes([self._MODE_RANGE])
-                + wire.encode_varints(indices[:1])
+                + wire_arrays.encode_varints(indices[:1])
             )
         return (
             header
             + bytes([self._MODE_DELTAS])
-            + wire.encode_ascending_indices(indices)
+            + wire_arrays.encode_ascending_indices(indices)
         )
 
     def encode_json(self) -> bytes:
@@ -409,11 +410,11 @@ class CascadeBisectQuery:
                     f"range-coded bisect query claims {n_indices} indices "
                     f"(limit {cls._MAX_DECODED_INDICES})"
                 )
-            first = int(wire.decode_varints(payload, 1)[0])
+            first = int(wire_arrays.decode_varints(payload, 1)[0])
             indices = tuple(range(first, first + n_indices))
         elif mode == cls._MODE_DELTAS:
             indices = tuple(
-                int(i) for i in wire.decode_ascending_indices(payload, n_indices)
+                int(i) for i in wire_arrays.decode_ascending_indices(payload, n_indices)
             )
         else:
             raise wire.WireDecodeError(f"unknown bisect query mode {mode}")
@@ -437,11 +438,11 @@ def _slice_query_bytes(
     first = int(subset.array[lo])
     mode = CascadeBisectQuery._MODE_DELTAS
     if int(subset.array[hi - 1]) - first == hi - lo - 1:
-        mode, indices = CascadeBisectQuery._MODE_RANGE, wire.encode_varints((first,))
+        mode, indices = CascadeBisectQuery._MODE_RANGE, wire_arrays.encode_varints((first,))
     elif subset.delta_bytes:
-        indices = wire.encode_varints((first,)) + subset.delta_bytes[lo : hi - 1]
+        indices = wire_arrays.encode_varints((first,)) + subset.delta_bytes[lo : hi - 1]
     else:
-        indices = wire.encode_ascending_indices(subset.array[lo:hi])
+        indices = wire_arrays.encode_ascending_indices(subset.array[lo:hi])
     try:
         header = _BISECT_QUERY_HEADER.pack(
             wire.KIND_CASCADE_BISECT, round_index, subset_index, hi - lo, mode

@@ -17,20 +17,19 @@ Everything here is implemented from scratch (no external crypto libraries):
   from Toeplitz universal hashing and one-time-pad masking.
 """
 
-from repro.crypto.aes import AES
-from repro.crypto.modes import cbc_decrypt, cbc_encrypt
-from repro.crypto.otp import OneTimePad, PadExhaustedError
-from repro.crypto.sha1 import hmac_sha1, sha1
-from repro.crypto.wegman_carter import WegmanCarterAuthenticator, AuthenticationError
+# ``sha1`` names both a submodule and its hash function.  Bound lazily, the
+# first ``import repro.crypto.sha1`` anywhere would leave the module here
+# instead, so the function is the one export bound up front.
+from repro.crypto.sha1 import sha1  # noqa: F401
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "AES",
-    "cbc_decrypt",
-    "cbc_encrypt",
-    "OneTimePad",
-    "PadExhaustedError",
-    "hmac_sha1",
-    "sha1",
-    "WegmanCarterAuthenticator",
-    "AuthenticationError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.crypto.aes": ("AES",),
+        "repro.crypto.modes": ("cbc_decrypt", "cbc_encrypt"),
+        "repro.crypto.otp": ("OneTimePad", "PadExhaustedError"),
+        "repro.crypto.sha1": ("hmac_sha1", "sha1"),
+        "repro.crypto.wegman_carter": ("WegmanCarterAuthenticator", "AuthenticationError"),
+    },
+)

@@ -19,41 +19,28 @@ standard DTN toolkit, specialised to OTP key material:
   digest.
 """
 
-from repro.dtn.contact import ContactGraphSelector, ContactSchedule, ContactWindow
-from repro.dtn.policies import (
-    POLICIES,
-    EpidemicPolicy,
-    ForwardingPolicy,
-    ScheduledPolicy,
-    build_policy,
-)
-from repro.dtn.store import (
-    DELIVERED,
-    EVICTED,
-    EXPIRED,
-    CustodyBundle,
-    CustodyError,
-    CustodyStore,
-    CustodyStoreStats,
-)
-from repro.dtn.transport import CustodyMetrics, CustodyTransport
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "DELIVERED",
-    "EVICTED",
-    "EXPIRED",
-    "POLICIES",
-    "ContactGraphSelector",
-    "ContactSchedule",
-    "ContactWindow",
-    "CustodyBundle",
-    "CustodyError",
-    "CustodyMetrics",
-    "CustodyStore",
-    "CustodyStoreStats",
-    "CustodyTransport",
-    "EpidemicPolicy",
-    "ForwardingPolicy",
-    "ScheduledPolicy",
-    "build_policy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dtn.contact": ("ContactGraphSelector", "ContactSchedule", "ContactWindow"),
+        "repro.dtn.policies": (
+            "POLICIES",
+            "EpidemicPolicy",
+            "ForwardingPolicy",
+            "ScheduledPolicy",
+            "build_policy",
+        ),
+        "repro.dtn.store": (
+            "DELIVERED",
+            "EVICTED",
+            "EXPIRED",
+            "CustodyBundle",
+            "CustodyError",
+            "CustodyStore",
+            "CustodyStoreStats",
+        ),
+        "repro.dtn.transport": ("CustodyMetrics", "CustodyTransport"),
+    },
+)

@@ -17,14 +17,14 @@ here are the ones whose observable consequences the paper discusses:
   without letting new key form (the denial-of-service concern of section 2).
 """
 
-from repro.eve.base import QuantumChannelAttack
-from repro.eve.intercept_resend import InterceptResendAttack
-from repro.eve.beamsplitter import BeamSplittingAttack
-from repro.eve.dos import KeyExhaustionDoS
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "QuantumChannelAttack",
-    "InterceptResendAttack",
-    "BeamSplittingAttack",
-    "KeyExhaustionDoS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.eve.base": ("QuantumChannelAttack",),
+        "repro.eve.intercept_resend": ("InterceptResendAttack",),
+        "repro.eve.beamsplitter": ("BeamSplittingAttack",),
+        "repro.eve.dos": ("KeyExhaustionDoS",),
+    },
+)

@@ -25,43 +25,28 @@ determines the entire experiment — physics, key material, *and* the
 disruption it survives.
 """
 
-from repro.faults.net import FaultyConnector, FaultyProtocol, FaultyTransport, stall_hook
-from repro.faults.plane import (
-    DELAY,
-    DROP_AFTER,
-    DROP_BEFORE,
-    REFUSE,
-    SITE_CLIENT_RX,
-    SITE_CLIENT_TX,
-    SITE_CONNECT,
-    SITE_KINDS,
-    SITE_SERVER_REQUEST,
-    SITES,
-    STALL,
-    TRUNCATE,
-    FaultAction,
-    FaultPlane,
-    FaultPlaneStats,
-)
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "DELAY",
-    "DROP_AFTER",
-    "DROP_BEFORE",
-    "FaultAction",
-    "FaultPlane",
-    "FaultPlaneStats",
-    "FaultyConnector",
-    "FaultyProtocol",
-    "FaultyTransport",
-    "REFUSE",
-    "SITE_CLIENT_RX",
-    "SITE_CLIENT_TX",
-    "SITE_CONNECT",
-    "SITE_KINDS",
-    "SITE_SERVER_REQUEST",
-    "SITES",
-    "STALL",
-    "TRUNCATE",
-    "stall_hook",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.net": ("FaultyConnector", "FaultyProtocol", "FaultyTransport", "stall_hook"),
+        "repro.faults.plane": (
+            "DELAY",
+            "DROP_AFTER",
+            "DROP_BEFORE",
+            "REFUSE",
+            "SITE_CLIENT_RX",
+            "SITE_CLIENT_TX",
+            "SITE_CONNECT",
+            "SITE_KINDS",
+            "SITE_SERVER_REQUEST",
+            "SITES",
+            "STALL",
+            "TRUNCATE",
+            "FaultAction",
+            "FaultPlane",
+            "FaultPlaneStats",
+        ),
+    },
+)

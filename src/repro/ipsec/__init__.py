@@ -17,27 +17,21 @@ its QKD "Qblock" negotiation (whose log output regenerates the paper's
 Fig 12), ESP tunnel processing, and the VPN gateway that ties them together.
 """
 
-from repro.ipsec.packets import IPPacket, ESPPacket
-from repro.ipsec.spd import SecurityPolicy, SecurityPolicyDatabase, PolicyAction, CipherSuite
-from repro.ipsec.sad import SecurityAssociation, SecurityAssociationDatabase
-from repro.ipsec.ike import IKEDaemon, IKEConfig, QkdKeyNegotiation
-from repro.ipsec.esp import EspProcessor, EspError
-from repro.ipsec.gateway import VPNGateway, GatewayPair
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "IPPacket",
-    "ESPPacket",
-    "SecurityPolicy",
-    "SecurityPolicyDatabase",
-    "PolicyAction",
-    "CipherSuite",
-    "SecurityAssociation",
-    "SecurityAssociationDatabase",
-    "IKEDaemon",
-    "IKEConfig",
-    "QkdKeyNegotiation",
-    "EspProcessor",
-    "EspError",
-    "VPNGateway",
-    "GatewayPair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ipsec.packets": ("IPPacket", "ESPPacket"),
+        "repro.ipsec.spd": (
+            "SecurityPolicy",
+            "SecurityPolicyDatabase",
+            "PolicyAction",
+            "CipherSuite",
+        ),
+        "repro.ipsec.sad": ("SecurityAssociation", "SecurityAssociationDatabase"),
+        "repro.ipsec.ike": ("IKEDaemon", "IKEConfig", "QkdKeyNegotiation"),
+        "repro.ipsec.esp": ("EspProcessor", "EspError"),
+        "repro.ipsec.gateway": ("VPNGateway", "GatewayPair"),
+    },
+)

@@ -32,22 +32,15 @@ from repro.core.keypool import KeyPool
 from repro.crypto.otp import OneTimePad
 from repro.crypto.sha1 import hmac_sha1, prf_expand
 from repro.ipsec.sad import SecurityAssociation, SecurityAssociationDatabase
-from repro.ipsec.spd import CipherSuite, SecurityPolicy
+from repro.ipsec.spd import QBLOCK_BITS, CipherSuite, NegotiationError, SecurityPolicy
 from repro.util.rng import DeterministicRNG
 
-#: Size of one negotiated Qblock in bits, matching the paper's Fig 12
-#: ("reply 1 Qblocks 1024 bits").
-QBLOCK_BITS = 1024
 #: Lifetime of the Phase-1 (ISAKMP) SA.
 PHASE1_LIFETIME_SECONDS = 3600.0
 
 #: The racoon log keeps its latest lines only, as a rotated syslog does: a
 #: daemon that rekeys every minute for as long as it runs must not grow.
 LOG_LINES_KEPT = 256
-
-
-class NegotiationError(Exception):
-    """Raised when a Phase-2 negotiation cannot complete."""
 
 
 class NegotiationTimeout(NegotiationError):

@@ -16,6 +16,15 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+#: Size of one negotiated Qblock in bits, matching the paper's Fig 12
+#: ("reply 1 Qblocks 1024 bits"); a policy's ``qkd_bits_per_rekey`` is
+#: offered in whole Qblocks.
+QBLOCK_BITS = 1024
+
+
+class NegotiationError(Exception):
+    """Raised when a policy's Phase-2 negotiation cannot complete."""
+
 
 class PolicyAction(enum.Enum):
     """What to do with a matching packet."""

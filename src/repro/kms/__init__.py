@@ -26,56 +26,34 @@ Entry point: ``QKDSystem(...).mesh(...).kms(config=KmsConfig()...)`` on the
 :mod:`repro.api` facade, or build a :class:`KeyManagementService` directly.
 """
 
-from repro.kms.indexing import LazyPriorityHeap
-from repro.kms.scheduler import (
-    EpochReport,
-    ReplenishmentConfig,
-    ReplenishmentScheduler,
-)
-from repro.kms.service import (
-    KeyManagementService,
-    KmsConfig,
-    KmsMetrics,
-    SoakReport,
-    percentile,
-)
-from repro.kms.store import (
-    KeyReservation,
-    KeyStore,
-    KeyStoreExhaustedError,
-    ReservationError,
-    StorePool,
-    StoreStatistics,
-)
-from repro.kms.workload import (
-    AggregateProfile,
-    AggregateWorkload,
-    TrafficWorkload,
-    WorkloadProfile,
-)
-from repro.kms.zones import ZonedReplenisher, ZonePlan, build_metro_mesh
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "AggregateProfile",
-    "AggregateWorkload",
-    "EpochReport",
-    "KeyManagementService",
-    "KeyReservation",
-    "KeyStore",
-    "KeyStoreExhaustedError",
-    "KmsConfig",
-    "KmsMetrics",
-    "LazyPriorityHeap",
-    "percentile",
-    "ReplenishmentConfig",
-    "ReplenishmentScheduler",
-    "ReservationError",
-    "SoakReport",
-    "StorePool",
-    "StoreStatistics",
-    "TrafficWorkload",
-    "WorkloadProfile",
-    "ZonePlan",
-    "ZonedReplenisher",
-    "build_metro_mesh",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.kms.indexing": ("LazyPriorityHeap",),
+        "repro.kms.scheduler": ("EpochReport", "ReplenishmentConfig", "ReplenishmentScheduler"),
+        "repro.kms.service": (
+            "KeyManagementService",
+            "KmsConfig",
+            "KmsMetrics",
+            "SoakReport",
+            "percentile",
+        ),
+        "repro.kms.store": (
+            "KeyReservation",
+            "KeyStore",
+            "KeyStoreExhaustedError",
+            "ReservationError",
+            "StorePool",
+            "StoreStatistics",
+        ),
+        "repro.kms.workload": (
+            "AggregateProfile",
+            "AggregateWorkload",
+            "TrafficWorkload",
+            "WorkloadProfile",
+        ),
+        "repro.kms.zones": ("ZonedReplenisher", "ZonePlan", "build_metro_mesh"),
+    },
+)

@@ -48,14 +48,15 @@ import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
-from repro.link.qkd_link import LinkParameters, QKDLink, secret_fraction
-from repro.network.relay import TrustedRelayNetwork, pad_material_from_seed
-from repro.network.topology import QKDLinkEdge
-from repro.runtime.farm import LinkFarm, LinkJob, resolve_workers
 from repro.util.rng import DeterministicRNG
+
+if TYPE_CHECKING:  # imported lazily at runtime: a config or a key server loads no link code
+    from repro.link.qkd_link import QKDLink
+    from repro.network.relay import TrustedRelayNetwork
+    from repro.network.topology import QKDLinkEdge
 
 #: Fidelity modes the scheduler can dispatch epochs in.
 MODES = ("analytic", "montecarlo")
@@ -108,6 +109,8 @@ class ReplenishmentConfig:
         cap = self.max_links_per_epoch
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise ValueError(f"max_links_per_epoch must be None or a positive integer, got {cap!r}")
+        from repro.runtime.farm import resolve_workers
+
         resolve_workers(self.workers)
 
 
@@ -138,6 +141,8 @@ class ReplenishmentScheduler:
         config: Optional[ReplenishmentConfig] = None,
         links: Optional[Iterable[Tuple[str, str]]] = None,
     ):
+        from repro.runtime.farm import LinkFarm
+
         self.relays = relays
         self.config = config or ReplenishmentConfig()
         #: Labeled epoch seeds derive from this seed only.
@@ -221,6 +226,8 @@ class ReplenishmentScheduler:
         """A cached analytic-model link for a given fiber length."""
         link = self._link_cache.get(length_km)
         if link is None:
+            from repro.link.qkd_link import LinkParameters, QKDLink
+
             link = QKDLink(LinkParameters.for_distance(length_km), DeterministicRNG(0))
             self._link_cache[length_km] = link
         return link
@@ -306,6 +313,9 @@ class ReplenishmentScheduler:
     # ---- Monte-Carlo mode -------------------------------------------- #
 
     def _run_montecarlo(self, selected: List[QKDLinkEdge], report: EpochReport) -> None:
+        from repro.link.qkd_link import LinkParameters
+        from repro.runtime.farm import LinkJob
+
         jobs: List[LinkJob] = []
         for edge in selected:
             key = self._key(edge.node_a, edge.node_b)
@@ -355,12 +365,16 @@ class ReplenishmentScheduler:
             # The link's analytic model at the attack-elevated QBER: the
             # engine still distills, but Cascade and the defense function
             # eat more of every sifted bit.
+            from repro.link.qkd_link import secret_fraction
+
             mu = link.parameters.channel.effective_mean_photon_number
             rate = link.sifted_rate_bps() * secret_fraction(induced, mu)
         room = max(self.config.pad_target_bits - self._pad_bits(edge), 0)
         return min(int(rate * self.config.epoch_seconds), room), False
 
     def _run_analytic(self, selected: List[QKDLinkEdge], report: EpochReport) -> None:
+        from repro.network.relay import pad_material_from_seed
+
         for edge in selected:
             key = self._key(edge.node_a, edge.node_b)
             bits, detected = self._analytic_yield_bits(edge, self.attacks.get(key))

@@ -56,14 +56,16 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple, Union
 
-if TYPE_CHECKING:  # imported lazily at runtime to keep kms asyncio-free
+if TYPE_CHECKING:  # imported lazily at runtime: a key server loads no relay, IPsec or DTN code
     from repro.dtn.store import CustodyBundle
+    from repro.dtn.transport import CustodyMetrics, CustodyTransport
+    from repro.ipsec.gateway import GatewayPair
+    from repro.kms.zones import ZonePlan
     from repro.netkms.server import NetworkKmsServer
+    from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
+    from repro.sim.clock import ScheduledEvent
 
-from repro.dtn.transport import CustodyMetrics, CustodyTransport
-from repro.ipsec.gateway import GatewayPair
-from repro.ipsec.ike import QBLOCK_BITS, NegotiationError
-from repro.ipsec.spd import CipherSuite, SecurityPolicy
+from repro.ipsec.spd import QBLOCK_BITS, CipherSuite, NegotiationError, SecurityPolicy
 from repro.kms.indexing import DROP, EMIT, LazyPriorityHeap
 from repro.kms.scheduler import ReplenishmentConfig, ReplenishmentScheduler
 from repro.kms.store import KeyStore, KeyStoreExhaustedError
@@ -73,10 +75,6 @@ from repro.kms.workload import (
     TrafficWorkload,
     WorkloadProfile,
 )
-from repro.kms.zones import ZonePlan, ZonedReplenisher
-from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
-from repro.network.routing import RoutingError
-from repro.sim.clock import EventScheduler, ScheduledEvent, SimClock
 from repro.util.bits import BitString
 from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
@@ -340,6 +338,8 @@ class KeyManagementService:
         workload: Optional[TrafficWorkload] = None,
         rng: Optional[DeterministicRNG] = None,
     ):
+        from repro.sim.clock import EventScheduler, SimClock
+
         self.relays = relays
         self.config = config or KmsConfig()
         self.rng = rng or DeterministicRNG(0)
@@ -348,6 +348,8 @@ class KeyManagementService:
         self.workload = workload or self._build_workload()
         self.zone_plan: Optional[ZonePlan] = None
         if self.config.zones is not None:
+            from repro.kms.zones import ZonePlan, ZonedReplenisher
+
             plan = (
                 self.config.zones
                 if isinstance(self.config.zones, ZonePlan)
@@ -464,6 +466,8 @@ class KeyManagementService:
         )
 
     def _build_pair(self, index: int, pair: Pair) -> None:
+        from repro.ipsec.gateway import GatewayPair
+
         for name in pair:
             if name not in self.relays.network.graph:
                 raise KeyError(f"unknown mesh node {name!r} in gateway pair {pair}")
@@ -679,7 +683,7 @@ class KeyManagementService:
         self._waiters[pair].append(waiter)
         # A waiter keeps its pair in the needy set even at high water.
         self._changed.add(pair)
-        self._pressure(self._preferred_path(pair))
+        self._pressure(self.relays.preferred_path(*pair))
 
     def _on_waiter_timeout(self, waiter: RekeyWaiter) -> None:
         if waiter.resolved:
@@ -885,7 +889,9 @@ class KeyManagementService:
     def _supply(self, feed: _Feed, now: float) -> KeyTransportResult:
         """The next key for ``feed``'s store, as a plain transport result."""
         if feed.source is not None:
-            return self._draw_from_trunk(feed.source, feed.store.pair, now)
+            return self.replenisher.draw_from_trunk(
+                feed.source, feed.store.pair, self.config.transport_key_bits, now
+            )
         return self._transport(feed.store, feed.within, now)
 
     def _transport(
@@ -898,65 +904,10 @@ class KeyManagementService:
             *store.pair, self.config.transport_key_bits, now, within
         )
         if not (result.success or result.custody_accepted) and store.below_low_water:
-            self._pressure(self._preferred_path(store.pair, within))
+            self._pressure(self.relays.preferred_path(*store.pair, within))
         return result
 
-
-    def _zone_legs(self, pair: Pair) -> List[List[str]]:
-        """The two last-mile paths an inter-zone delivery must pad-spend:
-        source to its zone gateway, destination's gateway to destination —
-        each confined to its own zone (a gateway's own leg is just itself).
-        Raises RoutingError when a leg has no usable in-zone path."""
-        plan = self.zone_plan
-        find_path = self.relays.selector.find_path
-        zone_a, zone_b = plan.zone_of(pair[0]), plan.zone_of(pair[1])
-        return [
-            find_path(pair[0], plan.gateways[zone_a], within=plan.members(zone_a)),
-            find_path(plan.gateways[zone_b], pair[1], within=plan.members(zone_b)),
-        ]
-
-    def _draw_from_trunk(
-        self, trunk: KeyStore, pair: Pair, now: float
-    ) -> KeyTransportResult:
-        """The next key for one cross-zone store, from its zone pair's trunk.
-
-        End-to-end key is drawn (lockstep, both pools) from the trunk store,
-        then carried over the two in-zone legs by spending their pairwise
-        pads, all or nothing — the relay RNG is never touched, so intra-zone
-        key material is independent of inter-zone traffic.  A failed draw's
-        ``path`` names the hops whose pad it was short of."""
-        bits = self.config.transport_key_bits
-        try:
-            legs = self._zone_legs(pair)
-        except RoutingError as exc:
-            return KeyTransportResult(success=False, failure_reason=str(exc))
-        try:
-            reservation = trunk.reserve(bits, now=now)
-        except KeyStoreExhaustedError as exc:
-            # The gateway-to-gateway path refills an exhausted trunk.
-            return KeyTransportResult(
-                success=False, path=self._preferred_path(trunk.pair), failure_reason=str(exc)
-            )
-        shortage = self.relays.path_pad_shortage(legs, bits // 8)
-        if shortage is not None:
-            trunk.release(reservation)
-            return KeyTransportResult(success=False, path=list(shortage), failed_hop=shortage)
-        key = trunk.draw(reservation, now)
-        consumed = self.relays.spend_path_pad(legs, key.to_bytes())
-        return KeyTransportResult(
-            success=True, path=legs[0] + legs[1], key=key, pad_bits_consumed=consumed
-        )
-
     # ---- pressure feedback ---------------------------------------------- #
-
-    def _preferred_path(
-        self, pair: Pair, within: Optional[Tuple[str, ...]] = None
-    ) -> List[str]:
-        """The path routing would pick for ``pair`` now (empty when none)."""
-        try:
-            return self.relays.selector.find_path(pair[0], pair[1], within=within)
-        except RoutingError:
-            return []
 
     def _pressure(self, path: List[str]) -> None:
         """Feed demand for every hop of ``path`` back into replenishment."""
@@ -1003,6 +954,8 @@ class KeyManagementService:
         return self._digest.hexdigest()
 
     def _build_report(self, horizon: float) -> SoakReport:
+        from repro.dtn.transport import CustodyMetrics
+
         eavesdropped = tuple(
             sorted(
                 (edge.node_a, edge.node_b)

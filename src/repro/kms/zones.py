@@ -31,12 +31,14 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.kms.scheduler import EpochReport, ReplenishmentConfig, ReplenishmentScheduler
+from repro.kms.store import KeyStore, KeyStoreExhaustedError
 from repro.network.graph import connected_components
-from repro.network.relay import TrustedRelayNetwork
+from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
+from repro.network.routing import RoutingError
 from repro.network.topology import NodeKind, QKDNetwork
 from repro.util.rng import DeterministicRNG
 
@@ -269,7 +271,8 @@ class ZonedReplenisher:
     the scheduler owning the link (its zone's, or the trunk scheduler for
     zone-crossing links).  Epochs run zones in sorted zone-id order, the
     trunk scheduler last, and merge the children's reports into one
-    :class:`~repro.kms.scheduler.EpochReport`.
+    :class:`~repro.kms.scheduler.EpochReport`.  It also supplies the
+    service's cross-zone stores (:meth:`draw_from_trunk`).
     """
 
     def __init__(
@@ -364,6 +367,55 @@ class ZonedReplenisher:
         self.epoch_index += 1
         self.reports.append(merged)
         return merged
+
+    # ---- cross-zone supply --------------------------------------------- #
+
+    def _zone_legs(self, pair: Pair) -> List[List[str]]:
+        """The two last-mile paths an inter-zone delivery must pad-spend:
+        source to its zone gateway, destination's gateway to destination —
+        each confined to its own zone (a gateway's own leg is just itself).
+        Raises RoutingError when a leg has no usable in-zone path."""
+        plan = self.plan
+        find_path = self.relays.selector.find_path
+        zone_a, zone_b = plan.zone_of(pair[0]), plan.zone_of(pair[1])
+        return [
+            find_path(pair[0], plan.gateways[zone_a], within=plan.members(zone_a)),
+            find_path(plan.gateways[zone_b], pair[1], within=plan.members(zone_b)),
+        ]
+
+    def draw_from_trunk(
+        self, trunk: KeyStore, pair: Pair, bits: int, now: float
+    ) -> KeyTransportResult:
+        """The next ``bits`` of key for one cross-zone store, from its zone
+        pair's trunk.
+
+        End-to-end key is drawn (lockstep, both pools) from the trunk store,
+        then carried over the two in-zone legs by spending their pairwise
+        pads, all or nothing — the relay RNG is never touched, so intra-zone
+        key material is independent of inter-zone traffic.  A failed draw's
+        ``path`` names the hops whose pad it was short of."""
+        try:
+            legs = self._zone_legs(pair)
+        except RoutingError as exc:
+            return KeyTransportResult(success=False, failure_reason=str(exc))
+        try:
+            reservation = trunk.reserve(bits, now=now)
+        except KeyStoreExhaustedError as exc:
+            # The gateway-to-gateway path refills an exhausted trunk.
+            return KeyTransportResult(
+                success=False,
+                path=self.relays.preferred_path(*trunk.pair),
+                failure_reason=str(exc),
+            )
+        shortage = self.relays.path_pad_shortage(legs, bits // 8)
+        if shortage is not None:
+            trunk.release(reservation)
+            return KeyTransportResult(success=False, path=list(shortage), failed_hop=shortage)
+        key = trunk.draw(reservation, now)
+        consumed = self.relays.spend_path_pad(legs, key.to_bytes())
+        return KeyTransportResult(
+            success=True, path=legs[0] + legs[1], key=key, pad_bits_consumed=consumed
+        )
 
     def __repr__(self) -> str:
         trunk = 1 if self.trunk_scheduler is not None else 0

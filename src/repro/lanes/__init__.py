@@ -4,6 +4,11 @@ See :mod:`repro.lanes.engine` for the execution model; a single
 :meth:`repro.link.qkd_link.QKDLink.run_slots` is one lane of it.
 """
 
-from repro.lanes.engine import LaneEngine
+from repro.util.exports import lazy_exports
 
-__all__ = ["LaneEngine"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lanes.engine": ("LaneEngine",),
+    },
+)

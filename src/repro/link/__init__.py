@@ -1,5 +1,10 @@
 """A complete QKD link: quantum channel + protocol engines at both ends."""
 
-from repro.link.qkd_link import QKDLink, LinkParameters, LinkReport
+from repro.util.exports import lazy_exports
 
-__all__ = ["QKDLink", "LinkParameters", "LinkReport"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.link.qkd_link": ("QKDLink", "LinkParameters", "LinkReport"),
+    },
+)

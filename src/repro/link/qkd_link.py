@@ -160,8 +160,8 @@ class QKDLink:
 
     def run_seconds(self, seconds: float, flush: bool = True) -> LinkReport:
         """Run the link for a given amount of channel (wall-clock) time."""
-        if seconds < 0:
-            raise ValueError("duration must be non-negative")
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise ValueError(f"duration must be finite and non-negative, got {seconds!r}")
         n_slots = int(seconds * self.parameters.channel.pulse_rate_hz)
         return self.run_slots(n_slots, flush=flush)
 

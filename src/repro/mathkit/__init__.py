@@ -17,18 +17,15 @@ combinatorial machinery:
   and Slutsky defense functions.
 """
 
-from repro.mathkit.gf2 import IncrementalGF2Rank
-from repro.mathkit.gf2n import GF2nField, PRIMITIVE_POLYNOMIALS
-from repro.mathkit.lfsr import LFSR, lfsr_subset_rows
-from repro.mathkit.toeplitz import ToeplitzHash
-from repro.mathkit.entropy import binary_entropy
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "IncrementalGF2Rank",
-    "GF2nField",
-    "PRIMITIVE_POLYNOMIALS",
-    "LFSR",
-    "lfsr_subset_rows",
-    "ToeplitzHash",
-    "binary_entropy",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.mathkit.gf2": ("IncrementalGF2Rank",),
+        "repro.mathkit.gf2n": ("GF2nField", "PRIMITIVE_POLYNOMIALS"),
+        "repro.mathkit.lfsr": ("LFSR", "lfsr_subset_rows"),
+        "repro.mathkit.toeplitz": ("ToeplitzHash",),
+        "repro.mathkit.entropy": ("binary_entropy",),
+    },
+)

@@ -23,48 +23,33 @@ unstarted server over the service's stores; ``await server.start()``
 brings it up.
 """
 
-from repro.netkms.client import (
-    NetworkKmsClient,
-    RequestTimeoutError,
-    ReservationHandle,
-    ServedKey,
-)
-from repro.netkms.metrics import MetricsReport, NetKmsMetrics
-from repro.netkms.protocol import (
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
-    PROTOCOL_V4,
-    SUPPORTED_VERSIONS,
-    ProtocolError,
-    ServerError,
-)
-from repro.netkms.resilient import (
-    RecoveryStats,
-    ResilientKmsClient,
-    RetriesExhaustedError,
-    RetryPolicy,
-)
-from repro.netkms.server import MAX_RESERVE_BITS, NetworkKmsServer
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "MAX_RESERVE_BITS",
-    "MetricsReport",
-    "NetKmsMetrics",
-    "NetworkKmsClient",
-    "NetworkKmsServer",
-    "PROTOCOL_V1",
-    "PROTOCOL_V2",
-    "PROTOCOL_V3",
-    "PROTOCOL_V4",
-    "ProtocolError",
-    "RecoveryStats",
-    "RequestTimeoutError",
-    "ReservationHandle",
-    "ResilientKmsClient",
-    "RetriesExhaustedError",
-    "RetryPolicy",
-    "ServedKey",
-    "ServerError",
-    "SUPPORTED_VERSIONS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.netkms.client": (
+            "NetworkKmsClient",
+            "RequestTimeoutError",
+            "ReservationHandle",
+            "ServedKey",
+        ),
+        "repro.netkms.metrics": ("MetricsReport", "NetKmsMetrics"),
+        "repro.netkms.protocol": (
+            "PROTOCOL_V1",
+            "PROTOCOL_V2",
+            "PROTOCOL_V3",
+            "PROTOCOL_V4",
+            "SUPPORTED_VERSIONS",
+            "ProtocolError",
+            "ServerError",
+        ),
+        "repro.netkms.resilient": (
+            "RecoveryStats",
+            "ResilientKmsClient",
+            "RetriesExhaustedError",
+            "RetryPolicy",
+        ),
+        "repro.netkms.server": ("MAX_RESERVE_BITS", "NetworkKmsServer"),
+    },
+)

@@ -22,7 +22,7 @@ Both ends cut frames out of the received bytes with :class:`FrameSplitter`,
 which judges a length prefix against ``max_frame_bytes`` before any body
 byte is waited for; every count inside a body is then validated against the
 bytes that arrived before anything output-sized is allocated — the
-hostile-input contract of :func:`repro.core.wire.decode_varints`.
+hostile-input contract of :func:`repro.core.wire_arrays.decode_varints`.
 
 Version negotiation
 -------------------

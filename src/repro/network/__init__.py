@@ -18,21 +18,20 @@ multiple links into a network.
   or eavesdropped links.
 """
 
-from repro.network.topology import QKDNetwork, QKDNode, QKDLinkEdge, NodeKind, interconnection_cost
-from repro.network.relay import TrustedRelayNetwork, KeyTransportResult
-from repro.network.switches import UntrustedSwitchNetwork, SwitchedPathReport
-from repro.network.routing import PathSelector, RoutingError
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "QKDNetwork",
-    "QKDNode",
-    "QKDLinkEdge",
-    "NodeKind",
-    "interconnection_cost",
-    "TrustedRelayNetwork",
-    "KeyTransportResult",
-    "UntrustedSwitchNetwork",
-    "SwitchedPathReport",
-    "PathSelector",
-    "RoutingError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.network.topology": (
+            "QKDNetwork",
+            "QKDNode",
+            "QKDLinkEdge",
+            "NodeKind",
+            "interconnection_cost",
+        ),
+        "repro.network.relay": ("TrustedRelayNetwork", "KeyTransportResult"),
+        "repro.network.switches": ("UntrustedSwitchNetwork", "SwitchedPathReport"),
+        "repro.network.routing": ("PathSelector", "RoutingError"),
+    },
+)

@@ -334,6 +334,16 @@ class TrustedRelayNetwork:
         """
         return self.pairwise_pads.cross_hop(node_a, node_b, payload)
 
+    def preferred_path(
+        self, source: str, destination: str, within: Optional[Iterable[str]] = None
+    ) -> List[str]:
+        """The path routing would pick from ``source`` to ``destination`` now
+        (empty when there is none)."""
+        try:
+            return self.selector.find_path(source, destination, within=within)
+        except RoutingError:
+            return []
+
     def transport_key(
         self,
         source: str,

@@ -277,14 +277,18 @@ class QKDNetwork:
 
         This is the shape the paper sketches for the DARPA Quantum Network:
         BBN, Harvard and BU endpoints joined through a small mesh of relays,
-        with enough redundancy that any single link can be lost.
+        with enough redundancy that any single link can be lost.  A ring of
+        one relay has no ring link: its endpoints all hang off that relay.
         """
+        if n_relays < 1:
+            raise ValueError(f"a relay mesh needs at least one relay, got {n_relays}")
         net = cls(rng)
         relays = [f"relay-{i}" for i in range(n_relays)]
         for name in relays:
             net.add_relay(name)
-        for i, name in enumerate(relays):
-            net.add_link(name, relays[(i + 1) % n_relays], link_length_km)
+        if n_relays > 1:
+            for i, name in enumerate(relays):
+                net.add_link(name, relays[(i + 1) % n_relays], link_length_km)
         endpoints = [f"endpoint-{i}" for i in range(n_endpoints)]
         for i, name in enumerate(endpoints):
             net.add_endpoint(name)

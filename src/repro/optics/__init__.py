@@ -24,25 +24,17 @@ This package reproduces those statistics:
   hook for eavesdropping attacks.
 """
 
-from repro.optics.source import WeakCoherentSource, SourceParameters
-from repro.optics.entangled import EntangledPairSource
-from repro.optics.fiber import FiberSpan, OpticalPath
-from repro.optics.interferometer import MachZehnderPair
-from repro.optics.detector import GatedAPDPair, DetectorParameters
-from repro.optics.timing import BrightPulseFraming
-from repro.optics.channel import QuantumChannel, FrameResult, ChannelParameters
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "WeakCoherentSource",
-    "SourceParameters",
-    "EntangledPairSource",
-    "FiberSpan",
-    "OpticalPath",
-    "MachZehnderPair",
-    "GatedAPDPair",
-    "DetectorParameters",
-    "BrightPulseFraming",
-    "QuantumChannel",
-    "FrameResult",
-    "ChannelParameters",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.optics.source": ("WeakCoherentSource", "SourceParameters"),
+        "repro.optics.entangled": ("EntangledPairSource",),
+        "repro.optics.fiber": ("FiberSpan", "OpticalPath"),
+        "repro.optics.interferometer": ("MachZehnderPair",),
+        "repro.optics.detector": ("GatedAPDPair", "DetectorParameters"),
+        "repro.optics.timing": ("BrightPulseFraming",),
+        "repro.optics.channel": ("QuantumChannel", "FrameResult", "ChannelParameters"),
+    },
+)

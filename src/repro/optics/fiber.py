@@ -11,6 +11,7 @@ composes spans, connectors and switches into an end-to-end budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -26,10 +27,12 @@ class FiberSpan:
     connector_loss_db: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.length_km < 0:
-            raise ValueError("fiber length must be non-negative")
-        if self.connector_loss_db < 0:
-            raise ValueError("connector loss must be non-negative")
+        # NaN passes a ``< 0`` test and then fails deep in the optics draws;
+        # infinity builds a span no photon survives.  Both are refused here.
+        checked = (("fiber length", self.length_km), ("connector loss", self.connector_loss_db))
+        for what, value in checked:
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{what} must be finite and non-negative, got {value!r}")
 
     @property
     def loss_db(self) -> float:

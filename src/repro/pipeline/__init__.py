@@ -22,12 +22,13 @@ The pipeline keeps no clock: stage time is the E21 trace's
 * :mod:`repro.pipeline.pipeline` — the driver.
 """
 
-from repro.pipeline.context import PipelineContext
-from repro.pipeline.pipeline import DistillationPipeline
-from repro.pipeline.stage import PipelineStage
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "PipelineContext",
-    "DistillationPipeline",
-    "PipelineStage",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.pipeline.context": ("PipelineContext",),
+        "repro.pipeline.pipeline": ("DistillationPipeline",),
+        "repro.pipeline.stage": ("PipelineStage",),
+    },
+)

@@ -18,11 +18,11 @@ in-line.  See ``docs/API.md`` for the determinism contract and the catalogue
 of named RNG streams.
 """
 
-from repro.runtime.farm import LinkFarm, LinkJob, LinkRun, resolve_workers
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "LinkFarm",
-    "LinkJob",
-    "LinkRun",
-    "resolve_workers",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.farm": ("LinkFarm", "LinkJob", "LinkRun", "resolve_workers"),
+    },
+)

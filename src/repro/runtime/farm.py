@@ -21,11 +21,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.keypool import KeyPool
-from repro.link.qkd_link import LinkParameters, LinkReport
 from repro.util.rng import DeterministicRNG
+
+if TYPE_CHECKING:  # imported lazily at runtime: resolve_workers needs no link code
+    from repro.link.qkd_link import LinkParameters, LinkReport
 
 
 def resolve_workers(workers: Optional[int]) -> int:
@@ -113,6 +115,8 @@ class LinkFarm:
         """
         if n_links < 0:
             raise ValueError("link count must be non-negative")
+        from repro.link.qkd_link import LinkParameters
+
         rng = rng or DeterministicRNG(0)
         parameters = parameters or LinkParameters()
         return [

@@ -8,6 +8,11 @@ enough machinery for the paper's scenarios without pulling in a full DES
 framework.
 """
 
-from repro.sim.clock import SimClock, EventScheduler, ScheduledEvent
+from repro.util.exports import lazy_exports
 
-__all__ = ["SimClock", "EventScheduler", "ScheduledEvent"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.clock": ("SimClock", "EventScheduler", "ScheduledEvent"),
+    },
+)

@@ -5,13 +5,13 @@ Nothing in here knows about quantum optics or cryptographic protocols; it is
 pure data plumbing, kept deliberately small and well tested.
 """
 
-from repro.util.bits import BitString
-from repro.util.rng import DeterministicRNG
-from repro.util.units import db_to_fraction, fiber_loss_db
+from repro.util.exports import lazy_exports
 
-__all__ = [
-    "BitString",
-    "DeterministicRNG",
-    "db_to_fraction",
-    "fiber_loss_db",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.util.bits": ("BitString",),
+        "repro.util.rng": ("DeterministicRNG",),
+        "repro.util.units": ("db_to_fraction", "fiber_loss_db"),
+    },
+)

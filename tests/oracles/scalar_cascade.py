@@ -17,7 +17,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core import wire
+from repro.core import wire_arrays
 from repro.core.messages import (
     CascadeBisection,
     CascadeBisectQuery,
@@ -141,7 +141,7 @@ def scalar_reconcile(
     # Alice's side of each round's announcement comes from the round's
     # membership matrix in one pass.  (Bob's replies stay per-mask: his
     # key keeps changing as errors are fixed.)
-    reference_bits = wire.unpack_bitmap(reference_key.to_bytes(), n).view(bool)
+    reference_bits = wire_arrays.unpack_bitmap(reference_key.to_bytes(), n).view(bool)
     stride = (n + 7) // 8
 
     def expand(seeds: List[int]):

@@ -89,6 +89,39 @@ class TestLinkFacade:
         assert getattr(QKDSystem(seed=4).link().engine.parameters, field) != value
 
 
+class TestInputsAreRefusedWhereTheyEnter:
+    """Non-finite or negative inputs fail at the call that takes them."""
+
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf"), -1.0])
+    def test_a_link_over_a_bad_distance(self, distance):
+        with pytest.raises(ValueError, match="fiber length must be finite and non-negative"):
+            QKDSystem(seed=1, distance_km=distance).link()
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+    def test_run_seconds(self, seconds):
+        """NaN and infinity used to surface ``int()``'s ValueError and
+        OverflowError."""
+        link = QKDSystem(seed=1).link()
+        with pytest.raises(ValueError, match="duration must be finite and non-negative"):
+            link.run_seconds(seconds)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
+    def test_vpn_distill_seconds(self, seconds):
+        """NaN and negative values used to skip distillation silently."""
+        with pytest.raises(ValueError, match="distill_seconds must be finite and non-negative"):
+            QKDSystem(seed=1, distill_seconds=seconds).vpn()
+
+    def test_zero_distill_seconds_still_means_no_distillation(self):
+        vpn = QKDSystem(seed=1, distill_seconds=0.0).vpn()
+        assert vpn.initial_report is None
+
+    def test_a_mesh_of_one_relay_banks_no_self_loop_pad(self):
+        mesh = QKDSystem(seed=1, n_endpoints=2, n_relays=1).mesh()
+        assert ("relay-0", "relay-0") not in mesh.relays.pairwise_pads
+        assert not mesh.network.graph.has_edge("relay-0", "relay-0")
+        assert mesh.transport_key("endpoint-0", "endpoint-1").success
+
+
 class TestVpnFacade:
     @pytest.fixture(scope="class")
     def vpn(self):
@@ -251,7 +284,9 @@ class TestPackageExports:
 
     def test_every_shipped_module_is_imported_outside_the_tests(self):
         """A module only ``tests/`` imports is an oracle parked in the package:
-        it belongs in ``tests/oracles/``."""
+        it belongs in ``tests/oracles/``.  A module named in a lazy export
+        table (``lazy_exports(__name__, {module: names})``) counts as
+        imported by the package that lists it: it loads on first use."""
         root = Path(__file__).resolve().parent.parent
         package = root / "src" / "repro"
 
@@ -279,6 +314,12 @@ class TestPackageExports:
                     yield base
                     # ``from pkg import name`` may name a submodule
                     yield from (f"{base}.{alias.name}" for alias in node.names)
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "lazy_exports"
+                    and isinstance(node.args[1], ast.Dict)
+                ):
+                    yield from (key.value for key in node.args[1].keys)
 
         reached = set()
         for path, own_name in importers:

@@ -10,8 +10,9 @@ targets by name) and ``examples/``; ``tests/`` does not count.
 
 A use is an identifier in code: a name, an attribute, or a string that is
 exactly the identifier (``getattr`` and the E21 trace table look names up
-that way).  Docstrings, comments, ``import`` lines and ``__all__`` lists are
-not uses, so an ``__init__`` re-export keeps nothing alive.  A method needs
+that way).  Docstrings, comments, ``import`` lines, ``__all__`` lists and
+the export tables passed to ``lazy_exports`` are not uses, so an
+``__init__`` re-export keeps nothing alive.  A method needs
 an attribute use (``obj.name``) or a bare use inside its own class body;
 a local variable that shares its name does not count.  Dunder methods are
 called by the interpreter and are skipped.
@@ -60,6 +61,8 @@ def _uses(tree):
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
             in_all.update(id(item) for item in ast.walk(node.value))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+            in_all.update(id(item) for argument in node.args for item in ast.walk(argument))
     bare, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):

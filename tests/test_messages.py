@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import wire
+from repro.core import wire, wire_arrays
 from repro.core.messages import (
     AuthenticationTagMessage,
     CascadeBisectQuery,
@@ -201,9 +201,9 @@ class TestBinaryWireCodec:
 
     def test_varints_reject_fractional_values(self):
         with pytest.raises(ValueError):
-            wire.encode_varints([1.7])
+            wire_arrays.encode_varints([1.7])
         with pytest.raises(ValueError):
-            wire.encode_varints(np.full(300, 1.7))
+            wire_arrays.encode_varints(np.full(300, 1.7))
         message = CascadeSubsetAnnouncement(
             round_index=0, key_length=10, seeds=np.array([1.5]), parities=[0]
         )
@@ -221,50 +221,50 @@ class TestBinaryWireCodec:
 
 class TestVarints:
     def test_known_encodings(self):
-        assert wire.encode_varints([0]) == b"\x00"
-        assert wire.encode_varints([127]) == b"\x7f"
-        assert wire.encode_varints([128]) == b"\x80\x01"
-        assert wire.encode_varints([300]) == b"\xac\x02"
-        assert wire.encode_varints([]) == b""
+        assert wire_arrays.encode_varints([0]) == b"\x00"
+        assert wire_arrays.encode_varints([127]) == b"\x7f"
+        assert wire_arrays.encode_varints([128]) == b"\x80\x01"
+        assert wire_arrays.encode_varints([300]) == b"\xac\x02"
+        assert wire_arrays.encode_varints([]) == b""
 
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             values = rng.integers(0, 2**62, size=int(rng.integers(0, 200)))
-            data = wire.encode_varints(values)
-            assert wire.decode_varints(data, values.size).tolist() == values.tolist()
+            data = wire_arrays.encode_varints(values)
+            assert wire_arrays.decode_varints(data, values.size).tolist() == values.tolist()
 
     def test_round_trip_64bit_extremes(self):
         values = [0, 1, 2**7 - 1, 2**7, 2**32, 2**63, 2**64 - 1]
-        data = wire.encode_varints(values)
-        assert wire.decode_varints(data, len(values)).tolist() == values
+        data = wire_arrays.encode_varints(values)
+        assert wire_arrays.decode_varints(data, len(values)).tolist() == values
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            wire.encode_varints([-1])
+            wire_arrays.encode_varints([-1])
 
     def test_decode_rejects_truncated(self):
         with pytest.raises(wire.WireDecodeError):
-            wire.decode_varints(b"\x80", 1)
+            wire_arrays.decode_varints(b"\x80", 1)
 
     def test_decode_rejects_wrong_count(self):
-        data = wire.encode_varints([1, 2, 3])
+        data = wire_arrays.encode_varints([1, 2, 3])
         with pytest.raises(wire.WireDecodeError):
-            wire.decode_varints(data, 2)
+            wire_arrays.decode_varints(data, 2)
 
     def test_decode_rejects_overlong(self):
         with pytest.raises(wire.WireDecodeError):
-            wire.decode_varints(b"\x80" * 10 + b"\x01", 1)
+            wire_arrays.decode_varints(b"\x80" * 10 + b"\x01", 1)
 
     def test_bitmap_round_trip(self):
         rng = np.random.default_rng(13)
         for count in (0, 1, 7, 8, 9, 64, 200):
             bits = rng.integers(0, 2, size=count)
-            packed = wire.pack_bitmap(bits)
+            packed = wire_arrays.pack_bitmap(bits)
             assert len(packed) == (count + 7) // 8
-            assert wire.unpack_bitmap(packed, count).tolist() == bits.tolist()
+            assert wire_arrays.unpack_bitmap(packed, count).tolist() == bits.tolist()
         with pytest.raises(wire.WireDecodeError):
-            wire.unpack_bitmap(b"\x00", 9)
+            wire_arrays.unpack_bitmap(b"\x00", 9)
 
     def test_short_and_long_sequences_encode_identically(self):
         """Below 256 values a plain loop encodes, above it numpy does; the
@@ -272,35 +272,35 @@ class TestVarints:
         rng = np.random.default_rng(17)
         values = rng.integers(0, 2**40, size=300)
         values[::7] = rng.integers(0, 0x80, size=values[::7].size)
-        vectorized = wire.encode_varints(values)
-        looped = b"".join(wire.encode_varints([int(v)]) for v in values)
+        vectorized = wire_arrays.encode_varints(values)
+        looped = b"".join(wire_arrays.encode_varints([int(v)]) for v in values)
         assert vectorized == looped
 
     @pytest.mark.parametrize("size", [1, 300])
     def test_rejects_values_past_64_bits(self, size):
         with pytest.raises(ValueError, match="64-bit"):
-            wire.encode_varints([2**64] * size)
+            wire_arrays.encode_varints([2**64] * size)
 
     def test_decode_rejects_a_ten_byte_varint_overflowing_64_bits(self):
         # Ten bytes hold 70 value bits; the tenth may only carry bit 63.
-        assert wire.decode_varints(b"\xff" * 9 + b"\x01", 1).tolist() == [2**64 - 1]
+        assert wire_arrays.decode_varints(b"\xff" * 9 + b"\x01", 1).tolist() == [2**64 - 1]
         with pytest.raises(wire.WireDecodeError, match="overflows"):
-            wire.decode_varints(b"\xff" * 9 + b"\x02", 1)
+            wire_arrays.decode_varints(b"\xff" * 9 + b"\x02", 1)
 
     def test_decode_of_an_empty_payload(self):
-        assert wire.decode_varints(b"", 0).tolist() == []
+        assert wire_arrays.decode_varints(b"", 0).tolist() == []
         with pytest.raises(wire.WireDecodeError, match="empty payload"):
-            wire.decode_varints(b"", 2)
+            wire_arrays.decode_varints(b"", 2)
 
     def test_bitmap_is_most_significant_bit_first_and_zero_padded(self):
-        assert wire.pack_bitmap([1, 0, 0, 0, 0, 0, 0, 0, 1]) == b"\x80\x80"
-        assert wire.pack_bitmap([0, 0, 0, 0, 0, 0, 0, 1]) == b"\x01"
-        assert wire.pack_bitmap([]) == b""
+        assert wire_arrays.pack_bitmap([1, 0, 0, 0, 0, 0, 0, 0, 1]) == b"\x80\x80"
+        assert wire_arrays.pack_bitmap([0, 0, 0, 0, 0, 0, 0, 1]) == b"\x01"
+        assert wire_arrays.pack_bitmap([]) == b""
 
     @pytest.mark.parametrize("count, size", [(0, 0), (1, 1), (8, 1), (9, 2), (64, 8), (65, 9)])
     def test_bitmap_size_matches_the_packed_length(self, count, size):
         assert wire.bitmap_size(count) == size
-        assert len(wire.pack_bitmap(np.ones(count, dtype=np.uint8))) == size
+        assert len(wire_arrays.pack_bitmap(np.ones(count, dtype=np.uint8))) == size
 
 
 class TestAscendingIndices:
@@ -309,32 +309,32 @@ class TestAscendingIndices:
         rng = np.random.default_rng(19)
         for size in (0, 1, 5, 255, 256, 1_000):
             indices = np.sort(rng.integers(0, 50_000, size=size))
-            data = wire.encode_ascending_indices(container(indices.tolist()))
-            assert wire.decode_ascending_indices(data, size).tolist() == indices.tolist()
+            data = wire_arrays.encode_ascending_indices(container(indices.tolist()))
+            assert wire_arrays.decode_ascending_indices(data, size).tolist() == indices.tolist()
 
     def test_each_small_gap_costs_one_byte(self):
         indices = list(range(10, 400, 3))
-        assert len(wire.encode_ascending_indices(indices)) == len(indices)
-        assert wire.encode_ascending_indices(indices) == wire.encode_varints(
+        assert len(wire_arrays.encode_ascending_indices(indices)) == len(indices)
+        assert wire_arrays.encode_ascending_indices(indices) == wire_arrays.encode_varints(
             [10] + [3] * (len(indices) - 1)
         )
 
     def test_repeated_indices_are_a_zero_gap(self):
-        data = wire.encode_ascending_indices([4, 4, 9])
+        data = wire_arrays.encode_ascending_indices([4, 4, 9])
         assert data == b"\x04\x00\x05"
-        assert wire.decode_ascending_indices(data, 3).tolist() == [4, 4, 9]
+        assert wire_arrays.decode_ascending_indices(data, 3).tolist() == [4, 4, 9]
 
     @pytest.mark.parametrize(
         "indices", [[3, 2], [-1, 4], np.array([5, 9, 8]), np.arange(-1, 300)]
     )
     def test_refuses_a_descending_or_negative_sequence(self, indices):
         with pytest.raises(ValueError, match="non-decreasing"):
-            wire.encode_ascending_indices(indices)
+            wire_arrays.encode_ascending_indices(indices)
 
     def test_decode_refuses_a_gap_past_32_bits(self):
-        data = wire.encode_varints([1, 2**32])
+        data = wire_arrays.encode_varints([1, 2**32])
         with pytest.raises(wire.WireDecodeError, match="delta out of range"):
-            wire.decode_ascending_indices(data, 2)
+            wire_arrays.decode_ascending_indices(data, 2)
 
 
 class TestHeaders:

@@ -89,6 +89,20 @@ class TestTopology:
         assert net.graph.number_of_nodes() == 2
         assert net.link("alice", "bob").length_km == 15.0
 
+    @pytest.mark.parametrize("n_relays", [0, -1])
+    def test_a_relay_mesh_without_relays_is_refused(self, n_relays):
+        """``n_relays=0`` used to raise ZeroDivisionError from the ring's
+        modulo."""
+        with pytest.raises(ValueError, match="at least one relay"):
+            QKDNetwork.relay_mesh(n_endpoints=2, n_relays=n_relays)
+
+    def test_a_ring_of_one_relay_has_no_ring_link(self):
+        """One relay used to get a ``relay-0--relay-0`` self-loop, on which
+        the prefill banked pad."""
+        net = QKDNetwork.relay_mesh(n_endpoints=3, n_relays=1)
+        links = {(edge.node_a, edge.node_b) for edge in net.links()}
+        assert links == {(f"endpoint-{i}", "relay-0") for i in range(3)}
+
     def test_interconnection_cost(self):
         assert interconnection_cost(0) == {"pairwise_links": 0, "star_links": 0}
         assert interconnection_cost(4) == {"pairwise_links": 6, "star_links": 4}

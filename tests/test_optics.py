@@ -148,6 +148,16 @@ class TestFiber:
         with pytest.raises(ValueError):
             LossElement("bad", -0.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_a_length_or_loss_that_is_not_finite_and_non_negative_is_refused(self, value):
+        """NaN used to build a span whose first transmit failed inside numpy
+        ("p < 0, p > 1 or p contains NaNs"), and infinity one of zero
+        transmittance."""
+        with pytest.raises(ValueError, match="fiber length must be finite and non-negative"):
+            FiberSpan(value)
+        with pytest.raises(ValueError, match="connector loss must be finite and non-negative"):
+            FiberSpan(10.0, connector_loss_db=value)
+
     def test_optical_path_composition(self):
         path = OpticalPath()
         path.add_span(FiberSpan(10.0)).add_span(FiberSpan(5.0))
