@@ -32,7 +32,7 @@ limits).  With ``BENCH_JSON_DIR`` set the table lands in
 import time
 
 from benchmarks.conftest import float_env, int_env, run_once
-from repro.kms import KeyManagementService, KmsConfig, ReplenishmentConfig, percentile
+from repro.kms import KeyManagementService, KmsConfig, ReplenishmentConfig
 from repro.network.relay import TrustedRelayNetwork
 from repro.util.rng import DeterministicRNG
 
@@ -91,7 +91,7 @@ def test_e19_dtn_soak(benchmark, table):
             custody_cols = ["-"] * 9
         else:
             metrics = service.custody.metrics
-            latencies = service.custody.delivered_latencies
+            latency = service.custody.delivery_latency
             ratio = report.custody_delivered / max(report.custody_submitted, 1)
             custody_cols = [
                 report.custody_submitted,
@@ -99,8 +99,8 @@ def test_e19_dtn_soak(benchmark, table):
                 f"{ratio:.2f}",
                 report.custody_expired + report.custody_evicted,
                 report.custody_occupancy_peak_bits,
-                f"{percentile(latencies, 50):.0f}",
-                f"{percentile(latencies, 99):.0f}",
+                f"{latency.percentile(50):.0f}",
+                f"{latency.percentile(99):.0f}",
                 metrics.pad_bits_consumed,
                 metrics.copies_made + metrics.copy_moves,
             ]
@@ -153,9 +153,10 @@ def test_e19_dtn_soak(benchmark, table):
         # Exact terminal accounting, on both the demand and custody ledgers.
         assert report.completion_accounted, f"{name}: demands unaccounted"
         assert report.custody_accounted, f"{name}: custody bundles unaccounted"
-        assert service.custody.reconciled, f"{name}: store/metrics ledgers disagree"
-        latencies = service.custody.delivered_latencies
-        assert percentile(latencies, 50) <= percentile(latencies, 99)
+        fault = service.custody.conservation_fault()
+        assert fault is None, f"{name}: store/metrics ledgers disagree: {fault}"
+        latency = service.custody.delivery_latency
+        assert latency.percentile(50) <= latency.percentile(99)
 
     # Flooding can never make fewer copies than single-copy forwarding
     # moved; the table's pad/copies columns quantify the actual overhead.

@@ -165,16 +165,19 @@ class ContactGraphSelector(PathSelector):
             return True
         return self.schedule.is_open(node_a, node_b, time)
 
-    def open_subgraph(self, time: float) -> Graph:
-        """The subgraph of edges open at ``time`` (all nodes retained)."""
-        return self.network.graph.filter_edges(
+    def open_subgraph(self, time: float, within: Optional[frozenset] = None) -> Graph:
+        """The subgraph of edges open at ``time`` (all nodes, or ``within``'s, retained)."""
+        graph = self.network.graph if within is None else self.network.graph.subgraph(within)
+        return graph.filter_edges(
             lambda node_a, node_b, _data: self.edge_open(node_a, node_b, time)
         )
 
-    def reachable_at(self, source: str, time: float) -> List[str]:
-        """All nodes reachable from ``source`` over edges open at ``time``
-        (sorted; always contains ``source``)."""
-        open_graph = self.open_subgraph(time)
+    def reachable_at(
+        self, source: str, time: float, within: Optional[frozenset] = None
+    ) -> List[str]:
+        """All nodes reachable from ``source`` over edges open at ``time``,
+        through ``within`` if given (sorted; always contains ``source``)."""
+        open_graph = self.open_subgraph(time, within)
         if source not in open_graph:
             raise RoutingError(f"unknown node {source!r}")
         return sorted(component(open_graph, source))
@@ -184,9 +187,10 @@ class ContactGraphSelector(PathSelector):
     # ------------------------------------------------------------------ #
 
     def earliest_arrival(
-        self, source: str, destination: str, start_time: float
+        self, source: str, destination: str, start_time: float, within: Optional[frozenset] = None
     ) -> Tuple[List[str], float]:
-        """The route minimising arrival time over the contact plan.
+        """The route minimising arrival time over the contact plan (through
+        ``within`` if given).
 
         Dijkstra over time: material sitting at a node waits for the next
         contact window of each outgoing edge and crosses instantaneously
@@ -201,7 +205,7 @@ class ContactGraphSelector(PathSelector):
                 "earliest-arrival routing needs a contact schedule "
                 "(live mode only knows the present)"
             )
-        graph = self.network.graph
+        graph = self.network.graph if within is None else self.network.graph.subgraph(within)
         for name in (source, destination):
             if name not in graph:
                 raise RoutingError(

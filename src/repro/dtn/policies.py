@@ -29,7 +29,7 @@ history is a pure function of (seed, topology, schedule, demand sequence).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Type
+from typing import TYPE_CHECKING, Dict, List, Optional, Type
 
 from repro.network.graph import shortest_path
 from repro.network.routing import RoutingError
@@ -57,29 +57,34 @@ class ScheduledPolicy(ForwardingPolicy):
     name = "scheduled"
 
     def _route(
-        self, transport: "CustodyTransport", custodian: str, destination: str, now: float
+        self,
+        transport: "CustodyTransport",
+        custodian: str,
+        destination: str,
+        now: float,
+        within: Optional[frozenset] = None,
     ) -> List[str]:
         selector = transport.selector
         if selector.schedule is not None:
-            path, _arrival = selector.earliest_arrival(custodian, destination, now)
+            path, _arrival = selector.earliest_arrival(custodian, destination, now, within)
             return path
         # Live mode: no plan to consult, so advance toward the reachable
         # node with the smallest static distance to the destination.
-        reachable = selector.reachable_at(custodian, now)
+        reachable = selector.reachable_at(custodian, now, within)
         best = min(
             reachable,
             key=lambda node: (transport.static_distance(node, destination), node),
         )
         if best == custodian:
             return [custodian]
-        return shortest_path(selector.open_subgraph(now), custodian, best)
+        return shortest_path(selector.open_subgraph(now, within), custodian, best)
 
     def forward(
         self, transport: "CustodyTransport", bundle: "CustodyBundle", now: float
     ) -> None:
         (custodian,) = transport.locations(bundle)
         try:
-            path = self._route(transport, custodian, bundle.destination, now)
+            path = self._route(transport, custodian, bundle.destination, now, bundle.within)
         except RoutingError:
             return  # no route even in the future: park and wait (or expire)
         for node_a, node_b in zip(path, path[1:]):
@@ -110,8 +115,10 @@ class EpidemicPolicy(ForwardingPolicy):
             for neighbor in sorted(graph.neighbors(holder)):
                 if not bundle.live:
                     return
-                if neighbor in transport.seen(bundle):
+                if neighbor in bundle.seen:
                     continue  # duplicate suppression: it has held a copy before
+                if bundle.within is not None and neighbor not in bundle.within:
+                    continue
                 if not transport.selector.edge_open(holder, neighbor, now):
                     continue
                 transport.replicate_copy(bundle, holder, neighbor, now)

@@ -21,7 +21,7 @@ decides a bundle's fate, it only reports what it dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.util.bits import BitString
 
@@ -60,6 +60,10 @@ class CustodyBundle:
     hops: int = 0
     #: Pairwise pad spent moving this bundle's copies, in bits.
     pad_bits_consumed: int = 0
+    #: Nodes that ever held a copy (the duplicate-suppression set).
+    seen: Set[str] = field(default_factory=set)
+    #: The only nodes its copies may visit (its zone); ``None``: any node.
+    within: Optional[frozenset] = None
 
     @property
     def key_bits(self) -> int:

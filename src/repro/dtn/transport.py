@@ -7,7 +7,9 @@ mints bundles, moves or replicates their copies across open contacts
 encrypt/decrypt per hop), and keeps terminal accounting exact: every
 submitted bundle ends in exactly one of ``delivered`` / ``expired`` /
 ``evicted``, with no leak states and no copies left in any store once the
-transport drains.
+transport drains (:meth:`CustodyTransport.conservation_fault`).  It keeps
+live bundles only: of one that ended it keeps the counts, and the digest
+of a delivered one.
 
 Determinism contract
 --------------------
@@ -24,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dtn.contact import ContactGraphSelector, ContactSchedule
 from repro.dtn.policies import ForwardingPolicy, build_policy
@@ -33,6 +35,7 @@ from repro.network.graph import component, hop_distances
 from repro.network.relay import TrustedRelayNetwork, weak_callback
 from repro.network.routing import RoutingError
 from repro.util.bits import BitString
+from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
 
 
@@ -89,14 +92,14 @@ class CustodyTransport:
             name: CustodyStore(name, capacity_bits)
             for name in sorted(relays.network.graph.nodes)
         }
-        #: Every bundle ever submitted, live or terminal, by id.
+        #: The live bundles, by id (so in id order); a bundle leaves when it
+        #: reaches its terminal state.
         self.bundles: Dict[int, CustodyBundle] = {}
-        #: End-to-end latency of each delivered bundle, in submission order.
-        self.delivered_latencies: List[float] = []
+        #: End-to-end latency of the delivered bundles, in constant memory.
+        self.delivery_latency = LatencyHistogram()
         #: Live bundle bits per ``(source, destination)``, kept where a bundle's
-        #: state changes: ``bundles`` grows with uptime and must not be scanned.
+        #: state changes.
         self._live_bits: Dict[Tuple[str, str], int] = {}
-        self._seen: Dict[int, Set[str]] = {}
         self._next_bundle_id = 0
         self._bundle_digests: List[str] = []
         self._on_delivered: Callable[[], Optional[Callable[[CustodyBundle], None]]] = lambda: None
@@ -140,13 +143,6 @@ class CustodyTransport:
             if self.stores[name].holds(bundle.bundle_id)
         ]
 
-    def seen(self, bundle: CustodyBundle) -> Set[str]:
-        """Nodes that ever held a copy (the duplicate-suppression set)."""
-        return self._seen[bundle.bundle_id]
-
-    def live_bundle_ids(self) -> List[int]:
-        return [bid for bid in sorted(self.bundles) if self.bundles[bid].live]
-
     def in_flight_bits(self, source: str, destination: str) -> int:
         """Bits of live custody material submitted for ``source -> destination``
         (what a caller may count against a replenishment target while the
@@ -156,21 +152,20 @@ class CustodyTransport:
     @property
     def drained(self) -> bool:
         """No live bundles remain anywhere."""
-        return all(not bundle.live for bundle in self.bundles.values())
+        return not self.bundles
 
-    @property
-    def reconciled(self) -> bool:
-        """Terminal accounting is exact: every submitted bundle reached one
-        terminal state and no store still holds a copy of a terminal bundle."""
-        if self.metrics.terminal_total + len(self.live_bundle_ids()) != (
-            self.metrics.bundles_submitted
-        ):
-            return False
-        if self.drained and any(len(store) for store in self.stores.values()):
-            return False
-        return all(
-            self.bundles[bid].state in ("", DELIVERED, EXPIRED, EVICTED)
-            for bid in self.bundles
+    def conservation_fault(self) -> Optional[str]:
+        """``None`` while every bundle submitted is delivered, expired,
+        evicted or still live, and a drained transport holds no copy;
+        otherwise the transport's numbers."""
+        m, live = self.metrics, len(self.bundles)
+        copies = sum(len(store) for store in self.stores.values())
+        if m.bundles_submitted == m.terminal_total + live and (live or not copies):
+            return None
+        return (
+            f"custody: {m.bundles_submitted} bundles submitted, {m.bundles_delivered} delivered,"
+            f" {m.bundles_expired} expired, {m.bundles_evicted} evicted, {live} live,"
+            f" {copies} copies held"
         )
 
     @property
@@ -194,15 +189,21 @@ class CustodyTransport:
     # ------------------------------------------------------------------ #
 
     def submit(
-        self, source: str, destination: str, key_bits: int, now: float
+        self,
+        source: str,
+        destination: str,
+        key_bits: int,
+        now: float,
+        within: Optional[frozenset] = None,
     ) -> CustodyBundle:
         """Mint a bundle for ``source -> destination`` and bank it.
 
         The bundle is banked at the source, then immediately forwarded as
         far as the contacts open *now* allow — all the way to delivery when
-        a live path happens to exist.  A statically disconnected (or
-        unknown) destination is a :class:`RoutingError`: custody buys time,
-        not topology.
+        a live path happens to exist.  ``within`` confines its copies, and
+        the pad they spend, to those nodes (the zone its transport was
+        confined to).  A statically disconnected (or unknown) destination
+        is a :class:`RoutingError`: custody buys time, not topology.
         """
         if key_bits <= 0 or key_bits % 8:
             raise ValueError("key length must be a positive multiple of 8 bits")
@@ -231,10 +232,11 @@ class CustodyTransport:
             key=key,
             created_at=now,
             expires_at=now + self.ttl_seconds,
+            seen={source},
+            within=within,
         )
         self.bundles[bundle_id] = bundle
         self._live_bits[source, destination] = self.in_flight_bits(source, destination) + key_bits
-        self._seen[bundle_id] = {source}
         self.metrics.bundles_submitted += 1
         if source == destination:
             self._deliver(bundle, now)
@@ -248,13 +250,30 @@ class CustodyTransport:
     # Copy movement (the primitives policies drive)
     # ------------------------------------------------------------------ #
 
-    def _cross_hop(self, bundle: CustodyBundle, node_a: str, node_b: str) -> bool:
-        """Carry the bundle across one link — the mesh pads'
-        :meth:`~repro.network.relay.PairwisePads.cross_hop`, the same
+    def move_copy(self, bundle: CustodyBundle, node_a: str, node_b: str, now: float) -> bool:
+        """Move the copy at ``node_a`` one hop to ``node_b`` (single-copy
+        forwarding).  Delivers on arrival at the destination."""
+        return self._carry(bundle, node_a, node_b, now, keep=False)
+
+    def replicate_copy(self, bundle: CustodyBundle, node_a: str, node_b: str, now: float) -> bool:
+        """Copy the bundle from ``node_a`` to ``node_b``, keeping the
+        original (epidemic spread).  Delivers on arrival at the destination."""
+        return self._carry(bundle, node_a, node_b, now, keep=True)
+
+    def _carry(
+        self, bundle: CustodyBundle, node_a: str, node_b: str, now: float, keep: bool
+    ) -> bool:
+        """Carry a copy from ``node_a`` across one open link — the mesh
+        pads' :meth:`~repro.network.relay.PairwisePads.cross_hop`, the same
         primitive live transport spends pad through — and account for it.
-        Returns ``False``, consuming nothing, when the pool cannot cover
-        the bundle.
+        Returns ``False``, consuming nothing, when ``node_a`` holds no copy
+        of a live bundle, the link is closed, or its pool cannot cover the
+        bundle.
         """
+        if not bundle.live or not self.stores[node_a].holds(bundle.bundle_id):
+            return False
+        if not self.selector.edge_open(node_a, node_b, now):
+            return False
         key_bytes = bundle.key.to_bytes()
         if self.pads.cross_hop(node_a, node_b, key_bytes) is None:
             self.metrics.pad_shortages += 1
@@ -263,40 +282,12 @@ class CustodyTransport:
         bundle.hops += 1
         bundle.pad_bits_consumed += bits
         self.metrics.pad_bits_consumed += bits
-        self._seen[bundle.bundle_id].add(node_b)
-        return True
-
-    def move_copy(
-        self, bundle: CustodyBundle, node_a: str, node_b: str, now: float
-    ) -> bool:
-        """Move the copy at ``node_a`` one hop to ``node_b`` (single-copy
-        forwarding).  Delivers on arrival at the destination."""
-        if not bundle.live or not self.stores[node_a].holds(bundle.bundle_id):
-            return False
-        if not self.selector.edge_open(node_a, node_b, now):
-            return False
-        if not self._cross_hop(bundle, node_a, node_b):
-            return False
-        self.stores[node_a].remove(bundle.bundle_id)
-        self.metrics.copy_moves += 1
-        if node_b == bundle.destination:
-            self._deliver(bundle, now)
+        bundle.seen.add(node_b)
+        if keep:
+            self.metrics.copies_made += 1
         else:
-            self._bank(bundle, node_b, now)
-        return True
-
-    def replicate_copy(
-        self, bundle: CustodyBundle, node_a: str, node_b: str, now: float
-    ) -> bool:
-        """Copy the bundle from ``node_a`` to ``node_b``, keeping the
-        original (epidemic spread).  Delivers on arrival at the destination."""
-        if not bundle.live or not self.stores[node_a].holds(bundle.bundle_id):
-            return False
-        if not self.selector.edge_open(node_a, node_b, now):
-            return False
-        if not self._cross_hop(bundle, node_a, node_b):
-            return False
-        self.metrics.copies_made += 1
+            self.stores[node_a].remove(bundle.bundle_id)
+            self.metrics.copy_moves += 1
         if node_b == bundle.destination:
             self._deliver(bundle, now)
         else:
@@ -328,15 +319,16 @@ class CustodyTransport:
             self.metrics.bundles_expired += 1
 
     def _retire(self, bundle: CustodyBundle, state: str) -> None:
-        """Move a live bundle to its terminal ``state``."""
+        """Move a live bundle to its terminal ``state``, and let it go."""
         bundle.state = state
+        del self.bundles[bundle.bundle_id]
         self._live_bits[bundle.source, bundle.destination] -= bundle.key_bits
 
     def _deliver(self, bundle: CustodyBundle, now: float) -> None:
         self._retire(bundle, DELIVERED)
         bundle.delivered_at = now
         self.metrics.bundles_delivered += 1
-        self.delivered_latencies.append(now - bundle.created_at)
+        self.delivery_latency.add(now - bundle.created_at)
         digest = hashlib.sha256()
         digest.update(
             f"{bundle.bundle_id}|{bundle.source}|{bundle.destination}"
@@ -363,8 +355,7 @@ class CustodyTransport:
         for name in sorted(self.stores):
             for victim in self.stores[name].take_expired(now):
                 self._copy_dropped(victim, EXPIRED, now)
-        for bundle_id in self.live_bundle_ids():
-            bundle = self.bundles[bundle_id]
+        for bundle in list(self.bundles.values()):
             if bundle.live:
                 self.policy.forward(self, bundle, now)
 

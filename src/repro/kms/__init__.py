@@ -38,9 +38,9 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "KmsConfig",
             "KmsMetrics",
             "SoakReport",
-            "percentile",
         ),
         "repro.kms.store": (
+            "ConservationError",
             "KeyReservation",
             "KeyStore",
             "KeyStoreExhaustedError",

@@ -68,7 +68,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: a key server loads no relay, IP
 from repro.ipsec.spd import QBLOCK_BITS, CipherSuite, NegotiationError, SecurityPolicy
 from repro.kms.indexing import DROP, EMIT, LazyPriorityHeap
 from repro.kms.scheduler import ReplenishmentConfig, ReplenishmentScheduler
-from repro.kms.store import KeyStore, KeyStoreExhaustedError
+from repro.kms.store import ConservationError, KeyStore, KeyStoreExhaustedError
 from repro.kms.workload import (
     AggregateProfile,
     AggregateWorkload,
@@ -150,6 +150,9 @@ class KmsConfig:
         age = self.max_key_age_seconds
         if age is not None and not (math.isfinite(age) and age > 0):
             raise ValueError(f"max_key_age_seconds must be None or finite and positive, got {age!r}")
+        low, high = self.store_low_water_bits, self.store_high_water_bits
+        if not 0 <= low <= high <= self.store_capacity_bits:
+            raise ValueError("store water marks must satisfy 0 <= low <= high <= capacity")
         if self.custody and self.custody_ttl_seconds <= 0:
             raise ValueError("custody TTL must be positive")
         if self.zones is not None:
@@ -246,6 +249,8 @@ class KmsMetrics:
     #: End-to-end keys banked gateway-to-gateway into trunk stores.
     trunk_keys_delivered: int = 0
     trunk_key_bits: int = 0
+    #: Supplied key bits a full store had no room for (late custody key).
+    key_bits_dropped: int = 0
     #: Wall-clock seconds the service spent ordering work (expiry sweeps,
     #: needy-store heap maintenance) — link selection inside the
     #: replenisher is timed by the scheduler itself, and the report's
@@ -295,6 +300,10 @@ class SoakReport:
     #: Metro accounting (all zero/empty with ``KmsConfig.zones`` off).
     zones: int = 0
     per_trunk: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    #: The owners' verdicts at the horizon: every demand is in a terminal or
+    #: pending state, and every custody bundle in one (``conservation_fault``).
+    completion_accounted: bool = True
+    custody_accounted: bool = True
 
     def __getattr__(self, name: str):
         # Only reached for a name the report does not hold itself.
@@ -303,27 +312,6 @@ class SoakReport:
         if name.startswith("custody_"):
             return getattr(self.custody, "bundles_" + name[len("custody_") :])
         return getattr(self.metrics, name)
-
-    @property
-    def completion_accounted(self) -> bool:
-        """Every demand reached a terminal or pending state (no deadlock)."""
-        return self.demands == (
-            self.rekeys_completed
-            + self.rekeys_timed_out
-            + self.rekeys_failed
-            + self.pending_waiters
-        )
-
-    @property
-    def custody_accounted(self) -> bool:
-        """Every custody bundle is delivered, expired, evicted or still live
-        — no leak states."""
-        return self.custody_submitted == (
-            self.custody_delivered
-            + self.custody_expired
-            + self.custody_evicted
-            + self.custody_live
-        )
 
 
 class KeyManagementService:
@@ -370,6 +358,8 @@ class KeyManagementService:
         self.metrics = KmsMetrics()
         self._digest = hashlib.sha256()
         self._served = False
+        #: Front ends built over these stores (:meth:`serve_network`).
+        self._servers: List["NetworkKmsServer"] = []
         self.custody: Optional["CustodyTransport"] = None
         if self.config.custody:
             self.custody = relays.enable_custody(
@@ -654,6 +644,7 @@ class KeyManagementService:
                 )
         try:
             self.events.run_until(horizon)
+            self._check_conservation()
             return self._build_report(horizon)
         finally:
             self.events.clear()
@@ -743,6 +734,7 @@ class KeyManagementService:
             # before demanding new transports.
             self.custody.tick(self.clock.now())
         self._deliver()
+        self._check_conservation()
         self.events.schedule_after(
             self.config.replenishment.epoch_seconds, self._on_epoch, label="epoch"
         )
@@ -792,14 +784,19 @@ class KeyManagementService:
         self._changed.update(ordered)
 
     def _fill(self, feed: _Feed, now: float) -> None:
-        """Top one store up to its high-water mark, one supplied key at a
-        time.  Key already parked with the custody layer for this store
-        counts toward the mark: the delivery callback banks it on arrival.
+        """Top one store up to its high-water mark, one supplied key (of no
+        more whole bytes than it has room for) at a time.  Key already parked
+        with the custody layer for this store counts toward the mark and the
+        room: the delivery callback banks it on arrival.
         """
         store = feed.store
         parked = self._parked_bits(feed)
         while store.available_bits + parked < store.high_water_bits:
-            result = self._supply(feed, now)
+            room = store.capacity_bits - store.available_bits - parked
+            bits = min(self.config.transport_key_bits, room // 8 * 8)
+            if bits <= 0:
+                break
+            result = self._supply(feed, bits, now)
             if result.custody_accepted:
                 # The custody layer took the key; the delivery callback
                 # banks it whenever it arrives (possibly already), so the
@@ -826,28 +823,32 @@ class KeyManagementService:
             ):
                 self.metrics.reroutes += 1
             feed.last_path = result.path
-            if self._bank(feed, result.key, now) == 0:
-                break
+            self._bank(feed, result.key, now)
 
     def _parked_bits(self, feed: _Feed) -> int:
         if self._parking.get(feed.store.pair) is not feed:
             return 0
         return self.custody.in_flight_bits(*feed.store.pair)
 
-    def _bank(self, feed: _Feed, key: BitString, now: float) -> int:
-        """Deposit one supplied key and account for it; returns the bits
-        the store had room for."""
+    def _bank(self, feed: _Feed, key: BitString, now: float) -> None:
+        """Deposit one supplied key and account for it: what the store had
+        room for is delivered (and digested), the rest dropped."""
+        metrics = self.metrics
         banked = feed.store.deposit(key, now=now)
+        metrics.key_bits_dropped += len(key) - banked
+        if not banked:
+            return
         if feed.trunk:
-            self.metrics.trunk_keys_delivered += 1
-            self.metrics.trunk_key_bits += len(key)
-            return banked
-        self.metrics.delivered_keys += 1
-        self.metrics.delivered_key_bits += len(key)
+            metrics.trunk_keys_delivered += 1
+            metrics.trunk_key_bits += banked
+            return
+        metrics.delivered_keys += 1
+        metrics.delivered_key_bits += banked
+        if banked < len(key):
+            key = key[:banked]
         source, destination = feed.store.pair
-        self._digest.update(f"{source}--{destination}|{len(key)}|".encode())
+        self._digest.update(f"{source}--{destination}|{banked}|".encode())
         self._digest.update(key.to_bytes())
-        return banked
 
     # ---- expiry sweeps -------------------------------------------------- #
 
@@ -886,23 +887,15 @@ class KeyManagementService:
 
     # ---- the two supplies ------------------------------------------------ #
 
-    def _supply(self, feed: _Feed, now: float) -> KeyTransportResult:
-        """The next key for ``feed``'s store, as a plain transport result."""
+    def _supply(self, feed: _Feed, bits: int, now: float) -> KeyTransportResult:
+        """The next ``bits`` of key for ``feed``'s store, as a plain
+        transport result.  A transport between the store's own ends that
+        fails outright while the store is low also pressures the path
+        routing prefers now, on top of the failed one."""
+        store, within = feed.store, feed.within
         if feed.source is not None:
-            return self.replenisher.draw_from_trunk(
-                feed.source, feed.store.pair, self.config.transport_key_bits, now
-            )
-        return self._transport(feed.store, feed.within, now)
-
-    def _transport(
-        self, store: KeyStore, within: Optional[Tuple[str, ...]], now: float
-    ) -> KeyTransportResult:
-        """The next key for a store fed by transport between its own ends.
-        One that fails outright while the store is low also pressures the
-        path routing prefers now, on top of the failed one."""
-        result = self.relays.transport_with_reroute(
-            *store.pair, self.config.transport_key_bits, now, within
-        )
+            return self.replenisher.draw_from_trunk(feed.source, store.pair, bits, now)
+        result = self.relays.transport_with_reroute(*store.pair, bits, now, within)
         if not (result.success or result.custody_accepted) and store.below_low_water:
             self._pressure(self.relays.preferred_path(*store.pair, within))
         return result
@@ -932,13 +925,50 @@ class KeyManagementService:
         """
         from repro.netkms.server import NetworkKmsServer
 
-        return NetworkKmsServer(
+        server = NetworkKmsServer(
             self.stores, host=host, port=port, now=self.clock.now, **server_kwargs
         )
+        self._servers.append(server)
+        return server
 
     # ------------------------------------------------------------------ #
     # Reporting
     # ------------------------------------------------------------------ #
+
+    def _demand_fault(self) -> Optional[str]:
+        m, pending = self.metrics, self.pending_waiters
+        if m.demands == m.rekeys_completed + m.rekeys_timed_out + m.rekeys_failed + pending:
+            return None
+        return (
+            f"kms: {m.demands} demands, {m.rekeys_completed} completed, {m.rekeys_timed_out}"
+            f" timed out, {m.rekeys_failed} failed, {pending} pending"
+        )
+
+    def conservation_fault(self) -> Optional[str]:
+        """``None`` while every owner of key bits here (each store, the custody
+        layer, each :meth:`serve_network` front end) keeps its rule, the
+        stores hold exactly the key delivered into them, and every demand is
+        completed, timed out, failed or pending; otherwise the first broken
+        rule's numbers.  Checked after every epoch and at the horizon."""
+        custody = [self.custody] if self.custody is not None else []
+        for owner in [*self.stores.values(), *self.trunk_stores.values(), *self._servers, *custody]:
+            fault = owner.conservation_fault()
+            if fault is not None:
+                return fault
+        m = self.metrics
+        for name, stores, delivered in (
+            ("consumer", self.stores, m.delivered_key_bits),
+            ("trunk", self.trunk_stores, m.trunk_key_bits),
+        ):
+            deposited = sum(store.statistics.bits_deposited for store in stores.values())
+            if deposited != delivered:
+                return f"kms: {delivered} bits delivered, {deposited} deposited in {name} stores"
+        return self._demand_fault()
+
+    def _check_conservation(self) -> None:
+        fault = self.conservation_fault()
+        if fault is not None:
+            raise ConservationError(f"t={self.clock.now():g}s: {fault}")
 
     @property
     def pending_waiters(self) -> int:
@@ -985,9 +1015,10 @@ class KeyManagementService:
             }
         metrics, custody = self.metrics, self.custody
         custody_state = {} if custody is None else dict(
-            custody_live=len(custody.live_bundle_ids()),
+            custody_live=len(custody.bundles),
             custody_occupancy_peak_bits=custody.occupancy_peak_bits,
             custody_delivered_digest=custody.delivered_digest,
+            custody_accounted=custody.conservation_fault() is None,
         )
         latency = metrics.rekey_latency
         scheduler_overhead = metrics.ordering_seconds + self.replenisher.selection_seconds
@@ -1009,6 +1040,7 @@ class KeyManagementService:
             **custody_state,
             zones=len(self.zone_plan.zones) if self.zone_plan else 0,
             per_trunk=per_trunk,
+            completion_accounted=self._demand_fault() is None,
         )
 
     def __repr__(self) -> str:

@@ -48,6 +48,10 @@ class KeyStoreExhaustedError(ReservationError):
     """Raised when a store cannot cover a reservation request."""
 
 
+class ConservationError(RuntimeError):
+    """An owner of key bits lost track of them: the service must stop."""
+
+
 @dataclass
 class KeyReservation:
     """A claim on ``bits`` bits of a store, held until consumed or released."""
@@ -164,8 +168,7 @@ class StoreStatistics:
     #: Reservations given back unconsumed (voluntary release *or* a
     #: server-side reap of an orphaned/expired lease) and the bits they
     #: returned to the unreserved level.  ``bits_released`` is the store's
-    #: own ledger of returned bits — the number any reaper's counters must
-    #: reconcile against to prove no reservation leaked.
+    #: own ledger of returned bits.
     reservations_released: int = 0
     bits_released: int = 0
     #: Epochs in which the scheduler wanted to refill this store but could
@@ -259,6 +262,20 @@ class KeyStore:
     def depletion_rate_bps(self) -> float:
         """Smoothed consumption rate (bits/second of simulated time)."""
         return self._depletion_rate_bps
+
+    def conservation_fault(self) -> Optional[str]:
+        """``None`` while every bit deposited is still here, consumed or
+        expired, no more is reserved than is here, and both pools hold the
+        same level; otherwise the store's numbers."""
+        stats, here, remote = self.statistics, self.available_bits, self.remote_pool.available_bits
+        if stats.bits_deposited == here + stats.bits_consumed + stats.bits_expired:
+            if self.reserved_bits <= here == remote:
+                return None
+        return (
+            f"store {self.pair[0]}--{self.pair[1]}: {stats.bits_deposited} bits deposited,"
+            f" {stats.bits_consumed} consumed, {stats.bits_expired} expired, {here} here"
+            f" ({remote} in the remote pool), {self.reserved_bits} reserved"
+        )
 
     def refill_priority(self) -> float:
         """Scheduler ordering key: how urgently this store needs key.

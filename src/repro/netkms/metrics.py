@@ -67,9 +67,11 @@ class NetKmsMetrics:
         self.key_bits_served = 0
         self.error_counts: Dict[int, int] = {}
         self.fatal_errors = 0
+        #: Reservations given back by RELEASE, or spent by a failed draw.
+        self.reservations_released = 0
+        self.draws_failed = 0
         #: Orphaned/expired reservations reaped back into their store, and
-        #: the bits reaping returned (must reconcile with the stores' own
-        #: ``bits_released`` ledger — the no-reservation-leak invariant).
+        #: the bits reaping returned.
         self.reservations_reaped = 0
         self.reaped_bits = 0
         self.reaped_by_reason: Dict[str, int] = {}

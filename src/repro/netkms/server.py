@@ -65,7 +65,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
-from repro.kms.store import KeyReservation, KeyStore, KeyStoreExhaustedError, ReservationError
+from repro.kms.store import ConservationError, KeyReservation, KeyStore
+from repro.kms.store import KeyStoreExhaustedError, ReservationError
 from repro.netkms import protocol
 from repro.netkms.metrics import NetKmsMetrics
 from repro.netkms.protocol import (
@@ -231,7 +232,9 @@ class NetworkKmsServer:
     async def stop(self, drain_timeout: float = 5.0) -> None:
         """Drain and shut down (see "Leases, reaping and the drain" above);
         connections still open after ``drain_timeout`` are aborted, and no
-        reservation is left held."""
+        reservation is left held.  Raises :class:`ConservationError` if a
+        granted reservation is then unaccounted for
+        (:meth:`conservation_fault`)."""
         if self._server is None:
             return
         self._draining = True
@@ -256,6 +259,9 @@ class NetworkKmsServer:
                 await self._all_closed
             self._all_closed = None
         self._reap_all("shutdown")
+        fault = self.conservation_fault()
+        if fault is not None:
+            raise ConservationError(fault)
 
     async def __aenter__(self) -> "NetworkKmsServer":
         return await self.start()
@@ -320,6 +326,21 @@ class NetworkKmsServer:
         store.release(held.reservation)
         self.metrics.note_reaped(held.reservation.bits, reason)
         return held.reservation.bits
+
+    def conservation_fault(self) -> Optional[str]:
+        """``None`` while every reservation this server granted is still
+        held in its store, or was served, released by its client, reaped or
+        spent by a draw that failed; otherwise the server's numbers."""
+        m, held = self.metrics, [entry.reservation for entry in self._held.values()]
+        ended = (m.keys_served, m.reservations_released, m.reservations_reaped, m.draws_failed)
+        active = sum(reservation.active for reservation in held)
+        if m.reservations_granted == len(held) + sum(ended) and active == len(held):
+            return None
+        return (
+            f"server {self.server_id}: {m.reservations_granted} reservations granted,"
+            f" {len(held)} held ({active} in their stores), {ended[0]} served, {ended[1]}"
+            f" released, {ended[2]} reaped, {ended[3]} spent by failed draws"
+        )
 
     async def _reap_loop(self) -> None:
         while True:
@@ -424,6 +445,7 @@ class NetworkKmsServer:
         try:
             key = store.draw(reservation, now)
         except ReservationError as exc:
+            self.metrics.draws_failed += 1
             raise ProtocolError(protocol.ERR_INTERNAL, str(exc)) from None
         key_bits, key_bytes = len(key), key.to_bytes()
         self.metrics.note_key_served(key_bytes, key_bits)
@@ -505,6 +527,7 @@ class NetworkKmsServer:
         store = self._store_for(message.pair)
         self.reap_expired()
         store.release(self._take_held(message, conn_id))
+        self.metrics.reservations_released += 1
         return ReleaseOk(
             request_id=message.request_id,
             reservation_id=message.reservation_id,

@@ -408,7 +408,7 @@ class TrustedRelayNetwork:
         that cannot move end to end *now* is banked at the furthest
         reachable custodian and store-and-forwarded as contacts open —
         ``now`` timestamps the custody submission.  ``within`` confines
-        routing (and every retry) to a node subset.
+        routing, every retry and a custody bundle's copies to a node subset.
         """
         within = frozen_within(within)
         first = self.transport_key(source, destination, key_bits, within=within)
@@ -440,7 +440,7 @@ class TrustedRelayNetwork:
         last.failure_reason += " (no usable alternative path)"
         if self.custody is not None:
             custody_result = self._bank_in_custody(
-                source, destination, key_bits, now, last
+                source, destination, key_bits, now, last, within
             )
             if custody_result is not None:
                 return custody_result
@@ -453,13 +453,15 @@ class TrustedRelayNetwork:
         key_bits: int,
         now: float,
         failed: KeyTransportResult,
+        within: Optional[frozenset],
     ) -> Optional[KeyTransportResult]:
-        """Bank a key the live mesh could not move; ``None`` when even
-        custody cannot help (statically disconnected destination)."""
+        """Bank a key the live mesh could not move, its copies confined
+        ``within`` as the transport was; ``None`` when even custody cannot
+        help (statically disconnected destination)."""
         from repro.dtn.store import DELIVERED
 
         try:
-            bundle = self.custody.submit(source, destination, key_bits, now)
+            bundle = self.custody.submit(source, destination, key_bits, now, within)
         except RoutingError:
             return None
         if bundle.state == DELIVERED:

@@ -227,7 +227,7 @@ class TestCustodyTransport:
         assert bundle.state == DELIVERED
         assert bundle.hops == 2
         assert bundle.pad_bits_consumed == 512
-        assert transport.drained and transport.reconciled
+        assert transport.drained and transport.conservation_fault() is None
 
     def test_pinned_intermittent_soak_matches_always_connected_digest(self):
         """The tentpole acceptance pin: the only path is never fully live at
@@ -256,7 +256,7 @@ class TestCustodyTransport:
 
         assert intermittent.delivered_digest == connected.delivered_digest
         # zero custody leaks at drain:
-        assert intermittent.drained and intermittent.reconciled
+        assert intermittent.drained and intermittent.conservation_fault() is None
         assert all(len(store) == 0 for store in intermittent.stores.values())
         assert intermittent.metrics.terminal_total == 3
 
@@ -270,7 +270,7 @@ class TestCustodyTransport:
             for _ in range(3):
                 transport.submit("a", "b", 256, now=0.0)
             transport.run_until(40.0)
-            assert transport.drained and transport.reconciled
+            assert transport.drained and transport.conservation_fault() is None
             assert transport.metrics.bundles_delivered == 3
             results[policy] = transport.delivered_digest
         assert results["scheduled"] == results["epidemic"]
@@ -294,7 +294,7 @@ class TestCustodyTransport:
         assert bundle.state == DELIVERED
         assert transport.metrics.bundles_delivered == 1
         assert transport.metrics.duplicate_copies_purged > 0
-        assert transport.drained and transport.reconciled
+        assert transport.drained and transport.conservation_fault() is None
 
     def test_ttl_expiry_is_terminal_and_never_invades_delivered_material(self):
         schedule = staggered_schedule()
@@ -314,7 +314,7 @@ class TestCustodyTransport:
         transport.tick(30.0)
         assert survivor.state == DELIVERED
         assert transport.delivered_digest != digest_after_expiry
-        assert transport.drained and transport.reconciled
+        assert transport.drained and transport.conservation_fault() is None
 
     def test_bounded_storage_evicts_deterministically_and_counts(self):
         schedule = ContactSchedule()
@@ -326,23 +326,22 @@ class TestCustodyTransport:
                 line_relays(), schedule=schedule, rng=DeterministicRNG(3),
                 ttl_seconds=500.0, capacity_bits=512,  # room for two bundles
             )
-            for _ in range(4):
-                transport.submit("a", "b", 256, now=0.0)
-            return transport
+            bundles = [transport.submit("a", "b", 256, now=0.0) for _ in range(4)]
+            return transport, bundles
 
-        first, second = run(), run()
+        (first, first_bundles), (second, second_bundles) = run(), run()
         assert first.metrics.bundles_evicted == 2
-        assert [first.bundles[i].state for i in range(4)] == [
+        assert [b.state for b in first_bundles] == [
             EVICTED, EVICTED, "", "",
         ]
         # with the destination unreachable even in the future, the scheduled
         # policy parks bundles at the source — that is where eviction bites
         assert first.stores["a"].stats.bundles_evicted == 2
         assert second.metrics.bundles_evicted == first.metrics.bundles_evicted
-        assert [b.state for b in second.bundles.values()] == [
-            b.state for b in first.bundles.values()
+        assert [b.state for b in second_bundles] == [
+            b.state for b in first_bundles
         ]
-        assert first.reconciled
+        assert first.conservation_fault() is None
 
     def test_submit_rejects_statically_disconnected_destination(self):
         net = line_network()
@@ -407,6 +406,34 @@ class TestCustodyFallback:
         assert "banked in custody" in result.failure_reason
         assert relays.custody.stores["r1"].holds(0)
 
+    @pytest.mark.parametrize("policy", ["scheduled", "epidemic"])
+    def test_a_zone_confined_bundle_never_leaves_its_zone(self, policy):
+        """Zone confinement holds in custody too: a key whose transport was
+        confined to a zone parks inside it, spending no pad outside, even
+        while a live path leads out of the zone and back."""
+        net = line_network()
+        net.add_relay("x")  # outside the zone: a detour a -- x -- b
+        net.add_link("a", "x", 5.0)
+        net.add_link("x", "b", 5.0)
+        relays = TrustedRelayNetwork(net, rng=DeterministicRNG(7))
+        relays.run_links_for(120.0)
+        custody = relays.enable_custody(
+            rng=DeterministicRNG(3), ttl_seconds=100.0, policy=policy
+        )
+        zone = {"a", "r1", "b"}
+        detour = [("a", "x"), ("x", "b")]
+        pad_outside = [relays.pairwise_key_available_bits(*hop) for hop in detour]
+        relays.network.cut_link("r1", "b")
+        result = relays.transport_with_reroute("a", "b", key_bits=256, now=0.0, within=zone)
+        assert result.custody_accepted and not result.success
+        custody.tick(1.0)
+        (bundle,) = custody.bundles.values()
+        assert bundle.seen <= zone
+        relays.network.restore_link("r1", "b")
+        custody.tick(2.0)
+        assert bundle.state == DELIVERED and bundle.seen <= zone
+        assert [relays.pairwise_key_available_bits(*hop) for hop in detour] == pad_outside
+
     def test_banked_bundle_delivers_after_the_link_heals(self):
         relays = line_relays()
         custody = relays.enable_custody(rng=DeterministicRNG(3), ttl_seconds=100.0)
@@ -418,7 +445,7 @@ class TestCustodyFallback:
         custody.tick(5.0)
         assert len(delivered) == 1
         assert delivered[0].state == DELIVERED
-        assert custody.drained and custody.reconciled
+        assert custody.drained and custody.conservation_fault() is None
 
     def test_without_custody_reroute_fails_as_before(self):
         relays = line_relays()

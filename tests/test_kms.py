@@ -18,6 +18,7 @@ from repro.api import QKDSystem
 from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.eve.intercept_resend import InterceptResendAttack
 from repro.kms import (
+    ConservationError,
     KeyManagementService,
     KeyStore,
     KeyStoreExhaustedError,
@@ -27,10 +28,9 @@ from repro.kms import (
     ReservationError,
     TrafficWorkload,
     WorkloadProfile,
-    percentile,
 )
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
-from repro.kms.service import KmsMetrics
+from repro.kms.service import KmsMetrics, percentile
 from repro.link import LinkParameters, QKDLink
 from repro.link.qkd_link import secret_fraction
 from repro.network.relay import TrustedRelayNetwork
@@ -818,6 +818,18 @@ class TestKeyManagementService:
         with pytest.raises(ValueError, match="epoch_seconds"):
             ReplenishmentConfig(epoch_seconds=epoch)
 
+    @pytest.mark.parametrize(
+        "marks",
+        [
+            dict(store_low_water_bits=-1),
+            dict(store_low_water_bits=40_000),
+            dict(store_high_water_bits=1 << 21),
+        ],
+    )
+    def test_store_water_marks_are_refused_at_construction(self, marks):
+        with pytest.raises(ValueError, match="store water marks"):
+            KmsConfig(**marks)
+
     def test_fifty_thousand_completions_take_no_more_memory_than_a_thousand(self):
         def grown(completions):
             tracemalloc.start()
@@ -1109,6 +1121,48 @@ class TestKmsCustody:
             "delivered_digest",
         ):
             assert getattr(first, name) == getattr(second, name), name
+
+
+class TestConservation:
+    def test_a_store_filled_to_capacity_swallows_no_transported_key(self):
+        """High water at capacity: each supplied key is no longer than the
+        store has room for, so every bit counted as delivered (and in the
+        digest) was banked, and no pad carried a bit the store refused."""
+        config = KmsConfig(store_capacity_bits=32_768, store_high_water_bits=32_768)
+        service = QKDSystem(seed=7).mesh(n_endpoints=3, n_relays=4).kms(config)
+        report = service.serve(hours=0.5)
+        deposited = sum(store.statistics.bits_deposited for store in service.stores.values())
+        assert report.delivered_key_bits == deposited == 145_408
+        assert report.key_bits_dropped == 0
+        assert service.conservation_fault() is None
+
+    def test_custody_key_reaching_a_full_store_is_dropped_not_delivered(self):
+        service = custody_service()
+        pair = service.pairs[0]
+        store = service.stores[pair]
+        filler = BitString.random(store.capacity_bits - 1024, DeterministicRNG(1))
+        service._bank(service._feeds[pair], filler, 0.0)
+        # A live path: custody delivers at once, into the last 1024 bits.
+        service.custody.submit(*pair, 2048, now=0.0)
+        assert store.available_bits == store.capacity_bits
+        assert (service.metrics.delivered_keys, service.metrics.key_bits_dropped) == (2, 1024)
+        service.custody.submit(*pair, 2048, now=0.0)
+        assert (service.metrics.delivered_keys, service.metrics.key_bits_dropped) == (2, 3072)
+        assert service.metrics.delivered_key_bits == store.capacity_bits
+        assert service.custody.metrics.bundles_delivered == 2
+        assert service.conservation_fault() is None
+
+    def test_an_imbalance_stops_the_service_at_the_next_epoch(self):
+        service = custody_service()
+        stats = service.stores[service.pairs[0]].statistics
+
+        def lose_a_byte():
+            stats.bits_deposited += 8
+
+        service.events.schedule_at(200.0, lose_a_byte)
+        message = r"t=240s: store endpoint-0--endpoint-1: \d+ bits deposited, \d+ consumed"
+        with pytest.raises(ConservationError, match=message):
+            service.serve(hours=1.0)
 
 
 # --------------------------------------------------------------------- #

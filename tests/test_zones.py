@@ -299,6 +299,15 @@ class TestZonedService:
                 return _deposit(key, now=now)
 
             store.deposit = deposit
+        # The custody layer forgets a bundle once it ends: keep each one.
+        submitted = []
+        submit = service.custody.submit
+
+        def recording_submit(*args, **kwargs):
+            submitted.append(submit(*args, **kwargs))
+            return submitted[-1]
+
+        service.custody.submit = recording_submit
         report = service.serve(hours=1.0)
         assert report.transports_parked > 0
         assert report.transports_failed == 0
@@ -324,7 +333,7 @@ class TestZonedService:
         # there when a cross-zone pair draws it, like any other trunk key).
         trunk_of = {store.pair: store for store in service.trunk_stores.values()}
         deposits = set(deposit_log)
-        for bundle in service.custody.bundles.values():
+        for bundle in submitted:
             trunk = trunk_of[bundle.source, bundle.destination]
             assert (trunk, bundle.key.to_bytes()) in deposits
         replay = hashlib.sha256()
