@@ -14,7 +14,7 @@ part two reports the sifted yield of the actual simulated link.
 from benchmarks.conftest import run_once
 from repro.core.sifting import SiftingProtocol
 from repro.optics.channel import ChannelParameters, QuantumChannel
-from repro.optics.detector import DetectorParameters
+from repro.optics.model import DetectorParameters
 from repro.optics.fiber import OpticalPath
 from repro.optics.source import SourceParameters
 from repro.util.rng import DeterministicRNG

@@ -30,7 +30,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.eve.base import QuantumChannelAttack
-from repro.optics.draws import MAX_MEAN_COUNT, coin_flips, poisson_counts
+from repro.optics.draws import coin_flips, poisson_counts
+from repro.optics.model import MAX_MEAN_COUNT
 
 
 class InterceptResendAttack(QuantumChannelAttack):

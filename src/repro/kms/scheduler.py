@@ -30,8 +30,9 @@ Two fidelity modes:
     are applied through the analytic QBER model: an attack pushing the
     expected QBER over the detection threshold yields nothing and flags the
     link as eavesdropped; a quieter attack degrades the secret fraction,
-    computed by the link's own analytic model
-    (:func:`repro.link.qkd_link.secret_fraction`) at the elevated QBER.
+    computed by the link's closed-form model
+    (:func:`repro.optics.model.secret_fraction`) at the elevated QBER.  This
+    mode loads no link or photon code.
 
 ``"montecarlo"``
     Each dispatched link runs a real :class:`~repro.link.qkd_link.QKDLink`
@@ -54,7 +55,6 @@ from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
 from repro.util.rng import DeterministicRNG
 
 if TYPE_CHECKING:  # imported lazily at runtime: a config or a key server loads no link code
-    from repro.link.qkd_link import QKDLink
     from repro.network.relay import TrustedRelayNetwork
     from repro.network.topology import QKDLinkEdge
 
@@ -155,7 +155,6 @@ class ReplenishmentScheduler:
         #: the path of a starving store get their priority boosted.
         self.pressure: Dict[Tuple[str, str], float] = {}
         self._farm = LinkFarm(workers=self.config.workers)
-        self._link_cache: Dict[float, QKDLink] = {}
         #: Wall-clock seconds spent ordering/selecting links (the scheduler
         #: overhead the metro bench tracks; excludes the dispatch fan-out).
         self.selection_seconds = 0.0
@@ -221,16 +220,6 @@ class ReplenishmentScheduler:
     # ------------------------------------------------------------------ #
     # Epoch dispatch
     # ------------------------------------------------------------------ #
-
-    def _reference_link(self, length_km: float) -> QKDLink:
-        """A cached analytic-model link for a given fiber length."""
-        link = self._link_cache.get(length_km)
-        if link is None:
-            from repro.link.qkd_link import LinkParameters, QKDLink
-
-            link = QKDLink(LinkParameters.for_distance(length_km), DeterministicRNG(0))
-            self._link_cache[length_km] = link
-        return link
 
     def _pad_bits(self, edge: QKDLinkEdge) -> int:
         return self.relays.pad_for(edge.node_a, edge.node_b).available_bytes * 8
@@ -351,8 +340,10 @@ class ReplenishmentScheduler:
 
     def _analytic_yield_bits(self, edge: QKDLinkEdge, attack: object) -> Tuple[int, bool]:
         """(bits banked this epoch, eavesdropping detected) for one link."""
-        link = self._reference_link(edge.length_km)
-        intrinsic = link.expected_qber()
+        from repro.optics import model
+
+        channel = model.ChannelParameters.for_distance(edge.length_km)
+        intrinsic = model.expected_qber(channel)
         induced = intrinsic
         if attack is not None:
             fraction = float(getattr(attack, "intercept_fraction", 1.0))
@@ -365,10 +356,8 @@ class ReplenishmentScheduler:
             # The link's analytic model at the attack-elevated QBER: the
             # engine still distills, but Cascade and the defense function
             # eat more of every sifted bit.
-            from repro.link.qkd_link import secret_fraction
-
-            mu = link.parameters.channel.effective_mean_photon_number
-            rate = link.sifted_rate_bps() * secret_fraction(induced, mu)
+            mu = channel.effective_mean_photon_number
+            rate = model.sifted_rate_per_second(channel) * model.secret_fraction(induced, mu)
         room = max(self.config.pad_target_bits - self._pad_bits(edge), 0)
         return min(int(rate * self.config.epoch_seconds), room), False
 

@@ -945,13 +945,15 @@ class KeyManagementService:
         )
 
     def conservation_fault(self) -> Optional[str]:
-        """``None`` while every owner of key bits here (each store, the custody
-        layer, each :meth:`serve_network` front end) keeps its rule, the
-        stores hold exactly the key delivered into them, and every demand is
-        completed, timed out, failed or pending; otherwise the first broken
-        rule's numbers.  Checked after every epoch and at the horizon."""
+        """``None`` while every owner of key bits here (each store, the relay
+        layer's pads, the custody layer, each :meth:`serve_network` front
+        end) keeps its rule, the stores hold exactly the key delivered into
+        them, and every demand is completed, timed out, failed or pending;
+        otherwise the first broken rule's numbers.  Checked after every
+        epoch and at the horizon."""
         custody = [self.custody] if self.custody is not None else []
-        for owner in [*self.stores.values(), *self.trunk_stores.values(), *self._servers, *custody]:
+        stores = [*self.stores.values(), *self.trunk_stores.values()]
+        for owner in [*stores, self.relays, *self._servers, *custody]:
             fault = owner.conservation_fault()
             if fault is not None:
                 return fault

@@ -12,9 +12,11 @@ Two ways of using it:
 * :meth:`QKDLink.run_slots` / :meth:`run_seconds` — Monte-Carlo the physical
   layer and run the real protocols, which is what the examples and the
   integration tests do;
-* :meth:`QKDLink.estimated_secret_key_rate` — the analytic rate model, used
-  by the distance-sweep and network benchmarks where simulating every
-  configuration at full fidelity would take too long.
+* :meth:`QKDLink.estimated_secret_key_rate` — the closed-form rate model of
+  :mod:`repro.optics.model` at this link's parameters, used by the
+  distance-sweep benchmarks where simulating every configuration at full
+  fidelity would take too long.  The network prices its links with the
+  model directly and builds no link to do so.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from repro.core.engine import (
     EngineStatistics,
     QKDProtocolEngine,
 )
-from repro.mathkit.entropy import binary_entropy
-from repro.optics.channel import ChannelParameters, QuantumChannel
+from repro.optics import model
+from repro.optics.channel import QuantumChannel
+from repro.optics.model import ChannelParameters
 from repro.util.rng import DeterministicRNG
-from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 
 
 @dataclass
@@ -166,29 +168,22 @@ class QKDLink:
         return self.run_slots(n_slots, flush=flush)
 
     # ------------------------------------------------------------------ #
-    # Analytic rate model
+    # Analytic rate model (:mod:`repro.optics.model`)
     # ------------------------------------------------------------------ #
 
     def expected_qber(self) -> float:
-        return self.channel.expected_qber()
+        return model.expected_qber(self.parameters.channel)
 
     def sifted_rate_bps(self) -> float:
-        return self.channel.sifted_rate_per_second()
+        return model.sifted_rate_per_second(self.parameters.channel)
 
     def estimated_secret_fraction(
         self,
         cascade_efficiency: float = 1.35,
         defense=None,
     ) -> float:
-        """Analytic secret bits per sifted bit at this link's operating point.
-
-        ``1 - f_EC * h(e) - t(e) - multi-photon fraction`` clamped at zero:
-        ``f_EC`` is the reconciliation inefficiency relative to the Shannon
-        limit ``h(e)`` (about 1.35 for this Cascade variant), ``t(e)`` is the
-        per-bit defense function, and the multi-photon fraction covers
-        transparent leakage.  The confidence margin vanishes in the
-        asymptotic (large-block) limit, so this is an upper estimate of what
-        the finite-block engine achieves.
+        """Analytic secret bits per sifted bit at this link's operating point:
+        :func:`repro.optics.model.secret_fraction` at the expected QBER.
 
         ``defense`` may be ``None`` (the engine's default Bennett defense), a
         defense object exposing ``per_bit_defense(e)``, a callable evaluated
@@ -213,10 +208,11 @@ class QKDLink:
                 f"{type(defense).__name__}"
             )
         mu = self.parameters.channel.effective_mean_photon_number
-        return secret_fraction(e, mu, cascade_efficiency, defense_per_bit)
+        return model.secret_fraction(e, mu, cascade_efficiency, defense_per_bit)
 
     def estimated_secret_key_rate(self, **kwargs) -> float:
-        """Analytic distilled key rate in bits per second."""
+        """Analytic distilled key rate in bits per second; with no arguments
+        it is :func:`repro.optics.model.secret_key_rate` of this link."""
         return self.sifted_rate_bps() * self.estimated_secret_fraction(**kwargs)
 
     def __repr__(self) -> str:
@@ -225,28 +221,3 @@ class QKDLink:
             f"expected_qber={self.expected_qber():.3f})"
         )
 
-
-def secret_fraction(
-    error_rate: float,
-    mean_photon_number: float,
-    cascade_efficiency: float = 1.35,
-    defense_per_bit: Optional[float] = None,
-) -> float:
-    """``1 - f_EC * h(e) - t(e) - multi-photon fraction``, clamped at zero.
-
-    The analytic model behind :meth:`QKDLink.estimated_secret_fraction`
-    and the replenishment scheduler's attacked-link yield.  ``t(e)``
-    defaults to the engine's Bennett defense, the linear
-    ``2 * sqrt(2) * e`` bound.
-    """
-    if error_rate >= 0.5:
-        return 0.0
-    if defense_per_bit is None:
-        defense_per_bit = min(2.0 * math.sqrt(2.0) * error_rate, 1.0)
-    multi_fraction = multi_photon_probability(mean_photon_number) / max(
-        non_empty_pulse_probability(mean_photon_number), 1e-12
-    )
-    fraction = (
-        1.0 - cascade_efficiency * binary_entropy(error_rate) - defense_per_bit - multi_fraction
-    )
-    return max(fraction, 0.0)

@@ -15,6 +15,7 @@ trust exposure the paper identifies as the architecture's prime weakness.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import math
 import weakref
@@ -78,11 +79,19 @@ class PairwisePads(dict):
     :meth:`cross_hop`, so both hold this rather than each other: the relay
     network owns its custody layer, and a back-reference would make the
     two a reference cycle.
+
+    Pad enters only through :meth:`bank` and leaves only through
+    :meth:`cross_hop`.  Both announce the change (the kms scheduler's
+    indexed dispatch order is only exact if none goes unannounced) and
+    count what they move: the two counters of
+    :meth:`TrustedRelayNetwork.conservation_fault`.
     """
 
     def __init__(self, keys: Iterable[Tuple[str, str]]):
         super().__init__((key, OneTimePad()) for key in keys)
         self._listeners: List[Callable[[], Optional[Callable[[Tuple[str, str]], None]]]] = []
+        self.bits_banked = 0
+        self.bits_spent = 0
 
     def pad_for(self, node_a: str, node_b: str) -> OneTimePad:
         return self[_pad_key(node_a, node_b)]
@@ -104,6 +113,12 @@ class PairwisePads(dict):
         if pruned:
             self._listeners = [ref for ref in self._listeners if ref() is not None]
 
+    def bank(self, node_a: str, node_b: str, material: bytes) -> None:
+        """See :meth:`TrustedRelayNetwork.bank_pad`."""
+        self.pad_for(node_a, node_b).add_key_material(material)
+        self.bits_banked += 8 * len(material)
+        self.notify(node_a, node_b)
+
     def cross_hop(self, node_a: str, node_b: str, payload: bytes) -> Optional[bytes]:
         """See :meth:`TrustedRelayNetwork.cross_hop`."""
         pad = self.pad_for(node_a, node_b)
@@ -111,6 +126,7 @@ class PairwisePads(dict):
             return None
         hop_pad_bytes = pad.peek(len(payload))
         ciphertext = pad.encrypt(payload)
+        self.bits_spent += 8 * len(payload)
         self.notify(node_a, node_b)
         return (
             int.from_bytes(ciphertext, "big") ^ int.from_bytes(hop_pad_bytes, "big")
@@ -160,6 +176,9 @@ class TrustedRelayNetwork:
         self.pairwise_pads = PairwisePads(
             _pad_key(edge.node_a, edge.node_b) for edge in network.links()
         )
+        #: Every transport attempt, in order, each without its key: the key
+        #: is the caller's, and a log that held it would keep every delivered
+        #: key alive in the clear for the mesh's life.
         self.transports: List[KeyTransportResult] = []
         #: Opt-in disruption tolerance (see :meth:`enable_custody`).
         self.custody: Optional["CustodyTransport"] = None
@@ -219,21 +238,10 @@ class TrustedRelayNetwork:
         """
         self.pairwise_pads.add_listener(listener)
 
-    def notify_pad_change(self, node_a: str, node_b: str) -> None:
-        """Tell subscribers one link's pad level just changed.
-
-        Every code path that consumes or banks pairwise pad must call this
-        (or go through :meth:`bank_pad`); the kms scheduler's indexed
-        dispatch order is only exact if no pad change goes unannounced.
-        """
-        self.pairwise_pads.notify(node_a, node_b)
-
     def bank_pad(self, node_a: str, node_b: str, material: bytes) -> None:
         """Add pairwise pad material to one link and announce the change."""
-        if not material:
-            return
-        self.pad_for(node_a, node_b).add_key_material(material)
-        self.notify_pad_change(node_a, node_b)
+        if material:
+            self.pairwise_pads.bank(node_a, node_b, material)
 
     def run_links_for(self, seconds: float, workers: Optional[int] = None) -> None:
         """Let every usable link distill pairwise key for ``seconds`` seconds.
@@ -287,6 +295,21 @@ class TrustedRelayNetwork:
 
     def pairwise_key_available_bits(self, node_a: str, node_b: str) -> int:
         return self.pad_for(node_a, node_b).available_bytes * 8
+
+    def conservation_fault(self) -> Optional[str]:
+        """``None`` while every pad bit banked (prefill, refills,
+        :meth:`bank_pad`) is still resident in a pad or was spent as hop pad
+        by :meth:`cross_hop` — for a live transport or a custody hop alike;
+        otherwise the relay layer's numbers.  A pad belongs to its node pair,
+        not to the link edge, so re-adding a link keeps its pad."""
+        pads = self.pairwise_pads
+        resident = 8 * sum(pad.available_bytes for pad in pads.values())
+        if pads.bits_banked == resident + pads.bits_spent:
+            return None
+        return (
+            f"relays: {pads.bits_banked} pad bits banked, {resident} resident,"
+            f" {pads.bits_spent} spent as hop pad"
+        )
 
     # ------------------------------------------------------------------ #
     # Disruption tolerance (opt-in)
@@ -388,7 +411,7 @@ class TrustedRelayNetwork:
                 result.relays_exposed.append(node_b)
         else:
             result.success, result.key = True, key
-        self.transports.append(result)
+        self.transports.append(dataclasses.replace(result, key=None))
         return result
 
     def transport_with_reroute(
@@ -430,7 +453,7 @@ class TrustedRelayNetwork:
                 excluded.append((node_a, node_b))
                 retry = self.transport_key(source, destination, key_bits, within=within)
                 if retry.success:
-                    retry.rerouted = True
+                    retry.rerouted = self.transports[-1].rerouted = True
                     return retry
                 last = retry
         finally:

@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.network.routing import PathSelector
 from repro.network.topology import NodeKind, QKDNetwork
-from repro.optics.channel import ChannelParameters
+from repro.optics import model
 from repro.optics.fiber import FiberSpan, LossElement, OpticalPath
 from repro.util.rng import DeterministicRNG
 from repro.util.units import DEFAULT_SWITCH_INSERTION_LOSS_DB
@@ -91,10 +90,7 @@ class UntrustedSwitchNetwork:
     def evaluate_path(self, node_path: List[str]) -> SwitchedPathReport:
         """Loss budget, QBER and key rate for a specific node sequence."""
         optical = self.optical_path_for(node_path)
-        link = QKDLink(
-            LinkParameters(channel=ChannelParameters(path=optical)),
-            DeterministicRNG(0),
-        )
+        channel = model.ChannelParameters(path=optical)
         n_switches = sum(
             1
             for name in node_path[1:-1]
@@ -105,8 +101,8 @@ class UntrustedSwitchNetwork:
             n_switches=n_switches,
             fiber_length_km=optical.length_km,
             total_loss_db=optical.loss_db,
-            expected_qber=link.expected_qber(),
-            secret_key_rate_bps=link.estimated_secret_key_rate(),
+            expected_qber=model.expected_qber(channel),
+            secret_key_rate_bps=model.secret_key_rate(channel),
         )
 
     # ------------------------------------------------------------------ #

@@ -15,8 +15,8 @@ import weakref
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.network.graph import Graph
+from repro.optics import model
 from repro.util.rng import DeterministicRNG
 
 
@@ -248,9 +248,9 @@ class QKDNetwork:
 
     @staticmethod
     def estimate_link_rate(length_km: float) -> float:
-        """Secret-key rate of a point-to-point link of the given length."""
-        link = QKDLink(LinkParameters.for_distance(length_km), DeterministicRNG(0))
-        return link.estimated_secret_key_rate()
+        """Secret-key rate of the paper's link over ``length_km`` of fiber
+        (:func:`repro.optics.model.secret_key_rate`)."""
+        return model.secret_key_rate(model.ChannelParameters.for_distance(length_km))
 
     # ------------------------------------------------------------------ #
     # Standard topologies used by the benchmarks

@@ -15,13 +15,18 @@ This package reproduces those statistics:
   entangled-pair source planned for the network's second link.
 * :mod:`repro.optics.fiber` — fiber spans and optical path loss budgets.
 * :mod:`repro.optics.interferometer` — the phase-encoding/decoding
-  Mach-Zehnder pair, including fringe visibility (interferometer alignment).
-* :mod:`repro.optics.detector` — gated APDs with quantum efficiency, dark
-  counts, afterpulsing and dead time.
+  Mach-Zehnder pair's per-slot interference, under fringe visibility
+  (interferometer alignment).
+* :mod:`repro.optics.detector` — gated APD clicks per slot: quantum
+  efficiency, dark counts, afterpulsing and double clicks.
 * :mod:`repro.optics.timing` — bright-pulse framing/annunciation.
 * :mod:`repro.optics.channel` — the assembled quantum channel that turns a
   number of trigger pulses into Alice and Bob's raw Qframe records, with a
   hook for eavesdropping attacks.
+* :mod:`repro.optics.model` — the parameter dataclass of every part above
+  and the closed-form rate model (click probabilities, expected QBER,
+  sifted and secret-key rates), with no numpy: what the network and an
+  analytic-mode key service load.
 """
 
 from repro.util.exports import lazy_exports
@@ -29,12 +34,18 @@ from repro.util.exports import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
-        "repro.optics.source": ("WeakCoherentSource", "SourceParameters"),
+        "repro.optics.source": ("WeakCoherentSource",),
         "repro.optics.entangled": ("EntangledPairSource",),
         "repro.optics.fiber": ("FiberSpan", "OpticalPath"),
-        "repro.optics.interferometer": ("MachZehnderPair",),
-        "repro.optics.detector": ("GatedAPDPair", "DetectorParameters"),
         "repro.optics.timing": ("BrightPulseFraming",),
-        "repro.optics.channel": ("QuantumChannel", "FrameResult", "ChannelParameters"),
+        "repro.optics.channel": ("QuantumChannel", "FrameResult"),
+        "repro.optics.model": (
+            "SourceParameters",
+            "EntangledSourceParameters",
+            "DetectorParameters",
+            "InterferometerParameters",
+            "FramingParameters",
+            "ChannelParameters",
+        ),
     },
 )

@@ -13,103 +13,28 @@ protocol processing:
 These records are exactly the "Raw Qframes (Symbols)" at the bottom of the
 paper's protocol stack (Fig 9); the sifting stage consumes them next.
 
-The channel also exposes the analytic rate model (expected click probability,
-QBER, sifted rate) used by the benchmarks for parameter sweeps that would be
-too slow to Monte-Carlo at every point, and an attack hook through which the
-eavesdropping models in :mod:`repro.eve` can interpose themselves on the
-photonic path, as Eve does in the paper's threat model.
+The channel also answers the analytic questions (expected QBER, sifted rate)
+from the closed-form model of :mod:`repro.optics.model`, which the benchmarks
+sweep where Monte-Carlo at every point would be too slow, and has an attack
+hook through which the eavesdropping models in :mod:`repro.eve` can interpose
+themselves on the photonic path, as Eve does in the paper's threat model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from repro.optics.detector import (
-    DetectorParameters,
-    GatedAPDPair,
-    apply_afterpulse,
-    combine_clicks,
-    signal_click_probability,
-)
+from repro.optics import model
+from repro.optics.detector import apply_afterpulse, combine_clicks, signal_click_probability
 from repro.optics.draws import coin_flips
-from repro.optics.entangled import EntangledPairSource, EntangledSourceParameters
-from repro.optics.fiber import OpticalPath
-from repro.optics.interferometer import (
-    InterferometerParameters,
-    MachZehnderPair,
-    detector1_probability_map,
-    phase_delta,
-)
-from repro.optics.source import SourceParameters, WeakCoherentSource, modulator_phase
-from repro.optics.timing import BrightPulseFraming, FramingParameters, frame_layout
+from repro.optics.entangled import EntangledPairSource
+from repro.optics.interferometer import detector1_probability_map, phase_delta
+from repro.optics.model import ChannelParameters
+from repro.optics.source import WeakCoherentSource, modulator_phase
+from repro.optics.timing import BrightPulseFraming, frame_layout
 from repro.util.rng import DeterministicRNG
-
-
-@dataclass
-class ChannelParameters:
-    """Everything needed to describe one weak-coherent QKD link.
-
-    The defaults reproduce the paper's first link: mean photon number 0.1 at a
-    1 MHz pulse rate through 10 km of telecom fiber, detectors cooled to
-    -30 C, overall QBER in the 6-8 % band.
-    """
-
-    source: SourceParameters = field(default_factory=SourceParameters)
-    path: OpticalPath = field(default_factory=lambda: OpticalPath.single_span(10.0))
-    interferometer: InterferometerParameters = field(
-        default_factory=InterferometerParameters
-    )
-    detectors: DetectorParameters = field(default_factory=DetectorParameters)
-    framing: FramingParameters = field(default_factory=FramingParameters)
-    #: When set, the link uses the SPDC entangled-pair source planned for the
-    #: network's second link instead of the attenuated laser.  Only the slots
-    #: whose idler photon was heralded carry a usable signal photon; the
-    #: weak-coherent ``source`` field is ignored apart from its pulse rate.
-    entangled_source: Optional[EntangledSourceParameters] = None
-
-    @classmethod
-    def paper_operating_point(cls) -> "ChannelParameters":
-        """The link exactly as §4 of the paper describes it."""
-        return cls()
-
-    @classmethod
-    def for_distance(cls, length_km: float, **overrides) -> "ChannelParameters":
-        """The paper's link with the fiber spool replaced by ``length_km`` of fiber."""
-        params = cls(path=OpticalPath.single_span(length_km))
-        for key, value in overrides.items():
-            setattr(params, key, value)
-        return params
-
-    @classmethod
-    def entangled_link(
-        cls, length_km: float = 10.0, source: Optional[EntangledSourceParameters] = None
-    ) -> "ChannelParameters":
-        """The planned second link: an SPDC entangled-pair source over fiber."""
-        return cls(
-            path=OpticalPath.single_span(length_km),
-            entangled_source=source or EntangledSourceParameters(),
-        )
-
-    @property
-    def is_entangled(self) -> bool:
-        return self.entangled_source is not None
-
-    @property
-    def pulse_rate_hz(self) -> float:
-        """Trigger rate of whichever source is in use."""
-        if self.entangled_source is not None:
-            return self.entangled_source.pulse_rate_hz
-        return self.source.pulse_rate_hz
-
-    @property
-    def effective_mean_photon_number(self) -> float:
-        """The mean signal-photon number per slot, whichever source is in use."""
-        if self.entangled_source is not None:
-            return self.entangled_source.mean_pairs_per_pulse
-        return self.source.mean_photon_number
 
 
 class FrameResult:
@@ -235,8 +160,6 @@ class QuantumChannel:
             )
         else:
             self.source = WeakCoherentSource(self.parameters.source, self.rng.fork("source"))
-        self.interferometer = MachZehnderPair(self.parameters.interferometer)
-        self.detectors = GatedAPDPair(self.parameters.detectors)
         self.framing = BrightPulseFraming(self.parameters.framing, self.rng.fork("framing"))
         self.slots_transmitted = 0
 
@@ -328,14 +251,14 @@ class QuantumChannel:
         detector_draws = rng.random(n_slots)
 
         # --- gate misalignment: thinning --- #
-        efficiency_factor = self.framing.efficiency_factor
+        efficiency_factor = parameters.framing.efficiency_factor
         if efficiency_factor < 1.0:
             rx_counts = rng.binomial(rx_counts, efficiency_factor)
 
         # --- detectors: dense draws, signal compare where photons arrived --- #
         signal = np.zeros(n_slots, dtype=bool)
         signal[rx_slots] = rng.random(n_slots)[rx_slots] < signal_click_probability(
-            rx_counts, self.detectors.per_photon_detection_probability
+            rx_counts, parameters.detectors.per_photon_detection_probability
         )
         dark_probability = parameters.detectors.dark_count_probability
         dark0 = rng.random(n_slots) < dark_probability
@@ -395,56 +318,16 @@ class QuantumChannel:
         )
 
     # ------------------------------------------------------------------ #
-    # Analytic rate model
+    # Analytic rate model (:mod:`repro.optics.model`)
     # ------------------------------------------------------------------ #
 
-    def signal_click_probability(self) -> float:
-        """Probability per slot of a click caused by Alice's photons."""
-        p = self.parameters
-        mean_emitted = p.effective_mean_photon_number
-        if p.is_entangled:
-            mean_emitted *= p.entangled_source.heralding_efficiency
-        mean_at_receiver = (
-            mean_emitted * p.path.transmittance * self.framing.efficiency_factor
-        )
-        return self.detectors.signal_detection_probability(mean_at_receiver)
-
-    def dark_click_probability(self) -> float:
-        """Probability per slot of a click caused by dark counts alone."""
-        return self.detectors.dark_click_probability()
-
-    def click_probability(self) -> float:
-        """Probability per slot that Bob registers any click."""
-        p_signal = self.signal_click_probability()
-        p_dark = self.dark_click_probability()
-        return 1.0 - (1.0 - p_signal) * (1.0 - p_dark)
-
     def expected_qber(self) -> float:
-        """Expected QBER from interferometer visibility and dark counts.
-
-        Signal clicks land on the wrong detector with the interferometer's
-        intrinsic error rate; dark clicks are uncorrelated with Alice's bit
-        and are wrong half the time.  The expected QBER is the click-weighted
-        mixture of the two.
-        """
-        p_signal = self.signal_click_probability()
-        p_dark = self.dark_click_probability()
-        p_any = self.click_probability()
-        if p_any == 0:
-            return 0.0
-        e_optical = self.interferometer.parameters.intrinsic_error_rate
-        # Weight by the contribution of each click type to the total.
-        signal_weight = p_signal / p_any
-        dark_weight = 1.0 - signal_weight
-        return signal_weight * e_optical + dark_weight * 0.5
-
-    def sifted_rate_per_slot(self) -> float:
-        """Expected sifted bits per trigger slot (basis match halves the clicks)."""
-        return 0.5 * self.click_probability()
+        """Expected QBER from interferometer visibility and dark counts."""
+        return model.expected_qber(self.parameters)
 
     def sifted_rate_per_second(self) -> float:
         """Expected sifted key rate in bits per second at the source pulse rate."""
-        return self.sifted_rate_per_slot() * self.parameters.pulse_rate_hz
+        return model.sifted_rate_per_second(self.parameters)
 
     def __repr__(self) -> str:
         return (

@@ -17,13 +17,13 @@ error rate:
   immediately following a real avalanche;
 * **dead time / double clicks** — slots where both detectors fire carry no
   usable information and are discarded by sifting.
+
+The parameters live in :class:`repro.optics.model.DetectorParameters`, with
+the closed-form click probabilities; this module evaluates the clicks slot
+by slot.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,74 +111,3 @@ def combine_clicks(
         "value": value,
         "dark_only": dark_only,
     }
-
-
-@dataclass(frozen=True)
-class DetectorParameters:
-    """Operating parameters of the gated APD pair."""
-
-    quantum_efficiency: float = 0.10
-    dark_count_probability: float = 1.0e-5
-    afterpulse_probability: float = 0.0
-    #: Receiver insertion loss (couplers, Bob's interferometer) in dB applied
-    #: before the detectors.
-    receiver_loss_db: float = 3.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.quantum_efficiency <= 1.0:
-            raise ValueError("quantum efficiency must be in [0, 1]")
-        if not 0.0 <= self.dark_count_probability <= 1.0:
-            raise ValueError("dark count probability must be in [0, 1]")
-        if not 0.0 <= self.afterpulse_probability <= 1.0:
-            raise ValueError("afterpulse probability must be in [0, 1]")
-        if self.receiver_loss_db < 0:
-            raise ValueError("receiver loss must be non-negative")
-
-    @property
-    def receiver_transmittance(self) -> float:
-        """Probability of surviving the receiver optics before the APDs."""
-        return 10.0 ** (-self.receiver_loss_db / 10.0)
-
-
-class GatedAPDPair:
-    """Analytic click probabilities of Bob's two gated detectors."""
-
-    def __init__(self, parameters: Optional[DetectorParameters] = None):
-        self.parameters = parameters or DetectorParameters()
-
-    # ------------------------------------------------------------------ #
-    # Analytic quantities
-    # ------------------------------------------------------------------ #
-
-    def signal_detection_probability(self, photons_arriving_mean: float) -> float:
-        """Probability of a signal click given a Poissonian arriving mean.
-
-        For a mean of ``m`` photons reaching the receiver, each independently
-        surviving the receiver optics and triggering with the quantum
-        efficiency, the click probability is ``1 - exp(-m * T_rx * eta)``.
-        """
-        if photons_arriving_mean < 0:
-            raise ValueError("mean photon number must be non-negative")
-        effective = (
-            photons_arriving_mean
-            * self.parameters.receiver_transmittance
-            * self.parameters.quantum_efficiency
-        )
-        return 1.0 - float(np.exp(-effective))
-
-    def dark_click_probability(self) -> float:
-        """Probability that at least one of the two detectors fires darkly in a gate."""
-        p = self.parameters.dark_count_probability
-        return 1.0 - (1.0 - p) ** 2
-
-    @property
-    def per_photon_detection_probability(self) -> float:
-        """Probability a single arriving photon produces a signal click."""
-        return self.parameters.receiver_transmittance * self.parameters.quantum_efficiency
-
-    def __repr__(self) -> str:
-        p = self.parameters
-        return (
-            f"GatedAPDPair(eta={p.quantum_efficiency}, dark={p.dark_count_probability}, "
-            f"rx_loss={p.receiver_loss_db} dB)"
-        )

@@ -60,11 +60,6 @@ import numpy as np
 #: module docstring for the measurement).  The paper's sources run at 0.05-0.1.
 REPLAY_BELOW = 0.5
 
-#: Largest mean accepted for a per-slot photon count.  The counts travel in
-#: ``uint16`` rows, where assignment wraps silently; Poisson(60 000) reaches
-#: 65 536 only 22 standard deviations out.
-MAX_MEAN_COUNT = 60_000.0
-
 _NO_DOUBLES = np.empty(0, dtype=np.float64)
 
 

@@ -17,36 +17,14 @@ both source types under like assumptions.
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional
-
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.optics.draws import MAX_MEAN_COUNT, coin_flips, poisson_counts
+from repro.optics.draws import coin_flips, poisson_counts
+from repro.optics.model import EntangledSourceParameters
 from repro.util.rng import DeterministicRNG
 
-
-@dataclass(frozen=True)
-class EntangledSourceParameters:
-    """Operating parameters of the SPDC pair source."""
-
-    #: Mean number of photon pairs generated per pump pulse.  SPDC pair
-    #: statistics are thermal/Poisson-like; small values keep double pairs rare.
-    mean_pairs_per_pulse: float = 0.05
-    #: Pump pulse rate: the paper's 1 MHz trigger.
-    pulse_rate_hz: ClassVar[float] = 1.0e6
-    #: Heralding efficiency: probability that the idler photon of a generated
-    #: pair is detected at the source so the signal photon can be announced.
-    heralding_efficiency: float = 0.6
-
-    def __post_init__(self) -> None:
-        if self.mean_pairs_per_pulse < 0:
-            raise ValueError("mean pairs per pulse must be non-negative")
-        if self.mean_pairs_per_pulse > MAX_MEAN_COUNT:
-            raise ValueError("mean pairs per pulse too large for uint16 photon counts")
-        if not 0.0 <= self.heralding_efficiency <= 1.0:
-            raise ValueError("heralding efficiency must be in [0, 1]")
 
 class EntangledPairSource:
     """Generates heralded entangled-pair emission records per trigger slot."""

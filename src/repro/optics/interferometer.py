@@ -15,14 +15,15 @@ wrong detector with probability ``(1 - V) / 2`` — the dominant intrinsic
 contribution to the paper's 6-8 % QBER.  When the bases are incompatible
 (delta = pi/2 or 3 pi/2) the photon strikes either detector at random, exactly
 as the paper states.
+
+The alignment parameters live in
+:class:`repro.optics.model.InterferometerParameters`; this module evaluates
+the interference slot by slot.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,39 +55,3 @@ def detector1_probability_map(scratch: np.ndarray, visibility) -> np.ndarray:
     np.subtract(1.0, scratch, out=scratch)
     scratch *= 0.5
     return scratch
-
-
-@dataclass(frozen=True)
-class InterferometerParameters:
-    """Alignment quality of the interferometer pair."""
-
-    #: Fringe visibility of the combined Alice+Bob interferometer pair.
-    #: V = 1 is perfect alignment; the intrinsic error rate is (1 - V) / 2.
-    visibility: float = 0.87
-    #: Additional RMS phase noise (radians) from fiber stretcher imperfection;
-    #: applied as a random phase jitter per pulse.
-    phase_noise_rad: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.visibility <= 1.0:
-            raise ValueError("visibility must be in [0, 1]")
-        if self.phase_noise_rad < 0:
-            raise ValueError("phase noise must be non-negative")
-
-    @property
-    def intrinsic_error_rate(self) -> float:
-        """Probability of hitting the wrong detector with compatible bases."""
-        return (1.0 - self.visibility) / 2.0
-
-
-class MachZehnderPair:
-    """Computes detector-hit probabilities for the Alice/Bob interferometer pair."""
-
-    def __init__(self, parameters: Optional[InterferometerParameters] = None):
-        self.parameters = parameters or InterferometerParameters()
-
-    def __repr__(self) -> str:
-        return (
-            f"MachZehnderPair(visibility={self.parameters.visibility}, "
-            f"intrinsic_error={self.parameters.intrinsic_error_rate:.3f})"
-        )

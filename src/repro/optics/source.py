@@ -15,14 +15,14 @@ matches the summing-amplifier construction in Fig 3 of the paper.
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional
+from typing import Optional
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from repro.optics.draws import MAX_MEAN_COUNT, coin_flips, poisson_counts
+from repro.optics.draws import coin_flips, poisson_counts
+from repro.optics.model import SourceParameters
 from repro.util.rng import DeterministicRNG
 
 #: The four modulator phases ``basis * pi/2 + value * pi`` indexed by
@@ -45,23 +45,6 @@ def modulator_phase(basis: np.ndarray, value: np.ndarray) -> np.ndarray:
     """
     return _PHASE_TABLE[(basis << 1) | value]
 
-
-@dataclass(frozen=True)
-class SourceParameters:
-    """Operating parameters of the weak-coherent source.
-
-    Defaults reproduce the paper's stated operating point: a 1 MHz trigger
-    rate with a mean photon-emission number of 0.1 photons per pulse.
-    """
-
-    mean_photon_number: float = 0.1
-    pulse_rate_hz: ClassVar[float] = 1.0e6
-
-    def __post_init__(self) -> None:
-        if self.mean_photon_number < 0:
-            raise ValueError("mean photon number must be non-negative")
-        if self.mean_photon_number > MAX_MEAN_COUNT:
-            raise ValueError("mean photon number too large for uint16 photon counts")
 
 class WeakCoherentSource:
     """Generates batches of phase-modulated weak-coherent pulses.

@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from repro.optics.model import FramingParameters
 from repro.util.rng import DeterministicRNG
 
 
@@ -41,28 +40,6 @@ def frame_layout(slots_per_frame: int, n_slots: int):
         raise ValueError("slot count must be non-negative")
     n_frames = -(-n_slots // slots_per_frame)
     return np.repeat(np.arange(n_frames, dtype=np.int64), slots_per_frame)[:n_slots]
-
-
-@dataclass(frozen=True)
-class FramingParameters:
-    """Parameters of the bright-pulse framing subsystem."""
-
-    #: Number of QKD trigger slots per Qframe.  The real engine works on
-    #: frames of a few thousand symbols; 4096 keeps sift messages compact.
-    slots_per_frame: int = 4096
-    #: Probability that a frame's bright annunciator pulse is missed entirely
-    #: (fiber transient, sync detector dropout), losing the whole frame.
-    frame_loss_probability: float = 0.0
-    #: Fractional reduction of detection efficiency due to gate timing jitter.
-    gate_misalignment_penalty: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.slots_per_frame <= 0:
-            raise ValueError("slots per frame must be positive")
-        if not 0.0 <= self.frame_loss_probability <= 1.0:
-            raise ValueError("frame loss probability must be in [0, 1]")
-        if not 0.0 <= self.gate_misalignment_penalty < 1.0:
-            raise ValueError("gate misalignment penalty must be in [0, 1)")
 
 
 class BrightPulseFraming:
@@ -88,11 +65,6 @@ class BrightPulseFraming:
         start = self._next_frame_number
         self._next_frame_number += n_frames
         return start
-
-    @property
-    def efficiency_factor(self) -> float:
-        """Multiplicative detection-efficiency factor from gate misalignment."""
-        return 1.0 - self.parameters.gate_misalignment_penalty
 
     def __repr__(self) -> str:
         return (

@@ -120,7 +120,7 @@ def dense_transmit_lanes(channels, n_slots: int, attacks=None):
 
     # --- gate misalignment: per-lane thinning --- #
     for i, channel in enumerate(channels):
-        efficiency_factor = channel.framing.efficiency_factor
+        efficiency_factor = channel.parameters.framing.efficiency_factor
         if efficiency_factor < 1.0:
             photons_rx2[i] = lane_rngs[i].binomial(photons_rx2[i], efficiency_factor)
 
@@ -128,7 +128,7 @@ def dense_transmit_lanes(channels, n_slots: int, attacks=None):
     click_prob2 = np.empty(shape, dtype=np.float64)
     for i, channel in enumerate(channels):
         click_prob2[i] = signal_click_probability(
-            photons_rx2[i], channel.detectors.per_photon_detection_probability
+            photons_rx2[i], channel.parameters.detectors.per_photon_detection_probability
         )
     del photons_rx2
     signal_click2 = np.empty(shape, dtype=bool)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.optics import model
 from repro.optics.channel import ChannelParameters, QuantumChannel
-from repro.optics.detector import DetectorParameters
+from repro.optics.model import DetectorParameters
 from repro.optics.fiber import OpticalPath
 from repro.util.rng import DeterministicRNG
 
@@ -35,18 +36,21 @@ class TestAnalyticModel:
         assert qbers == sorted(qbers)
 
     def test_click_probability_composition(self):
-        channel = QuantumChannel(rng=DeterministicRNG(2))
-        p_signal = channel.signal_click_probability()
-        p_dark = channel.dark_click_probability()
-        p_total = channel.click_probability()
+        params = QuantumChannel(rng=DeterministicRNG(2)).parameters
+        p_signal = model.signal_click_probability(params)
+        p_dark = model.dark_click_probability(params)
+        p_total = model.click_probability(params)
         assert p_total == pytest.approx(1 - (1 - p_signal) * (1 - p_dark))
         assert p_signal > p_dark  # at 10 km the signal dominates
 
     def test_sifted_rate_is_half_the_click_rate(self):
         channel = QuantumChannel(rng=DeterministicRNG(3))
-        assert channel.sifted_rate_per_slot() == pytest.approx(0.5 * channel.click_probability())
+        params = channel.parameters
+        assert model.sifted_rate_per_slot(params) == pytest.approx(
+            0.5 * model.click_probability(params)
+        )
         assert channel.sifted_rate_per_second() == pytest.approx(
-            channel.sifted_rate_per_slot() * 1e6
+            model.sifted_rate_per_slot(params) * 1e6
         )
 
     def test_sifted_rate_order_of_magnitude(self):
@@ -87,7 +91,7 @@ class TestMonteCarlo:
 
     def test_measured_sift_rate_matches_analytic(self, paper_channel):
         result = paper_channel.transmit(2_000_000)
-        expected = paper_channel.sifted_rate_per_slot()
+        expected = model.sifted_rate_per_slot(paper_channel.parameters)
         assert result.n_sifted / result.n_slots == pytest.approx(expected, rel=0.15)
 
     def test_statistics_accumulate(self):
@@ -130,9 +134,9 @@ class TestMonteCarlo:
         channel = QuantumChannel(params, DeterministicRNG(8))
         # Zero-length fiber: transmittance 1, so the detection rate is set only
         # by receiver loss and quantum efficiency.
-        assert channel.signal_click_probability() > QuantumChannel(
-            ChannelParameters.for_distance(10.0), DeterministicRNG(8)
-        ).signal_click_probability()
+        assert model.signal_click_probability(channel.parameters) > model.signal_click_probability(
+            QuantumChannel(ChannelParameters.for_distance(10.0), DeterministicRNG(8)).parameters
+        )
 
 
 class TestFrameResultMemory:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.link import LinkParameters, QKDLink
+from repro.optics import model
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.optics.entangled import EntangledPairSource, EntangledSourceParameters
 from repro.util.rng import DeterministicRNG
@@ -42,7 +43,7 @@ class TestEntangledChannel:
         result = channel.transmit(2_000_000)
         assert result.qber == pytest.approx(channel.expected_qber(), abs=0.03)
         assert result.n_sifted / result.n_slots == pytest.approx(
-            channel.sifted_rate_per_slot(), rel=0.25
+            model.sifted_rate_per_slot(channel.parameters), rel=0.25
         )
 
     def test_heralding_efficiency_scales_rate(self):
@@ -58,7 +59,9 @@ class TestEntangledChannel:
             ),
             DeterministicRNG(4),
         )
-        assert high.signal_click_probability() > low.signal_click_probability()
+        assert model.signal_click_probability(high.parameters) > model.signal_click_probability(
+            low.parameters
+        )
 
 
 class TestEntangledLink:

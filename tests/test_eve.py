@@ -33,7 +33,7 @@ class TestPassiveChannel:
 class TestInterceptResend:
     def test_full_intercept_raises_qber_to_25_percent(self, channel):
         result = channel.transmit(800_000, attack=InterceptResendAttack(1.0))
-        intrinsic = channel.interferometer.parameters.intrinsic_error_rate
+        intrinsic = channel.parameters.interferometer.intrinsic_error_rate
         # 25% induced on intercepted-and-resent pulses plus (1-25%-ish) intrinsic mix;
         # accept a generous band around 25% + intrinsic.
         assert 0.22 <= result.qber <= 0.38

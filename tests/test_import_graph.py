@@ -3,11 +3,14 @@
 Every package resolves its exports on first use (:mod:`repro.util.exports`),
 and the modules a key server needs import the link, IPsec, relay and DTN
 layers only where a builder first asks for them.  The first tests pin, as
-literals, the exact ``repro`` modules two import sets load in a fresh
+literals, the exact ``repro`` modules three import sets load in a fresh
 interpreter, and that numpy is not among what they load: E21's own import
-set (the harness and its workloads) and a netkms client alone.  A new
-top-level import that drags a layer in fails here, by name, rather than
-showing up as a slower start.
+set (the harness and its workloads), a netkms client alone, and a small
+metro key service in analytic mode built and served end to end — its links
+priced by the closed-form model of :mod:`repro.optics.model`, so no link,
+engine or Monte-Carlo optics module loads.  A new top-level import that
+drags a layer in fails here, by name, rather than showing up as a slower
+start or a larger resident set.
 
 The rest check that laziness is invisible to callers: every package export
 resolves, every export table names what its module defines, unknown names
@@ -68,6 +71,60 @@ CLIENT_MODULES = {
     "repro.util.exports",
 }
 
+#: What ``QKDSystem(...).metro(...).kms(...).serve(...)`` loads in the default
+#: analytic mode: the service, relay mesh, routing, IKE and custody layers,
+#: and of the optics only the model and the fiber loss budget it reads.
+ANALYTIC_KMS_MODULES = {
+    "repro",
+    "repro.api",
+    "repro.core",
+    "repro.core.keypool",
+    "repro.crypto",
+    "repro.crypto.aes",
+    "repro.crypto.modes",
+    "repro.crypto.otp",
+    "repro.crypto.sha1",
+    "repro.dtn",
+    "repro.dtn.contact",
+    "repro.dtn.policies",
+    "repro.dtn.store",
+    "repro.dtn.transport",
+    "repro.ipsec",
+    "repro.ipsec.esp",
+    "repro.ipsec.gateway",
+    "repro.ipsec.ike",
+    "repro.ipsec.packets",
+    "repro.ipsec.sad",
+    "repro.ipsec.spd",
+    "repro.kms",
+    "repro.kms.indexing",
+    "repro.kms.scheduler",
+    "repro.kms.service",
+    "repro.kms.store",
+    "repro.kms.workload",
+    "repro.kms.zones",
+    "repro.mathkit",
+    "repro.mathkit.entropy",
+    "repro.network",
+    "repro.network.graph",
+    "repro.network.relay",
+    "repro.network.routing",
+    "repro.network.topology",
+    "repro.optics",
+    "repro.optics.fiber",
+    "repro.optics.model",
+    "repro.runtime",
+    "repro.runtime.farm",
+    "repro.sim",
+    "repro.sim.clock",
+    "repro.util",
+    "repro.util.bits",
+    "repro.util.exports",
+    "repro.util.latency",
+    "repro.util.rng",
+    "repro.util.units",
+}
+
 REPORT = (
     "import sys\n"
     "print(sorted(m for m in sys.modules if m == 'repro' or m.startswith('repro.')))\n"
@@ -104,6 +161,18 @@ def test_the_e21_import_set_loads_no_photon_code_and_no_numpy():
 def test_a_netkms_client_alone_loads_no_numpy():
     modules, numpy_loaded = _loaded("import repro.netkms.client")
     assert modules == CLIENT_MODULES
+    assert not numpy_loaded
+
+
+def test_an_analytic_metro_kms_loads_no_photon_code_and_no_numpy():
+    modules, numpy_loaded = _loaded(
+        "from repro import QKDSystem\n"
+        "from repro.kms import KmsConfig\n"
+        "service = QKDSystem(seed=7).metro(n_zones=2, endpoints_per_zone=2).kms(KmsConfig())\n"
+        "report = service.serve(hours=0.1)\n"
+        "assert report.demands > 0 and service.metrics.epochs_run > 0\n"
+    )
+    assert modules == ANALYTIC_KMS_MODULES
     assert not numpy_loaded
 
 

@@ -32,8 +32,8 @@ from repro.kms import (
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
 from repro.kms.service import KmsMetrics, percentile
 from repro.link import LinkParameters, QKDLink
-from repro.link.qkd_link import secret_fraction
 from repro.network.relay import TrustedRelayNetwork
+from repro.optics.model import secret_fraction
 from repro.util.bits import BitString
 from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
@@ -612,8 +612,7 @@ class TestReplenishmentScheduler:
                 if move < 0.4:
                     relays.bank_pad(*key, bytes(fuzz.randrange(1, 2_000)))
                 elif move < 0.6 and pad.available_bytes > 16:
-                    pad.encrypt(bytes(8))
-                    relays.notify_pad_change(*key)
+                    relays.cross_hop(*key, bytes(8))
                 elif move < 0.8:
                     scheduler.note_pressure(*key, amount=fuzz.random() * 10)
                 elif relays.network.link(*key).usable:
@@ -1161,6 +1160,18 @@ class TestConservation:
 
         service.events.schedule_at(200.0, lose_a_byte)
         message = r"t=240s: store endpoint-0--endpoint-1: \d+ bits deposited, \d+ consumed"
+        with pytest.raises(ConservationError, match=message):
+            service.serve(hours=1.0)
+
+    def test_pad_spent_outside_a_hop_stops_the_service_at_the_next_epoch(self):
+        service = custody_service()
+        pad = service.relays.pad_for("relay-0", "relay-1")
+
+        def leak_pad():
+            pad.encrypt(bytes(8))
+
+        service.events.schedule_at(200.0, leak_pad)
+        message = r"t=240s: relays: \d+ pad bits banked, \d+ resident, \d+ spent as hop pad"
         with pytest.raises(ConservationError, match=message):
             service.serve(hours=1.0)
 

@@ -26,8 +26,8 @@ from repro.kms import KeyManagementService, KmsConfig
 from repro.kms.scheduler import ReplenishmentConfig
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.optics.channel import ChannelParameters, QuantumChannel
-from repro.optics.detector import DetectorParameters
-from repro.optics.interferometer import InterferometerParameters
+from repro.optics.model import DetectorParameters
+from repro.optics.model import InterferometerParameters
 from repro.optics.timing import FramingParameters
 from repro.runtime import LinkFarm, farm
 from repro.runtime.farm import LinkJob, _run_link_job

@@ -183,7 +183,7 @@ def test_a_dropped_service_unsubscribes_from_its_mesh(monkeypatch):
     replenisher = weakref.ref(first.replenisher)
     del first
     assert replenisher() is None
-    mesh.relays.notify_pad_change("relay-0", "relay-1")
+    mesh.relays.bank_pad("relay-0", "relay-1", b"\x00")
     assert calls == [("relay-0", "relay-1")]
     assert second.replenisher is not None
 

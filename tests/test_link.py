@@ -10,8 +10,8 @@ from repro import QKDSystem
 from repro.core.entropy_estimation import SlutskyDefense
 from repro.eve import InterceptResendAttack
 from repro.link import LinkParameters, QKDLink
-from repro.link.qkd_link import secret_fraction
 from repro.mathkit.entropy import binary_entropy
+from repro.optics.model import secret_fraction
 from repro.util.rng import DeterministicRNG
 from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 

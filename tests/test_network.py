@@ -394,6 +394,56 @@ class TestTrustedRelay:
         assert result.key is not None and len(result.key) == 256
         assert result.pad_bits_consumed == 256 * (len(result.path) - 1)
 
+    def test_the_transport_log_keeps_no_key(self, mesh):
+        """The caller gets its key; the mesh's log of attempts holds none."""
+        relay = self._loaded(mesh)
+        result = relay.transport_key("endpoint-0", "endpoint-1", 256)
+        assert result.success and result.key is not None
+        logged = relay.transports[-1]
+        assert logged.key is None
+        assert (logged.success, logged.path, logged.pad_bits_consumed) == (
+            True,
+            result.path,
+            result.pad_bits_consumed,
+        )
+
+    def test_a_logged_reroute_is_marked_rerouted(self, mesh):
+        relay = self._loaded(mesh)
+        preferred = relay.selector.find_path("endpoint-0", "endpoint-1")
+        exhausted = relay.pad_for(preferred[1], preferred[2])
+        relay.cross_hop(preferred[1], preferred[2], bytes(exhausted.available_bytes))
+        result = relay.transport_with_reroute("endpoint-0", "endpoint-1", 128)
+        assert result.success and result.rerouted and result.key is not None
+        assert relay.transports[-1].rerouted and relay.transports[-1].key is None
+
+    def test_pad_banked_is_pad_resident_plus_pad_spent(self, mesh):
+        relay = self._loaded(mesh)
+        banked = relay.pairwise_pads.bits_banked
+        assert banked > 0 and relay.conservation_fault() is None
+        result = relay.transport_key("endpoint-0", "endpoint-2", 256)
+        assert result.success
+        assert relay.pairwise_pads.bits_spent == result.pad_bits_consumed
+        assert relay.conservation_fault() is None
+        # Pad that leaves a pool by any other way than a hop is a leak.
+        relay.pad_for("endpoint-0", result.path[1]).encrypt(bytes(4))
+        spent = result.pad_bits_consumed
+        assert relay.conservation_fault() == (
+            f"relays: {banked} pad bits banked, {banked - spent - 32} resident,"
+            f" {spent} spent as hop pad"
+        )
+
+    def test_re_adding_a_link_keeps_its_pad(self, mesh):
+        """A pad belongs to its node pair: replacing the pair's link edge
+        leaves the pad, and the pad rule, as they were."""
+        relay = self._loaded(mesh)
+        edge = mesh.links()[0]
+        before = relay.pairwise_key_available_bits(edge.node_a, edge.node_b)
+        assert before > 0
+        mesh.add_link(edge.node_a, edge.node_b, edge.length_km)
+        assert mesh.link(edge.node_a, edge.node_b) is not edge
+        assert relay.pairwise_key_available_bits(edge.node_a, edge.node_b) == before
+        assert relay.conservation_fault() is None
+
     def test_relays_exposed_are_exactly_the_intermediate_relays(self, mesh):
         relay = self._loaded(mesh)
         result = relay.transport_key("endpoint-0", "endpoint-2", 128)

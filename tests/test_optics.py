@@ -7,20 +7,12 @@ import pytest
 
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lanes
-from repro.optics.detector import (
-    DetectorParameters,
-    GatedAPDPair,
-    apply_afterpulse,
-    combine_clicks,
-    signal_click_probability,
-)
+from repro.optics import model
+from repro.optics.detector import apply_afterpulse, combine_clicks, signal_click_probability
 from repro.optics.entangled import EntangledPairSource, EntangledSourceParameters
 from repro.optics.fiber import FiberSpan, LossElement, OpticalPath
-from repro.optics.interferometer import (
-    InterferometerParameters,
-    detector1_probability_map,
-    phase_delta,
-)
+from repro.optics.interferometer import detector1_probability_map, phase_delta
+from repro.optics.model import DetectorParameters, InterferometerParameters
 from repro.optics.source import SourceParameters, WeakCoherentSource, modulator_phase
 from repro.optics.timing import BrightPulseFraming, FramingParameters, frame_layout
 from repro.util.rng import DeterministicRNG
@@ -248,17 +240,26 @@ class TestDetectors:
             DetectorParameters(receiver_loss_db=-1)
 
     def test_signal_detection_probability(self):
-        detectors = GatedAPDPair(DetectorParameters(quantum_efficiency=0.1, receiver_loss_db=0.0))
-        assert detectors.signal_detection_probability(0.0) == 0.0
-        p = detectors.signal_detection_probability(1.0)
+        detectors = DetectorParameters(quantum_efficiency=0.1, receiver_loss_db=0.0)
+
+        def arriving(mean):
+            """A lossless channel that delivers a Poissonian ``mean`` to Bob."""
+            return ChannelParameters(
+                source=SourceParameters(mean_photon_number=mean),
+                path=OpticalPath.single_span(0.0),
+                detectors=detectors,
+            )
+
+        assert model.signal_click_probability(arriving(0.0)) == 0.0
+        p = model.signal_click_probability(arriving(1.0))
         assert p == pytest.approx(1 - math.exp(-0.1))
 
     def test_dark_click_probability(self):
-        detectors = GatedAPDPair(DetectorParameters(dark_count_probability=1e-3))
-        assert detectors.dark_click_probability() == pytest.approx(1 - (1 - 1e-3) ** 2)
+        params = ChannelParameters(detectors=DetectorParameters(dark_count_probability=1e-3))
+        assert model.dark_click_probability(params) == pytest.approx(1 - (1 - 1e-3) ** 2)
 
     def test_no_photons_no_signal_clicks(self):
-        detectors = GatedAPDPair(DetectorParameters())
+        detectors = DetectorParameters()
         p_click = signal_click_probability(
             np.zeros(10_000, dtype=np.int64), detectors.per_photon_detection_probability
         )
@@ -274,7 +275,7 @@ class TestDetectors:
     def test_click_rate_matches_analytic(self):
         params = DetectorParameters(quantum_efficiency=0.1, dark_count_probability=0.0, receiver_loss_db=3.0)
         expected = params.receiver_transmittance * params.quantum_efficiency
-        per_photon = GatedAPDPair(params).per_photon_detection_probability
+        per_photon = params.per_photon_detection_probability
         assert per_photon == pytest.approx(expected)
         counts = np.arange(5, dtype=np.int64)
         assert np.allclose(
@@ -289,8 +290,8 @@ class TestDetectors:
         )
         channel = QuantumChannel(bright, DeterministicRNG(4))
         frame = channel.transmit(200_000)
-        assert frame.bob_click.mean() == pytest.approx(channel.click_probability(), rel=0.05)
-        assert channel.click_probability() == pytest.approx(1 - math.exp(-expected))
+        assert frame.bob_click.mean() == pytest.approx(model.click_probability(bright), rel=0.05)
+        assert model.click_probability(bright) == pytest.approx(1 - math.exp(-expected))
 
     def test_dark_only_flag(self):
         rng = np.random.default_rng(5)
@@ -312,7 +313,7 @@ class TestDetectors:
         )
         channel = QuantumChannel(params, DeterministicRNG(5))
         assert channel.transmit(n).bob_click.mean() == pytest.approx(
-            channel.detectors.dark_click_probability(), rel=0.1
+            model.dark_click_probability(params), rel=0.1
         )
 
     def test_double_clicks_require_both(self):
@@ -442,7 +443,7 @@ class TestFraming:
         assert clicks_per_frame[~lost].min() > 10
 
     def test_efficiency_factor(self):
-        assert BrightPulseFraming(FramingParameters(gate_misalignment_penalty=0.2)).efficiency_factor == pytest.approx(0.8)
+        assert FramingParameters(gate_misalignment_penalty=0.2).efficiency_factor == pytest.approx(0.8)
 
     def test_no_lanes_is_an_empty_result(self):
         assert transmit_lanes([], 1000) == []

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.eve import BeamSplittingAttack, InterceptResendAttack
 from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lanes
-from repro.optics.detector import DetectorParameters
+from repro.optics.model import DetectorParameters
 from repro.optics.draws import (
     REPLAY_BELOW,
     _replay_multiplication_method,
@@ -30,7 +30,7 @@ from repro.optics.draws import (
 )
 from repro.optics.entangled import EntangledSourceParameters
 from repro.optics.fiber import OpticalPath
-from repro.optics.interferometer import InterferometerParameters
+from repro.optics.model import InterferometerParameters
 from repro.optics.source import SourceParameters
 from repro.optics.timing import FramingParameters
 from repro.util.rng import DeterministicRNG

@@ -20,9 +20,9 @@ from repro.core.sifting import SiftingProtocol
 from repro.eve import BeamSplittingAttack, InterceptResendAttack
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.optics.channel import ChannelParameters, QuantumChannel
-from repro.optics.detector import DetectorParameters
+from repro.optics.model import DetectorParameters
 from repro.optics.entangled import EntangledSourceParameters
-from repro.optics.interferometer import InterferometerParameters
+from repro.optics.model import InterferometerParameters
 from repro.optics.timing import FramingParameters
 from repro.runtime.farm import LinkJob
 from repro.util.bits import BitString

@@ -113,7 +113,9 @@ class TestOneDrawPerLink:
         ]
         assert len(banked) == 37
         assert prefilled - bare == len(banked)
-        assert prefilled == 185  # 569 891 when each pad byte was its own draw
+        # 569 891 when each pad byte was its own draw; 185 while every link's
+        # rate came from a seeded throwaway QKDLink (four draws each).
+        assert prefilled == 37
 
 
 def nonfinite_or_negative():
