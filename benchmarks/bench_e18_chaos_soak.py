@@ -105,7 +105,6 @@ async def run_level(level_name, rates):
         {PAIR: store},
         port=0,
         lease_seconds=30.0,
-        reap_interval_seconds=None,
         request_hook=stall_hook(plane) if faulted else None,
     )
     await server.start()

@@ -15,6 +15,7 @@ so the client under test cannot tell chaos from an outage.
 ``NetworkKmsServer(request_hook=...)`` and holds requests at the
 ``server/request`` site — long enough past the client's request timeout
 and the retry loop must recover.
+Injected delays and stalls are ``asyncio.sleep``: time is the running loop's.
 """
 
 from __future__ import annotations
@@ -89,10 +90,9 @@ class FaultyProtocol(asyncio.Protocol):
     once the held frames are through, as a stream reader would have seen it.
     """
 
-    def __init__(self, inner: asyncio.Protocol, plane: FaultPlane, sleep):
+    def __init__(self, inner: asyncio.Protocol, plane: FaultPlane):
         self._inner = inner
         self._plane = plane
-        self._sleep = sleep
         self._frames = protocol.FrameSplitter(_NO_CAP)
         self._transport = None
         self.client_transport: Optional[FaultyTransport] = None
@@ -141,7 +141,7 @@ class FaultyProtocol(asyncio.Protocol):
                 raise AssertionError(f"unhandled rx action {action.kind!r}")
 
     async def _after(self, seconds: float, frame: bytes) -> None:
-        await self._sleep(seconds)
+        await asyncio.sleep(seconds)
         self._delay = None
         if not self._reported:
             self._inner.data_received(frame)
@@ -179,9 +179,8 @@ class FaultyConnector:
     :class:`~repro.netkms.resilient.ResilientKmsClient`); it wraps the
     client's plain TCP connector."""
 
-    def __init__(self, plane: FaultPlane, sleep=None):
+    def __init__(self, plane: FaultPlane):
         self._plane = plane
-        self._sleep = sleep or asyncio.sleep
 
     async def __call__(
         self, host: str, port: int, protocol_factory
@@ -191,24 +190,21 @@ class FaultyConnector:
             if action.kind == REFUSE:
                 raise ConnectionRefusedError("injected: connection refused")
             if action.kind == DELAY:
-                await self._sleep(action.delay_seconds)
+                await asyncio.sleep(action.delay_seconds)
         inner = protocol_factory()
         _transport, faulty = await open_connection(
-            host, port, lambda: FaultyProtocol(inner, self._plane, self._sleep)
+            host, port, lambda: FaultyProtocol(inner, self._plane)
         )
         return faulty.client_transport, inner
 
 
-def stall_hook(
-    plane: FaultPlane, sleep=None
-) -> Callable[[object], Awaitable[None]]:
+def stall_hook(plane: FaultPlane) -> Callable[[object], Awaitable[None]]:
     """A ``NetworkKmsServer(request_hook=...)`` that stalls per the plane."""
-    do_sleep = sleep or asyncio.sleep
 
     async def hook(_message) -> None:
         action = plane.decide(SITE_SERVER_REQUEST)
         if action is not None and action.kind == STALL:
-            await do_sleep(action.delay_seconds)
+            await asyncio.sleep(action.delay_seconds)
 
     return hook
 

@@ -911,9 +911,7 @@ class KeyManagementService:
     # Networked delivery (repro.netkms)
     # ------------------------------------------------------------------ #
 
-    def serve_network(
-        self, host: str = "127.0.0.1", port: int = 0, **server_kwargs
-    ) -> "NetworkKmsServer":
+    def serve_network(self, host: str = "127.0.0.1", port: int = 0) -> "NetworkKmsServer":
         """A network front end over this service's per-pair stores.
 
         Returns an *unstarted* :class:`~repro.netkms.server.NetworkKmsServer`
@@ -922,12 +920,11 @@ class KeyManagementService:
         up (``port=0`` binds an ephemeral port).  Network consumers and the
         reservation contract keep the stores race-free between them; see
         :mod:`repro.netkms` for the protocol and its version negotiation.
+        Its leases run in its event loop's seconds, not simulated ones.
         """
         from repro.netkms.server import NetworkKmsServer
 
-        server = NetworkKmsServer(
-            self.stores, host=host, port=port, now=self.clock.now, **server_kwargs
-        )
+        server = NetworkKmsServer(self.stores, host=host, port=port)
         self._servers.append(server)
         return server
 

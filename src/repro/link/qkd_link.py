@@ -177,13 +177,10 @@ class QKDLink:
     def sifted_rate_bps(self) -> float:
         return model.sifted_rate_per_second(self.parameters.channel)
 
-    def estimated_secret_fraction(
-        self,
-        cascade_efficiency: float = 1.35,
-        defense=None,
-    ) -> float:
+    def estimated_secret_fraction(self, defense=None) -> float:
         """Analytic secret bits per sifted bit at this link's operating point:
-        :func:`repro.optics.model.secret_fraction` at the expected QBER.
+        :func:`repro.optics.model.secret_fraction` at the expected QBER, with
+        the engine's reconciliation efficiency.
 
         ``defense`` may be ``None`` (the engine's default Bennett defense), a
         defense object exposing ``per_bit_defense(e)``, a callable evaluated
@@ -208,7 +205,7 @@ class QKDLink:
                 f"{type(defense).__name__}"
             )
         mu = self.parameters.channel.effective_mean_photon_number
-        return model.secret_fraction(e, mu, cascade_efficiency, defense_per_bit)
+        return model.secret_fraction(e, mu, defense_per_bit=defense_per_bit)
 
     def estimated_secret_key_rate(self, **kwargs) -> float:
         """Analytic distilled key rate in bits per second; with no arguments

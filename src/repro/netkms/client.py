@@ -22,6 +22,7 @@ the connection on the spot: every pending request fails with that error,
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass
 from typing import Awaitable, Callable, Dict, Iterator, Optional, Tuple
 
@@ -195,8 +196,9 @@ class NetworkKmsClient:
     ):
         if not versions:
             raise ValueError("the client must offer at least one version")
-        if request_timeout is not None and request_timeout <= 0:
-            raise ValueError("request_timeout must be positive (or None)")
+        timeout = request_timeout
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"request_timeout must be finite and positive, got {timeout}")
         self.host = host
         self.port = port
         self.versions = tuple(sorted(versions))

@@ -11,7 +11,7 @@ servers stall (the Elastic-TCP-style adaptive backoff from PAPERS.md):
 * **a per-kind retry policy** that never violates the one-time-pad
   contract (the table in docs/API.md "Failure semantics"): STATUS,
   CAPABILITIES and RESERVE are retried freely (a lost grant is an orphan
-  the lease reaper returns); RELEASE treats ``unknown-reservation`` on a
+  reaped once its lease lapses); RELEASE treats ``unknown-reservation`` on a
   retry as done; CONSUME is retried because the server's replay cache
   re-delivers the same bytes, and an ``unknown-reservation`` answer means
   the lease was reaped before any consume, so a fresh reserve is safe.
@@ -20,14 +20,17 @@ servers stall (the Elastic-TCP-style adaptive backoff from PAPERS.md):
 * **recovery accounting** — every disruption that the loop survives
   records how long service took to resume, feeding the recovery-time
   p50/p99 that bench E18 reports.
+
+Time is the running loop's: backoff is ``asyncio.sleep``, recovery is timed
+with ``loop.time()`` (monotonic wall seconds on asyncio's default loop).
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
+import math
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, ClassVar, List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 from repro.netkms import protocol
 from repro.netkms.client import (
@@ -65,8 +68,13 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_backoff_seconds < 0 or self.max_backoff_seconds < 0:
-            raise ValueError("backoff bounds must be non-negative")
+        for name in ("base_backoff_seconds", "max_backoff_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        timeout = self.request_timeout_seconds
+        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
+            raise ValueError(f"request_timeout_seconds must be finite and positive, got {timeout}")
 
     def backoff(self, attempt: int, rng: DeterministicRNG) -> float:
         """Delay before retry ``attempt`` (1-based): capped doubling, jittered."""
@@ -86,7 +94,7 @@ class RecoveryStats:
     reconnects: int = 0
     timeouts: int = 0
     reservations_abandoned: int = 0
-    #: Wall seconds from each first failure to the operation's eventual
+    #: Loop seconds from each first failure to the operation's eventual
     #: success — the "how long was service interrupted" distribution.
     recovery_seconds: List[float] = field(default_factory=list)
 
@@ -115,8 +123,7 @@ class ResilientKmsClient:
         await client.close()
 
     ``rng`` seeds the jitter stream (fork it per client so a fleet
-    decorrelates deterministically).  ``sleep`` and ``clock`` are
-    injectable for fast, deterministic tests.
+    decorrelates deterministically).
     """
 
     def __init__(
@@ -128,8 +135,6 @@ class ResilientKmsClient:
         versions: Tuple[int, ...] = protocol.SUPPORTED_VERSIONS,
         client_id: str = "sae",
         connector: Optional[Connector] = None,
-        sleep: Optional[Callable[[float], Awaitable[None]]] = None,
-        clock: Optional[Callable[[], float]] = None,
     ):
         self.host = host
         self.port = port
@@ -139,8 +144,6 @@ class ResilientKmsClient:
         self.client_id = client_id
         self.stats = RecoveryStats()
         self._connector = connector
-        self._sleep = sleep or asyncio.sleep
-        self._clock = clock or time.monotonic
         self._client: Optional[NetworkKmsClient] = None
         self._ever_connected = False
 
@@ -211,12 +214,13 @@ class ResilientKmsClient:
         negotiated version (v4's one-frame GET_KEY cannot be: see the table).
 
         A consume retry that answers ``unknown-reservation`` means the
-        lease expired and the reaper returned the bits *before the first
+        lease expired and the server reaped the bits *before the first
         consume reached the store* (a consumed reservation would have hit
         the replay cache instead) — so abandoning the handle and
         re-reserving cannot double-serve.
         """
-        started = self._clock()
+        clock = asyncio.get_running_loop().time
+        started = clock()
         interrupted = False
         while True:
             reservation = await self.reserve(pair, bits)
@@ -229,7 +233,7 @@ class ResilientKmsClient:
                 interrupted = True
                 continue
             if interrupted:
-                self.stats.recovery_seconds.append(self._clock() - started)
+                self.stats.recovery_seconds.append(clock() - started)
             return key
 
     # ------------------------------------------------------------------ #
@@ -237,6 +241,7 @@ class ResilientKmsClient:
     # ------------------------------------------------------------------ #
 
     async def _with_retries(self, op):
+        clock = asyncio.get_running_loop().time
         first_failure: Optional[float] = None
         last_error: Optional[BaseException] = None
         for attempt in range(1, self.policy.max_attempts + 1):
@@ -249,7 +254,7 @@ class ResilientKmsClient:
                     raise
                 last_error = exc
                 if first_failure is None:
-                    first_failure = self._clock()
+                    first_failure = clock()
                 if isinstance(exc, RequestTimeoutError):
                     self.stats.timeouts += 1
                 # The connection's state is unknown after any retryable
@@ -260,10 +265,10 @@ class ResilientKmsClient:
                 self.stats.retries += 1
                 delay = self.policy.backoff(attempt, self.rng)
                 if delay > 0:
-                    await self._sleep(delay)
+                    await asyncio.sleep(delay)
                 continue
             if first_failure is not None:
-                self.stats.recovery_seconds.append(self._clock() - first_failure)
+                self.stats.recovery_seconds.append(clock() - first_failure)
             return result
         raise RetriesExhaustedError(
             f"gave up after {self.policy.max_attempts} attempts"

@@ -35,9 +35,10 @@ Leases, reaping and the drain
 A held reservation is a *lease*: it names the connection that made it and
 expires ``lease_seconds`` after the grant.  Only a connection under that
 connection's HELLO ``client_id`` may consume or release it.  A closing
-connection's reservations are reaped at once; an expired lease is reaped
-lazily on every reserve/consume/release and by the periodic sweep, which is
-one comparison until the clock reaches the earliest outstanding deadline.
+connection's reservations are reaped at once.  Expired leases are reaped
+lazily, with no sweep: every request and every closing connection (``stop()``
+closes them all) reaps first, which is one comparison until the loop's clock
+(all the server's time) reaches the earliest outstanding deadline.
 Consumed reservations stay in a bounded **replay cache**, so a CONSUME
 retried after a lost reply — on a new connection too, under the
 ``client_id`` the key was served to — re-delivers the same bytes and draws
@@ -94,7 +95,7 @@ Pair = Tuple[str, str]
 #: of a hostile RESERVE and the size of the CONSUME_OK reply frame.
 MAX_RESERVE_BITS = 1 << 15
 
-#: Default lease on a granted reservation (seconds of the server's clock).
+#: Default lease on a granted reservation (seconds of the loop's clock).
 DEFAULT_LEASE_SECONDS = 30.0
 
 #: Most recently consumed reservations kept for idempotent CONSUME replay.
@@ -111,7 +112,7 @@ class HeldReservation:
     #: (a client that reconnects retries on a new connection, possibly
     #: while the old one is still open or stalled in its hook).
     owner: int
-    #: Server-clock deadline after which the lease reaper returns the bits.
+    #: Loop-clock deadline after which reaping returns the bits.
     expires_at: float
 
 
@@ -140,9 +141,9 @@ class NetworkKmsServer:
     or as an async context manager.  ``versions`` narrows the protocol
     versions offered (the interop tests run v1-only through v4-capable
     servers against every client generation in both directions).
-    ``lease_seconds`` is the reservation lease TTL; ``request_hook`` is an
-    awaited seam before every dispatch — the fault plane's stall injector
-    plugs in there.
+    ``lease_seconds`` is the reservation lease TTL in seconds of the loop
+    the server runs on; ``request_hook`` is an awaited seam before every
+    dispatch — the fault plane's stall injector plugs in there.
     """
 
     def __init__(
@@ -154,10 +155,8 @@ class NetworkKmsServer:
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         max_reserve_bits: int = MAX_RESERVE_BITS,
         server_id: str = "kme",
-        now: Optional[Callable[[], float]] = None,
         lease_seconds: float = DEFAULT_LEASE_SECONDS,
         replay_retention_seconds: Optional[float] = None,
-        reap_interval_seconds: Optional[float] = 1.0,
         request_hook: Optional[Callable[[Message], Awaitable[None]]] = None,
     ):
         self.stores: Dict[Pair, KeyStore] = {
@@ -169,8 +168,6 @@ class NetworkKmsServer:
         unknown = set(self.versions) - set(protocol.SUPPORTED_VERSIONS)
         if not self.versions or unknown:
             raise ValueError(f"unsupported protocol versions: {sorted(unknown)}")
-        if lease_seconds <= 0:
-            raise ValueError("lease_seconds must be positive")
         self.host = host
         self.port = port
         self.max_frame_bytes = max_frame_bytes
@@ -185,13 +182,15 @@ class NetworkKmsServer:
             if replay_retention_seconds is not None
             else 10.0 * lease_seconds
         )
-        self.reap_interval_seconds = reap_interval_seconds
+        for name in ("lease_seconds", "replay_retention_seconds"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         self.request_hook = request_hook
         self.metrics = NetKmsMetrics()
-        #: Store timestamps for reserve/consume accounting and lease expiry;
-        #: injectable so a simulated-clock service can keep its stores' EWMA
-        #: (and its leases) in sim time.
-        self._now = now or time.monotonic
+        #: The one clock of leases, the replay window and store timestamps:
+        #: ``start()`` binds the loop's; until then, the default loop's.
+        self._now = time.monotonic
         self._server: Optional[asyncio.base_events.Server] = None
         #: Held reservations by (pair, reservation id); the id space is the
         #: store's own, so release/consume validate against live state.
@@ -210,7 +209,6 @@ class NetworkKmsServer:
         #: Set by the last connection to close once ``stop()`` waits for it.
         self._all_closed: Optional[asyncio.Future] = None
         self._draining = False
-        self._reaper_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -220,13 +218,13 @@ class NetworkKmsServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         self._draining = False
-        self._server = await asyncio.get_running_loop().create_server(
+        loop = asyncio.get_running_loop()
+        self._now = loop.time
+        self._server = await loop.create_server(
             lambda: _Connection(self), host=self.host, port=self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.metrics = NetKmsMetrics()
-        if self.reap_interval_seconds is not None:
-            self._reaper_task = asyncio.ensure_future(self._reap_loop())
         return self
 
     async def stop(self, drain_timeout: float = 5.0) -> None:
@@ -243,13 +241,6 @@ class NetworkKmsServer:
         self._server.close()
         await self._server.wait_closed()
         self._server = None
-        if self._reaper_task is not None:
-            self._reaper_task.cancel()
-            try:
-                await self._reaper_task
-            except asyncio.CancelledError:
-                pass
-            self._reaper_task = None
         if self._connections:
             self._all_closed = asyncio.get_running_loop().create_future()
             _done, late = await asyncio.wait({self._all_closed}, timeout=drain_timeout)
@@ -278,14 +269,13 @@ class NetworkKmsServer:
     # ------------------------------------------------------------------ #
 
     def reap_expired(self, now: Optional[float] = None) -> int:
-        """Release reservations whose lease has expired; returns bits freed.
+        """Release reservations whose lease has expired by ``now`` (the
+        loop's clock when ``None``); returns bits freed.
 
-        Runs lazily on every reserve/consume/release and periodically from
-        the reaper task; callable directly (e.g. against an injected sim
-        clock) for deterministic tests.  Also evicts replay-cache entries
-        past their retention window.  A call before the earliest
-        outstanding deadline is one comparison; only a call at or past it
-        looks at the entries, and leaves the bound exact.
+        Runs lazily before every request and on every closing connection.
+        Also evicts replay-cache entries past their retention window.  A call before the earliest outstanding deadline
+        is one comparison; only a call at or past it looks at the entries,
+        and leaves the bound exact.
         """
         now = self._now() if now is None else now
         if now < self._earliest_deadline:
@@ -342,11 +332,6 @@ class NetworkKmsServer:
             f" released, {ended[2]} reaped, {ended[3]} spent by failed draws"
         )
 
-    async def _reap_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.reap_interval_seconds)
-            self.reap_expired()
-
     # ------------------------------------------------------------------ #
     # Dispatch
     # ------------------------------------------------------------------ #
@@ -373,7 +358,9 @@ class NetworkKmsServer:
         return handler
 
     def _dispatch(self, message: Message, version: int, conn_id: int) -> Message:
-        return self._route(message, version)(self, message, conn_id)
+        handler = self._route(message, version)
+        self.reap_expired()  # every request sees lapsed leases reaped
+        return handler(self, message, conn_id)
 
     # ------------------------------------------------------------------ #
     # Request handlers
@@ -420,7 +407,6 @@ class NetworkKmsServer:
                 protocol.ERR_LIMIT,
                 f"reserve of {bits} bits outside (0, {self.max_reserve_bits}]",
             )
-        self.reap_expired(now)
         try:
             reservation = store.reserve(bits, now=now)
         except KeyStoreExhaustedError as exc:
@@ -507,7 +493,6 @@ class NetworkKmsServer:
     def _on_consume(self, message: Consume, conn_id: int) -> ConsumeOk:
         store = self._store_for(message.pair)
         now = self._now()
-        self.reap_expired(now)
         replay = self._served.get((message.pair, message.reservation_id))
         if replay is not None and replay.client_id == self._client_id(conn_id):
             # Idempotent retry: the reservation was already consumed but
@@ -525,7 +510,6 @@ class NetworkKmsServer:
 
     def _on_release(self, message: Release, conn_id: int) -> ReleaseOk:
         store = self._store_for(message.pair)
-        self.reap_expired()
         store.release(self._take_held(message, conn_id))
         self.metrics.reservations_released += 1
         return ReleaseOk(
@@ -664,6 +648,7 @@ class _Connection(asyncio.Protocol):
         server = self.server
         try:
             await server.request_hook(message)
+            server.reap_expired()
             reply = handler(server, message, self.conn_id)
         except ProtocolError as exc:
             self._refuse(message.request_id, exc)
@@ -712,6 +697,7 @@ class _Connection(asyncio.Protocol):
     def _finish(self) -> None:
         server = self.server
         del server._connections[self.conn_id]
+        server.reap_expired()
         server._reap_connection(self.conn_id)
         server.metrics.connections_closed += 1
         closed = server._all_closed

@@ -85,13 +85,25 @@ class PairwisePads(dict):
     indexed dispatch order is only exact if none goes unannounced) and
     count what they move: the two counters of
     :meth:`TrustedRelayNetwork.conservation_fault`.
+
+    Every link of ``network`` has a pad: one added after these pads were
+    made gets an empty one the first time it is looked up.
     """
 
-    def __init__(self, keys: Iterable[Tuple[str, str]]):
-        super().__init__((key, OneTimePad()) for key in keys)
+    def __init__(self, network: QKDNetwork):
+        super().__init__(
+            (_pad_key(edge.node_a, edge.node_b), OneTimePad()) for edge in network.links()
+        )
+        self._network = network
         self._listeners: List[Callable[[], Optional[Callable[[Tuple[str, str]], None]]]] = []
         self.bits_banked = 0
         self.bits_spent = 0
+
+    def __missing__(self, key: Tuple[str, str]) -> OneTimePad:
+        if not self._network.graph.has_edge(*key):
+            raise KeyError(key)
+        pad = self[key] = OneTimePad()
+        return pad
 
     def pad_for(self, node_a: str, node_b: str) -> OneTimePad:
         return self[_pad_key(node_a, node_b)]
@@ -173,9 +185,7 @@ class TrustedRelayNetwork:
         self.selector = PathSelector(network)
         #: Pairwise one-time-pad pools per link, keyed by a sorted node pair,
         #: and the pad-level listeners (see :meth:`add_pad_listener`).
-        self.pairwise_pads = PairwisePads(
-            _pad_key(edge.node_a, edge.node_b) for edge in network.links()
-        )
+        self.pairwise_pads = PairwisePads(network)
         #: Every transport attempt, in order, each without its key: the key
         #: is the caller's, and a log that held it would keep every delivered
         #: key alive in the clear for the mesh's life.

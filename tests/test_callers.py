@@ -31,7 +31,10 @@ in a call whose callee has the option's function or class name.  A keyword
 that only forwards another option does not set it: the value is the same
 name read from a defaulted parameter of the enclosing function, or an
 attribute of that name that is itself an options-dataclass field
-(``KeyStore(max_key_age_seconds=config.max_key_age_seconds)``).  Every
+(``KeyStore(max_key_age_seconds=config.max_key_age_seconds)``).  Passing
+the enclosing function's own ``**kwargs`` on (``f(**kwargs)``) forwards
+too: it sets only what that function's callers put in it, which the scan
+sees at those calls by keyword.  Every
 other option is a constant, or is listed in :data:`ALLOWED_OPTIONS` with
 the reason a caller may still want it: a deployment setting, a test seam
 that substitutes a fake, or a paper-model parameter a test sweeps.
@@ -188,9 +191,6 @@ ALLOWED_OPTIONS = {
     "the split beam, checked against the dense optics oracle",
     "InterceptResendAttack(resend_mean_photons=)": _MODEL + "Eve's resend brightness, "
     "checked against the dense optics oracle",
-    "FaultyConnector(sleep=)": _SEAM + "a fake sleep for injected delays",
-    "stall_hook(sleep=)": _SEAM + "a fake sleep for injected stalls",
-    "ResilientKmsClient(sleep=)": _SEAM + "a fake sleep for retry backoff",
     "IKEConfig.preshared_key": _DEPLOYMENT + "the Phase-1 credential",
     "ReplenishmentConfig.pad_low_water_bits": _DEPLOYMENT + "pad level always dispatched",
     "ReplenishmentConfig.pad_target_bits": _DEPLOYMENT + "pad level dispatch tops up to",
@@ -217,6 +217,12 @@ ALLOWED_OPTIONS = {
     "is checked against stepping over random widths",
     "NetworkKmsServer.stop(drain_timeout=)": _DEPLOYMENT + "how long a stop waits for "
     "requests in flight",
+    "NetworkKmsServer(replay_retention_seconds=)": _DEPLOYMENT + "how long a served key "
+    "stays replayable; it must outlast the longest client retry window",
+    "SecurityPolicy.lifetime_kilobytes": _DEPLOYMENT + "the SA lifetime in kilobytes of "
+    "protected traffic (0: no byte limit)",
+    "secret_fraction(cascade_efficiency=)": _MODEL + "the reconciliation inefficiency "
+    "f_EC; a test checks a smaller f_EC gives a larger fraction",
     "ChannelParameters.interferometer": _MODEL + "carries visibility and phase noise",
     "ChannelParameters.framing": _MODEL + "carries frame loss and gate misalignment",
     "DetectorParameters.afterpulse_probability": _MODEL + "afterpulsing",
@@ -302,11 +308,14 @@ class _Setters(ast.NodeVisitor):
         self.positional = Counter()
         self.splatted = set()
         self._defaulted = [set()]
+        self._kwargs = [None]
 
     def visit_FunctionDef(self, node):
         self._defaulted.append({arg.arg for arg, _default in _defaults(node.args)})
+        self._kwargs.append(node.args.kwarg.arg if node.args.kwarg else None)
         self.generic_visit(node)
         self._defaulted.pop()
+        self._kwargs.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
@@ -328,6 +337,8 @@ class _Setters(ast.NodeVisitor):
                 if not self._forwards(keyword.arg, keyword.value):
                     self.keywords.setdefault(keyword.arg, []).append(keyword.value)
                 continue
+            if isinstance(keyword.value, ast.Name) and keyword.value.id == self._kwargs[-1]:
+                continue  # the enclosing function's own **kwargs, forwarded
             self.splatted.add(callee)
             if isinstance(keyword.value, ast.Dict):
                 for key, value in zip(keyword.value.keys, keyword.value.values):

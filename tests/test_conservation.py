@@ -5,9 +5,11 @@
 :class:`~repro.kms.store.KeyStore` s whose reservation ids collide (both count
 from 1).  Three connections speak the wire protocol in-process: each is a
 server ``_Connection`` over a transport that records what the server writes,
-so no socket and no event loop are involved — with no ``request_hook`` the
-server answers inside ``data_received``.  Two of the connections share a
-HELLO ``client_id``; the third is another client.
+so no socket is involved — with no ``request_hook`` the server answers
+inside ``data_received``.  The server is started on a virtual-time loop
+(:mod:`tests.virtual_loop`), whose clock is the server's: the machine moves
+time by advancing that loop.  Two of the connections share a HELLO
+``client_id``; the third is another client.
 
 The steps are what a deployment does to a key server: deposit, reserve,
 consume, get_key, release, key expiry, a lease that lapses (the clock moves,
@@ -46,6 +48,7 @@ from repro.netkms.protocol import (
 )
 from repro.netkms.server import NetworkKmsServer, _Connection
 from repro.util.bits import BitString
+from tests.virtual_loop import VirtualLoop
 
 PAIRS = (("alice", "bob"), ("carol", "dave"))
 #: Connection slot -> HELLO client_id: slots 0 and 2 are one client.
@@ -85,17 +88,16 @@ def words(key_bytes):
 class ServerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.clock = 0.0
         self.stores = {
             pair: KeyStore(pair, max_key_age_seconds=KEY_AGE_SECONDS) for pair in PAIRS
         }
         self.server = NetworkKmsServer(
             self.stores,
-            now=lambda: self.clock,
             lease_seconds=LEASE_SECONDS,
             max_reserve_bits=MAX_RESERVE_BITS,
-            reap_interval_seconds=None,
         )
+        self.loop = VirtualLoop()
+        self.loop.run_until_complete(self.server.start())
         self.connections = [None] * len(CLIENT_IDS)
         for slot in range(len(CLIENT_IDS)):
             self.connect(slot)
@@ -107,6 +109,13 @@ class ServerMachine(RuleBasedStateMachine):
         #: (pair, id) -> (client_id, key bytes, when) per key served.
         self.served = {}
         self.served_words = set()
+
+    def teardown(self):
+        self.loop.close()
+
+    @property
+    def clock(self):
+        return self.loop.time()
 
     # ---- the wire ------------------------------------------------------- #
 
@@ -238,7 +247,7 @@ class ServerMachine(RuleBasedStateMachine):
 
     @rule(seconds=st.sampled_from([0.5, 2.0, 4.5, 5.0, 9.0]))
     def lease_lapse(self, seconds):
-        self.clock += seconds
+        self.loop.advance(seconds)
         self.server.reap_expired()
         self.lapse_model()
 
@@ -300,11 +309,14 @@ def play(*steps):
     """Run ``steps`` (method name, args) on a fresh machine, checking every
     invariant after each, as the state machine does."""
     machine = ServerMachine()
-    for name, *args in steps:
-        getattr(machine, name)(*args)
-        machine.every_owner_keeps_its_rule()
-        machine.each_store_reserves_what_the_server_holds()
-        machine.no_connection_was_dropped()
+    try:
+        for name, *args in steps:
+            getattr(machine, name)(*args)
+            machine.every_owner_keeps_its_rule()
+            machine.each_store_reserves_what_the_server_holds()
+            machine.no_connection_was_dropped()
+    finally:
+        machine.teardown()
     return machine
 
 

@@ -39,6 +39,7 @@ from repro.netkms.resilient import ResilientKmsClient, RetryPolicy
 from repro.netkms.server import NetworkKmsServer
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.virtual_loop import run_virtual
 
 PAIR = ("alice", "bob")
 
@@ -158,7 +159,7 @@ class TestFaultyConnector:
 
         async def scenario():
             store = make_store(2048)
-            server = NetworkKmsServer({PAIR: store}, port=0, reap_interval_seconds=None)
+            server = NetworkKmsServer({PAIR: store}, port=0)
             await server.start()
             try:
                 client = NetworkKmsClient(
@@ -195,12 +196,9 @@ class TestFaultyConnector:
         answered from the replay cache."""
         plane = ScriptedPlane(DeterministicRNG(0), {(SITE_CLIENT_TX, 2): FaultAction(DROP_AFTER)})
 
-        async def no_wait(delay):
-            await asyncio.sleep(0)
-
         async def scenario():
             store = make_store(2048)
-            server = NetworkKmsServer({PAIR: store}, port=0, reap_interval_seconds=None)
+            server = NetworkKmsServer({PAIR: store}, port=0)
             await server.start()
             try:
                 client = ResilientKmsClient(
@@ -208,7 +206,6 @@ class TestFaultyConnector:
                     server.port,
                     client_id="sae-r",
                     connector=FaultyConnector(plane),
-                    sleep=no_wait,
                     policy=RetryPolicy(request_timeout_seconds=5.0),
                 )
                 key = await client.get_key(PAIR, 256)
@@ -217,7 +214,7 @@ class TestFaultyConnector:
             finally:
                 await server.stop()
 
-        key, stats, store, metrics = run(scenario())
+        key, stats, store, metrics = run_virtual(scenario())
         assert key.key_bytes == counter_material(2048).to_bytes()[:32]
         assert (stats.reconnects, stats.reservations_abandoned) == (1, 0)
         assert (metrics.keys_served, metrics.consume_replays) == (1, 1)
@@ -249,11 +246,19 @@ class TestRetryPolicy:
         [
             ("max_attempts", 0),
             ("base_backoff_seconds", -1.0),
+            ("base_backoff_seconds", float("nan")),
+            ("base_backoff_seconds", float("inf")),
             ("max_backoff_seconds", -1.0),
+            ("max_backoff_seconds", float("nan")),
+            ("max_backoff_seconds", float("inf")),
+            ("request_timeout_seconds", -1.0),
+            ("request_timeout_seconds", 0.0),
+            ("request_timeout_seconds", float("nan")),
+            ("request_timeout_seconds", float("inf")),
         ],
     )
     def test_bad_settings_are_refused(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             RetryPolicy(**{field: value})
 
 
@@ -263,10 +268,10 @@ class TestRetryPolicy:
 
 KEY_BITS = 256
 MAIN_KEYS = 6
-LEASE = 0.5  # fake-clock seconds
+LEASE = 0.5  # loop seconds
 
 
-def chaos_soak(faulted):
+def chaos_soak(faulted, runner=run_virtual):
     """One full soak run; returns everything the assertions need.
 
     The fault schedule is *scripted*, so each required scenario is pinned:
@@ -276,17 +281,14 @@ def chaos_soak(faulted):
       consumes; the reply is lost; the retry must hit the replay cache);
     * server request op 8 stalls 0.4 s, past the client's 0.15 s request
       timeout (the client must time out, reconnect, and retry);
-    * the laggard client's reservation is left un-consumed while the fake
-      server clock jumps past its lease (the reaper must return the bits,
-      and the laggard must recover by re-reserving).
-    """
-    clock = {"t": 0.0}
+    * the laggard client's reservation is left un-consumed while the loop's
+      clock passes its lease (reaping must return the bits, and the laggard
+      must recover by re-reserving).
 
-    async def fake_sleep(delay):
-        # Client backoffs advance the server's (injected) clock, so lease
-        # arithmetic runs in controlled time while asyncio stays real.
-        clock["t"] += delay
-        await asyncio.sleep(0.01)
+    ``runner`` runs the soak: on the virtual-time loop by default, where
+    every timeout, stall, backoff and lease runs in loop time and costs no
+    wall time, or on asyncio's default loop over TCP (``asyncio.run``).
+    """
 
     async def scenario():
         store = make_store(1 << 15)
@@ -300,9 +302,7 @@ def chaos_soak(faulted):
         server = NetworkKmsServer(
             {PAIR: store},
             port=0,
-            now=lambda: clock["t"],
             lease_seconds=LEASE,
-            reap_interval_seconds=None,
             request_hook=stall_hook(plane) if faulted else None,
         )
         await server.start()
@@ -317,7 +317,6 @@ def chaos_soak(faulted):
                 server.port,
                 rng=DeterministicRNG(2026),
                 connector=FaultyConnector(plane) if faulted else None,
-                sleep=fake_sleep,
                 policy=RetryPolicy(
                     max_attempts=8,
                     base_backoff_seconds=0.05,
@@ -330,8 +329,8 @@ def chaos_soak(faulted):
                 delivered.append(key.key_bytes)
             await main.close()
 
-            # The laggard outlives its lease; the reaper takes the bits back.
-            clock["t"] += 2 * LEASE + 0.1
+            # The laggard outlives its lease; reaping takes the bits back.
+            await asyncio.sleep(2 * LEASE + 0.1)
             server.reap_expired()
             with pytest.raises(protocol.ServerError) as excinfo:
                 await laggard.consume(handle)
@@ -343,7 +342,7 @@ def chaos_soak(faulted):
         finally:
             await server.stop()
 
-    return run(scenario())
+    return runner(scenario())
 
 
 class TestChaosSoak:
@@ -386,6 +385,19 @@ class TestChaosSoak:
         assert stats.recovery_seconds, "recoveries must be measured"
         assert all(t >= 0 for t in stats.recovery_seconds)
 
+    def test_the_virtual_loop_replays_the_soak_and_tcp_serves_the_same_key(self):
+        """Two runs on the virtual loop agree on everything the retry loop
+        recorded, recovery times included, and serve what the same soak
+        serves over TCP on asyncio's default loop in wall time."""
+        _, _, first_metrics, first_stats = chaos_soak(faulted=True)
+        _, _, second_metrics, second_stats = chaos_soak(faulted=True)
+        tcp_keys, _, tcp_metrics, _ = chaos_soak(faulted=True, runner=asyncio.run)
+        assert first_stats == second_stats
+        assert first_stats.recovery_seconds
+        assert first_metrics.served_digest() == second_metrics.served_digest()
+        assert first_metrics.served_digest() == tcp_metrics.served_digest()
+        assert len(tcp_keys) == MAIN_KEYS + 1
+
 
 # --------------------------------------------------------------------------- #
 # Stochastic sweep: aggression without losing exactly-once
@@ -405,9 +417,7 @@ class TestStochasticChaos:
                 },
                 delay_range=(0.001, 0.005),
             )
-            server = NetworkKmsServer(
-                {PAIR: store}, port=0, lease_seconds=5.0, reap_interval_seconds=None
-            )
+            server = NetworkKmsServer({PAIR: store}, port=0, lease_seconds=5.0)
             await server.start()
             try:
                 client = ResilientKmsClient(

@@ -63,6 +63,7 @@ from repro.netkms.metrics import LatencyHistogram, NetKmsMetrics
 from repro.netkms.server import REPLAY_CACHE_LIMIT, NetworkKmsServer, ServedReservation
 from repro.util.bits import BitString
 from tests.oracles.full_scan_reaper import full_scan_reap_expired
+from tests.virtual_loop import run_virtual
 
 PAIR = ("alice", "bob")
 
@@ -912,6 +913,35 @@ class TestFacadeAndMetrics:
         assert key.key_bits == 512
         assert store.statistics.bits_consumed >= 512
 
+    def test_a_kms_front_end_reaps_a_lease_that_lapsed_in_loop_time(self):
+        """The front end's leases run on its loop's clock, not on the
+        service's simulated clock, which stands still while asyncio serves."""
+        from repro import QKDSystem
+        from repro.kms import KmsConfig
+
+        PAIR_MESH = ("endpoint-0", "endpoint-1")
+        mesh = QKDSystem(seed=11).mesh(n_endpoints=3, n_relays=4)
+        service = mesh.kms(config=KmsConfig(gateway_pairs=(PAIR_MESH,)))
+        store = service.stores[PAIR_MESH]
+        store.deposit(counter_material(4096))
+        available = store.available_bits
+
+        async def scenario():
+            async with service.serve_network() as server:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    handle = await client.reserve(PAIR_MESH, 1024)
+                    await asyncio.sleep(server.lease_seconds + 1.0)
+                    status = await client.status(PAIR_MESH)
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.consume(handle)
+            return status, excinfo.value, server.metrics
+
+        status, error, metrics = run_virtual(scenario())
+        assert (status.reserved_bits, status.unreserved_bits) == (0, available)
+        assert error.code == protocol.ERR_UNKNOWN_RESERVATION
+        assert metrics.reaped_by_reason == {"lease-expired": 1}
+        assert store.reserved_bits == 0 and store.available_bits == available
+
     def test_metrics_report_shape(self):
         async def scenario():
             # Up to v3 a get_key is two requests, and the counts below say so.
@@ -987,21 +1017,15 @@ class TestReservationReaping:
         assert metrics.reaped_bits == store.statistics.bits_released == 1024
 
     def test_lease_expiry_reaps_while_the_owner_lives(self):
-        clock = {"t": 100.0}
-
         async def scenario():
             store = make_store(bits=4096)
-            server = await started_server(
-                {PAIR: store},
-                now=lambda: clock["t"],
-                lease_seconds=0.5,
-                reap_interval_seconds=None,  # lazy + explicit reaping only
-            )
+            server = await started_server({PAIR: store}, lease_seconds=0.5)
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     handle = await client.reserve(PAIR, 1024)
                     assert handle.lease_ms == 500
-                    clock["t"] += 1.0  # outlive the lease; connection stays up
+                    # Outlive the lease; the connection stays up.
+                    asyncio.get_running_loop().advance(1.0)
                     freed = server.reap_expired()
                     with pytest.raises(ServerError) as excinfo:
                         await client.consume(handle)
@@ -1012,12 +1036,80 @@ class TestReservationReaping:
             finally:
                 await server.stop()
 
-        freed, error, key, store, metrics = run(scenario())
+        freed, error, key, store, metrics = run_virtual(scenario())
         assert freed == 1024
         assert error.code == protocol.ERR_UNKNOWN_RESERVATION
         assert key.key_bits == 1024
         assert metrics.reaped_by_reason == {"lease-expired": 1}
         assert metrics.reaped_bits == store.statistics.bits_released == 1024
+
+    @pytest.mark.parametrize("hooked", [False, True])
+    def test_status_after_a_lapse_reports_the_bits_unreserved(self, hooked):
+        """No sweep runs and nothing calls ``reap_expired``: the STATUS
+        request itself reaps the lapsed lease before it reads the store,
+        also when it is answered after a ``request_hook``."""
+
+        async def hook(_message):
+            await asyncio.sleep(0)
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server(
+                {PAIR: store}, lease_seconds=2.0, request_hook=hook if hooked else None
+            )
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    await client.reserve(PAIR, 1024)
+                    held = await client.status(PAIR)
+                    asyncio.get_running_loop().advance(2.0)
+                    lapsed = await client.status(PAIR)
+                    return held, lapsed, server.metrics
+            finally:
+                await server.stop()
+
+        held, lapsed, metrics = run_virtual(scenario())
+        assert (held.reserved_bits, held.unreserved_bits) == (1024, 3072)
+        assert (lapsed.reserved_bits, lapsed.unreserved_bits) == (0, 4096)
+        assert metrics.reaped_by_reason == {"lease-expired": 1}
+
+    @pytest.mark.parametrize("ending", ["close", "stop"])
+    def test_a_lapse_found_by_a_closing_connection_or_stop_is_a_lease_reap(self, ending):
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store}, lease_seconds=2.0)
+            client = NetworkKmsClient("127.0.0.1", server.port)
+            await client.connect()
+            await client.reserve(PAIR, 1024)
+            asyncio.get_running_loop().advance(2.0)
+            if ending == "close":
+                await client.close()
+                await asyncio.sleep(0)  # the server sees the EOF
+                reasons = dict(server.metrics.reaped_by_reason)
+            await server.stop()
+            await client.close()
+            return store, reasons if ending == "close" else server.metrics.reaped_by_reason
+
+        store, reasons = run_virtual(scenario())
+        assert reasons == {"lease-expired": 1}
+        assert store.reserved_bits == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, 0.0])
+    @pytest.mark.parametrize(
+        "field, build",
+        [
+            ("lease_seconds", lambda v: NetworkKmsServer({PAIR: make_store()}, lease_seconds=v)),
+            (
+                "replay_retention_seconds",
+                lambda v: NetworkKmsServer({PAIR: make_store()}, replay_retention_seconds=v),
+            ),
+            ("request_timeout", lambda v: NetworkKmsClient("127.0.0.1", 1, request_timeout=v)),
+        ],
+    )
+    def test_a_timing_input_that_is_not_a_positive_finite_number_is_refused(
+        self, field, build, value
+    ):
+        with pytest.raises(ValueError, match=field):
+            build(value)
 
     def test_stop_reaps_everything_still_held(self):
         async def scenario():
@@ -1524,21 +1616,19 @@ reaper_steps = st.lists(
 class TestReaperDifferential:
     """``reap_expired`` looks at its entries only once the clock reaches the
     earliest outstanding deadline; the oracle compares every deadline on
-    every call.  Both serve the same requests under the same clock."""
+    every call.  Both serve the same requests on one virtual-time loop; the
+    loop's clock only moves forward, so a step back is a ``reap_expired``
+    at an earlier time."""
 
     @pytest.mark.parametrize("retention", [None, LEASE_SECONDS / 4])
     @given(steps=reaper_steps)
     @settings(max_examples=40, deadline=None)
     def test_reaping_equals_the_full_scan_oracle_after_every_step(self, retention, steps):
-        clock = {"t": 50.0}
-
         def build(cls):
             return cls(
                 {PAIR: make_store(bits=1 << 12)},
-                now=lambda: clock["t"],
                 lease_seconds=LEASE_SECONDS,
                 replay_retention_seconds=retention,
-                reap_interval_seconds=None,
             )
 
         async def answer(server, message, conn_id):
@@ -1560,6 +1650,8 @@ class TestReaperDifferential:
             )
 
         async def scenario():
+            loop = asyncio.get_running_loop()
+            loop.advance(50.0)
             servers = [await build(NetworkKmsServer).start(), await build(FullScanServer).start()]
             granted, consumed = [0], [0]  # reservation ids; 0 is nobody's
             try:
@@ -1584,13 +1676,13 @@ class TestReaperDifferential:
                     elif name == "disconnect":
                         outcomes = [server._reap_connection(conn_id) for server in servers]
                     elif name == "advance":
-                        clock["t"] += (j % 30) / 10
+                        loop.advance((j % 30) / 10)
                         outcomes = [server.reap_expired() for server in servers]
                     elif name == "step_back":
-                        clock["t"] -= (j % 30) / 10
-                        outcomes = [server.reap_expired() for server in servers]
+                        earlier = loop.time() - (j % 30) / 10
+                        outcomes = [server.reap_expired(now=earlier) for server in servers]
                     else:
-                        at = clock["t"] + (j % 60) / 10 - 1.0
+                        at = loop.time() + (j % 60) / 10 - 1.0
                         outcomes = [server.reap_expired(now=at) for server in servers]
                     assert outcomes[0] == outcomes[1], (name, i, j)
                     assert state(servers[0]) == state(servers[1]), (name, i, j)
@@ -1602,7 +1694,7 @@ class TestReaperDifferential:
         # A small replay cache, so eviction by count also takes away the
         # entry whose deadline the server is holding as its earliest.
         with mock.patch.object(server_module, "REPLAY_CACHE_LIMIT", 3):
-            run(scenario())
+            run_virtual(scenario())
 
     def test_a_get_key_with_nothing_due_reads_no_cache_entry_deadline(self):
         """A count, not a timing: the replay cache is full, nothing is due,
@@ -1617,7 +1709,7 @@ class TestReaperDifferential:
 
         async def scenario():
             store = make_store(bits=1 << 15)
-            server = await started_server({PAIR: store}, reap_interval_seconds=None)
+            server = await started_server({PAIR: store})
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     for _ in range(REPLAY_CACHE_LIMIT + 5):
@@ -1978,10 +2070,12 @@ def run_script(script, versions):
     """Play ``script`` against a fresh server, both sides offering ``versions``;
     returns everything the script leaves behind (read before ``stop()``, which
     clears the replay cache) and the request counts, which alone may depend on
-    how many frames a ``get_key`` is."""
-    clock = {"t": 10.0}
+    how many frames a ``get_key`` is.  The script runs on a virtual-time
+    loop, whose clock moves 0.25 s per step from 10 s."""
 
     async def scenario():
+        loop = asyncio.get_running_loop()
+        loop.advance(10.0)
         stores = {pair: KeyStore(pair) for pair in SCRIPT_PAIRS[:2]}
         stores[SCRIPT_PAIRS[0]].deposit(counter_material(1 << 15))
         stores[SCRIPT_PAIRS[1]].deposit(counter_material(8192, first=1 << 48))
@@ -1989,8 +2083,6 @@ def run_script(script, versions):
             stores,
             versions=versions,
             max_reserve_bits=SCRIPT_MAX_RESERVE_BITS,
-            now=lambda: clock["t"],
-            reap_interval_seconds=None,
         )
         clients = [NetworkKmsClient("127.0.0.1", server.port, versions=versions) for _ in range(2)]
         outcomes = []
@@ -2010,10 +2102,10 @@ def run_script(script, versions):
                 elif step[0] == "deposit":
                     _, pair, bits = step
                     stores[SCRIPT_PAIRS[pair]].deposit(
-                        counter_material(bits, first=deposited), now=clock["t"]
+                        counter_material(bits, first=deposited), now=loop.time()
                     )
                     deposited += bits // 64
-                clock["t"] += 0.25
+                loop.advance(0.25)
             metrics = server.metrics
             state = {
                 "stores": [
@@ -2055,7 +2147,7 @@ def run_script(script, versions):
                 await client.close()
             await server.stop()
 
-    return run(scenario())
+    return run_virtual(scenario())
 
 
 #: What ``pinned_script()`` leaves behind, recorded at 617f960 over v3 (a

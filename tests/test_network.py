@@ -444,6 +444,23 @@ class TestTrustedRelay:
         assert relay.pairwise_key_available_bits(edge.node_a, edge.node_b) == before
         assert relay.conservation_fault() is None
 
+    def test_a_link_added_after_the_relay_layer_gets_a_pad(self):
+        """The new edge is the shortest route, so a transport crosses it
+        at once (no pad yet) and after the next refill (pad banked)."""
+        mesh = QKDNetwork.relay_mesh(2, 3)
+        relay = TrustedRelayNetwork(mesh, DeterministicRNG(5))
+        relay.run_links_for(60.0)
+        mesh.add_link("endpoint-0", "endpoint-1", 1.0)
+        dry = relay.transport_key("endpoint-0", "endpoint-1", 128)
+        assert not dry.success and dry.failed_hop == ("endpoint-0", "endpoint-1")
+        relay.run_links_for(60.0)
+        assert relay.pairwise_key_available_bits("endpoint-0", "endpoint-1") > 0
+        result = relay.transport_key("endpoint-0", "endpoint-1", 128)
+        assert result.success and result.path == ["endpoint-0", "endpoint-1"]
+        assert relay.conservation_fault() is None
+        with pytest.raises(KeyError):
+            relay.pad_for("endpoint-0", "relay-1")  # no such link
+
     def test_relays_exposed_are_exactly_the_intermediate_relays(self, mesh):
         relay = self._loaded(mesh)
         result = relay.transport_key("endpoint-0", "endpoint-2", 128)
