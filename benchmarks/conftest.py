@@ -1,9 +1,9 @@
-"""Shared helpers for the benchmark/experiment harness.
+"""Shared helpers for the soak benchmarks.
 
-Each ``bench_eNN_*.py`` file regenerates one of the paper's quantitative
-results.  The benchmarks print the same rows/series the paper reports and
-assert the qualitative *shape* (who wins, trends, crossovers); absolute values
-depend on hardware constants the paper does not fully specify.  Timed
+Each ``bench_eNN_*.py`` file (E15, E18-E20) runs one long-lived service soak,
+prints its table and asserts what the soak must keep (conservation,
+exactly-once service, bounded growth).  The paper's quantitative claims
+(E1-E12, A1-A2) are one tier-1 table, ``tests/test_paper_claims.py``.  Timed
 end-to-end numbers live in E21 (``benchmarks/e21/README.md``) with its in-tree
 baseline.
 

@@ -79,7 +79,6 @@ class SystemConfig:
     # ---- distillation pipeline ---------------------------------------- #
     defense: str = "bennett"
     confidence_sigmas: float = 5.0
-    worst_case_multiphoton: bool = False
     block_size_bits: int = 2048
     abort_qber: float = 0.15
     randomness_testing: bool = False
@@ -103,7 +102,6 @@ class SystemConfig:
         return EngineParameters(
             defense=self.defense,
             confidence_sigmas=self.confidence_sigmas,
-            worst_case_multiphoton=self.worst_case_multiphoton,
             block_size_bits=self.block_size_bits,
             abort_qber=self.abort_qber,
             randomness_testing=self.randomness_testing,

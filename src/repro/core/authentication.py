@@ -8,8 +8,8 @@ messages is tagged with a Wegman-Carter universal hash selected by bits from
 that shared pool; and "a small number" of each batch of freshly distilled QKD
 bits is fed back to replenish the pool, so the system can keep authenticating
 indefinitely — unless an adversary manages to force the pool to exhaustion
-(the denial-of-service concern the paper raises, reproduced by the E11
-benchmark).
+(the denial-of-service concern the paper raises, checked by the E11 claims
+in ``tests/test_paper_claims.py``).
 
 :class:`AuthenticatedChannel` wraps a protocol transcript at one endpoint.
 Two channels built from the same pre-shared secret verify each other's tags;
@@ -29,13 +29,13 @@ from repro.util.bits import BitString
 
 @dataclass
 class AuthenticationStatistics:
-    """Bookkeeping used by the key-consumption benchmarks.
+    """Bookkeeping of one endpoint's authentication.
 
-    The batch counts are kept here; the secret-bit counts are the channel
-    pool's own counters, read through.  ``secret_bits_replenished`` is every
-    bit fed back after the pre-shared secret, and ``secret_bits_consumed``
-    every pad a tag or a verification drew: the pool's ``bits_consumed``
-    less the Toeplitz seed the authenticator drew once, when it was built.
+    The batch counts are kept here; the secret-bit count is the channel
+    pool's own counter, read through.  ``secret_bits_consumed`` is every pad
+    a tag or a verification drew: the pool's ``bits_consumed`` less the
+    Toeplitz seed the authenticator drew once, when it was built.  Every bit
+    fed back after the pre-shared secret is the pool's ``bits_added``.
     """
 
     pool: KeyPool = field(repr=False)
@@ -47,10 +47,6 @@ class AuthenticationStatistics:
     @property
     def secret_bits_consumed(self) -> int:
         return self.pool.bits_consumed - self.seed_bits
-
-    @property
-    def secret_bits_replenished(self) -> int:
-        return self.pool.bits_added
 
 
 class AuthenticatedChannel:

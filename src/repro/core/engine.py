@@ -78,9 +78,6 @@ class EngineParameters:
     #: The confidence parameter c (c = 5 means five standard deviations,
     #: "about 10^-6 chance of successful eavesdropping").
     confidence_sigmas: float = 5.0
-    #: Use the paranoid transmitted-count multi-photon accounting instead of
-    #: the received-count accounting (see entropy_estimation).
-    worst_case_multiphoton: bool = False
     #: Sifted bits accumulated before a block is corrected and distilled.
     block_size_bits: int = 2048
     #: Blocks whose measured QBER exceeds this are discarded outright
@@ -168,12 +165,6 @@ class EngineStatistics:
             return 0.0
         return self.sifted_errors / self.sifted_bits
 
-    @property
-    def sifted_fraction(self) -> float:
-        if self.slots_processed == 0:
-            return 0.0
-        return self.sifted_bits / self.slots_processed
-
     def since(self, earlier: "EngineStatistics") -> "EngineStatistics":
         """What was counted after ``earlier``, a copy of these statistics, was taken."""
         return EngineStatistics(*(now - then for now, then in zip(astuple(self), astuple(earlier))))
@@ -209,7 +200,6 @@ class QKDProtocolEngine:
         self.estimator = EntropyEstimator(
             defense=params.make_defense(),
             confidence_sigmas=params.confidence_sigmas,
-            worst_case_multiphoton=params.worst_case_multiphoton,
         )
         #: Optional randomness-test battery (None if disabled).
         self.randomness_tester = RandomnessTester() if params.randomness_testing else None

@@ -8,8 +8,8 @@ transcript to tag.
 
 Each message knows how to serialise itself to bytes (:meth:`encode`), both so
 the authentication layer can tag real byte strings and so message sizes can
-be reported (the run-length-encoding experiment E12 compares encodings by
-size).
+be reported (the E12 claim rows compare the run-length encoding's size with
+a naive explicit-index listing).
 
 Two encodings exist side by side:
 
@@ -21,10 +21,9 @@ Two encodings exist side by side:
   each class's ``decode()`` round-trips it.
 * **JSON** (:meth:`encode_json`, available on every message) — a production
   encoding, not a test oracle: the infrequent messages (privacy
-  amplification, authentication tags, the benchmark-only naive sift listing)
-  use it as their ``encode()`` directly, :meth:`CascadeBisectQuery.encode`
+  amplification, authentication tags) use it as their ``encode()`` directly, :meth:`CascadeBisectQuery.encode`
   falls back to it for a hand-built query whose indices are not ascending,
-  and E12 reports the JSON run-length size as one of its paper-claim columns.
+  and E12 checks the JSON run-length size as one of its paper claims.
 
 A :class:`PublicChannelLog` holds one object per message with one exception:
 Cascade records a whole bisection — up to ``2·⌈log₂ n⌉`` query/reply messages
@@ -125,20 +124,6 @@ class SiftMessage:
             detected_bases=bases,
         )
 
-    @property
-    def size_bytes(self) -> int:
-        return len(self.encode())
-
-    @property
-    def uncompressed_bitmap_bytes(self) -> int:
-        """Size of the unencoded per-slot detection indication (one bit per slot).
-
-        This is the baseline the run-length encoding is compressing: without
-        it, Bob would have to indicate every slot's detected/not-detected
-        status explicitly (plus one basis bit per detection).
-        """
-        return (self.n_slots + 7) // 8 + (len(self.detected_bases) + 7) // 8
-
 
 @dataclass
 class SiftResponseMessage:
@@ -166,42 +151,6 @@ class SiftResponseMessage:
             data, wire.KIND_SIFT_RESPONSE, "II"
         )
         return cls(frame_id=frame_id, accept_mask=wire_arrays.unpack_bitmap(payload, n_accept))
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.encode())
-
-
-@dataclass
-class NaiveSiftMessage:
-    """The uncompressed alternative sift message (explicit slot indices).
-
-    Carried only by the E12 benchmark to quantify what run-length encoding
-    saves; never used by the engine itself.  Stays on the JSON reference
-    encoding — it exists to be the unoptimized baseline.
-    """
-
-    frame_id: int
-    n_slots: int
-    detected_slots: List[int]
-    detected_bases: List[int]
-
-    def encode(self) -> bytes:
-        return _encode_json_payload(
-            "sift-naive",
-            {
-                "frame": self.frame_id,
-                "slots": self.n_slots,
-                "indices": self.detected_slots,
-                "bases": self.detected_bases,
-            },
-        )
-
-    encode_json = encode
-
-    @property
-    def size_bytes(self) -> int:
-        return len(self.encode())
 
 
 @dataclass

@@ -12,8 +12,8 @@ Because detections are rare (one slot in a few hundred at the paper's
 operating point), the DARPA engine run-length encodes that indication so "runs
 of identical values (and in particular of 'no detection' values) are
 compressed to take very little space" (paper Appendix).  The same encoding is
-implemented here, along with the naive explicit-index encoding used only to
-measure the savings (experiment E12).
+implemented here; the naive explicit-index encoding it saves against is a
+reference beside the E12 claims (``tests/oracles/naive_sift.py``).
 
 Importantly for security accounting, the sift exchange reveals *which* slots
 were detected and which bases were used, but never reveals bit values; sifting
@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.messages import NaiveSiftMessage, SiftMessage, SiftResponseMessage
+from repro.core.messages import SiftMessage, SiftResponseMessage
 from repro.optics.channel import FrameResult
 from repro.util.bits import BitString
 
@@ -151,13 +151,6 @@ class SiftResult:
             return 0.0
         return self.error_count / self.n_sifted
 
-    @property
-    def sifted_fraction(self) -> float:
-        """Sifted bits per transmitted slot (the paper's 1-in-200 figure)."""
-        if self.n_slots_transmitted == 0:
-            return 0.0
-        return self.n_sifted / self.n_slots_transmitted
-
 
 class SiftingProtocol:
     """Runs the sift / sift-response transaction for a batch of slots."""
@@ -175,18 +168,6 @@ class SiftingProtocol:
             n_slots=frame.n_slots,
             detection_runs=run_length_encode_mask(usable),
             detected_bases=frame.bob_basis[usable],
-        )
-
-    def build_naive_sift_message(self, frame: FrameResult) -> NaiveSiftMessage:
-        """The uncompressed sift message, for the encoding comparison only."""
-        usable = frame.usable_clicks
-        indices = np.nonzero(usable)[0].astype(int).tolist()
-        detected_bases = frame.bob_basis[usable].astype(int).tolist()
-        return NaiveSiftMessage(
-            frame_id=self.frame_id,
-            n_slots=frame.n_slots,
-            detected_slots=indices,
-            detected_bases=detected_bases,
         )
 
     # -- Alice's side ---------------------------------------------------- #

@@ -74,8 +74,8 @@ class CustodyTransport:
         ttl_seconds: float = 3600.0,
         capacity_bits: int = 1 << 20,
     ):
-        if ttl_seconds <= 0:
-            raise ValueError("custody TTL must be positive")
+        if not (math.isfinite(ttl_seconds) and ttl_seconds > 0):
+            raise ValueError(f"ttl_seconds must be finite and positive, got {ttl_seconds!r}")
         #: The mesh's pads, not the relay network itself: a network that
         #: enables custody holds this transport, so a back-reference would
         #: make the two a reference cycle.

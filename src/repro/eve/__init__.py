@@ -13,8 +13,6 @@ here are the ones whose observable consequences the paper discusses:
   attack: Eve stores one photon from every multi-photon pulse and measures it
   after basis announcement.  No errors are induced; the leakage is what the
   multi-photon terms of entropy estimation charge for.
-* :class:`KeyExhaustionDoS` — Eve forces authentication-pool consumption
-  without letting new key form (the denial-of-service concern of section 2).
 """
 
 from repro.util.exports import lazy_exports
@@ -25,6 +23,5 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.eve.base": ("QuantumChannelAttack",),
         "repro.eve.intercept_resend": ("InterceptResendAttack",),
         "repro.eve.beamsplitter": ("BeamSplittingAttack",),
-        "repro.eve.dos": ("KeyExhaustionDoS",),
     },
 )

@@ -11,7 +11,7 @@ without disturbing the photon that continues to Bob.
 Because no errors are induced, the protocols cannot *detect* this attack; the
 defense is purely accounting: entropy estimation charges the multi-photon
 terms against the key, and privacy amplification removes them.  The E10
-benchmark uses this attack's bookkeeping to check that the charge really does
+claims use this attack's bookkeeping to check that the charge really does
 cover what Eve learned, and to reproduce the paper's weak-coherent versus
 entangled-source comparison (leakage proportional to transmitted versus
 received multi-photon pulses).

@@ -28,11 +28,6 @@ class IPPacket:
         ipaddress.ip_address(self.source)
         ipaddress.ip_address(self.destination)
 
-    @property
-    def size_bytes(self) -> int:
-        """Payload size plus a nominal 20-byte IP header."""
-        return len(self.payload) + 20
-
     def __repr__(self) -> str:
         return (
             f"IPPacket({self.source} -> {self.destination}, "
@@ -58,11 +53,6 @@ class ESPPacket:
     #: Cipher suite label recorded for reporting (the receiver uses the SA,
     #: looked up by SPI, as the authoritative source).
     cipher: str = ""
-
-    @property
-    def size_bytes(self) -> int:
-        """Total on-the-wire size: outer IP + ESP header + IV + payload + ICV."""
-        return 20 + 8 + len(self.iv) + len(self.ciphertext) + len(self.auth_tag)
 
     def header_bytes(self) -> bytes:
         """The authenticated ESP header fields (SPI and sequence number)."""

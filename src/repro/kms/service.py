@@ -149,12 +149,15 @@ class KmsConfig:
             raise ValueError(f"rekey_timeout_seconds must be finite and positive, got {timeout!r}")
         age = self.max_key_age_seconds
         if age is not None and not (math.isfinite(age) and age > 0):
-            raise ValueError(f"max_key_age_seconds must be None or finite and positive, got {age!r}")
+            raise ValueError(
+                f"max_key_age_seconds must be None or finite and positive, got {age!r}"
+            )
         low, high = self.store_low_water_bits, self.store_high_water_bits
         if not 0 <= low <= high <= self.store_capacity_bits:
             raise ValueError("store water marks must satisfy 0 <= low <= high <= capacity")
-        if self.custody and self.custody_ttl_seconds <= 0:
-            raise ValueError("custody TTL must be positive")
+        ttl = self.custody_ttl_seconds
+        if self.custody and not (math.isfinite(ttl) and ttl > 0):
+            raise ValueError(f"custody_ttl_seconds must be finite and positive, got {ttl!r}")
         if self.zones is not None:
             if isinstance(self.zones, int) and self.zones < 1:
                 raise ValueError("zones must name at least one zone")

@@ -33,6 +33,7 @@ it to both ends):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -192,6 +193,16 @@ class KeyStore:
             raise ValueError("store capacity must be positive")
         if not 0 <= low_water_bits <= high_water_bits <= capacity_bits:
             raise ValueError("water marks must satisfy 0 <= low <= high <= capacity")
+        age = max_key_age_seconds
+        if age is not None and not (math.isfinite(age) and age > 0):
+            raise ValueError(
+                f"max_key_age_seconds must be None or finite and positive, got {age!r}"
+            )
+        halflife = depletion_halflife_seconds
+        if not (math.isfinite(halflife) and halflife > 0):
+            raise ValueError(
+                f"depletion_halflife_seconds must be finite and positive, got {halflife!r}"
+            )
         self.pair = (str(pair[0]), str(pair[1]))
         self.capacity_bits = capacity_bits
         self.low_water_bits = low_water_bits

@@ -18,14 +18,13 @@ experiment E9 sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.network.routing import PathSelector
 from repro.network.topology import NodeKind, QKDNetwork
 from repro.optics import model
 from repro.optics.fiber import FiberSpan, LossElement, OpticalPath
-from repro.util.rng import DeterministicRNG
-from repro.util.units import DEFAULT_SWITCH_INSERTION_LOSS_DB
+from repro.util.units import SWITCH_INSERTION_LOSS_DB
 
 
 @dataclass
@@ -48,17 +47,8 @@ class SwitchedPathReport:
 class UntrustedSwitchNetwork:
     """End-to-end QKD over all-optical paths through MEMS-style switches."""
 
-    def __init__(
-        self,
-        network: QKDNetwork,
-        switch_insertion_loss_db: float = DEFAULT_SWITCH_INSERTION_LOSS_DB,
-        rng: Optional[DeterministicRNG] = None,
-    ):
-        if switch_insertion_loss_db < 0:
-            raise ValueError("insertion loss must be non-negative")
+    def __init__(self, network: QKDNetwork):
         self.network = network
-        self.switch_insertion_loss_db = switch_insertion_loss_db
-        self.rng = rng or DeterministicRNG(0)
         self.selector = PathSelector(network, metric="length")
 
     # ------------------------------------------------------------------ #
@@ -83,7 +73,7 @@ class UntrustedSwitchNetwork:
                     "path cannot pass through it without terminating the photons"
                 )
             path.add_element(
-                LossElement(name=f"switch:{name}", loss_db=self.switch_insertion_loss_db)
+                LossElement(name=f"switch:{name}", loss_db=SWITCH_INSERTION_LOSS_DB)
             )
         return path
 
@@ -108,14 +98,10 @@ class UntrustedSwitchNetwork:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def chain(
-        n_switches: int,
-        span_length_km: float,
-        switch_insertion_loss_db: float = DEFAULT_SWITCH_INSERTION_LOSS_DB,
-    ) -> SwitchedPathReport:
+    def chain(n_switches: int, span_length_km: float) -> SwitchedPathReport:
         """Evaluate a linear chain: endpoint - switch - ... - switch - endpoint.
 
-        The parametric form used by benchmark E9: ``n_switches`` switches
+        The parametric form the E9 claims sweep: ``n_switches`` switches
         joining ``n_switches + 1`` equal fiber spans.
         """
         network = QKDNetwork()
@@ -128,6 +114,6 @@ class UntrustedSwitchNetwork:
             previous = name
         network.add_endpoint("destination")
         network.add_link(previous, "destination", span_length_km)
-        switched = UntrustedSwitchNetwork(network, switch_insertion_loss_db)
+        switched = UntrustedSwitchNetwork(network)
         node_path = ["source"] + [f"switch-{i}" for i in range(n_switches)] + ["destination"]
         return switched.evaluate_path(node_path)

@@ -233,15 +233,6 @@ class QKDNetwork:
         """Record that this link's QKD protocols detected eavesdropping."""
         self.link(node_a, node_b).eavesdropping_detected = True
 
-    def fail_random_links(self, count: int) -> List[QKDLinkEdge]:
-        """Cut ``count`` distinct randomly chosen operational links."""
-        candidates = [edge for edge in self.links() if edge.operational]
-        count = min(count, len(candidates))
-        chosen = self.rng.sample(candidates, count)
-        for edge in chosen:
-            edge.operational = False
-        return chosen
-
     # ------------------------------------------------------------------ #
     # Rates
     # ------------------------------------------------------------------ #
@@ -270,7 +261,6 @@ class QKDNetwork:
         n_endpoints: int = 4,
         n_relays: int = 4,
         link_length_km: float = 10.0,
-        extra_cross_links: int = 2,
         rng: Optional[DeterministicRNG] = None,
     ) -> "QKDNetwork":
         """A metro-style mesh: a ring of relays with endpoints hanging off it.
@@ -293,11 +283,11 @@ class QKDNetwork:
         for i, name in enumerate(endpoints):
             net.add_endpoint(name)
             net.add_link(name, relays[i % n_relays], link_length_km)
-        # A few chords across the relay ring for redundancy.
+        # Two chords across the relay ring for redundancy.
         added = 0
         for i in range(n_relays):
             for j in range(i + 2, n_relays):
-                if added >= extra_cross_links:
+                if added >= 2:
                     break
                 if not net.graph.has_edge(relays[i], relays[j]) and (j - i) != n_relays - 1:
                     net.add_link(relays[i], relays[j], link_length_km)

@@ -11,7 +11,7 @@ probability".
 
 The model here produces pair-generation statistics per trigger slot — the
 probability of one pair, of an (insecure) double pair, and of the heralded
-detection — so that entropy estimation and the E10 benchmark can compare
+detection — so that entropy estimation and the E10 claims can compare
 both source types under like assumptions.
 """
 

@@ -185,11 +185,6 @@ class ChannelParameters:
     entangled_source: Optional[EntangledSourceParameters] = None
 
     @classmethod
-    def paper_operating_point(cls) -> "ChannelParameters":
-        """The link exactly as §4 of the paper describes it."""
-        return cls()
-
-    @classmethod
     def for_distance(cls, length_km: float, **overrides) -> "ChannelParameters":
         """The paper's link with the fiber spool replaced by ``length_km`` of fiber."""
         params = cls(path=OpticalPath.single_span(length_km))

@@ -17,7 +17,7 @@ DEFAULT_FIBER_ATTENUATION_DB_PER_KM = 0.2
 
 # Typical insertion loss of a MEMS optical switch (paper section 8 notes each
 # untrusted switch "adds at least a fractional dB insertion loss").
-DEFAULT_SWITCH_INSERTION_LOSS_DB = 0.5
+SWITCH_INSERTION_LOSS_DB = 0.5
 
 
 def db_to_fraction(loss_db: float) -> float:

@@ -88,7 +88,7 @@ def rng():
 @pytest.fixture
 def paper_channel():
     """The paper's operating-point channel with a fixed seed."""
-    return QuantumChannel(ChannelParameters.paper_operating_point(), DeterministicRNG(2003))
+    return QuantumChannel(ChannelParameters(), DeterministicRNG(2003))
 
 
 @pytest.fixture

@@ -77,7 +77,6 @@ class TestLinkFacade:
         "field, value",
         [
             ("confidence_sigmas", 4.0),
-            ("worst_case_multiphoton", True),
             ("block_size_bits", 1024),
             ("abort_qber", 0.2),
             ("randomness_testing", True),

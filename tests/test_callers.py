@@ -37,7 +37,9 @@ too: it sets only what that function's callers put in it, which the scan
 sees at those calls by keyword.  Every
 other option is a constant, or is listed in :data:`ALLOWED_OPTIONS` with
 the reason a caller may still want it: a deployment setting, a test seam
-that substitutes a fake, or a paper-model parameter a test sweeps.
+that substitutes a fake, a paper-model parameter a test sweeps, or a
+setting a row of ``tests/test_paper_claims.py`` needs (the reason names
+the row).
 """
 
 import ast
@@ -161,6 +163,7 @@ _DEPLOYMENT = "deployment setting: "
 _SEAM = "test seam: "
 _MODEL = "paper-model parameter: "
 _PINNED = "pinned: "
+_CLAIM = "paper-claim row in tests/test_paper_claims.py: "
 
 #: Options no production call sets, each with the reason it stays settable.
 ALLOWED_OPTIONS = {
@@ -177,10 +180,16 @@ ALLOWED_OPTIONS = {
     "QKDSystem.metro(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
     "build_metro_mesh(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
     "VPNSystem.send(from_alice=)": _DEPLOYMENT + "the gateway a packet enters the tunnel at",
+    "CascadeParameters.block_first_pass": _CLAIM + "A1 turns the block first pass off",
+    "CascadeParameters.subsets_per_round": _CLAIM + "A1 announces 16 and 128 subsets per round",
     "CascadeParameters.subset_density": _PINNED + "the sparse-subset Cascade transcript in "
     "tests/test_pinned_key_material.py",
     "EngineParameters.block_size_bits": _DEPLOYMENT + "sifted bits per distilled block",
     "EngineParameters.abort_qber": _DEPLOYMENT + "the eavesdropping alarm threshold",
+    "EngineParameters.preshared_secret_bits": _CLAIM + "E11 sweeps the preshared pool "
+    "under the key-exhaustion DoS",
+    "EntropyEstimator(worst_case_multiphoton=)": _CLAIM + "E10 and A2 charge multi-photon "
+    "leakage by the transmitted count",
     "EngineParameters.non_randomness_bits": _MODEL + "the entropy estimate's r; a test "
     "checks a larger r shortens the key",
     "EngineParameters.randomness_testing": _PINNED + "the randomness-testing variant in "
@@ -223,6 +232,11 @@ ALLOWED_OPTIONS = {
     "protected traffic (0: no byte limit)",
     "secret_fraction(cascade_efficiency=)": _MODEL + "the reconciliation inefficiency "
     "f_EC; a test checks a smaller f_EC gives a larger fraction",
+    "ChannelParameters.detectors": _CLAIM + "E2 sets the 1 % detection of the worked example",
+    "DetectorParameters.quantum_efficiency": _CLAIM + "E2 sets the 1 % detection of the "
+    "worked example",
+    "DetectorParameters.dark_count_probability": _CLAIM + "E2 turns dark counts off",
+    "DetectorParameters.receiver_loss_db": _CLAIM + "E2 turns receiver loss off",
     "ChannelParameters.interferometer": _MODEL + "carries visibility and phase noise",
     "ChannelParameters.framing": _MODEL + "carries frame loss and gate misalignment",
     "DetectorParameters.afterpulse_probability": _MODEL + "afterpulsing",

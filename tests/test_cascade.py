@@ -11,7 +11,6 @@ from repro.core.messages import (
     CascadeSubsetAnnouncement,
     PublicChannelLog,
 )
-from repro.mathkit.entropy import binary_entropy
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 from tests.oracles.scalar_cascade import messages_of_type
@@ -141,29 +140,6 @@ class TestLeakageAccounting:
         assert len(calls) == result.disclosed_parities
         assert result.independent_parities == rank == shipped.independent_parities
         assert len(calls) == 2 * result.disclosed_parities  # the copy computed its own, once
-
-    def test_adaptive_disclosure(self):
-        """Low error rates must disclose fewer parities than high error rates."""
-        protocol_low = CascadeProtocol(rng=DeterministicRNG(10))
-        protocol_high = CascadeProtocol(rng=DeterministicRNG(10))
-        ref_low, noisy_low, _ = make_keys(1500, 0.01, seed=13)
-        ref_high, noisy_high, _ = make_keys(1500, 0.10, seed=14)
-        low = protocol_low.reconcile(ref_low, noisy_low, error_rate_hint=0.01)
-        high = protocol_high.reconcile(ref_high, noisy_high, error_rate_hint=0.10)
-        assert low.disclosed_parities < high.disclosed_parities
-
-    def test_leakage_within_a_small_multiple_of_shannon(self):
-        """The variant should stay within ~2x of the Shannon limit n*h(e) at 7%."""
-        n, rate = 2000, 0.07
-        reference, noisy, _ = make_keys(n, rate, seed=15)
-        result = CascadeProtocol(rng=DeterministicRNG(11)).reconcile(
-            reference, noisy, error_rate_hint=rate
-        )
-        shannon = n * binary_entropy(rate)
-        assert result.disclosed_parities < 2.0 * shannon
-        assert result.disclosed_parities > 0.8 * shannon  # can't beat Shannon by much
-
-
 
 class TestMessages:
     def test_subsets_identified_by_32_bit_seeds(self):

@@ -394,6 +394,13 @@ class TestCustodyTransport:
 
 
 class TestCustodyFallback:
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_bad_ttl_is_refused(self, ttl):
+        """A NaN TTL never expires a bundle (``now >= nan`` is never true) and
+        poisons the eviction order."""
+        with pytest.raises(ValueError, match="ttl_seconds"):
+            line_relays().enable_custody(rng=DeterministicRNG(3), ttl_seconds=ttl)
+
     def test_reroute_banks_instead_of_failing(self):
         relays = line_relays()
         relays.enable_custody(rng=DeterministicRNG(3), ttl_seconds=100.0)

@@ -343,7 +343,7 @@ class TestFrameProcessing:
         engine = QKDProtocolEngine(rng=DeterministicRNG(23))
         process_frame(engine, paper_channel.transmit(500_000))
         assert 0.03 < engine.statistics.mean_qber < 0.12
-        assert 0 < engine.statistics.sifted_fraction < 0.01
+        assert 0 < engine.statistics.sifted_bits / engine.statistics.slots_processed < 0.01
 
 
 class TestEngineMemory:

@@ -18,7 +18,7 @@ class TestEntangledChannelParameters:
         assert params.pulse_rate_hz == pytest.approx(1e6)
 
     def test_weak_coherent_defaults_unchanged(self):
-        params = ChannelParameters.paper_operating_point()
+        params = ChannelParameters()
         assert not params.is_entangled
         assert params.effective_mean_photon_number == pytest.approx(0.1)
 
@@ -33,7 +33,7 @@ class TestEntangledChannel:
         result = channel.transmit(1_500_000)
         # The heralded-pair rate is lower than the weak-coherent rate, so fewer
         # detections; the QBER band is comparable (same interferometer/detectors).
-        weak = QuantumChannel(ChannelParameters.paper_operating_point(), DeterministicRNG(2))
+        weak = QuantumChannel(ChannelParameters(), DeterministicRNG(2))
         weak_result = weak.transmit(1_500_000)
         assert 0 < result.n_sifted < weak_result.n_sifted
         assert 0.04 < result.qber < 0.13

@@ -159,32 +159,11 @@ class TestResultantEntropy:
         assert hopeless.distillable_bits == 0
         assert hopeless.secret_fraction == 0.0
 
-    def test_higher_confidence_means_less_key(self):
-        inputs = inputs_for(0.06)
-        relaxed = EntropyEstimator(defense=BennettDefense(), confidence_sigmas=1.0).estimate(inputs)
-        strict = EntropyEstimator(defense=BennettDefense(), confidence_sigmas=7.0).estimate(inputs)
-        assert strict.distillable_bits < relaxed.distillable_bits
-
-    def test_paper_confidence_parameter(self):
-        """c = 5 corresponds to ~1e-6 eavesdropping success probability."""
-        estimate = EntropyEstimator(confidence_sigmas=5.0).estimate(inputs_for(0.05))
-        assert estimate.eavesdropping_success_probability < 1e-5
-
     @pytest.mark.parametrize("sigmas", [-1.0, math.nan, math.inf])
     def test_invalid_configuration(self, sigmas):
         # NaN or infinity would build, then fail inside math.floor mid-block.
         with pytest.raises(ValueError):
             EntropyEstimator(confidence_sigmas=sigmas)
-
-    def test_operating_point_yields_positive_key_with_bennett(self):
-        """The paper's own link (6-8% QBER) must distill key under the default defense."""
-        estimator = EntropyEstimator(defense=BennettDefense(), confidence_sigmas=5.0)
-        # Typical Cascade disclosure at 6.5%: ~1.35 * h(e) * b
-        from repro.mathkit.entropy import binary_entropy
-
-        disclosed = int(1.35 * binary_entropy(0.065) * 4096)
-        estimate = estimator.estimate(inputs_for(0.065, sifted=4096, disclosed=disclosed))
-        assert estimate.distillable_bits > 200
 
     @given(st.floats(min_value=0.0, max_value=0.15), st.integers(min_value=256, max_value=8192))
     @settings(max_examples=40, deadline=None)

@@ -113,17 +113,6 @@ class TestPhase2Qkd:
         outbound_peer = bob.sad.lookup_spi(outbound_local.spi)
         assert outbound_peer.encryption_key != outbound_local.encryption_key
 
-    def test_fig12_log_lines(self):
-        alice, bob = make_daemons()
-        alice.establish_phase1(bob)
-        alice.negotiate_phase2(bob, AES_POLICY)
-        log = "\n".join(alice.log_lines + bob.log_lines)
-        assert "phase 2 negotiation" in log
-        assert "QPFS encmodesv 1" in log
-        assert f"Qblocks {QBLOCK_BITS} bits" in log
-        assert "KEYMAT using 128 bytes QBITS" in log
-        assert "IPsec-SA established: ESP/Tunnel" in log
-
     def test_otp_negotiation_builds_pads(self):
         alice_pool, bob_pool = synced_pools()
         alice, bob = make_daemons(alice_pool, bob_pool)

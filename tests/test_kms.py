@@ -82,6 +82,25 @@ class TestKeyPoolExpiry:
 
 
 class TestKeyStore:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_key_age_seconds", float("nan")),
+            ("max_key_age_seconds", float("inf")),
+            ("max_key_age_seconds", -5.0),
+            ("max_key_age_seconds", 0.0),
+            ("depletion_halflife_seconds", float("nan")),
+            ("depletion_halflife_seconds", float("inf")),
+            ("depletion_halflife_seconds", -600.0),
+            ("depletion_halflife_seconds", 0.0),
+        ],
+    )
+    def test_bad_ages_are_refused_at_construction(self, field, value):
+        """A NaN or negative age used to expire every unreserved bit on the
+        first sweep; a NaN half-life made the refill priority NaN."""
+        with pytest.raises(ValueError, match=field):
+            make_store(**{field: value})
+
     def test_deposit_feeds_both_pools_identically(self):
         store = make_store()
         banked = store.deposit(BitString.random(512, DeterministicRNG(3)))
@@ -811,6 +830,12 @@ class TestKeyManagementService:
     def test_bad_timing_is_refused_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             KmsConfig(**{field: value})
+
+    @pytest.mark.parametrize("ttl", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_bad_custody_ttl_is_refused_at_construction(self, ttl):
+        """A NaN TTL never expires a bundle (``now >= nan`` is never true)."""
+        with pytest.raises(ValueError, match="custody_ttl_seconds"):
+            KmsConfig(custody=True, custody_ttl_seconds=ttl)
 
     @pytest.mark.parametrize("epoch", [float("nan"), float("inf"), 0.0])
     def test_a_bad_epoch_is_refused_at_construction(self, epoch):

@@ -10,7 +10,6 @@ from repro.core.messages import (
     CascadeBisectReply,
     CascadeParityReply,
     CascadeSubsetAnnouncement,
-    NaiveSiftMessage,
     PrivacyAmplificationMessage,
     PublicChannelLog,
     SiftMessage,
@@ -48,15 +47,6 @@ class TestEncoding:
     def test_encodings_are_distinct_across_kinds(self):
         encodings = [m.encode() for m in sample_messages()]
         assert len(set(encodings)) == len(encodings)
-
-    def test_sift_message_size_accounting(self):
-        message = SiftMessage(frame_id=1, n_slots=1000, detection_runs=[990, 1, 9], detected_bases=[0])
-        assert message.size_bytes == len(message.encode())
-        assert message.uncompressed_bitmap_bytes == (1000 + 7) // 8 + 1
-
-    def test_naive_sift_message_size(self):
-        naive = NaiveSiftMessage(frame_id=1, n_slots=1000, detected_slots=[1, 500], detected_bases=[0, 1])
-        assert naive.size_bytes == len(naive.encode())
 
     def test_content_changes_change_encoding(self):
         a = CascadeParityReply(round_index=0, parities=[0, 1])

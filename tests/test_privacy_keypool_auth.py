@@ -243,7 +243,7 @@ class TestAuthenticatedChannel:
         verify_log(bob, log, tag)
         assert alice.available_secret_bits == start - alice.tag_bits
         alice.replenish(BitString.ones(256))
-        assert alice.statistics.secret_bits_replenished == 256
+        assert alice.pool.bits_added == 256
         assert alice.available_secret_bits == start - alice.tag_bits + 256
 
     def test_statistics_track_batches(self):

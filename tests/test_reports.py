@@ -167,8 +167,9 @@ AUTH_FIELDS = {
     "batches_verified": 3,
     "verification_failures": 0,
     "secret_bits_consumed": 192,
-    "secret_bits_replenished": 299,
 }
+#: Bits each end's pool took back from distilled key.
+AUTH_BITS_REPLENISHED = 299
 
 
 def authenticated_link():
@@ -319,6 +320,7 @@ class TestAuthenticationStatistics:
         for channel in (link.engine.alice_auth, link.engine.bob_auth):
             statistics = channel.statistics
             assert {name: getattr(statistics, name) for name in AUTH_FIELDS} == AUTH_FIELDS
+            assert channel.pool.bits_added == AUTH_BITS_REPLENISHED
 
 
 class TestGatewayStatistics:

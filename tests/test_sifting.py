@@ -169,15 +169,6 @@ class TestSiftingProtocol:
             assert result.bob_key[position] == int(small_frame.bob_value[slot])
             assert small_frame.alice_basis[slot] == small_frame.bob_basis[slot]
 
-    def test_qber_in_expected_band(self, small_frame):
-        result = SiftingProtocol().sift(small_frame)
-        assert 0.02 <= result.qber <= 0.13
-
-    def test_sifted_fraction_roughly_matches_paper_scale(self, small_frame):
-        """Detections are rare; sifting keeps roughly one slot in a few hundred."""
-        result = SiftingProtocol().sift(small_frame)
-        assert 1 / 2000 < result.sifted_fraction < 1 / 100
-
     def test_sift_message_never_contains_values(self, small_frame):
         """Sifting discloses slots and bases, never bit values."""
         protocol = SiftingProtocol()
@@ -194,12 +185,6 @@ class TestSiftingProtocol:
         message = SiftingProtocol().build_sift_message(small_frame)
         assert sum(message.detection_runs) == small_frame.n_slots
         assert len(message.detected_bases) == int(np.count_nonzero(small_frame.usable_clicks))
-
-    def test_rle_message_smaller_than_naive(self, small_frame):
-        protocol = SiftingProtocol()
-        rle = protocol.build_sift_message(small_frame)
-        naive = protocol.build_naive_sift_message(small_frame)
-        assert rle.size_bytes < naive.size_bytes
 
     def test_binary_encoding_smaller_than_json(self, small_frame):
         message = SiftingProtocol().build_sift_message(small_frame)
