@@ -1,14 +1,13 @@
-"""Benchmark harness: the service soaks and the end-to-end benchmark.
+"""The repo's end-to-end benchmark, E21, and where the retired benches went.
 
-``bench_e15``/``e18``/``e19``/``e20`` soak the KMS, the chaos fleet, custody
-relay and the metro service; each module's docstring states what it asserts.
-The repo's end-to-end benchmark, E21, and its baseline are described in
-``benchmarks/e21/README.md``.  Run with::
+E21 ("photon to served key") and its in-tree baseline are described in
+``benchmarks/e21/README.md``; run it with ``python -m benchmarks.e21``.
 
-    pytest benchmarks/ --benchmark-only
-
-The paper's quantitative claims are rows of ``tests/test_paper_claims.py``,
-named by the experiment that used to check them here:
+Every other experiment is a tier-1 test.  The paper's quantitative claims
+are rows of ``tests/test_paper_claims.py``; the service soaks are rows of
+``tests/test_soak_claims.py`` run over seeds, plus the whole-stack fault
+swarm in ``tests/test_swarm.py``.  Each retired bench file maps to the rows
+named by its experiment:
 
 * ``bench_e1_qber_operating_point.py``   -> the ``E1:`` rows
 * ``bench_e2_sifting_yield.py``          -> ``E2:``
@@ -24,6 +23,10 @@ named by the experiment that used to check them here:
 * ``bench_e12_sift_encoding.py``         -> ``E12:``
 * ``bench_a1_cascade_ablation.py``       -> ``A1:``
 * ``bench_a2_entangled_link.py``         -> ``A2:``
+* ``bench_e15_kms_soak.py``              -> ``E15:`` (``tests/test_soak_claims.py``)
+* ``bench_e18_chaos_soak.py``            -> ``E18:`` and the swarm's network phase
+* ``bench_e19_dtn_soak.py``              -> ``E19:``
+* ``bench_e20_metro_soak.py``            -> ``E20:``
 
-Select one experiment's rows with ``pytest tests/test_paper_claims.py -k "E10:"``.
+Select one experiment's rows with ``pytest tests/test_soak_claims.py -k "E19:"``.
 """

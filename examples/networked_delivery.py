@@ -7,8 +7,9 @@ loop distilling key into per-pair stores.  This example shows the
 ``repro.netkms`` asyncio front end, and a fleet of concurrent SAE clients
 (think IKE daemons) draws keys over the versioned binary protocol.  A
 deliberately old v1-only client joins the fleet to show the HELLO/WELCOME
-negotiation stepping down, and the run ends with the server's per-request
-metrics — including the served-key digest that pins *which* material left
+negotiation stepping down, a resilient client (reconnect, retry and
+exactly-once ``get_key``) draws beside them, and the run ends with the
+server's per-request metrics — including the served-key digest that pins *which* material left
 the stores.
 
 Run:  python examples/networked_delivery.py
@@ -18,7 +19,7 @@ import asyncio
 
 from repro import QKDSystem
 from repro.kms import KmsConfig
-from repro.netkms import NetworkKmsClient
+from repro.netkms import NetworkKmsClient, ResilientKmsClient
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -46,11 +47,22 @@ async def sae_fleet(port: int) -> None:
             assert key.key_bits == KEY_BITS
         await client.close()
 
+    async def resilient_sae(name: str, pair: tuple) -> None:
+        async with ResilientKmsClient(
+            "127.0.0.1", port, rng=DeterministicRNG(7).fork_labeled(f"sae/{name}"), client_id=name
+        ) as client:
+            for _ in range(REQUESTS_PER_CLIENT):
+                key = await client.get_key(pair, bits=KEY_BITS)
+                assert key.key_bits == KEY_BITS
+            print(f"  {name}: {REQUESTS_PER_CLIENT} keys exactly once, "
+                  f"{client.stats.retries} retries")
+
     await asyncio.gather(
         one_sae("ike-gateway-a", PAIRS[0], versions=(1, 2)),
         one_sae("ike-gateway-b", PAIRS[1], versions=(1, 2)),
         one_sae("legacy-gateway", PAIRS[0], versions=(1,)),  # v1-only: negotiates down
         one_sae("otp-encryptor", PAIRS[1], versions=(1, 2)),
+        resilient_sae("resilient-gateway", PAIRS[1]),
     )
 
 

@@ -19,8 +19,8 @@ two ends of the DTN trade-off space:
     Multi-copy flooding with duplicate suppression: every open contact
     from a node holding a copy infects the neighbour, unless that
     neighbour has already held one; the flood draws no randomness.  Most
-    robust to plan error and most expensive in pad — the overhead bench E19
-    measures.
+    robust to plan error and most expensive in pad — the overhead the E19
+    rows report as copies.
 
 Determinism contract: policies make no unlabeled draws, and iterate
 bundles, copies and neighbours in sorted order, so a run's forwarding

@@ -155,8 +155,9 @@ class ReplenishmentScheduler:
         #: the path of a starving store get their priority boosted.
         self.pressure: Dict[Tuple[str, str], float] = {}
         self._farm = LinkFarm(workers=self.config.workers)
-        #: Wall-clock seconds spent ordering/selecting links (the scheduler
-        #: overhead the metro bench tracks; excludes the dispatch fan-out).
+        #: Wall-clock seconds spent ordering/selecting links (part of the
+        #: scheduler overhead E21's ``kms.sched_overhead_s`` reports; excludes
+        #: the dispatch fan-out).
         self.selection_seconds = 0.0
         #: The links this scheduler manages, sorted pair -> edge.  ``links``
         #: restricts the scheduler to a subset of the mesh (one zone, or the

@@ -292,7 +292,8 @@ class SoakReport:
     rekey_latency_mean_seconds: float
     #: Wall-clock scheduling cost: the service's ordering
     #: (``metrics.ordering_seconds``) plus the replenisher's link selection.
-    #: The metro bench's sub-linearity gate reads the per-epoch figure.
+    #: E21 reports it as ``kms.sched_overhead_s``; the E20 rows gate the
+    #: scheduler's growth on a count of heap pops instead, not on wall time.
     scheduler_overhead_seconds: float
     scheduler_overhead_per_epoch_seconds: float
     per_pair: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -923,11 +924,15 @@ class KeyManagementService:
         up (``port=0`` binds an ephemeral port).  Network consumers and the
         reservation contract keep the stores race-free between them; see
         :mod:`repro.netkms` for the protocol and its version negotiation.
-        Its leases run in its event loop's seconds, not simulated ones.
+        Its clock continues this service's: it reads the simulated time of
+        this call when the server starts, and runs on in its event loop's
+        seconds, so a store's timestamps and depletion rate never jump
+        between the two.
         """
         from repro.netkms.server import NetworkKmsServer
 
         server = NetworkKmsServer(self.stores, host=host, port=port)
+        server.time_at_start = self.clock.now()
         self._servers.append(server)
         return server
 

@@ -48,7 +48,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "RecoveryStats",
             "ResilientKmsClient",
             "RetriesExhaustedError",
-            "RetryPolicy",
         ),
         "repro.netkms.server": ("MAX_RESERVE_BITS", "NetworkKmsServer"),
     },

@@ -7,8 +7,8 @@ request counts per kind, reserve latency (p50/p99/mean, in a fixed-size
 :class:`~repro.util.latency.LatencyHistogram` so memory does not grow with
 uptime), protocol
 errors per code, reap and replay counters, and an order-independent digest
-of the served material (sorted-chunk sha256) — the bench invariant that
-must not move with client concurrency.
+of the served material (sorted-chunk sha256) — the invariant that must not
+move with client concurrency or faults (the E18 rows and the swarm check it).
 """
 
 from __future__ import annotations

@@ -18,19 +18,20 @@ servers stall (the Elastic-TCP-style adaptive backoff from PAPERS.md):
   GET_KEY is never used: its reply is the only frame naming the
   reservation, so exactly-once needs the two phases;
 * **recovery accounting** — every disruption that the loop survives
-  records how long service took to resume, feeding the recovery-time
-  p50/p99 that bench E18 reports.
+  records how long service took to resume.
 
 Time is the running loop's: backoff is ``asyncio.sleep``, recovery is timed
 with ``loop.time()`` (monotonic wall seconds on asyncio's default loop).
+The retry budget, backoff and request timeout are module constants: on a
+virtual-time loop a 1 s timeout or a 2 s backoff costs no wall time, so no
+test needs them shorter.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.netkms import protocol
 from repro.netkms.client import (
@@ -49,45 +50,29 @@ class RetriesExhaustedError(ConnectionError):
     """The retry budget ran out before the operation succeeded."""
 
 
-@dataclass
-class RetryPolicy:
-    """Backoff shape and budgets for :class:`ResilientKmsClient`.
+#: Attempts per operation before :class:`RetriesExhaustedError`.
+MAX_ATTEMPTS = 8
+#: The first retry's backoff; each later one doubles, up to the cap.
+BASE_BACKOFF_SECONDS = 0.05
+MAX_BACKOFF_SECONDS = 2.0
+#: Each backoff is scaled down by up to this fraction, never lengthened, so
+#: a fleet of clients decorrelates without passing the cap.
+JITTER_FRACTION = 0.5
+#: How long one request waits for its reply before it counts as failed.
+REQUEST_TIMEOUT_SECONDS = 1.0
 
-    ``jitter_fraction`` scales each backoff down by up to that fraction
-    (decorrelating a fleet of clients without ever *lengthening* the cap);
-    the draw comes from the client's labeled RNG stream, so it is
-    deterministic per seed.
-    """
 
-    max_attempts: int = 8
-    base_backoff_seconds: float = 0.05
-    max_backoff_seconds: float = 2.0
-    jitter_fraction: ClassVar[float] = 0.5
-    request_timeout_seconds: Optional[float] = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
-        for name in ("base_backoff_seconds", "max_backoff_seconds"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        timeout = self.request_timeout_seconds
-        if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
-            raise ValueError(f"request_timeout_seconds must be finite and positive, got {timeout}")
-
-    def backoff(self, attempt: int, rng: DeterministicRNG) -> float:
-        """Delay before retry ``attempt`` (1-based): capped doubling, jittered."""
-        raw = min(
-            self.base_backoff_seconds * (2 ** (attempt - 1)),
-            self.max_backoff_seconds,
-        )
-        return raw * (1.0 - self.jitter_fraction * rng.random())
+def backoff(attempt: int, rng: DeterministicRNG) -> float:
+    """Delay before retry ``attempt`` (1-based): capped doubling, jittered
+    by a draw from ``rng`` (the client's labeled stream)."""
+    raw = min(BASE_BACKOFF_SECONDS * (2 ** (attempt - 1)), MAX_BACKOFF_SECONDS)
+    return raw * (1.0 - JITTER_FRACTION * rng.random())
 
 
 @dataclass
 class RecoveryStats:
-    """What the retry loop had to absorb, for bench E18."""
+    """What the retry loop had to absorb: attempts, retries, reconnects,
+    timeouts, abandoned reservations and how long each recovery took."""
 
     attempts: int = 0
     retries: int = 0
@@ -130,7 +115,6 @@ class ResilientKmsClient:
         self,
         host: str,
         port: int,
-        policy: Optional[RetryPolicy] = None,
         rng: Optional[DeterministicRNG] = None,
         versions: Tuple[int, ...] = protocol.SUPPORTED_VERSIONS,
         client_id: str = "sae",
@@ -138,7 +122,6 @@ class ResilientKmsClient:
     ):
         self.host = host
         self.port = port
-        self.policy = policy or RetryPolicy()
         self.rng = (rng or DeterministicRNG(0)).fork_labeled("retry/jitter")
         self.versions = versions
         self.client_id = client_id
@@ -171,7 +154,7 @@ class ResilientKmsClient:
             self.port,
             versions=self.versions,
             client_id=self.client_id,
-            request_timeout=self.policy.request_timeout_seconds,
+            request_timeout=REQUEST_TIMEOUT_SECONDS,
             connector=self._connector,
         )
         await client.connect()
@@ -244,7 +227,7 @@ class ResilientKmsClient:
         clock = asyncio.get_running_loop().time
         first_failure: Optional[float] = None
         last_error: Optional[BaseException] = None
-        for attempt in range(1, self.policy.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             self.stats.attempts += 1
             try:
                 client = await self._ensure_connected()
@@ -260,19 +243,17 @@ class ResilientKmsClient:
                 # The connection's state is unknown after any retryable
                 # failure; reconnect rather than reuse a wedged stream.
                 await self.close()
-                if attempt == self.policy.max_attempts:
+                if attempt == MAX_ATTEMPTS:
                     break
                 self.stats.retries += 1
-                delay = self.policy.backoff(attempt, self.rng)
+                delay = backoff(attempt, self.rng)
                 if delay > 0:
                     await asyncio.sleep(delay)
                 continue
             if first_failure is not None:
                 self.stats.recovery_seconds.append(clock() - first_failure)
             return result
-        raise RetriesExhaustedError(
-            f"gave up after {self.policy.max_attempts} attempts"
-        ) from last_error
+        raise RetriesExhaustedError(f"gave up after {MAX_ATTEMPTS} attempts") from last_error
 
     def __repr__(self) -> str:
         state = "connected" if self._client and self._client.connected else "idle"
@@ -283,5 +264,4 @@ __all__ = [
     "RecoveryStats",
     "ResilientKmsClient",
     "RetriesExhaustedError",
-    "RetryPolicy",
 ]

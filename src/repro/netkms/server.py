@@ -33,7 +33,7 @@ Leases, reaping and the drain
 -----------------------------
 
 A held reservation is a *lease*: it names the connection that made it and
-expires ``lease_seconds`` after the grant.  Only a connection under that
+expires :data:`LEASE_SECONDS` after the grant.  Only a connection under that
 connection's HELLO ``client_id`` may consume or release it.  A closing
 connection's reservations are reaped at once.  Expired leases are reaped
 lazily, with no sweep: every request and every closing connection (``stop()``
@@ -95,8 +95,9 @@ Pair = Tuple[str, str]
 #: of a hostile RESERVE and the size of the CONSUME_OK reply frame.
 MAX_RESERVE_BITS = 1 << 15
 
-#: Default lease on a granted reservation (seconds of the loop's clock).
-DEFAULT_LEASE_SECONDS = 30.0
+#: The lease on a granted reservation (seconds of the loop's clock).  On a
+#: virtual-time loop a lapse costs no wall time, so no test needs it shorter.
+LEASE_SECONDS = 30.0
 
 #: Most recently consumed reservations kept for idempotent CONSUME replay.
 REPLAY_CACHE_LIMIT = 1024
@@ -141,9 +142,8 @@ class NetworkKmsServer:
     or as an async context manager.  ``versions`` narrows the protocol
     versions offered (the interop tests run v1-only through v4-capable
     servers against every client generation in both directions).
-    ``lease_seconds`` is the reservation lease TTL in seconds of the loop
-    the server runs on; ``request_hook`` is an awaited seam before every
-    dispatch — the fault plane's stall injector plugs in there.
+    ``request_hook`` is an awaited seam before every dispatch — the tests'
+    fault plane plugs its stall injector in there.
     """
 
     def __init__(
@@ -155,7 +155,6 @@ class NetworkKmsServer:
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         max_reserve_bits: int = MAX_RESERVE_BITS,
         server_id: str = "kme",
-        lease_seconds: float = DEFAULT_LEASE_SECONDS,
         replay_retention_seconds: Optional[float] = None,
         request_hook: Optional[Callable[[Message], Awaitable[None]]] = None,
     ):
@@ -173,24 +172,29 @@ class NetworkKmsServer:
         self.max_frame_bytes = max_frame_bytes
         self.max_reserve_bits = max_reserve_bits
         self.server_id = server_id
-        self.lease_seconds = lease_seconds
         #: How long a consumed reservation stays replayable.  Must exceed
         #: the longest client retry window, or a retried CONSUME could miss
         #: the cache and wrongly read as "reaped before consume".
         self.replay_retention_seconds = (
             replay_retention_seconds
             if replay_retention_seconds is not None
-            else 10.0 * lease_seconds
+            else 10.0 * LEASE_SECONDS
         )
-        for name in ("lease_seconds", "replay_retention_seconds"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        retention = self.replay_retention_seconds
+        if not (math.isfinite(retention) and retention > 0):
+            raise ValueError(
+                f"replay_retention_seconds must be finite and positive, got {retention}"
+            )
         self.request_hook = request_hook
         self.metrics = NetKmsMetrics()
         #: The one clock of leases, the replay window and store timestamps:
         #: ``start()`` binds the loop's; until then, the default loop's.
         self._now = time.monotonic
+        #: What that clock reads at ``start()``; ``None`` keeps the loop's own
+        #: reading.  A KMS front end sets the service's simulated time here
+        #: (:meth:`~repro.kms.service.KeyManagementService.serve_network`), so
+        #: its stores see one timeline across the service and the network.
+        self.time_at_start: Optional[float] = None
         self._server: Optional[asyncio.base_events.Server] = None
         #: Held reservations by (pair, reservation id); the id space is the
         #: store's own, so release/consume validate against live state.
@@ -220,6 +224,9 @@ class NetworkKmsServer:
         self._draining = False
         loop = asyncio.get_running_loop()
         self._now = loop.time
+        if self.time_at_start is not None:
+            offset = self.time_at_start - loop.time()
+            self._now = lambda: loop.time() + offset
         self._server = await loop.create_server(
             lambda: _Connection(self), host=self.host, port=self.port
         )
@@ -470,7 +477,7 @@ class NetworkKmsServer:
         store = self._store_for(message.pair)
         now = self._now()
         reservation = self._grant(store, message.bits, now)
-        expires_at = now + self.lease_seconds
+        expires_at = now + LEASE_SECONDS
         self._held[(message.pair, reservation.reservation_id)] = HeldReservation(
             reservation=reservation,
             owner=conn_id,
@@ -482,7 +489,7 @@ class NetworkKmsServer:
             request_id=message.request_id,
             reservation_id=reservation.reservation_id,
             bits=reservation.bits,
-            lease_ms=int(self.lease_seconds * 1000),
+            lease_ms=int(LEASE_SECONDS * 1000),
         )
 
     def _on_get_key(self, message: GetKey, conn_id: int) -> ConsumeOk:

@@ -24,7 +24,7 @@ import asyncio
 import struct
 from typing import Awaitable, Callable, Optional, Tuple
 
-from repro.faults.plane import (
+from tests.faults.plane import (
     DELAY,
     DROP_AFTER,
     DROP_BEFORE,

@@ -15,7 +15,7 @@ losing replay.  The stream for an index is drawn whatever fires, so a test
 that overrides :meth:`FaultPlane._draw` to pin "the 3rd CONSUME's reply is
 dropped" never shifts the randomness of later operations.
 
-The plane itself never touches a socket; :mod:`repro.faults.net` applies
+The plane itself never touches a socket; :mod:`tests.faults.net` applies
 its decisions to asyncio transports.
 """
 
@@ -80,7 +80,7 @@ class FaultAction:
 
 @dataclass
 class FaultPlaneStats:
-    """What the plane did, for assertions and the E18 bench table.
+    """What the plane did: operations per site and injections per kind.
 
     ``ops_by_site`` is also each site's operation counter: the next
     operation at a site draws from stream ``faults/<site>/<count>``.

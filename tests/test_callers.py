@@ -38,8 +38,8 @@ sees at those calls by keyword.  Every
 other option is a constant, or is listed in :data:`ALLOWED_OPTIONS` with
 the reason a caller may still want it: a deployment setting, a test seam
 that substitutes a fake, a paper-model parameter a test sweeps, or a
-setting a row of ``tests/test_paper_claims.py`` needs (the reason names
-the row).
+setting a row of ``tests/test_paper_claims.py``, a soak row of
+``tests/test_soak_claims.py`` or the swarm needs (the reason names it).
 """
 
 import ast
@@ -55,6 +55,14 @@ ALLOWED = {
     "tests/test_pinned_key_material.py, whose literals stay as they are",
     "total_bytes": "transcript size pinned by tests/test_pinned_key_material.py",
     "frame_numbers": "per-slot frame index hashed by tests/test_pinned_key_material.py",
+    # asyncio calls these on a connection's protocol: the event loop is the
+    # caller, as the interpreter is a dunder's.
+    "connection_made": "asyncio.Protocol callback of the netkms client and server",
+    "data_received": "asyncio.Protocol callback of the netkms client and server",
+    "eof_received": "asyncio.Protocol callback of the netkms server",
+    "pause_writing": "asyncio.Protocol callback of the netkms server",
+    "resume_writing": "asyncio.Protocol callback of the netkms server",
+    "connection_lost": "asyncio.Protocol callback of the netkms client and server",
 }
 
 
@@ -164,6 +172,7 @@ _SEAM = "test seam: "
 _MODEL = "paper-model parameter: "
 _PINNED = "pinned: "
 _CLAIM = "paper-claim row in tests/test_paper_claims.py: "
+_SOAK = "soak row in tests/test_soak_claims.py or the swarm in tests/test_swarm.py: "
 
 #: Options no production call sets, each with the reason it stays settable.
 ALLOWED_OPTIONS = {
@@ -179,9 +188,15 @@ ALLOWED_OPTIONS = {
     "comes up",
     "QKDSystem.metro(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
     "build_metro_mesh(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
+    "QKDSystem.metro(n_zones=)": _SOAK + "the swarm's 2-zone metro (and the 2- and 3-zone "
+    "metros of tests/test_zones.py)",
+    "build_metro_mesh(n_zones=)": _DEPLOYMENT + "zones the metro is split into; "
+    "tests/test_zones.py builds 2- and 3-zone metros",
     "VPNSystem.send(from_alice=)": _DEPLOYMENT + "the gateway a packet enters the tunnel at",
     "CascadeParameters.block_first_pass": _CLAIM + "A1 turns the block first pass off",
     "CascadeParameters.subsets_per_round": _CLAIM + "A1 announces 16 and 128 subsets per round",
+    "CascadeParameters.rounds": _CLAIM + "A1's no-first-pass ablation announces 8 rounds "
+    "(and the unconfirmed-block transcript in tests/test_pinned_key_material.py pins 1)",
     "CascadeParameters.subset_density": _PINNED + "the sparse-subset Cascade transcript in "
     "tests/test_pinned_key_material.py",
     "EngineParameters.block_size_bits": _DEPLOYMENT + "sifted bits per distilled block",
@@ -209,6 +224,12 @@ ALLOWED_OPTIONS = {
     "KmsConfig.store_capacity_bits": _DEPLOYMENT + "key store capacity",
     "KmsConfig.max_key_age_seconds": _DEPLOYMENT + "the age limit of stored key",
     "KmsConfig.trunk_capacity_bits": _DEPLOYMENT + "trunk store capacity",
+    "KmsConfig.custody_policy": _SOAK + "E19 runs both forwarding policies, the swarm "
+    "draws either",
+    "KmsConfig.custody_ttl_seconds": _SOAK + "E19 parks bundles for 4000 s (and the "
+    "custody soak pins in tests/test_kms.py expire them at 300 s)",
+    "KmsConfig.custody_capacity_bits": _PINNED + "the capacity-2048 custody soak in "
+    "tests/test_kms.py",
     "KmsConfig.trunk_low_water_bits": _DEPLOYMENT + "trunk store refill level",
     "KmsConfig.trunk_high_water_bits": _DEPLOYMENT + "trunk store fill target",
     "KeyStore(max_key_age_seconds=)": _DEPLOYMENT + "the age limit of stored key "
@@ -226,6 +247,8 @@ ALLOWED_OPTIONS = {
     "is checked against stepping over random widths",
     "NetworkKmsServer.stop(drain_timeout=)": _DEPLOYMENT + "how long a stop waits for "
     "requests in flight",
+    "NetworkKmsServer(request_hook=)": _SEAM + "the fault plane's stall injector "
+    "(tests/faults, E18 rows, the swarm) and the gates of tests/test_netkms.py",
     "NetworkKmsServer(replay_retention_seconds=)": _DEPLOYMENT + "how long a served key "
     "stays replayable; it must outlast the longest client retry window",
     "SecurityPolicy.lifetime_kilobytes": _DEPLOYMENT + "the SA lifetime in kilobytes of "

@@ -46,7 +46,7 @@ from repro.netkms.protocol import (
     Reserve,
     ReserveOk,
 )
-from repro.netkms.server import NetworkKmsServer, _Connection
+from repro.netkms.server import LEASE_SECONDS, NetworkKmsServer, _Connection
 from repro.util.bits import BitString
 from tests.virtual_loop import VirtualLoop
 
@@ -55,8 +55,9 @@ PAIRS = (("alice", "bob"), ("carol", "dave"))
 CLIENT_IDS = ("sae-a", "sae-b", "sae-a")
 WORD_BITS = 64
 MAX_RESERVE_BITS = 8 * WORD_BITS
-LEASE_SECONDS = 5.0
-KEY_AGE_SECONDS = 30.0
+KEY_AGE_SECONDS = 6 * LEASE_SECONDS
+#: The clock steps, as fractions of the lease: short of it, to it, past it.
+LAPSES = tuple(LEASE_SECONDS * f for f in (0.1, 0.4, 0.9, 1.0, 1.8))
 
 
 class RecordingTransport:
@@ -93,7 +94,6 @@ class ServerMachine(RuleBasedStateMachine):
         }
         self.server = NetworkKmsServer(
             self.stores,
-            lease_seconds=LEASE_SECONDS,
             max_reserve_bits=MAX_RESERVE_BITS,
         )
         self.loop = VirtualLoop()
@@ -245,7 +245,7 @@ class ServerMachine(RuleBasedStateMachine):
         for store in self.stores.values():
             store.expire(self.clock)
 
-    @rule(seconds=st.sampled_from([0.5, 2.0, 4.5, 5.0, 9.0]))
+    @rule(seconds=st.sampled_from(LAPSES))
     def lease_lapse(self, seconds):
         self.loop.advance(seconds)
         self.server.reap_expired()
@@ -351,7 +351,7 @@ def test_get_key_after_a_lapsed_lease_and_a_disconnect():
         ("deposit", 1, 3),
         ("reserve", 0, 1, 3),
         ("get_key", 1, 1, 1),  # every bit is reserved
-        ("lease_lapse", 5.0),
+        ("lease_lapse", LEASE_SECONDS),
         ("get_key", 1, 1, 2),
         ("reserve", 2, 1, 1),
         ("disconnect", 2),

@@ -1100,21 +1100,6 @@ class TestKmsCustody:
             else:
                 assert report.custody_delivered > 0 and ticks[-1] == 0
 
-    def test_partitioned_deliveries_park_instead_of_starving(self):
-        starved = custody_soak(custody=False)
-        assert starved.transports_failed > 0  # the baseline really starves
-
-        report = custody_soak()
-        assert report.transports_failed == 0
-        assert report.transports_parked > 0
-        assert report.custody_delivered > 0  # parked keys arrived post-heal
-        assert report.custody_occupancy_peak_bits > 0
-        assert report.custody_delivered_digest
-        # completion accounting stays exact under the mid-soak partition,
-        # on both the demand side and the custody side
-        assert report.completion_accounted
-        assert report.custody_accounted
-
     def test_ttl_expiry_is_terminal_and_counted(self):
         # the partition never heals and the TTL is shorter than the outage:
         # parked bundles must expire (terminal), never silently leak

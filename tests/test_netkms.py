@@ -60,7 +60,12 @@ from repro.netkms.protocol import (
     negotiate,
 )
 from repro.netkms.metrics import LatencyHistogram, NetKmsMetrics
-from repro.netkms.server import REPLAY_CACHE_LIMIT, NetworkKmsServer, ServedReservation
+from repro.netkms.server import (
+    LEASE_SECONDS,
+    REPLAY_CACHE_LIMIT,
+    NetworkKmsServer,
+    ServedReservation,
+)
 from repro.util.bits import BitString
 from tests.oracles.full_scan_reaper import full_scan_reap_expired
 from tests.virtual_loop import run_virtual
@@ -930,7 +935,7 @@ class TestFacadeAndMetrics:
             async with service.serve_network() as server:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     handle = await client.reserve(PAIR_MESH, 1024)
-                    await asyncio.sleep(server.lease_seconds + 1.0)
+                    await asyncio.sleep(LEASE_SECONDS + 1.0)
                     status = await client.status(PAIR_MESH)
                     with pytest.raises(ServerError) as excinfo:
                         await client.consume(handle)
@@ -941,6 +946,37 @@ class TestFacadeAndMetrics:
         assert error.code == protocol.ERR_UNKNOWN_RESERVATION
         assert metrics.reaped_by_reason == {"lease-expired": 1}
         assert store.reserved_bits == 0 and store.available_bits == available
+
+    def test_a_kms_front_end_continues_the_service_clock(self):
+        """A network draw after ``serve()`` sees the service's simulated time
+        plus the loop seconds since ``start()``, whatever the loop's clock
+        read: a loop up for 77 000 s must not fold that gap into the store's
+        depletion rate (it read 0.0034 b/s instead of ~7 when the front end
+        kept the loop's own reading)."""
+        from repro import QKDSystem
+
+        def rate_after_one_draw(loop_origin):
+            service = QKDSystem(seed=7).mesh(n_endpoints=3, n_relays=4).kms()
+            service.serve(hours=0.5)
+            pair = sorted(service.stores)[0]
+            served_rate = service.stores[pair].depletion_rate_bps
+
+            async def scenario():
+                loop = asyncio.get_running_loop()
+                loop.advance(loop_origin)
+                async with service.serve_network() as server:
+                    async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                        await client.get_key(pair, 256)
+                        loop.advance(60.0)
+                        status = await client.status(pair)
+                return status.depletion_rate_millibps
+
+            return served_rate, run_virtual(scenario())
+
+        served_rate, at_zero = rate_after_one_draw(0.0)
+        _, at_day = rate_after_one_draw(77_000.0)
+        assert at_zero == at_day
+        assert 0.5 * served_rate * 1000 < at_day < 2 * served_rate * 1000
 
     def test_metrics_report_shape(self):
         async def scenario():
@@ -1019,13 +1055,13 @@ class TestReservationReaping:
     def test_lease_expiry_reaps_while_the_owner_lives(self):
         async def scenario():
             store = make_store(bits=4096)
-            server = await started_server({PAIR: store}, lease_seconds=0.5)
+            server = await started_server({PAIR: store})
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     handle = await client.reserve(PAIR, 1024)
-                    assert handle.lease_ms == 500
+                    assert handle.lease_ms == 1000 * LEASE_SECONDS
                     # Outlive the lease; the connection stays up.
-                    asyncio.get_running_loop().advance(1.0)
+                    asyncio.get_running_loop().advance(LEASE_SECONDS + 0.5)
                     freed = server.reap_expired()
                     with pytest.raises(ServerError) as excinfo:
                         await client.consume(handle)
@@ -1054,14 +1090,12 @@ class TestReservationReaping:
 
         async def scenario():
             store = make_store(bits=4096)
-            server = await started_server(
-                {PAIR: store}, lease_seconds=2.0, request_hook=hook if hooked else None
-            )
+            server = await started_server({PAIR: store}, request_hook=hook if hooked else None)
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     await client.reserve(PAIR, 1024)
                     held = await client.status(PAIR)
-                    asyncio.get_running_loop().advance(2.0)
+                    asyncio.get_running_loop().advance(LEASE_SECONDS)
                     lapsed = await client.status(PAIR)
                     return held, lapsed, server.metrics
             finally:
@@ -1076,11 +1110,11 @@ class TestReservationReaping:
     def test_a_lapse_found_by_a_closing_connection_or_stop_is_a_lease_reap(self, ending):
         async def scenario():
             store = make_store(bits=4096)
-            server = await started_server({PAIR: store}, lease_seconds=2.0)
+            server = await started_server({PAIR: store})
             client = NetworkKmsClient("127.0.0.1", server.port)
             await client.connect()
             await client.reserve(PAIR, 1024)
-            asyncio.get_running_loop().advance(2.0)
+            asyncio.get_running_loop().advance(LEASE_SECONDS)
             if ending == "close":
                 await client.close()
                 await asyncio.sleep(0)  # the server sees the EOF
@@ -1097,7 +1131,6 @@ class TestReservationReaping:
     @pytest.mark.parametrize(
         "field, build",
         [
-            ("lease_seconds", lambda v: NetworkKmsServer({PAIR: make_store()}, lease_seconds=v)),
             (
                 "replay_retention_seconds",
                 lambda v: NetworkKmsServer({PAIR: make_store()}, replay_retention_seconds=v),
@@ -1589,8 +1622,6 @@ class FullScanServer(NetworkKmsServer):
     reap_expired = full_scan_reap_expired
 
 
-LEASE_SECONDS = 2.0
-
 reaper_steps = st.lists(
     st.tuples(
         st.sampled_from(
@@ -1627,7 +1658,6 @@ class TestReaperDifferential:
         def build(cls):
             return cls(
                 {PAIR: make_store(bits=1 << 12)},
-                lease_seconds=LEASE_SECONDS,
                 replay_retention_seconds=retention,
             )
 
@@ -1651,7 +1681,7 @@ class TestReaperDifferential:
 
         async def scenario():
             loop = asyncio.get_running_loop()
-            loop.advance(50.0)
+            loop.advance(25 * LEASE_SECONDS)
             servers = [await build(NetworkKmsServer).start(), await build(FullScanServer).start()]
             granted, consumed = [0], [0]  # reservation ids; 0 is nobody's
             try:
@@ -1676,13 +1706,13 @@ class TestReaperDifferential:
                     elif name == "disconnect":
                         outcomes = [server._reap_connection(conn_id) for server in servers]
                     elif name == "advance":
-                        loop.advance((j % 30) / 10)
+                        loop.advance(LEASE_SECONDS * (j % 30) / 20)
                         outcomes = [server.reap_expired() for server in servers]
                     elif name == "step_back":
-                        earlier = loop.time() - (j % 30) / 10
+                        earlier = loop.time() - LEASE_SECONDS * (j % 30) / 20
                         outcomes = [server.reap_expired(now=earlier) for server in servers]
                     else:
-                        at = loop.time() + (j % 60) / 10 - 1.0
+                        at = loop.time() + LEASE_SECONDS * ((j % 60) / 20 - 0.5)
                         outcomes = [server.reap_expired(now=at) for server in servers]
                     assert outcomes[0] == outcomes[1], (name, i, j)
                     assert state(servers[0]) == state(servers[1]), (name, i, j)

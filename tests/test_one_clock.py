@@ -5,7 +5,8 @@ injected delays and stalls all read the running loop's clock
 (``loop.time()``, ``asyncio.sleep``), so a virtual-time loop
 (:mod:`tests.virtual_loop`) controls every one of them and no clock or
 sleep parameter is needed.  This scan keeps it that way: a module of
-``repro.netkms`` or ``repro.faults`` fails it by calling ``time.monotonic``,
+``repro.netkms`` or of the fault plane the tests drive it with
+(``tests/faults``) fails it by calling ``time.monotonic``,
 ``time.time`` or ``time.sleep`` (by any import name), or by starting a
 periodic task — a ``while`` loop that awaits ``asyncio.sleep``, or a
 ``call_later``/``call_at`` timer — where lazy work on each request does the
@@ -22,7 +23,7 @@ import pytest
 from tests.virtual_loop import run_virtual
 
 ROOT = Path(__file__).resolve().parents[1]
-PACKAGES = ("src/repro/netkms", "src/repro/faults")
+PACKAGES = ("src/repro/netkms", "tests/faults")
 FORBIDDEN_TIME_CALLS = {"monotonic", "time", "sleep"}
 TIMER_METHODS = {"call_later", "call_at"}
 
@@ -77,7 +78,9 @@ def clock_violations(source, filename="<source>"):
 def test_netkms_and_faults_keep_time_on_their_event_loop():
     found = []
     for package in PACKAGES:
-        for path in sorted((ROOT / package).rglob("*.py")):
+        paths = sorted((ROOT / package).rglob("*.py"))
+        assert paths, f"{package} holds no module: the scan lost what it covers"
+        for path in paths:
             found += [
                 f"{path.relative_to(ROOT)}:{line}"
                 for line in clock_violations(path.read_text(), str(path))
