@@ -5,21 +5,22 @@
 loop distilling key into per-pair stores.  This example shows the
 *consumption* side: the same mesh service puts its stores behind the
 ``repro.netkms`` asyncio front end, and a fleet of concurrent SAE clients
-(think IKE daemons) draws keys over the versioned binary protocol.  A
-deliberately old v1-only client joins the fleet to show the HELLO/WELCOME
-negotiation stepping down, a resilient client (reconnect, retry and
-exactly-once ``get_key``) draws beside them, and the run ends with the
-server's per-request metrics — including the served-key digest that pins *which* material left
-the stores.
+(think IKE daemons) draws keys over the versioned binary protocol, v4.  A
+legacy gateway that offers only v1 is turned away at the HELLO with a typed
+``version-mismatch`` it can still decode, a resilient client (reconnect,
+retry and exactly-once ``get_key``) draws beside the fleet, and the run ends
+with the server's per-request metrics — including the served-key digest that
+pins *which* material left the stores.
 
 Run:  python examples/networked_delivery.py
 """
 
 import asyncio
+import struct
 
 from repro import QKDSystem
 from repro.kms import KmsConfig
-from repro.netkms import NetworkKmsClient, ResilientKmsClient
+from repro.netkms import NetworkKmsClient, ResilientKmsClient, protocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 
@@ -30,22 +31,33 @@ REQUESTS_PER_CLIENT = 24
 
 
 async def sae_fleet(port: int) -> None:
-    async def one_sae(name: str, pair: tuple, versions: tuple) -> None:
-        client = NetworkKmsClient("127.0.0.1", port, versions=versions, client_id=name)
+    async def one_sae(name: str, pair: tuple) -> None:
+        client = NetworkKmsClient("127.0.0.1", port, client_id=name)
         version = await client.connect()
         offered = await client.capabilities()
         assert pair in offered.pairs
         status = await client.status(pair)
-        rate = (
-            f", depleting {status.depletion_rate_millibps} millibits/s"
-            if version >= 2 else ""  # the v2-only trailing field
-        )
         print(f"  {name}: negotiated v{version}, {len(offered.pairs)} pairs offered; "
-              f"{status.available_bits} bits banked for {pair[0]}--{pair[1]}{rate}")
+              f"{status.available_bits} bits banked for {pair[0]}--{pair[1]}, "
+              f"depleting {status.depletion_rate_millibps} millibits/s")
         for _ in range(REQUESTS_PER_CLIENT):
             key = await client.get_key(pair, bits=KEY_BITS)
             assert key.key_bits == KEY_BITS
         await client.close()
+
+    async def legacy_sae(name: str) -> None:
+        # A pre-v4 client, by hand: its HELLO offers v1 only, at the floor
+        # header byte every generation reads, and so does the refusal.
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        hello = protocol.Hello(min_version=1, max_version=1, client_id=name)
+        writer.write(protocol.encode_frame(hello, protocol.FLOOR_VERSION))
+        (length,) = struct.unpack("<I", await reader.readexactly(4))
+        refusal = protocol.decode_body(await reader.readexactly(length), expected_version=None)
+        assert refusal.code == protocol.ERR_VERSION and await reader.read() == b""
+        writer.close()
+        await writer.wait_closed()
+        print(f"  {name}: offered v1 only, refused with "
+              f"{protocol.ERROR_NAMES[refusal.code]} ({refusal.detail})")
 
     async def resilient_sae(name: str, pair: tuple) -> None:
         async with ResilientKmsClient(
@@ -58,10 +70,10 @@ async def sae_fleet(port: int) -> None:
                   f"{client.stats.retries} retries")
 
     await asyncio.gather(
-        one_sae("ike-gateway-a", PAIRS[0], versions=(1, 2)),
-        one_sae("ike-gateway-b", PAIRS[1], versions=(1, 2)),
-        one_sae("legacy-gateway", PAIRS[0], versions=(1,)),  # v1-only: negotiates down
-        one_sae("otp-encryptor", PAIRS[1], versions=(1, 2)),
+        one_sae("ike-gateway-a", PAIRS[0]),
+        one_sae("ike-gateway-b", PAIRS[1]),
+        legacy_sae("legacy-gateway"),
+        one_sae("otp-encryptor", PAIRS[1]),
         resilient_sae("resilient-gateway", PAIRS[1]),
     )
 
@@ -79,7 +91,7 @@ async def main() -> None:
     server = service.serve_network(port=0)
     async with server:
         print(f"  listening on {server.host}:{server.port}, "
-              f"offering protocol v{server.versions[0]}..v{server.versions[-1]}")
+              f"speaking protocol v{protocol.PROTOCOL_V4}")
         await sae_fleet(server.port)
 
     report = server.metrics.report()

@@ -36,9 +36,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.netkms.metrics": ("MetricsReport", "NetKmsMetrics"),
         "repro.netkms.protocol": (
-            "PROTOCOL_V1",
-            "PROTOCOL_V2",
-            "PROTOCOL_V3",
             "PROTOCOL_V4",
             "SUPPORTED_VERSIONS",
             "ProtocolError",

@@ -4,9 +4,9 @@
 encryptor, a benchmark worker) uses to draw key from a
 :class:`~repro.netkms.server.NetworkKmsServer`: connect (the HELLO/WELCOME
 negotiation), then ``reserve`` / ``consume`` / ``release`` / ``status`` /
-``capabilities``, or ``get_key`` — one GET_KEY round trip at v4, reserve
-then consume below.  The reservation never leaves ``get_key``, so a lost
-reply costs the key; callers that cannot afford that use
+``capabilities``, or ``get_key`` — one GET_KEY round trip.  The
+reservation never leaves ``get_key``, so a lost reply costs the key;
+callers that cannot afford that use
 :class:`~repro.netkms.resilient.ResilientKmsClient`.
 
 Many tasks may issue requests over one connection: each request carries a
@@ -86,9 +86,8 @@ class ReservationHandle:
     pair: Pair
     reservation_id: int
     bits: int
-    #: Lease TTL granted by a v3+ server (milliseconds); ``None`` when the
-    #: negotiated version predates leases.
-    lease_ms: Optional[int] = None
+    #: The lease TTL the server granted, in milliseconds.
+    lease_ms: int = 0
 
 
 @dataclass
@@ -161,6 +160,9 @@ class _Connection(asyncio.Protocol):
             self.transport.close()
             if not self.welcome.done():
                 self.welcome.set_exception(error)
+                # connect() may be past awaiting it (the HELLO write itself
+                # failed): mark it retrieved, or asyncio logs it unretrieved.
+                self.welcome.exception()
         for future in self.pending.values():
             if not future.done():
                 future.set_exception(error)
@@ -177,10 +179,9 @@ class NetworkKmsClient:
         key = await client.get_key(pair, bits=1024)
         await client.close()
 
-    or as an async context manager.  ``versions`` narrows what the client
-    offers (a v1-only client sets ``versions=(1,)``).  ``request_timeout``
-    bounds how long any single request may wait for its reply
-    (:class:`RequestTimeoutError` past it; ``None`` waits forever).
+    or as an async context manager.  ``request_timeout`` bounds how long
+    any single request may wait for its reply (:class:`RequestTimeoutError`
+    past it; ``None`` waits forever).
     ``connector`` replaces the transport opener — the fault plane's seam.
     """
 
@@ -188,20 +189,16 @@ class NetworkKmsClient:
         self,
         host: str,
         port: int,
-        versions: Tuple[int, ...] = protocol.SUPPORTED_VERSIONS,
         client_id: str = "sae",
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         request_timeout: Optional[float] = None,
         connector: Optional[Connector] = None,
     ):
-        if not versions:
-            raise ValueError("the client must offer at least one version")
         timeout = request_timeout
         if timeout is not None and not (math.isfinite(timeout) and timeout > 0):
             raise ValueError(f"request_timeout must be finite and positive, got {timeout}")
         self.host = host
         self.port = port
-        self.versions = tuple(sorted(versions))
         self.client_id = client_id
         self.max_frame_bytes = max_frame_bytes
         self.request_timeout = request_timeout
@@ -228,12 +225,9 @@ class NetworkKmsClient:
         # a frame error or a connection cut mid-read — must close what we
         # just opened, or every failed connect leaks a socket.
         try:
-            hello = Hello(
-                min_version=self.versions[0],
-                max_version=self.versions[-1],
-                client_id=self.client_id,
-            )
-            self._connection.transport.write(protocol.encode_frame(hello, protocol.PROTOCOL_V1))
+            hello = Hello(client_id=self.client_id)
+            self._connection.transport.write(protocol.encode_frame(hello, protocol.FLOOR_VERSION))
+            # decode_body refuses a WELCOME announcing a version not offered.
             reply = await self._connection.welcome
             if isinstance(reply, Error):
                 raise ServerError(reply.code, reply.detail)
@@ -242,18 +236,12 @@ class NetworkKmsClient:
                     protocol.ERR_MALFORMED,
                     f"expected WELCOME, got kind 0x{reply.KIND:02x}",
                 )
-            version = reply.wire_version
-            if not self.versions[0] <= version <= self.versions[-1]:
-                raise ProtocolError(
-                    protocol.ERR_VERSION,
-                    f"server chose v{version}, offered {self.versions}",
-                )
         except BaseException:
             await self.close()
             raise
-        self.version = version
+        self.version = reply.wire_version
         self.server_id = reply.server_id
-        return version
+        return self.version
 
     async def close(self) -> None:
         connection, self._connection = self._connection, None
@@ -274,7 +262,7 @@ class NetworkKmsClient:
     # ------------------------------------------------------------------ #
 
     async def status(self, pair: Pair) -> StatusOk:
-        """The pair's store levels (v2 adds the depletion rate)."""
+        """The pair's store levels and its depletion rate."""
         reply = await self._request(Status(pair=pair))
         return self._expect(reply, StatusOk)
 
@@ -313,21 +301,8 @@ class NetworkKmsClient:
         return self._expect(reply, ReleaseOk).reservation_id
 
     async def get_key(self, pair: Pair, bits: int) -> ServedKey:
-        """One key (the ETSI ``get_key`` shape): a single GET_KEY at v4, a
-        reserve then a consume on a connection that negotiated less."""
-        if (self.version or 0) >= protocol.PROTOCOL_V4:
-            return await self._key_request(GetKey(pair=pair, bits=bits))
-        reservation = await self.reserve(pair, bits)
-        try:
-            return await self.consume(reservation)
-        except ServerError:
-            # The reservation may still be held server-side; free it so the
-            # bits do not stay invisible to other clients.
-            try:
-                await self.release(reservation)
-            except (ServerError, ConnectionError):
-                pass
-            raise
+        """One key (the ETSI ``get_key`` shape) in a single GET_KEY frame."""
+        return await self._key_request(GetKey(pair=pair, bits=bits))
 
     # ------------------------------------------------------------------ #
     # Plumbing

@@ -27,17 +27,17 @@ hostile-input contract of :func:`repro.core.wire_arrays.decode_varints`.
 Version negotiation
 -------------------
 
-HELLO offers an inclusive ``[min_version, max_version]`` range, always
-encoded at :data:`PROTOCOL_V1` so any server can read any offer; the server
-answers WELCOME at the highest version both speak (or a fatal
-``ERR_VERSION``), and every later frame carries that version in its header
-byte and is rejected otherwise.  The *negotiated* version, not the newest
-implemented one, selects every encoding: v2 adds a trailing
-``depletion_rate_millibps`` to STATUS_OK, v3 a trailing ``lease_ms`` to
-RESERVE_OK (the lease after which an unconsumed reservation is reaped), and
-v4 one request kind, GET_KEY ``{pair, bits}``, answered by CONSUME_OK — a
-key in one round trip whose reservation is never held.  A server refuses
-the kind on a connection that negotiated less.
+This implementation speaks one version, v4 (:data:`SUPPORTED_VERSIONS`).
+HELLO offers an inclusive ``[min_version, max_version]`` range, always at
+header byte :data:`FLOOR_VERSION` (1) so any server can read any offer; the
+server answers WELCOME at the highest supported version inside the range,
+or refuses with a fatal ``ERR_VERSION`` ERROR, also at the floor byte, so a
+client of an older generation can still decode why it was turned away.
+Every later frame carries the negotiated version in its header byte and is
+rejected otherwise.  STATUS_OK ends with ``depletion_rate_millibps``,
+RESERVE_OK with ``lease_ms`` (the lease after which an unconsumed
+reservation is reaped), and GET_KEY ``{pair, bits}`` is answered by
+CONSUME_OK — a key in one round trip whose reservation is never held.
 
 Every malformed input maps to a typed :class:`ProtocolError`; the codes in
 :data:`FATAL_ERRORS` close the connection, request-level ones (unknown
@@ -45,7 +45,7 @@ pair, exhausted store, unknown reservation) leave it usable.  An ERROR
 detail longer than a wire string's 255 bytes is cut on a character
 boundary.
 
-The codec is byte-for-byte the v1–v4 layout above: each kind has its own
+The codec is byte-for-byte the v4 layout above: each kind has its own
 payload writer and offset reader, and ``tests/test_netkms_codec.py`` holds
 it to the previous codec (``tests/oracles/netkms_codec.py``) bytes, errors
 and frames alike.
@@ -60,15 +60,12 @@ from typing import Dict, Optional, Tuple, Type
 
 from repro.core.wire import WireDecodeError, encode_varint, read_varint
 
-#: Protocol versions this implementation speaks.  v2 is v1 plus a trailing
-#: ``depletion_rate_millibps`` varint on STATUS_OK; v3 is v2 plus a trailing
-#: ``lease_ms`` varint on RESERVE_OK (the reservation's lease TTL); v4 is v3
-#: plus the GET_KEY request.
-PROTOCOL_V1 = 1
-PROTOCOL_V2 = 2
-PROTOCOL_V3 = 3
+#: The header byte of HELLO and of an ERROR sent before a version was
+#: agreed: v1's, which every generation of client and server reads.
+FLOOR_VERSION = 1
 PROTOCOL_V4 = 4
-SUPPORTED_VERSIONS = (PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V4)
+#: The protocol versions this implementation speaks: a one-version window.
+SUPPORTED_VERSIONS = (PROTOCOL_V4,)
 
 #: Message kinds, allocated inside the ``0x20..0x3F`` range that
 #: :mod:`repro.core.wire` reserves for netkms.
@@ -156,11 +153,9 @@ class ServerError(Exception):
         self.detail = detail
 
 
-def negotiate(client_min: int, client_max: int, server_versions: Tuple[int, ...]) -> Optional[int]:
+def negotiate(client_min: int, client_max: int) -> Optional[int]:
     """The version a server picks for a client's offered range (None = none)."""
-    if client_min > client_max:
-        return None
-    usable = [v for v in server_versions if client_min <= v <= client_max]
+    usable = [v for v in SUPPORTED_VERSIONS if client_min <= v <= client_max]
     return max(usable) if usable else None
 
 
@@ -232,7 +227,7 @@ def _read_pair(body: bytes, offset: int) -> Tuple[Tuple[str, str], int]:
 # Messages
 # --------------------------------------------------------------------------- #
 #
-# ``_decode(body, offset, request_id, version)`` returns the message, built
+# ``_decode(body, offset, request_id)`` returns the message, built
 # positionally in field order, and the offset where its payload ended.
 
 
@@ -243,8 +238,6 @@ class Message:
     request_id: int = 0
 
     KIND = 0  # overridden per subclass
-    #: The version that introduced the kind; below it the kind does not exist.
-    SINCE = PROTOCOL_V1
     # Not a dataclass field (no annotation): set per-instance by
     # decode_body to the header version the frame actually carried.
     wire_version = None
@@ -252,15 +245,15 @@ class Message:
     def encode(self, version: int) -> bytes:
         return encode_frame(self, version)[_LENGTH_PREFIX.size :]
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return b""
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         return cls(request_id), offset
 
 
-def _decode_pair_and_varint(cls, body: bytes, offset: int, request_id: int, version: int):
+def _decode_pair_and_varint(cls, body: bytes, offset: int, request_id: int):
     """RESERVE's layout, shared by GET_KEY, CONSUME and RELEASE."""
     pair, offset = _read_pair(body, offset)
     value, offset = read_varint(body, offset)
@@ -277,16 +270,16 @@ class Hello(Message):
 
     KIND = KIND_HELLO
 
-    def encode(self, version: int = PROTOCOL_V1) -> bytes:
-        # Always the floor encoding (encode_frame pins it): any server can
+    def encode(self, version: int = FLOOR_VERSION) -> bytes:
+        # Always the floor byte (encode_frame pins it): any server can
         # parse any client's offer.
-        return super().encode(PROTOCOL_V1)
+        return super().encode(FLOOR_VERSION)
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return bytes([self.min_version, self.max_version]) + _text(self.client_id)
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         client_id, end = _read_text(body, offset + 2, "client id")
         msg = cls(request_id, body[offset], body[offset + 1], client_id)
         if msg.min_version > msg.max_version:
@@ -302,11 +295,11 @@ class Welcome(Message):
 
     KIND = KIND_WELCOME
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return _text(self.server_id)
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         server_id, end = _read_text(body, offset, "server id")
         return cls(request_id, server_id), end
 
@@ -324,12 +317,12 @@ class Error(Message):
 
     KIND = KIND_ERROR
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         detail = self.detail.encode("utf-8")[:255].decode("utf-8", "ignore")
         return bytes([self.code]) + _text(detail)
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         detail, end = _read_text(body, offset + 1, "error detail")
         return cls(request_id, body[offset], detail), end
 
@@ -342,18 +335,18 @@ class Status(Message):
 
     KIND = KIND_STATUS
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return _pair_bytes(self.pair)
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         pair, end = _read_pair(body, offset)
         return cls(request_id, pair), end
 
 
 @dataclass
 class StatusOk(Message):
-    """One store's levels.  v2 appends ``depletion_rate_millibps``."""
+    """One store's levels and how fast it is drawn down."""
 
     pair: Tuple[str, str] = ("", "")
     available_bits: int = 0
@@ -362,12 +355,12 @@ class StatusOk(Message):
     low_water_bits: int = 0
     high_water_bits: int = 0
     capacity_bits: int = 0
-    #: EWMA draw rate in millibits/second — present at v2+, ``None`` at v1.
-    depletion_rate_millibps: Optional[int] = None
+    #: EWMA draw rate in millibits/second.
+    depletion_rate_millibps: int = 0
 
     KIND = KIND_STATUS_OK
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         out = _pair_bytes(self.pair)
         for value in (
             self.available_bits,
@@ -376,17 +369,16 @@ class StatusOk(Message):
             self.low_water_bits,
             self.high_water_bits,
             self.capacity_bits,
+            self.depletion_rate_millibps,
         ):
             out += encode_varint(value)
-        if version >= PROTOCOL_V2:
-            out += encode_varint(self.depletion_rate_millibps or 0)
         return out
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         pair, offset = _read_pair(body, offset)
         levels = []
-        for _ in range(7 if version >= PROTOCOL_V2 else 6):
+        for _ in range(7):
             level, offset = read_varint(body, offset)
             levels.append(level)
         return cls(request_id, pair, *levels), offset
@@ -411,7 +403,7 @@ class CapabilitiesOk(Message):
 
     KIND = KIND_CAPABILITIES_OK
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         out = bytes([self.min_version, self.max_version])
         out += encode_varint(self.max_frame_bytes)
         out += encode_varint(self.max_reserve_bits)
@@ -421,7 +413,7 @@ class CapabilitiesOk(Message):
         return out
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         min_version, max_version = body[offset], body[offset + 1]
         max_frame, offset = read_varint(body, offset + 2)
         max_reserve, offset = read_varint(body, offset)
@@ -449,7 +441,7 @@ class Reserve(Message):
 
     KIND = KIND_RESERVE
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return _pair_bytes(self.pair) + encode_varint(self.bits)
 
     _decode = classmethod(_decode_pair_and_varint)
@@ -457,44 +449,41 @@ class Reserve(Message):
 
 @dataclass
 class GetKey(Reserve):
-    """v4: reserve and consume ``bits`` bits in one request, answered by
+    """Reserve and consume ``bits`` bits in one request, answered by
     CONSUME_OK.  A lost reply cannot be fetched again — the reservation id
     travels only in it."""
 
     KIND = KIND_GET_KEY
-    SINCE = PROTOCOL_V4
 
 
 @dataclass
 class ReserveOk(Message):
     """A granted reservation, to be consumed or released by id.
 
-    v3 appends ``lease_ms``: the server's lease TTL on the reservation in
-    milliseconds (0 = the server grants no lease).  A reservation that is
-    neither consumed nor released within its lease is reaped server-side
-    and its bits returned to the store.
+    ``lease_ms`` is the server's lease TTL on the reservation in
+    milliseconds.  A reservation that is neither consumed nor released
+    within its lease is reaped server-side and its bits returned to the
+    store.
     """
 
     reservation_id: int = 0
     bits: int = 0
-    #: Lease TTL in milliseconds — present at v3+, ``None`` at v1/v2.
-    lease_ms: Optional[int] = None
+    lease_ms: int = 0
 
     KIND = KIND_RESERVE_OK
 
-    def _payload(self, version: int) -> bytes:
-        out = encode_varint(self.reservation_id) + encode_varint(self.bits)
-        if version >= PROTOCOL_V3:
-            out += encode_varint(self.lease_ms or 0)
-        return out
+    def _payload(self) -> bytes:
+        return (
+            encode_varint(self.reservation_id)
+            + encode_varint(self.bits)
+            + encode_varint(self.lease_ms)
+        )
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         reservation_id, offset = read_varint(body, offset)
         bits, offset = read_varint(body, offset)
-        lease_ms = None
-        if version >= PROTOCOL_V3:
-            lease_ms, offset = read_varint(body, offset)
+        lease_ms, offset = read_varint(body, offset)
         return cls(request_id, reservation_id, bits, lease_ms), offset
 
 
@@ -507,7 +496,7 @@ class Consume(Message):
 
     KIND = KIND_CONSUME
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return _pair_bytes(self.pair) + encode_varint(self.reservation_id)
 
     _decode = classmethod(_decode_pair_and_varint)
@@ -523,13 +512,13 @@ class ConsumeOk(Message):
 
     KIND = KIND_CONSUME_OK
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         if len(self.key_bytes) != (self.key_bits + 7) // 8:
             raise ValueError("key byte length does not match key_bits")
         return encode_varint(self.reservation_id) + encode_varint(self.key_bits) + self.key_bytes
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         reservation_id, offset = read_varint(body, offset)
         key_bits, offset = read_varint(body, offset)
         end = offset + (key_bits + 7) // 8  # past the body: decode_body refuses it
@@ -545,7 +534,7 @@ class Release(Message):
 
     KIND = KIND_RELEASE
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return _pair_bytes(self.pair) + encode_varint(self.reservation_id)
 
     _decode = classmethod(_decode_pair_and_varint)
@@ -557,11 +546,11 @@ class ReleaseOk(Message):
 
     KIND = KIND_RELEASE_OK
 
-    def _payload(self, version: int) -> bytes:
+    def _payload(self) -> bytes:
         return encode_varint(self.reservation_id)
 
     @classmethod
-    def _decode(cls, body: bytes, offset: int, request_id: int, version: int):
+    def _decode(cls, body: bytes, offset: int, request_id: int):
         reservation_id, offset = read_varint(body, offset)
         return cls(request_id, reservation_id), offset
 
@@ -598,10 +587,10 @@ _NEGOTIATED = {kind: cls for kind, cls in _DECODERS.items() if cls not in (Hello
 
 def encode_frame(message: Message, version: int) -> bytes:
     """One length-prefixed frame carrying ``message`` at ``version``
-    (HELLO always at the floor encoding)."""
-    payload = message._payload(version)
+    (HELLO always at the floor byte)."""
+    payload = message._payload()
     if message.KIND == KIND_HELLO:
-        version = PROTOCOL_V1
+        version = FLOOR_VERSION
     try:
         head = _FRAME_HEAD.pack(
             _HEADER.size + len(payload), message.KIND, version, message.request_id
@@ -617,7 +606,7 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
     """Decode one frame body, enforcing kind, version and exact length.
 
     ``expected_version`` is the negotiated version; pass ``None`` during the
-    handshake, where HELLO is pinned to the floor encoding and WELCOME's
+    handshake, where HELLO is pinned to the floor byte and WELCOME's
     header byte *announces* the negotiated version.  Raises
     :class:`ProtocolError` on any violation.
     """
@@ -632,7 +621,7 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
         decoder = _checked_decoder(body, expected_version)
         kind, version, request_id = _HEADER.unpack_from(body)
     try:
-        message, end = decoder._decode(body, _HEADER.size, request_id, version)
+        message, end = decoder._decode(body, _HEADER.size, request_id)
     except IndexError:
         raise ProtocolError(ERR_MALFORMED, f"{decoder.__name__} truncated") from None
     except WireDecodeError as exc:
@@ -657,7 +646,7 @@ def _checked_decoder(body: bytes, expected_version: Optional[int]) -> Type[Messa
     if decoder is None:
         raise ProtocolError(ERR_UNKNOWN_KIND, f"unknown message kind 0x{kind:02x}")
     if decoder is Hello:
-        if version != PROTOCOL_V1:
+        if version != FLOOR_VERSION:
             raise ProtocolError(ERR_VERSION, f"HELLO must use the floor encoding, got v{version}")
     elif decoder is Welcome:
         if version not in SUPPORTED_VERSIONS:
@@ -666,8 +655,8 @@ def _checked_decoder(body: bytes, expected_version: Optional[int]) -> Type[Messa
         if version != expected_version:
             raise ProtocolError(ERR_VERSION, f"frame is v{version}, negotiated v{expected_version}")
     elif decoder is Error:
-        # A fatal pre-negotiation rejection travels at the floor encoding.
-        if version != PROTOCOL_V1:
+        # A fatal pre-negotiation rejection travels at the floor byte.
+        if version != FLOOR_VERSION:
             raise ProtocolError(ERR_VERSION, f"pre-negotiation ERROR must be v1, got v{version}")
     else:
         raise ProtocolError(ERR_VERSION, f"0x{kind:02x} before version negotiation completed")

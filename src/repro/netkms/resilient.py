@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.netkms import protocol
 from repro.netkms.client import (
@@ -116,14 +116,12 @@ class ResilientKmsClient:
         host: str,
         port: int,
         rng: Optional[DeterministicRNG] = None,
-        versions: Tuple[int, ...] = protocol.SUPPORTED_VERSIONS,
         client_id: str = "sae",
         connector: Optional[Connector] = None,
     ):
         self.host = host
         self.port = port
         self.rng = (rng or DeterministicRNG(0)).fork_labeled("retry/jitter")
-        self.versions = versions
         self.client_id = client_id
         self.stats = RecoveryStats()
         self._connector = connector
@@ -152,7 +150,6 @@ class ResilientKmsClient:
         client = NetworkKmsClient(
             self.host,
             self.port,
-            versions=self.versions,
             client_id=self.client_id,
             request_timeout=REQUEST_TIMEOUT_SECONDS,
             connector=self._connector,
@@ -193,8 +190,8 @@ class ResilientKmsClient:
         return await self._with_retries(lambda c: c.consume(reservation))
 
     async def get_key(self, pair: Pair, bits: int) -> ServedKey:
-        """Reserve-then-consume that is exactly-once under faults, at every
-        negotiated version (v4's one-frame GET_KEY cannot be: see the table).
+        """Reserve-then-consume that is exactly-once under faults (the
+        one-frame GET_KEY cannot be: see the table).
 
         A consume retry that answers ``unknown-reservation`` means the
         lease expired and the server reaped the bits *before the first

@@ -9,7 +9,7 @@ and the store's pools refuse draws that would invade another reservation.
 A key leaves a store in two steps, each with one body: the *grant* claims
 the bits, the *serve* draws them, counts them once and keeps the reply
 replayable.  RESERVE is the grant and a hold under a lease; CONSUME takes
-the held reservation (or answers from the replay cache) and serves; v4's
+the held reservation (or answers from the replay cache) and serves;
 GET_KEY is the grant and the serve inside one handler call, so its
 reservation is never held and no lease can lapse in between.
 
@@ -64,7 +64,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, Iterable, Mapping, Optional, Tuple
+from typing import Awaitable, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.kms.store import ConservationError, KeyReservation, KeyStore
 from repro.kms.store import KeyStoreExhaustedError, ReservationError
@@ -139,11 +139,9 @@ class NetworkKmsServer:
         ...                           # clients connect / request
         await server.stop()           # graceful drain (see ``stop``)
 
-    or as an async context manager.  ``versions`` narrows the protocol
-    versions offered (the interop tests run v1-only through v4-capable
-    servers against every client generation in both directions).
-    ``request_hook`` is an awaited seam before every dispatch — the tests'
-    fault plane plugs its stall injector in there.
+    or as an async context manager.  ``request_hook`` is an awaited seam
+    before every dispatch — the tests' fault plane plugs its stall injector
+    in there.
     """
 
     def __init__(
@@ -151,7 +149,6 @@ class NetworkKmsServer:
         stores: Mapping[Pair, KeyStore],
         host: str = "127.0.0.1",
         port: int = 0,
-        versions: Iterable[int] = protocol.SUPPORTED_VERSIONS,
         max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         max_reserve_bits: int = MAX_RESERVE_BITS,
         server_id: str = "kme",
@@ -163,10 +160,6 @@ class NetworkKmsServer:
         }
         if not self.stores:
             raise ValueError("the server needs at least one pair's store")
-        self.versions = tuple(sorted(set(versions)))
-        unknown = set(self.versions) - set(protocol.SUPPORTED_VERSIONS)
-        if not self.versions or unknown:
-            raise ValueError(f"unsupported protocol versions: {sorted(unknown)}")
         self.host = host
         self.port = port
         self.max_frame_bytes = max_frame_bytes
@@ -343,20 +336,15 @@ class NetworkKmsServer:
     # Dispatch
     # ------------------------------------------------------------------ #
 
-    def _route(self, message: Message, version: int):
-        """The handler for ``message`` on a ``version`` connection, or the
-        typed refusal; a routed request is counted."""
+    def _route(self, message: Message):
+        """The handler for ``message``, or the typed refusal; a routed
+        request is counted."""
         if self._draining:
             # A request that arrives once draining has begun is "new" by
             # definition — one in its hook is already past this gate.
             raise ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
-        handler = _HANDLERS[version].get(message.KIND)
+        handler = _HANDLERS.get(message.KIND)
         if handler is None:
-            if message.SINCE > version:
-                raise ProtocolError(
-                    protocol.ERR_UNKNOWN_KIND,
-                    f"kind 0x{message.KIND:02x} does not exist at v{version}",
-                )
             raise ProtocolError(
                 protocol.ERR_MALFORMED,
                 f"{type(message).__name__} is not a client request",
@@ -364,8 +352,8 @@ class NetworkKmsServer:
         self.metrics.note_request(type(message).__name__)
         return handler
 
-    def _dispatch(self, message: Message, version: int, conn_id: int) -> Message:
-        handler = self._route(message, version)
+    def _dispatch(self, message: Message, conn_id: int) -> Message:
+        handler = self._route(message)
         self.reap_expired()  # every request sees lapsed leases reaped
         return handler(self, message, conn_id)
 
@@ -399,8 +387,6 @@ class NetworkKmsServer:
     def _on_capabilities(self, message: Capabilities, conn_id: int) -> CapabilitiesOk:
         return CapabilitiesOk(
             request_id=message.request_id,
-            min_version=self.versions[0],
-            max_version=self.versions[-1],
             max_frame_bytes=self.max_frame_bytes,
             max_reserve_bits=self.max_reserve_bits,
             pairs=tuple(sorted(self.stores)),
@@ -610,9 +596,9 @@ class _Connection(asyncio.Protocol):
             try:
                 message = protocol.decode_body(body, expected_version=version)
                 if server.request_hook is None:
-                    reply = server._dispatch(message, version, self.conn_id)
+                    reply = server._dispatch(message, self.conn_id)
                 else:
-                    self._hold(server._route(message, version), message)
+                    self._hold(server._route(message), message)
                     return
             except ProtocolError as exc:
                 self._refuse(_request_id_of(body), exc)
@@ -620,7 +606,7 @@ class _Connection(asyncio.Protocol):
             self.transport.write(protocol.encode_frame(reply, version))
 
     def _handshake(self, body: bytes) -> None:
-        """Answer HELLO with WELCOME, or refuse (at the v1 floor) and close."""
+        """Answer HELLO with WELCOME, or refuse (at the floor byte) and close."""
         server = self.server
         try:
             hello = protocol.decode_body(body, expected_version=None)
@@ -631,12 +617,12 @@ class _Connection(asyncio.Protocol):
                 )
             if server._draining:
                 raise ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
-            version = protocol.negotiate(hello.min_version, hello.max_version, server.versions)
+            version = protocol.negotiate(hello.min_version, hello.max_version)
             if version is None:
                 raise ProtocolError(
                     protocol.ERR_VERSION,
                     f"client speaks v{hello.min_version}..v{hello.max_version}, "
-                    f"server speaks {list(server.versions)}",
+                    f"server speaks {list(protocol.SUPPORTED_VERSIONS)}",
                 )
         except ProtocolError as exc:
             self._refuse(0, exc)  # every refusal here is fatal
@@ -679,7 +665,7 @@ class _Connection(asyncio.Protocol):
     def _refuse(self, request_id: int, exc: ProtocolError) -> None:
         """Answer a typed error; a fatal one also closes the connection."""
         self.server._write_error(
-            self.transport, request_id, exc, self.version or protocol.PROTOCOL_V1
+            self.transport, request_id, exc, self.version or protocol.FLOOR_VERSION
         )
         if exc.fatal:
             self._close()
@@ -712,23 +698,18 @@ class _Connection(asyncio.Protocol):
             closed.set_result(None)
 
 
-#: Request kind -> handler, one table per protocol version: a kind is in the
-#: tables of the versions that have it and in no other.  (Plain functions, so
-#: a server holds no reference to itself.)
+#: Request kind -> handler.  (Plain functions, so a server holds no
+#: reference to itself.)
 _HANDLERS = {
-    version: {
-        cls.KIND: handler
-        for cls, handler in (
-            (Status, NetworkKmsServer._on_status),
-            (Capabilities, NetworkKmsServer._on_capabilities),
-            (Reserve, NetworkKmsServer._on_reserve),
-            (Consume, NetworkKmsServer._on_consume),
-            (Release, NetworkKmsServer._on_release),
-            (GetKey, NetworkKmsServer._on_get_key),
-        )
-        if cls.SINCE <= version
-    }
-    for version in protocol.SUPPORTED_VERSIONS
+    cls.KIND: handler
+    for cls, handler in (
+        (Status, NetworkKmsServer._on_status),
+        (Capabilities, NetworkKmsServer._on_capabilities),
+        (Reserve, NetworkKmsServer._on_reserve),
+        (Consume, NetworkKmsServer._on_consume),
+        (Release, NetworkKmsServer._on_release),
+        (GetKey, NetworkKmsServer._on_get_key),
+    )
 }
 
 

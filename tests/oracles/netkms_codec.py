@@ -6,8 +6,8 @@ call per field, keyword construction, a private ``_varint`` loop, the
 header packed apart from the length prefix, and a splitter that copies
 every segment into its buffer.  Obvious and slow, imported by no production
 code; ``tests/test_netkms_codec.py`` holds the shipped codec to it byte for
-byte (every kind at every version), error code for error code (random,
-truncated and mutated bodies), and frame for frame (random segmentations).
+byte (every kind), error code for error code (random, truncated and mutated
+bodies), and frame for frame (random segmentations).
 The wire constants, :class:`ProtocolError` and :func:`negotiate` are the
 shipped ones: they are the specification both codecs implement.
 """
@@ -26,6 +26,7 @@ from repro.netkms.protocol import (
     ERR_UNKNOWN_KIND,
     ERR_VERSION,
     ERROR_NAMES,
+    FLOOR_VERSION,
     KIND_CAPABILITIES,
     KIND_CAPABILITIES_OK,
     KIND_CONSUME,
@@ -41,10 +42,6 @@ from repro.netkms.protocol import (
     KIND_STATUS_OK,
     KIND_WELCOME,
     MAX_FRAME_BYTES,
-    PROTOCOL_V1,
-    PROTOCOL_V2,
-    PROTOCOL_V3,
-    PROTOCOL_V4,
     SUPPORTED_VERSIONS,
     ProtocolError,
 )
@@ -67,8 +64,7 @@ class _Cursor:
 
     Every read checks the remaining length first, so a hostile count can
     never index past the bytes that actually arrived, and
-    :meth:`expect_end` rejects trailing garbage (which is how a v2-only
-    trailing field is *detected* as malformed at v1).
+    :meth:`expect_end` rejects trailing garbage.
     """
 
     def __init__(self, data: bytes, offset: int = 0):
@@ -178,8 +174,6 @@ class Message:
     request_id: int = 0
 
     KIND = 0  # overridden per subclass
-    #: The version that introduced the kind; below it the kind does not exist.
-    SINCE = PROTOCOL_V1
     # Not a dataclass field (no annotation): set per-instance by
     # decode_body to the header version the frame actually carried.
     wire_version = None
@@ -201,9 +195,9 @@ class Hello(Message):
 
     KIND = KIND_HELLO
 
-    def encode(self, version: int = PROTOCOL_V1) -> bytes:
+    def encode(self, version: int = FLOOR_VERSION) -> bytes:
         # Always the floor encoding: any server can parse any client's offer.
-        return super().encode(PROTOCOL_V1)
+        return super().encode(FLOOR_VERSION)
 
     def _payload(self, version: int) -> bytes:
         return bytes([self.min_version, self.max_version]) + _string(self.client_id)
@@ -276,7 +270,7 @@ class Status(Message):
 
 @dataclass
 class StatusOk(Message):
-    """One store's levels.  v2 appends ``depletion_rate_millibps``."""
+    """One store's levels and how fast it is drawn down."""
 
     pair: Tuple[str, str] = ("", "")
     available_bits: int = 0
@@ -285,8 +279,8 @@ class StatusOk(Message):
     low_water_bits: int = 0
     high_water_bits: int = 0
     capacity_bits: int = 0
-    #: EWMA draw rate in millibits/second — present at v2+, ``None`` at v1.
-    depletion_rate_millibps: Optional[int] = None
+    #: EWMA draw rate in millibits/second.
+    depletion_rate_millibps: int = 0
 
     KIND = KIND_STATUS_OK
 
@@ -301,13 +295,11 @@ class StatusOk(Message):
             self.capacity_bits,
         ):
             out += _varint(value)
-        if version >= PROTOCOL_V2:
-            out += _varint(self.depletion_rate_millibps or 0)
-        return out
+        return out + _varint(self.depletion_rate_millibps)
 
     @classmethod
     def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "StatusOk":
-        msg = cls(
+        return cls(
             request_id=request_id,
             pair=cursor.pair(),
             available_bits=cursor.varint("available bits"),
@@ -316,10 +308,8 @@ class StatusOk(Message):
             low_water_bits=cursor.varint("low water"),
             high_water_bits=cursor.varint("high water"),
             capacity_bits=cursor.varint("capacity"),
+            depletion_rate_millibps=cursor.varint("depletion rate"),
         )
-        if version >= PROTOCOL_V2:
-            msg.depletion_rate_millibps = cursor.varint("depletion rate")
-        return msg
 
 
 @dataclass
@@ -398,19 +388,18 @@ class Reserve(Message):
 
 @dataclass
 class GetKey(Reserve):
-    """v4: reserve and consume ``bits`` bits in one request, answered by
+    """Reserve and consume ``bits`` bits in one request, answered by
     CONSUME_OK.  A lost reply cannot be fetched again — the reservation id
     travels only in it."""
 
     KIND = KIND_GET_KEY
-    SINCE = PROTOCOL_V4
 
 
 @dataclass
 class ReserveOk(Message):
     """A granted reservation, to be consumed or released by id.
 
-    v3 appends ``lease_ms``: the server's lease TTL on the reservation in
+    ``lease_ms`` is the server's lease TTL on the reservation in
     milliseconds (0 = the server grants no lease).  A reservation that is
     neither consumed nor released within its lease is reaped server-side
     and its bits returned to the store.
@@ -418,27 +407,21 @@ class ReserveOk(Message):
 
     reservation_id: int = 0
     bits: int = 0
-    #: Lease TTL in milliseconds — present at v3+, ``None`` at v1/v2.
-    lease_ms: Optional[int] = None
+    lease_ms: int = 0
 
     KIND = KIND_RESERVE_OK
 
     def _payload(self, version: int) -> bytes:
-        out = _varint(self.reservation_id) + _varint(self.bits)
-        if version >= PROTOCOL_V3:
-            out += _varint(self.lease_ms or 0)
-        return out
+        return _varint(self.reservation_id) + _varint(self.bits) + _varint(self.lease_ms)
 
     @classmethod
     def _decode(cls, cursor: _Cursor, request_id: int, version: int) -> "ReserveOk":
-        msg = cls(
+        return cls(
             request_id=request_id,
             reservation_id=cursor.varint("reservation id"),
             bits=cursor.varint("bits"),
+            lease_ms=cursor.varint("lease ms"),
         )
-        if version >= PROTOCOL_V3:
-            msg.lease_ms = cursor.varint("lease ms")
-        return msg
 
 
 @dataclass
@@ -572,7 +555,7 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
     if decoder is None:
         raise ProtocolError(ERR_UNKNOWN_KIND, f"unknown message kind 0x{kind:02x}")
     if decoder is Hello:
-        if version != PROTOCOL_V1:
+        if version != FLOOR_VERSION:
             raise ProtocolError(ERR_VERSION, f"HELLO must use the floor encoding, got v{version}")
     elif decoder is Welcome:
         if version not in SUPPORTED_VERSIONS:
@@ -582,7 +565,7 @@ def decode_body(body: bytes, expected_version: Optional[int]) -> Message:
             raise ProtocolError(ERR_VERSION, f"frame is v{version}, negotiated v{expected_version}")
     elif decoder is Error:
         # A fatal pre-negotiation rejection travels at the floor encoding.
-        if version != PROTOCOL_V1:
+        if version != FLOOR_VERSION:
             raise ProtocolError(ERR_VERSION, f"pre-negotiation ERROR must be v1, got v{version}")
     else:
         raise ProtocolError(ERR_VERSION, f"0x{kind:02x} before version negotiation completed")

@@ -269,7 +269,7 @@ class ServerMachine(RuleBasedStateMachine):
         connection, transport = _Connection(self.server), RecordingTransport()
         connection.connection_made(transport)
         connection.data_received(
-            protocol.encode_frame(Hello(client_id=CLIENT_IDS[slot]), protocol.PROTOCOL_V1)
+            protocol.encode_frame(Hello(client_id=CLIENT_IDS[slot]), protocol.FLOOR_VERSION)
         )
         transport.written.next_frame()  # WELCOME
         assert connection.version == protocol.PROTOCOL_V4

@@ -1,6 +1,6 @@
 """A structure-aware fuzzer for netkms frames.
 
-Frames of every kind at every version v1..v4 are built from their structure
+Frames of every kind at v4 are built from their structure
 (the strategies of ``tests/test_netkms_codec.py``), then mutated the ways a
 broken or hostile peer breaks them — truncated, extended, another kind,
 another version, a corrupted count — and fed through
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netkms import protocol
 from repro.netkms.protocol import ProtocolError
-from tests.test_netkms_codec import VERSIONS, build, expected_for, messages, outcome
+from tests.test_netkms_codec import V4, build, expected_for, messages, outcome
 from tests.oracles import netkms_codec as oracle
 
 HEADER_BYTES = 6
@@ -35,8 +35,7 @@ def mutated_bodies(draw):
     """One frame body built from a message's structure, maybe mutated, and
     the version its receiver expects."""
     spec = draw(messages)
-    version = draw(st.sampled_from(VERSIONS))
-    body = bytearray(build(protocol, spec).encode(version))
+    body = bytearray(build(protocol, spec).encode(V4))
     mutation = draw(st.sampled_from(MUTATIONS))
     if mutation == "truncate":
         del body[draw(st.integers(2, len(body) - 1)) :]
@@ -50,7 +49,7 @@ def mutated_bodies(draw):
         # A length prefix, a varint or a list count sits after the header.
         at = draw(st.integers(HEADER_BYTES, len(body) - 1))
         body[at] = draw(st.sampled_from([0x00, 0x01, 0x7F, 0x80, 0xFF]))
-    expected = draw(st.sampled_from([expected_for(spec[0], version), None, *VERSIONS]))
+    expected = draw(st.sampled_from([expected_for(spec[0]), None, V4]))
     return bytes(body), expected
 
 

@@ -2,10 +2,12 @@
 
 Four layers of contract:
 
-* the message codec round-trips every kind at every version, and rejects
-  malformed bodies with typed errors before any output-sized allocation;
-* version negotiation interoperates in both directions (v1 client against
-  a v2 server, v2 client against a v1 server) without flag-day breaks;
+* the message codec round-trips every kind, and rejects malformed bodies
+  with typed errors before any output-sized allocation;
+* the version window is {4}: a HELLO whose range holds 4 gets v4, any
+  other offer a fatal ERROR at the floor header byte that a client of an
+  older generation can still decode, and a client refuses a WELCOME at any
+  version but 4;
 * hostile frames (truncated header, absurd length prefix, unknown version,
   unknown kind) each close the connection with a typed protocol error and
   leave the server serving other clients;
@@ -57,7 +59,6 @@ from repro.netkms.protocol import (
     Welcome,
     decode_body,
     encode_frame,
-    negotiate,
 )
 from repro.netkms.metrics import LatencyHistogram, NetKmsMetrics
 from repro.netkms.server import (
@@ -123,7 +124,7 @@ async def raw_connection(server, hello=None):
     """A handshaken plain stream: the frames the server writes are read
     as they are, with no client reader task between them and the test."""
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
-    writer.write(encode_frame(hello or Hello(), protocol.PROTOCOL_V1))
+    writer.write(encode_frame(hello or Hello(), protocol.FLOOR_VERSION))
     await writer.drain()
     welcome = decode_body(await read_frame(reader), expected_version=None)
     assert isinstance(welcome, Welcome)
@@ -171,37 +172,27 @@ class TestCodecRoundTrips:
     ]
 
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
-    @pytest.mark.parametrize("version", protocol.SUPPORTED_VERSIONS)
-    def test_round_trip(self, message, version):
-        body = message.encode(version)
-        expected = None if isinstance(message, (Hello, Welcome)) else version
-        decoded = decode_body(body, expected_version=expected)
-        if isinstance(message, StatusOk) and version < protocol.PROTOCOL_V2:
-            # The v2-only field does not travel at v1.
-            assert decoded.depletion_rate_millibps is None
-            message = StatusOk(**{**message.__dict__, "depletion_rate_millibps": None})
-        if isinstance(message, ReserveOk) and version < protocol.PROTOCOL_V3:
-            # The v3-only lease term does not travel below v3.
-            assert decoded.lease_ms is None
-            message = ReserveOk(**{**message.__dict__, "lease_ms": None})
-        assert decoded == message
+    def test_round_trip(self, message):
+        body = message.encode(protocol.PROTOCOL_V4)
+        expected = None if isinstance(message, (Hello, Welcome)) else protocol.PROTOCOL_V4
+        assert decode_body(body, expected_version=expected) == message
 
     def test_kinds_live_inside_the_reserved_wire_range(self):
         for message in self.MESSAGES:
             assert wire.KIND_NETKMS_FIRST <= message.KIND <= wire.KIND_NETKMS_LAST
 
     def test_frame_prefix_matches_body_length(self):
-        frame = encode_frame(Status(pair=PAIR), protocol.PROTOCOL_V1)
+        frame = encode_frame(Status(pair=PAIR), protocol.PROTOCOL_V4)
         (length,) = struct.unpack("<I", frame[:4])
         assert length == len(frame) - 4
 
     def test_hello_always_encodes_at_the_floor_version(self):
-        body = Hello(min_version=2, max_version=2).encode(protocol.PROTOCOL_V2)
-        assert body[1] == protocol.PROTOCOL_V1
+        body = Hello(min_version=2, max_version=2).encode(protocol.PROTOCOL_V4)
+        assert body[1] == protocol.FLOOR_VERSION
 
 
 class TestMalformedBodies:
-    def decode_error(self, body, expected_version=1):
+    def decode_error(self, body, expected_version=protocol.PROTOCOL_V4):
         with pytest.raises(ProtocolError) as excinfo:
             decode_body(body, expected_version=expected_version)
         return excinfo.value
@@ -215,41 +206,32 @@ class TestMalformedBodies:
         assert self.decode_error(body).code == protocol.ERR_UNKNOWN_KIND
 
     def test_version_mismatch(self):
-        body = Status(pair=PAIR).encode(2)
-        assert self.decode_error(body, expected_version=1).code == protocol.ERR_VERSION
+        body = Status(pair=PAIR).encode(3)
+        assert self.decode_error(body).code == protocol.ERR_VERSION
 
     def test_truncated_inside_request_id(self):
-        body = bytes([protocol.KIND_STATUS, 1, 0, 0])
+        body = bytes([protocol.KIND_STATUS, 4, 0, 0])
         assert self.decode_error(body).code == protocol.ERR_MALFORMED
 
     def test_string_length_exceeding_payload(self):
-        body = bytes([protocol.KIND_STATUS, 1]) + b"\x00" * 4 + bytes([200]) + b"ab"
+        body = bytes([protocol.KIND_STATUS, 4]) + b"\x00" * 4 + bytes([200]) + b"ab"
         error = self.decode_error(body)
         assert error.code == protocol.ERR_MALFORMED
         assert "pair[0]" in error.detail
 
     def test_trailing_garbage_rejected(self):
-        body = Status(pair=PAIR).encode(1) + b"\x00"
+        body = Status(pair=PAIR).encode(4) + b"\x00"
         assert self.decode_error(body).code == protocol.ERR_MALFORMED
 
-    def test_v2_field_is_trailing_garbage_at_v1(self):
-        ok = StatusOk(pair=PAIR, depletion_rate_millibps=5)
-        v2_body = ok.encode(2)
-        v1_equivalent = bytearray(ok.encode(1))
-        assert len(v2_body) > len(v1_equivalent)
-        v1_equivalent[1] = 1
-        hybrid = bytes(v1_equivalent) + v2_body[len(v1_equivalent) :]
-        assert self.decode_error(hybrid).code == protocol.ERR_MALFORMED
-
     def test_varint_overflow_and_overlength(self):
-        prefix = bytes([protocol.KIND_RESERVE, 1]) + b"\x00" * 4 + b"\x00\x00"
+        prefix = bytes([protocol.KIND_RESERVE, 4]) + b"\x00" * 4 + b"\x00\x00"
         overlong = prefix + b"\xff" * 10 + b"\x01"
         assert self.decode_error(overlong).code == protocol.ERR_MALFORMED
         overflow = prefix + b"\xff" * 9 + b"\x7f"
         assert self.decode_error(overflow).code == protocol.ERR_MALFORMED
 
     def test_capabilities_pair_count_validated_against_payload(self):
-        body = bytes([protocol.KIND_CAPABILITIES_OK, 1]) + b"\x00" * 4
+        body = bytes([protocol.KIND_CAPABILITIES_OK, 4]) + b"\x00" * 4
         body += bytes([1, 2]) + b"\x10" + b"\x10" + bytes([255, 255, 3])
         error = self.decode_error(body)
         assert error.code == protocol.ERR_MALFORMED
@@ -263,7 +245,7 @@ class TestMalformedBodies:
 
     def test_consume_ok_key_bytes_validated(self):
         with pytest.raises(ValueError):
-            ConsumeOk(key_bits=16, key_bytes=b"abc").encode(1)
+            ConsumeOk(key_bits=16, key_bytes=b"abc").encode(4)
 
     def test_get_key_truncated_anywhere_or_one_byte_long_is_malformed(self):
         body = GetKey(request_id=5, pair=PAIR, bits=1 << 14).encode(protocol.PROTOCOL_V4)
@@ -272,218 +254,121 @@ class TestMalformedBodies:
             assert self.decode_error(body[:cut], 4).code == protocol.ERR_MALFORMED, cut
         assert self.decode_error(body + b"\x00", 4).code == protocol.ERR_MALFORMED
 
-    def test_hello_offers_every_supported_version_unless_told_otherwise(self):
-        hello = Hello()
-        assert (hello.min_version, hello.max_version) == (
-            protocol.SUPPORTED_VERSIONS[0],
-            protocol.SUPPORTED_VERSIONS[-1],
-        )
-        assert protocol.SUPPORTED_VERSIONS[-1] == protocol.PROTOCOL_V4
-
-    def test_capabilities_ok_advertises_every_supported_version_unless_told_otherwise(self):
-        capabilities = CapabilitiesOk()
-        assert (capabilities.min_version, capabilities.max_version) == (
-            protocol.SUPPORTED_VERSIONS[0],
-            protocol.SUPPORTED_VERSIONS[-1],
-        )
-
-
-class TestNegotiation:
-    def test_picks_highest_common(self):
-        assert negotiate(1, 2, (1, 2)) == 2
-        assert negotiate(1, 1, (1, 2)) == 1
-        assert negotiate(1, 2, (1,)) == 1
-        assert negotiate(2, 9, (1, 2)) == 2
-
-    def test_disjoint_ranges(self):
-        assert negotiate(3, 9, (1, 2)) is None
-        assert negotiate(5, 3, (1, 2)) is None
+    def test_hello_and_capabilities_ok_offer_v4_alone_unless_told_otherwise(self):
+        assert protocol.SUPPORTED_VERSIONS == (protocol.PROTOCOL_V4,)
+        for message in (Hello(), CapabilitiesOk()):
+            assert (message.min_version, message.max_version) == (4, 4)
 
 
 # --------------------------------------------------------------------------- #
-# Version interop over real connections
+# The version window over real connections
 # --------------------------------------------------------------------------- #
 
 
-class TestVersionInterop:
-    def interop(self, server_versions, client_versions):
-        async def scenario():
-            server = await started_server(versions=server_versions)
-            try:
-                client = NetworkKmsClient(
-                    "127.0.0.1", server.port, versions=client_versions
-                )
-                async with client:
-                    status = await client.status(PAIR)
-                    key = await client.get_key(PAIR, bits=256)
-                    return client.version, status, key
-            finally:
-                await server.stop()
-
-        return run(scenario())
-
-    def test_v1_client_v2_server(self):
-        version, status, key = self.interop((1, 2), (1,))
-        assert version == 1
-        assert status.depletion_rate_millibps is None
-        assert key.key_bits == 256
-
-    def test_v2_client_v1_server(self):
-        version, status, key = self.interop((1,), (1, 2))
-        assert version == 1
-        assert status.depletion_rate_millibps is None
-        assert key.key_bits == 256
-
-    def test_v2_both_sides_carries_the_new_field(self):
-        version, status, key = self.interop((1, 2), (1, 2))
-        assert version == 2
-        assert status.depletion_rate_millibps is not None
-        assert key.key_bits == 256
-
-    def reserve_interop(self, server_versions, client_versions):
-        async def scenario():
-            server = await started_server(versions=server_versions)
-            try:
-                client = NetworkKmsClient(
-                    "127.0.0.1", server.port, versions=client_versions
-                )
-                async with client:
-                    handle = await client.reserve(PAIR, bits=256)
-                    await client.release(handle)
-                    return client.version, handle
-            finally:
-                await server.stop()
-
-        return run(scenario())
-
-    def test_v2_client_v3_server_gets_no_lease_term(self):
-        version, handle = self.reserve_interop((1, 2, 3), (1, 2))
-        assert version == 2
-        assert handle.lease_ms is None
-
-    def test_v3_client_v2_server_gets_no_lease_term(self):
-        version, handle = self.reserve_interop((1, 2), (1, 2, 3))
-        assert version == 2
-        assert handle.lease_ms is None
-
-    def test_v3_both_sides_carries_the_lease_term(self):
-        version, handle = self.reserve_interop((1, 2, 3), (1, 2, 3))
-        assert version == 3
-        assert handle.lease_ms is not None and handle.lease_ms > 0
-
-    @pytest.mark.parametrize("server_max", protocol.SUPPORTED_VERSIONS)
-    @pytest.mark.parametrize("client_max", protocol.SUPPORTED_VERSIONS)
-    def test_every_pair_of_generations(self, client_max, server_max):
-        """Both directions of every pairing: the lower side's version is
-        spoken, each version's fields appear exactly where it says, and the
-        key is the same 256 bits however many frames fetched it."""
+class TestVersionWindow:
+    def test_a_v4_round_trip_carries_the_depletion_rate_and_the_lease(self):
+        """Client and server agree on v4; STATUS_OK carries the store's
+        depletion rate, RESERVE_OK the lease, and a key is one GET_KEY."""
         seen = []
 
         async def hook(message):
             seen.append(type(message).__name__)
 
         async def scenario():
-            server = await started_server(
-                versions=tuple(range(1, server_max + 1)), request_hook=hook
-            )
+            store = make_store()
+            server = await started_server({PAIR: store}, request_hook=hook)
             try:
-                client = NetworkKmsClient(
-                    "127.0.0.1", server.port, versions=tuple(range(1, client_max + 1))
-                )
-                async with client:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    key = await client.get_key(PAIR, bits=256)
+                    asyncio.get_running_loop().advance(10.0)
+                    await client.get_key(PAIR, bits=256)  # a second draw sets a rate
                     status = await client.status(PAIR)
                     handle = await client.reserve(PAIR, bits=64)
                     await client.release(handle)
-                    key = await client.get_key(PAIR, bits=256)
-                    return client.version, status, handle, key, server.metrics.report()
+                    rate = int(store.depletion_rate_bps * 1000)
+                    return client.version, key, status, rate, handle, server.metrics.report()
             finally:
                 await server.stop()
 
-        version, status, handle, key, report = run(scenario())
-        assert version == min(client_max, server_max)
-        assert (status.depletion_rate_millibps is not None) == (version >= 2)
-        assert (handle.lease_ms is not None) == (version >= 3)
+        version, key, status, rate, handle, report = run_virtual(scenario())
+        assert version == protocol.PROTOCOL_V4
         assert (key.key_bits, key.key_bytes) == (256, counter_material(256).to_bytes())
-        fetch = {"GetKey": 1} if version >= 4 else {"Reserve": 2, "Consume": 1}
-        assert report.requests_by_kind == {"Status": 1, "Reserve": 1, "Release": 1, **fetch}
-        assert sorted(seen) == sorted(
-            kind for kind, count in report.requests_by_kind.items() for _ in range(count)
-        )
-        assert report.keys_served == 1 and not report.protocol_errors
+        assert status.depletion_rate_millibps == rate > 0
+        assert handle.lease_ms == 1000 * LEASE_SECONDS
+        assert report.requests_by_kind == {"GetKey": 2, "Status": 1, "Reserve": 1, "Release": 1}
+        assert seen == ["GetKey", "GetKey", "Status", "Reserve", "Release"]
+        assert report.keys_served == 2 and not report.protocol_errors
 
-    @pytest.mark.parametrize("server_versions", [(1, 2, 3), (1, 2, 3, 4)])
-    def test_v4_kind_on_a_v3_connection_is_an_unknown_kind(self, server_versions):
-        """The other direction of "an older peer never sees the new kind": a
-        GET_KEY frame on a connection that negotiated 3 does not exist there,
-        whether or not the server speaks 4 to somebody else."""
-        seen = []
+    #: Every offer inside [1, 6], and two that reach past it.
+    OFFERS = [(low, high) for low in range(1, 7) for high in range(low, 7)] + [(2, 9), (5, 9)]
 
-        async def hook(message):
-            seen.append(message)
+    @pytest.mark.parametrize("low, high", [o for o in OFFERS if o[0] <= 4 <= o[1]])
+    def test_any_offer_that_holds_v4_gets_v4(self, low, high):
+        async def scenario():
+            server = await started_server()
+            try:
+                hello = Hello(min_version=low, max_version=high)
+                _reader, writer, version = await raw_connection(server, hello)
+                writer.close()
+                await writer.wait_closed()
+                return version
+            finally:
+                await server.stop()
+
+        assert run(scenario()) == protocol.PROTOCOL_V4
+
+    @pytest.mark.parametrize("low, high", [o for o in OFFERS if not o[0] <= 4 <= o[1]])
+    def test_an_offer_without_v4_gets_a_fatal_mismatch_at_the_floor_byte(self, low, high):
+        """A client of an older generation reads the refusal: the ERROR
+        travels at header byte 1, the one every generation decodes."""
 
         async def scenario():
-            store = make_store()
-            server = await started_server(
-                {PAIR: store}, versions=server_versions, request_hook=hook
-            )
+            server = await started_server()
             try:
-                reader, writer, version = await raw_connection(server, Hello(max_version=3))
-                assert version == 3
-                writer.write(encode_frame(GetKey(request_id=77, pair=PAIR, bits=256), 3))
+                reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+                hello = Hello(min_version=low, max_version=high)
+                writer.write(encode_frame(hello, protocol.FLOOR_VERSION))
                 await writer.drain()
-                reply = decode_body(await read_frame(reader), expected_version=3)
+                body = await read_frame(reader)
                 rest = await asyncio.wait_for(reader.read(), 2.0)
                 writer.close()
                 await writer.wait_closed()
-                return reply, rest, store, server.metrics
+                return body, rest, server.metrics.report()
             finally:
                 await server.stop()
 
-        reply, rest, store, metrics = run(scenario())
-        assert isinstance(reply, Error)
-        assert (reply.request_id, reply.code) == (77, protocol.ERR_UNKNOWN_KIND)
-        assert rest == b""  # fatal: the connection is closed
-        assert metrics.error_counts == {protocol.ERR_UNKNOWN_KIND: 1}
-        assert metrics.requests_by_kind == {} and seen == []
-        assert store.unreserved_bits == store.available_bits == 1 << 15
+        body, rest, report = run(scenario())
+        assert body[1] == protocol.FLOOR_VERSION
+        error = decode_body(body, expected_version=None)
+        assert isinstance(error, Error)
+        assert (error.request_id, error.code) == (0, protocol.ERR_VERSION)
+        assert rest == b""  # fatal: the server closed the connection
+        assert report.protocol_errors == {"version-mismatch": 1}
+        assert report.requests_by_kind == {}
 
-    def test_v3_server_negotiates_a_default_client_down_and_serves_two_phase(self):
-        """Pinning an older wire needs no knob beyond ``versions``: a default
-        client (and a hand-built default HELLO) offers the newest version,
-        and gets 3 from a server that stops there."""
+    @pytest.mark.parametrize("announced", [0, 1, 2, 3, 5, 6, 255])
+    def test_a_client_refuses_a_welcome_at_any_other_version(self, announced):
+        async def welcome_at(reader, writer):
+            await read_frame(reader)  # HELLO
+            writer.write(encode_frame(Welcome(server_id="old"), announced))
+            await writer.drain()
+            await reader.read()  # until the client hangs up
+            writer.close()
 
         async def scenario():
-            server = await started_server(versions=(1, 2, 3))
+            stub = await asyncio.start_server(welcome_at, host="127.0.0.1", port=0)
+            client = NetworkKmsClient("127.0.0.1", stub.sockets[0].getsockname()[1])
             try:
-                _reader, writer, raw_version = await raw_connection(server)
-                writer.close()
-                await writer.wait_closed()
-                async with NetworkKmsClient("127.0.0.1", server.port) as client:
-                    key = await client.get_key(PAIR, bits=256)
-                    return raw_version, client.version, key, server.metrics
-            finally:
-                await server.stop()
-
-        raw_version, version, key, metrics = run(scenario())
-        assert raw_version == version == 3
-        assert key.key_bytes == counter_material(256).to_bytes()
-        assert metrics.requests_by_kind == {"Reserve": 1, "Consume": 1}
-
-    def test_disjoint_ranges_rejected_with_typed_error(self):
-        async def scenario():
-            server = await started_server(versions=(1,))
-            try:
-                client = NetworkKmsClient("127.0.0.1", server.port, versions=(2,))
-                with pytest.raises(ServerError) as excinfo:
+                with pytest.raises(ProtocolError) as excinfo:
                     await client.connect()
-                await client.close()
-                return excinfo.value, server.metrics.report()
+                return excinfo.value, client.connected, client.version, client._connection
             finally:
-                await server.stop()
+                stub.close()
+                await stub.wait_closed()
 
-        error, report = run(scenario())
+        error, connected, version, connection = run(scenario())
         assert error.code == protocol.ERR_VERSION
-        assert report.protocol_errors.get("version-mismatch") == 1
+        assert not connected and version is None and connection is None
 
 
 # --------------------------------------------------------------------------- #
@@ -506,16 +391,16 @@ class TestHostileFrames:
             try:
                 reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
                 if handshake_first:
-                    writer.write(encode_frame(Hello(), protocol.PROTOCOL_V1))
+                    writer.write(encode_frame(Hello(), protocol.FLOOR_VERSION))
                     await writer.drain()
                     await read_frame(reader)  # WELCOME
                 writer.write(payload)
                 await writer.drain()
                 writer.write_eof()
                 error = None
-                # Pre-negotiation rejections travel at the v1 floor; after a
-                # handshake the server answers at the negotiated version.
-                error_version = server.versions[-1] if handshake_first else None
+                # Pre-negotiation rejections travel at the floor byte; after
+                # a handshake the server answers at the negotiated version.
+                error_version = protocol.PROTOCOL_V4 if handshake_first else None
                 try:
                     body = await asyncio.wait_for(read_frame(reader), 2.0)
                     decoded = decode_body(body, expected_version=error_version)
@@ -544,7 +429,7 @@ class TestHostileFrames:
         assert eof and server_ok
 
     def test_unknown_version_rejected(self):
-        body = Status(pair=PAIR).encode(1)
+        body = Status(pair=PAIR).encode(4)
         mutated = bytearray(body)
         mutated[1] = 9
         frame = struct.pack("<I", len(mutated)) + bytes(mutated)
@@ -552,8 +437,27 @@ class TestHostileFrames:
         assert error is not None and error.code == protocol.ERR_VERSION
         assert eof and server_ok
 
+    @pytest.mark.parametrize("header_byte", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "message",
+        [
+            Status(request_id=5, pair=PAIR),
+            Capabilities(request_id=5),
+            Reserve(request_id=5, pair=PAIR, bits=64),
+            Consume(request_id=5, pair=PAIR, reservation_id=1),
+            Release(request_id=5, pair=PAIR, reservation_id=1),
+            GetKey(request_id=5, pair=PAIR, bits=64),
+        ],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_a_request_at_a_pre_v4_byte_after_the_handshake_is_fatal(self, message, header_byte):
+        frame = encode_frame(message, header_byte)
+        error, eof, server_ok = self.raw_exchange(frame, handshake_first=True)
+        assert error is not None and error.code == protocol.ERR_VERSION
+        assert eof and server_ok
+
     def test_unknown_kind_rejected(self):
-        body = bytes([0x3E, protocol.SUPPORTED_VERSIONS[-1]]) + b"\x00" * 4
+        body = bytes([0x3E, protocol.PROTOCOL_V4]) + b"\x00" * 4
         frame = struct.pack("<I", len(body)) + body
         error, eof, server_ok = self.raw_exchange(frame, handshake_first=True)
         assert error is not None and error.code == protocol.ERR_UNKNOWN_KIND
@@ -980,23 +884,23 @@ class TestFacadeAndMetrics:
 
     def test_metrics_report_shape(self):
         async def scenario():
-            # Up to v3 a get_key is two requests, and the counts below say so.
-            server = await started_server(versions=(1, 2, 3))
+            server = await started_server()
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     await client.capabilities()
                     await client.get_key(PAIR, bits=256)
-                    await client.get_key(PAIR, bits=256)
+                    await client.consume(await client.reserve(PAIR, bits=256))
                 return server.metrics.report()
             finally:
                 await server.stop()
 
         report = run(scenario())
-        assert report.requests == 5  # 1 caps + 2 x (reserve + consume)
+        assert report.requests == 4  # caps + get_key + reserve + consume
         assert report.requests_by_kind == {
             "Capabilities": 1,
-            "Reserve": 2,
-            "Consume": 2,
+            "GetKey": 1,
+            "Reserve": 1,
+            "Consume": 1,
         }
         assert report.keys_served == 2
         assert report.key_bits_served == 512
@@ -1425,7 +1329,7 @@ class TestFailingPeers:
             try:
                 await read_frame(reader)  # HELLO
                 welcome = protocol.Welcome(server_id="stub")
-                writer.write(encode_frame(welcome, protocol.SUPPORTED_VERSIONS[-1]))
+                writer.write(encode_frame(welcome, protocol.PROTOCOL_V4))
                 await writer.drain()
                 await behaviour(reader, writer)
             finally:
@@ -1520,6 +1424,39 @@ class TestFailingPeers:
             return outcomes
 
         assert run(scenario()) == [True, True]
+
+    def test_a_hello_write_that_fails_leaves_no_unretrieved_exception(self):
+        """The HELLO write itself raising must leave nothing for asyncio to
+        log as "Future exception was never retrieved": ``close()`` fails the
+        handshake's future, which ``connect()`` never got to await."""
+
+        async def failing_writes(host, port, protocol_factory):
+            transport, connection = await open_connection(host, port, protocol_factory)
+
+            def write(data):
+                raise ConnectionResetError("write failed")
+
+            transport.write = write
+            return transport, connection
+
+        async def scenario():
+            seen = []
+            asyncio.get_running_loop().set_exception_handler(lambda loop, context: seen.append(context))
+            server = await started_server()
+            try:
+                client = NetworkKmsClient("127.0.0.1", server.port, connector=failing_writes)
+                with pytest.raises(ConnectionResetError):
+                    await client.connect()
+                closed = client._connection is None and not client.connected
+                del client
+                gc.collect()
+                return closed, seen
+            finally:
+                await server.stop()
+
+        closed, seen = run(scenario())
+        assert closed
+        assert seen == []
 
     def test_request_timeout_is_typed_and_releases_the_caller(self):
         from repro.netkms.client import RequestTimeoutError
@@ -1663,7 +1600,7 @@ class TestReaperDifferential:
 
         async def answer(server, message, conn_id):
             try:
-                return server._dispatch(message, protocol.PROTOCOL_V3, conn_id)
+                return server._dispatch(message, conn_id)
             except ProtocolError as exc:
                 return exc.code
 
@@ -1973,7 +1910,7 @@ class TestBackpressure:
                 sock.setblocking(False)
                 await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", server.port))
                 reader, writer = await asyncio.open_connection(sock=sock)
-                writer.write(encode_frame(Hello(), protocol.PROTOCOL_V1))
+                writer.write(encode_frame(Hello(), protocol.FLOOR_VERSION))
                 version = decode_body(await read_frame(reader), None).wire_version
                 (connection,) = server._connections.values()
                 connection.transport.get_extra_info("socket").setsockopt(
@@ -2096,12 +2033,19 @@ def pinned_script():
     return script
 
 
-def run_script(script, versions):
-    """Play ``script`` against a fresh server, both sides offering ``versions``;
-    returns everything the script leaves behind (read before ``stop()``, which
-    clears the replay cache) and the request counts, which alone may depend on
-    how many frames a ``get_key`` is.  The script runs on a virtual-time
-    loop, whose clock moves 0.25 s per step from 10 s."""
+async def two_phase_get_key(client, pair, bits):
+    """A key as a RESERVE then a CONSUME: the two frames a GET_KEY joins."""
+    return await client.consume(await client.reserve(pair, bits))
+
+
+def run_script(script, *, two_phase):
+    """Play ``script`` against a fresh server, fetching each key in one GET_KEY
+    or, with ``two_phase``, as a reserve then a consume; returns everything
+    the script leaves behind (read before ``stop()``, which clears the replay
+    cache) and the request counts, which alone may depend on how many frames
+    a key is.  The script runs on a virtual-time loop, whose clock moves
+    0.25 s per step from 10 s."""
+    fetch = two_phase_get_key if two_phase else NetworkKmsClient.get_key
 
     async def scenario():
         loop = asyncio.get_running_loop()
@@ -2109,22 +2053,18 @@ def run_script(script, versions):
         stores = {pair: KeyStore(pair) for pair in SCRIPT_PAIRS[:2]}
         stores[SCRIPT_PAIRS[0]].deposit(counter_material(1 << 15))
         stores[SCRIPT_PAIRS[1]].deposit(counter_material(8192, first=1 << 48))
-        server = await started_server(
-            stores,
-            versions=versions,
-            max_reserve_bits=SCRIPT_MAX_RESERVE_BITS,
-        )
-        clients = [NetworkKmsClient("127.0.0.1", server.port, versions=versions) for _ in range(2)]
+        server = await started_server(stores, max_reserve_bits=SCRIPT_MAX_RESERVE_BITS)
+        clients = [NetworkKmsClient("127.0.0.1", server.port) for _ in range(2)]
         outcomes = []
         deposited = 2 << 48
         try:
             for client in clients:
-                assert await client.connect() == versions[-1]
+                assert await client.connect() == protocol.PROTOCOL_V4
             for step in script:
                 if step[0] == "get":
                     _, connection, pair, bits = step
                     try:
-                        key = await clients[connection].get_key(SCRIPT_PAIRS[pair], bits)
+                        key = await fetch(clients[connection], SCRIPT_PAIRS[pair], bits)
                     except ServerError as exc:
                         outcomes.append(exc.code)
                     else:
@@ -2247,12 +2187,12 @@ class TestGetKeyStateEquivalence:
     whether they arrived as two frames or as one."""
 
     def test_pinned_script_over_reserve_and_consume(self):
-        state, requests = run_script(pinned_script(), versions=(1, 2, 3))
+        state, requests = run_script(pinned_script(), two_phase=True)
         assert state == PINNED_SCRIPT_STATE
         assert requests == {"Reserve": 43, "Consume": 40}
 
     def test_pinned_script_over_get_key(self):
-        state, requests = run_script(pinned_script(), versions=(1, 2, 3, 4))
+        state, requests = run_script(pinned_script(), two_phase=False)
         assert state == PINNED_SCRIPT_STATE
         assert requests == {"GetKey": 43}
 
@@ -2272,13 +2212,13 @@ class TestGetKeyStateEquivalence:
         )
     )
     @settings(max_examples=25, deadline=None)
-    def test_any_script_leaves_the_same_state_at_v3_and_v4(self, script):
-        two_frames, requests_v3 = run_script(script, versions=(1, 2, 3))
-        one_frame, requests_v4 = run_script(script, versions=(1, 2, 3, 4))
+    def test_any_script_leaves_the_same_state_over_two_frames_and_one(self, script):
+        two_frames, requests_two = run_script(script, two_phase=True)
+        one_frame, requests_one = run_script(script, two_phase=False)
         assert one_frame == two_frames
         assert one_frame["held"] == {}
-        assert requests_v4.get("GetKey", 0) == requests_v3.get("Reserve", 0)
-        assert requests_v3.get("Consume", 0) == one_frame["keys_served"]
+        assert requests_one.get("GetKey", 0) == requests_two.get("Reserve", 0)
+        assert requests_two.get("Consume", 0) == one_frame["keys_served"]
 
     def test_consume_by_the_id_a_get_key_reply_carried_is_a_replay(self):
         """The reservation a GET_KEY grants is never held, but its reply is

@@ -5,7 +5,7 @@ offset readers (a ``_Cursor`` per body, a private varint loop, a splitter
 that copies every segment).  The shipped codec must be indistinguishable
 from it on the wire:
 
-* every kind, at every version, encodes to the oracle's bytes;
+* every kind encodes to the oracle's bytes;
 * any body — valid, truncated, byte-mutated, or random behind a plausible
   header — decodes to an equal message under both, or fails under both
   with the same :class:`ProtocolError` code;
@@ -42,7 +42,7 @@ KINDS = [
     "ReleaseOk",
     "GetKey",
 ]
-VERSIONS = list(protocol.SUPPORTED_VERSIONS)
+V4 = protocol.PROTOCOL_V4
 
 u8 = st.integers(0, 0xFF)
 u32 = st.integers(0, 0xFFFFFFFF)
@@ -83,7 +83,7 @@ FIELDS = {
             "low_water_bits": u64,
             "high_water_bits": u64,
             "capacity_bits": u64,
-            "depletion_rate_millibps": st.one_of(st.none(), u64),
+            "depletion_rate_millibps": u64,
         }
     ),
     "Capabilities": st.fixed_dictionaries({}),
@@ -98,7 +98,7 @@ FIELDS = {
     ),
     "Reserve": st.fixed_dictionaries({"pair": pairs, "bits": u64}),
     "ReserveOk": st.fixed_dictionaries(
-        {"reservation_id": u64, "bits": u64, "lease_ms": st.one_of(st.none(), u64)}
+        {"reservation_id": u64, "bits": u64, "lease_ms": u64}
     ),
     "Consume": st.fixed_dictionaries({"pair": pairs, "reservation_id": u64}),
     "ConsumeOk": consume_ok_fields(),
@@ -134,9 +134,9 @@ def assert_same_decode(body, expected_version):
     return shipped
 
 
-def expected_for(name, version):
+def expected_for(name):
     """The ``expected_version`` a receiver passes for a frame of kind ``name``."""
-    return None if name in ("Hello", "Welcome") else version
+    return None if name in ("Hello", "Welcome") else V4
 
 
 # --------------------------------------------------------------------------- #
@@ -145,41 +145,40 @@ def expected_for(name, version):
 
 
 class TestEncoding:
-    @given(spec=messages, version=st.sampled_from(VERSIONS))
+    @given(spec=messages)
     @settings(max_examples=200, deadline=None)
-    def test_every_kind_encodes_to_the_oracles_bytes(self, spec, version):
-        frame = protocol.encode_frame(build(protocol, spec), version)
-        assert frame == oracle.encode_frame(build(oracle, spec), version)
-        assert build(protocol, spec).encode(version) == build(oracle, spec).encode(version)
+    def test_every_kind_encodes_to_the_oracles_bytes(self, spec):
+        frame = protocol.encode_frame(build(protocol, spec), V4)
+        assert frame == oracle.encode_frame(build(oracle, spec), V4)
+        assert build(protocol, spec).encode(V4) == build(oracle, spec).encode(V4)
 
     @pytest.mark.parametrize("name", KINDS)
-    @pytest.mark.parametrize("version", VERSIONS)
-    def test_every_kind_at_every_version_with_default_fields(self, name, version):
+    def test_every_kind_with_default_fields(self, name):
         spec = (name, 7, {})
-        assert protocol.encode_frame(build(protocol, spec), version) == oracle.encode_frame(
-            build(oracle, spec), version
+        assert protocol.encode_frame(build(protocol, spec), V4) == oracle.encode_frame(
+            build(oracle, spec), V4
         )
 
     @pytest.mark.parametrize("request_id", [-1, 1 << 32])
     def test_a_request_id_outside_u32_is_refused_by_both(self, request_id):
         for codec in (protocol, oracle):
             with pytest.raises(ValueError):
-                codec.encode_frame(codec.Status(request_id=request_id, pair=("a", "b")), 1)
+                codec.encode_frame(codec.Status(request_id=request_id, pair=("a", "b")), V4)
 
     @pytest.mark.parametrize("value", [-1, 1 << 64])
     def test_a_field_outside_u64_is_refused_by_both(self, value):
         for codec in (protocol, oracle):
             with pytest.raises(ValueError):
-                codec.encode_frame(codec.Reserve(pair=("a", "b"), bits=value), 1)
+                codec.encode_frame(codec.Reserve(pair=("a", "b"), bits=value), V4)
 
     def test_an_error_detail_past_255_bytes_is_cut_on_a_character_boundary(self):
         detail = "x" * 254 + "é" + "y" * 300  # the cut falls inside the e-acute
-        body = protocol.Error(request_id=3, code=protocol.ERR_UNKNOWN_PAIR, detail=detail).encode(1)
-        decoded = protocol.decode_body(body, expected_version=1)
+        body = protocol.Error(request_id=3, code=protocol.ERR_UNKNOWN_PAIR, detail=detail).encode(V4)
+        decoded = protocol.decode_body(body, expected_version=V4)
         assert decoded.detail == "x" * 254
         assert decoded.code == protocol.ERR_UNKNOWN_PAIR
         with pytest.raises(ValueError):
-            oracle.Error(code=protocol.ERR_UNKNOWN_PAIR, detail=detail).encode(1)
+            oracle.Error(code=protocol.ERR_UNKNOWN_PAIR, detail=detail).encode(V4)
 
 
 # --------------------------------------------------------------------------- #
@@ -188,39 +187,58 @@ class TestEncoding:
 
 
 class TestDecoding:
-    @given(spec=messages, version=st.sampled_from(VERSIONS))
+    @given(spec=messages)
     @settings(max_examples=200, deadline=None)
-    def test_valid_bodies_decode_to_equal_messages(self, spec, version):
-        body = build(oracle, spec).encode(version)
-        result = assert_same_decode(body, expected_for(spec[0], version))
+    def test_valid_bodies_decode_to_equal_messages(self, spec):
+        body = build(oracle, spec).encode(V4)
+        result = assert_same_decode(body, expected_for(spec[0]))
         if spec[0] != "Hello" or spec[2]["min_version"] <= spec[2]["max_version"]:
             assert result[0] == "ok"
 
-    @given(spec=messages, version=st.sampled_from(VERSIONS), data=st.data())
+    @pytest.mark.parametrize("header_byte", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("name", KINDS)
+    def test_every_kind_at_every_header_byte_meets_the_version_window(self, name, header_byte):
+        """Only the window's byte decodes: HELLO at the floor, WELCOME at
+        v4, a pre-negotiation ERROR at the floor, anything else at the
+        negotiated v4; every other byte is a version error under both."""
+        body = bytearray(build(oracle, (name, 7, {})).encode(V4))
+        body[1] = header_byte
+        for expected in (None, V4):
+            if name in ("Hello", "Welcome"):
+                window = 1 if name == "Hello" else V4
+            else:
+                window = expected or (1 if name == "Error" else None)
+            result = assert_same_decode(bytes(body), expected)
+            if header_byte == window:
+                assert result[0] == "ok" and result[2]["wire_version"] == header_byte
+            else:
+                assert result == ("error", protocol.ERR_VERSION)
+
+    @given(spec=messages, data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_truncated_and_extended_bodies_fail_alike(self, spec, version, data):
-        body = build(oracle, spec).encode(version)
+    def test_truncated_and_extended_bodies_fail_alike(self, spec, data):
+        body = build(oracle, spec).encode(V4)
         cut = data.draw(st.integers(0, len(body)))
         tail = data.draw(st.binary(max_size=3))
-        expected = data.draw(st.sampled_from([expected_for(spec[0], version), None, *VERSIONS]))
+        expected = data.draw(st.sampled_from([expected_for(spec[0]), None, V4]))
         assert_same_decode(body[:cut], expected)
         assert_same_decode(body + tail, expected)
 
-    @given(spec=messages, version=st.sampled_from(VERSIONS), data=st.data())
+    @given(spec=messages, data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_mutated_bodies_decode_alike(self, spec, version, data):
-        body = bytearray(build(oracle, spec).encode(version))
+    def test_mutated_bodies_decode_alike(self, spec, data):
+        body = bytearray(build(oracle, spec).encode(V4))
         for _ in range(data.draw(st.integers(1, 4))):
             at = data.draw(st.integers(0, len(body) - 1))
             body[at] = data.draw(st.one_of(u8, st.sampled_from([0x00, 0x7F, 0x80, 0xFF])))
-        expected = data.draw(st.sampled_from([expected_for(spec[0], version), None, *VERSIONS]))
+        expected = data.draw(st.sampled_from([expected_for(spec[0]), None, V4]))
         assert_same_decode(bytes(body), expected)
 
     @given(
         kind=st.integers(0x1E, 0x30),
         version=st.integers(0, 5),
         rest=st.binary(max_size=40),
-        expected=st.sampled_from([None, *VERSIONS, 9]),
+        expected=st.sampled_from([None, 1, V4, 9]),
     )
     @settings(max_examples=300, deadline=None)
     def test_random_bodies_behind_a_plausible_header_decode_alike(
@@ -249,15 +267,15 @@ class TestDecoding:
 
     def test_long_names_round_trip_through_the_cache(self):
         pair = ("n" * 200, "é" * 100)  # two-byte length varints, 200 bytes each
-        body = protocol.Consume(request_id=4, pair=pair, reservation_id=300).encode(3)
+        body = protocol.Consume(request_id=4, pair=pair, reservation_id=300).encode(V4)
         for _ in range(2):  # a miss, then a hit
-            assert assert_same_decode(body, 3)[2]["pair"] == pair
-        assert assert_same_decode(body[:-1], 3)[0] == "error"
+            assert assert_same_decode(body, V4)[2]["pair"] == pair
+        assert assert_same_decode(body[:-1], V4)[0] == "error"
 
     def test_the_pair_cache_is_bounded(self):
         for index in range(protocol._PAIR_CACHE_LIMIT + 50):
-            body = protocol.Status(pair=("bound", str(index))).encode(1)
-            assert protocol.decode_body(body, 1).pair == ("bound", str(index))
+            body = protocol.Status(pair=("bound", str(index))).encode(V4)
+            assert protocol.decode_body(body, V4).pair == ("bound", str(index))
         assert len(protocol._PAIRS) == protocol._PAIR_CACHE_LIMIT
 
 
@@ -292,7 +310,7 @@ def streams(draw):
     """A byte stream of frames (sometimes a bad prefix among them) cut into
     random segments, some of them bytearrays."""
     frames = [
-        protocol.encode_frame(build(protocol, spec), draw(st.sampled_from(VERSIONS)))
+        protocol.encode_frame(build(protocol, spec), V4)
         for spec in draw(st.lists(messages, max_size=6))
     ]
     if draw(st.booleans()):
@@ -320,18 +338,18 @@ class TestFraming:
 
     def test_a_segment_of_whole_frames_leaves_nothing_buffered(self):
         stream = b"".join(
-            protocol.encode_frame(protocol.Status(request_id=i, pair=("a", "b")), 1)
+            protocol.encode_frame(protocol.Status(request_id=i, pair=("a", "b")), V4)
             for i in range(3)
         )
         frames = protocol.FrameSplitter()
         frames.feed(stream)
         bodies = [frames.next_frame() for _ in range(3)]
         assert frames.next_frame() is None and frames.buffer == b""
-        assert [protocol.decode_body(body, 1).request_id for body in bodies] == [0, 1, 2]
+        assert [protocol.decode_body(body, V4).request_id for body in bodies] == [0, 1, 2]
 
     def test_a_segment_fed_before_the_last_was_drained_keeps_the_order(self):
-        first = protocol.encode_frame(protocol.Status(request_id=1, pair=("a", "b")), 1)
-        second = protocol.encode_frame(protocol.Status(request_id=2, pair=("a", "b")), 1)
+        first = protocol.encode_frame(protocol.Status(request_id=1, pair=("a", "b")), V4)
+        second = protocol.encode_frame(protocol.Status(request_id=2, pair=("a", "b")), V4)
         frames = protocol.FrameSplitter()
         frames.feed(first + second[:3])
         frames.feed(second[3:])

@@ -126,14 +126,15 @@ METRICS_FIELDS = {
     "consume_replays": 0,
 }
 
-#: What alone depends on how many frames a ``get_key`` is.
-METRICS_BY_VERSIONS = {
-    (1, 2, 3): {"requests": 83, "requests_by_kind": {"Reserve": 43, "Consume": 40}},
-    (1, 2, 3, 4): {"requests": 43, "requests_by_kind": {"GetKey": 43}},
+#: What alone depends on how many frames a key is: RESERVE and CONSUME
+#: (``two_phase``) or one GET_KEY.
+METRICS_BY_FETCH = {
+    True: {"requests": 83, "requests_by_kind": {"Reserve": 43, "Consume": 40}},
+    False: {"requests": 43, "requests_by_kind": {"GetKey": 43}},
 }
 
 
-def pinned_script_report(monkeypatch, versions):
+def pinned_script_report(monkeypatch, two_phase):
     """The report the pinned script's server gives once the script is done,
     before its clients start to close (a close races the server's read)."""
     servers, taken = [], []
@@ -151,7 +152,7 @@ def pinned_script_report(monkeypatch, versions):
 
     monkeypatch.setattr(server_module.NetworkKmsServer, "start", recording_start)
     monkeypatch.setattr(NetworkKmsClient, "close", report_then_close)
-    run_script(pinned_script(), versions)
+    run_script(pinned_script(), two_phase=two_phase)
     return taken[0]
 
 
@@ -286,10 +287,10 @@ class TestSoakReport:
 
 
 class TestMetricsReport:
-    @pytest.mark.parametrize("versions", sorted(METRICS_BY_VERSIONS))
-    def test_every_deterministic_field_is_as_recorded(self, monkeypatch, versions):
-        report = pinned_script_report(monkeypatch, versions)
-        expected = {**METRICS_FIELDS, **METRICS_BY_VERSIONS[versions]}
+    @pytest.mark.parametrize("two_phase", [True, False], ids=["two_phase", "get_key"])
+    def test_every_deterministic_field_is_as_recorded(self, monkeypatch, two_phase):
+        report = pinned_script_report(monkeypatch, two_phase)
+        expected = {**METRICS_FIELDS, **METRICS_BY_FETCH[two_phase]}
         assert {name: getattr(report, name) for name in expected} == expected
         for name in METRICS_WALL_CLOCK:
             assert getattr(report, name) >= 0.0
