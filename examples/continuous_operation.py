@@ -21,7 +21,7 @@ def main() -> None:
     print("=== bringing up the mesh and its key-management service ===")
     mesh = QKDSystem(seed=7).mesh(n_endpoints=5, n_relays=4, prefill_seconds=0.0)
     service = mesh.kms(
-        config=KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1))
+        config=KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=120.0))
     )
     print(f"  {len(service.pairs)} gateway pairs over {service.relays.network!r}")
 
@@ -49,8 +49,7 @@ def main() -> None:
               for epoch in service.replenisher.reports for a, b in epoch.newly_eavesdropped]
     print(f"  eavesdropper caught  {', '.join(caught) or 'never'}")
     print(f"  still quarantined    {report.eavesdropped_links}")
-    print(f"  delivered digest     {report.delivered_digest[:16]}... "
-          f"(bit-identical for any worker count)")
+    print(f"  delivered digest     {report.delivered_digest[:16]}...")
 
 
 if __name__ == "__main__":

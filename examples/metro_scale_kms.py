@@ -35,7 +35,7 @@ def main() -> None:
 
     config = (
         KmsConfig(
-            replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=2),
+            replenishment=ReplenishmentConfig(epoch_seconds=120.0),
             store_high_water_bits=16_384,
             transport_key_bits=2_048,
         ).with_workload(

@@ -60,7 +60,7 @@ def main() -> None:
         print(f"  delivery failed: {third.failure_reason}")
 
     print("\n=== the same scenario on a bare point-to-point link ===")
-    p2p = QKDNetwork.point_to_point(10.0)
+    p2p = QKDNetwork.point_to_point()
     p2p_relays = TrustedRelayNetwork(p2p, DeterministicRNG(3))
     p2p_relays.run_links_for(60.0)
     ok = p2p_relays.transport_key("alice", "bob").success

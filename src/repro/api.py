@@ -57,8 +57,9 @@ from repro.util.rng import DeterministicRNG
 #: distills ~100 bits/s, so waiting for real Monte-Carlo key at every VPN
 #: bring-up would dominate run time).
 PREFILL_KEY_BITS = 8192
-#: Default SA lifetime of a tunnel installed by ``VPNSystem.secure_tunnel``.
-REKEY_SECONDS = 60.0
+#: The prefix of every link and lane name a :class:`QKDSystem` builds (a
+#: lane's name also labels its seed fork, so it is part of the key material).
+SYSTEM_NAME = "qkd"
 #: Fiber length of every link in a ``QKDSystem.mesh``.
 MESH_LINK_KM = 10.0
 
@@ -69,7 +70,6 @@ class SystemConfig:
 
     #: Root seed; every component's RNG stream derives from it.
     seed: int = 0
-    name: str = "qkd"
 
     # ---- physical layer / link ---------------------------------------- #
     distance_km: float = 10.0
@@ -86,7 +86,6 @@ class SystemConfig:
     # ---- VPN assembly -------------------------------------------------- #
     #: Channel-seconds of key distilled before the gateways come up.
     distill_seconds: float = 3.0
-    qkd_bits_per_rekey: int = 1024
 
     # ---- mesh assembly ------------------------------------------------- #
     n_endpoints: int = 3
@@ -154,7 +153,7 @@ class QKDSystem:
         return QKDLink(
             config.link_parameters(),
             rng=DeterministicRNG(config.seed),
-            name=name or f"{config.name}-link",
+            name=name or f"{SYSTEM_NAME}-link",
         )
 
     def vpn(self, **overrides) -> "VPNSystem":
@@ -171,7 +170,7 @@ class QKDSystem:
         seconds = config.distill_seconds
         if not (math.isfinite(seconds) and seconds >= 0):
             raise ValueError(f"distill_seconds must be finite and non-negative, got {seconds!r}")
-        link = QKDSystem(config).link(name=f"{config.name}-vpn-link")
+        link = QKDSystem(config).link(name=f"{SYSTEM_NAME}-vpn-link")
         initial_report = link.run_seconds(seconds) if seconds > 0 else None
         assembly_rng = DeterministicRNG(config.seed).fork("vpn-assembly")
         # One persistent RNG feeds every reservoir credit (prefill and later
@@ -243,11 +242,11 @@ class QKDSystem:
         )
         return MeshSystem(config=config, relays=relays, zone_plan=plan)
 
-    def lanes(self, n_lanes: int, name: Optional[str] = None, **overrides) -> LaneEngine:
+    def lanes(self, n_lanes: int, **overrides) -> LaneEngine:
         """A fleet of ``n_lanes`` identical links run in one process.
 
         Each lane is a full :meth:`link` with its own independent labeled
-        stream (``fork_labeled(f"lane/<name>/<index>")`` of the system seed),
+        stream (``fork_labeled(f"lane/qkd-lane/<index>")`` of the system seed),
         carried one lane at a time by the :class:`repro.lanes.LaneEngine` — call
         ``run_slots`` on the result.  Every lane's key material is
         bit-identical to the same link run alone.
@@ -259,11 +258,11 @@ class QKDSystem:
             n_lanes,
             parameters=config.link_parameters(),
             rng=DeterministicRNG(config.seed),
-            name_prefix=name or f"{config.name}-lane",
+            name_prefix=f"{SYSTEM_NAME}-lane",
         )
 
     def __repr__(self) -> str:
-        return f"QKDSystem(seed={self.config.seed}, name={self.config.name!r})"
+        return f"QKDSystem(seed={self.config.seed}, name={SYSTEM_NAME!r})"
 
 
 @dataclass
@@ -300,18 +299,13 @@ class VPNSystem:
         cipher_suite: CipherSuite = CipherSuite.AES_QKD_RESEED,
         **policy_kwargs,
     ) -> SecurityPolicy:
-        """Install a symmetric protect policy and bring the tunnel up."""
+        """Install a symmetric protect policy and bring the tunnel up;
+        ``policy_kwargs`` set the other :class:`SecurityPolicy` fields."""
         policy = SecurityPolicy(
             name=name,
             source_network=source_network,
             destination_network=destination_network,
             cipher_suite=cipher_suite,
-            lifetime_seconds=policy_kwargs.pop(
-                "lifetime_seconds", REKEY_SECONDS
-            ),
-            qkd_bits_per_rekey=policy_kwargs.pop(
-                "qkd_bits_per_rekey", self.config.qkd_bits_per_rekey
-            ),
             **policy_kwargs,
         )
         self.gateways.add_symmetric_policy(policy)
@@ -426,19 +420,17 @@ class MeshSystem:
             self.relays, config=config, workload=workload, rng=rng
         )
 
-    def serve(
-        self, hours: float = 1.0, config: Optional[KmsConfig] = None
-    ) -> SoakReport:
+    def serve(self, hours: float = 1.0) -> SoakReport:
         """Operate the mesh continuously for ``hours`` of simulated time.
 
-        ``QKDSystem(seed).mesh(...).serve(hours=..., config=...)`` is the
-        one-line entry point to the paper's headline scenario: a relay mesh
-        sustaining many IPsec consumers' rekey demand, with replenishment,
-        contention, and starvation accounting.  Builds a fresh
-        :meth:`kms` service and runs it once; the run continues from the
-        mesh's current pad levels (a prefilled mesh starts warm).
+        ``QKDSystem(seed).mesh(...).serve(hours=...)`` is the one-line entry
+        point to the paper's headline scenario: a relay mesh sustaining many
+        IPsec consumers' rekey demand, with replenishment, contention, and
+        starvation accounting.  Builds a fresh default :meth:`kms` service
+        and runs it once; the run continues from the mesh's current pad
+        levels (a prefilled mesh starts warm).
         """
-        return self.kms(config=config).serve(hours=hours)
+        return self.kms().serve(hours=hours)
 
     def __repr__(self) -> str:
         return (

@@ -57,29 +57,24 @@ class AuthenticatedChannel:
     #: few protocol batches before QKD replenishment takes over.
     DEFAULT_PRESHARED_BITS = 4096
 
-    def __init__(
-        self,
-        preshared_secret: BitString,
-        tag_bits: int = WegmanCarterAuthenticator.DEFAULT_TAG_BITS,
-    ):
+    def __init__(self, preshared_secret: BitString):
         # The pre-shared secret is the pool's starting content, not an
         # addition: ``bits_added`` counts replenishment only.
         self.pool = KeyPool("authentication", [KeyBlock(preshared_secret, block_id=0)])
-        self.authenticator = WegmanCarterAuthenticator(self.pool, tag_bits=tag_bits)
+        self.authenticator = WegmanCarterAuthenticator(self.pool)
         # All the pool has paid so far is the authenticator's seed.
         self.statistics = AuthenticationStatistics(self.pool, seed_bits=self.pool.bits_consumed)
-        self.tag_bits = tag_bits
 
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def paired(cls, preshared_secret: BitString, tag_bits: int = 32):
+    def paired(cls, preshared_secret: BitString):
         """Build the two endpoints of an authenticated public channel.
 
         Both are constructed from identical pre-shared bits, so their pools
         (and therefore their hash selections and pads) stay in lock step.
         """
-        return cls(preshared_secret, tag_bits), cls(preshared_secret, tag_bits)
+        return cls(preshared_secret), cls(preshared_secret)
 
     # ------------------------------------------------------------------ #
     # Tagging and verification

@@ -90,8 +90,6 @@ class EngineParameters:
     auth_replenish_bits: ClassVar[int] = 128
     #: Pre-shared secret used to bootstrap authentication.
     preshared_secret_bits: int = AuthenticatedChannel.DEFAULT_PRESHARED_BITS
-    #: Tag length for Wegman-Carter authentication.
-    auth_tag_bits: ClassVar[int] = 32
     #: Non-randomness measure r (a fixed placeholder, exactly as in the paper).
     non_randomness_bits: int = 0
     #: When enabled, the engine replaces the placeholder with a measured value
@@ -192,9 +190,7 @@ class QKDProtocolEngine:
         preshared = BitString.random(
             params.preshared_secret_bits, self.rng.fork("preshared")
         )
-        self.alice_auth, self.bob_auth = AuthenticatedChannel.paired(
-            preshared, params.auth_tag_bits
-        )
+        self.alice_auth, self.bob_auth = AuthenticatedChannel.paired(preshared)
         self.cascade = CascadeProtocol(params.cascade, self.rng.fork("cascade"))
         self.privacy = PrivacyAmplification(self.rng.fork("privacy"))
         self.estimator = EntropyEstimator(

@@ -92,9 +92,9 @@ class KeyPool:
         self.bits_added += len(block)
         self._available_bits += len(block)
 
-    def add_bits(self, bits: BitString, block_id: int = -1, qber: float = 0.0) -> None:
-        """Convenience producer used by tests and simple examples."""
-        self.add_block(KeyBlock(bits=bits, block_id=block_id, qber=qber))
+    def add_bits(self, bits: BitString) -> None:
+        """Add key that came from no distilled block (a top-up or a refill)."""
+        self.add_block(KeyBlock(bits=bits, block_id=-1))
 
     # ------------------------------------------------------------------ #
     # Consumer side

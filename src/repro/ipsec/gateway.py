@@ -247,7 +247,6 @@ class GatewayPair:
             destination_network=policy.source_network,
             action=policy.action,
             cipher_suite=policy.cipher_suite,
-            key_bits=policy.key_bits,
             lifetime_seconds=policy.lifetime_seconds,
             lifetime_kilobytes=policy.lifetime_kilobytes,
             qkd_bits_per_rekey=policy.qkd_bits_per_rekey,

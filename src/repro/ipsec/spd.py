@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import ipaddress
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 #: Size of one negotiated Qblock in bits, matching the paper's Fig 12
 #: ("reply 1 Qblocks 1024 bits"); a policy's ``qkd_bits_per_rekey`` is
@@ -57,8 +57,8 @@ class SecurityPolicy:
     destination_network: str
     action: PolicyAction = PolicyAction.PROTECT
     cipher_suite: CipherSuite = CipherSuite.AES_QKD_RESEED
-    #: AES key size in bits for the AES suites (128/192/256).
-    key_bits: int = 128
+    #: AES key size in bits for the AES suites.
+    key_bits: ClassVar[int] = 128
     #: SA lifetime in seconds ("key rollover" interval); the paper reseeds the
     #: AES keys "about once a minute".
     lifetime_seconds: float = 60.0
@@ -70,8 +70,6 @@ class SecurityPolicy:
     def __post_init__(self) -> None:
         ipaddress.ip_network(self.source_network)
         ipaddress.ip_network(self.destination_network)
-        if self.key_bits not in (128, 192, 256):
-            raise ValueError("AES key size must be 128, 192 or 256 bits")
         if self.lifetime_seconds <= 0:
             raise ValueError("SA lifetime must be positive")
         if self.lifetime_kilobytes < 0:

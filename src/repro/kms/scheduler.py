@@ -211,10 +211,10 @@ class ReplenishmentScheduler:
     def detach_attack(self, node_a: str, node_b: str) -> None:
         self.attacks.pop(self._require_managed(node_a, node_b), None)
 
-    def note_pressure(self, node_a: str, node_b: str, amount: float = 1.0) -> None:
-        """Record that a starving consumer depends on this link."""
+    def note_pressure(self, node_a: str, node_b: str) -> None:
+        """Record that one more starving consumer depends on this link."""
         key = self._require_managed(node_a, node_b)
-        self.pressure[key] = self.pressure.get(key, 0.0) + amount
+        self.pressure[key] = self.pressure.get(key, 0.0) + 1.0
         # Pressure raises urgency, so the index must learn of it eagerly.
         self._heap.push(key, self._classify_link)
 

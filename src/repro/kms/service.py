@@ -54,7 +54,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from time import perf_counter
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, ClassVar, Deque, Dict, List, Optional, Set, Tuple, Union
 
 if TYPE_CHECKING:  # imported lazily at runtime: a key server loads no relay, IPsec or DTN code
     from repro.dtn.store import CustodyBundle
@@ -65,7 +65,7 @@ if TYPE_CHECKING:  # imported lazily at runtime: a key server loads no relay, IP
     from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
     from repro.sim.clock import ScheduledEvent
 
-from repro.ipsec.spd import QBLOCK_BITS, CipherSuite, NegotiationError, SecurityPolicy
+from repro.ipsec.spd import QBLOCK_BITS, NegotiationError, SecurityPolicy
 from repro.kms.indexing import DROP, EMIT, LazyPriorityHeap
 from repro.kms.scheduler import ReplenishmentConfig, ReplenishmentScheduler
 from repro.kms.store import ConservationError, KeyStore, KeyStoreExhaustedError
@@ -99,9 +99,9 @@ class KmsConfig:
 
     #: Consumer pairs; ``None`` means every unordered pair of mesh endpoints.
     gateway_pairs: Optional[Tuple[Pair, ...]] = None
-    #: QKD bits each rekey negotiation asks for (rounded up to Qblocks).
-    qkd_bits_per_rekey: int = 1024
-    cipher_suite: CipherSuite = CipherSuite.AES_QKD_RESEED
+    #: Bits one Phase-2 negotiation draws from each pool: the one Qblock a
+    #: consumer's AES policy (the :class:`SecurityPolicy` defaults) asks for.
+    rekey_draw_bits: ClassVar[int] = QBLOCK_BITS
     #: How long a starving rekey may wait for key before it times out
     #: (the paper's Phase-2 timeout concern).
     rekey_timeout_seconds: float = 30.0
@@ -140,8 +140,6 @@ class KmsConfig:
     workload: Union["WorkloadProfile", "AggregateProfile", None] = None
 
     def __post_init__(self) -> None:
-        if self.qkd_bits_per_rekey <= 0:
-            raise ValueError("rekey bits must be positive")
         if self.transport_key_bits <= 0 or self.transport_key_bits % 8:
             raise ValueError("transport key bits must be a positive multiple of 8")
         timeout = self.rekey_timeout_seconds
@@ -191,15 +189,6 @@ class KmsConfig:
         included.
         """
         return self.with_replenishment(**{"mode": "montecarlo", "workers": 1, **overrides})
-
-    @property
-    def rekey_draw_bits(self) -> int:
-        """Bits one Phase-2 negotiation actually draws from each pool."""
-        qblocks = max((self.qkd_bits_per_rekey + QBLOCK_BITS - 1) // QBLOCK_BITS, 1)
-        needed = qblocks * QBLOCK_BITS
-        if self.cipher_suite is CipherSuite.ONE_TIME_PAD:
-            needed = max(needed, self.qkd_bits_per_rekey)
-        return needed
 
 
 @dataclass
@@ -491,9 +480,7 @@ class KeyManagementService:
                 name=self.POLICY_NAME,
                 source_network=source_net,
                 destination_network=destination_net,
-                cipher_suite=config.cipher_suite,
                 lifetime_seconds=3600.0,
-                qkd_bits_per_rekey=config.qkd_bits_per_rekey,
             )
         )
         gateways.establish()

@@ -346,8 +346,8 @@ class ZonedReplenisher:
             merged.update(child.attacks)
         return merged
 
-    def note_pressure(self, node_a: str, node_b: str, amount: float = 1.0) -> None:
-        self._owner(node_a, node_b).note_pressure(node_a, node_b, amount)
+    def note_pressure(self, node_a: str, node_b: str) -> None:
+        self._owner(node_a, node_b).note_pressure(node_a, node_b)
 
     def attach_attack(self, node_a: str, node_b: str, attack: object) -> None:
         self._owner(node_a, node_b).attach_attack(node_a, node_b, attack)

@@ -111,7 +111,6 @@ class LaneEngine:
         parameters: Optional[LinkParameters] = None,
         rng: Optional[DeterministicRNG] = None,
         name_prefix: str = "lane",
-        n_slots: int = 0,
     ) -> "LaneEngine":
         """A homogeneous fleet with independent labeled ``lane/...`` streams.
 
@@ -130,7 +129,7 @@ class LaneEngine:
                 name=f"{name_prefix}-{index}",
                 parameters=parameters,
                 seed=rng.fork_labeled(f"lane/{name_prefix}/{index}").seed,
-                n_slots=n_slots,
+                n_slots=0,
             )
             for index in range(n_lanes)
         ]

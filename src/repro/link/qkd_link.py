@@ -160,12 +160,12 @@ class QKDLink:
             outcomes=outcomes,
         )
 
-    def run_seconds(self, seconds: float, flush: bool = True) -> LinkReport:
+    def run_seconds(self, seconds: float) -> LinkReport:
         """Run the link for a given amount of channel (wall-clock) time."""
         if not (math.isfinite(seconds) and seconds >= 0):
             raise ValueError(f"duration must be finite and non-negative, got {seconds!r}")
         n_slots = int(seconds * self.parameters.channel.pulse_rate_hz)
-        return self.run_slots(n_slots, flush=flush)
+        return self.run_slots(n_slots)
 
     # ------------------------------------------------------------------ #
     # Analytic rate model (:mod:`repro.optics.model`)
@@ -177,40 +177,17 @@ class QKDLink:
     def sifted_rate_bps(self) -> float:
         return model.sifted_rate_per_second(self.parameters.channel)
 
-    def estimated_secret_fraction(self, defense=None) -> float:
+    def estimated_secret_fraction(self) -> float:
         """Analytic secret bits per sifted bit at this link's operating point:
         :func:`repro.optics.model.secret_fraction` at the expected QBER, with
-        the engine's reconciliation efficiency.
-
-        ``defense`` may be ``None`` (the engine's default Bennett defense), a
-        defense object exposing ``per_bit_defense(e)``, a callable evaluated
-        at the expected QBER, or a plain number used directly as the per-bit
-        defense value ``t(e)``.  Anything else raises ``TypeError`` — it
-        used to fall through silently to Bennett, which made typos in
-        benchmark sweeps invisible.
-        """
-        e = self.expected_qber()
-        if defense is None:
-            defense_per_bit = None  # secret_fraction's default: Bennett, as the engine
-        elif hasattr(defense, "per_bit_defense"):
-            defense_per_bit = float(defense.per_bit_defense(e))
-        elif isinstance(defense, (int, float)) and not isinstance(defense, bool):
-            defense_per_bit = float(defense)
-        elif callable(defense):
-            defense_per_bit = float(defense(e))
-        else:
-            raise TypeError(
-                "defense must be None, a number, a callable of the error "
-                "rate, or an object with per_bit_defense(error_rate); got "
-                f"{type(defense).__name__}"
-            )
+        the engine's Bennett defense and reconciliation efficiency."""
         mu = self.parameters.channel.effective_mean_photon_number
-        return model.secret_fraction(e, mu, defense_per_bit=defense_per_bit)
+        return model.secret_fraction(self.expected_qber(), mu)
 
-    def estimated_secret_key_rate(self, **kwargs) -> float:
-        """Analytic distilled key rate in bits per second; with no arguments
-        it is :func:`repro.optics.model.secret_key_rate` of this link."""
-        return self.sifted_rate_bps() * self.estimated_secret_fraction(**kwargs)
+    def estimated_secret_key_rate(self) -> float:
+        """Analytic distilled key rate in bits per second:
+        :func:`repro.optics.model.secret_key_rate` of this link."""
+        return self.sifted_rate_bps() * self.estimated_secret_fraction()
 
     def __repr__(self) -> str:
         return (

@@ -103,9 +103,9 @@ class ServedKey:
 class _Connection(asyncio.Protocol):
     """One connection's reply side: frames in, futures resolved."""
 
-    def __init__(self, pending: Dict[int, asyncio.Future], max_frame_bytes: int):
+    def __init__(self, pending: Dict[int, asyncio.Future]):
         self.pending = pending  # the client's, by request id
-        self.frames = protocol.FrameSplitter(max_frame_bytes)
+        self.frames = protocol.FrameSplitter()
         self.transport = None
         self.version: Optional[int] = None  # as WELCOME announced it
         loop = asyncio.get_running_loop()
@@ -190,7 +190,6 @@ class NetworkKmsClient:
         host: str,
         port: int,
         client_id: str = "sae",
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         request_timeout: Optional[float] = None,
         connector: Optional[Connector] = None,
     ):
@@ -200,7 +199,6 @@ class NetworkKmsClient:
         self.host = host
         self.port = port
         self.client_id = client_id
-        self.max_frame_bytes = max_frame_bytes
         self.request_timeout = request_timeout
         self._connector: Connector = connector or open_connection
         #: The negotiated protocol version (None until connected).
@@ -219,7 +217,7 @@ class NetworkKmsClient:
         if self._connection is not None:
             raise RuntimeError("client already connected")
         _transport, self._connection = await self._connector(
-            self.host, self.port, lambda: _Connection(self._pending, self.max_frame_bytes)
+            self.host, self.port, lambda: _Connection(self._pending)
         )
         # *Any* exit from the handshake — typed rejection, malformed reply,
         # a frame error or a connection cut mid-read — must close what we

@@ -144,14 +144,15 @@ class NetworkKmsServer:
     in there.
     """
 
+    #: The name WELCOME announces to every client.
+    server_id = "kme"
+
     def __init__(
         self,
         stores: Mapping[Pair, KeyStore],
         host: str = "127.0.0.1",
         port: int = 0,
-        max_frame_bytes: int = protocol.MAX_FRAME_BYTES,
         max_reserve_bits: int = MAX_RESERVE_BITS,
-        server_id: str = "kme",
         replay_retention_seconds: Optional[float] = None,
         request_hook: Optional[Callable[[Message], Awaitable[None]]] = None,
     ):
@@ -162,9 +163,7 @@ class NetworkKmsServer:
             raise ValueError("the server needs at least one pair's store")
         self.host = host
         self.port = port
-        self.max_frame_bytes = max_frame_bytes
         self.max_reserve_bits = max_reserve_bits
-        self.server_id = server_id
         #: How long a consumed reservation stays replayable.  Must exceed
         #: the longest client retry window, or a retried CONSUME could miss
         #: the cache and wrongly read as "reaped before consume".
@@ -268,16 +267,16 @@ class NetworkKmsServer:
     # Reaping
     # ------------------------------------------------------------------ #
 
-    def reap_expired(self, now: Optional[float] = None) -> int:
-        """Release reservations whose lease has expired by ``now`` (the
-        loop's clock when ``None``); returns bits freed.
+    def reap_expired(self) -> int:
+        """Release reservations whose lease has expired by the loop's clock;
+        returns bits freed.
 
         Runs lazily before every request and on every closing connection.
         Also evicts replay-cache entries past their retention window.  A call before the earliest outstanding deadline
         is one comparison; only a call at or past it looks at the entries,
         and leaves the bound exact.
         """
-        now = self._now() if now is None else now
+        now = self._now()
         if now < self._earliest_deadline:
             return 0
         freed = 0
@@ -387,7 +386,7 @@ class NetworkKmsServer:
     def _on_capabilities(self, message: Capabilities, conn_id: int) -> CapabilitiesOk:
         return CapabilitiesOk(
             request_id=message.request_id,
-            max_frame_bytes=self.max_frame_bytes,
+            max_frame_bytes=protocol.MAX_FRAME_BYTES,
             max_reserve_bits=self.max_reserve_bits,
             pairs=tuple(sorted(self.stores)),
         )
@@ -530,7 +529,7 @@ class _Connection(asyncio.Protocol):
     def __init__(self, server: NetworkKmsServer):
         self.server = server
         self.conn_id = next(server._conn_ids)
-        self.frames = protocol.FrameSplitter(server.max_frame_bytes)
+        self.frames = protocol.FrameSplitter()
         self.transport: Optional[asyncio.Transport] = None
         self.version: Optional[int] = None  # until HELLO is answered
         self.client_id: Optional[str] = None  # as HELLO named the client

@@ -248,11 +248,12 @@ class QKDNetwork:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def point_to_point(cls, length_km: float = 10.0) -> "QKDNetwork":
+    def point_to_point(cls) -> "QKDNetwork":
+        """Alice and Bob joined by one 10 km link, the paper's."""
         net = cls()
         net.add_endpoint("alice")
         net.add_endpoint("bob")
-        net.add_link("alice", "bob", length_km)
+        net.add_link("alice", "bob", 10.0)
         return net
 
     @classmethod

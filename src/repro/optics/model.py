@@ -285,13 +285,12 @@ def secret_fraction(
     error_rate: float,
     mean_photon_number: float,
     cascade_efficiency: float = 1.35,
-    defense_per_bit: Optional[float] = None,
 ) -> float:
     """``1 - f_EC * h(e) - t(e) - multi-photon fraction``, clamped at zero.
 
     ``f_EC`` is the reconciliation inefficiency relative to the Shannon limit
     ``h(e)`` (about 1.35 for this Cascade variant), ``t(e)`` the per-bit
-    defense function — by default the engine's Bennett defense, the linear
+    defense function — the engine's default Bennett defense, the linear
     ``2 * sqrt(2) * e`` bound — and the multi-photon fraction covers
     transparent leakage.  The confidence margin vanishes in the asymptotic
     (large-block) limit, so this is an upper estimate of what the
@@ -299,8 +298,7 @@ def secret_fraction(
     """
     if error_rate >= 0.5:
         return 0.0
-    if defense_per_bit is None:
-        defense_per_bit = min(2.0 * math.sqrt(2.0) * error_rate, 1.0)
+    defense_per_bit = min(2.0 * math.sqrt(2.0) * error_rate, 1.0)
     multi_fraction = multi_photon_probability(mean_photon_number) / max(
         non_empty_pulse_probability(mean_photon_number), 1e-12
     )

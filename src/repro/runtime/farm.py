@@ -12,8 +12,8 @@ results in submission order.
 Determinism contract: a job's output is a pure function of its
 ``(parameters, seed, n_slots)``, so the farm's results are identical for
 any worker count.  Seeds for a fleet come from labeled forks
-(``rng.fork_labeled(f"link/{i}")``), never from a shared sequential
-stream, so adding or reordering links does not disturb the others.
+(``rng.fork_labeled(...)``), never from a shared sequential stream, so
+adding or reordering links does not disturb the others.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.keypool import KeyPool
-from repro.util.rng import DeterministicRNG
 
 if TYPE_CHECKING:  # imported lazily at runtime: resolve_workers needs no link code
     from repro.link.qkd_link import LinkParameters, LinkReport
@@ -95,39 +94,6 @@ class LinkFarm:
     def __init__(self, workers: Optional[int] = None):
         resolve_workers(workers)
         self.workers = workers
-
-    @staticmethod
-    def jobs(
-        n_links: int,
-        n_slots: int,
-        parameters: Optional[LinkParameters] = None,
-        rng: Optional[DeterministicRNG] = None,
-        name_prefix: str = "link",
-    ) -> List[LinkJob]:
-        """Build a fleet of identical links with independent labeled streams.
-
-        Seeds are derived as ``fork_labeled(f"link/{name_prefix}/{i}")`` —
-        the prefix namespaces the fleet, so two fleets built from the same
-        root rng under different prefixes get disjoint key material (the
-        cross-fleet analogue of the relay refill's per-epoch pad labels).
-        Two fleets with the *same* rng, prefix and index would repeat
-        streams; give each fleet its own prefix or rng.
-        """
-        if n_links < 0:
-            raise ValueError("link count must be non-negative")
-        from repro.link.qkd_link import LinkParameters
-
-        rng = rng or DeterministicRNG(0)
-        parameters = parameters or LinkParameters()
-        return [
-            LinkJob(
-                name=f"{name_prefix}-{index}",
-                parameters=parameters,
-                seed=rng.fork_labeled(f"link/{name_prefix}/{index}").seed,
-                n_slots=n_slots,
-            )
-            for index in range(n_links)
-        ]
 
     def run(self, jobs: Sequence[LinkJob]) -> List[LinkRun]:
         """Run every job; results come back in submission order.

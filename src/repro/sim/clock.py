@@ -21,8 +21,8 @@ def _finite(value: float, what: str) -> float:
 class SimClock:
     """A monotonically advancing simulated clock (seconds)."""
 
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
 
     def now(self) -> float:
         """Current simulated time in seconds."""

@@ -77,7 +77,7 @@ class DeterministicRNG:
         the child stream depends solely on ``(seed, label)`` — forking the
         same label twice yields the same stream, and the order in which
         different labels are forked does not matter.  Fleets use it
-        (``fork_labeled(f"link/{prefix}/{i}")``): a link's randomness is a
+        (``fork_labeled(f"lane/{prefix}/{i}")``): a link's randomness is a
         pure function of the root seed and its index, so adding, removing
         or reordering links leaves every other link's stream unchanged.
 

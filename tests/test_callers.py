@@ -25,26 +25,39 @@ defaulted field of a ``*Parameters``/``*Config``/``*Policy``/``*Profile``
 dataclass (a ``ClassVar`` is a constant, not an option), or a defaulted
 parameter of a public function, method or class constructor in ``src/``.
 It stays only if a call in ``src/``, ``benchmarks/`` or ``examples/`` sets
-it to something other than its default: by keyword anywhere (a string key
-of a ``**{...}`` literal counts), or positionally, or through ``*``/``**``,
-in a call whose callee has the option's function or class name.  A keyword
-that only forwards another option does not set it: the value is the same
-name read from a defaulted parameter of the enclosing function, or an
-attribute of that name that is itself an options-dataclass field
-(``KeyStore(max_key_age_seconds=config.max_key_age_seconds)``).  Passing
-the enclosing function's own ``**kwargs`` on (``f(**kwargs)``) forwards
-too: it sets only what that function's callers put in it, which the scan
-sees at those calls by keyword.  Every
-other option is a constant, or is listed in :data:`ALLOWED_OPTIONS` with
-the reason a caller may still want it: a deployment setting, a test seam
-that substitutes a fake, a paper-model parameter a test sweeps, or a
-setting a row of ``tests/test_paper_claims.py``, a soak row of
+it to something other than its default.  Each value a call passes is
+recorded under its ``(callee, keyword)`` pair — the callee is the called
+function's or class's name (``cls`` and ``super().__init__`` resolve to
+their class), and a positional argument takes the name of the parameter at
+its place, a string key of a ``**{...}`` literal the key — and it counts
+for an option only when the callee is the option's owner, or when the code
+forwards the value to the owner, followed transitively:
+
+* a defaulted parameter of the enclosing function passed on under its own
+  name, by keyword or by position (``transport_key(..., within=within)``);
+* the enclosing function's ``**kwargs`` passed into a callee, or into
+  ``replace()``, which reaches the options-dataclass fields of that name
+  (``replace(self.config, **overrides)``);
+* an options-dataclass field copied across under its own name
+  (``LinkFarm(workers=self.config.workers)``).
+
+A forward is not a setting: the forwarded option is set only if the value
+at the far end is.  A ``*``/``**`` splat of anything else may set every
+parameter of its callee.  Two callees that share a name still share their
+settings, so the scan errs towards passing.  Every other option is a
+constant, or is listed in :data:`ALLOWED_OPTIONS` with the reason a caller
+may still want it: a deployment setting, a test seam that substitutes a
+fake, a paper-model parameter a test sweeps, or a setting a pinned digest,
+a row of ``tests/test_paper_claims.py``, a soak row of
 ``tests/test_soak_claims.py`` or the swarm needs (the reason names it).
 """
 
 import ast
-from collections import Counter
+import textwrap
+from collections import Counter, defaultdict
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "benchmarks", "examples")
@@ -183,6 +196,10 @@ ALLOWED_OPTIONS = {
     "(mirrors EngineParameters.block_size_bits)",
     "SystemConfig.abort_qber": _DEPLOYMENT + "the eavesdropping alarm threshold "
     "(mirrors EngineParameters.abort_qber)",
+    "SystemConfig.defense": _DEPLOYMENT + "the paper's defense function "
+    "(mirrors EngineParameters.defense)",
+    "SystemConfig.confidence_sigmas": _DEPLOYMENT + "the paper's confidence "
+    "(mirrors EngineParameters.confidence_sigmas)",
     "SystemConfig.randomness_testing": _PINNED + "mirrors EngineParameters.randomness_testing",
     "SystemConfig.distill_seconds": _DEPLOYMENT + "channel time distilled before the VPN "
     "comes up",
@@ -192,7 +209,17 @@ ALLOWED_OPTIONS = {
     "metros of tests/test_zones.py)",
     "build_metro_mesh(n_zones=)": _DEPLOYMENT + "zones the metro is split into; "
     "tests/test_zones.py builds 2- and 3-zone metros",
+    "build_metro_mesh(workers=)": _PINNED + "PINNED_METRO_DIGEST and PINNED_GATEWAY_OUTAGE "
+    "in tests/test_zones.py run the labeled prefill stream any worker count selects",
+    "TrustedRelayNetwork.for_mesh(workers=)": _PINNED + "forwards build_metro_mesh(workers=) "
+    "to the labeled prefill stream",
+    "TrustedRelayNetwork.run_links_for(workers=)": _PINNED + "selects the labeled prefill "
+    "stream that build_metro_mesh(workers=) pins",
     "VPNSystem.send(from_alice=)": _DEPLOYMENT + "the gateway a packet enters the tunnel at",
+    "GatewayPair.transmit(from_alice=)": _DEPLOYMENT + "the gateway a packet enters the "
+    "tunnel at (VPNSystem.send(from_alice=) forwards it)",
+    "SecurityPolicy.action": _DEPLOYMENT + "what an SPD entry does with matching traffic: "
+    "protect, bypass or discard",
     "CascadeParameters.block_first_pass": _CLAIM + "A1 turns the block first pass off",
     "CascadeParameters.subsets_per_round": _CLAIM + "A1 announces 16 and 128 subsets per round",
     "CascadeParameters.rounds": _CLAIM + "A1's no-first-pass ablation announces 8 rounds "
@@ -201,6 +228,10 @@ ALLOWED_OPTIONS = {
     "tests/test_pinned_key_material.py",
     "EngineParameters.block_size_bits": _DEPLOYMENT + "sifted bits per distilled block",
     "EngineParameters.abort_qber": _DEPLOYMENT + "the eavesdropping alarm threshold",
+    "EngineParameters.defense": _DEPLOYMENT + "the paper's defense function (the Slutsky "
+    "pool is pinned in tests/test_pinned_key_material.py)",
+    "EngineParameters.confidence_sigmas": _DEPLOYMENT + "the paper's confidence, in "
+    "standard deviations",
     "EngineParameters.preshared_secret_bits": _CLAIM + "E11 sweeps the preshared pool "
     "under the key-exhaustion DoS",
     "EntropyEstimator(worst_case_multiphoton=)": _CLAIM + "E10 and A2 charge multi-photon "
@@ -226,6 +257,7 @@ ALLOWED_OPTIONS = {
     "KmsConfig.trunk_capacity_bits": _DEPLOYMENT + "trunk store capacity",
     "KmsConfig.custody_policy": _SOAK + "E19 runs both forwarding policies, the swarm "
     "draws either",
+    "KmsConfig.custody": _SOAK + "the E19 rows and the swarm turn custody on",
     "KmsConfig.custody_ttl_seconds": _SOAK + "E19 parks bundles for 4000 s (and the "
     "custody soak pins in tests/test_kms.py expire them at 300 s)",
     "KmsConfig.custody_capacity_bits": _PINNED + "the capacity-2048 custody soak in "
@@ -240,6 +272,8 @@ ALLOWED_OPTIONS = {
     "arrival carries",
     "AggregateProfile.storm(max_batch=)": _DEPLOYMENT + "the largest rekey batch one "
     "aggregate arrival carries",
+    "WorkloadProfile.bursty(mean_interval_seconds=)": _SOAK + "the swarm's bursty demand "
+    "arrives every 600 s",
     "LinkParameters.slots_per_batch": _DEPLOYMENT + "slots held in memory per batch",
     "LFSR(taps=)": _MODEL + "the subset generator's feedback polynomial; the table "
     "kernel is checked against stepping over random taps",
@@ -251,6 +285,18 @@ ALLOWED_OPTIONS = {
     "(tests/faults, E18 rows, the swarm) and the gates of tests/test_netkms.py",
     "NetworkKmsServer(replay_retention_seconds=)": _DEPLOYMENT + "how long a served key "
     "stays replayable; it must outlast the longest client retry window",
+    "NetworkKmsServer(host=)": _DEPLOYMENT + "the address the KMS front end listens on",
+    "NetworkKmsServer(port=)": _DEPLOYMENT + "the port the KMS front end listens on",
+    "KeyManagementService.serve_network(host=)": _DEPLOYMENT + "the address the KMS front "
+    "end listens on",
+    "KeyManagementService.serve_network(port=)": _DEPLOYMENT + "the port the KMS front end "
+    "listens on",
+    "NetworkKmsServer(max_reserve_bits=)": _DEPLOYMENT + "the most key one reservation may "
+    "hold (the pinned script of tests/test_netkms.py serves under 2048)",
+    "ResilientKmsClient(connector=)": _SEAM + "the fault plane's FaultyConnector "
+    "(tests/faults, E18 rows, the swarm)",
+    "FrameSplitter(max_frame_bytes=)": _SEAM + "the frame fuzzers of "
+    "tests/test_netkms_codec.py and tests/test_frame_fuzz.py cap frames at 8 and 64 bytes",
     "SecurityPolicy.lifetime_kilobytes": _DEPLOYMENT + "the SA lifetime in kilobytes of "
     "protected traffic (0: no byte limit)",
     "secret_fraction(cascade_efficiency=)": _MODEL + "the reconciliation inefficiency "
@@ -262,6 +308,14 @@ ALLOWED_OPTIONS = {
     "DetectorParameters.receiver_loss_db": _CLAIM + "E2 turns receiver loss off",
     "ChannelParameters.interferometer": _MODEL + "carries visibility and phase noise",
     "ChannelParameters.framing": _MODEL + "carries frame loss and gate misalignment",
+    "ChannelParameters.source": _MODEL + "carries the weak-coherent source's mean photon "
+    "number",
+    "ChannelParameters.entangled_link(source=)": _MODEL + "the planned second link's "
+    "entangled-pair source (its branch in tests/test_pinned_key_material.py pins one)",
+    "SourceParameters.mean_photon_number": _MODEL + "the source's mean photon number, "
+    "checked against the dense optics oracle",
+    "FramingParameters.slots_per_frame": _MODEL + "Qframe size, checked against the dense "
+    "optics oracle",
     "DetectorParameters.afterpulse_probability": _MODEL + "afterpulsing",
     "EntangledSourceParameters.mean_pairs_per_pulse": _MODEL + "the entangled source's "
     "pair number",
@@ -291,25 +345,24 @@ def _defaults(args):
     return pairs
 
 
+def _fields(cls):
+    """A dataclass's fields in order (a ``ClassVar`` is not one)."""
+    return [statement for statement in cls.body if isinstance(statement, ast.AnnAssign)
+            and "ClassVar" not in ast.unparse(statement.annotation)]
+
+
 def _options(tree):
-    """(label, keyword, callee, position, default) for each option in a module."""
+    """(label, keyword, callee, default) for each option in a module."""
     found = []
 
     def visit(body, owner):
         for node in body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 if _is_dataclass(node) and node.name.endswith(OPTION_CLASS_SUFFIXES):
-                    fields = [
-                        statement
-                        for statement in node.body
-                        if isinstance(statement, ast.AnnAssign)
-                        and "ClassVar" not in ast.unparse(statement.annotation)
-                    ]
-                    for position, statement in enumerate(fields):
+                    for statement in _fields(node):
                         if statement.value is not None:
                             name = statement.target.id
-                            found.append((f"{node.name}.{name}", name, node.name, position,
-                                          statement.value))
+                            found.append((f"{node.name}.{name}", name, node.name, statement.value))
                 visit(node.body, node)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 constructor = node.name == "__init__" and owner is not None
@@ -317,12 +370,8 @@ def _options(tree):
                     continue
                 callee = owner.name if constructor else node.name
                 label = callee if constructor or owner is None else f"{owner.name}.{node.name}"
-                static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
-                bound = owner is not None and not static
-                positional = node.args.posonlyargs + node.args.args
                 for arg, default in _defaults(node.args):
-                    position = positional.index(arg) - bound if arg in positional else None
-                    found.append((f"{label}({arg.arg}=)", arg.arg, callee, position, default))
+                    found.append((f"{label}({arg.arg}=)", arg.arg, callee, default))
 
     visit(tree.body, None)
     return found
@@ -335,76 +384,187 @@ def _literal(node):
         return None
 
 
-class _Setters(ast.NodeVisitor):
-    """What the calls in production code set: keyword values by name, the most
-    positional arguments any call of a callee passes, and callees splatted."""
+#: The value a ``*``/``**`` splat passes: unknown, so it sets whatever it reaches.
+_SPLAT = ast.Name(id="*")
 
-    def __init__(self, option_fields):
+
+class _Signatures:
+    """Every def's and class's parameters in the scanned code, by callee name
+    (a class's constructor is called by the class name); same-named callees
+    are merged, which errs towards passing."""
+
+    def __init__(self):
+        self.positional = defaultdict(lambda: defaultdict(set))
+        self.named = defaultdict(set)
+
+    def add(self, tree):
+        def visit(body, owner):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    if _is_dataclass(node):
+                        self._record(node.name, [field.target.id for field in _fields(node)])
+                    visit(node.body, node)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                    bound = owner is not None and not static
+                    callee = owner.name if owner is not None and node.name == "__init__" else node.name
+                    arguments = node.args
+                    positional = [arg.arg for arg in arguments.posonlyargs + arguments.args][bound:]
+                    self._record(callee, positional, [arg.arg for arg in arguments.kwonlyargs])
+                    visit(node.body, None)
+                else:
+                    for field in ("body", "orelse", "finalbody", "handlers"):
+                        visit(getattr(node, field, None) or [], owner)
+
+        visit(tree.body, None)
+
+    def _record(self, callee, positional, keyword_only=()):
+        for position, name in enumerate(positional):
+            self.positional[callee][position].add(name)
+        self.named[callee].update(positional, keyword_only)
+
+
+class _Setters(ast.NodeVisitor):
+    """What the calls in production code set, each value under the
+    ``(callee, keyword)`` pair it is passed to, and where a value only
+    forwards another callee's option (see the module docstring)."""
+
+    def __init__(self, signatures, option_fields):
+        self.signatures = signatures
         self.option_fields = option_fields
-        self.keywords = {}
-        self.positional = Counter()
-        self.splatted = set()
-        self._defaulted = [set()]
-        self._kwargs = [None]
+        self.values = defaultdict(list)
+        self.forwards = defaultdict(set)
+        self.passes_kwargs = defaultdict(set)
+        self._classes = [None]
+        self._owners = {}
+        self._scopes = [(None, set(), None)]
+
+    def visit_ClassDef(self, node):
+        self._owners.update((id(statement), node) for statement in node.body)
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
 
     def visit_FunctionDef(self, node):
-        self._defaulted.append({arg.arg for arg, _default in _defaults(node.args)})
-        self._kwargs.append(node.args.kwarg.arg if node.args.kwarg else None)
+        owner = self._owners.get(id(node))
+        callee = owner.name if owner is not None and node.name == "__init__" else node.name
+        defaulted = {arg.arg for arg, _default in _defaults(node.args)}
+        self._scopes.append((callee, defaulted, node.args.kwarg.arg if node.args.kwarg else None))
         self.generic_visit(node)
-        self._defaulted.pop()
-        self._kwargs.pop()
+        self._scopes.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
-    def _forwards(self, keyword, value):
-        if isinstance(value, ast.Name):
-            return value.id == keyword and keyword in self._defaulted[-1]
-        if isinstance(value, ast.Attribute):
-            return value.attr == keyword and keyword in self.option_fields
-        return False
+    def _callee(self, func):
+        cls = self._classes[-1]
+        if isinstance(func, ast.Name):
+            return cls.name if func.id == "cls" and cls is not None else func.id
+        if not isinstance(func, ast.Attribute):
+            return None
+        is_super = isinstance(func.value, ast.Call) and getattr(func.value.func, "id", None) == "super"
+        if is_super and func.attr == "__init__" and cls is not None and cls.bases:
+            return getattr(cls.bases[0], "id", None)
+        return func.attr
+
+    def _pass(self, callee, keyword, value):
+        """Record ``value`` passed to ``callee`` as ``keyword``: a setting, or a forward."""
+        scope, defaulted, _kwargs = self._scopes[-1]
+        if isinstance(value, ast.Name) and value.id == keyword and keyword in defaulted:
+            self.forwards[(scope, keyword)].add((callee, keyword))
+        elif isinstance(value, ast.Attribute) and value.attr == keyword and keyword in self.option_fields:
+            for owner in self.option_fields[keyword]:
+                self.forwards[(owner, keyword)].add((callee, keyword))
+        else:
+            self.values[(callee, keyword)].append(value)
+
+    def _splat(self, callee, value):
+        """A ``**`` argument: the enclosing ``**kwargs`` passed on, a dict
+        literal's keys, or an unknown mapping that may set anything."""
+        scope, _defaulted, kwargs = self._scopes[-1]
+        if isinstance(value, ast.Name) and value.id == kwargs:
+            self.passes_kwargs[scope].add(callee)
+        elif isinstance(value, ast.Dict):
+            for key, item in zip(value.keys, value.values):
+                if key is None:
+                    self._splat(callee, item)
+                elif isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    self._pass(callee, key.value, item)
+        else:
+            for keyword in self.signatures.named[callee]:
+                self.values[(callee, keyword)].append(_SPLAT)
 
     def visit_Call(self, node):
-        func = node.func
-        callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if any(isinstance(arg, ast.Starred) for arg in node.args):
-            self.splatted.add(callee)
-        self.positional[callee] = max(self.positional[callee], len(node.args))
+        callee = self._callee(node.func)
+        for position, argument in enumerate(node.args):
+            if isinstance(argument, ast.Starred):
+                self._splat(callee, argument.value)
+                break
+            names = self.signatures.positional[callee][position]
+            if isinstance(argument, ast.Name) and argument.id in names:
+                self._pass(callee, argument.id, argument)
+            else:
+                for name in names:
+                    self.values[(callee, name)].append(argument)
         for keyword in node.keywords:
-            if keyword.arg is not None:
-                if not self._forwards(keyword.arg, keyword.value):
-                    self.keywords.setdefault(keyword.arg, []).append(keyword.value)
-                continue
-            if isinstance(keyword.value, ast.Name) and keyword.value.id == self._kwargs[-1]:
-                continue  # the enclosing function's own **kwargs, forwarded
-            self.splatted.add(callee)
-            if isinstance(keyword.value, ast.Dict):
-                for key, value in zip(keyword.value.keys, keyword.value.values):
-                    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-                        self.keywords.setdefault(key.value, []).append(value)
+            if keyword.arg is None:
+                self._splat(callee, keyword.value)
+            else:
+                self._pass(callee, keyword.arg, keyword.value)
         self.generic_visit(node)
+
+    def _onward(self, node):
+        callee, keyword = node
+        yield from self.forwards[node]
+        if keyword not in self.signatures.named[callee]:
+            yield from ((target, keyword) for target in self.passes_kwargs[callee])
+        if callee == "replace":
+            yield from ((owner, keyword) for owner in self.option_fields.get(keyword, ()))
+
+    def reaching(self):
+        """(callee, keyword) -> every value set on it directly or forwarded to it."""
+        reached = defaultdict(list)
+        for start, values in self.values.items():
+            seen, stack = {start}, [start]
+            while stack:
+                node = stack.pop()
+                reached[node].extend(values)
+                for onward in self._onward(node):
+                    if onward not in seen:
+                        seen.add(onward)
+                        stack.append(onward)
+        return reached
+
+
+def _unset(modules, callers):
+    """Labels of the options defined in ``modules`` that no call in
+    ``callers`` sets, directly or by forwarding."""
+    options = [option for tree in modules for option in _options(tree)]
+    option_fields = defaultdict(set)
+    for label, keyword, callee, _default in options:
+        if "(" not in label:
+            option_fields[keyword].add(callee)
+    signatures = _Signatures()
+    for tree in callers:
+        signatures.add(tree)
+    setters = _Setters(signatures, option_fields)
+    for tree in callers:
+        setters.visit(tree)
+    reached = setters.reaching()
+    unset = []
+    for label, keyword, callee, default in options:
+        unchanged = _literal(default)
+        values = reached.get((callee, keyword), [])
+        if not any(unchanged is None or _literal(value) != unchanged for value in values):
+            unset.append(label)
+    return unset
 
 
 def unset_options():
-    options = []
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        options.extend(_options(ast.parse(path.read_text(), filename=str(path))))
-    setters = _Setters({keyword for label, keyword, *_ in options if "(" not in label})
-    for directory in CALLER_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            setters.visit(ast.parse(path.read_text(), filename=str(path)))
-    unset = []
-    for label, keyword, callee, position, default in options:
-        if callee in setters.splatted:
-            continue
-        if position is not None and setters.positional[callee] > position:
-            continue
-        unchanged = _literal(default)
-        values = setters.keywords.get(keyword, [])
-        if any(unchanged is None or _literal(value) != unchanged for value in values):
-            continue
-        if label not in ALLOWED_OPTIONS:
-            unset.append(label)
-    return unset
+    trees = {directory: [ast.parse(path.read_text(), filename=str(path))
+                         for path in sorted((ROOT / directory).rglob("*.py"))]
+             for directory in CALLER_DIRS}
+    callers = [tree for directory in CALLER_DIRS for tree in trees[directory]]
+    return [label for label in _unset(trees["src"], callers) if label not in ALLOWED_OPTIONS]
 
 
 def test_every_option_in_src_is_set_by_a_production_call():
@@ -424,3 +584,81 @@ def test_every_allowed_option_is_still_an_option_nothing_sets():
     finally:
         ALLOWED_OPTIONS.update(saved)
     assert unset == set(saved)
+
+
+def _unset_in(source):
+    """The options of one in-memory module that its own calls leave unset."""
+    tree = ast.parse(textwrap.dedent(source))
+    return set(_unset([tree], [tree]))
+
+
+def test_a_keyword_counts_only_for_the_callee_it_is_passed_to():
+    """Two callees share the keyword ``workers``; a call that sets one does
+    not set the other."""
+    assert _unset_in(
+        """
+        def pool(workers=None): ...
+        def mesh(workers=None): ...
+        pool(workers=2)
+        """
+    ) == {"mesh(workers=)"}
+
+
+#: name -> (definitions in which ``owner`` or ``OwnerConfig`` only receives a
+#: forwarded value, the call that sets the value at the far end)
+FORWARDS = {
+    "a defaulted parameter passed on by keyword": (
+        """
+        def owner(workers=None): ...
+        def front(workers=None):
+            owner(workers=workers)
+        """,
+        "front(workers=2)",
+    ),
+    "a defaulted parameter passed on by position": (
+        """
+        def owner(workers=None): ...
+        def front(workers=None):
+            owner(workers)
+        """,
+        "front(2)",
+    ),
+    "**kwargs passed into a callee": (
+        """
+        def owner(workers=None): ...
+        def front(**overrides):
+            owner(**overrides)
+        """,
+        "front(workers=2)",
+    ),
+    "**kwargs passed into replace()": (
+        """
+        @dataclass
+        class OwnerConfig:
+            workers: int = 1
+        def front(config, **overrides):
+            return replace(config, **overrides)
+        """,
+        "front(OwnerConfig(), workers=2)",
+    ),
+    "a config field copied across": (
+        """
+        @dataclass
+        class OwnerConfig:
+            workers: int = 1
+        def owner(workers=None): ...
+        def run(config):
+            owner(workers=config.workers)
+        """,
+        "OwnerConfig(workers=2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FORWARDS)
+def test_a_forwarded_value_counts_for_the_option_it_reaches(name):
+    """Forwarding is not a setting: the forwarded option is unset until a
+    call sets the value at the far end, and then it is set."""
+    definitions, setting = FORWARDS[name]
+    assert _unset_in(definitions) & {"owner(workers=)", "OwnerConfig.workers"}
+    assert _unset_in(textwrap.dedent(definitions) + setting) == set()

@@ -228,12 +228,12 @@ def shared_pool(bits):
 
 
 class TestWegmanCarter:
-    def _paired(self, bits=4096, tag_bits=32):
+    def _paired(self, bits=4096):
         rng = DeterministicRNG(77)
         shared = BitString.random(bits, rng)
         return (
-            WegmanCarterAuthenticator(shared_pool(shared), tag_bits=tag_bits),
-            WegmanCarterAuthenticator(shared_pool(shared), tag_bits=tag_bits),
+            WegmanCarterAuthenticator(shared_pool(shared)),
+            WegmanCarterAuthenticator(shared_pool(shared)),
         )
 
     def test_tag_verify_roundtrip(self):
@@ -269,16 +269,43 @@ class TestWegmanCarter:
         with pytest.raises(AuthenticationError):
             bob.verify(message, eve_tag)
 
+    def test_tag_and_block_are_whole_bytes(self):
+        """The chained kernel hashes whole bytes, and each block carries the
+        previous digest plus at least one byte of message."""
+        tag_bits = WegmanCarterAuthenticator.TAG_BITS
+        block_bits = WegmanCarterAuthenticator.BLOCK_BITS
+        assert tag_bits > 0 and tag_bits % 8 == 0 and block_bits % 8 == 0
+        assert block_bits - tag_bits >= 8
+
+    def test_construction_draws_one_hash_seed(self):
+        pool = shared_pool(BitString.random(4096, DeterministicRNG(1)))
+        alice = WegmanCarterAuthenticator(pool)
+        seed_bits = (
+            WegmanCarterAuthenticator.BLOCK_BITS + WegmanCarterAuthenticator.TAG_BITS - 1
+        )
+        assert pool.bits_consumed == seed_bits
+        alice.tag(b"m")
+        assert pool.bits_consumed == seed_bits + WegmanCarterAuthenticator.TAG_BITS
+
+    def test_a_pool_too_small_for_the_hash_seed_is_refused(self):
+        seed_bits = (
+            WegmanCarterAuthenticator.BLOCK_BITS + WegmanCarterAuthenticator.TAG_BITS - 1
+        )
+        pool = shared_pool(BitString.random(seed_bits - 1, DeterministicRNG(1)))
+        with pytest.raises(KeyPoolExhaustedError):
+            WegmanCarterAuthenticator(pool)
+        assert pool.bits_consumed == 0
+
     def test_tags_consume_pool_bits(self):
         alice, _ = self._paired()
         before = alice.pool.available_bits
         alice.tag(b"m")
-        assert alice.pool.available_bits == before - alice.tag_bits
+        assert alice.pool.available_bits == before - WegmanCarterAuthenticator.TAG_BITS
 
     def test_pool_exhaustion_raises(self):
         rng = DeterministicRNG(5)
         shared = BitString.random(400, rng)
-        alice = WegmanCarterAuthenticator(shared_pool(shared), tag_bits=32)
+        alice = WegmanCarterAuthenticator(shared_pool(shared))
         with pytest.raises(KeyPoolExhaustedError):
             for _ in range(100):
                 alice.tag(b"spam until the pool dies")
@@ -287,7 +314,7 @@ class TestWegmanCarter:
         rng = DeterministicRNG(6)
         shared = BitString.random(512, rng)
         pool = shared_pool(shared)
-        alice = WegmanCarterAuthenticator(pool, tag_bits=32)
+        alice = WegmanCarterAuthenticator(pool)
         for _ in range(4):
             alice.tag(b"message")
         pool.add_bits(BitString.random(256, rng))
@@ -301,19 +328,3 @@ class TestWegmanCarter:
         tag = alice1.tag(b"abc")
         with pytest.raises(AuthenticationError):
             bob1.verify(b"abc\x00", tag)
-
-    def test_constructor_validation(self):
-        rng = DeterministicRNG(1)
-        pool = shared_pool(BitString.random(4096, rng))
-        with pytest.raises(ValueError):
-            WegmanCarterAuthenticator(pool, tag_bits=0)
-        with pytest.raises(ValueError):
-            WegmanCarterAuthenticator(pool, tag_bits=64, block_bits=64)
-
-    @pytest.mark.parametrize("tag_bits, block_bits", [(12, 260), (32, 252)])
-    def test_sizes_that_are_not_whole_bytes_are_refused(self, tag_bits, block_bits):
-        """The hash chain runs on whole bytes; nothing else is accepted."""
-        pool = shared_pool(BitString.random(4096, DeterministicRNG(1)))
-        with pytest.raises(ValueError, match="whole bytes"):
-            WegmanCarterAuthenticator(pool, tag_bits=tag_bits, block_bits=block_bits)
-        assert pool.bits_consumed == 0

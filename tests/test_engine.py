@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import EngineParameters, QKDProtocolEngine
+from repro.crypto.wegman_carter import WegmanCarterAuthenticator
 from repro.core.sifting import SiftingProtocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -199,7 +200,7 @@ class TestBlockStream:
         assert outcome.aborted and "exceeds abort threshold" in outcome.abort_reason
         assert outcome.cascade is None and outcome.entropy is None and outcome.privacy is None
         assert len(outcome.transcript) == 0
-        tag_bits = engine.parameters.auth_tag_bits
+        tag_bits = WegmanCarterAuthenticator.TAG_BITS
         assert engine.alice_auth.available_secret_bits == start - tag_bits
         assert engine.bob_auth.available_secret_bits == start - tag_bits
 

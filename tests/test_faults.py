@@ -40,6 +40,7 @@ from repro.netkms.resilient import ResilientKmsClient
 from repro.netkms.server import LEASE_SECONDS, NetworkKmsServer
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.full_scan_reaper import reap_at
 from tests.virtual_loop import run_virtual
 
 PAIR = ("alice", "bob")
@@ -300,7 +301,7 @@ def chaos_soak(faulted, runner=run_virtual):
             await main.close()
 
             # The laggard outlives its lease; reaping takes the bits back.
-            server.reap_expired(now=asyncio.get_running_loop().time() + LEASE_SECONDS + 1.0)
+            reap_at(server, asyncio.get_running_loop().time() + LEASE_SECONDS + 1.0)
             with pytest.raises(protocol.ServerError) as excinfo:
                 await laggard.consume(handle)
             assert excinfo.value.code == protocol.ERR_UNKNOWN_RESERVATION

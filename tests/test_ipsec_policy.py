@@ -38,8 +38,6 @@ class TestSecurityPolicy:
         with pytest.raises(ValueError):
             SecurityPolicy("p", "bad-network", "10.0.0.0/8")
         with pytest.raises(ValueError):
-            SecurityPolicy("p", "10.0.0.0/8", "10.0.0.0/8", key_bits=100)
-        with pytest.raises(ValueError):
             SecurityPolicy("p", "10.0.0.0/8", "10.0.0.0/8", lifetime_seconds=0)
         with pytest.raises(ValueError):
             SecurityPolicy("p", "10.0.0.0/8", "10.0.0.0/8", qkd_bits_per_rekey=0)

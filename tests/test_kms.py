@@ -493,7 +493,7 @@ class TestReplenishmentScheduler:
             DeterministicRNG(1),
             ReplenishmentConfig(workers=1, max_links_per_epoch=1),
         )
-        scheduler.note_pressure("relay-1", "relay-2", amount=100.0)
+        scheduler.note_pressure("relay-1", "relay-2")
         report = scheduler.run_epoch()
         assert report.dispatched == [("relay-1", "relay-2")]
         # Pressure is consumed by the epoch that honoured it.
@@ -633,7 +633,7 @@ class TestReplenishmentScheduler:
                 elif move < 0.6 and pad.available_bytes > 16:
                     relays.cross_hop(*key, bytes(8))
                 elif move < 0.8:
-                    scheduler.note_pressure(*key, amount=fuzz.random() * 10)
+                    scheduler.note_pressure(*key)
                 elif relays.network.link(*key).usable:
                     relays.network.cut_link(*key)
                 else:
@@ -971,23 +971,22 @@ class TestKeyManagementService:
         from repro import KmsConfig as FacadeKmsConfig, QKDSystem
 
         mesh = QKDSystem(seed=11).mesh(n_endpoints=5, n_relays=4, prefill_seconds=0.0)
-        report = mesh.serve(
-            hours=0.5,
+        report = mesh.kms(
             config=FacadeKmsConfig(
                 replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1)
-            ),
-        )
+            )
+        ).serve(hours=0.5)
         assert report.rekeys_completed > 0
         assert report.completion_accounted
         replay = (
             QKDSystem(seed=11)
             .mesh(n_endpoints=5, n_relays=4, prefill_seconds=0.0)
-            .serve(
-                hours=0.5,
+            .kms(
                 config=FacadeKmsConfig(
                     replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=3)
-                ),
+                )
             )
+            .serve(hours=0.5)
         )
         assert replay.delivered_digest == report.delivered_digest
 

@@ -33,6 +33,7 @@ from repro.runtime import LinkFarm, farm
 from repro.runtime.farm import LinkJob, _run_link_job
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.test_runtime_parallel import link_jobs
 
 #: sha256 over the per-lane report digests (in lane-name order) of the
 #: four-lane heterogeneous fleet built by :func:`heterogeneous_jobs` with
@@ -153,7 +154,7 @@ class TestLaneBitIdentity:
         parameters = LinkParameters(
             channel=ChannelParameters.for_distance(5.0), slots_per_batch=5_000
         )
-        jobs = LinkFarm.jobs(
+        jobs = link_jobs(
             64, 12_000, parameters=parameters, rng=DeterministicRNG(64)
         )
         lane_runs = LaneEngine(jobs).run()
@@ -208,7 +209,7 @@ class TestLaneBitIdentity:
         parameters = LinkParameters(
             channel=ChannelParameters.for_distance(10.0), slots_per_batch=4096
         )
-        jobs = LinkFarm.jobs(8, 4096, parameters=parameters, rng=DeterministicRNG(17))
+        jobs = link_jobs(8, 4096, parameters=parameters, rng=DeterministicRNG(17))
         fleet = LaneEngine(jobs)
         inline = [
             QKDLink(job.parameters, DeterministicRNG(job.seed), name=job.name)
@@ -435,6 +436,47 @@ class TestSchedulerLanes:
         assert lanes.pad_bits_banked > 0
         assert lanes.delivered_digest == threads.delivered_digest
         assert lanes.pad_bits_banked == threads.pad_bits_banked
+
+
+class TestFleetConstruction:
+    """``LaneEngine.for_fleet`` seeds each lane from its own labeled fork
+    ``lane/<prefix>/<index>`` of the root rng."""
+
+    def test_for_fleet_refuses_a_lane_count_that_is_not_positive(self):
+        for n_lanes in (0, -1):
+            with pytest.raises(ValueError, match="positive"):
+                LaneEngine.for_fleet(n_lanes)
+
+    def test_lanes_share_the_parameters_and_nothing_else(self):
+        parameters = LinkParameters.for_distance(25.0)
+        fleet = LaneEngine.for_fleet(3, parameters=parameters, rng=DeterministicRNG(2))
+        assert [job.name for job in fleet.jobs] == ["lane-0", "lane-1", "lane-2"]
+        assert all(job.parameters is parameters for job in fleet.jobs)
+        assert all(job.flush and job.attack is None for job in fleet.jobs)
+        assert len({job.seed for job in fleet.jobs}) == 3
+        assert [link.name for link in fleet.links] == ["lane-0", "lane-1", "lane-2"]
+
+    def test_a_lane_seed_is_its_labeled_fork(self):
+        rng = DeterministicRNG(11)
+        fleet = LaneEngine.for_fleet(2, rng=rng, name_prefix="vpn")
+        assert [job.seed for job in fleet.jobs] == [
+            rng.fork_labeled(f"lane/vpn/{index}").seed for index in range(2)
+        ]
+
+    def test_a_lane_seed_does_not_depend_on_the_fleet_size(self):
+        small = LaneEngine.for_fleet(2, rng=DeterministicRNG(11))
+        large = LaneEngine.for_fleet(5, rng=DeterministicRNG(11))
+        assert [job.seed for job in large.jobs[:2]] == [job.seed for job in small.jobs]
+
+    def test_fleets_with_different_prefixes_are_disjoint(self):
+        # Two fleets from the same root rng must not repeat key streams:
+        # the prefix namespaces the seed labels.
+        rng = DeterministicRNG(11)
+        first = LaneEngine.for_fleet(2, rng=rng, name_prefix="vpn")
+        second = LaneEngine.for_fleet(2, rng=rng, name_prefix="mesh")
+        assert {job.seed for job in first.jobs}.isdisjoint(
+            {job.seed for job in second.jobs}
+        )
 
 
 class TestFacade:

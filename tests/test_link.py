@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro import QKDSystem
-from repro.core.entropy_estimation import SlutskyDefense
 from repro.eve import InterceptResendAttack
 from repro.link import LinkParameters, QKDLink
 from repro.mathkit.entropy import binary_entropy
@@ -65,10 +64,6 @@ class TestAnalyticModel:
         link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(3))
         assert link.estimated_secret_fraction() > 0.05
 
-    def test_slutsky_analytic_more_conservative(self):
-        link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(6))
-        assert link.estimated_secret_fraction(defense=SlutskyDefense()) <= link.estimated_secret_fraction()
-
 
 class TestSecretFraction:
     """The one analytic secret fraction, ``1 - f_EC h(e) - t(e) - multi``,
@@ -99,13 +94,6 @@ class TestSecretFraction:
         fractions = [secret_fraction(0.03, mu) for mu in (0.05, 0.1, 0.2, 0.4)]
         assert fractions == sorted(fractions, reverse=True)
 
-    def test_an_explicit_defense_replaces_the_bennett_term(self):
-        bennett = secret_fraction(0.05, 0.1)
-        assert secret_fraction(0.05, 0.1, defense_per_bit=0.0) == pytest.approx(
-            bennett + 2.0 * math.sqrt(2.0) * 0.05
-        )
-        assert secret_fraction(0.05, 0.1, defense_per_bit=1.0) == 0.0
-
     def test_a_better_cascade_keeps_more_key(self):
         assert secret_fraction(0.05, 0.1, cascade_efficiency=1.0) > secret_fraction(
             0.05, 0.1, cascade_efficiency=1.35
@@ -115,43 +103,6 @@ class TestSecretFraction:
         link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(3))
         mu = link.parameters.channel.effective_mean_photon_number
         assert link.estimated_secret_fraction() == secret_fraction(link.expected_qber(), mu)
-
-
-class TestDefenseArgument:
-    """Regression: a non-conforming ``defense`` used to fall through to
-    Bennett silently — a plain float (an easy benchmark-sweep mistake) was
-    accepted and ignored."""
-
-    def test_float_is_used_as_per_bit_defense(self):
-        link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(6))
-        # A zero defense must beat the default Bennett term, a huge one must
-        # clamp the fraction to zero — neither happens if it's ignored.
-        assert link.estimated_secret_fraction(defense=0.0) > link.estimated_secret_fraction()
-        assert link.estimated_secret_fraction(defense=1.0) == 0.0
-
-    def test_callable_is_evaluated_at_expected_qber(self):
-        link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(6))
-        seen = []
-
-        def defense_fn(e):
-            seen.append(e)
-            return 0.0
-
-        fraction = link.estimated_secret_fraction(defense=defense_fn)
-        assert seen == [link.expected_qber()]
-        assert fraction == link.estimated_secret_fraction(defense=0.0)
-
-    def test_per_bit_defense_object_still_works(self):
-        link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(6))
-        fraction = link.estimated_secret_fraction(defense=SlutskyDefense())
-        assert 0.0 <= fraction <= 1.0
-
-    def test_non_conforming_object_raises_type_error(self):
-        link = QKDLink(LinkParameters.paper_link(), DeterministicRNG(6))
-        with pytest.raises(TypeError, match="defense"):
-            link.estimated_secret_fraction(defense="bennett")
-        with pytest.raises(TypeError, match="defense"):
-            link.estimated_secret_fraction(defense=object())
 
 
 class TestMonteCarloRun:

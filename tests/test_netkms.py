@@ -68,7 +68,7 @@ from repro.netkms.server import (
     ServedReservation,
 )
 from repro.util.bits import BitString
-from tests.oracles.full_scan_reaper import full_scan_reap_expired
+from tests.oracles.full_scan_reaper import full_scan_reap_expired, reap_at
 from tests.virtual_loop import run_virtual
 
 PAIR = ("alice", "bob")
@@ -1647,10 +1647,10 @@ class TestReaperDifferential:
                         outcomes = [server.reap_expired() for server in servers]
                     elif name == "step_back":
                         earlier = loop.time() - LEASE_SECONDS * (j % 30) / 20
-                        outcomes = [server.reap_expired(now=earlier) for server in servers]
+                        outcomes = [reap_at(server, earlier) for server in servers]
                     else:
                         at = loop.time() + LEASE_SECONDS * ((j % 60) / 20 - 0.5)
-                        outcomes = [server.reap_expired(now=at) for server in servers]
+                        outcomes = [reap_at(server, at) for server in servers]
                     assert outcomes[0] == outcomes[1], (name, i, j)
                     assert state(servers[0]) == state(servers[1]), (name, i, j)
             finally:

@@ -80,9 +80,9 @@ class TestTopology:
         assert mesh.usable_subgraph().number_of_edges() == total - 1
 
     def test_point_to_point_topology(self):
-        net = QKDNetwork.point_to_point(15.0)
+        net = QKDNetwork.point_to_point()
         assert net.graph.number_of_nodes() == 2
-        assert net.link("alice", "bob").length_km == 15.0
+        assert net.link("alice", "bob").length_km == 10.0
 
     @pytest.mark.parametrize("n_relays", [0, -1])
     def test_a_relay_mesh_without_relays_is_refused(self, n_relays):

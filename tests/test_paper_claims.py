@@ -185,7 +185,7 @@ def _cascade_over_shannon(seed):
 
 
 def _point_to_point(rng):
-    return QKDNetwork.point_to_point(10.0), "alice", "bob"
+    return QKDNetwork.point_to_point(), "alice", "bob"
 
 
 def _mesh(rng):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.cascade import CascadeParameters, CascadeProtocol
 from repro.core.engine import EngineParameters, QKDProtocolEngine
+from repro.crypto.wegman_carter import WegmanCarterAuthenticator
 from repro.core.messages import PrivacyAmplificationMessage
 from repro.pipeline import DistillationPipeline, PipelineContext
 from repro.pipeline.stages import (
@@ -124,7 +125,7 @@ class TestStagePolicies:
         alice, bob = noisy_pair(1024, 0.30, seed=36)
         outcome = engine.distill_block(alice, bob, transmitted_pulses=100_000)
         assert outcome.aborted and not outcome.authenticated
-        tag_bits = engine.parameters.auth_tag_bits
+        tag_bits = WegmanCarterAuthenticator.TAG_BITS
         assert engine.alice_auth.available_secret_bits == start - tag_bits
         assert engine.bob_auth.available_secret_bits == start - tag_bits
 

@@ -7,7 +7,7 @@ from repro.core.authentication import AuthenticatedChannel
 from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.core.messages import PrivacyAmplificationMessage, PublicChannelLog, SiftMessage
 from repro.core.privacy import PrivacyAmplification
-from repro.crypto.wegman_carter import AuthenticationError
+from repro.crypto.wegman_carter import AuthenticationError, WegmanCarterAuthenticator
 from repro.kms.store import KeyStore
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -136,8 +136,8 @@ class TestKeyPool:
         alice, bob = KeyPool(name="a"), KeyPool(name="b")
         for index in range(5):
             bits = BitString.random(64, rng)
-            alice.add_bits(bits, block_id=index)
-            bob.add_bits(bits, block_id=index)
+            alice.add_bits(bits)
+            bob.add_bits(bits)
         for draw in (10, 30, 64, 100):
             assert alice.draw_bits(draw) == bob.draw_bits(draw)
 
@@ -241,10 +241,10 @@ class TestAuthenticatedChannel:
         start = alice.available_secret_bits
         tag = tag_log(alice, log)
         verify_log(bob, log, tag)
-        assert alice.available_secret_bits == start - alice.tag_bits
+        assert alice.available_secret_bits == start - WegmanCarterAuthenticator.TAG_BITS
         alice.replenish(BitString.ones(256))
         assert alice.pool.bits_added == 256
-        assert alice.available_secret_bits == start - alice.tag_bits + 256
+        assert alice.available_secret_bits == start - WegmanCarterAuthenticator.TAG_BITS + 256
 
     def test_statistics_track_batches(self):
         alice, bob = self._paired()

@@ -15,7 +15,23 @@ import pytest
 from repro.link import LinkParameters
 from repro.network.relay import TrustedRelayNetwork
 from repro.runtime import LinkFarm, resolve_workers
+from repro.runtime.farm import LinkJob
 from repro.util.rng import DeterministicRNG
+
+
+def link_jobs(n_links, n_slots, rng, parameters=None):
+    """``n_links`` identical link jobs of ``n_slots`` slots, each seeded by
+    its own labeled fork ``link/link/<index>`` of ``rng``."""
+    parameters = parameters or LinkParameters()
+    return [
+        LinkJob(
+            name=f"link-{index}",
+            parameters=parameters,
+            seed=rng.fork_labeled(f"link/link/{index}").seed,
+            n_slots=n_slots,
+        )
+        for index in range(n_links)
+    ]
 
 
 class TestForkLabeled:
@@ -49,7 +65,7 @@ class TestLinkFarm:
     def test_runs_come_back_in_submission_order(self):
         """Eight jobs on four threads, finishing out of order (the budgets
         fall), come back in the order they went in."""
-        jobs = LinkFarm.jobs(8, 1_000, rng=DeterministicRNG(12))
+        jobs = link_jobs(8, 1_000, rng=DeterministicRNG(12))
         jobs = [replace(job, n_slots=40_000 - 5_000 * index) for index, job in enumerate(jobs)]
         runs = LinkFarm(workers=4).run(jobs)
         assert [run.name for run in runs] == [job.name for job in jobs]
@@ -63,7 +79,7 @@ class TestLinkFarm:
         assert resolve_workers(None) >= 1
 
     def test_fleet_invariant_under_worker_count(self):
-        jobs = LinkFarm.jobs(2, 450_000, rng=DeterministicRNG(11))
+        jobs = link_jobs(2, 450_000, rng=DeterministicRNG(11))
         runs_one = LinkFarm(workers=1).run(jobs)
         runs_two = LinkFarm(workers=2).run(jobs)
         for one, two in zip(runs_one, runs_two):
@@ -89,7 +105,7 @@ class TestLinkFarm:
         assert LinkFarm().workers is None
 
     def test_more_workers_than_jobs_runs_each_job_once(self):
-        jobs = LinkFarm.jobs(2, 20_000, rng=DeterministicRNG(13))
+        jobs = link_jobs(2, 20_000, rng=DeterministicRNG(13))
         wide = LinkFarm(workers=8).run(jobs)
         inline = LinkFarm(workers=1).run(jobs)
         assert [run.name for run in wide] == ["link-0", "link-1"]
@@ -99,34 +115,6 @@ class TestLinkFarm:
         assert [run.distilled_bits for run in wide] == [
             run.report.distilled_bits for run in wide
         ]
-
-    def test_jobs_refuses_a_negative_link_count(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            LinkFarm.jobs(-1, 1_000)
-        assert LinkFarm.jobs(0, 1_000) == []
-
-    def test_jobs_share_the_parameters_and_the_budget(self):
-        parameters = LinkParameters.for_distance(25.0)
-        jobs = LinkFarm.jobs(3, 7_000, parameters=parameters, rng=DeterministicRNG(2))
-        assert [job.name for job in jobs] == ["link-0", "link-1", "link-2"]
-        assert all(job.parameters is parameters for job in jobs)
-        assert {job.n_slots for job in jobs} == {7_000}
-        assert all(job.flush and job.attack is None for job in jobs)
-        assert len({job.seed for job in jobs}) == 3
-
-    def test_links_have_independent_streams(self):
-        jobs = LinkFarm.jobs(2, 100_000, rng=DeterministicRNG(11))
-        assert jobs[0].seed != jobs[1].seed
-
-    def test_fleets_with_different_prefixes_are_disjoint(self):
-        # Two fleets from the same root rng must not repeat key streams —
-        # the name_prefix namespaces the seed labels.
-        rng = DeterministicRNG(11)
-        first = LinkFarm.jobs(2, 100_000, rng=rng, name_prefix="vpn")
-        second = LinkFarm.jobs(2, 100_000, rng=rng, name_prefix="mesh")
-        assert {job.seed for job in first}.isdisjoint(
-            {job.seed for job in second}
-        )
 
 
 class TestRelayParallelRefill:
