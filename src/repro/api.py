@@ -16,13 +16,14 @@ fluent entry points:
     >>> delivered = vpn.send("10.1.0.9", "10.2.0.7", b"hello")
 
     >>> mesh = QKDSystem(seed=7).mesh(n_relays=4)       # relay network
-    >>> result = mesh.transport_key("endpoint-0", "endpoint-1")
+    >>> result = mesh.relays.transport_key("endpoint-0", "endpoint-1")
+    >>> soak = mesh.kms().serve(hours=1.0)              # continuous operation
 
 Every knob lives in one :class:`SystemConfig`; builders accept keyword
-overrides, and :meth:`QKDSystem.configured` returns a derived system:
+overrides, and a derived system is built from a replaced config:
 
     >>> base = QKDSystem(seed=1)
-    >>> slutsky = base.configured(defense="slutsky", distance_km=20.0)
+    >>> slutsky = QKDSystem(replace(base.config, defense="slutsky", distance_km=20.0))
 
 Determinism: a system built from the same config always produces the same
 keys — ``QKDSystem(seed=s).link()`` is bit-for-bit the legacy
@@ -41,11 +42,11 @@ if TYPE_CHECKING:  # imported lazily at runtime to keep the facade light
     from repro.kms.zones import ZonePlan
     from repro.lanes import LaneEngine
     from repro.link.qkd_link import LinkParameters, LinkReport, QKDLink
-    from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
+    from repro.network.relay import TrustedRelayNetwork
     from repro.optics.channel import ChannelParameters
     from repro.sim.clock import SimClock
 
-from repro.kms.service import KeyManagementService, KmsConfig, SoakReport
+from repro.kms.service import KeyManagementService, KmsConfig
 from repro.kms.workload import TrafficWorkload, WorkloadProfile
 from repro.ipsec.packets import IPPacket
 from repro.ipsec.spd import CipherSuite, SecurityPolicy
@@ -73,7 +74,6 @@ class SystemConfig:
 
     # ---- physical layer / link ---------------------------------------- #
     distance_km: float = 10.0
-    entangled: bool = False
     slots_per_batch: int = 500_000
 
     # ---- distillation pipeline ---------------------------------------- #
@@ -109,8 +109,6 @@ class SystemConfig:
     def channel_parameters(self) -> ChannelParameters:
         from repro.optics.channel import ChannelParameters
 
-        if self.entangled:
-            return ChannelParameters.entangled_link(self.distance_km)
         return ChannelParameters.for_distance(self.distance_km)
 
     def link_parameters(self) -> LinkParameters:
@@ -129,17 +127,6 @@ class QKDSystem:
     def __init__(self, config: Optional[SystemConfig] = None, **overrides):
         base = config or SystemConfig()
         self.config = replace(base, **overrides) if overrides else base
-
-    # ------------------------------------------------------------------ #
-    # Fluent configuration
-    # ------------------------------------------------------------------ #
-
-    def configured(self, **overrides) -> "QKDSystem":
-        """A derived system with the given config fields replaced."""
-        return QKDSystem(replace(self.config, **overrides))
-
-    def entangled(self) -> "QKDSystem":
-        return self.configured(entangled=True)
 
     # ------------------------------------------------------------------ #
     # Terminal builders
@@ -329,13 +316,9 @@ class VPNSystem:
         """Advance the gateways' clock (drives SA lifetime rollover)."""
         self.clock.advance(seconds)
 
-    @property
-    def available_key_bits(self) -> int:
-        return self.link.engine.alice_pool.available_bits
-
     def __repr__(self) -> str:
         return (
-            f"VPNSystem({self.link.name}, key={self.available_key_bits} bits, "
+            f"VPNSystem({self.link.name}, key={self.link.engine.alice_pool.available_bits} bits, "
             f"sent={self.gateways.alice.statistics.packets_sent})"
         )
 
@@ -349,26 +332,6 @@ class MeshSystem:
     #: The metro zone plan this mesh was built with (``QKDSystem.metro``);
     #: ``kms()`` adopts it whenever the config does not name zones itself.
     zone_plan: Optional["ZonePlan"] = None
-
-    @property
-    def network(self):
-        return self.relays.network
-
-    def run_links_for(self, seconds: float) -> None:
-        """Let every link distill pairwise key for ``seconds`` seconds."""
-        self.relays.run_links_for(seconds)
-
-    def transport_key(
-        self, source: str, destination: str, key_bits: int = 256
-    ) -> KeyTransportResult:
-        return self.relays.transport_key(source, destination, key_bits)
-
-    def transport_with_reroute(
-        self, source: str, destination: str, key_bits: int = 256, now: float = 0.0
-    ) -> KeyTransportResult:
-        return self.relays.transport_with_reroute(
-            source, destination, key_bits, now=now
-        )
 
     def endpoints(self) -> Tuple[str, ...]:
         if self.zone_plan is not None:
@@ -420,20 +383,8 @@ class MeshSystem:
             self.relays, config=config, workload=workload, rng=rng
         )
 
-    def serve(self, hours: float = 1.0) -> SoakReport:
-        """Operate the mesh continuously for ``hours`` of simulated time.
-
-        ``QKDSystem(seed).mesh(...).serve(hours=...)`` is the one-line entry
-        point to the paper's headline scenario: a relay mesh sustaining many
-        IPsec consumers' rekey demand, with replenishment, contention, and
-        starvation accounting.  Builds a fresh default :meth:`kms` service
-        and runs it once; the run continues from the mesh's current pad
-        levels (a prefilled mesh starts warm).
-        """
-        return self.kms().serve(hours=hours)
-
     def __repr__(self) -> str:
         return (
-            f"MeshSystem({self.network!r}, "
+            f"MeshSystem({self.relays.network!r}, "
             f"transports={len(self.relays.transports)})"
         )

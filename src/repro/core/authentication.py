@@ -110,13 +110,9 @@ class AuthenticatedChannel:
         """Feed a slice of freshly distilled key back into the secret pool."""
         self.pool.add_bits(fresh_bits)
 
-    @property
-    def available_secret_bits(self) -> int:
-        return self.pool.available_bits
-
     def __repr__(self) -> str:
         return (
-            f"AuthenticatedChannel(available={self.available_secret_bits} bits, "
+            f"AuthenticatedChannel(available={self.pool.available_bits} bits, "
             f"tagged={self.statistics.batches_tagged}, "
             f"failures={self.statistics.verification_failures})"
         )

@@ -138,12 +138,6 @@ class DistillationOutcome:
     abort_reason: str = ""
     transcript: Optional[PublicChannelLog] = None
 
-    @property
-    def secret_fraction(self) -> float:
-        if self.sifted_bits == 0:
-            return 0.0
-        return self.distilled_bits / self.sifted_bits
-
 
 @dataclass
 class EngineStatistics:

@@ -105,10 +105,6 @@ class KeyPool:
         """Bits currently available for consumption."""
         return self._available_bits
 
-    @property
-    def available_bytes(self) -> int:
-        return self.available_bits // 8
-
     def draw_bits(self, count: int) -> BitString:
         """Consume ``count`` bits in FIFO order."""
         if count < 0:

@@ -145,12 +145,6 @@ class SiftResult:
         """
         return self.alice_key.hamming_distance(self.bob_key)
 
-    @property
-    def qber(self) -> float:
-        if self.n_sifted == 0:
-            return 0.0
-        return self.error_count / self.n_sifted
-
 
 class SiftingProtocol:
     """Runs the sift / sift-response transaction for a batch of slots."""

@@ -23,7 +23,6 @@ class OneTimePad:
 
     def __init__(self, initial_pad: bytes = b""):
         self._pool = bytearray(initial_pad)
-        self._consumed = 0
 
     # ------------------------------------------------------------------ #
     # Pool management
@@ -33,11 +32,6 @@ class OneTimePad:
     def available_bytes(self) -> int:
         """Bytes of pad material currently available for encryption."""
         return len(self._pool)
-
-    @property
-    def consumed_bytes(self) -> int:
-        """Total bytes consumed since the pad was created."""
-        return self._consumed
 
     def add_key_material(self, material: bytes) -> None:
         """Append freshly distilled QKD bytes to the pool."""
@@ -52,7 +46,6 @@ class OneTimePad:
             )
         taken = bytes(self._pool[:count])
         del self._pool[:count]
-        self._consumed += count
         return taken
 
     # ------------------------------------------------------------------ #
@@ -88,7 +81,4 @@ class OneTimePad:
         return bytes(self._pool[:count])
 
     def __repr__(self) -> str:
-        return (
-            f"OneTimePad(available={self.available_bytes}, "
-            f"consumed={self.consumed_bytes})"
-        )
+        return f"OneTimePad(available={self.available_bytes})"

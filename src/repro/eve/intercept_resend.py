@@ -100,21 +100,3 @@ class InterceptResendAttack(QuantumChannelAttack):
         }
 
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def eve_known_sifted_bits(frame_result) -> int:
-        """Count sifted bits whose value Eve knows with certainty.
-
-        Requires the frame to have been transmitted with this attack attached
-        (the bookkeeping arrays live in ``frame_result.attack_record``).  Eve
-        knows a sifted bit outright when she intercepted the slot and her
-        measurement basis matched Alice's.
-        """
-        record = frame_result.attack_record
-        if not record or "intercepted_mask" not in record:
-            return 0
-        intercepted = record["intercepted_mask"]
-        eve_basis = record["eve_basis"]
-        sifted = frame_result.sifted_mask
-        known = sifted & intercepted & (eve_basis == frame_result.alice_basis)
-        return int(np.count_nonzero(known))

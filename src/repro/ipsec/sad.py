@@ -154,7 +154,3 @@ class SecurityAssociationDatabase:
         for sa in expired:
             self.retire(sa.spi)
         return expired
-
-    @property
-    def active_count(self) -> int:
-        return len(self.by_spi)

@@ -101,12 +101,6 @@ class SecurityPolicyDatabase:
             raise ValueError(f"a policy named {policy.name!r} already exists")
         self.policies.append(policy)
 
-    def remove(self, name: str) -> None:
-        before = len(self.policies)
-        self.policies = [p for p in self.policies if p.name != name]
-        if len(self.policies) == before:
-            raise KeyError(name)
-
     def lookup(self, source: str, destination: str) -> Optional[SecurityPolicy]:
         """The first policy matching the packet, or None (treated as discard)."""
         for policy in self.policies:

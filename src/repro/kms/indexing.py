@@ -71,9 +71,6 @@ class LazyPriorityHeap:
     def __contains__(self, key: Hashable) -> bool:
         return key in self._version
 
-    def members(self) -> List[Hashable]:
-        return list(self._version)
-
     def push(self, key: Hashable, classify: Classifier) -> None:
         """(Re)index ``key`` at its current priority.
 
@@ -89,10 +86,6 @@ class LazyPriorityHeap:
         token = next(self._tokens)
         self._version[key] = token
         heapq.heappush(self._heap, (sort_key, token, key))
-
-    def discard(self, key: Hashable) -> None:
-        """Forget a member without touching the heap (lazy deletion)."""
-        self._version.pop(key, None)
 
     def drain(self, classify: Classifier, limit: Optional[int] = None) -> List[Hashable]:
         """Emit up to ``limit`` members, most urgent first, removing them.

@@ -339,13 +339,6 @@ class ZonedReplenisher:
         """Total link-selection overhead across every child scheduler."""
         return sum(child.selection_seconds for child in self._children())
 
-    @property
-    def attacks(self) -> Dict[Pair, object]:
-        merged: Dict[Pair, object] = {}
-        for child in self._children():
-            merged.update(child.attacks)
-        return merged
-
     def note_pressure(self, node_a: str, node_b: str) -> None:
         self._owner(node_a, node_b).note_pressure(node_a, node_b)
 

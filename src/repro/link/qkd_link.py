@@ -62,7 +62,7 @@ class LinkParameters:
         return cls(channel=ChannelParameters.for_distance(length_km))
 
     @classmethod
-    def entangled_link(cls, length_km: float = 10.0) -> "LinkParameters":
+    def entangled_link(cls, length_km: float) -> "LinkParameters":
         """The planned second DARPA link, based on an SPDC entangled-pair source."""
         return cls(channel=ChannelParameters.entangled_link(length_km))
 
@@ -131,9 +131,6 @@ class QKDLink:
     def attach_attack(self, attack) -> None:
         """Interpose an eavesdropping attack on the photonic path."""
         self.attack = attack
-
-    def detach_attack(self) -> None:
-        self.attack = None
 
     # ------------------------------------------------------------------ #
     # Monte-Carlo operation

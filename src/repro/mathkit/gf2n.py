@@ -154,10 +154,6 @@ class GF2nField:
             raise ValueError(f"element does not fit in GF(2^{self.degree})")
         return value
 
-    def add(self, a: int, b: int) -> int:
-        """Field addition (XOR)."""
-        return self._check(a) ^ self._check(b)
-
     def multiply(self, a: int, b: int) -> int:
         """Field multiplication modulo the primitive polynomial."""
         product = carryless_multiply(self._check(a), self._check(b))

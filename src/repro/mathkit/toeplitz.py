@@ -32,28 +32,17 @@ packed implementation below cannot silently flip it.
 Packed implementation
 ---------------------
 
-With the convention above, output bit ``r`` is the coefficient of
-``x^(m + n - 2 - r)`` in the GF(2) polynomial product ``D(x) * K(x)``, where
-``D`` is ``diagonal_bits`` and ``K`` the key, both read most-significant-bit
-first (the :meth:`~repro.util.bits.BitString.to_int` packing).  The whole hash
-is therefore one carry-less multiply followed by a shift-and-mask::
-
-    hash(key) = (clmul(D, K) >> (input_bits - 1)) & ((1 << output_bits) - 1)
-
-The multiply is evaluated with a 256-entry window table (precomputed once per
-hash instance): the key is consumed a byte at a time, so a call costs
-``O(n/8)`` big-int operations instead of the ``O(m * n)`` per-bit row masks
-the original implementation walked.
-
-The Wegman-Carter chain (:meth:`ToeplitzHash.chained_hash_aligned`) uses the
-same linearity one level up: a table of the hash of every byte value at every
-byte position turns the hash of a block into one XOR-gather per byte position
-over *all* blocks of a transcript at once.
+The one caller is the Wegman-Carter chain
+(:meth:`ToeplitzHash.chained_hash_aligned`), which hashes every block of a
+transcript at once.  The hash is linear, so a table of the hash of every byte
+value at every byte position turns the hash of a block into one XOR-gather per
+byte position over *all* blocks.  The definition it is checked against — one
+input at a time, a carry-less multiply ``clmul(D, K)`` shifted and masked —
+is ``tests/oracles/toeplitz_window.py``.
 
 The DARPA network's own privacy amplification uses the GF(2^n) linear hash of
-:mod:`repro.mathkit.gf2n`; the Toeplitz construction is provided as the second
-member of the family so the benchmark suite can compare the two (and because
-the authentication layer uses it to build short tags).
+:mod:`repro.mathkit.gf2n`; the authentication layer uses the Toeplitz family
+to build short tags.
 """
 
 from __future__ import annotations
@@ -61,7 +50,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.bits import BitString
-from repro.util.rng import DeterministicRNG
 
 
 class ToeplitzHash:
@@ -79,38 +67,9 @@ class ToeplitzHash:
         self.input_bits = input_bits
         self.output_bits = output_bits
         self.diagonal_bits = diagonal_bits
-        self._out_mask = (1 << output_bits) - 1
-        self._window_table = None
         self._position_table = None
 
-    @property
-    def _window(self):
-        """8-bit window table for the carry-less multiply: ``_window[w]`` is
-        the GF(2) polynomial product diagonal * w for every byte value w.
-
-        Built on first hash, not at construction: the table is a pure
-        function of the diagonal, and a privacy-amplification or
-        authentication hash is often constructed long before (or without
-        ever) being evaluated — per-epoch link fleets construct hundreds.
-        """
-        table = self._window_table
-        if table is None:
-            diagonal = self.diagonal_bits.to_int()
-            table = [0] * 256
-            for w in range(1, 256):
-                table[w] = (table[w >> 1] << 1) ^ (diagonal if w & 1 else 0)
-            self._window_table = table
-        return table
-
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def random(
-        cls, input_bits: int, output_bits: int, rng: DeterministicRNG
-    ) -> "ToeplitzHash":
-        """Draw a random member of the family."""
-        diagonal = BitString.random(input_bits + output_bits - 1, rng)
-        return cls(diagonal, input_bits, output_bits)
 
     @classmethod
     def from_seed_bits(
@@ -120,35 +79,6 @@ class ToeplitzHash:
         return cls(seed_bits, input_bits, output_bits)
 
     # ------------------------------------------------------------------ #
-
-    def __call__(self, key: BitString) -> BitString:
-        return self.hash(key)
-
-    def hash(self, key: BitString) -> BitString:
-        """Compress the key from ``input_bits`` to ``output_bits`` bits."""
-        if len(key) != self.input_bits:
-            raise ValueError(
-                f"expected a {self.input_bits}-bit input, got {len(key)} bits"
-            )
-        return BitString.from_int(self.hash_value(key.to_int()), self.output_bits)
-
-    def hash_value(self, key_value: int) -> int:
-        """Hash a key given as its packed integer (``BitString.to_int`` order).
-
-        Fast path for callers that already hold packed words (:meth:`hash`
-        runs on it); returns the packed ``output_bits``-bit tag value.
-        """
-        n = self.input_bits
-        # Left-align the key to a byte boundary; clmul(D, K << p) = P << p,
-        # so the padding only moves the extraction window.
-        n_bytes = (n + 7) // 8
-        pad = n_bytes * 8 - n
-        data = (key_value << pad).to_bytes(n_bytes, "big")
-        table = self._window
-        product = 0
-        for byte in data:
-            product = (product << 8) ^ table[byte]
-        return (product >> (pad + n - 1)) & self._out_mask
 
     @property
     def _position(self) -> np.ndarray:
@@ -161,7 +91,8 @@ class ToeplitzHash:
         per input byte.  Column ``c`` of the matrix is the ``output_bits``
         window of the diagonal starting at ``input_bits - 1 - c``; a byte's
         256 rows are the XOR-doubling closure of its eight columns.  Built
-        on first chained hash, like :attr:`_window`.
+        on first chained hash, not at construction: a per-epoch link fleet
+        constructs hundreds of authenticators, most never evaluated.
         """
         table = self._position_table
         if table is None:
@@ -196,9 +127,9 @@ class ToeplitzHash:
 
         Computes ``digest = T(digest || chunk || zero-pad)`` for consecutive
         ``payload_bytes``-sized chunks of ``data``, starting from a zero
-        digest, and returns the final packed digest value.  Equivalent to calling
-        :meth:`hash_value` on ``(digest << chunk_bits) | chunk`` per chunk,
-        but evaluated from the position tables: ``T(digest || chunk)`` is
+        digest, and returns the final packed digest value.  Equivalent to
+        hashing ``(digest << chunk_bits) | chunk`` per chunk, but evaluated
+        from the position tables: ``T(digest || chunk)`` is
         ``A·digest ^ C·chunk``, so ``C·chunk`` is gathered for every chunk at
         once, and the remaining recurrence ``d' = A·d ^ c`` is folded
         pairwise — ``A^2k·left ^ right`` halves the sequence per level, with

@@ -3,8 +3,8 @@
 :class:`NetworkKmsClient` is what an SAE (an IKE daemon, a one-time-pad
 encryptor, a benchmark worker) uses to draw key from a
 :class:`~repro.netkms.server.NetworkKmsServer`: connect (the HELLO/WELCOME
-negotiation), then ``reserve`` / ``consume`` / ``release`` / ``status`` /
-``capabilities``, or ``get_key`` — one GET_KEY round trip.  The
+negotiation), then ``reserve`` / ``consume`` / ``status`` / ``capabilities``,
+or ``get_key`` — one GET_KEY round trip.  The
 reservation never leaves ``get_key``, so a lost reply costs the key;
 callers that cannot afford that use
 :class:`~repro.netkms.resilient.ResilientKmsClient`.
@@ -37,8 +37,6 @@ from repro.netkms.protocol import (
     Hello,
     Message,
     ProtocolError,
-    Release,
-    ReleaseOk,
     Reserve,
     ReserveOk,
     ServerError,
@@ -291,12 +289,6 @@ class NetworkKmsClient:
             key_bits=ok.key_bits,
             key_bytes=ok.key_bytes,
         )
-
-    async def release(self, reservation: ReservationHandle) -> int:
-        reply = await self._request(
-            Release(pair=reservation.pair, reservation_id=reservation.reservation_id)
-        )
-        return self._expect(reply, ReleaseOk).reservation_id
 
     async def get_key(self, pair: Pair, bits: int) -> ServedKey:
         """One key (the ETSI ``get_key`` shape) in a single GET_KEY frame."""

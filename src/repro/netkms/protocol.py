@@ -242,9 +242,6 @@ class Message:
     # decode_body to the header version the frame actually carried.
     wire_version = None
 
-    def encode(self, version: int) -> bytes:
-        return encode_frame(self, version)[_LENGTH_PREFIX.size :]
-
     def _payload(self) -> bytes:
         return b""
 
@@ -269,11 +266,6 @@ class Hello(Message):
     client_id: str = "sae"
 
     KIND = KIND_HELLO
-
-    def encode(self, version: int = FLOOR_VERSION) -> bytes:
-        # Always the floor byte (encode_frame pins it): any server can
-        # parse any client's offer.
-        return super().encode(FLOOR_VERSION)
 
     def _payload(self) -> bytes:
         return bytes([self.min_version, self.max_version]) + _text(self.client_id)

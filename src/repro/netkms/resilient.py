@@ -9,10 +9,9 @@ servers stall (the Elastic-TCP-style adaptive backoff from PAPERS.md):
   (drawn from a labeled :class:`~repro.util.rng.DeterministicRNG` stream,
   so a seeded chaos run replays byte-for-byte);
 * **a per-kind retry policy** that never violates the one-time-pad
-  contract (the table in docs/API.md "Failure semantics"): STATUS,
-  CAPABILITIES and RESERVE are retried freely (a lost grant is an orphan
-  reaped once its lease lapses); RELEASE treats ``unknown-reservation`` on a
-  retry as done; CONSUME is retried because the server's replay cache
+  contract (the table in docs/API.md "Failure semantics"): RESERVE is
+  retried freely (a lost grant is an orphan reaped once its lease lapses);
+  CONSUME is retried because the server's replay cache
   re-delivers the same bytes, and an ``unknown-reservation`` answer means
   the lease was reaped before any consume, so a fresh reserve is safe.
   GET_KEY is never used: its reply is the only frame naming the
@@ -42,7 +41,7 @@ from repro.netkms.client import (
     ReservationHandle,
     ServedKey,
 )
-from repro.netkms.protocol import ServerError, StatusOk
+from repro.netkms.protocol import ServerError
 from repro.util.rng import DeterministicRNG
 
 
@@ -165,24 +164,8 @@ class ResilientKmsClient:
     # Retry-safe operations
     # ------------------------------------------------------------------ #
 
-    async def status(self, pair: Pair) -> StatusOk:
-        return await self._with_retries(lambda c: c.status(pair))
-
     async def reserve(self, pair: Pair, bits: int) -> ReservationHandle:
         return await self._with_retries(lambda c: c.reserve(pair, bits))
-
-    async def release(self, reservation: ReservationHandle) -> None:
-        async def op(client: NetworkKmsClient) -> None:
-            try:
-                await client.release(reservation)
-            except ServerError as exc:
-                if exc.code != protocol.ERR_UNKNOWN_RESERVATION:
-                    raise
-                # Already released (a retry after a lost RELEASE_OK) or
-                # already reaped — either way the bits are back in the
-                # store, which is what release means.
-
-        await self._with_retries(op)
 
     async def consume(self, reservation: ReservationHandle) -> ServedKey:
         """Consume with retries; raises ``ServerError(unknown-reservation)``

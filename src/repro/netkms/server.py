@@ -259,10 +259,6 @@ class NetworkKmsServer:
     async def __aexit__(self, exc_type, exc, tb) -> None:
         await self.stop()
 
-    @property
-    def endpoint(self) -> Tuple[str, int]:
-        return (self.host, self.port)
-
     # ------------------------------------------------------------------ #
     # Reaping
     # ------------------------------------------------------------------ #

@@ -113,33 +113,13 @@ class FrameResult:
         return self.usable_clicks & (self.alice_basis == self.bob_basis)
 
     @property
-    def n_detected(self) -> int:
-        """Number of usable clicks at Bob."""
-        return int(np.count_nonzero(self.usable_clicks))
-
-    @property
     def n_sifted(self) -> int:
         """Number of sifted bits (the paper's ``b``)."""
         return int(np.count_nonzero(self.sifted_mask))
 
-    @property
-    def n_sifted_errors(self) -> int:
-        """Number of error bits among the sifted bits (the paper's ``e``)."""
-        mask = self.sifted_mask
-        return int(np.count_nonzero(self.alice_value[mask] != self.bob_value[mask]))
-
-    @property
-    def qber(self) -> float:
-        """Empirical quantum bit error rate over the sifted bits."""
-        sifted = self.n_sifted
-        if sifted == 0:
-            return 0.0
-        return self.n_sifted_errors / sifted
-
     def __repr__(self) -> str:
         return (
-            f"FrameResult(slots={self.n_slots}, detected={self.n_detected}, "
-            f"sifted={self.n_sifted}, qber={self.qber:.3f})"
+            f"FrameResult(slots={self.n_slots}, sifted={self.n_sifted})"
         )
 
 
@@ -324,10 +304,6 @@ class QuantumChannel:
     def expected_qber(self) -> float:
         """Expected QBER from interferometer visibility and dark counts."""
         return model.expected_qber(self.parameters)
-
-    def sifted_rate_per_second(self) -> float:
-        """Expected sifted key rate in bits per second at the source pulse rate."""
-        return model.sifted_rate_per_second(self.parameters)
 
     def __repr__(self) -> str:
         return (

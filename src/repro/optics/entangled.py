@@ -61,36 +61,6 @@ class EntangledPairSource:
         self.pulses_emitted += int(n_pulses)
         return occupied, heralded
 
-    def emit(self, n_pulses: int):
-        """Emit ``n_pulses`` pump slots.
-
-        Returns a dict of numpy arrays:
-
-        ``pairs``
-            Number of photon pairs generated in each slot.
-        ``heralded``
-            Whether the slot was heralded (idler detected), so the signal
-            photon's existence is announced to the protocol layer.
-        ``basis`` / ``value``
-            The measurement outcome encoded on the signal photon once Alice
-            measures her half — equivalent, for protocol purposes, to the
-            basis/value modulation of the weak-coherent source.
-        """
-        if n_pulses < 0:
-            raise ValueError("number of pulses must be non-negative")
-        pairs = np.empty(n_pulses, dtype=np.int64)
-        basis = np.empty(n_pulses, dtype=np.uint8)
-        value = np.empty(n_pulses, dtype=np.uint8)
-        occupied, heralded_pair = self._draw(pairs, basis, value)
-        heralded = np.zeros(n_pulses, dtype=bool)
-        heralded[occupied] = heralded_pair
-        return {
-            "pairs": pairs,
-            "heralded": heralded,
-            "basis": basis,
-            "value": value,
-        }
-
     def emit_into(
         self, basis_out: np.ndarray, value_out: np.ndarray, photons_out: np.ndarray
     ) -> np.ndarray:

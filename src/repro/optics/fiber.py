@@ -41,11 +41,6 @@ class FiberSpan:
             fiber_loss_db(self.length_km) + self.connector_loss_db
         )
 
-    @property
-    def transmittance(self) -> float:
-        """Probability that a photon survives the span."""
-        return db_to_fraction(self.loss_db)
-
     def __repr__(self) -> str:
         return f"FiberSpan({self.length_km} km, {self.loss_db:.2f} dB)"
 
@@ -60,10 +55,6 @@ class LossElement:
     def __post_init__(self) -> None:
         if self.loss_db < 0:
             raise ValueError("loss must be non-negative")
-
-    @property
-    def transmittance(self) -> float:
-        return db_to_fraction(self.loss_db)
 
 
 @dataclass

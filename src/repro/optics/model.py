@@ -185,16 +185,13 @@ class ChannelParameters:
     entangled_source: Optional[EntangledSourceParameters] = None
 
     @classmethod
-    def for_distance(cls, length_km: float, **overrides) -> "ChannelParameters":
+    def for_distance(cls, length_km: float) -> "ChannelParameters":
         """The paper's link with the fiber spool replaced by ``length_km`` of fiber."""
-        params = cls(path=OpticalPath.single_span(length_km))
-        for key, value in overrides.items():
-            setattr(params, key, value)
-        return params
+        return cls(path=OpticalPath.single_span(length_km))
 
     @classmethod
     def entangled_link(
-        cls, length_km: float = 10.0, source: Optional[EntangledSourceParameters] = None
+        cls, length_km: float, source: Optional[EntangledSourceParameters] = None
     ) -> "ChannelParameters":
         """The planned second link: an SPDC entangled-pair source over fiber."""
         return cls(

@@ -23,10 +23,6 @@ class DistillationPipeline:
             raise ValueError("a pipeline needs at least one stage")
         self.stages: Tuple[PipelineStage, ...] = tuple(stages)
 
-    @property
-    def stage_names(self) -> Tuple[str, ...]:
-        return tuple(stage.name for stage in self.stages)
-
     def run(self, ctx: PipelineContext) -> PipelineContext:
         """Drive one block's context through the stages until one aborts it."""
         for stage in self.stages:
@@ -36,4 +32,4 @@ class DistillationPipeline:
         return ctx
 
     def __repr__(self) -> str:
-        return f"DistillationPipeline({' -> '.join(self.stage_names)})"
+        return f"DistillationPipeline({' -> '.join(stage.name for stage in self.stages)})"

@@ -63,10 +63,6 @@ class LinkRun:
     alice_pool: KeyPool
     bob_pool: KeyPool
 
-    @property
-    def distilled_bits(self) -> int:
-        return self.report.distilled_bits
-
 
 def _run_link_job(job: LinkJob) -> LinkRun:
     """What the farm runs per job: the job as a one-lane fleet."""

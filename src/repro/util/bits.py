@@ -41,7 +41,7 @@ other on randomized inputs.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Union
 
 
 class BitString:
@@ -74,20 +74,6 @@ class BitString:
         self._value = value
         self._length = length
         return self
-
-    @classmethod
-    def zeros(cls, n: int) -> "BitString":
-        """Return a bit string of ``n`` zero bits."""
-        if n < 0:
-            raise ValueError("length must be non-negative")
-        return cls._from_packed(0, n)
-
-    @classmethod
-    def ones(cls, n: int) -> "BitString":
-        """Return a bit string of ``n`` one bits."""
-        if n < 0:
-            raise ValueError("length must be non-negative")
-        return cls._from_packed((1 << n) - 1, n)
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "BitString":
@@ -240,15 +226,6 @@ class BitString:
     # ------------------------------------------------------------------ #
     # Cryptographic / statistical helpers
     # ------------------------------------------------------------------ #
-
-    def parity(self) -> int:
-        """Parity (XOR) of all bits."""
-        return self._value.bit_count() & 1
-
-    def subset(self, indices: Sequence[int]) -> "BitString":
-        """Return the bits at the given indices, in order."""
-        s = self._bin()
-        return BitString(1 if s[i] == "1" else 0 for i in indices)
 
     def hamming_distance(self, other: "BitString") -> int:
         """Number of differing positions between two equal-length bit strings."""

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Optional
 
 
 class DeterministicRNG:
@@ -114,64 +112,8 @@ class DeterministicRNG:
         """Uniform integer in [low, high], inclusive."""
         return self._random.randint(low, high)
 
-    def bernoulli(self, probability: float) -> bool:
-        """True with the given probability."""
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return self._random.random() < probability
-
-    def choice(self, options: Sequence[T]) -> T:
-        """Pick one element uniformly at random."""
-        return self._random.choice(options)
-
-    def shuffle(self, items: List[T]) -> List[T]:
-        """Return a shuffled copy of ``items`` (the input is not modified)."""
-        shuffled = list(items)
-        self._random.shuffle(shuffled)
-        return shuffled
-
-    def sample(self, population: Sequence[T], k: int) -> List[T]:
-        """Sample ``k`` distinct elements without replacement."""
-        return self._random.sample(population, k)
-
-    # ------------------------------------------------------------------ #
-    # Distributions used by the photonic simulation
-    # ------------------------------------------------------------------ #
-
-    def poisson(self, mean: float) -> int:
-        """Poisson-distributed photon number for a weak-coherent pulse.
-
-        Uses Knuth's multiplication method, which is exact and fast for the
-        small means (mu ~ 0.1) used in QKD sources.
-        """
-        if mean < 0:
-            raise ValueError("Poisson mean must be non-negative")
-        if mean == 0:
-            return 0
-        import math
-
-        limit = math.exp(-mean)
-        count = 0
-        product = self._random.random()
-        while product > limit:
-            count += 1
-            product *= self._random.random()
-        return count
-
     def exponential(self, mean: float) -> float:
         """Exponentially distributed waiting time (e.g. between dark counts)."""
         if mean <= 0:
             raise ValueError("exponential mean must be positive")
         return self._random.expovariate(1.0 / mean)
-
-    def gauss(self, mean: float, stddev: float) -> float:
-        """Gaussian draw (used for timing jitter and phase drift)."""
-        return self._random.gauss(mean, stddev)
-
-    def binomial(self, n: int, probability: float) -> int:
-        """Number of successes in ``n`` Bernoulli trials."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return sum(1 for _ in range(n) if self.bernoulli(probability))

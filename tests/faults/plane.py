@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.util.rng import DeterministicRNG
+from tests.draws import bernoulli
 
 # Action kinds ---------------------------------------------------------- #
 
@@ -154,7 +155,7 @@ class FaultPlane:
         # stream's consumption per index is constant and a rate change for
         # one kind cannot re-randomise another's draws.
         for kind in SITE_KINDS[site]:
-            fired = stream.bernoulli((rates or {}).get(kind, 0.0))
+            fired = bernoulli(stream, (rates or {}).get(kind, 0.0))
             if fired and hit is None:
                 hit = kind
         if hit is None:

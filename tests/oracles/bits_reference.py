@@ -13,7 +13,7 @@ paths; do not "optimise" it, or it stops being an oracle.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Union
+from typing import Iterable, Iterator, List, Union
 
 
 class ReferenceBitString:
@@ -31,18 +31,6 @@ class ReferenceBitString:
     # ------------------------------------------------------------------ #
     # Constructors
     # ------------------------------------------------------------------ #
-
-    @classmethod
-    def zeros(cls, n: int) -> "ReferenceBitString":
-        if n < 0:
-            raise ValueError("length must be non-negative")
-        return cls([0] * n)
-
-    @classmethod
-    def ones(cls, n: int) -> "ReferenceBitString":
-        if n < 0:
-            raise ValueError("length must be non-negative")
-        return cls([1] * n)
 
     @classmethod
     def from_int(cls, value: int, length: int) -> "ReferenceBitString":
@@ -184,12 +172,6 @@ class ReferenceBitString:
     # ------------------------------------------------------------------ #
     # Cryptographic / statistical helpers
     # ------------------------------------------------------------------ #
-
-    def parity(self) -> int:
-        return sum(self._bits) & 1
-
-    def subset(self, indices: Sequence[int]) -> "ReferenceBitString":
-        return ReferenceBitString(self._bits[i] for i in indices)
 
     def hamming_distance(self, other: "ReferenceBitString") -> int:
         if len(other) != len(self):

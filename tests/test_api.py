@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -30,15 +31,13 @@ class TestSystemConfig:
         assert params.slots_per_batch == 250_000
         assert not params.channel.is_entangled
 
-    def test_entangled_channel(self):
-        config = SystemConfig(entangled=True, distance_km=15.0)
-        assert config.channel_parameters().is_entangled
-
 
 class TestFluentBuilders:
     def test_configured_derives_new_systems(self):
+        """A variant is ``QKDSystem(replace(base.config, ...))``; the base
+        system's config is left as it was."""
         base = QKDSystem(seed=1)
-        derived = base.configured(defense="slutsky", distance_km=20.0, seed=9)
+        derived = QKDSystem(replace(base.config, defense="slutsky", distance_km=20.0, seed=9))
         assert base.config.defense == "bennett"
         assert base.config.seed == 1
         assert derived.config.defense == "slutsky"
@@ -70,7 +69,7 @@ class TestLinkFacade:
         assert link.parameters.channel.path.length_km == 25.0
 
     def test_defense_reaches_engine(self):
-        link = QKDSystem(seed=4).configured(defense="slutsky").link()
+        link = QKDSystem(seed=4, defense="slutsky").link()
         assert link.engine.estimator.defense.name == "slutsky"
 
     @pytest.mark.parametrize(
@@ -83,7 +82,7 @@ class TestLinkFacade:
         ],
     )
     def test_distillation_field_reaches_engine(self, field, value):
-        link = QKDSystem(seed=4).configured(**{field: value}).link()
+        link = QKDSystem(seed=4, **{field: value}).link()
         assert getattr(link.engine.parameters, field) == value
         assert getattr(QKDSystem(seed=4).link().engine.parameters, field) != value
 
@@ -117,8 +116,8 @@ class TestInputsAreRefusedWhereTheyEnter:
     def test_a_mesh_of_one_relay_banks_no_self_loop_pad(self):
         mesh = QKDSystem(seed=1, n_endpoints=2, n_relays=1).mesh()
         assert ("relay-0", "relay-0") not in mesh.relays.pairwise_pads
-        assert not mesh.network.graph.has_edge("relay-0", "relay-0")
-        assert mesh.transport_key("endpoint-0", "endpoint-1").success
+        assert not mesh.relays.network.graph.has_edge("relay-0", "relay-0")
+        assert mesh.relays.transport_key("endpoint-0", "endpoint-1").success
 
 
 class TestVpnFacade:
@@ -130,19 +129,19 @@ class TestVpnFacade:
     def test_vpn_assembles_link_and_gateways(self, vpn):
         assert isinstance(vpn, VPNSystem)
         assert vpn.initial_report is not None
-        assert vpn.available_key_bits > 0
+        assert vpn.link.engine.alice_pool.available_bits > 0
         # Both gateways draw from the same link's (independent) pools.
         assert vpn.gateways.alice.key_pool is vpn.link.engine.alice_pool
         assert vpn.gateways.bob.key_pool is vpn.link.engine.bob_pool
 
     def test_tunnel_round_trip(self, vpn):
         vpn.secure_tunnel("enclave", "10.1.0.0/16", "10.2.0.0/16")
-        before = vpn.available_key_bits
+        before = vpn.link.engine.alice_pool.available_bits
         delivered = vpn.send("10.1.0.9", "10.2.0.7", b"attack at dawn")
         assert delivered is not None
         assert delivered.payload == b"attack at dawn"
         # Bringing the tunnel up consumed QKD key.
-        assert vpn.available_key_bits < before
+        assert vpn.link.engine.alice_pool.available_bits < before
 
     def test_one_time_pad_tunnel(self, vpn):
         # A one-time-pad SA spends pad byte-for-byte on traffic, so give it a
@@ -183,23 +182,23 @@ class TestMeshFacade:
         assert set(mesh.endpoints()) == {"endpoint-0", "endpoint-1", "endpoint-2"}
 
     def test_transport_key(self, mesh):
-        result = mesh.transport_key("endpoint-0", "endpoint-1")
+        result = mesh.relays.transport_key("endpoint-0", "endpoint-1")
         assert result.success
         assert result.key is not None and len(result.key) == 256
 
     def test_reroute_after_fiber_cut(self, mesh):
-        healthy = mesh.transport_key("endpoint-0", "endpoint-1")
+        healthy = mesh.relays.transport_key("endpoint-0", "endpoint-1")
         assert healthy.success
-        mesh.network.cut_link(healthy.path[1], healthy.path[2])
-        rerouted = mesh.transport_with_reroute("endpoint-0", "endpoint-1")
+        mesh.relays.network.cut_link(healthy.path[1], healthy.path[2])
+        rerouted = mesh.relays.transport_with_reroute("endpoint-0", "endpoint-1")
         assert rerouted.success
         assert rerouted.path != healthy.path
 
     def test_run_links_for_adds_pairwise_key(self, mesh):
         # Skip any link an earlier test in this class cut.
-        edge = next(e for e in mesh.network.links() if e.usable)
+        edge = next(e for e in mesh.relays.network.links() if e.usable)
         before = mesh.relays.pairwise_key_available_bits(edge.node_a, edge.node_b)
-        mesh.run_links_for(10.0)
+        mesh.relays.run_links_for(10.0)
         after = mesh.relays.pairwise_key_available_bits(edge.node_a, edge.node_b)
         assert after > before
 
@@ -260,7 +259,7 @@ class TestPackageExports:
             "QKDSystem(seed=1).link()\n"
             "import repro.dtn, repro.kms, repro.netkms, repro.network\n"
             "mesh = QKDSystem(seed=7).mesh(n_endpoints=3, n_relays=4)\n"
-            "result = mesh.transport_key('endpoint-0', 'endpoint-1')\n"
+            "result = mesh.relays.transport_key('endpoint-0', 'endpoint-1')\n"
             "assert result.success and len(result.key) == 256\n"
             "metro = QKDSystem(seed=12).metro(\n"
             "    n_zones=2, endpoints_per_zone=2, relays_per_zone=2, prefill_seconds=0.0\n"
@@ -280,6 +279,20 @@ class TestPackageExports:
         )
         assert finished.returncode == 0, finished.stderr
         assert int(finished.stdout) >= 3
+
+    def test_the_readme_quick_start_runs(self):
+        """README.md's first python block, run as written: a name it calls
+        cannot leave the package unnoticed."""
+        root = Path(__file__).resolve().parent.parent
+        block = re.search(r"```python\n(.*?)```", (root / "README.md").read_text(), re.S).group(1)
+        finished = subprocess.run(
+            [sys.executable, "-c", block],
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert finished.returncode == 0, finished.stderr
 
     def test_every_shipped_module_is_imported_outside_the_tests(self):
         """A module only ``tests/`` imports is an oracle parked in the package:

@@ -24,15 +24,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BitString([0, 2, 1])
 
-    def test_zeros_and_ones(self):
-        assert str(BitString.zeros(4)) == "0000"
-        assert str(BitString.ones(3)) == "111"
-        assert BitString.zeros(0) == BitString()
-
-    def test_zeros_negative_length_rejected(self):
-        with pytest.raises(ValueError):
-            BitString.zeros(-1)
-
     def test_from_int(self):
         assert str(BitString.from_int(5, 4)) == "0101"
         assert str(BitString.from_int(0, 3)) == "000"
@@ -81,7 +72,7 @@ class TestConversion:
 
     def test_repr_short_and_long(self):
         assert "1010" in repr(BitString([1, 0, 1, 0]))
-        assert "len=100" in repr(BitString.zeros(100))
+        assert "len=100" in repr(BitString.from_int(0, 100))
 
 
 class TestSequenceProtocol:
@@ -123,15 +114,6 @@ class TestBitwise:
 
 
 class TestCryptoHelpers:
-    def test_parity(self):
-        bits = BitString([1, 0, 1, 1])
-        assert bits.parity() == 1
-        assert BitString([1, 1]).parity() == 0
-
-    def test_subset(self):
-        bits = BitString([1, 0, 1, 1, 0])
-        assert bits.subset([0, 2, 4]) == BitString([1, 1, 0])
-
     def test_hamming_distance_and_error_rate(self):
         a = BitString([1, 0, 1, 0])
         b = BitString([1, 1, 1, 1])
@@ -167,7 +149,7 @@ class TestProperties:
     @given(bit_lists)
     def test_xor_self_is_zero(self, bits):
         bs = BitString(bits)
-        assert (bs ^ bs) == BitString.zeros(len(bs))
+        assert (bs ^ bs) == BitString.from_int(0, len(bs))
 
     @given(bit_lists, bit_lists)
     def test_xor_commutes(self, a, b):

@@ -17,6 +17,15 @@ an attribute use (``obj.name``) or a bare use inside its own class body;
 a local variable that shares its name does not count.  Dunder methods are
 called by the interpreter and are skipped.
 
+A use counts only where the code around it runs: at import (module level),
+in ``benchmarks/`` or ``examples/``, or in the body of a definition that is
+itself used — found as a fixpoint over the scan.  So a use inside a def's
+own body keeps nothing alive (``DeterministicRNG.choice`` calling the
+standard library's ``choice`` is not a caller of itself), and neither does a
+use inside a def that nothing calls.  A decorator, a default or an
+annotation runs where the def stands, so it counts there.  A dunder, and a
+name in :data:`ALLOWED`, runs when its class does.
+
 The check is by name, so two definitions sharing a name keep each other
 alive; it errs towards passing, never towards a false failure.
 
@@ -53,8 +62,9 @@ a row of ``tests/test_paper_claims.py``, a soak row of
 """
 
 import ast
+import functools
 import textwrap
-from collections import Counter, defaultdict
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -68,6 +78,9 @@ ALLOWED = {
     "tests/test_pinned_key_material.py, whose literals stay as they are",
     "total_bytes": "transcript size pinned by tests/test_pinned_key_material.py",
     "frame_numbers": "per-slot frame index hashed by tests/test_pinned_key_material.py",
+    "entangled_link": "the planned second link (LinkParameters and ChannelParameters): the "
+    "E10 and A2 rows of tests/test_paper_claims.py run it, and its branch in "
+    "tests/test_pinned_key_material.py pins one",
     # asyncio calls these on a connection's protocol: the event loop is the
     # caller, as the interpreter is a dunder's.
     "connection_made": "asyncio.Protocol callback of the netkms client and server",
@@ -79,80 +92,132 @@ ALLOWED = {
 }
 
 
-def _uses(tree):
-    """(bare names, attribute-or-string names) used in one module's code."""
-    in_all = set()
+def _not_uses(tree):
+    """ids of the nodes inside ``__all__`` lists and ``lazy_exports`` tables."""
+    skipped = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            in_all.update(id(item) for item in ast.walk(node.value))
+            skipped.update(id(item) for item in ast.walk(node.value))
         elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
-            in_all.update(id(item) for argument in node.args for item in ast.walk(argument))
-    bare, attributes = Counter(), Counter()
-    for node in ast.walk(tree):
+            skipped.update(id(item) for argument in node.args for item in ast.walk(argument))
+    return skipped
+
+
+class _Scope:
+    """A stretch of code that runs as one: a module's top level, or the body
+    of one def or class (its nested defs are scopes of their own), with the
+    names it uses."""
+
+    def __init__(self, location=None, name=None, owner=None):
+        self.location, self.name, self.owner = location, name, owner
+        self.bare, self.attributes = set(), set()
+
+    @property
+    def always_runs(self):
+        """Module level, a dunder or an allowlisted def: the interpreter or
+        the event loop calls it (a method, once its class runs)."""
+        return self.name is None or self.name in ALLOWED or (
+            self.name.startswith("__") and self.name.endswith("__")
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _scopes(tree, location_of=None):
+    """Every scope of one module, the module's top level first."""
+    skipped = _not_uses(tree)
+    scopes = [_Scope()]
+
+    def record(node, scope):
         if isinstance(node, ast.Name):
-            bare[node.id] += 1
+            scope.bare.add(node.id)
         elif isinstance(node, ast.Attribute):
-            attributes[node.attr] += 1
+            scope.attributes.add(node.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
-            and id(node) not in in_all
+            and id(node) not in skipped
         ):
-            attributes[node.value] += 1
-    return bare, attributes
+            scope.attributes.add(node.value)
+
+    def visit(node, scope, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            # Decorators, defaults, annotations and bases run where the def stands.
+            for child in ast.iter_child_nodes(node):
+                if child not in node.body:
+                    visit(child, scope, owner)
+            location = location_of(node) if location_of else str(node.lineno)
+            own = _Scope(location, node.name, owner)
+            scopes.append(own)
+            for statement in node.body:
+                visit(statement, own, own if isinstance(node, ast.ClassDef) else None)
+            return
+        record(node, scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, owner)
+
+    for statement in tree.body:
+        visit(statement, scopes[0], None)
+    return scopes
 
 
-def _class_body_names(cls):
-    """Bare names used in a class body outside its methods."""
-    names = set()
-    for statement in cls.body:
-        if not isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.update(n.id for n in ast.walk(statement) if isinstance(n, ast.Name))
-    return names
+def _uncalled(modules, callers):
+    """Defs of ``modules`` (a list of ``(tree, location_of)``) that no running
+    code in ``modules`` or ``callers`` uses, found as a fixpoint: a scope
+    runs if it always does, or if it is a def another running scope uses."""
+    checked = [scope for tree, where in modules for scope in _scopes(tree, where)]
+    running = [scope for tree in callers for scope in _scopes(tree)]
+    live = {id(scope) for scope in checked if scope.always_runs and scope.owner is None}
+    live |= {id(scope) for scope in running}
+    by_attribute, by_bare = defaultdict(list), defaultdict(list)
+    for user in running + checked:
+        for name in user.attributes:
+            by_attribute[name].append(user)
+        for name in user.bare:
+            by_bare[name].append(user)
+
+    def used(definition):
+        owner = definition.owner
+        if owner is not None and id(owner) not in live:
+            return False
+        if definition.always_runs:
+            return True
+        bare = [user for user in by_bare[definition.name] if owner is None or user is owner]
+        return any(
+            user is not definition and id(user) in live
+            for user in by_attribute[definition.name] + bare
+        )
+
+    changed = True
+    while changed:
+        changed = False
+        for definition in checked:
+            if id(definition) not in live and definition.name is not None and used(definition):
+                live.add(id(definition))
+                changed = True
+    return [scope for scope in checked if scope.name is not None and id(scope) not in live
+            and not (scope.name.startswith("__") and scope.name.endswith("__"))]
 
 
-def _definitions(path, tree):
-    """(location, name, is_method, class-body names) for every def and class."""
-    found = []
+@functools.lru_cache(maxsize=None)
+def _parsed():
+    return {directory: [(path, ast.parse(path.read_text(), filename=str(path)))
+                        for path in sorted((ROOT / directory).rglob("*.py"))]
+            for directory in CALLER_DIRS}
 
-    def visit(body, owner):
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                location = f"{path.relative_to(ROOT)}:{node.lineno}"
-                in_class = owner is not None
-                found.append(
-                    (location, node.name, in_class, _class_body_names(owner) if in_class else set())
-                )
-                visit(node.body, node if isinstance(node, ast.ClassDef) else None)
-            else:
-                for field in ("body", "orelse", "finalbody", "handlers"):
-                    visit(getattr(node, field, None) or [], owner)
 
-    visit(tree.body, None)
-    return found
+@functools.lru_cache(maxsize=None)
+def _located(path):
+    return lambda node: f"{path.relative_to(ROOT)}:{node.lineno}"
 
 
 def uncalled_definitions():
-    bare, attributes, definitions = Counter(), Counter(), []
-    for directory in CALLER_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            module_bare, module_attributes = _uses(tree)
-            bare.update(module_bare)
-            attributes.update(module_attributes)
-            if directory == "src":
-                definitions.extend(_definitions(path, tree))
-    uncalled = []
-    for location, name, is_method, class_names in definitions:
-        if name.startswith("__") and name.endswith("__"):
-            continue
-        used = attributes[name] or (name in class_names if is_method else bare[name])
-        if not used and name not in ALLOWED:
-            uncalled.append(f"{location} {name}")
-    return uncalled
+    trees = _parsed()
+    modules = [(tree, _located(path)) for path, tree in trees["src"]]
+    callers = [tree for directory in CALLER_DIRS[1:] for _path, tree in trees[directory]]
+    return [f"{scope.location} {scope.name}" for scope in _uncalled(modules, callers)]
 
 
 def test_every_definition_in_src_has_a_caller_outside_the_tests():
@@ -164,14 +229,125 @@ def test_every_definition_in_src_has_a_caller_outside_the_tests():
 
 
 def test_every_allowed_name_is_still_defined_and_uncalled():
-    """An allowlist entry whose definition went, or gained a caller, is stale."""
+    """An allowlist entry whose definition went, or gained a caller, is stale:
+    without its entry, each name must be reported."""
     saved = dict(ALLOWED)
+    stale = []
     try:
-        ALLOWED.clear()
-        uncalled = {entry.split()[-1] for entry in uncalled_definitions()}
+        for name in saved:
+            del ALLOWED[name]
+            if name not in {entry.split()[-1] for entry in uncalled_definitions()}:
+                stale.append(name)
+            ALLOWED[name] = saved[name]
     finally:
         ALLOWED.update(saved)
-    assert uncalled == set(saved)
+    assert stale == []
+
+
+def _uncalled_in(source):
+    """The defs of one in-memory module that its own running code leaves unused."""
+    tree = ast.parse(textwrap.dedent(source))
+    return {scope.name for scope in _uncalled([(tree, None)], [])}
+
+
+def test_a_use_in_its_own_body_or_in_an_uncalled_def_keeps_nothing_alive():
+    """``choice`` is used only by its own body (the standard library's
+    ``choice``), ``orphan`` only by ``helper``, which nothing calls, and
+    ``ping``/``pong`` only by each other; ``used`` is called at import and
+    keeps ``Rng`` and ``Rng.random`` alive."""
+    assert _uncalled_in(
+        """
+        class Rng:
+            def choice(self, options):
+                return self._random.choice(options)
+            def random(self):
+                return self._random.random()
+        def helper():
+            return orphan()
+        def orphan():
+            return 1
+        def ping():
+            return pong()
+        def pong():
+            return ping()
+        def used():
+            return Rng().random()
+        used()
+        """
+    ) == {"choice", "helper", "orphan", "ping", "pong"}
+
+
+#: name -> (an in-memory module, the defs its running code leaves unused)
+RUNNING_USES = {
+    "a def a used def calls": (
+        """
+        def used():
+            return callee()
+        def callee():
+            return 1
+        used()
+        """,
+        set(),
+    ),
+    "a decorator, a default and an annotation of an uncalled def": (
+        """
+        def decorate(function):
+            return function
+        def make():
+            return 1
+        class Kind: ...
+        @decorate
+        def uncalled(value: Kind = make()):
+            return value
+        """,
+        {"uncalled"},
+    ),
+    "a base of an uncalled class": (
+        """
+        class Base: ...
+        class Uncalled(Base): ...
+        """,
+        {"Uncalled"},
+    ),
+    "a dunder of a used class": (
+        """
+        class Used:
+            def __init__(self):
+                self.value = helper()
+        def helper():
+            return 1
+        Used()
+        """,
+        set(),
+    ),
+    "a string that is exactly the method's name": (
+        """
+        class Rng:
+            def draw(self):
+                return 1
+        getattr(Rng(), "draw")()
+        """,
+        set(),
+    ),
+    "a method of an uncalled class, whose name a used class shares": (
+        """
+        class Dead:
+            def run(self):
+                return 1
+        class Live:
+            def run(self):
+                return 2
+        Live().run()
+        """,
+        {"Dead", "run"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RUNNING_USES)
+def test_only_a_use_in_running_code_keeps_a_def_alive(case):
+    source, unused = RUNNING_USES[case]
+    assert _uncalled_in(source) == unused
 
 
 # --------------------------------------------------------------------------- #
@@ -560,9 +736,8 @@ def _unset(modules, callers):
 
 
 def unset_options():
-    trees = {directory: [ast.parse(path.read_text(), filename=str(path))
-                         for path in sorted((ROOT / directory).rglob("*.py"))]
-             for directory in CALLER_DIRS}
+    trees = {directory: [tree for _path, tree in modules]
+             for directory, modules in _parsed().items()}
     callers = [tree for directory in CALLER_DIRS for tree in trees[directory]]
     return [label for label in _unset(trees["src"], callers) if label not in ALLOWED_OPTIONS]
 

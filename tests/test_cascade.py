@@ -13,6 +13,7 @@ from repro.core.messages import (
 )
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import sample
 from tests.oracles.scalar_cascade import messages_of_type
 
 
@@ -21,7 +22,7 @@ def make_keys(n: int, error_rate: float, seed: int = 1):
     rng = DeterministicRNG(seed)
     reference = BitString.random(n, rng)
     n_errors = int(round(error_rate * n))
-    error_positions = rng.sample(range(n), n_errors)
+    error_positions = sample(rng, range(n), n_errors)
     noisy = reference.to_list()
     for position in error_positions:
         noisy[position] ^= 1
@@ -64,7 +65,7 @@ class TestReconciliation:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            CascadeProtocol().reconcile(BitString.zeros(10), BitString.zeros(11))
+            CascadeProtocol().reconcile(BitString.from_int(0, 10), BitString.from_int(0, 11))
 
     @pytest.mark.parametrize("error_rate", [0.01, 0.03, 0.07, 0.11])
     def test_corrects_all_errors(self, error_rate):

@@ -1,5 +1,7 @@
 """Tests for the assembled quantum channel — including the paper's operating point."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.optics.model import DetectorParameters
 from repro.optics.fiber import OpticalPath
 from repro.util.rng import DeterministicRNG
+from tests.frames import detected, qber, sifted_errors
 
 
 class TestChannelParameters:
@@ -20,6 +23,15 @@ class TestChannelParameters:
     def test_for_distance(self):
         params = ChannelParameters.for_distance(25.0)
         assert params.path.length_km == pytest.approx(25.0)
+
+    def test_a_misspelled_field_is_refused(self):
+        """A variant is ``dataclasses.replace`` of the paper's link, which
+        refuses an unknown field; ``for_distance`` used to set any keyword
+        as a stray attribute and keep the default detectors."""
+        with pytest.raises(TypeError):
+            ChannelParameters.for_distance(2.0, detektors=None)
+        with pytest.raises(TypeError):
+            replace(ChannelParameters.for_distance(2.0), detektors=None)
 
 
 class TestAnalyticModel:
@@ -37,7 +49,7 @@ class TestAnalyticModel:
         assert model.sifted_rate_per_slot(params) == pytest.approx(
             0.5 * model.click_probability(params)
         )
-        assert channel.sifted_rate_per_second() == pytest.approx(
+        assert model.sifted_rate_per_second(params) == pytest.approx(
             model.sifted_rate_per_slot(params) * 1e6
         )
 
@@ -47,7 +59,7 @@ class TestMonteCarlo:
         result = channel.transmit(0)
         assert result.n_slots == 0
         assert result.n_sifted == 0
-        assert result.qber == 0.0
+        assert qber(result) == 0.0
         with pytest.raises(ValueError):
             channel.transmit(-1)
         # Afterpulsing looks one gate back; with no gates it must not draw.
@@ -60,8 +72,8 @@ class TestMonteCarlo:
     def test_frame_result_invariants(self, paper_channel):
         result = paper_channel.transmit(300_000)
         assert result.n_slots == 300_000
-        assert result.n_sifted <= result.n_detected <= result.n_slots
-        assert 0 <= result.n_sifted_errors <= result.n_sifted
+        assert result.n_sifted <= detected(result) <= result.n_slots
+        assert 0 <= sifted_errors(result) <= result.n_sifted
         # Sifted mask only covers usable clicks with matching bases.
         mask = result.sifted_mask
         assert np.all(result.alice_basis[mask] == result.bob_basis[mask])
@@ -95,12 +107,12 @@ class TestMonteCarlo:
         assert attack.called
         assert result.attack_record["attack"] == "blackhole"
         # Eve swallowed every photon and dark counts are off: no clicks at all.
-        assert result.n_detected == 0
+        assert detected(result) == 0
 
     def test_lossier_path_means_fewer_detections(self):
         near = QuantumChannel(ChannelParameters.for_distance(10.0), DeterministicRNG(7))
         far = QuantumChannel(ChannelParameters.for_distance(50.0), DeterministicRNG(7))
-        assert far.transmit(500_000).n_detected < near.transmit(500_000).n_detected
+        assert detected(far.transmit(500_000)) < detected(near.transmit(500_000))
 
     def test_custom_path_object(self):
         params = ChannelParameters(path=OpticalPath.single_span(0.0))

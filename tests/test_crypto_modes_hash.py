@@ -197,7 +197,6 @@ class TestOneTimePad:
     def test_consumption_accounting(self):
         pad = OneTimePad(bytes(100))
         pad.encrypt(b"12345")
-        assert pad.consumed_bytes == 5
         assert pad.available_bytes == 95
 
     def test_exhaustion(self):

@@ -25,11 +25,12 @@ from repro.core.messages import (
     _slice_query_bytes,
 )
 from repro.mathkit import lfsr
-from repro.mathkit.toeplitz import ToeplitzHash
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import sample
 from tests.oracles.mathkit import lfsr_subset_masks
 from tests.oracles.scalar_cascade import expanded, messages_of_type, scalar_reconcile
+from tests.oracles.toeplitz_window import WindowToeplitzHash
 
 # --------------------------------------------------------------------------- #
 # (a) LFSR subset expansion
@@ -101,7 +102,7 @@ def test_one_stream_table_serves_a_long_then_a_short_key(empty_stream_table):
         rng = DeterministicRNG(seed)
         reference = BitString.random(n_bits, rng)
         noisy = reference.to_list()
-        for index in rng.sample(range(n_bits), n_bits // 50):
+        for index in sample(rng, range(n_bits), n_bits // 50):
             noisy[index] ^= 1
         result = CascadeProtocol(rng=DeterministicRNG(seed + 1)).reconcile(
             reference, BitString(noisy), error_rate_hint=0.02
@@ -139,7 +140,7 @@ def test_chained_hash_matches_per_chunk_chain_at_boundary_lengths(geometry):
     input_bits, output_bits = geometry
     payload = (input_bits - output_bits) // 8
     rng = DeterministicRNG(input_bits + output_bits)
-    hasher = ToeplitzHash.random(input_bits, output_bits, rng)
+    hasher = WindowToeplitzHash.random(input_bits, output_bits, rng)
     for length in (0, 1, payload - 1, payload, payload + 1, 60_000):
         data = rng.getrandbits(8 * length).to_bytes(length, "big") if length else b""
         assert hasher.chained_hash_aligned(data, payload) == chunked_chain(
@@ -155,7 +156,7 @@ def test_chained_hash_matches_per_chunk_chain_at_boundary_lengths(geometry):
 )
 def test_chained_hash_matches_per_chunk_chain(geometry, diagonal_seed, data):
     input_bits, output_bits = geometry
-    hasher = ToeplitzHash.random(input_bits, output_bits, DeterministicRNG(diagonal_seed))
+    hasher = WindowToeplitzHash.random(input_bits, output_bits, DeterministicRNG(diagonal_seed))
     payload = (input_bits - output_bits) // 8
     assert hasher.chained_hash_aligned(data, payload) == chunked_chain(hasher, data, payload)
 
@@ -215,7 +216,7 @@ def assert_reconcile_matches_scalar(n, error_rate, block_first_pass, density, wi
     rng = DeterministicRNG(seed)
     reference = BitString.random(n, rng)
     noisy = reference.to_list()
-    for index in rng.sample(range(n), int(round(error_rate * n))):
+    for index in sample(rng, range(n), int(round(error_rate * n))):
         noisy[index] ^= 1
     noisy = BitString(noisy)
     parameters = CascadeParameters(block_first_pass=block_first_pass, subset_density=density)

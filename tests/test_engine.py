@@ -10,13 +10,14 @@ from repro.crypto.wegman_carter import WegmanCarterAuthenticator
 from repro.core.sifting import SiftingProtocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import sample
 from tests.oracles.scalar_cascade import messages_of_type
 
 
 def noisy_pair(n: int, error_rate: float, seed: int = 1):
     rng = DeterministicRNG(seed)
     alice = BitString.random(n, rng)
-    errors = rng.sample(range(n), int(round(error_rate * n)))
+    errors = sample(rng, range(n), int(round(error_rate * n)))
     bob = alice.to_list()
     for index in errors:
         bob[index] ^= 1
@@ -91,7 +92,7 @@ class TestDistillBlock:
         assert outcome.authenticated
         assert outcome.distilled_bits > 0
         assert outcome.cascade.matches_reference
-        assert 0 < outcome.secret_fraction < 1
+        assert 0 < outcome.distilled_bits / outcome.sifted_bits < 1
 
     def test_both_pools_receive_identical_key(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(4))
@@ -149,11 +150,11 @@ class TestDistillBlock:
 
     def test_auth_pool_replenished(self):
         engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(15))
-        start = engine.alice_auth.available_secret_bits
+        start = engine.alice_auth.pool.available_bits
         alice, bob = noisy_pair(2048, 0.05, seed=16)
         engine.distill_block(alice, bob, transmitted_pulses=400_000)
         # Consumed 2 x 32 bits for tagging, gained 128 back.
-        assert engine.alice_auth.available_secret_bits == start - 64 + 128
+        assert engine.alice_auth.pool.available_bits == start - 64 + 128
 
     def test_statistics_accumulate(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(17))
@@ -195,14 +196,14 @@ class TestBlockStream:
 
     def test_alarmed_block_spends_no_compute_but_one_tag(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
-        start = engine.alice_auth.available_secret_bits
+        start = engine.alice_auth.pool.available_bits
         [outcome] = distill_all(engine, sifted_blocks((0.30,), seed=556))
         assert outcome.aborted and "exceeds abort threshold" in outcome.abort_reason
         assert outcome.cascade is None and outcome.entropy is None and outcome.privacy is None
         assert len(outcome.transcript) == 0
         tag_bits = WegmanCarterAuthenticator.TAG_BITS
-        assert engine.alice_auth.available_secret_bits == start - tag_bits
-        assert engine.bob_auth.available_secret_bits == start - tag_bits
+        assert engine.alice_auth.pool.available_bits == start - tag_bits
+        assert engine.bob_auth.pool.available_bits == start - tag_bits
 
     def test_stages_run_for_every_block(self, record_stages):
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
@@ -270,11 +271,11 @@ class TestBlockStream:
     def test_empty_flush_runs_nothing(self, record_stages):
         engine = QKDProtocolEngine(rng=DeterministicRNG(7))
         ran = record_stages(engine)
-        auth_bits = engine.alice_auth.available_secret_bits
+        auth_bits = engine.alice_auth.pool.available_bits
         assert engine.flush() is None
         assert ran == []
         assert engine.statistics == type(engine.statistics)()
-        assert engine.alice_auth.available_secret_bits == auth_bits
+        assert engine.alice_auth.pool.available_bits == auth_bits
         assert distill_all(engine, sifted_blocks((0.06,)))[0].block_id == 0
 
     def test_block_ids_follow_submission_order(self):

@@ -7,6 +7,7 @@ from repro.optics import model
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.optics.entangled import EntangledPairSource, EntangledSourceParameters
 from repro.util.rng import DeterministicRNG
+from tests.frames import qber
 
 
 class TestEntangledChannelParameters:
@@ -25,7 +26,7 @@ class TestEntangledChannelParameters:
 
 class TestEntangledChannel:
     def test_uses_entangled_source(self):
-        channel = QuantumChannel(ChannelParameters.entangled_link(), DeterministicRNG(1))
+        channel = QuantumChannel(ChannelParameters.entangled_link(10.0), DeterministicRNG(1))
         assert isinstance(channel.source, EntangledPairSource)
 
     def test_operating_statistics(self):
@@ -36,12 +37,12 @@ class TestEntangledChannel:
         weak = QuantumChannel(ChannelParameters(), DeterministicRNG(2))
         weak_result = weak.transmit(1_500_000)
         assert 0 < result.n_sifted < weak_result.n_sifted
-        assert 0.04 < result.qber < 0.13
+        assert 0.04 < qber(result) < 0.13
 
     def test_analytic_model_consistent_with_monte_carlo(self):
         channel = QuantumChannel(ChannelParameters.entangled_link(10.0), DeterministicRNG(3))
         result = channel.transmit(2_000_000)
-        assert result.qber == pytest.approx(channel.expected_qber(), abs=0.03)
+        assert qber(result) == pytest.approx(channel.expected_qber(), abs=0.03)
         assert result.n_sifted / result.n_slots == pytest.approx(
             model.sifted_rate_per_slot(channel.parameters), rel=0.25
         )

@@ -11,6 +11,7 @@ from repro.eve import BeamSplittingAttack, InterceptResendAttack
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.frames import detected, eve_known_sifted_bits, qber
 from tests.oracles.dense_optics import PassiveChannel
 
 
@@ -25,22 +26,21 @@ class TestPassiveChannel:
         attacked_channel = QuantumChannel(ChannelParameters(), DeterministicRNG(77))
         baseline = baseline_channel.transmit(600_000)
         passive = attacked_channel.transmit(600_000, attack=PassiveChannel())
-        assert passive.qber == pytest.approx(baseline.qber, abs=0.02)
-        assert passive.n_detected == pytest.approx(baseline.n_detected, rel=0.1)
+        assert qber(passive) == pytest.approx(qber(baseline), abs=0.02)
+        assert detected(passive) == pytest.approx(detected(baseline), rel=0.1)
 
 
 class TestInterceptResend:
     def test_eve_learns_intercepted_bits(self, channel):
-        attack = InterceptResendAttack(1.0)
-        result = channel.transmit(500_000, attack=attack)
-        known = InterceptResendAttack.eve_known_sifted_bits(result)
+        result = channel.transmit(500_000, attack=InterceptResendAttack(1.0))
+        known = eve_known_sifted_bits(result)
         # Eve's basis matches Alice's on about half the sifted bits.
         assert known == pytest.approx(result.n_sifted / 2, rel=0.25)
 
     def test_zero_fraction_is_harmless(self, channel):
         result = channel.transmit(500_000, attack=InterceptResendAttack(0.0))
-        assert result.qber < 0.12
-        assert InterceptResendAttack.eve_known_sifted_bits(result) == 0
+        assert qber(result) < 0.12
+        assert eve_known_sifted_bits(result) == 0
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestBeamSplitting:
         boosted_channel = QuantumChannel(ChannelParameters(), DeterministicRNG(66))
         normal = normal_channel.transmit(500_000, attack=BeamSplittingAttack(lossless_forwarding=False))
         boosted = boosted_channel.transmit(500_000, attack=BeamSplittingAttack(lossless_forwarding=True))
-        assert boosted.n_detected > normal.n_detected
+        assert detected(boosted) > detected(normal)
 
 
 class TestManInTheMiddle:

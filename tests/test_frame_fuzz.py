@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netkms import protocol
 from repro.netkms.protocol import ProtocolError
-from tests.test_netkms_codec import V4, build, expected_for, messages, outcome
+from tests.test_netkms_codec import V4, build, expected_for, frame_body, messages, outcome
 from tests.oracles import netkms_codec as oracle
 
 HEADER_BYTES = 6
@@ -35,7 +35,7 @@ def mutated_bodies(draw):
     """One frame body built from a message's structure, maybe mutated, and
     the version its receiver expects."""
     spec = draw(messages)
-    body = bytearray(build(protocol, spec).encode(V4))
+    body = bytearray(frame_body(build(protocol, spec)))
     mutation = draw(st.sampled_from(MUTATIONS))
     if mutation == "truncate":
         del body[draw(st.integers(2, len(body) - 1)) :]

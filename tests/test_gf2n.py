@@ -82,12 +82,6 @@ class TestFieldAxioms:
         field = GF2nField(40, (5, 4, 3))
         assert field.degree == 40
 
-    def test_additive_identity_and_self_inverse(self):
-        field = GF2nField(32)
-        a = 0xDEADBEEF
-        assert field.add(a, 0) == a
-        assert field.add(a, a) == 0
-
     def test_multiplicative_identity(self):
         field = GF2nField(32)
         assert field.multiply(0xCAFEBABE, 1) == 0xCAFEBABE
@@ -97,8 +91,6 @@ class TestFieldAxioms:
         field = GF2nField(8)
         with pytest.raises(ValueError):
             field.multiply(256, 1)
-        with pytest.raises(ValueError):
-            field.add(-1, 1)
 
     def test_aes_field_known_product(self):
         # In GF(2^8) with the AES polynomial, 0x57 * 0x83 = 0xC1 (FIPS-197 example).
@@ -132,7 +124,7 @@ class TestLinearHash:
     def test_hash_bits_rejects_long_key(self):
         field = GF2nField(32)
         with pytest.raises(ValueError):
-            field.hash_bits(BitString.zeros(33), 1, 0, 8)
+            field.hash_bits(BitString.from_int(0, 33), 1, 0, 8)
 
     def test_both_sides_agree(self):
         """Alice and Bob applying the same announced parameters get the same output."""
@@ -182,6 +174,6 @@ class TestLinearHash:
     @settings(max_examples=30)
     def test_multiply_distributes_over_add(self, a, b, c):
         field = GF2nField(32)
-        left = field.multiply(a, field.add(b, c))
-        right = field.add(field.multiply(a, b), field.multiply(a, c))
+        left = field.multiply(a, b ^ c)
+        right = field.multiply(a, b) ^ field.multiply(a, c)
         assert left == right

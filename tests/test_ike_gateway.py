@@ -26,6 +26,7 @@ from repro.ipsec.spd import CipherSuite, PolicyAction, SecurityPolicy
 from repro.sim.clock import SimClock
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import sample
 
 
 def synced_pools(bits: int = 60_000, seed: int = 50):
@@ -518,7 +519,7 @@ def _distilling_engine(n_blocks=4):
         rng = DeterministicRNG(100 + seed)
         alice = BitString.random(2048, rng)
         bob = alice.to_list()
-        for index in rng.sample(range(2048), 123):
+        for index in sample(rng, range(2048), 123):
             bob[index] ^= 1
         engine.distill_block(alice, BitString(bob), transmitted_pulses=500_000)
     return engine

@@ -72,13 +72,6 @@ class TestSPD:
         with pytest.raises(ValueError):
             spd.add(SecurityPolicy("protect", "10.0.0.0/8", "10.0.0.0/8"))
 
-    def test_remove(self):
-        spd = self._spd()
-        spd.remove("bypass")
-        assert len(spd) == 1
-        with pytest.raises(KeyError):
-            spd.remove("bypass")
-
     def test_policy_by_name(self):
         spd = self._spd()
         assert spd.policy_by_name("protect").name == "protect"
@@ -164,7 +157,7 @@ class TestSAD:
         sad = self._sad_with_sas()
         assert sad.lookup_spi(0x200).spi == 0x200
         assert sad.lookup_spi(0x999) is None
-        assert sad.active_count == 2
+        assert len(sad.by_spi) == 2
 
     def test_duplicate_spi_rejected(self):
         sad = self._sad_with_sas()
@@ -194,8 +187,8 @@ class TestSAD:
     def test_retire_and_rollover_count(self):
         sad = self._sad_with_sas()
         sad.retire(0x200)
-        assert sad.active_count == 1
+        assert len(sad.by_spi) == 1
         assert sad.lookup_spi(0x200) is None
         expired = sad.retire_expired(now=500.0)
         assert len(expired) == 1
-        assert sad.active_count == 0
+        assert len(sad.by_spi) == 0

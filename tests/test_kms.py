@@ -173,7 +173,7 @@ class TestKeyStore:
 
     def test_draw_refuses_desynchronised_pools(self):
         store = filled_store(bits=512)
-        store.remote_pool.blocks[0] = KeyBlock(BitString.zeros(512), 0)
+        store.remote_pool.blocks[0] = KeyBlock(BitString.from_int(0, 512), 0)
         with pytest.raises(ReservationError, match="desynchronised"):
             store.draw(store.reserve(256, now=0.0), now=1.0)
 
@@ -232,25 +232,25 @@ class TestKeyStore:
     def test_water_levels_follow_deposits(self):
         store = make_store()
         assert store.below_low_water and store.refill_deficit_bits == 1024
-        store.deposit(BitString.zeros(300))
+        store.deposit(BitString.from_int(0, 300))
         assert not store.below_low_water and store.refill_deficit_bits == 724
-        store.deposit(BitString.zeros(2000))
+        store.deposit(BitString.from_int(0, 2000))
         assert store.refill_deficit_bits == 0
 
     def test_an_idle_stores_priority_is_its_deficit_fraction(self):
         store = make_store()
         assert store.refill_priority() == 1.0
-        store.deposit(BitString.zeros(512))
+        store.deposit(BitString.from_int(0, 512))
         assert store.refill_priority() == 0.5
-        store.deposit(BitString.zeros(1024))
+        store.deposit(BitString.from_int(0, 1024))
         assert store.refill_priority() == 0.0
 
     def test_next_expiry_deadline_is_the_oldest_block_plus_the_age_limit(self):
         assert filled_store().next_expiry_deadline() is None  # no age limit
         store = make_store(max_key_age_seconds=60.0)
         assert store.next_expiry_deadline() is None  # nothing stored
-        store.deposit(BitString.zeros(128), now=5.0)
-        store.deposit(BitString.zeros(128), now=30.0)
+        store.deposit(BitString.from_int(0, 128), now=5.0)
+        store.deposit(BitString.from_int(0, 128), now=30.0)
         assert store.next_expiry_deadline() == 65.0
         assert store.expire(now=70.0) == 128
         assert store.next_expiry_deadline() == 90.0
@@ -425,12 +425,6 @@ class TestLazyPriorityHeap:
         heap.push("a", classify)  # more-urgent changes must be pushed (the contract)
         priorities["b"] = 9  # less-urgent drift self-heals at pop time
         assert heap.drain(classify) == ["a", "b"]
-
-    def test_discard_is_lazy(self):
-        heap, classify = self.build({"a": 1, "b": 2})
-        heap.discard("a")
-        assert "a" not in heap
-        assert heap.drain(classify) == ["b"]
 
 
 # --------------------------------------------------------------------- #

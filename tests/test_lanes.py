@@ -93,7 +93,7 @@ def _pool_digest(pool):
 
 def _lane_parameters(length_km, **channel_overrides):
     return LinkParameters(
-        channel=ChannelParameters.for_distance(length_km, **channel_overrides),
+        channel=replace(ChannelParameters.for_distance(length_km), **channel_overrides),
         slots_per_batch=BATCH,
     )
 

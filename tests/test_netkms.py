@@ -69,6 +69,7 @@ from repro.netkms.server import (
 )
 from repro.util.bits import BitString
 from tests.oracles.full_scan_reaper import full_scan_reap_expired, reap_at
+from tests.test_netkms_codec import frame_body
 from tests.virtual_loop import run_virtual
 
 PAIR = ("alice", "bob")
@@ -106,6 +107,13 @@ async def started_server(stores=None, **kwargs):
     server = NetworkKmsServer(stores or {PAIR: make_store()}, port=0, **kwargs)
     await server.start()
     return server
+
+
+async def release(client, handle):
+    """RELEASE a held reservation over ``client``'s connection.  No shipped
+    client sends one; the server's RELEASE handler is what is under test."""
+    reply = await client._request(Release(pair=handle.pair, reservation_id=handle.reservation_id))
+    return client._expect(reply, ReleaseOk).reservation_id
 
 
 async def read_frame(reader, max_frame_bytes=protocol.MAX_FRAME_BYTES):
@@ -173,7 +181,7 @@ class TestCodecRoundTrips:
 
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
     def test_round_trip(self, message):
-        body = message.encode(protocol.PROTOCOL_V4)
+        body = frame_body(message, protocol.PROTOCOL_V4)
         expected = None if isinstance(message, (Hello, Welcome)) else protocol.PROTOCOL_V4
         assert decode_body(body, expected_version=expected) == message
 
@@ -187,7 +195,7 @@ class TestCodecRoundTrips:
         assert length == len(frame) - 4
 
     def test_hello_always_encodes_at_the_floor_version(self):
-        body = Hello(min_version=2, max_version=2).encode(protocol.PROTOCOL_V4)
+        body = frame_body(Hello(min_version=2, max_version=2), protocol.PROTOCOL_V4)
         assert body[1] == protocol.FLOOR_VERSION
 
 
@@ -206,7 +214,7 @@ class TestMalformedBodies:
         assert self.decode_error(body).code == protocol.ERR_UNKNOWN_KIND
 
     def test_version_mismatch(self):
-        body = Status(pair=PAIR).encode(3)
+        body = frame_body(Status(pair=PAIR), 3)
         assert self.decode_error(body).code == protocol.ERR_VERSION
 
     def test_truncated_inside_request_id(self):
@@ -220,7 +228,7 @@ class TestMalformedBodies:
         assert "pair[0]" in error.detail
 
     def test_trailing_garbage_rejected(self):
-        body = Status(pair=PAIR).encode(4) + b"\x00"
+        body = frame_body(Status(pair=PAIR), 4) + b"\x00"
         assert self.decode_error(body).code == protocol.ERR_MALFORMED
 
     def test_varint_overflow_and_overlength(self):
@@ -238,17 +246,17 @@ class TestMalformedBodies:
         assert "pair count" in error.detail
 
     def test_hello_with_empty_version_range(self):
-        body = Hello(min_version=2, max_version=2).encode()
+        body = frame_body(Hello(min_version=2, max_version=2))
         mutated = bytearray(body)
         mutated[6] = 3  # min > max
         assert self.decode_error(bytes(mutated), None).code == protocol.ERR_MALFORMED
 
     def test_consume_ok_key_bytes_validated(self):
         with pytest.raises(ValueError):
-            ConsumeOk(key_bits=16, key_bytes=b"abc").encode(4)
+            frame_body(ConsumeOk(key_bits=16, key_bytes=b"abc"), 4)
 
     def test_get_key_truncated_anywhere_or_one_byte_long_is_malformed(self):
-        body = GetKey(request_id=5, pair=PAIR, bits=1 << 14).encode(protocol.PROTOCOL_V4)
+        body = frame_body(GetKey(request_id=5, pair=PAIR, bits=1 << 14), protocol.PROTOCOL_V4)
         assert decode_body(body, expected_version=4) == GetKey(request_id=5, pair=PAIR, bits=1 << 14)
         for cut in range(len(body)):
             assert self.decode_error(body[:cut], 4).code == protocol.ERR_MALFORMED, cut
@@ -284,7 +292,7 @@ class TestVersionWindow:
                     await client.get_key(PAIR, bits=256)  # a second draw sets a rate
                     status = await client.status(PAIR)
                     handle = await client.reserve(PAIR, bits=64)
-                    await client.release(handle)
+                    await release(client, handle)
                     rate = int(store.depletion_rate_bps * 1000)
                     return client.version, key, status, rate, handle, server.metrics.report()
             finally:
@@ -429,7 +437,7 @@ class TestHostileFrames:
         assert eof and server_ok
 
     def test_unknown_version_rejected(self):
-        body = Status(pair=PAIR).encode(4)
+        body = frame_body(Status(pair=PAIR), 4)
         mutated = bytearray(body)
         mutated[1] = 9
         frame = struct.pack("<I", len(mutated)) + bytes(mutated)
@@ -470,7 +478,7 @@ class TestHostileFrames:
         assert eof and server_ok
 
     def test_get_key_with_a_missing_tail_a_trailing_byte_or_a_lying_length_is_fatal(self):
-        body = GetKey(request_id=9, pair=PAIR, bits=256).encode(protocol.PROTOCOL_V4)
+        body = frame_body(GetKey(request_id=9, pair=PAIR, bits=256), protocol.PROTOCOL_V4)
         lying = body[:6] + bytes([250]) + b"ab"  # pair[0] claims 250 bytes
         for hostile in (body[:-1], body + b"\x00", lying):
             frame = struct.pack("<I", len(hostile)) + hostile
@@ -591,7 +599,7 @@ class TestStoreSemantics:
                     first = await client.reserve(PAIR, 1024)
                     second = await client.reserve(PAIR, 1024)
                     assert store.reserved_bits == 2048
-                    await client.release(second)
+                    await release(client, second)
                     assert store.reserved_bits == 1024
                     served = await client.consume(first)
                     assert store.reserved_bits == 0
@@ -647,7 +655,7 @@ class TestStoreSemantics:
 
         async def scenario():
             store = make_store(bits=4096)
-            store.remote_pool.blocks[0] = KeyBlock(BitString.zeros(4096), 0)
+            store.remote_pool.blocks[0] = KeyBlock(BitString.from_int(0, 4096), 0)
             server = await started_server({PAIR: store})
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
@@ -1110,7 +1118,7 @@ class TestReservationOwnership:
                 a, b = await self.two_clients(server)
                 handle = await a.reserve(PAIR, 128)
                 codes = []
-                for attempt in (b.consume, b.release):
+                for attempt in (b.consume, lambda held: release(b, held)):
                     with pytest.raises(ServerError) as foreign:
                         await attempt(handle)
                     codes.append(foreign.value.code)
@@ -1207,6 +1215,48 @@ class TestGracefulDrain:
         assert error.code == protocol.ERR_SHUTTING_DOWN
         assert protocol.ERROR_NAMES[error.code] == "shutting-down"
         assert error.code in protocol.FATAL_ERRORS
+
+    def test_a_request_stalled_past_the_drain_timeout_is_aborted(self):
+        """``stop(drain_timeout=)`` gives up on a request whose hook never
+        returns: the connection is aborted, the hook cancelled, the held
+        reservation returned to its store, and nothing is left to log."""
+        stalled = []
+
+        async def never_returns(message):
+            if isinstance(message, Consume):
+                stalled.append(asyncio.current_task())
+                await asyncio.get_running_loop().create_future()
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            logged = []
+            loop.set_exception_handler(lambda _loop, context: logged.append(context))
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store}, request_hook=never_returns)
+            client = NetworkKmsClient("127.0.0.1", server.port)
+            await client.connect()
+            handle = await client.reserve(PAIR, 1024)
+            consume = asyncio.ensure_future(client.consume(handle))
+            while not stalled:
+                await asyncio.sleep(0)
+            started = loop.time()
+            await server.stop(drain_timeout=0.5)
+            waited = loop.time() - started
+            with pytest.raises(ConnectionError):
+                await consume
+            await client.close()
+            hook_cancelled = stalled.pop().cancelled()
+            gc.collect()
+            return waited, hook_cancelled, store, server, logged
+
+        waited, hook_cancelled, store, server, logged = run(scenario())
+        assert 0.5 <= waited < 0.6
+        assert hook_cancelled
+        assert store.reserved_bits == 0 and store.available_bits == 4096
+        assert server.metrics.reaped_by_reason == {"disconnect": 1}
+        assert server.metrics.keys_served == 0
+        assert server.conservation_fault() is None
+        assert logged == []
 
     _raw_connection = staticmethod(raw_connection)
 
@@ -1686,7 +1736,7 @@ class TestReaperDifferential:
                         server._served[key] = Watched(**vars(entry))
                     held = await client.reserve(PAIR, bits=8)  # one live lease as well
                     key = await client.get_key(PAIR, bits=8)
-                    await client.release(held)
+                    await release(client, held)
                     return key, len(server._served), server.metrics
             finally:
                 await server.stop()
@@ -2234,7 +2284,7 @@ class TestGetKeyStateEquivalence:
                     handle = ReservationHandle(PAIR, key.reservation_id, key.key_bits)
                     replayed = await client.consume(handle)
                     with pytest.raises(ServerError) as released:
-                        await client.release(handle)
+                        await release(client, handle)
                     return key, replayed, released.value, store, server.metrics
             finally:
                 await server.stop()

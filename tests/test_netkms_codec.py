@@ -44,6 +44,11 @@ KINDS = [
 ]
 V4 = protocol.PROTOCOL_V4
 
+
+def frame_body(message, version=V4):
+    """What ``encode_frame`` sends after the frame's u32 length prefix."""
+    return protocol.encode_frame(message, version)[4:]
+
 u8 = st.integers(0, 0xFF)
 u32 = st.integers(0, 0xFFFFFFFF)
 #: Mostly one- and two-byte varints (the fast paths), sometimes any u64.
@@ -150,7 +155,6 @@ class TestEncoding:
     def test_every_kind_encodes_to_the_oracles_bytes(self, spec):
         frame = protocol.encode_frame(build(protocol, spec), V4)
         assert frame == oracle.encode_frame(build(oracle, spec), V4)
-        assert build(protocol, spec).encode(V4) == build(oracle, spec).encode(V4)
 
     @pytest.mark.parametrize("name", KINDS)
     def test_every_kind_with_default_fields(self, name):
@@ -173,7 +177,8 @@ class TestEncoding:
 
     def test_an_error_detail_past_255_bytes_is_cut_on_a_character_boundary(self):
         detail = "x" * 254 + "é" + "y" * 300  # the cut falls inside the e-acute
-        body = protocol.Error(request_id=3, code=protocol.ERR_UNKNOWN_PAIR, detail=detail).encode(V4)
+        error = protocol.Error(request_id=3, code=protocol.ERR_UNKNOWN_PAIR, detail=detail)
+        body = frame_body(error)
         decoded = protocol.decode_body(body, expected_version=V4)
         assert decoded.detail == "x" * 254
         assert decoded.code == protocol.ERR_UNKNOWN_PAIR
@@ -254,11 +259,12 @@ class TestDecoding:
     def test_two_pairs_with_the_same_names_split_differently_stay_apart(self):
         """The pair cache is keyed by the encoding, length bytes included."""
         for pair in [("ab", "c"), ("a", "bc"), ("", "abc"), ("abc", ""), ("ab", "c")]:
-            body = protocol.Status(request_id=1, pair=pair).encode(4)
+            body = frame_body(protocol.Status(request_id=1, pair=pair), 4)
             assert assert_same_decode(body, 4)[2]["pair"] == pair
 
     def test_a_cached_pair_with_a_bad_length_byte_is_still_refused(self):
-        body = bytearray(protocol.GetKey(request_id=2, pair=("alice", "bob"), bits=256).encode(4))
+        get_key = protocol.GetKey(request_id=2, pair=("alice", "bob"), bits=256)
+        body = bytearray(frame_body(get_key, 4))
         assert protocol.decode_body(bytes(body), 4).pair == ("alice", "bob")  # now cached
         for at, value in [(6, 6), (6, 4), (12, 4), (12, 2), (6, 0x85)]:
             mutated = bytearray(body)
@@ -267,14 +273,14 @@ class TestDecoding:
 
     def test_long_names_round_trip_through_the_cache(self):
         pair = ("n" * 200, "é" * 100)  # two-byte length varints, 200 bytes each
-        body = protocol.Consume(request_id=4, pair=pair, reservation_id=300).encode(V4)
+        body = frame_body(protocol.Consume(request_id=4, pair=pair, reservation_id=300), V4)
         for _ in range(2):  # a miss, then a hit
             assert assert_same_decode(body, V4)[2]["pair"] == pair
         assert assert_same_decode(body[:-1], V4)[0] == "error"
 
     def test_the_pair_cache_is_bounded(self):
         for index in range(protocol._PAIR_CACHE_LIMIT + 50):
-            body = protocol.Status(pair=("bound", str(index))).encode(V4)
+            body = frame_body(protocol.Status(pair=("bound", str(index))), V4)
             assert protocol.decode_body(body, V4).pair == ("bound", str(index))
         assert len(protocol._PAIRS) == protocol._PAIR_CACHE_LIMIT
 

@@ -373,12 +373,12 @@ class TestTrustedRelay:
         remaining = relay.pad_for("a", "b")
         if len(payload) > len(pad):
             assert arrived is None and announced == []
-            assert remaining.peek(len(pad)) == pad and remaining.consumed_bytes == 0
+            assert remaining.peek(len(pad)) == pad and remaining.available_bytes == len(pad)
             with pytest.raises(PadExhaustedError):
                 relay.spend_path_pad([["a", "b"]], payload)
         else:
             assert arrived == payload and announced == [("a", "b")]
-            assert remaining.consumed_bytes == len(payload)
+            assert remaining.available_bytes == len(pad) - len(payload)
             assert remaining.peek(remaining.available_bytes) == pad[len(payload):]
 
     def test_transport_succeeds_with_key(self, mesh):

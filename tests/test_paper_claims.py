@@ -49,6 +49,8 @@ from repro.optics.model import DetectorParameters
 from repro.sim.clock import SimClock
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import sample
+from tests.frames import detected, qber, sifted_errors
 from tests.oracles.naive_sift import bitmap_bytes, naive_sift_message
 
 SEEDS = tuple(range(32))
@@ -82,7 +84,7 @@ def _noisy_pair(n, rate, rng):
     """A random block and a copy with exactly ``round(rate * n)`` bits flipped."""
     reference = BitString.random(n, rng)
     noisy = reference.to_list()
-    for index in rng.sample(range(n), int(round(rate * n))):
+    for index in sample(rng, range(n), int(round(rate * n))):
         noisy[index] ^= 1
     return reference, BitString(noisy)
 
@@ -105,7 +107,7 @@ def paper_frame(seed):
     """The 10 km link at mu = 0.1 (E1, E2, E10 clean side, A2 weak side)."""
     frame = QuantumChannel(ChannelParameters(), DeterministicRNG(seed)).transmit(PAPER_SLOTS)
     sifted = SiftingProtocol().sift(frame)
-    return frame.n_slots, frame.n_detected, sifted.n_sifted, sifted.qber
+    return frame.n_slots, detected(frame), sifted.n_sifted, qber(frame)
 
 
 def _one_percent_channel():
@@ -122,7 +124,7 @@ def _one_percent_channel():
 @functools.lru_cache(maxsize=None)
 def one_percent_frame(seed):
     frame = QuantumChannel(_one_percent_channel(), DeterministicRNG(seed)).transmit(100_000)
-    return frame.n_detected / frame.n_slots, 1000 * frame.n_sifted / frame.n_slots
+    return detected(frame) / frame.n_slots, 1000 * frame.n_sifted / frame.n_slots
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,7 +132,7 @@ def attacked_qber(seed, fraction):
     """QBER with intercept-resend of ``fraction`` of the pulses (0: no attack)."""
     attack = InterceptResendAttack(fraction) if fraction else None
     channel = QuantumChannel(ChannelParameters(), DeterministicRNG(seed))
-    return channel.transmit(ATTACK_SLOTS, attack=attack).qber
+    return qber(channel.transmit(ATTACK_SLOTS, attack=attack))
 
 
 def _intercept_rise(fraction):
@@ -150,13 +152,13 @@ def pns_sample(seed):
     charge = EntropyEstimator(defense=BennettDefense()).estimate(
         EntropyInputs(
             sifted_bits=tapped.n_sifted,
-            error_bits=tapped.n_sifted_errors,
+            error_bits=sifted_errors(tapped),
             transmitted_pulses=tapped.n_slots,
             disclosed_parities=0,
             mean_photon_number=0.1,
         )
     ).transparent.information_bits
-    added_qber = tapped.qber - attacked_qber(seed, 0)
+    added_qber = qber(tapped) - attacked_qber(seed, 0)
     return added_qber, BeamSplittingAttack.eve_known_sifted_bits(tapped) / charge
 
 
@@ -206,7 +208,7 @@ def delivers(build, failures, seed):
     relays = TrustedRelayNetwork(network, rng.fork("relay"))
     relays.run_links_for(120.0)
     links = network.links()
-    for edge in rng.sample(links, min(failures, len(links))):
+    for edge in sample(rng, links, min(failures, len(links))):
         network.cut_link(*edge.endpoints())
     return relays.transport_with_reroute(source, destination, 128).success
 
@@ -464,11 +466,11 @@ def auth_pool_levels():
     """Alice's authentication pool before and after each of 8 distilled blocks,
     then the pad bits her tags drew and the bits fed back."""
     engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(51))
-    levels = [engine.alice_auth.available_secret_bits]
+    levels = [engine.alice_auth.pool.available_bits]
     for block in range(8):
         alice, bob = _noisy_pair(2048, 0.06, DeterministicRNG(100 + block))
         engine.distill_block(alice, bob, transmitted_pulses=600_000)
-        levels.append(engine.alice_auth.available_secret_bits)
+        levels.append(engine.alice_auth.pool.available_bits)
     auth = engine.alice_auth
     return levels, auth.statistics.secret_bits_consumed, auth.pool.bits_added
 
@@ -520,7 +522,7 @@ def _rle_bytes_per_detection_spread():
     for slots in (50_000, 200_000, 800_000):
         frame = channel.transmit(slots)
         message = SiftingProtocol().build_sift_message(frame)
-        per_detection.append(len(message.encode()) / max(int(frame.n_detected), 1))
+        per_detection.append(len(message.encode()) / max(detected(frame), 1))
     return max(per_detection) / min(per_detection)
 
 
@@ -540,7 +542,7 @@ ANALYTIC = [
     Claim("E1: expected QBER at mu = 0.1, 1 MHz, 10 km is 6-8 %", (0.06, 0.08),
           lambda: model.expected_qber(ChannelParameters())),
     Claim("E1: sifted key rate at the operating point is O(1000) bits/s", (500, 5000),
-          lambda: QuantumChannel(ChannelParameters()).sifted_rate_per_second()),
+          lambda: model.sifted_rate_per_second(ChannelParameters())),
     Claim("E1: QBER never falls along 0-70 km of fiber", (-1e-9, INF),
           lambda: min(_steps([model.expected_qber(ChannelParameters.for_distance(d))
                               for d in DISTANCES_KM]))),

@@ -27,6 +27,7 @@ from repro.optics.timing import FramingParameters
 from repro.runtime.farm import LinkJob
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import sample
 
 BLOCK_BITS = 2048
 ERROR_RATE = 0.06
@@ -41,7 +42,7 @@ PINNED_POOL_DIGEST = "f17c5484dda40648337e659ae98b53674f574eb2784e8172e381f37d51
 def _noisy_pair(seed, error_rate=ERROR_RATE):
     rng = DeterministicRNG(seed)
     reference = BitString.random(BLOCK_BITS, rng)
-    errors = rng.sample(range(BLOCK_BITS), int(round(error_rate * BLOCK_BITS)))
+    errors = sample(rng, range(BLOCK_BITS), int(round(error_rate * BLOCK_BITS)))
     noisy = reference.to_list()
     for index in errors:
         noisy[index] ^= 1
@@ -104,24 +105,26 @@ LINK_BRANCHES = {
         "22f1a4fec012177b3bc17f3a89d22d38707663ce5e21f4ca339b1d4a71f2b72d",
     ),
     "afterpulse": (
-        lambda: ChannelParameters.for_distance(
-            2.0, detectors=DetectorParameters(afterpulse_probability=0.05)
+        lambda: dataclasses.replace(
+            ChannelParameters.for_distance(2.0),
+            detectors=DetectorParameters(afterpulse_probability=0.05),
         ),
         None,
         "6f208ff45df0570b7e1eedaecd28ff62b5dae49fa7a9af619ddc96a60a60286d",
         "7f59f150f82326e15fbe7978fa1bcfca0108aaacf0480dc3b197145c24f66845",
     ),
     "phase_noise": (
-        lambda: ChannelParameters.for_distance(
-            2.0, interferometer=InterferometerParameters(phase_noise_rad=0.1)
+        lambda: dataclasses.replace(
+            ChannelParameters.for_distance(2.0),
+            interferometer=InterferometerParameters(phase_noise_rad=0.1),
         ),
         None,
         "3ad9dc0c5758f9774ec2e76cc1827ddc680bbcb7680a30b30ed26096db30fce1",
         "e78fcaef50b82bdfcda3a2a44100d44be2967625c15a0174ba6775cd157b9c2c",
     ),
     "frame_loss_and_misalignment": (
-        lambda: ChannelParameters.for_distance(
-            2.0,
+        lambda: dataclasses.replace(
+            ChannelParameters.for_distance(2.0),
             framing=FramingParameters(
                 frame_loss_probability=0.05, gate_misalignment_penalty=0.2
             ),
@@ -324,7 +327,7 @@ def test_cascade_transcript_and_counts_are_pinned(name):
     rng = DeterministicRNG(220 + n)
     reference = BitString.random(n, rng)
     noisy = reference.to_list()
-    for index in rng.sample(range(n), int(round(rate * n))):
+    for index in sample(rng, range(n), int(round(rate * n))):
         noisy[index] ^= 1
     result = CascadeProtocol(CascadeParameters(**overrides), DeterministicRNG(22)).reconcile(
         reference, BitString(noisy), error_rate_hint=hint
@@ -363,7 +366,7 @@ def test_slutsky_pool_and_statistics_are_pinned():
     for seed in range(6):
         alice, bob = _noisy_pair(100 + seed)
         engine.distill_block(alice, bob, transmitted_pulses=500_000)
-    assert engine.pipeline.stage_names == ENGINE_STAGE_NAMES
+    assert tuple(stage.name for stage in engine.pipeline.stages) == ENGINE_STAGE_NAMES
     digest = hashlib.sha256()
     for block in engine.alice_pool.blocks:
         digest.update(str(block.bits).encode())
@@ -383,7 +386,7 @@ ENGINE_STAGE_NAMES = (
 
 def test_stage_sequences_are_pinned():
     engine = QKDProtocolEngine(EngineParameters(), DeterministicRNG(7))
-    assert engine.pipeline.stage_names == ENGINE_STAGE_NAMES
+    assert tuple(stage.name for stage in engine.pipeline.stages) == ENGINE_STAGE_NAMES
 
 
 # ---------------------------------------------------------------------- #
@@ -431,7 +434,7 @@ def test_sixteen_blocks_are_pinned():
     assert _pool_digest(pooled) == PINNED_SIXTEEN_BLOCK_DIGEST
     assert _pool_digest(pooled[:N_BLOCKS]) == PINNED_POOL_DIGEST
     assert dataclasses.asdict(engine.statistics) == _statistics(5925, 16, 0, 15163)
-    assert engine.alice_auth.available_secret_bits == 4833
+    assert engine.alice_auth.pool.available_bits == 4833
 
 
 def test_alarmed_block_inside_a_run_is_pinned():
@@ -446,8 +449,8 @@ def test_alarmed_block_inside_a_run_is_pinned():
         "e9142ec16b073e8837934cef7a11c3fb89a54453efd0b76c2add7db0e3bededf"
     )
     assert dataclasses.asdict(engine.statistics) == _statistics(749, 2, 1, 1887)
-    assert engine.alice_auth.available_secret_bits == 3905
-    assert engine.bob_auth.available_secret_bits == 3905
+    assert engine.alice_auth.pool.available_bits == 3905
+    assert engine.bob_auth.pool.available_bits == 3905
 
 
 #: name -> (EngineParameters overrides, pool sha256, distilled bits)
@@ -488,7 +491,7 @@ def test_unconfirmed_block_is_pinned():
         "1a996fa9cd8d5c5ad12e408d9358649915edf271d4e809d2c927b1aef8fbcfcc"
     )
     assert dataclasses.asdict(engine.statistics) == _statistics(3376, 2, 1, 272)
-    assert engine.alice_auth.available_secret_bits == 3937
+    assert engine.alice_auth.pool.available_bits == 3937
 
 
 def test_link_partial_block_flush_is_pinned():

@@ -19,6 +19,7 @@ from repro.pipeline.stages import (
 )
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import sample
 from tests.oracles.scalar_cascade import messages_of_type
 
 #: The paper's Fig 9 stages, in the order the engine runs them.
@@ -35,7 +36,7 @@ ENGINE_STAGES = (
 def noisy_pair(n: int, error_rate: float, seed: int = 1):
     rng = DeterministicRNG(seed)
     alice = BitString.random(n, rng)
-    errors = rng.sample(range(n), int(round(error_rate * n)))
+    errors = sample(rng, range(n), int(round(error_rate * n)))
     bob = alice.to_list()
     for index in errors:
         bob[index] ^= 1
@@ -63,7 +64,7 @@ class TestPipelineComposer:
 
     def test_engine_pipeline_is_the_fixed_sequence(self):
         engine = QKDProtocolEngine(rng=DeterministicRNG(1))
-        assert engine.pipeline.stage_names == ENGINE_STAGES
+        assert tuple(stage.name for stage in engine.pipeline.stages) == ENGINE_STAGES
         with pytest.raises(TypeError):
             engine.pipeline.stages[1] = engine.pipeline.stages[2]
 
@@ -121,13 +122,13 @@ class TestStagePolicies:
         """The abort decision is itself authenticated: an alarmed block costs
         each endpoint one tag's worth of pad (the key-exhaustion attack)."""
         engine = QKDProtocolEngine(rng=DeterministicRNG(35))
-        start = engine.alice_auth.available_secret_bits
+        start = engine.alice_auth.pool.available_bits
         alice, bob = noisy_pair(1024, 0.30, seed=36)
         outcome = engine.distill_block(alice, bob, transmitted_pulses=100_000)
         assert outcome.aborted and not outcome.authenticated
         tag_bits = WegmanCarterAuthenticator.TAG_BITS
-        assert engine.alice_auth.available_secret_bits == start - tag_bits
-        assert engine.bob_auth.available_secret_bits == start - tag_bits
+        assert engine.alice_auth.pool.available_bits == start - tag_bits
+        assert engine.bob_auth.pool.available_bits == start - tag_bits
 
     def test_unconfirmed_block_stops_at_cascade(self, record_stages):
         """One round of eight subsets and no first pass leaves the 6 % block
@@ -162,8 +163,8 @@ class TestStagePolicies:
             stats.distilled_bits, stats.blocks_distilled, stats.blocks_aborted,
             stats.disclosed_parities,
         ) == (3376, 2, 1, 272)
-        assert engine.alice_auth.available_secret_bits == 3937
-        assert engine.bob_auth.available_secret_bits == 3937
+        assert engine.alice_auth.pool.available_bits == 3937
+        assert engine.bob_auth.pool.available_bits == 3937
 
     def test_authentication_failure_aborts_without_delivery(self, record_stages):
         engine = QKDProtocolEngine(rng=DeterministicRNG(37))
@@ -207,7 +208,7 @@ class TestDefenseSelection:
         o_bennett = bennett.distill_block(alice, bob, transmitted_pulses=800_000)
         o_slutsky = slutsky.distill_block(alice, bob, transmitted_pulses=800_000)
         assert o_slutsky.entropy.defense.name == "slutsky"
-        assert slutsky.pipeline.stage_names == ENGINE_STAGES
+        assert tuple(stage.name for stage in slutsky.pipeline.stages) == ENGINE_STAGES
         # Slutsky's defense is strictly more conservative at this QBER.
         assert o_slutsky.distilled_bits < o_bennett.distilled_bits
 

@@ -31,9 +31,9 @@ class TestPrivacyAmplification:
     def test_cannot_expand(self):
         pa = PrivacyAmplification(DeterministicRNG(4))
         with pytest.raises(ValueError):
-            pa.amplify(BitString.zeros(10), 11)
+            pa.amplify(BitString.from_int(0, 10), 11)
         with pytest.raises(ValueError):
-            pa.amplify(BitString.zeros(10), -1)
+            pa.amplify(BitString.from_int(0, 10), -1)
 
     def test_both_sides_agree(self):
         """Applying the announced messages to an identical key gives identical output."""
@@ -106,14 +106,14 @@ class TestKeyPool:
 
     def test_exhaustion(self):
         pool = KeyPool()
-        pool.add_bits(BitString.ones(8))
+        pool.add_bits(BitString([1] * 8))
         with pytest.raises(KeyPoolExhaustedError):
             pool.draw_bits(9)
         assert pool.available_bits == 8  # nothing consumed on failure
 
     def test_accounting(self):
         pool = KeyPool()
-        pool.add_bits(BitString.ones(100))
+        pool.add_bits(BitString([1] * 100))
         pool.draw_bits(60)
         assert pool.bits_added == 100
         assert pool.bits_consumed == 60
@@ -121,13 +121,13 @@ class TestKeyPool:
 
     def test_capacity_limit(self):
         pool = KeyPool(capacity_bits=16)
-        pool.add_bits(BitString.ones(16))
+        pool.add_bits(BitString([1] * 16))
         with pytest.raises(ValueError):
-            pool.add_bits(BitString.ones(1))
+            pool.add_bits(BitString([1] * 1))
 
     def test_block_metadata_preserved(self):
         pool = KeyPool()
-        pool.add_block(KeyBlock(bits=BitString.ones(32), block_id=7, qber=0.06, sifted_bits=300))
+        pool.add_block(KeyBlock(bits=BitString([1] * 32), block_id=7, qber=0.06, sifted_bits=300))
         assert pool.blocks[0].qber == 0.06
         assert len(pool.blocks[0]) == 32
 
@@ -149,8 +149,8 @@ class TestKeyPool:
         "empty": lambda: KeyPool(),
         "built_with_blocks": lambda: KeyPool(
             blocks=[
-                KeyBlock(BitString.ones(24), 0),
-                KeyBlock(BitString.zeros(40), 1, created_at=1.0),
+                KeyBlock(BitString([1] * 24), 0),
+                KeyBlock(BitString.from_int(0, 40), 1, created_at=1.0),
             ],
             _head_offset=5,
         ),
@@ -159,7 +159,7 @@ class TestKeyPool:
     }
     OPERATIONS = {
         "add_block": lambda pool, n, step: pool.add_block(
-            KeyBlock(BitString.ones(n % 70), step, created_at=float(step))
+            KeyBlock(BitString([1] * (n % 70)), step, created_at=float(step))
         ),
         "draw_bits": lambda pool, n, step: pool.draw_bits(n),
         "drop_head_blocks": lambda pool, n, step: pool.drop_head_blocks(n % 4),
@@ -238,13 +238,13 @@ class TestAuthenticatedChannel:
     def test_key_consumption_and_replenishment(self):
         alice, bob = self._paired()
         log = self._transcript()
-        start = alice.available_secret_bits
+        start = alice.pool.available_bits
         tag = tag_log(alice, log)
         verify_log(bob, log, tag)
-        assert alice.available_secret_bits == start - WegmanCarterAuthenticator.TAG_BITS
-        alice.replenish(BitString.ones(256))
+        assert alice.pool.available_bits == start - WegmanCarterAuthenticator.TAG_BITS
+        alice.replenish(BitString([1] * 256))
         assert alice.pool.bits_added == 256
-        assert alice.available_secret_bits == start - WegmanCarterAuthenticator.TAG_BITS + 256
+        assert alice.pool.available_bits == start - WegmanCarterAuthenticator.TAG_BITS + 256
 
     def test_statistics_track_batches(self):
         alice, bob = self._paired()

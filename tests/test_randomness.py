@@ -6,11 +6,12 @@ from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.core.randomness import RandomnessTester
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.draws import bernoulli, sample
 
 
 def biased_bits(n: int, ones_fraction: float, seed: int = 1) -> BitString:
     rng = DeterministicRNG(seed)
-    return BitString(1 if rng.bernoulli(ones_fraction) else 0 for _ in range(n))
+    return BitString(1 if bernoulli(rng, ones_fraction) else 0 for _ in range(n))
 
 
 def correlated_bits(n: int, flip_probability: float, seed: int = 2) -> BitString:
@@ -18,7 +19,7 @@ def correlated_bits(n: int, flip_probability: float, seed: int = 2) -> BitString
     rng = DeterministicRNG(seed)
     bits = [rng.getrandbits(1)]
     for _ in range(n - 1):
-        bits.append(bits[-1] ^ (1 if rng.bernoulli(flip_probability) else 0))
+        bits.append(bits[-1] ^ (1 if bernoulli(rng, flip_probability) else 0))
     return BitString(bits)
 
 
@@ -89,7 +90,7 @@ class TestEngineIntegration:
     def _noisy_pair(self, n, rate, seed):
         rng = DeterministicRNG(seed)
         alice = BitString.random(n, rng)
-        errors = rng.sample(range(n), int(round(rate * n)))
+        errors = sample(rng, range(n), int(round(rate * n)))
         bob = alice.to_list()
         for index in errors:
             bob[index] ^= 1
@@ -112,7 +113,7 @@ class TestEngineIntegration:
     def test_biased_key_is_shortened(self):
         """A biased raw key (e.g. unbalanced detectors) distills fewer bits."""
         rng = DeterministicRNG(14)
-        alice = BitString(1 if rng.bernoulli(0.65) else 0 for _ in range(2048))
+        alice = BitString(1 if bernoulli(rng, 0.65) else 0 for _ in range(2048))
         bob = alice ^ BitString(int(i in (3, 700, 1500)) for i in range(len(alice)))
         baseline = QKDProtocolEngine(EngineParameters(), DeterministicRNG(15)).distill_block(
             alice, bob, transmitted_pulses=400_000

@@ -12,6 +12,7 @@ from repro.util.units import (
     multi_photon_probability,
     non_empty_pulse_probability,
 )
+from tests.draws import bernoulli, sample
 
 
 class TestDeterministicRNG:
@@ -33,31 +34,20 @@ class TestDeterministicRNG:
         assert parent1.fork("optics").getrandbits(64) != child2.getrandbits(64)
 
     def test_bernoulli_bounds(self):
-        rng = DeterministicRNG(3)
-        assert rng.bernoulli(0.0) is False
-        assert rng.bernoulli(1.0) is True
+        """The fault plane's schedules depend on it: a rate of 0 or 1 leaves
+        the stream where it was."""
+        rng, untouched = DeterministicRNG(3), DeterministicRNG(3)
+        assert bernoulli(rng, 0.0) is False
+        assert bernoulli(rng, 1.0) is True
+        assert rng.random() == untouched.random()
 
     def test_bernoulli_rate(self):
         rng = DeterministicRNG(5)
-        rate = sum(rng.bernoulli(0.3) for _ in range(20_000)) / 20_000
+        rate = sum(bernoulli(rng, 0.3) for _ in range(20_000)) / 20_000
         assert abs(rate - 0.3) < 0.02
 
     def test_getrandbits_zero(self):
         assert DeterministicRNG(1).getrandbits(0) == 0
-
-    def test_poisson_mean_and_variance(self):
-        rng = DeterministicRNG(11)
-        samples = [rng.poisson(0.1) for _ in range(50_000)]
-        mean = sum(samples) / len(samples)
-        assert abs(mean - 0.1) < 0.01
-        assert min(samples) == 0
-
-    def test_poisson_zero_mean(self):
-        assert DeterministicRNG(1).poisson(0.0) == 0
-
-    def test_poisson_negative_rejected(self):
-        with pytest.raises(ValueError):
-            DeterministicRNG(1).poisson(-1.0)
 
     def test_exponential_positive(self):
         rng = DeterministicRNG(2)
@@ -65,25 +55,48 @@ class TestDeterministicRNG:
         with pytest.raises(ValueError):
             rng.exponential(0.0)
 
-    def test_binomial_bounds(self):
-        rng = DeterministicRNG(4)
-        for _ in range(100):
-            value = rng.binomial(10, 0.5)
-            assert 0 <= value <= 10
-        with pytest.raises(ValueError):
-            rng.binomial(-1, 0.5)
-
-    def test_shuffle_does_not_modify_input(self):
-        rng = DeterministicRNG(9)
-        items = [1, 2, 3, 4, 5]
-        shuffled = rng.shuffle(items)
-        assert items == [1, 2, 3, 4, 5]
-        assert sorted(shuffled) == items
-
     def test_sample_distinct(self):
         rng = DeterministicRNG(10)
-        sample = rng.sample(range(100), 10)
-        assert len(set(sample)) == 10
+        drawn = sample(rng, range(100), 10)
+        assert len(set(drawn)) == 10
+
+
+#: probability -> 32 ``bernoulli`` draws from ``DeterministicRNG(3)``, as the
+#: tests' pinned literals were recorded with them (``1`` is True).
+BERNOULLI_DRAWS = {
+    0.1: "00000110000000000000010001000000",
+    0.3: "10000110110000010000010001000000",
+    0.5: "10100110110101010000010011010000",
+    0.9: "11111111110111111111111111111110",
+}
+
+#: (population size, k) -> ``sample`` from ``DeterministicRNG(10)``: a pool
+#: draw, a set draw, and a large population.
+SAMPLE_DRAWS = {
+    (20, 10): [18, 1, 13, 15, 0, 3, 7, 17, 4, 10],
+    (100, 10): [73, 4, 54, 61, 1, 26, 59, 62, 35, 83],
+    (2048, 8): [133, 1756, 1976, 60, 844, 1894, 2012, 1136],
+}
+
+
+class TestTestDrawsAreTheRecordedOnes:
+    """The test-side draws give the values the tests' error patterns and the
+    fault plane's schedules were recorded with, and leave the stream where
+    those draws left it: a shift would move every pin built on them."""
+
+    @pytest.mark.parametrize("probability", BERNOULLI_DRAWS)
+    def test_bernoulli(self, probability):
+        rng = DeterministicRNG(3)
+        drawn = "".join("1" if bernoulli(rng, probability) else "0" for _ in range(32))
+        assert drawn == BERNOULLI_DRAWS[probability]
+        assert rng.getrandbits(16) == 25884
+
+    @pytest.mark.parametrize("shape", SAMPLE_DRAWS, ids=lambda shape: "%d-choose-%d" % shape)
+    def test_sample(self, shape):
+        size, k = shape
+        rng = DeterministicRNG(10)
+        assert sample(rng, range(size), k) == SAMPLE_DRAWS[shape]
+        assert rng.getrandbits(16) == (42825 if size == 2048 else 53124)
 
 
 class TestUnits:

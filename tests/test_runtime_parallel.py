@@ -112,9 +112,6 @@ class TestLinkFarm:
         assert [run.report.distilled_bits for run in wide] == [
             run.report.distilled_bits for run in inline
         ]
-        assert [run.distilled_bits for run in wide] == [
-            run.report.distilled_bits for run in wide
-        ]
 
 
 class TestRelayParallelRefill:

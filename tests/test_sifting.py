@@ -11,6 +11,7 @@ from repro.core.sifting import (
     run_length_encode_mask,
 )
 from repro.core.messages import SiftMessage
+from tests.frames import sifted_errors
 from tests.oracles.scalar_rle import run_length_encode_scalar
 
 
@@ -153,7 +154,7 @@ class TestSiftingProtocol:
         result = SiftingProtocol().sift(small_frame)
         # Engine-side sift must agree exactly with the simulation's own mask.
         assert result.n_sifted == small_frame.n_sifted
-        assert result.error_count == small_frame.n_sifted_errors
+        assert result.error_count == sifted_errors(small_frame)
         assert len(result.alice_key) == len(result.bob_key) == len(result.slot_indices)
 
     def test_slot_indices_are_an_array(self, small_frame):

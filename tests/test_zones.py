@@ -17,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import QKDSystem
+from repro.eve import InterceptResendAttack
 from repro.kms import (
     AggregateProfile,
     KeyManagementService,
@@ -200,6 +201,44 @@ class TestZonedReplenisher:
             owners.append("~trunk" if owner is None else owner)
         assert owners == sorted(owners)
         assert replenisher.selection_seconds > 0.0
+
+    def test_attack_end_and_restore_bring_a_zone_link_back(self):
+        """The zoned service runs tests/test_kms.py's attack -> detection ->
+        attack ends and the link is restored schedule on a link inside zone
+        z00: the link banks pad again.  Without the attack's end, the restore
+        alone is re-detected."""
+        link = ("z00-relay-0", "z00-relay-1")
+
+        def run(end_attack):
+            metro = QKDSystem(seed=7).metro(
+                n_zones=2, endpoints_per_zone=2, relays_per_zone=2, prefill_seconds=200.0
+            )
+            service = metro.kms(
+                KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1))
+            )
+            service.schedule_attack(600.0, *link, InterceptResendAttack(1.0))
+            if end_attack:
+                service.schedule_attack_end(1800.0, *link)
+            service.schedule_link_restore(1800.0, *link)
+            report = service.serve(hours=1.0)
+            epochs = service.replenisher.reports
+            detected = [e.epoch_index for e in epochs if link in e.newly_eavesdropped]
+            banked = [e.epoch_index for e in epochs if e.banked_bits.get(link, 0) > 0]
+            return report, detected, banked
+
+        restored = 15  # the epoch at t=1800 s
+        report, detected, banked = run(end_attack=True)
+        assert report.zones == 2
+        assert len(detected) == 1 and 5 <= detected[0] < restored
+        assert link not in report.eavesdropped_links
+        assert not [e for e in banked if detected[0] <= e < restored]
+        assert [e for e in banked if e >= restored]
+        assert report.completion_accounted
+
+        report, detected, banked = run(end_attack=False)
+        assert len(detected) == 2 and detected[1] >= restored
+        assert link in report.eavesdropped_links
+        assert not [e for e in banked if e >= detected[0]]
 
 
 #: The zoned soak's determinism pin: sha256 of all delivered end-to-end key
