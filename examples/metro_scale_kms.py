@@ -13,7 +13,7 @@ storms arrive in heavy-tailed bursts, with no per-tunnel objects anywhere.
 
 Everything hangs off one config object and its builders::
 
-    KmsConfig().with_workload(AggregateProfile.storm(...))  # + .with_zones(...)
+    KmsConfig().with_workload(AggregateProfile.storm(...))  # + .with_zones(plan)
 
 (the metro mesh carries its own ZonePlan, which ``kms()`` adopts).
 
@@ -43,7 +43,7 @@ def main() -> None:
                 tunnels=50_000, mean_interval_seconds=600.0, alpha=2.2
             )
         )
-        # .with_zones(...) would override the mesh's own plan here.
+        # .with_zones(plan) would override the mesh's own plan here.
     )
     service = metro.kms(config)
     inter = sum(1 for p in service.pairs if not plan.same_zone(p))

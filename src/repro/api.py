@@ -19,11 +19,14 @@ fluent entry points:
     >>> result = mesh.relays.transport_key("endpoint-0", "endpoint-1")
     >>> soak = mesh.kms().serve(hours=1.0)              # continuous operation
 
-Every knob lives in one :class:`SystemConfig`; builders accept keyword
-overrides, and a derived system is built from a replaced config:
+Every knob lives in one :class:`SystemConfig`, the link's in its
+:class:`~repro.link.LinkParameters`; builders accept keyword overrides:
 
-    >>> base = QKDSystem(seed=1)
-    >>> slutsky = QKDSystem(replace(base.config, defense="slutsky", distance_km=20.0))
+    >>> far = LinkParameters(
+    ...     channel=ChannelParameters.for_distance(20.0),
+    ...     engine=EngineParameters(defense="slutsky"),
+    ... )
+    >>> slutsky = QKDSystem(seed=1, link=far)
 
 Determinism: a system built from the same config always produces the same
 keys — ``QKDSystem(seed=s).link()`` is bit-for-bit the legacy
@@ -37,13 +40,11 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep the facade light
-    from repro.core.engine import EngineParameters
     from repro.ipsec.gateway import GatewayPair
     from repro.kms.zones import ZonePlan
     from repro.lanes import LaneEngine
     from repro.link.qkd_link import LinkParameters, LinkReport, QKDLink
     from repro.network.relay import TrustedRelayNetwork
-    from repro.optics.channel import ChannelParameters
     from repro.sim.clock import SimClock
 
 from repro.kms.service import KeyManagementService, KmsConfig
@@ -72,16 +73,11 @@ class SystemConfig:
     #: Root seed; every component's RNG stream derives from it.
     seed: int = 0
 
-    # ---- physical layer / link ---------------------------------------- #
-    distance_km: float = 10.0
-    slots_per_batch: int = 500_000
-
-    # ---- distillation pipeline ---------------------------------------- #
-    defense: str = "bennett"
-    confidence_sigmas: float = 5.0
-    block_size_bits: int = 2048
-    abort_qber: float = 0.15
-    randomness_testing: bool = False
+    # ---- link ----------------------------------------------------------- #
+    #: Channel, distillation engine and batch size of every link the system
+    #: builds; ``None`` is the paper's link (:meth:`LinkParameters.paper_link`),
+    #: left unbuilt so that a mesh loads no link or engine module.
+    link: Optional[LinkParameters] = None
 
     # ---- VPN assembly -------------------------------------------------- #
     #: Channel-seconds of key distilled before the gateways come up.
@@ -92,33 +88,6 @@ class SystemConfig:
     n_relays: int = 4
     #: Seconds of pairwise-key prefill every mesh link gets at build time.
     prefill_seconds: float = 60.0
-
-    # ------------------------------------------------------------------ #
-
-    def engine_parameters(self) -> EngineParameters:
-        from repro.core.engine import EngineParameters
-
-        return EngineParameters(
-            defense=self.defense,
-            confidence_sigmas=self.confidence_sigmas,
-            block_size_bits=self.block_size_bits,
-            abort_qber=self.abort_qber,
-            randomness_testing=self.randomness_testing,
-        )
-
-    def channel_parameters(self) -> ChannelParameters:
-        from repro.optics.channel import ChannelParameters
-
-        return ChannelParameters.for_distance(self.distance_km)
-
-    def link_parameters(self) -> LinkParameters:
-        from repro.link.qkd_link import LinkParameters
-
-        return LinkParameters(
-            channel=self.channel_parameters(),
-            engine=self.engine_parameters(),
-            slots_per_batch=self.slots_per_batch,
-        )
 
 
 class QKDSystem:
@@ -138,7 +107,7 @@ class QKDSystem:
 
         config = replace(self.config, **overrides) if overrides else self.config
         return QKDLink(
-            config.link_parameters(),
+            config.link,
             rng=DeterministicRNG(config.seed),
             name=name or f"{SYSTEM_NAME}-link",
         )
@@ -214,8 +183,8 @@ class QKDSystem:
 
             QKDSystem(seed=7).metro(n_zones=4).kms().serve(hours=2.0)
 
-        runs the zoned runtime with no further wiring.  Pass an explicit
-        ``KmsConfig`` (including ``.with_zones(...)``) to override.
+        runs the zoned runtime with no further wiring.  A ``KmsConfig`` that
+        names a plan of its own (``.with_zones(plan)``) overrides it.
         """
         from repro.kms.zones import build_metro_mesh
 
@@ -243,7 +212,7 @@ class QKDSystem:
         config = replace(self.config, **overrides) if overrides else self.config
         return LaneEngine.for_fleet(
             n_lanes,
-            parameters=config.link_parameters(),
+            parameters=config.link,
             rng=DeterministicRNG(config.seed),
             name_prefix=f"{SYSTEM_NAME}-lane",
         )
@@ -352,9 +321,10 @@ class MeshSystem:
         demand model, replenishment fidelity — lives on the
         :class:`~repro.kms.KmsConfig` and its ``with_*`` builders::
 
-            mesh.kms(
+            metro = QKDSystem(seed=7).metro(n_zones=4)
+            metro.kms(
                 KmsConfig()
-                .with_zones(4)
+                .with_zones(metro.zone_plan)
                 .with_workload(AggregateProfile.storm(tunnels=1_000_000))
             )
 
@@ -366,7 +336,7 @@ class MeshSystem:
         ``(SystemConfig, KmsConfig)`` always replays the same run.
 
         A mesh built by :meth:`QKDSystem.metro` carries its zone plan; the
-        config adopts it automatically unless it names zones itself.
+        config adopts it automatically unless it names a plan itself.
         """
         rng = DeterministicRNG(self.config.seed).fork_labeled("kms")
         workload = None

@@ -96,7 +96,7 @@ class SiftMessage:
             len(self.detected_bases),
         )
         bases = wire_arrays.pack_bitmap(self.detected_bases)
-        return header + bases + wire_arrays.encode_varints(runs)
+        return header + bases + wire_arrays.encode_varints(runs.tolist())
 
     def encode_json(self) -> bytes:
         return _encode_json_payload(
@@ -322,12 +322,12 @@ class CascadeBisectQuery:
             return (
                 header
                 + bytes([self._MODE_RANGE])
-                + wire_arrays.encode_varints(indices[:1])
+                + wire_arrays.encode_varints((int(indices[0]),))
             )
         return (
             header
             + bytes([self._MODE_DELTAS])
-            + wire_arrays.encode_ascending_indices(indices)
+            + wire_arrays.encode_ascending_indices(indices.tolist())
         )
 
     def encode_json(self) -> bytes:
@@ -391,7 +391,7 @@ def _slice_query_bytes(
     elif subset.delta_bytes:
         indices = wire_arrays.encode_varints((first,)) + subset.delta_bytes[lo : hi - 1]
     else:
-        indices = wire_arrays.encode_ascending_indices(subset.array[lo:hi])
+        indices = wire_arrays.encode_ascending_indices(subset.array[lo:hi].tolist())
     try:
         header = _BISECT_QUERY_HEADER.pack(
             wire.KIND_CASCADE_BISECT, round_index, subset_index, hi - lo, mode

@@ -76,9 +76,9 @@ _U16 = struct.Struct("<H")
 
 
 def encode_varint(value: int) -> bytes:
-    """One varint: the scalar form of
-    :func:`~repro.core.wire_arrays.encode_varints`, which (like
-    :func:`read_varint`) answers a one- or two-byte value without a loop."""
+    """One varint (:func:`~repro.core.wire_arrays.encode_varints` writes one
+    per value); like :func:`read_varint`, it answers a one- or two-byte value
+    without a loop."""
     if value < 0x80:
         if value >= 0:
             return _ONE_BYTE[value]

@@ -1,16 +1,16 @@
-"""The array codecs of the binary wire format, vectorized over numpy.
+"""The array codecs of the binary wire format.
 
-The layout is the one :mod:`repro.core.wire` documents.  Encoding or
-decoding an n-value varint block costs a handful of numpy passes (one per
-varint byte position, at most 10), never a Python-level loop over values;
-bitmaps pack and unpack with ``np.packbits``.  They live apart from the
-scalar varint in :mod:`repro.core.wire` so that code framing netkms messages
-never imports numpy.
+The layout is the one :mod:`repro.core.wire` documents.  Decoding an
+n-value varint block costs a handful of numpy passes (one per varint byte
+position, at most 10), never a Python-level loop over values; encoding is
+one scalar varint per value; bitmaps pack and unpack with ``np.packbits``.
+They live apart from the scalar varint in :mod:`repro.core.wire` so that
+code framing netkms messages never imports numpy.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -18,13 +18,13 @@ from repro.core.wire import WireDecodeError, encode_varint
 
 _U32_MAX = (1 << 32) - 1
 
-#: Below this many values the numpy fan-out costs more than a Python loop
-#: (bisect queries encode a few hundred tiny deltas at a time).
-_SCALAR_VARINT_CUTOFF = 256
 
+def encode_varints(values: Iterable[int]) -> bytes:
+    """Encode non-negative integers as concatenated varints.
 
-def _encode_varints_scalar(values) -> bytes:
-    """Plain-loop varint encoder for short sequences."""
+    One :func:`~repro.core.wire.encode_varint` per value; a fractional value
+    is refused here, a negative one or one of 64 bits or more there.
+    """
     out = bytearray()
     for value in values:
         as_int = int(value)
@@ -32,48 +32,6 @@ def _encode_varints_scalar(values) -> bytes:
             raise ValueError("varints encode integers, not fractional values")
         out += encode_varint(as_int)
     return bytes(out)
-
-
-def encode_varints(values: Union[Sequence[int], np.ndarray]) -> bytes:
-    """Encode a sequence of non-negative integers as concatenated varints."""
-    if not isinstance(values, np.ndarray) and len(values) < _SCALAR_VARINT_CUTOFF:
-        return _encode_varints_scalar(values)
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-    if arr.size == 0:
-        return b""
-    if arr.size < _SCALAR_VARINT_CUTOFF:
-        return _encode_varints_scalar(arr.tolist())
-    if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
-        # Mixed / oversized Python ints (or a lossy float promotion): go back
-        # to the original values and validate each explicitly.
-        source = values if not isinstance(values, np.ndarray) else np.ravel(arr)
-        converted = [int(v) for v in source]
-        if any(c != v for c, v in zip(converted, source)):
-            raise ValueError("varints encode integers, not fractional values")
-        if any(v < 0 or v >= (1 << 64) for v in converted):
-            raise ValueError("varints encode non-negative 64-bit integers only")
-        arr = np.array(converted, dtype=np.uint64)
-    elif arr.size and int(arr.min()) < 0:
-        raise ValueError("varints encode non-negative integers only")
-    arr = arr.astype(np.uint64, copy=False)
-    max_value = int(arr.max())
-    if max_value < 0x80:
-        # Every value fits one varint byte: the encoding is the byte string.
-        return arr.astype(np.uint8).tobytes()
-    # Bytes per value: 1 + one extra for every 7-bit group above the first.
-    nbytes = np.ones(arr.shape, dtype=np.intp)
-    for shift in range(7, max_value.bit_length(), 7):
-        nbytes += arr >= np.uint64(1 << shift)
-    total = int(nbytes.sum())
-    out = np.zeros(total, dtype=np.uint8)
-    ends = np.cumsum(nbytes)
-    starts = ends - nbytes
-    for j in range(int(nbytes.max())):
-        sel = nbytes > j
-        chunk = (arr[sel] >> np.uint64(7 * j)) & np.uint64(0x7F)
-        cont = (nbytes[sel] - 1 > j).astype(np.uint8) << 7
-        out[starts[sel] + j] = chunk.astype(np.uint8) | cont
-    return out.tobytes()
 
 
 def decode_varints(data: bytes, expected_count: int) -> np.ndarray:
@@ -146,7 +104,7 @@ def unpack_bitmap(data: bytes, count: int) -> np.ndarray:
 # Delta coding for ascending index lists (Cascade bisect queries)
 # --------------------------------------------------------------------------- #
 
-def encode_ascending_indices(indices: Union[Sequence[int], np.ndarray]) -> bytes:
+def encode_ascending_indices(indices: Iterable[int]) -> bytes:
     """Delta-plus-varint encode a non-decreasing index sequence.
 
     Cascade bisect queries carry the slot indices of the queried half-range,
@@ -154,25 +112,15 @@ def encode_ascending_indices(indices: Union[Sequence[int], np.ndarray]) -> bytes
     index.  Raises ``ValueError`` if the sequence is not non-decreasing
     (callers fall back to the JSON reference encoding in that case).
     """
-    if not isinstance(indices, np.ndarray) and len(indices) < _SCALAR_VARINT_CUTOFF:
-        deltas = []
-        previous = 0
-        for index in indices:
-            index = int(index)
-            if index < previous or index < 0:
-                raise ValueError("indices must be non-negative and non-decreasing")
-            deltas.append(index - previous)
-            previous = index
-        return _encode_varints_scalar(deltas)
-    arr = np.asarray(indices, dtype=np.int64)
-    if arr.size == 0:
-        return b""
-    deltas = np.empty_like(arr)
-    deltas[0] = arr[0]
-    np.subtract(arr[1:], arr[:-1], out=deltas[1:])
-    if arr[0] < 0 or (arr.size > 1 and int(deltas[1:].min()) < 0):
-        raise ValueError("indices must be non-negative and non-decreasing")
-    return encode_varints(deltas)
+    out = bytearray()
+    previous = 0
+    for index in indices:
+        index = int(index)
+        if index < previous:
+            raise ValueError("indices must be non-negative and non-decreasing")
+        out += encode_varint(index - previous)
+        previous = index
+    return bytes(out)
 
 
 def decode_ascending_indices(data: bytes, count: int) -> np.ndarray:

@@ -304,6 +304,7 @@ class ReplenishmentScheduler:
 
     def _run_montecarlo(self, selected: List[QKDLinkEdge], report: EpochReport) -> None:
         from repro.link.qkd_link import LinkParameters
+        from repro.optics.model import ChannelParameters
         from repro.runtime.farm import LinkJob
 
         jobs: List[LinkJob] = []
@@ -313,7 +314,9 @@ class ReplenishmentScheduler:
             jobs.append(
                 LinkJob(
                     name=label,
-                    parameters=LinkParameters.for_distance(edge.length_km),
+                    parameters=LinkParameters(
+                        channel=ChannelParameters.for_distance(edge.length_km)
+                    ),
                     seed=self._seed_rng.fork_labeled(label).seed,
                     n_slots=self.config.slots_per_epoch,
                     attack=self.attacks.get(key),

@@ -124,10 +124,9 @@ class KmsConfig:
     #: ``"scheduled"`` (contact-graph routing) or ``"epidemic"`` (flooding).
     custody_policy: str = "scheduled"
     #: Metro-scale sharding: ``None`` runs the flat mesh (the pinned-digest
-    #: path), an int partitions the mesh into that many zones
-    #: (:meth:`ZonePlan.partition`), an explicit :class:`ZonePlan` is used
-    #: as given.
-    zones: Union["ZonePlan", int, None] = None
+    #: path), a :class:`ZonePlan` (the one :func:`build_metro_mesh` returns)
+    #: runs the zoned one.
+    zones: Optional["ZonePlan"] = None
     #: Sizing of the per-zone-pair trunk stores inter-zone pairs draw from.
     trunk_capacity_bits: int = 1 << 22
     trunk_low_water_bits: int = 65_536
@@ -157,8 +156,6 @@ class KmsConfig:
         if self.custody and not (math.isfinite(ttl) and ttl > 0):
             raise ValueError(f"custody_ttl_seconds must be finite and positive, got {ttl!r}")
         if self.zones is not None:
-            if isinstance(self.zones, int) and self.zones < 1:
-                raise ValueError("zones must name at least one zone")
             if not 0 < self.trunk_low_water_bits <= self.trunk_high_water_bits:
                 raise ValueError("trunk low water must be in (0, high water]")
             if self.trunk_high_water_bits > self.trunk_capacity_bits:
@@ -166,7 +163,7 @@ class KmsConfig:
 
     # ---- fluent builders (the config-first facade composes these) ------- #
 
-    def with_zones(self, zones: Union["ZonePlan", int]) -> "KmsConfig":
+    def with_zones(self, zones: "ZonePlan") -> "KmsConfig":
         """This config, zoned (see :attr:`zones`)."""
         return replace(self, zones=zones)
 
@@ -329,13 +326,9 @@ class KeyManagementService:
         self.workload = workload or self._build_workload()
         self.zone_plan: Optional[ZonePlan] = None
         if self.config.zones is not None:
-            from repro.kms.zones import ZonePlan, ZonedReplenisher
+            from repro.kms.zones import ZonedReplenisher
 
-            plan = (
-                self.config.zones
-                if isinstance(self.config.zones, ZonePlan)
-                else ZonePlan.partition(relays.network, self.config.zones)
-            )
+            plan = self.config.zones
             plan.validate(relays.network)
             self.zone_plan = plan
             self.replenisher: ReplenishmentScheduler = ZonedReplenisher(

@@ -57,8 +57,9 @@ class WorkloadProfile:
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"profile kind must be one of {self.KINDS}")
-        if self.mean_interval_seconds <= 0:
-            raise ValueError("mean interval must be positive")
+        interval = self.mean_interval_seconds
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(f"mean interval must be finite and positive, got {interval!r}")
 
     @classmethod
     def poisson(cls, mean_interval_seconds: float = 120.0) -> "WorkloadProfile":
@@ -171,9 +172,10 @@ class AggregateProfile:
             raise ValueError(f"aggregate profile kind must be one of {self.KINDS}")
         if self.tunnels < 1:
             raise ValueError("an aggregate class needs at least one tunnel")
-        if self.mean_interval_seconds <= 0:
-            raise ValueError("mean interval must be positive")
-        if self.alpha <= 1.0:
+        interval = self.mean_interval_seconds
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(f"mean interval must be finite and positive, got {interval!r}")
+        if not self.alpha > 1.0:  # also refuses nan
             raise ValueError("tail exponent must exceed 1 (else no finite mass)")
         if self.max_batch < 1:
             raise ValueError("max batch must be at least 1")

@@ -39,7 +39,7 @@ from repro.kms.store import KeyStore, KeyStoreExhaustedError
 from repro.network.graph import connected_components
 from repro.network.relay import KeyTransportResult, TrustedRelayNetwork
 from repro.network.routing import RoutingError
-from repro.network.topology import NodeKind, QKDNetwork
+from repro.network.topology import QKDNetwork
 from repro.util.rng import DeterministicRNG
 
 ZoneId = str
@@ -143,61 +143,6 @@ class ZonePlan:
                     f"zone {zid!r} is disconnected within itself: "
                     f"components {sorted(map(sorted, components))}"
                 )
-
-    @classmethod
-    def partition(cls, network: QKDNetwork, n_zones: int) -> "ZonePlan":
-        """A deterministic ``n_zones``-way partition of an existing mesh.
-
-        Seeds one zone per evenly spaced relay (sorted relay order) and
-        grows them by multi-source BFS with sorted frontier/neighbour
-        order, so the assignment is a pure function of the topology.  Each
-        zone's gateway is its member with the most links into other zones
-        (ties to the lexicographically smallest name).
-        """
-        if n_zones < 1:
-            raise ValueError("need at least one zone")
-        nodes = sorted(network.graph.nodes)
-        if n_zones > len(nodes):
-            raise ValueError(
-                f"cannot split {len(nodes)} node(s) into {n_zones} zones"
-            )
-        relays = sorted(
-            n.name for n in network.nodes() if n.kind is NodeKind.TRUSTED_RELAY
-        )
-        seeds_from = relays if len(relays) >= n_zones else nodes
-        seeds = [seeds_from[i * len(seeds_from) // n_zones] for i in range(n_zones)]
-        zone_ids = [f"z{i:02d}" for i in range(n_zones)]
-        assignment: Dict[str, ZoneId] = {}
-        frontier: List[Tuple[str, ZoneId]] = []
-        for zid, seed in zip(zone_ids, seeds):
-            assignment[seed] = zid
-            frontier.append((seed, zid))
-        while frontier:
-            node, zid = frontier.pop(0)
-            for neighbour in sorted(network.graph.neighbors(node)):
-                if neighbour not in assignment:
-                    assignment[neighbour] = zid
-                    frontier.append((neighbour, zid))
-        unreached = [n for n in nodes if n not in assignment]
-        if unreached:
-            raise ValueError(
-                f"mesh is disconnected; unreachable from every seed: {unreached}"
-            )
-        zones = {
-            zid: tuple(sorted(n for n, z in assignment.items() if z == zid))
-            for zid in zone_ids
-        }
-        gateways: Dict[ZoneId, str] = {}
-        for zid, members in zones.items():
-            def cross_degree(name: str) -> int:
-                return sum(
-                    1
-                    for neighbour in network.graph.neighbors(name)
-                    if assignment[neighbour] != zid
-                )
-
-            gateways[zid] = min(members, key=lambda n: (-cross_degree(n), n))
-        return cls(zones=zones, gateways=gateways)
 
     def __repr__(self) -> str:
         sizes = ", ".join(f"{zid}:{len(m)}" for zid, m in sorted(self.zones.items()))

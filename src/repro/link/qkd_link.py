@@ -57,15 +57,6 @@ class LinkParameters:
         """The paper's first link at its published operating point."""
         return cls()
 
-    @classmethod
-    def for_distance(cls, length_km: float) -> "LinkParameters":
-        return cls(channel=ChannelParameters.for_distance(length_km))
-
-    @classmethod
-    def entangled_link(cls, length_km: float) -> "LinkParameters":
-        """The planned second DARPA link, based on an SPDC entangled-pair source."""
-        return cls(channel=ChannelParameters.entangled_link(length_km))
-
 
 @dataclass
 class LinkReport:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Optional
 
 from repro.netkms import protocol
 from repro.netkms.client import (
@@ -42,6 +42,7 @@ from repro.netkms.client import (
     ServedKey,
 )
 from repro.netkms.protocol import ServerError
+from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
 
 
@@ -79,8 +80,9 @@ class RecoveryStats:
     timeouts: int = 0
     reservations_abandoned: int = 0
     #: Loop seconds from each first failure to the operation's eventual
-    #: success — the "how long was service interrupted" distribution.
-    recovery_seconds: List[float] = field(default_factory=list)
+    #: success — the "how long was service interrupted" distribution, in
+    #: constant memory for the client's life.
+    recovery_seconds: LatencyHistogram = field(default_factory=LatencyHistogram)
 
 
 #: Exceptions that mean "the transport failed or the server is going away";
@@ -196,7 +198,7 @@ class ResilientKmsClient:
                 interrupted = True
                 continue
             if interrupted:
-                self.stats.recovery_seconds.append(clock() - started)
+                self.stats.recovery_seconds.add(clock() - started)
             return key
 
     # ------------------------------------------------------------------ #
@@ -231,7 +233,7 @@ class ResilientKmsClient:
                     await asyncio.sleep(delay)
                 continue
             if first_failure is not None:
-                self.stats.recovery_seconds.append(clock() - first_failure)
+                self.stats.recovery_seconds.add(clock() - first_failure)
             return result
         raise RetriesExhaustedError(f"gave up after {MAX_ATTEMPTS} attempts") from last_error
 

@@ -51,9 +51,10 @@ another's key by mistake or by counting ids, not one that forges another's
 parked between requests with ``SHUTTING_DOWN`` (request id 0) and closes
 it.  A request in its hook finishes and is answered, one pipelined behind
 it is refused under its own id, and every reservation still held at the
-end is reaped.  Malformed frames are answered with a typed ERROR; the
-fatal codes (:data:`~repro.netkms.protocol.FATAL_ERRORS`) also close the
-connection.  docs/API.md "Failure semantics" has the full contract.
+end is reaped as its connection closes.  Malformed frames are answered
+with a typed ERROR; the fatal codes
+(:data:`~repro.netkms.protocol.FATAL_ERRORS`) also close the connection.
+docs/API.md "Failure semantics" has the full contract.
 """
 
 from __future__ import annotations
@@ -228,10 +229,10 @@ class NetworkKmsServer:
 
     async def stop(self, drain_timeout: float = 5.0) -> None:
         """Drain and shut down (see "Leases, reaping and the drain" above);
-        connections still open after ``drain_timeout`` are aborted, and no
-        reservation is left held.  Raises :class:`ConservationError` if a
-        granted reservation is then unaccounted for
-        (:meth:`conservation_fault`)."""
+        connections still open after ``drain_timeout`` are aborted, each
+        closing connection reaps what it holds, and the replay cache is
+        cleared.  Raises :class:`ConservationError` if a granted reservation
+        is then unaccounted for (:meth:`conservation_fault`) or still held."""
         if self._server is None:
             return
         self._draining = True
@@ -248,8 +249,10 @@ class NetworkKmsServer:
                     conn.abort()
                 await self._all_closed
             self._all_closed = None
-        self._reap_all("shutdown")
+        self._served.clear()
         fault = self.conservation_fault()
+        if fault is None and self._held:
+            fault = f"server {self.server_id}: {len(self._held)} reservations held after the drain"
         if fault is not None:
             raise ConservationError(fault)
 
@@ -289,14 +292,6 @@ class NetworkKmsServer:
         freed = 0
         for key in [k for k, held in self._held.items() if held.owner == conn_id]:
             freed += self._reap_one(key, "disconnect")
-        return freed
-
-    def _reap_all(self, reason: str) -> int:
-        freed = 0
-        for key in list(self._held):
-            freed += self._reap_one(key, reason)
-        self._served.clear()
-        self._earliest_deadline = math.inf
         return freed
 
     def _reap_one(self, key: Tuple[Pair, int], reason: str) -> int:

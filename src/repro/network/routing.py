@@ -3,12 +3,11 @@
 "When a given point-to-point QKD link within the relay mesh fails — e.g. by
 fiber cut or too much eavesdropping or noise — that link is abandoned and
 another used instead" (paper section 8).  The :class:`PathSelector` picks
-paths over the usable subgraph; the metric can be hop count (fewest trusted
-relays exposed to the key), total fiber length, or inverse key rate (the
-bottleneck-avoiding choice for sustained key transport).
+paths over the usable subgraph; the metric is hop count (fewest trusted
+relays exposed to the key) or total fiber length.
 
 Route table.  A search draws no randomness and reads only the network's
-nodes, its links with their lengths and rates, and each link's usable flag,
+nodes, its links with their lengths, and each link's usable flag,
 so its answer is a pure function of :meth:`QKDNetwork.route_state` and the
 query.  :meth:`PathSelector.find_path` therefore keeps one table of answers
 per route state it has seen, ``{state: {(source, destination, within):
@@ -66,7 +65,7 @@ def _describe_reachable(usable: Graph, source: str) -> str:
 class PathSelector:
     """Chooses end-to-end paths across the usable part of the network."""
 
-    METRICS = ("hops", "length", "inverse-rate")
+    METRICS = ("hops", "length")
     #: Route states whose answers are kept at once (see the module docstring).
     MAX_ROUTE_STATES = 64
 
@@ -82,13 +81,9 @@ class PathSelector:
     # ------------------------------------------------------------------ #
 
     def _edge_weight(self, node_a: str, node_b: str, data) -> float:
-        link = data["link"]
         if self.metric == "hops":
             return 1.0
-        if self.metric == "length":
-            return link.length_km
-        # inverse-rate: prefer links with plenty of key; guard against zero.
-        return 1.0 / max(link.secret_key_rate_bps, 1e-6)
+        return data["link"].length_km
 
     def _search(
         self, source: str, destination: str, within: Optional[FrozenSet[str]]

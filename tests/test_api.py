@@ -11,25 +11,33 @@ from pathlib import Path
 import pytest
 
 from repro import MeshSystem, QKDSystem, SystemConfig, VPNSystem
+from repro.core.engine import EngineParameters
 from repro.ipsec.spd import CipherSuite
-from repro.kms import AggregateProfile, KmsConfig
+from repro.kms import AggregateProfile, KmsConfig, ZonePlan
 from repro.link import LinkParameters, QKDLink
+from repro.optics.model import ChannelParameters
 from repro.util.rng import DeterministicRNG
 
 
-class TestSystemConfig:
-    def test_engine_parameters_mapping(self):
-        config = SystemConfig(defense="slutsky", block_size_bits=1024)
-        params = config.engine_parameters()
-        assert params.defense == "slutsky"
-        assert params.block_size_bits == 1024
+def far_slutsky_link():
+    return LinkParameters(
+        channel=ChannelParameters.for_distance(20.0),
+        engine=EngineParameters(defense="slutsky", block_size_bits=1024),
+        slots_per_batch=250_000,
+    )
 
-    def test_link_parameters_mapping(self):
-        config = SystemConfig(distance_km=20.0, slots_per_batch=250_000)
-        params = config.link_parameters()
-        assert params.channel.path.length_km == 20.0
-        assert params.slots_per_batch == 250_000
-        assert not params.channel.is_entangled
+
+class TestSystemConfig:
+    def test_the_default_link_is_the_papers(self):
+        assert SystemConfig().link is None
+        assert QKDSystem(seed=1).link().parameters == LinkParameters.paper_link()
+
+    def test_the_config_link_is_the_one_built(self):
+        parameters = far_slutsky_link()
+        link = QKDSystem(seed=1, link=parameters).link()
+        assert link.parameters is parameters
+        assert link.channel.parameters.path.length_km == 20.0
+        assert link.engine.parameters.block_size_bits == 1024
 
 
 class TestFluentBuilders:
@@ -37,17 +45,17 @@ class TestFluentBuilders:
         """A variant is ``QKDSystem(replace(base.config, ...))``; the base
         system's config is left as it was."""
         base = QKDSystem(seed=1)
-        derived = QKDSystem(replace(base.config, defense="slutsky", distance_km=20.0, seed=9))
-        assert base.config.defense == "bennett"
+        far = far_slutsky_link()
+        derived = QKDSystem(replace(base.config, link=far, seed=9))
+        assert base.config.link is None
         assert base.config.seed == 1
-        assert derived.config.defense == "slutsky"
-        assert derived.config.distance_km == 20.0
+        assert derived.config.link is far
         assert derived.config.seed == 9
 
     def test_kwargs_constructor(self):
-        system = QKDSystem(seed=5, defense="slutsky")
+        system = QKDSystem(seed=5, distill_seconds=1.0)
         assert system.config.seed == 5
-        assert system.config.defense == "slutsky"
+        assert system.config.distill_seconds == 1.0
 
 
 class TestLinkFacade:
@@ -64,27 +72,15 @@ class TestLinkFacade:
         assert facade.blocks_aborted == legacy.blocks_aborted
 
     def test_link_overrides(self):
-        link = QKDSystem(seed=3).link(distance_km=25.0, name="far-link")
+        far = LinkParameters(channel=ChannelParameters.for_distance(25.0))
+        link = QKDSystem(seed=3).link(link=far, name="far-link")
         assert link.name == "far-link"
         assert link.parameters.channel.path.length_km == 25.0
 
     def test_defense_reaches_engine(self):
-        link = QKDSystem(seed=4, defense="slutsky").link()
+        slutsky = LinkParameters(engine=EngineParameters(defense="slutsky"))
+        link = QKDSystem(seed=4, link=slutsky).link()
         assert link.engine.estimator.defense.name == "slutsky"
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("confidence_sigmas", 4.0),
-            ("block_size_bits", 1024),
-            ("abort_qber", 0.2),
-            ("randomness_testing", True),
-        ],
-    )
-    def test_distillation_field_reaches_engine(self, field, value):
-        link = QKDSystem(seed=4, **{field: value}).link()
-        assert getattr(link.engine.parameters, field) == value
-        assert getattr(QKDSystem(seed=4).link().engine.parameters, field) != value
 
 
 class TestInputsAreRefusedWhereTheyEnter:
@@ -93,7 +89,7 @@ class TestInputsAreRefusedWhereTheyEnter:
     @pytest.mark.parametrize("distance", [float("nan"), float("inf"), -1.0])
     def test_a_link_over_a_bad_distance(self, distance):
         with pytest.raises(ValueError, match="fiber length must be finite and non-negative"):
-            QKDSystem(seed=1, distance_km=distance).link()
+            ChannelParameters.for_distance(distance)
 
     @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), -1.0])
     def test_run_seconds(self, seconds):
@@ -211,18 +207,20 @@ class TestConfigFirstKms:
 
     def test_builders_return_new_configs(self):
         base = KmsConfig()
-        zoned = base.with_zones(2)
+        plan = ZonePlan(zones={"z00": ("a",)}, gateways={"z00": "a"})
+        zoned = base.with_zones(plan)
         loaded = base.with_workload(AggregateProfile.poisson(tunnels=10))
         assert base.zones is None and base.custody is False and base.workload is None
-        assert zoned.zones == 2 and zoned is not base
+        assert zoned.zones is plan and zoned is not base
         assert loaded.workload.tunnels == 10
 
     def test_custody_and_zones_compose_on_the_metro_facade(self):
         custodial = replace(KmsConfig(), custody=True)
-        assert replace(KmsConfig().with_zones(2), custody=True) == custodial.with_zones(2)
         metro = QKDSystem(seed=12).metro(
             n_zones=2, endpoints_per_zone=2, relays_per_zone=2, prefill_seconds=200.0
         )
+        plan = metro.zone_plan
+        assert replace(KmsConfig().with_zones(plan), custody=True) == custodial.with_zones(plan)
         service = metro.kms(custodial)
         assert service.zone_plan is not None and service.custody is not None
         report = service.serve(hours=0.05)

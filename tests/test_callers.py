@@ -78,7 +78,7 @@ ALLOWED = {
     "tests/test_pinned_key_material.py, whose literals stay as they are",
     "total_bytes": "transcript size pinned by tests/test_pinned_key_material.py",
     "frame_numbers": "per-slot frame index hashed by tests/test_pinned_key_material.py",
-    "entangled_link": "the planned second link (LinkParameters and ChannelParameters): the "
+    "entangled_link": "the planned second link's channel: the "
     "E10 and A2 rows of tests/test_paper_claims.py run it, and its branch in "
     "tests/test_pinned_key_material.py pins one",
     # asyncio calls these on a connection's protocol: the event loop is the
@@ -365,18 +365,8 @@ _SOAK = "soak row in tests/test_soak_claims.py or the swarm in tests/test_swarm.
 
 #: Options no production call sets, each with the reason it stays settable.
 ALLOWED_OPTIONS = {
-    "SystemConfig.distance_km": _DEPLOYMENT + "the fiber length of the modelled link",
-    "SystemConfig.slots_per_batch": _DEPLOYMENT + "slots held in memory per batch "
-    "(mirrors LinkParameters.slots_per_batch)",
-    "SystemConfig.block_size_bits": _DEPLOYMENT + "sifted bits per distilled block "
-    "(mirrors EngineParameters.block_size_bits)",
-    "SystemConfig.abort_qber": _DEPLOYMENT + "the eavesdropping alarm threshold "
-    "(mirrors EngineParameters.abort_qber)",
-    "SystemConfig.defense": _DEPLOYMENT + "the paper's defense function "
-    "(mirrors EngineParameters.defense)",
-    "SystemConfig.confidence_sigmas": _DEPLOYMENT + "the paper's confidence "
-    "(mirrors EngineParameters.confidence_sigmas)",
-    "SystemConfig.randomness_testing": _PINNED + "mirrors EngineParameters.randomness_testing",
+    "SystemConfig.link": _DEPLOYMENT + "the link every builder makes: fiber length, "
+    "defense, block size and batch size (None is the paper's link)",
     "SystemConfig.distill_seconds": _DEPLOYMENT + "channel time distilled before the VPN "
     "comes up",
     "QKDSystem.metro(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
@@ -450,6 +440,8 @@ ALLOWED_OPTIONS = {
     "aggregate arrival carries",
     "WorkloadProfile.bursty(mean_interval_seconds=)": _SOAK + "the swarm's bursty demand "
     "arrives every 600 s",
+    "LinkParameters.engine": _DEPLOYMENT + "the link's distillation engine: defense, "
+    "confidence, block size and abort threshold",
     "LinkParameters.slots_per_batch": _DEPLOYMENT + "slots held in memory per batch",
     "LFSR(taps=)": _MODEL + "the subset generator's feedback polynomial; the table "
     "kernel is checked against stepping over random taps",

@@ -67,21 +67,21 @@ class TestEntangledChannel:
 
 class TestEntangledLink:
     def test_entangled_link_distills_key(self):
-        link = QKDLink(LinkParameters.entangled_link(10.0), DeterministicRNG(5))
+        link = QKDLink(LinkParameters(channel=ChannelParameters.entangled_link(10.0)), DeterministicRNG(5))
         report = link.run_seconds(4.0)
         assert report.sifted_bits > 1000
         assert report.distilled_bits > 0
         assert link.engine.keys_match
 
     def test_engine_accounts_with_entangled_flag(self):
-        link = QKDLink(LinkParameters.entangled_link(10.0), DeterministicRNG(6))
+        link = QKDLink(LinkParameters(channel=ChannelParameters.entangled_link(10.0)), DeterministicRNG(6))
         report = link.run_seconds(4.0)
         distilled_outcomes = [o for o in report.outcomes if o.entropy is not None]
         assert distilled_outcomes
         assert all(o.entropy.inputs.entangled_source for o in distilled_outcomes)
 
     def test_entangled_sifted_rate_lower_but_comparable_qber(self):
-        entangled = QKDLink(LinkParameters.entangled_link(10.0), DeterministicRNG(7))
+        entangled = QKDLink(LinkParameters(channel=ChannelParameters.entangled_link(10.0)), DeterministicRNG(7))
         weak = QKDLink(LinkParameters.paper_link(), DeterministicRNG(7))
         assert entangled.sifted_rate_bps() < weak.sifted_rate_bps()
         assert abs(entangled.expected_qber() - weak.expected_qber()) < 0.03

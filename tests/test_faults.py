@@ -250,6 +250,11 @@ MAIN_KEYS = 6
 STALL_SECONDS = 1.2
 
 
+def recorded(stats):
+    """A client's ``RecoveryStats`` as plain values, its histogram included."""
+    return {**vars(stats), "recovery_seconds": vars(stats.recovery_seconds)}
+
+
 def chaos_soak(faulted, runner=run_virtual):
     """One full soak run; returns everything the assertions need.
 
@@ -352,8 +357,8 @@ class TestChaosSoak:
     def test_recoveries_are_counted_and_timed(self):
         _, _, _, stats = chaos_soak(faulted=True)
         assert stats.retries >= 1
-        assert stats.recovery_seconds, "recoveries must be measured"
-        assert all(t >= 0 for t in stats.recovery_seconds)
+        assert stats.recovery_seconds.count, "recoveries must be measured"
+        assert stats.recovery_seconds.low >= 0
 
     def test_the_virtual_loop_replays_the_soak_and_tcp_serves_the_same_key(self):
         """Two runs on the virtual loop agree on everything the retry loop
@@ -362,8 +367,8 @@ class TestChaosSoak:
         _, _, first_metrics, first_stats = chaos_soak(faulted=True)
         _, _, second_metrics, second_stats = chaos_soak(faulted=True)
         tcp_keys, _, tcp_metrics, _ = chaos_soak(faulted=True, runner=asyncio.run)
-        assert first_stats == second_stats
-        assert first_stats.recovery_seconds
+        assert recorded(first_stats) == recorded(second_stats)
+        assert first_stats.recovery_seconds.count
         assert first_metrics.served_digest() == second_metrics.served_digest()
         assert first_metrics.served_digest() == tcp_metrics.served_digest()
         assert len(tcp_keys) == MAIN_KEYS + 1

@@ -33,7 +33,7 @@ from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
 from repro.kms.service import KmsMetrics, percentile
 from repro.link import LinkParameters, QKDLink
 from repro.network.relay import TrustedRelayNetwork
-from repro.optics.model import secret_fraction
+from repro.optics.model import ChannelParameters, secret_fraction
 from repro.util.bits import BitString
 from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
@@ -366,6 +366,16 @@ class TestTrafficWorkload:
         with pytest.raises(ValueError):
             WorkloadProfile.poisson(0.0)
 
+    @pytest.mark.timeout(10)
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_a_non_finite_interval_is_refused(self, interval):
+        """With ``nan`` the arrival loop never passed the horizon; with
+        ``inf`` the exponential draw divided by zero."""
+        for build in (WorkloadProfile.poisson, WorkloadProfile.bursty):
+            with pytest.raises(ValueError, match=f"finite and positive, got {interval}"):
+                build(interval)
+        assert WorkloadProfile.poisson(1e12).mean_interval_seconds == 1e12
+
 
 # --------------------------------------------------------------------- #
 # Indexed priority structures
@@ -524,7 +534,8 @@ class TestReplenishmentScheduler:
         scheduler.attach_attack("relay-0", "relay-1", InterceptResendAttack(0.1))
         report = scheduler.run_epoch()
         edge = relays.network.link("relay-0", "relay-1")
-        link = QKDLink(LinkParameters.for_distance(edge.length_km), DeterministicRNG(0))
+        parameters = LinkParameters(channel=ChannelParameters.for_distance(edge.length_km))
+        link = QKDLink(parameters, DeterministicRNG(0))
         mu = link.parameters.channel.effective_mean_photon_number
         induced = link.expected_qber() + 0.25 * 0.1
         rate = link.sifted_rate_bps() * secret_fraction(induced, mu)

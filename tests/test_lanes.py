@@ -448,7 +448,7 @@ class TestFleetConstruction:
                 LaneEngine.for_fleet(n_lanes)
 
     def test_lanes_share_the_parameters_and_nothing_else(self):
-        parameters = LinkParameters.for_distance(25.0)
+        parameters = LinkParameters(channel=ChannelParameters.for_distance(25.0))
         fleet = LaneEngine.for_fleet(3, parameters=parameters, rng=DeterministicRNG(2))
         assert [job.name for job in fleet.jobs] == ["lane-0", "lane-1", "lane-2"]
         assert all(job.parameters is parameters for job in fleet.jobs)

@@ -29,9 +29,6 @@ class TestLinkParameters:
         assert params.channel.path.length_km == pytest.approx(10.0)
         assert params.engine.defense == "bennett"
 
-    def test_for_distance(self):
-        assert LinkParameters.for_distance(42.0).channel.path.length_km == 42.0
-
     @pytest.mark.parametrize("batch", [0, -5, 2.5, True])
     def test_slots_per_batch_must_be_a_positive_int(self, batch):
         """Refused at construction: a zero batch never shrinks the slots left

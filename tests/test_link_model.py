@@ -121,7 +121,7 @@ def test_every_analytic_entry_point_is_the_model(length_km):
     """The link, the channel, the network and the switch layer all answer
     from the one model, float for float."""
     signal, qber, rate = evaluate(length_km)
-    parameters = LinkParameters.for_distance(length_km)
+    parameters = LinkParameters(channel=model.ChannelParameters.for_distance(length_km))
     link = QKDLink(parameters, DeterministicRNG(0))
     channel = QuantumChannel(parameters.channel, DeterministicRNG(0))
     assert link.expected_qber() == channel.expected_qber() == qber

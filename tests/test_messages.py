@@ -220,8 +220,10 @@ class TestVarints:
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            values = rng.integers(0, 2**62, size=int(rng.integers(0, 200)))
+            values = rng.integers(0, 2**62, size=int(rng.integers(0, 300)))
+            values[::7] = rng.integers(0, 0x80, size=values[::7].size)
             data = wire_arrays.encode_varints(values)
+            assert data == b"".join(wire.encode_varint(int(v)) for v in values)
             assert wire_arrays.decode_varints(data, values.size).tolist() == values.tolist()
 
     def test_round_trip_64bit_extremes(self):
@@ -256,20 +258,9 @@ class TestVarints:
         with pytest.raises(wire.WireDecodeError):
             wire_arrays.unpack_bitmap(b"\x00", 9)
 
-    def test_short_and_long_sequences_encode_identically(self):
-        """Below 256 values a plain loop encodes, above it numpy does; the
-        two must write the same bytes for the same values."""
-        rng = np.random.default_rng(17)
-        values = rng.integers(0, 2**40, size=300)
-        values[::7] = rng.integers(0, 0x80, size=values[::7].size)
-        vectorized = wire_arrays.encode_varints(values)
-        looped = b"".join(wire_arrays.encode_varints([int(v)]) for v in values)
-        assert vectorized == looped
-
-    @pytest.mark.parametrize("size", [1, 300])
-    def test_rejects_values_past_64_bits(self, size):
+    def test_rejects_values_past_64_bits(self):
         with pytest.raises(ValueError, match="64-bit"):
-            wire_arrays.encode_varints([2**64] * size)
+            wire_arrays.encode_varints([2**64])
 
     def test_decode_rejects_a_ten_byte_varint_overflowing_64_bits(self):
         # Ten bytes hold 70 value bits; the tenth may only carry bit 63.
@@ -297,7 +288,7 @@ class TestAscendingIndices:
     @pytest.mark.parametrize("container", [list, np.array])
     def test_round_trip(self, container):
         rng = np.random.default_rng(19)
-        for size in (0, 1, 5, 255, 256, 1_000):
+        for size in (0, 1, 5, 1_000):
             indices = np.sort(rng.integers(0, 50_000, size=size))
             data = wire_arrays.encode_ascending_indices(container(indices.tolist()))
             assert wire_arrays.decode_ascending_indices(data, size).tolist() == indices.tolist()

@@ -1705,6 +1705,8 @@ class TestReaperDifferential:
                     assert state(servers[0]) == state(servers[1]), (name, i, j)
             finally:
                 for server in servers:
+                    for conn_id in (1, 2, 3):  # as each closing connection would
+                        server._reap_connection(conn_id)
                     await server.stop()
             assert state(servers[0]) == state(servers[1])
 

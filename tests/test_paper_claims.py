@@ -246,7 +246,7 @@ def paper_link_run():
 
 @functools.lru_cache(maxsize=None)
 def entangled_link_run():
-    return _link_run(LinkParameters.entangled_link(10.0), 71, 4.0)
+    return _link_run(LinkParameters(channel=ChannelParameters.entangled_link(10.0)), 71, 4.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -535,7 +535,7 @@ REACH_KM = (5, 10, 20, 30, 40, 50, 60, 70, 80)
 
 
 def _secret_rates():
-    return {d: QKDLink(LinkParameters.for_distance(d)).estimated_secret_key_rate() for d in REACH_KM}
+    return {d: QKDLink(LinkParameters(channel=ChannelParameters.for_distance(d))).estimated_secret_key_rate() for d in REACH_KM}
 
 
 ANALYTIC = [

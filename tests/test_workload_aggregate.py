@@ -46,6 +46,14 @@ class TestAggregateProfile:
         with pytest.raises(ValueError, match="max batch"):
             AggregateProfile.storm(tunnels=10, max_batch=0)
 
+    @pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+    def test_non_finite_parameters_are_refused(self, interval):
+        for build in (AggregateProfile.poisson, AggregateProfile.storm):
+            with pytest.raises(ValueError, match=f"finite and positive, got {interval}"):
+                build(tunnels=10, mean_interval_seconds=interval)
+        with pytest.raises(ValueError, match="tail exponent"):
+            AggregateProfile.storm(tunnels=10, alpha=float("nan"))
+
     def test_poisson_counts_are_pinned_for_fixed_seed(self):
         workload = AggregateWorkload(
             AggregateProfile.poisson(tunnels=8, mean_interval_seconds=400.0),

@@ -45,27 +45,15 @@ def tiny_network():
     return net
 
 
+def tiny_plan():
+    """``tiny_network`` split at its one trunk, each relay its zone's gateway."""
+    return ZonePlan(
+        zones={"z00": ("a", "b", "r0"), "z01": ("c", "d", "r1")},
+        gateways={"z00": "r0", "z01": "r1"},
+    )
+
+
 class TestZonePlan:
-    def test_partition_covers_every_node_exactly_once(self):
-        net = tiny_network()
-        plan = ZonePlan.partition(net, 2)
-        members = [n for zid in plan.zone_ids for n in plan.members(zid)]
-        assert sorted(members) == sorted(net.graph.nodes)
-        for name in net.graph.nodes:
-            assert name in plan.members(plan.zone_of(name))
-
-    def test_partition_is_deterministic(self):
-        a = ZonePlan.partition(tiny_network(), 2)
-        b = ZonePlan.partition(tiny_network(), 2)
-        assert a.zones == b.zones
-        assert a.gateways == b.gateways
-
-    def test_partition_rejects_impossible_splits(self):
-        with pytest.raises(ValueError, match="at least one zone"):
-            ZonePlan.partition(tiny_network(), 0)
-        with pytest.raises(ValueError, match="cannot split"):
-            ZonePlan.partition(tiny_network(), 99)
-
     def test_duplicate_membership_rejected(self):
         with pytest.raises(ValueError, match="assigned to both"):
             ZonePlan(
@@ -93,7 +81,7 @@ class TestZonePlan:
         )
         with pytest.raises(ValueError, match="in no zone"):
             partial.validate(net)
-        phantom = ZonePlan.partition(net, 2)
+        phantom = tiny_plan()
         phantom = ZonePlan(
             zones={**phantom.zones, "z99": ("ghost",)},
             gateways={**phantom.gateways, "z99": "ghost"},
@@ -112,14 +100,11 @@ class TestZonePlan:
             plan.validate(net)
 
     def test_zone_pairs_and_link_zone(self):
-        plan = ZonePlan.partition(tiny_network(), 2)
+        plan = tiny_plan()
+        plan.validate(tiny_network())
         assert plan.zone_pairs() == [("z00", "z01")]
-        za = plan.zone_of("r0")
-        zb = plan.zone_of("r1")
-        if za == zb:
-            assert plan.link_zone("r0", "r1") == za
-        else:
-            assert plan.link_zone("r0", "r1") is None
+        assert plan.link_zone("a", "r0") == "z00"
+        assert plan.link_zone("r0", "r1") is None
 
 
 class TestMetroMesh:
@@ -393,38 +378,21 @@ class TestZonedService:
 
     @pytest.mark.parametrize("custody_first", [True, False])
     def test_custody_and_zones_compose_in_either_order(self, custody_first):
-        base = KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=300.0, workers=1))
-        config = (
-            replace(base, custody=True).with_zones(2)
-            if custody_first
-            else replace(base.with_zones(2), custody=True)
-        )
-        relays, _ = build_metro_mesh(
+        relays, plan = build_metro_mesh(
             n_zones=2, endpoints_per_zone=2, relays_per_zone=2,
             rng=DeterministicRNG(9), prefill_seconds=200.0,
+        )
+        base = KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=300.0, workers=1))
+        config = (
+            replace(base, custody=True).with_zones(plan)
+            if custody_first
+            else replace(base.with_zones(plan), custody=True)
         )
         service = KeyManagementService(relays, config, rng=DeterministicRNG(2))
         report = service.serve(hours=0.1)
         assert report.zones == 2 and service.custody is not None
         assert report.delivered_keys > 0 and report.trunk_keys_delivered > 0
         assert report.completion_accounted and report.custody_accounted
-
-    def test_int_zones_partitions_the_mesh(self):
-        relays, _ = build_metro_mesh(
-            n_zones=2, endpoints_per_zone=2, relays_per_zone=2,
-            rng=DeterministicRNG(9), prefill_seconds=200.0,
-        )
-        service = KeyManagementService(
-            relays,
-            KmsConfig(
-                replenishment=ReplenishmentConfig(epoch_seconds=300.0, workers=1),
-                zones=2,
-            ),
-            rng=DeterministicRNG(2),
-        )
-        assert service.zone_plan is not None
-        assert len(service.zone_plan.zones) == 2
-        assert isinstance(service.replenisher, ZonedReplenisher)
 
     def test_intra_zone_delivery_stays_in_zone(self):
         relays, plan = build_metro_mesh(
@@ -455,9 +423,13 @@ class TestZonedService:
         service = metro.kms()
         assert service.zone_plan is not None
         assert service.zone_plan.zones == metro.zone_plan.zones
-        # An explicit zones choice on the config wins over the mesh's plan.
-        override = metro.kms(KmsConfig().with_zones(2))
-        assert override.config.zones == 2
+        # An explicit plan on the config wins over the mesh's own.
+        merged = ZonePlan(
+            zones={"z00": tuple(sorted(metro.relays.network.graph.nodes))},
+            gateways={"z00": metro.zone_plan.gateways["z00"]},
+        )
+        override = metro.kms(KmsConfig().with_zones(merged))
+        assert override.zone_plan is merged
         assert metro.endpoints() == tuple(
             sorted(metro.relays.network.endpoints())
         )
