@@ -156,6 +156,10 @@ class KmsConfig:
         if self.custody and not (math.isfinite(ttl) and ttl > 0):
             raise ValueError(f"custody_ttl_seconds must be finite and positive, got {ttl!r}")
         if self.zones is not None:
+            from repro.kms.zones import ZonePlan
+
+            if not isinstance(self.zones, ZonePlan):
+                raise TypeError(f"zones must be a ZonePlan, got {self.zones!r}")
             if not 0 < self.trunk_low_water_bits <= self.trunk_high_water_bits:
                 raise ValueError("trunk low water must be in (0, high water]")
             if self.trunk_high_water_bits > self.trunk_capacity_bits:

@@ -82,6 +82,21 @@ class TestLinkFacade:
         link = QKDSystem(seed=4, link=slutsky).link()
         assert link.engine.estimator.defense.name == "slutsky"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("confidence_sigmas", 4.0),
+            ("block_size_bits", 1024),
+            ("abort_qber", 0.2),
+            ("randomness_testing", True),
+        ],
+    )
+    def test_distillation_field_reaches_engine(self, field, value):
+        engine = replace(LinkParameters.paper_link().engine, **{field: value})
+        link = QKDSystem(seed=4, link=LinkParameters(engine=engine)).link()
+        assert getattr(link.engine.parameters, field) == value
+        assert getattr(QKDSystem(seed=4).link().engine.parameters, field) != value
+
 
 class TestInputsAreRefusedWhereTheyEnter:
     """Non-finite or negative inputs fail at the call that takes them."""

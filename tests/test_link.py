@@ -10,7 +10,7 @@ from repro import QKDSystem
 from repro.eve import InterceptResendAttack
 from repro.link import LinkParameters, QKDLink
 from repro.mathkit.entropy import binary_entropy
-from repro.optics.model import secret_fraction
+from repro.optics.model import ChannelParameters, secret_fraction
 from repro.util.rng import DeterministicRNG
 from repro.util.units import multi_photon_probability, non_empty_pulse_probability
 
@@ -28,6 +28,15 @@ class TestLinkParameters:
         params = LinkParameters.paper_link()
         assert params.channel.path.length_km == pytest.approx(10.0)
         assert params.engine.defense == "bennett"
+
+    def test_for_distance(self):
+        """A link at a distance is the paper's link over that channel."""
+        far = LinkParameters(channel=ChannelParameters.for_distance(42.0))
+        assert far.channel.path.length_km == 42.0
+        assert far.engine == LinkParameters.paper_link().engine
+        assert LinkParameters(channel=ChannelParameters.for_distance(10.0)) == (
+            LinkParameters.paper_link()
+        )
 
     @pytest.mark.parametrize("batch", [0, -5, 2.5, True])
     def test_slots_per_batch_must_be_a_positive_int(self, batch):

@@ -286,6 +286,17 @@ PINNED_GATEWAY_OUTAGE = (
 
 
 class TestZonedService:
+    @pytest.mark.parametrize(
+        "zones", [2, {"z00": ("a", "b")}], ids=["zone-count", "member-dict"]
+    )
+    def test_zones_that_are_not_a_plan_are_refused(self, zones):
+        """A zone count or a bare dict fails where it enters, naming the
+        value, not in the service's constructor."""
+        with pytest.raises(TypeError, match="zones must be a ZonePlan"):
+            KmsConfig(zones=zones)
+        with pytest.raises(TypeError, match="zones must be a ZonePlan"):
+            KmsConfig().with_zones(zones)
+
     def test_metro_soak_digest_is_pinned_and_worker_invariant(self):
         single = run_metro_soak(workers=1)
         assert single.delivered_digest == PINNED_METRO_DIGEST
