@@ -53,6 +53,19 @@ class LatencyHistogram:
     def __len__(self) -> int:
         return self.count
 
+    def __eq__(self, other: object) -> bool:
+        """Equal buckets, count, running sum, min and max: the same durations
+        added in the same order always compare equal."""
+        if not isinstance(other, LatencyHistogram):
+            return NotImplemented
+        return (self.counts, self.count, self.total, self.low, self.high) == (
+            other.counts,
+            other.count,
+            other.total,
+            other.low,
+            other.high,
+        )
+
     def percentile(self, q: float) -> float:
         """The nearest-rank ``q``-th percentile (0 when empty)."""
         if not 0 <= q <= 100:

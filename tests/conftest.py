@@ -2,7 +2,10 @@
 
 Everything stochastic is seeded so the suite is deterministic; tests that
 check statistical properties use sample sizes large enough that the assertion
-bands hold with very large margin for the fixed seeds.
+bands hold with very large margin for the fixed seeds.  That includes
+``hypothesis``: the profile loaded below derandomizes every ``@given`` test
+(each test's own ``@settings`` inherits it), so a run draws the same examples
+every time and reads or writes no example database.
 
 This file also arms a per-test watchdog (SIGALRM-based, since the
 environment has no ``pytest-timeout``): an asyncio test that deadlocks —
@@ -18,10 +21,14 @@ import gc
 import signal
 
 import pytest
+from hypothesis import settings
 
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.pipeline import DistillationPipeline, PipelineStage
 from repro.util.rng import DeterministicRNG
+
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 #: Generous default — the slowest legitimate tests (link farms,
 #: Monte-Carlo frames) finish well inside it on a loaded CI worker.

@@ -59,6 +59,13 @@ may still want it: a deployment setting, a test seam that substitutes a
 fake, a paper-model parameter a test sweeps, or a setting a pinned digest,
 a row of ``tests/test_paper_claims.py``, a soak row of
 ``tests/test_soak_claims.py`` or the swarm needs (the reason names it).
+
+An allowlist entry is stale, and fails the scan, once its reason no longer
+holds.  An allowed def must still be uncalled, and one whose reason names a
+test under ``tests/`` must still be used there.  An allowed option must
+still be unset, and one kept for a test seam, a pin, a claim row or a soak
+row must still be set by some file under ``tests/``.  So a test that goes
+takes the option or def it alone needed with it.
 """
 
 import ast
@@ -209,6 +216,15 @@ def _parsed():
 
 
 @functools.lru_cache(maxsize=None)
+def _test_trees():
+    """Every module under ``tests/`` but this one, which names every allowlisted
+    def: the callers an allowlist reason names."""
+    return [ast.parse(path.read_text(), filename=str(path))
+            for path in sorted((ROOT / "tests").rglob("*.py"))
+            if path != Path(__file__).resolve()]
+
+
+@functools.lru_cache(maxsize=None)
 def _located(path):
     return lambda node: f"{path.relative_to(ROOT)}:{node.lineno}"
 
@@ -242,6 +258,27 @@ def test_every_allowed_name_is_still_defined_and_uncalled():
     finally:
         ALLOWED.update(saved)
     assert stale == []
+
+
+def test_every_allowed_name_a_test_pins_is_still_used_by_a_test():
+    """An allowlist entry whose reason names a test under ``tests/`` is stale
+    once no test uses the name: the def then goes, not its entry."""
+    trees = _parsed()
+    modules = [(tree, _located(path)) for path, tree in trees["src"]]
+    callers = [tree for directory in CALLER_DIRS[1:] for _path, tree in trees[directory]]
+    pinned = {name for name, reason in ALLOWED.items() if "tests/" in reason}
+    saved = dict(ALLOWED)
+    try:
+        for name in pinned:
+            del ALLOWED[name]
+        unused = {scope.name for scope in _uncalled(modules, callers + _test_trees())}
+    finally:
+        ALLOWED.update(saved)
+    stale = sorted(pinned & unused)
+    assert not stale, (
+        "allowlisted for a test that no longer uses it (delete the def and its "
+        "entry):\n  " + "\n  ".join(stale)
+    )
 
 
 def _uncalled_in(source):
@@ -362,6 +399,8 @@ _MODEL = "paper-model parameter: "
 _PINNED = "pinned: "
 _CLAIM = "paper-claim row in tests/test_paper_claims.py: "
 _SOAK = "soak row in tests/test_soak_claims.py or the swarm in tests/test_swarm.py: "
+#: Reasons that name a test setting the option, so some file under tests/ must.
+_TEST_REASONS = (_SEAM, _PINNED, _CLAIM, _SOAK)
 
 #: Options no production call sets, each with the reason it stays settable.
 ALLOWED_OPTIONS = {
@@ -464,7 +503,8 @@ ALLOWED_OPTIONS = {
     "ResilientKmsClient(connector=)": _SEAM + "the fault plane's FaultyConnector "
     "(tests/faults, E18 rows, the swarm)",
     "FrameSplitter(max_frame_bytes=)": _SEAM + "the frame fuzzers of "
-    "tests/test_netkms_codec.py and tests/test_frame_fuzz.py cap frames at 8 and 64 bytes",
+    "tests/test_netkms_codec.py and tests/test_frame_fuzz.py cap frames at 8 and 64 bytes, "
+    "tests/test_netkms.py at 1024, and the fault plane (tests/faults) lifts the cap",
     "SecurityPolicy.lifetime_kilobytes": _DEPLOYMENT + "the SA lifetime in kilobytes of "
     "protected traffic (0: no byte limit)",
     "secret_fraction(cascade_efficiency=)": _MODEL + "the reconciliation inefficiency "
@@ -751,6 +791,22 @@ def test_every_allowed_option_is_still_an_option_nothing_sets():
     finally:
         ALLOWED_OPTIONS.update(saved)
     assert unset == set(saved)
+
+
+def test_every_allowed_option_a_test_needs_is_still_set_by_a_test():
+    """A test seam, a pin, a paper-claim row or a soak row is a test that sets
+    the option; once no file under ``tests/`` sets it, the entry is stale and
+    the option becomes a constant."""
+    trees = {directory: [tree for _path, tree in modules]
+             for directory, modules in _parsed().items()}
+    callers = [tree for directory in CALLER_DIRS for tree in trees[directory]]
+    unset = set(_unset(trees["src"], callers + _test_trees()))
+    stale = [label for label, reason in ALLOWED_OPTIONS.items()
+             if reason.startswith(_TEST_REASONS) and label in unset]
+    assert not stale, (
+        "allowlisted for a test that no longer sets it (make each a module constant "
+        "or a ClassVar, and drop its entry):\n  " + "\n  ".join(stale)
+    )
 
 
 def _unset_in(source):

@@ -296,7 +296,7 @@ class ServerMachine(RuleBasedStateMachine):
 
 TestServerMachine = ServerMachine.TestCase
 TestServerMachine.settings = settings(
-    derandomize=True, max_examples=150, stateful_step_count=40, deadline=None
+    max_examples=150, stateful_step_count=40, deadline=None
 )
 
 
