@@ -46,9 +46,9 @@ detail longer than a wire string's 255 bytes is cut on a character
 boundary.
 
 The codec is byte-for-byte the v4 layout above: each kind has its own
-payload writer and offset reader, and ``tests/test_frame_fuzz.py`` and
-``tests/test_netkms_codec.py`` hold it to the previous codec
-(``tests/oracles/netkms_codec.py``): decodes, errors and frames alike.
+payload writer and offset reader, and ``tests/test_netkms_codec.py`` holds
+it to the previous codec (``tests/oracles/netkms_codec.py``) bytes, errors
+and frames alike.
 """
 
 from __future__ import annotations

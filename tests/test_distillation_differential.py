@@ -1,29 +1,39 @@
 """Differential tests: the distillation table kernels vs. their scalar definitions.
 
-Two per-block loops read their answers out of tables because the maps
-behind them are linear over GF(2): the LFSR subset expansion and the
-bisect-query serialisation.  Each must be observationally identical to the
-definition it replaced — ``LFSR.step()`` and
-``CascadeBisectQuery(indices=...).encode()`` — which are the oracles here.
+Three per-block loops read their answers out of tables because the maps
+behind them are linear over GF(2): the LFSR subset expansion, the
+Wegman-Carter chain and the bisect-query serialisation.  Each must be
+observationally identical to the definition it replaced — ``LFSR.step()``,
+one ``hash_value`` per chunk, ``CascadeBisectQuery(indices=...).encode()`` —
+which are the oracles here.  Section (d) holds Cascade's array bookkeeping
+as a whole to the record-per-subset ``reconcile`` it replaced
+(``tests/oracles/scalar_cascade.py``).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cascade import CascadeParameters, CascadeProtocol
 from repro.core.messages import (
     CascadeBisection,
     CascadeBisectQuery,
     CascadeBisectReply,
+    PublicChannelLog,
+    SiftResponseMessage,
     SubsetPositions,
     _slice_query_bytes,
 )
 from repro.mathkit import lfsr
 from repro.util.bits import BitString
+from repro.util.rng import DeterministicRNG
+from tests.draws import sample
 from tests.oracles.mathkit import lfsr_subset_masks
+from tests.oracles.scalar_cascade import expanded, messages_of_type, scalar_reconcile
+from tests.oracles.toeplitz_window import WindowToeplitzHash
 
 # --------------------------------------------------------------------------- #
-# LFSR subset expansion
+# (a) LFSR subset expansion
 # --------------------------------------------------------------------------- #
 
 EDGE_SEEDS = [0, 1, 2**32, 2**32 - 1, 0x80000000, 0xDEADBEEF]
@@ -87,8 +97,72 @@ def test_lfsr_rows_match_stepped_stream(seeds, lengths, density):
         lfsr._SUBSET_STREAMS = saved
 
 
+def test_one_stream_table_serves_a_long_then_a_short_key(empty_stream_table):
+    def reconcile(n_bits, seed):
+        rng = DeterministicRNG(seed)
+        reference = BitString.random(n_bits, rng)
+        noisy = reference.to_list()
+        for index in sample(rng, range(n_bits), n_bits // 50):
+            noisy[index] ^= 1
+        result = CascadeProtocol(rng=DeterministicRNG(seed + 1)).reconcile(
+            reference, BitString(noisy), error_rate_hint=0.02
+        )
+        assert result.matches_reference
+
+    reconcile(10_000, seed=1)
+    table = empty_stream_table._grown[0]
+    assert table.shape == (4, 256, 1250)  # 1 KiB per stream byte
+    reconcile(2048, seed=2)
+    assert empty_stream_table._grown[0] is table
+
+
 # --------------------------------------------------------------------------- #
-# Bisect queries from (subset, lo, hi)
+# (b) Wegman-Carter chain
+# --------------------------------------------------------------------------- #
+
+#: (input_bits, output_bits): the default, a tag wider than one machine word,
+#: a tag that is not a whole number of words, and a one-byte payload.
+GEOMETRIES = [(256, 32), (512, 128), (256, 24), (16, 8), (1024, 72)]
+
+
+def chunked_chain(hasher, data, payload_bytes):
+    """The chain as one ``hash_value`` per ``digest || chunk || zero-pad`` block."""
+    digest = 0
+    for start in range(0, len(data), payload_bytes):
+        chunk = data[start : start + payload_bytes]
+        block = (digest << (8 * len(chunk))) | int.from_bytes(chunk, "big")
+        digest = hasher.hash_value(block << (8 * (payload_bytes - len(chunk))))
+    return digest
+
+
+@pytest.mark.parametrize("geometry", GEOMETRIES)
+def test_chained_hash_matches_per_chunk_chain_at_boundary_lengths(geometry):
+    input_bits, output_bits = geometry
+    payload = (input_bits - output_bits) // 8
+    rng = DeterministicRNG(input_bits + output_bits)
+    hasher = WindowToeplitzHash.random(input_bits, output_bits, rng)
+    for length in (0, 1, payload - 1, payload, payload + 1, 60_000):
+        data = rng.getrandbits(8 * length).to_bytes(length, "big") if length else b""
+        assert hasher.chained_hash_aligned(data, payload) == chunked_chain(
+            hasher, data, payload
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    geometry=st.sampled_from(GEOMETRIES),
+    diagonal_seed=st.integers(0, 2**32),
+    data=st.binary(max_size=400),
+)
+def test_chained_hash_matches_per_chunk_chain(geometry, diagonal_seed, data):
+    input_bits, output_bits = geometry
+    hasher = WindowToeplitzHash.random(input_bits, output_bits, DeterministicRNG(diagonal_seed))
+    payload = (input_bits - output_bits) // 8
+    assert hasher.chained_hash_aligned(data, payload) == chunked_chain(hasher, data, payload)
+
+
+# --------------------------------------------------------------------------- #
+# (c) Bisect queries from (subset, lo, hi)
 # --------------------------------------------------------------------------- #
 
 
@@ -118,3 +192,87 @@ def test_slice_queries_cover_every_coding_case():
         for lo in range(len(positions)):
             for hi in range(lo + 1, len(positions) + 1):
                 assert_slice_query_matches(positions, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    positions=st.lists(
+        st.integers(0, 3000), min_size=1, max_size=60, unique=True
+    ).map(sorted),
+    data=st.data(),
+)
+def test_slice_query_matches_index_query(positions, data):
+    lo = data.draw(st.integers(0, len(positions) - 1))
+    hi = data.draw(st.integers(lo + 1, len(positions)))
+    assert_slice_query_matches(positions, lo, hi)
+
+
+# --------------------------------------------------------------------------- #
+# (d) Cascade's array bookkeeping vs. one record object per subset
+# --------------------------------------------------------------------------- #
+
+
+def assert_reconcile_matches_scalar(n, error_rate, block_first_pass, density, with_hint, seed):
+    rng = DeterministicRNG(seed)
+    reference = BitString.random(n, rng)
+    noisy = reference.to_list()
+    for index in sample(rng, range(n), int(round(error_rate * n))):
+        noisy[index] ^= 1
+    noisy = BitString(noisy)
+    parameters = CascadeParameters(block_first_pass=block_first_pass, subset_density=density)
+    hint = max(error_rate, 0.001) if with_hint else None
+
+    def run(reconcile):
+        protocol = CascadeProtocol(parameters, DeterministicRNG(seed + 1))
+        # A message ahead of Cascade's, as the pipeline's shared log has.
+        log = PublicChannelLog([SiftResponseMessage(frame_id=1, accept_mask=[1, 0])])
+        result = reconcile(protocol, reference, noisy, log=log, error_rate_hint=hint)
+        assert result.message_log is log
+        return result, protocol.rng.getrandbits(32)
+
+    expected, expected_draw = run(scalar_reconcile)
+    result, draw = run(CascadeProtocol.reconcile)
+    log, expected_log = result.message_log, expected.message_log
+    assert log.transcript_bytes() == expected_log.transcript_bytes()
+    assert log.total_bytes == expected_log.total_bytes
+    # The scalar log holds one object per message; JSON is the semantic
+    # fingerprint that does not care whether a field is a list or an array.
+    assert len(log) == len(expected_log) == len(expected_log.messages)
+    assert [(type(m), m.encode_json()) for m in expanded(log)] == [
+        (type(m), m.encode_json()) for m in expected_log.messages
+    ]
+    for message_type in (CascadeBisectQuery, CascadeBisectReply):
+        assert len(messages_of_type(log, message_type)) == result.bisection_queries
+    for name in (
+        "corrected_key",
+        "errors_corrected",
+        "disclosed_parities",
+        "independent_parities",
+        "rounds_used",
+        "bisection_queries",
+        "confirmed",
+        "matches_reference",
+    ):
+        assert getattr(result, name) == getattr(expected, name), name
+    assert draw == expected_draw
+
+
+@pytest.mark.parametrize("block_first_pass", [True, False])
+@pytest.mark.parametrize("density", [0.05, 0.5, 1.0])
+def test_reconcile_matches_scalar_records_on_a_noisy_block(block_first_pass, density):
+    assert_reconcile_matches_scalar(1500, 0.08, block_first_pass, density, True, seed=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 70), st.integers(1, 3000)),
+    error_rate=st.one_of(st.just(0.0), st.floats(0.0, 0.25)),
+    block_first_pass=st.booleans(),
+    density=st.sampled_from([0.05, 0.5, 1.0]),
+    with_hint=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_reconcile_matches_scalar_records(
+    n, error_rate, block_first_pass, density, with_hint, seed
+):
+    assert_reconcile_matches_scalar(n, error_rate, block_first_pass, density, with_hint, seed)

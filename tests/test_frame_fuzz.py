@@ -8,11 +8,13 @@ another version, a corrupted count — and fed through
 frame the splitter cuts out is the frame that went in, and decodes to a typed
 :class:`~repro.netkms.protocol.ProtocolError` or to exactly what the reference
 codec (``tests/oracles/netkms_codec.py``) decodes; no other exception
-escapes.
+escapes.  A length prefix above ``max_frame_bytes`` is refused as soon as its
+four bytes are in, before any body byte is buffered.
 """
 
 import struct
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netkms import protocol
@@ -95,3 +97,22 @@ class TestFrameFuzz:
         for body, (_, expected) in zip(cut, bodies):
             # outcome() lets only ProtocolError through as a result.
             assert outcome(protocol, body, expected) == outcome(oracle, body, expected)
+
+    @given(
+        length=st.integers(protocol.MAX_FRAME_BYTES + 1, 0xFFFFFFFF),
+        body_bytes=st.integers(0, 16),
+    )
+    @FUZZ
+    def test_an_oversized_prefix_is_refused_before_its_body(self, length, body_bytes):
+        frames = protocol.FrameSplitter()
+        frames.feed(struct.pack("<I", length))
+        with pytest.raises(ProtocolError) as refused:
+            frames.next_frame()
+        assert refused.value.code == protocol.ERR_OVERSIZED
+        assert len(frames.buffer) == 4  # the prefix alone: no body byte waited for
+        # Body bytes arriving with the prefix are not kept beyond what came.
+        frames = protocol.FrameSplitter()
+        frames.feed(struct.pack("<I", length) + bytes(body_bytes))
+        with pytest.raises(ProtocolError):
+            frames.next_frame()
+        assert len(frames.buffer) == 4 + body_bytes

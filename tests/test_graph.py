@@ -1,9 +1,9 @@
 """The mesh's plain-dict graph (repro.network.graph), call by call.
 
-These tests pin the graph's own contract: insertion order, shared edge
-data, the copies it makes, and the reachability helpers, on hand-built
-graphs and against networkx directly.  The routing, contact-graph and zone
-layers' searches are held by their own tests and the pinned soak digests.
+``tests/test_graph_differential.py`` holds the searches to networkx through
+the routing, contact-graph and zone layers; these tests pin the graph's own
+contract: insertion order, shared edge data, the copies it makes, and the
+reachability helpers, on hand-built graphs and against networkx directly.
 """
 
 import networkx as nx

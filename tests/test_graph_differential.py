@@ -135,7 +135,7 @@ def twin_zone_error(twin, plan):
 
 @pytest.mark.parametrize("metric", PathSelector.METRICS)
 @given(mesh=meshes())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 def test_contact_routing_matches_networkx(metric, mesh):
     net, twin, schedule = build(mesh)
     names = list(twin)
@@ -157,7 +157,7 @@ def test_contact_routing_matches_networkx(metric, mesh):
 
 
 @given(mesh=meshes())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 def test_custody_searches_match_networkx(mesh):
     net, twin, _schedule = build(mesh)
     names = list(twin)
@@ -182,7 +182,7 @@ def test_custody_searches_match_networkx(mesh):
 
 
 @given(mesh=meshes(), data=st.data())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 def test_zone_connectivity_matches_networkx(mesh, data):
     net, twin, _schedule = build(mesh)
     names = list(twin)

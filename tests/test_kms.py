@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import QKDSystem
-from repro.core.keypool import KeyBlock, KeyPoolExhaustedError
+from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.eve.intercept_resend import InterceptResendAttack
 from repro.kms import (
     ConservationError,
@@ -31,8 +31,11 @@ from repro.kms import (
 )
 from repro.kms.indexing import DEFER, DROP, EMIT, LazyPriorityHeap
 from repro.kms.service import KmsMetrics, percentile
+from repro.link import LinkParameters, QKDLink
 from repro.network.relay import TrustedRelayNetwork
+from repro.optics.model import ChannelParameters, secret_fraction
 from repro.util.bits import BitString
+from repro.util.latency import LatencyHistogram
 from repro.util.rng import DeterministicRNG
 
 
@@ -48,6 +51,29 @@ def filled_store(bits=2048, **kwargs):
     store = make_store(**kwargs)
     store.deposit(BitString.random(bits, DeterministicRNG(5)), now=0.0)
     return store
+
+
+# --------------------------------------------------------------------- #
+# KeyPool ageing primitive
+# --------------------------------------------------------------------- #
+
+
+class TestKeyPoolExpiry:
+    def test_drop_head_blocks_drops_the_oldest_block(self):
+        pool = KeyPool(name="aged")
+        pool.add_block(KeyBlock(BitString.random(64, DeterministicRNG(1)), 0, created_at=0.0))
+        pool.add_block(KeyBlock(BitString.random(64, DeterministicRNG(2)), 1, created_at=10.0))
+        dropped = pool.drop_head_blocks(1)
+        assert dropped == 64
+        assert pool.bits_expired == 64
+        assert pool.available_bits == 64
+
+    def test_expire_accounts_partially_consumed_head(self):
+        pool = KeyPool(name="aged")
+        pool.add_block(KeyBlock(BitString.random(64, DeterministicRNG(1)), 0, created_at=0.0))
+        pool.draw_bits(24)
+        assert pool.drop_head_blocks(1) == 40
+        assert pool.available_bits == 0
 
 
 # --------------------------------------------------------------------- #
@@ -295,6 +321,35 @@ class TestKeyStore:
 
 
 class TestTrafficWorkload:
+    def test_poisson_schedule_is_per_pair_deterministic(self):
+        rng = DeterministicRNG(9)
+        workload = TrafficWorkload(WorkloadProfile.poisson(60.0), rng)
+        alone = workload.demand_times(("a", "b"), 3600.0)
+        # The same pair's schedule is untouched by other pairs being asked.
+        workload2 = TrafficWorkload(WorkloadProfile.poisson(60.0), DeterministicRNG(9))
+        workload2.demand_times(("c", "d"), 3600.0)
+        assert workload2.demand_times(("a", "b"), 3600.0) == alone
+        assert alone == sorted(alone)
+        assert all(0 <= t < 3600.0 for t in alone)
+        # Rough rate sanity: ~60 arrivals expected over the hour.
+        assert 20 <= len(alone) <= 140
+
+    def test_bursty_schedule_clusters(self):
+        profile = WorkloadProfile.bursty(600.0)
+        workload = TrafficWorkload(profile, DeterministicRNG(4))
+        times = workload.demand_times(("a", "b"), 4 * 3600.0)
+        assert times == sorted(times)
+        # Bursts pack several arrivals into the spread window.
+        close_gaps = sum(
+            1 for t0, t1 in zip(times, times[1:]) if t1 - t0 <= profile.burst_spread_seconds
+        )
+        assert close_gaps >= len(times) // 2
+
+    def test_merged_schedule_is_time_ordered(self):
+        workload = TrafficWorkload(WorkloadProfile.poisson(120.0), DeterministicRNG(2))
+        merged = workload.schedule([("c", "d"), ("a", "b")], 1800.0)
+        assert merged == sorted(merged, key=lambda item: (item[0], item[1]))
+
     @pytest.mark.timeout(10)
     @pytest.mark.parametrize("horizon", [float("nan"), float("inf")])
     def test_a_non_finite_horizon_is_refused(self, horizon):
@@ -343,6 +398,27 @@ class TestLazyPriorityHeap:
             heap.push(key, classify)
         return heap, classify
 
+    def test_drains_in_exact_sorted_order(self):
+        priorities = {"e": 3, "a": 1, "c": 0, "b": 1, "d": 7}
+        heap, classify = self.build(priorities)
+        assert heap.drain(classify) == sorted(priorities, key=lambda k: (priorities[k], k))
+        assert len(heap) == 0
+
+    def test_limit_caps_emission_and_keeps_the_rest(self):
+        heap, classify = self.build({"a": 1, "b": 2, "c": 3})
+        assert heap.drain(classify, limit=2) == ["a", "b"]
+        assert "c" in heap and len(heap) == 1
+        assert heap.drain(classify) == ["c"]
+
+    def test_deferred_members_stay_indexed_and_do_not_count(self):
+        unusable = {"a"}
+        heap, classify = self.build({"a": 1, "b": 2, "c": 3}, unusable=unusable)
+        # 'a' outranks both but is deferred: kept, uncounted, unemitted.
+        assert heap.drain(classify, limit=2) == ["b", "c"]
+        assert "a" in heap
+        unusable.clear()  # usability flips need no push — DEFER kept it indexed
+        assert heap.drain(classify) == ["a"]
+
     def test_drop_removes_membership(self):
         dropped = set()
         heap, classify = self.build({"a": 1, "b": 2}, dropped=dropped)
@@ -373,6 +449,47 @@ def make_relays(seed=7, **kwargs):
 
 
 class TestReplenishmentScheduler:
+    def test_analytic_epoch_banks_material_up_to_target(self):
+        relays = make_relays()
+        config = ReplenishmentConfig(
+            epoch_seconds=600.0, workers=1, pad_target_bits=4096
+        )
+        scheduler = ReplenishmentScheduler(relays, DeterministicRNG(1), config)
+        report = scheduler.run_epoch()
+        assert report.total_banked_bits > 0
+        for edge in relays.network.links():
+            assert relays.pairwise_key_available_bits(edge.node_a, edge.node_b) <= 4096
+
+    def test_epoch_output_invariant_to_worker_count(self):
+        def pad_state(workers):
+            relays = make_relays()
+            scheduler = ReplenishmentScheduler(
+                relays,
+                DeterministicRNG(1),
+                ReplenishmentConfig(workers=workers),
+            )
+            scheduler.run_epoch()
+            scheduler.run_epoch()
+            return {
+                (e.node_a, e.node_b): relays.pad_for(e.node_a, e.node_b).peek(
+                    relays.pad_for(e.node_a, e.node_b).available_bytes
+                )
+                for e in relays.network.links()
+            }
+
+        assert pad_state(1) == pad_state(4)
+
+    def test_unusable_links_are_skipped(self):
+        relays = make_relays()
+        relays.network.cut_link("relay-0", "relay-1")
+        scheduler = ReplenishmentScheduler(
+            relays, DeterministicRNG(1), ReplenishmentConfig(workers=1)
+        )
+        report = scheduler.run_epoch()
+        assert ("relay-0", "relay-1") in report.skipped_unusable
+        assert ("relay-0", "relay-1") not in report.dispatched
+        assert relays.pairwise_key_available_bits("relay-0", "relay-1") == 0
+
     def test_pressure_boosts_priority(self):
         relays = make_relays()
         scheduler = ReplenishmentScheduler(
@@ -385,6 +502,46 @@ class TestReplenishmentScheduler:
         assert report.dispatched == [("relay-1", "relay-2")]
         # Pressure is consumed by the epoch that honoured it.
         assert scheduler.pressure == {}
+
+    def test_analytic_attack_above_threshold_is_detected(self):
+        relays = make_relays()
+        scheduler = ReplenishmentScheduler(
+            relays, DeterministicRNG(1), ReplenishmentConfig(workers=1)
+        )
+        scheduler.attach_attack("relay-0", "relay-1", InterceptResendAttack(1.0))
+        report = scheduler.run_epoch()
+        assert ("relay-0", "relay-1") in report.newly_eavesdropped
+        assert report.banked_bits[("relay-0", "relay-1")] == 0
+        assert relays.network.link("relay-0", "relay-1").eavesdropping_detected
+        # Quiet interception stays under the radar but costs secret rate.
+        scheduler.detach_attack("relay-0", "relay-1")
+        relays.network.restore_link("relay-0", "relay-1")
+        scheduler.attach_attack("relay-0", "relay-1", InterceptResendAttack(0.1))
+        report2 = scheduler.run_epoch()
+        assert ("relay-0", "relay-1") not in report2.newly_eavesdropped
+        clean = max(
+            bits for pair, bits in report2.banked_bits.items()
+            if pair != ("relay-0", "relay-1")
+        )
+        assert report2.banked_bits[("relay-0", "relay-1")] < clean
+
+    def test_quiet_interception_banks_the_link_model_at_the_raised_qber(self):
+        """An attacked link below the detection threshold yields the shared
+        analytic secret fraction at ``intrinsic + 0.25 * fraction``."""
+        relays = make_relays()
+        config = ReplenishmentConfig(workers=1, pad_target_bits=1 << 30)
+        scheduler = ReplenishmentScheduler(relays, DeterministicRNG(1), config)
+        scheduler.attach_attack("relay-0", "relay-1", InterceptResendAttack(0.1))
+        report = scheduler.run_epoch()
+        edge = relays.network.link("relay-0", "relay-1")
+        parameters = LinkParameters(channel=ChannelParameters.for_distance(edge.length_km))
+        link = QKDLink(parameters, DeterministicRNG(0))
+        mu = link.parameters.channel.effective_mean_photon_number
+        induced = link.expected_qber() + 0.25 * 0.1
+        rate = link.sifted_rate_bps() * secret_fraction(induced, mu)
+        expected_bits = int(rate * config.epoch_seconds) // 8 * 8
+        assert expected_bits > 0
+        assert report.banked_bits[("relay-0", "relay-1")] == expected_bits
 
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
@@ -411,6 +568,39 @@ class TestReplenishmentScheduler:
 
     def test_slots_per_epoch_takes_a_numpy_integer(self):
         assert ReplenishmentConfig(slots_per_epoch=np.int64(4096)).slots_per_epoch == 4096
+
+    def test_unknown_link_raises_keyerror_naming_known_set(self):
+        relays = make_relays()
+        scheduler = ReplenishmentScheduler(
+            relays, DeterministicRNG(1), ReplenishmentConfig(workers=1)
+        )
+        with pytest.raises(KeyError, match=r"unknown link.*known link\(s\):"):
+            scheduler.note_pressure("relay-0", "not-a-node")
+        with pytest.raises(KeyError, match="unknown link"):
+            scheduler.attach_attack("not-a-node", "relay-0", InterceptResendAttack(1.0))
+        with pytest.raises(KeyError, match="unknown link"):
+            scheduler.detach_attack("relay-0", "not-a-node")
+
+    def test_managed_link_subset(self):
+        relays = make_relays()
+        managed = sorted(
+            tuple(sorted((e.node_a, e.node_b))) for e in relays.network.links()
+        )[:2]
+        scheduler = ReplenishmentScheduler(
+            relays, DeterministicRNG(1), ReplenishmentConfig(workers=1), links=managed
+        )
+        report = scheduler.run_epoch()
+        assert report.dispatched == managed
+        # Links outside the managed set are never known to this scheduler.
+        other = sorted(
+            tuple(sorted((e.node_a, e.node_b))) for e in relays.network.links()
+        )[-1]
+        with pytest.raises(KeyError, match="unknown link"):
+            scheduler.note_pressure(*other)
+        with pytest.raises(KeyError, match="not present in the mesh"):
+            ReplenishmentScheduler(
+                relays, DeterministicRNG(1), links=[("ghost-a", "ghost-b")]
+            )
 
     def test_heap_selection_matches_full_sort_under_fuzz(self):
         """Differential: the indexed ``select_links`` must emit exactly the
@@ -519,6 +709,22 @@ class TestKeyManagementService:
 
     def test_soak_digest_invariant_to_worker_count(self):
         assert run_soak(workers=4).delivered_digest == PINNED_SOAK_DIGEST
+
+    def test_link_failure_mid_epoch_reroutes_and_keeps_serving(self):
+        relays = make_relays()
+        config = KmsConfig(
+            replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1)
+        )
+        service = KeyManagementService(relays, config, rng=DeterministicRNG(3))
+        # endpoint-0 hangs off relay-0; cutting relay-0--relay-1 forces its
+        # cross-mesh traffic onto the surviving ring arcs mid-run.
+        service.schedule_link_cut(1500.0, "relay-0", "relay-1")
+        report = service.serve(hours=1.0)
+        assert report.reroutes > 0
+        assert report.completion_accounted
+        assert not relays.network.link("relay-0", "relay-1").operational
+        # Pairs kept being served after the cut.
+        assert report.rekeys_completed > report.demands * 0.5
 
     def test_attack_end_and_restore_bring_a_link_back(self):
         """Attack -> detection -> attack ends and the link is restored ->
@@ -672,6 +878,123 @@ class TestKeyManagementService:
         # One float kept per completion would be 49 000 x 32 B more.
         assert large <= small + 1024
 
+    def test_the_wait_summary_matches_the_waits_it_recorded(self):
+        """The mean is the exact running sum over completions; p50 and p99
+        are the histogram's, within its relative error of the exact ones."""
+        config = KmsConfig(replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1))
+        service = KeyManagementService(make_relays(), config, rng=DeterministicRNG(7))
+        waits = []
+        histogram = service.metrics.rekey_latency
+        record = histogram.add
+        histogram.add = lambda wait: (waits.append(wait), record(wait))
+        report = service.serve(hours=0.5)
+        assert len(waits) == report.rekeys_completed > 0
+        assert report.rekey_latency_mean_seconds == sum(waits) / len(waits)
+        for q, summary in ((50, report.rekey_latency_p50_seconds), (99, report.rekey_latency_p99_seconds)):
+            exact = percentile(waits, q)
+            assert abs(summary - exact) <= LatencyHistogram.RELATIVE_ERROR * exact
+
+    def test_serve_discards_its_unrun_events(self):
+        """The total-starvation run ends with two waiters parked and their
+        timeouts (and the next epoch) still queued.  serve() drops those
+        events on return — they close over the service — while the waiters
+        stay counted exactly as before."""
+        config = KmsConfig(
+            rekey_timeout_seconds=20.0,
+            replenishment=ReplenishmentConfig(
+                epoch_seconds=50_000.0, workers=1, pad_target_bits=0
+            ),
+        )
+        service = KeyManagementService(make_relays(), config, rng=DeterministicRNG(5))
+        report = service.serve(hours=1.0)
+        assert service.events._queue == []
+        assert (report.demands, report.rekeys_timed_out, report.pending_waiters) == (295, 293, 2)
+        assert report.completion_accounted
+        assert service.pending_waiters == 2
+        parked = [w for queue in service._waiters.values() for w in queue if not w.resolved]
+        assert len(parked) == 2
+        assert all(w.timeout_event is None or w.timeout_event.callback is None for w in parked)
+
+    def test_failure_injection_validates_links_at_arm_time(self):
+        service = KeyManagementService(
+            make_relays(),
+            KmsConfig(replenishment=ReplenishmentConfig(workers=1)),
+            rng=DeterministicRNG(1),
+        )
+        with pytest.raises(KeyError):
+            service.schedule_link_cut(10.0, "relay-0", "relay-99")
+        with pytest.raises(KeyError):
+            service.schedule_attack(10.0, "endpoint-0", "endpoint-1", InterceptResendAttack(1.0))
+        with pytest.raises(KeyError):
+            service.replenisher.attach_attack("nope", "relay-0", InterceptResendAttack(1.0))
+
+    def test_serve_is_single_shot(self):
+        service = KeyManagementService(
+            make_relays(),
+            KmsConfig(replenishment=ReplenishmentConfig(workers=1)),
+            rng=DeterministicRNG(1),
+        )
+        service.serve(hours=0.05)
+        with pytest.raises(RuntimeError):
+            service.serve(hours=0.05)
+
+    def test_montecarlo_epochs_feed_the_service(self):
+        """The LinkFarm-backed mode: real Monte-Carlo epochs distill the
+        pads, worker count cannot perturb the outcome, and an attacked
+        link is caught by its measured QBER."""
+
+        def run(workers):
+            relays = make_relays(
+                seed=3, n_endpoints=2, n_relays=3, link_length_km=1.0
+            )
+            config = KmsConfig(
+                transport_key_bits=64,
+                store_capacity_bits=1024,
+                store_low_water_bits=64,
+                store_high_water_bits=128,
+                replenishment=ReplenishmentConfig(
+                    mode="montecarlo",
+                    slots_per_epoch=800_000,
+                    epoch_seconds=3600.0,
+                    workers=workers,
+                ),
+            )
+            service = KeyManagementService(relays, config, rng=DeterministicRNG(3))
+            service.schedule_attack(0.0, "relay-0", "relay-1", InterceptResendAttack(1.0))
+            return service.serve(hours=0.5)
+
+        first = run(1)
+        assert first.pad_bits_banked > 0
+        assert first.delivered_keys > 0
+        assert ("relay-0", "relay-1") in first.eavesdropped_links
+        assert first.completion_accounted
+        second = run(2)
+        assert second.delivered_digest == first.delivered_digest
+        assert second.pad_bits_banked == first.pad_bits_banked
+
+    def test_facade_serve(self):
+        from repro import KmsConfig as FacadeKmsConfig, QKDSystem
+
+        mesh = QKDSystem(seed=11).mesh(n_endpoints=5, n_relays=4, prefill_seconds=0.0)
+        report = mesh.kms(
+            config=FacadeKmsConfig(
+                replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=1)
+            )
+        ).serve(hours=0.5)
+        assert report.rekeys_completed > 0
+        assert report.completion_accounted
+        replay = (
+            QKDSystem(seed=11)
+            .mesh(n_endpoints=5, n_relays=4, prefill_seconds=0.0)
+            .kms(
+                config=FacadeKmsConfig(
+                    replenishment=ReplenishmentConfig(epoch_seconds=120.0, workers=3)
+                )
+            )
+            .serve(hours=0.5)
+        )
+        assert replay.delivered_digest == report.delivered_digest
+
 
 # --------------------------------------------------------------------- #
 # Custody-backed disruption tolerance (repro.dtn behind KmsConfig.custody)
@@ -780,6 +1103,17 @@ class TestKmsCustody:
                 assert report.custody_expired > 0 and report.custody_evicted > 0
             else:
                 assert report.custody_delivered > 0 and ticks[-1] == 0
+
+    def test_ttl_expiry_is_terminal_and_counted(self):
+        # the partition never heals and the TTL is shorter than the outage:
+        # parked bundles must expire (terminal), never silently leak
+        report = custody_soak(restore_at=None, ttl=300.0)
+        assert report.custody_expired > 0
+        assert report.custody_delivered == 0
+        assert report.custody_accounted
+        assert report.completion_accounted
+        # expiry frees in-flight cover, so each epoch parks replacements
+        assert report.custody_submitted > report.custody_expired - 1
 
     def test_bounded_custody_evicts_deterministically(self):
         # store sized for exactly one transport key: every new park evicts

@@ -7,8 +7,8 @@ that differentially — N lanes vs N x 1 lane, across lane counts,
 heterogeneous per-lane physics, an attacked lane, and lane order, which is
 what catches cross-lane leakage — and a persistent fleet over repeated
 epochs, plus ``sift_frames``, the memory bound that carrying one lane at a
-time buys, an entangled lane in a farm, and the scheduler's in-process
-Monte-Carlo mode.
+time buys, ragged fleets at any farm worker count, and the scheduler's
+in-process Monte-Carlo mode.
 """
 
 import hashlib
@@ -320,6 +320,46 @@ class TestLaneMemoryDiscipline:
 
 
 class TestFarmWorkers:
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_ragged_fleet_runs_at_any_worker_count_in_order(self, workers):
+        """Links that differ in slot budget, ``slots_per_batch`` and Qframe
+        size run together on thread workers or inline, in order, each bit for
+        bit its width-1 run."""
+        jobs = heterogeneous_jobs()
+        ragged = [
+            jobs[0],
+            replace(jobs[1], n_slots=jobs[1].n_slots + 1),
+            replace(
+                jobs[2], parameters=replace(jobs[2].parameters, slots_per_batch=BATCH * 2)
+            ),
+            replace(
+                jobs[3],
+                parameters=_lane_parameters(
+                    40.0, framing=FramingParameters(slots_per_frame=1024)
+                ),
+            ),
+        ]
+        runs = LinkFarm(workers=workers).run(ragged)
+        assert [run.name for run in runs] == [job.name for job in ragged]
+        assert [run.report.slots_transmitted for run in runs] == [job.n_slots for job in ragged]
+        assert {run.name: _report_digest(run.report) for run in runs} == sequential_digests(ragged)
+
+    def test_one_worker_matches_thread_workers(self):
+        jobs = heterogeneous_jobs()
+        inline_runs = LinkFarm(workers=1).run(jobs)
+        thread_runs = LinkFarm(workers=2).run(jobs)
+        for inline_run, thread_run in zip(inline_runs, thread_runs):
+            assert inline_run.name == thread_run.name
+            assert _report_digest(inline_run.report) == _report_digest(thread_run.report)
+            assert _pool_digest(inline_run.alice_pool) == _pool_digest(
+                thread_run.alice_pool
+            )
+
+    def test_an_empty_fleet_runs_to_nothing(self):
+        fleet = LaneEngine([])
+        assert fleet.n_lanes == 0
+        assert fleet.run() == [] and fleet.run_slots(1_000) == []
+
     def test_entangled_lane_beside_weak_coherent_lanes_reproduces_its_pin(self):
         """Any source type is a lane like any other: the entangled job, batched
         between two weak-coherent ones, yields the digest recorded from the

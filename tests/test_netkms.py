@@ -2,15 +2,14 @@
 
 Four layers of contract:
 
-* the message codec keeps every kind inside the reserved wire range, and
-  rejects malformed bodies with typed errors before any output-sized
-  allocation;
+* the message codec round-trips every kind, and rejects malformed bodies
+  with typed errors before any output-sized allocation;
 * the version window is {4}: a HELLO whose range holds 4 gets v4, any
   other offer a fatal ERROR at the floor header byte that a client of an
   older generation can still decode, and a client refuses a WELCOME at any
   version but 4;
-* hostile frames (an absurd length prefix, an unknown kind, a request at a
-  pre-v4 byte) each close the connection with a typed protocol error and
+* hostile frames (truncated header, absurd length prefix, unknown version,
+  unknown kind) each close the connection with a typed protocol error and
   leave the server serving other clients;
 * concurrent clients hammering one pair's store never receive overlapping
   key material — the reservation contract, proven end to end.
@@ -30,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import wire
+from repro.core.keypool import KeyBlock
 from repro.kms.service import percentile
 from repro.kms.store import KeyStore
 from repro.netkms import protocol
@@ -179,9 +179,24 @@ class TestCodecRoundTrips:
         GetKey(request_id=8, pair=PAIR, bits=256),
     ]
 
+    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: type(m).__name__)
+    def test_round_trip(self, message):
+        body = frame_body(message, protocol.PROTOCOL_V4)
+        expected = None if isinstance(message, (Hello, Welcome)) else protocol.PROTOCOL_V4
+        assert decode_body(body, expected_version=expected) == message
+
     def test_kinds_live_inside_the_reserved_wire_range(self):
         for message in self.MESSAGES:
             assert wire.KIND_NETKMS_FIRST <= message.KIND <= wire.KIND_NETKMS_LAST
+
+    def test_frame_prefix_matches_body_length(self):
+        frame = encode_frame(Status(pair=PAIR), protocol.PROTOCOL_V4)
+        (length,) = struct.unpack("<I", frame[:4])
+        assert length == len(frame) - 4
+
+    def test_hello_always_encodes_at_the_floor_version(self):
+        body = frame_body(Hello(min_version=2, max_version=2), protocol.PROTOCOL_V4)
+        assert body[1] == protocol.FLOOR_VERSION
 
 
 class TestMalformedBodies:
@@ -189,6 +204,32 @@ class TestMalformedBodies:
         with pytest.raises(ProtocolError) as excinfo:
             decode_body(body, expected_version=expected_version)
         return excinfo.value
+
+    def test_empty_and_headerless_bodies(self):
+        for body in (b"", b"\x23"):
+            assert self.decode_error(body).code == protocol.ERR_MALFORMED
+
+    def test_unknown_kind(self):
+        body = bytes([0x3F, 1]) + b"\x00" * 4
+        assert self.decode_error(body).code == protocol.ERR_UNKNOWN_KIND
+
+    def test_version_mismatch(self):
+        body = frame_body(Status(pair=PAIR), 3)
+        assert self.decode_error(body).code == protocol.ERR_VERSION
+
+    def test_truncated_inside_request_id(self):
+        body = bytes([protocol.KIND_STATUS, 4, 0, 0])
+        assert self.decode_error(body).code == protocol.ERR_MALFORMED
+
+    def test_string_length_exceeding_payload(self):
+        body = bytes([protocol.KIND_STATUS, 4]) + b"\x00" * 4 + bytes([200]) + b"ab"
+        error = self.decode_error(body)
+        assert error.code == protocol.ERR_MALFORMED
+        assert "pair[0]" in error.detail
+
+    def test_trailing_garbage_rejected(self):
+        body = frame_body(Status(pair=PAIR), 4) + b"\x00"
+        assert self.decode_error(body).code == protocol.ERR_MALFORMED
 
     def test_varint_overflow_and_overlength(self):
         prefix = bytes([protocol.KIND_RESERVE, 4]) + b"\x00" * 4 + b"\x00\x00"
@@ -386,9 +427,22 @@ class TestHostileFrames:
 
         return run(scenario())
 
+    def test_truncated_header_closes_quietly(self):
+        error, eof, server_ok = self.raw_exchange(b"\x02\x00")
+        assert error is None and eof and server_ok
+
     def test_absurd_length_prefix_rejected_before_allocation(self):
         error, eof, server_ok = self.raw_exchange(struct.pack("<I", 0xFFFFFFF0))
         assert error is not None and error.code == protocol.ERR_OVERSIZED
+        assert eof and server_ok
+
+    def test_unknown_version_rejected(self):
+        body = frame_body(Status(pair=PAIR), 4)
+        mutated = bytearray(body)
+        mutated[1] = 9
+        frame = struct.pack("<I", len(mutated)) + bytes(mutated)
+        error, eof, server_ok = self.raw_exchange(frame, handshake_first=True)
+        assert error is not None and error.code == protocol.ERR_VERSION
         assert eof and server_ok
 
     @pytest.mark.parametrize("header_byte", [1, 2, 3])
@@ -416,6 +470,87 @@ class TestHostileFrames:
         error, eof, server_ok = self.raw_exchange(frame, handshake_first=True)
         assert error is not None and error.code == protocol.ERR_UNKNOWN_KIND
         assert eof and server_ok
+
+    def test_unsupported_hello_range_rejected(self):
+        frame = encode_frame(Hello(min_version=9, max_version=12), 1)
+        error, eof, server_ok = self.raw_exchange(frame)
+        assert error is not None and error.code == protocol.ERR_VERSION
+        assert eof and server_ok
+
+    def test_get_key_with_a_missing_tail_a_trailing_byte_or_a_lying_length_is_fatal(self):
+        body = frame_body(GetKey(request_id=9, pair=PAIR, bits=256), protocol.PROTOCOL_V4)
+        lying = body[:6] + bytes([250]) + b"ab"  # pair[0] claims 250 bytes
+        for hostile in (body[:-1], body + b"\x00", lying):
+            frame = struct.pack("<I", len(hostile)) + hostile
+            error, eof, server_ok = self.raw_exchange(frame, handshake_first=True)
+            assert error is not None
+            assert (error.request_id, error.code) == (9, protocol.ERR_MALFORMED)
+            assert eof and server_ok
+
+    def test_get_key_refusals_are_typed_move_nothing_and_keep_the_connection(self):
+        seen = []
+
+        async def hook(message):
+            seen.append(message)
+
+        async def scenario():
+            store = make_store(bits=1024)
+            server = await started_server({PAIR: store}, request_hook=hook)
+            refused = [
+                (PAIR, 0),
+                (PAIR, server.max_reserve_bits + 1),
+                (("nobody", "here"), 256),
+                (PAIR, 1025),
+            ]
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    assert client.version == protocol.PROTOCOL_V4
+                    codes = []
+                    for pair, bits in refused:
+                        with pytest.raises(ServerError) as excinfo:
+                            await client.get_key(pair, bits)
+                        codes.append(excinfo.value.code)
+                        assert store.unreserved_bits == store.available_bits == 1024
+                    key = await client.get_key(PAIR, 1024)
+                    errors = dict(server.metrics.error_counts)
+                    return codes, key, store, server.metrics, errors, dict(server._held)
+            finally:
+                await server.stop()
+
+        codes, key, store, metrics, errors, held = run(scenario())
+        assert codes == [
+            protocol.ERR_LIMIT,
+            protocol.ERR_LIMIT,
+            protocol.ERR_UNKNOWN_PAIR,
+            protocol.ERR_EXHAUSTED,
+        ]
+        assert key.key_bits == 1024 and store.available_bits == 0
+        assert metrics.reservations_denied == store.statistics.reservations_denied == 1
+        assert metrics.reservations_granted == metrics.keys_served == 1
+        assert metrics.requests_by_kind == {"GetKey": 5}
+        assert [type(message) for message in seen] == [GetKey] * 5  # the hook sees each once
+        assert errors == {protocol.ERR_LIMIT: 2, protocol.ERR_UNKNOWN_PAIR: 1, protocol.ERR_EXHAUSTED: 1}
+        assert held == {}
+
+    def test_request_level_errors_keep_the_connection(self):
+        async def scenario():
+            server = await started_server()
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    with pytest.raises(ServerError) as unknown_pair:
+                        await client.status(("nobody", "here"))
+                    with pytest.raises(ServerError) as over_limit:
+                        await client.reserve(PAIR, server.max_reserve_bits + 1)
+                    # Same connection still serves.
+                    key = await client.get_key(PAIR, bits=128)
+                    return unknown_pair.value, over_limit.value, key
+            finally:
+                await server.stop()
+
+        unknown_pair, over_limit, key = run(scenario())
+        assert unknown_pair.code == protocol.ERR_UNKNOWN_PAIR
+        assert over_limit.code == protocol.ERR_LIMIT
+        assert key.key_bits == 128
 
     def test_an_error_detail_past_the_wire_limit_is_cut_and_keeps_the_connection(self):
         """The detail of an unknown pair quotes both 200-byte names: it
@@ -447,6 +582,93 @@ class TestHostileFrames:
         assert exhausted.code == protocol.ERR_EXHAUSTED
         assert connected and key.key_bits == 128
         assert fatal == 0
+
+
+# --------------------------------------------------------------------------- #
+# Store semantics over the wire
+# --------------------------------------------------------------------------- #
+
+
+class TestStoreSemantics:
+    def test_reserve_consume_release_cycle(self):
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    first = await client.reserve(PAIR, 1024)
+                    second = await client.reserve(PAIR, 1024)
+                    assert store.reserved_bits == 2048
+                    await release(client, second)
+                    assert store.reserved_bits == 1024
+                    served = await client.consume(first)
+                    assert store.reserved_bits == 0
+                    # A re-issued CONSUME is idempotent: the replay cache
+                    # re-delivers the identical bytes (drawn exactly once).
+                    replayed = await client.consume(first)
+                    return served, replayed, store, server.metrics
+            finally:
+                await server.stop()
+
+        served, replayed, store, metrics = run(scenario())
+        assert served.key_bits == 1024
+        assert replayed.key_bytes == served.key_bytes
+        assert metrics.keys_served == 1 and metrics.consume_replays == 1
+        assert store.available_bits == 4096 - 1024
+        # Both pools advanced in lock-step; the store stays synchronised.
+        assert store.local_pool.available_bits == store.remote_pool.available_bits
+
+    def test_exhaustion_is_a_typed_request_error(self):
+        async def scenario():
+            server = await started_server({PAIR: make_store(bits=1024)})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    await client.get_key(PAIR, bits=1024)
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.get_key(PAIR, bits=1024)
+                    return excinfo.value, server.metrics
+            finally:
+                await server.stop()
+
+        error, metrics = run(scenario())
+        assert error.code == protocol.ERR_EXHAUSTED
+        assert metrics.reservations_denied == 1
+        assert metrics.keys_served == 1
+
+    def test_served_material_is_the_stores_fifo_prefix(self):
+        async def scenario():
+            server = await started_server({PAIR: make_store(bits=4096)})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    return [await client.get_key(PAIR, bits=512) for _ in range(3)]
+            finally:
+                await server.stop()
+
+        served = run(scenario())
+        expected = counter_material(4096).to_bytes()
+        assert b"".join(key.key_bytes for key in served) == expected[: 3 * 64]
+
+    def test_desynchronised_pools_are_an_internal_error(self):
+        """The serve step checks that both pools gave the same bits; a store
+        whose remote pool holds other material answers ``internal`` and
+        serves nothing."""
+
+        async def scenario():
+            store = make_store(bits=4096)
+            store.remote_pool.blocks[0] = KeyBlock(BitString.from_int(0, 4096), 0)
+            server = await started_server({PAIR: store})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.get_key(PAIR, bits=256)
+                    return excinfo.value, server.metrics
+            finally:
+                await server.stop()
+
+        error, metrics = run(scenario())
+        assert error.code == protocol.ERR_INTERNAL
+        assert "desynchronised" in error.detail
+        assert metrics.keys_served == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -505,6 +727,78 @@ class TestConcurrentClients:
         assert sorted(counters) == list(range(total // 64))
         assert metrics.fatal_errors == 0
 
+    def test_served_material_is_the_same_at_every_fleet_size(self):
+        """One request volume over four pairs, served to 1, 4 and 8 concurrent
+        clients: interleaving may reorder who gets which chunk, never which
+        material leaves the stores — one served digest, nothing lost."""
+        requests, n_pairs = 48, 4
+        pairs = [(f"sae-{index}a", f"sae-{index}b") for index in range(n_pairs)]
+        per_pair = requests // n_pairs * self.BITS
+
+        def stores():
+            built = {}
+            for index, pair in enumerate(pairs):
+                built[pair] = KeyStore(pair, capacity_bits=1 << 20)
+                built[pair].deposit(counter_material(per_pair, first=index << 48))
+            return built
+
+        async def level(n_clients):
+            server = await started_server(stores())
+
+            async def one_client(client_index):
+                async with NetworkKmsClient(
+                    "127.0.0.1", server.port, client_id=f"sae-{client_index}"
+                ) as client:
+                    for request_index in range(requests // n_clients):
+                        pair = pairs[(client_index + request_index) % n_pairs]
+                        await client.get_key(pair, bits=self.BITS)
+
+            try:
+                await asyncio.gather(*(one_client(index) for index in range(n_clients)))
+            finally:
+                await server.stop()
+            return server.metrics.report()
+
+        reports = {n_clients: run(level(n_clients)) for n_clients in (1, 4, 8)}
+        assert len({report.served_digest for report in reports.values()}) == 1
+        for n_clients, report in reports.items():
+            assert report.keys_served == requests, n_clients
+            assert report.key_bits_served == requests * self.BITS
+            assert not report.protocol_errors, n_clients
+            assert report.reservations_denied == 0
+            assert report.reserve_latency_p50_seconds <= report.reserve_latency_p99_seconds
+
+    def test_oversubscribed_store_denies_exactly_the_shortfall(self):
+        demands = self.N_CLIENTS * self.REQUESTS_EACH
+        supply = (demands // 2) * self.BITS
+        served, denials, _metrics = self.hammer(supply_bits=supply)
+        assert len(served) == demands // 2
+        assert len(denials) == demands - demands // 2
+        counters = [
+            word
+            for chunk in served
+            for (word,) in struct.iter_unpack(">Q", chunk)
+        ]
+        assert len(counters) == len(set(counters))
+
+    def test_pipelined_requests_on_one_connection(self):
+        async def scenario():
+            server = await started_server({PAIR: make_store(bits=1 << 15)})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    keys = await asyncio.gather(
+                        *(client.get_key(PAIR, bits=256) for _ in range(16))
+                    )
+                    return [key.key_bytes for key in keys]
+            finally:
+                await server.stop()
+
+        chunks = run(scenario())
+        counters = [
+            word for chunk in chunks for (word,) in struct.iter_unpack(">Q", chunk)
+        ]
+        assert len(counters) == len(set(counters))
+
 
 # --------------------------------------------------------------------------- #
 # Facade wiring and metrics
@@ -512,6 +806,59 @@ class TestConcurrentClients:
 
 
 class TestFacadeAndMetrics:
+    def test_mesh_kms_serve_network(self):
+        from repro import QKDSystem
+        from repro.kms import KmsConfig
+
+        async def scenario():
+            mesh = QKDSystem(seed=11).mesh(n_endpoints=3, n_relays=4)
+            service = mesh.kms(config=KmsConfig(gateway_pairs=(PAIR_MESH,)))
+            store = service.stores[PAIR_MESH]
+            store.deposit(counter_material(4096))
+            server = service.serve_network(port=0)
+            async with server:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    capabilities = await client.capabilities()
+                    status = await client.status(PAIR_MESH)
+                    key = await client.get_key(PAIR_MESH, bits=512)
+            return capabilities, status, key, store
+
+        PAIR_MESH = ("endpoint-0", "endpoint-1")
+        capabilities, status, key, store = run(scenario())
+        assert PAIR_MESH in capabilities.pairs
+        assert status.available_bits >= 4096
+        assert key.key_bits == 512
+        assert store.statistics.bits_consumed >= 512
+
+    def test_a_kms_front_end_reaps_a_lease_that_lapsed_in_loop_time(self):
+        """The front end's leases run on its loop's clock, not on the
+        service's simulated clock, which stands still while asyncio serves."""
+        from repro import QKDSystem
+        from repro.kms import KmsConfig
+
+        PAIR_MESH = ("endpoint-0", "endpoint-1")
+        mesh = QKDSystem(seed=11).mesh(n_endpoints=3, n_relays=4)
+        service = mesh.kms(config=KmsConfig(gateway_pairs=(PAIR_MESH,)))
+        store = service.stores[PAIR_MESH]
+        store.deposit(counter_material(4096))
+        available = store.available_bits
+
+        async def scenario():
+            async with service.serve_network() as server:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    handle = await client.reserve(PAIR_MESH, 1024)
+                    await asyncio.sleep(LEASE_SECONDS + 1.0)
+                    status = await client.status(PAIR_MESH)
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.consume(handle)
+            return status, excinfo.value, server.metrics
+
+        status, error, metrics = run_virtual(scenario())
+        assert (status.reserved_bits, status.unreserved_bits) == (0, available)
+        assert error.code == protocol.ERR_UNKNOWN_RESERVATION
+        assert metrics.reaped_by_reason == {"lease-expired": 1}
+        assert store.reserved_bits == 0 and store.available_bits == available
+
     def test_a_kms_front_end_continues_the_service_clock(self):
         """A network draw after ``serve()`` sees the service's simulated time
         plus the loop seconds since ``start()``, whatever the loop's clock
@@ -542,6 +889,46 @@ class TestFacadeAndMetrics:
         _, at_day = rate_after_one_draw(77_000.0)
         assert at_zero == at_day
         assert 0.5 * served_rate * 1000 < at_day < 2 * served_rate * 1000
+
+    def test_metrics_report_shape(self):
+        async def scenario():
+            server = await started_server()
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    await client.capabilities()
+                    await client.get_key(PAIR, bits=256)
+                    await client.consume(await client.reserve(PAIR, bits=256))
+                return server.metrics.report()
+            finally:
+                await server.stop()
+
+        report = run(scenario())
+        assert report.requests == 4  # caps + get_key + reserve + consume
+        assert report.requests_by_kind == {
+            "Capabilities": 1,
+            "GetKey": 1,
+            "Reserve": 1,
+            "Consume": 1,
+        }
+        assert report.keys_served == 2
+        assert report.key_bits_served == 512
+        assert report.reservations_granted == 2
+        assert report.requests_per_second > 0
+        assert (
+            report.reserve_latency_p50_seconds <= report.reserve_latency_p99_seconds
+        )
+        assert len(report.served_digest) == 64
+
+    def test_served_digest_is_order_independent(self):
+        from repro.netkms.metrics import NetKmsMetrics
+
+        chunks = [bytes([i]) * 16 for i in range(8)]
+        forward, backward = NetKmsMetrics(), NetKmsMetrics()
+        for chunk in chunks:
+            forward.note_key_served(chunk, len(chunk) * 8)
+        for chunk in reversed(chunks):
+            backward.note_key_served(chunk, len(chunk) * 8)
+        assert forward.served_digest() == backward.served_digest()
 
 
 # --------------------------------------------------------------------------- #
@@ -779,6 +1166,56 @@ class TestReservationOwnership:
 
 
 class TestGracefulDrain:
+    def test_in_flight_request_finishes_then_new_ones_are_rejected(self):
+        entered = asyncio.Event()
+        hold = asyncio.Event()
+
+        async def gate(message):
+            if isinstance(message, Consume):
+                entered.set()
+                await hold.wait()
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store}, request_hook=gate)
+            client = NetworkKmsClient("127.0.0.1", server.port)
+            await client.connect()
+            handle = await client.reserve(PAIR, 1024)
+            consume_task = asyncio.ensure_future(client.consume(handle))
+            await entered.wait()
+            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
+            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
+            hold.set()
+            served = await consume_task
+            await stop_task
+            await client.close()
+            # The listener is gone: nobody new can connect.
+            with pytest.raises(ConnectionError):
+                await NetworkKmsClient("127.0.0.1", server.port).connect()
+            return served, store
+
+        served, store = run(scenario())
+        assert served.key_bits == 1024
+        assert store.reserved_bits == 0
+
+    def test_request_after_drain_gets_typed_shutting_down_error(self):
+        async def scenario():
+            server = await started_server()
+            async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                await client.status(PAIR)
+                # Flip the drain gate directly (stop() would also close the
+                # connection before a request could be written).
+                server._draining = True
+                with pytest.raises(ServerError) as excinfo:
+                    await client.status(PAIR)
+                await server.stop(drain_timeout=0.5)
+                return excinfo.value
+
+        error = run(scenario())
+        assert error.code == protocol.ERR_SHUTTING_DOWN
+        assert protocol.ERROR_NAMES[error.code] == "shutting-down"
+        assert error.code in protocol.FATAL_ERRORS
+
     def test_a_request_stalled_past_the_drain_timeout_is_aborted(self):
         """``stop(drain_timeout=)`` gives up on a request whose hook never
         returns: the connection is aborted, the hook cancelled, the held
@@ -820,6 +1257,115 @@ class TestGracefulDrain:
         assert server.metrics.keys_served == 0
         assert server.conservation_fault() is None
         assert logged == []
+
+    _raw_connection = staticmethod(raw_connection)
+
+    def test_idle_connection_is_told_shutting_down_then_closed(self):
+        async def scenario():
+            server = await started_server()
+            reader, writer, version = await self._raw_connection(server)
+            await server.stop(drain_timeout=2.0)
+            body = await asyncio.wait_for(read_frame(reader), 2.0)
+            farewell = decode_body(body, expected_version=version)
+            rest = await asyncio.wait_for(reader.read(), 2.0)
+            writer.close()
+            await writer.wait_closed()
+            return farewell, rest, server.metrics
+
+        farewell, rest, metrics = run(scenario())
+        assert isinstance(farewell, Error)
+        assert (farewell.request_id, farewell.code) == (0, protocol.ERR_SHUTTING_DOWN)
+        assert rest == b""  # nothing after the farewell but EOF
+        assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
+        assert metrics.connections_closed == metrics.connections_opened == 1
+
+    def test_request_pipelined_behind_in_flight_one_is_rejected_under_its_own_id(self):
+        entered = asyncio.Event()
+        hold = asyncio.Event()
+
+        async def gate(message):
+            if isinstance(message, Consume):
+                entered.set()
+                await hold.wait()
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store}, request_hook=gate)
+            reader, writer, version = await self._raw_connection(server)
+
+            async def reply():
+                body = await asyncio.wait_for(read_frame(reader), 2.0)
+                return decode_body(body, expected_version=version)
+
+            writer.write(encode_frame(Reserve(request_id=1, pair=PAIR, bits=1024), version))
+            granted = await reply()
+            held = Consume(request_id=2, pair=PAIR, reservation_id=granted.reservation_id)
+            writer.write(encode_frame(held, version))
+            writer.write(encode_frame(Status(request_id=3, pair=PAIR), version))
+            await writer.drain()
+            await entered.wait()
+            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
+            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
+            hold.set()
+            replies = [await reply(), await reply()]
+            rest = await asyncio.wait_for(reader.read(), 2.0)
+            await stop_task
+            writer.close()
+            await writer.wait_closed()
+            return replies, rest, store, server.metrics
+
+        (served, rejected), rest, store, metrics = run(scenario())
+        assert isinstance(served, ConsumeOk)
+        assert (served.request_id, served.key_bits) == (2, 1024)
+        assert isinstance(rejected, Error)
+        assert (rejected.request_id, rejected.code) == (3, protocol.ERR_SHUTTING_DOWN)
+        assert rest == b""
+        assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
+        assert metrics.requests_by_kind == {"Reserve": 1, "Consume": 1}
+        assert store.reserved_bits == 0 and store.available_bits == 4096 - 1024
+
+
+    def test_get_key_pipelined_behind_an_in_flight_get_key_is_rejected_under_its_own_id(self):
+        entered = asyncio.Event()
+        hold = asyncio.Event()
+
+        async def gate(message):
+            entered.set()
+            await hold.wait()
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store}, request_hook=gate)
+            reader, writer, version = await self._raw_connection(server)
+            assert version == protocol.PROTOCOL_V4
+
+            async def reply():
+                body = await asyncio.wait_for(read_frame(reader), 2.0)
+                return decode_body(body, expected_version=version)
+
+            writer.write(encode_frame(GetKey(request_id=2, pair=PAIR, bits=1024), version))
+            writer.write(encode_frame(GetKey(request_id=3, pair=PAIR, bits=1024), version))
+            await writer.drain()
+            await entered.wait()
+            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
+            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
+            hold.set()
+            replies = [await reply(), await reply()]
+            rest = await asyncio.wait_for(reader.read(), 2.0)
+            await stop_task
+            writer.close()
+            await writer.wait_closed()
+            return replies, rest, store, server.metrics
+
+        (served, rejected), rest, store, metrics = run(scenario())
+        assert isinstance(served, ConsumeOk)
+        assert (served.request_id, served.key_bits) == (2, 1024)
+        assert isinstance(rejected, Error)
+        assert (rejected.request_id, rejected.code) == (3, protocol.ERR_SHUTTING_DOWN)
+        assert rest == b""
+        assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
+        assert metrics.requests_by_kind == {"GetKey": 1}
+        assert store.reserved_bits == 0 and store.available_bits == 4096 - 1024
 
 
 class TestFailingPeers:
@@ -961,6 +1507,25 @@ class TestFailingPeers:
         closed, seen = run(scenario())
         assert closed
         assert seen == []
+
+    def test_request_timeout_is_typed_and_releases_the_caller(self):
+        from repro.netkms.client import RequestTimeoutError
+
+        async def stall_forever(reader, writer):
+            await read_frame(reader)
+            await asyncio.sleep(30)
+
+        async def scenario():
+            stub, port = await self._stub_server(stall_forever)
+            client = NetworkKmsClient("127.0.0.1", port, request_timeout=0.1)
+            await client.connect()
+            with pytest.raises(RequestTimeoutError):
+                await asyncio.wait_for(client.status(PAIR), timeout=5.0)
+            await client.close()
+            stub.close()
+            await stub.wait_closed()
+
+        run(scenario())
 
     def test_a_bad_prefix_after_welcome_closes_the_connection_and_fails_fast(self):
         """A reply stream that lost frame sync is dead: the pending request
@@ -1224,9 +1789,120 @@ class TestNoTaskPerRequest:
 
 
 class TestFraming:
-    """Both ends cut frames out of whatever segments the transport delivers,
-    and a server answers the requests pipelined behind a stalled one in
-    order."""
+    """Both ends cut frames out of whatever segments the transport delivers:
+    a frame split over many segments, many frames in one, and a length
+    prefix judged the moment its four bytes are in."""
+
+    FRAMES = [
+        encode_frame(Status(request_id=i, pair=PAIR), protocol.PROTOCOL_V4) for i in range(1, 6)
+    ] + [encode_frame(GetKey(request_id=6, pair=PAIR, bits=256), protocol.PROTOCOL_V4)]
+
+    def test_the_splitter_returns_the_same_bodies_however_the_bytes_arrive(self):
+        stream = b"".join(self.FRAMES)
+        bodies = [frame[4:] for frame in self.FRAMES]
+        for segment in (1, 3, 7, len(stream)):
+            frames = protocol.FrameSplitter()
+            out = []
+            for start in range(0, len(stream), segment):
+                frames.feed(stream[start : start + segment])
+                while (body := frames.next_frame()) is not None:
+                    out.append(body)
+            assert out == bodies, segment
+            assert frames.buffer == b""
+
+    @pytest.mark.parametrize(
+        "length, code",
+        [(0, protocol.ERR_MALFORMED), (1, protocol.ERR_MALFORMED), (1025, protocol.ERR_OVERSIZED)],
+    )
+    def test_the_splitter_refuses_a_bad_prefix_before_any_body_byte(self, length, code):
+        frames = protocol.FrameSplitter(max_frame_bytes=1024)
+        frames.feed(struct.pack("<I", length)[:3])
+        assert frames.next_frame() is None  # three bytes are not a prefix yet
+        frames.feed(struct.pack("<I", length)[3:])
+        with pytest.raises(ProtocolError) as excinfo:
+            frames.next_frame()
+        assert excinfo.value.code == code
+
+    def test_a_server_answers_frames_sent_one_byte_per_segment_and_many_per_segment(self):
+        async def scenario():
+            server = await started_server()
+            try:
+                reader, writer, version = await raw_connection(server)
+                for byte in self.FRAMES[0]:
+                    writer.write(bytes([byte]))
+                    await writer.drain()
+                    await asyncio.sleep(0.001)
+                replies = [decode_body(await read_frame(reader), version)]
+                writer.write(b"".join(self.FRAMES[1:]))
+                await writer.drain()
+                for _ in self.FRAMES[1:]:
+                    body = await asyncio.wait_for(read_frame(reader), 2.0)
+                    replies.append(decode_body(body, version))
+                writer.close()
+                await writer.wait_closed()
+                return replies, server.metrics
+            finally:
+                await server.stop()
+
+        replies, metrics = run(scenario())
+        assert [reply.request_id for reply in replies] == [1, 2, 3, 4, 5, 6]
+        assert [type(reply) for reply in replies] == [StatusOk] * 5 + [ConsumeOk]
+        assert metrics.requests_by_kind == {"Status": 5, "GetKey": 1}
+
+    @pytest.mark.parametrize(
+        "length, code",
+        [(protocol.MAX_FRAME_BYTES + 1, protocol.ERR_OVERSIZED), (1, protocol.ERR_MALFORMED)],
+    )
+    def test_a_bad_prefix_alone_is_answered_and_the_connection_closed(self, length, code):
+        """Only the four prefix bytes are sent — no body byte, no EOF — so a
+        server that waits for the body before judging the prefix never
+        answers."""
+
+        async def scenario():
+            server = await started_server()
+            try:
+                reader, writer, version = await raw_connection(server)
+                writer.write(struct.pack("<I", length))
+                await writer.drain()
+                body = await asyncio.wait_for(read_frame(reader), 2.0)
+                rest = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                await writer.wait_closed()
+                return decode_body(body, version), rest
+            finally:
+                await server.stop()
+
+        error, rest = run(scenario())
+        assert isinstance(error, Error)
+        assert (error.request_id, error.code) == (0, code)
+        assert rest == b""
+
+    def test_eof_mid_frame_reaps_the_connections_held_reservations(self):
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store})
+            try:
+                reader, writer, version = await raw_connection(server)
+                writer.write(encode_frame(Reserve(request_id=1, pair=PAIR, bits=1024), version))
+                granted = decode_body(await read_frame(reader), version)
+                held = store.reserved_bits
+                frame = encode_frame(Status(request_id=2, pair=PAIR), version)
+                writer.write(frame[: len(frame) // 2])
+                await writer.drain()
+                writer.write_eof()
+                rest = await asyncio.wait_for(reader.read(), 2.0)
+                writer.close()
+                await writer.wait_closed()
+                await asyncio.sleep(0.01)
+                return granted, held, rest, store, dict(server.metrics.reaped_by_reason)
+            finally:
+                await server.stop()
+
+        granted, held, rest, store, reaped = run(scenario())
+        assert isinstance(granted, ReserveOk) and held == 1024
+        assert rest == b""  # closed without an answer to the half frame
+        assert reaped == {"disconnect": 1}
+        assert store.reserved_bits == 0 and store.available_bits == 4096
 
     def test_requests_pipelined_behind_a_stalled_hook_are_answered_in_order(self):
         seen = []
@@ -1580,3 +2256,53 @@ class TestGetKeyStateEquivalence:
         state, requests = run_script(pinned_script(), two_phase=False)
         assert state == PINNED_SCRIPT_STATE
         assert requests == {"GetKey": 43}
+
+    @given(
+        script=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("get"),
+                    st.integers(0, 1),
+                    st.integers(0, 2),
+                    st.integers(0, SCRIPT_MAX_RESERVE_BITS + 8),
+                ),
+                st.tuples(st.just("deposit"), st.integers(0, 1), st.integers(1, 32).map(lambda n: 64 * n)),
+                st.tuples(st.just("tick")),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_any_script_leaves_the_same_state_over_two_frames_and_one(self, script):
+        two_frames, requests_two = run_script(script, two_phase=True)
+        one_frame, requests_one = run_script(script, two_phase=False)
+        assert one_frame == two_frames
+        assert one_frame["held"] == {}
+        assert requests_one.get("GetKey", 0) == requests_two.get("Reserve", 0)
+        assert requests_two.get("Consume", 0) == one_frame["keys_served"]
+
+    def test_consume_by_the_id_a_get_key_reply_carried_is_a_replay(self):
+        """The reservation a GET_KEY grants is never held, but its reply is
+        replayable like any served key: CONSUME by that id re-delivers the
+        same bytes and draws nothing."""
+
+        async def scenario():
+            store = make_store(bits=4096)
+            server = await started_server({PAIR: store})
+            try:
+                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                    key = await client.get_key(PAIR, bits=1000)
+                    handle = ReservationHandle(PAIR, key.reservation_id, key.key_bits)
+                    replayed = await client.consume(handle)
+                    with pytest.raises(ServerError) as released:
+                        await release(client, handle)
+                    return key, replayed, released.value, store, server.metrics
+            finally:
+                await server.stop()
+
+        key, replayed, released, store, metrics = run(scenario())
+        assert replayed == key and key.key_bits == 1000
+        assert released.code == protocol.ERR_UNKNOWN_RESERVATION  # it was never held
+        assert (metrics.keys_served, metrics.consume_replays) == (1, 1)
+        assert metrics.requests_by_kind == {"GetKey": 1, "Consume": 1, "Release": 1}
+        assert store.available_bits == 4096 - 1000 and store.reserved_bits == 0

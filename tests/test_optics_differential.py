@@ -1,10 +1,17 @@
-"""The optics draw kernels against numpy, and numpy against what they need.
+"""Differential tests: sparse ``transmit_lanes`` vs. the retained dense oracle.
 
-First the numpy canaries: what the sparse photon lists and the two draw
+``transmit_lanes`` draws every slot but computes the interference and click
+logic only on the slots where a detector fired.  It must be observationally
+identical to ``tests/oracles/dense_optics.py`` (the body it replaced, which
+evaluates everything everywhere): the same eight per-slot arrays, the same
+attack bookkeeping, and — because a later batch continues the same streams —
+the same state left behind in every generator it touched.
+
+Below that: the numpy canaries (what the sparse photon lists and the two draw
 kernels of ``repro.optics.draws`` rely on numpy doing, each failing by name
-with what depends on it.  Then the kernels themselves against the
-``Generator`` methods they stand in for — values, non-empty slots, full state
-dict, and the next draw of each kind.
+with what depends on it) and the kernels themselves against the ``Generator``
+methods they stand in for — values, non-empty slots, full state dict, and the
+next draw of each kind.
 """
 
 import math
@@ -12,12 +19,164 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.eve import BeamSplittingAttack, InterceptResendAttack
+from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lanes
+from repro.optics.model import DetectorParameters
 from repro.optics.draws import (
     REPLAY_BELOW,
     _replay_multiplication_method,
     coin_flips,
     poisson_counts,
 )
+from repro.optics.entangled import EntangledSourceParameters
+from repro.optics.fiber import OpticalPath
+from repro.optics.model import InterferometerParameters
+from repro.optics.source import SourceParameters
+from repro.optics.timing import FramingParameters
+from repro.util.rng import DeterministicRNG
+from tests.oracles.dense_optics import PassiveChannel, dense_transmit_lanes
+
+SLOT_ARRAYS = (
+    "alice_basis",
+    "alice_value",
+    "alice_photons",
+    "bob_basis",
+    "bob_click",
+    "bob_double",
+    "bob_value",
+    "frame_numbers",
+)
+
+#: Fresh attack per side: attacks keep their last record on the instance.
+ATTACKS = {
+    "none": lambda: None,
+    "passive": PassiveChannel,
+    "intercept-resend": lambda: InterceptResendAttack(intercept_fraction=0.6),
+    "intercept-resend-bright": lambda: InterceptResendAttack(resend_mean_photons=2.0),
+    "beam-splitting": BeamSplittingAttack,
+    "beam-splitting-lossless": lambda: BeamSplittingAttack(lossless_forwarding=True),
+}
+
+SLOTS_PER_FRAME = 64
+
+
+def off_or(low, high):
+    """Zero for "feature off" (no draw taken), or a value large enough to act
+    within a few hundred slots."""
+    return st.one_of(st.just(0.0), st.floats(low, high))
+
+
+lane_specs = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32),
+        "mu": st.floats(0.05, 3.0),
+        "distance_km": st.floats(0.0, 40.0),
+        "visibility": st.floats(0.5, 1.0),
+        "phase_noise_rad": off_or(0.01, 0.5),
+        "dark_count_probability": st.floats(1e-5, 0.1),
+        "afterpulse_probability": off_or(0.05, 0.5),
+        "gate_misalignment_penalty": off_or(0.05, 0.6),
+        "frame_loss_probability": off_or(0.1, 0.9),
+        "entangled": st.booleans(),
+        "attack": st.sampled_from(sorted(ATTACKS)),
+    }
+)
+
+#: Empty, a single slot, odd and shorter than a frame, several frames and a
+#: ragged tail.
+slot_counts = st.sampled_from([0, 1, 37, 3 * SLOTS_PER_FRAME + 5])
+
+
+def build_channel(spec):
+    parameters = ChannelParameters(
+        source=SourceParameters(mean_photon_number=spec["mu"]),
+        path=OpticalPath.single_span(spec["distance_km"]),
+        interferometer=InterferometerParameters(
+            visibility=spec["visibility"], phase_noise_rad=spec["phase_noise_rad"]
+        ),
+        detectors=DetectorParameters(
+            dark_count_probability=spec["dark_count_probability"],
+            afterpulse_probability=spec["afterpulse_probability"],
+        ),
+        framing=FramingParameters(
+            slots_per_frame=SLOTS_PER_FRAME,
+            frame_loss_probability=spec["frame_loss_probability"],
+            gate_misalignment_penalty=spec["gate_misalignment_penalty"],
+        ),
+        entangled_source=(
+            EntangledSourceParameters(mean_pairs_per_pulse=spec["mu"])
+            if spec["entangled"]
+            else None
+        ),
+    )
+    return QuantumChannel(parameters, DeterministicRNG(spec["seed"]))
+
+
+def generator_states(channel):
+    return [
+        generator.bit_generator.state
+        for generator in (
+            channel._numpy_rng,
+            channel.source._numpy_rng,
+            channel.framing._numpy_rng,
+        )
+    ]
+
+
+def assert_same_record(record, expected):
+    assert record.keys() == expected.keys()
+    for key, value in expected.items():
+        if isinstance(value, np.ndarray):
+            assert np.array_equal(record[key], value), key
+        else:
+            assert record[key] == value, key
+
+
+#: One lane per source type with every optional draw switched on, for the
+#: explicit batch shapes below.
+EXAMPLE_LANES = [
+    {
+        "seed": 2003 + entangled,
+        "mu": 0.7,
+        "distance_km": 5.0,
+        "visibility": 0.9,
+        "phase_noise_rad": 0.1,
+        "dark_count_probability": 0.05,
+        "afterpulse_probability": 0.3,
+        "gate_misalignment_penalty": 0.2,
+        "frame_loss_probability": 0.3,
+        "entangled": bool(entangled),
+        "attack": attack,
+    }
+    for entangled, attack in ((0, "none"), (1, "none"), (0, "intercept-resend-bright"))
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(lane_specs, min_size=1, max_size=4), st.lists(slot_counts, min_size=1, max_size=2))
+# Empty and one-slot batches, alone and between others: the lengths at which a
+# replayed draw and the numpy call it stands for can part (``bytes(0)``).
+@example(EXAMPLE_LANES, [0])
+@example(EXAMPLE_LANES, [1])
+@example(EXAMPLE_LANES, [0, 1, 0])
+def test_sparse_transmit_matches_the_dense_oracle(specs, batches):
+    channels = [build_channel(spec) for spec in specs]
+    oracle_channels = [build_channel(spec) for spec in specs]
+    attacks = [ATTACKS[spec["attack"]]() for spec in specs]
+    oracle_attacks = [ATTACKS[spec["attack"]]() for spec in specs]
+
+    # Consecutive batches: the second starts from the state the first left.
+    for n_slots in batches:
+        frames = transmit_lanes(channels, n_slots, attacks)
+        expected = dense_transmit_lanes(oracle_channels, n_slots, oracle_attacks)
+        for lane, (frame, reference) in enumerate(zip(frames, expected)):
+            for name in SLOT_ARRAYS:
+                assert np.array_equal(getattr(frame, name), reference[name]), (lane, name)
+            assert_same_record(frame.attack_record, reference["attack_record"])
+        for channel, oracle_channel in zip(channels, oracle_channels):
+            assert generator_states(channel) == generator_states(oracle_channel)
+            assert channel.slots_transmitted == oracle_channel.slots_transmitted
+            assert channel.source.pulses_emitted == oracle_channel.source.pulses_emitted
 
 
 def test_binomial_skips_zero_counts_without_consuming():

@@ -3,10 +3,12 @@
 An engine distils its blocks in-line, so what runs across workers is whole
 links: the ``LinkFarm`` over a thread pool, whose output must not depend
 on the worker count, and the relay network's labeled pad refill.  These
-tests hold ``fork_labeled``'s order independence, the farm's worker-count
-rule and its output with more workers than jobs, and the refill's worker-count
-invariance.
+tests hold ``fork_labeled``'s order independence, the farm's job order,
+worker-count rule and worker-count invariance, and the refill's.
 """
+
+import os
+from dataclasses import replace
 
 import pytest
 
@@ -60,6 +62,15 @@ class TestForkLabeled:
 
 
 class TestLinkFarm:
+    def test_runs_come_back_in_submission_order(self):
+        """Eight jobs on four threads, finishing out of order (the budgets
+        fall), come back in the order they went in."""
+        jobs = link_jobs(8, 1_000, rng=DeterministicRNG(12))
+        jobs = [replace(job, n_slots=40_000 - 5_000 * index) for index, job in enumerate(jobs)]
+        runs = LinkFarm(workers=4).run(jobs)
+        assert [run.name for run in runs] == [job.name for job in jobs]
+        assert [run.report.slots_transmitted for run in runs] == [job.n_slots for job in jobs]
+
     def test_resolve_workers_refuses_what_is_not_a_positive_integer(self):
         for workers in (0, -3, 1.5, "2", True):
             with pytest.raises(ValueError, match="worker count"):
@@ -67,11 +78,31 @@ class TestLinkFarm:
         assert resolve_workers(3) == 3
         assert resolve_workers(None) >= 1
 
-    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
-    def test_every_bad_worker_count_is_refused_at_construction(self, workers):
+    def test_fleet_invariant_under_worker_count(self):
+        jobs = link_jobs(2, 450_000, rng=DeterministicRNG(11))
+        runs_one = LinkFarm(workers=1).run(jobs)
+        runs_two = LinkFarm(workers=2).run(jobs)
+        for one, two in zip(runs_one, runs_two):
+            assert one.name == two.name
+            assert one.report.sifted_bits == two.report.sifted_bits
+            assert one.report.distilled_bits == two.report.distilled_bits
+            assert [str(b.bits) for b in one.alice_pool.blocks] == [
+                str(b.bits) for b in two.alice_pool.blocks
+            ]
+
+    def test_bad_worker_count_is_refused_at_construction(self):
         """At construction, not from inside the first ``run``."""
         with pytest.raises(ValueError, match="worker count"):
+            LinkFarm(workers=0)
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
+    def test_every_bad_worker_count_is_refused_at_construction(self, workers):
+        with pytest.raises(ValueError, match="worker count"):
             LinkFarm(workers=workers)
+
+    def test_none_means_one_worker_per_cpu(self):
+        assert resolve_workers(None) == max(os.cpu_count() or 1, 1)
+        assert LinkFarm().workers is None
 
     def test_more_workers_than_jobs_runs_each_job_once(self):
         jobs = link_jobs(2, 20_000, rng=DeterministicRNG(13))

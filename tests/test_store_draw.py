@@ -1,22 +1,122 @@
-"""How key leaves a store: one :class:`~repro.kms.store.KeyStore` driven
-through a fixed script.
+"""How key leaves a store: the pool draw and the store's reservation script.
 
-The script runs deposits, reservations, consumption with its pool draws,
-whole-reservation draws, releases, expiry, draws that would invade a
-reservation and a negotiation that fails, under explicit timestamps.  Every
-step's error type, levels, level-change notifications and depletion rate,
-the final statistics and the digest of every drawn bit are pinned as
-literals, so a change to how a grant is kept or a draw is counted shows here
-first.
+(a) ``KeyPool.draw_bits`` against ``tests/oracles/gathering_keypool.py``
+(the block-gathering body it replaced): over random block layouts — 1-bit
+and non-byte-aligned blocks, empty ones — random head offsets, and draws of
+nothing, inside the head block, exactly to its end, across blocks and past
+the level, both leave the same bits, blocks, head offset and counters.  A
+256-bit key from a 2 048-bit block never reaches the gathering code.
+
+(b) One :class:`~repro.kms.store.KeyStore` driven through a fixed script —
+deposits, reservations, consumption with its pool draws, whole-reservation
+draws, releases, expiry, draws that would invade a reservation, a
+negotiation that fails — under explicit timestamps.  Every step's error
+type, levels, level-change notifications and depletion rate, the final
+statistics and the digest of every drawn bit are pinned as literals, so a
+change to how a grant is kept or a draw is counted shows here first.
 """
 
 import dataclasses
 import hashlib
 
-from repro.core.keypool import KeyPoolExhaustedError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.keypool import KeyBlock, KeyPool, KeyPoolExhaustedError
 from repro.kms import KeyStore, ReservationError
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
+from tests.oracles.gathering_keypool import gathering_draw_bits
+
+
+# --------------------------------------------------------------------- #
+# (a) KeyPool.draw_bits against the gathering oracle
+# --------------------------------------------------------------------- #
+
+BLOCK_LENGTHS = st.one_of(st.integers(0, 40), st.sampled_from([1, 7, 9, 63, 255, 2048]))
+DRAW_KINDS = ["zero", "inside", "to_end", "spanning", "any", "too_many"]
+
+
+def pool_state(pool):
+    return (
+        [(block.block_id, block.bits) for block in pool.blocks],
+        pool._head_offset,
+        pool.bits_consumed,
+        pool.available_bits,
+    )
+
+
+def draw_size(pool, kind, fraction):
+    """A draw of the named kind against the pool's current layout."""
+    level = pool.available_bits
+    left_in_head = len(pool.blocks[0]) - pool._head_offset if pool.blocks else 0
+    if kind == "zero":
+        return 0
+    if kind == "inside" and left_in_head > 1:
+        return 1 + int(fraction * (left_in_head - 2))
+    if kind == "to_end":
+        return left_in_head
+    if kind == "spanning" and level > left_in_head:
+        return left_in_head + 1 + int(fraction * (level - left_in_head - 1))
+    if kind == "too_many":
+        return level + 1 + int(fraction * 8)
+    return int(fraction * level)
+
+
+@given(
+    lengths=st.lists(BLOCK_LENGTHS, max_size=8),
+    offset_fraction=st.floats(0.0, 1.0),
+    draws=st.lists(st.tuples(st.sampled_from(DRAW_KINDS), st.floats(0.0, 1.0)), max_size=12),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=300, deadline=None)
+def test_draw_bits_is_the_gathering_oracle(lengths, offset_fraction, draws, seed):
+    rng = DeterministicRNG(seed)
+    bits = [BitString.random(n, rng) for n in lengths]
+    offset = int(offset_fraction * (lengths[0] - 1)) if lengths and lengths[0] else 0
+
+    def build():
+        blocks = [KeyBlock(b.copy(), i) for i, b in enumerate(bits)]
+        return KeyPool(name="pool", blocks=blocks, _head_offset=offset)
+
+    shipped, oracle = build(), build()
+    assert pool_state(shipped) == pool_state(oracle)
+    for kind, fraction in draws:
+        count = draw_size(oracle, kind, fraction)
+        try:
+            expected = gathering_draw_bits(oracle, count)
+        except KeyPoolExhaustedError:
+            with pytest.raises(KeyPoolExhaustedError):
+                shipped.draw_bits(count)
+        else:
+            drawn = shipped.draw_bits(count)
+            assert drawn == expected and len(drawn) == count
+        assert pool_state(shipped) == pool_state(oracle)
+
+
+def test_a_key_inside_the_head_block_is_one_slice(monkeypatch):
+    """256-bit keys from a 2 048-bit block, through a store: no piece is
+    gathered, concatenated or measured with ``len(block)`` — down to the
+    draw that empties the block."""
+    store = KeyStore(("alice", "bob"))
+    store.deposit(BitString.random(2048, DeterministicRNG(3)))
+    deposited = store.local_pool.blocks[0].bits
+
+    def gathering(*args):
+        raise AssertionError("a head-block draw took the gathering path")
+
+    monkeypatch.setattr(BitString, "concat", gathering)
+    monkeypatch.setattr(KeyBlock, "__len__", gathering)
+    for i in range(8):
+        key = store.draw(store.reserve(256), now=float(i))
+        assert key == deposited[256 * i : 256 * (i + 1)]
+    assert store.local_pool.blocks == store.remote_pool.blocks == []
+    assert store.available_bits == 0
+
+
+# --------------------------------------------------------------------- #
+# (b) A pinned store script
+# --------------------------------------------------------------------- #
 
 
 class Script:
