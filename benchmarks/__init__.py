@@ -5,8 +5,8 @@ E21 ("photon to served key") and its in-tree baseline are described in
 
 Every other experiment is a tier-1 test.  The paper's quantitative claims
 are rows of ``tests/test_paper_claims.py``; the service soaks are rows of
-``tests/test_soak_claims.py`` run over seeds, plus the whole-stack fault
-swarm in ``tests/test_swarm.py``.  Each retired bench file maps to the rows
+``tests/test_soak_claims.py`` run over seeds, plus the whole-stack state
+machine in ``tests/test_stack_machine.py``.  Each retired bench file maps to the rows
 named by its experiment:
 
 * ``bench_e1_qber_operating_point.py``   -> the ``E1:`` rows
@@ -24,7 +24,7 @@ named by its experiment:
 * ``bench_a1_cascade_ablation.py``       -> ``A1:``
 * ``bench_a2_entangled_link.py``         -> ``A2:``
 * ``bench_e15_kms_soak.py``              -> ``E15:`` (``tests/test_soak_claims.py``)
-* ``bench_e18_chaos_soak.py``            -> ``E18:`` and the swarm's network phase
+* ``bench_e18_chaos_soak.py``            -> ``E18:`` and the state machine's fleet bursts
 * ``bench_e19_dtn_soak.py``              -> ``E19:``
 * ``bench_e20_metro_soak.py``            -> ``E20:``
 

@@ -19,8 +19,6 @@ received multi-photon pulses).
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.eve.base import QuantumChannelAttack
@@ -36,7 +34,6 @@ class BeamSplittingAttack(QuantumChannelAttack):
         #: channel for the pulses she tapped (the stronger PNS variant, which
         #: keeps Bob's rate unchanged so even rate monitoring sees nothing).
         self.lossless_forwarding = lossless_forwarding
-        self.last_record: Dict[str, object] = {}
 
     def intercept(self, emission, transmittance, rng):
         photons = emission["photons"]
@@ -61,7 +58,6 @@ class BeamSplittingAttack(QuantumChannelAttack):
             "slots_tapped": int(np.count_nonzero(multi_photon)),
             "lossless_forwarding": self.lossless_forwarding,
         }
-        self.last_record = record
         return {
             "photons_at_receiver": photons_at_receiver,
             "phase_at_receiver": emission["phase"],

@@ -25,7 +25,7 @@ Consequences, which the protocol stack observes:
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class InterceptResendAttack(QuantumChannelAttack):
         #: means "resend exactly one photon per intercepted non-empty pulse",
         #: the least detectable choice.
         self.resend_mean_photons = resend_mean_photons
-        self.last_record: Dict[str, object] = {}
 
     def intercept(self, emission, transmittance, rng):
         photons = emission["photons"]
@@ -92,7 +91,6 @@ class InterceptResendAttack(QuantumChannelAttack):
             "eve_basis": eve_basis,
             "eve_value": eve_value,
         }
-        self.last_record = record
         return {
             "photons_at_receiver": photons_at_receiver,
             "phase_at_receiver": phase_at_receiver,

@@ -15,9 +15,9 @@ byte-for-byte from its seed.
   (connect refusals/delays, per-frame drops, truncation, reply delay),
   :func:`stall_hook` into the server's ``request_hook`` (in-server stalls).
 
-The whole-stack swarm (``tests/test_swarm.py``) and the scripted chaos soak
-(``tests/test_faults.py``) drive the stack through them on the virtual-time
-loop of ``tests/virtual_loop.py``.
+The stack state machine (``tests/test_stack_machine.py``), its chaos soak
+among its fixed step lists, drives the stack through them on the
+virtual-time loop of ``tests/virtual_loop.py``.
 """
 
 from tests.faults.net import FaultyConnector, FaultyProtocol, FaultyTransport, stall_hook

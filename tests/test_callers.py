@@ -398,7 +398,8 @@ _SEAM = "test seam: "
 _MODEL = "paper-model parameter: "
 _PINNED = "pinned: "
 _CLAIM = "paper-claim row in tests/test_paper_claims.py: "
-_SOAK = "soak row in tests/test_soak_claims.py or the swarm in tests/test_swarm.py: "
+_SOAK = ("soak row in tests/test_soak_claims.py or the stack machine in "
+         "tests/test_stack_machine.py: ")
 #: Reasons that name a test setting the option, so some file under tests/ must.
 _TEST_REASONS = (_SEAM, _PINNED, _CLAIM, _SOAK)
 
@@ -410,7 +411,7 @@ ALLOWED_OPTIONS = {
     "comes up",
     "QKDSystem.metro(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
     "build_metro_mesh(relays_per_zone=)": _DEPLOYMENT + "trusted relays placed per zone",
-    "QKDSystem.metro(n_zones=)": _SOAK + "the swarm's 2-zone metro (and the 2- and 3-zone "
+    "QKDSystem.metro(n_zones=)": _SOAK + "its 2-zone metro (and the 2- and 3-zone "
     "metros of tests/test_zones.py)",
     "build_metro_mesh(n_zones=)": _DEPLOYMENT + "zones the metro is split into; "
     "tests/test_zones.py builds 2- and 3-zone metros",
@@ -460,9 +461,9 @@ ALLOWED_OPTIONS = {
     "KmsConfig.store_capacity_bits": _DEPLOYMENT + "key store capacity",
     "KmsConfig.max_key_age_seconds": _DEPLOYMENT + "the age limit of stored key",
     "KmsConfig.trunk_capacity_bits": _DEPLOYMENT + "trunk store capacity",
-    "KmsConfig.custody_policy": _SOAK + "E19 runs both forwarding policies, the swarm "
+    "KmsConfig.custody_policy": _SOAK + "E19 runs both forwarding policies, the machine "
     "draws either",
-    "KmsConfig.custody": _SOAK + "the E19 rows and the swarm turn custody on",
+    "KmsConfig.custody": _SOAK + "the E19 rows and the machine turn custody on",
     "KmsConfig.custody_ttl_seconds": _SOAK + "E19 parks bundles for 4000 s (and the "
     "custody soak pins in tests/test_kms.py expire them at 300 s)",
     "KmsConfig.custody_capacity_bits": _PINNED + "the capacity-2048 custody soak in "
@@ -477,7 +478,7 @@ ALLOWED_OPTIONS = {
     "arrival carries",
     "AggregateProfile.storm(max_batch=)": _DEPLOYMENT + "the largest rekey batch one "
     "aggregate arrival carries",
-    "WorkloadProfile.bursty(mean_interval_seconds=)": _SOAK + "the swarm's bursty demand "
+    "WorkloadProfile.bursty(mean_interval_seconds=)": _SOAK + "the machine's bursty demand "
     "arrives every 600 s",
     "LinkParameters.engine": _DEPLOYMENT + "the link's distillation engine: defense, "
     "confidence, block size and abort threshold",

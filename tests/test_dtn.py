@@ -260,6 +260,24 @@ class TestCustodyTransport:
         assert all(len(store) == 0 for store in intermittent.stores.values())
         assert intermittent.metrics.terminal_total == 3
 
+    def test_a_hop_short_of_pad_keeps_the_copy_until_pad_is_banked(self):
+        """A hop whose pad cannot cover the bundle moves nothing, spends
+        nothing and counts a shortage; the copy moves on at a later tick,
+        once the link has distilled pad again."""
+        relays = line_relays()
+        relays.cross_hop("r1", "b", bytes(relays.pairwise_key_available_bits("r1", "b") // 8))
+        transport = CustodyTransport(relays, rng=DeterministicRNG(3), ttl_seconds=100.0)
+        bundle = transport.submit("a", "b", 256, now=0.0)
+        assert transport.locations(bundle) == ["r1"] and bundle.hops == 1
+        shortages, spent = transport.metrics.pad_shortages, relays.pairwise_pads.bits_spent
+        assert transport.move_copy(bundle, "r1", "b", now=1.0) is False
+        assert transport.metrics.pad_shortages == shortages + 1
+        assert relays.pairwise_pads.bits_spent == spent and transport.locations(bundle) == ["r1"]
+        relays.run_links_for(60.0)
+        transport.tick(2.0)
+        assert bundle.state == DELIVERED and bundle.hops == 2
+        assert transport.drained and transport.conservation_fault() is None
+
     def test_scheduled_and_epidemic_deliver_the_same_digest(self):
         results = {}
         for policy in ("scheduled", "epidemic"):

@@ -1,18 +1,15 @@
 """Tests for the deterministic fault plane and the disruption-tolerant
-netkms stack (tests/faults + netkms leases/retry/drain).
+netkms stack (tests/faults + the netkms client's retry and reconnect).
 
-The centrepiece is the pinned chaos soak, the swarm's scripted regression
-(``tests/test_swarm.py`` draws such schedules at random): a fault schedule
-that guarantees at least one connection drop mid-CONSUME, one server stall
-past the client's request timeout, and one lease-expiry reap — and the
-contract that survives it is the strong one: every requested key is served
-exactly once, no two keys overlap, the order-independent served digest
-equals the fault-free run's, and every reaped bit reconciles with the
-store's own released-bits ledger (no reservation leak).
+The plane's decisions replay from their seed and index, a scripted action
+beats the stochastic draw, a reply cut fails the request at once, a
+resilient client is replayed its key on a new connection, and backoff
+jitter only shortens the delay.  The pinned chaos soak, which drives all of
+it through the key service's front end, is a fixed step list of the stack
+state machine in ``tests/test_stack_machine.py``.
 """
 
 import asyncio
-import hashlib
 import struct
 
 import pytest
@@ -25,22 +22,18 @@ from tests.faults import (
     SITE_CLIENT_TX,
     SITE_CONNECT,
     SITE_SERVER_REQUEST,
-    STALL,
     TRUNCATE,
     FaultAction,
     FaultPlane,
     FaultyConnector,
-    stall_hook,
 )
 from repro.kms.store import KeyStore
-from repro.netkms import protocol
 from repro.netkms.client import NetworkKmsClient
 from repro.netkms import resilient
 from repro.netkms.resilient import ResilientKmsClient
-from repro.netkms.server import LEASE_SECONDS, NetworkKmsServer
+from repro.netkms.server import NetworkKmsServer
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
-from tests.oracles.full_scan_reaper import reap_at
 from tests.virtual_loop import run_virtual
 
 PAIR = ("alice", "bob")
@@ -73,14 +66,6 @@ class ScriptedPlane(FaultPlane):
     def _draw(self, site, stream):
         drawn = super()._draw(site, stream)
         return self.script.get((site, self.stats.ops_by_site[site] - 1), drawn)
-
-
-def chunk_digest(chunks):
-    """The same order-independent digest the server metrics compute."""
-    rollup = hashlib.sha256()
-    for digest in sorted(hashlib.sha256(c).digest() for c in chunks):
-        rollup.update(digest)
-    return rollup.hexdigest()
 
 
 # --------------------------------------------------------------------------- #
@@ -239,131 +224,3 @@ class TestBackoff:
         second = [resilient.backoff(a, DeterministicRNG(9)) for a in range(1, 5)]
         assert first == second
 
-
-# --------------------------------------------------------------------------- #
-# The pinned chaos soak
-# --------------------------------------------------------------------------- #
-
-KEY_BITS = 256
-MAIN_KEYS = 6
-#: Past the client's 1 s request timeout.
-STALL_SECONDS = 1.2
-
-
-def chaos_soak(faulted, runner=run_virtual):
-    """One full soak run; returns everything the assertions need.
-
-    The fault schedule is *scripted*, so each required scenario is pinned:
-
-    * main-client tx op 4 is the CONSUME of its second key — DROP_AFTER
-      cuts the connection with the request already flushed (the server
-      consumes; the reply is lost; the retry must hit the replay cache);
-    * server request op 8 stalls 1.2 s, past the client's 1 s request
-      timeout (the client must time out, reconnect, and retry);
-    * the laggard client's reservation is left un-consumed and reaped as
-      lapsed, by a reap at a time past its lease (reaping must return the
-      bits, and the laggard must recover by re-reserving).
-
-    ``runner`` runs the soak: on the virtual-time loop by default, where
-    every timeout, stall and backoff runs in loop time and costs no wall
-    time, or on asyncio's default loop over TCP (``asyncio.run``), where
-    the stall costs 1.2 s.
-    """
-
-    async def scenario():
-        store = make_store(1 << 15)
-        plane = ScriptedPlane(
-            DeterministicRNG(2026),
-            {
-                (SITE_CLIENT_TX, 4): FaultAction(DROP_AFTER),
-                (SITE_SERVER_REQUEST, 8): FaultAction(STALL, delay_seconds=STALL_SECONDS),
-            },
-        )
-        server = NetworkKmsServer(
-            {PAIR: store}, port=0, request_hook=stall_hook(plane) if faulted else None
-        )
-        await server.start()
-        delivered = []
-        try:
-            laggard = NetworkKmsClient("127.0.0.1", server.port)
-            await laggard.connect()
-            handle = await laggard.reserve(PAIR, KEY_BITS)
-
-            main = ResilientKmsClient(
-                "127.0.0.1",
-                server.port,
-                rng=DeterministicRNG(2026),
-                connector=FaultyConnector(plane) if faulted else None,
-            )
-            for _ in range(MAIN_KEYS):
-                key = await main.get_key(PAIR, KEY_BITS)
-                delivered.append(key.key_bytes)
-            await main.close()
-
-            # The laggard outlives its lease; reaping takes the bits back.
-            reap_at(server, asyncio.get_running_loop().time() + LEASE_SECONDS + 1.0)
-            with pytest.raises(protocol.ServerError) as excinfo:
-                await laggard.consume(handle)
-            assert excinfo.value.code == protocol.ERR_UNKNOWN_RESERVATION
-            recovered = await laggard.get_key(PAIR, KEY_BITS)
-            delivered.append(recovered.key_bytes)
-            await laggard.close()
-            return delivered, store, server.metrics, main.stats
-        finally:
-            await server.stop()
-
-    return runner(scenario())
-
-
-class TestChaosSoak:
-    def test_exactly_once_with_digest_equal_to_fault_free_run(self):
-        faulted_keys, faulted_store, metrics, stats = chaos_soak(faulted=True)
-        clean_keys, clean_store, clean_metrics, _ = chaos_soak(faulted=False)
-
-        # Every requested key arrived, exactly once, in both runs.
-        assert len(faulted_keys) == len(clean_keys) == MAIN_KEYS + 1
-        counters = [
-            word
-            for chunk in faulted_keys
-            for (word,) in struct.iter_unpack(">Q", chunk)
-        ]
-        assert len(counters) == len(set(counters)), "overlapping key material"
-
-        # Faults may change timing, never key material: the client-side and
-        # server-side digests match the fault-free run.
-        assert chunk_digest(faulted_keys) == chunk_digest(clean_keys)
-        assert metrics.served_digest() == clean_metrics.served_digest()
-
-        # The pinned scenarios actually happened.
-        assert metrics.consume_replays >= 1, "no drop-mid-consume was absorbed"
-        assert stats.timeouts >= 1, "no stall outlived the client timeout"
-        assert stats.reconnects >= 1
-        assert metrics.reaped_by_reason.get("lease-expired", 0) >= 1
-
-        # No reservation leak, faulted or not: reaped bits reconcile with
-        # the stores' own released-bits ledger, and nothing stays reserved.
-        for store, report in (
-            (faulted_store, metrics),
-            (clean_store, clean_metrics),
-        ):
-            assert report.reaped_bits == store.statistics.bits_released
-            assert store.reserved_bits == 0
-
-    def test_recoveries_are_counted_and_timed(self):
-        _, _, _, stats = chaos_soak(faulted=True)
-        assert stats.retries >= 1
-        assert stats.recovery_seconds.count, "recoveries must be measured"
-        assert stats.recovery_seconds.low >= 0
-
-    def test_the_virtual_loop_replays_the_soak_and_tcp_serves_the_same_key(self):
-        """Two runs on the virtual loop agree on everything the retry loop
-        recorded, recovery times included, and serve what the same soak
-        serves over TCP on asyncio's default loop in wall time."""
-        _, _, first_metrics, first_stats = chaos_soak(faulted=True)
-        _, _, second_metrics, second_stats = chaos_soak(faulted=True)
-        tcp_keys, _, tcp_metrics, _ = chaos_soak(faulted=True, runner=asyncio.run)
-        assert first_stats == second_stats
-        assert first_stats.recovery_seconds.count
-        assert first_metrics.served_digest() == second_metrics.served_digest()
-        assert first_metrics.served_digest() == tcp_metrics.served_digest()
-        assert len(tcp_keys) == MAIN_KEYS + 1

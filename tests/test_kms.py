@@ -1104,6 +1104,24 @@ class TestKmsCustody:
             else:
                 assert report.custody_delivered > 0 and ticks[-1] == 0
 
+    def test_a_contact_opening_between_epochs_banks_parked_key_at_once(self):
+        """The access link's contact plan reopens at 1 500 s, between epochs:
+        its custody tick banks every parked bundle then, not at 1 560 s."""
+        from repro.dtn import ContactSchedule, ContactWindow
+
+        service = custody_service(restore_at=1500.0)
+        plan = ContactSchedule()
+        windows = [ContactWindow(0.0, 100.0), ContactWindow(1500.0, np.inf)]
+        plan.set_windows("endpoint-1", "relay-1", windows)
+        service.custody.selector.schedule = plan
+        store = service.stores[("endpoint-0", "endpoint-1")]
+        banked_at, deposit = [], store.deposit
+        store.deposit = lambda key, now: banked_at.append(now) or deposit(key, now)
+        report = service.serve(hours=1.0)
+        assert report.custody_delivered == report.custody_submitted == 6
+        assert banked_at.count(1500.0) == 6
+        assert all(at % 120.0 == 0 for at in banked_at if at != 1500.0)
+
     def test_ttl_expiry_is_terminal_and_counted(self):
         # the partition never heals and the TTL is shorter than the outage:
         # parked bundles must expire (terminal), never silently leak

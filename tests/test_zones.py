@@ -446,11 +446,13 @@ class TestZonedService:
         )
 
     def test_large_pair_index_addressing_is_parseable(self):
-        alice, bob, src, dst = KeyManagementService._pair_addressing(3)
-        assert (alice, src) == ("10.3.0.1", "10.3.1.0/24")
-        alice, bob, src, dst = KeyManagementService._pair_addressing(300)
-        assert alice.startswith("100.")
+        """Pairs 0-255 keep ``10.<index>``; from 256 on, CGNAT space."""
         import ipaddress
 
-        assert ipaddress.ip_network(src) != ipaddress.ip_network(dst)
-        assert ipaddress.ip_address(alice) != ipaddress.ip_address(bob)
+        for index in (3, 255, 256, 300):
+            alice, bob, src, dst = KeyManagementService._pair_addressing(index)
+            assert alice.startswith("10." if index < 256 else "100."), index
+            if index < 256:
+                assert (alice, src) == (f"10.{index}.0.1", f"10.{index}.1.0/24")
+            assert ipaddress.ip_address(alice) != ipaddress.ip_address(bob)
+            assert ipaddress.ip_network(src) != ipaddress.ip_network(dst)

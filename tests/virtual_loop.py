@@ -186,12 +186,17 @@ def run_virtual(main):
     try:
         return loop.run_until_complete(main)
     finally:
-        try:
-            tasks = asyncio.all_tasks(loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
-            loop.run_until_complete(loop.shutdown_asyncgens())
-        finally:
-            loop.close()
+        close_loop(loop)
+
+
+def close_loop(loop):
+    """Cancel the tasks left on ``loop`` and close it, as ``asyncio.run`` does."""
+    try:
+        tasks = asyncio.all_tasks(loop)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            loop.run_until_complete(asyncio.gather(*tasks, return_exceptions=True))
+        loop.run_until_complete(loop.shutdown_asyncgens())
+    finally:
+        loop.close()
