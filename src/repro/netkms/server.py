@@ -23,11 +23,10 @@ the reply before it returns, so a connection's requests are answered in
 arrival order (clients may pipeline — replies echo the request id).  The
 handlers are plain functions over synchronous store operations, so nothing
 can run between a request's lookup and its draw: the atomicity that the
-no-overlap guarantee needs is structural, not a lock.  A connection stops
-reading while its transport's write buffer is past the high-water mark
-(``pause_writing`` / ``resume_writing``) and while a request awaits
-``request_hook``, which runs in one task for that request; the frames
-buffered behind it are answered afterwards, in order.
+no-overlap guarantee needs is structural, not a lock.  Only a slow reader
+holds frames back: while the transport's write buffer is past its
+high-water mark (``pause_writing``) the connection stops reading, and
+``resume_writing`` answers the frames buffered meanwhile, in order.
 
 Leases, reaping and the drain
 -----------------------------
@@ -49,11 +48,13 @@ another's key by mistake or by counting ids, not one that forges another's
 
 ``stop()`` is itself what signals the drain: it answers every connection
 parked between requests with ``SHUTTING_DOWN`` (request id 0) and closes
-it.  A request in its hook finishes and is answered, one pipelined behind
-it is refused under its own id, and every reservation still held at the
-end is reaped as its connection closes.  Malformed frames are answered
-with a typed ERROR; the fatal codes
-(:data:`~repro.netkms.protocol.FATAL_ERRORS`) also close the connection.
+it.  A slow reader is left to read: the replies already written reach it,
+then the first request still buffered is refused under its own id, or,
+with none, the same farewell follows; ``drain_timeout`` aborts a reader
+that never reads.  Every reservation still held at the end is reaped as
+its connection closes.  Malformed frames are answered with a typed ERROR;
+the fatal codes (:data:`~repro.netkms.protocol.FATAL_ERRORS`) also close
+the connection.
 docs/API.md "Failure semantics" has the full contract.
 """
 
@@ -65,7 +66,7 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Awaitable, Callable, Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.kms.store import ConservationError, KeyReservation, KeyStore
 from repro.kms.store import KeyStoreExhaustedError, ReservationError
@@ -112,7 +113,7 @@ class HeldReservation:
     #: Connection that created it; its close reaps the reservation, and only
     #: a connection under its HELLO ``client_id`` may consume or release it
     #: (a client that reconnects retries on a new connection, possibly
-    #: while the old one is still open or stalled in its hook).
+    #: while the old one is still open).
     owner: int
     #: Loop-clock deadline after which reaping returns the bits.
     expires_at: float
@@ -140,9 +141,7 @@ class NetworkKmsServer:
         ...                           # clients connect / request
         await server.stop()           # graceful drain (see ``stop``)
 
-    or as an async context manager.  ``request_hook`` is an awaited seam
-    before every dispatch — the tests' fault plane plugs its stall injector
-    in there.
+    or as an async context manager.
     """
 
     #: The name WELCOME announces to every client.
@@ -155,7 +154,6 @@ class NetworkKmsServer:
         port: int = 0,
         max_reserve_bits: int = MAX_RESERVE_BITS,
         replay_retention_seconds: Optional[float] = None,
-        request_hook: Optional[Callable[[Message], Awaitable[None]]] = None,
     ):
         self.stores: Dict[Pair, KeyStore] = {
             (str(a), str(b)): store for (a, b), store in stores.items()
@@ -178,7 +176,6 @@ class NetworkKmsServer:
             raise ValueError(
                 f"replay_retention_seconds must be finite and positive, got {retention}"
             )
-        self.request_hook = request_hook
         self.metrics = NetKmsMetrics()
         #: The one clock of leases, the replay window and store timestamps:
         #: ``start()`` binds the loop's; until then, the default loop's.
@@ -238,9 +235,8 @@ class NetworkKmsServer:
         self._draining = True
         for conn in list(self._connections.values()):
             conn.dismiss_if_idle()
-        self._server.close()
-        await self._server.wait_closed()
-        self._server = None
+        listener, self._server = self._server, None
+        listener.close()
         if self._connections:
             self._all_closed = asyncio.get_running_loop().create_future()
             _done, late = await asyncio.wait({self._all_closed}, timeout=drain_timeout)
@@ -249,6 +245,9 @@ class NetworkKmsServer:
                     conn.abort()
                 await self._all_closed
             self._all_closed = None
+        # Since Python 3.12.1 this also waits for every connection to go,
+        # so it comes after the drain, not before its timeout.
+        await listener.wait_closed()
         self._served.clear()
         fault = self.conservation_fault()
         if fault is None and self._held:
@@ -326,12 +325,11 @@ class NetworkKmsServer:
     # Dispatch
     # ------------------------------------------------------------------ #
 
-    def _route(self, message: Message):
-        """The handler for ``message``, or the typed refusal; a routed
-        request is counted."""
+    def _dispatch(self, message: Message, conn_id: int) -> Message:
+        """The reply to ``message``, or the typed refusal; a request that
+        reaches its handler is counted and sees lapsed leases reaped."""
         if self._draining:
-            # A request that arrives once draining has begun is "new" by
-            # definition — one in its hook is already past this gate.
+            # A request not answered before draining began is "new".
             raise ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining")
         handler = _HANDLERS.get(message.KIND)
         if handler is None:
@@ -340,11 +338,7 @@ class NetworkKmsServer:
                 f"{type(message).__name__} is not a client request",
             )
         self.metrics.note_request(type(message).__name__)
-        return handler
-
-    def _dispatch(self, message: Message, conn_id: int) -> Message:
-        handler = self._route(message)
-        self.reap_expired()  # every request sees lapsed leases reaped
+        self.reap_expired()
         return handler(self, message, conn_id)
 
     # ------------------------------------------------------------------ #
@@ -524,15 +518,12 @@ class _Connection(asyncio.Protocol):
         self.transport: Optional[asyncio.Transport] = None
         self.version: Optional[int] = None  # until HELLO is answered
         self.client_id: Optional[str] = None  # as HELLO named the client
-        #: ``busy``: a request awaits ``request_hook`` (in ``hook_task``);
-        #: ``write_paused``: the write buffer is past its high-water mark.
-        #: Either holds the frames buffered behind.
-        self.busy = self.write_paused = False
-        self.hook_task: Optional[asyncio.Task] = None
-        #: The peer half-closed; this end asked to close; the transport is
-        #: gone (torn down once ``busy`` clears, so a request in its hook is
-        #: answered before the disconnect reap).
-        self.eof = self.closing = self.lost = False
+        #: The write buffer is past its high-water mark: the frames
+        #: buffered behind wait for ``resume_writing``.
+        self.write_paused = False
+        #: The peer half-closed; this end asked to close (or the transport
+        #: is gone).
+        self.eof = self.closing = False
 
     def connection_made(self, transport) -> None:
         self.transport = transport
@@ -545,8 +536,8 @@ class _Connection(asyncio.Protocol):
 
     def eof_received(self) -> bool:
         self.eof = True
-        # Keep the socket half-open while a request still owes its reply.
-        return self.busy or self.write_paused
+        # Keep the socket half-open while buffered requests owe replies.
+        return self.write_paused
 
     def pause_writing(self) -> None:
         self.write_paused = True
@@ -554,19 +545,18 @@ class _Connection(asyncio.Protocol):
 
     def resume_writing(self) -> None:
         self.write_paused = False
-        if not self.busy:
-            self.transport.resume_reading()
-            self._answer_buffered()
+        self.transport.resume_reading()
+        self._answer_buffered()
 
     def connection_lost(self, exc) -> None:
-        self.lost = self.closing = True
-        if not self.busy:
-            self._finish()
+        self.closing = True
+        self._finish()
 
     def _answer_buffered(self) -> None:
-        """Answer every whole frame buffered, in order, until one must wait."""
+        """Answer every whole frame buffered, in order, until the write
+        buffer fills."""
         server = self.server
-        while not (self.busy or self.write_paused or self.closing):
+        while not (self.write_paused or self.closing):
             try:
                 body = self.frames.next_frame()
             except ProtocolError as exc:
@@ -585,11 +575,7 @@ class _Connection(asyncio.Protocol):
                 continue
             try:
                 message = protocol.decode_body(body, expected_version=version)
-                if server.request_hook is None:
-                    reply = server._dispatch(message, self.conn_id)
-                else:
-                    self._hold(server._route(message), message)
-                    return
+                reply = server._dispatch(message, self.conn_id)
             except ProtocolError as exc:
                 self._refuse(_request_id_of(body), exc)
                 continue
@@ -621,37 +607,6 @@ class _Connection(asyncio.Protocol):
         welcome = Welcome(server_id=server.server_id)
         self.transport.write(protocol.encode_frame(welcome, version))
 
-    def _hold(self, handler, message: Message) -> None:
-        """Stop reading and await the hook for this one request."""
-        self.busy = True
-        self.transport.pause_reading()
-        self.hook_task = asyncio.ensure_future(self._answer_after_hook(handler, message))
-
-    async def _answer_after_hook(self, handler, message: Message) -> None:
-        server = self.server
-        try:
-            await server.request_hook(message)
-            server.reap_expired()
-            reply = handler(server, message, self.conn_id)
-        except ProtocolError as exc:
-            self._refuse(message.request_id, exc)
-        except BaseException:
-            # A hook that failed or was cancelled leaves the request
-            # unanswered: the stream can no longer answer in order.
-            self.closing = True
-            self.transport.abort()
-            raise
-        else:
-            self.transport.write(protocol.encode_frame(reply, self.version))
-        finally:
-            self.busy = False
-            self.hook_task = None
-            if self.lost:
-                self._finish()
-            elif not self.write_paused:
-                self.transport.resume_reading()
-                self._answer_buffered()
-
     def _refuse(self, request_id: int, exc: ProtocolError) -> None:
         """Answer a typed error; a fatal one also closes the connection."""
         self.server._write_error(
@@ -663,7 +618,7 @@ class _Connection(asyncio.Protocol):
     def dismiss_if_idle(self) -> None:
         """Tell a connection parked between requests that the server is
         draining, and close it."""
-        if self.version is None or self.busy or self.write_paused or self.closing:
+        if self.version is None or self.write_paused or self.closing:
             return
         self._refuse(0, ProtocolError(protocol.ERR_SHUTTING_DOWN, "server is draining"))
 
@@ -673,8 +628,6 @@ class _Connection(asyncio.Protocol):
 
     def abort(self) -> None:
         self.closing = True
-        if self.hook_task is not None:
-            self.hook_task.cancel()
         self.transport.abort()
 
     def _finish(self) -> None:

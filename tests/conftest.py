@@ -9,9 +9,9 @@ every time and reads or writes no example database.
 
 This file also arms a per-test watchdog (SIGALRM-based, since the
 environment has no ``pytest-timeout``): an asyncio test that deadlocks —
-a pending future nobody fails, a drain that never completes — raises a
-``Failed`` with a traceback of where it hung instead of stalling CI
-forever.  Override per test with ``@pytest.mark.timeout(seconds)``.
+a pending future nobody fails, a drain that never completes — raises
+:class:`WatchdogExpired` with a traceback of where it hung instead of
+stalling CI forever.  Override per test with ``@pytest.mark.timeout(seconds)``.
 
 Once collection is done, everything it built is frozen out of the cyclic
 garbage collector (see ``pytest_collection_finish``).
@@ -33,6 +33,12 @@ settings.load_profile("deterministic")
 #: Generous default — the slowest legitimate tests (link farms,
 #: Monte-Carlo frames) finish well inside it on a loaded CI worker.
 DEFAULT_TEST_TIMEOUT_SECONDS = 120.0
+
+
+class WatchdogExpired(BaseException):
+    """A test outlived its watchdog.  Neither an ``Exception`` nor pytest's
+    ``Failed``, so ``hypothesis`` does not take it for a failing example to
+    shrink, and rerun into the same hang: it ends the test."""
 
 
 def pytest_configure(config):
@@ -60,8 +66,11 @@ def pytest_runtest_call(item):
 
     SIGALRM interrupts whatever the test is blocked in — including an
     event loop awaiting a future that will never resolve — so a hung
-    asyncio test reports *where* it hung.  Only available on the main
-    thread of Unix; anywhere else the watchdog quietly stands down.
+    asyncio test reports *where* it hung.  The alarm repeats every
+    ``limit`` seconds until the test ends, in case something (an asyncio
+    task's step, say) kept the first one from ending it.  Only available
+    on the main thread of Unix; anywhere else the watchdog quietly stands
+    down.
     """
     marker = item.get_closest_marker("timeout")
     limit = float(marker.args[0]) if marker and marker.args else (
@@ -70,14 +79,11 @@ def pytest_runtest_call(item):
     use_alarm = hasattr(signal, "SIGALRM") and limit > 0
 
     def on_alarm(signum, frame):
-        pytest.fail(
-            f"test exceeded the {limit:.0f}s watchdog (likely a hang)",
-            pytrace=True,
-        )
+        raise WatchdogExpired(f"test exceeded the {limit:.0f}s watchdog (likely a hang)")
 
     if use_alarm:
         previous = signal.signal(signal.SIGALRM, on_alarm)
-        signal.setitimer(signal.ITIMER_REAL, limit)
+        signal.setitimer(signal.ITIMER_REAL, limit, limit)
     try:
         return (yield)
     finally:

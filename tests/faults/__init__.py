@@ -12,15 +12,17 @@ byte-for-byte from its seed.
 * :mod:`tests.faults.net` — application to asyncio transports:
   :class:`FaultyConnector` plugs into the netkms client's ``connector``
   seam, ``(host, port, protocol_factory) -> (transport, protocol)``
-  (connect refusals/delays, per-frame drops, truncation, reply delay),
-  :func:`stall_hook` into the server's ``request_hook`` (in-server stalls).
+  (connect refusals/delays, per-frame drops, truncation and stalls on the
+  way out, drops, truncation and delays on the way back).  A server that
+  stalls is modelled from the client's side: a stalled request frame
+  reaches the server late, as a slow server would answer it late.
 
 The stack state machine (``tests/test_stack_machine.py``), its chaos soak
 among its fixed step lists, drives the stack through them on the
 virtual-time loop of ``tests/virtual_loop.py``.
 """
 
-from tests.faults.net import FaultyConnector, FaultyProtocol, FaultyTransport, stall_hook
+from tests.faults.net import FaultyConnector, FaultyProtocol, FaultyTransport
 from tests.faults.plane import (
     DELAY,
     DROP_AFTER,
@@ -30,7 +32,6 @@ from tests.faults.plane import (
     SITE_CLIENT_TX,
     SITE_CONNECT,
     SITE_KINDS,
-    SITE_SERVER_REQUEST,
     SITES,
     STALL,
     TRUNCATE,
@@ -48,7 +49,6 @@ __all__ = [
     "SITE_CLIENT_TX",
     "SITE_CONNECT",
     "SITE_KINDS",
-    "SITE_SERVER_REQUEST",
     "SITES",
     "STALL",
     "TRUNCATE",
@@ -58,5 +58,4 @@ __all__ = [
     "FaultyConnector",
     "FaultyProtocol",
     "FaultyTransport",
-    "stall_hook",
 ]

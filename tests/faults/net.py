@@ -11,10 +11,10 @@ its site.  Injected failures look like real ones — a refused connect, a
 write raising :class:`ConnectionResetError`, a connection lost mid-reply —
 so the client under test cannot tell chaos from an outage.
 
-:func:`stall_hook` covers the server side: it plugs into
-``NetworkKmsServer(request_hook=...)`` and holds requests at the
-``server/request`` site — long enough past the client's request timeout
-and the retry loop must recover.
+A stall at ``client/tx`` holds a request frame, and every later one, long
+enough past the client's request timeout that the retry loop must recover:
+the server answers it late, as a stalled server would, and the server
+itself has one answer path.
 Injected delays and stalls are ``asyncio.sleep``: time is the running loop's.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
-from typing import Awaitable, Callable, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from tests.faults.plane import (
     DELAY,
@@ -32,7 +32,6 @@ from tests.faults.plane import (
     SITE_CLIENT_RX,
     SITE_CLIENT_TX,
     SITE_CONNECT,
-    SITE_SERVER_REQUEST,
     STALL,
     TRUNCATE,
     FaultPlane,
@@ -47,24 +46,33 @@ _NO_CAP = 0xFFFFFFFF
 
 
 class FaultyTransport:
-    """Wraps the client's transport; each ``write()`` is one frame."""
+    """Wraps the client's transport; each ``write()`` is one frame.
+
+    A stall holds its frame and every later one, in order, and a ``close()``
+    meanwhile lets the held frames out first, as a socket's send queue
+    would; a cut discards them, as a reset would.
+    """
 
     def __init__(self, inner: asyncio.Transport, plane: FaultPlane):
         self._inner = inner
         self._plane = plane
+        #: The frames a stall holds, in order; ``None`` while none is held.
+        self._held: Optional[List[bytes]] = None
+        self._stall: Optional[asyncio.Task] = None
+        self._close_after_stall = False
 
     def write(self, data: bytes) -> None:
         action = self._plane.decide(SITE_CLIENT_TX)
         if action is None:
-            self._inner.write(data)
+            self._send(data)
             return
         if action.kind == DROP_BEFORE:
-            self._inner.abort()
+            self._abort()
             raise ConnectionResetError("injected: connection cut before send")
         if action.kind == TRUNCATE:
             keep = max(1, min(len(data) - 1, int(len(data) * action.keep_fraction)))
-            self._inner.write(data[:keep])
-            self._inner.abort()
+            self._send(data[:keep])
+            self._abort()
             raise ConnectionResetError(
                 f"injected: frame truncated to {keep}/{len(data)} bytes"
             )
@@ -73,13 +81,42 @@ class FaultyTransport:
             # succeeds; the connection dies before any reply.  Whether the
             # server processed the request is exactly the ambiguity the
             # client's idempotent retry must absorb.
-            self._inner.write(data)
-            self._inner.close()
+            self._send(data)
+            self.close()
+            return
+        if action.kind == STALL:
+            if self._held is None:
+                self._held = []
+                self._stall = asyncio.ensure_future(self._release(action.delay_seconds))
+            self._held.append(data)
             return
         raise AssertionError(f"unhandled tx action {action.kind!r}")
 
+    def _send(self, data: bytes) -> None:
+        if self._held is None:
+            self._inner.write(data)
+        else:
+            self._held.append(data)
+
+    async def _release(self, seconds: float) -> None:
+        await asyncio.sleep(seconds)
+        held, self._held = self._held, None
+        for frame in held:
+            self._inner.write(frame)
+        if self._close_after_stall:
+            self._inner.close()
+
+    def _abort(self) -> None:
+        if self._stall is not None:
+            self._stall.cancel()
+        self._held = None
+        self._inner.abort()
+
     def close(self) -> None:
-        self._inner.close()
+        if self._held is None:
+            self._inner.close()
+        else:
+            self._close_after_stall = True
 
 
 class FaultyProtocol(asyncio.Protocol):
@@ -198,15 +235,4 @@ class FaultyConnector:
         return faulty.client_transport, inner
 
 
-def stall_hook(plane: FaultPlane) -> Callable[[object], Awaitable[None]]:
-    """A ``NetworkKmsServer(request_hook=...)`` that stalls per the plane."""
-
-    async def hook(_message) -> None:
-        action = plane.decide(SITE_SERVER_REQUEST)
-        if action is not None and action.kind == STALL:
-            await asyncio.sleep(action.delay_seconds)
-
-    return hook
-
-
-__all__ = ["FaultyConnector", "FaultyProtocol", "FaultyTransport", "stall_hook"]
+__all__ = ["FaultyConnector", "FaultyProtocol", "FaultyTransport"]

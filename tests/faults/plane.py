@@ -39,7 +39,7 @@ TRUNCATE = "truncate"
 DELAY = "delay"
 #: Refuse the connection attempt outright.
 REFUSE = "refuse"
-#: Hold the request inside the server before dispatching it.
+#: Hold the frame, and every later one behind it, before it reaches the wire.
 STALL = "stall"
 
 # Injection sites ------------------------------------------------------- #
@@ -47,24 +47,22 @@ STALL = "stall"
 #: A client transport-open attempt (kinds: refuse, delay).
 SITE_CONNECT = "connect"
 #: A request frame leaving the client (kinds: drop-before, drop-after,
-#: truncate).
+#: truncate, stall).
 SITE_CLIENT_TX = "client/tx"
 #: A reply frame arriving at the client (kinds: drop-before, truncate,
 #: delay).
 SITE_CLIENT_RX = "client/rx"
-#: A decoded request about to be dispatched inside the server (kind:
-#: stall).
-SITE_SERVER_REQUEST = "server/request"
 
-SITES = (SITE_CONNECT, SITE_CLIENT_TX, SITE_CLIENT_RX, SITE_SERVER_REQUEST)
+SITES = (SITE_CONNECT, SITE_CLIENT_TX, SITE_CLIENT_RX)
 
 #: Which kinds may fire at which site, in the fixed order the stochastic
-#: draw evaluates them (order is part of the deterministic contract).
+#: draw evaluates them (order is part of the deterministic contract: a kind
+#: added to a site goes last, so a plane that leaves it at rate 0 draws what
+#: it drew before).
 SITE_KINDS: Dict[str, Tuple[str, ...]] = {
     SITE_CONNECT: (REFUSE, DELAY),
-    SITE_CLIENT_TX: (DROP_BEFORE, DROP_AFTER, TRUNCATE),
+    SITE_CLIENT_TX: (DROP_BEFORE, DROP_AFTER, TRUNCATE, STALL),
     SITE_CLIENT_RX: (DROP_BEFORE, TRUNCATE, DELAY),
-    SITE_SERVER_REQUEST: (STALL,),
 }
 
 
@@ -184,7 +182,6 @@ __all__ = [
     "SITE_CLIENT_TX",
     "SITE_CONNECT",
     "SITE_KINDS",
-    "SITE_SERVER_REQUEST",
     "SITES",
     "STALL",
     "TRUNCATE",

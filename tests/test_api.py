@@ -224,9 +224,12 @@ class TestConfigFirstKms:
         base = KmsConfig()
         plan = ZonePlan(zones={"z00": ("a",)}, gateways={"z00": "a"})
         zoned = base.with_zones(plan)
+        # A trunk store may refill to the level it refills below.
+        level = replace(base, trunk_low_water_bits=base.trunk_high_water_bits).with_zones(plan)
         loaded = base.with_workload(AggregateProfile.poisson(tunnels=10))
         assert base.zones is None and base.custody is False and base.workload is None
         assert zoned.zones is plan and zoned is not base
+        assert level.zones is plan and level.trunk_low_water_bits == level.trunk_high_water_bits
         assert loaded.workload.tunnels == 10
 
     def test_custody_and_zones_compose_on_the_metro_facade(self):

@@ -489,8 +489,6 @@ ALLOWED_OPTIONS = {
     "is checked against stepping over random widths",
     "NetworkKmsServer.stop(drain_timeout=)": _DEPLOYMENT + "how long a stop waits for "
     "requests in flight",
-    "NetworkKmsServer(request_hook=)": _SEAM + "the fault plane's stall injector "
-    "(tests/faults, E18 rows, the swarm) and the gates of tests/test_netkms.py",
     "NetworkKmsServer(replay_retention_seconds=)": _DEPLOYMENT + "how long a served key "
     "stays replayable; it must outlast the longest client retry window",
     "NetworkKmsServer(host=)": _DEPLOYMENT + "the address the KMS front end listens on",

@@ -21,7 +21,7 @@ from tests.faults import (
     SITE_CLIENT_RX,
     SITE_CLIENT_TX,
     SITE_CONNECT,
-    SITE_SERVER_REQUEST,
+    STALL,
     TRUNCATE,
     FaultAction,
     FaultPlane,
@@ -125,7 +125,7 @@ class TestFaultPlane:
         with pytest.raises(ValueError):
             plane.decide("not-a-site")
         with pytest.raises(ValueError):
-            FaultPlane(rates={SITE_SERVER_REQUEST: {REFUSE: 0.5}})
+            FaultPlane(rates={SITE_CLIENT_TX: {REFUSE: 0.5}})
 
 
 # --------------------------------------------------------------------------- #
@@ -199,9 +199,54 @@ class TestFaultyConnector:
 
         key, stats, store, metrics = run_virtual(scenario())
         assert key.key_bytes == counter_material(2048).to_bytes()[:32]
+        # One RESERVE attempt, then the CONSUME's first attempt and its retry.
+        assert (stats.attempts, stats.retries, stats.timeouts) == (3, 1, 0)
         assert (stats.reconnects, stats.reservations_abandoned) == (1, 0)
         assert (metrics.keys_served, metrics.consume_replays) == (1, 1)
         assert store.available_bits == 2048 - 256 and store.reserved_bits == 0
+
+    def test_a_stall_holds_frames_in_order_and_a_close_lets_them_out_first(self):
+        """Client tx op 1 stalls 2 s: it and the request written behind it
+        reach the server only then, in order.  Op 3 stalls too, and the
+        client closes meanwhile: the held RESERVE still reaches the server
+        before the connection's end, which reaps what it granted."""
+        stall = FaultAction(STALL, delay_seconds=2.0)
+        plane = ScriptedPlane(DeterministicRNG(0), {(SITE_CLIENT_TX, 1): stall,
+                                                    (SITE_CLIENT_TX, 3): stall})
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            store = make_store(2048)
+            server = NetworkKmsServer({PAIR: store}, port=0)
+            await server.start()
+            try:
+                client = NetworkKmsClient("127.0.0.1", server.port, connector=FaultyConnector(plane))
+                await client.connect()
+                started = loop.time()
+                both = asyncio.gather(client.status(PAIR), client.get_key(PAIR, bits=64))
+                await asyncio.sleep(1.9)
+                seen_in_the_stall = dict(server.metrics.requests_by_kind)
+                replies = await both
+                took = loop.time() - started
+                reserve = asyncio.ensure_future(client.reserve(PAIR, bits=256))
+                await asyncio.sleep(0)
+                await client.close()
+                closed_after = loop.time() - started - took
+                with pytest.raises(ConnectionError):
+                    await reserve
+                await asyncio.sleep(0)  # the server sees the end of the stream
+                return seen_in_the_stall, replies, took, closed_after, store, server.metrics
+            finally:
+                await server.stop()
+
+        seen, (status, key), took, closed_after, store, metrics = run_virtual(scenario())
+        assert seen == {}
+        assert took == 2.0 and closed_after == 2.0
+        assert status.available_bits == 2048  # answered before the GET_KEY behind it
+        assert key.key_bytes == counter_material(2048).to_bytes()[:8]
+        assert metrics.requests_by_kind == {"Status": 1, "GetKey": 1, "Reserve": 1}
+        assert metrics.reaped_by_reason == {"disconnect": 1}
+        assert store.reserved_bits == 0 and store.available_bits == 2048 - 64
 
 
 # --------------------------------------------------------------------------- #

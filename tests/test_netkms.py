@@ -18,6 +18,7 @@ Four layers of contract:
 import asyncio
 import gc
 import hashlib
+import itertools
 import socket
 import struct
 import tracemalloc
@@ -63,12 +64,16 @@ from repro.netkms.protocol import (
 from repro.netkms.metrics import LatencyHistogram, NetKmsMetrics
 from repro.netkms.server import (
     LEASE_SECONDS,
+    MAX_RESERVE_BITS,
     REPLAY_CACHE_LIMIT,
     NetworkKmsServer,
     ServedReservation,
 )
 from repro.util.bits import BitString
+from repro.util.rng import DeterministicRNG
+from tests.faults import DELAY, SITE_CLIENT_RX, FaultAction, FaultyConnector
 from tests.oracles.full_scan_reaper import full_scan_reap_expired, reap_at
+from tests.test_faults import ScriptedPlane
 from tests.test_netkms_codec import frame_body
 from tests.virtual_loop import run_virtual
 
@@ -139,6 +144,91 @@ async def raw_connection(server, hello=None):
     return reader, writer, welcome.wire_version
 
 
+async def until(condition, seconds=2.0):
+    """Wait until ``condition()`` holds, for at most ``seconds``."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + seconds
+    while not condition():
+        assert loop.time() < deadline, "timed out waiting for the server"
+        await asyncio.sleep(0.001)
+
+
+#: A GET_KEY of the largest size: a 4 KiB reply.
+KEY_BITS = MAX_RESERVE_BITS
+
+
+class SlowReader:
+    """A raw connection that stops reading after its handshake, with both
+    sockets' buffers small, and the server's end of it (``connection``).
+
+    :meth:`ask` sends one request and waits until the server has answered
+    it.  :meth:`pause` has the server answer 4 KiB GET_KEYs until its socket
+    is full, sets the write buffer's high-water mark at what that buffer
+    then holds, and sends one more GET_KEY with the frames ``behind`` in one
+    segment: its reply pauses the server's end, and the frames behind wait
+    there unanswered until the reader reads again (:meth:`resume`).
+    """
+
+    def __init__(self, server, reader, writer, version):
+        self.server, self.reader, self.writer, self.version = server, reader, writer, version
+        self.connection = server._connections[max(server._connections)]
+        self.connection.transport.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+        )
+        writer.transport.pause_reading()
+        self.ids = itertools.count(1)
+        #: The request ids of the GET_KEYs :meth:`pause` had answered.
+        self.keys = []
+
+    @classmethod
+    async def connect(cls, server):
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", server.port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        writer.write(encode_frame(Hello(), protocol.FLOOR_VERSION))
+        version = decode_body(await read_frame(reader), None).wire_version
+        return cls(server, reader, writer, version)
+
+    def _send(self, *messages):
+        for message in messages:
+            message.request_id = next(self.ids)
+        self.writer.write(b"".join(encode_frame(message, self.version) for message in messages))
+
+    def _answered(self):
+        return sum(self.server.metrics.requests_by_kind.values())
+
+    async def ask(self, message):
+        answered = self._answered() + 1
+        self._send(message)
+        await until(lambda: self._answered() == answered)
+
+    async def pause(self, *behind):
+        transport = self.connection.transport
+        while not transport.get_write_buffer_size():
+            assert len(self.keys) < 16, "the server's socket never filled"
+            key = GetKey(pair=PAIR, bits=KEY_BITS)
+            await self.ask(key)
+            self.keys.append(key.request_id)
+        transport.set_write_buffer_limits(high=transport.get_write_buffer_size())
+        key = GetKey(pair=PAIR, bits=KEY_BITS)
+        self._send(key, *behind)
+        self.keys.append(key.request_id)
+        await until(lambda: self.connection.write_paused)
+
+    def resume(self):
+        self.writer.transport.resume_reading()
+
+    async def replies(self, count):
+        bodies = [await asyncio.wait_for(read_frame(self.reader), 2.0) for _ in range(count)]
+        return [decode_body(body, self.version) for body in bodies]
+
+    async def close(self):
+        self.writer.close()
+        await self.writer.wait_closed()
+
+
 # --------------------------------------------------------------------------- #
 # Codec round-trips
 # --------------------------------------------------------------------------- #
@@ -197,6 +287,15 @@ class TestCodecRoundTrips:
     def test_hello_always_encodes_at_the_floor_version(self):
         body = frame_body(Hello(min_version=2, max_version=2), protocol.PROTOCOL_V4)
         assert body[1] == protocol.FLOOR_VERSION
+
+    def test_a_string_past_255_bytes_is_refused_at_encode(self):
+        """The limit is on UTF-8 bytes: 127 two-byte characters and one
+        more ASCII byte travel, 128 two-byte characters do not."""
+        longest = Hello(client_id="é" * 127 + "x")
+        body = frame_body(longest, protocol.FLOOR_VERSION)
+        assert decode_body(body, expected_version=None) == longest
+        with pytest.raises(ValueError, match="255 bytes"):
+            encode_frame(Hello(client_id="é" * 128), protocol.FLOOR_VERSION)
 
 
 class TestMalformedBodies:
@@ -277,14 +376,10 @@ class TestVersionWindow:
     def test_a_v4_round_trip_carries_the_depletion_rate_and_the_lease(self):
         """Client and server agree on v4; STATUS_OK carries the store's
         depletion rate, RESERVE_OK the lease, and a key is one GET_KEY."""
-        seen = []
-
-        async def hook(message):
-            seen.append(type(message).__name__)
 
         async def scenario():
             store = make_store()
-            server = await started_server({PAIR: store}, request_hook=hook)
+            server = await started_server({PAIR: store})
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     key = await client.get_key(PAIR, bits=256)
@@ -304,7 +399,6 @@ class TestVersionWindow:
         assert status.depletion_rate_millibps == rate > 0
         assert handle.lease_ms == 1000 * LEASE_SECONDS
         assert report.requests_by_kind == {"GetKey": 2, "Status": 1, "Reserve": 1, "Release": 1}
-        assert seen == ["GetKey", "GetKey", "Status", "Reserve", "Release"]
         assert report.keys_served == 2 and not report.protocol_errors
 
     #: Every offer inside [1, 6], and two that reach past it.
@@ -488,14 +582,9 @@ class TestHostileFrames:
             assert eof and server_ok
 
     def test_get_key_refusals_are_typed_move_nothing_and_keep_the_connection(self):
-        seen = []
-
-        async def hook(message):
-            seen.append(message)
-
         async def scenario():
             store = make_store(bits=1024)
-            server = await started_server({PAIR: store}, request_hook=hook)
+            server = await started_server({PAIR: store})
             refused = [
                 (PAIR, 0),
                 (PAIR, server.max_reserve_bits + 1),
@@ -528,7 +617,6 @@ class TestHostileFrames:
         assert metrics.reservations_denied == store.statistics.reservations_denied == 1
         assert metrics.reservations_granted == metrics.keys_served == 1
         assert metrics.requests_by_kind == {"GetKey": 5}
-        assert [type(message) for message in seen] == [GetKey] * 5  # the hook sees each once
         assert errors == {protocol.ERR_LIMIT: 2, protocol.ERR_UNKNOWN_PAIR: 1, protocol.ERR_EXHAUSTED: 1}
         assert held == {}
 
@@ -919,6 +1007,19 @@ class TestFacadeAndMetrics:
         )
         assert len(report.served_digest) == 64
 
+    def test_the_report_reads_the_99th_percentile_not_the_slowest_reserve(self):
+        """101 reserves, one of them a second slow: the 99th percentile is
+        the 100th fastest, not the slowest."""
+        metrics = NetKmsMetrics()
+        for _ in range(100):
+            metrics.note_reserve(1e-6, granted=True)
+        metrics.note_reserve(1.0, granted=True)
+        report = metrics.report()
+        error = LatencyHistogram.RELATIVE_ERROR
+        assert report.reserve_latency_p50_seconds == pytest.approx(1e-6, rel=error)
+        assert report.reserve_latency_p99_seconds == pytest.approx(1e-6, rel=error)
+        assert metrics.reserve_latencies.percentile(100) == 1.0
+
     def test_served_digest_is_order_independent(self):
         from repro.netkms.metrics import NetKmsMetrics
 
@@ -991,18 +1092,13 @@ class TestReservationReaping:
         assert metrics.reaped_by_reason == {"lease-expired": 1}
         assert metrics.reaped_bits == store.statistics.bits_released == 1024
 
-    @pytest.mark.parametrize("hooked", [False, True])
-    def test_status_after_a_lapse_reports_the_bits_unreserved(self, hooked):
+    def test_status_after_a_lapse_reports_the_bits_unreserved(self):
         """No sweep runs and nothing calls ``reap_expired``: the STATUS
-        request itself reaps the lapsed lease before it reads the store,
-        also when it is answered after a ``request_hook``."""
-
-        async def hook(_message):
-            await asyncio.sleep(0)
+        request itself reaps the lapsed lease before it reads the store."""
 
         async def scenario():
             store = make_store(bits=4096)
-            server = await started_server({PAIR: store}, request_hook=hook if hooked else None)
+            server = await started_server({PAIR: store})
             try:
                 async with NetworkKmsClient("127.0.0.1", server.port) as client:
                     await client.reserve(PAIR, 1024)
@@ -1017,6 +1113,34 @@ class TestReservationReaping:
         assert (held.reserved_bits, held.unreserved_bits) == (1024, 3072)
         assert (lapsed.reserved_bits, lapsed.unreserved_bits) == (0, 4096)
         assert metrics.reaped_by_reason == {"lease-expired": 1}
+
+    def test_a_status_buffered_behind_a_paused_write_reaps_a_lapse_first(self):
+        """A STATUS that waits behind a slow reader's paused write is
+        answered from ``resume_writing``, and it too reaps the lease that
+        lapsed meanwhile before it reads the store."""
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            server = await started_server({PAIR: make_store(bits=1 << 20)})
+            slow = await SlowReader.connect(server)
+            await slow.ask(Reserve(pair=PAIR, bits=1024))
+            await slow.ask(Status(pair=PAIR))
+            await slow.pause(Status(pair=PAIR))
+            server._now = lambda: loop.time() + LEASE_SECONDS
+            reaped_before = dict(server.metrics.reaped_by_reason)
+            slow.resume()
+            granted, held, *served, lapsed = await slow.replies(2 + len(slow.keys) + 1)
+            reaped = dict(server.metrics.reaped_by_reason)
+            await slow.close()
+            await server.stop()
+            return reaped_before, granted, held, served, lapsed, reaped
+
+        reaped_before, granted, held, served, lapsed, reaped = run(scenario())
+        assert isinstance(granted, ReserveOk) and len(served) >= 2
+        assert (held.reserved_bits, held.unreserved_bits) == (1024, held.available_bits - 1024)
+        assert isinstance(lapsed, StatusOk)
+        assert (lapsed.reserved_bits, lapsed.unreserved_bits) == (0, lapsed.available_bits)
+        assert reaped_before == {} and reaped == {"lease-expired": 1}
 
     @pytest.mark.parametrize("ending", ["close", "stop"])
     def test_a_lapse_found_by_a_closing_connection_or_stop_is_a_lease_reap(self, ending):
@@ -1166,37 +1290,45 @@ class TestReservationOwnership:
 
 
 class TestGracefulDrain:
-    def test_in_flight_request_finishes_then_new_ones_are_rejected(self):
-        entered = asyncio.Event()
-        hold = asyncio.Event()
-
-        async def gate(message):
-            if isinstance(message, Consume):
-                entered.set()
-                await hold.wait()
+    def test_a_slow_readers_replies_are_delivered_then_it_is_dismissed(self):
+        """``stop()`` leaves a reader whose replies still wait to be written:
+        once it reads again they all reach it, and with nothing buffered
+        behind them the farewell and EOF follow when its write buffer
+        drains, well before the drain timeout.  Nobody new can connect
+        meanwhile."""
 
         async def scenario():
-            store = make_store(bits=4096)
-            server = await started_server({PAIR: store}, request_hook=gate)
-            client = NetworkKmsClient("127.0.0.1", server.port)
-            await client.connect()
-            handle = await client.reserve(PAIR, 1024)
-            consume_task = asyncio.ensure_future(client.consume(handle))
-            await entered.wait()
-            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
-            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
-            hold.set()
-            served = await consume_task
-            await stop_task
-            await client.close()
-            # The listener is gone: nobody new can connect.
-            with pytest.raises(ConnectionError):
+            loop = asyncio.get_running_loop()
+            store = make_store(bits=1 << 20)
+            server = await started_server({PAIR: store})
+            slow = await SlowReader.connect(server)
+            await slow.pause()
+            started = loop.time()
+            stop = asyncio.ensure_future(server.stop(drain_timeout=5.0))
+            await asyncio.sleep(0.05)
+            left_to_read = not stop.done() and slow.connection.conn_id in server._connections
+            with pytest.raises(ConnectionError):  # the listener is gone
                 await NetworkKmsClient("127.0.0.1", server.port).connect()
-            return served, store
+            slow.resume()
+            replies = await slow.replies(len(slow.keys) + 1)
+            rest = await asyncio.wait_for(slow.reader.read(), 2.0)
+            await stop
+            waited = loop.time() - started
+            await slow.close()
+            return left_to_read, slow.keys, replies, rest, waited, store, server.metrics
 
-        served, store = run(scenario())
-        assert served.key_bits == 1024
+        left_to_read, keys, (*served, farewell), rest, waited, store, metrics = run(scenario())
+        assert left_to_read
+        assert [(reply.request_id, reply.key_bits) for reply in served] == [
+            (request_id, KEY_BITS) for request_id in keys
+        ]
+        assert isinstance(farewell, Error)
+        assert (farewell.request_id, farewell.code) == (0, protocol.ERR_SHUTTING_DOWN)
+        assert rest == b""
+        assert waited < 2.5  # dismissed once its buffer drained, not at the 5 s timeout
+        assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
         assert store.reserved_bits == 0
+        assert store.available_bits == (1 << 20) - len(keys) * KEY_BITS
 
     def test_request_after_drain_gets_typed_shutting_down_error(self):
         async def scenario():
@@ -1216,45 +1348,36 @@ class TestGracefulDrain:
         assert protocol.ERROR_NAMES[error.code] == "shutting-down"
         assert error.code in protocol.FATAL_ERRORS
 
-    def test_a_request_stalled_past_the_drain_timeout_is_aborted(self):
-        """``stop(drain_timeout=)`` gives up on a request whose hook never
-        returns: the connection is aborted, the hook cancelled, the held
-        reservation returned to its store, and nothing is left to log."""
-        stalled = []
-
-        async def never_returns(message):
-            if isinstance(message, Consume):
-                stalled.append(asyncio.current_task())
-                await asyncio.get_running_loop().create_future()
+    def test_a_reader_that_never_reads_is_aborted_at_the_drain_timeout(self):
+        """``stop(drain_timeout=)`` gives up on a reader that never reads:
+        the connection is aborted, the reservation it held returned to its
+        store, and nothing is left to log."""
 
         async def scenario():
             loop = asyncio.get_running_loop()
             logged = []
             loop.set_exception_handler(lambda _loop, context: logged.append(context))
-            store = make_store(bits=4096)
-            server = await started_server({PAIR: store}, request_hook=never_returns)
-            client = NetworkKmsClient("127.0.0.1", server.port)
-            await client.connect()
-            handle = await client.reserve(PAIR, 1024)
-            consume = asyncio.ensure_future(client.consume(handle))
-            while not stalled:
-                await asyncio.sleep(0)
+            store = make_store(bits=1 << 20)
+            server = await started_server({PAIR: store})
+            slow = await SlowReader.connect(server)
+            await slow.ask(Reserve(pair=PAIR, bits=1024))
+            await slow.pause()
+            held = store.reserved_bits
             started = loop.time()
             await server.stop(drain_timeout=0.5)
             waited = loop.time() - started
-            with pytest.raises(ConnectionError):
-                await consume
-            await client.close()
-            hook_cancelled = stalled.pop().cancelled()
+            await slow.close()
             gc.collect()
-            return waited, hook_cancelled, store, server, logged
+            return held, waited, slow.keys, store, server, logged
 
-        waited, hook_cancelled, store, server, logged = run(scenario())
+        held, waited, keys, store, server, logged = run(scenario())
+        assert held == 1024
         assert 0.5 <= waited < 0.6
-        assert hook_cancelled
-        assert store.reserved_bits == 0 and store.available_bits == 4096
+        assert store.reserved_bits == 0
+        assert store.available_bits == (1 << 20) - len(keys) * KEY_BITS
         assert server.metrics.reaped_by_reason == {"disconnect": 1}
-        assert server.metrics.keys_served == 0
+        assert server.metrics.keys_served == len(keys)
+        assert server.metrics.connections_closed == server.metrics.connections_opened == 1
         assert server.conservation_fault() is None
         assert logged == []
 
@@ -1279,93 +1402,71 @@ class TestGracefulDrain:
         assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
         assert metrics.connections_closed == metrics.connections_opened == 1
 
-    def test_request_pipelined_behind_in_flight_one_is_rejected_under_its_own_id(self):
-        entered = asyncio.Event()
-        hold = asyncio.Event()
-
-        async def gate(message):
-            if isinstance(message, Consume):
-                entered.set()
-                await hold.wait()
+    def test_a_consume_buffered_behind_a_paused_write_is_refused_under_its_own_id(self):
+        """The replies written before the drain reach the slow reader; the
+        CONSUME buffered behind them is refused under its own id and the
+        connection closed, so the STATUS behind it gets nothing and the
+        reservation it named is reaped with the connection."""
 
         async def scenario():
-            store = make_store(bits=4096)
-            server = await started_server({PAIR: store}, request_hook=gate)
-            reader, writer, version = await self._raw_connection(server)
+            store = make_store(bits=1 << 20)
+            server = await started_server({PAIR: store})
+            slow = await SlowReader.connect(server)
+            await slow.ask(Reserve(pair=PAIR, bits=1024))
+            ((_pair, reservation_id),) = server._held
+            consume = Consume(pair=PAIR, reservation_id=reservation_id)
+            await slow.pause(consume, Status(pair=PAIR))
+            stop = asyncio.ensure_future(server.stop(drain_timeout=2.0))
+            await asyncio.sleep(0.05)
+            slow.resume()
+            replies = await slow.replies(1 + len(slow.keys) + 1)
+            rest = await asyncio.wait_for(slow.reader.read(), 2.0)
+            await stop
+            await slow.close()
+            return consume.request_id, slow.keys, replies, rest, store, server.metrics
 
-            async def reply():
-                body = await asyncio.wait_for(read_frame(reader), 2.0)
-                return decode_body(body, expected_version=version)
-
-            writer.write(encode_frame(Reserve(request_id=1, pair=PAIR, bits=1024), version))
-            granted = await reply()
-            held = Consume(request_id=2, pair=PAIR, reservation_id=granted.reservation_id)
-            writer.write(encode_frame(held, version))
-            writer.write(encode_frame(Status(request_id=3, pair=PAIR), version))
-            await writer.drain()
-            await entered.wait()
-            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
-            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
-            hold.set()
-            replies = [await reply(), await reply()]
-            rest = await asyncio.wait_for(reader.read(), 2.0)
-            await stop_task
-            writer.close()
-            await writer.wait_closed()
-            return replies, rest, store, server.metrics
-
-        (served, rejected), rest, store, metrics = run(scenario())
-        assert isinstance(served, ConsumeOk)
-        assert (served.request_id, served.key_bits) == (2, 1024)
-        assert isinstance(rejected, Error)
-        assert (rejected.request_id, rejected.code) == (3, protocol.ERR_SHUTTING_DOWN)
+        consume_id, keys, (granted, *served, refused), rest, store, metrics = run(scenario())
+        assert isinstance(granted, ReserveOk) and granted.request_id == 1
+        assert [(reply.request_id, reply.key_bits) for reply in served] == [
+            (request_id, KEY_BITS) for request_id in keys
+        ]
+        assert isinstance(refused, Error)
+        assert (refused.request_id, refused.code) == (consume_id, protocol.ERR_SHUTTING_DOWN)
         assert rest == b""
         assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
-        assert metrics.requests_by_kind == {"Reserve": 1, "Consume": 1}
-        assert store.reserved_bits == 0 and store.available_bits == 4096 - 1024
+        assert metrics.requests_by_kind == {"Reserve": 1, "GetKey": len(keys)}
+        assert metrics.reaped_by_reason == {"disconnect": 1}
+        assert store.reserved_bits == 0
+        assert store.available_bits == (1 << 20) - len(keys) * KEY_BITS
 
-
-    def test_get_key_pipelined_behind_an_in_flight_get_key_is_rejected_under_its_own_id(self):
-        entered = asyncio.Event()
-        hold = asyncio.Event()
-
-        async def gate(message):
-            entered.set()
-            await hold.wait()
-
+    def test_a_get_key_buffered_behind_a_paused_write_is_refused_under_its_own_id(self):
         async def scenario():
-            store = make_store(bits=4096)
-            server = await started_server({PAIR: store}, request_hook=gate)
-            reader, writer, version = await self._raw_connection(server)
-            assert version == protocol.PROTOCOL_V4
+            store = make_store(bits=1 << 20)
+            server = await started_server({PAIR: store})
+            slow = await SlowReader.connect(server)
+            assert slow.version == protocol.PROTOCOL_V4
+            behind = [GetKey(pair=PAIR, bits=1024), GetKey(pair=PAIR, bits=1024)]
+            await slow.pause(*behind)
+            stop = asyncio.ensure_future(server.stop(drain_timeout=2.0))
+            await asyncio.sleep(0.05)
+            slow.resume()
+            replies = await slow.replies(len(slow.keys) + 1)
+            rest = await asyncio.wait_for(slow.reader.read(), 2.0)
+            await stop
+            await slow.close()
+            return behind[0].request_id, slow.keys, replies, rest, store, server.metrics
 
-            async def reply():
-                body = await asyncio.wait_for(read_frame(reader), 2.0)
-                return decode_body(body, expected_version=version)
-
-            writer.write(encode_frame(GetKey(request_id=2, pair=PAIR, bits=1024), version))
-            writer.write(encode_frame(GetKey(request_id=3, pair=PAIR, bits=1024), version))
-            await writer.drain()
-            await entered.wait()
-            stop_task = asyncio.ensure_future(server.stop(drain_timeout=2.0))
-            await asyncio.sleep(0.05)  # stop is now waiting on the dispatch
-            hold.set()
-            replies = [await reply(), await reply()]
-            rest = await asyncio.wait_for(reader.read(), 2.0)
-            await stop_task
-            writer.close()
-            await writer.wait_closed()
-            return replies, rest, store, server.metrics
-
-        (served, rejected), rest, store, metrics = run(scenario())
-        assert isinstance(served, ConsumeOk)
-        assert (served.request_id, served.key_bits) == (2, 1024)
-        assert isinstance(rejected, Error)
-        assert (rejected.request_id, rejected.code) == (3, protocol.ERR_SHUTTING_DOWN)
+        refused_id, keys, (*served, refused), rest, store, metrics = run(scenario())
+        assert [(reply.request_id, reply.key_bits) for reply in served] == [
+            (request_id, KEY_BITS) for request_id in keys
+        ]
+        assert isinstance(refused, Error)
+        assert (refused.request_id, refused.code) == (refused_id, protocol.ERR_SHUTTING_DOWN)
         assert rest == b""
         assert metrics.error_counts == {protocol.ERR_SHUTTING_DOWN: 1}
-        assert metrics.requests_by_kind == {"GetKey": 1}
-        assert store.reserved_bits == 0 and store.available_bits == 4096 - 1024
+        assert metrics.requests_by_kind == {"GetKey": len(keys)}
+        assert store.reserved_bits == 0
+        assert store.available_bits == (1 << 20) - len(keys) * KEY_BITS
 
 
 class TestFailingPeers:
@@ -1565,36 +1666,32 @@ class TestRequestIds:
     def test_ids_wrap_at_the_u32_limit_and_skip_the_ones_still_pending(self):
         """A connection must outlive 2**32 requests: the header carries the
         id as a u32, so the client starts over at 1 — and never reuses an id
-        whose reply is still owed, or that reply would go to the wrong caller."""
-        seen = []
-        entered, hold = asyncio.Event(), asyncio.Event()
-
-        async def gate(message):
-            seen.append(message.request_id)
-            if len(seen) == 1:
-                entered.set()
-                await hold.wait()
+        whose reply is still owed, or that reply would go to the wrong caller.
+        Reply frame 1, the first after WELCOME, is held a second, and every
+        reply behind it, so the five requests stay owed."""
+        held = FaultAction(DELAY, delay_seconds=1.0)
+        plane = ScriptedPlane(DeterministicRNG(0), {(SITE_CLIENT_RX, 1): held})
 
         async def scenario():
-            server = await started_server(request_hook=gate)
+            server = await started_server()
             try:
-                async with NetworkKmsClient("127.0.0.1", server.port) as client:
+                connector = FaultyConnector(plane)
+                async with NetworkKmsClient("127.0.0.1", server.port, connector=connector) as client:
                     client._ids = _request_ids(0xFFFFFFFE)
                     burst = [asyncio.ensure_future(client.status(PAIR)) for _ in range(5)]
-                    await entered.wait()  # the first is held; four wait behind it
+                    await asyncio.sleep(0.5)
+                    answered = dict(server.metrics.requests_by_kind)
                     straddling = sorted(client._pending)
                     client._ids = _request_ids(0xFFFFFFFF)  # once round already
                     burst.append(asyncio.ensure_future(client.status(PAIR)))
-                    await asyncio.sleep(0)
-                    hold.set()
-                    return straddling, await asyncio.wait_for(asyncio.gather(*burst), 5.0)
+                    return answered, straddling, await asyncio.gather(*burst)
             finally:
                 await server.stop()
 
-        straddling, replies = run(scenario())
+        answered, straddling, replies = run_virtual(scenario())
+        assert answered == {"Status": 5}
         assert straddling == [1, 2, 3, 0xFFFFFFFE, 0xFFFFFFFF]
-        assert seen == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2, 3, 4]
-        assert [reply.request_id for reply in replies] == seen
+        assert [reply.request_id for reply in replies] == [0xFFFFFFFE, 0xFFFFFFFF, 1, 2, 3, 4]
         assert all(isinstance(reply, StatusOk) for reply in replies)
 
 
@@ -1904,45 +2001,29 @@ class TestFraming:
         assert reaped == {"disconnect": 1}
         assert store.reserved_bits == 0 and store.available_bits == 4096
 
-    def test_requests_pipelined_behind_a_stalled_hook_are_answered_in_order(self):
-        seen = []
-        entered, hold = asyncio.Event(), asyncio.Event()
-
-        async def stall_first(message):
-            seen.append(message.request_id)
-            if len(seen) == 1:
-                entered.set()
-                await hold.wait()
-
+    def test_requests_pipelined_behind_a_paused_write_are_answered_in_order(self):
         async def scenario():
-            server = await started_server(request_hook=stall_first)
+            server = await started_server({PAIR: make_store(bits=1 << 20)})
             try:
-                reader, writer, version = await raw_connection(server)
-                writer.write(
-                    b"".join(
-                        encode_frame(Status(request_id=i, pair=PAIR), version) for i in (1, 2, 3)
-                    )
-                )
-                await writer.drain()
-                await entered.wait()
+                slow = await SlowReader.connect(server)
+                behind = [Status(pair=PAIR) for _ in range(3)]
+                await slow.pause(*behind)
                 await asyncio.sleep(0.05)
-                (connection,) = server._connections.values()
-                stalled = (list(seen), connection.transport.is_reading())
-                with pytest.raises(asyncio.TimeoutError):
-                    await asyncio.wait_for(reader.readexactly(1), 0.05)
-                hold.set()
-                replies = [decode_body(await read_frame(reader), version) for _ in range(3)]
-                writer.close()
-                await writer.wait_closed()
-                return stalled, replies
+                paused = (
+                    dict(server.metrics.requests_by_kind),
+                    slow.connection.transport.is_reading(),
+                )
+                slow.resume()
+                replies = await slow.replies(len(slow.keys) + len(behind))
+                await slow.close()
+                return paused, slow.keys, [message.request_id for message in behind], replies
             finally:
                 await server.stop()
 
-        (seen_while_stalled, reading), replies = run(scenario())
-        assert seen_while_stalled == [1] and not reading
-        assert seen == [1, 2, 3]
-        assert [reply.request_id for reply in replies] == [1, 2, 3]
-        assert all(isinstance(reply, StatusOk) for reply in replies)
+        (seen, reading), keys, behind, replies = run(scenario())
+        assert seen == {"GetKey": len(keys)} and not reading
+        assert [reply.request_id for reply in replies] == keys + behind
+        assert all(isinstance(reply, StatusOk) for reply in replies[len(keys):])
 
 
 class TestBackpressure:

@@ -43,8 +43,10 @@ class TestTopology:
     def test_link_requires_known_nodes(self):
         net = QKDNetwork()
         net.add_endpoint("a")
-        with pytest.raises(KeyError):
-            net.add_link("a", "missing")
+        for ends in (("a", "missing"), ("missing", "a")):
+            with pytest.raises(KeyError, match="unknown node 'missing'"):
+                net.add_link(*ends)
+            assert "missing" not in net.graph and not net.links()
 
     def test_links_carry_estimated_rates(self, mesh):
         for edge in mesh.links():

@@ -50,11 +50,9 @@ from tests.faults import (
     SITE_CLIENT_RX,
     SITE_CLIENT_TX,
     SITE_CONNECT,
-    SITE_SERVER_REQUEST,
     STALL,
     FaultPlane,
     FaultyConnector,
-    stall_hook,
 )
 from tests.test_faults import counter_material
 from tests.test_paper_claims import HOLDS, INF, Claim, _in_band
@@ -147,13 +145,13 @@ FAULT_LEVELS = {
     },
     "harsh": {
         SITE_CONNECT: {REFUSE: 0.08},
-        SITE_CLIENT_TX: {DROP_BEFORE: 0.04, DROP_AFTER: 0.04},
+        SITE_CLIENT_TX: {DROP_BEFORE: 0.04, DROP_AFTER: 0.04, STALL: 0.03},
         SITE_CLIENT_RX: {DROP_BEFORE: 0.04, DELAY: 0.10},
-        SITE_SERVER_REQUEST: {STALL: 0.03},
     },
 }
-#: Stalls outlast the client's 1 s request timeout, so each one forces a
-#: timeout, a reconnect and a retry; on the virtual loop they cost nothing.
+#: A stalled request reaches the server after the client's 1 s request
+#: timeout, so each one forces a timeout, a reconnect and a retry; on the
+#: virtual loop they cost nothing.
 STALL_RANGE = (1.5, 2.5)
 
 
@@ -198,9 +196,7 @@ def chaos_level(seed, level):
     faulted = level != "none"
 
     async def scenario():
-        server = NetworkKmsServer(
-            {E18_PAIR: store}, request_hook=stall_hook(plane) if faulted else None
-        )
+        server = NetworkKmsServer({E18_PAIR: store})
         await server.start()
         try:
             plan = [(E18_PAIR, E18_REQUESTS // E18_CLIENTS)] * E18_CLIENTS

@@ -42,8 +42,7 @@ from repro.netkms.protocol import Reserve, ReserveOk
 from repro.netkms.server import LEASE_SECONDS, MAX_RESERVE_BITS, _Connection
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
-from tests.faults import DROP_AFTER, SITE_CLIENT_TX, SITE_SERVER_REQUEST, STALL, FaultAction
-from tests.faults import FaultPlane, stall_hook
+from tests.faults import DROP_AFTER, SITE_CLIENT_TX, STALL, FaultAction, FaultPlane
 from tests.test_faults import ScriptedPlane
 from tests.test_soak_claims import FAULT_LEVELS, STALL_RANGE, draw_fleet
 from tests.virtual_loop import VirtualLoop, close_loop
@@ -128,13 +127,13 @@ def _config(scenario):
 @contextlib.contextmanager
 def hang_guard(seconds=HANG_SECONDS):
     """Raise :class:`TimeoutError` in a body still running after ``seconds``,
-    a failure Hypothesis can shrink (it would retry a hang past the test's
-    one-shot watchdog, which is re-armed here with what it had left)."""
+    a failure Hypothesis can shrink (the test's watchdog ends a hung test
+    unshrunk; it is re-armed here with what it had left)."""
 
     def hung(_signum, _frame):
         raise TimeoutError(f"the service phase ran past {seconds} s: a hang")
 
-    watchdog = signal.getitimer(signal.ITIMER_REAL)[0]
+    watchdog, every = signal.getitimer(signal.ITIMER_REAL)
     previous, started = signal.signal(signal.SIGALRM, hung), time.monotonic()
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
@@ -144,7 +143,7 @@ def hang_guard(seconds=HANG_SECONDS):
         signal.signal(signal.SIGALRM, previous)
         if watchdog:
             left = watchdog - (time.monotonic() - started)
-            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3))
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-3), every)
 
 
 def service_phase(scenario):
@@ -552,11 +551,7 @@ class StackMachine(RuleBasedStateMachine):
                 await asyncio.sleep(0.05)
             return drawn, self.loop.time() - started
 
-        self.server.request_hook = stall_hook(plane) if plane is not None else None
-        try:
-            (drawn, clients_used), seconds = self.loop.run_until_complete(fleet())
-        finally:
-            self.server.request_hook = None
+        (drawn, clients_used), seconds = self.loop.run_until_complete(fleet())
         if self.faulted:
             self.burst_seconds.append(seconds)
         else:
@@ -714,10 +709,12 @@ def test_get_key_leaves_the_state_reserve_and_consume_leave():
 # ---- the pinned chaos soak ------------------------------------------------- #
 MAIN_KEYS = 6
 #: Fleet tx op 4, the second key's CONSUME, is cut once flushed (the retry
-#: must hit the replay cache); server request op 7 outstalls the 1 s timeout.
+#: must hit the replay cache); tx op 9, the fourth key's RESERVE (after the
+#: new connection's HELLO and two keys' requests), is held past the 1 s
+#: timeout.
 CHAOS = {
     (SITE_CLIENT_TX, 4): FaultAction(DROP_AFTER),
-    (SITE_SERVER_REQUEST, 7): FaultAction(STALL, delay_seconds=1.2),
+    (SITE_CLIENT_TX, 9): FaultAction(STALL, delay_seconds=1.2),
 }
 #: One mesh pair holding 32 768 bits, and the :data:`CHAOS` faults.
 CHAOS_SCENARIO = Scenario(
