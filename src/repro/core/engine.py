@@ -213,9 +213,9 @@ class QKDProtocolEngine:
         self._next_block_id = 0
         self._next_frame_id = 0
 
-        # Accumulators for sifted bits awaiting a full block.
-        self._pending_alice: List[int] = []
-        self._pending_bob: List[int] = []
+        # Accumulators for sifted bits awaiting a full block, a byte a bit.
+        self._pending_alice = bytearray()
+        self._pending_bob = bytearray()
         self._pending_pulses_transmitted = 0
         self._pending_mu = 0.1
         self._pending_entangled = False

@@ -178,8 +178,8 @@ class NetworkKmsClient:
         await client.close()
 
     or as an async context manager.  ``request_timeout`` bounds how long
-    any single request may wait for its reply (:class:`RequestTimeoutError`
-    past it; ``None`` waits forever).
+    any single request, the HELLO of :meth:`connect` included, may wait for
+    its reply (:class:`RequestTimeoutError` past it; ``None`` waits forever).
     ``connector`` replaces the transport opener — the fault plane's seam.
     """
 
@@ -224,7 +224,18 @@ class NetworkKmsClient:
             hello = Hello(client_id=self.client_id)
             self._connection.transport.write(protocol.encode_frame(hello, protocol.FLOOR_VERSION))
             # decode_body refuses a WELCOME announcing a version not offered.
-            reply = await self._connection.welcome
+            # The handshake is a request like any other: a server that takes
+            # the connection and never answers is a timeout, not a hang.
+            welcome = self._connection.welcome
+            if self.request_timeout is None:
+                reply = await welcome
+            else:
+                try:
+                    reply = await asyncio.wait_for(welcome, self.request_timeout)
+                except asyncio.TimeoutError:
+                    raise RequestTimeoutError(
+                        f"HELLO exceeded {self.request_timeout:.3f}s"
+                    ) from None
             if isinstance(reply, Error):
                 raise ServerError(reply.code, reply.detail)
             if not isinstance(reply, Welcome):

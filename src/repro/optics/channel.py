@@ -22,13 +22,15 @@ themselves on the photonic path, as Eve does in the paper's threat model.
 
 from __future__ import annotations
 
+from collections import deque
+from concurrent.futures import Executor
 from typing import Optional
 
 import numpy as np
 
 from repro.optics import model
 from repro.optics.detector import apply_afterpulse, combine_clicks, signal_click_probability
-from repro.optics.draws import coin_flips
+from repro.optics.draws import coin_flips, replay_uniforms, uniforms_at, uniforms_below
 from repro.optics.entangled import EntangledPairSource
 from repro.optics.interferometer import detector1_probability_map, phase_delta
 from repro.optics.model import ChannelParameters
@@ -54,7 +56,8 @@ class FrameResult:
     view into a wider one).  It is read once, by sifting; the slot→key loop
     (:func:`repro.lanes.engine.run_lane`) drops its reference as soon as
     sifting returns, so a run holds one batch of one link's per-slot arrays
-    at a time, however many links it carries.
+    at a time, however many links it carries (and the next batch's three
+    source arrays, drawn ahead).
     """
 
     def __init__(
@@ -142,6 +145,64 @@ class QuantumChannel:
             self.source = WeakCoherentSource(self.parameters.source, self.rng.fork("source"))
         self.framing = BrightPulseFraming(self.parameters.framing, self.rng.fork("framing"))
         self.slots_transmitted = 0
+        #: Source batches drawn ahead of :meth:`transmit` (:meth:`emit_ahead`),
+        #: oldest first: ``(n_slots, arrays, future)``.
+        self._emissions = deque()
+
+    # ------------------------------------------------------------------ #
+    # The source, one batch ahead
+    # ------------------------------------------------------------------ #
+
+    def emit_ahead(self, n_slots: int, worker: Executor) -> None:
+        """Start drawing the source's next ``n_slots`` pulses on ``worker``.
+
+        The three per-slot arrays are allocated here, on the calling thread,
+        and the worker runs only ``source.emit_into`` on them.  The source
+        draws from its own generator, which nothing else reads, so the batch
+        is the one :meth:`transmit` would have drawn itself; the next
+        ``transmit`` takes it (a batch of another size is an error there).
+        Emissions queue in call order, and ``worker`` must run its tasks in
+        submission order (one thread), since each continues the last one's
+        stream.
+        """
+        arrays = _source_arrays(n_slots)
+        self._emissions.append((n_slots, arrays, worker.submit(self._emit, arrays)))
+
+    def _emit(self, arrays):
+        """Worker side of :meth:`emit_ahead`: where the source stood before
+        the draw (for :meth:`discard_emissions`), and the draw's non-empty slots."""
+        source = self.source
+        before = (source._numpy_rng.bit_generator.state, source.pulses_emitted)
+        return before, source.emit_into(*arrays)
+
+    def discard_emissions(self) -> None:
+        """Drop every batch drawn ahead and not transmitted, and put the
+        source back where it stood before the oldest of them, so the next
+        batch is drawn as if none had been.  Waits for a draw in progress."""
+        if not self._emissions:
+            return
+        outcomes = [future.result() for _, _, future in self._emissions]
+        self._emissions.clear()
+        (state, pulses_emitted), _ = outcomes[0]
+        self.source._numpy_rng.bit_generator.state = state
+        self.source.pulses_emitted = pulses_emitted
+
+    def _source_batch(self, n_slots: int):
+        """This batch's ``basis``, ``value``, ``photons`` and non-empty slots:
+        the oldest batch drawn ahead, or drawn here if none is."""
+        if not self._emissions:
+            arrays = _source_arrays(n_slots)
+            return (*arrays, self.source.emit_into(*arrays))
+        pending_slots, arrays, future = self._emissions[0]
+        if pending_slots != n_slots:
+            self.discard_emissions()
+            raise ValueError(
+                f"the source's next batch was drawn for {pending_slots} slots, "
+                f"not {n_slots}; it is discarded"
+            )
+        self._emissions.popleft()
+        _, occupied = future.result()
+        return (*arrays, occupied)
 
     # ------------------------------------------------------------------ #
     # Monte-Carlo transmission
@@ -166,20 +227,25 @@ class QuantumChannel:
           source (basis, value, photon number), fibre loss or the attack's
           ``intercept``, Bob's basis, phase noise, detector draw, gate
           thinning, click/dark0/dark1, afterpulse, double-click coin, frame
-          gates — one call each, ``n_slots`` wide, whether or not the slot
-          can click.  A link's bitstream is therefore a function of its
-          channel alone.  Three kinds of draw are taken more cheaply than by
-          the ``Generator`` method that defines them, each with the same
-          values from the same stream positions and each behind a numpy
-          canary in ``tests/test_optics_differential.py``: the 0/1 draws
-          (both bases, Alice's value, the coin, the afterpulse detector) are
-          the top bit of ``Generator.bytes`` and the photon number is
-          replayed from the ``Generator.random`` doubles numpy's Poisson
-          multiplies together (:mod:`repro.optics.draws` — the source hands
-          on the non-empty slots it learns that way, so nothing scans the
-          photon array for them); and the two photon-count binomials are
-          drawn on the non-zero counts only (numpy's ``binomial(0, p)`` is 0
-          and consumes nothing).
+          gates — each over the whole batch, whether or not the slot can
+          click.  A link's bitstream is therefore a function of its
+          channel alone.  The source's three draws are the batch
+          :meth:`emit_ahead` drew on a worker when there is one, else drawn
+          here; the source hands on its non-empty slots with them, so nothing
+          scans the photon array for them.  Several kinds of draw are taken
+          more cheaply than by the ``Generator`` call that defines them, each
+          with the same values from the same stream positions and each behind
+          a numpy canary in ``tests/test_optics_differential.py``
+          (:mod:`repro.optics.draws`): every draw runs in chunks, so none
+          holds a batch-sized temporary; the 0/1 draws (both bases, Alice's
+          value, the coin, the afterpulse detector) are the top bit of
+          ``Generator.bytes``; the dark counts are compared chunk by chunk;
+          the detector and signal doubles are kept only where photons
+          arrived, and the detector double of a slot that fires without
+          one (a dark count) is found again afterwards from the saved
+          stream state; and the two photon-count binomials are drawn on the
+          non-zero counts only (numpy's ``binomial(0, p)`` is 0 and consumes
+          nothing).
         * The *physics between the draws* runs only where it can matter.  The
           received photons are carried as a sparse ``(slots, counts)`` pair,
           the click probability is evaluated only on them (~5 % of slots),
@@ -195,12 +261,9 @@ class QuantumChannel:
             raise ValueError("slot count must be non-negative")
         rng = self._numpy_rng
         parameters = self.parameters
-        basis = np.empty(n_slots, dtype=np.uint8)
-        value = np.empty(n_slots, dtype=np.uint8)
-        photons = np.empty(n_slots, dtype=np.uint16)
 
-        # --- source: fills the three arrays, returns the non-empty slots --- #
-        rx_slots = self.source.emit_into(basis, value, photons)
+        # --- source: the three arrays, and the non-empty slots --- #
+        basis, value, photons, rx_slots = self._source_batch(n_slots)
 
         # --- fibre / attack: the slots photons reach Bob on, and how many --- #
         transmittance = parameters.path.transmittance
@@ -228,7 +291,10 @@ class QuantumChannel:
         bob_basis = coin_flips(rng, n_slots)
         noise_rad = parameters.interferometer.phase_noise_rad
         noise = rng.normal(0.0, noise_rad, size=n_slots) if noise_rad > 0 else None
-        detector_draws = rng.random(n_slots)
+        # The detector draw is read only where a detector fires: kept where
+        # photons arrived, replayed from here for the few dark-only slots.
+        detector_stream = rng.bit_generator.state
+        detector_at_rx = uniforms_at(rng, n_slots, rx_slots)
 
         # --- gate misalignment: thinning --- #
         efficiency_factor = parameters.framing.efficiency_factor
@@ -237,22 +303,31 @@ class QuantumChannel:
 
         # --- detectors: dense draws, signal compare where photons arrived --- #
         signal = np.zeros(n_slots, dtype=bool)
-        signal[rx_slots] = rng.random(n_slots)[rx_slots] < signal_click_probability(
+        signal[rx_slots] = uniforms_at(rng, n_slots, rx_slots) < signal_click_probability(
             rx_counts, parameters.detectors.per_photon_detection_probability
         )
         dark_probability = parameters.detectors.dark_count_probability
-        dark0 = rng.random(n_slots) < dark_probability
-        dark1 = rng.random(n_slots) < dark_probability
+        dark0 = uniforms_below(rng, n_slots, dark_probability)
+        dark1 = uniforms_below(rng, n_slots, dark_probability)
         afterpulse = parameters.detectors.afterpulse_probability
         if afterpulse > 0:
             apply_afterpulse(signal, afterpulse, rng, dark0, dark1)
         coin = coin_flips(rng, n_slots)
 
         # A detector fires exactly where a signal click or a dark count
-        # happened, so the click array is known before any interference.
+        # happened, so the click array is known before any interference; the
+        # dense masks are read only there from now on.
         click = np.logical_or(dark0, dark1)
         click |= signal
         fired = click.nonzero()[0]
+        signal, dark0, dark1, coin = signal[fired], dark0[fired], dark1[fired], coin[fired]
+        at_rx = np.searchsorted(rx_slots, fired)
+        reached = at_rx < rx_slots.size
+        reached[reached] = rx_slots[at_rx[reached]] == fired[reached]
+        detector_draws = np.empty(fired.size)
+        detector_draws[reached] = detector_at_rx[at_rx[reached]]
+        detector_draws[~reached] = replay_uniforms(detector_stream, fired[~reached])
+        del detector_at_rx
 
         # --- framing: bright-pulse draws --- #
         per_frame = parameters.framing.slots_per_frame
@@ -269,10 +344,8 @@ class QuantumChannel:
         if noise is not None:
             scratch += noise[fired]
         detector1_probability_map(scratch, parameters.interferometer.visibility)
-        signal_detector = (detector_draws[fired] < scratch).view(np.uint8)
-        clicks = combine_clicks(
-            signal[fired], signal_detector, dark0[fired], dark1[fired], coin[fired]
-        )
+        signal_detector = (detector_draws < scratch).view(np.uint8)
+        clicks = combine_clicks(signal, signal_detector, dark0, dark1, coin)
         if not frame_ok.all():
             # Lost frames: nothing in them was gated.
             received = frame_ok[fired // per_frame]
@@ -311,6 +384,15 @@ class QuantumChannel:
             f"path={self.parameters.path.loss_db:.1f} dB, "
             f"expected_qber={self.expected_qber():.3f})"
         )
+
+
+def _source_arrays(n_slots: int):
+    """One batch's ``basis``, ``value`` and ``photons`` arrays, unfilled."""
+    return (
+        np.empty(n_slots, dtype=np.uint8),
+        np.empty(n_slots, dtype=np.uint8),
+        np.empty(n_slots, dtype=np.uint16),
+    )
 
 
 def transmit_lanes(channels, n_slots: int, attacks=None):

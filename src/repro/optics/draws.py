@@ -1,19 +1,35 @@
-"""Stream-exact replays of the two per-slot draws that dominate a batch.
+"""Stream-exact replays of the per-slot draws that dominate a batch, in chunks.
 
 The pinned key-material digests fix which numbers every ``numpy`` generator
 hands out and in which order, so a draw can only be made cheaper by computing
-*the same values from the same stream positions* another way.  The two kernels
+*the same values from the same stream positions* another way.  The kernels
 here do that for the draws taken for every trigger slot on the slot→key path;
-each returns what the ``Generator`` method it replaces returns and leaves the
+each returns what the ``Generator`` call it replaces returns and leaves the
 generator's full state (``state``, ``inc``, ``has_uint32``, ``uinteger``) where
-that method leaves it.  ``tests/test_optics_differential.py`` holds both numpy
-algorithms with canaries and both kernels to the ``Generator`` methods.
+that call leaves it.  ``tests/test_optics_differential.py`` holds the numpy
+algorithms with canaries and every kernel to the ``Generator`` call.
+
+**Chunks.**  Every kernel draws in chunks of :data:`CHUNK` values, so no draw
+holds a batch-sized temporary: a 500 k-slot ``Generator.random`` is 4 MB of
+doubles, a chunk of it 512 KiB, reused.  Chunking moves no value: a double is
+one 64-bit output wherever a call starts, ``Generator.bytes`` takes whole
+32-bit words and every chunk but the last is a multiple of 4 bytes long, and
+numpy's Poisson and binomial draws keep no state between pulses.  What a
+chunk buys is memory: the worker thread that emits the next batch
+(:mod:`repro.lanes.engine`) allocates in its own glibc arena, which keeps
+its high-water mark for good, so what it allocates must not grow with the
+batch.
 
 :func:`coin_flips` is ``Generator.integers`` over {0, 1} as ``uint8``.  numpy
 draws a bounded ``uint8`` by Lemire's method on bytes peeled low-first off
 ``next_uint32`` words; for the range {0, 1} that reduces to ``byte >> 7``
 with no rejection, and ``Generator.bytes(n)`` returns those very bytes from
 the same ``ceil(n / 4)`` words.
+
+:func:`uniforms_below`, :func:`uniforms_at` and :func:`replay_uniforms` are
+``Generator.random(n) < p``, ``Generator.random(n)[slots]`` and the latter
+taken again later from a saved state (``PCG64.advance`` to each slot): the
+channel compares most doubles once and reads the rest at a few slots.
 
 :func:`poisson_counts` is ``Generator.poisson(lam, n)``.  For ``0 < lam < 10``
 numpy uses the multiplication method: per pulse, multiply ``next_double``
@@ -32,6 +48,14 @@ here at 500k pulses, 9 against 18-23 ns per pulse at ``lam`` 0.1, level at
 there (400x slower at 9.9).  So the replay serves ``lam`` below
 :data:`REPLAY_BELOW` and ``Generator.poisson`` itself the rest; the stream is
 the same on both sides of that line, which makes it a cost decision only.
+The sources take the other side of a second cost decision:
+:func:`poisson_counts_off_thread` is ``Generator.poisson`` for every ``lam``,
+a chunk per call.  A source emits on a worker beside the thread that carries
+the batch, where time spent drawing is hidden but time holding the GIL is
+not: numpy's loop holds it for a few microseconds a chunk, the replay for
+most of its ~40 small steps a round.  A pipelined 5 M-slot link run took
+0.269 s (median of 12 interleaved rounds, 2 vCPUs) with the replay on the
+worker and 0.217 s with numpy's loop there.
 
 Three traps, each pinned by a test:
 
@@ -42,7 +66,7 @@ Three traps, each pinned by a test:
   ``PCG64.advance`` would clear the buffered half-word (``has_uint32`` /
   ``uinteger``) that ``Generator.poisson`` leaves alone, so the kernel never
   over-draws: every pulse still owed needs at least one more double, it draws
-  exactly that many, and goes round again for the shortfall.
+  at most that many, and goes round again for the shortfall.
 * ``lam == 0`` (numpy returns zeros and consumes nothing) and ``lam >= 10``
   (numpy switches to the PTRS rejection algorithm) are numpy's own branches on
   the value and not the multiplication method at all; both lie outside
@@ -52,7 +76,7 @@ Three traps, each pinned by a test:
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +84,32 @@ import numpy as np
 #: module docstring for the measurement).  The paper's sources run at 0.05-0.1.
 REPLAY_BELOW = 0.5
 
+#: Values per chunk of every kernel (64 Ki: 512 KiB of doubles).  A multiple
+#: of 4, so a chunk of ``Generator.bytes`` ends on a 32-bit word.
+CHUNK = 1 << 16
+
+#: Pulses per call of :func:`poisson_counts_off_thread` (an eighth of a chunk:
+#: 64 KiB of numpy's ``int64`` counts at a time, against the 1 MiB a
+#: 250 k-slot batch's next source arrays take beside it).
+NUMPY_POISSON_CHUNK = CHUNK // 8
+
 _NO_DOUBLES = np.empty(0, dtype=np.float64)
+
+
+def _chunks(n: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` of each chunk of ``range(n)``."""
+    for start in range(0, n, CHUNK):
+        yield start, min(start + CHUNK, n)
+
+
+def _uniform_chunks(rng: np.random.Generator, n: int) -> Iterator[Tuple[int, np.ndarray]]:
+    """``rng.random(n)`` a chunk at a time: ``(start, doubles)``, the doubles
+    in one reused buffer, so each is valid until the next is drawn."""
+    buffer = np.empty(min(n, CHUNK))
+    for start, stop in _chunks(n):
+        doubles = buffer[: stop - start]
+        rng.random(out=doubles)
+        yield start, doubles
 
 
 def coin_flips(
@@ -73,7 +122,46 @@ def coin_flips(
     """
     if n == 0:
         return np.empty(0, dtype=np.uint8) if out is None else out
-    return np.right_shift(np.frombuffer(rng.bytes(n), dtype=np.uint8), 7, out=out)
+    flips = np.empty(n, dtype=np.uint8) if out is None else out
+    for start, stop in _chunks(n):
+        np.right_shift(np.frombuffer(rng.bytes(stop - start), dtype=np.uint8), 7, out=flips[start:stop])
+    return flips
+
+
+def uniforms_below(rng: np.random.Generator, n: int, threshold: float) -> np.ndarray:
+    """``rng.random(n) < threshold``, values and stream alike."""
+    below = np.empty(n, dtype=bool)
+    for start, doubles in _uniform_chunks(rng, n):
+        np.less(doubles, threshold, out=below[start : start + doubles.size])
+    return below
+
+
+def uniforms_at(rng: np.random.Generator, n: int, slots: np.ndarray) -> np.ndarray:
+    """``rng.random(n)[slots]`` for ascending ``slots``, values and stream alike."""
+    picked = np.empty(slots.size)
+    edges = np.searchsorted(slots, np.arange(0, n + CHUNK, CHUNK))
+    for (start, doubles), low, high in zip(_uniform_chunks(rng, n), edges, edges[1:]):
+        picked[low:high] = doubles[slots[low:high] - start]
+    return picked
+
+
+def replay_uniforms(state: dict, slots: np.ndarray) -> np.ndarray:
+    """``rng.random(n)[slots]`` for a generator that was in ``state`` (its
+    ``bit_generator.state``) when that call began, for ascending ``slots``.
+
+    Each double is one 64-bit output, so ``advance`` steps straight to it.
+    Touches no live generator; costs a jump per slot, so it serves a few.
+    """
+    bit_generator = np.random.PCG64(0)
+    bit_generator.state = state
+    replay = np.random.Generator(bit_generator)
+    picked = np.empty(slots.size)
+    position = 0
+    for index, slot in enumerate(slots.tolist()):
+        bit_generator.advance(slot - position)
+        picked[index] = replay.random()
+        position = slot + 1
+    return picked
 
 
 def poisson_counts(
@@ -86,50 +174,112 @@ def poisson_counts(
     otherwise — and the ascending indices of the non-empty pulses, which the
     replay knows without a pass over the counts.
     """
-    counts = np.empty(n, dtype=np.uint16) if out is None else out
     if not 0 < lam < REPLAY_BELOW:
-        counts[...] = rng.poisson(lam, size=n)
-        return counts, np.flatnonzero(counts)
-    slots, occupancy = _replay_multiplication_method(rng, math.exp(-lam), n)
+        return poisson_counts_off_thread(rng, lam, n, out)
+    counts = np.empty(n, dtype=np.uint16) if out is None else out
+    return counts, _replay_multiplication_method(rng, math.exp(-lam), counts)
+
+
+def _replay_multiplication_method(
+    rng: np.random.Generator, enlam: float, counts: np.ndarray
+) -> np.ndarray:
+    """Fill ``counts`` with ``counts.size`` multiplication-method draws;
+    returns the ascending slots of the non-empty pulses."""
+    n = counts.size
     counts[...] = 0
-    counts[slots] = occupancy
-    return counts, slots
-
-
-def _replay_multiplication_method(rng: np.random.Generator, enlam: float, n: int):
-    """The non-empty pulses of ``n`` multiplication-method draws: ``(slots, counts)``."""
-    slot_parts = [np.empty(0, dtype=np.int64)]
-    count_parts = [np.empty(0, dtype=np.int64)]
+    slots = _SlotList(n, n * (1.0 - enlam))
     done = 0
     #: Doubles of the pulse the previous round left unfinished (all above the
     #: line, product still above it); the next round starts with them again.
     tail = _NO_DOUBLES
     while done < n:
-        doubles = rng.random(n - done)
-        if tail.size:
-            doubles = np.concatenate((tail, doubles))
-        high = np.flatnonzero(doubles > enlam)
-        # A high double counts towards its pulse unless the running product
-        # falls to the line at it, which ends the pulse there instead.
-        counted = _highs_the_product_survives(doubles, high, enlam)
-        position = high[counted]
-        # Every double before a counted high either ended a pulse or was
-        # counted, so its pulse number is its position less the highs counted
-        # before it; the highs of one pulse share that number.
-        pulse = position - np.arange(position.size)
-        # Highs that every pulse end of this buffer precedes belong to a pulse
-        # the buffer does not finish: not counted yet, carried over instead.
-        completed = doubles.size - position.size
-        cut = int(np.searchsorted(pulse, completed))
-        tail = doubles[position[cut]:] if cut < position.size else _NO_DOUBLES
-        pulse = pulse[:cut]
-        first = np.flatnonzero(pulse[1:] != pulse[:-1]) + 1
-        if cut:
-            first = np.concatenate(([0], first))
-        slot_parts.append(pulse[first] + done)
-        count_parts.append(np.diff(first, append=cut))
+        pulses, occupancy, completed, tail = _replay_round(
+            rng, enlam, tail, min(n - done, CHUNK)
+        )
+        pulses += done
+        counts[pulses] = occupancy
+        slots.extend(pulses)
         done += completed
-    return np.concatenate(slot_parts), np.concatenate(count_parts)
+    return slots.array()
+
+
+def poisson_counts_off_thread(
+    rng: np.random.Generator, lam: float, n: int, out: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`poisson_counts` drawn by ``Generator.poisson`` itself.
+
+    The same values, stream and return as :func:`poisson_counts`, at numpy's
+    own cost (about twice the replay's at the paper's 0.1 photons per pulse)
+    but as one call per :data:`NUMPY_POISSON_CHUNK` pulses, each of which
+    runs without the GIL.  The sources draw the photon number this way: they
+    emit on a worker beside the thread that runs the channel, where the
+    replay's hundreds of small interpreter steps a batch would take the GIL
+    from that thread over and over, while the longer draw is hidden.
+    """
+    counts = np.empty(n, dtype=np.uint16) if out is None else out
+    slots = _SlotList(n, n * (1.0 - math.exp(-lam)))
+    for start in range(0, n, NUMPY_POISSON_CHUNK):
+        stop = min(start + NUMPY_POISSON_CHUNK, n)
+        drawn = rng.poisson(lam, size=stop - start)
+        counts[start:stop] = drawn
+        slots.extend(np.flatnonzero(drawn) + start)
+    return counts, slots.array()
+
+
+class _SlotList:
+    """Ascending slot indices gathered part by part into one array, sized
+    for the ``expected`` count and a margin far past its spread (grown if
+    ever short), so they are never copied out of a list of parts.  They fit
+    the narrower index type, which halves what a batch drawn ahead holds."""
+
+    def __init__(self, n: int, expected: float):
+        dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+        self._slots = np.empty(int(expected * 1.05) + 1024, dtype=dtype)
+        self._size = 0
+
+    def extend(self, part: np.ndarray) -> None:
+        end = self._size + part.size
+        if end > self._slots.size:
+            grown = np.empty(max(2 * self._slots.size, end), dtype=self._slots.dtype)
+            grown[: self._size] = self._slots[: self._size]
+            self._slots = grown
+        self._slots[self._size : end] = part
+        self._size = end
+
+    def array(self) -> np.ndarray:
+        return self._slots[: self._size]
+
+
+def _replay_round(rng: np.random.Generator, enlam: float, tail: np.ndarray, m: int):
+    """One round of the replay: ``tail`` and ``m`` new doubles.
+
+    Returns ``(pulses, counts, completed, tail)``: the non-empty pulses this
+    round finished (numbered from the round's first pulse) and their counts,
+    how many pulses it finished, and the doubles of the one it did not.
+    """
+    doubles = np.empty(tail.size + m)
+    doubles[: tail.size] = tail
+    rng.random(out=doubles[tail.size :])
+    high = np.flatnonzero(doubles > enlam)
+    # A high double counts towards its pulse unless the running product
+    # falls to the line at it, which ends the pulse there instead.
+    counted = _highs_the_product_survives(doubles, high, enlam)
+    position = high[counted]
+    # Every double before a counted high either ended a pulse or was
+    # counted, so its pulse number is its position less the highs counted
+    # before it; the highs of one pulse share that number.
+    pulse = position - np.arange(position.size)
+    # Highs that every pulse end of this buffer precedes belong to a pulse
+    # the buffer does not finish: not counted yet, carried over instead
+    # (copied, so that this round's buffer is freed with the round).
+    completed = doubles.size - position.size
+    cut = int(np.searchsorted(pulse, completed))
+    tail = doubles[position[cut]:].copy() if cut < position.size else _NO_DOUBLES
+    pulse = pulse[:cut]
+    first = np.flatnonzero(pulse[1:] != pulse[:-1]) + 1
+    if cut:
+        first = np.concatenate(([0], first))
+    return pulse[first], np.diff(first, append=cut), completed, tail
 
 
 def _highs_the_product_survives(doubles: np.ndarray, high: np.ndarray, enlam: float) -> np.ndarray:

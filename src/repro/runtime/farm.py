@@ -84,7 +84,8 @@ class LinkFarm:
     see CHANGES.md).  Each :meth:`run` builds its links afresh: protocol
     state carried between epochs needs a :class:`~repro.lanes.LaneEngine`
     the caller holds.  Jobs may differ in slot budget, ``slots_per_batch``
-    and everything else.
+    and everything else.  Inline, the jobs are the lanes of one
+    :class:`~repro.lanes.LaneEngine` run.
     """
 
     def __init__(self, workers: Optional[int] = None):
@@ -100,6 +101,10 @@ class LinkFarm:
         jobs = list(jobs)
         count = min(resolve_workers(self.workers), len(jobs))
         if count <= 1:
-            return [_run_link_job(job) for job in jobs]
+            # One run over every job, so the source emits one job's first
+            # batch while the job before it finishes.
+            from repro.lanes import LaneEngine
+
+            return LaneEngine(jobs).run()
         with ThreadPoolExecutor(max_workers=count) as pool:
             return list(pool.map(_run_link_job, jobs))

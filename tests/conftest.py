@@ -14,15 +14,19 @@ a pending future nobody fails, a drain that never completes — raises
 stalling CI forever.  Override per test with ``@pytest.mark.timeout(seconds)``.
 
 Once collection is done, everything it built is frozen out of the cyclic
-garbage collector (see ``pytest_collection_finish``).
+garbage collector (see ``pytest_collection_finish``), and every test is
+checked for a slot→key run's emitting thread left alive behind it
+(``no_emitting_thread_outlives_its_test``).
 """
 
 import gc
 import signal
+import threading
 
 import pytest
 from hypothesis import settings
 
+from repro.lanes.engine import EMITTER_THREAD_PREFIX
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.pipeline import DistillationPipeline, PipelineStage
 from repro.util.rng import DeterministicRNG
@@ -90,6 +94,20 @@ def pytest_runtest_call(item):
         if use_alarm:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture(autouse=True)
+def no_emitting_thread_outlives_its_test():
+    """A slot→key run joins the thread its source emits on before it
+    returns or raises (``repro.lanes.engine``); fail any test after which
+    one is still alive."""
+    yield
+    alive = [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith(EMITTER_THREAD_PREFIX)
+    ]
+    assert not alive, f"an emitting thread outlived its run: {alive}"
 
 
 @pytest.fixture

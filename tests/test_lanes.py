@@ -11,9 +11,12 @@ time buys, ragged fleets at any farm worker count, and the scheduler's
 in-process Monte-Carlo mode.
 """
 
+import functools
 import hashlib
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -24,10 +27,12 @@ from repro.core.sifting import SiftingProtocol, sift_frames
 from repro.eve import InterceptResendAttack
 from repro.kms import KeyManagementService, KmsConfig
 from repro.kms.scheduler import ReplenishmentConfig
+from repro.lanes.engine import EMITTER_THREAD_PREFIX
 from repro.link.qkd_link import LinkParameters, QKDLink
 from repro.optics.channel import ChannelParameters, QuantumChannel
 from repro.optics.model import DetectorParameters
 from repro.optics.model import InterferometerParameters
+from repro.optics.source import WeakCoherentSource
 from repro.optics.timing import FramingParameters
 from repro.runtime import LinkFarm, farm
 from repro.runtime.farm import LinkJob, _run_link_job
@@ -304,7 +309,16 @@ class TestLaneMemoryDiscipline:
         """After a warm-up epoch, the traced peak of a 16-lane 250 k-slot
         ``flush=False`` epoch is at most 1.5x that of a 1-lane fleet.  Holding
         the lanes side by side as one ``(16, n_slots)`` batch peaks ~5x
-        higher (~8 bytes a slot per lane on top of one lane's temporaries)."""
+        higher (~8 bytes a slot per lane on top of one lane's temporaries).
+
+        The 16-lane epoch carries its source one batch ahead (each lane's
+        batch is drawn while the lane before it is carried); the 1-lane
+        epoch is one batch and starts no thread.  So the 16-lane peak holds
+        one more batch of source arrays (4 bytes a slot and the non-empty
+        slots) and the worker's chunk-sized temporaries: measured 4.06 MiB
+        against 2.82 (1.44x), where without the pipeline and the chunked
+        draws it was 6.27 against 6.07.  Carrying two whole lanes at once
+        instead measured ~1.9x on a prototype."""
 
         def epoch_peak(n_lanes):
             fleet = LaneEngine.for_fleet(n_lanes, rng=DeterministicRNG(29))
@@ -317,6 +331,147 @@ class TestLaneMemoryDiscipline:
                 tracemalloc.stop()
 
         assert epoch_peak(16) <= 1.5 * epoch_peak(1)
+
+
+def _emitting_threads():
+    return [t for t in threading.enumerate() if t.name.startswith(EMITTER_THREAD_PREFIX)]
+
+
+def _frame_digest(frame):
+    digest = hashlib.sha256()
+    for name in ("alice_basis", "alice_value", "alice_photons", "bob_basis",
+                 "bob_click", "bob_double", "bob_value", "frame_numbers"):
+        digest.update(getattr(frame, name).tobytes())
+    return digest.hexdigest()
+
+
+class _RaisesOnItsSecondBatch(InterceptResendAttack):
+    """Intercept-resend that raises on its second batch, and notes which
+    emitting threads were alive when it was called."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+        self.emitters_seen = []
+
+    def intercept(self, emission, transmittance, rng):
+        self.calls += 1
+        self.emitters_seen.extend(t.name for t in _emitting_threads())
+        if self.calls == 2:
+            raise RuntimeError("the attack failed on batch 2")
+        return super().intercept(emission, transmittance, rng)
+
+
+class TestEmitAhead:
+    """The source emits batch k + 1 on one worker thread while batch k is
+    carried; nothing of it shows in any stream, report or thread after."""
+
+    def test_a_run_transmits_the_batches_an_inline_loop_draws(self):
+        """Every frame of a pipelined run (the last lane's first batch drawn
+        while the one before it is carried, too) equals what bare
+        ``QuantumChannel.transmit`` calls draw on a twin channel."""
+        import repro.lanes.engine as lanes_engine
+
+        jobs = heterogeneous_jobs()
+        seen = []
+        transmit_lanes = lanes_engine.transmit_lanes
+
+        def recording(channels, n_slots, attacks=None):
+            batch = transmit_lanes(channels, n_slots, attacks)
+            seen.extend((n_slots, _frame_digest(frame)) for frame in batch)
+            return batch
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lanes_engine, "transmit_lanes", recording)
+            LaneEngine(jobs).run()
+        inline = []
+        for twin in LaneEngine(jobs).links:
+            for n_slots in (BATCH, BATCH, SLOTS - 2 * BATCH):
+                frame = twin.channel.transmit(n_slots, twin.attack)
+                inline.append((n_slots, _frame_digest(frame)))
+        assert seen == inline
+
+    def test_no_thread_outlives_a_run_that_raises_and_the_source_is_put_back(self):
+        """An attack raising on batch 2 of 3 ends the run with the worker
+        joined and the batch it had drawn ahead discarded: the source stands
+        where two inline transmits leave it."""
+        parameters = LinkParameters(slots_per_batch=BATCH)
+        link = QKDLink(parameters, DeterministicRNG(41))
+        attack = _RaisesOnItsSecondBatch()
+        link.attach_attack(attack)
+        with pytest.raises(RuntimeError, match="batch 2"):
+            link.run_slots(SLOTS)
+        assert attack.emitters_seen, "the run never emitted ahead"
+        assert _emitting_threads() == []
+
+        twin = QKDLink(parameters, DeterministicRNG(41))
+        twin_attack = _RaisesOnItsSecondBatch()
+        twin.channel.transmit(BATCH, twin_attack)
+        with pytest.raises(RuntimeError, match="batch 2"):
+            twin.channel.transmit(BATCH, twin_attack)
+        source, twin_source = link.channel.source, twin.channel.source
+        assert source.pulses_emitted == twin_source.pulses_emitted == 2 * BATCH
+        assert source._numpy_rng.bit_generator.state == twin_source._numpy_rng.bit_generator.state
+        assert _frame_digest(link.channel.transmit(BATCH)) == _frame_digest(
+            twin.channel.transmit(BATCH)
+        )
+
+    def test_a_pending_emission_of_another_size_raises_and_is_not_served(self):
+        channel = QuantumChannel(ChannelParameters(), DeterministicRNG(43))
+        twin = QuantumChannel(ChannelParameters(), DeterministicRNG(43))
+        with ThreadPoolExecutor(1, thread_name_prefix=EMITTER_THREAD_PREFIX) as worker:
+            channel.emit_ahead(1_000, worker)
+            with pytest.raises(ValueError, match="1000 slots, not 999"):
+                channel.transmit(999)
+        # Discarded, not kept for later: the next batch is drawn afresh,
+        # from where the source stood before the one drawn ahead.
+        assert _frame_digest(channel.transmit(999)) == _frame_digest(twin.transmit(999))
+        assert channel.source.pulses_emitted == twin.source.pulses_emitted == 999
+
+    def test_every_traced_callable_runs_on_the_thread_that_called_run_slots(self):
+        """The worker runs only ``source.emit_into``: each callable the E21
+        tracer wraps stays on the caller's thread, so its single span stack
+        stays right."""
+        from benchmarks.e21.trace import _targets
+
+        callers = set()
+
+        def on_thread(original):
+            @functools.wraps(original)
+            def wrapper(*args, **kwargs):
+                callers.add(threading.current_thread().name)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        emitters = set()
+        emit_into = WeakCoherentSource.emit_into
+
+        def emitting(source, *arrays):
+            emitters.add(threading.current_thread().name)
+            return emit_into(source, *arrays)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for owner, attribute, *_ in _targets():
+                patch.setattr(owner, attribute, on_thread(vars(owner)[attribute]))
+            patch.setattr(WeakCoherentSource, "emit_into", emitting)
+            LaneEngine(heterogeneous_jobs()).run()
+            LaneEngine.for_fleet(3, rng=DeterministicRNG(5)).run_slots(40_000, flush=False)
+            QKDLink(LinkParameters(slots_per_batch=BATCH), DeterministicRNG(7)).run_slots(SLOTS)
+            LinkFarm(workers=1).run(heterogeneous_jobs()[:2])
+        assert callers == {threading.current_thread().name}
+        assert any(name.startswith(EMITTER_THREAD_PREFIX) for name in emitters)
+
+    def test_a_run_of_one_batch_starts_no_thread(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(
+            "repro.lanes.engine.ThreadPoolExecutor",
+            lambda *args, **kwargs: started.append(args) or ThreadPoolExecutor(*args, **kwargs),
+        )
+        QKDLink(LinkParameters(slots_per_batch=BATCH), DeterministicRNG(7)).run_slots(BATCH)
+        assert started == []
+        QKDLink(LinkParameters(slots_per_batch=BATCH), DeterministicRNG(7)).run_slots(BATCH + 1)
+        assert len(started) == 1
 
 
 class TestFarmWorkers:

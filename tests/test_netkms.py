@@ -1628,6 +1628,77 @@ class TestFailingPeers:
 
         run(scenario())
 
+    @staticmethod
+    async def _silent_server():
+        """A server that accepts and reads but never answers, HELLO included."""
+
+        async def handler(reader, writer):
+            try:
+                while await reader.read(4096):
+                    pass
+            finally:
+                writer.close()
+
+        server = await asyncio.start_server(handler, host="127.0.0.1", port=0)
+        return server, server.sockets[0].getsockname()[1]
+
+    def test_a_hello_nobody_answers_times_out_and_closes_the_connection(self):
+        """``connect`` bounds the WELCOME by ``request_timeout`` like any
+        reply: a server that never answers is a typed timeout, not a hang."""
+        from repro.netkms.client import RequestTimeoutError
+
+        async def scenario():
+            silent, port = await self._silent_server()
+            client = NetworkKmsClient("127.0.0.1", port, request_timeout=0.3)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(RequestTimeoutError, match="HELLO"):
+                await asyncio.wait_for(client.connect(), timeout=5.0)
+            took = loop.time() - started
+            closed = client._connection is None and not client.connected
+            silent.close()
+            await silent.wait_closed()
+            return took, closed
+
+        took, closed = run(scenario())
+        assert 0.3 <= took < 1.3
+        assert closed
+
+    def test_a_resilient_get_key_retries_a_silent_handshake_then_gives_up(self):
+        """Each attempt's HELLO times out, is counted as a timeout, and is
+        retried after the backoff; past the last attempt ``get_key``
+        raises instead of waiting for good (on the virtual clock)."""
+        from repro.netkms.client import RequestTimeoutError
+        from repro.netkms.resilient import (
+            MAX_ATTEMPTS,
+            REQUEST_TIMEOUT_SECONDS,
+            ResilientKmsClient,
+            RetriesExhaustedError,
+        )
+
+        async def scenario():
+            silent, port = await self._silent_server()
+            client = ResilientKmsClient("127.0.0.1", port, rng=DeterministicRNG(5))
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            with pytest.raises(RetriesExhaustedError) as gave_up:
+                await client.get_key(PAIR, bits=256)
+            took = loop.time() - started
+            await client.close()
+            silent.close()
+            await silent.wait_closed()
+            return gave_up.value, took, client.stats
+
+        error, took, stats = run_virtual(scenario())
+        assert isinstance(error.__cause__, RequestTimeoutError)
+        assert (stats.attempts, stats.timeouts, stats.retries) == (
+            MAX_ATTEMPTS,
+            MAX_ATTEMPTS,
+            MAX_ATTEMPTS - 1,
+        )
+        assert stats.reconnects == 0
+        assert took >= MAX_ATTEMPTS * REQUEST_TIMEOUT_SECONDS
+
     def test_a_bad_prefix_after_welcome_closes_the_connection_and_fails_fast(self):
         """A reply stream that lost frame sync is dead: the pending request
         fails with the typed error, the transport is closed, ``connected``

@@ -7,11 +7,11 @@ evaluates everything everywhere): the same eight per-slot arrays, the same
 attack bookkeeping, and — because a later batch continues the same streams —
 the same state left behind in every generator it touched.
 
-Below that: the numpy canaries (what the sparse photon lists and the two draw
-kernels of ``repro.optics.draws`` rely on numpy doing, each failing by name
-with what depends on it) and the kernels themselves against the ``Generator``
-methods they stand in for — values, non-empty slots, full state dict, and the
-next draw of each kind.
+Below that: the numpy canaries (what the sparse photon lists, the draw
+kernels of ``repro.optics.draws`` and their chunks rely on numpy doing, each
+failing by name with what depends on it) and the kernels themselves against
+the ``Generator`` calls they stand in for — values, non-empty slots, full
+state dict, and the next draw of each kind.
 """
 
 import math
@@ -23,10 +23,17 @@ from repro.eve import BeamSplittingAttack, InterceptResendAttack
 from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lanes
 from repro.optics.model import DetectorParameters
 from repro.optics.draws import (
+    CHUNK,
+    NUMPY_POISSON_CHUNK,
     REPLAY_BELOW,
     _replay_multiplication_method,
+    _SlotList,
     coin_flips,
     poisson_counts,
+    poisson_counts_off_thread,
+    replay_uniforms,
+    uniforms_at,
+    uniforms_below,
 )
 from repro.optics.entangled import EntangledSourceParameters
 from repro.optics.fiber import OpticalPath
@@ -294,6 +301,52 @@ def test_canary_poisson_is_the_multiplication_method_on_the_double_stream():
     assert rng.bit_generator.state == before, failure
 
 
+def _in_chunks(draw, n, chunk):
+    """``draw(m)`` for each chunk of ``range(n)``, in order."""
+    return [draw(min(chunk, n - start)) for start in range(0, n, chunk)]
+
+
+def test_canary_chunked_draws_are_one_draw():
+    """numpy canary for the chunks every kernel of ``repro.optics.draws`` draws in."""
+    failure = (
+        "On this numpy, a {kind} drawn in chunks is no longer the same values and "
+        "generator state as one call of the whole length. repro.optics.draws draws "
+        "every per-slot double, 0/1 draw and photon number of the optics in chunks "
+        "so that no draw holds a batch-sized temporary; every pinned key-material "
+        "digest will move with it."
+    )
+    for chunk in (4, 12, CHUNK):
+        for n in (1, 3, 4, 5, 13, 2 * chunk + 3):
+            for uint8_draws in range(4):
+                whole_rng = _holding_buffered_uint32(2003 + n, uint8_draws)
+                chunk_rng = _holding_buffered_uint32(2003 + n, uint8_draws)
+
+                whole = whole_rng.random(n)
+                pieces = np.empty(n)
+                for start in range(0, n, chunk):
+                    chunk_rng.random(out=pieces[start : start + chunk])
+                assert np.array_equal(whole, pieces), failure.format(kind="Generator.random(out=)")
+                assert whole_rng.bit_generator.state == chunk_rng.bit_generator.state
+
+                # Every chunk but the last a multiple of 4 bytes: whole words.
+                whole = whole_rng.bytes(n)
+                pieces = b"".join(_in_chunks(chunk_rng.bytes, n, chunk))
+                assert whole == pieces, failure.format(kind="Generator.bytes")
+                assert whole_rng.bit_generator.state == chunk_rng.bit_generator.state, (
+                    failure.format(kind="Generator.bytes (has_uint32/uinteger)")
+                )
+
+                whole = whole_rng.poisson(0.1, n)
+                pieces = np.concatenate(_in_chunks(lambda m: chunk_rng.poisson(0.1, m), n, chunk))
+                assert np.array_equal(whole, pieces), failure.format(kind="Generator.poisson")
+                assert whole_rng.bit_generator.state == chunk_rng.bit_generator.state
+
+    # The alignment is what holds the byte stream together: a chunk that
+    # ends inside a 32-bit word throws the rest of that word away.
+    whole_rng, chunk_rng = np.random.default_rng(5), np.random.default_rng(5)
+    assert whole_rng.bytes(8) != chunk_rng.bytes(3) + chunk_rng.bytes(5)
+
+
 # ---------------------------------------------------------------------- #
 # The draw kernels against the Generator methods they replace
 # ---------------------------------------------------------------------- #
@@ -335,7 +388,7 @@ def assert_same_stream(rng, reference_rng):
 @given(
     st.integers(0, 2**32),
     draw_prefixes,
-    st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 4097, 2**16 + 1]),
+    st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 4097, CHUNK + 1, 2 * CHUNK + 3]),
     st.booleans(),
 )
 def test_coin_flips_is_generator_integers(seed, prefix, n, into_row):
@@ -372,7 +425,7 @@ poisson_means = st.one_of(
 @example(0.45, 64, 139, [], False)
 # The same with a buffered half-word to carry through the rounds.
 @example(0.45, 64, 139, [("uint8", 1)], True)
-# Five rounds (65537 -> ~6200 -> ~590 -> ...), the production shape in small.
+# More than one chunk of pulses, and the rounds that draw the shortfall.
 @example(0.1, 2**16 + 1, 2003, [("uint8", 0), ("binomial", 3)], True)
 def test_poisson_counts_is_generator_poisson(lam, n, seed, prefix, into_row):
     rng, reference_rng = generator_pair(seed, prefix)
@@ -390,11 +443,76 @@ def test_poisson_counts_is_generator_poisson(lam, n, seed, prefix, into_row):
     if 0 < lam < 10 and n <= 1000:
         rng, reference_rng = generator_pair(seed, prefix)
         reference = reference_rng.poisson(lam, size=n)
-        slots, occupancy = _replay_multiplication_method(rng, math.exp(-lam), n)
+        counts = np.full(n, 7, dtype=np.int64)
+        slots = _replay_multiplication_method(rng, math.exp(-lam), counts)
         assert np.array_equal(slots, reference.nonzero()[0])
-        assert np.array_equal(occupancy, reference[slots])
+        assert np.array_equal(counts, reference)
         assert_same_stream(rng, reference_rng)
 
+
+
+#: Lengths either side of a chunk boundary, and of two.
+chunked_lengths = st.sampled_from([0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 3, 2 * CHUNK + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), draw_prefixes, chunked_lengths, st.floats(0.0, 1.0))
+def test_uniforms_below_is_generator_random_compared(seed, prefix, n, threshold):
+    rng, reference_rng = generator_pair(seed, prefix)
+    reference = reference_rng.random(n) < threshold
+    below = uniforms_below(rng, n, threshold)
+    assert below.dtype == bool and np.array_equal(below, reference)
+    assert_same_stream(rng, reference_rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), draw_prefixes, chunked_lengths, st.floats(0.0, 1.0))
+def test_uniforms_at_and_their_replay_are_generator_random_gathered(seed, prefix, n, share):
+    """``uniforms_at`` draws the whole stream and keeps the doubles at
+    ``slots``; ``replay_uniforms`` finds the same doubles later from the
+    state the draw began in, touching no live generator."""
+    rng, reference_rng = generator_pair(seed, prefix)
+    slots = np.flatnonzero(np.random.default_rng(seed).random(n) < share)
+    state = rng.bit_generator.state
+    reference = reference_rng.random(n)[slots]
+    assert np.array_equal(uniforms_at(rng, n, slots), reference)
+    assert_same_stream(rng, reference_rng)
+
+    assert np.array_equal(replay_uniforms(state, slots), reference)
+    assert np.array_equal(replay_uniforms(state, slots[::7]), reference[::7])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    poisson_means,
+    st.sampled_from([0, 1, 17, NUMPY_POISSON_CHUNK, 2 * NUMPY_POISSON_CHUNK + 1]),
+    st.integers(0, 2**32),
+    draw_prefixes,
+    st.booleans(),
+)
+def test_poisson_counts_off_thread_is_generator_poisson(lam, n, seed, prefix, into_row):
+    rng, reference_rng = generator_pair(seed, prefix)
+    reference = reference_rng.poisson(lam, size=n)
+    row = np.full(n, 7, dtype=np.int64) if into_row else None
+    counts, slots = poisson_counts_off_thread(rng, lam, n, out=row)
+    assert counts.dtype == (np.int64 if into_row else np.uint16)
+    assert row is None or counts is row
+    assert np.array_equal(counts, reference)
+    assert np.array_equal(slots, reference.nonzero()[0])
+    assert_same_stream(rng, reference_rng)
+
+
+
+def test_a_slot_list_past_its_estimate_grows_and_keeps_every_slot():
+    """The kernels size their slot list for the expected count; a batch
+    that beats the estimate (never seen at the paper's means) still gets
+    every slot, in order, in the narrow index type."""
+    slots = _SlotList(n=10_000, expected=0.0)
+    parts = [np.arange(start, start + 700) for start in range(0, 7_000, 700)]
+    for part in parts:
+        slots.extend(part)
+    assert slots.array().dtype == np.int32
+    assert np.array_equal(slots.array(), np.concatenate(parts))
 
 def test_the_unfinished_pulse_example_is_what_it_says():
     """Guards the first two ``@example`` rows above against a silent change of meaning."""
