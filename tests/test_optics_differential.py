@@ -450,7 +450,6 @@ def test_poisson_counts_is_generator_poisson(lam, n, seed, prefix, into_row):
         assert_same_stream(rng, reference_rng)
 
 
-
 #: Lengths either side of a chunk boundary, and of two.
 chunked_lengths = st.sampled_from([0, 1, 5, CHUNK - 1, CHUNK, CHUNK + 3, 2 * CHUNK + 1])
 
@@ -502,7 +501,6 @@ def test_poisson_counts_off_thread_is_generator_poisson(lam, n, seed, prefix, in
     assert_same_stream(rng, reference_rng)
 
 
-
 def test_a_slot_list_past_its_estimate_grows_and_keeps_every_slot():
     """The kernels size their slot list for the expected count; a batch
     that beats the estimate (never seen at the paper's means) still gets
@@ -513,6 +511,7 @@ def test_a_slot_list_past_its_estimate_grows_and_keeps_every_slot():
         slots.extend(part)
     assert slots.array().dtype == np.int32
     assert np.array_equal(slots.array(), np.concatenate(parts))
+
 
 def test_the_unfinished_pulse_example_is_what_it_says():
     """Guards the first two ``@example`` rows above against a silent change of meaning."""
