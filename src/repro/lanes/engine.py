@@ -50,14 +50,14 @@ slots beside the batch being carried, and nothing that grows with the
 batch: glibc gives the worker its own arena and keeps that arena's
 high-water mark, so the draws run in chunks (:mod:`repro.optics.draws`),
 and the photon number is numpy's own Poisson loop, one call per chunk
-without the GIL, rather than the replay whose small steps would take the
-GIL from the thread carrying the batch.  The channel's dense per-slot
-doubles went to chunks at the same time, which is why memory fell while the
-pipeline added a batch.  Measured on E21 (2 vCPUs, interleaved pairs at
-20 s): ``link_single`` ``work_per_ref_s`` 31.6 → 40.9 (10/10 pairs),
-``fleet_epochs`` 32.9 → 37.4 (8/8), ``key_life`` 29.8 → 37.9 (5/5);
-``peak_rss_mb`` 58.9 → 53.4, 53.7 → 51.6 and 59.4 → 55.1; a 16-lane
-250 k-slot epoch's ``tracemalloc`` peak 4.06 MiB against 2.82 for one lane
+without the GIL.  The channel's dense per-slot doubles went to chunks at
+the same time (all but the detector doubles, one dense draw kept until the
+fired slots are known), which is why memory fell while the pipeline added a
+batch.  Measured on E21 (2 vCPUs, interleaved pairs at 20 s):
+``link_single`` ``work_per_ref_s`` 34.0 → 41.5 (10/10 pairs),
+``fleet_epochs`` 33.6 → 38.1 (5/5), ``key_life`` 33.3 → 38.0 (5/5);
+``peak_rss_mb`` 58.8 → 57.4, 53.7 → 53.6 and 59.4 → 58.8; a 16-lane
+250 k-slot epoch's ``tracemalloc`` peak 5.82 MiB against 4.61 for one lane
 (6.27 against 6.07 before).  Carrying two whole lanes at once instead was
 rejected: a prototype measured ``fleet_epochs`` +45 % but ``peak_rss_mb``
 +13 % and that peak ratio at ~1.9.

@@ -23,6 +23,7 @@ themselves on the photonic path, as Eve does in the paper's threat model.
 from __future__ import annotations
 
 from collections import deque
+from concurrent import futures
 from concurrent.futures import Executor
 from typing import Optional
 
@@ -30,7 +31,7 @@ import numpy as np
 
 from repro.optics import model
 from repro.optics.detector import apply_afterpulse, combine_clicks, signal_click_probability
-from repro.optics.draws import coin_flips, replay_uniforms, uniforms_at, uniforms_below
+from repro.optics.draws import coin_flips, uniforms_at, uniforms_below
 from repro.optics.entangled import EntangledPairSource
 from repro.optics.interferometer import detector1_probability_map, phase_delta
 from repro.optics.model import ChannelParameters
@@ -146,7 +147,7 @@ class QuantumChannel:
         self.framing = BrightPulseFraming(self.parameters.framing, self.rng.fork("framing"))
         self.slots_transmitted = 0
         #: Source batches drawn ahead of :meth:`transmit` (:meth:`emit_ahead`),
-        #: oldest first: ``(n_slots, arrays, future)``.
+        #: oldest first: ``(n_slots, arrays, before, future)``.
         self._emissions = deque()
 
     # ------------------------------------------------------------------ #
@@ -166,26 +167,32 @@ class QuantumChannel:
         stream.
         """
         arrays = _source_arrays(n_slots)
-        self._emissions.append((n_slots, arrays, worker.submit(self._emit, arrays)))
+        before = []
+        future = worker.submit(self._emit, arrays, before)
+        self._emissions.append((n_slots, arrays, before, future))
 
-    def _emit(self, arrays):
-        """Worker side of :meth:`emit_ahead`: where the source stood before
-        the draw (for :meth:`discard_emissions`), and the draw's non-empty slots."""
+    def _emit(self, arrays, before):
+        """Worker side of :meth:`emit_ahead`: notes in ``before`` where the
+        source stood (for :meth:`discard_emissions`), then draws the batch."""
         source = self.source
-        before = (source._numpy_rng.bit_generator.state, source.pulses_emitted)
-        return before, source.emit_into(*arrays)
+        before.append((source._numpy_rng.bit_generator.state, source.pulses_emitted))
+        return source.emit_into(*arrays)
 
     def discard_emissions(self) -> None:
         """Drop every batch drawn ahead and not transmitted, and put the
         source back where it stood before the oldest of them, so the next
-        batch is drawn as if none had been.  Waits for a draw in progress."""
-        if not self._emissions:
+        batch is drawn as if none had been.  Waits for the draws still
+        running; a draw that raised is dropped with its batch, error and all
+        (nothing reads that batch, and the source is put back before it)."""
+        emissions, self._emissions = self._emissions, deque()
+        if not emissions:
             return
-        outcomes = [future.result() for _, _, future in self._emissions]
-        self._emissions.clear()
-        (state, pulses_emitted), _ = outcomes[0]
-        self.source._numpy_rng.bit_generator.state = state
-        self.source.pulses_emitted = pulses_emitted
+        futures.wait([future for *_, future in emissions])
+        oldest_before = emissions[0][2]
+        if oldest_before:
+            (state, pulses_emitted), = oldest_before
+            self.source._numpy_rng.bit_generator.state = state
+            self.source.pulses_emitted = pulses_emitted
 
     def _source_batch(self, n_slots: int):
         """This batch's ``basis``, ``value``, ``photons`` and non-empty slots:
@@ -193,7 +200,7 @@ class QuantumChannel:
         if not self._emissions:
             arrays = _source_arrays(n_slots)
             return (*arrays, self.source.emit_into(*arrays))
-        pending_slots, arrays, future = self._emissions[0]
+        pending_slots, arrays, _, future = self._emissions[0]
         if pending_slots != n_slots:
             self.discard_emissions()
             raise ValueError(
@@ -201,8 +208,7 @@ class QuantumChannel:
                 f"not {n_slots}; it is discarded"
             )
         self._emissions.popleft()
-        _, occupied = future.result()
-        return (*arrays, occupied)
+        return (*arrays, future.result())
 
     # ------------------------------------------------------------------ #
     # Monte-Carlo transmission
@@ -236,16 +242,15 @@ class QuantumChannel:
           more cheaply than by the ``Generator`` call that defines them, each
           with the same values from the same stream positions and each behind
           a numpy canary in ``tests/test_optics_differential.py``
-          (:mod:`repro.optics.draws`): every draw runs in chunks, so none
-          holds a batch-sized temporary; the 0/1 draws (both bases, Alice's
-          value, the coin, the afterpulse detector) are the top bit of
-          ``Generator.bytes``; the dark counts are compared chunk by chunk;
-          the detector and signal doubles are kept only where photons
-          arrived, and the detector double of a slot that fires without
-          one (a dark count) is found again afterwards from the saved
-          stream state; and the two photon-count binomials are drawn on the
-          non-zero counts only (numpy's ``binomial(0, p)`` is 0 and consumes
-          nothing).
+          (:mod:`repro.optics.draws`, whose kernels draw in chunks so that
+          none holds a batch-sized temporary): the 0/1 draws (both bases,
+          Alice's value, the coin, the afterpulse detector) are the top bit
+          of ``Generator.bytes``; the dark counts are compared chunk by chunk;
+          the signal doubles are kept only where photons arrived; and the
+          two photon-count binomials are drawn on the non-zero counts only
+          (numpy's ``binomial(0, p)`` is 0 and consumes nothing).  The
+          detector doubles are one dense draw, kept whole only until the
+          fired slots are known.
         * The *physics between the draws* runs only where it can matter.  The
           received photons are carried as a sparse ``(slots, counts)`` pair,
           the click probability is evaluated only on them (~5 % of slots),
@@ -291,10 +296,7 @@ class QuantumChannel:
         bob_basis = coin_flips(rng, n_slots)
         noise_rad = parameters.interferometer.phase_noise_rad
         noise = rng.normal(0.0, noise_rad, size=n_slots) if noise_rad > 0 else None
-        # The detector draw is read only where a detector fires: kept where
-        # photons arrived, replayed from here for the few dark-only slots.
-        detector_stream = rng.bit_generator.state
-        detector_at_rx = uniforms_at(rng, n_slots, rx_slots)
+        detector_draws = rng.random(n_slots)
 
         # --- gate misalignment: thinning --- #
         efficiency_factor = parameters.framing.efficiency_factor
@@ -321,13 +323,7 @@ class QuantumChannel:
         click |= signal
         fired = click.nonzero()[0]
         signal, dark0, dark1, coin = signal[fired], dark0[fired], dark1[fired], coin[fired]
-        at_rx = np.searchsorted(rx_slots, fired)
-        reached = at_rx < rx_slots.size
-        reached[reached] = rx_slots[at_rx[reached]] == fired[reached]
-        detector_draws = np.empty(fired.size)
-        detector_draws[reached] = detector_at_rx[at_rx[reached]]
-        detector_draws[~reached] = replay_uniforms(detector_stream, fired[~reached])
-        del detector_at_rx
+        detector_draws = detector_draws[fired]
 
         # --- framing: bright-pulse draws --- #
         per_frame = parameters.framing.slots_per_frame

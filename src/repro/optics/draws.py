@@ -1,4 +1,4 @@
-"""Stream-exact replays of the per-slot draws that dominate a batch, in chunks.
+"""Stream-exact, chunked forms of the per-slot draws that dominate a batch.
 
 The pinned key-material digests fix which numbers every ``numpy`` generator
 hands out and in which order, so a draw can only be made cheaper by computing
@@ -7,15 +7,15 @@ here do that for the draws taken for every trigger slot on the slot→key path;
 each returns what the ``Generator`` call it replaces returns and leaves the
 generator's full state (``state``, ``inc``, ``has_uint32``, ``uinteger``) where
 that call leaves it.  ``tests/test_optics_differential.py`` holds the numpy
-algorithms with canaries and every kernel to the ``Generator`` call.
+behaviour they rely on with canaries and every kernel to the ``Generator`` call.
 
 **Chunks.**  Every kernel draws in chunks of :data:`CHUNK` values, so no draw
 holds a batch-sized temporary: a 500 k-slot ``Generator.random`` is 4 MB of
 doubles, a chunk of it 512 KiB, reused.  Chunking moves no value: a double is
 one 64-bit output wherever a call starts, ``Generator.bytes`` takes whole
 32-bit words and every chunk but the last is a multiple of 4 bytes long, and
-numpy's Poisson and binomial draws keep no state between pulses.  What a
-chunk buys is memory: the worker thread that emits the next batch
+numpy's Poisson draw keeps no state between pulses.  What a chunk buys is
+memory: the worker thread that emits the next batch
 (:mod:`repro.lanes.engine`) allocates in its own glibc arena, which keeps
 its high-water mark for good, so what it allocates must not grow with the
 batch.
@@ -24,82 +24,46 @@ batch.
 draws a bounded ``uint8`` by Lemire's method on bytes peeled low-first off
 ``next_uint32`` words; for the range {0, 1} that reduces to ``byte >> 7``
 with no rejection, and ``Generator.bytes(n)`` returns those very bytes from
-the same ``ceil(n / 4)`` words.
+the same ``ceil(n / 4)`` words.  ``Generator.bytes(0)`` consumes a 32-bit
+word where ``integers(size=0)`` consumes nothing, so ``coin_flips`` returns
+early on ``n == 0`` (pinned by a canary).
 
-:func:`uniforms_below`, :func:`uniforms_at` and :func:`replay_uniforms` are
-``Generator.random(n) < p``, ``Generator.random(n)[slots]`` and the latter
-taken again later from a saved state (``PCG64.advance`` to each slot): the
-channel compares most doubles once and reads the rest at a few slots.
+:func:`uniforms_below` and :func:`uniforms_at` are ``Generator.random(n) < p``
+and ``Generator.random(n)[slots]``: the channel compares most doubles once
+and reads the rest at a few slots.
 
-:func:`poisson_counts` is ``Generator.poisson(lam, n)``.  For ``0 < lam < 10``
-numpy uses the multiplication method: per pulse, multiply ``next_double``
-values into a running product until it falls to ``exp(-lam)``; the count is
-the number that kept it above.  ``Generator.random`` returns the same doubles,
-so a pulse ends at every ``U <= exp(-lam)`` with no arithmetic (90 % of the
-stream at the paper's 0.1 photons per pulse) and only runs of two or more
-consecutive ``U > exp(-lam)`` (under 1 % of slots) need the product, taken one
-vector step per position in the run, all runs at once.  The cost is therefore
-one ``random``, one compare and work on the ~10 % of doubles above the line,
-plus one interpreter step per position of the *longest* run.  That is exact
-for every ``lam`` in (0, 10) — the differential test runs it there — but only
-cheaper than numpy's loop while most doubles end a pulse outright: measured
-here at 500k pulses, 9 against 18-23 ns per pulse at ``lam`` 0.1, level at
-0.5-0.6, 2x slower at 1, and the longest run grows like ``exp(lam)`` from
-there (400x slower at 9.9).  So the replay serves ``lam`` below
-:data:`REPLAY_BELOW` and ``Generator.poisson`` itself the rest; the stream is
-the same on both sides of that line, which makes it a cost decision only.
-The sources take the other side of a second cost decision:
-:func:`poisson_counts_off_thread` is ``Generator.poisson`` for every ``lam``,
-a chunk per call.  A source emits on a worker beside the thread that carries
-the batch, where time spent drawing is hidden but time holding the GIL is
-not: numpy's loop holds it for a few microseconds a chunk, the replay for
-most of its ~40 small steps a round.  A pipelined 5 M-slot link run took
-0.269 s (median of 12 interleaved rounds, 2 vCPUs) with the replay on the
-worker and 0.217 s with numpy's loop there.
-
-Three traps, each pinned by a test:
-
-* ``Generator.bytes(0)`` consumes a 32-bit word where ``integers(size=0)``
-  consumes nothing — ``coin_flips`` returns early on ``n == 0``.
-* The doubles one call consumes are only known once counted (``n`` plus the
-  doubles that did not end a pulse).  Over-drawing and rewinding with
-  ``PCG64.advance`` would clear the buffered half-word (``has_uint32`` /
-  ``uinteger``) that ``Generator.poisson`` leaves alone, so the kernel never
-  over-draws: every pulse still owed needs at least one more double, it draws
-  at most that many, and goes round again for the shortfall.
-* ``lam == 0`` (numpy returns zeros and consumes nothing) and ``lam >= 10``
-  (numpy switches to the PTRS rejection algorithm) are numpy's own branches on
-  the value and not the multiplication method at all; both lie outside
-  ``0 < lam < REPLAY_BELOW`` and reach ``Generator.poisson`` unchanged.
+:func:`poisson_counts` is ``Generator.poisson(lam, n)`` itself, a chunk of
+:data:`POISSON_CHUNK` pulses per call, plus the ascending non-empty slots.
+Each call runs without the GIL, which is what the sources need: they emit on
+a worker beside the thread that carries the batch, where time spent drawing
+is hidden but time holding the GIL is not.  (A vectorised replay of numpy's
+multiplication method from the ``Generator.random`` doubles takes about half
+numpy's time alone at 0.1 photons per pulse, 9 against 18-23 ns a pulse, but
+its ~40 small interpreter steps a chunk hold the GIL the carrying thread
+needs: a pipelined 5 M-slot link run took 0.269 s with it on the worker and
+0.217 s with numpy's loop, median of 12 interleaved rounds on 2 vCPUs.)
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Optional, Tuple
 
 import numpy as np
-
-#: Means from which :func:`poisson_counts` leaves the draw to numpy (see the
-#: module docstring for the measurement).  The paper's sources run at 0.05-0.1.
-REPLAY_BELOW = 0.5
 
 #: Values per chunk of every kernel (64 Ki: 512 KiB of doubles).  A multiple
 #: of 4, so a chunk of ``Generator.bytes`` ends on a 32-bit word.
 CHUNK = 1 << 16
 
-#: Pulses per call of :func:`poisson_counts_off_thread` (an eighth of a chunk:
-#: 64 KiB of numpy's ``int64`` counts at a time, against the 1 MiB a
-#: 250 k-slot batch's next source arrays take beside it).
-NUMPY_POISSON_CHUNK = CHUNK // 8
-
-_NO_DOUBLES = np.empty(0, dtype=np.float64)
+#: Pulses per call of :func:`poisson_counts` (an eighth of a chunk: 64 KiB of
+#: numpy's ``int64`` counts at a time, against the 1 MiB a 250 k-slot batch's
+#: next source arrays take beside it).
+POISSON_CHUNK = CHUNK // 8
 
 
-def _chunks(n: int) -> Iterator[Tuple[int, int]]:
+def _chunks(n: int, chunk: int = CHUNK) -> Iterator[Tuple[int, int]]:
     """``(start, stop)`` of each chunk of ``range(n)``."""
-    for start in range(0, n, CHUNK):
-        yield start, min(start + CHUNK, n)
+    for start in range(0, n, chunk):
+        yield start, min(start + chunk, n)
 
 
 def _uniform_chunks(rng: np.random.Generator, n: int) -> Iterator[Tuple[int, np.ndarray]]:
@@ -124,7 +88,8 @@ def coin_flips(
         return np.empty(0, dtype=np.uint8) if out is None else out
     flips = np.empty(n, dtype=np.uint8) if out is None else out
     for start, stop in _chunks(n):
-        np.right_shift(np.frombuffer(rng.bytes(stop - start), dtype=np.uint8), 7, out=flips[start:stop])
+        chunk = np.frombuffer(rng.bytes(stop - start), dtype=np.uint8)
+        np.right_shift(chunk, 7, out=flips[start:stop])
     return flips
 
 
@@ -145,25 +110,6 @@ def uniforms_at(rng: np.random.Generator, n: int, slots: np.ndarray) -> np.ndarr
     return picked
 
 
-def replay_uniforms(state: dict, slots: np.ndarray) -> np.ndarray:
-    """``rng.random(n)[slots]`` for a generator that was in ``state`` (its
-    ``bit_generator.state``) when that call began, for ascending ``slots``.
-
-    Each double is one 64-bit output, so ``advance`` steps straight to it.
-    Touches no live generator; costs a jump per slot, so it serves a few.
-    """
-    bit_generator = np.random.PCG64(0)
-    bit_generator.state = state
-    replay = np.random.Generator(bit_generator)
-    picked = np.empty(slots.size)
-    position = 0
-    for index, slot in enumerate(slots.tolist()):
-        bit_generator.advance(slot - position)
-        picked[index] = replay.random()
-        position = slot + 1
-    return picked
-
-
 def poisson_counts(
     rng: np.random.Generator, lam: float, n: int, out: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -171,144 +117,14 @@ def poisson_counts(
 
     Returns ``(counts, slots)``: the dense counts — written into ``out`` (any
     integer array of length ``n``) when given, a new ``uint16`` array
-    otherwise — and the ascending indices of the non-empty pulses, which the
-    replay knows without a pass over the counts.
-    """
-    if not 0 < lam < REPLAY_BELOW:
-        return poisson_counts_off_thread(rng, lam, n, out)
-    counts = np.empty(n, dtype=np.uint16) if out is None else out
-    return counts, _replay_multiplication_method(rng, math.exp(-lam), counts)
-
-
-def _replay_multiplication_method(
-    rng: np.random.Generator, enlam: float, counts: np.ndarray
-) -> np.ndarray:
-    """Fill ``counts`` with ``counts.size`` multiplication-method draws;
-    returns the ascending slots of the non-empty pulses."""
-    n = counts.size
-    counts[...] = 0
-    slots = _SlotList(n, n * (1.0 - enlam))
-    done = 0
-    #: Doubles of the pulse the previous round left unfinished (all above the
-    #: line, product still above it); the next round starts with them again.
-    tail = _NO_DOUBLES
-    while done < n:
-        pulses, occupancy, completed, tail = _replay_round(
-            rng, enlam, tail, min(n - done, CHUNK)
-        )
-        pulses += done
-        counts[pulses] = occupancy
-        slots.extend(pulses)
-        done += completed
-    return slots.array()
-
-
-def poisson_counts_off_thread(
-    rng: np.random.Generator, lam: float, n: int, out: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`poisson_counts` drawn by ``Generator.poisson`` itself.
-
-    The same values, stream and return as :func:`poisson_counts`, at numpy's
-    own cost (about twice the replay's at the paper's 0.1 photons per pulse)
-    but as one call per :data:`NUMPY_POISSON_CHUNK` pulses, each of which
-    runs without the GIL.  The sources draw the photon number this way: they
-    emit on a worker beside the thread that runs the channel, where the
-    replay's hundreds of small interpreter steps a batch would take the GIL
-    from that thread over and over, while the longer draw is hidden.
+    otherwise — and the ascending indices of the non-empty pulses, gathered
+    chunk by chunk so that nothing scans the counts again.
     """
     counts = np.empty(n, dtype=np.uint16) if out is None else out
-    slots = _SlotList(n, n * (1.0 - math.exp(-lam)))
-    for start in range(0, n, NUMPY_POISSON_CHUNK):
-        stop = min(start + NUMPY_POISSON_CHUNK, n)
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    parts = [np.empty(0, dtype=index)]
+    for start, stop in _chunks(n, POISSON_CHUNK):
         drawn = rng.poisson(lam, size=stop - start)
         counts[start:stop] = drawn
-        slots.extend(np.flatnonzero(drawn) + start)
-    return counts, slots.array()
-
-
-class _SlotList:
-    """Ascending slot indices gathered part by part into one array, sized
-    for the ``expected`` count and a margin far past its spread (grown if
-    ever short), so they are never copied out of a list of parts.  They fit
-    the narrower index type, which halves what a batch drawn ahead holds."""
-
-    def __init__(self, n: int, expected: float):
-        dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-        self._slots = np.empty(int(expected * 1.05) + 1024, dtype=dtype)
-        self._size = 0
-
-    def extend(self, part: np.ndarray) -> None:
-        end = self._size + part.size
-        if end > self._slots.size:
-            grown = np.empty(max(2 * self._slots.size, end), dtype=self._slots.dtype)
-            grown[: self._size] = self._slots[: self._size]
-            self._slots = grown
-        self._slots[self._size : end] = part
-        self._size = end
-
-    def array(self) -> np.ndarray:
-        return self._slots[: self._size]
-
-
-def _replay_round(rng: np.random.Generator, enlam: float, tail: np.ndarray, m: int):
-    """One round of the replay: ``tail`` and ``m`` new doubles.
-
-    Returns ``(pulses, counts, completed, tail)``: the non-empty pulses this
-    round finished (numbered from the round's first pulse) and their counts,
-    how many pulses it finished, and the doubles of the one it did not.
-    """
-    doubles = np.empty(tail.size + m)
-    doubles[: tail.size] = tail
-    rng.random(out=doubles[tail.size :])
-    high = np.flatnonzero(doubles > enlam)
-    # A high double counts towards its pulse unless the running product
-    # falls to the line at it, which ends the pulse there instead.
-    counted = _highs_the_product_survives(doubles, high, enlam)
-    position = high[counted]
-    # Every double before a counted high either ended a pulse or was
-    # counted, so its pulse number is its position less the highs counted
-    # before it; the highs of one pulse share that number.
-    pulse = position - np.arange(position.size)
-    # Highs that every pulse end of this buffer precedes belong to a pulse
-    # the buffer does not finish: not counted yet, carried over instead
-    # (copied, so that this round's buffer is freed with the round).
-    completed = doubles.size - position.size
-    cut = int(np.searchsorted(pulse, completed))
-    tail = doubles[position[cut]:].copy() if cut < position.size else _NO_DOUBLES
-    pulse = pulse[:cut]
-    first = np.flatnonzero(pulse[1:] != pulse[:-1]) + 1
-    if cut:
-        first = np.concatenate(([0], first))
-    return pulse[first], np.diff(first, append=cut), completed, tail
-
-
-def _highs_the_product_survives(doubles: np.ndarray, high: np.ndarray, enlam: float) -> np.ndarray:
-    """For each index in ``high`` (ascending positions of ``doubles > enlam``),
-    whether the pulse's running product is still above ``enlam`` after it.
-
-    A lone high always is (``1.0 * U == U``).  Runs of consecutive highs are
-    walked one position per step, every run at once; where the product falls
-    to the line the pulse ends, and the next position starts one afresh.
-    """
-    counted = np.ones(high.size, dtype=bool)
-    follows = np.zeros(high.size + 1, dtype=bool)
-    np.equal(high[1:], high[:-1] + 1, out=follows[1:-1])
-    # follows[k]: high k - 1 and high k are neighbours.  Where it changes are,
-    # alternately, the first and the last high of each run of two or more.
-    edge = np.flatnonzero(follows[1:] != follows[:-1])
-    if not edge.size:
-        return counted
-    run_length = edge[1::2] - edge[0::2] + 1
-    # Longest run first, so the runs still being walked are always a prefix.
-    order = np.argsort(-run_length, kind="stable")
-    first = edge[0::2][order]
-    start = high[first]
-    still_longer = order.size - np.cumsum(np.bincount(run_length))
-    product = doubles[start]
-    for step in range(1, still_longer.size - 1):
-        live = product[: still_longer[step]]
-        live *= doubles[start[: live.size] + step]
-        ended = np.flatnonzero(live <= enlam)
-        counted[first[ended] + step] = False
-        live[ended] = 1.0
-    return counted
+        parts.append((np.flatnonzero(drawn) + start).astype(index))
+    return counts, np.concatenate(parts)

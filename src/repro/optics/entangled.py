@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.optics.draws import coin_flips, poisson_counts_off_thread, uniforms_at
+from repro.optics.draws import coin_flips, poisson_counts, uniforms_at
 from repro.optics.model import EntangledSourceParameters
 from repro.util.rng import DeterministicRNG
 
@@ -50,7 +50,7 @@ class EntangledPairSource:
         The herald draw is taken for every slot and read only there.
         """
         n_pulses = pairs_out.shape[-1]
-        _, occupied = poisson_counts_off_thread(
+        _, occupied = poisson_counts(
             self._numpy_rng, self.parameters.mean_pairs_per_pulse, n_pulses, out=pairs_out
         )
         heralded = (

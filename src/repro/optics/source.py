@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from repro.optics.draws import coin_flips, poisson_counts_off_thread
+from repro.optics.draws import coin_flips, poisson_counts
 from repro.optics.model import SourceParameters
 from repro.util.rng import DeterministicRNG
 
@@ -74,8 +74,8 @@ class WeakCoherentSource:
         (0/1), and the Poissonian photon number actually present — drawn in
         that order, one call each, which is what the pinned digests fix
         (:mod:`repro.optics.draws` takes the same values from the same
-        stream positions, the photon number by numpy's own loop, which runs
-        without the GIL).
+        stream positions in chunks; the photon number is numpy's own loop,
+        which runs without the GIL).
 
         Returns the ascending indices of the non-empty pulses
         (``photons_out.nonzero()[0]``), which the photon-number draw knows
@@ -84,7 +84,7 @@ class WeakCoherentSource:
         n_pulses = basis_out.shape[-1]
         coin_flips(self._numpy_rng, n_pulses, out=basis_out)
         coin_flips(self._numpy_rng, n_pulses, out=value_out)
-        _, occupied = poisson_counts_off_thread(
+        _, occupied = poisson_counts(
             self._numpy_rng, self.parameters.mean_photon_number, n_pulses, out=photons_out
         )
         self.pulses_emitted += int(n_pulses)

@@ -315,8 +315,8 @@ class TestLaneMemoryDiscipline:
         batch is drawn while the lane before it is carried); the 1-lane
         epoch is one batch and starts no thread.  So the 16-lane peak holds
         one more batch of source arrays (4 bytes a slot and the non-empty
-        slots) and the worker's chunk-sized temporaries: measured 4.06 MiB
-        against 2.82 (1.44x), where without the pipeline and the chunked
+        slots) and the worker's chunk-sized temporaries: measured 5.82 MiB
+        against 4.61 (1.26x), where without the pipeline and the chunked
         draws it was 6.27 against 6.07.  Carrying two whole lanes at once
         instead measured ~1.9x on a prototype."""
 
@@ -360,6 +360,22 @@ class _RaisesOnItsSecondBatch(InterceptResendAttack):
         if self.calls == 2:
             raise RuntimeError("the attack failed on batch 2")
         return super().intercept(emission, transmittance, rng)
+
+
+def _emit_into_raising_on_call(failing_call):
+    """``WeakCoherentSource.emit_into`` that raises ``MemoryError`` on its
+    ``failing_call``-th call, after drawing part of the batch."""
+    emit_into = WeakCoherentSource.emit_into
+    calls = []
+
+    def emitting(source, basis_out, value_out, photons_out):
+        calls.append(threading.current_thread().name)
+        if len(calls) == failing_call:
+            source._numpy_rng.random(7)
+            raise MemoryError(f"draw {failing_call} failed on {calls[-1]}")
+        return emit_into(source, basis_out, value_out, photons_out)
+
+    return emitting
 
 
 class TestEmitAhead:
@@ -412,6 +428,42 @@ class TestEmitAhead:
         source, twin_source = link.channel.source, twin.channel.source
         assert source.pulses_emitted == twin_source.pulses_emitted == 2 * BATCH
         assert source._numpy_rng.bit_generator.state == twin_source._numpy_rng.bit_generator.state
+        assert _frame_digest(link.channel.transmit(BATCH)) == _frame_digest(
+            twin.channel.transmit(BATCH)
+        )
+
+    def test_a_draw_that_raises_on_the_worker_is_what_the_run_raises(self):
+        """The batch whose draw failed raises where it is transmitted; the
+        run ends with the worker joined and nothing left queued."""
+        link = QKDLink(LinkParameters(slots_per_batch=BATCH), DeterministicRNG(41))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WeakCoherentSource, "emit_into", _emit_into_raising_on_call(2))
+            on_the_worker = f"draw 2 failed on {EMITTER_THREAD_PREFIX}"
+            with pytest.raises(MemoryError, match=on_the_worker):
+                link.run_slots(SLOTS)
+        assert _emitting_threads() == []
+        assert not link.channel._emissions
+
+    def test_a_failed_draw_drawn_ahead_does_not_hide_the_runs_own_error(self):
+        """An attack raising on batch 2 while the worker's draw of batch 3
+        raised too: the run raises the attack's error, the failed batch is
+        dropped, and the source stands where two inline transmits leave it."""
+        parameters = LinkParameters(slots_per_batch=BATCH)
+        link = QKDLink(parameters, DeterministicRNG(41))
+        link.attach_attack(_RaisesOnItsSecondBatch())
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(WeakCoherentSource, "emit_into", _emit_into_raising_on_call(3))
+            with pytest.raises(RuntimeError, match="batch 2"):
+                link.run_slots(SLOTS)
+        assert _emitting_threads() == []
+        assert not link.channel._emissions
+
+        twin = QKDLink(parameters, DeterministicRNG(41))
+        twin_attack = _RaisesOnItsSecondBatch()
+        twin.channel.transmit(BATCH, twin_attack)
+        with pytest.raises(RuntimeError, match="batch 2"):
+            twin.channel.transmit(BATCH, twin_attack)
+        assert link.channel.source.pulses_emitted == twin.channel.source.pulses_emitted
         assert _frame_digest(link.channel.transmit(BATCH)) == _frame_digest(
             twin.channel.transmit(BATCH)
         )

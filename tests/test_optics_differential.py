@@ -14,8 +14,6 @@ the ``Generator`` calls they stand in for — values, non-empty slots, full
 state dict, and the next draw of each kind.
 """
 
-import math
-
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -24,14 +22,9 @@ from repro.optics.channel import ChannelParameters, QuantumChannel, transmit_lan
 from repro.optics.model import DetectorParameters
 from repro.optics.draws import (
     CHUNK,
-    NUMPY_POISSON_CHUNK,
-    REPLAY_BELOW,
-    _replay_multiplication_method,
-    _SlotList,
+    POISSON_CHUNK,
     coin_flips,
     poisson_counts,
-    poisson_counts_off_thread,
-    replay_uniforms,
     uniforms_at,
     uniforms_below,
 )
@@ -254,53 +247,6 @@ def test_canary_coin_flips_are_the_top_bit_of_the_byte_stream():
         )
 
 
-def _poisson_mult_transcription(rng, lam, n):
-    """numpy's ``random_poisson_mult`` (legacy-distributions.c), line for line,
-    over ``Generator.random`` doubles."""
-    enlam = math.exp(-lam)
-    counts = []
-    for _ in range(n):
-        x = 0
-        prod = 1.0
-        while True:
-            prod *= rng.random()
-            if prod > enlam:
-                x += 1
-            else:
-                break
-        counts.append(x)
-    return np.array(counts, dtype=np.int64)
-
-
-def test_canary_poisson_is_the_multiplication_method_on_the_double_stream():
-    """numpy canary for ``repro.optics.draws.poisson_counts``."""
-    failure = (
-        "Generator.poisson(lam, n) for 0 < lam < 10 is no longer the multiplication "
-        "method (multiply uniform doubles until the product falls to exp(-lam)) over "
-        "the doubles Generator.random returns, with exp(-lam) == math.exp(-lam), on "
-        "this numpy. repro.optics.draws.poisson_counts replays the photon number of "
-        "every pulse (both sources, Eve's resent pulses) from that stream; every "
-        "pinned key-material digest will move with it."
-    )
-    for lam in (0.01, 0.1, 1.0, 9.9):
-        for n in (0, 1, 7, 2000):
-            for uint8_draws in (0, 3):
-                reference_rng = _holding_buffered_uint32(2003, uint8_draws)
-                replay_rng = _holding_buffered_uint32(2003, uint8_draws)
-                reference = reference_rng.poisson(lam, size=n)
-                replayed = _poisson_mult_transcription(replay_rng, lam, n)
-                assert np.array_equal(reference, replayed), failure
-                assert (
-                    reference_rng.bit_generator.state == replay_rng.bit_generator.state
-                ), failure
-
-    # lam == 0 is numpy's own early return: zeros, nothing consumed.
-    rng = _holding_buffered_uint32(2003, 3)
-    before = rng.bit_generator.state
-    assert not rng.poisson(0.0, size=1000).any(), failure
-    assert rng.bit_generator.state == before, failure
-
-
 def _in_chunks(draw, n, chunk):
     """``draw(m)`` for each chunk of ``range(n)``, in order."""
     return [draw(min(chunk, n - start)) for start in range(0, n, chunk)]
@@ -406,27 +352,21 @@ poisson_means = st.one_of(
     st.just(0.0),
     st.floats(1e-4, 10.0, exclude_max=True),
     st.floats(10.0, 100.0),
-    # Either side of the line where the kernel hands the draw back to numpy.
-    st.sampled_from([0.05, 0.1, np.nextafter(REPLAY_BELOW, 0), REPLAY_BELOW]),
+    # The paper's sources.
+    st.sampled_from([0.05, 0.1]),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     poisson_means,
-    st.sampled_from([0, 1, 2, 3, 17, 1000, 2**16 + 1]),
+    st.sampled_from([0, 1, 2, 3, 17, 1000, POISSON_CHUNK, 2 * POISSON_CHUNK + 1]),
     st.integers(0, 2**32),
     draw_prefixes,
     st.booleans(),
 )
-# 64 doubles that end on three above exp(-0.45) whose product is still above
-# it: the first round leaves a pulse unfinished, which must be neither counted
-# nor lost, and the shortfall is drawn in further rounds.
-@example(0.45, 64, 139, [], False)
-# The same with a buffered half-word to carry through the rounds.
-@example(0.45, 64, 139, [("uint8", 1)], True)
-# More than one chunk of pulses, and the rounds that draw the shortfall.
-@example(0.1, 2**16 + 1, 2003, [("uint8", 0), ("binomial", 3)], True)
+# More than one chunk of pulses, after a buffered half-word.
+@example(0.1, 2 * POISSON_CHUNK + 1, 2003, [("uint8", 0), ("binomial", 3)], True)
 def test_poisson_counts_is_generator_poisson(lam, n, seed, prefix, into_row):
     rng, reference_rng = generator_pair(seed, prefix)
     reference = reference_rng.poisson(lam, size=n)
@@ -435,19 +375,8 @@ def test_poisson_counts_is_generator_poisson(lam, n, seed, prefix, into_row):
     assert counts.dtype == (np.int64 if into_row else np.uint16)
     assert row is None or counts is row
     assert np.array_equal(counts, reference)
-    assert np.array_equal(slots, reference.nonzero()[0])
+    assert slots.dtype == np.int32 and np.array_equal(slots, reference.nonzero()[0])
     assert_same_stream(rng, reference_rng)
-
-    # The replay is the multiplication method for every mean numpy uses it
-    # at, not only below REPLAY_BELOW: that line is about cost alone.
-    if 0 < lam < 10 and n <= 1000:
-        rng, reference_rng = generator_pair(seed, prefix)
-        reference = reference_rng.poisson(lam, size=n)
-        counts = np.full(n, 7, dtype=np.int64)
-        slots = _replay_multiplication_method(rng, math.exp(-lam), counts)
-        assert np.array_equal(slots, reference.nonzero()[0])
-        assert np.array_equal(counts, reference)
-        assert_same_stream(rng, reference_rng)
 
 
 #: Lengths either side of a chunk boundary, and of two.
@@ -466,56 +395,9 @@ def test_uniforms_below_is_generator_random_compared(seed, prefix, n, threshold)
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32), draw_prefixes, chunked_lengths, st.floats(0.0, 1.0))
-def test_uniforms_at_and_their_replay_are_generator_random_gathered(seed, prefix, n, share):
-    """``uniforms_at`` draws the whole stream and keeps the doubles at
-    ``slots``; ``replay_uniforms`` finds the same doubles later from the
-    state the draw began in, touching no live generator."""
+def test_uniforms_at_is_generator_random_gathered(seed, prefix, n, share):
     rng, reference_rng = generator_pair(seed, prefix)
     slots = np.flatnonzero(np.random.default_rng(seed).random(n) < share)
-    state = rng.bit_generator.state
     reference = reference_rng.random(n)[slots]
     assert np.array_equal(uniforms_at(rng, n, slots), reference)
     assert_same_stream(rng, reference_rng)
-
-    assert np.array_equal(replay_uniforms(state, slots), reference)
-    assert np.array_equal(replay_uniforms(state, slots[::7]), reference[::7])
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    poisson_means,
-    st.sampled_from([0, 1, 17, NUMPY_POISSON_CHUNK, 2 * NUMPY_POISSON_CHUNK + 1]),
-    st.integers(0, 2**32),
-    draw_prefixes,
-    st.booleans(),
-)
-def test_poisson_counts_off_thread_is_generator_poisson(lam, n, seed, prefix, into_row):
-    rng, reference_rng = generator_pair(seed, prefix)
-    reference = reference_rng.poisson(lam, size=n)
-    row = np.full(n, 7, dtype=np.int64) if into_row else None
-    counts, slots = poisson_counts_off_thread(rng, lam, n, out=row)
-    assert counts.dtype == (np.int64 if into_row else np.uint16)
-    assert row is None or counts is row
-    assert np.array_equal(counts, reference)
-    assert np.array_equal(slots, reference.nonzero()[0])
-    assert_same_stream(rng, reference_rng)
-
-
-def test_a_slot_list_past_its_estimate_grows_and_keeps_every_slot():
-    """The kernels size their slot list for the expected count; a batch
-    that beats the estimate (never seen at the paper's means) still gets
-    every slot, in order, in the narrow index type."""
-    slots = _SlotList(n=10_000, expected=0.0)
-    parts = [np.arange(start, start + 700) for start in range(0, 7_000, 700)]
-    for part in parts:
-        slots.extend(part)
-    assert slots.array().dtype == np.int32
-    assert np.array_equal(slots.array(), np.concatenate(parts))
-
-
-def test_the_unfinished_pulse_example_is_what_it_says():
-    """Guards the first two ``@example`` rows above against a silent change of meaning."""
-    doubles = np.random.default_rng(139).random(64)
-    line = math.exp(-0.45)
-    assert doubles[-4] <= line
-    assert (doubles[-3:] > line).all() and doubles[-3] * doubles[-2] * doubles[-1] > line
