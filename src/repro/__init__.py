@@ -17,9 +17,9 @@ Pearson and Troxel as a pure-Python simulation and protocol library:
 * :mod:`repro.ipsec` — IPsec/IKE with the paper's QKD extensions (continually
   reseeded AES keys and one-time-pad security associations).
 * :mod:`repro.network` — trusted-relay and untrusted-switch QKD networks.
-* :mod:`repro.runtime` — link-level scheduling across a thread pool
-  (:class:`~repro.runtime.LinkFarm`) with output invariant under worker
-  count.
+* :mod:`repro.runtime` — a fleet of links rebuilt from seeds and run as one
+  batch (:class:`~repro.runtime.LinkFarm`), each link's output independent
+  of the links beside it.
 * :mod:`repro.lanes` — the slot→key loop and the lane engine: a fleet of
   links carried to pooled key one lane at a time in one process, each lane
   bit-identical to the same link run alone.

@@ -45,6 +45,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.core.randomness": ("RandomnessReport", "RandomnessTester"),
         "repro.core.authentication": ("AuthenticatedChannel",),
         "repro.core.keypool": ("KeyPool", "KeyBlock"),
-        "repro.core.engine": ("QKDProtocolEngine", "DistillationOutcome", "EngineParameters"),
+        "repro.core.engine": ("QKDProtocolEngine", "EngineParameters"),
     },
 )

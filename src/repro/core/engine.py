@@ -22,8 +22,10 @@ stages read the engine's components from it as ``ctx.services``.
 An engine distils one key stream: its blocks run in-line, one after another,
 through the one pipeline, sharing the engine's Cascade and privacy RNG
 streams and its running QBER estimate.  Blocks are never fanned out to
-workers; parallelism lives one level up, across links
-(:class:`repro.runtime.LinkFarm`).
+workers, and neither are links: a fleet runs lane after lane
+(:class:`repro.lanes.LaneEngine`).  What a block leaves behind is its own
+:class:`~repro.pipeline.PipelineContext`: the stage results, the flags and
+the public transcript (``ctx.log``).
 
 Because this is a simulation, one engine object drives both protocol
 endpoints; the two ends' states (keys, pools) are nonetheless kept strictly
@@ -43,16 +45,10 @@ from numbers import Integral
 from typing import ClassVar, List, Optional
 
 from repro.core.authentication import AuthenticatedChannel
-from repro.core.cascade import CascadeParameters, CascadeProtocol, CascadeResult
-from repro.core.entropy_estimation import (
-    BennettDefense,
-    EntropyEstimate,
-    EntropyEstimator,
-    SlutskyDefense,
-)
+from repro.core.cascade import CascadeParameters, CascadeProtocol
+from repro.core.entropy_estimation import BennettDefense, EntropyEstimator, SlutskyDefense
 from repro.core.keypool import KeyPool
-from repro.core.messages import PublicChannelLog
-from repro.core.privacy import PrivacyAmplification, PrivacyAmplificationResult
+from repro.core.privacy import PrivacyAmplification
 from repro.core.randomness import RandomnessTester
 from repro.core.sifting import SiftResult
 from repro.pipeline import DistillationPipeline, PipelineContext
@@ -120,23 +116,6 @@ class EngineParameters:
         if self.defense == "bennett":
             return BennettDefense()
         return SlutskyDefense()
-
-
-@dataclass
-class DistillationOutcome:
-    """Everything that happened while distilling one block."""
-
-    block_id: int
-    sifted_bits: int
-    qber: float
-    cascade: Optional[CascadeResult]
-    entropy: Optional[EntropyEstimate]
-    privacy: Optional[PrivacyAmplificationResult]
-    distilled_bits: int
-    authenticated: bool
-    aborted: bool
-    abort_reason: str = ""
-    transcript: Optional[PublicChannelLog] = None
 
 
 @dataclass
@@ -238,13 +217,13 @@ class QKDProtocolEngine:
         n_slots: int,
         mean_photon_number: float = 0.1,
         entangled_source: bool = False,
-    ) -> List[DistillationOutcome]:
+    ) -> List[PipelineContext]:
         """Accumulate an already-sifted frame and distill completed blocks.
 
-        The slot→key loop (:func:`repro.lanes.engine.run_lane`) sifts each
+        The slot→key loop (:func:`repro.lanes.engine.run_lanes`) sifts each
         batch of its link's frames and feeds the :class:`SiftResult` here.
         ``n_slots`` is the transmitted slot count of the frame the sift came
-        from.  Returns the outcomes of every block completed by this frame
+        from.  Returns the context of every block completed by this frame
         (possibly none, if the sifted bits are still accumulating).
         """
         self.statistics.slots_processed += n_slots
@@ -263,13 +242,13 @@ class QKDProtocolEngine:
             outcomes.append(self._distill_pending(size))
         return outcomes
 
-    def flush(self) -> Optional[DistillationOutcome]:
+    def flush(self) -> Optional[PipelineContext]:
         """Distill whatever sifted bits are pending, even if below block size."""
         if not self._pending_alice:
             return None
         return self._distill_pending(len(self._pending_alice))
 
-    def _distill_pending(self, size: int) -> DistillationOutcome:
+    def _distill_pending(self, size: int) -> PipelineContext:
         """Distill the first ``size`` pending sifted bits as one block."""
         pending = len(self._pending_alice)
         alice_key = BitString(self._pending_alice[:size])
@@ -296,17 +275,18 @@ class QKDProtocolEngine:
         transmitted_pulses: int,
         mean_photon_number: float = 0.1,
         entangled_source: bool = False,
-    ) -> DistillationOutcome:
+    ) -> PipelineContext:
         """Run one sifted block through the distillation pipeline.
 
         The one entry point: :meth:`process_sifted` and :meth:`flush` call it
         for every block they pop.  The block takes the next block id, and its
         run advances the engine's state: the authentication pads, the key
-        pools, the statistics and the running QBER estimate.
+        pools, the statistics and the running QBER estimate.  Returns the
+        block's context as the pipeline left it.
         """
         block_id = self._next_block_id
         self._next_block_id += 1
-        ctx = self.pipeline.run(
+        return self.pipeline.run(
             PipelineContext(
                 block_id=block_id,
                 alice_key=alice_key,
@@ -316,19 +296,6 @@ class QKDProtocolEngine:
                 entangled_source=entangled_source,
                 services=self,
             )
-        )
-        return DistillationOutcome(
-            block_id=ctx.block_id,
-            sifted_bits=ctx.sifted_bits,
-            qber=ctx.qber,
-            cascade=ctx.cascade,
-            entropy=ctx.entropy,
-            privacy=ctx.privacy,
-            distilled_bits=ctx.distilled_bits,
-            authenticated=ctx.authenticated,
-            aborted=ctx.aborted,
-            abort_reason=ctx.abort_reason,
-            transcript=ctx.log,
         )
 
     # ------------------------------------------------------------------ #

@@ -7,8 +7,9 @@ contention and attack.  :mod:`repro.kms` is that operational layer:
 * :class:`~repro.kms.store.KeyStore` — per-peer-pair reservoirs with
   reservation / consume / expire semantics over :mod:`repro.core.keypool`;
 * :class:`~repro.kms.scheduler.ReplenishmentScheduler` — depletion-driven
-  dispatch of distillation epochs across mesh links (worker-count
-  invariant, via the PR-3 :class:`~repro.runtime.farm.LinkFarm`);
+  dispatch of distillation epochs across mesh links (each link's epoch a
+  lane of one :class:`~repro.runtime.farm.LinkFarm` run, its output
+  independent of the links beside it);
 * :class:`~repro.kms.workload.TrafficWorkload` — Poisson / bursty IPsec
   rekey demand on labeled RNG streams;
 * :class:`~repro.kms.service.KeyManagementService` — the long-lived runtime

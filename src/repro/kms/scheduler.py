@@ -11,14 +11,15 @@ and each epoch dispatches distillation across the needy links, prioritised
 by how fast their customers are draining them.
 
 Determinism contract (the property the soak test pins): one epoch's output
-is **bit-identical for any worker count**.  Every link's epoch is seeded by
-a labeled fork — ``kms/epoch/<epoch-index>/<node-a>--<node-b>`` — so its
-output is a pure function of ``(link parameters, label, budget)``, and links
-are committed in sorted-link order.  Only Monte-Carlo epochs fan out (across
-the :class:`~repro.runtime.farm.LinkFarm`'s threads, which return runs in
-submission order); analytic epochs generate each link's pad material inline,
-because a pool loses to a plain loop at every fleet size measured (12–400
-links; see CHANGES.md).
+is **bit-identical whatever else the epoch dispatches**.  Every link's epoch
+is seeded by a labeled fork — ``kms/epoch/<epoch-index>/<node-a>--<node-b>``
+— so its output is a pure function of ``(link parameters, label, budget)``,
+and links are committed in sorted-link order.  Both modes run in this
+thread: Monte-Carlo epochs as the lanes of one
+:class:`~repro.runtime.farm.LinkFarm` run, which returns runs in submission
+order, and analytic epochs one link's pad material after another, because a
+pool lost to a plain loop at every fleet size measured (12–400 links; see
+CHANGES.md).
 
 Two fidelity modes:
 
@@ -37,9 +38,9 @@ Two fidelity modes:
 ``"montecarlo"``
     Each dispatched link runs a real :class:`~repro.link.qkd_link.QKDLink`
     epoch (``slots_per_epoch`` trigger slots) through the
-    :class:`~repro.runtime.farm.LinkFarm`, one link per thread task (inline
-    at ``workers=1``), attacks interposed on the
-    photonic path, and banks whatever the protocol stack actually distills.
+    :class:`~repro.runtime.farm.LinkFarm`, one lane per link, attacks
+    interposed on the photonic path, and banks whatever the protocol stack
+    actually distills.
     Detection comes from the engine's own measured QBER / aborted blocks.
 """
 
@@ -81,11 +82,10 @@ class ReplenishmentConfig:
     mode: str = "analytic"
     #: Monte-Carlo budget per dispatched link per epoch.
     slots_per_epoch: int = 250_000
-    #: Monte-Carlo dispatch only: threads of the :class:`LinkFarm` the
-    #: epoch's links run on, one link per task (None = one per CPU).  At
-    #: ``workers=1`` the epoch's links run in this thread, one lane at a
-    #: time.  Analytic epochs generate their pad material inline whatever
-    #: this says.
+    #: Selects nothing: every epoch runs in this thread, one link after
+    #: another.  A value other than ``None`` must be a positive integer.
+    #: Kept only for callers that still pass ``workers=1``; queued for
+    #: removal with them.
     workers: Optional[int] = None
     #: Pairwise pads below this are always dispatched this epoch.
     pad_low_water_bits: int = 4_096
@@ -109,9 +109,10 @@ class ReplenishmentConfig:
         cap = self.max_links_per_epoch
         if cap is not None and (isinstance(cap, bool) or not isinstance(cap, int) or cap < 1):
             raise ValueError(f"max_links_per_epoch must be None or a positive integer, got {cap!r}")
-        from repro.runtime.farm import resolve_workers
+        if self.workers is not None:
+            from repro.runtime.farm import resolve_workers
 
-        resolve_workers(self.workers)
+            resolve_workers(self.workers)
 
 
 @dataclass
@@ -154,7 +155,7 @@ class ReplenishmentScheduler:
         #: Per-link demand pressure hints fed back by the service: links on
         #: the path of a starving store get their priority boosted.
         self.pressure: Dict[Tuple[str, str], float] = {}
-        self._farm = LinkFarm(workers=self.config.workers)
+        self._farm = LinkFarm()
         #: Wall-clock seconds spent ordering/selecting links (part of the
         #: scheduler overhead E21's ``kms.sched_overhead_s`` reports; excludes
         #: the dispatch fan-out).

@@ -39,10 +39,9 @@ catches up; a cut or eavesdropped link triggers reroute inside the relay
 layer and starvation accounting here — never a crash and never a deadlock.
 
 The soak acceptance property: the sha256 digest of all delivered end-to-end
-key material is **bit-identical for any worker count**, because every
-parallel fan-out works on labeled-fork streams and commits in a fixed
-order, while everything sequential is driven by the event clock's total
-order.
+key material is **bit-identical run to run**, because every link's epoch
+works on its own labeled-fork stream and commits in a fixed order, while
+everything else is driven by the event clock's total order.
 """
 
 from __future__ import annotations
@@ -184,12 +183,11 @@ class KmsConfig:
     def with_lanes(self, **overrides) -> "KmsConfig":
         """This config distilling real Monte-Carlo epochs in this process.
 
-        ``mode="montecarlo"`` and ``workers=1``: the epoch's links run one
-        lane at a time through the slot→key loop, no pool.  Any
-        :class:`ReplenishmentConfig` field may be overridden, those two
-        included.
+        ``mode="montecarlo"``: the epoch's links run one lane at a time
+        through the slot→key loop.  Any :class:`ReplenishmentConfig` field
+        may be overridden, ``mode`` included.
         """
-        return self.with_replenishment(**{"mode": "montecarlo", "workers": 1, **overrides})
+        return self.with_replenishment(**{"mode": "montecarlo", **overrides})
 
 
 @dataclass

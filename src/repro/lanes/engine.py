@@ -1,14 +1,14 @@
 """The slot→key loop, and a fleet of links carried through it one at a time.
 
-Every link is a **lane**, and :func:`run_lane` is the one loop that carries a
-lane from trigger slots to pooled key, one ``slots_per_batch`` batch at a
-time: transmit (:func:`repro.optics.channel.transmit_lanes`), sift
+Every link is a **lane**, and :func:`run_lanes` is the one loop that carries
+lanes from trigger slots to pooled key, one lane after another and one
+``slots_per_batch`` batch at a time: transmit
+(:func:`repro.optics.channel.transmit_lanes`), sift
 (:func:`repro.core.sifting.sift_frames`), then distil (the link's own
-engine).  A single :class:`~repro.link.qkd_link.QKDLink` runs it directly
-(``QKDLink.run_slots``), :class:`LaneEngine` runs a fleet through it lane
-after lane in one process (:func:`run_lanes`), and the
-:class:`~repro.runtime.farm.LinkFarm` runs it once per job — inline at one
-worker, else one job per thread task.
+engine).  A single :class:`~repro.link.qkd_link.QKDLink` is a run of one
+lane (``QKDLink.run_slots``), :class:`LaneEngine` runs a fleet through it,
+and the :class:`~repro.runtime.farm.LinkFarm` runs its jobs as the lanes of
+one :class:`LaneEngine`.
 
 Lane independence
 -----------------
@@ -82,21 +82,15 @@ __all__ = ["LaneEngine"]
 EMITTER_THREAD_PREFIX = "repro-emit-ahead"
 
 
-def run_lane(link: QKDLink, n_slots: int, flush: bool = True) -> LinkReport:
-    """Carry ``n_slots`` trigger slots on ``link`` to pooled key.
+def run_lanes(lanes: Iterable[Tuple[QKDLink, int, bool]]) -> List[LinkReport]:
+    """Carry each ``(link, n_slots, flush)`` lane to pooled key in turn, the
+    source one batch ahead throughout; one report per lane, in order.
 
     Per batch: one :func:`transmit_lanes`, one :func:`sift_frames`, then the
     link's engine accumulates and distils; ``flush`` distils a final partial
-    block.  Returns this run's report.  ``n_slots`` must be a non-negative
-    integer (numpy integers included).
+    block.  ``n_slots`` must be a non-negative integer (numpy integers
+    included).
     """
-    [report] = run_lanes([(link, n_slots, flush)])
-    return report
-
-
-def run_lanes(lanes: Iterable[Tuple[QKDLink, int, bool]]) -> List[LinkReport]:
-    """:func:`run_lane` on each ``(link, n_slots, flush)`` in turn, the
-    source one batch ahead throughout; one report per lane, in order."""
     lanes = [(link, _slot_count(n_slots), flush) for link, n_slots, flush in lanes]
     schedule = (
         (link.channel, size) for link, n_slots, _ in lanes for size in _batches(link, n_slots)
@@ -255,12 +249,10 @@ class LaneEngine:
     def run(self) -> List[LinkRun]:
         """Run every lane for its own job's slot budget; the farm's entry.
 
-        One :class:`LinkRun` per job, in job order, whether the ``LinkFarm``
-        called it inline or on a worker thread.
+        One :class:`LinkRun` per job, in job order, each ending with a
+        flushed final block.
         """
-        reports = run_lanes(
-            (link, job.n_slots, job.flush) for job, link in zip(self.jobs, self.links)
-        )
+        reports = run_lanes((link, job.n_slots, True) for job, link in zip(self.jobs, self.links))
         return [
             LinkRun(
                 name=job.name,

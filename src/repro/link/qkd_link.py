@@ -25,15 +25,11 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.core.engine import (
-    DistillationOutcome,
-    EngineParameters,
-    EngineStatistics,
-    QKDProtocolEngine,
-)
+from repro.core.engine import EngineParameters, EngineStatistics, QKDProtocolEngine
 from repro.optics import model
 from repro.optics.channel import QuantumChannel
 from repro.optics.model import ChannelParameters
+from repro.pipeline import PipelineContext
 from repro.util.rng import DeterministicRNG
 
 
@@ -66,13 +62,14 @@ class LinkReport:
     engine's own statistics are cumulative over every run of the link), and
     the report reads through to it: ``report.sifted_bits`` is
     ``report.statistics.sifted_bits``, and ``report.mean_qber`` the QBER of
-    this run's sifted bits.
+    this run's sifted bits.  ``outcomes`` holds the context of every block
+    the run distilled, in order.
     """
 
     slots_transmitted: int
     elapsed_channel_seconds: float
     statistics: EngineStatistics
-    outcomes: List[DistillationOutcome] = field(default_factory=list)
+    outcomes: List[PipelineContext] = field(default_factory=list)
 
     def __getattr__(self, name: str):
         # Only reached for a name the report does not hold itself.
@@ -130,14 +127,16 @@ class QKDLink:
     def run_slots(self, n_slots: int, flush: bool = True) -> LinkReport:
         """Transmit ``n_slots`` trigger slots and run the protocols over them.
 
-        One lane of the slot→key loop, :func:`repro.lanes.engine.run_lane`.
+        One lane of the slot→key loop, :func:`repro.lanes.engine.run_lanes`;
+        ``flush`` distils a final partial block.
         """
-        from repro.lanes.engine import run_lane
+        from repro.lanes.engine import run_lanes
 
-        return run_lane(self, n_slots, flush)
+        [report] = run_lanes([(self, n_slots, flush)])
+        return report
 
     def build_report(
-        self, n_slots: int, outcomes: List[DistillationOutcome], started: EngineStatistics
+        self, n_slots: int, outcomes: List[PipelineContext], started: EngineStatistics
     ) -> LinkReport:
         """Assemble the report of one run: what the engine counted since
         ``started``, a copy of its statistics taken when the run began."""

@@ -55,7 +55,7 @@ class FrameResult:
 
     A frame is a plain value that owns its arrays (one link's batch, never a
     view into a wider one).  It is read once, by sifting; the slot→key loop
-    (:func:`repro.lanes.engine.run_lane`) drops its reference as soon as
+    (:func:`repro.lanes.engine.run_lanes`) drops its reference as soon as
     sifting returns, so a run holds one batch of one link's per-slot arrays
     at a time, however many links it carries (and the next batch's three
     source arrays, drawn ahead).

@@ -1,21 +1,23 @@
 """Link-level scale-out that keeps seeded runs bit-identical.
 
 The paper's system is a *throughput* machine — a 1 MHz pulsed link feeding a
-mesh of VPN gateways with continuously distilled key.  This package runs many
-independent links at once without giving up the property every test leans
-on: **identical seeds give identical keys, for any worker count**.
+mesh of VPN gateways with continuously distilled key.  This package runs a
+fleet of independent links as one batch without giving up the property every
+test leans on: **identical seeds give identical keys**, whatever links run
+beside them.
 
-* :mod:`repro.runtime.farm` — :class:`LinkFarm`, link-level parallelism
-  across a fleet: each link is rebuilt on a worker thread from
-  ``(parameters, seed, slots)``, results in submission order, so the
-  replenishment scheduler's Monte-Carlo epochs run every link concurrently;
-  and :func:`resolve_workers`, the one worker-count rule.
+* :mod:`repro.runtime.farm` — :class:`LinkFarm`, which rebuilds each link
+  from ``(parameters, seed, slots)`` and runs the fleet as the lanes of one
+  :class:`~repro.lanes.LaneEngine` run in this thread, results in
+  submission order (the replenishment scheduler's Monte-Carlo epochs); and
+  :func:`resolve_workers`, the check every worker count passes.
 
-Blocks inside one engine are not fanned out: a worker pool lost to the
-plain loop there (``n_x_1`` about 1.0 with processes and 0.75 with threads
-at 2 workers on a 2-vCPU host), so an engine distils its one key stream
-in-line.  See ``docs/API.md`` for the determinism contract and the catalogue
-of named RNG streams.
+Nothing here runs on a pool.  Blocks inside one engine lost to the plain
+loop (``n_x_1`` about 1.0 with processes and 0.75 with threads at 2 workers
+on a 2-vCPU host), and whole links on two threads measured no faster than
+one lane after another once the source ran one batch ahead.  See
+``docs/API.md`` for the determinism contract and the catalogue of named RNG
+streams.
 """
 
 from repro.util.exports import lazy_exports

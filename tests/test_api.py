@@ -154,6 +154,17 @@ class TestVpnFacade:
         # Bringing the tunnel up consumed QKD key.
         assert vpn.link.engine.alice_pool.available_bits < before
 
+    def test_a_second_tunnel_reuses_the_phase1_sa(self):
+        """Phase 1 is brought up by the first tunnel only; the second
+        negotiates its phase 2 under the same control channel."""
+        vpn = QKDSystem(seed=42).vpn(distill_seconds=1.0)
+        vpn.secure_tunnel("first", "10.1.0.0/16", "10.2.0.0/16")
+        phase1 = vpn.gateways.alice.ike.phase1
+        vpn.secure_tunnel("second", "10.3.0.0/16", "10.4.0.0/16")
+        assert phase1 is not None and vpn.gateways.alice.ike.phase1 is phase1
+        delivered = vpn.send("10.3.0.1", "10.4.0.1", b"second tunnel")
+        assert delivered is not None and delivered.payload == b"second tunnel"
+
     def test_one_time_pad_tunnel(self, vpn):
         # A one-time-pad SA spends pad byte-for-byte on traffic, so give it a
         # Qblock big enough for the test payload plus ESP overhead.

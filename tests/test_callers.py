@@ -48,7 +48,7 @@ forwards the value to the owner, followed transitively:
   ``replace()``, which reaches the options-dataclass fields of that name
   (``replace(self.config, **overrides)``);
 * an options-dataclass field copied across under its own name
-  (``LinkFarm(workers=self.config.workers)``).
+  (``owner(workers=config.workers)``, a case of :data:`FORWARDS`).
 
 A forward is not a setting: the forwarded option is set only if the value
 at the far end is.  A ``*``/``**`` splat of anything else may set every

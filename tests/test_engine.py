@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.engine import EngineParameters, QKDProtocolEngine
 from repro.crypto.wegman_carter import WegmanCarterAuthenticator
+from repro.pipeline import PipelineContext
 from repro.core.sifting import SiftingProtocol
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
@@ -169,8 +170,20 @@ class TestDistillBlock:
         engine = QKDProtocolEngine(rng=DeterministicRNG(18))
         alice, bob = noisy_pair(1024, 0.04, seed=19)
         outcome = engine.distill_block(alice, bob, transmitted_pulses=200_000)
-        assert outcome.transcript is not None
-        assert len(outcome.transcript) > 0
+        assert len(outcome.log) > 0
+
+    def test_a_block_returns_the_context_the_pipeline_left(self):
+        """What a block leaves is its own pipeline context: the block id it
+        took, the key it delivered and the engine it ran against."""
+        engine = QKDProtocolEngine(rng=DeterministicRNG(18))
+        blocks = [
+            engine.distill_block(*noisy_pair(2048, 0.04, seed=seed), transmitted_pulses=500_000)
+            for seed in (19, 20)
+        ]
+        assert all(isinstance(ctx, PipelineContext) for ctx in blocks)
+        assert [ctx.block_id for ctx in blocks] == [0, 1]
+        assert all(ctx.services is engine and ctx.authenticated for ctx in blocks)
+        assert sum(ctx.distilled_bits for ctx in blocks) == engine.alice_pool.bits_added > 0
 
 
 def sifted_blocks(rates, seed=100):
@@ -200,7 +213,7 @@ class TestBlockStream:
         [outcome] = distill_all(engine, sifted_blocks((0.30,), seed=556))
         assert outcome.aborted and "exceeds abort threshold" in outcome.abort_reason
         assert outcome.cascade is None and outcome.entropy is None and outcome.privacy is None
-        assert len(outcome.transcript) == 0
+        assert len(outcome.log) == 0
         tag_bits = WegmanCarterAuthenticator.TAG_BITS
         assert engine.alice_auth.pool.available_bits == start - tag_bits
         assert engine.bob_auth.pool.available_bits == start - tag_bits
@@ -393,7 +406,7 @@ class TestEngineMemory:
             searches = sum(
                 isinstance(entry, CascadeBisection)
                 for outcome in outcomes
-                for entry in outcome.transcript.messages
+                for entry in outcome.log.messages
             )
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
@@ -408,8 +421,8 @@ class TestEngineMemory:
 
 class TestTranscriptEntries:
     def test_a_transcript_of_bisection_entries_survives_pickle_and_the_attack_copies(self):
-        # An outcome is a plain value a caller may store or ship, so its
-        # transcript must survive pickle; a forged transcript is built by
+        # A block's transcript is a plain value a caller may store or ship, so
+        # it must survive pickle; a forged transcript is built by
         # deep-copying it entry by entry.  Bytes and message count must come
         # through both.
         import copy
@@ -425,7 +438,7 @@ class TestTranscriptEntries:
         engine = QKDProtocolEngine(rng=DeterministicRNG(41))
         log = engine.distill_block(
             *noisy_pair(2048, 0.05, seed=42), transmitted_pulses=500_000
-        ).transcript
+        ).log
         entries = [m for m in log.messages if isinstance(m, CascadeBisection)]
         assert entries and len(log) > len(log.messages)
         transcript, count = log.transcript_bytes(), len(log)

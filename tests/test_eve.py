@@ -80,7 +80,7 @@ class TestManInTheMiddle:
         alice = BitString.random(1024, rng)
         bob = alice ^ BitString(int(i in (3, 500)) for i in range(len(alice)))
         outcome = engine.distill_block(alice, bob, transmitted_pulses=100_000)
-        return engine, outcome.transcript
+        return engine, outcome.log
 
     def test_tampering_detected_by_authentication(self):
         """Eve flips one Cascade parity in transit: Bob's check fails."""

@@ -95,6 +95,15 @@ class TestPhase2Qkd:
         assert negotiation.granted_qblocks == 1
         assert negotiation.qkd_bits_used == QBLOCK_BITS
 
+    def test_each_negotiation_takes_a_fresh_increasing_id(self):
+        alice_pool, bob_pool = synced_pools()
+        alice, bob = make_daemons(alice_pool, bob_pool)
+        alice.establish_phase1(bob)
+        first, _ = alice.negotiate_phase2(bob, AES_POLICY)
+        second, _ = alice.negotiate_phase2(bob, AES_POLICY)
+        assert first.negotiation_id < second.negotiation_id
+        assert alice.last_negotiation.negotiation_id == second.negotiation_id
+
     def test_both_ends_derive_identical_keymat(self):
         alice_pool, bob_pool = synced_pools()
         alice, bob = make_daemons(alice_pool, bob_pool)

@@ -2,13 +2,13 @@
 
 The lane engine's contract is lane independence: a lane's sifted stream,
 distilled key, report and pools are byte-for-byte what the same job produces
-as a width-1 batch (``QKDLink.run_slots``, a farm worker).  These tests pin
+run as one link (``QKDLink.run_slots``).  These tests pin
 that differentially — N lanes vs N x 1 lane, across lane counts,
 heterogeneous per-lane physics, an attacked lane, and lane order, which is
 what catches cross-lane leakage — and a persistent fleet over repeated
 epochs, plus ``sift_frames``, the memory bound that carrying one lane at a
-time buys, ragged fleets at any farm worker count, and the scheduler's
-in-process Monte-Carlo mode.
+time buys, ragged fleets through the farm, and the scheduler's in-process
+Monte-Carlo mode.
 """
 
 import functools
@@ -34,8 +34,8 @@ from repro.optics.model import DetectorParameters
 from repro.optics.model import InterferometerParameters
 from repro.optics.source import WeakCoherentSource
 from repro.optics.timing import FramingParameters
-from repro.runtime import LinkFarm, farm
-from repro.runtime.farm import LinkJob, _run_link_job
+from repro.runtime import LinkFarm
+from repro.runtime.farm import LinkJob, LinkRun
 from repro.util.bits import BitString
 from repro.util.rng import DeterministicRNG
 from tests.test_runtime_parallel import link_jobs
@@ -127,18 +127,27 @@ def heterogeneous_jobs(seed=11, n_slots=SLOTS):
     ]
 
 
+def run_alone(job):
+    """``job`` as one link's ``QKDLink.run_slots``, the run every lane must equal."""
+    link = QKDLink(job.parameters, DeterministicRNG(job.seed), name=job.name)
+    if job.attack is not None:
+        link.attach_attack(job.attack)
+    report = link.run_slots(job.n_slots)
+    return LinkRun(job.name, report, link.engine.alice_pool, link.engine.bob_pool)
+
+
 def sequential_digests(jobs):
-    return {job.name: _report_digest(_run_link_job(job).report) for job in jobs}
+    return {job.name: _report_digest(run_alone(job).report) for job in jobs}
 
 
 class TestLaneBitIdentity:
-    """The contract: a lane in an N-wide batch == the same job alone, bit for
-    bit (``_run_link_job`` is the width-1 batch a farm worker runs)."""
+    """The contract: a lane in an N-wide fleet == the same job alone, bit for
+    bit (:func:`run_alone`)."""
 
     def test_single_lane_matches_sequential(self):
         job = heterogeneous_jobs()[1]
         lane_run = LaneEngine([job]).run()[0]
-        seq_run = _run_link_job(job)
+        seq_run = run_alone(job)
         assert _report_digest(lane_run.report) == _report_digest(seq_run.report)
         assert _pool_digest(lane_run.alice_pool) == _pool_digest(seq_run.alice_pool)
         assert _pool_digest(lane_run.bob_pool) == _pool_digest(seq_run.bob_pool)
@@ -166,7 +175,7 @@ class TestLaneBitIdentity:
         # Spot-check a spread of lanes sequentially (all 64 would only
         # repeat the same code path 64 times over).
         for index in (0, 1, 31, 63):
-            seq = _run_link_job(jobs[index])
+            seq = run_alone(jobs[index])
             assert _report_digest(lane_runs[index].report) == _report_digest(seq.report)
 
     def test_lane_order_invariance_and_pinned_digest(self):
@@ -202,7 +211,7 @@ class TestLaneBitIdentity:
         # Batched beside a second lane, so the two arms are not the same call.
         neighbour = replace(job, name="neighbour", seed=job.seed + 1)
         lane_run = LaneEngine([neighbour, job]).run()[1]
-        seq_run = _run_link_job(job)
+        seq_run = run_alone(job)
         assert lane_run.report.distilled_bits > 0
         assert _pool_digest(lane_run.alice_pool) == _pool_digest(seq_run.alice_pool)
         assert _report_digest(lane_run.report) == _report_digest(seq_run.report)
@@ -510,7 +519,7 @@ class TestEmitAhead:
             LaneEngine(heterogeneous_jobs()).run()
             LaneEngine.for_fleet(3, rng=DeterministicRNG(5)).run_slots(40_000, flush=False)
             QKDLink(LinkParameters(slots_per_batch=BATCH), DeterministicRNG(7)).run_slots(SLOTS)
-            LinkFarm(workers=1).run(heterogeneous_jobs()[:2])
+            LinkFarm().run(heterogeneous_jobs()[:2])
         assert callers == {threading.current_thread().name}
         assert any(name.startswith(EMITTER_THREAD_PREFIX) for name in emitters)
 
@@ -526,12 +535,11 @@ class TestEmitAhead:
         assert len(started) == 1
 
 
-class TestFarmWorkers:
-    @pytest.mark.parametrize("workers", [2, 1])
-    def test_ragged_fleet_runs_at_any_worker_count_in_order(self, workers):
+class TestFarm:
+    def test_ragged_fleet_runs_in_order(self):
         """Links that differ in slot budget, ``slots_per_batch`` and Qframe
-        size run together on thread workers or inline, in order, each bit for
-        bit its width-1 run."""
+        size run together through the farm, in order, each bit for bit its
+        run alone."""
         jobs = heterogeneous_jobs()
         ragged = [
             jobs[0],
@@ -546,26 +554,16 @@ class TestFarmWorkers:
                 ),
             ),
         ]
-        runs = LinkFarm(workers=workers).run(ragged)
+        runs = LinkFarm().run(ragged)
         assert [run.name for run in runs] == [job.name for job in ragged]
         assert [run.report.slots_transmitted for run in runs] == [job.n_slots for job in ragged]
         assert {run.name: _report_digest(run.report) for run in runs} == sequential_digests(ragged)
-
-    def test_one_worker_matches_thread_workers(self):
-        jobs = heterogeneous_jobs()
-        inline_runs = LinkFarm(workers=1).run(jobs)
-        thread_runs = LinkFarm(workers=2).run(jobs)
-        for inline_run, thread_run in zip(inline_runs, thread_runs):
-            assert inline_run.name == thread_run.name
-            assert _report_digest(inline_run.report) == _report_digest(thread_run.report)
-            assert _pool_digest(inline_run.alice_pool) == _pool_digest(
-                thread_run.alice_pool
-            )
 
     def test_an_empty_fleet_runs_to_nothing(self):
         fleet = LaneEngine([])
         assert fleet.n_lanes == 0
         assert fleet.run() == [] and fleet.run_slots(1_000) == []
+        assert LinkFarm().run([]) == []
 
     def test_entangled_lane_beside_weak_coherent_lanes_reproduces_its_pin(self):
         """Any source type is a lane like any other: the entangled job, batched
@@ -579,7 +577,7 @@ class TestFarmWorkers:
 
         names = ["beamsplitter", "entangled", "phase_noise"]
         jobs = [branch_job(name) for name in names]
-        for run in LinkFarm(workers=1).run(jobs):
+        for run in LinkFarm().run(jobs):
             pinned_pool_digest = LINK_BRANCHES[run.name][3]
             assert link_run_digest(run.report, run.alice_pool) == pinned_pool_digest
 
@@ -591,20 +589,16 @@ class TestSchedulerLanes:
         with pytest.raises(ValueError, match="worker count"):
             ReplenishmentConfig(workers=workers)
 
-    def test_pad_material_is_generated_without_a_pool(self, monkeypatch):
-        """An analytic epoch and a labeled prefill at ``workers=4`` construct
-        no executor: a pool loses to the plain loop at every fleet size."""
-        import concurrent.futures
+    def test_pad_material_is_generated_without_a_thread(self):
+        """An analytic epoch and a labeled prefill at ``workers=4`` start no
+        thread or process: a pool lost to the plain loop at every fleet size."""
+        import multiprocessing
 
         from repro.kms.scheduler import ReplenishmentScheduler
         from tests.test_kms import make_relays
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("pad material went through a worker pool")
-
-        monkeypatch.setattr(farm, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        threads = threading.active_count()
+        children = multiprocessing.active_children()
         relays = make_relays(seed=3)
         relays.run_links_for(0.5, workers=4)
         prefilled = sum(pad.available_bytes for pad in relays.pairwise_pads.values())
@@ -614,11 +608,13 @@ class TestSchedulerLanes:
         )
         report = scheduler.run_epoch()
         assert len(report.dispatched) > 1 and report.total_banked_bits > 0
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == children
 
-    def test_montecarlo_one_worker_matches_thread_workers(self):
-        """The scheduler's Monte-Carlo epochs deliver identical key material
-        whether the fleet runs inline, one lane at a time, or on thread
-        workers."""
+    def test_montecarlo_epochs_ignore_the_worker_count(self):
+        """``ReplenishmentConfig.workers`` selects nothing: the scheduler's
+        Monte-Carlo epochs deliver identical key material with no count and
+        with a count of two."""
         from tests.test_kms import make_relays
 
         def serve(workers):
@@ -638,11 +634,11 @@ class TestSchedulerLanes:
             service = KeyManagementService(relays, config, rng=DeterministicRNG(3))
             return service.serve(hours=0.5)
 
-        lanes = serve(1)
-        threads = serve(2)
-        assert lanes.pad_bits_banked > 0
-        assert lanes.delivered_digest == threads.delivered_digest
-        assert lanes.pad_bits_banked == threads.pad_bits_banked
+        unset = serve(None)
+        given = serve(2)
+        assert unset.pad_bits_banked > 0
+        assert unset.delivered_digest == given.delivered_digest
+        assert unset.pad_bits_banked == given.pad_bits_banked
 
 
 class TestFleetConstruction:
@@ -659,7 +655,7 @@ class TestFleetConstruction:
         fleet = LaneEngine.for_fleet(3, parameters=parameters, rng=DeterministicRNG(2))
         assert [job.name for job in fleet.jobs] == ["lane-0", "lane-1", "lane-2"]
         assert all(job.parameters is parameters for job in fleet.jobs)
-        assert all(job.flush and job.attack is None for job in fleet.jobs)
+        assert all(job.attack is None for job in fleet.jobs)
         assert len({job.seed for job in fleet.jobs}) == 3
         assert [link.name for link in fleet.links] == ["lane-0", "lane-1", "lane-2"]
 
@@ -700,15 +696,14 @@ class TestFacade:
         kms = mesh.kms(config)
         replenishment = kms.config.replenishment
         assert replenishment.mode == "montecarlo"
-        assert replenishment.workers == 1
         assert replenishment.max_links_per_epoch == 8
         # the builder is non-destructive: the base config is untouched
         assert KmsConfig().replenishment.mode == "analytic"
         assert mesh.kms().config.replenishment.workers is None
 
     def test_with_lanes_overrides_win(self):
-        """``mode`` and ``workers`` are defaults, not fixed: an override of
-        either used to raise a duplicate-keyword ``TypeError``."""
+        """``mode`` is a default, not fixed: an override of it used to raise a
+        duplicate-keyword ``TypeError``."""
         replenishment = KmsConfig().with_lanes(mode="analytic", workers=2).replenishment
         assert (replenishment.mode, replenishment.workers) == ("analytic", 2)
-        assert KmsConfig().with_lanes().replenishment.workers == 1
+        assert KmsConfig().with_lanes().replenishment.workers is None

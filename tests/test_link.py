@@ -45,6 +45,12 @@ class TestLinkParameters:
         with pytest.raises(ValueError, match="slots_per_batch must be a positive integer"):
             LinkParameters(slots_per_batch=batch)
 
+    def test_a_batch_of_one_slot_is_accepted(self):
+        """One slot is the smallest positive batch, and a link runs on it."""
+        parameters = LinkParameters(slots_per_batch=1)
+        report = QKDLink(parameters, DeterministicRNG(7)).run_slots(3)
+        assert report.slots_transmitted == 3
+
 
 class TestSlotCounts:
     @pytest.mark.parametrize("n_slots", [True, 2.5, 100_000.0, -1, "10"])

@@ -12,7 +12,7 @@ from repro.optics.detector import apply_afterpulse, combine_clicks, signal_click
 from repro.optics.entangled import EntangledPairSource, EntangledSourceParameters
 from repro.optics.fiber import FiberSpan, LossElement, OpticalPath
 from repro.optics.interferometer import detector1_probability_map, phase_delta
-from repro.optics.model import DetectorParameters, InterferometerParameters
+from repro.optics.model import MAX_MEAN_COUNT, DetectorParameters, InterferometerParameters
 from repro.optics.source import SourceParameters, WeakCoherentSource, modulator_phase
 from repro.optics.timing import BrightPulseFraming, FramingParameters, frame_layout
 from repro.util.rng import DeterministicRNG
@@ -50,6 +50,12 @@ class TestSourceParameters:
             SourceParameters(mean_photon_number=60_001)
         with pytest.raises(ValueError, match="uint16"):
             EntangledSourceParameters(mean_pairs_per_pulse=1e6)
+
+    def test_the_largest_mean_pair_count_accepted_is_the_uint16_bound(self):
+        pairs = EntangledSourceParameters(mean_pairs_per_pulse=MAX_MEAN_COUNT)
+        assert pairs.mean_pairs_per_pulse == MAX_MEAN_COUNT
+        with pytest.raises(ValueError, match="uint16"):
+            EntangledSourceParameters(mean_pairs_per_pulse=MAX_MEAN_COUNT + 1)
 
 
 class TestWeakCoherentSource:

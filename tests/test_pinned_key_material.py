@@ -248,7 +248,7 @@ def test_block_transcript_tags_and_parity_counts_are_pinned(monkeypatch):
     alice, bob = _noisy_pair(100)
     outcome = engine.distill_block(alice, bob, transmitted_pulses=500_000)
 
-    transcript = outcome.transcript.transcript_bytes()
+    transcript = outcome.log.transcript_bytes()
     assert len(transcript) == 50_020
     assert hashlib.sha256(transcript).hexdigest() == PINNED_TRANSCRIPT_SHA256
     assert tuple(tags) == PINNED_TAGS
@@ -261,7 +261,7 @@ def test_block_transcript_tags_and_parity_counts_are_pinned(monkeypatch):
 def test_link_block_transcripts_are_pinned():
     report = QKDSystem(seed=LINK_SEED).link().run_slots(3_000_000)
     assert tuple(
-        hashlib.sha256(outcome.transcript.transcript_bytes()).hexdigest()
+        hashlib.sha256(outcome.log.transcript_bytes()).hexdigest()
         for outcome in report.outcomes
     ) == PINNED_LINK_TRANSCRIPT_SHA256
 

@@ -150,7 +150,7 @@ class TestStagePolicies:
         assert not outcomes[1].cascade.confirmed and not outcomes[1].authenticated
         assert outcomes[1].entropy is None and outcomes[1].privacy is None
         assert [
-            bool(messages_of_type(o.transcript, PrivacyAmplificationMessage)) for o in outcomes
+            bool(messages_of_type(o.log, PrivacyAmplificationMessage)) for o in outcomes
         ] == [True, False, True]
         digest = hashlib.sha256()
         for block in engine.alice_pool.blocks:

@@ -1,17 +1,18 @@
 """Tests for the runtime (repro.runtime) and the labeled RNG forks it uses.
 
-An engine distils its blocks in-line, so what runs across workers is whole
-links: the ``LinkFarm`` over a thread pool, whose output must not depend
-on the worker count, and the relay network's labeled pad refill.  These
-tests hold ``fork_labeled``'s order independence, the farm's job order,
-worker-count rule and worker-count invariance, and the refill's.
+An engine distils its blocks in-line and the ``LinkFarm`` runs whole links
+lane after lane, so what must not depend on its neighbours is a link: a
+farm job's output is what the job gives alone, and the relay network's
+labeled pad refill is the same for any worker count.  These tests hold
+``fork_labeled``'s order independence, the farm's job order and per-job
+independence, the worker-count check, and the refill's invariance.
 """
 
-import os
 from dataclasses import replace
 
 import pytest
 
+from repro.kms.scheduler import ReplenishmentConfig
 from repro.link import LinkParameters
 from repro.network.relay import TrustedRelayNetwork
 from repro.runtime import LinkFarm, resolve_workers
@@ -63,55 +64,38 @@ class TestForkLabeled:
 
 class TestLinkFarm:
     def test_runs_come_back_in_submission_order(self):
-        """Eight jobs on four threads, finishing out of order (the budgets
-        fall), come back in the order they went in."""
+        """Eight jobs of falling budgets come back in the order they went in."""
         jobs = link_jobs(8, 1_000, rng=DeterministicRNG(12))
         jobs = [replace(job, n_slots=40_000 - 5_000 * index) for index, job in enumerate(jobs)]
-        runs = LinkFarm(workers=4).run(jobs)
+        runs = LinkFarm().run(jobs)
         assert [run.name for run in runs] == [job.name for job in jobs]
         assert [run.report.slots_transmitted for run in runs] == [job.n_slots for job in jobs]
 
     def test_resolve_workers_refuses_what_is_not_a_positive_integer(self):
-        for workers in (0, -3, 1.5, "2", True):
+        # None is not a count.
+        for workers in (0, -3, 1.5, "2", True, None):
             with pytest.raises(ValueError, match="worker count"):
                 resolve_workers(workers)
         assert resolve_workers(3) == 3
-        assert resolve_workers(None) >= 1
 
-    def test_fleet_invariant_under_worker_count(self):
+    def test_a_job_runs_as_it_would_alone(self):
         jobs = link_jobs(2, 450_000, rng=DeterministicRNG(11))
-        runs_one = LinkFarm(workers=1).run(jobs)
-        runs_two = LinkFarm(workers=2).run(jobs)
-        for one, two in zip(runs_one, runs_two):
-            assert one.name == two.name
-            assert one.report.sifted_bits == two.report.sifted_bits
-            assert one.report.distilled_bits == two.report.distilled_bits
-            assert [str(b.bits) for b in one.alice_pool.blocks] == [
-                str(b.bits) for b in two.alice_pool.blocks
+        together = LinkFarm().run(jobs)
+        for job, run in zip(jobs, together):
+            [alone] = LinkFarm().run([job])
+            assert run.name == alone.name
+            assert run.report.sifted_bits == alone.report.sifted_bits
+            assert run.report.distilled_bits == alone.report.distilled_bits
+            assert [str(b.bits) for b in run.alice_pool.blocks] == [
+                str(b.bits) for b in alone.alice_pool.blocks
             ]
-
-    def test_bad_worker_count_is_refused_at_construction(self):
-        """At construction, not from inside the first ``run``."""
-        with pytest.raises(ValueError, match="worker count"):
-            LinkFarm(workers=0)
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5, "2", True])
     def test_every_bad_worker_count_is_refused_at_construction(self, workers):
+        """By the config, not from inside its first epoch."""
         with pytest.raises(ValueError, match="worker count"):
-            LinkFarm(workers=workers)
+            ReplenishmentConfig(workers=workers)
 
-    def test_none_means_one_worker_per_cpu(self):
-        assert resolve_workers(None) == max(os.cpu_count() or 1, 1)
-        assert LinkFarm().workers is None
-
-    def test_more_workers_than_jobs_runs_each_job_once(self):
-        jobs = link_jobs(2, 20_000, rng=DeterministicRNG(13))
-        wide = LinkFarm(workers=8).run(jobs)
-        inline = LinkFarm(workers=1).run(jobs)
-        assert [run.name for run in wide] == ["link-0", "link-1"]
-        assert [run.report.distilled_bits for run in wide] == [
-            run.report.distilled_bits for run in inline
-        ]
 
 
 class TestRelayParallelRefill:
